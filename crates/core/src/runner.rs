@@ -551,7 +551,8 @@ pub struct RunPerf {
     pub sched_wall_ns: u64,
     /// Filter-plugin invocations across all scheduler cycles. Under the
     /// naive scan this grows with pending × nodes; under the feasibility
-    /// index only non-capacity filters on surviving candidates pay it.
+    /// index only non-capacity filters pay it, and only on candidates
+    /// whose cached verdict for the pod's class went stale.
     pub filter_evals: u64,
     /// Feasibility-index tree probes across all scheduler cycles (zero
     /// when the index is off). `filter_evals + feasibility_probes` is

@@ -2,15 +2,16 @@
 //! tentative bind, and preemption.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
 use evolve_telemetry::trace::{SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
-use crate::index::FeasibilityIndex;
+use crate::index::{FeasibilityIndex, Verdict};
 use crate::plugins::{
-    BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, NodeView,
+    BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, NodeView, PodClass,
     ScorePlugin, SpreadApp,
 };
 
@@ -33,8 +34,9 @@ pub struct SchedulePlan {
     pub stale_pod_lookups: u64,
     /// Filter-plugin invocations this cycle. The naive scan pays one per
     /// (pending pod, node) pair until the first failing filter; the
-    /// indexed path pays only for non-capacity filters on surviving
-    /// candidates, so this is the numerator of the index's win.
+    /// indexed path pays only for non-capacity filters, and only on
+    /// candidates whose cached verdict for the pod's class went stale, so
+    /// this is the numerator of the index's win.
     pub filter_evals: u64,
     /// Feasibility-index tree nodes visited this cycle (zero on the
     /// naive path). `filter_evals + index_probes` is the indexed cycle's
@@ -132,6 +134,19 @@ pub struct SchedulerFramework {
     /// `EVOLVE_SCHED_NAIVE` environment variable (at construction) or
     /// [`with_index(false)`](Self::with_index) selects the naive scan.
     use_index: bool,
+    /// Identity of this plugin set, renewed whenever a plugin is added. A
+    /// carried [`FeasibilityIndex`] tags its score caches with it, so an
+    /// index handed to a different framework never serves that
+    /// framework another one's scores.
+    plugin_set: u64,
+}
+
+/// A process-unique [`SchedulerFramework::plugin_set`] value (never 0,
+/// which is what an index that has not scored anything yet holds).
+fn next_plugin_set() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the value is only ever compared for equality.
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl std::fmt::Debug for SchedulerFramework {
@@ -162,9 +177,6 @@ struct PlacementProbe {
     filtered: Vec<(&'static str, u32)>,
     /// Nodes that passed every filter.
     feasible: u32,
-    /// Per-candidate scratch buffer, promoted into `scores` whenever a
-    /// node becomes the new best.
-    scratch: Vec<f64>,
 }
 
 impl PlacementProbe {
@@ -202,6 +214,7 @@ impl SchedulerFramework {
             name,
             break_gang_rollback: std::env::var_os("EVOLVE_CHAOS_GANG_NO_ROLLBACK").is_some(),
             use_index: std::env::var_os("EVOLVE_SCHED_NAIVE").is_none(),
+            plugin_set: next_plugin_set(),
         }
     }
 
@@ -236,6 +249,7 @@ impl SchedulerFramework {
     #[must_use]
     pub fn with_filter<F: FilterPlugin + 'static>(mut self, filter: F) -> Self {
         self.filters.push(Box::new(filter));
+        self.plugin_set = next_plugin_set();
         self
     }
 
@@ -248,6 +262,7 @@ impl SchedulerFramework {
     pub fn with_scorer<S: ScorePlugin + 'static>(mut self, scorer: S, weight: f64) -> Self {
         assert!(weight > 0.0, "scorer weight must be positive");
         self.scorers.push((Box::new(scorer), weight));
+        self.plugin_set = next_plugin_set();
         self
     }
 
@@ -347,7 +362,7 @@ impl SchedulerFramework {
         mut trace: Option<(SimTime, &mut TraceRing)>,
     ) -> SchedulePlan {
         let mut plan = SchedulePlan::default();
-        index.sync(cluster);
+        index.sync(cluster, self.plugin_set);
         let indexed =
             self.use_index && self.filters.first().is_some_and(|f| f.prunes_capacity_fit());
         let mut ctx = Ctx { index, indexed, filter_evals: 0 };
@@ -701,9 +716,10 @@ impl SchedulerFramework {
     /// chosen node's per-plugin scores, the feasible-node count and the
     /// per-filter rejection counts are captured for the decision trace.
     ///
-    /// In indexed mode the candidate set comes from the feasibility
-    /// index; under `debug_assertions` the naive full scan runs alongside
-    /// and the choices are asserted identical before committing.
+    /// In indexed mode the candidate set and the candidates' scores come
+    /// from the feasibility index; under `debug_assertions` the naive
+    /// full scan runs alongside and the choices are asserted identical
+    /// before committing.
     fn place_one(
         &self,
         cluster: &ClusterState,
@@ -711,19 +727,38 @@ impl SchedulerFramework {
         spec: &PodSpec,
         mut probe: Option<&mut PlacementProbe>,
     ) -> Option<NodeId> {
+        let class = PodClass::from(spec);
         let choice = if ctx.indexed {
-            let choice = self.choose_indexed(cluster, ctx, spec, probe.as_deref_mut());
+            let choice = self.choose_indexed(cluster, ctx, &class, probe.as_deref_mut());
             #[cfg(debug_assertions)]
             {
                 let mut evals = 0u64;
-                let naive = self.choose_naive(cluster, ctx.index, spec, &mut evals, None);
+                let naive = self.choose_naive(cluster, ctx.index, &class, &mut evals, None);
                 debug_assert_eq!(choice, naive, "indexed placement diverged from the naive scan");
             }
             choice
         } else {
-            self.choose_naive(cluster, ctx.index, spec, &mut ctx.filter_evals, probe)
+            self.choose_naive(
+                cluster,
+                ctx.index,
+                &class,
+                &mut ctx.filter_evals,
+                probe.as_deref_mut(),
+            )
         };
-        let (_, idx) = choice?;
+        let (score, idx) = choice?;
+        if let Some(p) = probe {
+            // The winner's per-plugin contributions are recomputed here,
+            // once, rather than tracked for every candidate on the way.
+            let view = NodeView {
+                node: &cluster.nodes()[idx],
+                free: ctx.index.free(idx),
+                app_pods: ctx.index.app_count(idx, class.app.raw()),
+            };
+            let rescored = self.score(&class, &view, Some(&mut p.scores));
+            debug_assert_eq!(rescored.to_bits(), score.to_bits(), "scorers must be pure");
+            p.chosen_score = Some(score);
+        }
         ctx.index.place(idx, spec);
         Some(NodeId::new(idx as u32))
     }
@@ -735,7 +770,7 @@ impl SchedulerFramework {
         &self,
         cluster: &ClusterState,
         index: &FeasibilityIndex,
-        spec: &PodSpec,
+        class: &PodClass,
         filter_evals: &mut u64,
         mut probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
@@ -744,13 +779,13 @@ impl SchedulerFramework {
             let view = NodeView {
                 node,
                 free: index.free(i),
-                app_pods: index.app_count(i, spec.kind.app().raw()),
+                app_pods: index.app_count(i, class.app.raw()),
             };
             // First failing filter takes the rejection.
             let mut pass = true;
             for (fi, f) in self.filters.iter().enumerate() {
                 *filter_evals += 1;
-                if !f.feasible(spec, &view) {
+                if !f.feasible(class, &view) {
                     if let Some(p) = probe.as_deref_mut() {
                         p.filtered[fi].1 += 1;
                     }
@@ -761,92 +796,88 @@ impl SchedulerFramework {
             if !pass {
                 continue;
             }
-            self.score_node(spec, &view, i, &mut best, probe.as_deref_mut());
+            if let Some(p) = probe.as_deref_mut() {
+                p.feasible += 1;
+            }
+            fold_best(&mut best, self.score(class, &view, None), i);
         }
         best
     }
 
     /// The indexed path: the fit tree enumerates exactly the nodes the
-    /// leading capacity filter would accept (in ascending order, so the
-    /// lowest-index tie-break is preserved); only the remaining filters
-    /// and the scorers run on them.
+    /// leading capacity filter would accept, and the index's score cache
+    /// for the pod's class supplies each candidate's verdict — the
+    /// remaining filters and the scorers run only on candidates whose
+    /// inputs changed since they last ran. The verdicts are folded in
+    /// ascending node order, as the naive scan folds fresh ones, so the
+    /// lowest-index tie-break is preserved.
     fn choose_indexed(
         &self,
         cluster: &ClusterState,
         ctx: &mut Ctx<'_>,
-        spec: &PodSpec,
+        class: &PodClass,
         mut probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
-        ctx.index.enumerate_fit(&spec.request);
+        ctx.index.enumerate_fit(&class.request);
         if let Some(p) = probe.as_deref_mut() {
             // Every pruned node fails the leading capacity filter —
             // identical attribution to the naive first-fail scan.
             p.filtered[0].1 += (cluster.nodes().len() - ctx.index.candidates().len()) as u32;
         }
         let mut best: Option<(f64, usize)> = None;
-        for k in 0..ctx.index.candidates().len() {
-            let i = ctx.index.candidates()[k];
-            let view = NodeView {
-                node: &cluster.nodes()[i],
-                free: ctx.index.free(i),
-                app_pods: ctx.index.app_count(i, spec.kind.app().raw()),
-            };
-            let mut pass = true;
-            for (fi, f) in self.filters.iter().enumerate().skip(1) {
-                ctx.filter_evals += 1;
-                if !f.feasible(spec, &view) {
+        let filter_evals = &mut ctx.filter_evals;
+        ctx.index.for_each_scored(
+            class,
+            |i, free, app_pods| {
+                let view = NodeView { node: &cluster.nodes()[i], free, app_pods };
+                for (fi, f) in self.filters.iter().enumerate().skip(1) {
+                    *filter_evals += 1;
+                    if !f.feasible(class, &view) {
+                        return Verdict::RejectedBy(fi);
+                    }
+                }
+                Verdict::Score(self.score(class, &view, None))
+            },
+            |i, verdict| match verdict {
+                Verdict::Score(score) => {
+                    if let Some(p) = probe.as_deref_mut() {
+                        p.feasible += 1;
+                    }
+                    fold_best(&mut best, score, i);
+                }
+                Verdict::RejectedBy(fi) => {
                     if let Some(p) = probe.as_deref_mut() {
                         p.filtered[fi].1 += 1;
                     }
-                    pass = false;
-                    break;
                 }
-            }
-            if !pass {
-                continue;
-            }
-            self.score_node(spec, &view, i, &mut best, probe.as_deref_mut());
-        }
+            },
+        );
         best
     }
 
-    /// Scores one feasible node and folds it into the running best.
-    /// Shared by both paths so the float-operation sequence — and thus
-    /// the deterministic tie-break — is identical.
-    fn score_node(
+    /// Weighted mean of the score plugins for one feasible node. Shared
+    /// by both paths so the float-operation sequence is identical. Each
+    /// plugin's weighted share is appended to `contributions`, if given.
+    fn score(
         &self,
-        spec: &PodSpec,
+        class: &PodClass,
         view: &NodeView<'_>,
-        i: usize,
-        best: &mut Option<(f64, usize)>,
-        mut probe: Option<&mut PlacementProbe>,
-    ) {
-        if let Some(p) = probe.as_deref_mut() {
-            p.feasible += 1;
-            p.scratch.clear();
-        }
+        mut contributions: Option<&mut Vec<(&'static str, f64)>>,
+    ) -> f64 {
         let mut score = 0.0;
         let mut weight = 0.0;
         for (s, w) in &self.scorers {
-            let contribution = s.score(spec, view) * w;
+            let contribution = s.score(class, view) * w;
             score += contribution;
             weight += w;
-            if let Some(p) = probe.as_deref_mut() {
-                p.scratch.push(contribution);
+            if let Some(c) = contributions.as_deref_mut() {
+                c.push((s.name(), contribution));
             }
         }
-        let score = if weight > 0.0 { score / weight } else { 0.0 };
-        // Deterministic tie-break on the lowest node index.
-        if best.is_none_or(|(b, _)| score > b + 1e-12) {
-            *best = Some((score, i));
-            if let Some(p) = probe {
-                let PlacementProbe { chosen_score, scores, scratch, .. } = p;
-                *chosen_score = Some(score);
-                scores.clear();
-                for ((s, _), contribution) in self.scorers.iter().zip(scratch.iter()) {
-                    scores.push((s.name(), *contribution));
-                }
-            }
+        if weight > 0.0 {
+            score / weight
+        } else {
+            0.0
         }
     }
 
@@ -1001,6 +1032,16 @@ impl SchedulerFramework {
         }
         ctx.index.add_stale(stale);
         best
+    }
+}
+
+/// Folds one feasible node into the running best. Nodes must arrive in
+/// ascending index order: the tolerance makes a later node win only when
+/// it is better by more than float noise, which is the deterministic
+/// lowest-index tie-break.
+fn fold_best(best: &mut Option<(f64, usize)>, score: f64, i: usize) {
+    if best.is_none_or(|(b, _)| score > b + 1e-12) {
+        *best = Some((score, i));
     }
 }
 
@@ -1343,6 +1384,27 @@ mod tests {
         let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 12
         let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 13
         assert_eq!(plan.bindings.len(), 2, "gang places once eligible: {plan:?}");
+    }
+
+    #[test]
+    fn carried_index_never_serves_another_plugin_set_its_scores() {
+        let mut c = cluster(8, 1000.0);
+        let anchor = service_pod(&mut c, 0, 100.0, 0);
+        c.bind_pod(anchor, NodeId::new(5)).unwrap();
+        for _ in 0..2 {
+            service_pod(&mut c, 0, 100.0, 0);
+        }
+        let (mut index, mut trace) = (FeasibilityIndex::new(), TraceRing::new(0));
+        let mut carried = |fw: &SchedulerFramework| {
+            let mut backoff = RequeueBackoff::new();
+            fw.schedule_cycle_carried(&c, &mut backoff, &mut index, SimTime::ZERO, &mut trace)
+        };
+        // Spreading scores six untouched nodes for the class; packing
+        // with the same index must not read them.
+        let spread = carried(&SchedulerFramework::kube_default().with_index(true));
+        assert!(spread.bindings.iter().all(|(_, node)| *node != NodeId::new(5)));
+        let packed = carried(&SchedulerFramework::binpack().with_index(true));
+        assert!(packed.bindings.iter().all(|(_, node)| *node == NodeId::new(5)), "{packed:?}");
     }
 
     #[test]

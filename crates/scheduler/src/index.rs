@@ -1,10 +1,11 @@
-//! Incremental feasibility index: the scheduler's shadow state plus
-//! O(log N) candidate enumeration.
+//! Incremental feasibility index: the scheduler's shadow state,
+//! O(log N) candidate enumeration, and per-class score caches.
 //!
-//! The naive scheduling cycle rescans every node per pending pod —
-//! O(P·N) filter evaluations per cycle, quadratic in cluster scale. This
-//! module keeps the per-cycle shadow (free vectors, per-(node, app) pod
-//! counts) *and* two flat segment trees over dense node ids whose
+//! The naive scheduling cycle rescans *and rescores* every node per
+//! pending pod — O(P·N) filter and score evaluations per cycle, quadratic
+//! in cluster scale. This module keeps the per-cycle shadow (free
+//! vectors, per-(node, app) pod counts), a small set of score caches (see
+//! below) *and* two flat segment trees over dense node ids whose
 //! internal nodes carry both the element-wise **maximum** (prune
 //! subtrees where nothing fits) and the element-wise **minimum** of
 //! their leaf keys (emit whole subtrees where *everything* fits without
@@ -38,11 +39,28 @@
 //! changed since the last cycle (bound/evicted/resized/ready-flipped),
 //! plus nodes tainted by the previous cycle's own tentative placements,
 //! instead of rebuilding the shadow from scratch each cycle.
+//!
+//! **Score caches.** A node's verdict for a pod — the first non-capacity
+//! filter that rejects it, or its weighted score — is a pure function of
+//! the node, its shadow free vector, the pod's [`PodClass`] and the
+//! class's app count on the node (the plugin purity contract), and one
+//! placement changes those inputs on exactly one node. Every shadow
+//! mutation funnels through `write_leaves`, which appends the node to a
+//! change log. Each of up to [`SCORE_CLASSES`] caches remembers the log
+//! position it is current to; on use it marks the nodes logged since
+//! then stale (all of them when the cache is new, the log was truncated
+//! past it, or ≥ N entries are pending) and
+//! [`for_each_scored`](FeasibilityIndex::for_each_scored) re-evaluates
+//! only the stale nodes among the current candidates. The caller folds
+//! the cached verdicts in the same ascending candidate order as a fresh
+//! evaluation would, so the choice and its tie-break are bit-identical.
 
 use std::collections::HashMap;
 
 use evolve_sim::{ClusterState, PodSpec};
 use evolve_types::ResourceVec;
+
+use crate::plugins::PodClass;
 
 /// Added to superset keys (preempt tree, census check) so incremental
 /// float drift can never prune a node the exact scan would accept.
@@ -52,6 +70,41 @@ const PRUNE_MARGIN: f64 = 1e-3;
 /// Leaf key of a node that must never be enumerated (unready, or padding
 /// past the real node count): nothing fits within negative infinity.
 const NEG: ResourceVec = ResourceVec::splat(f64::NEG_INFINITY);
+
+/// Live score caches per index; the least recently used is evicted.
+/// Pending queues arrive in per-app runs (a deployment's replicas, a
+/// stage's tasks), so a handful of slots covers the interleaving seen in
+/// practice; a miss costs about what scoring cost before the cache.
+const SCORE_CLASSES: usize = 8;
+
+/// A node's cached evaluation for one pod class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Verdict {
+    /// Passed every non-capacity filter; the weighted mean score.
+    Score(f64),
+    /// Index of the first non-capacity filter that rejected the node.
+    RejectedBy(usize),
+}
+
+/// Verdicts of every node for one pod class, current to `seen`.
+#[derive(Debug, Default)]
+struct ClassCache {
+    /// [`class_key`] of the class: everything a plugin may read of the
+    /// pod.
+    key: (u32, [u64; 4]),
+    /// Change-log clock this cache has replayed up to.
+    seen: u64,
+    /// Value of the index's use counter at the last lookup (LRU).
+    used: u64,
+    /// Per node; `None` marks an entry whose inputs changed since it was
+    /// evaluated (or that never was).
+    verdicts: Vec<Option<Verdict>>,
+}
+
+/// App id and request bits: equal keys give bit-equal plugin inputs.
+fn class_key(class: &PodClass) -> (u32, [u64; 4]) {
+    (class.app.raw(), class.request.as_array().map(f64::to_bits))
+}
 
 /// Incremental scheduler shadow + feasibility structures. Owned by the
 /// run driver and threaded through
@@ -93,6 +146,16 @@ pub struct FeasibilityIndex {
     probes: u64,
     candidates: Vec<usize>,
     stack: Vec<usize>,
+    /// Nodes whose shadow changed, oldest first; entry `k` happened at
+    /// clock `changes_base + k`. Only the newest `n` entries are ever
+    /// replayed, so the log is cut back to that whenever it doubles.
+    changes: Vec<u32>,
+    changes_base: u64,
+    caches: Vec<ClassCache>,
+    /// Lookup counter stamping [`ClassCache::used`].
+    cache_uses: u64,
+    /// Identity of the plugin set the caches were evaluated by.
+    scored_by: u64,
 }
 
 impl FeasibilityIndex {
@@ -112,9 +175,16 @@ impl FeasibilityIndex {
 
     /// Brings the mirrors up to date with `cluster` and resets the
     /// per-cycle counters. Cost is O(changed nodes) after the first call.
-    pub(crate) fn sync(&mut self, cluster: &ClusterState) {
+    /// `scored_by` identifies the plugin set of the calling framework;
+    /// when it differs from the previous cycle's, cached verdicts mean
+    /// something else and are dropped.
+    pub(crate) fn sync(&mut self, cluster: &ClusterState, scored_by: u64) {
         self.stale_lookups = 0;
         self.probes = 0;
+        if scored_by != self.scored_by {
+            self.caches.clear();
+            self.scored_by = scored_by;
+        }
         let n = cluster.nodes().len();
         if !self.synced || n != self.n || cluster.version() < self.global_version_seen {
             self.rebuild(cluster);
@@ -156,6 +226,8 @@ impl FeasibilityIndex {
         for i in 0..n {
             self.refresh_node(cluster, i);
         }
+        self.caches.clear();
+        self.changes.clear();
         self.global_version_seen = cluster.version();
         self.synced = true;
     }
@@ -191,7 +263,9 @@ impl FeasibilityIndex {
         self.write_leaves(i);
     }
 
-    /// Recomputes both tree leaves (and their root paths) for node `i`.
+    /// Recomputes both tree leaves (and their root paths) for node `i`
+    /// and logs the node as changed. Every mutation of a node's shadow
+    /// ends here, which is what makes the change log complete.
     fn write_leaves(&mut self, i: usize) {
         let (fit, preempt) = if self.ready[i] {
             let headroom = self.free[i] + self.census_total[i] + ResourceVec::splat(PRUNE_MARGIN);
@@ -201,6 +275,12 @@ impl FeasibilityIndex {
         };
         set_leaf(&mut self.fit_keys, &mut self.fit_floor, self.cap, i, fit);
         set_leaf(&mut self.preempt_keys, &mut self.preempt_floor, self.cap, i, preempt);
+        self.changes.push(i as u32);
+        if self.changes.len() >= 2 * self.n {
+            let cut = self.changes.len() - self.n;
+            self.changes.drain(..cut);
+            self.changes_base += cut as u64;
+        }
     }
 
     fn taint(&mut self, i: usize) {
@@ -298,6 +378,77 @@ impl FeasibilityIndex {
     /// The node list produced by the last `enumerate_*` call.
     pub(crate) fn candidates(&self) -> &[usize] {
         &self.candidates
+    }
+
+    /// Visits every candidate of the last
+    /// [`enumerate_fit`](Self::enumerate_fit), ascending, with its
+    /// verdict for `class`. Verdicts come from the class's cache;
+    /// `evaluate(node, shadow free, app pods on node)` runs only for
+    /// candidates whose inputs changed since they were last evaluated.
+    pub(crate) fn for_each_scored(
+        &mut self,
+        class: &PodClass,
+        mut evaluate: impl FnMut(usize, ResourceVec, usize) -> Verdict,
+        mut visit: impl FnMut(usize, Verdict),
+    ) {
+        if self.candidates.is_empty() {
+            return;
+        }
+        let slot = self.current_cache(class);
+        let app = class.app.raw();
+        let verdicts = &mut self.caches[slot].verdicts;
+        for &i in &self.candidates {
+            let verdict = match verdicts[i] {
+                Some(v) => v,
+                None => {
+                    let count = self.app_pods[i].get(&app).copied().unwrap_or(0);
+                    let v = evaluate(i, self.free[i], count);
+                    verdicts[i] = Some(v);
+                    v
+                }
+            };
+            visit(i, verdict);
+        }
+    }
+
+    /// Finds (or creates, evicting the least recently used) the cache
+    /// for `class` and marks stale every node logged since it was last
+    /// brought up to date. Returns its slot.
+    fn current_cache(&mut self, class: &PodClass) -> usize {
+        let key = class_key(class);
+        let slot = match self.caches.iter().position(|c| c.key == key) {
+            Some(slot) => slot,
+            None => {
+                let slot = if self.caches.len() < SCORE_CLASSES {
+                    self.caches.push(ClassCache::default());
+                    self.caches.len() - 1
+                } else {
+                    let lru = self.caches.iter().enumerate().min_by_key(|(_, c)| c.used);
+                    lru.expect("SCORE_CLASSES > 0").0
+                };
+                self.caches[slot].key = key;
+                // An empty verdict table is stale as a whole.
+                self.caches[slot].verdicts.clear();
+                slot
+            }
+        };
+        let clock = self.changes_base + self.changes.len() as u64;
+        self.cache_uses += 1;
+        let cache = &mut self.caches[slot];
+        cache.used = self.cache_uses;
+        // Truncation keeps the newest `n` log entries, so a cache fewer
+        // than `n` behind finds every change it missed; one further
+        // behind has next to nothing left worth keeping.
+        if cache.verdicts.len() != self.n || clock - cache.seen >= self.n as u64 {
+            cache.verdicts.clear();
+            cache.verdicts.resize(self.n, None);
+        } else {
+            for &i in &self.changes[(cache.seen - self.changes_base) as usize..] {
+                cache.verdicts[i as usize] = None;
+            }
+        }
+        cache.seen = clock;
+        slot
     }
 
     /// Whether evicting every bound pod of priority strictly below
@@ -456,7 +607,7 @@ mod tests {
         }
         c.set_node_ready(NodeId::new(5), false).unwrap();
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         for req in [0.0, 100.0, 400.0, 900.0, 950.0, 2000.0] {
             let request = ResourceVec::splat(req);
             idx.enumerate_fit(&request);
@@ -472,7 +623,7 @@ mod tests {
             bind(&mut c, i, 100.0 + f64::from(i), 10 + i as i32, i % 9);
         }
         let mut carried = FeasibilityIndex::new();
-        carried.sync(&c);
+        carried.sync(&c, 1);
         // Mutate through every hook the cluster versions: bind, terminate,
         // resize, readiness flip.
         let extra = bind(&mut c, 3, 50.0, 99, 2);
@@ -484,9 +635,9 @@ mod tests {
         c.bind_pod(resized, NodeId::new(8)).unwrap();
         c.resize_pod(resized, ResourceVec::splat(300.0)).unwrap();
         let _ = extra;
-        carried.sync(&c);
+        carried.sync(&c, 1);
         let mut fresh = FeasibilityIndex::new();
-        fresh.sync(&c);
+        fresh.sync(&c, 1);
         assert_eq!(carried.free, fresh.free);
         assert_eq!(carried.ready, fresh.ready);
         assert_eq!(carried.census, fresh.census);
@@ -504,7 +655,7 @@ mod tests {
         // whole leaf range is emitted from a single probe.
         let c = cluster(64);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         idx.enumerate_fit(&ResourceVec::splat(100.0));
         assert_eq!(idx.candidates(), (0..64).collect::<Vec<_>>());
         assert_eq!(idx.probes(), 1);
@@ -515,13 +666,13 @@ mod tests {
         let mut c = cluster(4);
         bind(&mut c, 0, 500.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         // A tentative placement the driver then *fails* to apply: no
         // cluster version moves, but the taint list must restore truth.
         let tentative = spec(1, 200.0, 50);
         idx.place(2, &tentative);
         assert_eq!(idx.free(2), ResourceVec::splat(750.0));
-        idx.sync(&c);
+        idx.sync(&c, 1);
         assert_eq!(idx.free(2), ResourceVec::splat(950.0));
         assert_eq!(idx.app_count(2, 1), 0);
     }
@@ -531,7 +682,7 @@ mod tests {
         let mut c = cluster(2);
         bind(&mut c, 0, 600.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         let req = ResourceVec::splat(600.0);
         assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
         assert!(!idx.census_could_free(0, 10, &ResourceVec::splat(900.0)), "no lower priority");
@@ -543,12 +694,149 @@ mod tests {
         assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
     }
 
+    /// A stand-in for the framework's filter + score pass: pure in its
+    /// arguments, distinct per node, rejecting nodes that hold ≥ 2 pods
+    /// of the class's app.
+    fn evaluate(i: usize, free: ResourceVec, app_pods: usize) -> Verdict {
+        if app_pods >= 2 {
+            Verdict::RejectedBy(1)
+        } else {
+            Verdict::Score(free.total() + 1e4 * app_pods as f64 + i as f64)
+        }
+    }
+
+    fn class(app: u32, request: f64) -> PodClass {
+        PodClass { app: AppId::new(app), request: ResourceVec::splat(request) }
+    }
+
+    /// Runs the cached pass for `class`, asserts it visits exactly what
+    /// evaluating every candidate from scratch yields, and returns how
+    /// many candidates it had to re-evaluate.
+    fn check_cached_pass(idx: &mut FeasibilityIndex, class: &PodClass) -> usize {
+        idx.enumerate_fit(&class.request);
+        let expected: Vec<(usize, Verdict)> = idx
+            .candidates()
+            .iter()
+            .map(|&i| (i, evaluate(i, idx.free(i), idx.app_count(i, class.app.raw()))))
+            .collect();
+        let mut evaluated = 0;
+        let mut visited = Vec::new();
+        idx.for_each_scored(
+            class,
+            |i, free, app_pods| {
+                evaluated += 1;
+                evaluate(i, free, app_pods)
+            },
+            |i, v| visited.push((i, v)),
+        );
+        assert_eq!(visited, expected);
+        evaluated
+    }
+
+    #[test]
+    fn log_replay_matches_full_evaluation() {
+        let mut c = cluster(16);
+        for i in 0..16u32 {
+            bind(&mut c, i % 2, 100.0, 10, i);
+        }
+        let mut idx = FeasibilityIndex::new();
+        idx.sync(&c, 1);
+        let a = class(0, 50.0);
+        assert_eq!(check_cached_pass(&mut idx, &a), 16, "cold cache evaluates every candidate");
+        assert_eq!(check_cached_pass(&mut idx, &a), 0, "nothing changed");
+        // Every shadow mutation, some hitting the same node twice.
+        let pod = spec(0, 50.0, 50);
+        idx.place(3, &pod);
+        idx.place(3, &pod);
+        idx.place(5, &pod);
+        idx.release(5, &pod);
+        let req = ResourceVec::splat(100.0);
+        idx.claim_victim(8, 0, 10, &req);
+        idx.claim_victim(10, 0, 10, &req);
+        idx.unclaim_victim(10, 0, 10, &req);
+        assert_eq!(check_cached_pass(&mut idx, &a), 4, "nodes 3, 5, 8, 10");
+        // Cluster-side changes arrive through sync, together with the
+        // refresh of the four tainted nodes.
+        bind(&mut c, 0, 70.0, 10, 12);
+        c.set_node_ready(NodeId::new(14), false).unwrap();
+        idx.sync(&c, 1);
+        assert_eq!(check_cached_pass(&mut idx, &a), 5, "3, 5, 8, 10, 12; 14 is no candidate");
+        c.set_node_ready(NodeId::new(14), true).unwrap();
+        idx.sync(&c, 1);
+        assert_eq!(check_cached_pass(&mut idx, &a), 1, "node 14 came back empty");
+    }
+
+    #[test]
+    fn truncated_log_resets_the_cache() {
+        let mut c = cluster(4);
+        bind(&mut c, 0, 100.0, 10, 0);
+        let mut idx = FeasibilityIndex::new();
+        idx.sync(&c, 1);
+        let (a, b) = (class(0, 50.0), class(1, 50.0));
+        assert_eq!(check_cached_pass(&mut idx, &a), 4);
+        assert_eq!(check_cached_pass(&mut idx, &b), 4);
+        // 3 changes < n: replayed. Both touch node 1 only.
+        let pod = spec(0, 50.0, 50);
+        for _ in 0..3 {
+            idx.place(1, &pod);
+        }
+        assert_eq!(check_cached_pass(&mut idx, &a), 1);
+        // Another 9 push `b` (12 behind) past a truncation of the log.
+        for _ in 0..9 {
+            idx.release(1, &pod);
+            idx.place(1, &pod);
+        }
+        assert!(idx.changes_base > 0, "log was cut back");
+        assert_eq!(check_cached_pass(&mut idx, &b), 4, "too far behind: evaluated afresh");
+        assert_eq!(check_cached_pass(&mut idx, &a), 4);
+    }
+
+    #[test]
+    fn rebuilds_and_foreign_plugin_sets_drop_every_cache() {
+        let c = cluster(4);
+        let mut idx = FeasibilityIndex::new();
+        idx.sync(&c, 1);
+        let a = class(0, 50.0);
+        check_cached_pass(&mut idx, &a);
+        assert_eq!(idx.caches.len(), 1);
+        idx.invalidate();
+        idx.sync(&c, 1);
+        assert!(idx.caches.is_empty(), "invalidate() rebuilds");
+        assert_eq!(check_cached_pass(&mut idx, &a), 4);
+        idx.sync(&cluster(5), 1);
+        assert!(idx.caches.is_empty(), "node count changed");
+        assert_eq!(check_cached_pass(&mut idx, &a), 5);
+        idx.sync(&cluster(5), 2);
+        assert!(idx.caches.is_empty(), "another framework's scores");
+    }
+
+    #[test]
+    fn evicted_class_comes_back_correct() {
+        let mut c = cluster(6);
+        bind(&mut c, 0, 100.0, 10, 2);
+        let mut idx = FeasibilityIndex::new();
+        idx.sync(&c, 1);
+        let a = class(0, 50.0);
+        assert_eq!(check_cached_pass(&mut idx, &a), 6);
+        for app in 1..=SCORE_CLASSES as u32 {
+            check_cached_pass(&mut idx, &class(app, 50.0));
+        }
+        assert_eq!(idx.caches.len(), SCORE_CLASSES);
+        let evicted = class_key(&a);
+        assert!(idx.caches.iter().all(|c| c.key != evicted), "least recently used class evicted");
+        idx.place(4, &spec(0, 50.0, 50));
+        assert_eq!(check_cached_pass(&mut idx, &a), 6, "re-admitted cold");
+        assert_eq!(check_cached_pass(&mut idx, &class(2, 50.0)), 1, "survivors replay the log");
+        // Same app, different request: a class of its own.
+        assert_eq!(check_cached_pass(&mut idx, &class(0, 60.0)), 6);
+    }
+
     #[test]
     fn unready_nodes_never_enumerate() {
         let mut c = cluster(3);
         c.set_node_ready(NodeId::new(0), false).unwrap();
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         idx.enumerate_fit(&ResourceVec::ZERO);
         assert_eq!(idx.candidates(), &[1, 2]);
         idx.enumerate_preempt(&ResourceVec::ZERO);
@@ -559,7 +847,7 @@ mod tests {
     fn single_node_tree_works() {
         let c = cluster(1);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c);
+        idx.sync(&c, 1);
         idx.enumerate_fit(&ResourceVec::splat(900.0));
         assert_eq!(idx.candidates(), &[0]);
         idx.enumerate_fit(&ResourceVec::splat(951.0));

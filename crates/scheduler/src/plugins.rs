@@ -5,7 +5,25 @@
 //! normalized to `[0, 1]`; the framework combines them by weight.
 
 use evolve_sim::{Node, PodSpec};
-use evolve_types::{Resource, ResourceVec};
+use evolve_types::{AppId, Resource, ResourceVec};
+
+/// Everything a plugin may read from the pod being placed: the owning
+/// application and the resource request. The feasibility index keys its
+/// score caches by exactly these fields, so a plugin cannot depend on
+/// something the key omits.
+#[derive(Debug, Clone, Copy)]
+pub struct PodClass {
+    /// Owning application.
+    pub app: AppId,
+    /// Resource request.
+    pub request: ResourceVec,
+}
+
+impl From<&PodSpec> for PodClass {
+    fn from(spec: &PodSpec) -> Self {
+        PodClass { app: spec.kind.app(), request: spec.request }
+    }
+}
 
 /// A node as seen mid-cycle: real state plus shadow adjustments.
 #[derive(Debug, Clone, Copy)]
@@ -29,11 +47,16 @@ impl NodeView<'_> {
 }
 
 /// Feasibility check: can this pod run on this node?
+///
+/// **Purity contract** (shared with [`ScorePlugin`]): the result must be
+/// a pure function of the plugin's own configuration and the two
+/// arguments. The feasibility index caches verdicts per [`PodClass`] and
+/// re-evaluates a node only after its [`NodeView`] inputs changed.
 pub trait FilterPlugin: Send + Sync {
     /// Plugin name for diagnostics.
     fn name(&self) -> &'static str;
     /// `true` when the node can host the pod.
-    fn feasible(&self, pod: &PodSpec, view: &NodeView<'_>) -> bool;
+    fn feasible(&self, pod: &PodClass, view: &NodeView<'_>) -> bool;
     /// `true` when this filter is *exactly* "the node is ready and the
     /// request fits within shadow free capacity" — the predicate the
     /// feasibility index's fit tree answers. The framework only routes a
@@ -44,12 +67,13 @@ pub trait FilterPlugin: Send + Sync {
     }
 }
 
-/// Preference score in `[0, 1]`; higher is better.
+/// Preference score in `[0, 1]`; higher is better. Bound by the same
+/// purity contract as [`FilterPlugin`].
 pub trait ScorePlugin: Send + Sync {
     /// Plugin name for diagnostics.
     fn name(&self) -> &'static str;
     /// Scores the node for the pod.
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64;
+    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64;
 }
 
 /// Filter: node is ready and has room for the pod's request
@@ -61,7 +85,7 @@ impl FilterPlugin for NodeFits {
     fn name(&self) -> &'static str {
         "node-fits"
     }
-    fn feasible(&self, pod: &PodSpec, view: &NodeView<'_>) -> bool {
+    fn feasible(&self, pod: &PodClass, view: &NodeView<'_>) -> bool {
         view.node.is_ready() && pod.request.fits_within(&view.free)
     }
     fn prunes_capacity_fit(&self) -> bool {
@@ -78,7 +102,7 @@ impl ScorePlugin for LeastAllocated {
     fn name(&self) -> &'static str {
         "least-allocated"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
+    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
         let share = view.allocated_share_with(&pod.request);
         let mean = Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0;
         1.0 - mean
@@ -94,7 +118,7 @@ impl ScorePlugin for MostAllocated {
     fn name(&self) -> &'static str {
         "most-allocated"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
+    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
         let share = view.allocated_share_with(&pod.request);
         Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0
     }
@@ -110,9 +134,9 @@ impl ScorePlugin for BalancedAllocation {
     fn name(&self) -> &'static str {
         "balanced-allocation"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
+    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
         let share = view.allocated_share_with(&pod.request);
-        let shares: Vec<f64> = Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).collect();
+        let shares = Resource::ALL.map(|r| share[r].clamp(0.0, 1.0));
         let mean = shares.iter().sum::<f64>() / shares.len() as f64;
         let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / shares.len() as f64;
         // Std-dev of shares is at most 0.5 in [0,1]; normalize.
@@ -130,7 +154,7 @@ impl ScorePlugin for SpreadApp {
     fn name(&self) -> &'static str {
         "spread-app"
     }
-    fn score(&self, _pod: &PodSpec, view: &NodeView<'_>) -> f64 {
+    fn score(&self, _pod: &PodClass, view: &NodeView<'_>) -> f64 {
         1.0 / (1.0 + view.app_pods as f64)
     }
 }
@@ -138,15 +162,14 @@ impl ScorePlugin for SpreadApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evolve_sim::PodKind;
-    use evolve_types::{AppId, NodeId};
+    use evolve_types::NodeId;
 
     fn node(capacity: f64) -> Node {
         Node::new(NodeId::new(0), ResourceVec::splat(capacity))
     }
 
-    fn pod(request: f64) -> PodSpec {
-        PodSpec::new(PodKind::ServiceReplica { app: AppId::new(0) }, ResourceVec::splat(request), 0)
+    fn pod(request: f64) -> PodClass {
+        PodClass { app: AppId::new(0), request: ResourceVec::splat(request) }
     }
 
     fn view(node: &Node, free: f64, app_pods: usize) -> NodeView<'_> {

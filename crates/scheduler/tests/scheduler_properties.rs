@@ -4,8 +4,8 @@
 
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
 use evolve_sim::{ClusterConfig, ClusterState, NodeShape, PodKind, PodPhase, PodSpec};
-use evolve_telemetry::trace::TraceRing;
-use evolve_types::{AppId, JobId, PodId, ResourceVec, SimTime};
+use evolve_telemetry::trace::{SchedTrace, TraceRing};
+use evolve_types::{AppId, JobId, NodeId, PodId, ResourceVec, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -32,6 +32,24 @@ fn build_cluster(nodes: usize, pods: &[PodGen]) -> ClusterState {
         cluster.create_pod(PodSpec::new(kind, request, *priority), SimTime::from_micros(i as u64));
     }
     cluster
+}
+
+/// The `k`-th of twelve (app, request) classes — more than the index
+/// keeps score caches for. Some share an app, some a request.
+fn pool_class(k: usize) -> (u32, ResourceVec) {
+    let cpu = [600.0, 900.0, 1_300.0, 2_100.0][k % 4];
+    ((k % 5) as u32, ResourceVec::new(cpu, cpu * 2.0, cpu / 100.0, cpu / 50.0))
+}
+
+/// One cycle of the class-pool property: the pods to create as
+/// `(pool class, priority)` and the cluster mutations to apply first as
+/// `(kind, selector)`.
+type ClassCycle = (Vec<(usize, i32)>, Vec<(u8, u32)>);
+
+fn arb_class_cycles() -> impl Strategy<Value = Vec<ClassCycle>> {
+    let wave = prop::collection::vec(((0usize..12), (0i32..4)), 4..24);
+    let mutations = prop::collection::vec(((0u8..4), any::<u32>()), 0..6);
+    prop::collection::vec((wave, mutations), 4..7)
 }
 
 proptest! {
@@ -234,6 +252,90 @@ proptest! {
             }
             for pod in &carried.unschedulable {
                 cluster.terminate_pod(*pod, PodPhase::Failed("unplaced".into())).expect("terminates");
+            }
+            cluster.check_invariants();
+        }
+    }
+
+    /// Pods drawn from a small pool of classes actually reuse the
+    /// index's score caches (the properties above give every pod its own
+    /// request, so every pod is its own class). Across carried cycles
+    /// with resizes, terminations, readiness flips, retargeted pending
+    /// pods and only partially applied plans, the cached path must emit
+    /// the same plans *and* the same decision traces — chosen score,
+    /// per-plugin contributions, feasible and per-filter counts — as the
+    /// naive scan from scratch.
+    #[test]
+    fn cached_scores_match_naive_plans_and_traces(
+        cycles in arb_class_cycles(),
+        nodes in 3usize..7,
+    ) {
+        let mut cluster =
+            ClusterState::new(&ClusterConfig::uniform(nodes, NodeShape::default()));
+        let indexed_fw = SchedulerFramework::evolve_default().with_index(true);
+        let naive_fw = SchedulerFramework::evolve_default().with_index(false);
+        let mut index = FeasibilityIndex::new();
+        let (mut indexed_backoff, mut naive_backoff) = (RequeueBackoff::new(), RequeueBackoff::new());
+        for (cycle, (wave, mutations)) in cycles.iter().enumerate() {
+            let at = SimTime::from_micros(cycle as u64 * 1_000);
+            for (kind, sel) in mutations {
+                let sel = *sel as usize;
+                let bound: Vec<PodId> =
+                    cluster.pods().filter(|p| p.phase.holds_resources()).map(|p| p.id).collect();
+                let pending: Vec<PodId> = cluster.pending_pods().map(|p| p.id).collect();
+                match kind {
+                    0 if !bound.is_empty() => {
+                        let pod = bound[sel % bound.len()];
+                        let scale = 0.5 + (sel % 7) as f64 * 0.25;
+                        let request = cluster.pod(pod).expect("listed").spec.request * scale;
+                        // Growing may not fit the node or the limit.
+                        let _ = cluster.resize_pod(pod, request);
+                    }
+                    1 if !bound.is_empty() => {
+                        cluster
+                            .terminate_pod(bound[sel % bound.len()], PodPhase::Succeeded)
+                            .expect("bound pods terminate");
+                    }
+                    2 => {
+                        let node = NodeId::new((sel % nodes) as u32);
+                        let ready = cluster.node(node).expect("in range").is_ready();
+                        cluster.set_node_ready(node, !ready).expect("flips");
+                    }
+                    3 if !pending.is_empty() => {
+                        let request = pool_class(sel / 16 % 12).1;
+                        // May exceed the pod's limit.
+                        let _ = cluster.update_pending_request(pending[sel % pending.len()], request);
+                    }
+                    _ => {}
+                }
+            }
+            for (i, (class, priority)) in wave.iter().enumerate() {
+                let (app, request) = pool_class(*class);
+                cluster.create_pod(
+                    PodSpec::new(PodKind::ServiceReplica { app: AppId::new(app) }, request, *priority * 10),
+                    at + evolve_types::SimDuration::from_micros(i as u64),
+                );
+            }
+            let (mut indexed_trace, mut naive_trace) = (TraceRing::new(4_096), TraceRing::new(4_096));
+            let carried = indexed_fw.schedule_cycle_carried(
+                &cluster, &mut indexed_backoff, &mut index, at, &mut indexed_trace,
+            );
+            let naive = naive_fw.schedule_cycle_traced(&cluster, &mut naive_backoff, at, &mut naive_trace);
+            prop_assert_eq!(&carried.bindings, &naive.bindings);
+            prop_assert_eq!(&carried.preemptions, &naive.preemptions);
+            prop_assert_eq!(&carried.unschedulable, &naive.unschedulable);
+            let indexed_events: Vec<&SchedTrace> = indexed_trace.sched().collect();
+            let naive_events: Vec<&SchedTrace> = naive_trace.sched().collect();
+            prop_assert_eq!(indexed_events, naive_events);
+            // Victims out, then all but every third binding in: the
+            // skipped pods stay pending on nodes the index tainted.
+            for victim in &carried.preemptions {
+                cluster.terminate_pod(*victim, PodPhase::Failed("preempted".into())).expect("evicts");
+            }
+            for (k, (pod, node)) in carried.bindings.iter().enumerate() {
+                if k % 3 != 2 {
+                    cluster.bind_pod(*pod, *node).expect("carried plan binding must be valid");
+                }
             }
             cluster.check_invariants();
         }

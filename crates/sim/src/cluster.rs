@@ -5,7 +5,7 @@
 //! maintains the accounting invariant `Σ pod requests ≤ allocatable` per
 //! node — exactly what a kubelet admission check enforces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use evolve_types::{Error, NodeId, PodId, ResourceVec, Result, SimTime};
 use serde::{Deserialize, Serialize};
@@ -58,6 +58,10 @@ pub struct ClusterState {
     running_count: u32,
     /// Pods currently `Pending` or `Starting`.
     waiting_count: u32,
+    /// `(created, id)` of every `Pending` pod, maintained on every phase
+    /// transition so the scheduling queue is read in O(pending) instead
+    /// of by filtering and sorting the (append-only) pod table.
+    pending: BTreeSet<(SimTime, PodId)>,
     /// Monotone mutation counter, bumped whenever any node's scheduling-
     /// relevant state (allocation, bound set, readiness) changes. The
     /// scheduler's feasibility index diffs against this instead of
@@ -88,6 +92,7 @@ impl ClusterState {
             next_pod: 0,
             running_count: 0,
             waiting_count: 0,
+            pending: BTreeSet::new(),
             version: 0,
             bound_by_priority: BTreeMap::new(),
         }
@@ -173,11 +178,10 @@ impl ClusterState {
         self.pods.values()
     }
 
-    /// Pods awaiting a scheduling decision, in creation order.
+    /// Pods awaiting a scheduling decision, in creation order
+    /// (`(created, id)` ascending).
     pub fn pending_pods(&self) -> impl Iterator<Item = &Pod> {
-        let mut pending: Vec<&Pod> = self.pods.values().filter(|p| p.is_pending()).collect();
-        pending.sort_by_key(|p| (p.created, p.id));
-        pending.into_iter()
+        self.pending.iter().map(|(_, id)| &self.pods[id])
     }
 
     /// Creates a pod in `Pending` phase and returns its id.
@@ -186,6 +190,7 @@ impl ClusterState {
         self.next_pod += 1;
         self.pods.insert(id, Pod::new(id, spec, now));
         self.waiting_count += 1;
+        self.pending.insert((now, id));
         id
     }
 
@@ -214,6 +219,7 @@ impl ClusterState {
         let pod = self.pods.get_mut(&pod_id).expect("checked above");
         pod.node = Some(node_id);
         pod.phase = PodPhase::Starting;
+        self.pending.remove(&(pod.created, pod_id));
         let priority = pod.spec.priority;
         self.bump_node(node_id.as_usize());
         self.census_bind(priority);
@@ -259,6 +265,9 @@ impl ClusterState {
             PodPhase::Running => self.running_count -= 1,
             _ => self.waiting_count -= 1,
         }
+        if pod.is_pending() {
+            self.pending.remove(&(pod.created, pod_id));
+        }
         pod.phase = phase;
         if let Some((node, priority)) = released {
             self.bump_node(node);
@@ -282,10 +291,13 @@ impl ClusterState {
         if pod.phase.is_terminal() {
             self.waiting_count += 1;
         }
+        // A still-pending pod's queue position moves with `created`.
+        self.pending.remove(&(pod.created, pod_id));
         pod.phase = PodPhase::Pending;
         pod.node = None;
         pod.started = None;
         pod.created = now;
+        self.pending.insert((now, pod_id));
         Ok(())
     }
 
@@ -387,6 +399,9 @@ impl ClusterState {
                 PodPhase::Pending | PodPhase::Starting => self.waiting_count -= 1,
                 _ => {}
             }
+            if pod.is_pending() {
+                self.pending.remove(&(pod.created, *pod_id));
+            }
             pod.node = None;
             pod.phase = PodPhase::Failed("node unready".into());
             pod.started = None;
@@ -430,11 +445,15 @@ impl ClusterState {
         let mut running = 0u32;
         let mut waiting = 0u32;
         let mut by_priority: BTreeMap<i32, u32> = BTreeMap::new();
+        let mut pending: BTreeSet<(SimTime, PodId)> = BTreeSet::new();
         for pod in self.pods.values() {
             match pod.phase {
                 PodPhase::Running => running += 1,
                 PodPhase::Pending | PodPhase::Starting => waiting += 1,
                 _ => {}
+            }
+            if pod.is_pending() {
+                pending.insert((pod.created, pod.id));
             }
             if pod.phase.holds_resources() {
                 *by_priority.entry(pod.spec.priority).or_insert(0) += 1;
@@ -444,6 +463,12 @@ impl ClusterState {
             out.push(format!(
                 "maintained phase counts diverged from pod table: ({running}, {waiting}) vs ({}, {})",
                 self.running_count, self.waiting_count
+            ));
+        }
+        if pending != self.pending {
+            out.push(format!(
+                "maintained pending queue diverged from pod table: {pending:?} vs {:?}",
+                self.pending
             ));
         }
         if by_priority != self.bound_by_priority {
@@ -588,6 +613,29 @@ mod tests {
         let b = c.create_pod(spec(1.0), SimTime::from_secs(1));
         let order: Vec<PodId> = c.pending_pods().map(|p| p.id).collect();
         assert_eq!(order, vec![b, a]);
+    }
+
+    #[test]
+    fn pending_queue_tracks_lifecycle() {
+        let mut c = cluster();
+        let queue = |c: &ClusterState| c.pending_pods().map(|p| p.id).collect::<Vec<_>>();
+        let a = c.create_pod(spec(1.0), SimTime::from_secs(1));
+        let b = c.create_pod(spec(1.0), SimTime::from_secs(1));
+        let d = c.create_pod(spec(1.0), SimTime::from_secs(1));
+        assert_eq!(queue(&c), vec![a, b, d], "equal creation times order by id");
+        // Requeueing a pod that is still pending moves it to the back.
+        c.requeue_pod(a, SimTime::from_secs(2)).unwrap();
+        assert_eq!(queue(&c), vec![b, d, a]);
+        c.bind_pod(b, NodeId::new(0)).unwrap();
+        c.terminate_pod(d, PodPhase::Failed("cancelled".into())).unwrap();
+        assert_eq!(queue(&c), vec![a]);
+        // Eviction by node failure, then requeue, re-enters the queue.
+        c.set_node_ready(NodeId::new(0), false).unwrap();
+        assert_eq!(queue(&c), vec![a]);
+        c.requeue_pod(b, SimTime::from_secs(3)).unwrap();
+        c.requeue_pod(d, SimTime::from_secs(3)).unwrap();
+        assert_eq!(queue(&c), vec![a, b, d]);
+        c.check_invariants();
     }
 
     #[test]
