@@ -7,13 +7,15 @@ use evolve_control::{
     ArbiterConfig, ArbiterRequest, ArbitrationOutcome, CapacityArbiter, GrantDecision,
 };
 use evolve_scheduler::RequeueBackoff;
-use evolve_sim::{AppWindow, FaultInjector, Simulation};
+use evolve_sim::{AppStatus, AppWindow, FaultInjector, Simulation};
 use evolve_telemetry::trace::{
     ActuationOutcome, ArbitrationTrace, ControlTrace, TraceEvent, TraceRing,
 };
 use evolve_telemetry::{PloBound, PloTracker};
 use evolve_types::codec::{Decoder, Encoder};
-use evolve_types::{AppId, Error, Resource, ResourceVec, Result, SimDuration, SimTime};
+use evolve_types::{
+    AppId, Error, PriorityClass, Resource, ResourceVec, Result, SimDuration, SimTime,
+};
 use evolve_workload::{PloSpec, WorldClass};
 
 use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
@@ -72,7 +74,9 @@ impl ManagerKind {
 struct ManagedApp {
     policy: Box<dyn AutoscalePolicy>,
     tracker: PloTracker,
-    world: WorldClass,
+    /// The app's identity and PLO as the simulation advertised it at
+    /// construction; statuses never change afterwards.
+    status: AppStatus,
     /// Failed in-place resizes on the previous tick.
     last_resize_failures: u32,
     /// Last successfully scraped window — replayed (as `Stale`) while a
@@ -210,7 +214,7 @@ impl ResourceManager {
                 ManagedApp {
                     policy,
                     tracker: PloTracker::new(status.plo.target().max(1e-9), bound),
-                    world: status.world,
+                    status: status.clone(),
                     last_resize_failures: 0,
                     last_window: None,
                     pending_dt: 0.0,
@@ -493,7 +497,7 @@ impl ResourceManager {
     /// World class of one application.
     #[must_use]
     pub fn world(&self, app: AppId) -> Option<WorldClass> {
-        self.apps.get(&app).map(|a| a.world)
+        self.apps.get(&app).map(|a| a.status.world)
     }
 
     /// Actuations skipped by the retry-with-backoff logic.
@@ -551,7 +555,7 @@ impl ResourceManager {
                 still_pending.push((due, app, decision));
                 continue;
             }
-            let Some(world) = self.apps.get(&app).map(|m| m.world) else {
+            let Some(world) = self.apps.get(&app).map(|m| m.status.world) else {
                 self.desynced_apps += 1;
                 continue;
             };
@@ -619,12 +623,12 @@ impl ResourceManager {
         }
         self.ticks += 1;
         self.flush_pending_actuations(sim);
-        let statuses: Vec<evolve_sim::AppStatus> = sim.apps().to_vec();
-        let mut windows = Vec::with_capacity(statuses.len());
-        for status in statuses {
+        let mut windows = Vec::with_capacity(sim.apps().len());
+        for i in 0..sim.apps().len() {
+            let app = sim.apps()[i].id;
             let now = sim.now();
-            let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(status.id, now));
-            let managed = match Self::managed_mut(&mut self.apps, status.id) {
+            let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(app, now));
+            let managed = match Self::managed_mut(&mut self.apps, app) {
                 Ok(m) => m,
                 // The simulation advertises an app the manager never
                 // registered (control-plane desync). Skip it this tick
@@ -641,7 +645,7 @@ impl ResourceManager {
                     None => (empty_window(now), SignalQuality::Missing, dt_secs),
                 }
             } else {
-                let Ok(mut w) = sim.take_window(status.id) else {
+                let Ok(mut w) = sim.take_window(app) else {
                     // The manager tracks an app the simulation no longer
                     // serves windows for — same desync class as an unknown
                     // id: skip and count, never panic.
@@ -649,15 +653,15 @@ impl ResourceManager {
                     continue;
                 };
                 if let Some(i) = injector.as_deref_mut() {
-                    i.distort_window(status.id, &mut w);
+                    i.distort_window(app, &mut w);
                 }
                 let effective_dt = dt_secs + managed.pending_dt;
                 managed.pending_dt = 0.0;
                 // PLO accounting: only fresh windows that produced a
                 // signal — blacked-out windows are simply missing.
-                if let Some(measured) = w.measured_for(&status.plo) {
+                if let Some(measured) = w.measured_for(&managed.status.plo) {
                     // Deadline PLOs: stop counting after the job finished.
-                    let skip = matches!(status.plo, PloSpec::Deadline { .. })
+                    let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
                         && w.progress == Some(1.0)
                         && {
                             // Finished: one final window was counted.
@@ -671,7 +675,7 @@ impl ResourceManager {
                 (w, SignalQuality::Fresh, effective_dt)
             };
             let input = PolicyInput {
-                app: &status,
+                app: &managed.status,
                 window: &window,
                 dt_secs: effective_dt,
                 resize_failures: managed.last_resize_failures,
@@ -707,7 +711,7 @@ impl ResourceManager {
                     managed.failure_streak = 0;
                     managed.last_resize_failures = 0;
                     managed.last_decision = Some(decision);
-                    self.pending_actuations.push((now + lag, status.id, decision));
+                    self.pending_actuations.push((now + lag, app, decision));
                     outcome = ActuationOutcome::Delayed;
                 } else {
                     let fraction =
@@ -715,24 +719,24 @@ impl ResourceManager {
                     if fraction < 1.0 {
                         self.partial_actuations += 1;
                     }
-                    let failures = match managed.world {
+                    let failures = match managed.status.world {
                         WorldClass::Microservice => sim
                             .set_service_target_partial(
-                                status.id,
+                                app,
                                 decision.replicas,
                                 decision.per_replica,
                                 fraction,
                             )
                             .unwrap_or(0),
                         WorldClass::BigData => sim
-                            .set_batch_target_partial(status.id, decision.per_replica, fraction)
+                            .set_batch_target_partial(app, decision.per_replica, fraction)
                             .unwrap_or(0),
                         WorldClass::Hpc => sim
-                            .set_hpc_target_partial(status.id, decision.per_replica, fraction)
+                            .set_hpc_target_partial(app, decision.per_replica, fraction)
                             .unwrap_or(0),
                     };
                     self.resize_failures += u64::from(failures);
-                    let managed = match Self::managed_mut(&mut self.apps, status.id) {
+                    let managed = match Self::managed_mut(&mut self.apps, app) {
                         Ok(m) => m,
                         Err(_) => {
                             self.desynced_apps += 1;
@@ -758,7 +762,7 @@ impl ResourceManager {
                 }
             }
             if let Some(ring) = trace.as_deref_mut() {
-                if let Ok(m) = Self::managed_mut(&mut self.apps, status.id) {
+                if let Ok(m) = Self::managed_mut(&mut self.apps, app) {
                     let rate_rps = if effective_dt > 0.0 {
                         window.arrivals as f64 / effective_dt
                     } else {
@@ -767,9 +771,9 @@ impl ResourceManager {
                     ring.push(TraceEvent::Control(ControlTrace {
                         tick: self.ticks,
                         at: now,
-                        app: status.id,
+                        app,
                         signal: signal.as_trace(),
-                        measured: window.measured_for(&status.plo),
+                        measured: window.measured_for(&m.status.plo),
                         rate_rps,
                         replicas: window.running_replicas,
                         per_replica: window.alloc_per_replica,
@@ -780,7 +784,7 @@ impl ResourceManager {
                 }
             }
             if signal == SignalQuality::Fresh {
-                windows.push((status.id, window));
+                windows.push((app, window));
             }
         }
         windows
@@ -833,7 +837,7 @@ impl ResourceManager {
         if fraction < 1.0 {
             self.partial_actuations += 1;
         }
-        let failures = match managed.world {
+        let failures = match managed.status.world {
             WorldClass::Microservice => sim
                 .set_service_target_partial(app, decision.replicas, decision.per_replica, fraction)
                 .unwrap_or(0),
@@ -870,7 +874,8 @@ impl ResourceManager {
         mut trace: Option<&mut TraceRing>,
     ) -> Vec<(AppId, evolve_sim::AppWindow)> {
         struct Planned {
-            status: evolve_sim::AppStatus,
+            app: AppId,
+            class: PriorityClass,
             window: AppWindow,
             signal: SignalQuality,
             effective_dt: f64,
@@ -879,14 +884,14 @@ impl ResourceManager {
         }
         self.ticks += 1;
         self.flush_pending_actuations(sim);
-        let statuses: Vec<evolve_sim::AppStatus> = sim.apps().to_vec();
-        let mut planned: Vec<Planned> = Vec::with_capacity(statuses.len());
+        let mut planned: Vec<Planned> = Vec::with_capacity(sim.apps().len());
         // Phase 1: scrape and decide for every app — all PID steps run
         // before any capacity question is asked.
-        for status in statuses {
+        for i in 0..sim.apps().len() {
+            let app = sim.apps()[i].id;
             let now = sim.now();
-            let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(status.id, now));
-            let managed = match Self::managed_mut(&mut self.apps, status.id) {
+            let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(app, now));
+            let managed = match Self::managed_mut(&mut self.apps, app) {
                 Ok(m) => m,
                 Err(_) => {
                     self.desynced_apps += 1;
@@ -900,17 +905,17 @@ impl ResourceManager {
                     None => (empty_window(now), SignalQuality::Missing, dt_secs),
                 }
             } else {
-                let Ok(mut w) = sim.take_window(status.id) else {
+                let Ok(mut w) = sim.take_window(app) else {
                     self.desynced_apps += 1;
                     continue;
                 };
                 if let Some(i) = injector.as_deref_mut() {
-                    i.distort_window(status.id, &mut w);
+                    i.distort_window(app, &mut w);
                 }
                 let effective_dt = dt_secs + managed.pending_dt;
                 managed.pending_dt = 0.0;
-                if let Some(measured) = w.measured_for(&status.plo) {
-                    let skip = matches!(status.plo, PloSpec::Deadline { .. })
+                if let Some(measured) = w.measured_for(&managed.status.plo) {
+                    let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
                         && w.progress == Some(1.0)
                         && {
                             managed.tracker.windows() > 0 && w.completions == 0 && w.arrivals == 0
@@ -926,14 +931,15 @@ impl ResourceManager {
                 (w, SignalQuality::Fresh, effective_dt)
             };
             let input = PolicyInput {
-                app: &status,
+                app: &managed.status,
                 window: &window,
                 dt_secs: effective_dt,
                 resize_failures: managed.last_resize_failures,
                 signal,
             };
             let decision = managed.policy.decide(&input);
-            planned.push(Planned { status, window, signal, effective_dt, now, decision });
+            let class = managed.status.priority;
+            planned.push(Planned { app, class, window, signal, effective_dt, now, decision });
         }
         // Phase 2: one cluster-wide arbitration over the decided targets.
         // Apps without a decision this tick keep whatever they hold, so
@@ -957,11 +963,7 @@ impl ResourceManager {
                         let cap = (p.window.alloc * cap_ratio).max(&d.per_replica);
                         desired.min(&cap)
                     };
-                    requests.push(ArbiterRequest {
-                        app: p.status.id,
-                        class: p.status.priority,
-                        requested,
-                    });
+                    requests.push(ArbiterRequest { app: p.app, class: p.class, requested });
                 }
                 None => held += p.window.alloc,
             }
@@ -981,7 +983,7 @@ impl ResourceManager {
             let mut outcome = ActuationOutcome::NoDecision;
             let mut arb_for_trace: Option<ArbitrationOutcome> = None;
             if let Some(decision) = p.decision {
-                let arb = by_app.get(&p.status.id).copied();
+                let arb = by_app.get(&p.app).copied();
                 arb_for_trace = arb;
                 match arb.map(|o| o.decision) {
                     Some(GrantDecision::Shed) => {
@@ -991,21 +993,14 @@ impl ResourceManager {
                         // or the granted classes fight the shed class's
                         // stale pods for the same nodes.
                         self.shed_decisions += 1;
-                        self.shed_app_ids.insert(p.status.id);
-                        let _ = sim.set_service_shedding(p.status.id, true);
+                        self.shed_app_ids.insert(p.app);
+                        let _ = sim.set_service_shedding(p.app, true);
                         let squeezed = PolicyDecision {
                             per_replica: decision.per_replica * SHED_KEEPALIVE_FRACTION,
                             replicas: decision.replicas,
                         };
                         if self
-                            .actuate_target(
-                                sim,
-                                &mut injector,
-                                p.now,
-                                p.status.id,
-                                squeezed,
-                                p.signal,
-                            )
+                            .actuate_target(sim, &mut injector, p.now, p.app, squeezed, p.signal)
                             .is_none()
                         {
                             continue;
@@ -1015,7 +1010,7 @@ impl ResourceManager {
                     Some(GrantDecision::Clipped(_)) => {
                         let o = arb.expect("clipped grant has an outcome");
                         self.clipped_allocations += 1;
-                        let _ = sim.set_service_shedding(p.status.id, true);
+                        let _ = sim.set_service_shedding(p.app, true);
                         // The grant is per-dimension: actuate it directly
                         // (divided across replicas) rather than scaling the
                         // whole desired vector by the scalar fraction.
@@ -1027,7 +1022,7 @@ impl ResourceManager {
                             sim,
                             &mut injector,
                             p.now,
-                            p.status.id,
+                            p.app,
                             clipped,
                             p.signal,
                         ) {
@@ -1038,12 +1033,12 @@ impl ResourceManager {
                     _ => {
                         // Full grant (or, defensively, a missing outcome):
                         // actuate the policy's own target unmodified.
-                        let _ = sim.set_service_shedding(p.status.id, false);
+                        let _ = sim.set_service_shedding(p.app, false);
                         match self.actuate_target(
                             sim,
                             &mut injector,
                             p.now,
-                            p.status.id,
+                            p.app,
                             decision,
                             p.signal,
                         ) {
@@ -1054,7 +1049,7 @@ impl ResourceManager {
                 }
             }
             if let Some(ring) = trace.as_deref_mut() {
-                if let Ok(m) = Self::managed_mut(&mut self.apps, p.status.id) {
+                if let Ok(m) = Self::managed_mut(&mut self.apps, p.app) {
                     let rate_rps = if p.effective_dt > 0.0 {
                         p.window.arrivals as f64 / p.effective_dt
                     } else {
@@ -1063,9 +1058,9 @@ impl ResourceManager {
                     ring.push(TraceEvent::Control(ControlTrace {
                         tick: self.ticks,
                         at: p.now,
-                        app: p.status.id,
+                        app: p.app,
                         signal: p.signal.as_trace(),
-                        measured: p.window.measured_for(&p.status.plo),
+                        measured: p.window.measured_for(&m.status.plo),
                         rate_rps,
                         replicas: p.window.running_replicas,
                         per_replica: p.window.alloc_per_replica,
@@ -1090,7 +1085,7 @@ impl ResourceManager {
                 }
             }
             if p.signal == SignalQuality::Fresh {
-                windows.push((p.status.id, p.window));
+                windows.push((p.app, p.window));
             }
         }
         windows

@@ -1057,10 +1057,9 @@ impl ExperimentRunner {
 
         // Final per-app summaries need lifetime counters; accumulate from
         // the trackers plus a final window harvest.
-        let statuses: Vec<evolve_sim::AppStatus> = sim.apps().to_vec();
-        let mut apps = Vec::with_capacity(statuses.len());
+        let mut apps = Vec::with_capacity(sim.apps().len());
         let mut desynced_summaries = 0u64;
-        for status in &statuses {
+        for status in sim.apps() {
             let (completions, timeouts, oom_kills, shed_requests) =
                 totals.get(&status.id).copied().unwrap_or((0, 0, 0, 0));
             // A desynced app (unknown to the restarted manager) still gets

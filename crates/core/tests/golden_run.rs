@@ -17,12 +17,14 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome};
+use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome, SchedulerProfile};
 use evolve_types::SimDuration;
 use evolve_workload::Scenario;
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_headline.txt")
+const HEADLINE: &str = "golden_headline.txt";
+
+fn fixture_path(fixture: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture)
 }
 
 /// The standard scenario at a short horizon: the full headline mix
@@ -33,6 +35,23 @@ fn golden_config() -> RunConfig {
     let mut scenario = Scenario::headline(0.5);
     scenario.horizon = SimDuration::from_mins(5);
     RunConfig::builder(scenario, ManagerKind::Evolve).nodes(8).seed(42).build()
+}
+
+/// A small `cluster_scale`: 60 slot-packed nodes (720 pod slots), 8
+/// services and an oversubscribed batch backlog, so the run holds over a
+/// thousand pods, a persistent pending queue and task churn — the
+/// many-pod harvest, resize, bind and completion paths the 100-pod
+/// headline mix never reaches. The horizon is 360 s because unmanaged
+/// batch tasks (~5 min of CPU work) first complete near 300 s; a shorter
+/// static run would pin the fill only. The two fixtures were generated
+/// on the commit *before* the pod table became a dense vector.
+fn scale_config(manager: ManagerKind) -> RunConfig {
+    let scenario = Scenario::cluster_scale(60, 8, SimDuration::from_secs(360));
+    RunConfig::builder(scenario, manager)
+        .nodes(60)
+        .seed(42)
+        .scheduler(SchedulerProfile::Evolve)
+        .build()
 }
 
 /// Serializes everything a run measured, bit-exactly. Floats are dumped
@@ -100,7 +119,19 @@ fn golden_dump(outcome: &RunOutcome) -> String {
 #[test]
 fn golden_headline_metrics_are_bit_identical() {
     let outcome = ExperimentRunner::new(golden_config()).run();
-    compare_to_fixture(&outcome, true);
+    compare_to_fixture(&outcome, HEADLINE, true);
+}
+
+#[test]
+fn golden_scale_evolve_is_bit_identical() {
+    let outcome = ExperimentRunner::new(scale_config(ManagerKind::Evolve)).run();
+    compare_to_fixture(&outcome, "golden_scale_evolve.txt", true);
+}
+
+#[test]
+fn golden_scale_static_is_bit_identical() {
+    let outcome = ExperimentRunner::new(scale_config(ManagerKind::KubeStatic)).run();
+    compare_to_fixture(&outcome, "golden_scale_static.txt", true);
 }
 
 /// Decision tracing is observational: running the *same* golden config
@@ -114,7 +145,7 @@ fn golden_headline_unchanged_by_trace_dump() {
     let outcome = ExperimentRunner::new(config).run();
     assert!(!outcome.trace.is_empty(), "trace ring captured nothing");
     assert!(std::fs::metadata(&dump_path).is_ok_and(|m| m.len() > 0), "trace dump was not written");
-    compare_to_fixture(&outcome, false);
+    compare_to_fixture(&outcome, HEADLINE, false);
 }
 
 /// The legacy-sampling escape hatch must reproduce the *pre-batched*
@@ -131,8 +162,7 @@ fn legacy_sampling_reproduces_pre_batched_fixture() {
         .build();
     let outcome = ExperimentRunner::new(config).run();
     let dump = golden_dump(&outcome);
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_headline_legacy.txt");
+    let path = fixture_path("golden_headline_legacy.txt");
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing frozen legacy fixture {} ({e})", path.display()));
     if dump != expected {
@@ -149,12 +179,12 @@ fn legacy_sampling_reproduces_pre_batched_fixture() {
     }
 }
 
-/// Compares a run against the blessed fixture; only the plain golden
-/// test may (re)bless, so a drifting traced run can never overwrite the
+/// Compares a run against its blessed fixture; only the plain golden
+/// tests may (re)bless, so a drifting traced run can never overwrite the
 /// reference it is checked against.
-fn compare_to_fixture(outcome: &RunOutcome, may_bless: bool) {
+fn compare_to_fixture(outcome: &RunOutcome, fixture: &str, may_bless: bool) {
     let dump = golden_dump(outcome);
-    let path = fixture_path();
+    let path = fixture_path(fixture);
     let blessing = std::env::var("EVOLVE_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
     if blessing {
         if may_bless {

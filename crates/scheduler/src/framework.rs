@@ -374,8 +374,7 @@ impl SchedulerFramework {
         // by (priority desc, creation asc).
         let pending: Vec<&Pod> = cluster.pending_pods().collect();
         backoff.cycle += 1;
-        let pending_ids: HashSet<PodId> = pending.iter().map(|p| p.id).collect();
-        backoff.state.retain(|id, _| pending_ids.contains(id));
+        backoff.state.retain(|id, _| cluster.pod(*id).is_ok_and(Pod::is_pending));
         // BTreeMap: gang visit order must not depend on hash state, or
         // equal-priority units would schedule in a nondeterministic order.
         let mut gangs: BTreeMap<JobId, Vec<&Pod>> = BTreeMap::new();

@@ -51,16 +51,19 @@ impl ClusterConfig {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterState {
     nodes: Vec<Node>,
-    pods: BTreeMap<PodId, Pod>,
-    next_pod: u64,
+    /// The pod table: slot `i` holds the pod with id `i`. `create_pod`
+    /// hands out ids sequentially from 0 and no pod is ever removed
+    /// (terminal pods stay for accounting and requeue), so a lookup is
+    /// one bounds-checked index and iteration is ascending pod-id order.
+    pods: Vec<Pod>,
     /// Pods currently `Running`, maintained on every phase transition so
-    /// snapshots don't rescan the (append-only) pod table.
+    /// snapshots don't rescan the pod table.
     running_count: u32,
     /// Pods currently `Pending` or `Starting`.
     waiting_count: u32,
     /// `(created, id)` of every `Pending` pod, maintained on every phase
     /// transition so the scheduling queue is read in O(pending) instead
-    /// of by filtering and sorting the (append-only) pod table.
+    /// of by filtering and sorting the pod table.
     pending: BTreeSet<(SimTime, PodId)>,
     /// Monotone mutation counter, bumped whenever any node's scheduling-
     /// relevant state (allocation, bound set, readiness) changes. The
@@ -88,8 +91,7 @@ impl ClusterState {
         ClusterState {
             node_versions: vec![0; config.nodes.len()],
             nodes,
-            pods: BTreeMap::new(),
-            next_pod: 0,
+            pods: Vec::new(),
             running_count: 0,
             waiting_count: 0,
             pending: BTreeSet::new(),
@@ -170,25 +172,24 @@ impl ClusterState {
     ///
     /// Returns [`Error::UnknownPod`] when the pod does not exist.
     pub fn pod(&self, id: PodId) -> Result<&Pod> {
-        self.pods.get(&id).ok_or(Error::UnknownPod(id))
+        self.pods.get(id.as_usize()).ok_or(Error::UnknownPod(id))
     }
 
     /// Iterates over all pods in creation (pod-id) order.
     pub fn pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pods.values()
+        self.pods.iter()
     }
 
     /// Pods awaiting a scheduling decision, in creation order
     /// (`(created, id)` ascending).
     pub fn pending_pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pending.iter().map(|(_, id)| &self.pods[id])
+        self.pending.iter().map(|(_, id)| &self.pods[id.as_usize()])
     }
 
     /// Creates a pod in `Pending` phase and returns its id.
     pub fn create_pod(&mut self, spec: PodSpec, now: SimTime) -> PodId {
-        let id = PodId::new(self.next_pod);
-        self.next_pod += 1;
-        self.pods.insert(id, Pod::new(id, spec, now));
+        let id = PodId::new(self.pods.len() as u64);
+        self.pods.push(Pod::new(id, spec, now));
         self.waiting_count += 1;
         self.pending.insert((now, id));
         id
@@ -203,7 +204,7 @@ impl ClusterState {
     /// Fails when the pod or node is unknown, the pod is not pending, or
     /// the node lacks capacity.
     pub fn bind_pod(&mut self, pod_id: PodId, node_id: NodeId) -> Result<()> {
-        let pod = self.pods.get(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if !pod.is_pending() {
             return Err(Error::InvalidState(format!("{pod_id} is not pending")));
         }
@@ -216,7 +217,6 @@ impl ClusterState {
             });
         }
         node.bind(pod_id, request);
-        let pod = self.pods.get_mut(&pod_id).expect("checked above");
         pod.node = Some(node_id);
         pod.phase = PodPhase::Starting;
         self.pending.remove(&(pod.created, pod_id));
@@ -232,7 +232,7 @@ impl ClusterState {
     ///
     /// Fails when the pod is unknown or not starting.
     pub fn start_pod(&mut self, pod_id: PodId, now: SimTime) -> Result<()> {
-        let pod = self.pods.get_mut(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if pod.phase != PodPhase::Starting {
             return Err(Error::InvalidState(format!("{pod_id} is not starting")));
         }
@@ -250,7 +250,7 @@ impl ClusterState {
     /// Fails when the pod is unknown or already terminal.
     pub fn terminate_pod(&mut self, pod_id: PodId, phase: PodPhase) -> Result<()> {
         assert!(phase.is_terminal(), "terminate_pod needs a terminal phase");
-        let pod = self.pods.get_mut(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if pod.phase.is_terminal() {
             return Err(Error::InvalidState(format!("{pod_id} already terminal")));
         }
@@ -284,7 +284,7 @@ impl ClusterState {
     ///
     /// Fails when the pod is unknown or still holds resources.
     pub fn requeue_pod(&mut self, pod_id: PodId, now: SimTime) -> Result<()> {
-        let pod = self.pods.get_mut(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if pod.phase.holds_resources() {
             return Err(Error::InvalidState(format!("{pod_id} still bound")));
         }
@@ -309,7 +309,7 @@ impl ClusterState {
     /// Fails when the pod is unknown, not bound, the new request exceeds
     /// the pod limit, or the node lacks headroom for the increase.
     pub fn resize_pod(&mut self, pod_id: PodId, new_request: ResourceVec) -> Result<()> {
-        let pod = self.pods.get(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if !pod.phase.holds_resources() {
             return Err(Error::InvalidState(format!("{pod_id} is not bound")));
         }
@@ -333,7 +333,7 @@ impl ClusterState {
             });
         }
         node.adjust(old_request, new_request);
-        self.pods.get_mut(&pod_id).expect("checked above").spec.request = new_request;
+        pod.spec.request = new_request;
         self.bump_node(node_id.as_usize());
         Ok(())
     }
@@ -350,7 +350,7 @@ impl ClusterState {
         pod_id: PodId,
         new_request: ResourceVec,
     ) -> Result<()> {
-        let pod = self.pods.get_mut(&pod_id).ok_or(Error::UnknownPod(pod_id))?;
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
         if !pod.is_pending() {
             return Err(Error::InvalidState(format!("{pod_id} is not pending")));
         }
@@ -389,7 +389,7 @@ impl ClusterState {
         let victims: Vec<PodId> = node.pods().iter().copied().collect();
         self.bump_node(node_id.as_usize());
         for pod_id in &victims {
-            let pod = self.pods.get_mut(pod_id).expect("node pod set is consistent");
+            let pod = &mut self.pods[pod_id.as_usize()];
             let released = pod.phase.holds_resources().then_some(pod.spec.priority);
             if released.is_some() {
                 self.nodes[node_id.as_usize()].unbind(*pod_id, pod.spec.request);
@@ -446,7 +446,10 @@ impl ClusterState {
         let mut waiting = 0u32;
         let mut by_priority: BTreeMap<i32, u32> = BTreeMap::new();
         let mut pending: BTreeSet<(SimTime, PodId)> = BTreeSet::new();
-        for pod in self.pods.values() {
+        for (slot, pod) in self.pods.iter().enumerate() {
+            if pod.id.as_usize() != slot {
+                out.push(format!("pod table slot {slot} holds {}", pod.id));
+            }
             match pod.phase {
                 PodPhase::Running => running += 1,
                 PodPhase::Pending | PodPhase::Starting => waiting += 1,
@@ -480,7 +483,7 @@ impl ClusterState {
         for node in &self.nodes {
             let mut sum = ResourceVec::ZERO;
             for pod_id in node.pods() {
-                let pod = &self.pods[pod_id];
+                let pod = &self.pods[pod_id.as_usize()];
                 if !pod.phase.holds_resources() {
                     out.push(format!("{pod_id} on node {} but not bound", node.id()));
                 }
@@ -739,10 +742,25 @@ mod tests {
     }
 
     #[test]
+    fn broken_slot_id_correspondence_is_reported() {
+        let mut c = cluster();
+        c.create_pod(spec(1.0), SimTime::ZERO);
+        c.create_pod(spec(1.0), SimTime::ZERO);
+        assert!(c.invariant_violations().is_empty());
+        c.pods.swap(0, 1);
+        let violations = c.invariant_violations();
+        assert!(
+            violations.iter().any(|v| v == "pod table slot 0 holds pod-1"),
+            "slot/id mismatch not reported: {violations:?}"
+        );
+    }
+
+    #[test]
     fn unknown_ids_error() {
         let mut c = cluster();
         assert!(c.node(NodeId::new(99)).is_err());
         assert!(c.pod(PodId::new(99)).is_err());
+        assert!(matches!(c.pod(PodId::new(u64::MAX)), Err(Error::UnknownPod(_))));
         assert!(c.bind_pod(PodId::new(99), NodeId::new(0)).is_err());
         assert!(c.set_node_ready(NodeId::new(99), true).is_err());
     }

@@ -138,15 +138,12 @@ impl Simulation {
     /// A task pod became running: give it its work item.
     pub(crate) fn batch_pod_started(&mut self, idx: usize, pod: PodId) {
         let now = self.now;
-        let alloc = self.cluster.pod(pod).expect("started pod").spec.request;
-        let work = {
-            let rt = &self.batches[idx];
-            let stage = match self.cluster.pod(pod).expect("started").spec.kind {
-                PodKind::BatchTask { stage, .. } => stage as usize,
-                _ => unreachable!("batch pod has batch kind"),
-            };
-            rt.spec.stages[stage].work_per_task
+        let spec = &self.cluster.pod(pod).expect("started pod").spec;
+        let alloc = spec.request;
+        let PodKind::BatchTask { stage, .. } = spec.kind else {
+            unreachable!("batch pod has batch kind")
         };
+        let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
         let mut server = ReplicaServer::new(alloc, 0.0, self.config.perf, now);
         // One work item, no deadline (jobs run to completion).
         server.admit(0, now, SimTime::MAX, work);
