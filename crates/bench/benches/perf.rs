@@ -19,7 +19,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evolve_scheduler::SchedulerFramework;
 use evolve_sim::{
-    ClusterConfig, ClusterState, NodeShape, PerfConfig, PodKind, PodSpec, ReplicaServer,
+    ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
+    ReplicaServer,
 };
 use evolve_telemetry::{MetricRegistry, SlidingQuantile};
 use evolve_types::{AppId, ResourceVec, SimTime};
@@ -38,18 +39,22 @@ fn lcg_stream(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Demand of the `i`-th benchmark request: staggered CPU so completions
+/// spread over many drain steps, and disk and net that differ from
+/// request to request, so all three remainders stay live and the
+/// next-event scan has three quotients to compare.
+fn demand(i: usize) -> ResourceVec {
+    let cpu = 50.0 + 13.0 * i as f64;
+    let disk = 1.0 + 0.55 * ((i * 7) % 64) as f64;
+    let net = 0.5 + 0.35 * ((i * 11) % 96) as f64;
+    ResourceVec::new(cpu, 8.0, disk, net)
+}
+
 fn loaded_replica(inflight: usize) -> ReplicaServer {
     let alloc = ResourceVec::new(4_000.0, 8_192.0, 200.0, 200.0);
     let mut r = ReplicaServer::new(alloc, 64.0, PerfConfig::default(), SimTime::ZERO);
     for i in 0..inflight {
-        // Staggered demands so completions spread over many drain steps.
-        let cpu = 50.0 + 13.0 * i as f64;
-        r.admit(
-            i as u64,
-            SimTime::ZERO,
-            SimTime::from_secs(600),
-            ResourceVec::new(cpu, 8.0, 0.5, 0.5),
-        );
+        r.admit(i as u64, SimTime::ZERO, SimTime::from_secs(600), demand(i));
     }
     r
 }
@@ -57,7 +62,7 @@ fn loaded_replica(inflight: usize) -> ReplicaServer {
 fn bench_replica(c: &mut Criterion) {
     let mut group = c.benchmark_group("replica");
     group.sample_size(20);
-    for inflight in [4usize, 32] {
+    for inflight in [4usize, 32, 512] {
         let template = loaded_replica(inflight);
         group.bench_with_input(
             BenchmarkId::new("advance_drain_all", inflight),
@@ -71,6 +76,25 @@ fn bench_replica(c: &mut Criterion) {
             },
         );
     }
+    // The engine's pattern on an unmanaged service: every arrival first
+    // drains the whole in-flight set up to its own time, joins it, and
+    // asks for the next wake-up — 256 arrivals 5 ms apart into a replica
+    // already 512 deep.
+    let template = loaded_replica(512);
+    group.bench_function(BenchmarkId::new("admit_then_drain", 512), |b| {
+        let mut out = DrainOutcome::default();
+        b.iter(|| {
+            let mut r = template.clone();
+            for k in 0..256usize {
+                let at = SimTime::from_millis(5 * (k as u64 + 1));
+                let deadline = SimTime::from_secs(600);
+                r.admit_arrived_into(512 + k as u64, at, at, deadline, demand(k % 64), &mut out);
+                black_box(r.next_event());
+            }
+            out.clear();
+            black_box(r.inflight_len())
+        })
+    });
     let template = loaded_replica(16);
     group.bench_function("next_event_memoized", |b| {
         let mut r = template.clone();

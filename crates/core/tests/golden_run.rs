@@ -54,6 +54,21 @@ fn scale_config(manager: ManagerKind) -> RunConfig {
         .build()
 }
 
+/// The headline mix at full load with nobody managing it: `ingest` and
+/// `media` back up until single replicas hold several hundred requests
+/// (621 at the deepest), the only regime in which the processor-sharing
+/// drain's per-request passes dominate and which no other fixture
+/// reaches. 11 s is the shortest whole-second horizon at which a service
+/// records timeouts (`ingest` 42, `media` 78; none at 10 s), so the run
+/// covers the build-up and deadline drops out of a deep set. Generated on
+/// the commit *before* the drain found its own leavers and the in-flight
+/// set was split hot/cold.
+fn static_config() -> RunConfig {
+    let mut scenario = Scenario::headline(1.0);
+    scenario.horizon = SimDuration::from_secs(11);
+    RunConfig::builder(scenario, ManagerKind::KubeStatic).nodes(8).seed(42).build()
+}
+
 /// Serializes everything a run measured, bit-exactly. Floats are dumped
 /// as hex bit patterns: two runs produce the same dump iff every sample
 /// is the same `f64` down to the last bit.
@@ -132,6 +147,12 @@ fn golden_scale_evolve_is_bit_identical() {
 fn golden_scale_static_is_bit_identical() {
     let outcome = ExperimentRunner::new(scale_config(ManagerKind::KubeStatic)).run();
     compare_to_fixture(&outcome, "golden_scale_static.txt", true);
+}
+
+#[test]
+fn golden_headline_static_is_bit_identical() {
+    let outcome = ExperimentRunner::new(static_config()).run();
+    compare_to_fixture(&outcome, "golden_headline_static.txt", true);
 }
 
 /// Decision tracing is observational: running the *same* golden config

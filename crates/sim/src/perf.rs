@@ -36,15 +36,25 @@ impl Default for PerfConfig {
     }
 }
 
-/// One request being executed.
+/// The rate dimensions a request drains, in the order of
+/// [`InFlightHot::remaining`].
+const DIMS: [Resource; 3] = [Resource::Cpu, Resource::DiskIo, Resource::NetIo];
+
+/// What every drain and next-event scan reads of a request being
+/// executed: 32 bytes, two to a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct InFlight {
+struct InFlightHot {
+    /// Remaining drainable work (cpu mcore·s, disk MB, net MB).
+    remaining: [f64; 3],
+    deadline: SimTime,
+}
+
+/// The rest of the request, read when it arrives and when it leaves (and
+/// by the working-set fold). Lives at the same index as its hot half.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct InFlightCold {
     id: u64,
     arrived: SimTime,
-    deadline: SimTime,
-    /// Remaining drainable work (cpu mcore·s, disk MB, net MB); the
-    /// memory component is unused here.
-    remaining: ResourceVec,
     working_set: f64,
 }
 
@@ -104,7 +114,11 @@ pub struct ReplicaServer {
     alloc: ResourceVec,
     base_memory: f64,
     config: PerfConfig,
-    inflight: Vec<InFlight>,
+    /// In-flight requests, split hot/cold: `hot[i]` and `cold[i]` are one
+    /// request. The two vectors are pushed, `swap_remove`d and cleared
+    /// together, so their order is the order a single vector would have.
+    hot: Vec<InFlightHot>,
+    cold: Vec<InFlightCold>,
     clock: SimTime,
     /// Cumulative drained work (rate dimensions) for usage accounting.
     consumed: ResourceVec,
@@ -117,12 +131,13 @@ pub struct ReplicaServer {
     /// serde and rebuilt on demand.
     #[serde(skip)]
     cache: Option<NextCache>,
-    /// Memoized working set (base + Σ in-flight), invalidated whenever
-    /// the in-flight set changes. The sum is recomputed in the same
-    /// iteration order as the direct computation, so memoization never
-    /// changes a single bit of the trajectory — it only deduplicates the
-    /// O(n) pass that `thrash_factor`/`over_oom`/`take_consumed` each
-    /// performed per event.
+    /// Memoized working set. Cleared by every removal and recomputed at
+    /// the first read after one as `base + Σ` (a left fold in vector
+    /// order); while held, each admission extends it by one trailing add,
+    /// giving `(base + Σ) + w` where a recompute would give `base + (Σ +
+    /// w)`. So `working_set()` depends on whether a removal happened since
+    /// the last read, not only on the in-flight set; the fixtures pin that
+    /// history, which is why the fold is not made lazy.
     #[serde(skip)]
     ws: std::cell::Cell<Option<f64>>,
 }
@@ -149,7 +164,8 @@ impl ReplicaServer {
             alloc,
             base_memory,
             config,
-            inflight: Vec::new(),
+            hot: Vec::new(),
+            cold: Vec::new(),
             clock: now,
             consumed: ResourceVec::ZERO,
             dead: false,
@@ -167,7 +183,7 @@ impl ReplicaServer {
     /// Number of in-flight requests.
     #[must_use]
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        self.hot.len()
     }
 
     /// Current memory footprint: base + Σ working sets (MiB).
@@ -176,7 +192,7 @@ impl ReplicaServer {
         if let Some(ws) = self.ws.get() {
             return ws;
         }
-        let ws = self.base_memory + self.inflight.iter().map(|r| r.working_set).sum::<f64>();
+        let ws = self.base_memory + self.cold.iter().map(|r| r.working_set).sum::<f64>();
         self.ws.set(Some(ws));
         ws
     }
@@ -293,21 +309,14 @@ impl ReplicaServer {
         if at > self.clock {
             self.advance_into(at, out);
         }
-        let mut remaining = demand;
-        remaining[Resource::Memory] = 0.0;
         self.cache = None;
-        // Appending extends the memoized left-fold sum by exactly one
-        // trailing add — the same float sequence a recompute would run —
-        // so the cache updates incrementally instead of invalidating.
-        let ws_next = self.ws.get().map(|w| w + demand[Resource::Memory]);
-        self.inflight.push(InFlight {
-            id,
-            arrived: arrived.min(at),
-            deadline,
-            remaining,
-            working_set: demand[Resource::Memory],
-        });
-        self.ws.set(ws_next);
+        // A held working set is extended by one trailing add instead of
+        // being invalidated. That is not the float sequence a recompute
+        // would run (see `ws`); it is the sequence the fixtures pin.
+        let working_set = demand[Resource::Memory];
+        self.ws.set(self.ws.get().map(|w| w + working_set));
+        self.hot.push(InFlightHot { remaining: DIMS.map(|r| demand[r]), deadline });
+        self.cold.push(InFlightCold { id, arrived: arrived.min(at), working_set });
         if self.over_oom() {
             self.kill_into(out);
             return true;
@@ -329,7 +338,8 @@ impl ReplicaServer {
         self.dead = true;
         self.cache = None;
         self.ws.set(None);
-        out.timed_out.extend(self.inflight.drain(..).map(|r| r.id));
+        self.hot.clear();
+        out.timed_out.extend(self.cold.drain(..).map(|r| r.id));
         out.oom_killed = true;
     }
 
@@ -354,17 +364,17 @@ impl ReplicaServer {
     }
 
     fn compute_next(&self) -> NextCache {
-        if self.dead || self.inflight.is_empty() {
+        if self.dead || self.hot.is_empty() {
             return NextCache { event: None, rates: ResourceVec::ZERO };
         }
-        let n = self.inflight.len() as f64;
+        let n = self.hot.len() as f64;
         let rates = self.effective_rates(n);
-        const DIMS: [Resource; 3] = [Resource::Cpu, Resource::DiskIo, Resource::NetIo];
-        if DIMS.iter().any(|&r| rates[r] <= 1e-12) {
+        let rate = DIMS.map(|r| rates[r]);
+        if rate.iter().any(|&r| r <= 1e-12) {
             // A starved dimension: take the careful per-request path.
             let mut best: Option<SimTime> = None;
-            for req in &self.inflight {
-                let finish = self.finish_estimate(req, &rates);
+            for req in &self.hot {
+                let finish = self.finish_estimate(req, &rate);
                 let event = finish.min(req.deadline);
                 best = Some(match best {
                     None => event,
@@ -379,24 +389,61 @@ impl ReplicaServer {
         // offset, and the deadline min are all monotone, so they commute
         // with the min-reduction — the event is bit-identical to the
         // per-request form, with one rounding per scan instead of one per
-        // request and no branches inside the loop.
-        let mut best_secs = f64::INFINITY;
-        let mut best_deadline = SimTime::MAX;
-        for req in &self.inflight {
+        // request.
+        let estimate = |rem: &[f64; 3]| {
             let mut secs: f64 = 0.0;
-            for r in DIMS {
-                let rem = req.remaining[r];
-                let q = if rem > 1e-12 { rem / rates[r] } else { 0.0 };
+            for r in 0..3 {
+                let q = if rem[r] > 1e-12 { rem[r] / rate[r] } else { 0.0 };
                 // Never NaN, so a compare is bit-identical to `max`/`min`
                 // without their NaN-handling instruction sequences.
                 if q > secs {
                     secs = q;
                 }
             }
+            secs
+        };
+        let mut best_secs = f64::INFINITY;
+        let mut best_deadline = SimTime::MAX;
+        // The first few are simply divided: most scans see a handful of
+        // requests, and a deep one needs a minimum to start from.
+        let (seed, rest) = self.hot.split_at(self.hot.len().min(8));
+        for req in seed {
+            best_deadline = best_deadline.min(req.deadline);
+            let secs = estimate(&req.remaining);
             if secs < best_secs {
                 best_secs = secs;
             }
+        }
+        // The rest are mostly not divided at all. `bound[r]` is a minimum
+        // as work, `secs × rate[r]`, widened by 8 ε to cover its own two
+        // roundings, so `bound[r] / rate[r] ≥ secs ≥ best_secs` exactly.
+        // Rounded division is monotone, so `remaining[r] ≥ bound[r]` gives
+        // `fl(remaining[r] / rate[r]) ≥ best_secs`: the estimate could not
+        // have passed the strict `<`. A bound ≤ 1e-12, where the `rem >
+        // 1e-12` cut-off decides, counts as +∞. A bound from an earlier,
+        // larger minimum still holds, so it is only tightened after a
+        // division that did not pay (DESIGN.md decision 9).
+        const SLACK: f64 = 1.0 + 8.0 * f64::EPSILON;
+        let mut bound = [f64::INFINITY; 3];
+        for req in rest {
             best_deadline = best_deadline.min(req.deadline);
+            let rem = &req.remaining;
+            if (rem[0] >= bound[0]) | (rem[1] >= bound[1]) | (rem[2] >= bound[2]) {
+                continue;
+            }
+            let secs = estimate(rem);
+            if secs < best_secs {
+                best_secs = secs;
+            } else {
+                bound = rate.map(|rate| {
+                    let b = (best_secs * rate) * SLACK;
+                    if b <= 1e-12 {
+                        f64::INFINITY
+                    } else {
+                        b
+                    }
+                });
+            }
         }
         let finish = self.clock + SimDuration::from_secs_f64_ceil(best_secs);
         NextCache { event: Some(finish.min(best_deadline)), rates }
@@ -413,12 +460,10 @@ impl ReplicaServer {
     }
 
     /// Absolute finish time estimate for one request at current rates.
-    fn finish_estimate(&self, req: &InFlight, rates: &ResourceVec) -> SimTime {
+    fn finish_estimate(&self, req: &InFlightHot, rates: &[f64; 3]) -> SimTime {
         let mut secs: f64 = 0.0;
-        for r in [Resource::Cpu, Resource::DiskIo, Resource::NetIo] {
-            let rem = req.remaining[r];
+        for (rem, rate) in req.remaining.into_iter().zip(*rates) {
             if rem > 1e-12 {
-                let rate = rates[r];
                 if rate <= 1e-12 {
                     return SimTime::MAX; // starved: only the deadline frees it
                 }
@@ -452,7 +497,7 @@ impl ReplicaServer {
     /// Panics when `to` precedes the replica clock.
     pub fn advance_into(&mut self, to: SimTime, outcome: &mut DrainOutcome) {
         assert!(to >= self.clock, "advance into the past");
-        if self.inflight.is_empty() || self.dead {
+        if self.hot.is_empty() || self.dead {
             // Quiescent replica: O(1) clock move, nothing to drain. The
             // cached next-event (`None`) stays valid — it does not depend
             // on the clock while the in-flight set is empty.
@@ -464,25 +509,39 @@ impl ReplicaServer {
         // Process piecewise: each sub-interval ends at the earliest
         // completion/timeout or at `to`.
         let mut guard = 0usize;
-        while self.clock < to && !self.inflight.is_empty() && !self.dead {
+        while self.clock < to && !self.hot.is_empty() && !self.dead {
             guard += 1;
             assert!(guard < 1_000_000, "drain loop did not converge");
             let NextCache { event, rates } = self.fill_cache();
             let boundary = event.map_or(to, |e| e.min(to));
             let dt = boundary.saturating_since(self.clock).as_secs_f64();
+            // Where the removal walk starts and how many requests it has to
+            // find; without a drain nothing is known and it walks them all.
+            let (mut i, mut leavers) = (0, self.hot.len());
             if dt > 0.0 {
                 // Hoist the per-interval work quantum (same operands, so
                 // bit-identical) and accumulate into a register-resident
                 // copy of `consumed` — the adds happen in the exact same
                 // order, just without round-tripping through memory.
+                let step = DIMS.map(|r| rates[r] * dt);
                 let mut consumed = self.consumed;
-                for req in &mut self.inflight {
-                    for r in [Resource::Cpu, Resource::DiskIo, Resource::NetIo] {
-                        let step = rates[r] * dt;
+                (i, leavers) = (usize::MAX, 0);
+                for (at, req) in self.hot.iter_mut().enumerate() {
+                    // The largest remainder decides whether the request
+                    // leaves as done: one compare, whichever dimension is live.
+                    let mut left: f64 = 0.0;
+                    for r in 0..3 {
                         let rem = req.remaining[r];
-                        let drained = if step < rem { step } else { rem };
-                        req.remaining[r] -= drained;
-                        consumed[r] += drained;
+                        let drained = if step[r] < rem { step[r] } else { rem };
+                        req.remaining[r] = rem - drained;
+                        consumed[DIMS[r]] += drained;
+                        if req.remaining[r] > left {
+                            left = req.remaining[r];
+                        }
+                    }
+                    if left <= 1e-9 || boundary >= req.deadline {
+                        i = i.min(at);
+                        leavers += 1;
                     }
                 }
                 self.consumed = consumed;
@@ -491,30 +550,22 @@ impl ReplicaServer {
             // The drain mutated remaining work and the clock; estimates
             // must be recomputed next iteration.
             self.cache = None;
-            // Remove finished and timed-out requests at the boundary.
-            let clock = self.clock;
-            let mut i = 0;
-            while i < self.inflight.len() {
-                let req = &self.inflight[i];
-                // Short-circuit per-dimension check: equivalent to
-                // `max_component() <= 1e-9` for the never-NaN remaining
-                // vector, and usually settled by the first compare.
-                let rem = &req.remaining;
-                let done = rem[Resource::Cpu] <= 1e-9
-                    && rem[Resource::DiskIo] <= 1e-9
-                    && rem[Resource::NetIo] <= 1e-9
-                    && rem[Resource::Memory] <= 1e-9;
-                if done {
-                    outcome.completed.push(Completion {
-                        id: req.id,
-                        latency: clock.saturating_since(req.arrived),
-                    });
-                    self.inflight.swap_remove(i);
+            // Remove finished and timed-out requests at the boundary: the
+            // walk from index 0, minus the prefix and tail where none leave.
+            while leavers > 0 && i < self.hot.len() {
+                let req = &self.hot[i];
+                let done = req.remaining.iter().all(|&rem| rem <= 1e-9);
+                if done || boundary >= req.deadline {
+                    self.hot.swap_remove(i);
+                    let cold = self.cold.swap_remove(i);
                     self.ws.set(None);
-                } else if clock >= req.deadline {
-                    outcome.timed_out.push(req.id);
-                    self.inflight.swap_remove(i);
-                    self.ws.set(None);
+                    if done {
+                        let latency = boundary.saturating_since(cold.arrived);
+                        outcome.completed.push(Completion { id: cold.id, latency });
+                    } else {
+                        outcome.timed_out.push(cold.id);
+                    }
+                    leavers -= 1;
                 } else {
                     i += 1;
                 }
