@@ -1,0 +1,173 @@
+//! **Golden-fixture diff shape.** Decodes two versions of a `golden_run`
+//! fixture and says how far apart they are, which is what a re-bless has to
+//! report (DESIGN.md decision 9): how many floats changed and by what
+//! relative difference (p50 / p90 / p99 / max), every float more than 1e-9
+//! apart with the window it sits in, and every changed integer traced to the
+//! first window in which its app's series diverged by more than that.
+//!
+//! ```text
+//! git show HEAD~1:crates/core/tests/fixtures/golden_headline.txt > /tmp/before.txt
+//! cargo run --release -p evolve-bench --bin golden_diff -- \
+//!     /tmp/before.txt crates/core/tests/fixtures/golden_headline.txt
+//! ```
+//!
+//! Exits non-zero when the two files do not have the same lines in the same
+//! order (a series appeared, vanished or changed length): that is a
+//! structural change and needs reading, not a summary.
+
+use std::process::ExitCode;
+
+/// Relative differences up to this are rounding; beyond it something
+/// discrete happened upstream.
+const ROUNDING: f64 = 1e-9;
+
+/// A token that differs between the two files.
+enum Change {
+    Float { before: f64, after: f64 },
+    Integer { before: String, after: String },
+}
+
+/// `name=value` or a bare value.
+fn value(token: &str) -> &str {
+    token.split_once('=').map_or(token, |(_, v)| v)
+}
+
+/// The fixture writes every float as the 16 hex digits of its bits.
+fn float(token: &str) -> Option<f64> {
+    let v = value(token);
+    (v.len() == 16).then(|| u64::from_str_radix(v, 16).ok().map(f64::from_bits)).flatten()
+}
+
+fn relative(before: f64, after: f64) -> f64 {
+    let scale = before.abs().max(after.abs());
+    if scale > 0.0 {
+        (before - after).abs() / scale
+    } else {
+        0.0
+    }
+}
+
+/// Where a changed token sits: the series (or header line) it belongs to
+/// and, for a sample, its window time.
+struct Site {
+    what: String,
+    at: Option<f64>,
+    change: Change,
+}
+
+fn diff(before: &str, after: &str) -> Option<(usize, Vec<Site>)> {
+    let (a, b): (Vec<&str>, Vec<&str>) = (before.lines().collect(), after.lines().collect());
+    if a.len() != b.len() {
+        eprintln!("line counts differ: {} vs {}", a.len(), b.len());
+        return None;
+    }
+    let (mut floats, mut sites, mut series) = (0usize, Vec::new(), String::new());
+    for (x, y) in a.iter().zip(&b) {
+        let (xt, yt): (Vec<&str>, Vec<&str>) =
+            (x.split_whitespace().collect(), y.split_whitespace().collect());
+        if xt.len() != yt.len() || xt.first() != yt.first() && !x.starts_with("  ") {
+            eprintln!("lines do not correspond:\n  - {x}\n  + {y}");
+            return None;
+        }
+        let sample = x.starts_with("  ");
+        if xt.first() == Some(&"series") {
+            series = xt[1].to_owned();
+        }
+        for (i, (p, q)) in xt.iter().zip(&yt).enumerate() {
+            floats += usize::from(float(p).is_some());
+            if p == q {
+                continue;
+            }
+            let change = match (float(p), float(q)) {
+                (Some(before), Some(after)) => Change::Float { before, after },
+                _ => Change::Integer { before: (*p).to_owned(), after: (*q).to_owned() },
+            };
+            let (what, at) = if sample {
+                // `time value`: a moved time would be a structural change.
+                (series.clone(), float(xt[0]).filter(|_| i == 1))
+            } else {
+                (xt[..2.min(xt.len())].join(" "), None)
+            };
+            sites.push(Site { what, at, change });
+        }
+    }
+    Some((floats, sites))
+}
+
+fn report(name: &str, floats: usize, sites: &[Site]) {
+    let mut rel: Vec<f64> = sites
+        .iter()
+        .filter_map(|s| match s.change {
+            Change::Float { before, after } => Some(relative(before, after)),
+            Change::Integer { .. } => None,
+        })
+        .collect();
+    rel.sort_by(f64::total_cmp);
+    let q = |p: f64| rel.get(((rel.len() as f64 * p) as usize).min(rel.len().saturating_sub(1)));
+    let beyond = rel.iter().filter(|&&d| d > ROUNDING).count();
+    print!("{name}: {} of {floats} floats changed", rel.len());
+    if let (Some(p50), Some(p90), Some(p99), Some(max)) = (q(0.5), q(0.9), q(0.99), rel.last()) {
+        print!(": p50 {p50:.1e}  p90 {p90:.1e}  p99 {p99:.1e}  max {max:.1e}; {beyond} above 1e-9");
+    }
+    println!();
+    // Everything beyond rounding, earliest window first.
+    let mut discrete: Vec<(f64, &Site)> = sites
+        .iter()
+        .filter_map(|s| match s.change {
+            Change::Float { before, after } if relative(before, after) > ROUNDING => {
+                Some((s.at.unwrap_or(f64::INFINITY), s))
+            }
+            _ => None,
+        })
+        .collect();
+    discrete.sort_by(|x, y| x.0.total_cmp(&y.0));
+    for (at, site) in &discrete {
+        if let Change::Float { before, after } = site.change {
+            let when = if at.is_finite() { format!("t={at}") } else { "whole run".to_owned() };
+            let d = relative(before, after);
+            println!("  above 1e-9: {when:>10}  {:<32} {before} -> {after}  ({d:.1e})", site.what);
+        }
+    }
+    let mut integers = 0;
+    for site in sites {
+        let Change::Integer { before, after } = &site.change else {
+            continue;
+        };
+        integers += 1;
+        // An `app N …` line answers to its own series, anything else to all.
+        let scope = site
+            .what
+            .strip_prefix("app ")
+            .map_or_else(String::new, |n| format!("app{}/", n.trim()));
+        let first = discrete.iter().find(|(_, s)| s.what.starts_with(&scope) && s.at.is_some());
+        let traced = first.map_or_else(
+            || "no series diverged beyond rounding".to_owned(),
+            |(at, s)| format!("first diverging window t={at} in {}", s.what),
+        );
+        let when = site.at.map_or_else(String::new, |t| format!(" t={t}"));
+        println!("  integer: {}{when}  {before} -> {after}  ({traced})", site.what);
+    }
+    if integers == 0 {
+        println!("  no integer changed");
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [before, after] = args.as_slice() else {
+        eprintln!("usage: golden_diff <fixture-before> <fixture-after>");
+        return ExitCode::from(2);
+    };
+    let read = |path: &String| {
+        std::fs::read_to_string(path).map_err(|e| eprintln!("cannot read {path}: {e}")).ok()
+    };
+    let (Some(a), Some(b)) = (read(before), read(after)) else {
+        return ExitCode::from(2);
+    };
+    let Some((floats, sites)) = diff(&a, &b) else {
+        return ExitCode::FAILURE;
+    };
+    let name = after.rsplit('/').next().unwrap_or(after);
+    report(name, floats, &sites);
+    ExitCode::SUCCESS
+}

@@ -13,6 +13,13 @@
 //! ```text
 //! EVOLVE_BLESS=1 cargo test -p evolve-core --test golden_run
 //! ```
+//!
+//! A re-bless follows the rule in DESIGN.md decision 9: the reference-model
+//! test and the analytic oracles of `evolve-sim` green before and after, and
+//! the shape of the diff reported from `golden_diff` (`evolve-bench`) —
+//! every float more than 1e-9 apart and every changed integer traced to
+//! its cause. The four fixtures were last blessed when the replica server
+//! became a virtual-time queue.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -43,8 +50,7 @@ fn golden_config() -> RunConfig {
 /// many-pod harvest, resize, bind and completion paths the 100-pod
 /// headline mix never reaches. The horizon is 360 s because unmanaged
 /// batch tasks (~5 min of CPU work) first complete near 300 s; a shorter
-/// static run would pin the fill only. The two fixtures were generated
-/// on the commit *before* the pod table became a dense vector.
+/// static run would pin the fill only.
 fn scale_config(manager: ManagerKind) -> RunConfig {
     let scenario = Scenario::cluster_scale(60, 8, SimDuration::from_secs(360));
     RunConfig::builder(scenario, manager)
@@ -60,9 +66,7 @@ fn scale_config(manager: ManagerKind) -> RunConfig {
 /// drain's per-request passes dominate and which no other fixture
 /// reaches. 11 s is the shortest whole-second horizon at which a service
 /// records timeouts (`ingest` 42, `media` 78; none at 10 s), so the run
-/// covers the build-up and deadline drops out of a deep set. Generated on
-/// the commit *before* the drain found its own leavers and the in-flight
-/// set was split hot/cold.
+/// covers the build-up and deadline drops out of a deep set.
 fn static_config() -> RunConfig {
     let mut scenario = Scenario::headline(1.0);
     scenario.horizon = SimDuration::from_secs(11);
@@ -167,37 +171,6 @@ fn golden_headline_unchanged_by_trace_dump() {
     assert!(!outcome.trace.is_empty(), "trace ring captured nothing");
     assert!(std::fs::metadata(&dump_path).is_ok_and(|m| m.len() > 0), "trace dump was not written");
     compare_to_fixture(&outcome, HEADLINE, false);
-}
-
-/// The legacy-sampling escape hatch must reproduce the *pre-batched*
-/// fixture bit-for-bit: `golden_headline_legacy.txt` is a frozen copy of
-/// the fixture as blessed before the ziggurat/windowed sampler landed,
-/// and is never re-blessed. If this fails, the legacy code path no longer
-/// preserves the old RNG stream and the flag's contract is broken.
-#[test]
-fn legacy_sampling_reproduces_pre_batched_fixture() {
-    let config = RunConfig::builder(golden_config().scenario, ManagerKind::Evolve)
-        .nodes(8)
-        .seed(42)
-        .legacy_sampling(true)
-        .build();
-    let outcome = ExperimentRunner::new(config).run();
-    let dump = golden_dump(&outcome);
-    let path = fixture_path("golden_headline_legacy.txt");
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing frozen legacy fixture {} ({e})", path.display()));
-    if dump != expected {
-        let first_diff = dump
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (got, want))| got != want)
-            .map_or_else(
-                || "<end of file>".to_owned(),
-                |(i, (got, want))| format!("line {}: got `{got}`, want `{want}`", i + 1),
-            );
-        panic!("legacy sampling diverged from the frozen pre-batched fixture: {first_diff}");
-    }
 }
 
 /// Compares a run against its blessed fixture; only the plain golden

@@ -146,14 +146,18 @@ impl Simulation {
         let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
         let mut server = ReplicaServer::new(alloc, 0.0, self.config.perf, now);
         // One work item, no deadline (jobs run to completion).
-        server.admit(0, now, SimTime::MAX, work);
+        let done =
+            server.admit(0, now, SimTime::MAX, work).is_some_and(|out| !out.completed.is_empty());
         let next = server.next_event();
         let version = {
             let rt = &mut self.batches[idx];
             rt.servers.insert(pod, server);
             rt.bump_version(pod)
         };
-        if let Some(at) = next {
+        if done {
+            // Nothing to drain: the item completed inside its admission.
+            self.batch_task_complete(idx, pod);
+        } else if let Some(at) = next {
             self.schedule_wake(pod, at, version);
         }
     }

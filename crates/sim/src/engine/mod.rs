@@ -32,6 +32,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterConfig, ClusterState};
+use crate::heap;
 use crate::observe::{AppStatus, AppWindow, ClusterSnapshot, JobOutcome};
 use crate::perf::PerfConfig;
 use crate::pod::PodPhase;
@@ -247,20 +248,16 @@ impl<T> PodTable<T> {
 /// the old pop order of the surviving events exactly.
 #[derive(Debug, Default)]
 struct WakeQueue {
-    /// Binary min-heap ordered by `(at, seq)`.
+    /// Min-heap ordered by `(at, seq)`.
     entries: Vec<WakeEntry>,
     /// Pod → index into `entries`.
     pos: PodMap<u32>,
 }
 
 impl WakeQueue {
-    fn key(e: &WakeEntry) -> (SimTime, u64) {
-        (e.at, e.seq)
-    }
-
     /// The smallest `(at, seq)` key, `None` when empty.
     fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.entries.first().map(Self::key)
+        self.entries.first().map(heap::Entry::key)
     }
 
     /// The earliest entry, without removing it.
@@ -270,94 +267,35 @@ impl WakeQueue {
 
     /// Schedules or replaces the pod's wake-up.
     fn set(&mut self, pod: PodId, at: SimTime, seq: u64, version: u64) {
+        let entry = WakeEntry { at, seq, pod, version };
         if let Some(i) = self.pos.get(pod) {
-            let i = i as usize;
-            let rising = (at, seq) > Self::key(&self.entries[i]);
-            self.entries[i].at = at;
-            self.entries[i].seq = seq;
-            self.entries[i].version = version;
-            // The heap held its invariant before the rewrite, so the entry
-            // can only have moved in one direction.
-            if rising {
-                self.sift_down(i);
-            } else {
-                self.sift_up(i);
-            }
+            self.entries[i as usize] = entry;
+            heap::resift(&mut self.entries, &mut self.pos, i as usize);
         } else {
-            let i = self.entries.len();
-            self.entries.push(WakeEntry { at, seq, pod, version });
-            self.pos.insert(pod, i as u32);
-            self.sift_up(i);
+            heap::push(&mut self.entries, &mut self.pos, entry);
         }
     }
 
     /// Removes and returns the earliest wake-up.
     fn pop(&mut self) -> Option<WakeEntry> {
-        let last = self.entries.len().checked_sub(1)?;
-        self.entries.swap(0, last);
-        let e = self.entries.pop().expect("non-empty");
-        self.pos.remove(e.pod);
-        if !self.entries.is_empty() {
-            self.pos.insert(self.entries[0].pod, 0);
-            self.sift_down(0);
+        if self.entries.is_empty() {
+            return None;
         }
+        let e = heap::remove(&mut self.entries, &mut self.pos, 0);
+        self.pos.remove(e.pod);
         Some(e)
     }
+}
 
-    /// Hole-based sift in a 4-ary heap: the moving entry is held in a
-    /// register while displaced entries shift one slot, so each level
-    /// costs one entry move and one position update instead of a
-    /// three-way swap — and the wider fan-out halves the number of
-    /// levels for the few dozen live pods the queue typically holds.
-    /// Pop order is still strictly `(at, seq)`, so the event trajectory
-    /// is unaffected by the heap shape.
-    fn sift_up(&mut self, mut i: usize) -> usize {
-        let e = self.entries[i];
-        let key = (e.at, e.seq);
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if key < Self::key(&self.entries[parent]) {
-                self.entries[i] = self.entries[parent];
-                self.pos.insert(self.entries[i].pod, i as u32);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.entries[i] = e;
-        self.pos.insert(e.pod, i as u32);
-        i
+/// Pop order is strictly `(at, seq)`, so the event trajectory does not
+/// depend on the heap's shape.
+impl heap::Entry<PodMap<u32>> for WakeEntry {
+    type Key = (SimTime, u64);
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.entries[i];
-        let key = (e.at, e.seq);
-        let len = self.entries.len();
-        loop {
-            let first = 4 * i + 1;
-            if first >= len {
-                break;
-            }
-            let mut child = first;
-            let mut child_key = Self::key(&self.entries[first]);
-            let last = (first + 4).min(len);
-            for c in first + 1..last {
-                let k = Self::key(&self.entries[c]);
-                if k < child_key {
-                    child = c;
-                    child_key = k;
-                }
-            }
-            if child_key < key {
-                self.entries[i] = self.entries[child];
-                self.pos.insert(self.entries[i].pod, i as u32);
-                i = child;
-            } else {
-                break;
-            }
-        }
-        self.entries[i] = e;
-        self.pos.insert(e.pod, i as u32);
+    fn moved(&self, slot: usize, pos: &mut PodMap<u32>) {
+        pos.insert(self.pod, slot as u32);
     }
 }
 

@@ -41,6 +41,7 @@ pub mod chaos;
 mod cluster;
 mod engine;
 mod faults;
+mod heap;
 mod node;
 mod observe;
 mod perf;

@@ -16,9 +16,17 @@
 //! All latencies therefore emerge from first principles: queueing (more
 //! in-flight → smaller share), multi-resource bottlenecks (whichever
 //! dimension is scarcest dominates) and memory pressure.
+//!
+//! The queue is kept in *virtual time* (DESIGN.md decision 9): with `n`
+//! in flight the virtual clock `v` advances by `dt / n`, and every request
+//! drains `rate × dv` of each dimension whatever `n` is. While the rates
+//! keep their ratios a request's finishing virtual time is a constant, so
+//! an event costs a heap operation, not a walk of the in-flight set.
 
 use evolve_types::{Resource, ResourceVec, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+use crate::heap::{self, Entry};
 
 /// Tunables of the performance model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,26 +44,100 @@ impl Default for PerfConfig {
     }
 }
 
-/// The rate dimensions a request drains, in the order of
-/// [`InFlightHot::remaining`].
+/// The rate dimensions a request drains, in the order of [`Request::rem`].
 const DIMS: [Resource; 3] = [Resource::Cpu, Resource::DiskIo, Resource::NetIo];
+/// The one cut-off: this much work (mcore·s, MB) or less is no work.
+const NO_WORK: f64 = 1e-9;
+/// Working sets are summed as integers of 2⁻³² MiB, so the sum is a
+/// function of the in-flight set and not of the order it was built in.
+const WS_UNIT: f64 = 4_294_967_296.0;
+/// [`Request::dpos`] of a request that has no deadline.
+const NO_DEADLINE: u32 = u32::MAX;
 
-/// What every drain and next-event scan reads of a request being
-/// executed: 32 bytes, two to a cache line.
+/// A request being executed; 64 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct InFlightHot {
-    /// Remaining drainable work (cpu mcore·s, disk MB, net MB).
-    remaining: [f64; 3],
-    deadline: SimTime,
+struct Request {
+    /// Drainable work (cpu mcore·s, disk MB, net MB) that was left when it
+    /// was last written: at admission, a re-key or a credit.
+    rem: [f64; 3],
+    /// The virtual time at which `rem` will have drained at the rates in
+    /// force; +∞ when a starved dimension holds it.
+    key: f64,
+    arrived: SimTime,
+    id: u64,
+    /// In [`WS_UNIT`]s.
+    working_set: i64,
+    /// Where `ReplicaServer::by_deadline` points back at this request.
+    dpos: u32,
 }
 
-/// The rest of the request, read when it arrives and when it leaves (and
-/// by the working-set fold). Lives at the same index as its hot half.
+/// A deadline and the index in `ReplicaServer::reqs` of its request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct InFlightCold {
-    id: u64,
-    arrived: SimTime,
-    working_set: f64,
+struct Deadline {
+    at: SimTime,
+    req: u32,
+}
+
+impl Entry<[Deadline]> for Request {
+    type Key = f64;
+    fn key(&self) -> f64 {
+        self.key
+    }
+    fn moved(&self, slot: usize, by_deadline: &mut [Deadline]) {
+        if self.dpos != NO_DEADLINE {
+            by_deadline[self.dpos as usize].req = slot as u32;
+        }
+    }
+}
+
+impl Entry<[Request]> for Deadline {
+    type Key = SimTime;
+    fn key(&self) -> SimTime {
+        self.at
+    }
+    fn moved(&self, slot: usize, reqs: &mut [Request]) {
+        reqs[self.req as usize].dpos = slot as u32;
+    }
+}
+
+/// What one request drains per unit of virtual time (cpu mcore, disk and
+/// net MB/s): the allocation, CPU divided by the thrash factor. Keys are
+/// exact only while these hold; whatever changes them re-keys.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Rates {
+    per_v: [f64; 3],
+    /// `1 / per_v`, +∞ for a dimension without a rate: per-request
+    /// arithmetic multiplies.
+    inverse: [f64; 3],
+}
+
+impl Rates {
+    fn new(per_v: [f64; 3]) -> Self {
+        Rates {
+            per_v,
+            inverse: per_v.map(|rate| if rate > 0.0 { 1.0 / rate } else { f64::INFINITY }),
+        }
+    }
+
+    /// Virtual time a request with `rem` left needs: its slowest
+    /// dimension, +∞ when a dimension with work has no rate at all
+    /// (starved: only a deadline or a resize frees it).
+    fn span(&self, rem: &[f64; 3]) -> f64 {
+        let mut span = 0.0;
+        for (rem, inverse) in rem.iter().zip(&self.inverse) {
+            // The guard keeps `0 × ∞` out: a key must never be NaN.
+            if *rem > NO_WORK && rem * inverse > span {
+                span = rem * inverse;
+            }
+        }
+        span
+    }
+}
+
+/// MiB in [`WS_UNIT`]s, rounded: truncating `x + 0.5` rounds a non-negative
+/// `x` without libm's `round`.
+fn fixed(mib: f64) -> i64 {
+    (mib * WS_UNIT + 0.5) as i64
 }
 
 /// A completed request.
@@ -112,41 +194,28 @@ impl DrainOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplicaServer {
     alloc: ResourceVec,
-    base_memory: f64,
     config: PerfConfig,
-    /// In-flight requests, split hot/cold: `hot[i]` and `cold[i]` are one
-    /// request. The two vectors are pushed, `swap_remove`d and cleared
-    /// together, so their order is the order a single vector would have.
-    hot: Vec<InFlightHot>,
-    cold: Vec<InFlightCold>,
+    /// In-flight requests, a min-heap on `key`: the next to complete first.
+    reqs: Vec<Request>,
+    /// The deadlines of the requests that have one, a min-heap. The two
+    /// heaps index each other, so a request that leaves one way is taken
+    /// out of the other at once and neither ever holds a stale entry.
+    by_deadline: Vec<Deadline>,
     clock: SimTime,
+    /// The virtual clock: what a request admitted when the replica last
+    /// went idle (or was last re-keyed) would have attained by now, per
+    /// unit of rate. It restarts at 0 there, which keeps it small against
+    /// its own rounding: a key resolves 2⁻⁵² of `v`, under a nanosecond of
+    /// real time even after an hour with hundreds in flight.
+    v: f64,
+    /// `v` when work in flight was last credited to `consumed`.
+    credited: f64,
+    rates: Rates,
     /// Cumulative drained work (rate dimensions) for usage accounting.
     consumed: ResourceVec,
+    /// Base memory + Σ working sets in flight, in [`WS_UNIT`]s.
+    ws: i64,
     dead: bool,
-    /// Memoized next-event time and per-request rates, valid until the
-    /// next state mutation (admit/resize/kill/drain). The engine queries
-    /// `next_event` right after every drain to reschedule its wake-up, and
-    /// the following `advance` needs the very same boundary and rates —
-    /// this cache halves the dominant O(n) scan. Derived data: skipped by
-    /// serde and rebuilt on demand.
-    #[serde(skip)]
-    cache: Option<NextCache>,
-    /// Memoized working set. Cleared by every removal and recomputed at
-    /// the first read after one as `base + Σ` (a left fold in vector
-    /// order); while held, each admission extends it by one trailing add,
-    /// giving `(base + Σ) + w` where a recompute would give `base + (Σ +
-    /// w)`. So `working_set()` depends on whether a removal happened since
-    /// the last read, not only on the in-flight set; the fixtures pin that
-    /// history, which is why the fold is not made lazy.
-    #[serde(skip)]
-    ws: std::cell::Cell<Option<f64>>,
-}
-
-/// See [`ReplicaServer::cache`].
-#[derive(Debug, Clone, Copy)]
-struct NextCache {
-    event: Option<SimTime>,
-    rates: ResourceVec,
 }
 
 impl ReplicaServer {
@@ -160,18 +229,21 @@ impl ReplicaServer {
     pub fn new(alloc: ResourceVec, base_memory: f64, config: PerfConfig, now: SimTime) -> Self {
         assert!(alloc.is_valid(), "allocation must be valid");
         assert!(base_memory >= 0.0, "base memory must be non-negative");
-        ReplicaServer {
+        let mut server = ReplicaServer {
             alloc,
-            base_memory,
             config,
-            hot: Vec::new(),
-            cold: Vec::new(),
+            reqs: Vec::new(),
+            by_deadline: Vec::new(),
             clock: now,
+            v: 0.0,
+            credited: 0.0,
+            rates: Rates::new([0.0; 3]),
             consumed: ResourceVec::ZERO,
+            ws: fixed(base_memory),
             dead: false,
-            cache: None,
-            ws: std::cell::Cell::new(None),
-        }
+        };
+        server.rekey_if_rates_moved();
+        server
     }
 
     /// Current allocation.
@@ -183,18 +255,13 @@ impl ReplicaServer {
     /// Number of in-flight requests.
     #[must_use]
     pub fn inflight_len(&self) -> usize {
-        self.hot.len()
+        self.reqs.len()
     }
 
     /// Current memory footprint: base + Σ working sets (MiB).
     #[must_use]
     pub fn working_set(&self) -> f64 {
-        if let Some(ws) = self.ws.get() {
-            return ws;
-        }
-        let ws = self.base_memory + self.cold.iter().map(|r| r.working_set).sum::<f64>();
-        self.ws.set(Some(ws));
-        ws
+        self.ws as f64 / WS_UNIT
     }
 
     /// `true` after an OOM kill; a dead replica accepts no work.
@@ -213,6 +280,7 @@ impl ReplicaServer {
     /// with the memory component set to the *current* working set so the
     /// caller can treat the vector as a usage snapshot.
     pub fn take_consumed(&mut self) -> ResourceVec {
+        self.credit();
         let mut out = self.consumed;
         out[Resource::Memory] = self.working_set();
         self.consumed = ResourceVec::ZERO;
@@ -222,27 +290,20 @@ impl ReplicaServer {
     /// Applies a vertical resize at the replica's current clock.
     pub fn set_alloc(&mut self, alloc: ResourceVec) {
         self.alloc = alloc.sanitized();
-        self.cache = None;
+        self.rekey_if_rates_moved();
     }
 
     /// Current effective thrash factor (1 = healthy).
     #[must_use]
     pub fn thrash_factor(&self) -> f64 {
-        let mem = self.alloc[Resource::Memory];
+        let (mem, ws) = (self.alloc[Resource::Memory], self.working_set());
         if mem <= 0.0 {
-            return 1.0 + self.config.thrash_coeff;
+            1.0 + self.config.thrash_coeff
+        } else if ws <= mem {
+            1.0 // the healthy replica, every event's case, does not divide
+        } else {
+            1.0 + self.config.thrash_coeff * (ws / mem - 1.0)
         }
-        let over = self.working_set() / mem;
-        // Plain compare instead of `f64::max`: the operands are never
-        // NaN, so the value is identical without the NaN-propagation
-        // sequence `max` compiles to.
-        let excess = over - 1.0;
-        1.0 + self.config.thrash_coeff * if excess > 0.0 { excess } else { 0.0 }
-    }
-
-    fn over_oom(&self) -> bool {
-        let mem = self.alloc[Resource::Memory];
-        mem > 0.0 && self.working_set() > self.config.oom_threshold * mem
     }
 
     /// Admits a request at `at` (must not precede the replica clock).
@@ -278,16 +339,13 @@ impl ReplicaServer {
         demand: ResourceVec,
     ) -> Option<DrainOutcome> {
         let mut pre = DrainOutcome::default();
-        if self.admit_arrived_into(id, at, arrived, deadline, demand, &mut pre) {
-            Some(pre)
-        } else {
-            None
-        }
+        self.admit_arrived_into(id, at, arrived, deadline, demand, &mut pre).then_some(pre)
     }
 
     /// Allocation-free form of [`ReplicaServer::admit_arrived`]: outcomes
     /// are pushed into `out` (not cleared first) and the return value says
-    /// whether anything was recorded.
+    /// whether anything was recorded. A request with nothing to drain
+    /// completes here, its latency the time it had already queued.
     ///
     /// # Panics
     ///
@@ -309,17 +367,37 @@ impl ReplicaServer {
         if at > self.clock {
             self.advance_into(at, out);
         }
-        self.cache = None;
-        // A held working set is extended by one trailing add instead of
-        // being invalidated. That is not the float sequence a recompute
-        // would run (see `ws`); it is the sequence the fixtures pin.
-        let working_set = demand[Resource::Memory];
-        self.ws.set(self.ws.get().map(|w| w + working_set));
-        self.hot.push(InFlightHot { remaining: DIMS.map(|r| demand[r]), deadline });
-        self.cold.push(InFlightCold { id, arrived: arrived.min(at), working_set });
-        if self.over_oom() {
+        let arrived = arrived.min(at);
+        let working_set = fixed(demand[Resource::Memory]);
+        self.ws = self.ws.wrapping_add(working_set);
+        let mem = self.alloc[Resource::Memory];
+        if mem > 0.0 && self.working_set() > self.config.oom_threshold * mem {
             self.kill_into(out);
+            out.timed_out.push(id);
             return true;
+        }
+        let rem = DIMS.map(|r| if demand[r] > NO_WORK { demand[r] } else { 0.0 });
+        if rem == [0.0; 3] {
+            self.ws = self.ws.wrapping_sub(working_set);
+            out.completed.push(Completion { id, latency: at.saturating_since(arrived) });
+            return true;
+        }
+        // The newcomer's working set may have moved the thrash factor.
+        self.rekey_if_rates_moved();
+        let key = self.v + self.rates.span(&rem);
+        if key == f64::INFINITY {
+            // Starved: `settle` dates its `rem` by the last credit.
+            self.credit();
+        }
+        let req = Request { rem, key, arrived, id, working_set, dpos: NO_DEADLINE };
+        let slot = heap::push(&mut self.reqs, &mut self.by_deadline[..], req) as u32;
+        if deadline != SimTime::MAX {
+            // Landing on its slot writes the request's `dpos`.
+            heap::push(
+                &mut self.by_deadline,
+                &mut self.reqs[..],
+                Deadline { at: deadline, req: slot },
+            );
         }
         out.completed.len() != before.0 || out.timed_out.len() != before.1 || out.oom_killed
     }
@@ -335,145 +413,119 @@ impl ReplicaServer {
     /// Allocation-free form of [`ReplicaServer::kill`]: dropped request
     /// ids are appended to `out` and `oom_killed` is set.
     pub fn kill_into(&mut self, out: &mut DrainOutcome) {
+        self.credit();
         self.dead = true;
-        self.cache = None;
-        self.ws.set(None);
-        self.hot.clear();
-        out.timed_out.extend(self.cold.drain(..).map(|r| r.id));
+        for req in self.reqs.drain(..) {
+            self.ws = self.ws.wrapping_sub(req.working_set);
+            out.timed_out.push(req.id);
+        }
+        self.by_deadline.clear();
+        (self.v, self.credited) = (0.0, 0.0);
         out.oom_killed = true;
     }
 
     /// The absolute time of the next completion or timeout, `None` when
-    /// idle. The engine schedules its wake-up here.
-    ///
-    /// The result is memoized: the engine calls this after every drain to
-    /// reschedule, and the subsequent [`ReplicaServer::advance`] reuses
-    /// the same boundary and rates instead of rescanning the in-flight
-    /// set.
+    /// idle. The engine schedules its wake-up here. Two heap tops: the
+    /// virtual time the first key is away takes `n` times as long in real
+    /// time, rounded up to the microsecond grid so the wake finds it due.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        self.fill_cache().event
+        let first = self.reqs.first()?;
+        let wait = (first.key - self.v) * self.reqs.len() as f64;
+        let finish = self.clock + SimDuration::from_secs_f64_ceil(wait);
+        Some(self.by_deadline.first().map_or(finish, |d| finish.min(d.at)))
     }
 
-    fn fill_cache(&mut self) -> NextCache {
-        if let Some(c) = self.cache {
-            return c;
+    /// Credits `consumed` with what request `i` has drained since its `rem`
+    /// was written, and writes what is left. The virtual time `rem` was
+    /// written at is not stored: it is `key` less the span `rem` needs,
+    /// good to one rounding of `key` — or, for a starved request, the last
+    /// credit, which its admission forced.
+    fn settle(&mut self, i: usize) {
+        let req = &mut self.reqs[i];
+        let starved = req.key == f64::INFINITY;
+        let written = if starved { self.credited } else { req.key - self.rates.span(&req.rem) };
+        let attained = self.v - written;
+        for (r, dim) in DIMS.into_iter().enumerate() {
+            let drained = (self.rates.per_v[r] * attained).min(req.rem[r]);
+            if drained > 0.0 {
+                req.rem[r] -= drained;
+                self.consumed[dim] += drained;
+            }
         }
-        let c = self.compute_next();
-        self.cache = Some(c);
-        c
     }
 
-    fn compute_next(&self) -> NextCache {
-        if self.dead || self.hot.is_empty() {
-            return NextCache { event: None, rates: ResourceVec::ZERO };
+    /// Credits everything in flight, unless `v` has not moved since the
+    /// last time: a control tick harvests thousands of replicas that no
+    /// event has touched in between.
+    fn credit(&mut self) {
+        if self.v != self.credited {
+            (0..self.reqs.len()).for_each(|i| self.settle(i));
+            self.credited = self.v;
         }
-        let n = self.hot.len() as f64;
-        let rates = self.effective_rates(n);
-        let rate = DIMS.map(|r| rates[r]);
-        if rate.iter().any(|&r| r <= 1e-12) {
-            // A starved dimension: take the careful per-request path.
-            let mut best: Option<SimTime> = None;
-            for req in &self.hot {
-                let finish = self.finish_estimate(req, &rate);
-                let event = finish.min(req.deadline);
-                best = Some(match best {
-                    None => event,
-                    Some(b) => b.min(event),
-                });
-            }
-            return NextCache { event: best, rates };
-        }
-        // Fast path (every rate positive, the overwhelming case): reduce
-        // the raw per-request drain estimates in seconds and convert to a
-        // timestamp once. `ceil` to the microsecond grid, the clock
-        // offset, and the deadline min are all monotone, so they commute
-        // with the min-reduction — the event is bit-identical to the
-        // per-request form, with one rounding per scan instead of one per
-        // request.
-        let estimate = |rem: &[f64; 3]| {
-            let mut secs: f64 = 0.0;
-            for r in 0..3 {
-                let q = if rem[r] > 1e-12 { rem[r] / rate[r] } else { 0.0 };
-                // Never NaN, so a compare is bit-identical to `max`/`min`
-                // without their NaN-handling instruction sequences.
-                if q > secs {
-                    secs = q;
-                }
-            }
-            secs
-        };
-        let mut best_secs = f64::INFINITY;
-        let mut best_deadline = SimTime::MAX;
-        // The first few are simply divided: most scans see a handful of
-        // requests, and a deep one needs a minimum to start from.
-        let (seed, rest) = self.hot.split_at(self.hot.len().min(8));
-        for req in seed {
-            best_deadline = best_deadline.min(req.deadline);
-            let secs = estimate(&req.remaining);
-            if secs < best_secs {
-                best_secs = secs;
-            }
-        }
-        // The rest are mostly not divided at all. `bound[r]` is a minimum
-        // as work, `secs × rate[r]`, widened by 8 ε to cover its own two
-        // roundings, so `bound[r] / rate[r] ≥ secs ≥ best_secs` exactly.
-        // Rounded division is monotone, so `remaining[r] ≥ bound[r]` gives
-        // `fl(remaining[r] / rate[r]) ≥ best_secs`: the estimate could not
-        // have passed the strict `<`. A bound ≤ 1e-12, where the `rem >
-        // 1e-12` cut-off decides, counts as +∞. A bound from an earlier,
-        // larger minimum still holds, so it is only tightened after a
-        // division that did not pay (DESIGN.md decision 9).
-        const SLACK: f64 = 1.0 + 8.0 * f64::EPSILON;
-        let mut bound = [f64::INFINITY; 3];
-        for req in rest {
-            best_deadline = best_deadline.min(req.deadline);
-            let rem = &req.remaining;
-            if (rem[0] >= bound[0]) | (rem[1] >= bound[1]) | (rem[2] >= bound[2]) {
-                continue;
-            }
-            let secs = estimate(rem);
-            if secs < best_secs {
-                best_secs = secs;
-            } else {
-                bound = rate.map(|rate| {
-                    let b = (best_secs * rate) * SLACK;
-                    if b <= 1e-12 {
-                        f64::INFINITY
-                    } else {
-                        b
-                    }
-                });
-            }
-        }
-        let finish = self.clock + SimDuration::from_secs_f64_ceil(best_secs);
-        NextCache { event: Some(finish.min(best_deadline)), rates }
     }
 
-    /// Per-request drain rates at concurrency `n` (mcore, MB/s, MB/s),
-    /// including the thrash penalty on CPU.
-    fn effective_rates(&self, n: f64) -> ResourceVec {
+    /// Keys hold only while the rates do. When the allocation or the
+    /// thrash factor has moved them: credit what was delivered at the old
+    /// rates, restart `v`, and give every request its key at the new ones.
+    fn rekey_if_rates_moved(&mut self) {
+        let mut rates = DIMS.map(|r| self.alloc[r]);
         let thrash = self.thrash_factor();
-        let mut rates = self.alloc * (1.0 / n.max(1.0));
-        rates[Resource::Cpu] /= thrash;
-        rates[Resource::Memory] = 0.0;
-        rates
+        if thrash != 1.0 {
+            rates[0] /= thrash;
+        }
+        if rates == self.rates.per_v {
+            return;
+        }
+        self.credit();
+        (self.v, self.credited, self.rates) = (0.0, 0.0, Rates::new(rates));
+        for req in &mut self.reqs {
+            req.key = self.rates.span(&req.rem);
+        }
+        heap::heapify(&mut self.reqs, &mut self.by_deadline[..]);
     }
 
-    /// Absolute finish time estimate for one request at current rates.
-    fn finish_estimate(&self, req: &InFlightHot, rates: &[f64; 3]) -> SimTime {
-        let mut secs: f64 = 0.0;
-        for (rem, rate) in req.remaining.into_iter().zip(*rates) {
-            if rem > 1e-12 {
-                if rate <= 1e-12 {
-                    return SimTime::MAX; // starved: only the deadline frees it
-                }
-                secs = secs.max(rem / rate);
+    /// Whether the first request is done at virtual time `v`: no dimension
+    /// of it can have more than [`NO_WORK`] left.
+    fn done_at(&self, v: f64) -> bool {
+        let [cpu, disk, net] = self.rates.per_v;
+        let io = if disk > net { disk } else { net };
+        let fastest = if cpu > io { cpu } else { io };
+        self.reqs.first().is_some_and(|first| (first.key - v) * fastest <= NO_WORK)
+    }
+
+    /// Takes out whatever is due at the current clock — done beats timed
+    /// out — and settles the rates for those who stay.
+    fn reap(&mut self, out: &mut DrainOutcome) {
+        let before = self.reqs.len();
+        while self.done_at(self.v) {
+            let req = self.take(0);
+            for (dim, rem) in DIMS.into_iter().zip(req.rem) {
+                self.consumed[dim] += rem;
             }
+            let latency = self.clock.saturating_since(req.arrived);
+            out.completed.push(Completion { id: req.id, latency });
         }
-        // Round up to the next microsecond so the drain loop always makes
-        // forward progress (a nearest-rounded sub-microsecond estimate
-        // would pin the boundary at the current clock).
-        self.clock + SimDuration::from_secs_f64_ceil(secs)
+        while self.by_deadline.first().is_some_and(|d| d.at <= self.clock) {
+            let i = self.by_deadline[0].req as usize;
+            self.settle(i);
+            out.timed_out.push(self.take(i).id);
+        }
+        if self.reqs.is_empty() {
+            (self.v, self.credited) = (0.0, 0.0);
+        } else if self.reqs.len() != before {
+            self.rekey_if_rates_moved();
+        }
+    }
+
+    /// Removes request `i` from both heaps and from the working set.
+    fn take(&mut self, i: usize) -> Request {
+        let dpos = self.reqs[i].dpos;
+        if dpos != NO_DEADLINE {
+            heap::remove(&mut self.by_deadline, &mut self.reqs[..], dpos as usize);
+        }
+        let req = heap::remove(&mut self.reqs, &mut self.by_deadline[..], i);
+        self.ws = self.ws.wrapping_sub(req.working_set);
+        req
     }
 
     /// Advances the replica to `to`, draining work, completing and timing
@@ -497,83 +549,27 @@ impl ReplicaServer {
     /// Panics when `to` precedes the replica clock.
     pub fn advance_into(&mut self, to: SimTime, outcome: &mut DrainOutcome) {
         assert!(to >= self.clock, "advance into the past");
-        if self.hot.is_empty() || self.dead {
-            // Quiescent replica: O(1) clock move, nothing to drain. The
-            // cached next-event (`None`) stays valid — it does not depend
-            // on the clock while the in-flight set is empty.
-            if self.clock < to {
-                self.clock = to;
-            }
-            return;
-        }
-        // Process piecewise: each sub-interval ends at the earliest
-        // completion/timeout or at `to`.
+        // Piecewise: `n` is constant up to the earliest completion or
+        // timeout, which is where the next piece starts.
         let mut guard = 0usize;
-        while self.clock < to && !self.hot.is_empty() && !self.dead {
+        loop {
             guard += 1;
             assert!(guard < 1_000_000, "drain loop did not converge");
-            let NextCache { event, rates } = self.fill_cache();
-            let boundary = event.map_or(to, |e| e.min(to));
-            let dt = boundary.saturating_since(self.clock).as_secs_f64();
-            // Where the removal walk starts and how many requests it has to
-            // find; without a drain nothing is known and it walks them all.
-            let (mut i, mut leavers) = (0, self.hot.len());
-            if dt > 0.0 {
-                // Hoist the per-interval work quantum (same operands, so
-                // bit-identical) and accumulate into a register-resident
-                // copy of `consumed` — the adds happen in the exact same
-                // order, just without round-tripping through memory.
-                let step = DIMS.map(|r| rates[r] * dt);
-                let mut consumed = self.consumed;
-                (i, leavers) = (usize::MAX, 0);
-                for (at, req) in self.hot.iter_mut().enumerate() {
-                    // The largest remainder decides whether the request
-                    // leaves as done: one compare, whichever dimension is live.
-                    let mut left: f64 = 0.0;
-                    for r in 0..3 {
-                        let rem = req.remaining[r];
-                        let drained = if step[r] < rem { step[r] } else { rem };
-                        req.remaining[r] = rem - drained;
-                        consumed[DIMS[r]] += drained;
-                        if req.remaining[r] > left {
-                            left = req.remaining[r];
-                        }
-                    }
-                    if left <= 1e-9 || boundary >= req.deadline {
-                        i = i.min(at);
-                        leavers += 1;
-                    }
-                }
-                self.consumed = consumed;
+            self.reap(outcome);
+            if self.reqs.is_empty() || self.clock >= to {
+                break;
             }
-            self.clock = boundary;
-            // The drain mutated remaining work and the clock; estimates
-            // must be recomputed next iteration.
-            self.cache = None;
-            // Remove finished and timed-out requests at the boundary: the
-            // walk from index 0, minus the prefix and tail where none leave.
-            while leavers > 0 && i < self.hot.len() {
-                let req = &self.hot[i];
-                let done = req.remaining.iter().all(|&rem| rem <= 1e-9);
-                if done || boundary >= req.deadline {
-                    self.hot.swap_remove(i);
-                    let cold = self.cold.swap_remove(i);
-                    self.ws.set(None);
-                    if done {
-                        let latency = boundary.saturating_since(cold.arrived);
-                        outcome.completed.push(Completion { id: cold.id, latency });
-                    } else {
-                        outcome.timed_out.push(cold.id);
-                    }
-                    leavers -= 1;
-                } else {
-                    i += 1;
-                }
+            let (from, clock, us_per_v) = (self.v, self.clock, 1e6 * self.reqs.len() as f64);
+            let v_at = |t: SimTime| from + t.saturating_since(clock).as_micros() as f64 / us_per_v;
+            let (mut boundary, mut v) = (to, v_at(to));
+            if self.done_at(v) || self.by_deadline.first().is_some_and(|d| d.at <= to) {
+                // Someone leaves on the way there: that is how far `n` holds.
+                boundary = self.next_event().expect("requests are in flight").min(to);
+                v = v_at(boundary);
             }
+            (self.v, self.clock) = (v, boundary);
         }
-        if self.clock < to {
-            self.clock = to;
-        }
+        self.clock = to;
     }
 }
 

@@ -4,7 +4,8 @@
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{
-    BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, StageSpec, WorkloadMix,
+    BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ScenarioSpec, ServiceSpec,
+    StageSpec, WorkloadMix,
 };
 
 fn small_cluster(nodes: usize) -> ClusterConfig {
@@ -72,6 +73,81 @@ fn service_completes_requests_and_reports_latency() {
     // CPU usage ≈ 50 rps × 20 mcore·s = 1000 mcores across replicas.
     assert!((w.usage.cpu() - 1_000.0).abs() < 200.0, "cpu usage {}", w.usage.cpu());
     sim.cluster().check_invariants();
+}
+
+/// A demand with no drainable component is a valid scenario (only the
+/// all-zero vector is rejected) and used to hang the engine: the replica
+/// announced its own clock as the next event, the wake there drained
+/// nothing, and the same instant was armed again. Such a request now
+/// completes inside its admission, so the run ends and its event count is
+/// what the arrivals alone account for.
+#[test]
+fn a_request_with_nothing_to_drain_completes_at_admission() {
+    let spec = ScenarioSpec::from_toml_str(
+        r#"
+name = "memory-only"
+description = "requests that hold memory and drain nothing"
+horizon_secs = 20.0
+
+[cluster]
+nodes = 1
+
+[[service]]
+name = "svc"
+class = "cache-touch"
+demand = [0.0, 2.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [1000.0, 1024.0, 50.0, 50.0]
+replicas = 1
+
+[service.load]
+kind = "constant"
+rate = 50.0
+"#,
+    )
+    .expect("a demand with one non-zero component is valid");
+    let mix = spec.build().mix;
+    let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 21);
+    assert_eq!(bind_all(&mut sim), 1);
+    let app = sim.apps()[0].id;
+    // The start-up window: what queued while the pod started waited for it.
+    sim.run_until(SimTime::from_secs(5));
+    let startup = sim.take_window(app).unwrap();
+    assert_eq!(startup.completions, startup.arrivals);
+    assert!(startup.p99_ms.unwrap() <= 3_000.0, "queued for the 3 s start at most");
+    sim.run_until(SimTime::from_secs(20));
+    let w = sim.take_window(app).unwrap();
+    assert!(w.arrivals > 600, "arrivals {}", w.arrivals);
+    assert_eq!((w.completions, w.timeouts), (w.arrivals, 0));
+    assert_eq!(w.mean_ms, Some(0.0), "nothing to drain, nothing to wait for");
+    let arrivals = startup.arrivals + w.arrivals;
+    assert!(
+        sim.events_processed() <= 2 * arrivals + 100,
+        "{} events for {arrivals} arrivals",
+        sim.events_processed()
+    );
+}
+
+/// The batch side of the same rule: a task whose work has no drainable
+/// component is done when its pod starts.
+#[test]
+fn a_batch_task_with_nothing_to_drain_finishes_when_it_starts() {
+    let job = BatchJobSpec::new(
+        "touch",
+        vec![StageSpec::new(3, ResourceVec::new(0.0, 128.0, 0.0, 0.0), 10)],
+        PloSpec::Deadline { deadline: SimDuration::from_mins(5) },
+        ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
+        3,
+    );
+    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 22);
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(bind_all(&mut sim), 3);
+    sim.run_until(SimTime::from_secs(30));
+    assert!(sim.job_outcomes()[0].finished.is_some(), "the job must finish");
+    assert!(sim.events_processed() <= 100, "{} events", sim.events_processed());
 }
 
 #[test]
