@@ -3,9 +3,9 @@
 //! one of them is attributable before it shows up in the macro number
 //! (`perf_macro`, which feeds BENCH.json):
 //!
-//! * `replica/*` — the processor-sharing drain ([`ReplicaServer::advance`])
-//!   at several concurrency levels, the O(1) idle fast path, and the
-//!   memoized `next_event` query.
+//! * `replica/*` — the processor-sharing queue ([`ReplicaServer::advance`])
+//!   at several concurrency levels, the idle replica, and the `next_event`
+//!   query (two heap tops).
 //! * `quantile/*` — [`SlidingQuantile`] ingest and the incremental
 //!   sorted-window percentile read.
 //! * `registry/*` — per-record name interning vs. the pre-interned
@@ -96,14 +96,9 @@ fn bench_replica(c: &mut Criterion) {
         })
     });
     let template = loaded_replica(16);
-    group.bench_function("next_event_memoized", |b| {
+    group.bench_function("next_event", |b| {
         let mut r = template.clone();
-        b.iter(|| {
-            // First query computes, second hits the cache — the engine's
-            // reschedule-then-drain pattern.
-            black_box(r.next_event());
-            black_box(r.next_event())
-        })
+        b.iter(|| black_box(r.next_event()))
     });
     group.bench_function("advance_idle", |b| {
         let mut r = ReplicaServer::new(
@@ -114,8 +109,8 @@ fn bench_replica(c: &mut Criterion) {
         );
         let mut t = 1u64;
         b.iter(|| {
-            // Monotone clock moves on an empty replica: the closed-form
-            // O(1) path the engine takes for quiescent pods.
+            // Monotone clock moves on an empty replica: what the engine
+            // pays for a quiescent pod.
             t += 1;
             black_box(r.advance(SimTime::from_micros(t)).completed.len())
         })
