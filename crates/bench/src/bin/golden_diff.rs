@@ -65,7 +65,8 @@ fn diff(before: &str, after: &str) -> Option<(usize, Vec<Site>)> {
     for (x, y) in a.iter().zip(&b) {
         let (xt, yt): (Vec<&str>, Vec<&str>) =
             (x.split_whitespace().collect(), y.split_whitespace().collect());
-        if xt.len() != yt.len() || xt.first() != yt.first() && !x.starts_with("  ") {
+        // A header line starts with its keyword, a sample with its time.
+        if xt.len() != yt.len() || xt.first() != yt.first() {
             eprintln!("lines do not correspond:\n  - {x}\n  + {y}");
             return None;
         }
@@ -73,7 +74,7 @@ fn diff(before: &str, after: &str) -> Option<(usize, Vec<Site>)> {
         if xt.first() == Some(&"series") {
             series = xt[1].to_owned();
         }
-        for (i, (p, q)) in xt.iter().zip(&yt).enumerate() {
+        for (p, q) in xt.iter().zip(&yt) {
             floats += usize::from(float(p).is_some());
             if p == q {
                 continue;
@@ -83,8 +84,7 @@ fn diff(before: &str, after: &str) -> Option<(usize, Vec<Site>)> {
                 _ => Change::Integer { before: (*p).to_owned(), after: (*q).to_owned() },
             };
             let (what, at) = if sample {
-                // `time value`: a moved time would be a structural change.
-                (series.clone(), float(xt[0]).filter(|_| i == 1))
+                (series.clone(), float(xt[0]))
             } else {
                 (xt[..2.min(xt.len())].join(" "), None)
             };

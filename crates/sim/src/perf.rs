@@ -55,7 +55,7 @@ const WS_UNIT: f64 = 4_294_967_296.0;
 const NO_DEADLINE: u32 = u32::MAX;
 
 /// A request being executed; 64 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Request {
     /// Drainable work (cpu mcore·s, disk MB, net MB) that was left when it
     /// was last written: at admission, a re-key or a credit.
@@ -72,7 +72,7 @@ struct Request {
 }
 
 /// A deadline and the index in `ReplicaServer::reqs` of its request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Deadline {
     at: SimTime,
     req: u32,
@@ -103,7 +103,7 @@ impl Entry<[Request]> for Deadline {
 /// What one request drains per unit of virtual time (cpu mcore, disk and
 /// net MB/s): the allocation, CPU divided by the thrash factor. Keys are
 /// exact only while these hold; whatever changes them re-keys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Rates {
     per_v: [f64; 3],
     /// `1 / per_v`, +∞ for a dimension without a rate: per-request

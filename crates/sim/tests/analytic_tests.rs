@@ -59,16 +59,16 @@ struct Station {
     server: ReplicaServer,
     out: DrainOutcome,
     now: SimTime,
-    /// Arrival stamp and demand by request id.
-    admitted: Vec<(SimTime, ResourceVec)>,
+    /// Arrival stamp and CPU demand (mcore·s) by request id.
+    admitted: Vec<(SimTime, f64)>,
     /// Σ arrival stamps of the requests in flight.
     inflight_arrived_us: u128,
     window: Window,
     windows: Vec<Window>,
-    /// Σ demand of everything that completed, since the start.
-    completed_demand: ResourceVec,
-    /// Σ demand of everything that timed out, since the start.
-    dropped_demand: ResourceVec,
+    /// Σ CPU demand of everything that completed, since the start.
+    completed_demand: f64,
+    /// Σ CPU demand of everything that timed out, since the start.
+    dropped_demand: f64,
 }
 
 impl Station {
@@ -81,8 +81,8 @@ impl Station {
             inflight_arrived_us: 0,
             window: Window::default(),
             windows: Vec::new(),
-            completed_demand: ResourceVec::ZERO,
-            dropped_demand: ResourceVec::ZERO,
+            completed_demand: 0.0,
+            dropped_demand: 0.0,
         }
     }
 
@@ -126,10 +126,12 @@ impl Station {
         }
     }
 
-    fn admit(&mut self, at: SimTime, timeout: SimDuration, demand: ResourceVec) {
+    /// Admits a CPU-only request of `cpu` mcore·s with a 1 MiB working set.
+    fn admit(&mut self, at: SimTime, timeout: SimDuration, cpu: f64) {
         self.step_to(at);
         let id = self.admitted.len() as u64;
-        self.admitted.push((at, demand));
+        self.admitted.push((at, cpu));
+        let demand = ResourceVec::new(cpu, 1.0, 0.0, 0.0);
         self.inflight_arrived_us += u128::from(at.as_micros());
         self.server.admit_arrived_into(id, at, at, at + timeout, demand, &mut self.out);
         assert!(!self.out.oom_killed, "the replica's memory is far from binding");
@@ -154,8 +156,9 @@ impl Station {
         self.harvest(self.now);
     }
 
-    fn consumed(&self) -> ResourceVec {
-        self.windows.iter().fold(ResourceVec::ZERO, |sum, w| sum + w.consumed)
+    /// Σ CPU work reported consumed, over every harvest.
+    fn consumed(&self) -> f64 {
+        self.windows.iter().map(|w| w.consumed.cpu()).sum()
     }
 }
 
@@ -175,8 +178,7 @@ fn mg1_ps(rho: f64, cv: f64, seed: u64, arrivals: usize, timeout: SimDuration) -
             station.harvest(harvest_at);
             harvest_at += WINDOW;
         }
-        let cpu = demand.sample(&mut rng);
-        station.admit(at, timeout, ResourceVec::new(cpu, 1.0, 0.0, 0.0));
+        station.admit(at, timeout, demand.sample(&mut rng));
     }
     station
 }
@@ -282,9 +284,8 @@ fn consumed_work_is_the_work_of_what_left() {
     let mut station = mg1_ps(0.9, 1.5, 5, 40_000, far);
     station.drain();
     let (got, want) = (station.consumed(), station.completed_demand);
-    assert_eq!(station.dropped_demand, ResourceVec::ZERO);
-    let gap = (got.cpu() - want.cpu()).abs() / want.cpu();
-    assert!(gap <= 1e-9, "consumed {} ≠ completed demand {}", got.cpu(), want.cpu());
+    assert_eq!(station.dropped_demand, 0.0);
+    assert!((got - want).abs() <= 1e-9 * want, "consumed {got} ≠ completed demand {want}");
 
     // Overloaded with a deadline: what timed out was credited something
     // between nothing and all of its demand.
@@ -292,9 +293,9 @@ fn consumed_work_is_the_work_of_what_left() {
     station.drain();
     let timeouts: u64 = station.windows.iter().map(|w| w.timeouts).sum();
     assert!(timeouts > 1_000, "the overload must time requests out ({timeouts})");
-    let floor = station.completed_demand.cpu();
-    let ceiling = floor + station.dropped_demand.cpu();
-    let got = station.consumed().cpu();
+    let floor = station.completed_demand;
+    let ceiling = floor + station.dropped_demand;
+    let got = station.consumed();
     assert!(floor * (1.0 - 1e-9) <= got && got <= ceiling, "{floor} ≤ {got} ≤ {ceiling}");
     // The replica is never idle for long at ρ 1.3, so nearly all of its
     // capacity was delivered to someone.
