@@ -11,6 +11,10 @@
 //! * `registry/*` — per-record name interning vs. the pre-interned
 //!   [`MetricRegistry::record_key`] fast path.
 //! * `scheduler/*` — one full `schedule_cycle` on a mid-size cluster.
+//! * `engine/*` — the engine's two per-replica passes through its public
+//!   API, on a bound 100-node `cluster_scale` with 120 replicas per
+//!   service: a control tick's harvest (`take_window` of every app) and
+//!   the event loop (`run_until` over 5 s of arrivals and wakes).
 //!
 //! ```text
 //! cargo bench -p evolve-bench --bench perf
@@ -20,10 +24,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evolve_scheduler::SchedulerFramework;
 use evolve_sim::{
     ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
-    ReplicaServer,
+    ReplicaServer, Simulation, SimulationConfig,
 };
 use evolve_telemetry::{MetricRegistry, SlidingQuantile};
-use evolve_types::{AppId, ResourceVec, SimTime};
+use evolve_types::{AppId, ResourceVec, SimDuration, SimTime};
+use evolve_workload::Scenario;
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream without pulling in an RNG crate —
@@ -217,5 +222,57 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replica, bench_quantile, bench_registry, bench_scheduler);
+/// A 100-node `cluster_scale` (4 services × 120 replicas, 4 batch jobs of
+/// 200 parallel tasks) run for a minute under kube-static with a
+/// scheduling cycle every 5 s: every node packed, a batch backlog pending.
+fn bound_cluster_scale() -> Simulation {
+    let mix = Scenario::cluster_scale(100, 4, SimDuration::from_mins(10)).mix;
+    let cluster = ClusterConfig::uniform(100, NodeShape::default());
+    let mut sim = Simulation::new(SimulationConfig::default(), cluster, &mix, 42);
+    let scheduler = SchedulerFramework::evolve_default();
+    for tick in 1..=12 {
+        for (pod, node) in scheduler.schedule_cycle(sim.cluster()).bindings {
+            sim.bind_pod(pod, node).expect("the plan fits the cluster it was made for");
+        }
+        sim.run_until(SimTime::from_secs(5 * tick));
+    }
+    sim
+}
+
+fn bench_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine");
+    group.sample_size(10);
+    let mut sim = bound_cluster_scale();
+    let apps: Vec<AppId> = sim.apps().iter().map(|a| a.id).collect();
+    // After the first pass no server has been touched since its last
+    // harvest: the case of every batch task between two ticks.
+    group.bench_function("take_window_all_apps_100n", |b| {
+        b.iter(|| {
+            for app in &apps {
+                black_box(sim.take_window(*app).expect("known app").running_replicas);
+            }
+        })
+    });
+    // No scheduler runs here, so the batch tasks drain within 300 s and
+    // what stays is 8 arrivals a second, each a pick among 120 replicas,
+    // and their wakes.
+    let mut until = sim.now();
+    group.bench_function("run_until_5s_100n", |b| {
+        b.iter(|| {
+            until += SimDuration::from_secs(5);
+            sim.run_until(until);
+            black_box(sim.events_processed())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_replica,
+    bench_quantile,
+    bench_registry,
+    bench_scheduler,
+    bench_engine
+);
 criterion_main!(benches);

@@ -76,18 +76,24 @@ pub struct ClusterState {
     /// scheduler bail out of preemption in O(1) when no pod of strictly
     /// lower priority exists anywhere in the cluster.
     bound_by_priority: BTreeMap<i32, u32>,
+    /// Ready nodes and their summed allocatable. `set_node_ready` is the
+    /// only writer of readiness and refreshes both, so a snapshot reads
+    /// them instead of scanning the node list.
+    ready_nodes: u32,
+    allocatable: ResourceVec,
 }
 
 impl ClusterState {
     /// Builds the initial cluster from a configuration.
     #[must_use]
     pub fn new(config: &ClusterConfig) -> Self {
-        let nodes = config
+        let nodes: Vec<Node> = config
             .nodes
             .iter()
             .enumerate()
             .map(|(i, shape)| Node::new(NodeId::new(i as u32), shape.capacity))
             .collect();
+        let (ready_nodes, allocatable) = Self::ready_totals(&nodes);
         ClusterState {
             node_versions: vec![0; config.nodes.len()],
             nodes,
@@ -97,7 +103,16 @@ impl ClusterState {
             pending: BTreeSet::new(),
             version: 0,
             bound_by_priority: BTreeMap::new(),
+            ready_nodes,
+            allocatable,
         }
+    }
+
+    /// Ready-node count and summed allocatable, folded in node order: the
+    /// float sum every reader of `total_allocatable` has always seen.
+    fn ready_totals(nodes: &[Node]) -> (u32, ResourceVec) {
+        let ready = nodes.iter().filter(|n| n.is_ready());
+        (ready.clone().count() as u32, ready.map(Node::allocatable).sum())
     }
 
     /// Global mutation counter: changes whenever any node's scheduling-
@@ -382,11 +397,9 @@ impl ClusterState {
             return Ok(Vec::new());
         }
         node.set_ready(ready);
-        if ready {
-            self.bump_node(node_id.as_usize());
-            return Ok(Vec::new());
-        }
-        let victims: Vec<PodId> = node.pods().iter().copied().collect();
+        let victims: Vec<PodId> =
+            if ready { Vec::new() } else { node.pods().iter().copied().collect() };
+        (self.ready_nodes, self.allocatable) = Self::ready_totals(&self.nodes);
         self.bump_node(node_id.as_usize());
         for pod_id in &victims {
             let pod = &mut self.pods[pod_id.as_usize()];
@@ -415,7 +428,13 @@ impl ClusterState {
     /// Total cluster allocatable capacity (ready nodes only).
     #[must_use]
     pub fn total_allocatable(&self) -> ResourceVec {
-        self.nodes.iter().filter(|n| n.is_ready()).map(Node::allocatable).sum()
+        self.allocatable
+    }
+
+    /// Nodes that currently accept placements.
+    #[must_use]
+    pub fn ready_nodes(&self) -> u32 {
+        self.ready_nodes
     }
 
     /// Total reserved requests across ready nodes.
@@ -478,6 +497,13 @@ impl ClusterState {
             out.push(format!(
                 "maintained per-priority bound census diverged from pod table: {by_priority:?} vs {:?}",
                 self.bound_by_priority
+            ));
+        }
+        let ready = Self::ready_totals(&self.nodes);
+        if ready != (self.ready_nodes, self.allocatable) {
+            out.push(format!(
+                "maintained ready-node totals diverged from the node list: {ready:?} vs ({}, {:?})",
+                self.ready_nodes, self.allocatable
             ));
         }
         for node in &self.nodes {

@@ -1,16 +1,14 @@
 //! Big-data batch job execution: staged dataflow with a bounded executor
 //! pool, task requeue on preemption, and record-throughput accounting.
 
-use std::collections::BTreeMap;
-
-use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimTime};
+use evolve_types::{AppId, JobId, PodId, ResourceVec, SimTime};
 use evolve_workload::BatchJobSpec;
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
 use crate::perf::ReplicaServer;
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, Simulation};
+use super::{Owner, Replicas, Simulation};
 
 /// Runtime state of one batch job.
 pub(crate) struct BatchRuntime {
@@ -25,18 +23,14 @@ pub(crate) struct BatchRuntime {
     tasks_launched: u32,
     /// Tasks of the current stage completed.
     tasks_done: u32,
-    /// Active pods → task index, in pod-id order (iterated for usage
-    /// harvesting, so the order must be deterministic).
-    active: BTreeMap<PodId, u32>,
-    servers: BTreeMap<PodId, ReplicaServer>,
-    wake_version: super::PodMap<u64>,
+    /// The active task pods in pod-id order, each with a server once it
+    /// runs. Its task index is in the pod's `PodKind::BatchTask`.
+    replicas: Replicas,
     pub(crate) records_done: u64,
     records_this_window: u64,
     pub(crate) finished: Option<SimTime>,
     pub(crate) desired_alloc: ResourceVec,
     pub(crate) acc: WindowAccumulator,
-    /// Reusable pod-id buffer for the actuation paths.
-    scratch: Vec<PodId>,
 }
 
 impl BatchRuntime {
@@ -51,15 +45,12 @@ impl BatchRuntime {
             stage: 0,
             tasks_launched: 0,
             tasks_done: 0,
-            active: BTreeMap::new(),
-            servers: BTreeMap::new(),
-            wake_version: super::PodMap::default(),
+            replicas: Replicas::default(),
             records_done: 0,
             records_this_window: 0,
             finished: None,
             desired_alloc,
             acc: WindowAccumulator::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -82,12 +73,6 @@ impl BatchRuntime {
             deadline,
         }
     }
-
-    fn bump_version(&mut self, pod: PodId) -> u64 {
-        let v = self.wake_version.get(pod).unwrap_or(0) + 1;
-        self.wake_version.insert(pod, v);
-        v
-    }
 }
 
 impl Simulation {
@@ -107,7 +92,7 @@ impl Simulation {
                 }
                 let stage_spec = &rt.spec.stages[rt.stage];
                 let can_launch = rt.tasks_launched < stage_spec.tasks
-                    && (rt.active.len() as u32) < rt.spec.max_parallel_tasks;
+                    && (rt.replicas.live() as u32) < rt.spec.max_parallel_tasks;
                 (
                     can_launch,
                     rt.app,
@@ -130,7 +115,7 @@ impl Simulation {
             let pod = self.cluster.create_pod(spec, self.now);
             self.pod_owner.insert(pod, Owner::Batch(idx));
             let rt = &mut self.batches[idx];
-            rt.active.insert(pod, task);
+            rt.replicas.insert(pod, None);
             rt.tasks_launched += 1;
         }
     }
@@ -139,56 +124,42 @@ impl Simulation {
     pub(crate) fn batch_pod_started(&mut self, idx: usize, pod: PodId) {
         let now = self.now;
         let spec = &self.cluster.pod(pod).expect("started pod").spec;
-        let alloc = spec.request;
+        let request = spec.request;
         let PodKind::BatchTask { stage, .. } = spec.kind else {
             unreachable!("batch pod has batch kind")
         };
         let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
-        let mut server = ReplicaServer::new(alloc, 0.0, self.config.perf, now);
+        let mut server = ReplicaServer::new(request, 0.0, self.config.perf, now);
         // One work item, no deadline (jobs run to completion).
         let done =
             server.admit(0, now, SimTime::MAX, work).is_some_and(|out| !out.completed.is_empty());
         let next = server.next_event();
-        let version = {
-            let rt = &mut self.batches[idx];
-            rt.servers.insert(pod, server);
-            rt.bump_version(pod)
-        };
+        let replicas = &mut self.batches[idx].replicas;
+        let slot = replicas.insert(pod, Some((request, server)));
+        let version = replicas.bump_version(slot);
         if done {
             // Nothing to drain: the item completed inside its admission.
             self.batch_task_complete(idx, pod);
-        } else if let Some(at) = next {
-            self.schedule_wake(pod, at, version);
+        } else {
+            self.schedule_wake(pod, next, version);
         }
     }
 
     /// Task timer fired: has the work item drained?
     pub(crate) fn batch_wake(&mut self, idx: usize, pod: PodId, version: u64) {
         let now = self.now;
-        let done = {
-            let rt = &mut self.batches[idx];
-            if rt.wake_version.get(pod) != Some(version) {
-                return;
-            }
-            let Some(server) = rt.servers.get_mut(&pod) else {
-                return;
-            };
-            let out = server.advance(now);
-            !out.completed.is_empty()
+        let replicas = &mut self.batches[idx].replicas;
+        let Some(slot) = replicas.wake_slot(pod, version) else {
+            return;
         };
+        let (done, next) = replicas
+            .with(slot, |server| (!server.advance(now).completed.is_empty(), server.next_event()));
         if done {
             self.batch_task_complete(idx, pod);
         } else {
             // Rates may have changed (resize); rearm.
-            let (next, version) = {
-                let rt = &mut self.batches[idx];
-                let next = rt.servers.get_mut(&pod).and_then(ReplicaServer::next_event);
-                let version = rt.bump_version(pod);
-                (next, version)
-            };
-            if let Some(at) = next {
-                self.schedule_wake(pod, at, version);
-            }
+            let version = replicas.bump_version(slot);
+            self.schedule_wake(pod, next, version);
         }
     }
 
@@ -222,31 +193,25 @@ impl Simulation {
         self.batch_launch_tasks(idx);
     }
 
-    /// Removes a pod from the runtime maps, preserving its window usage.
-    fn batch_cleanup_pod(&mut self, idx: usize, pod: PodId) {
+    /// Removes a pod from the runtime table, preserving its window usage;
+    /// returns whether it was active.
+    fn batch_cleanup_pod(&mut self, idx: usize, pod: PodId) -> bool {
         let rt = &mut self.batches[idx];
-        if let Some(mut server) = rt.servers.remove(&pod) {
-            let mut used = server.take_consumed();
-            used[Resource::Memory] = 0.0;
-            rt.acc.consumed += used;
-        }
-        rt.wake_version.remove(pod);
-        rt.active.remove(&pod);
+        rt.replicas.remove(pod, &mut rt.acc.consumed)
     }
 
     /// External loss (preemption, node failure): the task restarts from
     /// scratch on a fresh pending pod.
     pub(crate) fn batch_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
-        let task = self.batches[idx].active.get(&pod).copied();
-        self.batch_cleanup_pod(idx, pod);
+        let active = self.batch_cleanup_pod(idx, pod);
         let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason.into()));
         self.pod_owner.remove(pod);
-        let Some(task) = task else {
-            return;
-        };
-        if self.batches[idx].finished.is_some() {
+        if !active || self.batches[idx].finished.is_some() {
             return;
         }
+        let Ok(PodKind::BatchTask { task, .. }) = self.cluster.pod(pod).map(|p| p.spec.kind) else {
+            unreachable!("batch pod has batch kind")
+        };
         // Replacement pod for the same task.
         let (app, job, stage, request, limit) = {
             let rt = &self.batches[idx];
@@ -260,7 +225,7 @@ impl Simulation {
         .with_limit(limit);
         let new_pod = self.cluster.create_pod(spec, self.now);
         self.pod_owner.insert(new_pod, Owner::Batch(idx));
-        self.batches[idx].active.insert(new_pod, task);
+        self.batches[idx].replicas.insert(new_pod, None);
     }
 
     /// Applies a controller decision; returns failed in-place resizes.
@@ -276,84 +241,59 @@ impl Simulation {
         let target = per_task.min(&self.pod_limit).sanitized();
         self.batches[idx].desired_alloc = target;
         let mut failures = 0u32;
-        // Reuse the runtime's scratch buffer for both passes; the loop
-        // bodies mutate the maps being iterated.
-        let mut buf = std::mem::take(&mut self.batches[idx].scratch);
-        buf.clear();
-        buf.extend(self.batches[idx].servers.keys().copied());
-        if fraction < 1.0 {
-            buf.truncate(super::partial_quota(buf.len(), fraction));
-        }
-        for &pod in &buf {
-            match self.cluster.resize_pod(pod, target) {
-                Ok(()) => {
-                    let (next, version) = {
-                        let rt = &mut self.batches[idx];
-                        let server = rt.servers.get_mut(&pod).expect("running");
-                        server.advance(now);
-                        server.set_alloc(target);
-                        let next = server.next_event();
-                        let version = rt.bump_version(pod);
-                        (next, version)
-                    };
-                    if let Some(at) = next {
-                        self.schedule_wake(pod, at, version);
+        // Both passes walk the table by slot: nothing in them adds or
+        // removes a pod. The first reaches running tasks, the second every
+        // active one — and is skipped when none waits for its server.
+        let (running, active) = {
+            let replicas = &self.batches[idx].replicas;
+            (replicas.running(), replicas.live())
+        };
+        let mut reach = super::partial_quota(running, fraction);
+        let mut reach_waiting =
+            if active == running { 0 } else { super::partial_quota(active, fraction) };
+        for slot in 0..self.batches[idx].replicas.slots() {
+            let Some((pod, runs)) = self.batches[idx].replicas.pod_at(slot) else {
+                continue;
+            };
+            if runs && reach > 0 {
+                reach -= 1;
+                match self.cluster.resize_pod(pod, target) {
+                    Ok(()) => {
+                        let replicas = &mut self.batches[idx].replicas;
+                        let (_, next) = replicas.resize(slot, now, target);
+                        let version = replicas.bump_version(slot);
+                        self.schedule_wake(pod, next, version);
                     }
+                    Err(_) => failures += 1,
                 }
-                Err(_) => failures += 1,
+            }
+            if reach_waiting > 0 {
+                reach_waiting -= 1;
+                if !runs && self.cluster.pod(pod).is_ok_and(|x| x.is_pending()) {
+                    let _ = self.cluster.update_pending_request(pod, target);
+                }
             }
         }
-        buf.clear();
-        buf.extend(self.batches[idx].active.keys().copied());
-        if fraction < 1.0 {
-            buf.truncate(super::partial_quota(buf.len(), fraction));
-        }
-        for &pod in &buf {
-            if self.cluster.pod(pod).is_ok_and(|x| x.is_pending()) {
-                let _ = self.cluster.update_pending_request(pod, target);
-            }
-        }
-        buf.clear();
-        self.batches[idx].scratch = buf;
         failures
     }
 
     /// Harvests the job's control window.
     pub(crate) fn batch_window(&mut self, idx: usize, now: SimTime) -> AppWindow {
-        let mut mem_total = 0.0;
-        {
-            let rt = &mut self.batches[idx];
-            for server in rt.servers.values_mut() {
-                let mut used = server.take_consumed();
-                mem_total += used[Resource::Memory];
-                used[Resource::Memory] = 0.0;
-                rt.acc.consumed += used;
-            }
-        }
-        let records = std::mem::take(&mut self.batches[idx].records_this_window);
-        let mut window = self.batches[idx].acc.harvest(now, mem_total);
+        let rt = &mut self.batches[idx];
+        let (mem_total, alloc) = rt.replicas.harvest(&mut rt.acc.consumed);
+        let records = std::mem::take(&mut rt.records_this_window);
+        let mut window = rt.acc.harvest(now, mem_total);
         window.throughput_rps = records as f64 / window.duration.as_secs_f64().max(1e-9);
-        let rt = &self.batches[idx];
-        let mut alloc = ResourceVec::ZERO;
-        let mut running = 0u32;
-        let mut pending = 0u32;
-        for pod in rt.active.keys() {
-            if let Ok(p) = self.cluster.pod(*pod) {
-                match p.phase {
-                    PodPhase::Running => {
-                        running += 1;
-                        alloc += p.spec.request;
-                    }
-                    PodPhase::Pending | PodPhase::Starting => pending += 1,
-                    _ => {}
-                }
-            }
+        // A task has a server exactly while it runs; the other active ones wait.
+        let (running, active) = (rt.replicas.running(), rt.replicas.live());
+        window.set_replica_facts(alloc, running, active - running, rt.desired_alloc);
+        #[cfg(debug_assertions)]
+        {
+            let replicas = &self.batches[idx].replicas;
+            let active = (0..replicas.slots()).filter_map(|slot| Some(replicas.pod_at(slot)?.0));
+            self.debug_check_window(&window, active);
         }
-        window.alloc = alloc;
-        window.running_replicas = running;
-        window.pending_replicas = pending;
-        window.alloc_per_replica =
-            if running > 0 { alloc * (1.0 / f64::from(running)) } else { rt.desired_alloc };
+        let rt = &self.batches[idx];
         let progress = rt.progress();
         window.progress = Some(progress);
         if let Some(started) = rt.started {

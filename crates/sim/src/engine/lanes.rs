@@ -1,0 +1,248 @@
+//! Replica lanes: one application's pods in pod-id order, each running
+//! pod's [`ReplicaServer`] beside a small *lane* that mirrors what the
+//! per-arrival pick and the per-tick harvest read (DESIGN.md decision 9).
+
+use std::collections::BTreeSet;
+
+use evolve_types::{PodId, Resource, ResourceVec, SimTime};
+
+use crate::perf::{DrainOutcome, ReplicaServer};
+
+/// [`Lane::inflight`] of a slot no arrival may pick: no server, or a dead one.
+const CLOSED: u32 = u32::MAX;
+
+/// 64 bytes a slot, contiguous with its neighbours'.
+#[derive(Debug)]
+struct Lane {
+    pod: PodId,
+    /// The pod's request as the cluster holds it: written when the pod
+    /// starts and by [`Replicas::resize`].
+    request: ResourceVec,
+    /// `working_set()` of the server when it was last harvested, which is
+    /// what it still is while the lane stays untouched.
+    ws: f64,
+    /// Wake-timer version, bumped on every reschedule so a stale timer is
+    /// recognised.
+    version: u64,
+    /// `inflight_len()` of the server, or [`CLOSED`].
+    inflight: u32,
+    /// `false` once removed: a tombstone keeps its key, so the order and
+    /// the binary search hold, until the table compacts.
+    live: bool,
+    /// The slot has a server: the pod is `Running`.
+    running: bool,
+    /// A `&mut ReplicaServer` went out since the last harvest. Only a
+    /// touched server can have anything to credit, so the harvest skips
+    /// the others: their `take_consumed()` would return `+0.0` throughout.
+    touched: bool,
+}
+
+/// One application's pods — services keep their running replicas here,
+/// batch jobs every active task, started or not.
+#[derive(Debug, Default)]
+pub(crate) struct Replicas {
+    lanes: Vec<Lane>,
+    /// Parallel to `lanes`, and private: [`Replicas::with`] is the only way
+    /// to a `&mut ReplicaServer`, because a lane missing its *touched* mark
+    /// silently drops usage.
+    servers: Vec<Option<ReplicaServer>>,
+    live: usize,
+    running: usize,
+}
+
+impl Replicas {
+    /// Pods in the table.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Pods with a server, which is exactly the `Running` ones.
+    pub(crate) fn running(&self) -> usize {
+        self.running
+    }
+
+    /// Slots, tombstones included: the bound of a walk by index.
+    pub(crate) fn slots(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The pod in `slot` and whether it runs; `None` for a tombstone.
+    pub(crate) fn pod_at(&self, slot: usize) -> Option<(PodId, bool)> {
+        self.lanes.get(slot).filter(|l| l.live).map(|l| (l.pod, l.running))
+    }
+
+    /// Where `pod` is, tombstone or not, or where it would go. Most tables
+    /// hold the 2–10 replicas of a service, and a forward scan over so few
+    /// keys beats the binary search's unpredictable branches (it is worth
+    /// 1.7 % of `headline_evolve`, where every wake looks its pod up).
+    fn find(&self, pod: PodId) -> Result<usize, usize> {
+        if self.lanes.len() > 16 {
+            return self.lanes.binary_search_by_key(&pod, |l| l.pod);
+        }
+        let slot = self.lanes.iter().position(|l| l.pod >= pod).unwrap_or(self.lanes.len());
+        if self.lanes.get(slot).is_some_and(|l| l.pod == pod) {
+            Ok(slot)
+        } else {
+            Err(slot)
+        }
+    }
+
+    /// The slot of a pod that has a server.
+    pub(crate) fn running_slot(&self, pod: PodId) -> Option<usize> {
+        self.find(pod).ok().filter(|&slot| self.lanes[slot].running)
+    }
+
+    /// The slot a wake-up is for, unless its pod has gone or a later
+    /// reschedule has retired that timer.
+    pub(crate) fn wake_slot(&self, pod: PodId, version: u64) -> Option<usize> {
+        self.running_slot(pod).filter(|&slot| self.lanes[slot].version == version)
+    }
+
+    /// Retires the slot's wake-up timer and returns the version of the next.
+    pub(crate) fn bump_version(&mut self, slot: usize) -> u64 {
+        let version = &mut self.lanes[slot].version;
+        *version += 1;
+        *version
+    }
+
+    /// Nothing in flight on the slot's server: it idles, or it is dead and
+    /// its requests died with it.
+    pub(crate) fn is_idle(&self, slot: usize) -> bool {
+        matches!(self.lanes[slot].inflight, 0 | CLOSED)
+    }
+
+    /// Adds `pod`, or gives a pod already here its server. Pod ids only
+    /// grow, so a new key usually lands above every other: a push.
+    pub(crate) fn insert(
+        &mut self,
+        pod: PodId,
+        started: Option<(ResourceVec, ReplicaServer)>,
+    ) -> usize {
+        let slot = match self.find(pod) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let lane = Lane {
+                    pod,
+                    request: ResourceVec::ZERO,
+                    ws: 0.0,
+                    version: 0,
+                    inflight: CLOSED,
+                    live: false,
+                    running: false,
+                    touched: false,
+                };
+                self.lanes.insert(slot, lane);
+                self.servers.insert(slot, None);
+                slot
+            }
+        };
+        let lane = &mut self.lanes[slot];
+        debug_assert!(!lane.running, "{pod} started twice");
+        self.live += usize::from(!lane.live);
+        lane.live = true;
+        if let Some((request, server)) = started {
+            (lane.request, lane.running) = (request, true);
+            self.servers[slot] = Some(server);
+            self.running += 1;
+            // Once through the accessor: the lane takes the server's
+            // in-flight count, and its first harvest reads the server.
+            self.with(slot, |_| ());
+        }
+        slot
+    }
+
+    /// Takes `pod` out in O(1), folding what its server drained since the
+    /// last harvest into `consumed`. Returns whether it was here.
+    pub(crate) fn remove(&mut self, pod: PodId, consumed: &mut ResourceVec) -> bool {
+        let Ok(slot) = self.find(pod) else {
+            return false;
+        };
+        let lane = &mut self.lanes[slot];
+        if !lane.live {
+            return false;
+        }
+        if let Some(mut server) = self.servers[slot].take() {
+            credit(&mut server, consumed);
+            self.running -= 1;
+        }
+        (lane.live, lane.running, lane.inflight) = (false, false, CLOSED);
+        self.live -= 1;
+        // Compact once tombstones outnumber the living: O(1) amortised,
+        // where shifting a 2 000-task table per completion is not.
+        if self.lanes.len() - self.live > self.live {
+            let mut live = self.lanes.iter().map(|l| l.live);
+            self.servers.retain(|_| live.next().expect("one server slot per lane"));
+            self.lanes.retain(|l| l.live);
+        }
+        true
+    }
+
+    /// The only way to a `&mut ReplicaServer`: marks the lane touched and
+    /// mirrors the server's in-flight count when `f` is done with it.
+    pub(crate) fn with<R>(&mut self, slot: usize, f: impl FnOnce(&mut ReplicaServer) -> R) -> R {
+        let server = self.servers[slot].as_mut().expect("slot has a server");
+        let out = f(server);
+        let lane = &mut self.lanes[slot];
+        lane.touched = true;
+        lane.inflight = if server.is_dead() { CLOSED } else { server.inflight_len() as u32 };
+        out
+    }
+
+    /// An in-place resize the cluster has accepted: the server is brought
+    /// to `now` at its old allocation, and takes the new one together with
+    /// the lane's copy of the request. Returns what the advance drained and
+    /// the server's next event.
+    pub(crate) fn resize(
+        &mut self,
+        slot: usize,
+        now: SimTime,
+        request: ResourceVec,
+    ) -> (DrainOutcome, Option<SimTime>) {
+        self.lanes[slot].request = request;
+        self.with(slot, |server| {
+            let out = server.advance(now);
+            server.set_alloc(request);
+            (out, server.next_event())
+        })
+    }
+
+    /// The live replica outside `draining` with the fewest requests in
+    /// flight, and that count; of equals, the lowest pod id.
+    pub(crate) fn pick(&self, draining: &BTreeSet<PodId>) -> Option<(usize, u32)> {
+        let mut best = None;
+        let mut least = CLOSED;
+        for (slot, lane) in self.lanes.iter().enumerate() {
+            if lane.inflight < least && (draining.is_empty() || !draining.contains(&lane.pod)) {
+                (best, least) = (Some(slot), lane.inflight);
+            }
+        }
+        best.map(|slot| (slot, least))
+    }
+
+    /// One ascending pass over the running pods: folds what the touched
+    /// servers drained into `consumed` and returns the summed working set
+    /// and the summed requests. Every sum adds in pod-id order.
+    pub(crate) fn harvest(&mut self, consumed: &mut ResourceVec) -> (f64, ResourceVec) {
+        let (mut memory, mut alloc) = (0.0, ResourceVec::ZERO);
+        for (lane, server) in self.lanes.iter_mut().zip(&mut self.servers) {
+            if !lane.running {
+                continue;
+            }
+            if std::mem::take(&mut lane.touched) {
+                lane.ws = credit(server.as_mut().expect("running"), consumed);
+            }
+            memory += lane.ws;
+            alloc += lane.request;
+        }
+        (memory, alloc)
+    }
+}
+
+/// Moves the rate work `server` drained since it was last asked into
+/// `consumed`. Memory is space, not rate: its working set is returned.
+fn credit(server: &mut ReplicaServer, consumed: &mut ResourceVec) -> f64 {
+    let mut used = server.take_consumed();
+    let working_set = std::mem::take(&mut used[Resource::Memory]);
+    *consumed += used;
+    working_set
+}

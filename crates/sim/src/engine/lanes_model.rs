@@ -1,0 +1,264 @@
+//! Model-based test of [`Replicas`], in the style of
+//! `tests/pod_table_model.rs`: random operation sequences run against the
+//! table and against a `BTreeMap` of servers — the structure the engine
+//! used before the lanes — side by side. Both sides apply the same calls to
+//! their own copy of each `ReplicaServer`; after every step they must agree
+//! on keys, order, counts, lookups, versions and the arrival pick, and a
+//! harvest must return the bits of the old three loops run on the model.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use evolve_types::{PodId, Resource, ResourceVec, SimDuration, SimTime};
+use proptest::prelude::*;
+
+use super::Replicas;
+use crate::perf::{PerfConfig, ReplicaServer};
+
+/// A pod of the model: `None` while it waits for its server, then the
+/// request the cluster holds for it and the server.
+type Model = BTreeMap<PodId, Option<(ResourceVec, ReplicaServer)>>;
+
+/// One step: (operation, selector, size in 0..1, clock advance in ms).
+type Op = (u8, u64, f64, u64);
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..24, any::<u64>(), 0.0..1.0f64, 0u64..400), 1..400)
+}
+
+fn request(size: f64) -> ResourceVec {
+    ResourceVec::new(500.0 + 1_500.0 * size, 256.0 + 512.0 * size, 50.0, 50.0 + 100.0 * size)
+}
+
+fn bits(v: ResourceVec) -> [u64; 4] {
+    v.as_array().map(f64::to_bits)
+}
+
+/// The harvest as `service_window` and `batch_window` ran it before the
+/// lanes: every server asked for its usage, then every request summed.
+fn model_harvest(model: &mut Model, consumed: &mut ResourceVec) -> (f64, ResourceVec) {
+    let mut mem_total = 0.0;
+    for (_, server) in model.values_mut().flatten() {
+        let mut used = server.take_consumed();
+        mem_total += used[Resource::Memory];
+        used[Resource::Memory] = 0.0;
+        *consumed += used;
+    }
+    let mut alloc = ResourceVec::ZERO;
+    for (request, _) in model.values().flatten() {
+        alloc += *request;
+    }
+    (mem_total, alloc)
+}
+
+/// The arrival pick as `service_arrival` ran it before the lanes.
+fn model_pick(model: &Model, draining: &BTreeSet<PodId>) -> Option<(PodId, u32)> {
+    model
+        .iter()
+        .filter_map(|(pod, slot)| Some((*pod, &slot.as_ref()?.1)))
+        .filter(|(pod, s)| !s.is_dead() && !draining.contains(pod))
+        .min_by_key(|(pod, s)| (s.inflight_len(), pod.raw()))
+        .map(|(pod, s)| (pod, s.inflight_len() as u32))
+}
+
+/// The item `sel` selects, if there is any.
+fn choose(items: &[PodId], sel: u64) -> Option<PodId> {
+    (!items.is_empty()).then(|| items[(sel % items.len() as u64) as usize])
+}
+
+fn check_agreement(
+    table: &Replicas,
+    model: &Model,
+    versions: &BTreeMap<PodId, u64>,
+    draining: &BTreeSet<PodId>,
+    gone: &[PodId],
+) -> Result<(), String> {
+    let got: Vec<(PodId, bool)> = (0..table.slots()).filter_map(|s| table.pod_at(s)).collect();
+    let want: Vec<(PodId, bool)> = model.iter().map(|(pod, s)| (*pod, s.is_some())).collect();
+    prop_assert_eq!(&got, &want, "keys, order or running marks differ from the model");
+    prop_assert_eq!(table.live(), model.len());
+    prop_assert_eq!(table.running(), model.values().flatten().count());
+    prop_assert!(table.slots() <= 2 * table.live().max(1), "tombstones outnumber the living");
+    prop_assert_eq!(table.pod_at(table.slots()), None);
+    for (pod, slot) in model {
+        let found = table.running_slot(*pod);
+        prop_assert_eq!(found.is_some(), slot.is_some(), "running_slot({}) is wrong", pod);
+        if let (Some(at), Some((_, server))) = (found, slot) {
+            prop_assert_eq!(table.pod_at(at), Some((*pod, true)));
+            let version = versions.get(pod).copied().unwrap_or(0);
+            prop_assert_eq!(table.wake_slot(*pod, version), Some(at), "the timer in force");
+            prop_assert_eq!(table.wake_slot(*pod, version + 1), None, "a timer not set yet");
+            prop_assert_eq!(table.is_idle(at), server.inflight_len() == 0);
+        }
+    }
+    for pod in gone {
+        prop_assert_eq!(table.running_slot(*pod), None, "{} is gone", pod);
+    }
+    let picked = table.pick(draining).map(|(at, n)| (table.pod_at(at).expect("picked").0, n));
+    prop_assert_eq!(picked, model_pick(model, draining), "the pick differs from the model");
+    Ok(())
+}
+
+fn server(size: f64, base_memory: f64, now: SimTime) -> ReplicaServer {
+    ReplicaServer::new(request(size), base_memory, PerfConfig::default(), now)
+}
+
+/// The model's copy of a running pod's request and server.
+fn running(model: &mut Model, pod: PodId) -> &mut (ResourceVec, ReplicaServer) {
+    model.get_mut(&pod).and_then(Option::as_mut).expect("the pod runs")
+}
+
+fn run(ops: Vec<Op>) -> Result<(), String> {
+    let mut table = Replicas::default();
+    let mut model = Model::new();
+    let mut versions: BTreeMap<PodId, u64> = BTreeMap::new();
+    let mut draining: BTreeSet<PodId> = BTreeSet::new();
+    let mut gone: Vec<PodId> = Vec::new();
+    let (mut table_used, mut model_used) = (ResourceVec::ZERO, ResourceVec::ZERO);
+    // Ids only grow, in strides that leave gaps for out-of-order inserts.
+    let (mut next_id, mut next_req) = (0u64, 0u64);
+    let mut now = SimTime::ZERO;
+
+    for (op, sel, size, gap_ms) in ops {
+        now += SimDuration::from_millis(gap_ms);
+        let runs: Vec<PodId> =
+            model.iter().filter(|(_, s)| s.is_some()).map(|(pod, _)| *pod).collect();
+        // The running pod this step is about, and where the table has it.
+        let on =
+            choose(&runs, sel).map(|pod| (pod, table.running_slot(pod).expect("the pod runs")));
+        // A full table turns inserts into removals, so that it churns at a
+        // steady size and compacts again and again.
+        let op = if op <= 7 && model.len() >= 24 { 9 + (sel % 4) as u8 } else { op };
+        match op {
+            // Insert above every key (the push), started or waiting.
+            0..=5 => {
+                next_id += 1 + sel % 3;
+                let pod = PodId::new(next_id);
+                let started = (op != 0).then(|| (request(size), server(size, 64.0, now)));
+                table.insert(pod, started.clone());
+                model.insert(pod, started);
+            }
+            // Insert out of order: an id in a gap, never used before.
+            6 | 7 => {
+                let pod = PodId::new(sel % (next_id + 1));
+                if !model.contains_key(&pod) && !gone.contains(&pod) {
+                    let started = (op == 6).then(|| (request(size), server(size, 0.0, now)));
+                    table.insert(pod, started.clone());
+                    model.insert(pod, started);
+                }
+            }
+            // A waiting pod starts: its key is already there.
+            8 => {
+                let waiting: Vec<PodId> =
+                    model.iter().filter(|(_, s)| s.is_none()).map(|(pod, _)| *pod).collect();
+                if let Some(pod) = choose(&waiting, sel) {
+                    let started = Some((request(size), server(size, 0.0, now)));
+                    table.insert(pod, started.clone());
+                    model.insert(pod, started);
+                }
+            }
+            // Remove: oldest, newest, any, and one that is not there.
+            9..=13 => {
+                let pod = match op {
+                    9 | 10 => model.keys().next().copied(),
+                    11 => model.keys().next_back().copied(),
+                    12 => choose(&model.keys().copied().collect::<Vec<_>>(), sel),
+                    _ => gone.last().copied().or(Some(PodId::new(next_id + 7))),
+                };
+                if let Some(pod) = pod {
+                    let was_here = table.remove(pod, &mut table_used);
+                    let slot = model.remove(&pod);
+                    prop_assert_eq!(was_here, slot.is_some(), "remove({}) return value", pod);
+                    if let Some(slot) = slot {
+                        // The old retire: the server's usage survives it.
+                        if let Some((_, mut server)) = slot {
+                            let mut used = server.take_consumed();
+                            used[Resource::Memory] = 0.0;
+                            model_used += used;
+                        }
+                        draining.remove(&pod);
+                        gone.push(pod);
+                    }
+                }
+            }
+            // Admit, through the accessor; a large working set OOM-kills.
+            14..=16 => {
+                if let Some((pod, at)) =
+                    on.filter(|(pod, _)| !running(&mut model, *pod).1.is_dead())
+                {
+                    let demand =
+                        ResourceVec::new(40.0 + 400.0 * size, 900.0 * size * size, 2.0, 8.0 * size);
+                    let deadline = now + SimDuration::from_millis(200 + sel % 3_000);
+                    next_req += 1;
+                    let got = table
+                        .with(at, |s| (s.admit(next_req, now, deadline, demand), s.next_event()));
+                    let (_, server) = running(&mut model, pod);
+                    let want = (server.admit(next_req, now, deadline, demand), server.next_event());
+                    prop_assert_eq!(got, want);
+                }
+            }
+            // Advance to now, through the accessor.
+            17 | 18 => {
+                if let Some((pod, at)) = on {
+                    let got = table.with(at, |s| s.advance(now));
+                    prop_assert_eq!(got, running(&mut model, pod).1.advance(now));
+                }
+            }
+            // An in-place resize: the server and the request move together.
+            19 => {
+                if let Some((pod, at)) = on {
+                    let got = table.resize(at, now, request(size));
+                    let (held, server) = running(&mut model, pod);
+                    let out = server.advance(now);
+                    server.set_alloc(request(size));
+                    *held = request(size);
+                    prop_assert_eq!(got, (out, server.next_event()));
+                }
+            }
+            // Kill, through the accessor.
+            20 => {
+                if let Some((pod, at)) = on {
+                    let got = table.with(at, ReplicaServer::kill);
+                    prop_assert_eq!(got, running(&mut model, pod).1.kill());
+                }
+            }
+            // The draining set changes.
+            21 => {
+                if let Some((pod, _)) = on {
+                    if !draining.remove(&pod) {
+                        draining.insert(pod);
+                    }
+                }
+            }
+            // A wake-timer version is bumped.
+            22 => {
+                if let Some((pod, at)) = on {
+                    let version = versions.entry(pod).or_insert(0);
+                    *version += 1;
+                    prop_assert_eq!(table.bump_version(at), *version);
+                }
+            }
+            // Harvest: bit for bit the old loops.
+            _ => {
+                let (got_mem, got_alloc) = table.harvest(&mut table_used);
+                let (want_mem, want_alloc) = model_harvest(&mut model, &mut model_used);
+                prop_assert_eq!(got_mem.to_bits(), want_mem.to_bits(), "mem_total");
+                prop_assert_eq!(bits(got_alloc), bits(want_alloc), "alloc");
+            }
+        }
+        prop_assert_eq!(bits(table_used), bits(model_used), "consumed");
+        check_agreement(&table, &model, &versions, &draining, &gone)?;
+    }
+    // Whatever the sequence left unharvested is still all there.
+    let got = table.harvest(&mut table_used);
+    let want = model_harvest(&mut model, &mut model_used);
+    prop_assert_eq!((got.0.to_bits(), bits(got.1)), (want.0.to_bits(), bits(want.1)));
+    prop_assert_eq!(bits(table_used), bits(model_used), "consumed at the end");
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn replicas_match_btreemap_model(ops in arb_ops()) {
+        run(ops)?;
+    }
+}

@@ -20,10 +20,13 @@
 
 mod batch;
 mod hpc;
+mod lanes;
+#[cfg(test)]
+mod lanes_model;
 mod service;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use evolve_types::{AppId, Error, NodeId, PodId, ResourceVec, Result, SimDuration, SimTime};
 use evolve_workload::{SamplingMode, WorkloadMix, WorldClass};
@@ -39,6 +42,7 @@ use crate::pod::PodPhase;
 
 pub(crate) use batch::BatchRuntime;
 pub(crate) use hpc::HpcRuntime;
+pub(crate) use lanes::Replicas;
 pub(crate) use service::ServiceRuntime;
 
 /// Engine tunables.
@@ -166,73 +170,6 @@ impl<T: Copy> PodMap<T> {
     }
 }
 
-/// A sorted-`Vec` map keyed by `PodId`, for small per-app replica tables.
-///
-/// The per-event paths walk or probe one app's replica set constantly
-/// (least-loaded pick on every arrival, server lookup on every wake); at
-/// the typical 2–10 entries a contiguous vector beats a node-based map on
-/// every one of those operations while keeping the same pod-id iteration
-/// order, so trajectories are bit-identical.
-#[derive(Debug)]
-pub(crate) struct PodTable<T> {
-    entries: Vec<(PodId, T)>,
-}
-
-impl<T> Default for PodTable<T> {
-    fn default() -> Self {
-        PodTable { entries: Vec::new() }
-    }
-}
-
-impl<T> PodTable<T> {
-    fn idx(&self, pod: PodId) -> core::result::Result<usize, usize> {
-        self.entries.binary_search_by_key(&pod, |e| e.0)
-    }
-
-    pub(crate) fn get(&self, pod: PodId) -> Option<&T> {
-        self.idx(pod).ok().map(|i| &self.entries[i].1)
-    }
-
-    pub(crate) fn get_mut(&mut self, pod: PodId) -> Option<&mut T> {
-        match self.idx(pod) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    pub(crate) fn insert(&mut self, pod: PodId, value: T) {
-        match self.idx(pod) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (pod, value)),
-        }
-    }
-
-    pub(crate) fn remove(&mut self, pod: PodId) -> Option<T> {
-        match self.idx(pod) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Pods in ascending id order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = PodId> + '_ {
-        self.entries.iter().map(|e| e.0)
-    }
-
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.entries.iter_mut().map(|e| &mut e.1)
-    }
-
-    /// `(pod, value)` pairs in ascending pod-id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (PodId, &T)> {
-        self.entries.iter().map(|e| (e.0, &e.1))
-    }
-}
-
 /// An indexed min-heap of replica wake-ups, at most one entry per pod.
 ///
 /// Replica timers are the highest-churn events in the engine: every
@@ -312,9 +249,8 @@ pub struct Simulation {
     pub(crate) batches: Vec<BatchRuntime>,
     pub(crate) hpcs: Vec<HpcRuntime>,
     pub(crate) pod_owner: PodMap<Owner>,
-    /// App id → (world, runtime index), built once at construction so the
-    /// per-tick observation/actuation API avoids linear scans.
-    app_index: HashMap<AppId, Owner>,
+    /// (world, runtime index) of every app, indexed by its dense id.
+    app_index: Vec<Owner>,
     statuses: Vec<AppStatus>,
     /// Per-pod ceiling applied to every created pod (largest node
     /// allocatable by default — a pod cannot out-grow its node).
@@ -380,7 +316,7 @@ impl Simulation {
             batches: Vec::new(),
             hpcs: Vec::new(),
             pod_owner: PodMap::default(),
-            app_index: HashMap::new(),
+            app_index: Vec::new(),
             statuses: Vec::new(),
             pod_limit,
             arrival_slots: Vec::new(),
@@ -400,7 +336,7 @@ impl Simulation {
                 priority: spec.priority,
             });
             let idx = sim.services.len();
-            sim.app_index.insert(app, Owner::Service(idx));
+            sim.app_index.push(Owner::Service(idx));
             sim.services.push(ServiceRuntime::new(app, spec.clone(), load, config.sampling));
             sim.arrival_slots.push(None);
             // Initial replicas exist from t=0.
@@ -420,7 +356,7 @@ impl Simulation {
                 priority: spec.priority,
             });
             let idx = sim.batches.len();
-            sim.app_index.insert(app, Owner::Batch(idx));
+            sim.app_index.push(Owner::Batch(idx));
             sim.batches.push(BatchRuntime::new(app, job_idx as u64, spec.clone(), *at));
             sim.schedule(*at, Event::BatchSubmit { idx });
         }
@@ -435,7 +371,7 @@ impl Simulation {
                 priority: spec.priority,
             });
             let idx = sim.hpcs.len();
-            sim.app_index.insert(app, Owner::Hpc(idx));
+            sim.app_index.push(Owner::Hpc(idx));
             sim.hpcs.push(HpcRuntime::new(app, 1_000 + job_idx as u64, spec.clone(), *at));
             sim.schedule(*at, Event::HpcSubmit { idx });
         }
@@ -472,6 +408,11 @@ impl Simulation {
     #[must_use]
     pub fn apps(&self) -> &[AppStatus] {
         &self.statuses
+    }
+
+    /// Apps get dense ids at construction, so an id past the end is unknown.
+    fn owner(&self, app: AppId) -> Option<Owner> {
+        self.app_index.get(app.as_usize()).copied()
     }
 
     pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
@@ -667,7 +608,13 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn schedule_wake(&mut self, pod: PodId, at: SimTime, version: u64) {
+    /// Sets the pod's wake-up to its server's next event; an idle server
+    /// (`None`) schedules nothing, and the version its caller just bumped
+    /// retires whatever timer is still queued.
+    pub(crate) fn schedule_wake(&mut self, pod: PodId, at: Option<SimTime>, version: u64) {
+        let Some(at) = at else {
+            return;
+        };
         // Draw from the same seq counter as `schedule` so the merged pop
         // order in `run_until` matches the old single-heap order exactly.
         self.seq += 1;
@@ -734,10 +681,10 @@ impl Simulation {
     /// Returns [`Error::UnknownApp`] for unregistered ids.
     pub fn take_window(&mut self, app: AppId) -> Result<AppWindow> {
         let now = self.now;
-        match self.app_index.get(&app) {
-            Some(Owner::Service(idx)) => Ok(self.service_window(*idx, now)),
-            Some(Owner::Batch(idx)) => Ok(self.batch_window(*idx, now)),
-            Some(Owner::Hpc(idx)) => Ok(self.hpc_window(*idx, now)),
+        match self.owner(app) {
+            Some(Owner::Service(idx)) => Ok(self.service_window(idx, now)),
+            Some(Owner::Batch(idx)) => Ok(self.batch_window(idx, now)),
+            Some(Owner::Hpc(idx)) => Ok(self.hpc_window(idx, now)),
             None => Err(Error::UnknownApp(app)),
         }
     }
@@ -755,7 +702,7 @@ impl Simulation {
             allocated: self.cluster.total_allocated(),
             pods_running: running,
             pods_pending: pending,
-            nodes_ready: self.cluster.nodes().iter().filter(|n| n.is_ready()).count() as u32,
+            nodes_ready: self.cluster.ready_nodes(),
         }
     }
 
@@ -792,10 +739,9 @@ impl Simulation {
         replicas: u32,
         per_replica: ResourceVec,
     ) -> Result<u32> {
-        let Some(Owner::Service(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Service(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.service_set_target(idx, replicas, per_replica, 1.0))
     }
 
@@ -811,9 +757,9 @@ impl Simulation {
     ///
     /// Returns [`Error::UnknownApp`] for unknown ids.
     pub fn set_service_shedding(&mut self, app: AppId, shedding: bool) -> Result<()> {
-        match self.app_index.get(&app) {
+        match self.owner(app) {
             Some(Owner::Service(idx)) => {
-                self.services[*idx].shedding = shedding;
+                self.services[idx].shedding = shedding;
                 Ok(())
             }
             Some(_) => Ok(()),
@@ -824,7 +770,7 @@ impl Simulation {
     /// `true` when a service currently sheds excess load at admission.
     #[must_use]
     pub fn service_shedding(&self, app: AppId) -> bool {
-        matches!(self.app_index.get(&app), Some(Owner::Service(idx)) if self.services[*idx].shedding)
+        matches!(self.owner(app), Some(Owner::Service(idx)) if self.services[idx].shedding)
     }
 
     /// Like [`Simulation::set_service_target`], but the rollout reaches
@@ -842,10 +788,9 @@ impl Simulation {
         per_replica: ResourceVec,
         fraction: f64,
     ) -> Result<u32> {
-        let Some(Owner::Service(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Service(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.service_set_target(idx, replicas, per_replica, fraction))
     }
 
@@ -857,10 +802,9 @@ impl Simulation {
     ///
     /// Returns [`Error::UnknownApp`] for ids that are not batch jobs.
     pub fn set_batch_target(&mut self, app: AppId, per_task: ResourceVec) -> Result<u32> {
-        let Some(Owner::Batch(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Batch(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.batch_set_target(idx, per_task, 1.0))
     }
 
@@ -876,10 +820,9 @@ impl Simulation {
         per_task: ResourceVec,
         fraction: f64,
     ) -> Result<u32> {
-        let Some(Owner::Batch(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Batch(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.batch_set_target(idx, per_task, fraction))
     }
 
@@ -891,10 +834,9 @@ impl Simulation {
     ///
     /// Returns [`Error::UnknownApp`] for ids that are not HPC jobs.
     pub fn set_hpc_target(&mut self, app: AppId, per_rank: ResourceVec) -> Result<u32> {
-        let Some(Owner::Hpc(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Hpc(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.hpc_set_target(idx, per_rank, 1.0))
     }
 
@@ -910,10 +852,9 @@ impl Simulation {
         per_rank: ResourceVec,
         fraction: f64,
     ) -> Result<u32> {
-        let Some(Owner::Hpc(idx)) = self.app_index.get(&app) else {
+        let Some(Owner::Hpc(idx)) = self.owner(app) else {
             return Err(Error::UnknownApp(app));
         };
-        let idx = *idx;
         Ok(self.hpc_set_target(idx, per_rank, fraction))
     }
 
@@ -921,6 +862,53 @@ impl Simulation {
     #[must_use]
     pub fn pod_limit(&self) -> ResourceVec {
         self.pod_limit
+    }
+}
+
+impl AppWindow {
+    /// Fills the allocation and replica facts of a harvested window.
+    fn set_replica_facts(
+        &mut self,
+        alloc: ResourceVec,
+        running: usize,
+        waiting: usize,
+        desired: ResourceVec,
+    ) {
+        self.alloc = alloc;
+        self.running_replicas = running as u32;
+        self.pending_replicas = waiting as u32;
+        self.alloc_per_replica =
+            if running > 0 { alloc * (1.0 / f64::from(self.running_replicas)) } else { desired };
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Simulation {
+    /// Recomputes a window's allocation and replica counts the way the
+    /// engine did before the lanes — every pod of the app looked up in the
+    /// cluster, in pod-id order — and holds the lanes to it, to the bit.
+    fn debug_check_window(&self, window: &AppWindow, pods: impl Iterator<Item = PodId>) {
+        let (mut alloc, mut running, mut pending) = (ResourceVec::ZERO, 0u32, 0u32);
+        for pod in pods {
+            let pod = self.cluster.pod(pod).expect("an app's pod is in the cluster");
+            match pod.phase {
+                PodPhase::Running => {
+                    running += 1;
+                    alloc += pod.spec.request;
+                }
+                PodPhase::Pending | PodPhase::Starting => pending += 1,
+                _ => {}
+            }
+        }
+        debug_assert_eq!(
+            (
+                window.alloc.as_array().map(f64::to_bits),
+                window.running_replicas,
+                window.pending_replicas
+            ),
+            (alloc.as_array().map(f64::to_bits), running, pending),
+            "replica lanes diverged from the cluster"
+        );
     }
 }
 

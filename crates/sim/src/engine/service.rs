@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use evolve_types::{AppId, PodId, Resource, ResourceVec, SimTime};
+use evolve_types::{AppId, PodId, ResourceVec, SimTime};
 use evolve_workload::{LoadSpec, PoissonArrivals, SamplingMode, ServiceSpec};
 use rand_chacha::ChaCha8Rng;
 
@@ -12,7 +12,7 @@ use crate::observe::{AppWindow, WindowAccumulator};
 use crate::perf::{DrainOutcome, ReplicaServer};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, PodMap, PodTable, Simulation};
+use super::{Owner, Replicas, Simulation};
 
 /// A request waiting because no replica is running.
 #[derive(Debug, Clone, Copy)]
@@ -35,20 +35,14 @@ pub(crate) struct ServiceRuntime {
     /// Replicas being drained for scale-in. Ordered so that scale-out
     /// revives and window harvesting walk replicas deterministically.
     draining: BTreeSet<PodId>,
-    /// Execution state per *running* replica, in pod-id order.
-    pub(crate) servers: PodTable<ReplicaServer>,
-    /// Current wake-timer version per pod, dense-indexed: bumped on every
-    /// reschedule so stale timers are recognized without a map lookup.
-    wake_version: PodMap<u64>,
+    /// The running replicas in pod-id order, each with its server.
+    replicas: Replicas,
     queue: VecDeque<QueuedRequest>,
     pub(crate) acc: WindowAccumulator,
     /// Load-shedding admission control, toggled by the capacity arbiter
     /// while the app runs capacity-clipped.
     pub(crate) shedding: bool,
     next_req: u64,
-    /// Reusable pod-id buffer for the actuation paths (avoids a fresh
-    /// collect every control tick).
-    scratch: Vec<PodId>,
 }
 
 impl ServiceRuntime {
@@ -63,13 +57,11 @@ impl ServiceRuntime {
             desired_alloc,
             pods: Vec::new(),
             draining: BTreeSet::new(),
-            servers: PodTable::default(),
-            wake_version: PodMap::default(),
+            replicas: Replicas::default(),
             queue: VecDeque::new(),
             acc: WindowAccumulator::default(),
             shedding: false,
             next_req: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -80,12 +72,6 @@ impl ServiceRuntime {
     /// Thinning bailouts recorded by this service's arrival sampler.
     pub(crate) fn thinning_bailouts(&self) -> u64 {
         self.arrivals.thinning_bailouts()
-    }
-
-    fn bump_version(&mut self, pod: PodId) -> u64 {
-        let v = self.wake_version.get(pod).unwrap_or(0) + 1;
-        self.wake_version.insert(pod, v);
-        v
     }
 }
 
@@ -112,65 +98,40 @@ impl Simulation {
     pub(crate) fn service_arrival(&mut self, idx: usize) {
         let now = self.now;
         let mode = self.config.sampling;
+        // The pick: the running, non-draining, non-dead replica with the
+        // fewest in-flight requests.
+        let rt = &mut self.services[idx];
+        let target = rt.replicas.pick(&rt.draining);
         // Admission control while capacity-clipped: excess offered load is
-        // rejected at the front door once the backlog (the least-loaded
+        // rejected at the front door once the backlog (the picked
         // replica's in-flight set, or the start-up queue when nothing
         // runs) reaches the shed bound — a small bounded queue instead of
         // an unbounded one. Shed arrivals are counted but never sample
         // demand, queue, complete or time out.
-        if self.services[idx].shedding {
-            let shed_cap = self.config.shed_queue_cap;
-            let rt = &self.services[idx];
-            let no_draining = rt.draining.is_empty();
-            let min_inflight = rt
-                .servers
-                .iter()
-                .filter(|(pod, s)| !s.is_dead() && (no_draining || !rt.draining.contains(pod)))
-                .map(|(_, s)| s.inflight_len())
-                .min();
-            let backlogged = match min_inflight {
-                Some(inflight) => inflight >= shed_cap,
-                None => rt.queue.len() >= shed_cap,
-            };
-            if backlogged {
-                let rt = &mut self.services[idx];
+        if rt.shedding {
+            let backlog = target.map_or(rt.queue.len(), |(_, inflight)| inflight as usize);
+            if backlog >= self.config.shed_queue_cap {
                 rt.acc.arrivals += 1;
                 rt.acc.shed += 1;
                 return;
             }
         }
-        let (id, demand, deadline) = {
-            let rt = &mut self.services[idx];
-            rt.acc.arrivals += 1;
-            let demand = rt.spec.request_class.sample_demand_with(mode, &mut self.rng);
-            let id = rt.next_req;
-            rt.next_req += 1;
-            (id, demand, now + rt.spec.request_class.timeout())
-        };
-        // Pick the running, non-draining, non-dead replica with the fewest
-        // in-flight requests.
-        let target = {
-            let rt = &self.services[idx];
-            // Draining is almost always empty; hoist that check out of
-            // the per-replica filter.
-            let no_draining = rt.draining.is_empty();
-            rt.servers
-                .iter()
-                .filter(|(pod, s)| !s.is_dead() && (no_draining || !rt.draining.contains(pod)))
-                .min_by_key(|(pod, s)| (s.inflight_len(), pod.raw()))
-                .map(|(pod, _)| pod)
-        };
+        rt.acc.arrivals += 1;
+        let demand = rt.spec.request_class.sample_demand_with(mode, &mut self.rng);
+        let deadline = now + rt.spec.request_class.timeout();
+        let id = rt.next_req;
+        rt.next_req += 1;
         match target {
-            Some(pod) => {
+            Some((slot, _)) => {
                 let mut out = std::mem::take(&mut self.drain_scratch);
                 out.clear();
-                // One map lookup serves admit and the wake reschedule.
-                let (had_outcome, next) = {
-                    let rt = &mut self.services[idx];
-                    let server = rt.servers.get_mut(pod).expect("target exists");
+                // The slot the pick found serves admit and the wake reschedule.
+                let replicas = &mut self.services[idx].replicas;
+                let (pod, _) = replicas.pod_at(slot).expect("target exists");
+                let (had_outcome, next) = replicas.with(slot, |server| {
                     let had = server.admit_arrived_into(id, now, now, deadline, demand, &mut out);
                     (had, server.next_event())
-                };
+                });
                 let oom = out.oom_killed;
                 if had_outcome {
                     self.service_process_outcome(idx, pod, &out);
@@ -178,11 +139,9 @@ impl Simulation {
                 self.drain_scratch = out;
                 if !oom {
                     // The admit cannot retire the pod unless it OOM-killed,
-                    // so the server (and its next event) are still live.
-                    let version = self.services[idx].bump_version(pod);
-                    if let Some(at) = next {
-                        self.schedule_wake(pod, at, version);
-                    }
+                    // so the slot (and its next event) are still live.
+                    let version = self.services[idx].replicas.bump_version(slot);
+                    self.schedule_wake(pod, next, version);
                 }
             }
             None => {
@@ -206,14 +165,12 @@ impl Simulation {
             self.service_retire_pod(idx, pod, PodPhase::Succeeded);
             return;
         }
-        let (alloc, base_memory) = {
-            let request = self.cluster.pod(pod).expect("started pod exists").spec.request;
-            (request, self.services[idx].spec.base_memory)
-        };
-        let mut server = ReplicaServer::new(alloc, base_memory, self.config.perf, now);
+        let request = self.cluster.pod(pod).expect("started pod exists").spec.request;
+        let base_memory = self.services[idx].spec.base_memory;
+        let mut server = ReplicaServer::new(request, base_memory, self.config.perf, now);
         // Drain the front-door queue.
         let mut oom = false;
-        {
+        let (slot, next) = {
             let rt = &mut self.services[idx];
             while let Some(q) = rt.queue.pop_front() {
                 if q.deadline <= now {
@@ -232,33 +189,33 @@ impl Simulation {
                     }
                 }
             }
-            rt.servers.insert(pod, server);
-        }
+            let next = server.next_event();
+            (rt.replicas.insert(pod, Some((request, server))), next)
+        };
         if oom {
             self.service_oom(idx, pod);
             return;
         }
-        self.service_reschedule_wake(idx, pod);
+        let version = self.services[idx].replicas.bump_version(slot);
+        self.schedule_wake(pod, next, version);
     }
 
     /// Timer fired for a replica: advance it and process what happened.
     pub(crate) fn service_wake(&mut self, idx: usize, pod: PodId, version: u64) {
         let now = self.now;
-        let (outcome, next, drained_empty) = {
-            let rt = &mut self.services[idx];
-            if rt.wake_version.get(pod) != Some(version) {
-                return; // stale timer
-            }
-            let Some(server) = rt.servers.get_mut(pod) else {
-                return;
-            };
-            let mut out = std::mem::take(&mut self.drain_scratch);
-            out.clear();
-            server.advance_into(now, &mut out);
-            // One map lookup serves the drain, the scale-in check and the
-            // wake reschedule.
-            (out, server.next_event(), server.inflight_len() == 0)
+        let replicas = &mut self.services[idx].replicas;
+        // One lookup serves the drain, the scale-in check and the wake
+        // reschedule.
+        let Some(slot) = replicas.wake_slot(pod, version) else {
+            return; // the pod has gone, or the timer is stale
         };
+        let mut outcome = std::mem::take(&mut self.drain_scratch);
+        outcome.clear();
+        let next = replicas.with(slot, |server| {
+            server.advance_into(now, &mut outcome);
+            server.next_event()
+        });
+        let drained_empty = replicas.is_idle(slot);
         let oom = outcome.oom_killed;
         self.service_process_outcome(idx, pod, &outcome);
         self.drain_scratch = outcome;
@@ -269,10 +226,8 @@ impl Simulation {
         if drained_empty && self.services[idx].draining.contains(&pod) {
             self.service_retire_pod(idx, pod, PodPhase::Succeeded);
         } else {
-            let version = self.services[idx].bump_version(pod);
-            if let Some(at) = next {
-                self.schedule_wake(pod, at, version);
-            }
+            let version = self.services[idx].replicas.bump_version(slot);
+            self.schedule_wake(pod, next, version);
         }
     }
 
@@ -299,13 +254,8 @@ impl Simulation {
     fn service_retire_pod(&mut self, idx: usize, pod: PodId, phase: PodPhase) {
         {
             let rt = &mut self.services[idx];
-            if let Some(mut server) = rt.servers.remove(pod) {
-                // Preserve the work it performed this window.
-                let mut used = server.take_consumed();
-                used[Resource::Memory] = 0.0;
-                rt.acc.consumed += used;
-            }
-            rt.wake_version.remove(pod);
+            // Preserves the work it performed this window.
+            rt.replicas.remove(pod, &mut rt.acc.consumed);
             rt.draining.remove(&pod);
             rt.pods.retain(|p| *p != pod);
         }
@@ -316,28 +266,12 @@ impl Simulation {
     /// External loss (preemption, node failure).
     pub(crate) fn service_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
         // In-flight requests die with the replica.
-        let lost = {
-            let rt = &mut self.services[idx];
-            rt.servers.get_mut(pod).map_or(0, |s| s.kill().timed_out.len())
-        };
-        self.services[idx].acc.timeouts += lost as u64;
+        let rt = &mut self.services[idx];
+        if let Some(slot) = rt.replicas.running_slot(pod) {
+            rt.acc.timeouts += rt.replicas.with(slot, |s| s.kill().timed_out.len()) as u64;
+        }
         self.service_retire_pod(idx, pod, PodPhase::Failed(reason.into()));
         self.reconcile_service(idx);
-    }
-
-    fn service_reschedule_wake(&mut self, idx: usize, pod: PodId) {
-        let (next, version) = {
-            let rt = &mut self.services[idx];
-            let Some(server) = rt.servers.get_mut(pod) else {
-                return;
-            };
-            let next = server.next_event();
-            let version = rt.bump_version(pod);
-            (next, version)
-        };
-        if let Some(at) = next {
-            self.schedule_wake(pod, at, version);
-        }
     }
 
     /// Reconciles the replica count against the desired state, exactly
@@ -386,9 +320,8 @@ impl Simulation {
                 {
                     self.services[idx].draining.insert(p);
                     // An idle replica can retire immediately.
-                    let idle =
-                        self.services[idx].servers.get(p).is_some_and(|s| s.inflight_len() == 0);
-                    if idle {
+                    let replicas = &self.services[idx].replicas;
+                    if replicas.running_slot(p).is_some_and(|slot| replicas.is_idle(slot)) {
                         self.service_retire_pod(idx, p, PodPhase::Succeeded);
                     }
                 } else {
@@ -416,38 +349,34 @@ impl Simulation {
         self.services[idx].desired_alloc = target;
         self.services[idx].desired_replicas = replicas.max(1);
         let mut failures = 0u32;
-        // Resize running replicas in place (reusing the runtime's scratch
-        // buffer; the loop body mutates the server map).
-        let mut running = std::mem::take(&mut self.services[idx].scratch);
-        running.clear();
-        running.extend(self.services[idx].servers.keys());
-        let quota = if fraction < 1.0 {
-            super::partial_quota(running.len(), fraction)
-        } else {
-            running.len()
-        };
-        running.truncate(quota);
-        for &pod in &running {
+        // Resize running replicas in place, walking the table by slot:
+        // nothing in the loop adds or removes one (an advance cannot OOM).
+        let running = self.services[idx].replicas.running();
+        let mut reach = super::partial_quota(running, fraction);
+        for slot in 0..self.services[idx].replicas.slots() {
+            let Some((pod, true)) = self.services[idx].replicas.pod_at(slot) else {
+                continue;
+            };
+            if reach == 0 {
+                break;
+            }
+            reach -= 1;
             match self.cluster.resize_pod(pod, target) {
                 Ok(()) => {
-                    let outcome = {
-                        let rt = &mut self.services[idx];
-                        let server = rt.servers.get_mut(pod).expect("running");
-                        let out = server.advance(now);
-                        server.set_alloc(target);
-                        out
-                    };
+                    let (outcome, next) = self.services[idx].replicas.resize(slot, now, target);
                     self.service_process_outcome(idx, pod, &outcome);
-                    self.service_reschedule_wake(idx, pod);
+                    let version = self.services[idx].replicas.bump_version(slot);
+                    self.schedule_wake(pod, next, version);
                 }
                 Err(_) => failures += 1,
             }
         }
-        running.clear();
-        self.services[idx].scratch = running;
         // Rewrite pending pods' requests (fraction-limited like the
-        // in-place pass when the actuation path is degraded).
-        let mut budget = if fraction < 1.0 {
+        // in-place pass when the actuation path is degraded) — if any pod
+        // waits at all: a pod has a server exactly while it runs.
+        let mut budget = if self.services[idx].pods.len() == running {
+            0
+        } else if fraction < 1.0 {
             let pending = (0..self.services[idx].pods.len())
                 .filter(|&i| {
                     let pod = self.services[idx].pods[i];
@@ -474,48 +403,19 @@ impl Simulation {
 
     /// Harvests the service's control window.
     pub(crate) fn service_window(&mut self, idx: usize, now: SimTime) -> AppWindow {
+        let rt = &mut self.services[idx];
         // Expire queued requests first.
-        {
-            let rt = &mut self.services[idx];
-            let before = rt.queue.len();
-            rt.queue.retain(|q| q.deadline > now);
-            rt.acc.timeouts += (before - rt.queue.len()) as u64;
-        }
-        // Gather usage from live replicas.
-        let mut mem_total = 0.0;
-        {
-            let rt = &mut self.services[idx];
-            for server in rt.servers.values_mut() {
-                let mut used = server.take_consumed();
-                mem_total += used[Resource::Memory];
-                used[Resource::Memory] = 0.0;
-                rt.acc.consumed += used;
-            }
-        }
-        let mut window = self.services[idx].acc.harvest(now, mem_total);
-        // Fill allocation/replica facts.
-        let rt = &self.services[idx];
-        let mut alloc = ResourceVec::ZERO;
-        for pod in rt.servers.keys() {
-            if let Ok(p) = self.cluster.pod(pod) {
-                alloc += p.spec.request;
-            }
-        }
-        let running = rt.servers.len() as u32;
-        let pending = rt
-            .pods
-            .iter()
-            .filter(|p| {
-                self.cluster
-                    .pod(**p)
-                    .is_ok_and(|x| matches!(x.phase, PodPhase::Pending | PodPhase::Starting))
-            })
-            .count() as u32;
-        window.alloc = alloc;
-        window.running_replicas = running;
-        window.pending_replicas = pending;
-        window.alloc_per_replica =
-            if running > 0 { alloc * (1.0 / f64::from(running)) } else { rt.desired_alloc };
+        let before = rt.queue.len();
+        rt.queue.retain(|q| q.deadline > now);
+        rt.acc.timeouts += (before - rt.queue.len()) as u64;
+        // Gather usage and allocation from live replicas.
+        let (mem_total, alloc) = rt.replicas.harvest(&mut rt.acc.consumed);
+        let mut window = rt.acc.harvest(now, mem_total);
+        // A pod has a server exactly while it runs; the others wait.
+        let (running, pods) = (rt.replicas.running(), rt.pods.len());
+        window.set_replica_facts(alloc, running, pods - running, rt.desired_alloc);
+        #[cfg(debug_assertions)]
+        self.debug_check_window(&window, self.services[idx].pods.iter().copied());
         window
     }
 }

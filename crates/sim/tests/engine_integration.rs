@@ -278,6 +278,39 @@ fn batch_job_runs_stages_and_finishes() {
     sim.cluster().check_invariants();
 }
 
+/// A known limitation, pinned so that its fix has to turn this test
+/// around (ROADMAP item 5, EXPERIMENTS.md "Known limitations"): usage is
+/// credited up to each server's *last event*, not to the harvest instant.
+/// Nothing touches an unmanaged one-task batch server between its start
+/// and its completion, so the job reports no CPU usage while its tasks
+/// run and all of it — more than it is allocated — in the window in which
+/// they finish.
+#[test]
+fn batch_usage_lands_in_the_window_of_the_last_event() {
+    // Two tasks of 24 000 mcore·s at 2 000 mcore: 12 s each, side by side.
+    let job = BatchJobSpec::new(
+        "scan",
+        vec![StageSpec::new(2, ResourceVec::new(24_000.0, 256.0, 0.0, 0.0), 100)],
+        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
+        ResourceVec::new(2_000.0, 1_024.0, 100.0, 100.0),
+        2,
+    );
+    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 3);
+    let app = sim.apps()[0].id;
+    sim.run_until(SimTime::ZERO);
+    assert_eq!(bind_all(&mut sim), 2);
+    let mut cpu = Vec::new();
+    for step in 1..=4u64 {
+        sim.run_until(SimTime::from_secs(5 * step));
+        let w = sim.take_window(app).unwrap();
+        cpu.push((w.running_replicas, w.usage.cpu()));
+    }
+    // Started at 3 s, done at 15 s: busy through two whole windows that
+    // report nothing, then 48 000 mcore·s over 5 s against 4 000 allocated.
+    assert_eq!(cpu, [(2, 0.0), (2, 0.0), (0, 9_600.0), (0, 0.0)]);
+}
+
 #[test]
 fn hpc_gang_waits_for_all_ranks() {
     let job = HpcJobSpec::new(
@@ -418,4 +451,46 @@ fn snapshot_counts_pods() {
     assert_eq!(snap.pods_running, 2);
     assert_eq!(snap.pods_pending, 0);
     assert!(snap.allocated.cpu() > 0.0);
+}
+
+/// One window in which a replica is retired by scale-in and another is
+/// OOM-killed: the harvest must still hold what both drained before they
+/// went, and count the replacement that waits unbound. The expected values
+/// were generated on the commit before the replica lanes (a per-pod
+/// harvest and a per-pod walk of the cluster) and are pinned to the bit.
+#[test]
+fn oom_kill_and_scale_in_inside_one_window() {
+    let class = RequestClass::new(
+        "big",
+        ResourceVec::new(3_000.0, 250.0, 3.0, 1.0),
+        0.0,
+        SimDuration::from_secs(30),
+    );
+    let alloc = ResourceVec::new(2_000.0, 1_024.0, 50.0, 50.0);
+    let service =
+        ServiceSpec::new("leaky", PloSpec::LatencyP99 { target_ms: 1_000.0 }, class, alloc)
+            .with_initial_replicas(3);
+    let mix = WorkloadMix::new().with_service(service, LoadSpec::Constant { rate: 1.5 });
+    let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 15);
+    assert_eq!(bind_all(&mut sim), 3);
+    let app = sim.apps()[0].id;
+    sim.run_until(SimTime::from_secs(10));
+    let before = sim.take_window(app).unwrap();
+    assert_eq!((before.running_replicas, before.pending_replicas, before.oom_kills), (3, 0, 0));
+    // Scale in to two: the newest replica is busy, so it drains first.
+    sim.set_service_target(app, 2, alloc).unwrap();
+    assert_eq!(sim.snapshot().pods_running, 3, "the scaled-in replica is still draining");
+    sim.run_until(SimTime::from_millis(12_500));
+    assert_eq!(sim.snapshot().pods_running, 2, "and retires once it has");
+    // One of the two survivors is then OOM-killed; nobody binds its
+    // replacement.
+    sim.run_until(SimTime::from_secs(15));
+    let w = sim.take_window(app).unwrap();
+    assert_eq!((w.running_replicas, w.pending_replicas, w.oom_kills), (1, 1, 1));
+    assert_eq!((w.arrivals, w.completions, w.timeouts), (10, 5, 6));
+    let bits = |v: ResourceVec| v.as_array().map(f64::to_bits);
+    let usage = ResourceVec::new(3857.857546096427, 1064.0, 6.6000000000000005, 2.1999999999999997);
+    assert_eq!(bits(w.usage), bits(usage), "usage {:?}", w.usage);
+    assert_eq!((bits(w.alloc), bits(w.alloc_per_replica)), (bits(alloc), bits(alloc)));
+    sim.cluster().check_invariants();
 }
