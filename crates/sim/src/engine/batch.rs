@@ -203,13 +203,15 @@ impl Simulation {
     /// External loss (preemption, node failure): the task restarts from
     /// scratch on a fresh pending pod.
     pub(crate) fn batch_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
+        // Read while the pod is certainly there, as `started` is above.
+        let kind = self.cluster.pod(pod).map(|p| p.spec.kind);
         let active = self.batch_cleanup_pod(idx, pod);
         let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason.into()));
         self.pod_owner.remove(pod);
         if !active || self.batches[idx].finished.is_some() {
             return;
         }
-        let Ok(PodKind::BatchTask { task, .. }) = self.cluster.pod(pod).map(|p| p.spec.kind) else {
+        let Ok(PodKind::BatchTask { task, .. }) = kind else {
             unreachable!("batch pod has batch kind")
         };
         // Replacement pod for the same task.
@@ -251,10 +253,9 @@ impl Simulation {
         let mut reach = super::partial_quota(running, fraction);
         let mut reach_waiting =
             if active == running { 0 } else { super::partial_quota(active, fraction) };
-        for slot in 0..self.batches[idx].replicas.slots() {
-            let Some((pod, runs)) = self.batches[idx].replicas.pod_at(slot) else {
-                continue;
-            };
+        let mut from = 0;
+        while let Some((slot, pod, runs)) = self.batches[idx].replicas.next_live(from) {
+            from = slot + 1;
             if runs && reach > 0 {
                 reach -= 1;
                 match self.cluster.resize_pod(pod, target) {
@@ -290,8 +291,10 @@ impl Simulation {
         #[cfg(debug_assertions)]
         {
             let replicas = &self.batches[idx].replicas;
-            let active = (0..replicas.slots()).filter_map(|slot| Some(replicas.pod_at(slot)?.0));
-            self.debug_check_window(&window, active);
+            let active = std::iter::successors(replicas.next_live(0), |&(slot, ..)| {
+                replicas.next_live(slot + 1)
+            });
+            self.debug_check_window(&window, active.map(|(_, pod, _)| pod));
         }
         let rt = &self.batches[idx];
         let progress = rt.progress();

@@ -61,30 +61,24 @@ impl Replicas {
         self.running
     }
 
-    /// Slots, tombstones included: the bound of a walk by index.
+    /// The first pod at or after slot `from`, as `(slot, pod, runs)`. Asked
+    /// again with `slot + 1` it walks the pods in pod-id order, and the body
+    /// of such a walk may change the table: slots hold while no pod is
+    /// added or removed.
+    pub(crate) fn next_live(&self, from: usize) -> Option<(usize, PodId, bool)> {
+        let mut lanes = self.lanes.iter().enumerate().skip(from);
+        lanes.find(|(_, l)| l.live).map(|(slot, l)| (slot, l.pod, l.running))
+    }
+
+    /// Slots, tombstones included.
+    #[cfg(test)]
     pub(crate) fn slots(&self) -> usize {
         self.lanes.len()
     }
 
-    /// The pod in `slot` and whether it runs; `None` for a tombstone.
-    pub(crate) fn pod_at(&self, slot: usize) -> Option<(PodId, bool)> {
-        self.lanes.get(slot).filter(|l| l.live).map(|l| (l.pod, l.running))
-    }
-
-    /// Where `pod` is, tombstone or not, or where it would go. Most tables
-    /// hold the 2–10 replicas of a service, and a forward scan over so few
-    /// keys beats the binary search's unpredictable branches (it is worth
-    /// 1.7 % of `headline_evolve`, where every wake looks its pod up).
+    /// Where `pod` is, tombstone or not, or where it would go.
     fn find(&self, pod: PodId) -> Result<usize, usize> {
-        if self.lanes.len() > 16 {
-            return self.lanes.binary_search_by_key(&pod, |l| l.pod);
-        }
-        let slot = self.lanes.iter().position(|l| l.pod >= pod).unwrap_or(self.lanes.len());
-        if self.lanes.get(slot).is_some_and(|l| l.pod == pod) {
-            Ok(slot)
-        } else {
-            Err(slot)
-        }
+        self.lanes.binary_search_by_key(&pod, |l| l.pod)
     }
 
     /// The slot of a pod that has a server.
@@ -207,8 +201,8 @@ impl Replicas {
     }
 
     /// The live replica outside `draining` with the fewest requests in
-    /// flight, and that count; of equals, the lowest pod id.
-    pub(crate) fn pick(&self, draining: &BTreeSet<PodId>) -> Option<(usize, u32)> {
+    /// flight, as `(slot, pod, in flight)`; of equals, the lowest pod id.
+    pub(crate) fn pick(&self, draining: &BTreeSet<PodId>) -> Option<(usize, PodId, u32)> {
         let mut best = None;
         let mut least = CLOSED;
         for (slot, lane) in self.lanes.iter().enumerate() {
@@ -216,7 +210,7 @@ impl Replicas {
                 (best, least) = (Some(slot), lane.inflight);
             }
         }
-        best.map(|slot| (slot, least))
+        best.map(|slot| (slot, self.lanes[slot].pod, least))
     }
 
     /// One ascending pass over the running pods: folds what the touched

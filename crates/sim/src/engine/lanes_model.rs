@@ -72,18 +72,19 @@ fn check_agreement(
     draining: &BTreeSet<PodId>,
     gone: &[PodId],
 ) -> Result<(), String> {
-    let got: Vec<(PodId, bool)> = (0..table.slots()).filter_map(|s| table.pod_at(s)).collect();
+    let walk = std::iter::successors(table.next_live(0), |&(at, ..)| table.next_live(at + 1));
+    let got: Vec<(PodId, bool)> = walk.map(|(_, pod, runs)| (pod, runs)).collect();
     let want: Vec<(PodId, bool)> = model.iter().map(|(pod, s)| (*pod, s.is_some())).collect();
     prop_assert_eq!(&got, &want, "keys, order or running marks differ from the model");
     prop_assert_eq!(table.live(), model.len());
     prop_assert_eq!(table.running(), model.values().flatten().count());
     prop_assert!(table.slots() <= 2 * table.live().max(1), "tombstones outnumber the living");
-    prop_assert_eq!(table.pod_at(table.slots()), None);
+    prop_assert_eq!(table.next_live(table.slots()), None);
     for (pod, slot) in model {
         let found = table.running_slot(*pod);
         prop_assert_eq!(found.is_some(), slot.is_some(), "running_slot({}) is wrong", pod);
         if let (Some(at), Some((_, server))) = (found, slot) {
-            prop_assert_eq!(table.pod_at(at), Some((*pod, true)));
+            prop_assert_eq!(table.next_live(at), Some((at, *pod, true)));
             let version = versions.get(pod).copied().unwrap_or(0);
             prop_assert_eq!(table.wake_slot(*pod, version), Some(at), "the timer in force");
             prop_assert_eq!(table.wake_slot(*pod, version + 1), None, "a timer not set yet");
@@ -93,7 +94,11 @@ fn check_agreement(
     for pod in gone {
         prop_assert_eq!(table.running_slot(*pod), None, "{} is gone", pod);
     }
-    let picked = table.pick(draining).map(|(at, n)| (table.pod_at(at).expect("picked").0, n));
+    let picked = table.pick(draining);
+    if let Some((at, pod, _)) = picked {
+        prop_assert_eq!(table.running_slot(pod), Some(at), "the pick's slot is not its pod's");
+    }
+    let picked = picked.map(|(_, pod, n)| (pod, n));
     prop_assert_eq!(picked, model_pick(model, draining), "the pick differs from the model");
     Ok(())
 }

@@ -109,7 +109,7 @@ impl Simulation {
         // an unbounded one. Shed arrivals are counted but never sample
         // demand, queue, complete or time out.
         if rt.shedding {
-            let backlog = target.map_or(rt.queue.len(), |(_, inflight)| inflight as usize);
+            let backlog = target.map_or(rt.queue.len(), |(.., inflight)| inflight as usize);
             if backlog >= self.config.shed_queue_cap {
                 rt.acc.arrivals += 1;
                 rt.acc.shed += 1;
@@ -122,12 +122,11 @@ impl Simulation {
         let id = rt.next_req;
         rt.next_req += 1;
         match target {
-            Some((slot, _)) => {
+            Some((slot, pod, _)) => {
                 let mut out = std::mem::take(&mut self.drain_scratch);
                 out.clear();
                 // The slot the pick found serves admit and the wake reschedule.
                 let replicas = &mut self.services[idx].replicas;
-                let (pod, _) = replicas.pod_at(slot).expect("target exists");
                 let (had_outcome, next) = replicas.with(slot, |server| {
                     let had = server.admit_arrived_into(id, now, now, deadline, demand, &mut out);
                     (had, server.next_event())
@@ -353,10 +352,10 @@ impl Simulation {
         // nothing in the loop adds or removes one (an advance cannot OOM).
         let running = self.services[idx].replicas.running();
         let mut reach = super::partial_quota(running, fraction);
-        for slot in 0..self.services[idx].replicas.slots() {
-            let Some((pod, true)) = self.services[idx].replicas.pod_at(slot) else {
-                continue;
-            };
+        let mut from = 0;
+        while let Some((slot, pod, runs)) = self.services[idx].replicas.next_live(from) {
+            debug_assert!(runs, "a service's table holds running replicas only");
+            from = slot + 1;
             if reach == 0 {
                 break;
             }
