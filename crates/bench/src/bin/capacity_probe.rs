@@ -165,12 +165,12 @@ fn main() {
                 service_rate: rep.summarize(service_rate),
                 critical_rate: rep.summarize(|o| class_rate(o, PriorityClass::Critical)),
                 shed_requests: rep.summarize(|o| o.shed_requests as f64),
-                clipped: rep.summarize(|o| o.clipped_allocations as f64),
+                clipped: rep.summarize(|o| o.control.clipped_allocations as f64),
                 shed_apps: rep.summarize(|o| o.shed_apps as f64),
                 starvation_max: rep
                     .runs
                     .iter()
-                    .map(|o| f64::from(o.starvation_watermark))
+                    .map(|o| f64::from(o.control.starvation_watermark))
                     .fold(0.0, f64::max),
             };
             let sustainable = row.service_rate.mean <= threshold;

@@ -15,8 +15,6 @@
 //! * [`AdaptiveTuner`] — on-line gain adaptation: an oscillation detector
 //!   shrinks the proportional gain, a sluggishness detector grows the
 //!   integral gain ("adjusts its parameters on the fly").
-//! * [`RelayTuner`] — Åström–Hägglund relay auto-tuning to bootstrap gains
-//!   from a short induced oscillation (Ziegler–Nichols rules).
 //! * [`RlsModel`] / [`SensitivityModel`] — recursive-least-squares models
 //!   that learn, on-line, how performance responds to each resource; they
 //!   attribute the PLO error to the resource that actually binds.
@@ -66,4 +64,4 @@ pub use model::{RlsModel, SensitivityModel};
 pub use multi::{MultiResourceConfig, MultiResourceController, ResourceDecision};
 pub use pid::{PidConfig, PidController, PidTerms};
 pub use predictor::LoadPredictor;
-pub use tuning::{AdaptiveTuner, AdaptiveTunerConfig, RelayTuner, RelayTunerOutcome};
+pub use tuning::{AdaptiveTuner, AdaptiveTunerConfig};

@@ -1,17 +1,11 @@
 //! On-line gain adaptation.
 //!
 //! The Skynet/EVOLVE controllers "adjust [their] parameters on the fly".
-//! Two mechanisms are provided:
-//!
-//! * [`AdaptiveTuner`] — a rule-based adaptor run every control period: it
-//!   watches the recent error signal, detects **oscillation** (frequent
-//!   sign changes → the loop gain is too high → shrink `kp`, `ki`) and
-//!   **sluggishness** (persistent one-sided error → the loop gain is too
-//!   low → grow `ki`, `kp`), within configured bounds.
-//! * [`RelayTuner`] — Åström–Hägglund relay feedback auto-tuning used to
-//!   bootstrap gains: drive the actuator with a relay, measure the induced
-//!   oscillation's ultimate period and amplitude, then apply
-//!   Ziegler–Nichols rules.
+//! [`AdaptiveTuner`] is a rule-based adaptor run every control period: it
+//! watches the recent error signal, detects **oscillation** (frequent
+//! sign changes → the loop gain is too high → shrink `kp`, `ki`) and
+//! **sluggishness** (persistent one-sided error → the loop gain is too
+//! low → grow `ki`, `kp`), within configured bounds.
 
 use std::collections::VecDeque;
 
@@ -226,133 +220,6 @@ impl Codec for AdaptiveTuner {
     }
 }
 
-/// Outcome of a completed relay auto-tuning experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RelayTunerOutcome {
-    /// Ultimate gain `Ku = 4d / (π a)` from relay amplitude `d` and
-    /// oscillation amplitude `a`.
-    pub ultimate_gain: f64,
-    /// Ultimate period `Tu` in seconds.
-    pub ultimate_period: f64,
-    /// Recommended proportional gain (Ziegler–Nichols PI rule).
-    pub kp: f64,
-    /// Recommended integral gain.
-    pub ki: f64,
-    /// Recommended derivative gain.
-    pub kd: f64,
-}
-
-/// Åström–Hägglund relay feedback auto-tuner.
-///
-/// Drive the plant with [`RelayTuner::actuation`], feed measurements back
-/// through [`RelayTuner::observe`]; once enough oscillation periods are
-/// collected, [`RelayTuner::outcome`] yields Ziegler–Nichols gains.
-///
-/// # Examples
-///
-/// ```
-/// use evolve_control::RelayTuner;
-///
-/// let mut tuner = RelayTuner::new(1.0, 0.0);
-/// // First-order plant under relay feedback oscillates.
-/// let mut y = 0.0;
-/// let dt = 0.05;
-/// for step in 0..2000 {
-///     let u = tuner.actuation(y);
-///     y += (u - y) / 0.5 * dt;
-///     tuner.observe(step as f64 * dt, y);
-/// }
-/// let out = tuner.outcome().expect("oscillation detected");
-/// assert!(out.kp > 0.0 && out.ki > 0.0);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RelayTuner {
-    amplitude: f64,
-    setpoint: f64,
-    /// Crossing times of the measurement through the setpoint (upward).
-    crossings: Vec<f64>,
-    min_measurement: f64,
-    max_measurement: f64,
-    last_measurement: Option<f64>,
-}
-
-impl RelayTuner {
-    /// Creates a relay tuner with relay `amplitude` around `setpoint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `amplitude` is not positive.
-    #[must_use]
-    pub fn new(amplitude: f64, setpoint: f64) -> Self {
-        assert!(amplitude > 0.0, "relay amplitude must be positive");
-        RelayTuner {
-            amplitude,
-            setpoint,
-            crossings: Vec::new(),
-            min_measurement: f64::INFINITY,
-            max_measurement: f64::NEG_INFINITY,
-            last_measurement: None,
-        }
-    }
-
-    /// The relay actuation for the current measurement: `+amplitude` when
-    /// below the setpoint, `-amplitude` when above.
-    #[must_use]
-    pub fn actuation(&self, measurement: f64) -> f64 {
-        if measurement <= self.setpoint {
-            self.amplitude
-        } else {
-            -self.amplitude
-        }
-    }
-
-    /// Feeds a time-stamped measurement (seconds).
-    pub fn observe(&mut self, at_secs: f64, measurement: f64) {
-        self.min_measurement = self.min_measurement.min(measurement);
-        self.max_measurement = self.max_measurement.max(measurement);
-        if let Some(prev) = self.last_measurement {
-            if prev < self.setpoint && measurement >= self.setpoint {
-                self.crossings.push(at_secs);
-            }
-        }
-        self.last_measurement = Some(measurement);
-    }
-
-    /// Number of full oscillation periods observed so far.
-    #[must_use]
-    pub fn periods_observed(&self) -> usize {
-        self.crossings.len().saturating_sub(1)
-    }
-
-    /// Ziegler–Nichols PID gains once at least three periods have been
-    /// observed; `None` before that.
-    #[must_use]
-    pub fn outcome(&self) -> Option<RelayTunerOutcome> {
-        if self.periods_observed() < 3 {
-            return None;
-        }
-        // Average the later periods (the first may include the transient).
-        let periods: Vec<f64> = self.crossings.windows(2).skip(1).map(|w| w[1] - w[0]).collect();
-        let tu = periods.iter().sum::<f64>() / periods.len() as f64;
-        let a = (self.max_measurement - self.min_measurement) / 2.0;
-        if tu <= 0.0 || a <= 0.0 {
-            return None;
-        }
-        let ku = 4.0 * self.amplitude / (std::f64::consts::PI * a);
-        // Classic Ziegler–Nichols PID rules.
-        let kp = 0.6 * ku;
-        let ti = tu / 2.0;
-        let td = tu / 8.0;
-        Some(RelayTunerOutcome {
-            ultimate_gain: ku,
-            ultimate_period: tu,
-            kp,
-            ki: kp / ti,
-            kd: kp * td,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,41 +302,5 @@ mod tests {
     fn rejects_tiny_window() {
         let cfg = AdaptiveTunerConfig { window: 2, ..Default::default() };
         let _ = AdaptiveTuner::new(cfg);
-    }
-
-    #[test]
-    fn relay_tuner_measures_known_plant() {
-        // Integrating plant with delay-ish dynamics oscillates under relay.
-        let mut tuner = RelayTuner::new(1.0, 0.0);
-        let mut y = 0.1;
-        let mut y_lag = 0.0;
-        let dt = 0.01;
-        for step in 0..20_000 {
-            let u = tuner.actuation(y);
-            // Second-order lag to get a genuine oscillation.
-            y_lag += (u - y_lag) / 0.3 * dt;
-            y += (y_lag - y) / 0.3 * dt;
-            tuner.observe(step as f64 * dt, y);
-        }
-        let out = tuner.outcome().expect("should oscillate");
-        assert!(out.ultimate_period > 0.0);
-        assert!(out.ultimate_gain > 0.0);
-        assert!(out.kp > 0.0 && out.ki > 0.0 && out.kd > 0.0);
-    }
-
-    #[test]
-    fn relay_tuner_needs_three_periods() {
-        let mut tuner = RelayTuner::new(1.0, 0.0);
-        tuner.observe(0.0, -1.0);
-        tuner.observe(1.0, 1.0); // one upward crossing
-        assert_eq!(tuner.periods_observed(), 0);
-        assert!(tuner.outcome().is_none());
-    }
-
-    #[test]
-    fn relay_actuation_sign() {
-        let tuner = RelayTuner::new(2.0, 10.0);
-        assert_eq!(tuner.actuation(5.0), 2.0);
-        assert_eq!(tuner.actuation(15.0), -2.0);
     }
 }

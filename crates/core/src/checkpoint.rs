@@ -22,6 +22,7 @@ use evolve_telemetry::PloTracker;
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{AppId, Error, Result, SimTime};
 
+use crate::counters::ControlCounters;
 use crate::policy::PolicyDecision;
 
 /// Magic number leading every serialized checkpoint ("EVCK").
@@ -32,8 +33,10 @@ const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
 /// (drop/delay/partial counters and the delayed-actuation queue);
 /// 3 — capacity-arbiter state (config + grant fractions + starvation
 /// ages) and overload accounting (clip/shed counters, starvation
-/// watermark, violations-while-shedding).
-const CHECKPOINT_VERSION: u8 = 3;
+/// watermark, violations-while-shedding); 4 — every counter travels as
+/// one [`ControlCounters`] block, which adds `desynced_apps` (version 3
+/// dropped it, so a restore reset the count to zero).
+const CHECKPOINT_VERSION: u8 = 4;
 
 /// Per-application slice of a checkpoint: the policy's opaque state blob
 /// plus the manager-side bookkeeping around it.
@@ -97,16 +100,8 @@ pub struct ControllerCheckpoint {
     pub at: SimTime,
     /// Control ticks executed so far.
     pub(crate) ticks: u64,
-    /// Cumulative failed in-place resizes.
-    pub(crate) resize_failures: u64,
-    /// Actuations skipped by the retry-backoff.
-    pub(crate) suppressed_actuations: u64,
-    /// Actuations swallowed by an `ActuationDrop` fault.
-    pub(crate) dropped_actuations: u64,
-    /// Actuations deferred by an `ActuationDelay` fault.
-    pub(crate) delayed_actuations: u64,
-    /// Actuations applied to only part of the fleet.
-    pub(crate) partial_actuations: u64,
+    /// The manager's skip-and-count and overload counters.
+    pub(crate) control: ControlCounters,
     /// Delayed actuations still waiting for their release time.
     pub(crate) pending_actuations: Vec<(SimTime, AppId, PolicyDecision)>,
     /// Per-application state, sorted by [`AppId`] so the byte image of a
@@ -116,16 +111,8 @@ pub struct ControllerCheckpoint {
     pub(crate) scheduler_backoff: RequeueBackoff,
     /// The capacity arbiter (config and persistent state), when installed.
     pub(crate) arbiter: Option<CapacityArbiter>,
-    /// Actuations whose grant was clipped below the policy's request.
-    pub(crate) clipped_allocations: u64,
-    /// Arbitration rounds that shed an app outright.
-    pub(crate) shed_decisions: u64,
     /// Distinct apps the arbiter has ever shed, sorted by id.
     pub(crate) shed_app_ids: Vec<AppId>,
-    /// Highest starvation age any app reached under arbitration.
-    pub(crate) starvation_watermark: u32,
-    /// PLO violations recorded while the violating app was shedding load.
-    pub(crate) violations_while_shedding: u64,
 }
 
 impl ControllerCheckpoint {
@@ -137,20 +124,12 @@ impl ControllerCheckpoint {
         CHECKPOINT_VERSION.encode(&mut enc);
         self.at.encode(&mut enc);
         self.ticks.encode(&mut enc);
-        self.resize_failures.encode(&mut enc);
-        self.suppressed_actuations.encode(&mut enc);
-        self.dropped_actuations.encode(&mut enc);
-        self.delayed_actuations.encode(&mut enc);
-        self.partial_actuations.encode(&mut enc);
+        self.control.encode(&mut enc);
         self.pending_actuations.encode(&mut enc);
         self.apps.encode(&mut enc);
         self.scheduler_backoff.encode(&mut enc);
         self.arbiter.encode(&mut enc);
-        self.clipped_allocations.encode(&mut enc);
-        self.shed_decisions.encode(&mut enc);
         self.shed_app_ids.encode(&mut enc);
-        self.starvation_watermark.encode(&mut enc);
-        self.violations_while_shedding.encode(&mut enc);
         enc.into_bytes()
     }
 
@@ -179,20 +158,12 @@ impl ControllerCheckpoint {
         let out = ControllerCheckpoint {
             at: SimTime::decode(&mut dec)?,
             ticks: u64::decode(&mut dec)?,
-            resize_failures: u64::decode(&mut dec)?,
-            suppressed_actuations: u64::decode(&mut dec)?,
-            dropped_actuations: u64::decode(&mut dec)?,
-            delayed_actuations: u64::decode(&mut dec)?,
-            partial_actuations: u64::decode(&mut dec)?,
+            control: ControlCounters::decode(&mut dec)?,
             pending_actuations: Vec::<(SimTime, AppId, PolicyDecision)>::decode(&mut dec)?,
             apps: Vec::<(AppId, AppCheckpoint)>::decode(&mut dec)?,
             scheduler_backoff: RequeueBackoff::decode(&mut dec)?,
             arbiter: Option::<CapacityArbiter>::decode(&mut dec)?,
-            clipped_allocations: u64::decode(&mut dec)?,
-            shed_decisions: u64::decode(&mut dec)?,
             shed_app_ids: Vec::<AppId>::decode(&mut dec)?,
-            starvation_watermark: u32::decode(&mut dec)?,
-            violations_while_shedding: u64::decode(&mut dec)?,
         };
         if !dec.is_empty() {
             return Err(Error::CorruptCheckpoint(format!(
@@ -231,20 +202,20 @@ mod tests {
         let ck = ControllerCheckpoint {
             at: SimTime::from_secs(42),
             ticks: 7,
-            resize_failures: 1,
-            suppressed_actuations: 2,
-            dropped_actuations: 3,
-            delayed_actuations: 4,
-            partial_actuations: 5,
+            control: ControlCounters {
+                resize_failures: 1,
+                suppressed_actuations: 2,
+                dropped_actuations: 3,
+                delayed_actuations: 4,
+                partial_actuations: 5,
+                desynced_apps: 6,
+                ..ControlCounters::default()
+            },
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
             arbiter: None,
-            clipped_allocations: 0,
-            shed_decisions: 0,
             shed_app_ids: Vec::new(),
-            starvation_watermark: 0,
-            violations_while_shedding: 0,
         };
         let bytes = ck.to_bytes();
         let back = ControllerCheckpoint::from_bytes(&bytes).expect("round trip");
@@ -259,22 +230,20 @@ mod tests {
         let ck = ControllerCheckpoint {
             at: SimTime::from_secs(90),
             ticks: 18,
-            resize_failures: 0,
-            suppressed_actuations: 0,
-            dropped_actuations: 0,
-            delayed_actuations: 0,
-            partial_actuations: 0,
+            control: ControlCounters {
+                clipped_allocations: 9,
+                shed_decisions: 4,
+                starvation_watermark: 11,
+                violations_while_shedding: 2,
+                ..ControlCounters::default()
+            },
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
             arbiter: Some(CapacityArbiter::new(
                 ArbiterConfig::default().with_headroom_fraction(0.2),
             )),
-            clipped_allocations: 9,
-            shed_decisions: 4,
             shed_app_ids: vec![AppId::new(3), AppId::new(7)],
-            starvation_watermark: 11,
-            violations_while_shedding: 2,
         };
         let back = ControllerCheckpoint::from_bytes(&ck.to_bytes()).expect("round trip");
         assert_eq!(back, ck);
@@ -286,20 +255,12 @@ mod tests {
         let ck = ControllerCheckpoint {
             at: SimTime::ZERO,
             ticks: 0,
-            resize_failures: 0,
-            suppressed_actuations: 0,
-            dropped_actuations: 0,
-            delayed_actuations: 0,
-            partial_actuations: 0,
+            control: ControlCounters::default(),
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
             arbiter: None,
-            clipped_allocations: 0,
-            shed_decisions: 0,
             shed_app_ids: Vec::new(),
-            starvation_watermark: 0,
-            violations_while_shedding: 0,
         };
         let mut bytes = ck.to_bytes();
         bytes[0] ^= 0xff;
@@ -312,20 +273,12 @@ mod tests {
         let ck = ControllerCheckpoint {
             at: SimTime::from_secs(1),
             ticks: 1,
-            resize_failures: 0,
-            suppressed_actuations: 0,
-            dropped_actuations: 0,
-            delayed_actuations: 0,
-            partial_actuations: 0,
+            control: ControlCounters::default(),
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
             arbiter: None,
-            clipped_allocations: 0,
-            shed_decisions: 0,
             shed_app_ids: Vec::new(),
-            starvation_watermark: 0,
-            violations_while_shedding: 0,
         };
         let bytes = ck.to_bytes();
         assert!(ControllerCheckpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());

@@ -35,6 +35,7 @@
 
 mod baselines;
 mod checkpoint;
+mod counters;
 mod evolve_policy;
 mod harness;
 mod manager;
@@ -44,6 +45,7 @@ mod runner;
 
 pub use baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 pub use checkpoint::ControllerCheckpoint;
+pub use counters::ControlCounters;
 pub use evolve_policy::{EvolvePolicy, EvolvePolicyConfig};
 pub use harness::{Harness, ReplicatedOutcome};
 pub use manager::{ManagerKind, ResourceManager};

@@ -20,6 +20,7 @@ use evolve_workload::{PloSpec, WorldClass};
 
 use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 use crate::checkpoint::{AppCheckpoint, ControllerCheckpoint};
+use crate::counters::ControlCounters;
 use crate::evolve_policy::{EvolvePolicy, EvolvePolicyConfig};
 use crate::policy::{
     AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput, SignalQuality,
@@ -105,50 +106,24 @@ const SHED_KEEPALIVE_FRACTION: f64 = 0.05;
 pub struct ResourceManager {
     kind: ManagerKind,
     apps: HashMap<AppId, ManagedApp>,
-    /// Failed in-place resizes (capacity contention diagnostics).
-    resize_failures: u64,
     /// Control ticks executed.
     ticks: u64,
-    /// Actuations skipped by the retry-backoff (the target had just
-    /// failed and had not changed).
-    suppressed_actuations: u64,
-    /// Control-tick lookups that referenced an application the manager no
-    /// longer tracks (desync between simulation and control plane) — each
-    /// one was skipped instead of panicking.
-    desynced_apps: u64,
-    /// Actuations swallowed by an `ActuationDrop` fault. The controller
-    /// believes they succeeded — exactly the silent-failure mode a real
-    /// API server outage produces.
-    dropped_actuations: u64,
-    /// Actuations deferred by an `ActuationDelay` fault.
-    delayed_actuations: u64,
-    /// Actuations applied to only a fraction of replicas by an
-    /// `ActuationPartial` fault.
-    partial_actuations: u64,
+    /// Everything the manager skips and counts, and its overload accounting.
+    counters: ControlCounters,
     /// Delayed actuations waiting for their release time: `(due, app,
     /// decision)`, applied at the start of the first tick at or past
     /// `due`. Push order follows the deterministic app iteration order,
     /// so the queue itself is deterministic.
     pending_actuations: Vec<(SimTime, AppId, PolicyDecision)>,
-    /// Cluster-level capacity arbiter; `None` (the default) leaves the
-    /// control path exactly as before — per-app decisions actuate
-    /// unarbitrated.
+    /// Cluster-level capacity arbiter. Without one (the default) the grant
+    /// phase of a tick is empty: every decided target actuates as the
+    /// policy asked.
     arbiter: Option<CapacityArbiter>,
     /// Outcomes of the most recent arbitration round (empty when the
     /// arbiter is off or the last tick had no decided targets).
     last_arbitration: Vec<ArbitrationOutcome>,
-    /// Actuations whose grant was clipped below the policy's request.
-    clipped_allocations: u64,
-    /// Arbitration rounds that shed an app outright (no actuation).
-    shed_decisions: u64,
     /// Distinct apps the arbiter has ever shed.
     shed_app_ids: BTreeSet<AppId>,
-    /// Highest starvation age any app reached under arbitration.
-    starvation_watermark: u32,
-    /// PLO violations recorded from windows in which the app was actively
-    /// shedding load (`shed_requests > 0`) — reported separately so a
-    /// deliberate brown-out is not mistaken for an uncontrolled one.
-    violations_while_shedding: u64,
 }
 
 impl std::fmt::Debug for ResourceManager {
@@ -227,21 +202,12 @@ impl ResourceManager {
         ResourceManager {
             kind,
             apps,
-            resize_failures: 0,
             ticks: 0,
-            suppressed_actuations: 0,
-            desynced_apps: 0,
-            dropped_actuations: 0,
-            delayed_actuations: 0,
-            partial_actuations: 0,
+            counters: ControlCounters::default(),
             pending_actuations: Vec::new(),
             arbiter: None,
             last_arbitration: Vec::new(),
-            clipped_allocations: 0,
-            shed_decisions: 0,
             shed_app_ids: BTreeSet::new(),
-            starvation_watermark: 0,
-            violations_while_shedding: 0,
         }
     }
 
@@ -265,40 +231,16 @@ impl ResourceManager {
         &self.last_arbitration
     }
 
-    /// Actuations whose grant was clipped below the policy's request.
+    /// The skip-and-count and overload counters so far.
     #[must_use]
-    pub fn clipped_allocations(&self) -> u64 {
-        self.clipped_allocations
-    }
-
-    /// Arbitration rounds that shed an app outright.
-    #[must_use]
-    pub fn shed_decisions(&self) -> u64 {
-        self.shed_decisions
+    pub fn counters(&self) -> ControlCounters {
+        self.counters
     }
 
     /// Distinct apps the arbiter has ever shed.
     #[must_use]
     pub fn shed_apps(&self) -> u64 {
         self.shed_app_ids.len() as u64
-    }
-
-    /// Highest starvation age any app reached under arbitration.
-    #[must_use]
-    pub fn starvation_watermark(&self) -> u32 {
-        self.starvation_watermark
-    }
-
-    /// PLO violations recorded while the violating app was shedding load.
-    #[must_use]
-    pub fn violations_while_shedding(&self) -> u64 {
-        self.violations_while_shedding
-    }
-
-    /// Looks up an application's control record, returning the typed
-    /// error a desynced id produces (instead of panicking).
-    fn managed_mut(apps: &mut HashMap<AppId, ManagedApp>, app: AppId) -> Result<&mut ManagedApp> {
-        apps.get_mut(&app).ok_or(Error::UnknownApp(app))
     }
 
     /// Captures the complete mutable state of the control plane (plus the
@@ -332,20 +274,12 @@ impl ResourceManager {
         ControllerCheckpoint {
             at,
             ticks: self.ticks,
-            resize_failures: self.resize_failures,
-            suppressed_actuations: self.suppressed_actuations,
-            dropped_actuations: self.dropped_actuations,
-            delayed_actuations: self.delayed_actuations,
-            partial_actuations: self.partial_actuations,
+            control: self.counters,
             pending_actuations: self.pending_actuations.clone(),
             apps,
             scheduler_backoff: backoff.clone(),
             arbiter: self.arbiter.clone(),
-            clipped_allocations: self.clipped_allocations,
-            shed_decisions: self.shed_decisions,
             shed_app_ids: self.shed_app_ids.iter().copied().collect(),
-            starvation_watermark: self.starvation_watermark,
-            violations_while_shedding: self.violations_while_shedding,
         }
     }
 
@@ -357,7 +291,7 @@ impl ResourceManager {
     /// Returns the manager together with the captured scheduler backoff.
     ///
     /// Checkpointed apps the simulation no longer knows are skipped and
-    /// counted in [`ResourceManager::desynced_apps`]; apps the simulation
+    /// counted in [`ControlCounters::desynced_apps`]; apps the simulation
     /// gained since the capture keep their fresh boot state.
     ///
     /// # Errors
@@ -371,21 +305,13 @@ impl ResourceManager {
     ) -> Result<(Self, RequeueBackoff)> {
         let mut mgr = ResourceManager::new(kind, sim);
         mgr.ticks = ck.ticks;
-        mgr.resize_failures = ck.resize_failures;
-        mgr.suppressed_actuations = ck.suppressed_actuations;
-        mgr.dropped_actuations = ck.dropped_actuations;
-        mgr.delayed_actuations = ck.delayed_actuations;
-        mgr.partial_actuations = ck.partial_actuations;
+        mgr.counters = ck.control;
         mgr.pending_actuations = ck.pending_actuations.clone();
         mgr.arbiter = ck.arbiter.clone();
-        mgr.clipped_allocations = ck.clipped_allocations;
-        mgr.shed_decisions = ck.shed_decisions;
         mgr.shed_app_ids = ck.shed_app_ids.iter().copied().collect();
-        mgr.starvation_watermark = ck.starvation_watermark;
-        mgr.violations_while_shedding = ck.violations_while_shedding;
         for (id, app_ck) in &ck.apps {
             let Some(m) = mgr.apps.get_mut(id) else {
-                mgr.desynced_apps += 1;
+                mgr.counters.desynced_apps += 1;
                 continue;
             };
             let mut dec = Decoder::new(&app_ck.policy_blob);
@@ -482,12 +408,6 @@ impl ResourceManager {
         self.kind.label()
     }
 
-    /// Cumulative failed in-place resizes.
-    #[must_use]
-    pub fn resize_failures(&self) -> u64 {
-        self.resize_failures
-    }
-
     /// The PLO tracker of one application.
     #[must_use]
     pub fn tracker(&self, app: AppId) -> Option<&PloTracker> {
@@ -498,38 +418,6 @@ impl ResourceManager {
     #[must_use]
     pub fn world(&self, app: AppId) -> Option<WorldClass> {
         self.apps.get(&app).map(|a| a.status.world)
-    }
-
-    /// Actuations skipped by the retry-with-backoff logic.
-    #[must_use]
-    pub fn suppressed_actuations(&self) -> u64 {
-        self.suppressed_actuations
-    }
-
-    /// Control-tick lookups that referenced an app the manager does not
-    /// track (skipped instead of panicking).
-    #[must_use]
-    pub fn desynced_apps(&self) -> u64 {
-        self.desynced_apps
-    }
-
-    /// Actuations silently swallowed by an `ActuationDrop` fault.
-    #[must_use]
-    pub fn dropped_actuations(&self) -> u64 {
-        self.dropped_actuations
-    }
-
-    /// Actuations deferred by an `ActuationDelay` fault.
-    #[must_use]
-    pub fn delayed_actuations(&self) -> u64 {
-        self.delayed_actuations
-    }
-
-    /// Actuations applied to only part of the fleet by an
-    /// `ActuationPartial` fault.
-    #[must_use]
-    pub fn partial_actuations(&self) -> u64 {
-        self.partial_actuations
     }
 
     /// Delayed actuations still waiting for their release time.
@@ -555,18 +443,13 @@ impl ResourceManager {
                 still_pending.push((due, app, decision));
                 continue;
             }
-            let Some(world) = self.apps.get(&app).map(|m| m.status.world) else {
-                self.desynced_apps += 1;
+            if !self.apps.contains_key(&app) {
+                self.counters.desynced_apps += 1;
                 continue;
-            };
-            let failures = match world {
-                WorldClass::Microservice => sim
-                    .set_service_target(app, decision.replicas, decision.per_replica)
-                    .unwrap_or(0),
-                WorldClass::BigData => sim.set_batch_target(app, decision.per_replica).unwrap_or(0),
-                WorldClass::Hpc => sim.set_hpc_target(app, decision.per_replica).unwrap_or(0),
-            };
-            self.resize_failures += u64::from(failures);
+            }
+            let failures =
+                sim.set_target(app, decision.replicas, decision.per_replica, 1.0).unwrap_or(0);
+            self.counters.resize_failures += u64::from(failures);
         }
         self.pending_actuations = still_pending;
     }
@@ -577,66 +460,60 @@ impl ResourceManager {
         self.ticks
     }
 
-    /// Runs one control tick: harvest every app's window, account PLO
-    /// compliance, run the policy, actuate. Returns the harvested windows
-    /// for telemetry.
-    pub fn tick(
-        &mut self,
-        sim: &mut Simulation,
-        dt_secs: f64,
-    ) -> Vec<(AppId, evolve_sim::AppWindow)> {
-        self.tick_with_faults(sim, dt_secs, None)
+    /// [`ResourceManager::tick_traced`] with no fault injector and no
+    /// trace ring.
+    pub fn tick(&mut self, sim: &mut Simulation, dt_secs: f64) -> Vec<(AppId, AppWindow)> {
+        self.tick_traced(sim, dt_secs, None, None)
     }
 
-    /// Like [`ResourceManager::tick`], but consulting a fault injector:
-    /// apps under a scrape blackout are *not* harvested (the engine keeps
-    /// accumulating; the post-blackout window covers the gap) — their
-    /// policies run on the replayed last window marked [`SignalQuality::
-    /// Stale`] (or a synthetic empty one marked `Missing`), and no PLO
-    /// window is recorded. Fresh windows pass through the injector's
-    /// noise distortion. Returns the fresh windows only.
-    pub fn tick_with_faults(
-        &mut self,
-        sim: &mut Simulation,
-        dt_secs: f64,
-        injector: Option<&mut FaultInjector>,
-    ) -> Vec<(AppId, evolve_sim::AppWindow)> {
-        self.tick_traced(sim, dt_secs, injector, None)
-    }
-
-    /// Like [`ResourceManager::tick_with_faults`], but additionally
-    /// pushing one [`ControlTrace`] per managed application into `trace`:
-    /// the signal quality, the measurement the policy saw, the actuation
-    /// outcome (applied / suppressed / held / no-decision) and — for
+    /// Runs one control tick, in three phases over `sim.apps()` order.
+    ///
+    /// **Decide**: harvest each app's window, account PLO compliance and
+    /// run its policy. An app under a scrape blackout is *not* harvested
+    /// (the engine keeps accumulating; the post-blackout window covers
+    /// the gap): its policy runs on the replayed last window marked
+    /// [`SignalQuality::Stale`] (or a synthetic empty one marked
+    /// `Missing`) and no PLO window is recorded. Fresh windows pass
+    /// through the injector's noise distortion.
+    ///
+    /// **Grant**: with an arbiter installed, the summed demand of the
+    /// decided targets is arbitrated against ready cluster capacity; a
+    /// clipped app actuates the scaled grant and sheds the load its
+    /// reduced allocation cannot carry, a shed app is squeezed to a
+    /// keep-alive footprint. Without one this phase is empty.
+    ///
+    /// **Actuate**: every decided target goes through retry backoff, the
+    /// injected actuation faults and the resize itself. One
+    /// [`ControlTrace`] per app goes into `trace`: the signal quality,
+    /// the measurement the policy saw, the actuation outcome and — for
     /// policies that implement [`AutoscalePolicy::explain`] — the full
     /// controller internals (PID terms, adaptive gains, predictor
-    /// forecast, degradation-guard state).
+    /// forecast, degradation-guard state); an arbitrated target adds its
+    /// [`ArbitrationTrace`]. Returns the fresh windows only.
     pub fn tick_traced(
         &mut self,
         sim: &mut Simulation,
         dt_secs: f64,
         mut injector: Option<&mut FaultInjector>,
         mut trace: Option<&mut TraceRing>,
-    ) -> Vec<(AppId, evolve_sim::AppWindow)> {
-        if self.arbiter.is_some() {
-            return self.tick_arbitrated(sim, dt_secs, injector, trace);
-        }
+    ) -> Vec<(AppId, AppWindow)> {
         self.ticks += 1;
         self.flush_pending_actuations(sim);
-        let mut windows = Vec::with_capacity(sim.apps().len());
+        let now = sim.now();
+        let mut planned: Vec<Planned> = Vec::with_capacity(sim.apps().len());
+        // Phase 1: scrape and decide for every app — all PID steps run
+        // before any capacity question is asked. `distort_window` is the
+        // injector's only stateful call (its noise stream), and it is made
+        // here, in app order.
         for i in 0..sim.apps().len() {
             let app = sim.apps()[i].id;
-            let now = sim.now();
             let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(app, now));
-            let managed = match Self::managed_mut(&mut self.apps, app) {
-                Ok(m) => m,
+            let Some(managed) = self.apps.get_mut(&app) else {
                 // The simulation advertises an app the manager never
                 // registered (control-plane desync). Skip it this tick
                 // rather than crashing the whole controller.
-                Err(_) => {
-                    self.desynced_apps += 1;
-                    continue;
-                }
+                self.counters.desynced_apps += 1;
+                continue;
             };
             let (window, signal, effective_dt) = if blocked {
                 managed.pending_dt += dt_secs;
@@ -649,7 +526,7 @@ impl ResourceManager {
                     // The manager tracks an app the simulation no longer
                     // serves windows for — same desync class as an unknown
                     // id: skip and count, never panic.
-                    self.desynced_apps += 1;
+                    self.counters.desynced_apps += 1;
                     continue;
                 };
                 if let Some(i) = injector.as_deref_mut() {
@@ -660,270 +537,17 @@ impl ResourceManager {
                 // PLO accounting: only fresh windows that produced a
                 // signal — blacked-out windows are simply missing.
                 if let Some(measured) = w.measured_for(&managed.status.plo) {
-                    // Deadline PLOs: stop counting after the job finished.
+                    // Deadline PLOs: stop counting after the job finished
+                    // and one final window was counted.
                     let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
                         && w.progress == Some(1.0)
-                        && {
-                            // Finished: one final window was counted.
-                            managed.tracker.windows() > 0 && w.completions == 0 && w.arrivals == 0
-                        };
-                    if !skip {
-                        managed.tracker.record_window(w.at, measured);
-                    }
-                }
-                managed.last_window = Some(w.clone());
-                (w, SignalQuality::Fresh, effective_dt)
-            };
-            let input = PolicyInput {
-                app: &managed.status,
-                window: &window,
-                dt_secs: effective_dt,
-                resize_failures: managed.last_resize_failures,
-                signal,
-            };
-            let decision = managed.policy.decide(&input);
-            let mut outcome = ActuationOutcome::NoDecision;
-            if let Some(decision) = decision {
-                // Retry with backoff: re-issuing a target that just
-                // failed (and has not materially changed) only hammers a
-                // full node. Suppress it for exponentially growing tick
-                // counts; any changed target acts immediately.
-                let repeat_of_failed = managed.failure_streak > 0
-                    && managed.last_decision.is_some_and(|d| decisions_close(&d, &decision));
-                if repeat_of_failed && self.ticks < managed.backoff_until {
-                    self.suppressed_actuations += 1;
-                    outcome = ActuationOutcome::Suppressed;
-                } else if injector.as_ref().is_some_and(|i| i.actuation_dropped(now)) {
-                    // The resize request vanished between controller and
-                    // cluster. The controller has no error to observe, so
-                    // it records the decision as landed: no failure
-                    // streak, no backoff — it will only notice via the
-                    // next window's replica counts.
-                    self.dropped_actuations += 1;
-                    managed.failure_streak = 0;
-                    managed.last_resize_failures = 0;
-                    managed.last_decision = Some(decision);
-                    outcome = ActuationOutcome::Dropped;
-                } else if let Some(lag) = injector.as_ref().and_then(|i| i.actuation_lag(now)) {
-                    // Queued behind a slow API path: the target lands at
-                    // `now + lag` verbatim, however stale it is by then.
-                    self.delayed_actuations += 1;
-                    managed.failure_streak = 0;
-                    managed.last_resize_failures = 0;
-                    managed.last_decision = Some(decision);
-                    self.pending_actuations.push((now + lag, app, decision));
-                    outcome = ActuationOutcome::Delayed;
-                } else {
-                    let fraction =
-                        injector.as_ref().and_then(|i| i.actuation_fraction(now)).unwrap_or(1.0);
-                    if fraction < 1.0 {
-                        self.partial_actuations += 1;
-                    }
-                    let failures = match managed.status.world {
-                        WorldClass::Microservice => sim
-                            .set_service_target_partial(
-                                app,
-                                decision.replicas,
-                                decision.per_replica,
-                                fraction,
-                            )
-                            .unwrap_or(0),
-                        WorldClass::BigData => sim
-                            .set_batch_target_partial(app, decision.per_replica, fraction)
-                            .unwrap_or(0),
-                        WorldClass::Hpc => sim
-                            .set_hpc_target_partial(app, decision.per_replica, fraction)
-                            .unwrap_or(0),
-                    };
-                    self.resize_failures += u64::from(failures);
-                    let managed = match Self::managed_mut(&mut self.apps, app) {
-                        Ok(m) => m,
-                        Err(_) => {
-                            self.desynced_apps += 1;
-                            continue;
-                        }
-                    };
-                    if failures > 0 {
-                        managed.failure_streak += 1;
-                        managed.backoff_until =
-                            self.ticks + (1u64 << managed.failure_streak.min(3));
-                    } else {
-                        managed.failure_streak = 0;
-                    }
-                    managed.last_resize_failures = failures;
-                    managed.last_decision = Some(decision);
-                    // A degraded-signal actuation is a hold-last-safe,
-                    // not a control decision on fresh data.
-                    outcome = if signal.is_degraded() {
-                        ActuationOutcome::Held
-                    } else {
-                        ActuationOutcome::Applied
-                    };
-                }
-            }
-            if let Some(ring) = trace.as_deref_mut() {
-                if let Ok(m) = Self::managed_mut(&mut self.apps, app) {
-                    let rate_rps = if effective_dt > 0.0 {
-                        window.arrivals as f64 / effective_dt
-                    } else {
-                        f64::NAN
-                    };
-                    ring.push(TraceEvent::Control(ControlTrace {
-                        tick: self.ticks,
-                        at: now,
-                        app,
-                        signal: signal.as_trace(),
-                        measured: window.measured_for(&m.status.plo),
-                        rate_rps,
-                        replicas: window.running_replicas,
-                        per_replica: window.alloc_per_replica,
-                        outcome,
-                        resize_failures: m.last_resize_failures,
-                        explain: m.policy.explain().map(Box::new),
-                    }));
-                }
-            }
-            if signal == SignalQuality::Fresh {
-                windows.push((app, window));
-            }
-        }
-        windows
-    }
-
-    /// Runs the actuation chain (retry backoff, injected drop/delay/partial
-    /// faults, the in-place resize itself, failure-streak bookkeeping) for
-    /// one decided target. Used by the arbitrated tick path; the unarbitrated
-    /// path keeps its original inline chain so its operation order — and with
-    /// it the golden trace fixture — is untouched. Returns `None` when the
-    /// app desynced mid-actuation (the caller skips its trace and window).
-    fn actuate_target(
-        &mut self,
-        sim: &mut Simulation,
-        injector: &mut Option<&mut FaultInjector>,
-        now: SimTime,
-        app: AppId,
-        decision: PolicyDecision,
-        signal: SignalQuality,
-    ) -> Option<ActuationOutcome> {
-        let managed = match Self::managed_mut(&mut self.apps, app) {
-            Ok(m) => m,
-            Err(_) => {
-                self.desynced_apps += 1;
-                return None;
-            }
-        };
-        let repeat_of_failed = managed.failure_streak > 0
-            && managed.last_decision.is_some_and(|d| decisions_close(&d, &decision));
-        if repeat_of_failed && self.ticks < managed.backoff_until {
-            self.suppressed_actuations += 1;
-            return Some(ActuationOutcome::Suppressed);
-        }
-        if injector.as_ref().is_some_and(|i| i.actuation_dropped(now)) {
-            self.dropped_actuations += 1;
-            managed.failure_streak = 0;
-            managed.last_resize_failures = 0;
-            managed.last_decision = Some(decision);
-            return Some(ActuationOutcome::Dropped);
-        }
-        if let Some(lag) = injector.as_ref().and_then(|i| i.actuation_lag(now)) {
-            self.delayed_actuations += 1;
-            managed.failure_streak = 0;
-            managed.last_resize_failures = 0;
-            managed.last_decision = Some(decision);
-            self.pending_actuations.push((now + lag, app, decision));
-            return Some(ActuationOutcome::Delayed);
-        }
-        let fraction = injector.as_ref().and_then(|i| i.actuation_fraction(now)).unwrap_or(1.0);
-        if fraction < 1.0 {
-            self.partial_actuations += 1;
-        }
-        let failures = match managed.status.world {
-            WorldClass::Microservice => sim
-                .set_service_target_partial(app, decision.replicas, decision.per_replica, fraction)
-                .unwrap_or(0),
-            WorldClass::BigData => {
-                sim.set_batch_target_partial(app, decision.per_replica, fraction).unwrap_or(0)
-            }
-            WorldClass::Hpc => {
-                sim.set_hpc_target_partial(app, decision.per_replica, fraction).unwrap_or(0)
-            }
-        };
-        self.resize_failures += u64::from(failures);
-        if failures > 0 {
-            managed.failure_streak += 1;
-            managed.backoff_until = self.ticks + (1u64 << managed.failure_streak.min(3));
-        } else {
-            managed.failure_streak = 0;
-        }
-        managed.last_resize_failures = failures;
-        managed.last_decision = Some(decision);
-        Some(if signal.is_degraded() { ActuationOutcome::Held } else { ActuationOutcome::Applied })
-    }
-
-    /// The arbitrated control tick: every per-app policy step runs first
-    /// (scrape, PLO accounting, PID decision), then the summed demand is
-    /// arbitrated against ready cluster capacity, and only the granted
-    /// targets actuate. Shed apps actuate nothing and have their admission
-    /// control flipped to load shedding; clipped apps actuate the scaled
-    /// grant and also shed the load their reduced allocation cannot carry.
-    fn tick_arbitrated(
-        &mut self,
-        sim: &mut Simulation,
-        dt_secs: f64,
-        mut injector: Option<&mut FaultInjector>,
-        mut trace: Option<&mut TraceRing>,
-    ) -> Vec<(AppId, evolve_sim::AppWindow)> {
-        struct Planned {
-            app: AppId,
-            class: PriorityClass,
-            window: AppWindow,
-            signal: SignalQuality,
-            effective_dt: f64,
-            now: SimTime,
-            decision: Option<PolicyDecision>,
-        }
-        self.ticks += 1;
-        self.flush_pending_actuations(sim);
-        let mut planned: Vec<Planned> = Vec::with_capacity(sim.apps().len());
-        // Phase 1: scrape and decide for every app — all PID steps run
-        // before any capacity question is asked.
-        for i in 0..sim.apps().len() {
-            let app = sim.apps()[i].id;
-            let now = sim.now();
-            let blocked = injector.as_ref().is_some_and(|i| !i.scrape_available(app, now));
-            let managed = match Self::managed_mut(&mut self.apps, app) {
-                Ok(m) => m,
-                Err(_) => {
-                    self.desynced_apps += 1;
-                    continue;
-                }
-            };
-            let (window, signal, effective_dt) = if blocked {
-                managed.pending_dt += dt_secs;
-                match managed.last_window.clone() {
-                    Some(w) => (w, SignalQuality::Stale, dt_secs),
-                    None => (empty_window(now), SignalQuality::Missing, dt_secs),
-                }
-            } else {
-                let Ok(mut w) = sim.take_window(app) else {
-                    self.desynced_apps += 1;
-                    continue;
-                };
-                if let Some(i) = injector.as_deref_mut() {
-                    i.distort_window(app, &mut w);
-                }
-                let effective_dt = dt_secs + managed.pending_dt;
-                managed.pending_dt = 0.0;
-                if let Some(measured) = w.measured_for(&managed.status.plo) {
-                    let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
-                        && w.progress == Some(1.0)
-                        && {
-                            managed.tracker.windows() > 0 && w.completions == 0 && w.arrivals == 0
-                        };
+                        && managed.tracker.windows() > 0
+                        && w.completions == 0
+                        && w.arrivals == 0;
                     if !skip {
                         let violated = managed.tracker.record_window(w.at, measured);
                         if violated && w.shed_requests > 0 {
-                            self.violations_while_shedding += 1;
+                            self.counters.violations_while_shedding += 1;
                         }
                     }
                 }
@@ -939,19 +563,119 @@ impl ResourceManager {
             };
             let decision = managed.policy.decide(&input);
             let class = managed.status.priority;
-            planned.push(Planned { app, class, window, signal, effective_dt, now, decision });
+            planned.push(Planned {
+                app,
+                class,
+                window,
+                signal,
+                effective_dt,
+                decision,
+                grant: None,
+            });
         }
         // Phase 2: one cluster-wide arbitration over the decided targets.
-        // Apps without a decision this tick keep whatever they hold, so
-        // their current allocation is subtracted from the pool as held.
-        // Each decided app's demand is its desired total clamped by the
-        // growth governor — `demand_cap_ratio ×` what it actually holds,
-        // with one replica's request as the cold-start base — so settling
-        // PID overshoot does not read as a capacity crunch.
-        let cap_ratio = self.arbiter.as_ref().map_or(1.0, |a| a.config().demand_cap_ratio).max(1.0);
+        self.arbitrate(sim, &mut planned);
+        let in_crunch = self.arbiter.as_ref().is_some_and(|a| a.state().in_crunch());
+        // Phase 3: actuate under the grants, trace, and emit fresh windows.
+        let mut windows = Vec::with_capacity(planned.len());
+        for p in planned {
+            let mut outcome = ActuationOutcome::NoDecision;
+            if let Some(decision) = p.decision {
+                let mut target = decision;
+                if let Some(grant) = p.grant {
+                    let _ = sim.set_service_shedding(p.app, grant.is_reduced());
+                    match grant.decision {
+                        GrantDecision::Full => {}
+                        // The grant is per-dimension: actuate it directly
+                        // (divided across replicas) rather than scaling the
+                        // whole desired vector by the scalar fraction.
+                        GrantDecision::Clipped(_) => {
+                            self.counters.clipped_allocations += 1;
+                            target.per_replica =
+                                grant.granted * (1.0 / f64::from(decision.replicas.max(1)));
+                        }
+                        // The app rejects offered load at admission and its
+                        // allocation is squeezed to a keep-alive footprint —
+                        // a shed grant of zero must actually free capacity,
+                        // or the granted classes fight the shed class's
+                        // stale pods for the same nodes.
+                        GrantDecision::Shed => {
+                            self.counters.shed_decisions += 1;
+                            self.shed_app_ids.insert(p.app);
+                            target.per_replica = decision.per_replica * SHED_KEEPALIVE_FRACTION;
+                        }
+                    }
+                }
+                let Some(actuated) =
+                    self.actuate_target(sim, injector.as_deref(), now, p.app, target, p.signal)
+                else {
+                    continue;
+                };
+                outcome = if p.grant.is_some_and(|g| g.is_shed()) {
+                    ActuationOutcome::Shed
+                } else {
+                    actuated
+                };
+            }
+            if let (Some(ring), Some(m)) = (trace.as_deref_mut(), self.apps.get(&p.app)) {
+                let rate_rps = if p.effective_dt > 0.0 {
+                    p.window.arrivals as f64 / p.effective_dt
+                } else {
+                    f64::NAN
+                };
+                ring.push(TraceEvent::Control(ControlTrace {
+                    tick: self.ticks,
+                    at: now,
+                    app: p.app,
+                    signal: p.signal.as_trace(),
+                    measured: p.window.measured_for(&m.status.plo),
+                    rate_rps,
+                    replicas: p.window.running_replicas,
+                    per_replica: p.window.alloc_per_replica,
+                    outcome,
+                    resize_failures: m.last_resize_failures,
+                    explain: m.policy.explain().map(Box::new),
+                }));
+                if let Some(o) = p.grant {
+                    ring.push(TraceEvent::Arbitration(ArbitrationTrace {
+                        tick: self.ticks,
+                        at: now,
+                        app: o.app,
+                        class: o.class.as_str(),
+                        requested: o.requested,
+                        granted: o.granted,
+                        decision: o.decision.as_str(),
+                        grant_fraction: o.grant_fraction,
+                        starvation_age: o.starvation_age,
+                        in_crunch,
+                    }));
+                }
+            }
+            if p.signal == SignalQuality::Fresh {
+                windows.push((p.app, p.window));
+            }
+        }
+        windows
+    }
+
+    /// The grant phase: asks the arbiter, when one is installed, to fit
+    /// the decided targets into ready capacity and notes each verdict on
+    /// its [`Planned`] entry.
+    ///
+    /// Apps without a decision this tick keep whatever they hold, so
+    /// their current allocation is subtracted from the pool as held.
+    /// Each decided app's demand is its desired total clamped by the
+    /// growth governor — `demand_cap_ratio ×` what it actually holds,
+    /// with one replica's request as the cold-start base — so settling
+    /// PID overshoot does not read as a capacity crunch.
+    fn arbitrate(&mut self, sim: &Simulation, planned: &mut [Planned]) {
+        let Some(arbiter) = self.arbiter.as_mut() else {
+            return;
+        };
+        let cap_ratio = arbiter.config().demand_cap_ratio.max(1.0);
         let mut requests: Vec<ArbiterRequest> = Vec::new();
         let mut held = ResourceVec::ZERO;
-        for p in &planned {
+        for p in planned.iter() {
             match &p.decision {
                 Some(d) => {
                     let desired = d.per_replica * f64::from(d.replicas);
@@ -968,128 +692,97 @@ impl ResourceManager {
                 None => held += p.window.alloc,
             }
         }
-        let ready = sim.cluster().total_allocatable();
-        let arbiter = self.arbiter.as_mut().expect("tick_arbitrated requires an arbiter");
-        let outcomes = arbiter.arbitrate(&requests, ready, held);
-        let in_crunch = arbiter.state().in_crunch();
-        self.starvation_watermark =
-            self.starvation_watermark.max(arbiter.state().max_starvation_age());
-        let by_app: HashMap<AppId, ArbitrationOutcome> =
-            outcomes.iter().map(|o| (o.app, *o)).collect();
-        self.last_arbitration = outcomes;
-        // Phase 3: actuate under the grants, trace, and emit fresh windows.
-        let mut windows = Vec::with_capacity(planned.len());
-        for p in planned {
-            let mut outcome = ActuationOutcome::NoDecision;
-            let mut arb_for_trace: Option<ArbitrationOutcome> = None;
-            if let Some(decision) = p.decision {
-                let arb = by_app.get(&p.app).copied();
-                arb_for_trace = arb;
-                match arb.map(|o| o.decision) {
-                    Some(GrantDecision::Shed) => {
-                        // The app rejects offered load at admission and its
-                        // allocation is squeezed to a keep-alive footprint —
-                        // a shed grant of zero must actually free capacity,
-                        // or the granted classes fight the shed class's
-                        // stale pods for the same nodes.
-                        self.shed_decisions += 1;
-                        self.shed_app_ids.insert(p.app);
-                        let _ = sim.set_service_shedding(p.app, true);
-                        let squeezed = PolicyDecision {
-                            per_replica: decision.per_replica * SHED_KEEPALIVE_FRACTION,
-                            replicas: decision.replicas,
-                        };
-                        if self
-                            .actuate_target(sim, &mut injector, p.now, p.app, squeezed, p.signal)
-                            .is_none()
-                        {
-                            continue;
-                        }
-                        outcome = ActuationOutcome::Shed;
-                    }
-                    Some(GrantDecision::Clipped(_)) => {
-                        let o = arb.expect("clipped grant has an outcome");
-                        self.clipped_allocations += 1;
-                        let _ = sim.set_service_shedding(p.app, true);
-                        // The grant is per-dimension: actuate it directly
-                        // (divided across replicas) rather than scaling the
-                        // whole desired vector by the scalar fraction.
-                        let clipped = PolicyDecision {
-                            per_replica: o.granted * (1.0 / f64::from(decision.replicas.max(1))),
-                            replicas: decision.replicas,
-                        };
-                        match self.actuate_target(
-                            sim,
-                            &mut injector,
-                            p.now,
-                            p.app,
-                            clipped,
-                            p.signal,
-                        ) {
-                            Some(out) => outcome = out,
-                            None => continue,
-                        }
-                    }
-                    _ => {
-                        // Full grant (or, defensively, a missing outcome):
-                        // actuate the policy's own target unmodified.
-                        let _ = sim.set_service_shedding(p.app, false);
-                        match self.actuate_target(
-                            sim,
-                            &mut injector,
-                            p.now,
-                            p.app,
-                            decision,
-                            p.signal,
-                        ) {
-                            Some(out) => outcome = out,
-                            None => continue,
-                        }
-                    }
-                }
-            }
-            if let Some(ring) = trace.as_deref_mut() {
-                if let Ok(m) = Self::managed_mut(&mut self.apps, p.app) {
-                    let rate_rps = if p.effective_dt > 0.0 {
-                        p.window.arrivals as f64 / p.effective_dt
-                    } else {
-                        f64::NAN
-                    };
-                    ring.push(TraceEvent::Control(ControlTrace {
-                        tick: self.ticks,
-                        at: p.now,
-                        app: p.app,
-                        signal: p.signal.as_trace(),
-                        measured: p.window.measured_for(&m.status.plo),
-                        rate_rps,
-                        replicas: p.window.running_replicas,
-                        per_replica: p.window.alloc_per_replica,
-                        outcome,
-                        resize_failures: m.last_resize_failures,
-                        explain: m.policy.explain().map(Box::new),
-                    }));
-                    if let Some(o) = arb_for_trace {
-                        ring.push(TraceEvent::Arbitration(ArbitrationTrace {
-                            tick: self.ticks,
-                            at: p.now,
-                            app: o.app,
-                            class: o.class.as_str(),
-                            requested: o.requested,
-                            granted: o.granted,
-                            decision: o.decision.as_str(),
-                            grant_fraction: o.grant_fraction,
-                            starvation_age: o.starvation_age,
-                            in_crunch,
-                        }));
-                    }
-                }
-            }
-            if p.signal == SignalQuality::Fresh {
-                windows.push((p.app, p.window));
-            }
+        let outcomes = arbiter.arbitrate(&requests, sim.cluster().total_allocatable(), held);
+        self.counters.starvation_watermark =
+            self.counters.starvation_watermark.max(arbiter.state().max_starvation_age());
+        // One outcome per request, in request order.
+        let mut verdicts = outcomes.iter();
+        for p in planned.iter_mut().filter(|p| p.decision.is_some()) {
+            p.grant = verdicts.next().copied();
         }
-        windows
+        self.last_arbitration = outcomes;
     }
+
+    /// Runs the actuation chain for one granted target: retry backoff,
+    /// injected drop / delay / partial faults, the in-place resize itself,
+    /// failure-streak bookkeeping. Returns `None` when the app desynced
+    /// (the caller skips its trace and window).
+    fn actuate_target(
+        &mut self,
+        sim: &mut Simulation,
+        injector: Option<&FaultInjector>,
+        now: SimTime,
+        app: AppId,
+        decision: PolicyDecision,
+        signal: SignalQuality,
+    ) -> Option<ActuationOutcome> {
+        let Some(managed) = self.apps.get_mut(&app) else {
+            self.counters.desynced_apps += 1;
+            return None;
+        };
+        // Retry with backoff: re-issuing a target that just failed (and
+        // has not materially changed) only hammers a full node. Suppress
+        // it for exponentially growing tick counts; any changed target
+        // acts immediately.
+        let repeat_of_failed = managed.failure_streak > 0
+            && managed.last_decision.is_some_and(|d| decisions_close(&d, &decision));
+        if repeat_of_failed && self.ticks < managed.backoff_until {
+            self.counters.suppressed_actuations += 1;
+            return Some(ActuationOutcome::Suppressed);
+        }
+        if injector.is_some_and(|i| i.actuation_dropped(now)) {
+            // The resize request vanished between controller and cluster.
+            // The controller has no error to observe, so it records the
+            // decision as landed: no failure streak, no backoff — it will
+            // only notice via the next window's replica counts.
+            self.counters.dropped_actuations += 1;
+            managed.failure_streak = 0;
+            managed.last_resize_failures = 0;
+            managed.last_decision = Some(decision);
+            return Some(ActuationOutcome::Dropped);
+        }
+        if let Some(lag) = injector.and_then(|i| i.actuation_lag(now)) {
+            // Queued behind a slow API path: the target lands at
+            // `now + lag` verbatim, however stale it is by then.
+            self.counters.delayed_actuations += 1;
+            managed.failure_streak = 0;
+            managed.last_resize_failures = 0;
+            managed.last_decision = Some(decision);
+            self.pending_actuations.push((now + lag, app, decision));
+            return Some(ActuationOutcome::Delayed);
+        }
+        let fraction = injector.and_then(|i| i.actuation_fraction(now)).unwrap_or(1.0);
+        if fraction < 1.0 {
+            self.counters.partial_actuations += 1;
+        }
+        let failures =
+            sim.set_target(app, decision.replicas, decision.per_replica, fraction).unwrap_or(0);
+        self.counters.resize_failures += u64::from(failures);
+        if failures > 0 {
+            managed.failure_streak += 1;
+            managed.backoff_until = self.ticks + (1u64 << managed.failure_streak.min(3));
+        } else {
+            managed.failure_streak = 0;
+        }
+        managed.last_resize_failures = failures;
+        managed.last_decision = Some(decision);
+        // A degraded-signal actuation is a hold-last-safe, not a control
+        // decision on fresh data.
+        Some(if signal.is_degraded() { ActuationOutcome::Held } else { ActuationOutcome::Applied })
+    }
+}
+
+/// One app's way through a tick: what the decide phase saw and chose, and
+/// the arbiter's verdict on it (`None` when no arbiter is installed or the
+/// policy made no decision).
+struct Planned {
+    app: AppId,
+    class: PriorityClass,
+    window: AppWindow,
+    signal: SignalQuality,
+    effective_dt: f64,
+    decision: Option<PolicyDecision>,
+    grant: Option<ArbitrationOutcome>,
 }
 
 /// The synthetic stand-in handed to policies when a blackout hides an app

@@ -17,6 +17,7 @@ use evolve_workload::{
     ArbiterSpec, FaultSpec, SamplingMode, Scenario, ScenarioError, ScenarioSpec, WorldClass,
 };
 
+use crate::counters::ControlCounters;
 use crate::manager::{ManagerKind, ResourceManager};
 
 /// Which scheduler profile binds pods.
@@ -110,12 +111,11 @@ pub struct RunConfig {
     /// default: the headline path pays nothing for the oracle. See
     /// DESIGN.md decision 12.
     pub oracle: bool,
-    /// Cluster-level capacity arbitration: when `Some`, every control tick
-    /// runs all per-app policy steps first, then arbitrates the summed
-    /// demand against ready capacity (priority classes, weighted-fair
-    /// clipping, shedding) before anything actuates. `None` (the default)
-    /// keeps the unarbitrated path byte-identical to previous releases.
-    /// See DESIGN.md decision 13.
+    /// Cluster-level capacity arbitration: every control tick runs all
+    /// per-app policy steps first and actuates afterwards; when `Some`,
+    /// the summed demand is arbitrated against ready capacity in between
+    /// (priority classes, weighted-fair clipping, shedding). `None` (the
+    /// default) grants every target in full. See DESIGN.md decision 13.
     pub arbiter: Option<ArbiterConfig>,
     /// Route scheduling cycles through the incremental feasibility index
     /// (`true`, the default) or the naive full node scan (`false`). Both
@@ -462,17 +462,10 @@ pub struct RunOutcome {
     pub jobs: Vec<evolve_sim::JobOutcome>,
     /// Recorded time series (empty when `record_series` was off).
     pub registry: MetricRegistry,
-    /// Failed in-place resizes (capacity contention).
-    pub resize_failures: u64,
-    /// Actuations suppressed by the manager's retry backoff.
-    pub suppressed_actuations: u64,
-    /// Actuations silently swallowed by an `ActuationDrop` fault.
-    pub dropped_actuations: u64,
-    /// Actuations deferred by an `ActuationDelay` fault.
-    pub delayed_actuations: u64,
-    /// Actuations applied to only part of the fleet by an
-    /// `ActuationPartial` fault.
-    pub partial_actuations: u64,
+    /// The manager's skip-and-count and overload counters; its
+    /// `desynced_apps` also counts apps the final summary found no PLO
+    /// ledger for.
+    pub control: ControlCounters,
     /// The chaos oracle's verdict — `Some` only when
     /// [`RunConfig::oracle`] was enabled.
     pub oracle: Option<OracleReport>,
@@ -490,9 +483,6 @@ pub struct RunOutcome {
     pub events: u64,
     /// Controller restarts performed after injected controller crashes.
     pub controller_restarts: u64,
-    /// App lookups that hit a desynced (unregistered) application and
-    /// were skipped instead of panicking.
-    pub desynced_apps: u64,
     /// Scheduler shadow-state pod lookups that found a pod missing from
     /// the cluster table and were skipped instead of panicking.
     pub stale_pod_lookups: u64,
@@ -500,23 +490,10 @@ pub struct RunOutcome {
     /// bailout cap (always zero under batched sampling, which skips dead
     /// spans instead of giving up).
     pub thinning_bailouts: u64,
-    /// Actuations whose grant the capacity arbiter clipped below the
-    /// policy's request (zero when the arbiter is off).
-    pub clipped_allocations: u64,
-    /// Arbitration rounds that shed an app outright.
-    pub shed_decisions: u64,
     /// Distinct apps the arbiter ever shed.
     pub shed_apps: u64,
     /// Total requests rejected at admission while shedding, across apps.
     pub shed_requests: u64,
-    /// PLO violations recorded while the violating app was deliberately
-    /// shedding load — reported separately from the headline violation
-    /// count so a controlled brown-out is distinguishable from an
-    /// uncontrolled one.
-    pub violations_while_shedding: u64,
-    /// Highest starvation age (consecutive arbitrations shed or below the
-    /// grant floor) any app reached.
-    pub starvation_watermark: u32,
     /// Engine-throughput accounting (the numbers BENCH.json reports).
     pub perf: RunPerf,
     /// The decision trace captured during the run (bounded ring; always
@@ -708,14 +685,9 @@ impl ExperimentRunner {
         if let Some(arb) = cfg.arbiter {
             manager.set_arbiter(arb);
         }
-        let scheduler = cfg.scheduler.build().with_index(cfg.indexed_scheduling);
+        let mut sched = Scheduling::new(cfg.scheduler.build().with_index(cfg.indexed_scheduling));
         let mut registry = MetricRegistry::new();
         let mut util = UtilizationAccount::new(sim.cluster().total_allocatable());
-        let mut preemptions = 0u64;
-        let mut bindings = 0u64;
-        let mut stale_pod_lookups = 0u64;
-        let mut filter_evals = 0u64;
-        let mut feasibility_probes = 0u64;
         // Decision trace: always on, bounded by the ring capacity. The
         // ring only *reads* controller and scheduler state, so capture
         // cannot perturb the simulated trajectory.
@@ -775,25 +747,8 @@ impl ExperimentRunner {
             std::collections::HashMap::new()
         };
 
-        // Initial scheduling pass so t=0 pods place immediately. The
-        // feasibility index lives here, beside the backoff ledger, and is
-        // carried across every cycle of the run: each pass diffs cluster
-        // version counters instead of rebuilding the shadow.
-        let mut backoff = RequeueBackoff::new();
-        let mut feas_index = FeasibilityIndex::new();
-        Self::schedule_pass(
-            &scheduler,
-            &mut backoff,
-            &mut feas_index,
-            &mut sim,
-            &mut preemptions,
-            &mut bindings,
-            &mut stale_pod_lookups,
-            &mut filter_evals,
-            &mut feasibility_probes,
-            &mut trace,
-            oracle.as_ref().map(|_| &mut newly_bound),
-        );
+        // Initial scheduling pass so t=0 pods place immediately.
+        sched.pass(&mut sim, &mut trace, oracle.as_ref().map(|_| &mut newly_bound));
         if let Some(orc) = oracle.as_mut() {
             orc.check_gang_atomicity(&sim, &newly_bound);
             orc.check_tick(&sim);
@@ -806,7 +761,7 @@ impl ExperimentRunner {
             injector.as_ref().is_some_and(|i| !i.controller_crash_schedule().is_empty());
         let capture_checkpoints = crash_armed && cfg.recovery == RecoveryStrategy::Restore;
         let mut checkpoint = if capture_checkpoints {
-            Some(manager.checkpoint(SimTime::ZERO, &backoff))
+            Some(manager.checkpoint(SimTime::ZERO, &sched.backoff))
         } else {
             None
         };
@@ -861,7 +816,7 @@ impl ExperimentRunner {
                 match (cfg.recovery, restored) {
                     (RecoveryStrategy::Restore, Some(((m, b), ck_at))) => {
                         manager = m;
-                        backoff = b;
+                        sched.backoff = b;
                         // With per-tick checkpoints the image is exactly
                         // one window old and the resumed run is
                         // bit-identical; a staler image leaves a gap the
@@ -876,7 +831,7 @@ impl ExperimentRunner {
                     // cold reconstruction rather than naive reset.
                     (RecoveryStrategy::Restore | RecoveryStrategy::ColdReconstruct, _) => {
                         manager = ResourceManager::cold_reconstruct(cfg.manager.clone(), &sim);
-                        backoff = RequeueBackoff::new();
+                        sched.backoff = RequeueBackoff::new();
                         // A checkpoint carries the arbiter; the fresh
                         // managers must have it re-installed (empty state:
                         // grant fractions re-learn from the live cluster).
@@ -886,7 +841,7 @@ impl ExperimentRunner {
                     }
                     (RecoveryStrategy::NaiveReset, _) => {
                         manager = ResourceManager::naive_reset(cfg.manager.clone(), &sim);
-                        backoff = RequeueBackoff::new();
+                        sched.backoff = RequeueBackoff::new();
                         if let Some(arb) = cfg.arbiter {
                             manager.set_arbiter(arb);
                         }
@@ -908,19 +863,7 @@ impl ExperimentRunner {
             }));
             let sched_started = std::time::Instant::now();
             newly_bound.clear();
-            Self::schedule_pass(
-                &scheduler,
-                &mut backoff,
-                &mut feas_index,
-                &mut sim,
-                &mut preemptions,
-                &mut bindings,
-                &mut stale_pod_lookups,
-                &mut filter_evals,
-                &mut feasibility_probes,
-                &mut trace,
-                oracle.as_ref().map(|_| &mut newly_bound),
-            );
+            sched.pass(&mut sim, &mut trace, oracle.as_ref().map(|_| &mut newly_bound));
             let sched_ns = u64::try_from(sched_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sched_wall_ns += sched_ns;
             trace.push(TraceEvent::Span(SpanTrace {
@@ -1024,7 +967,7 @@ impl ExperimentRunner {
             }));
             live_ticks += 1;
             if capture_checkpoints && live_ticks.is_multiple_of(checkpoint_every) {
-                let ck = manager.checkpoint(tick_end, &backoff);
+                let ck = manager.checkpoint(tick_end, &sched.backoff);
                 // Checkpoint→restore equivalence: while a crash is armed,
                 // every captured image must restore to a manager whose
                 // own re-checkpoint is byte-identical — otherwise the
@@ -1058,7 +1001,7 @@ impl ExperimentRunner {
         // Final per-app summaries need lifetime counters; accumulate from
         // the trackers plus a final window harvest.
         let mut apps = Vec::with_capacity(sim.apps().len());
-        let mut desynced_summaries = 0u64;
+        let mut control = manager.counters();
         for status in sim.apps() {
             let (completions, timeouts, oom_kills, shed_requests) =
                 totals.get(&status.id).copied().unwrap_or((0, 0, 0, 0));
@@ -1068,7 +1011,7 @@ impl ExperimentRunner {
             let (windows, violations, mean_severity) = match manager.tracker(status.id) {
                 Some(t) => (t.windows(), t.violations(), t.mean_severity()),
                 None => {
-                    desynced_summaries += 1;
+                    control.desynced_apps += 1;
                     (0, 0, 0.0)
                 }
             };
@@ -1102,8 +1045,8 @@ impl ExperimentRunner {
             fast_metric_records: registry.fast_path_records(),
             control_wall_ns,
             sched_wall_ns,
-            filter_evals,
-            feasibility_probes,
+            filter_evals: sched.filter_evals,
+            feasibility_probes: sched.feasibility_probes,
         };
 
         // Deterministic JSONL dump (wall-clock excluded): two same-seed
@@ -1123,59 +1066,80 @@ impl ExperimentRunner {
             utilization,
             jobs: sim.job_outcomes(),
             registry,
-            resize_failures: manager.resize_failures(),
-            suppressed_actuations: manager.suppressed_actuations(),
-            dropped_actuations: manager.dropped_actuations(),
-            delayed_actuations: manager.delayed_actuations(),
-            partial_actuations: manager.partial_actuations(),
+            control,
             oracle: oracle_report,
-            preemptions,
-            bindings,
+            preemptions: sched.preemptions,
+            bindings: sched.bindings,
             horizon: cfg.scenario.horizon,
             end_time: sim.now(),
             events: sim.events_processed(),
             controller_restarts,
-            desynced_apps: manager.desynced_apps() + desynced_summaries,
-            stale_pod_lookups,
+            stale_pod_lookups: sched.stale_pod_lookups,
             thinning_bailouts: sim.thinning_bailouts(),
-            clipped_allocations: manager.clipped_allocations(),
-            shed_decisions: manager.shed_decisions(),
             shed_apps: manager.shed_apps(),
             shed_requests: shed_requests_total,
-            violations_while_shedding: manager.violations_while_shedding(),
-            starvation_watermark: manager.starvation_watermark(),
             perf,
             trace,
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_pass(
-        scheduler: &SchedulerFramework,
-        backoff: &mut RequeueBackoff,
-        index: &mut FeasibilityIndex,
+/// Scheduler-side state carried across the passes of one run: the
+/// framework, the requeue-backoff ledger, the feasibility index (each
+/// pass diffs cluster version counters instead of rebuilding the shadow)
+/// and what the passes add up to.
+struct Scheduling {
+    scheduler: SchedulerFramework,
+    backoff: RequeueBackoff,
+    index: FeasibilityIndex,
+    preemptions: u64,
+    bindings: u64,
+    stale_pod_lookups: u64,
+    filter_evals: u64,
+    feasibility_probes: u64,
+}
+
+impl Scheduling {
+    fn new(scheduler: SchedulerFramework) -> Self {
+        Scheduling {
+            scheduler,
+            backoff: RequeueBackoff::new(),
+            index: FeasibilityIndex::new(),
+            preemptions: 0,
+            bindings: 0,
+            stale_pod_lookups: 0,
+            filter_evals: 0,
+            feasibility_probes: 0,
+        }
+    }
+
+    /// One scheduling pass: the cycle, then the plan applied to the
+    /// simulator (victims first, as the plan's shadow accounting
+    /// assumes). Pods that bound are appended to `bound_out`.
+    fn pass(
+        &mut self,
         sim: &mut Simulation,
-        preemptions: &mut u64,
-        bindings: &mut u64,
-        stale_pod_lookups: &mut u64,
-        filter_evals: &mut u64,
-        feasibility_probes: &mut u64,
         trace: &mut TraceRing,
         mut bound_out: Option<&mut Vec<PodId>>,
     ) {
-        let plan =
-            scheduler.schedule_cycle_carried(sim.cluster(), backoff, index, sim.now(), trace);
-        *stale_pod_lookups += plan.stale_pod_lookups;
-        *filter_evals += plan.filter_evals;
-        *feasibility_probes += plan.index_probes;
+        let plan = self.scheduler.schedule_cycle_carried(
+            sim.cluster(),
+            &mut self.backoff,
+            &mut self.index,
+            sim.now(),
+            trace,
+        );
+        self.stale_pod_lookups += plan.stale_pod_lookups;
+        self.filter_evals += plan.filter_evals;
+        self.feasibility_probes += plan.index_probes;
         for victim in &plan.preemptions {
             if sim.preempt_pod(*victim).is_ok() {
-                *preemptions += 1;
+                self.preemptions += 1;
             }
         }
         for (pod, node) in &plan.bindings {
             if sim.bind_pod(*pod, *node).is_ok() {
-                *bindings += 1;
+                self.bindings += 1;
                 if let Some(out) = bound_out.as_deref_mut() {
                     out.push(*pod);
                 }

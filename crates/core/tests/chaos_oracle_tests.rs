@@ -26,9 +26,9 @@ fn oracle_clean_on_fault_free_run() {
     let report = outcome.oracle.expect("oracle was enabled");
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert!(report.ticks_checked > 0);
-    assert_eq!(outcome.dropped_actuations, 0);
-    assert_eq!(outcome.delayed_actuations, 0);
-    assert_eq!(outcome.partial_actuations, 0);
+    assert_eq!(outcome.control.dropped_actuations, 0);
+    assert_eq!(outcome.control.delayed_actuations, 0);
+    assert_eq!(outcome.control.partial_actuations, 0);
 }
 
 #[test]
@@ -85,10 +85,10 @@ fn actuation_faults_counted_traced_and_clean() {
     let report = outcome.oracle.as_ref().expect("oracle was enabled");
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert!(
-        outcome.dropped_actuations > 0,
+        outcome.control.dropped_actuations > 0,
         "the 30 s drop window must swallow at least one actuation"
     );
-    assert!(outcome.delayed_actuations > 0);
+    assert!(outcome.control.delayed_actuations > 0);
     // Every scheduled fault appears in the decision trace.
     let fault_kinds: Vec<&str> = outcome.trace.faults().map(|f| f.kind).collect();
     assert!(fault_kinds.contains(&"actuation_drop"), "trace faults: {fault_kinds:?}");

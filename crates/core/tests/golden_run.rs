@@ -86,8 +86,8 @@ fn golden_dump(outcome: &RunOutcome) -> String {
     // count without touching any metric) and wall-clock perf numbers.
     let _ = writeln!(out, "preemptions {}", outcome.preemptions);
     let _ = writeln!(out, "bindings {}", outcome.bindings);
-    let _ = writeln!(out, "resize_failures {}", outcome.resize_failures);
-    let _ = writeln!(out, "suppressed_actuations {}", outcome.suppressed_actuations);
+    let _ = writeln!(out, "resize_failures {}", outcome.control.resize_failures);
+    let _ = writeln!(out, "suppressed_actuations {}", outcome.control.suppressed_actuations);
     for app in &outcome.apps {
         let _ = writeln!(
             out,

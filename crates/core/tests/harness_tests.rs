@@ -156,10 +156,7 @@ fn actuation_faults_identical_across_thread_counts() {
             assert_eq!(ra.total_violations(), rb.total_violations());
             assert_eq!(ra.total_windows(), rb.total_windows());
             assert_eq!(ra.events, rb.events);
-            assert_eq!(ra.dropped_actuations, rb.dropped_actuations);
-            assert_eq!(ra.delayed_actuations, rb.delayed_actuations);
-            assert_eq!(ra.partial_actuations, rb.partial_actuations);
-            assert_eq!(ra.resize_failures, rb.resize_failures);
+            assert_eq!(ra.control, rb.control);
             assert_eq!(ra.total_violation_rate().to_bits(), rb.total_violation_rate().to_bits());
         }
         assert_eq!(summary_bits(&a.violation_rate()), summary_bits(&b.violation_rate()));
@@ -167,10 +164,10 @@ fn actuation_faults_identical_across_thread_counts() {
     }
     // The faults actually bit: at least one run must have seen a dropped
     // or delayed actuation, or the plan tested nothing.
-    let touched = serial
-        .iter()
-        .flat_map(|rep| rep.runs.iter())
-        .any(|r| r.dropped_actuations > 0 || r.delayed_actuations > 0 || r.partial_actuations > 0);
+    let touched =
+        serial.iter().flat_map(|rep| rep.runs.iter()).map(|r| r.control).any(|c| {
+            c.dropped_actuations > 0 || c.delayed_actuations > 0 || c.partial_actuations > 0
+        });
     assert!(touched, "no actuation fault ever fired");
 }
 

@@ -142,6 +142,39 @@ fn restore_resumes_the_exact_trajectory() {
     );
 }
 
+/// `desynced_apps` travels in the checkpoint: a restore that had to skip
+/// an app the simulation no longer serves still says so after the next
+/// crash. (Checkpoint version 3 left the counter out, and the second
+/// restore read zero.)
+#[test]
+fn desync_count_survives_a_second_restore() {
+    let one = Scenario::single_diurnal().mix;
+    let (spec, load) = one.services()[0].clone();
+    let two = one.clone().with_service(spec, load);
+    let sim_of = |mix| {
+        Simulation::new(
+            SimulationConfig::default(),
+            ClusterConfig::uniform(6, NodeShape::default()),
+            mix,
+            7,
+        )
+    };
+    let (sim_one, sim_two) = (sim_of(&one), sim_of(&two));
+    let image = ResourceManager::new(ManagerKind::Evolve, &sim_two)
+        .checkpoint(SimTime::ZERO, &RequeueBackoff::new());
+    assert_eq!(image.app_count(), 2);
+
+    let (first, backoff) =
+        ResourceManager::restore(ManagerKind::Evolve, &sim_one, &image).expect("restore");
+    assert_eq!(first.counters().desynced_apps, 1);
+    let image = first.checkpoint(SimTime::ZERO, &backoff);
+    assert_eq!(image.app_count(), 1);
+    let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
+    let (second, _) =
+        ResourceManager::restore(ManagerKind::Evolve, &sim_one, &image).expect("restore");
+    assert_eq!(second.counters().desynced_apps, 1);
+}
+
 #[test]
 fn corrupt_checkpoint_is_rejected_not_panicking() {
     let (sim, manager) = warmed_manager(4);
@@ -168,8 +201,7 @@ fn crash_with_restore_is_bit_identical_to_uninterrupted() {
     assert_eq!(uninterrupted.controller_restarts, 0);
     assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
     assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
-    assert_eq!(crashed.resize_failures, uninterrupted.resize_failures);
-    assert_eq!(crashed.suppressed_actuations, uninterrupted.suppressed_actuations);
+    assert_eq!(crashed.control, uninterrupted.control);
     assert_eq!(crashed.preemptions, uninterrupted.preemptions);
     assert_eq!(crashed.bindings, uninterrupted.bindings);
     assert_eq!(crashed.events, uninterrupted.events);
@@ -181,7 +213,7 @@ fn cold_reconstruction_recovers_without_collapse() {
     let crash_at = 150u64;
     let outcome = run(crashed_config(360, 42, crash_at, RecoveryStrategy::ColdReconstruct));
     assert_eq!(outcome.controller_restarts, 1);
-    assert_eq!(outcome.desynced_apps, 0);
+    assert_eq!(outcome.control.desynced_apps, 0);
 
     let replicas = outcome.registry.series("app0/replicas").expect("replicas series").to_points();
     let alloc = outcome.registry.series("app0/alloc_cpu").expect("alloc series").to_points();
@@ -271,9 +303,8 @@ proptest! {
         let uninterrupted = run(saturated_config(240, seed, None));
         let crashed = run(saturated_config(240, seed, Some(crash_at)));
         prop_assert_eq!(crashed.controller_restarts, 1);
-        prop_assert!(uninterrupted.shed_decisions > 0, "overload run never entered a crunch");
-        prop_assert_eq!(crashed.shed_decisions, uninterrupted.shed_decisions);
-        prop_assert_eq!(crashed.clipped_allocations, uninterrupted.clipped_allocations);
+        prop_assert!(uninterrupted.control.shed_decisions > 0, "overload run never entered a crunch");
+        prop_assert_eq!(crashed.control, uninterrupted.control);
         prop_assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
         prop_assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
         prop_assert_eq!(crashed.events, uninterrupted.events);

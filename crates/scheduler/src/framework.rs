@@ -130,8 +130,7 @@ pub struct SchedulerFramework {
     break_gang_rollback: bool,
     /// Whether cycles prune candidates through the feasibility index
     /// (requires the leading filter to certify
-    /// [`FilterPlugin::prunes_capacity_fit`]). On by default; the
-    /// `EVOLVE_SCHED_NAIVE` environment variable (at construction) or
+    /// [`FilterPlugin::prunes_capacity_fit`]). On by default;
     /// [`with_index(false)`](Self::with_index) selects the naive scan.
     use_index: bool,
     /// Identity of this plugin set, renewed whenever a plugin is added. A
@@ -213,7 +212,7 @@ impl SchedulerFramework {
             preemption: false,
             name,
             break_gang_rollback: std::env::var_os("EVOLVE_CHAOS_GANG_NO_ROLLBACK").is_some(),
-            use_index: std::env::var_os("EVOLVE_SCHED_NAIVE").is_none(),
+            use_index: true,
             plugin_set: next_plugin_set(),
         }
     }

@@ -9,7 +9,7 @@
 //!     sim.run_until(next_control_tick);      // world evolves
 //!     let window = sim.take_window(app);     // scrape metrics
 //!     …controller decides…
-//!     sim.set_service_target(app, replicas, alloc);  // actuate
+//!     sim.set_target(app, replicas, alloc, 1.0);     // actuate
 //!     …scheduler binds pending pods via sim.bind_pod…
 //! }
 //! ```
@@ -723,26 +723,36 @@ impl Simulation {
     // Actuation API (the controller's knobs)
     // ------------------------------------------------------------------
 
-    /// Sets a service's desired replica count and per-replica allocation.
-    /// Running replicas are resized in place where node headroom allows;
-    /// pending replicas have their requests rewritten; the replica count
-    /// is reconciled (scale-out creates pending pods, scale-in drains the
-    /// newest replicas gracefully). Returns the number of in-place
-    /// resizes that failed for lack of node headroom.
+    /// Sets an application's target allocation: `per_replica` for every
+    /// replica (service), task (batch) or rank (HPC), applied in place
+    /// where node headroom allows, rewritten on pods still pending, and
+    /// used for every pod created afterwards. A service also reconciles
+    /// its replica count to `replicas` (scale-out creates pending pods,
+    /// scale-in drains the newest replicas gracefully); jobs size
+    /// themselves and ignore it. `fraction < 1.0` is a degraded rollout
+    /// (chaos `ActuationPartial`): the desired state updates fully but
+    /// only that share of the pods is reached, the rest keep their old
+    /// allocation. Returns the number of in-place resizes that failed for
+    /// lack of node headroom.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownApp`] for ids that are not services.
-    pub fn set_service_target(
+    /// Returns [`Error::UnknownApp`] for unregistered ids.
+    pub fn set_target(
         &mut self,
         app: AppId,
         replicas: u32,
         per_replica: ResourceVec,
+        fraction: f64,
     ) -> Result<u32> {
-        let Some(Owner::Service(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.service_set_target(idx, replicas, per_replica, 1.0))
+        match self.owner(app) {
+            Some(Owner::Service(idx)) => {
+                Ok(self.service_set_target(idx, replicas, per_replica, fraction))
+            }
+            Some(Owner::Batch(idx)) => Ok(self.batch_set_target(idx, per_replica, fraction)),
+            Some(Owner::Hpc(idx)) => Ok(self.hpc_set_target(idx, per_replica, fraction)),
+            None => Err(Error::UnknownApp(app)),
+        }
     }
 
     /// Switches a service's admission control into (or out of) load
@@ -771,91 +781,6 @@ impl Simulation {
     #[must_use]
     pub fn service_shedding(&self, app: AppId) -> bool {
         matches!(self.owner(app), Some(Owner::Service(idx)) if self.services[idx].shedding)
-    }
-
-    /// Like [`Simulation::set_service_target`], but the rollout reaches
-    /// only `fraction` of replicas (chaos `ActuationPartial` fault): the
-    /// desired state updates fully while untouched replicas keep their
-    /// old allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownApp`] for ids that are not services.
-    pub fn set_service_target_partial(
-        &mut self,
-        app: AppId,
-        replicas: u32,
-        per_replica: ResourceVec,
-        fraction: f64,
-    ) -> Result<u32> {
-        let Some(Owner::Service(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.service_set_target(idx, replicas, per_replica, fraction))
-    }
-
-    /// Sets a batch job's per-task allocation (applied to running tasks in
-    /// place where possible and to all future tasks). Returns failed
-    /// in-place resizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownApp`] for ids that are not batch jobs.
-    pub fn set_batch_target(&mut self, app: AppId, per_task: ResourceVec) -> Result<u32> {
-        let Some(Owner::Batch(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.batch_set_target(idx, per_task, 1.0))
-    }
-
-    /// Like [`Simulation::set_batch_target`], but the rollout reaches
-    /// only `fraction` of tasks (chaos `ActuationPartial` fault).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownApp`] for ids that are not batch jobs.
-    pub fn set_batch_target_partial(
-        &mut self,
-        app: AppId,
-        per_task: ResourceVec,
-        fraction: f64,
-    ) -> Result<u32> {
-        let Some(Owner::Batch(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.batch_set_target(idx, per_task, fraction))
-    }
-
-    /// Sets an HPC job's per-rank allocation (in-place where possible;
-    /// affects the duration of subsequent iterations). Returns failed
-    /// resizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownApp`] for ids that are not HPC jobs.
-    pub fn set_hpc_target(&mut self, app: AppId, per_rank: ResourceVec) -> Result<u32> {
-        let Some(Owner::Hpc(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.hpc_set_target(idx, per_rank, 1.0))
-    }
-
-    /// Like [`Simulation::set_hpc_target`], but the rollout reaches only
-    /// `fraction` of ranks (chaos `ActuationPartial` fault).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownApp`] for ids that are not HPC jobs.
-    pub fn set_hpc_target_partial(
-        &mut self,
-        app: AppId,
-        per_rank: ResourceVec,
-        fraction: f64,
-    ) -> Result<u32> {
-        let Some(Owner::Hpc(idx)) = self.owner(app) else {
-            return Err(Error::UnknownApp(app));
-        };
-        Ok(self.hpc_set_target(idx, per_rank, fraction))
     }
 
     /// The per-pod resource ceiling in force (largest node allocatable).

@@ -3,7 +3,7 @@
 //! services, and window accounting after churn.
 
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, Error, NodeId, PodId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{
     BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, StageSpec, WorkloadMix,
 };
@@ -61,7 +61,7 @@ fn hpc_resize_speeds_up_iterations() {
     fast.run_until(SimTime::from_secs(10));
     let app = fast.apps()[0].id;
     let failures =
-        fast.set_hpc_target(app, ResourceVec::new(8_000.0, 1_024.0, 10.0, 10.0)).unwrap();
+        fast.set_target(app, 1, ResourceVec::new(8_000.0, 1_024.0, 10.0, 10.0), 1.0).unwrap();
     assert_eq!(failures, 0);
     fast.run_until(SimTime::from_secs(5 * 60));
     let fast_makespan = fast.job_outcomes()[0].makespan_s().expect("finished");
@@ -124,7 +124,7 @@ fn batch_resize_applies_to_running_and_future_tasks() {
     let app = sim.apps()[0].id;
     // 30 s per task at 1000 mcore; quadruple → 7.5 s.
     let failures =
-        sim.set_batch_target(app, ResourceVec::new(4_000.0, 1_024.0, 10.0, 10.0)).unwrap();
+        sim.set_target(app, 1, ResourceVec::new(4_000.0, 1_024.0, 10.0, 10.0), 1.0).unwrap();
     assert_eq!(failures, 0);
     for step in 3..40u64 {
         sim.run_until(SimTime::from_secs(step * 5));
@@ -135,6 +135,49 @@ fn batch_resize_applies_to_running_and_future_tasks() {
     // Unresized: ~60 s of work in two waves; resized mid-first-wave it
     // must land well under that.
     assert!(makespan < 50.0, "makespan {makespan}");
+}
+
+/// `set_target` serves all three worlds. An id the simulation never
+/// registered is a typed error, and jobs size themselves: `replicas`
+/// means nothing to a batch job or a gang.
+#[test]
+fn set_target_rejects_unknown_apps_and_jobs_ignore_replicas() {
+    let batch = BatchJobSpec::new(
+        "b",
+        vec![StageSpec::new(4, ResourceVec::new(30_000.0, 512.0, 0.0, 0.0), 100)],
+        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
+        ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
+        2,
+    );
+    let gang = HpcJobSpec::new(
+        "solver",
+        2,
+        40,
+        ResourceVec::new(4_000.0, 512.0, 0.0, 0.0),
+        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
+        SimDuration::from_mins(10),
+    );
+    let mix =
+        WorkloadMix::new().with_batch_job(batch, SimTime::ZERO).with_hpc_job(gang, SimTime::ZERO);
+    let run = |replicas: u32| {
+        let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 11);
+        sim.run_until(SimTime::from_secs(1));
+        bind_all(&mut sim);
+        sim.run_until(SimTime::from_secs(10));
+        let target = ResourceVec::new(3_000.0, 1_024.0, 10.0, 10.0);
+        let apps: Vec<AppId> = sim.apps().iter().map(|a| a.id).collect();
+        assert_eq!(apps.len(), 2);
+        for &app in &apps {
+            assert_eq!(sim.set_target(app, replicas, target, 1.0), Ok(0));
+        }
+        let unknown = AppId::new(apps.len() as u32);
+        assert_eq!(sim.set_target(unknown, replicas, target, 1.0), Err(Error::UnknownApp(unknown)));
+        sim.run_until(SimTime::from_secs(20));
+        let windows: Vec<_> = apps.iter().map(|&app| sim.take_window(app).unwrap()).collect();
+        assert!(windows.iter().all(|w| (w.alloc_per_replica.cpu() - 3_000.0).abs() < 1.0));
+        (sim.cluster().pods().count(), windows)
+    };
+    assert_eq!(run(1), run(7));
 }
 
 #[test]
@@ -195,7 +238,7 @@ fn window_alloc_per_replica_reflects_resizes() {
     sim.run_until(SimTime::from_secs(10));
     let app = sim.apps()[0].id;
     sim.take_window(app).unwrap();
-    sim.set_service_target(app, 3, ResourceVec::new(2_500.0, 2_048.0, 20.0, 20.0)).unwrap();
+    sim.set_target(app, 3, ResourceVec::new(2_500.0, 2_048.0, 20.0, 20.0), 1.0).unwrap();
     sim.run_until(SimTime::from_secs(20));
     let w = sim.take_window(app).unwrap();
     assert!((w.alloc_per_replica.cpu() - 2_500.0).abs() < 1.0);

@@ -125,18 +125,20 @@ proptest! {
                 }
                 Action::ResizeService(k) => {
                     let cpu = 500.0 + f64::from(k) * 40.0;
-                    let _ = sim.set_service_target(
+                    let _ = sim.set_target(
                         service,
                         0, // clamped to ≥1 by the engine
                         ResourceVec::new(cpu, 1_024.0, 20.0, 20.0),
+                        1.0,
                     );
                 }
                 Action::ScaleService(k) => {
                     let replicas = u32::from(k % 6) + 1;
-                    let _ = sim.set_service_target(
+                    let _ = sim.set_target(
                         service,
                         replicas,
                         ResourceVec::new(1_500.0, 1_536.0, 20.0, 20.0),
+                        1.0,
                     );
                 }
                 Action::FailNode(n) => {

@@ -202,7 +202,7 @@ fn vertical_resize_improves_latency() {
     let before = sim.take_window(app).unwrap();
     // Double the per-replica allocation in place.
     let failures =
-        sim.set_service_target(app, 2, ResourceVec::new(4_000.0, 4_096.0, 100.0, 100.0)).unwrap();
+        sim.set_target(app, 2, ResourceVec::new(4_000.0, 4_096.0, 100.0, 100.0), 1.0).unwrap();
     assert_eq!(failures, 0);
     sim.run_until(SimTime::from_secs(40));
     let after = sim.take_window(app).unwrap();
@@ -222,7 +222,7 @@ fn horizontal_scale_out_creates_and_absorbs() {
     bind_all(&mut sim);
     let app = sim.apps()[0].id;
     sim.run_until(SimTime::from_secs(10));
-    sim.set_service_target(app, 5, ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0)).unwrap();
+    sim.set_target(app, 5, ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0), 1.0).unwrap();
     // New pods appear pending and must be bound.
     let newly_bound = bind_all(&mut sim);
     assert_eq!(newly_bound, 3);
@@ -240,7 +240,7 @@ fn graceful_scale_in_loses_no_requests() {
     let app = sim.apps()[0].id;
     sim.run_until(SimTime::from_secs(15));
     sim.take_window(app).unwrap();
-    sim.set_service_target(app, 1, ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0)).unwrap();
+    sim.set_target(app, 1, ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0), 1.0).unwrap();
     sim.run_until(SimTime::from_secs(40));
     let w = sim.take_window(app).unwrap();
     assert_eq!(w.running_replicas, 1);
@@ -474,7 +474,7 @@ fn oom_kill_and_scale_in_inside_one_window() {
     let before = sim.take_window(app).unwrap();
     assert_eq!((before.running_replicas, before.pending_replicas, before.oom_kills), (3, 0, 0));
     // Scale in to two: the newest replica is busy, so it drains first.
-    sim.set_service_target(app, 2, alloc).unwrap();
+    sim.set_target(app, 2, alloc, 1.0).unwrap();
     assert_eq!(sim.snapshot().pods_running, 3, "the scaled-in replica is still draining");
     sim.run_until(SimTime::from_millis(12_500));
     assert_eq!(sim.snapshot().pods_running, 2, "and retires once it has");

@@ -217,10 +217,11 @@ proptest! {
             if tick.is_multiple_of(3) {
                 let replicas = (tick % 4) as u32 + 1;
                 let cpu = 800.0 + (tick % 5) as f64 * 150.0;
-                let _ = sim.set_service_target(
+                let _ = sim.set_target(
                     service,
                     replicas,
                     ResourceVec::new(cpu, 1_536.0, 20.0, 20.0),
+                    1.0,
                 );
             }
             sim.cluster().check_invariants();

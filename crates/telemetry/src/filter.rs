@@ -2,13 +2,11 @@
 //!
 //! Raw scraped signals (request rate, usage, latency) are noisy; the
 //! controllers consume filtered versions. [`Ewma`] is the workhorse
-//! smoother, [`HoltLinear`] adds a trend term for one-step-ahead load
-//! prediction, and [`RateEstimator`] turns discrete events into a rate.
-
-use std::collections::VecDeque;
+//! smoother and [`HoltLinear`] adds a trend term for one-step-ahead load
+//! prediction.
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Result, SimDuration, SimTime};
+use evolve_types::Result;
 use serde::{Deserialize, Serialize};
 
 /// Exponentially-weighted moving average.
@@ -173,82 +171,6 @@ impl Codec for HoltLinear {
     }
 }
 
-/// Converts discrete events (request arrivals, completions) into a rate in
-/// events/second over a sliding time window.
-///
-/// # Examples
-///
-/// ```
-/// use evolve_telemetry::RateEstimator;
-/// use evolve_types::{SimDuration, SimTime};
-///
-/// let mut r = RateEstimator::new(SimDuration::from_secs(10));
-/// for ms in (0..10_000).step_by(100) {
-///     r.record(SimTime::from_millis(ms));
-/// }
-/// let rate = r.rate(SimTime::from_secs(10));
-/// assert!((rate - 10.0).abs() < 0.5, "rate {rate}");
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RateEstimator {
-    window: SimDuration,
-    events: VecDeque<SimTime>,
-}
-
-impl RateEstimator {
-    /// Creates an estimator over the given sliding window.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window` is zero.
-    #[must_use]
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "rate window must be positive");
-        RateEstimator { window, events: VecDeque::new() }
-    }
-
-    /// Records one event at time `at`.
-    pub fn record(&mut self, at: SimTime) {
-        self.events.push_back(at);
-        self.evict(at);
-    }
-
-    /// Records `count` events at time `at`.
-    pub fn record_many(&mut self, at: SimTime, count: usize) {
-        for _ in 0..count {
-            self.events.push_back(at);
-        }
-        self.evict(at);
-    }
-
-    /// Events/second observed in the window ending at `now`.
-    #[must_use]
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let cutoff = now - self.window;
-        let count = self.events.iter().filter(|t| **t > cutoff).count();
-        count as f64 / self.window.as_secs_f64()
-    }
-
-    /// Number of events currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        let cutoff = now - self.window;
-        while self.events.front().is_some_and(|t| *t <= cutoff) {
-            self.events.pop_front();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,37 +251,5 @@ mod tests {
         }
         assert!(f.trend().abs() < 1e-9);
         assert!((f.forecast(100.0) - 8.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rate_estimator_counts_in_window() {
-        let mut r = RateEstimator::new(SimDuration::from_secs(1));
-        for ms in [0u64, 100, 200, 900, 1500, 1600] {
-            r.record(SimTime::from_millis(ms));
-        }
-        // Window (0.6s, 1.6s]: events at 0.9, 1.5, 1.6 → 3 events/s.
-        assert_eq!(r.rate(SimTime::from_millis(1_600)), 3.0);
-    }
-
-    #[test]
-    fn rate_estimator_evicts_old_events() {
-        let mut r = RateEstimator::new(SimDuration::from_secs(1));
-        r.record(SimTime::from_secs(0));
-        r.record(SimTime::from_secs(10));
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn rate_record_many() {
-        let mut r = RateEstimator::new(SimDuration::from_secs(2));
-        r.record_many(SimTime::from_secs(1), 10);
-        assert_eq!(r.rate(SimTime::from_secs(1)), 5.0);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn rate_of_empty_estimator_is_zero() {
-        let r = RateEstimator::new(SimDuration::from_secs(5));
-        assert_eq!(r.rate(SimTime::from_secs(100)), 0.0);
     }
 }

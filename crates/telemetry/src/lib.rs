@@ -6,7 +6,7 @@
 //!
 //! * [`TimeSeries`] — bounded time-stamped sample buffers with window
 //!   queries, the storage backing every exported metric.
-//! * [`Ewma`], [`HoltLinear`], [`RateEstimator`] — the smoothing and
+//! * [`Ewma`], [`HoltLinear`] — the smoothing and
 //!   short-horizon prediction filters applied before control decisions.
 //! * [`P2Quantile`] and [`SlidingQuantile`] — online tail-latency
 //!   estimators (the P² algorithm for O(1)-memory percentiles and an exact
@@ -55,7 +55,7 @@ mod series;
 pub mod trace;
 mod util;
 
-pub use filter::{Ewma, HoltLinear, RateEstimator};
+pub use filter::{Ewma, HoltLinear};
 pub use histogram::Histogram;
 pub use plo::{PloBound, PloTracker, PloWindow};
 pub use quantile::{P2Quantile, SlidingQuantile};

@@ -54,8 +54,8 @@ pub use arrival::{
 pub use evolve_types::PriorityClass;
 pub use request::{Request, RequestClass};
 pub use sampling::{
-    sample_exponential, sample_lognormal, sample_lognormal_with, sample_pareto,
-    sample_poisson_count, sample_standard_normal, LogNormal, SamplingMode,
+    sample_exponential, sample_lognormal, sample_lognormal_with, sample_poisson_count,
+    sample_standard_normal, LogNormal, SamplingMode,
 };
 pub use scenario::{LoadSpec, Scenario, WorkloadMix};
 pub use spec::{

@@ -2,8 +2,8 @@
 //!
 //! The approved dependency set includes `rand` but not `rand_distr`, so
 //! the non-uniform distributions workloads need (exponential inter-arrival
-//! gaps, log-normal service demands, Pareto tails, Poisson window counts)
-//! are implemented here from uniform variates.
+//! gaps, log-normal service demands, Poisson window counts) are
+//! implemented here from uniform variates.
 //!
 //! Two standard-normal samplers coexist (see [`SamplingMode`]): the
 //! original Box–Muller transform (one `ln`, one `sqrt`, one `cos` per
@@ -171,31 +171,6 @@ impl LogNormal {
         };
         (self.mu + self.sigma * z).exp()
     }
-}
-
-/// Samples a Pareto variate with scale `xm` and shape `alpha` (heavy tail
-/// for `alpha` close to 1).
-///
-/// # Examples
-///
-/// ```
-/// use evolve_workload::sample_pareto;
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// let mut rng = ChaCha8Rng::seed_from_u64(1);
-/// let x = sample_pareto(&mut rng, 1.0, 2.0);
-/// assert!(x >= 1.0);
-/// ```
-///
-/// # Panics
-///
-/// Panics when `xm` or `alpha` is not positive.
-pub fn sample_pareto<R: Rng + ?Sized>(rng: &mut R, xm: f64, alpha: f64) -> f64 {
-    assert!(xm > 0.0, "pareto scale must be positive");
-    assert!(alpha > 0.0, "pareto shape must be positive");
-    let u: f64 = rng.gen();
-    xm / (1.0 - u).powf(1.0 / alpha)
 }
 
 /// Box–Muller standard normal (legacy sampler; three transcendentals per
@@ -455,23 +430,6 @@ mod tests {
                 dist.sample_with(SamplingMode::Legacy, &mut b).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(sample_pareto(&mut r, 3.0, 1.5) >= 3.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_for_shape_two() {
-        // Mean of Pareto(xm=1, α=2) is α·xm/(α-1) = 2.
-        let mut r = rng();
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| sample_pareto(&mut r, 1.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

@@ -932,19 +932,20 @@ impl<'a> Fields<'a> {
     }
 
     fn opt_priority(&mut self, key: &str) -> Result<PriorityClass, ScenarioError> {
+        let line = self.map.get(key).map_or(0, |&(line, _)| line);
         match self.opt_str(key)? {
             None => Ok(PriorityClass::default()),
             Some(s) => match s.as_str() {
                 "critical" => Ok(PriorityClass::Critical),
                 "standard" => Ok(PriorityClass::Standard),
                 "preemptible" => Ok(PriorityClass::Preemptible),
-                other => Err(ScenarioError::InvalidValue {
-                    line: 0,
-                    field: self.path(key),
-                    detail: format!(
+                other => Err(self.invalid(
+                    line,
+                    key,
+                    format!(
                         "unknown priority `{other}` (expected critical, standard or preemptible)"
                     ),
-                }),
+                )),
             },
         }
     }

@@ -111,10 +111,31 @@ fn missing_required_fields_are_typed() {
 
 #[test]
 fn invalid_values_are_typed() {
-    let toml = "name = \"x\"\ndescription = \"d\"\nhorizon_secs = -5\n";
-    match ScenarioSpec::from_toml_str(toml).unwrap_err() {
-        ScenarioError::InvalidValue { field, .. } => assert_eq!(field, "scenario.horizon_secs"),
-        other => panic!("expected InvalidValue, got {other}"),
+    // A valid one-service document with a `priority` line put in; each
+    // case is (document, offending field, its 1-based line).
+    let with_priority = |value: &str| {
+        let toml = ScenarioSpec::builtin("single_diurnal").expect("builtin").to_toml();
+        let toml =
+            toml.replacen("replicas = 2\n", &format!("replicas = 2\npriority = {value}\n"), 1);
+        let line = toml.lines().position(|l| l.starts_with("priority")).expect("inserted") + 1;
+        (toml, "service[0].priority", line)
+    };
+    let cases = [
+        (
+            "name = \"x\"\ndescription = \"d\"\nhorizon_secs = -5\n".to_string(),
+            "scenario.horizon_secs",
+            3,
+        ),
+        with_priority("\"urgent\""),
+        with_priority("3"),
+    ];
+    for (toml, want_field, want_line) in cases {
+        match ScenarioSpec::from_toml_str(&toml).unwrap_err() {
+            ScenarioError::InvalidValue { line, field, .. } => {
+                assert_eq!((field.as_str(), line), (want_field, want_line), "{toml}");
+            }
+            other => panic!("expected InvalidValue, got {other}"),
+        }
     }
 }
 
