@@ -9,7 +9,7 @@ use evolve_telemetry::trace::{SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
-use crate::index::{FeasibilityIndex, Verdict};
+use crate::index::{fold_best, FeasibilityIndex, Verdict};
 use crate::plugins::{
     BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, NodeView, PodClass,
     ScorePlugin, SpreadApp,
@@ -34,9 +34,9 @@ pub struct SchedulePlan {
     pub stale_pod_lookups: u64,
     /// Filter-plugin invocations this cycle. The naive scan pays one per
     /// (pending pod, node) pair until the first failing filter; the
-    /// indexed path pays only for non-capacity filters, and only on
-    /// candidates whose cached verdict for the pod's class went stale, so
-    /// this is the numerator of the index's win.
+    /// indexed path pays only for non-capacity filters, and only on nodes
+    /// that fit and whose cached verdict for the pod's class went stale,
+    /// so this is the numerator of the index's win.
     pub filter_evals: u64,
     /// Feasibility-index tree nodes visited this cycle (zero on the
     /// naive path). `filter_evals + index_probes` is the indexed cycle's
@@ -68,23 +68,28 @@ impl RequeueBackoff {
         RequeueBackoff::default()
     }
 
-    /// Whether this pod may be attempted in the current cycle.
-    fn eligible(&self, pod: PodId) -> bool {
-        self.state.get(&pod).is_none_or(|&(_, at)| at <= self.cycle)
+    /// `(consecutive failures, first cycle eligible to retry)` of a pod —
+    /// `(0, 0)`, eligible at once, for one with no failure on record. The
+    /// cycle reads it once per pod: a standing backlog is visited every
+    /// cycle, and the lookup is most of a deferred visit.
+    fn held(&self, pod: PodId) -> (u32, u64) {
+        self.state.get(&pod).copied().unwrap_or((0, 0))
     }
 
-    /// Records a failed placement attempt and pushes the retry out.
-    fn record_failure(&mut self, pod: PodId) {
+    /// Records a failed placement attempt, pushes the retry out and
+    /// returns the new failure count.
+    fn record_failure(&mut self, pod: PodId) -> u32 {
         let entry = self.state.entry(pod).or_insert((0, 0));
         entry.0 += 1;
         let delay = (1u64 << (entry.0 - 1).min(2)).min(4);
         entry.1 = self.cycle + delay;
+        entry.0
     }
 
     /// Consecutive failed attempts recorded for a pod.
     #[must_use]
     pub fn failures(&self, pod: PodId) -> u32 {
-        self.state.get(&pod).map_or(0, |&(n, _)| n)
+        self.held(pod).0
     }
 }
 
@@ -128,7 +133,7 @@ pub struct SchedulerFramework {
     /// back — deliberately breaking gang atomicity so the chaos oracle
     /// and fuzzer can prove they catch it. Never set in production paths.
     break_gang_rollback: bool,
-    /// Whether cycles prune candidates through the feasibility index
+    /// Whether cycles choose nodes through the feasibility index
     /// (requires the leading filter to certify
     /// [`FilterPlugin::prunes_capacity_fit`]). On by default;
     /// [`with_index(false)`](Self::with_index) selects the naive scan.
@@ -193,7 +198,7 @@ impl PlacementProbe {
 /// naive path, so the two paths read identical shadow values.
 struct Ctx<'a> {
     index: &'a mut FeasibilityIndex,
-    /// Whether this cycle prunes candidates through the index's trees.
+    /// Whether this cycle chooses nodes through the index's trees.
     /// When false, placement scans every node exactly as the historical
     /// implementation did.
     indexed: bool,
@@ -279,7 +284,7 @@ impl SchedulerFramework {
         self
     }
 
-    /// Selects between index-pruned candidate enumeration (`true`, the
+    /// Selects between the feasibility index's tree walks (`true`, the
     /// default) and the naive full node scan (`false`). Both produce
     /// identical plans — the naive path is retained as the equivalence
     /// baseline and for benchmarks quantifying the index's win.
@@ -436,11 +441,11 @@ impl SchedulerFramework {
         for (_, _, _, unit) in units {
             match unit {
                 Unit::Single(pod) => {
-                    if !backoff.eligible(pod.id) {
+                    let (fails, retry_at) = backoff.held(pod.id);
+                    if retry_at > cycle {
                         // Inside its backoff window: deferred without
                         // another attempt (and without further penalty).
                         plan.unschedulable.push(pod.id);
-                        let fails = backoff.failures(pod.id);
                         emit(
                             &mut trace,
                             cycle,
@@ -454,67 +459,46 @@ impl SchedulerFramework {
                         continue;
                     }
                     let mut probe = trace.is_some().then(|| PlacementProbe::new(&self.filters));
-                    if let Some(node) = self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
+                    let placed = match self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
                     {
-                        plan.bindings.push((pod.id, node));
-                        let score = probe.as_ref().and_then(|p| p.chosen_score);
-                        emit(
-                            &mut trace,
-                            cycle,
-                            pod,
-                            None,
-                            SchedOutcome::Bound { node, score },
-                            probe,
-                            Vec::new(),
-                            backoff.failures(pod.id),
-                        );
-                    } else if self.preemption {
-                        match self.try_preempt(cluster, &mut ctx, &claimed, pod) {
-                            Some((node, victims)) => {
-                                claimed.extend(victims.iter().copied());
-                                plan.preemptions.extend(victims.iter().copied());
-                                plan.bindings.push((pod.id, node));
-                                emit(
-                                    &mut trace,
-                                    cycle,
-                                    pod,
-                                    None,
-                                    SchedOutcome::Bound { node, score: None },
-                                    probe,
-                                    victims,
-                                    backoff.failures(pod.id),
-                                );
-                            }
-                            None => {
-                                backoff.record_failure(pod.id);
-                                plan.unschedulable.push(pod.id);
-                                let fails = backoff.failures(pod.id);
-                                emit(
-                                    &mut trace,
-                                    cycle,
-                                    pod,
-                                    None,
-                                    SchedOutcome::Unschedulable,
-                                    probe,
-                                    Vec::new(),
-                                    fails,
-                                );
-                            }
+                        Some(node) => Some((node, Vec::new())),
+                        None if self.preemption => {
+                            self.try_preempt(cluster, &mut ctx, &claimed, pod)
                         }
-                    } else {
-                        backoff.record_failure(pod.id);
-                        plan.unschedulable.push(pod.id);
-                        let fails = backoff.failures(pod.id);
-                        emit(
-                            &mut trace,
-                            cycle,
-                            pod,
-                            None,
-                            SchedOutcome::Unschedulable,
-                            probe,
-                            Vec::new(),
-                            fails,
-                        );
+                        None => None,
+                    };
+                    match placed {
+                        Some((node, victims)) => {
+                            claimed.extend(victims.iter().copied());
+                            plan.preemptions.extend(victims.iter().copied());
+                            plan.bindings.push((pod.id, node));
+                            // A preemptor's node was not scored.
+                            let score = probe.as_ref().and_then(|p| p.chosen_score);
+                            emit(
+                                &mut trace,
+                                cycle,
+                                pod,
+                                None,
+                                SchedOutcome::Bound { node, score },
+                                probe,
+                                victims,
+                                fails,
+                            );
+                        }
+                        None => {
+                            let fails = backoff.record_failure(pod.id);
+                            plan.unschedulable.push(pod.id);
+                            emit(
+                                &mut trace,
+                                cycle,
+                                pod,
+                                None,
+                                SchedOutcome::Unschedulable,
+                                probe,
+                                Vec::new(),
+                                fails,
+                            );
+                        }
                     }
                 }
                 Unit::Gang(members) => {
@@ -535,29 +519,13 @@ impl SchedulerFramework {
                             )
                         })
                     });
-                    if victimized {
-                        for pod in members {
+                    let held: Vec<(u32, u64)> =
+                        members.iter().map(|p| backoff.held(p.id)).collect();
+                    // Any backed-off rank defers the whole gang too — a
+                    // partial attempt could never bind anyway.
+                    if victimized || held.iter().any(|&(_, retry_at)| retry_at > cycle) {
+                        for (pod, (fails, _)) in members.into_iter().zip(held) {
                             plan.unschedulable.push(pod.id);
-                            let fails = backoff.failures(pod.id);
-                            emit(
-                                &mut trace,
-                                cycle,
-                                pod,
-                                job,
-                                SchedOutcome::Deferred,
-                                None,
-                                Vec::new(),
-                                fails,
-                            );
-                        }
-                        continue;
-                    }
-                    if members.iter().any(|p| !backoff.eligible(p.id)) {
-                        // Any backed-off rank defers the whole gang — a
-                        // partial attempt could never bind anyway.
-                        for pod in members {
-                            plan.unschedulable.push(pod.id);
-                            let fails = backoff.failures(pod.id);
                             emit(
                                 &mut trace,
                                 cycle,
@@ -577,16 +545,16 @@ impl SchedulerFramework {
                             // preemption victims (if any) ride on the first
                             // rank's event.
                             for (i, (pod_id, node)) in bindings.iter().enumerate() {
-                                if let Some(pod) = members.iter().find(|p| p.id == *pod_id) {
+                                if let Some(k) = members.iter().position(|p| p.id == *pod_id) {
                                     emit(
                                         &mut trace,
                                         cycle,
-                                        pod,
+                                        members[k],
                                         job,
                                         SchedOutcome::Bound { node: *node, score: None },
                                         None,
                                         if i == 0 { victims.clone() } else { Vec::new() },
-                                        backoff.failures(*pod_id),
+                                        held[k].0,
                                     );
                                 }
                             }
@@ -595,9 +563,8 @@ impl SchedulerFramework {
                         }
                         None => {
                             for pod in members {
-                                backoff.record_failure(pod.id);
+                                let fails = backoff.record_failure(pod.id);
                                 plan.unschedulable.push(pod.id);
-                                let fails = backoff.failures(pod.id);
                                 emit(
                                     &mut trace,
                                     cycle,
@@ -714,8 +681,8 @@ impl SchedulerFramework {
     /// chosen node's per-plugin scores, the feasible-node count and the
     /// per-filter rejection counts are captured for the decision trace.
     ///
-    /// In indexed mode the candidate set and the candidates' scores come
-    /// from the feasibility index; under `debug_assertions` the naive
+    /// In indexed mode the choice comes from the feasibility index's
+    /// score tree for the pod's class; under `debug_assertions` the naive
     /// full scan runs alongside and the choices are asserted identical
     /// before committing.
     fn place_one(
@@ -802,55 +769,36 @@ impl SchedulerFramework {
         best
     }
 
-    /// The indexed path: the fit tree enumerates exactly the nodes the
-    /// leading capacity filter would accept, and the index's score cache
-    /// for the pod's class supplies each candidate's verdict — the
-    /// remaining filters and the scorers run only on candidates whose
-    /// inputs changed since they last ran. The verdicts are folded in
-    /// ascending node order, as the naive scan folds fresh ones, so the
-    /// lowest-index tie-break is preserved.
+    /// The indexed path: the index's score tree for the pod's class gives
+    /// the winner and the trace's counts; this side only supplies the
+    /// evaluation — the filters after the leading capacity filter, then
+    /// the scorers — which the index runs on nodes that fit and whose
+    /// inputs changed since they last ran.
     fn choose_indexed(
         &self,
         cluster: &ClusterState,
         ctx: &mut Ctx<'_>,
         class: &PodClass,
-        mut probe: Option<&mut PlacementProbe>,
+        probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
-        ctx.index.enumerate_fit(&class.request);
-        if let Some(p) = probe.as_deref_mut() {
-            // Every pruned node fails the leading capacity filter —
-            // identical attribution to the naive first-fail scan.
-            p.filtered[0].1 += (cluster.nodes().len() - ctx.index.candidates().len()) as u32;
-        }
-        let mut best: Option<(f64, usize)> = None;
         let filter_evals = &mut ctx.filter_evals;
-        ctx.index.for_each_scored(
-            class,
-            |i, free, app_pods| {
-                let view = NodeView { node: &cluster.nodes()[i], free, app_pods };
-                for (fi, f) in self.filters.iter().enumerate().skip(1) {
-                    *filter_evals += 1;
-                    if !f.feasible(class, &view) {
-                        return Verdict::RejectedBy(fi);
-                    }
+        let choice = ctx.index.choose(class, |i, free, app_pods| {
+            let view = NodeView { node: &cluster.nodes()[i], free, app_pods };
+            for (fi, f) in self.filters.iter().enumerate().skip(1) {
+                *filter_evals += 1;
+                if !f.feasible(class, &view) {
+                    return Verdict::RejectedBy(fi);
                 }
-                Verdict::Score(self.score(class, &view, None))
-            },
-            |i, verdict| match verdict {
-                Verdict::Score(score) => {
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.feasible += 1;
-                    }
-                    fold_best(&mut best, score, i);
-                }
-                Verdict::RejectedBy(fi) => {
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.filtered[fi].1 += 1;
-                    }
-                }
-            },
-        );
-        best
+            }
+            Verdict::Score(self.score(class, &view, None))
+        });
+        if let Some(p) = probe {
+            p.feasible += choice.feasible;
+            for (filter, rejected) in p.filtered.iter_mut().zip(choice.rejected) {
+                filter.1 += rejected;
+            }
+        }
+        choice.best
     }
 
     /// Weighted mean of the score plugins for one feasible node. Shared
@@ -1030,16 +978,6 @@ impl SchedulerFramework {
         }
         ctx.index.add_stale(stale);
         best
-    }
-}
-
-/// Folds one feasible node into the running best. Nodes must arrive in
-/// ascending index order: the tolerance makes a later node win only when
-/// it is better by more than float noise, which is the deterministic
-/// lowest-index tie-break.
-fn fold_best(best: &mut Option<(f64, usize)>, score: f64, i: usize) {
-    if best.is_none_or(|(b, _)| score > b + 1e-12) {
-        *best = Some((score, i));
     }
 }
 

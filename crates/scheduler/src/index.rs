@@ -1,38 +1,30 @@
-//! Incremental feasibility index: the scheduler's shadow state,
-//! O(log N) candidate enumeration, and per-class score caches.
+//! Incremental feasibility index: the scheduler's shadow state, per-class
+//! score trees that answer "which node wins" in O(log N), and O(log N)
+//! preemption-candidate enumeration.
 //!
 //! The naive scheduling cycle rescans *and rescores* every node per
 //! pending pod — O(P·N) filter and score evaluations per cycle, quadratic
 //! in cluster scale. This module keeps the per-cycle shadow (free
-//! vectors, per-(node, app) pod counts), a small set of score caches (see
-//! below) *and* two flat segment trees over dense node ids whose
-//! internal nodes carry both the element-wise **maximum** (prune
-//! subtrees where nothing fits) and the element-wise **minimum** of
-//! their leaf keys (emit whole subtrees where *everything* fits without
-//! descending — the common case on an emptyish cluster):
+//! vectors, per-(node, app) pod counts), a small set of per-class score
+//! trees (see below) and the **preempt tree**: a flat segment tree over
+//! dense node ids keyed by `free + Σ bound requests` (every pod the node
+//! could conceivably evict) plus a small margin, whose internal nodes
+//! carry the element-wise **maximum** (prune subtrees where nothing
+//! fits) and **minimum** (emit whole subtrees where everything fits) of
+//! their leaf keys. It prunes preemption to nodes that could free enough
+//! capacity at all; a per-node, per-priority bound-resource census then
+//! rejects nodes whose strictly-lower-priority mass is insufficient
+//! before any pod is inspected.
 //!
-//! * the **fit tree**, keyed by each ready node's exact shadow-free
-//!   vector, answers "which nodes can host `request` right now" by
-//!   descending only subtrees whose max-free still fits the request and
-//!   whose min-free does not already admit every leaf — O(log N) per
-//!   probe when the answer is "none" or "all", O(k·log(N/k)) for k
-//!   scattered matches, leaves emitted in ascending node order;
-//! * the **preempt tree**, keyed by `free + Σ bound requests` (every
-//!   pod the node could conceivably evict) plus a small margin, prunes
-//!   preemption to nodes that could free enough capacity at all. A
-//!   per-node, per-priority bound-resource census then rejects nodes
-//!   whose strictly-lower-priority mass is insufficient before any pod
-//!   is inspected.
-//!
-//! **Exactness contract.** Fit-tree leaves hold the *exact* shadow free
-//! vector, so enumeration is equivalent to evaluating the capacity-fit
-//! filter on every node — same feasible set, same ascending order,
-//! preserving the deterministic lowest-index tie-break bit-for-bit. The
-//! preempt tree and census are *supersets* (the margin absorbs the
-//! float drift of incremental adds/subtracts), so they only prune nodes
-//! the exact per-node victim scan would reject anyway; the scan itself
-//! is shared verbatim with the naive path. The framework cross-checks
-//! both claims against the naive scan under `debug_assertions`.
+//! **Exactness contract.** The index evaluates the leading capacity
+//! filter itself, on the *exact* shadow free vector and exactly as
+//! `NodeFits` states it, so a class's table holds what evaluating every
+//! filter and scorer on every node would yield. The preempt tree and
+//! census are *supersets* (the margin absorbs the float drift of
+//! incremental adds/subtracts), so they only prune nodes the exact
+//! per-node victim scan would reject anyway; the scan itself is shared
+//! verbatim with the naive path. The framework cross-checks both claims
+//! against the naive scan under `debug_assertions`.
 //!
 //! The index carries across scheduler cycles: [`FeasibilityIndex::sync`]
 //! diffs [`ClusterState`] version counters and refreshes only nodes that
@@ -40,22 +32,27 @@
 //! plus nodes tainted by the previous cycle's own tentative placements,
 //! instead of rebuilding the shadow from scratch each cycle.
 //!
-//! **Score caches.** A node's verdict for a pod — the first non-capacity
-//! filter that rejects it, or its weighted score — is a pure function of
-//! the node, its shadow free vector, the pod's [`PodClass`] and the
-//! class's app count on the node (the plugin purity contract), and one
-//! placement changes those inputs on exactly one node. Every shadow
-//! mutation funnels through `write_leaves`, which appends the node to a
-//! change log. Each of up to [`SCORE_CLASSES`] caches remembers the log
-//! position it is current to; on use it marks the nodes logged since
-//! then stale (all of them when the cache is new, the log was truncated
-//! past it, or ≥ N entries are pending) and
-//! [`for_each_scored`](FeasibilityIndex::for_each_scored) re-evaluates
-//! only the stale nodes among the current candidates. The caller folds
-//! the cached verdicts in the same ascending candidate order as a fresh
-//! evaluation would, so the choice and its tie-break are bit-identical.
-
-use std::collections::HashMap;
+//! **Score trees.** A node's verdict for a pod — the first filter that
+//! rejects it, or its weighted score — is a pure function of the node,
+//! its shadow free vector, the pod's [`PodClass`] and the class's app
+//! count on the node (the plugin purity contract), and one placement
+//! changes those inputs on exactly one node. Every shadow mutation
+//! funnels through `write_leaves`, which appends the node to a change
+//! log. Each of up to [`SCORE_CLASSES`] caches holds every node's verdict
+//! under a max tree of the scores and remembers the log position it is
+//! current to; on use it re-evaluates the nodes logged since then, each
+//! once (all of them when the cache is new, the log was truncated past
+//! it, or ≥ N entries are pending), and repairs their root paths.
+//!
+//! **The record walk.** The naive scan folds the feasible nodes in
+//! ascending order with `score > best + 1e-12`. That fold changes `best`
+//! only at its *records*: the first feasible node, then each time the
+//! leftmost later node whose score exceeds the current record's by more
+//! than the tolerance. "Leftmost leaf at or after `from` with key above
+//! `t`" is one descent of the max tree, so
+//! [`choose`](FeasibilityIndex::choose) follows the chain of records with
+//! the fold's own float comparison and ends where the fold ends — same
+//! node, same tie-break, bit for bit.
 
 use evolve_sim::{ClusterState, PodSpec};
 use evolve_types::ResourceVec;
@@ -80,13 +77,48 @@ const SCORE_CLASSES: usize = 8;
 /// A node's cached evaluation for one pod class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Verdict {
-    /// Passed every non-capacity filter; the weighted mean score.
+    /// Passed every filter; the weighted mean score.
     Score(f64),
-    /// Index of the first non-capacity filter that rejected the node.
+    /// Index of the first filter that rejected the node.
     RejectedBy(usize),
 }
 
-/// Verdicts of every node for one pod class, current to `seen`.
+/// The leading capacity filter's rejection — the node is unready or the
+/// request does not fit its shadow free vector. The index hands this
+/// verdict out itself; the caller's `evaluate` runs only on nodes that fit.
+const NO_FIT: Verdict = Verdict::RejectedBy(0);
+
+/// The score a later node must exceed to displace a best of `best`: a
+/// later node wins only when it is better by more than float noise,
+/// which is the deterministic lowest-index tie-break. The one place the
+/// tolerance is written.
+fn bar(best: f64) -> f64 {
+    best + 1e-12
+}
+
+/// Folds one feasible node into the running best. Nodes must arrive in
+/// ascending index order.
+pub(crate) fn fold_best(best: &mut Option<(f64, usize)>, score: f64, i: usize) {
+    if best.is_none_or(|(b, _)| score > bar(b)) {
+        *best = Some((score, i));
+    }
+}
+
+/// What [`FeasibilityIndex::choose`] found for one pod class.
+#[derive(Debug)]
+pub(crate) struct Choice<'a> {
+    /// The winning `(score, node)`: what folding every feasible node in
+    /// ascending order with [`fold_best`] yields.
+    pub(crate) best: Option<(f64, usize)>,
+    /// Nodes that passed every filter.
+    pub(crate) feasible: u32,
+    /// Nodes each filter rejected, by filter index (filters past the end
+    /// rejected none).
+    pub(crate) rejected: &'a [u32],
+}
+
+/// Verdicts of every node for one pod class, current to `seen`, under a
+/// max tree of the scores.
 #[derive(Debug, Default)]
 struct ClassCache {
     /// [`class_key`] of the class: everything a plugin may read of the
@@ -96,9 +128,164 @@ struct ClassCache {
     seen: u64,
     /// Value of the index's use counter at the last lookup (LRU).
     used: u64,
-    /// Per node; `None` marks an entry whose inputs changed since it was
-    /// evaluated (or that never was).
-    verdicts: Vec<Option<Verdict>>,
+    /// Per node.
+    verdicts: Vec<Verdict>,
+    /// Flat max tree, 1-based heap layout in `[1, 2·cap)`: leaf `cap + i`
+    /// is node `i`'s score, `-inf` where the verdict is a rejection and
+    /// for padding, so such a leaf is never above any threshold.
+    tree: Vec<f64>,
+    /// Nodes whose verdict is `RejectedBy(fi)`, by `fi`; the rest scored.
+    rejected: Vec<u32>,
+}
+
+impl ClassCache {
+    /// The tally of nodes rejected by filter `fi`.
+    fn rejections(&mut self, fi: usize) -> &mut u32 {
+        if self.rejected.len() <= fi {
+            self.rejected.resize(fi + 1, 0);
+        }
+        &mut self.rejected[fi]
+    }
+
+    /// Evaluates every node afresh in one ascending pass, folding as it
+    /// goes, and returns the fold's answer. The tree is left unbuilt: a
+    /// class asked about once (more classes in rotation than caches)
+    /// costs one pass, like the scan it replaces.
+    fn refill(
+        &mut self,
+        n: usize,
+        mut verdict_of: impl FnMut(usize) -> Verdict,
+    ) -> Option<(f64, usize)> {
+        self.verdicts.clear();
+        self.rejected.clear();
+        self.tree.clear();
+        let mut best = None;
+        for i in 0..n {
+            let verdict = verdict_of(i);
+            self.verdicts.push(verdict);
+            match verdict {
+                Verdict::Score(score) => fold_best(&mut best, score, i),
+                Verdict::RejectedBy(fi) => *self.rejections(fi) += 1,
+            }
+        }
+        best
+    }
+
+    /// Builds the tree over a refilled table, bottom-up, the first time
+    /// the class is asked about again.
+    fn build(&mut self, cap: usize) {
+        self.tree.resize(2 * cap, f64::NEG_INFINITY);
+        for (leaf, verdict) in self.tree[cap..].iter_mut().zip(&self.verdicts) {
+            if let Verdict::Score(score) = *verdict {
+                *leaf = leaf_key(score);
+            }
+        }
+        for s in (1..cap).rev() {
+            self.tree[s] = self.tree[2 * s].max(self.tree[2 * s + 1]);
+        }
+    }
+
+    /// Replaces node `i`'s verdict: tallies, leaf and root path.
+    fn set(&mut self, cap: usize, i: usize, verdict: Verdict) {
+        if let Verdict::RejectedBy(fi) = std::mem::replace(&mut self.verdicts[i], verdict) {
+            self.rejected[fi] -= 1;
+        }
+        let mut s = cap + i;
+        self.tree[s] = match verdict {
+            Verdict::Score(score) => leaf_key(score),
+            Verdict::RejectedBy(fi) => {
+                *self.rejections(fi) += 1;
+                f64::NEG_INFINITY
+            }
+        };
+        while s > 1 {
+            s >>= 1;
+            self.tree[s] = self.tree[2 * s].max(self.tree[2 * s + 1]);
+        }
+    }
+
+    /// The fold's answer, found by following its records: each step asks
+    /// the tree for the leftmost later leaf above the current record's
+    /// bar. A chain longer than the tree is high (scores climbing with
+    /// the node index) is finished as the plain fold over the remaining
+    /// leaves, which bounds a query at O(log² N + N) tree reads.
+    fn walk(&self, n: usize, cap: usize, probes: &mut u64) -> Option<(f64, usize)> {
+        let (mut best, mut from, mut t) = (None, 0, f64::NEG_INFINITY);
+        let mut records = 0;
+        while let Some(i) = first_above(&self.tree, cap, from, t, probes) {
+            let score = self.tree[cap + i];
+            best = Some((score, i));
+            t = bar(score);
+            from = i + 1;
+            records += 1;
+            if records > cap.trailing_zeros() {
+                *probes += (n - from) as u64;
+                for j in from..n {
+                    fold_best(&mut best, self.tree[cap + j], j);
+                }
+                break;
+            }
+        }
+        best
+    }
+}
+
+/// A score as a tree key. Scorers return values in `[0, 1]`; a NaN is the
+/// one key the walk and the fold would treat differently (the fold keeps
+/// a leading NaN, no threshold is below it), so it is ruled out here.
+fn leaf_key(score: f64) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&score), "score {score} outside [0, 1]");
+    score
+}
+
+/// Leftmost leaf at or after `from` whose key exceeds `t`, adding the
+/// tree nodes it reads to `probes`. The root is read first, so "nothing
+/// fits" and "nothing beats the record" cost one probe instead of a
+/// climb to the root.
+fn first_above(tree: &[f64], cap: usize, from: usize, t: f64, probes: &mut u64) -> Option<usize> {
+    *probes += 1;
+    if from >= cap || tree[1] <= t {
+        return None;
+    }
+    // Climb from the leaf, skipping rightwards over every subtree whose
+    // maximum stays at or below `t`.
+    let mut s = cap + from;
+    loop {
+        *probes += 1;
+        if tree[s] > t {
+            break;
+        }
+        // A right child ends where its parent ends: step up past it.
+        while s & 1 == 1 {
+            s >>= 1;
+        }
+        if s == 0 {
+            return None;
+        }
+        s += 1;
+    }
+    // Descend to the leftmost leaf above `t`; when the left half has
+    // none, the right half holds the subtree's maximum.
+    while s < cap {
+        *probes += 1;
+        s = if tree[2 * s] > t { 2 * s } else { 2 * s + 1 };
+    }
+    Some(s - cap)
+}
+
+/// Pods of `app` in one node's sorted `(app, pods)` list.
+fn app_count(apps: &[(u32, u32)], app: u32) -> usize {
+    apps.iter().find(|entry| entry.0 == app).map_or(0, |entry| entry.1 as usize)
+}
+
+/// The count of `app` in one node's sorted `(app, pods)` list, entered at
+/// zero if the app is new to the node.
+fn app_slot(apps: &mut Vec<(u32, u32)>, app: u32) -> &mut u32 {
+    let k = apps.binary_search_by_key(&app, |entry| entry.0).unwrap_or_else(|k| {
+        apps.insert(k, (app, 0));
+        k
+    });
+    &mut apps[k].1
 }
 
 /// App id and request bits: equal keys give bit-equal plugin inputs.
@@ -113,26 +300,24 @@ fn class_key(class: &PodClass) -> (u32, [u64; 4]) {
 #[derive(Debug, Default)]
 pub struct FeasibilityIndex {
     n: usize,
-    /// Leaf capacity of both trees (`n.next_power_of_two()`).
+    /// Leaf capacity of every tree (`n.next_power_of_two()`).
     cap: usize,
     /// Shadow free capacity per node (cluster truth ± this cycle's
     /// tentative placements and claims).
     free: Vec<ResourceVec>,
     ready: Vec<bool>,
-    /// Per-node app → tentative pod count (spread scoring input).
-    app_pods: Vec<HashMap<u32, usize>>,
+    /// Per-node `(app, tentative pod count)`, sorted by app (spread
+    /// scoring input). A node holds a dozen pods, so a scan of this list
+    /// beats hashing the key.
+    app_pods: Vec<Vec<(u32, u32)>>,
     /// Per-node bound-resource census, sorted by priority ascending.
     census: Vec<Vec<(i32, ResourceVec)>>,
     /// Sum over all census entries per node (preempt-tree key input).
     census_total: Vec<ResourceVec>,
-    /// Fit tree maxima, 1-based heap layout in `[1, 2·cap)`; leaves at
-    /// `cap+i`.
-    fit_keys: Vec<ResourceVec>,
-    /// Fit tree minima, same layout (whole-subtree emission).
-    fit_floor: Vec<ResourceVec>,
-    /// Preempt tree maxima, same layout.
+    /// Preempt tree maxima, 1-based heap layout in `[1, 2·cap)`; leaves
+    /// at `cap+i`.
     preempt_keys: Vec<ResourceVec>,
-    /// Preempt tree minima, same layout.
+    /// Preempt tree minima, same layout (whole-subtree emission).
     preempt_floor: Vec<ResourceVec>,
     node_versions_seen: Vec<u64>,
     global_version_seen: u64,
@@ -151,6 +336,9 @@ pub struct FeasibilityIndex {
     /// replayed, so the log is cut back to that whenever it doubles.
     changes: Vec<u32>,
     changes_base: u64,
+    /// Scratch for a replay: the log holds a node once per mutation, a
+    /// replay evaluates it once. All false between replays.
+    replayed: Vec<bool>,
     caches: Vec<ClassCache>,
     /// Lookup counter stamping [`ClassCache::used`].
     cache_uses: u64,
@@ -213,15 +401,14 @@ impl FeasibilityIndex {
         self.cap = n.next_power_of_two().max(1);
         self.free = vec![ResourceVec::ZERO; n];
         self.ready = vec![false; n];
-        self.app_pods = vec![HashMap::new(); n];
+        self.app_pods = vec![Vec::new(); n];
         self.census = vec![Vec::new(); n];
         self.census_total = vec![ResourceVec::ZERO; n];
-        self.fit_keys = vec![NEG; 2 * self.cap];
-        self.fit_floor = vec![NEG; 2 * self.cap];
         self.preempt_keys = vec![NEG; 2 * self.cap];
         self.preempt_floor = vec![NEG; 2 * self.cap];
         self.node_versions_seen = vec![0; n];
         self.taint_flag = vec![false; n];
+        self.replayed = vec![false; n];
         self.tainted.clear();
         for i in 0..n {
             self.refresh_node(cluster, i);
@@ -251,7 +438,7 @@ impl FeasibilityIndex {
                 continue;
             };
             debug_assert!(pod.phase.holds_resources());
-            *apps.entry(pod.app().raw()).or_insert(0) += 1;
+            *app_slot(apps, pod.app().raw()) += 1;
             let prio = pod.spec.priority;
             match census.binary_search_by_key(&prio, |(p, _)| *p) {
                 Ok(k) => census[k].1 += pod.spec.request,
@@ -263,17 +450,15 @@ impl FeasibilityIndex {
         self.write_leaves(i);
     }
 
-    /// Recomputes both tree leaves (and their root paths) for node `i`
+    /// Recomputes the preempt-tree leaf (and its root path) for node `i`
     /// and logs the node as changed. Every mutation of a node's shadow
     /// ends here, which is what makes the change log complete.
     fn write_leaves(&mut self, i: usize) {
-        let (fit, preempt) = if self.ready[i] {
-            let headroom = self.free[i] + self.census_total[i] + ResourceVec::splat(PRUNE_MARGIN);
-            (self.free[i], headroom)
+        let preempt = if self.ready[i] {
+            self.free[i] + self.census_total[i] + ResourceVec::splat(PRUNE_MARGIN)
         } else {
-            (NEG, NEG)
+            NEG
         };
-        set_leaf(&mut self.fit_keys, &mut self.fit_floor, self.cap, i, fit);
         set_leaf(&mut self.preempt_keys, &mut self.preempt_floor, self.cap, i, preempt);
         self.changes.push(i as u32);
         if self.changes.len() >= 2 * self.n {
@@ -297,13 +482,13 @@ impl FeasibilityIndex {
 
     /// Tentative pod count of `app` on node `i`.
     pub(crate) fn app_count(&self, i: usize, app: u32) -> usize {
-        self.app_pods[i].get(&app).copied().unwrap_or(0)
+        app_count(&self.app_pods[i], app)
     }
 
     /// Commits a tentative placement into the shadow.
     pub(crate) fn place(&mut self, i: usize, spec: &PodSpec) {
         self.free[i] -= spec.request;
-        *self.app_pods[i].entry(spec.kind.app().raw()).or_insert(0) += 1;
+        *app_slot(&mut self.app_pods[i], spec.kind.app().raw()) += 1;
         self.write_leaves(i);
         self.taint(i);
     }
@@ -311,9 +496,8 @@ impl FeasibilityIndex {
     /// Rolls a tentative placement back out of the shadow.
     pub(crate) fn release(&mut self, i: usize, spec: &PodSpec) {
         self.free[i] += spec.request;
-        if let Some(c) = self.app_pods[i].get_mut(&spec.kind.app().raw()) {
-            *c = c.saturating_sub(1);
-        }
+        let count = app_slot(&mut self.app_pods[i], spec.kind.app().raw());
+        *count = count.saturating_sub(1);
         self.write_leaves(i);
         self.taint(i);
     }
@@ -322,9 +506,8 @@ impl FeasibilityIndex {
     /// the shadow and leaves the bound census.
     pub(crate) fn claim_victim(&mut self, i: usize, app: u32, priority: i32, req: &ResourceVec) {
         self.free[i] += *req;
-        if let Some(c) = self.app_pods[i].get_mut(&app) {
-            *c = c.saturating_sub(1);
-        }
+        let count = app_slot(&mut self.app_pods[i], app);
+        *count = count.saturating_sub(1);
         if let Ok(k) = self.census[i].binary_search_by_key(&priority, |(p, _)| *p) {
             self.census[i][k].1 -= *req;
         }
@@ -336,7 +519,7 @@ impl FeasibilityIndex {
     /// Reverses [`claim_victim`](Self::claim_victim) (gang rollback).
     pub(crate) fn unclaim_victim(&mut self, i: usize, app: u32, priority: i32, req: &ResourceVec) {
         self.free[i] -= *req;
-        *self.app_pods[i].entry(app).or_insert(0) += 1;
+        *app_slot(&mut self.app_pods[i], app) += 1;
         match self.census[i].binary_search_by_key(&priority, |(p, _)| *p) {
             Ok(k) => self.census[i][k].1 += *req,
             Err(k) => self.census[i].insert(k, (priority, *req)),
@@ -344,20 +527,6 @@ impl FeasibilityIndex {
         self.census_total[i] += *req;
         self.write_leaves(i);
         self.taint(i);
-    }
-
-    /// Fills [`candidates`](Self::candidates) with every node whose
-    /// shadow free capacity fits `request` (ready nodes only), ascending.
-    pub(crate) fn enumerate_fit(&mut self, request: &ResourceVec) {
-        self.probes += enumerate(
-            &self.fit_keys,
-            &self.fit_floor,
-            self.cap,
-            self.n,
-            request,
-            &mut self.stack,
-            &mut self.candidates,
-        );
     }
 
     /// Fills [`candidates`](Self::candidates) with a superset of the
@@ -375,79 +544,79 @@ impl FeasibilityIndex {
         );
     }
 
-    /// The node list produced by the last `enumerate_*` call.
+    /// The node list produced by the last
+    /// [`enumerate_preempt`](Self::enumerate_preempt).
     pub(crate) fn candidates(&self) -> &[usize] {
         &self.candidates
     }
 
-    /// Visits every candidate of the last
-    /// [`enumerate_fit`](Self::enumerate_fit), ascending, with its
-    /// verdict for `class`. Verdicts come from the class's cache;
-    /// `evaluate(node, shadow free, app pods on node)` runs only for
-    /// candidates whose inputs changed since they were last evaluated.
-    pub(crate) fn for_each_scored(
+    /// The node the naive scan would pick for `class`, with the counts a
+    /// decision trace reports. Verdicts come from the class's cache;
+    /// `evaluate(node, shadow free, app pods on node)` — the filters past
+    /// the leading capacity filter, then the scorers — runs only for
+    /// nodes that fit and whose inputs changed since they were last
+    /// evaluated.
+    pub(crate) fn choose(
         &mut self,
         class: &PodClass,
         mut evaluate: impl FnMut(usize, ResourceVec, usize) -> Verdict,
-        mut visit: impl FnMut(usize, Verdict),
-    ) {
-        if self.candidates.is_empty() {
-            return;
-        }
-        let slot = self.current_cache(class);
-        let app = class.app.raw();
-        let verdicts = &mut self.caches[slot].verdicts;
-        for &i in &self.candidates {
-            let verdict = match verdicts[i] {
-                Some(v) => v,
-                None => {
-                    let count = self.app_pods[i].get(&app).copied().unwrap_or(0);
-                    let v = evaluate(i, self.free[i], count);
-                    verdicts[i] = Some(v);
-                    v
-                }
-            };
-            visit(i, verdict);
-        }
-    }
-
-    /// Finds (or creates, evicting the least recently used) the cache
-    /// for `class` and marks stale every node logged since it was last
-    /// brought up to date. Returns its slot.
-    fn current_cache(&mut self, class: &PodClass) -> usize {
-        let key = class_key(class);
-        let slot = match self.caches.iter().position(|c| c.key == key) {
-            Some(slot) => slot,
-            None => {
-                let slot = if self.caches.len() < SCORE_CLASSES {
-                    self.caches.push(ClassCache::default());
-                    self.caches.len() - 1
-                } else {
-                    let lru = self.caches.iter().enumerate().min_by_key(|(_, c)| c.used);
-                    lru.expect("SCORE_CLASSES > 0").0
-                };
-                self.caches[slot].key = key;
-                // An empty verdict table is stale as a whole.
-                self.caches[slot].verdicts.clear();
-                slot
-            }
-        };
+    ) -> Choice<'_> {
+        let slot = self.cache_slot(class);
         let clock = self.changes_base + self.changes.len() as u64;
         self.cache_uses += 1;
+        let (n, cap, app) = (self.n, self.cap, class.app.raw());
+        let FeasibilityIndex { free, ready, app_pods, replayed, .. } = self;
         let cache = &mut self.caches[slot];
         cache.used = self.cache_uses;
+        let mut verdict_of = |i: usize| {
+            if ready[i] && class.request.fits_within(&free[i]) {
+                evaluate(i, free[i], app_count(&app_pods[i], app))
+            } else {
+                NO_FIT
+            }
+        };
         // Truncation keeps the newest `n` log entries, so a cache fewer
         // than `n` behind finds every change it missed; one further
         // behind has next to nothing left worth keeping.
-        if cache.verdicts.len() != self.n || clock - cache.seen >= self.n as u64 {
-            cache.verdicts.clear();
-            cache.verdicts.resize(self.n, None);
+        let best = if cache.verdicts.len() != n || clock - cache.seen >= n as u64 {
+            cache.refill(n, verdict_of)
         } else {
-            for &i in &self.changes[(cache.seen - self.changes_base) as usize..] {
-                cache.verdicts[i as usize] = None;
+            if cache.tree.is_empty() {
+                cache.build(cap);
             }
-        }
+            let missed = &self.changes[(cache.seen - self.changes_base) as usize..];
+            for &i in missed {
+                if !std::mem::replace(&mut replayed[i as usize], true) {
+                    cache.set(cap, i as usize, verdict_of(i as usize));
+                }
+            }
+            for &i in missed {
+                replayed[i as usize] = false;
+            }
+            cache.walk(n, cap, &mut self.probes)
+        };
         cache.seen = clock;
+        let unfeasible: u32 = cache.rejected.iter().sum();
+        Choice { best, feasible: n as u32 - unfeasible, rejected: &cache.rejected }
+    }
+
+    /// Finds (or creates, evicting the least recently used) the cache
+    /// for `class`. Returns its slot.
+    fn cache_slot(&mut self, class: &PodClass) -> usize {
+        let key = class_key(class);
+        if let Some(slot) = self.caches.iter().position(|c| c.key == key) {
+            return slot;
+        }
+        let slot = if self.caches.len() < SCORE_CLASSES {
+            self.caches.push(ClassCache::default());
+            self.caches.len() - 1
+        } else {
+            let lru = self.caches.iter().enumerate().min_by_key(|(_, c)| c.used);
+            lru.expect("SCORE_CLASSES > 0").0
+        };
+        self.caches[slot].key = key;
+        // An empty verdict table is refilled as a whole.
+        self.caches[slot].verdicts.clear();
         slot
     }
 
@@ -481,7 +650,8 @@ impl FeasibilityIndex {
         self.stale_lookups
     }
 
-    /// Tree-node visits across both trees since the last sync.
+    /// Tree-node visits — preempt tree and score trees — since the last
+    /// sync.
     pub(crate) fn probes(&self) -> u64 {
         self.probes
     }
@@ -594,9 +764,101 @@ mod tests {
         id
     }
 
-    /// Enumeration must equal the linear scan: same nodes, same order.
-    fn naive_fit(idx: &FeasibilityIndex, request: &ResourceVec) -> Vec<usize> {
-        (0..idx.len()).filter(|&i| idx.ready[i] && request.fits_within(&idx.free(i))).collect()
+    /// A stand-in for the framework's filter + score pass: pure in its
+    /// arguments, distinct per node, rejecting nodes that hold ≥ 2 pods
+    /// of the class's app.
+    fn evaluate(i: usize, free: ResourceVec, app_pods: usize) -> Verdict {
+        if app_pods >= 2 {
+            Verdict::RejectedBy(1)
+        } else {
+            Verdict::Score((free.total() + 1e4 * app_pods as f64 + i as f64) / 1e5)
+        }
+    }
+
+    fn class(app: u32, request: f64) -> PodClass {
+        PodClass { app: AppId::new(app), request: ResourceVec::splat(request) }
+    }
+
+    /// What the sequential scan makes of a verdict table: the fold's
+    /// winner, the feasible count and the per-filter rejection tallies.
+    fn scan(verdicts: &[Verdict]) -> (Option<(f64, usize)>, u32, Vec<u32>) {
+        let (mut best, mut feasible, mut rejected) = (None, 0, Vec::new());
+        for (i, verdict) in verdicts.iter().enumerate() {
+            match *verdict {
+                Verdict::Score(score) => {
+                    feasible += 1;
+                    fold_best(&mut best, score, i);
+                }
+                Verdict::RejectedBy(fi) => {
+                    if rejected.len() <= fi {
+                        rejected.resize(fi + 1, 0);
+                    }
+                    rejected[fi] += 1;
+                }
+            }
+        }
+        (best, feasible, rejected)
+    }
+
+    /// Asserts a cache is exactly what evaluating `expected` from scratch
+    /// gives: table, tallies and — once built — leaves and every internal
+    /// maximum.
+    fn assert_cache_holds(cache: &ClassCache, cap: usize, expected: &[Verdict]) {
+        assert_eq!(cache.verdicts, expected);
+        let mut tallies = scan(expected).2;
+        tallies.resize(tallies.len().max(cache.rejected.len()), 0);
+        let mut held = cache.rejected.clone();
+        held.resize(tallies.len(), 0);
+        assert_eq!(held, tallies);
+        if cache.tree.is_empty() {
+            return; // refilled, not asked about again yet
+        }
+        for i in 0..cap {
+            let key = match expected.get(i) {
+                Some(Verdict::Score(score)) => *score,
+                _ => f64::NEG_INFINITY,
+            };
+            assert_eq!(cache.tree[cap + i], key, "leaf {i}");
+        }
+        for s in 1..cap {
+            assert_eq!(cache.tree[s], cache.tree[2 * s].max(cache.tree[2 * s + 1]), "node {s}");
+        }
+    }
+
+    /// Every node's verdict for `class`, by the linear scan.
+    fn naive_verdicts(idx: &FeasibilityIndex, class: &PodClass) -> Vec<Verdict> {
+        (0..idx.len())
+            .map(|i| {
+                if idx.ready[i] && class.request.fits_within(&idx.free(i)) {
+                    evaluate(i, idx.free(i), idx.app_count(i, class.app.raw()))
+                } else {
+                    NO_FIT
+                }
+            })
+            .collect()
+    }
+
+    /// Runs the cached choice for `class`, asserts winner, counts and the
+    /// cache's whole state against the linear scan, and returns how many
+    /// nodes it had to re-evaluate.
+    fn check_cached_pass(idx: &mut FeasibilityIndex, class: &PodClass) -> usize {
+        let expected = naive_verdicts(idx, class);
+        let (best, feasible, rejected) = scan(&expected);
+        let mut evaluated = 0;
+        let choice = idx.choose(class, |i, free, app_pods| {
+            evaluated += 1;
+            evaluate(i, free, app_pods)
+        });
+        assert_eq!(choice.best, best);
+        assert_eq!(choice.feasible, feasible);
+        for fi in 0..rejected.len().max(choice.rejected.len()) {
+            let held = choice.rejected.get(fi).copied().unwrap_or(0);
+            assert_eq!(held, rejected.get(fi).copied().unwrap_or(0), "filter {fi}");
+        }
+        let key = class_key(class);
+        let cache = idx.caches.iter().find(|c| c.key == key).expect("class was just used");
+        assert_cache_holds(cache, idx.cap, &expected);
+        evaluated
     }
 
     #[test]
@@ -608,10 +870,20 @@ mod tests {
         c.set_node_ready(NodeId::new(5), false).unwrap();
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
+        // Cold, then warm after a placement: the class table's `NO_FIT`
+        // set is the linear scan's, for every request.
         for req in [0.0, 100.0, 400.0, 900.0, 950.0, 2000.0] {
-            let request = ResourceVec::splat(req);
-            idx.enumerate_fit(&request);
-            assert_eq!(idx.candidates(), naive_fit(&idx, &request), "request {req}");
+            let class = class(7, req);
+            for _ in 0..2 {
+                check_cached_pass(&mut idx, &class);
+                let fits: Vec<usize> = (0..13)
+                    .filter(|&i| idx.ready[i] && class.request.fits_within(&idx.free(i)))
+                    .collect();
+                let table = &idx.caches.iter().find(|c| c.key == class_key(&class)).unwrap().verdicts;
+                let held: Vec<usize> = (0..13).filter(|&i| table[i] != NO_FIT).collect();
+                assert_eq!(held, fits, "request {req}");
+                idx.place(9, &spec(7, 10.0, 50));
+            }
         }
         assert!(idx.probes() > 0);
     }
@@ -643,22 +915,29 @@ mod tests {
         assert_eq!(carried.census, fresh.census);
         assert_eq!(carried.census_total, fresh.census_total);
         assert_eq!(carried.app_pods, fresh.app_pods);
-        assert_eq!(carried.fit_keys, fresh.fit_keys);
-        assert_eq!(carried.fit_floor, fresh.fit_floor);
         assert_eq!(carried.preempt_keys, fresh.preempt_keys);
         assert_eq!(carried.preempt_floor, fresh.preempt_floor);
     }
 
     #[test]
     fn all_feasible_cluster_enumerates_in_constant_probes() {
-        // 64 identical empty nodes: the root's min already fits, so the
-        // whole leaf range is emitted from a single probe.
+        // 64 identical empty nodes, every score tied: the first record is
+        // leaf 0 (the root, then the leaf) and one more read of the root
+        // shows that nothing beats it.
         let c = cluster(64);
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
-        idx.enumerate_fit(&ResourceVec::splat(100.0));
-        assert_eq!(idx.candidates(), (0..64).collect::<Vec<_>>());
-        assert_eq!(idx.probes(), 1);
+        let tied = |_, _, _| Verdict::Score(0.5);
+        assert_eq!(idx.choose(&class(0, 100.0), tied).best, Some((0.5, 0)));
+        assert_eq!(idx.probes(), 0, "a cold class folds while it fills");
+        let choice = idx.choose(&class(0, 100.0), tied);
+        assert_eq!((choice.best, choice.feasible), (Some((0.5, 0)), 64));
+        assert_eq!(idx.probes(), 3);
+        // A cluster where nothing fits is answered by the root alone.
+        assert_eq!(idx.choose(&class(0, 2000.0), tied).best, None);
+        let choice = idx.choose(&class(0, 2000.0), tied);
+        assert_eq!((choice.best, choice.feasible, choice.rejected), (None, 0, &[64][..]));
+        assert_eq!(idx.probes(), 4);
     }
 
     #[test]
@@ -694,45 +973,6 @@ mod tests {
         assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
     }
 
-    /// A stand-in for the framework's filter + score pass: pure in its
-    /// arguments, distinct per node, rejecting nodes that hold ≥ 2 pods
-    /// of the class's app.
-    fn evaluate(i: usize, free: ResourceVec, app_pods: usize) -> Verdict {
-        if app_pods >= 2 {
-            Verdict::RejectedBy(1)
-        } else {
-            Verdict::Score(free.total() + 1e4 * app_pods as f64 + i as f64)
-        }
-    }
-
-    fn class(app: u32, request: f64) -> PodClass {
-        PodClass { app: AppId::new(app), request: ResourceVec::splat(request) }
-    }
-
-    /// Runs the cached pass for `class`, asserts it visits exactly what
-    /// evaluating every candidate from scratch yields, and returns how
-    /// many candidates it had to re-evaluate.
-    fn check_cached_pass(idx: &mut FeasibilityIndex, class: &PodClass) -> usize {
-        idx.enumerate_fit(&class.request);
-        let expected: Vec<(usize, Verdict)> = idx
-            .candidates()
-            .iter()
-            .map(|&i| (i, evaluate(i, idx.free(i), idx.app_count(i, class.app.raw()))))
-            .collect();
-        let mut evaluated = 0;
-        let mut visited = Vec::new();
-        idx.for_each_scored(
-            class,
-            |i, free, app_pods| {
-                evaluated += 1;
-                evaluate(i, free, app_pods)
-            },
-            |i, v| visited.push((i, v)),
-        );
-        assert_eq!(visited, expected);
-        evaluated
-    }
-
     #[test]
     fn log_replay_matches_full_evaluation() {
         let mut c = cluster(16);
@@ -742,7 +982,7 @@ mod tests {
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
         let a = class(0, 50.0);
-        assert_eq!(check_cached_pass(&mut idx, &a), 16, "cold cache evaluates every candidate");
+        assert_eq!(check_cached_pass(&mut idx, &a), 16, "cold cache evaluates every node that fits");
         assert_eq!(check_cached_pass(&mut idx, &a), 0, "nothing changed");
         // Every shadow mutation, some hitting the same node twice.
         let pod = spec(0, 50.0, 50);
@@ -754,13 +994,13 @@ mod tests {
         idx.claim_victim(8, 0, 10, &req);
         idx.claim_victim(10, 0, 10, &req);
         idx.unclaim_victim(10, 0, 10, &req);
-        assert_eq!(check_cached_pass(&mut idx, &a), 4, "nodes 3, 5, 8, 10");
+        assert_eq!(check_cached_pass(&mut idx, &a), 4, "nodes 3, 5, 8, 10, once each");
         // Cluster-side changes arrive through sync, together with the
         // refresh of the four tainted nodes.
         bind(&mut c, 0, 70.0, 10, 12);
         c.set_node_ready(NodeId::new(14), false).unwrap();
         idx.sync(&c, 1);
-        assert_eq!(check_cached_pass(&mut idx, &a), 5, "3, 5, 8, 10, 12; 14 is no candidate");
+        assert_eq!(check_cached_pass(&mut idx, &a), 5, "3, 5, 8, 10, 12; 14 does not fit");
         c.set_node_ready(NodeId::new(14), true).unwrap();
         idx.sync(&c, 1);
         assert_eq!(check_cached_pass(&mut idx, &a), 1, "node 14 came back empty");
@@ -775,7 +1015,7 @@ mod tests {
         let (a, b) = (class(0, 50.0), class(1, 50.0));
         assert_eq!(check_cached_pass(&mut idx, &a), 4);
         assert_eq!(check_cached_pass(&mut idx, &b), 4);
-        // 3 changes < n: replayed. Both touch node 1 only.
+        // 3 changes < n: replayed. All touch node 1 only.
         let pod = spec(0, 50.0, 50);
         for _ in 0..3 {
             idx.place(1, &pod);
@@ -837,10 +1077,24 @@ mod tests {
         c.set_node_ready(NodeId::new(0), false).unwrap();
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
-        idx.enumerate_fit(&ResourceVec::ZERO);
-        assert_eq!(idx.candidates(), &[1, 2]);
+        // Node 0 would win every tie; unready, it is never the winner —
+        // not cold, not warm, and not while it is logged as changed.
+        let tied = |_, _, _| Verdict::Score(0.5);
+        let zero = PodClass { app: AppId::new(0), request: ResourceVec::ZERO };
+        for _ in 0..3 {
+            let choice = idx.choose(&zero, tied);
+            assert_eq!((choice.best, choice.feasible, choice.rejected), (Some((0.5, 1)), 2, &[1][..]));
+            idx.write_leaves(0);
+        }
         idx.enumerate_preempt(&ResourceVec::ZERO);
         assert_eq!(idx.candidates(), &[1, 2]);
+        // Back up, it wins from the same cache; down again, it is gone.
+        c.set_node_ready(NodeId::new(0), true).unwrap();
+        idx.sync(&c, 1);
+        assert_eq!(idx.choose(&zero, tied).best, Some((0.5, 0)));
+        c.set_node_ready(NodeId::new(0), false).unwrap();
+        idx.sync(&c, 1);
+        assert_eq!(idx.choose(&zero, tied).best, Some((0.5, 1)));
     }
 
     #[test]
@@ -848,9 +1102,109 @@ mod tests {
         let c = cluster(1);
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
-        idx.enumerate_fit(&ResourceVec::splat(900.0));
-        assert_eq!(idx.candidates(), &[0]);
-        idx.enumerate_fit(&ResourceVec::splat(951.0));
-        assert!(idx.candidates().is_empty());
+        for _ in 0..2 {
+            assert_eq!(check_cached_pass(&mut idx, &class(0, 900.0)), 1);
+            idx.write_leaves(0);
+        }
+        assert!(matches!(idx.choose(&class(0, 900.0), evaluate).best, Some((_, 0))));
+        for _ in 0..2 {
+            assert_eq!(check_cached_pass(&mut idx, &class(0, 951.0)), 0);
+            assert_eq!(idx.choose(&class(0, 951.0), evaluate).best, None);
+        }
+    }
+
+    /// A small deterministic generator for the walk's leaf arrays.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) as usize) % n
+        }
+    }
+
+    /// Leaf-array shapes the walk must fold like `fold_best` does. `k`
+    /// selects the shape; rejected leaves stand for unready nodes, nodes
+    /// that do not fit and filtered ones.
+    fn leaf_array(shape: usize, n: usize, rng: &mut Lcg) -> Vec<Verdict> {
+        let only = rng.below(n);
+        (0..n)
+            .map(|i| {
+                let score = match shape {
+                    // Anything goes.
+                    0 => rng.below(1 << 20) as f64 / f64::from(1 << 20),
+                    // Runs of exact ties over three levels.
+                    1 => [0.25, 0.5, 0.75][rng.below(24) / 8 % 3],
+                    // Near-ties 4e-13 apart: two steps stay inside the
+                    // tolerance, three are just outside it.
+                    2 => 0.5 + rng.below(8) as f64 * 4e-13,
+                    // An ascending ladder: every node is a record.
+                    3 => (i + 1) as f64 / (n + 1) as f64,
+                    // A descending one: only the first is.
+                    4 => (n - i) as f64 / (n + 1) as f64,
+                    // One feasible leaf.
+                    5 if i == only => 0.5,
+                    // All `-inf`.
+                    _ => return Verdict::RejectedBy(rng.below(2)),
+                };
+                if shape < 5 && rng.below(4) == 0 {
+                    Verdict::RejectedBy(rng.below(2))
+                } else {
+                    Verdict::Score(score)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_walk_returns_what_the_sequential_fold_returns() {
+        let mut rng = Lcg(19);
+        for n in [1usize, 2, 13, 64, 1_000] {
+            let cap = n.next_power_of_two();
+            for shape in 0..7 {
+                let mut verdicts = leaf_array(shape, n, &mut rng);
+                let mut cache = ClassCache::default();
+                let filled = cache.refill(n, |i| verdicts[i]);
+                assert_eq!(filled, scan(&verdicts).0, "refill, n {n} shape {shape}");
+                cache.build(cap);
+                assert_cache_holds(&cache, cap, &verdicts);
+                // Then rewrite leaves one at a time, drawing from every
+                // shape, and walk after each.
+                for step in 0..n.min(64) {
+                    let mut probes = 0;
+                    let walked = cache.walk(n, cap, &mut probes);
+                    assert_eq!(walked, scan(&verdicts).0, "n {n} shape {shape} step {step}");
+                    let i = rng.below(n);
+                    verdicts[i] = leaf_array(rng.below(7), n, &mut rng)[i];
+                    cache.set(cap, i, verdicts[i]);
+                }
+                assert_cache_holds(&cache, cap, &verdicts);
+            }
+        }
+    }
+
+    #[test]
+    fn a_score_ladder_is_walked_within_the_bound() {
+        // Scores rising with the node index make every node a record:
+        // followed to the end, 1 000 descents of ≈ 20 reads each. The
+        // walk gives up on the tree once the chain is longer than the
+        // tree is high and reads the remaining leaves once.
+        let (n, cap) = (1_000usize, 1_024usize);
+        let height = u64::from(cap.trailing_zeros());
+        let ladder: Vec<Verdict> = (0..n).map(|i| Verdict::Score(i as f64 / n as f64)).collect();
+        let mut cache = ClassCache::default();
+        cache.refill(n, |i| ladder[i]);
+        cache.build(cap);
+        let mut probes = 0;
+        assert_eq!(cache.walk(n, cap, &mut probes), Some((0.999, 999)));
+        assert!(probes <= (height + 1) * (2 * height + 2) + n as u64, "{probes} probes");
+        // A ladder no longer than the height never leaves the tree.
+        let short: Vec<Verdict> =
+            (0..n).map(|i| Verdict::Score((i * 10 / n) as f64 / 10.0)).collect();
+        cache.refill(n, |i| short[i]);
+        cache.build(cap);
+        let mut probes = 0;
+        assert_eq!(cache.walk(n, cap, &mut probes), Some((0.9, 900)));
+        assert!(probes <= 11 * (2 * height + 2), "{probes} probes");
     }
 }

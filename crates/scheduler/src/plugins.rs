@@ -59,7 +59,7 @@ pub trait FilterPlugin: Send + Sync {
     fn feasible(&self, pod: &PodClass, view: &NodeView<'_>) -> bool;
     /// `true` when this filter is *exactly* "the node is ready and the
     /// request fits within shadow free capacity" — the predicate the
-    /// feasibility index's fit tree answers. The framework only routes a
+    /// feasibility index evaluates itself. The framework only routes a
     /// cycle through the index when its leading filter certifies this;
     /// any other filter must keep the default `false`.
     fn prunes_capacity_fit(&self) -> bool {

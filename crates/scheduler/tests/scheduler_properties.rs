@@ -261,7 +261,8 @@ proptest! {
     /// index's score caches (the properties above give every pod its own
     /// request, so every pod is its own class). Across carried cycles
     /// with resizes, terminations, readiness flips, retargeted pending
-    /// pods and only partially applied plans, the cached path must emit
+    /// pods, only partially applied plans and node loads so close that
+    /// the tolerance decides, the cached path must emit
     /// the same plans *and* the same decision traces — chosen score,
     /// per-plugin contributions, feasible and per-filter counts — as the
     /// naive scan from scratch.
@@ -276,6 +277,27 @@ proptest! {
         let naive_fw = SchedulerFramework::evolve_default().with_index(false);
         let mut index = FeasibilityIndex::new();
         let (mut indexed_backoff, mut naive_backoff) = (RequeueBackoff::new(), RequeueBackoff::new());
+        // Near-ties, so that the fold's tolerance and not the scores picks
+        // the node. Every node binds three pods in its own order and loses
+        // the two large ones again, which leaves `allocated` sums that
+        // differ in their last bits (scores an ulp or two apart); and the
+        // pod that stays is a hair smaller on each later node, so a later
+        // node scores ≈ 1e-14 *higher* — inside the tolerance, where
+        // only the lowest index may win.
+        for node in 0..nodes {
+            let ballast = [1_100.1 - 4e-9 * node as f64, 6_733.7, 4_411.3].map(|cpu| {
+                let request = ResourceVec::new(cpu, cpu * 1.7, cpu / 70.0, cpu / 30.0);
+                let spec = PodSpec::new(PodKind::ServiceReplica { app: AppId::new(9) }, request, 15);
+                cluster.create_pod(spec, SimTime::ZERO)
+            });
+            for k in 0..3 {
+                let pod = ballast[(k + node) % 3];
+                cluster.bind_pod(pod, NodeId::new(node as u32)).expect("an empty node holds all three");
+            }
+            for pod in &ballast[1..] {
+                cluster.terminate_pod(*pod, PodPhase::Succeeded).expect("bound pods terminate");
+            }
+        }
         for (cycle, (wave, mutations)) in cycles.iter().enumerate() {
             let at = SimTime::from_micros(cycle as u64 * 1_000);
             for (kind, sel) in mutations {
