@@ -10,7 +10,11 @@
 //!   sorted-window percentile read.
 //! * `registry/*` — per-record name interning vs. the pre-interned
 //!   [`MetricRegistry::record_key`] fast path.
-//! * `scheduler/*` — one full `schedule_cycle` on a mid-size cluster.
+//! * `scheduler/*` — one full `schedule_cycle` in its two shapes: 64 pods
+//!   of 20 apps in rotation on 200 nodes, where every pod finds its class
+//!   cold (one evaluation pass over the nodes per pod), and the fill of an
+//!   empty 1 000-node `cluster_scale`, ≈ 12 000 pods in per-app runs, where
+//!   every pod after its class's first is a record walk on a warm tree.
 //! * `engine/*` — the engine's two per-replica passes through its public
 //!   API, on a bound 100-node `cluster_scale` with 120 replicas per
 //!   service: a control tick's harvest (`take_window` of every app) and
@@ -218,6 +222,18 @@ fn bench_scheduler(c: &mut Criterion) {
     let evolve = SchedulerFramework::evolve_default();
     group.bench_function("schedule_cycle_200n_64p", |b| {
         b.iter(|| black_box(evolve.schedule_cycle(&cluster)))
+    });
+    // The cycle the repo benchmark's `scheduler.fill_us_per_pod` times:
+    // run the world to t = 30 s without scheduling, so the 40 services'
+    // replicas and all four batch jobs' tasks are pending, then plan
+    // them all. ≈ 6 ms an iteration, hence the two samples.
+    let mix = Scenario::cluster_scale(1_000, 40, SimDuration::from_mins(10)).mix;
+    let nodes = ClusterConfig::uniform(1_000, NodeShape::default());
+    let mut unscheduled = Simulation::new(SimulationConfig::default(), nodes, &mix, 42);
+    unscheduled.run_until(SimTime::from_secs(30));
+    group.sample_size(2);
+    group.bench_function("fill_cycle_1000n", |b| {
+        b.iter(|| black_box(evolve.schedule_cycle(unscheduled.cluster())))
     });
     group.finish();
 }

@@ -132,7 +132,8 @@ struct ClassCache {
     verdicts: Vec<Verdict>,
     /// Flat max tree, 1-based heap layout in `[1, 2·cap)`: leaf `cap + i`
     /// is node `i`'s score, `-inf` where the verdict is a rejection and
-    /// for padding, so such a leaf is never above any threshold.
+    /// for padding, so such a leaf is never above any threshold. Empty
+    /// from a refill until the class is next asked about.
     tree: Vec<f64>,
     /// Nodes whose verdict is `RejectedBy(fi)`, by `fi`; the rest scored.
     rejected: Vec<u32>,
@@ -562,15 +563,14 @@ impl FeasibilityIndex {
         mut evaluate: impl FnMut(usize, ResourceVec, usize) -> Verdict,
     ) -> Choice<'_> {
         let slot = self.cache_slot(class);
-        let clock = self.changes_base + self.changes.len() as u64;
         self.cache_uses += 1;
         let (n, cap, app) = (self.n, self.cap, class.app.raw());
-        let FeasibilityIndex { free, ready, app_pods, replayed, .. } = self;
+        let clock = self.changes_base + self.changes.len() as u64;
         let cache = &mut self.caches[slot];
         cache.used = self.cache_uses;
         let mut verdict_of = |i: usize| {
-            if ready[i] && class.request.fits_within(&free[i]) {
-                evaluate(i, free[i], app_count(&app_pods[i], app))
+            if self.ready[i] && class.request.fits_within(&self.free[i]) {
+                evaluate(i, self.free[i], app_count(&self.app_pods[i], app))
             } else {
                 NO_FIT
             }
@@ -586,12 +586,12 @@ impl FeasibilityIndex {
             }
             let missed = &self.changes[(cache.seen - self.changes_base) as usize..];
             for &i in missed {
-                if !std::mem::replace(&mut replayed[i as usize], true) {
+                if !std::mem::replace(&mut self.replayed[i as usize], true) {
                     cache.set(cap, i as usize, verdict_of(i as usize));
                 }
             }
             for &i in missed {
-                replayed[i as usize] = false;
+                self.replayed[i as usize] = false;
             }
             cache.walk(n, cap, &mut self.probes)
         };
@@ -742,6 +742,8 @@ mod tests {
     use super::*;
     use evolve_sim::{ClusterConfig, ClusterState, NodeShape, PodKind};
     use evolve_types::{AppId, NodeId, PodId, SimTime};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn cluster(nodes: usize) -> ClusterState {
         ClusterState::new(&ClusterConfig::uniform(
@@ -879,7 +881,8 @@ mod tests {
                 let fits: Vec<usize> = (0..13)
                     .filter(|&i| idx.ready[i] && class.request.fits_within(&idx.free(i)))
                     .collect();
-                let table = &idx.caches.iter().find(|c| c.key == class_key(&class)).unwrap().verdicts;
+                let table =
+                    &idx.caches.iter().find(|c| c.key == class_key(&class)).unwrap().verdicts;
                 let held: Vec<usize> = (0..13).filter(|&i| table[i] != NO_FIT).collect();
                 assert_eq!(held, fits, "request {req}");
                 idx.place(9, &spec(7, 10.0, 50));
@@ -982,7 +985,11 @@ mod tests {
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, 1);
         let a = class(0, 50.0);
-        assert_eq!(check_cached_pass(&mut idx, &a), 16, "cold cache evaluates every node that fits");
+        assert_eq!(
+            check_cached_pass(&mut idx, &a),
+            16,
+            "cold cache evaluates every node that fits"
+        );
         assert_eq!(check_cached_pass(&mut idx, &a), 0, "nothing changed");
         // Every shadow mutation, some hitting the same node twice.
         let pod = spec(0, 50.0, 50);
@@ -1083,7 +1090,10 @@ mod tests {
         let zero = PodClass { app: AppId::new(0), request: ResourceVec::ZERO };
         for _ in 0..3 {
             let choice = idx.choose(&zero, tied);
-            assert_eq!((choice.best, choice.feasible, choice.rejected), (Some((0.5, 1)), 2, &[1][..]));
+            assert_eq!(
+                (choice.best, choice.feasible, choice.rejected),
+                (Some((0.5, 1)), 2, &[1][..])
+            );
             idx.write_leaves(0);
         }
         idx.enumerate_preempt(&ResourceVec::ZERO);
@@ -1113,31 +1123,25 @@ mod tests {
         }
     }
 
-    /// A small deterministic generator for the walk's leaf arrays.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-            ((self.0 >> 33) as usize) % n
-        }
+    fn below(rng: &mut ChaCha8Rng, n: usize) -> usize {
+        rng.gen::<u64>() as usize % n
     }
 
     /// Leaf-array shapes the walk must fold like `fold_best` does. `k`
     /// selects the shape; rejected leaves stand for unready nodes, nodes
     /// that do not fit and filtered ones.
-    fn leaf_array(shape: usize, n: usize, rng: &mut Lcg) -> Vec<Verdict> {
-        let only = rng.below(n);
+    fn leaf_array(shape: usize, n: usize, rng: &mut ChaCha8Rng) -> Vec<Verdict> {
+        let only = below(rng, n);
         (0..n)
             .map(|i| {
                 let score = match shape {
                     // Anything goes.
-                    0 => rng.below(1 << 20) as f64 / f64::from(1 << 20),
+                    0 => below(rng, 1 << 20) as f64 / f64::from(1 << 20),
                     // Runs of exact ties over three levels.
-                    1 => [0.25, 0.5, 0.75][rng.below(24) / 8 % 3],
+                    1 => [0.25, 0.5, 0.75][below(rng, 3)],
                     // Near-ties 4e-13 apart: two steps stay inside the
                     // tolerance, three are just outside it.
-                    2 => 0.5 + rng.below(8) as f64 * 4e-13,
+                    2 => 0.5 + below(rng, 8) as f64 * 4e-13,
                     // An ascending ladder: every node is a record.
                     3 => (i + 1) as f64 / (n + 1) as f64,
                     // A descending one: only the first is.
@@ -1145,10 +1149,10 @@ mod tests {
                     // One feasible leaf.
                     5 if i == only => 0.5,
                     // All `-inf`.
-                    _ => return Verdict::RejectedBy(rng.below(2)),
+                    _ => return Verdict::RejectedBy(below(rng, 2)),
                 };
-                if shape < 5 && rng.below(4) == 0 {
-                    Verdict::RejectedBy(rng.below(2))
+                if shape < 5 && below(rng, 4) == 0 {
+                    Verdict::RejectedBy(below(rng, 2))
                 } else {
                     Verdict::Score(score)
                 }
@@ -1158,7 +1162,7 @@ mod tests {
 
     #[test]
     fn record_walk_returns_what_the_sequential_fold_returns() {
-        let mut rng = Lcg(19);
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
         for n in [1usize, 2, 13, 64, 1_000] {
             let cap = n.next_power_of_two();
             for shape in 0..7 {
@@ -1174,8 +1178,8 @@ mod tests {
                     let mut probes = 0;
                     let walked = cache.walk(n, cap, &mut probes);
                     assert_eq!(walked, scan(&verdicts).0, "n {n} shape {shape} step {step}");
-                    let i = rng.below(n);
-                    verdicts[i] = leaf_array(rng.below(7), n, &mut rng)[i];
+                    let i = below(&mut rng, n);
+                    verdicts[i] = leaf_array(below(&mut rng, 7), n, &mut rng)[i];
                     cache.set(cap, i, verdicts[i]);
                 }
                 assert_cache_holds(&cache, cap, &verdicts);

@@ -87,7 +87,7 @@ proptest! {
                         request,
                         (pod_sel % 3) as i32,
                     );
-                    let got = cluster.create_pod(spec.clone(), now);
+                    let got = cluster.create_pod(spec, now);
                     let want = PodId::new(model.len() as u64);
                     prop_assert_eq!(got, want, "ids are handed out sequentially");
                     model.insert(want, Pod::new(want, spec, now));
@@ -136,7 +136,7 @@ proptest! {
                     if admitted(&model, id, |p| !p.phase.holds_resources(), &result)? {
                         prop_assert!(result.is_ok());
                         let pod = model.get_mut(&id).expect("admitted");
-                        *pod = Pod::new(id, pod.spec.clone(), now);
+                        *pod = Pod::new(id, pod.spec, now);
                     }
                 }
                 7 => {
