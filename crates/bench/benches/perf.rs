@@ -1,7 +1,7 @@
 //! **Hot-path micro-benchmarks** — the four inner loops that dominate the
 //! simulator's profile, benchmarked in isolation so a regression in any
 //! one of them is attributable before it shows up in the macro number
-//! (`perf_macro`, which feeds BENCH.json):
+//! (sim-s/wall-s of the repo benchmark, `benchmark/run.sh`):
 //!
 //! * `replica/*` — the processor-sharing queue ([`ReplicaServer::advance`])
 //!   at several concurrency levels, the idle replica, and the `next_event`

@@ -3,106 +3,82 @@
 //! decision 12).
 //!
 //! Each case draws a seeded random fault schedule over a workload
-//! profile, runs it through the normal [`RunConfig`] path with the
-//! [`ChaosOracle`] invariant battery enabled, and — on any violation —
-//! delta-debugs the schedule to a locally minimal reproducer, written as
-//! deterministic JSON to `experiments_out/chaos_repro.json`.
+//! profile, runs it through the normal [`RunConfig::from_spec`] path with
+//! the [`ChaosOracle`] invariant battery enabled, and — on any violation —
+//! delta-debugs the schedule to a locally minimal one. The reproducer is
+//! the scenario that ran, as an ordinary scenario file with the minimal
+//! `[[fault]]` list and a `[repro]` table (seed, violated check), written
+//! to `experiments_out/chaos_repro.toml`.
 //!
 //! ```text
 //! cargo run --release -p evolve-bench --bin chaos_fuzz [runs]
-//! cargo run --release -p evolve-bench --bin chaos_fuzz -- --replay experiments_out/chaos_repro.json
+//! cargo run --release -p evolve-bench --bin chaos_fuzz -- --replay experiments_out/chaos_repro.toml
 //! EVOLVE_SMOKE=1 …        # short horizon for CI smoke runs
 //! EVOLVE_CHAOS_RUNS=500 … # fuzz budget without a CLI argument
 //! ```
 //!
 //! Exit status: 0 when every case is clean (or a replay no longer
-//! fails), 1 when a violation was found (fuzz) or reproduced (replay).
+//! fails), 1 when a violation was found (fuzz) or reproduced (replay),
+//! 2 when the replay file does not load.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use evolve::prelude::*;
 use evolve_bench::{BenchArgs, BASE_SEED};
-use evolve_sim::chaos::{plan_from_events, random_fault_events, shrink_events};
+use evolve_sim::chaos::{random_fault_events, shrink_events};
 use evolve_types::SimDuration;
+use evolve_workload::ReproSpec;
 
-/// Workload profiles the fuzzer cycles through. Names are stored in the
-/// reproducer, so keep them stable.
-const PROFILES: [&str; 4] = ["single_diurnal", "headline", "interference", "overload"];
-
-/// Resolves a profile name to its scenario, with the fuzz horizon.
-fn scenario_for(profile: &str, horizon: SimDuration) -> Option<Scenario> {
-    let mut scenario = match profile {
-        "single_diurnal" => Scenario::single_diurnal(),
-        "headline" => Scenario::headline(0.2),
-        "interference" => Scenario::interference(),
-        "overload" => Scenario::overload(1.5),
-        _ => return None,
+/// The workload case `case` fuzzes, cycling through four profiles, with
+/// the fuzz horizon. Three run on 8 nodes; the overload profile keeps its
+/// own 4-node cluster and capacity arbiter (the code path it exists to
+/// fuzz): faults then push an already-saturated arbiter through node
+/// losses and actuation failures.
+fn scenario_for(case: u64, horizon: SimDuration) -> ScenarioSpec {
+    let on_8_nodes = |mut spec: ScenarioSpec| {
+        spec.cluster.nodes = 8;
+        spec
     };
-    scenario.horizon = horizon;
-    Some(scenario)
+    let mut spec = match case % 4 {
+        0 => on_8_nodes(ScenarioSpec::single_diurnal()),
+        1 => on_8_nodes(ScenarioSpec::headline(0.2)),
+        2 => on_8_nodes(ScenarioSpec::interference()),
+        _ => ScenarioSpec::overload(1.5),
+    };
+    spec.horizon = horizon;
+    spec
 }
 
-/// The overload profile runs with the capacity arbiter installed (that is
-/// the code path it exists to fuzz) on the small reference cluster the
-/// scenario is sized against; faults then push an already-saturated
-/// arbiter through node losses and actuation failures.
-fn profile_nodes(profile: &str, default_nodes: u32) -> u32 {
-    if profile == "overload" {
-        4
-    } else {
-        default_nodes
-    }
-}
-
-/// Runs one oracle-enabled case and returns the oracle's report.
-fn run_case(
-    profile: &str,
-    seed: u64,
-    horizon: SimDuration,
-    nodes: u32,
-    events: &[FaultEvent],
-) -> OracleReport {
-    let scenario = scenario_for(profile, horizon).expect("known profile");
-    let mut builder = RunConfig::builder(scenario, ManagerKind::Evolve)
-        .nodes(nodes as usize)
+/// Runs `spec` under `faults` with the oracle on and returns its report.
+fn run_case(spec: &ScenarioSpec, seed: u64, faults: &[FaultEvent]) -> OracleReport {
+    let spec = ScenarioSpec { faults: faults.to_vec(), ..spec.clone() };
+    let config = RunConfig::from_spec(&spec, ManagerKind::Evolve)
         .seed(seed)
         .record_series(false)
-        .faults(plan_from_events(events))
-        .oracle(true);
-    if profile == "overload" {
-        builder = builder.arbiter(ArbiterConfig::default());
-    }
-    ExperimentRunner::new(builder.build()).run().oracle.expect("oracle was enabled")
+        .oracle(true)
+        .build();
+    ExperimentRunner::new(config).run().oracle.expect("oracle was enabled")
 }
 
-/// Shrinks a failing schedule and writes the JSON reproducer; returns
-/// the reproducer path.
+/// Shrinks a failing schedule and writes the reproducer; returns its
+/// path.
 fn minimize_and_write(
-    profile: &str,
+    spec: &ScenarioSpec,
     seed: u64,
-    horizon: SimDuration,
-    nodes: u32,
     events: &[FaultEvent],
     violation: &str,
     out_dir: &Path,
-) -> std::path::PathBuf {
-    let minimal =
-        shrink_events(events, |cand| !run_case(profile, seed, horizon, nodes, cand).is_clean());
+) -> PathBuf {
+    let faults = shrink_events(events, |cand| !run_case(spec, seed, cand).is_clean());
     // The shrunk schedule may trip a different (earlier) check; record
     // what it actually fires now.
-    let report = run_case(profile, seed, horizon, nodes, &minimal);
-    let fired = report.failed_checks().first().cloned().unwrap_or_else(|| violation.to_string());
-    let repro = Reproducer {
-        seed,
-        profile: profile.to_string(),
-        horizon,
-        nodes,
-        events: minimal,
-        violation: fired,
-    };
+    let report = run_case(spec, seed, &faults);
+    let violation =
+        report.failed_checks().first().cloned().unwrap_or_else(|| violation.to_string());
+    let repro = ScenarioSpec { faults, repro: Some(ReproSpec { seed, violation }), ..spec.clone() };
     let _ = std::fs::create_dir_all(out_dir);
-    let path = out_dir.join("chaos_repro.json");
-    if let Err(err) = std::fs::write(&path, repro.to_json()) {
+    let path = out_dir.join("chaos_repro.toml");
+    if let Err(err) = std::fs::write(&path, repro.to_toml()) {
         eprintln!("warning: failed to write reproducer {}: {err}", path.display());
     }
     path
@@ -110,33 +86,26 @@ fn minimize_and_write(
 
 /// Replays a reproducer file; returns the process exit code.
 fn replay(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let spec = match ScenarioSpec::from_file(path) {
+        Ok(spec) => spec,
         Err(err) => {
-            eprintln!("error: cannot read {path}: {err}");
+            eprintln!("error: {err}");
             return 2;
         }
     };
-    let repro = match Reproducer::from_json(&text) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("error: {path} is not a valid reproducer: {err}");
-            return 2;
-        }
-    };
-    if scenario_for(&repro.profile, repro.horizon).is_none() {
-        eprintln!("error: unknown profile {:?}", repro.profile);
+    let Some(repro) = &spec.repro else {
+        eprintln!("error: {path} has no [repro] table (seed, violation) to replay");
         return 2;
-    }
+    };
     println!(
-        "replaying {path}: profile={} seed={} nodes={} events={} (expected: {})",
-        repro.profile,
+        "replaying {path}: scenario={} seed={} nodes={} faults={} (expected: {})",
+        spec.name,
         repro.seed,
-        repro.nodes,
-        repro.events.len(),
+        spec.cluster.nodes,
+        spec.faults.len(),
         repro.violation
     );
-    let report = run_case(&repro.profile, repro.seed, repro.horizon, repro.nodes, &repro.events);
+    let report = run_case(&spec, repro.seed, &spec.faults);
     if report.is_clean() {
         println!(
             "clean: the violation no longer reproduces ({} ticks checked)",
@@ -169,18 +138,14 @@ fn main() {
         .unwrap_or(200);
     let horizon =
         if args.smoke { SimDuration::from_secs(240) } else { SimDuration::from_secs(600) };
-    let nodes = 8u32;
 
-    println!("chaos_fuzz: {runs} runs, horizon {}s, {nodes} nodes", horizon.as_secs_f64());
+    println!("chaos_fuzz: {runs} runs, horizon {}s", horizon.as_secs_f64());
     let mut clean = 0usize;
     for i in 0..runs as u64 {
         let seed = BASE_SEED + i;
-        let profile = PROFILES[(i % PROFILES.len() as u64) as usize];
-        let case_nodes = profile_nodes(profile, nodes);
-        let scenario = scenario_for(profile, horizon).expect("known profile");
-        let apps = scenario.mix.len();
-        let events = random_fault_events(seed, horizon, case_nodes as usize, apps, 5);
-        let report = run_case(profile, seed, horizon, case_nodes, &events);
+        let spec = scenario_for(i, horizon);
+        let events = random_fault_events(seed, horizon, spec.cluster.nodes, spec.app_count(), 5);
+        let report = run_case(&spec, seed, &events);
         if report.is_clean() {
             clean += 1;
             if (i + 1).is_multiple_of(25) {
@@ -190,14 +155,13 @@ fn main() {
         }
         let fired = report.failed_checks().join(", ");
         println!(
-            "violation after {clean} clean runs: profile={profile} seed={seed} checks=[{fired}]"
+            "violation after {clean} clean runs: scenario={} seed={seed} checks=[{fired}]",
+            spec.name
         );
         println!("shrinking {} events…", events.len());
         let path = minimize_and_write(
-            profile,
+            &spec,
             seed,
-            horizon,
-            case_nodes,
             &events,
             report.failed_checks().first().map_or("unknown", String::as_str),
             &args.out_dir,

@@ -409,16 +409,26 @@ mod tests {
 
     #[test]
     fn bench_args_loads_scenario_file() {
+        // A chaos reproducer is a scenario file: `--scenario` takes it,
+        // `[[fault]]` list, `[repro]` table and all.
+        let mut written = ScenarioSpec::builtin("overload").unwrap();
+        written.faults = vec![evolve_workload::FaultEvent {
+            at: SimTime::from_secs(67),
+            kind: evolve_workload::FaultKind::NodeFlap {
+                node: evolve_types::NodeId::new(3),
+                cycles: 2,
+                period: evolve_types::SimDuration::from_secs(9),
+            },
+        }];
+        written.repro =
+            Some(evolve_workload::ReproSpec { seed: 95, violation: "gang_atomicity".to_string() });
         let dir = std::env::temp_dir().join("evolve_bench_args_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.toml");
-        std::fs::write(
-            &path,
-            evolve_workload::ScenarioSpec::builtin("overload").unwrap().to_toml(),
-        )
-        .unwrap();
+        std::fs::write(&path, written.to_toml()).unwrap();
         let a = BenchArgs::try_parse(&argv(&["--scenario", path.to_str().unwrap()]), 5).unwrap();
         let spec = a.scenario().unwrap();
+        assert_eq!(spec, &written);
         assert_eq!(spec.name, "overload-1.00");
         assert_eq!(spec.cluster.nodes, 4);
         assert_eq!(a.scenario_path.as_deref(), Some(path.as_path()));

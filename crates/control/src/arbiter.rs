@@ -89,13 +89,6 @@ impl ArbiterConfig {
         self
     }
 
-    /// Overrides the starvation floor fraction.
-    #[must_use]
-    pub fn with_floor_fraction(mut self, floor_fraction: f64) -> Self {
-        self.floor_fraction = floor_fraction;
-        self
-    }
-
     /// Overrides the crunch-exit hysteresis margin.
     #[must_use]
     pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
@@ -107,13 +100,6 @@ impl ArbiterConfig {
     #[must_use]
     pub fn with_max_recovery_step(mut self, max_recovery_step: f64) -> Self {
         self.max_recovery_step = max_recovery_step;
-        self
-    }
-
-    /// Overrides the demand growth-governor ratio.
-    #[must_use]
-    pub fn with_demand_cap_ratio(mut self, demand_cap_ratio: f64) -> Self {
-        self.demand_cap_ratio = demand_cap_ratio;
         self
     }
 }

@@ -146,13 +146,6 @@ impl MultiResourceConfig {
         self.adaptive = false;
         self
     }
-
-    /// Replaces the base PID gains.
-    #[must_use]
-    pub fn with_gains(mut self, gains: PidConfig) -> Self {
-        self.gains = gains;
-        self
-    }
 }
 
 /// One control decision: the new per-replica allocation target.

@@ -249,18 +249,4 @@ impl ReplicatedOutcome {
     pub fn preemptions(&self) -> Summary {
         self.summarize(|r| r.preemptions as f64)
     }
-
-    /// Per-app violation-rate summaries, in app order, labelled by app
-    /// name. Apps are identical across seeds by construction.
-    #[must_use]
-    pub fn per_app_violation_rates(&self) -> Vec<(String, Summary)> {
-        let first = self.representative();
-        (0..first.apps.len())
-            .map(|i| {
-                let name = first.apps[i].name.clone();
-                let s = self.summarize(|r| r.apps[i].violation_rate());
-                (name, s)
-            })
-            .collect()
-    }
 }

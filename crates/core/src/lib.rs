@@ -55,6 +55,6 @@ pub use policy::{
 };
 pub use report::{write_csv, Summary, Table};
 pub use runner::{
-    arbiter_from_spec, faults_from_spec, AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig,
-    RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile,
+    arbiter_from_spec, AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder,
+    RunOutcome, RunPerf, SchedulerProfile,
 };

@@ -420,12 +420,6 @@ impl ResourceManager {
         self.apps.get(&app).map(|a| a.status.world)
     }
 
-    /// Delayed actuations still waiting for their release time.
-    #[must_use]
-    pub fn pending_actuation_count(&self) -> usize {
-        self.pending_actuations.len()
-    }
-
     /// Applies every delayed actuation whose release time has arrived.
     /// Late targets are actuated verbatim — the controller moved on
     /// ticks ago, which is precisely the staleness hazard the chaos

@@ -4,6 +4,7 @@
 
 use evolve_control::{ArbiterConfig, ClipReason, GrantDecision};
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
+use evolve_sim::chaos::plan_from_events;
 use evolve_sim::{
     ArbitrationCheck, ChaosOracle, ClusterConfig, FaultInjector, FaultKind, FaultPlan, NodeShape,
     OracleReport, Simulation, SimulationConfig,
@@ -12,9 +13,9 @@ use evolve_telemetry::trace::{
     FaultTrace, SpanKind, SpanTrace, TraceConfig, TraceEvent, TraceRing,
 };
 use evolve_telemetry::{MetricKey, MetricRegistry, UtilizationAccount, UtilizationSummary};
-use evolve_types::{AppId, NodeId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{
-    ArbiterSpec, FaultSpec, SamplingMode, Scenario, ScenarioError, ScenarioSpec, WorldClass,
+    ArbiterSpec, SamplingMode, Scenario, ScenarioError, ScenarioSpec, WorldClass,
 };
 
 use crate::counters::ControlCounters;
@@ -209,25 +210,6 @@ pub fn arbiter_from_spec(spec: &ArbiterSpec) -> ArbiterConfig {
     }
 }
 
-/// Converts a declarative fault list from a [`ScenarioSpec`] into the
-/// simulator's [`FaultPlan`].
-#[must_use]
-pub fn faults_from_spec(faults: &[FaultSpec]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for fault in faults {
-        plan = match *fault {
-            FaultSpec::NodeCrash { node, at, downtime } => {
-                plan.with_node_crash(NodeId::new(node as u32), at, downtime)
-            }
-            FaultSpec::ScrapeBlackout { at, duration } => plan.with_scrape_blackout(at, duration),
-            FaultSpec::ControlStall { at, duration } => plan.with_control_stall(at, duration),
-            FaultSpec::ControllerCrash { at } => plan.with_controller_crash(at),
-            FaultSpec::ActuationDrop { at, duration } => plan.with_actuation_drop(at, duration),
-        };
-    }
-    plan
-}
-
 /// Fluent construction of a [`RunConfig`], replacing the former `with_*`
 /// method sprawl on the config itself. Obtain one from
 /// [`RunConfig::builder`]; every setter consumes and returns the builder,
@@ -370,7 +352,7 @@ impl RunConfigBuilder {
         self.config.nodes = spec.cluster.nodes;
         self.config.node_shape = NodeShape { capacity: spec.node_capacity() };
         self.config.arbiter = spec.arbiter.as_ref().map(arbiter_from_spec);
-        self.config.faults = faults_from_spec(&spec.faults);
+        self.config.faults = plan_from_events(&spec.faults);
         self
     }
 
@@ -494,7 +476,7 @@ pub struct RunOutcome {
     pub shed_apps: u64,
     /// Total requests rejected at admission while shedding, across apps.
     pub shed_requests: u64,
-    /// Engine-throughput accounting (the numbers BENCH.json reports).
+    /// Engine-throughput accounting (what every binary's `perf[…]` line prints).
     pub perf: RunPerf,
     /// The decision trace captured during the run (bounded ring; always
     /// on). Dump it with [`evolve_telemetry::trace::TraceRing::to_jsonl`]
@@ -503,7 +485,7 @@ pub struct RunOutcome {
 }
 
 /// Engine-throughput accounting for one run, surfaced by the bench
-/// binaries and the perf-regression harness.
+/// binaries and the repo benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct RunPerf {
     /// Control ticks executed (stalled ticks included).

@@ -8,22 +8,31 @@
 //! scheduler construction; no other test must share the process.
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
-use evolve_sim::chaos::{plan_from_events, shrink_events};
-use evolve_sim::{FaultEvent, FaultKind, OracleReport, Reproducer};
+use evolve_sim::chaos::shrink_events;
+use evolve_sim::{FaultEvent, FaultKind, OracleReport};
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::{ReproSpec, ScenarioSpec};
 
-fn run_case(seed: u64, events: &[FaultEvent]) -> OracleReport {
-    let mut scenario = Scenario::interference();
-    scenario.horizon = SimDuration::from_secs(150);
-    let cfg = RunConfig::builder(scenario, ManagerKind::Evolve)
-        .nodes(8)
+/// The interference mix on 8 nodes for 150 s, under `events`.
+fn spec_with(events: &[FaultEvent]) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::interference();
+    spec.horizon = SimDuration::from_secs(150);
+    spec.cluster.nodes = 8;
+    spec.faults = events.to_vec();
+    spec
+}
+
+fn run_spec(seed: u64, spec: &ScenarioSpec) -> OracleReport {
+    let cfg = RunConfig::from_spec(spec, ManagerKind::Evolve)
         .seed(seed)
         .record_series(false)
-        .faults(plan_from_events(events))
         .oracle(true)
         .build();
     ExperimentRunner::new(cfg).run().oracle.expect("oracle was enabled")
+}
+
+fn run_case(seed: u64, events: &[FaultEvent]) -> OracleReport {
+    run_spec(seed, &spec_with(events))
 }
 
 /// The schedule the fuzzer would hand to the shrinker: one control stall
@@ -79,21 +88,24 @@ fn seeded_gang_bug_is_caught_and_shrunk_to_a_tiny_reproducer() {
         "the culprit stall was shrunk away: {minimal:?}"
     );
 
-    // 3. The minimized schedule still reproduces, and survives the JSON
-    //    reproducer round trip byte-for-byte.
+    // 3. The minimized schedule still reproduces, and the reproducer file
+    //    replays the violation from its text alone: no profile lookup,
+    //    the scenario, cluster, faults and seed all come out of the TOML.
     let shrunk_report = run_case(seed, &minimal);
     assert!(!shrunk_report.is_clean());
-    let repro = Reproducer {
-        seed,
-        profile: "interference".to_string(),
-        horizon: SimDuration::from_secs(150),
-        nodes: 8,
-        events: minimal,
-        violation: shrunk_report.failed_checks().first().cloned().unwrap_or_default(),
-    };
-    let json = repro.to_json();
-    let back = Reproducer::from_json(&json).expect("reproducer round trip");
-    assert_eq!(back, repro);
-    let replayed = run_case(back.seed, &back.events);
-    assert!(!replayed.is_clean(), "reproducer did not replay the violation");
+    let violation = shrunk_report.failed_checks().first().cloned().unwrap_or_default();
+    let mut written = spec_with(&minimal);
+    written.repro = Some(ReproSpec { seed, violation: violation.clone() });
+    let text = written.to_toml();
+
+    let loaded = ScenarioSpec::from_toml_str(&text).expect("reproducer loads");
+    assert_eq!(loaded, written);
+    let repro = loaded.repro.as_ref().expect("[repro] table");
+    let replayed = run_spec(repro.seed, &loaded);
+    assert!(
+        replayed.failed_checks().contains(&violation),
+        "reproducer did not replay {violation}: {:?}",
+        replayed.failed_checks()
+    );
+    assert_eq!(replayed, shrunk_report, "the replay is the run that was written down");
 }

@@ -1,20 +1,20 @@
 //! FoundationDB-style chaos harness: a global invariant battery
-//! ([`ChaosOracle`]), automatic fault-schedule shrinking ([`shrink_events`],
-//! ddmin), and deterministic JSON reproducers ([`Reproducer`]).
+//! ([`ChaosOracle`]), seeded random fault schedules
+//! ([`random_fault_events`]) and automatic fault-schedule shrinking
+//! ([`shrink_events`], ddmin).
 //!
 //! The oracle is *observational*: it reads the simulation, the cluster and
 //! the decision trace between ticks and records violations instead of
 //! panicking, so a fuzz driver can harvest a failing schedule, shrink it
-//! to a minimal reproducer and write the reproducer to disk. All checks
+//! and write the scenario that ran, with the minimal `[[fault]]` list, to
+//! disk as an ordinary scenario file (`ScenarioSpec::to_toml`). All checks
 //! are off unless a runner opts in, so the oracle costs nothing on the
 //! headline path.
 
 use std::collections::BTreeMap;
 
 use evolve_telemetry::trace::{ActuationOutcome, TraceEvent, TraceRing, TraceSignal};
-use evolve_types::{
-    AppId, Error, JobId, NodeId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime,
-};
+use evolve_types::{AppId, JobId, NodeId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -510,439 +510,10 @@ pub fn random_fault_events(
     out
 }
 
-// ---------------------------------------------------------------------
-// Deterministic JSON reproducer
-// ---------------------------------------------------------------------
-
-/// A self-contained, replayable description of one failing fuzz case:
-/// run the named profile with this seed and this fault schedule and the
-/// named check fires.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Reproducer {
-    /// Run seed.
-    pub seed: u64,
-    /// Workload-profile name understood by the fuzz driver.
-    pub profile: String,
-    /// Run horizon.
-    pub horizon: SimDuration,
-    /// Cluster node count.
-    pub nodes: u32,
-    /// The (minimized) fault schedule.
-    pub events: Vec<FaultEvent>,
-    /// The check that fired (first failed check).
-    pub violation: String,
-}
-
-impl Reproducer {
-    /// Serializes to deterministic JSON: fixed key order, integral
-    /// microsecond timestamps, no whitespace variance.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.events.len() * 96);
-        s.push_str("{\"version\":1,\"seed\":");
-        s.push_str(&self.seed.to_string());
-        s.push_str(",\"profile\":\"");
-        push_escaped(&mut s, &self.profile);
-        s.push_str("\",\"horizon_us\":");
-        s.push_str(&self.horizon.as_micros().to_string());
-        s.push_str(",\"nodes\":");
-        s.push_str(&self.nodes.to_string());
-        s.push_str(",\"violation\":\"");
-        push_escaped(&mut s, &self.violation);
-        s.push_str("\",\"events\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write_event(&mut s, ev);
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parses a reproducer previously written by [`Reproducer::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] on malformed JSON, an unsupported
-    /// version, or an unknown fault kind.
-    pub fn from_json(text: &str) -> Result<Self, Error> {
-        let root = parse_json(text)?;
-        let obj = root.as_obj("reproducer")?;
-        if get_u64(obj, "version")? != 1 {
-            return Err(Error::InvalidConfig("unsupported reproducer version".into()));
-        }
-        let events_json = get(obj, "events")?.as_arr("events")?;
-        let mut events = Vec::with_capacity(events_json.len());
-        for ev in events_json {
-            events.push(parse_event(ev.as_obj("event")?)?);
-        }
-        Ok(Reproducer {
-            seed: get_u64(obj, "seed")?,
-            profile: get(obj, "profile")?.as_str("profile")?.to_string(),
-            horizon: SimDuration::from_micros(get_u64(obj, "horizon_us")?),
-            nodes: u32::try_from(get_u64(obj, "nodes")?)
-                .map_err(|_| Error::InvalidConfig("nodes out of range".into()))?,
-            events,
-            violation: get(obj, "violation")?.as_str("violation")?.to_string(),
-        })
-    }
-}
-
-fn write_event(s: &mut String, ev: &FaultEvent) {
-    use std::fmt::Write;
-    let _ = write!(s, "{{\"at_us\":{},\"kind\":\"{}\"", ev.at.as_micros(), ev.kind.label());
-    match &ev.kind {
-        FaultKind::NodeCrash { node, downtime } => {
-            let _ = write!(s, ",\"node\":{}", node.as_usize());
-            match downtime {
-                Some(d) => {
-                    let _ = write!(s, ",\"downtime_us\":{}", d.as_micros());
-                }
-                None => s.push_str(",\"downtime_us\":null"),
-            }
-        }
-        FaultKind::ScrapeBlackout { app, duration } => {
-            write_app(s, *app);
-            let _ = write!(s, ",\"duration_us\":{}", duration.as_micros());
-        }
-        FaultKind::MetricNoise { app, duration, cv } => {
-            write_app(s, *app);
-            let _ = write!(s, ",\"duration_us\":{},\"cv\":{cv}", duration.as_micros());
-        }
-        FaultKind::ControlStall { duration } | FaultKind::ActuationDrop { duration } => {
-            let _ = write!(s, ",\"duration_us\":{}", duration.as_micros());
-        }
-        FaultKind::ControllerCrash => {}
-        FaultKind::ActuationDelay { duration, lag } => {
-            let _ = write!(
-                s,
-                ",\"duration_us\":{},\"lag_us\":{}",
-                duration.as_micros(),
-                lag.as_micros()
-            );
-        }
-        FaultKind::ActuationPartial { duration, fraction } => {
-            let _ = write!(s, ",\"duration_us\":{},\"fraction\":{fraction}", duration.as_micros());
-        }
-        FaultKind::NodeFlap { node, cycles, period } => {
-            let _ = write!(
-                s,
-                ",\"node\":{},\"cycles\":{cycles},\"period_us\":{}",
-                node.as_usize(),
-                period.as_micros()
-            );
-        }
-    }
-    s.push('}');
-}
-
-fn write_app(s: &mut String, app: Option<AppId>) {
-    use std::fmt::Write;
-    match app {
-        Some(a) => {
-            let _ = write!(s, ",\"app\":{}", a.as_usize());
-        }
-        None => s.push_str(",\"app\":null"),
-    }
-}
-
-fn parse_event(obj: &[(String, Json)]) -> Result<FaultEvent, Error> {
-    let at = SimTime::ZERO + SimDuration::from_micros(get_u64(obj, "at_us")?);
-    let kind_name = get(obj, "kind")?.as_str("kind")?;
-    let dur = |key: &str| -> Result<SimDuration, Error> {
-        Ok(SimDuration::from_micros(get_u64(obj, key)?))
-    };
-    let kind = match kind_name {
-        "node_crash" => FaultKind::NodeCrash {
-            node: NodeId::new(
-                u32::try_from(get_u64(obj, "node")?)
-                    .map_err(|_| Error::InvalidConfig("node id out of range".into()))?,
-            ),
-            downtime: match get(obj, "downtime_us")? {
-                Json::Null => None,
-                v => Some(SimDuration::from_micros(v.as_u64("downtime_us")?)),
-            },
-        },
-        "scrape_blackout" => {
-            FaultKind::ScrapeBlackout { app: parse_app(obj)?, duration: dur("duration_us")? }
-        }
-        "metric_noise" => FaultKind::MetricNoise {
-            app: parse_app(obj)?,
-            duration: dur("duration_us")?,
-            cv: get(obj, "cv")?.as_f64("cv")?,
-        },
-        "control_stall" => FaultKind::ControlStall { duration: dur("duration_us")? },
-        "controller_crash" => FaultKind::ControllerCrash,
-        "actuation_drop" => FaultKind::ActuationDrop { duration: dur("duration_us")? },
-        "actuation_delay" => {
-            FaultKind::ActuationDelay { duration: dur("duration_us")?, lag: dur("lag_us")? }
-        }
-        "actuation_partial" => FaultKind::ActuationPartial {
-            duration: dur("duration_us")?,
-            fraction: get(obj, "fraction")?.as_f64("fraction")?,
-        },
-        "node_flap" => FaultKind::NodeFlap {
-            node: NodeId::new(
-                u32::try_from(get_u64(obj, "node")?)
-                    .map_err(|_| Error::InvalidConfig("node id out of range".into()))?,
-            ),
-            cycles: u32::try_from(get_u64(obj, "cycles")?)
-                .map_err(|_| Error::InvalidConfig("cycles out of range".into()))?,
-            period: dur("period_us")?,
-        },
-        other => {
-            return Err(Error::InvalidConfig(format!("unknown fault kind {other:?}")));
-        }
-    };
-    kind.validate()?;
-    Ok(FaultEvent { at, kind })
-}
-
-fn parse_app(obj: &[(String, Json)]) -> Result<Option<AppId>, Error> {
-    match get(obj, "app")? {
-        Json::Null => Ok(None),
-        v => Ok(Some(AppId::new(
-            u32::try_from(v.as_u64("app")?)
-                .map_err(|_| Error::InvalidConfig("app id out of range".into()))?,
-        ))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON (vendored serde is a stub, so the reproducer format is
-// read and written by hand; deterministic output needs that anyway).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (reproducer subset: no exponent-heavy floats
-/// beyond what `f64::from_str` accepts, escapes limited to `\"`, `\\`,
-/// `\n`, `\t`).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], Error> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(Error::InvalidConfig(format!("{what} must be a JSON object"))),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], Error> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(Error::InvalidConfig(format!("{what} must be a JSON array"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, Error> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(Error::InvalidConfig(format!("{what} must be a JSON string"))),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, Error> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(Error::InvalidConfig(format!("{what} must be a JSON number"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, Error> {
-        let n = self.as_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
-            return Err(Error::InvalidConfig(format!("{what} must be a non-negative integer")));
-        }
-        Ok(n as u64)
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, Error> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::InvalidConfig(format!("missing field {key:?}")))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, Error> {
-    get(obj, key)?.as_u64(key)
-}
-
-fn parse_json(text: &str) -> Result<Json, Error> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::InvalidConfig(format!("trailing bytes at offset {pos}")));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), Error> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(Error::InvalidConfig(format!("expected {:?} at offset {}", ch as char, *pos)))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, Error> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => {
-                        return Err(Error::InvalidConfig(format!("bad object at offset {}", *pos)))
-                    }
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(Error::InvalidConfig(format!("bad array at offset {}", *pos))),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos])
-                .map_err(|_| Error::InvalidConfig("non-utf8 number".into()))?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| Error::InvalidConfig(format!("bad number {text:?}")))
-        }
-        None => Err(Error::InvalidConfig("unexpected end of input".into())),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    _ => {
-                        return Err(Error::InvalidConfig(format!(
-                            "unsupported escape at offset {}",
-                            *pos
-                        )))
-                    }
-                }
-                *pos += 1;
-            }
-            c => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let end = (*pos + len).min(b.len());
-                out.push_str(
-                    std::str::from_utf8(&b[*pos..end])
-                        .map_err(|_| Error::InvalidConfig("non-utf8 string".into()))?,
-                );
-                *pos = end;
-            }
-        }
-    }
-    Err(Error::InvalidConfig("unterminated string".into()))
-}
-
-fn push_escaped(s: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            c => s.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evolve_workload::{ReproSpec, ScenarioSpec};
 
     fn ev(at: u64, kind: FaultKind) -> FaultEvent {
         FaultEvent { at: SimTime::from_secs(at), kind }
@@ -988,88 +559,69 @@ mod tests {
         assert_eq!(duration, SimDuration::from_secs(1));
     }
 
-    #[test]
-    fn reproducer_json_round_trips_every_kind() {
-        let events = vec![
-            ev(
-                10,
-                FaultKind::NodeCrash {
-                    node: NodeId::new(1),
-                    downtime: Some(SimDuration::from_secs(40)),
-                },
-            ),
-            ev(11, FaultKind::NodeCrash { node: NodeId::new(2), downtime: None }),
-            ev(
-                20,
-                FaultKind::ScrapeBlackout {
-                    app: Some(AppId::new(3)),
-                    duration: SimDuration::from_secs(15),
-                },
-            ),
-            ev(25, FaultKind::ScrapeBlackout { app: None, duration: SimDuration::from_secs(5) }),
-            ev(
-                30,
-                FaultKind::MetricNoise {
-                    app: None,
-                    duration: SimDuration::from_secs(30),
-                    cv: 0.25,
-                },
-            ),
-            ev(40, FaultKind::ControlStall { duration: SimDuration::from_secs(12) }),
-            ev(45, FaultKind::ControllerCrash),
-            ev(50, FaultKind::ActuationDrop { duration: SimDuration::from_secs(33) }),
-            ev(
-                60,
-                FaultKind::ActuationDelay {
-                    duration: SimDuration::from_secs(20),
-                    lag: SimDuration::from_secs(7),
-                },
-            ),
-            ev(
-                70,
-                FaultKind::ActuationPartial { duration: SimDuration::from_secs(18), fraction: 0.5 },
-            ),
-            ev(
-                80,
-                FaultKind::NodeFlap {
-                    node: NodeId::new(0),
-                    cycles: 4,
-                    period: SimDuration::from_secs(10),
-                },
-            ),
-        ];
-        let repro = Reproducer {
-            seed: 1234,
-            profile: "service_hpc".to_string(),
-            horizon: SimDuration::from_secs(600),
-            nodes: 6,
-            events,
-            violation: "gang_atomicity".to_string(),
-        };
-        let json = repro.to_json();
-        let parsed = Reproducer::from_json(&json).expect("round trip");
-        assert_eq!(parsed, repro);
-        // Deterministic: serializing again yields the same bytes.
-        assert_eq!(parsed.to_json(), json);
+    /// The 10-node, 5-app scenario a schedule is written into, as the
+    /// fuzz driver does: the file is the spec that ran plus `[repro]`.
+    fn spec_with(horizon: SimDuration, faults: Vec<FaultEvent>) -> ScenarioSpec {
+        let mut spec = ScenarioSpec::interference();
+        spec.horizon = horizon;
+        spec.faults = faults;
+        spec.repro = Some(ReproSpec { seed: 1234, violation: "gang_atomicity".to_string() });
+        spec
     }
 
     #[test]
-    fn reproducer_rejects_malformed_input() {
-        assert!(Reproducer::from_json("").is_err());
-        assert!(Reproducer::from_json("{}").is_err());
-        assert!(Reproducer::from_json("{\"version\":2}").is_err());
-        let good = Reproducer {
-            seed: 1,
-            profile: "p".to_string(),
-            horizon: SimDuration::from_secs(60),
-            nodes: 2,
-            events: vec![stall(5, 10)],
-            violation: "x".to_string(),
+    fn fault_schedules_round_trip_through_scenario_toml() {
+        let mut labels = std::collections::BTreeSet::new();
+        let (mut scoped, mut permanent) = (false, false);
+        for horizon in [SimDuration::from_secs(240), SimDuration::from_secs(600)] {
+            for seed in 0..64 {
+                let events = random_fault_events(seed, horizon, 10, 5, 12);
+                for ev in &events {
+                    labels.insert(ev.kind.label());
+                    scoped |= matches!(ev.kind, FaultKind::ScrapeBlackout { app: Some(_), .. });
+                    permanent |= matches!(ev.kind, FaultKind::NodeCrash { downtime: None, .. });
+                }
+                let spec = spec_with(horizon, events);
+                let toml = spec.to_toml();
+                let back = ScenarioSpec::from_toml_str(&toml)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{toml}"));
+                assert_eq!(back, spec, "seed {seed}");
+                // Deterministic: serializing again yields the same bytes.
+                assert_eq!(back.to_toml(), toml);
+            }
         }
-        .to_json();
-        assert!(Reproducer::from_json(&good[..good.len() - 1]).is_err(), "truncation detected");
-        let bad_kind = good.replace("control_stall", "warp_core_breach");
-        assert!(Reproducer::from_json(&bad_kind).is_err());
+        // The generator draws every kind but `controller_crash`, which the
+        // ladders below cover.
+        assert_eq!(labels.len(), 8, "the generator stopped drawing a kind: {labels:?}");
+        assert!(scoped && permanent, "no app-scoped blackout or no permanent crash was drawn");
+
+        // Every step of the shrinker's halving ladder, from odd microsecond
+        // values, down to the floor.
+        let us = SimDuration::from_micros;
+        let at = SimTime::ZERO + us(61_234_567);
+        let ladders = [
+            FaultKind::NodeCrash { node: NodeId::new(9), downtime: Some(us(40_000_001)) },
+            FaultKind::ScrapeBlackout { app: Some(AppId::new(4)), duration: us(15_000_003) },
+            FaultKind::MetricNoise { app: Some(AppId::new(0)), duration: us(30_000_007), cv: 0.1 },
+            FaultKind::MetricNoise { app: None, duration: us(9_999_999), cv: 0.7 },
+            FaultKind::ControlStall { duration: us(12_345_679) },
+            FaultKind::ControllerCrash,
+            FaultKind::ActuationDrop { duration: us(33_000_001) },
+            FaultKind::ActuationDelay { duration: us(20_000_001), lag: us(7_000_001) },
+            FaultKind::ActuationPartial { duration: us(18_000_001), fraction: 1.0 / 3.0 },
+            FaultKind::NodeFlap { node: NodeId::new(0), cycles: 5, period: us(10_000_001) },
+        ];
+        for first in ladders {
+            let mut rungs = vec![first];
+            while let Some(next) = halved_kind(rungs.last().expect("non-empty")) {
+                rungs.push(next);
+            }
+            let events: Vec<FaultEvent> =
+                rungs.into_iter().map(|kind| FaultEvent { at, kind }).collect();
+            let spec = spec_with(SimDuration::from_secs(600), events);
+            let back = ScenarioSpec::from_toml_str(&spec.to_toml()).expect("ladder round trip");
+            assert_eq!(back.faults, spec.faults);
+        }
     }
 
     #[test]

@@ -777,12 +777,6 @@ impl Simulation {
         }
     }
 
-    /// `true` when a service currently sheds excess load at admission.
-    #[must_use]
-    pub fn service_shedding(&self, app: AppId) -> bool {
-        matches!(self.owner(app), Some(Owner::Service(idx)) if self.services[idx].shedding)
-    }
-
     /// The per-pod resource ceiling in force (largest node allocatable).
     #[must_use]
     pub fn pod_limit(&self) -> ResourceVec {

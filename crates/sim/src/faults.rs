@@ -11,152 +11,12 @@
 
 use evolve_types::{AppId, Error, NodeId, SimDuration, SimTime};
 use evolve_workload::{sample_exponential, sample_lognormal_with, SamplingMode};
+pub use evolve_workload::{FaultEvent, FaultKind};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::engine::Simulation;
 use crate::observe::AppWindow;
-
-/// One kind of injected fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultKind {
-    /// A node goes unready; its pods are evicted and requeued. Recovers
-    /// after `downtime` when given, otherwise stays down.
-    NodeCrash {
-        /// The failing node.
-        node: NodeId,
-        /// Time until the node rejoins; `None` means permanent.
-        downtime: Option<SimDuration>,
-    },
-    /// Metric scrapes fail: the controller sees no window at all.
-    ScrapeBlackout {
-        /// Affected app; `None` blacks out every app.
-        app: Option<AppId>,
-        /// How long scrapes stay dark.
-        duration: SimDuration,
-    },
-    /// Scrapes succeed but the measurements are distorted.
-    MetricNoise {
-        /// Affected app; `None` distorts every app.
-        app: Option<AppId>,
-        /// How long windows stay noisy.
-        duration: SimDuration,
-        /// Coefficient of variation of the multiplicative distortion.
-        cv: f64,
-    },
-    /// The controller misses its ticks entirely (control-plane stall).
-    ControlStall {
-        /// How long the control plane is down.
-        duration: SimDuration,
-    },
-    /// The controller **process dies** and restarts: unlike a stall, all
-    /// in-memory control state (integrators, learned models, backoff
-    /// tables) is destroyed at this instant. How the restarted controller
-    /// rebuilds state is the runner's recovery strategy.
-    ControllerCrash,
-    /// Resize/scale requests from the controller are silently dropped:
-    /// the reconciler believes it actuated, but the cluster never sees
-    /// the request.
-    ActuationDrop {
-        /// How long the actuation path stays black-holed.
-        duration: SimDuration,
-    },
-    /// Resize/scale requests reach the cluster only after `lag`.
-    ActuationDelay {
-        /// How long the actuation path stays slow.
-        duration: SimDuration,
-        /// Delay added to every request issued inside the interval.
-        lag: SimDuration,
-    },
-    /// Resize requests are applied to only a fraction of each app's
-    /// replicas (the desired state updates fully; the rollout stalls).
-    ActuationPartial {
-        /// How long the actuation path stays partial.
-        duration: SimDuration,
-        /// Fraction of replicas actually resized, in `(0, 1]`.
-        fraction: f64,
-    },
-    /// Fast ready/unready cycling of one node: `cycles` crash/recover
-    /// pairs spaced `period` apart (down for the first half of each
-    /// period).
-    NodeFlap {
-        /// The flapping node.
-        node: NodeId,
-        /// Number of down/up cycles.
-        cycles: u32,
-        /// Length of one full cycle.
-        period: SimDuration,
-    },
-}
-
-impl FaultKind {
-    /// Validates the parameters of this fault kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when a numeric parameter is
-    /// non-finite or out of range: a negative noise `cv`, an actuation
-    /// `fraction` outside `(0, 1]`, a zero-length flap `period`, or a
-    /// flap with zero `cycles`.
-    pub fn validate(&self) -> Result<(), Error> {
-        match *self {
-            FaultKind::MetricNoise { cv, .. } => {
-                if !cv.is_finite() || cv < 0.0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "metric-noise cv must be finite and non-negative, got {cv}"
-                    )));
-                }
-            }
-            FaultKind::ActuationPartial { fraction, .. } => {
-                if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "actuation fraction must be in (0, 1], got {fraction}"
-                    )));
-                }
-            }
-            FaultKind::NodeFlap { cycles, period, .. } => {
-                if cycles == 0 {
-                    return Err(Error::InvalidConfig("node flap needs at least one cycle".into()));
-                }
-                if period.is_zero() {
-                    return Err(Error::InvalidConfig("node flap period must be positive".into()));
-                }
-            }
-            FaultKind::NodeCrash { .. }
-            | FaultKind::ScrapeBlackout { .. }
-            | FaultKind::ControlStall { .. }
-            | FaultKind::ControllerCrash
-            | FaultKind::ActuationDrop { .. }
-            | FaultKind::ActuationDelay { .. } => {}
-        }
-        Ok(())
-    }
-
-    /// Short stable label used in traces and reproducer files.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::NodeCrash { .. } => "node_crash",
-            FaultKind::ScrapeBlackout { .. } => "scrape_blackout",
-            FaultKind::MetricNoise { .. } => "metric_noise",
-            FaultKind::ControlStall { .. } => "control_stall",
-            FaultKind::ControllerCrash => "controller_crash",
-            FaultKind::ActuationDrop { .. } => "actuation_drop",
-            FaultKind::ActuationDelay { .. } => "actuation_delay",
-            FaultKind::ActuationPartial { .. } => "actuation_partial",
-            FaultKind::NodeFlap { .. } => "node_flap",
-        }
-    }
-}
-
-/// A fault scheduled at an absolute time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    /// When the fault begins.
-    pub at: SimTime,
-    /// What happens.
-    pub kind: FaultKind,
-}
 
 /// Rates for the seeded-stochastic background fault process. Arrivals are
 /// Poisson; durations are exponential around the configured means.
@@ -262,10 +122,9 @@ impl FaultPlan {
     /// Returns [`Error::InvalidConfig`] naming the first out-of-horizon
     /// event.
     pub fn validate(&self, horizon: SimDuration) -> Result<(), Error> {
-        let end = SimTime::ZERO + horizon;
         for ev in &self.scheduled {
             ev.kind.validate()?;
-            if ev.at >= end {
+            if !ev.starts_within(horizon) {
                 return Err(Error::InvalidConfig(format!(
                     "fault {} at {:.1}s starts beyond the {:.1}s horizon",
                     ev.kind.label(),

@@ -47,7 +47,7 @@ mod observe;
 mod perf;
 mod pod;
 
-pub use chaos::{ArbitrationCheck, ChaosOracle, OracleReport, OracleViolation, Reproducer};
+pub use chaos::{ArbitrationCheck, ChaosOracle, OracleReport, OracleViolation};
 pub use cluster::{ClusterConfig, ClusterState, NodeShape};
 pub use engine::{Simulation, SimulationConfig};
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, StochasticFaults};

@@ -4,9 +4,10 @@
 //! must never corrupt cluster accounting, leave pods on unready nodes,
 //! or panic.
 
+use evolve_sim::chaos::plan_from_events;
 use evolve_sim::{
-    ClusterConfig, FaultInjector, FaultPlan, NodeShape, Simulation, SimulationConfig,
-    StochasticFaults,
+    ClusterConfig, FaultEvent, FaultInjector, FaultKind, FaultPlan, NodeShape, Simulation,
+    SimulationConfig, StochasticFaults,
 };
 use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, WorkloadMix};
@@ -15,85 +16,45 @@ use proptest::prelude::*;
 const NODES: usize = 4;
 const HORIZON_SECS: u64 = 300;
 
-/// One scheduled fault, in generator-friendly form.
-#[derive(Debug, Clone, Copy)]
-enum PlannedFault {
-    Crash { node: u8, at: u64, downtime: Option<u64> },
-    Blackout { at: u64, duration: u64 },
-    Noise { at: u64, duration: u64, cv: f64 },
-    Stall { at: u64, duration: u64 },
-    ActDrop { at: u64, duration: u64 },
-    ActDelay { at: u64, duration: u64, lag: u64 },
-    ActPartial { at: u64, duration: u64, fraction: f64 },
-    Flap { node: u8, at: u64, cycles: u8, period: u64 },
-}
-
-fn arb_fault() -> impl Strategy<Value = PlannedFault> {
+fn arb_fault() -> impl Strategy<Value = FaultEvent> {
+    fn ev(at: u64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { at: SimTime::from_secs(at), kind }
+    }
+    let secs = SimDuration::from_secs;
+    let node = |n: u8| NodeId::new(u32::from(n));
+    let at = || 1u64..HORIZON_SECS;
     prop_oneof![
-        (0u8..NODES as u8, 1u64..HORIZON_SECS, 5u64..120, any::<bool>()).prop_map(
-            |(node, at, downtime, permanent)| PlannedFault::Crash {
-                node,
-                at,
-                downtime: (!permanent).then_some(downtime),
+        (0u8..NODES as u8, at(), 5u64..120, any::<bool>()).prop_map(
+            move |(n, at, downtime, permanent)| {
+                let downtime = (!permanent).then_some(secs(downtime));
+                ev(at, FaultKind::NodeCrash { node: node(n), downtime })
             }
         ),
-        (1u64..HORIZON_SECS, 5u64..90)
-            .prop_map(|(at, duration)| PlannedFault::Blackout { at, duration }),
-        (1u64..HORIZON_SECS, 5u64..90, 0.05f64..0.8)
-            .prop_map(|(at, duration, cv)| PlannedFault::Noise { at, duration, cv }),
-        (1u64..HORIZON_SECS, 5u64..60)
-            .prop_map(|(at, duration)| PlannedFault::Stall { at, duration }),
-        (1u64..HORIZON_SECS, 5u64..60)
-            .prop_map(|(at, duration)| PlannedFault::ActDrop { at, duration }),
-        (1u64..HORIZON_SECS, 5u64..60, 1u64..30)
-            .prop_map(|(at, duration, lag)| PlannedFault::ActDelay { at, duration, lag }),
-        (1u64..HORIZON_SECS, 5u64..60, 0.1f64..1.0).prop_map(|(at, duration, fraction)| {
-            PlannedFault::ActPartial { at, duration, fraction }
+        (at(), 5u64..90).prop_map(move |(at, d)| {
+            ev(at, FaultKind::ScrapeBlackout { app: None, duration: secs(d) })
         }),
-        (0u8..NODES as u8, 1u64..HORIZON_SECS, 1u8..5, 4u64..30)
-            .prop_map(|(node, at, cycles, period)| PlannedFault::Flap { node, at, cycles, period }),
+        (at(), 5u64..90, 0.05f64..0.8).prop_map(move |(at, d, cv)| {
+            ev(at, FaultKind::MetricNoise { app: None, duration: secs(d), cv })
+        }),
+        (at(), 5u64..60)
+            .prop_map(move |(at, d)| ev(at, FaultKind::ControlStall { duration: secs(d) })),
+        (at(), 5u64..60)
+            .prop_map(move |(at, d)| ev(at, FaultKind::ActuationDrop { duration: secs(d) })),
+        (at(), 5u64..60, 1u64..30).prop_map(move |(at, d, lag)| {
+            ev(at, FaultKind::ActuationDelay { duration: secs(d), lag: secs(lag) })
+        }),
+        (at(), 5u64..60, 0.1f64..1.0).prop_map(move |(at, d, fraction)| {
+            ev(at, FaultKind::ActuationPartial { duration: secs(d), fraction })
+        }),
+        (0u8..NODES as u8, at(), 1u8..5, 4u64..30).prop_map(move |(n, at, cycles, period)| {
+            let (cycles, period) = (u32::from(cycles), secs(period));
+            ev(at, FaultKind::NodeFlap { node: node(n), cycles, period })
+        }),
     ]
 }
 
-fn build_plan(faults: &[PlannedFault], stochastic: bool) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for f in faults {
-        plan = match *f {
-            PlannedFault::Crash { node, at, downtime } => plan.with_node_crash(
-                NodeId::new(u32::from(node)),
-                SimTime::from_secs(at),
-                downtime.map(SimDuration::from_secs),
-            ),
-            PlannedFault::Blackout { at, duration } => {
-                plan.with_scrape_blackout(SimTime::from_secs(at), SimDuration::from_secs(duration))
-            }
-            PlannedFault::Noise { at, duration, cv } => {
-                plan.with_metric_noise(SimTime::from_secs(at), SimDuration::from_secs(duration), cv)
-            }
-            PlannedFault::Stall { at, duration } => {
-                plan.with_control_stall(SimTime::from_secs(at), SimDuration::from_secs(duration))
-            }
-            PlannedFault::ActDrop { at, duration } => {
-                plan.with_actuation_drop(SimTime::from_secs(at), SimDuration::from_secs(duration))
-            }
-            PlannedFault::ActDelay { at, duration, lag } => plan.with_actuation_delay(
-                SimTime::from_secs(at),
-                SimDuration::from_secs(duration),
-                SimDuration::from_secs(lag),
-            ),
-            PlannedFault::ActPartial { at, duration, fraction } => plan.with_actuation_partial(
-                SimTime::from_secs(at),
-                SimDuration::from_secs(duration),
-                fraction,
-            ),
-            PlannedFault::Flap { node, at, cycles, period } => plan.with_node_flap(
-                NodeId::new(u32::from(node)),
-                SimTime::from_secs(at),
-                u32::from(cycles),
-                SimDuration::from_secs(period),
-            ),
-        };
-    }
+fn build_plan(faults: &[FaultEvent], stochastic: bool) -> FaultPlan {
+    let mut plan = plan_from_events(faults);
     if stochastic {
         plan = plan.with_stochastic(StochasticFaults {
             node_crashes_per_hour: 30.0,

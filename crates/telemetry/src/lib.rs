@@ -11,8 +11,6 @@
 //! * [`P2Quantile`] and [`SlidingQuantile`] — online tail-latency
 //!   estimators (the P² algorithm for O(1)-memory percentiles and an exact
 //!   sliding-window variant for validation).
-//! * [`Histogram`] — log-bucketed latency histograms with percentile
-//!   queries, mirroring what a metrics backend exports.
 //! * [`PloTracker`] — performance-level-objective accounting: violation
 //!   windows, severity and time-in-violation.
 //! * [`UtilizationAccount`] — time-weighted utilization integrals
@@ -47,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod filter;
-mod histogram;
 mod plo;
 mod quantile;
 mod registry;
@@ -56,7 +53,6 @@ pub mod trace;
 mod util;
 
 pub use filter::{Ewma, HoltLinear};
-pub use histogram::Histogram;
 pub use plo::{PloBound, PloTracker, PloWindow};
 pub use quantile::{P2Quantile, SlidingQuantile};
 pub use registry::{MetricKey, MetricRegistry};

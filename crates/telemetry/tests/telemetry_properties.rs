@@ -2,7 +2,7 @@
 
 use evolve_telemetry::trace::{SpanKind, SpanTrace, TraceEvent, TraceRing};
 use evolve_telemetry::{
-    Ewma, Histogram, P2Quantile, PloBound, PloTracker, SlidingQuantile, UtilizationAccount,
+    Ewma, P2Quantile, PloBound, PloTracker, SlidingQuantile, UtilizationAccount,
 };
 use evolve_types::{Resource, ResourceVec, SimTime};
 use proptest::prelude::*;
@@ -38,41 +38,6 @@ proptest! {
             prop_assert!(v >= prev, "quantile not monotone at p={p}");
             prev = v;
         }
-    }
-
-    #[test]
-    fn histogram_percentiles_bracketed_and_monotone(values in arb_values()) {
-        let mut h = Histogram::new(0.1, 1.2, 100);
-        for v in &values {
-            h.record(*v);
-        }
-        let min = h.min().unwrap();
-        let max = h.max().unwrap();
-        let mut prev = f64::NEG_INFINITY;
-        for p in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            let v = h.percentile(p).unwrap();
-            prop_assert!(v >= min - 1e-9 && v <= max + 1e-9, "p{p}: {v} outside [{min}, {max}]");
-            prop_assert!(v >= prev - 1e-9, "percentiles not monotone");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn histogram_merge_equals_bulk_recording(a in arb_values(), b in arb_values()) {
-        let mut ha = Histogram::new(0.1, 1.2, 100);
-        let mut hb = Histogram::new(0.1, 1.2, 100);
-        let mut hall = Histogram::new(0.1, 1.2, 100);
-        for v in &a {
-            ha.record(*v);
-            hall.record(*v);
-        }
-        for v in &b {
-            hb.record(*v);
-            hall.record(*v);
-        }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hall.count());
-        prop_assert_eq!(ha.percentile(0.9), hall.percentile(0.9));
     }
 
     #[test]

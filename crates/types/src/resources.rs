@@ -253,27 +253,11 @@ impl ResourceVec {
         out
     }
 
-    /// Element-wise product.
-    #[must_use]
-    pub fn mul_elem(&self, other: &ResourceVec) -> ResourceVec {
-        let mut out = *self;
-        for i in 0..NUM_RESOURCES {
-            out.0[i] *= other.0[i];
-        }
-        out
-    }
-
     /// Sum of all components (dimensionally meaningless, but useful for
     /// tie-breaking and tests).
     #[must_use]
     pub fn total(&self) -> f64 {
         self.0.iter().sum()
-    }
-
-    /// Largest single component.
-    #[must_use]
-    pub fn max_component(&self) -> f64 {
-        self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// `true` when every component is zero.

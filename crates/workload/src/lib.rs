@@ -40,6 +40,7 @@
 
 mod apps;
 mod arrival;
+mod faults;
 mod request;
 mod sampling;
 mod scenario;
@@ -52,6 +53,7 @@ pub use arrival::{
     TraceLoad,
 };
 pub use evolve_types::PriorityClass;
+pub use faults::{FaultEvent, FaultKind};
 pub use request::{Request, RequestClass};
 pub use sampling::{
     sample_exponential, sample_lognormal, sample_lognormal_with, sample_poisson_count,
@@ -59,6 +61,6 @@ pub use sampling::{
 };
 pub use scenario::{LoadSpec, Scenario, WorkloadMix};
 pub use spec::{
-    ArbiterSpec, BatchEntry, ClusterSpec, FaultSpec, HpcEntry, ProbeSpec, ScenarioError,
+    ArbiterSpec, BatchEntry, ClusterSpec, HpcEntry, ProbeSpec, ReproSpec, ScenarioError,
     ScenarioSpec, ServiceEntry, StageEntry, BUILTIN_NAMES, DEFAULT_NODE_CAPACITY,
 };

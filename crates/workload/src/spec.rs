@@ -3,13 +3,14 @@
 //! [`ScenarioSpec`] is the data model behind every workload scenario: the
 //! services with their demand vectors, arrival processes and PLOs, the
 //! batch/HPC jobs, the cluster shape, the horizon, and (optionally) an
-//! arbiter configuration, a fault plan and a capacity-probe ramp. A spec
-//! can be authored as a TOML file (see EXPERIMENTS.md § Authoring
-//! scenarios), loaded with [`ScenarioSpec::from_file`], and turned into a
-//! runnable [`Scenario`] with [`ScenarioSpec::build`]. The builtin
-//! constructors on [`Scenario`] are thin emitters over the specs defined
-//! here, and each canonical spec is checked in under `scenarios/*.toml`,
-//! pinned byte-identical by parity tests.
+//! arbiter configuration, a fault plan, a capacity-probe ramp and a chaos
+//! reproducer's `[repro]` note. A spec can be authored as a TOML file (see
+//! EXPERIMENTS.md § Authoring scenarios), loaded with
+//! [`ScenarioSpec::from_file`], and turned into a runnable [`Scenario`]
+//! with [`ScenarioSpec::build`]. The builtin constructors on [`Scenario`]
+//! are thin emitters over the specs defined here, and each canonical spec
+//! is checked in under `scenarios/*.toml`, pinned byte-identical by parity
+//! tests.
 //!
 //! Parsing never panics: structural problems surface as typed
 //! [`ScenarioError`]s with line context, semantic problems (zero demand
@@ -20,9 +21,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use evolve_types::{PriorityClass, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, NodeId, PriorityClass, ResourceVec, SimDuration, SimTime};
 
 use crate::apps::PloSpec;
+use crate::faults::{FaultEvent, FaultKind};
 use crate::scenario::{LoadSpec, Scenario, WorkloadMix};
 use crate::toml_mini::{self, Item, Table, Value};
 use crate::{BatchJobSpec, HpcJobSpec, RequestClass, ServiceSpec, StageSpec};
@@ -266,45 +268,16 @@ pub struct ProbeSpec {
     pub reference_rps: Option<f64>,
 }
 
-/// One scheduled fault, as plain data (converted to the simulator's
-/// fault plan by `evolve-core`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    /// A node crashes at `at`, optionally rejoining after `downtime`.
-    NodeCrash {
-        /// Index of the node to crash.
-        node: usize,
-        /// When the crash happens.
-        at: SimTime,
-        /// Time until the node rejoins; `None` keeps it down.
-        downtime: Option<SimDuration>,
-    },
-    /// Cluster-wide metric scrape blackout.
-    ScrapeBlackout {
-        /// When the blackout starts.
-        at: SimTime,
-        /// How long it lasts.
-        duration: SimDuration,
-    },
-    /// The control plane stops ticking.
-    ControlStall {
-        /// When the stall starts.
-        at: SimTime,
-        /// How long it lasts.
-        duration: SimDuration,
-    },
-    /// The controller process crashes and recovers per the run config.
-    ControllerCrash {
-        /// When the crash happens.
-        at: SimTime,
-    },
-    /// Actuations are dropped on the floor.
-    ActuationDrop {
-        /// When the drop window starts.
-        at: SimTime,
-        /// How long it lasts.
-        duration: SimDuration,
-    },
+/// What a chaos reproducer adds to the scenario that ran: the run seed
+/// and the oracle check that fired (the `[repro]` table). Only
+/// `chaos_fuzz --replay` reads it; every other consumer of the file runs
+/// the scenario as written.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproSpec {
+    /// Run seed of the failing case.
+    pub seed: u64,
+    /// Name of the first oracle check that fired.
+    pub violation: String,
 }
 
 /// A declarative scenario: everything a run needs, as data.
@@ -327,9 +300,11 @@ pub struct ScenarioSpec {
     /// Capacity-arbiter settings, when the scenario wants one.
     pub arbiter: Option<ArbiterSpec>,
     /// Scheduled faults.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<FaultEvent>,
     /// Capacity-probe ramp, for scenarios meant for knee discovery.
     pub probe: Option<ProbeSpec>,
+    /// Set when the file is a chaos reproducer.
+    pub repro: Option<ReproSpec>,
 }
 
 /// Names accepted by [`ScenarioSpec::builtin`], in canonical order; each
@@ -472,6 +447,13 @@ impl ScenarioSpec {
     #[must_use]
     pub fn offered_rps(&self) -> f64 {
         self.services.iter().map(|s| s.load.mean_rate()).sum()
+    }
+
+    /// How many applications the spec declares; app ids count services,
+    /// then batch jobs, then HPC jobs.
+    #[must_use]
+    pub fn app_count(&self) -> usize {
+        self.services.len() + self.batch_jobs.len() + self.hpc_jobs.len()
     }
 
     /// The node capacity this spec is validated against.
@@ -622,36 +604,65 @@ impl ScenarioSpec {
                 }
             }
         }
+        let apps = self.app_count();
         for (i, fault) in self.faults.iter().enumerate() {
             let at = |k: &str| format!("fault[{i}].{k}");
-            match fault {
-                FaultSpec::NodeCrash { node, downtime, .. } => {
-                    if *node >= self.cluster.nodes {
-                        return Err(infeasible(
-                            &at("node"),
-                            &format!(
-                                "node index {node} is outside the {}-node cluster",
-                                self.cluster.nodes
-                            ),
-                        ));
-                    }
-                    if let Some(d) = downtime {
-                        if d.is_zero() {
-                            return Err(infeasible(&at("downtime_secs"), "must be positive"));
-                        }
-                    }
+            if let Some((key, why)) = fault.kind.invalid_param() {
+                return Err(infeasible(&at(key), &why));
+            }
+            if !fault.starts_within(self.horizon) {
+                return Err(infeasible(
+                    &at("at_secs"),
+                    &format!(
+                        "starts at or beyond the {}s horizon, so it would never fire",
+                        fmt_secs(self.horizon)
+                    ),
+                ));
+            }
+            if let FaultKind::NodeCrash { downtime: Some(d), .. } = fault.kind {
+                if d.is_zero() {
+                    return Err(infeasible(&at("downtime_secs"), "must be positive"));
                 }
-                FaultSpec::ScrapeBlackout { duration, .. }
-                | FaultSpec::ControlStall { duration, .. }
-                | FaultSpec::ActuationDrop { duration, .. } => {
-                    if duration.is_zero() {
-                        return Err(infeasible(&at("duration_secs"), "must be positive"));
-                    }
-                }
-                FaultSpec::ControllerCrash { .. } => {}
+            }
+            let (node, app, duration) = shared_fields(&fault.kind);
+            if let Some(node) = node.filter(|n| n.as_usize() >= self.cluster.nodes) {
+                return Err(infeasible(
+                    &at("node"),
+                    &format!(
+                        "node index {} is outside the {}-node cluster",
+                        node.as_usize(),
+                        self.cluster.nodes
+                    ),
+                ));
+            }
+            if let Some(app) = app.filter(|a| a.as_usize() >= apps) {
+                return Err(infeasible(
+                    &at("app"),
+                    &format!("app index {} is outside the scenario's {apps} apps", app.as_usize()),
+                ));
+            }
+            if duration.is_some_and(SimDuration::is_zero) {
+                return Err(infeasible(&at("duration_secs"), "must be positive"));
             }
         }
         Ok(())
+    }
+}
+
+/// The `node`, `app` and `duration_secs` of a fault: the three `[[fault]]`
+/// fields more than one kind carries.
+fn shared_fields(kind: &FaultKind) -> (Option<NodeId>, Option<AppId>, Option<SimDuration>) {
+    match *kind {
+        FaultKind::NodeCrash { node, .. } | FaultKind::NodeFlap { node, .. } => {
+            (Some(node), None, None)
+        }
+        FaultKind::ScrapeBlackout { app, duration }
+        | FaultKind::MetricNoise { app, duration, .. } => (None, app, Some(duration)),
+        FaultKind::ControlStall { duration }
+        | FaultKind::ActuationDrop { duration }
+        | FaultKind::ActuationDelay { duration, .. }
+        | FaultKind::ActuationPartial { duration, .. } => (None, None, Some(duration)),
+        FaultKind::ControllerCrash => (None, None, None),
     }
 }
 
@@ -869,6 +880,14 @@ impl<'a> Fields<'a> {
         Ok(self
             .opt_int(key, u64::try_from(usize::MAX).unwrap_or(u64::MAX))?
             .ok_or_else(|| self.missing(key))? as usize)
+    }
+
+    fn req_node(&mut self, key: &str) -> Result<NodeId, ScenarioError> {
+        Ok(NodeId::new(self.req_u32(key)?))
+    }
+
+    fn opt_app(&mut self, key: &str) -> Result<Option<AppId>, ScenarioError> {
+        Ok(self.opt_u32(key)?.map(AppId::new))
     }
 
     fn opt_vec4(&mut self, key: &str) -> Result<Option<ResourceVec>, ScenarioError> {
@@ -1156,36 +1175,64 @@ fn decode_hpc(table: &Table, idx: usize) -> Result<HpcEntry, ScenarioError> {
     Ok(entry)
 }
 
-fn decode_fault(table: &Table, idx: usize) -> Result<FaultSpec, ScenarioError> {
+fn decode_fault(table: &Table, idx: usize) -> Result<FaultEvent, ScenarioError> {
     let ctx = format!("fault[{idx}]");
     let mut f = Fields::new(table, ctx.clone());
     let kind = f.req_str("kind")?;
-    let at = SimTime::ZERO + f.req_secs("at_secs")?;
-    let fault = match kind.as_str() {
-        "node_crash" => FaultSpec::NodeCrash {
-            node: f.req_usize("node")?,
-            at,
+    let at = f.req_time("at_secs")?;
+    let kind = match kind.as_str() {
+        "node_crash" => FaultKind::NodeCrash {
+            node: f.req_node("node")?,
             downtime: f.opt_secs("downtime_secs")?,
         },
-        "scrape_blackout" => {
-            FaultSpec::ScrapeBlackout { at, duration: f.req_secs("duration_secs")? }
-        }
-        "control_stall" => FaultSpec::ControlStall { at, duration: f.req_secs("duration_secs")? },
-        "controller_crash" => FaultSpec::ControllerCrash { at },
-        "actuation_drop" => FaultSpec::ActuationDrop { at, duration: f.req_secs("duration_secs")? },
+        "scrape_blackout" => FaultKind::ScrapeBlackout {
+            app: f.opt_app("app")?,
+            duration: f.req_secs("duration_secs")?,
+        },
+        "metric_noise" => FaultKind::MetricNoise {
+            app: f.opt_app("app")?,
+            duration: f.req_secs("duration_secs")?,
+            cv: f.req_f64("cv")?,
+        },
+        "control_stall" => FaultKind::ControlStall { duration: f.req_secs("duration_secs")? },
+        "controller_crash" => FaultKind::ControllerCrash,
+        "actuation_drop" => FaultKind::ActuationDrop { duration: f.req_secs("duration_secs")? },
+        "actuation_delay" => FaultKind::ActuationDelay {
+            duration: f.req_secs("duration_secs")?,
+            lag: f.req_secs("lag_secs")?,
+        },
+        "actuation_partial" => FaultKind::ActuationPartial {
+            duration: f.req_secs("duration_secs")?,
+            fraction: f.req_f64("fraction")?,
+        },
+        "node_flap" => FaultKind::NodeFlap {
+            node: f.req_node("node")?,
+            cycles: f.req_u32("cycles")?,
+            period: f.req_secs("period_secs")?,
+        },
         other => {
             return Err(ScenarioError::InvalidValue {
                 line: table.line,
                 field: format!("{ctx}.kind"),
                 detail: format!(
                     "unknown fault kind `{other}` (expected node_crash, scrape_blackout, \
-                     control_stall, controller_crash or actuation_drop)"
+                     metric_noise, control_stall, controller_crash, actuation_drop, \
+                     actuation_delay, actuation_partial or node_flap)"
                 ),
             });
         }
     };
     f.finish()?;
-    Ok(fault)
+    // The out-of-range check again, here, because only here is the line known.
+    if let Some((key, why)) = kind.invalid_param() {
+        let line = table.entries.get(key).map_or(table.line, |&(line, _)| line);
+        return Err(ScenarioError::InvalidValue {
+            line,
+            field: format!("{ctx}.{key}"),
+            detail: why,
+        });
+    }
+    Ok(FaultEvent { at, kind })
 }
 
 fn decode_root(root: &Table) -> Result<ScenarioSpec, ScenarioError> {
@@ -1239,6 +1286,15 @@ fn decode_root(root: &Table) -> Result<ScenarioSpec, ScenarioError> {
             Some(spec)
         }
     };
+    let repro = match f.opt_table("repro")? {
+        None => None,
+        Some(t) => {
+            let mut rf = Fields::new(t, "repro");
+            let spec = ReproSpec { seed: rf.req_u64("seed")?, violation: rf.req_str("violation")? };
+            rf.finish()?;
+            Some(spec)
+        }
+    };
     let services = f
         .opt_tables("service")?
         .into_iter()
@@ -1274,6 +1330,7 @@ fn decode_root(root: &Table) -> Result<ScenarioSpec, ScenarioError> {
         arbiter,
         faults,
         probe,
+        repro,
     };
     f.finish()?;
     Ok(spec)
@@ -1432,6 +1489,10 @@ impl ScenarioSpec {
                 let _ = writeln!(w, "reference_rps = {}", fmt_f64(r));
             }
         }
+        if let Some(r) = &self.repro {
+            let _ =
+                writeln!(w, "\n[repro]\nseed = {}\nviolation = {}", r.seed, fmt_str(&r.violation));
+        }
         for s in &self.services {
             let _ = writeln!(w, "\n[[service]]");
             let _ = writeln!(w, "name = {}", fmt_str(&s.name));
@@ -1475,35 +1536,39 @@ impl ScenarioSpec {
             emit_priority(w, h.priority);
         }
         for fault in &self.faults {
-            let _ = writeln!(w, "\n[[fault]]");
-            match fault {
-                FaultSpec::NodeCrash { node, at, downtime } => {
-                    let _ = writeln!(w, "kind = \"node_crash\"");
-                    let _ = writeln!(w, "at_secs = {}", fmt_f64(at.as_secs_f64()));
-                    let _ = writeln!(w, "node = {node}");
-                    if let Some(d) = downtime {
-                        let _ = writeln!(w, "downtime_secs = {}", fmt_secs(*d));
-                    }
+            let _ = writeln!(w, "\n[[fault]]\nkind = {}", fmt_str(fault.kind.label()));
+            let _ = writeln!(w, "at_secs = {}", fmt_f64(fault.at.as_secs_f64()));
+            let (node, app, duration) = shared_fields(&fault.kind);
+            if let Some(node) = node {
+                let _ = writeln!(w, "node = {}", node.as_usize());
+            }
+            if let Some(app) = app {
+                let _ = writeln!(w, "app = {}", app.as_usize());
+            }
+            if let Some(d) = duration {
+                let _ = writeln!(w, "duration_secs = {}", fmt_secs(d));
+            }
+            match fault.kind {
+                FaultKind::NodeCrash { downtime: Some(d), .. } => {
+                    let _ = writeln!(w, "downtime_secs = {}", fmt_secs(d));
                 }
-                FaultSpec::ScrapeBlackout { at, duration } => {
-                    let _ = writeln!(w, "kind = \"scrape_blackout\"");
-                    let _ = writeln!(w, "at_secs = {}", fmt_f64(at.as_secs_f64()));
-                    let _ = writeln!(w, "duration_secs = {}", fmt_secs(*duration));
+                FaultKind::MetricNoise { cv, .. } => {
+                    let _ = writeln!(w, "cv = {}", fmt_f64(cv));
                 }
-                FaultSpec::ControlStall { at, duration } => {
-                    let _ = writeln!(w, "kind = \"control_stall\"");
-                    let _ = writeln!(w, "at_secs = {}", fmt_f64(at.as_secs_f64()));
-                    let _ = writeln!(w, "duration_secs = {}", fmt_secs(*duration));
+                FaultKind::ActuationDelay { lag, .. } => {
+                    let _ = writeln!(w, "lag_secs = {}", fmt_secs(lag));
                 }
-                FaultSpec::ControllerCrash { at } => {
-                    let _ = writeln!(w, "kind = \"controller_crash\"");
-                    let _ = writeln!(w, "at_secs = {}", fmt_f64(at.as_secs_f64()));
+                FaultKind::ActuationPartial { fraction, .. } => {
+                    let _ = writeln!(w, "fraction = {}", fmt_f64(fraction));
                 }
-                FaultSpec::ActuationDrop { at, duration } => {
-                    let _ = writeln!(w, "kind = \"actuation_drop\"");
-                    let _ = writeln!(w, "at_secs = {}", fmt_f64(at.as_secs_f64()));
-                    let _ = writeln!(w, "duration_secs = {}", fmt_secs(*duration));
+                FaultKind::NodeFlap { cycles, period, .. } => {
+                    let _ = writeln!(w, "cycles = {cycles}\nperiod_secs = {}", fmt_secs(period));
                 }
+                FaultKind::NodeCrash { downtime: None, .. }
+                | FaultKind::ScrapeBlackout { .. }
+                | FaultKind::ControlStall { .. }
+                | FaultKind::ControllerCrash
+                | FaultKind::ActuationDrop { .. } => {}
             }
         }
         out
@@ -1659,6 +1724,7 @@ fn base_spec(
         arbiter: None,
         faults: Vec::new(),
         probe: None,
+        repro: None,
     }
 }
 

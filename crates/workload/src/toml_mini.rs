@@ -2,9 +2,8 @@
 //!
 //! The vendored `toml`/`serde` crates are offline stubs (DESIGN.md
 //! decision 2), so scenario files are parsed by hand — the same
-//! discipline as the `evolve_types::codec` binary codec and the
-//! hand-rolled JSON reproducers in `chaos_fuzz`. The subset is exactly
-//! what [`crate::spec::ScenarioSpec::to_toml`] emits:
+//! discipline as the `evolve_types::codec` binary codec. The subset is
+//! exactly what [`crate::spec::ScenarioSpec::to_toml`] emits:
 //!
 //! * `key = value` pairs with bare keys (letters, digits, `_`, `-`);
 //! * `[table]` and `[[array-of-tables]]` headers, with dotted paths

@@ -109,33 +109,132 @@ fn missing_required_fields_are_typed() {
     }
 }
 
+/// `single_diurnal` (6 nodes, 1 app, 900 s) with one `[[fault]]` table
+/// appended; returns the document and the 1-based line of `key`.
+fn with_fault(body: &str, key: &str) -> (String, usize) {
+    let toml = ScenarioSpec::builtin("single_diurnal").expect("builtin").to_toml();
+    let toml = format!("{toml}\n[[fault]]\n{body}");
+    let line = toml.lines().position(|l| l.starts_with(key)).expect("key present") + 1;
+    (toml, line)
+}
+
 #[test]
 fn invalid_values_are_typed() {
     // A valid one-service document with a `priority` line put in; each
-    // case is (document, offending field, its 1-based line).
+    // case is (document, offending field, its 1-based line — `None` for a
+    // value that is well-formed but can never run).
     let with_priority = |value: &str| {
         let toml = ScenarioSpec::builtin("single_diurnal").expect("builtin").to_toml();
         let toml =
             toml.replacen("replicas = 2\n", &format!("replicas = 2\npriority = {value}\n"), 1);
         let line = toml.lines().position(|l| l.starts_with("priority")).expect("inserted") + 1;
-        (toml, "service[0].priority", line)
+        (toml, "service[0].priority", Some(line))
     };
     let cases = [
         (
             "name = \"x\"\ndescription = \"d\"\nhorizon_secs = -5\n".to_string(),
             "scenario.horizon_secs",
-            3,
+            Some(3),
         ),
         with_priority("\"urgent\""),
         with_priority("3"),
+        // A fault starting at the horizon never fires; app 1 of 1 does not exist.
+        (
+            with_fault("kind = \"control_stall\"\nat_secs = 900.0\nduration_secs = 5.0\n", "kind")
+                .0,
+            "fault[0].at_secs",
+            None,
+        ),
+        (
+            with_fault(
+                "kind = \"scrape_blackout\"\nat_secs = 10.0\napp = 1\nduration_secs = 5.0\n",
+                "kind",
+            )
+            .0,
+            "fault[0].app",
+            None,
+        ),
     ];
     for (toml, want_field, want_line) in cases {
-        match ScenarioSpec::from_toml_str(&toml).unwrap_err() {
-            ScenarioError::InvalidValue { line, field, .. } => {
+        match (ScenarioSpec::from_toml_str(&toml).unwrap_err(), want_line) {
+            (ScenarioError::InvalidValue { line, field, .. }, Some(want_line)) => {
                 assert_eq!((field.as_str(), line), (want_field, want_line), "{toml}");
             }
-            other => panic!("expected InvalidValue, got {other}"),
+            (ScenarioError::Infeasible { field, .. }, None) => assert_eq!(field, want_field),
+            (other, _) => panic!("expected `{want_field}` to be rejected, got {other}"),
         }
+    }
+}
+
+/// What the chaos reproducer's own reader used to reject, through the one
+/// reader there is now: every malformed `[[fault]]` or `[repro]` table is
+/// a typed error naming the field, with the line wherever there is one.
+#[test]
+fn malformed_faults_are_typed_with_the_line() {
+    let invalid = |body: &str, key: &str, want_field: &str| {
+        let (toml, want_line) = with_fault(body, key);
+        match ScenarioSpec::from_toml_str(&toml).unwrap_err() {
+            ScenarioError::InvalidValue { line, field, .. } => {
+                assert_eq!((field.as_str(), line), (want_field, want_line), "{body}");
+            }
+            other => panic!("expected InvalidValue for `{want_field}`, got {other}"),
+        }
+    };
+    // Unknown kind: the line is the `[[fault]]` header's.
+    invalid("kind = \"warp_core_breach\"\nat_secs = 5.0\n", "[[fault]]", "fault[0].kind");
+    // Wrong type.
+    invalid(
+        "kind = \"node_flap\"\nat_secs = 5.0\nnode = 0\ncycles = \"two\"\nperiod_secs = 4.0\n",
+        "cycles",
+        "fault[0].cycles",
+    );
+    invalid("kind = \"node_crash\"\nat_secs = 5.0\nnode = -1\n", "node =", "fault[0].node");
+    // Out of range, by `FaultKind`'s own rule.
+    invalid(
+        "kind = \"actuation_partial\"\nat_secs = 5.0\nduration_secs = 9.0\nfraction = 1.5\n",
+        "fraction",
+        "fault[0].fraction",
+    );
+    invalid(
+        "kind = \"metric_noise\"\nat_secs = 5.0\nduration_secs = 9.0\ncv = -0.25\n",
+        "cv",
+        "fault[0].cv",
+    );
+    invalid(
+        "kind = \"node_flap\"\nat_secs = 5.0\nnode = 0\ncycles = 0\nperiod_secs = 4.0\n",
+        "cycles",
+        "fault[0].cycles",
+    );
+
+    let error_of =
+        |body: &str| ScenarioSpec::from_toml_str(&with_fault(body, "kind").0).unwrap_err();
+    // A missing field (a file cut off inside its last table).
+    match error_of("kind = \"actuation_delay\"\nat_secs = 5.0\nduration_secs = 9.0\n") {
+        ScenarioError::MissingField { table, field } => {
+            assert_eq!((table.as_str(), field.as_str()), ("fault[0]", "lag_secs"));
+        }
+        other => panic!("expected MissingField, got {other}"),
+    }
+    // A field the kind does not have.
+    match error_of("kind = \"controller_crash\"\nat_secs = 5.0\nduration_secs = 9.0\n") {
+        ScenarioError::UnknownField { table, field, .. } => {
+            assert_eq!((table.as_str(), field.as_str()), ("fault[0]", "duration_secs"));
+        }
+        other => panic!("expected UnknownField, got {other}"),
+    }
+    // `[repro]` needs both of its fields and has no others.
+    let stall = "kind = \"control_stall\"\nat_secs = 5.0\nduration_secs = 9.0\n";
+    match error_of(&format!("{stall}\n[repro]\nviolation = \"gang_atomicity\"\n")) {
+        ScenarioError::MissingField { table, field } => {
+            assert_eq!((table.as_str(), field.as_str()), ("repro", "seed"));
+        }
+        other => panic!("expected MissingField, got {other}"),
+    }
+    match error_of(&format!("{stall}\n[repro]\nseed = 7\nviolation = \"x\"\nprofile = \"p\"\n")) {
+        ScenarioError::UnknownField { table, field, .. } => {
+            assert_eq!((table.as_str(), field.as_str()), ("repro", "profile"));
+        }
+        other => panic!("expected UnknownField, got {other}"),
     }
 }
 

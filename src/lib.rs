@@ -66,13 +66,13 @@ pub use evolve_workload as workload;
 pub mod prelude {
     pub use evolve_control::ArbiterConfig;
     pub use evolve_core::{
-        arbiter_from_spec, faults_from_spec, write_csv, ExperimentRunner, Harness, ManagerKind,
-        RecoveryStrategy, ReplicatedOutcome, RunConfig, RunConfigBuilder, RunOutcome, RunPerf,
-        SchedulerProfile, Summary, Table,
+        arbiter_from_spec, write_csv, ExperimentRunner, Harness, ManagerKind, RecoveryStrategy,
+        ReplicatedOutcome, RunConfig, RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile,
+        Summary, Table,
     };
     pub use evolve_sim::{
         ChaosOracle, FaultEvent, FaultKind, FaultPlan, NodeShape, OracleReport, OracleViolation,
-        Reproducer, StochasticFaults,
+        StochasticFaults,
     };
     pub use evolve_telemetry::trace::{
         ActuationOutcome, ControlExplain, ControlTrace, FaultTrace, SchedOutcome, SchedTrace,
