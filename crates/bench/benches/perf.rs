@@ -14,25 +14,32 @@
 //!   of 20 apps in rotation on 200 nodes, where every pod finds its class
 //!   cold (one evaluation pass over the nodes per pod), and the fill of an
 //!   empty 1 000-node `cluster_scale`, ≈ 12 000 pods in per-app runs, where
-//!   every pod after its class's first is a record walk on a warm tree.
+//!   every pod after its class's first is a record walk on a warm tree;
+//!   and `backlog_cycle_800_deferred`, the steady state after it: a packed
+//!   cluster and 800 pods that cannot place, three cycles in four deferring
+//!   them all on one requeue-backoff read each.
 //! * `engine/*` — the engine's two per-replica passes through its public
 //!   API, on a bound 100-node `cluster_scale` with 120 replicas per
 //!   service: a control tick's harvest (`take_window` of every app) and
-//!   the event loop (`run_until` over 5 s of arrivals and wakes).
+//!   the event loop (`run_until` over 5 s of arrivals and wakes). Two more
+//!   isolate what one arrival looks up: `arrival_pick_120_replicas` (one
+//!   service, 200 rps: the least-loaded of 120 replicas, then that
+//!   replica's wake) and `arrival_merge_40_services` (40 services of two
+//!   replicas: the earliest of 40 arrival slots after every arrival).
 //!
 //! ```text
 //! cargo bench -p evolve-bench --bench perf
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use evolve_scheduler::SchedulerFramework;
+use evolve_scheduler::{RequeueBackoff, SchedulerFramework};
 use evolve_sim::{
     ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
     ReplicaServer, Simulation, SimulationConfig,
 };
 use evolve_telemetry::{MetricRegistry, SlidingQuantile};
 use evolve_types::{AppId, ResourceVec, SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::{LoadSpec, Scenario, ScenarioSpec};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream without pulling in an RNG crate —
@@ -192,14 +199,20 @@ fn bench_registry(c: &mut Criterion) {
     group.finish();
 }
 
-fn populated_cluster(nodes: usize, pending: usize) -> ClusterState {
+/// `nodes` nodes, each holding one filler pod of `filler_cpu` mcore at
+/// `filler_priority`, and `pending` one-core pods of priority 100 to place.
+fn populated_cluster(
+    nodes: usize,
+    pending: usize,
+    filler_cpu: f64,
+    filler_priority: i32,
+) -> ClusterState {
     let mut cluster = ClusterState::new(&ClusterConfig::uniform(nodes, NodeShape::default()));
-    let filler = ResourceVec::new(8_000.0, 16_384.0, 100.0, 200.0);
+    let filler = ResourceVec::new(filler_cpu, 16_384.0, 100.0, 200.0);
+    let filler_kind = PodKind::ServiceReplica { app: AppId::new(9_999) };
     for i in 0..nodes {
-        let pod = cluster.create_pod(
-            PodSpec::new(PodKind::ServiceReplica { app: AppId::new(9_999) }, filler, 10),
-            SimTime::ZERO,
-        );
+        let pod =
+            cluster.create_pod(PodSpec::new(filler_kind, filler, filler_priority), SimTime::ZERO);
         cluster.bind_pod(pod, cluster.nodes()[i].id()).expect("fits");
     }
     for k in 0..pending {
@@ -218,7 +231,7 @@ fn populated_cluster(nodes: usize, pending: usize) -> ClusterState {
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
     group.sample_size(20);
-    let cluster = populated_cluster(200, 64);
+    let cluster = populated_cluster(200, 64, 8_000.0, 10);
     let evolve = SchedulerFramework::evolve_default();
     group.bench_function("schedule_cycle_200n_64p", |b| {
         b.iter(|| black_box(evolve.schedule_cycle(&cluster)))
@@ -234,6 +247,18 @@ fn bench_scheduler(c: &mut Criterion) {
     group.sample_size(2);
     group.bench_function("fill_cycle_1000n", |b| {
         b.iter(|| black_box(evolve.schedule_cycle(unscheduled.cluster())))
+    });
+    // What is left when the fill is done: every node full of pods no
+    // pending one may preempt, and a backlog the carried ledger holds
+    // back. After eight cycles each pod retries every fourth.
+    let packed = populated_cluster(20, 800, 15_000.0, 100);
+    let mut backoff = RequeueBackoff::new();
+    for _ in 0..8 {
+        assert!(evolve.schedule_cycle_with_backoff(&packed, &mut backoff).bindings.is_empty());
+    }
+    group.sample_size(20);
+    group.bench_function("backlog_cycle_800_deferred", |b| {
+        b.iter(|| black_box(evolve.schedule_cycle_with_backoff(&packed, &mut backoff)))
     });
     group.finish();
 }
@@ -252,6 +277,25 @@ fn bound_cluster_scale() -> Simulation {
         }
         sim.run_until(SimTime::from_secs(5 * tick));
     }
+    sim
+}
+
+/// A `cluster_scale` of `nodes` nodes and `apps` services without its batch
+/// jobs, every service at `rps`, scheduled once and run until the replicas
+/// serve: what remains is arrivals and their wakes.
+fn serving_services(nodes: usize, apps: usize, rps: f64) -> Simulation {
+    let mut spec = ScenarioSpec::cluster_scale(nodes, apps, SimDuration::from_mins(10));
+    spec.batch_jobs.clear();
+    for service in &mut spec.services {
+        service.load = LoadSpec::Constant { rate: rps };
+    }
+    let cluster = ClusterConfig::uniform(nodes, NodeShape::default());
+    let mut sim = Simulation::new(SimulationConfig::default(), cluster, &spec.build().mix, 42);
+    for (pod, node) in SchedulerFramework::evolve_default().schedule_cycle(sim.cluster()).bindings {
+        sim.bind_pod(pod, node).expect("the plan fits the cluster it was made for");
+    }
+    sim.run_until(SimTime::from_secs(10));
+    assert_eq!(sim.snapshot().pods_pending, 0, "every replica runs");
     sim
 }
 
@@ -280,6 +324,23 @@ fn bench_engine(c: &mut Criterion) {
             black_box(sim.events_processed())
         })
     });
+    // 25 nodes hold one service of 120 replicas; at 200 rps and ≈ 17 ms a
+    // request three or four are busy, so a pick passes those and stops.
+    // 10 nodes hold 40 services of two: 80 arrivals a second, each followed
+    // by one fold of the 40 arrival slots.
+    for (name, nodes, apps, rps) in
+        [("arrival_pick_120_replicas", 25, 1, 200.0), ("arrival_merge_40_services", 10, 40, 2.0)]
+    {
+        let mut sim = serving_services(nodes, apps, rps);
+        let mut until = sim.now();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                until += SimDuration::from_secs(1);
+                sim.run_until(until);
+                black_box(sim.events_processed())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
 use evolve_telemetry::trace::{SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{JobId, NodeId, PodId, ResourceVec, Result, SimTime};
+use evolve_types::{Error, JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
 use crate::index::{fold_best, FeasibilityIndex, Verdict};
 use crate::plugins::{
@@ -54,11 +54,15 @@ pub struct SchedulePlan {
 /// any backed-off member is deferred as a unit without accruing further
 /// penalty. State is pruned to the currently-pending set each cycle, so
 /// pods that bind (or die) are forgotten automatically.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RequeueBackoff {
     cycle: u64,
-    /// pod → (consecutive failures, first cycle eligible to retry).
-    state: BTreeMap<PodId, (u32, u64)>,
+    /// `(pod, (consecutive failures, first cycle eligible to retry))` of
+    /// every pod with a failure on record, in the order they first failed.
+    entries: Vec<(PodId, (u32, u64))>,
+    /// Pod id → its place in `entries` plus one, 0 for none; each cycle builds
+    /// it over its cluster's pods, so an id from a checkpoint never sizes it.
+    index: Vec<u32>,
 }
 
 impl RequeueBackoff {
@@ -68,54 +72,92 @@ impl RequeueBackoff {
         RequeueBackoff::default()
     }
 
+    /// Starts the next cycle: forgets every pod that is no longer pending
+    /// and indexes the rest. Walks the entries, not the cluster.
+    fn begin_cycle(&mut self, cluster: &ClusterState) {
+        self.cycle += 1;
+        for (pod, _) in &self.entries {
+            if let Some(place) = self.index.get_mut(pod.as_usize()) {
+                *place = 0;
+            }
+        }
+        self.entries.retain(|(pod, _)| cluster.pod(*pod).is_ok_and(Pod::is_pending));
+        self.index.resize(cluster.pods().count(), 0);
+        for (at, (pod, _)) in self.entries.iter().enumerate() {
+            self.index[pod.as_usize()] = at as u32 + 1;
+        }
+    }
+
     /// `(consecutive failures, first cycle eligible to retry)` of a pod —
     /// `(0, 0)`, eligible at once, for one with no failure on record. The
-    /// cycle reads it once per pod: a standing backlog is visited every
-    /// cycle, and the lookup is most of a deferred visit.
+    /// cycle reads it once per pod, through the index.
     fn held(&self, pod: PodId) -> (u32, u64) {
-        self.state.get(&pod).copied().unwrap_or((0, 0))
+        let place = self.index.get(pod.as_usize()).map_or(0, |&place| place as usize);
+        place.checked_sub(1).map_or((0, 0), |at| self.entries[at].1)
     }
 
-    /// Records a failed placement attempt, pushes the retry out and
-    /// returns the new failure count.
+    /// Records a failed placement attempt of one of the cycle's pending
+    /// pods, pushes the retry out and returns the new failure count.
     fn record_failure(&mut self, pod: PodId) -> u32 {
-        let entry = self.state.entry(pod).or_insert((0, 0));
-        entry.0 += 1;
-        let delay = (1u64 << (entry.0 - 1).min(2)).min(4);
-        entry.1 = self.cycle + delay;
-        entry.0
+        let place = &mut self.index[pod.as_usize()];
+        if *place == 0 {
+            self.entries.push((pod, (0, 0)));
+            *place = self.entries.len() as u32;
+        }
+        let (failures, retry_at) = &mut self.entries[*place as usize - 1].1;
+        *failures += 1;
+        let delay = (1u64 << (*failures - 1).min(2)).min(4);
+        *retry_at = self.cycle + delay;
+        *failures
     }
 
-    /// Consecutive failed attempts recorded for a pod.
+    /// Consecutive failed attempts recorded for a pod (a scan: a decoded
+    /// ledger has no index before its first cycle).
     #[must_use]
     pub fn failures(&self, pod: PodId) -> u32 {
-        self.held(pod).0
+        self.entries.iter().find(|entry| entry.0 == pod).map_or(0, |entry| entry.1 .0)
+    }
+
+    /// The entries in ascending pod id, as the checkpoint holds them.
+    fn sorted(&self) -> Vec<(PodId, (u32, u64))> {
+        let mut entries = self.entries.clone();
+        entries.sort_unstable();
+        entries
+    }
+}
+
+/// Same cycle, same entries: neither their order nor the index counts.
+impl PartialEq for RequeueBackoff {
+    fn eq(&self, other: &Self) -> bool {
+        self.cycle == other.cycle && self.sorted() == other.sorted()
     }
 }
 
 impl Codec for RequeueBackoff {
     fn encode(&self, enc: &mut Encoder) {
         self.cycle.encode(enc);
-        // BTreeMap iterates in key order, so the encoding is deterministic.
-        self.state.len().encode(enc);
-        for (pod, &(failures, retry_at)) in &self.state {
+        self.entries.len().encode(enc);
+        for (pod, (failures, retry_at)) in self.sorted() {
             pod.encode(enc);
             failures.encode(enc);
             retry_at.encode(enc);
         }
     }
 
+    /// Restores the entries alone; they must ascend, as `encode` writes
+    /// them, or a pod listed twice would keep two.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let cycle = u64::decode(dec)?;
         let len = usize::decode(dec)?;
-        let mut state = BTreeMap::new();
+        let mut entries: Vec<(PodId, (u32, u64))> = Vec::new();
         for _ in 0..len {
-            let pod = PodId::decode(dec)?;
-            let failures = u32::decode(dec)?;
-            let retry_at = u64::decode(dec)?;
-            state.insert(pod, (failures, retry_at));
+            let entry = (PodId::decode(dec)?, (u32::decode(dec)?, u64::decode(dec)?));
+            if entries.last().is_some_and(|last| last.0 >= entry.0) {
+                return Err(Error::CorruptCheckpoint(format!("backoff {} out of order", entry.0)));
+            }
+            entries.push(entry);
         }
-        Ok(RequeueBackoff { cycle, state })
+        Ok(RequeueBackoff { cycle, entries, index: Vec::new() })
     }
 }
 
@@ -377,8 +419,7 @@ impl SchedulerFramework {
         // Group pending pods: gangs as units, others individually; order
         // by (priority desc, creation asc).
         let pending: Vec<&Pod> = cluster.pending_pods().collect();
-        backoff.cycle += 1;
-        backoff.state.retain(|id, _| cluster.pod(*id).is_ok_and(Pod::is_pending));
+        backoff.begin_cycle(cluster);
         // BTreeMap: gang visit order must not depend on hash state, or
         // equal-priority units would schedule in a nondeterministic order.
         let mut gangs: BTreeMap<JobId, Vec<&Pod>> = BTreeMap::new();
@@ -986,6 +1027,7 @@ mod tests {
     use super::*;
     use evolve_sim::{ClusterConfig, NodeShape};
     use evolve_types::{AppId, ResourceVec, SimTime};
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn cluster(nodes: usize, capacity: f64) -> ClusterState {
         ClusterState::new(&ClusterConfig::uniform(
@@ -1312,7 +1354,7 @@ mod tests {
         let sched = SchedulerFramework::kube_default();
         let mut backoff = RequeueBackoff::new();
         backoff.cycle = 10;
-        backoff.state.insert(ranks[0], (2, 13)); // eligible at cycle 13
+        backoff.entries.push((ranks[0], (2, 13))); // eligible at cycle 13
         let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 11
         assert!(plan.bindings.is_empty(), "gang must defer as a unit: {plan:?}");
         assert_eq!(backoff.failures(ranks[0]), 2, "deferral accrues no penalty");
@@ -1348,5 +1390,172 @@ mod tests {
         let c = cluster(2, 1000.0);
         let plan = SchedulerFramework::kube_default().schedule_cycle(&c);
         assert_eq!(plan, SchedulePlan::default());
+    }
+
+    /// The ledger as it was before the table: a map by pod id, pruned by
+    /// `retain`, encoded in the map's order.
+    #[derive(Default)]
+    struct MapBackoff {
+        cycle: u64,
+        state: BTreeMap<PodId, (u32, u64)>,
+    }
+
+    impl MapBackoff {
+        fn begin_cycle(&mut self, cluster: &ClusterState) {
+            self.cycle += 1;
+            self.state.retain(|id, _| cluster.pod(*id).is_ok_and(Pod::is_pending));
+        }
+
+        fn held(&self, pod: PodId) -> (u32, u64) {
+            self.state.get(&pod).copied().unwrap_or((0, 0))
+        }
+
+        fn record_failure(&mut self, pod: PodId) -> u32 {
+            let entry = self.state.entry(pod).or_insert((0, 0));
+            entry.0 += 1;
+            let delay = (1u64 << (entry.0 - 1).min(2)).min(4);
+            entry.1 = self.cycle + delay;
+            entry.0
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let entries: Vec<_> = self.state.iter().map(|(pod, held)| (pod.raw(), *held)).collect();
+            backoff_bytes(self.cycle, entries.len(), &entries)
+        }
+    }
+
+    fn bytes(backoff: &RequeueBackoff) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        backoff.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<RequeueBackoff> {
+        RequeueBackoff::decode(&mut Decoder::new(bytes))
+    }
+
+    /// Random pod lifecycles and cycles against the map: after every step
+    /// the same reads, the same checkpoint bytes, and a decoded copy equal
+    /// to the ledger it was written from.
+    fn run_backoff_model(ops: Vec<(u8, u64)>) -> std::result::Result<(), String> {
+        use evolve_sim::PodPhase;
+        let mut c = cluster(2, 1000.0);
+        let (mut table, mut model) = (RequeueBackoff::new(), MapBackoff::default());
+        for (op, sel) in ops {
+            let pick = |pods: Vec<PodId>| {
+                (!pods.is_empty()).then(|| pods[(sel % pods.len() as u64) as usize])
+            };
+            let pending = pick(c.pending_pods().map(|p| p.id).collect());
+            let any = pick(c.pods().filter(|p| !p.phase.is_terminal()).map(|p| p.id).collect());
+            match op {
+                0..=2 => {
+                    service_pod(&mut c, 0, 10.0, 0);
+                }
+                // A pod binds, or dies where it stands: its entry is stale
+                // until the next cycle forgets it.
+                3 | 4 => {
+                    if let Some(pod) = pending {
+                        c.bind_pod(pod, NodeId::new((sel % 2) as u32)).expect("10 of 950 fits");
+                    }
+                }
+                5 => {
+                    if let Some(pod) = any {
+                        c.terminate_pod(pod, PodPhase::Succeeded).expect("not terminal");
+                    }
+                }
+                // A dead pod queues again under its old id, which the index
+                // may have known.
+                14 => {
+                    let dead = c.pods().filter(|p| p.phase.is_terminal()).map(|p| p.id).collect();
+                    if let Some(pod) = pick(dead) {
+                        c.requeue_pod(pod, SimTime::ZERO).expect("holds nothing");
+                    }
+                }
+                // A cycle, as `cycle_impl` drives the ledger: prune, then one
+                // read per pending pod and one write for each that is due and
+                // fails to place. One in eight follows a restart, where the
+                // ledger comes back from its checkpoint without an index.
+                _ => {
+                    if op == 6 {
+                        table = decoded(&bytes(&table)).expect("own bytes decode");
+                    }
+                    table.begin_cycle(&c);
+                    model.begin_cycle(&c);
+                    for (i, pod) in c.pending_pods().map(|p| p.id).enumerate() {
+                        let held = table.held(pod);
+                        prop_assert_eq!(held, model.held(pod), "held({}) in the cycle", pod);
+                        if held.1 <= table.cycle && (sel >> (i % 64)) & 1 == 1 {
+                            prop_assert_eq!(table.record_failure(pod), model.record_failure(pod));
+                        }
+                    }
+                }
+            }
+            let written = bytes(&table);
+            prop_assert_eq!(&written, &model.bytes(), "checkpoint bytes differ from the map's");
+            let back = decoded(&written).expect("own bytes decode");
+            prop_assert_eq!(bytes(&back), written, "a decoded ledger re-encodes differently");
+            prop_assert!(back == table, "a decoded ledger is not equal to its source");
+            for id in 0..=c.pods().count() as u64 {
+                let pod = PodId::new(id);
+                prop_assert_eq!(table.held(pod), model.held(pod), "held({})", pod);
+                prop_assert_eq!(table.failures(pod), model.held(pod).0, "failures({})", pod);
+                prop_assert_eq!(back.failures(pod), model.held(pod).0, "decoded failures({})", pod);
+            }
+            prop_assert!(table.index.len() <= c.pods().count(), "one index slot per pod issued");
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn backoff_table_matches_the_map(
+            ops in proptest::collection::vec((0u8..15, proptest::prelude::any::<u64>()), 1..300)
+        ) {
+            run_backoff_model(ops)?;
+        }
+    }
+
+    /// `cycle`, a count and `(pod, failures, retry_at)` triples, as the
+    /// checkpoint holds them.
+    fn backoff_bytes(cycle: u64, count: usize, entries: &[(u64, (u32, u64))]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        cycle.encode(&mut enc);
+        count.encode(&mut enc);
+        for &(pod, (failures, retry_at)) in entries {
+            PodId::new(pod).encode(&mut enc);
+            failures.encode(&mut enc);
+            retry_at.encode(&mut enc);
+        }
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn backoff_decode_rejects_what_encode_never_writes() {
+        let corrupt = |bytes: &[u8]| matches!(decoded(bytes), Err(Error::CorruptCheckpoint(_)));
+        let good = backoff_bytes(7, 2, &[(3, (1, 8)), (9, (2, 9))]);
+        assert_eq!(bytes(&decoded(&good).expect("ascending entries")), good);
+        assert!(corrupt(&backoff_bytes(7, 2, &[(3, (1, 8)), (3, (2, 9))])), "a pod listed twice");
+        assert!(corrupt(&backoff_bytes(7, 2, &[(9, (2, 9)), (3, (1, 8))])), "descending entries");
+        assert!(corrupt(&good[..good.len() - 1]), "the last entry cut short");
+        assert!(
+            corrupt(&backoff_bytes(7, 3, &[(3, (1, 8)), (9, (2, 9))])),
+            "fewer entries than said"
+        );
+        assert!(corrupt(&backoff_bytes(7, usize::MAX, &[])), "a count nothing backs");
+    }
+
+    #[test]
+    fn backoff_never_sizes_anything_by_a_decoded_pod_id() {
+        let mut c = cluster(1, 1000.0);
+        let blocked = service_pod(&mut c, 0, 5_000.0, 0);
+        let mut backoff =
+            decoded(&backoff_bytes(4, 2, &[(0, (3, 9)), (1 << 63, (1, 5))])).expect("well formed");
+        assert_eq!(backoff.failures(PodId::new(1 << 63)), 1);
+        assert!(backoff.index.is_empty(), "decode builds no index");
+        let plan = SchedulerFramework::kube_default().schedule_cycle_with_backoff(&c, &mut backoff);
+        assert_eq!(plan.unschedulable, [blocked], "still inside the restored window");
+        assert_eq!((backoff.failures(blocked), backoff.failures(PodId::new(1 << 63))), (3, 0));
+        assert_eq!(backoff.index.len(), 1, "the index spans the cluster's pods, not the id read");
+        assert_eq!(bytes(&backoff), backoff_bytes(5, 1, &[(0, (3, 9))]));
     }
 }

@@ -47,6 +47,37 @@ impl ClusterConfig {
     }
 }
 
+/// Why an in-place resize was refused: `Copy`, worded only as an [`Error`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ResizeRefusal {
+    UnknownPod(PodId),
+    NotBound(PodId),
+    InvalidRequest,
+    OverLimit { requested: ResourceVec, limit: ResourceVec },
+    NoHeadroom { node: NodeId, requested: ResourceVec, headroom: ResourceVec },
+}
+
+impl From<ResizeRefusal> for Error {
+    fn from(refusal: ResizeRefusal) -> Self {
+        match refusal {
+            ResizeRefusal::UnknownPod(pod) => Error::UnknownPod(pod),
+            ResizeRefusal::NotBound(pod) => Error::InvalidState(format!("{pod} is not bound")),
+            ResizeRefusal::InvalidRequest => {
+                Error::InvalidConfig("resize request must be valid and non-zero".into())
+            }
+            ResizeRefusal::OverLimit { requested, limit } => {
+                Error::InvalidConfig(format!("resize {requested} exceeds limit {limit}"))
+            }
+            ResizeRefusal::NoHeadroom { node, requested, headroom } => {
+                Error::InsufficientCapacity {
+                    node,
+                    detail: format!("resize to {requested} exceeds headroom {headroom}"),
+                }
+            }
+        }
+    }
+}
+
 /// Live cluster state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterState {
@@ -324,27 +355,34 @@ impl ClusterState {
     /// Fails when the pod is unknown, not bound, the new request exceeds
     /// the pod limit, or the node lacks headroom for the increase.
     pub fn resize_pod(&mut self, pod_id: PodId, new_request: ResourceVec) -> Result<()> {
-        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(Error::UnknownPod(pod_id))?;
+        self.try_resize(pod_id, new_request).map_err(Error::from)
+    }
+
+    /// [`ClusterState::resize_pod`] for the engine, which only counts refusals.
+    pub(crate) fn try_resize(
+        &mut self,
+        pod_id: PodId,
+        new_request: ResourceVec,
+    ) -> std::result::Result<(), ResizeRefusal> {
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(ResizeRefusal::UnknownPod(pod_id))?;
         if !pod.phase.holds_resources() {
-            return Err(Error::InvalidState(format!("{pod_id} is not bound")));
+            return Err(ResizeRefusal::NotBound(pod_id));
         }
         if !new_request.is_valid() || new_request.is_zero() {
-            return Err(Error::InvalidConfig("resize request must be valid and non-zero".into()));
+            return Err(ResizeRefusal::InvalidRequest);
         }
         if !new_request.fits_within(&pod.spec.limit) {
-            return Err(Error::InvalidConfig(format!(
-                "resize {new_request} exceeds limit {}",
-                pod.spec.limit
-            )));
+            return Err(ResizeRefusal::OverLimit { requested: new_request, limit: pod.spec.limit });
         }
         let node_id = pod.node.expect("bound pod has a node");
         let old_request = pod.spec.request;
         let node = &mut self.nodes[node_id.as_usize()];
-        let free_plus_old = node.free() + old_request;
-        if !new_request.fits_within(&free_plus_old) {
-            return Err(Error::InsufficientCapacity {
+        let headroom = node.free() + old_request;
+        if !new_request.fits_within(&headroom) {
+            return Err(ResizeRefusal::NoHeadroom {
                 node: node_id,
-                detail: format!("resize to {new_request} exceeds headroom {free_plus_old}"),
+                requested: new_request,
+                headroom,
             });
         }
         node.adjust(old_request, new_request);
@@ -633,6 +671,44 @@ mod tests {
         let mut c = cluster();
         let a = c.create_pod(spec(100.0), SimTime::ZERO);
         assert!(c.resize_pod(a, ResourceVec::splat(200.0)).is_err());
+    }
+
+    /// Each refusal reads as it did when `resize_pod` worded it on the spot,
+    /// and a refusal leaves the node's books alone.
+    #[test]
+    fn resize_refusals_keep_their_text() {
+        let mut c = cluster();
+        let limit = ResourceVec::splat(2_000.0);
+        let bound = c.create_pod(spec(100.0).with_limit(limit), SimTime::ZERO);
+        let waiting = c.create_pod(spec(100.0), SimTime::ZERO);
+        c.bind_pod(bound, NodeId::new(0)).unwrap();
+        let (big, huge) = (ResourceVec::splat(960.0), ResourceVec::splat(2_001.0));
+        let headroom = c.nodes()[0].free() + ResourceVec::splat(100.0);
+        let cases = [
+            (PodId::new(9), big, Error::UnknownPod(PodId::new(9))),
+            (waiting, big, Error::InvalidState(format!("{waiting} is not bound"))),
+            (
+                bound,
+                ResourceVec::ZERO,
+                Error::InvalidConfig("resize request must be valid and non-zero".into()),
+            ),
+            (bound, huge, Error::InvalidConfig(format!("resize {huge} exceeds limit {limit}"))),
+            (
+                bound,
+                big,
+                Error::InsufficientCapacity {
+                    node: NodeId::new(0),
+                    detail: format!("resize to {big} exceeds headroom {headroom}"),
+                },
+            ),
+        ];
+        for (pod, request, want) in cases {
+            let version = c.version();
+            assert_eq!(c.resize_pod(pod, request).unwrap_err().to_string(), want.to_string());
+            assert!(c.try_resize(pod, request).is_err());
+            assert_eq!(c.version(), version, "a refusal changes nothing");
+        }
+        c.check_invariants();
     }
 
     #[test]

@@ -131,8 +131,10 @@ impl Simulation {
         let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
         let mut server = ReplicaServer::new(request, 0.0, self.config.perf, now);
         // One work item, no deadline (jobs run to completion).
-        let done =
-            server.admit(0, now, SimTime::MAX, work).is_some_and(|out| !out.completed.is_empty());
+        let out = &mut self.drain_scratch;
+        out.clear();
+        server.admit_arrived_into(0, now, now, SimTime::MAX, work, out);
+        let done = !out.completed.is_empty();
         let next = server.next_event();
         let replicas = &mut self.batches[idx].replicas;
         let slot = replicas.insert(pod, Some((request, server)));
@@ -141,25 +143,29 @@ impl Simulation {
             // Nothing to drain: the item completed inside its admission.
             self.batch_task_complete(idx, pod);
         } else {
-            self.schedule_wake(pod, next, version);
+            self.schedule_wake(pod, slot, next, version);
         }
     }
 
     /// Task timer fired: has the work item drained?
-    pub(crate) fn batch_wake(&mut self, idx: usize, pod: PodId, version: u64) {
+    pub(crate) fn batch_wake(&mut self, idx: usize, pod: PodId, version: u64, hint: usize) {
         let now = self.now;
         let replicas = &mut self.batches[idx].replicas;
-        let Some(slot) = replicas.wake_slot(pod, version) else {
+        let Some(slot) = replicas.wake_slot(pod, version, hint) else {
             return;
         };
-        let (done, next) = replicas
-            .with(slot, |server| (!server.advance(now).completed.is_empty(), server.next_event()));
-        if done {
+        let out = &mut self.drain_scratch;
+        out.clear();
+        let next = replicas.with(slot, |server| {
+            server.advance_into(now, out);
+            server.next_event()
+        });
+        if !out.completed.is_empty() {
             self.batch_task_complete(idx, pod);
         } else {
             // Rates may have changed (resize); rearm.
             let version = replicas.bump_version(slot);
-            self.schedule_wake(pod, next, version);
+            self.schedule_wake(pod, slot, next, version);
         }
     }
 
@@ -258,12 +264,12 @@ impl Simulation {
             from = slot + 1;
             if runs && reach > 0 {
                 reach -= 1;
-                match self.cluster.resize_pod(pod, target) {
+                match self.cluster.try_resize(pod, target) {
                     Ok(()) => {
                         let replicas = &mut self.batches[idx].replicas;
                         let (_, next) = replicas.resize(slot, now, target);
                         let version = replicas.bump_version(slot);
-                        self.schedule_wake(pod, next, version);
+                        self.schedule_wake(pod, slot, next, version);
                     }
                     Err(_) => failures += 1,
                 }

@@ -1,6 +1,9 @@
 //! Replica lanes: one application's pods in pod-id order, each running
 //! pod's [`ReplicaServer`] beside a small *lane* that mirrors what the
-//! per-arrival pick and the per-tick harvest read (DESIGN.md decision 9).
+//! per-tick harvest reads and a dense column of in-flight counts, which is
+//! all the per-arrival pick reads. A wake-up brings the slot its timer was
+//! set from, and searches only when that is no longer its pod's (DESIGN.md
+//! decision 9).
 
 use std::collections::BTreeSet;
 
@@ -8,10 +11,10 @@ use evolve_types::{PodId, Resource, ResourceVec, SimTime};
 
 use crate::perf::{DrainOutcome, ReplicaServer};
 
-/// [`Lane::inflight`] of a slot no arrival may pick: no server, or a dead one.
+/// In-flight count of a slot no arrival may pick: no server, or a dead one.
 const CLOSED: u32 = u32::MAX;
 
-/// 64 bytes a slot, contiguous with its neighbours'.
+/// What the harvest and a wake-up read of a slot.
 #[derive(Debug)]
 struct Lane {
     pod: PodId,
@@ -24,8 +27,6 @@ struct Lane {
     /// Wake-timer version, bumped on every reschedule so a stale timer is
     /// recognised.
     version: u64,
-    /// `inflight_len()` of the server, or [`CLOSED`].
-    inflight: u32,
     /// `false` once removed: a tombstone keeps its key, so the order and
     /// the binary search hold, until the table compacts.
     live: bool,
@@ -42,6 +43,10 @@ struct Lane {
 #[derive(Debug, Default)]
 pub(crate) struct Replicas {
     lanes: Vec<Lane>,
+    /// Parallel to `lanes`: `inflight_len()` of the slot's server, or
+    /// [`CLOSED`], four bytes a slot. [`Replicas::with`], `insert` and
+    /// `remove` (which also compacts it) are its only writers.
+    inflight: Vec<u32>,
     /// Parallel to `lanes`, and private: [`Replicas::with`] is the only way
     /// to a `&mut ReplicaServer`, because a lane missing its *touched* mark
     /// silently drops usage.
@@ -87,9 +92,13 @@ impl Replicas {
     }
 
     /// The slot a wake-up is for, unless its pod has gone or a later
-    /// reschedule has retired that timer.
-    pub(crate) fn wake_slot(&self, pod: PodId, version: u64) -> Option<usize> {
-        self.running_slot(pod).filter(|&slot| self.lanes[slot].version == version)
+    /// reschedule has retired that timer. `hint`, the slot the timer was set
+    /// from, is taken while it holds `pod` — a pod has one slot — and
+    /// replaced by a search once a compaction or an insert has moved it.
+    pub(crate) fn wake_slot(&self, pod: PodId, version: u64, hint: usize) -> Option<usize> {
+        let hinted = self.lanes.get(hint).is_some_and(|lane| lane.pod == pod);
+        let slot = if hinted { hint } else { self.find(pod).ok()? };
+        (self.lanes[slot].running && self.lanes[slot].version == version).then_some(slot)
     }
 
     /// Retires the slot's wake-up timer and returns the version of the next.
@@ -102,17 +111,18 @@ impl Replicas {
     /// Nothing in flight on the slot's server: it idles, or it is dead and
     /// its requests died with it.
     pub(crate) fn is_idle(&self, slot: usize) -> bool {
-        matches!(self.lanes[slot].inflight, 0 | CLOSED)
+        matches!(self.inflight[slot], 0 | CLOSED)
     }
 
-    /// Adds `pod`, or gives a pod already here its server. Pod ids only
-    /// grow, so a new key usually lands above every other: a push.
+    /// Adds `pod`, or gives a pod already here its server. Pod ids only grow:
+    /// a new key usually lies above the last lane's, and is pushed unsearched.
     pub(crate) fn insert(
         &mut self,
         pod: PodId,
         started: Option<(ResourceVec, ReplicaServer)>,
     ) -> usize {
-        let slot = match self.find(pod) {
+        let above_all = self.lanes.last().is_none_or(|last| last.pod < pod);
+        let slot = match if above_all { Err(self.lanes.len()) } else { self.find(pod) } {
             Ok(slot) => slot,
             Err(slot) => {
                 let lane = Lane {
@@ -120,12 +130,12 @@ impl Replicas {
                     request: ResourceVec::ZERO,
                     ws: 0.0,
                     version: 0,
-                    inflight: CLOSED,
                     live: false,
                     running: false,
                     touched: false,
                 };
                 self.lanes.insert(slot, lane);
+                self.inflight.insert(slot, CLOSED);
                 self.servers.insert(slot, None);
                 slot
             }
@@ -159,13 +169,15 @@ impl Replicas {
             credit(&mut server, consumed);
             self.running -= 1;
         }
-        (lane.live, lane.running, lane.inflight) = (false, false, CLOSED);
+        (lane.live, lane.running, self.inflight[slot]) = (false, false, CLOSED);
         self.live -= 1;
         // Compact once tombstones outnumber the living: O(1) amortised,
         // where shifting a 2 000-task table per completion is not.
         if self.lanes.len() - self.live > self.live {
             let mut live = self.lanes.iter().map(|l| l.live);
             self.servers.retain(|_| live.next().expect("one server slot per lane"));
+            let mut live = self.lanes.iter().map(|l| l.live);
+            self.inflight.retain(|_| live.next().expect("one count per lane"));
             self.lanes.retain(|l| l.live);
         }
         true
@@ -176,9 +188,8 @@ impl Replicas {
     pub(crate) fn with<R>(&mut self, slot: usize, f: impl FnOnce(&mut ReplicaServer) -> R) -> R {
         let server = self.servers[slot].as_mut().expect("slot has a server");
         let out = f(server);
-        let lane = &mut self.lanes[slot];
-        lane.touched = true;
-        lane.inflight = if server.is_dead() { CLOSED } else { server.inflight_len() as u32 };
+        self.lanes[slot].touched = true;
+        self.inflight[slot] = if server.is_dead() { CLOSED } else { server.inflight_len() as u32 };
         out
     }
 
@@ -202,12 +213,17 @@ impl Replicas {
 
     /// The live replica outside `draining` with the fewest requests in
     /// flight, as `(slot, pod, in flight)`; of equals, the lowest pod id.
+    /// One ascending pass over the counts that ends at the first idle
+    /// replica: nothing after it has fewer, and an equal loses the tie.
     pub(crate) fn pick(&self, draining: &BTreeSet<PodId>) -> Option<(usize, PodId, u32)> {
         let mut best = None;
         let mut least = CLOSED;
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            if lane.inflight < least && (draining.is_empty() || !draining.contains(&lane.pod)) {
-                (best, least) = (Some(slot), lane.inflight);
+        for (slot, &n) in self.inflight.iter().enumerate() {
+            if n < least && (draining.is_empty() || !draining.contains(&self.lanes[slot].pod)) {
+                (best, least) = (Some(slot), n);
+                if n == 0 {
+                    break;
+                }
             }
         }
         best.map(|slot| (slot, self.lanes[slot].pod, least))

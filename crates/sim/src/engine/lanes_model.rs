@@ -5,6 +5,10 @@
 //! their own copy of each `ReplicaServer`; after every step they must agree
 //! on keys, order, counts, lookups, versions and the arrival pick, and a
 //! harvest must return the bits of the old three loops run on the model.
+//! Every wake-up lookup is asked with a set of slot hints — the true slot,
+//! the slot the timer was set from (stale once the table compacted or took
+//! an insert below it), other pods' slots, slots past the end — and must
+//! answer what the search by pod id alone answers.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,12 +69,25 @@ fn choose(items: &[PodId], sel: u64) -> Option<PodId> {
     (!items.is_empty()).then(|| items[(sel % items.len() as u64) as usize])
 }
 
+/// The slots a wake-up for a pod now at `at` (or gone: `None`) is asked
+/// with: right, set long ago, someone else's, and nowhere.
+fn hints(table: &Replicas, at: Option<usize>, set_from: Option<usize>, sel: u64) -> Vec<usize> {
+    let slots = table.slots();
+    let mut hints =
+        vec![0, sel as usize % slots.max(1), slots.saturating_sub(1), slots, usize::MAX];
+    hints.extend(set_from);
+    hints.extend(at.into_iter().flat_map(|at| [at, at + 1, at.saturating_sub(1)]));
+    hints
+}
+
 fn check_agreement(
     table: &Replicas,
     model: &Model,
     versions: &BTreeMap<PodId, u64>,
+    set_from: &BTreeMap<PodId, usize>,
     draining: &BTreeSet<PodId>,
     gone: &[PodId],
+    sel: u64,
 ) -> Result<(), String> {
     let walk = std::iter::successors(table.next_live(0), |&(at, ..)| table.next_live(at + 1));
     let got: Vec<(PodId, bool)> = walk.map(|(_, pod, runs)| (pod, runs)).collect();
@@ -83,16 +100,23 @@ fn check_agreement(
     for (pod, slot) in model {
         let found = table.running_slot(*pod);
         prop_assert_eq!(found.is_some(), slot.is_some(), "running_slot({}) is wrong", pod);
+        let version = versions.get(pod).copied().unwrap_or(0);
+        for hint in hints(table, found, set_from.get(pod).copied(), sel) {
+            // A waiting pod has no timer; a running one has exactly one.
+            prop_assert_eq!(table.wake_slot(*pod, version, hint), found, "hint {}", hint);
+            prop_assert_eq!(table.wake_slot(*pod, version + 1, hint), None, "hint {}", hint);
+        }
         if let (Some(at), Some((_, server))) = (found, slot) {
             prop_assert_eq!(table.next_live(at), Some((at, *pod, true)));
-            let version = versions.get(pod).copied().unwrap_or(0);
-            prop_assert_eq!(table.wake_slot(*pod, version), Some(at), "the timer in force");
-            prop_assert_eq!(table.wake_slot(*pod, version + 1), None, "a timer not set yet");
             prop_assert_eq!(table.is_idle(at), server.inflight_len() == 0);
         }
     }
     for pod in gone {
         prop_assert_eq!(table.running_slot(*pod), None, "{} is gone", pod);
+        let version = versions.get(pod).copied().unwrap_or(0);
+        for hint in hints(table, None, set_from.get(pod).copied(), sel) {
+            prop_assert_eq!(table.wake_slot(*pod, version, hint), None, "{} is gone", pod);
+        }
     }
     let picked = table.pick(draining);
     if let Some((at, pod, _)) = picked {
@@ -116,6 +140,10 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
     let mut table = Replicas::default();
     let mut model = Model::new();
     let mut versions: BTreeMap<PodId, u64> = BTreeMap::new();
+    // Where each pod's timer was last set from, as a `WakeEntry` keeps it:
+    // written when the pod starts and when its version is bumped, and left
+    // to go stale under every compaction and insert in between.
+    let mut set_from: BTreeMap<PodId, usize> = BTreeMap::new();
     let mut draining: BTreeSet<PodId> = BTreeSet::new();
     let mut gone: Vec<PodId> = Vec::new();
     let (mut table_used, mut model_used) = (ResourceVec::ZERO, ResourceVec::ZERO);
@@ -139,7 +167,7 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                 next_id += 1 + sel % 3;
                 let pod = PodId::new(next_id);
                 let started = (op != 0).then(|| (request(size), server(size, 64.0, now)));
-                table.insert(pod, started.clone());
+                set_from.insert(pod, table.insert(pod, started.clone()));
                 model.insert(pod, started);
             }
             // Insert out of order: an id in a gap, never used before.
@@ -147,7 +175,7 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                 let pod = PodId::new(sel % (next_id + 1));
                 if !model.contains_key(&pod) && !gone.contains(&pod) {
                     let started = (op == 6).then(|| (request(size), server(size, 0.0, now)));
-                    table.insert(pod, started.clone());
+                    set_from.insert(pod, table.insert(pod, started.clone()));
                     model.insert(pod, started);
                 }
             }
@@ -157,7 +185,7 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                     model.iter().filter(|(_, s)| s.is_none()).map(|(pod, _)| *pod).collect();
                 if let Some(pod) = choose(&waiting, sel) {
                     let started = Some((request(size), server(size, 0.0, now)));
-                    table.insert(pod, started.clone());
+                    set_from.insert(pod, table.insert(pod, started.clone()));
                     model.insert(pod, started);
                 }
             }
@@ -240,6 +268,7 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                     let version = versions.entry(pod).or_insert(0);
                     *version += 1;
                     prop_assert_eq!(table.bump_version(at), *version);
+                    set_from.insert(pod, at);
                 }
             }
             // Harvest: bit for bit the old loops.
@@ -251,7 +280,7 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
             }
         }
         prop_assert_eq!(bits(table_used), bits(model_used), "consumed");
-        check_agreement(&table, &model, &versions, &draining, &gone)?;
+        check_agreement(&table, &model, &versions, &set_from, &draining, &gone, sel)?;
     }
     // Whatever the sequence left unharvested is still all there.
     let got = table.harvest(&mut table_used);
@@ -261,9 +290,92 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
     Ok(())
 }
 
+/// One replica of the pick test: requests in flight, killed, draining,
+/// still waiting for its server.
+type PickLane = (u32, bool, bool, bool);
+
+/// The pick alone, on tables the churn above seldom builds: many replicas,
+/// few of them idle and those at random slots, several equally loaded,
+/// dead and draining ones in between.
+fn run_pick(lanes: Vec<PickLane>) -> Result<(), String> {
+    let mut table = Replicas::default();
+    let mut model = Model::new();
+    let mut draining = BTreeSet::new();
+    let demand = ResourceVec::new(40.0, 1.0, 0.0, 0.0);
+    for (i, (inflight, dead, drains, waits)) in lanes.into_iter().enumerate() {
+        let pod = PodId::new(3 * i as u64);
+        let started = (!waits).then(|| (request(0.5), server(0.5, 0.0, SimTime::ZERO)));
+        let at = table.insert(pod, started.clone());
+        model.insert(pod, started);
+        if waits {
+            continue;
+        }
+        for id in 0..u64::from(inflight) {
+            table.with(at, |s| s.admit(id, SimTime::ZERO, SimTime::MAX, demand));
+            running(&mut model, pod).1.admit(id, SimTime::ZERO, SimTime::MAX, demand);
+        }
+        if dead {
+            table.with(at, ReplicaServer::kill);
+            running(&mut model, pod).1.kill();
+        }
+        if drains {
+            draining.insert(pod);
+        }
+        for set in [&BTreeSet::new(), &draining] {
+            let picked =
+                table.pick(set).map(|(at, pod, n)| (table.running_slot(pod) == Some(at), pod, n));
+            let want = model_pick(&model, set).map(|(pod, n)| (true, pod, n));
+            prop_assert_eq!(picked, want, "the pick differs from the model");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn replicas_match_btreemap_model(ops in arb_ops()) {
         run(ops)?;
+    }
+
+    #[test]
+    fn pick_matches_model_over_random_counts(
+        lanes in prop::collection::vec((0u32..4, 0u8..8, 0u8..6, 0u8..10), 1..130)
+    ) {
+        // One in eight dead, one in six draining, one in ten waiting.
+        run_pick(lanes.into_iter().map(|(n, d, g, w)| (n, d == 0, g == 0, w == 0)).collect())?;
+    }
+}
+
+/// A hint is a guess: the wake-up takes it only when the lane there is its
+/// pod's, whatever else that lane has in common with the right one.
+#[test]
+fn a_hint_is_checked_against_its_pod() {
+    let mut table = Replicas::default();
+    let pods: Vec<PodId> = (0..8).map(PodId::new).collect();
+    let set_from: Vec<usize> = pods
+        .iter()
+        .map(|&pod| table.insert(pod, Some((request(0.5), server(0.5, 0.0, SimTime::ZERO)))))
+        .collect();
+    assert_eq!(set_from, [0, 1, 2, 3, 4, 5, 6, 7]);
+    // Every lane runs at version 0, so only the pod tells them apart.
+    for (&pod, &at) in pods.iter().zip(&set_from) {
+        for hint in 0..10 {
+            assert_eq!(table.wake_slot(pod, 0, hint), Some(at), "{pod} asked with {hint}");
+        }
+    }
+    // Five removals compact the table under the three timers still queued.
+    let mut used = ResourceVec::ZERO;
+    for &pod in &pods[..5] {
+        assert!(table.remove(pod, &mut used));
+    }
+    assert_eq!(table.slots(), 3, "the table compacted");
+    for (now_at, (&pod, &stale)) in pods[5..].iter().zip(&set_from[5..]).enumerate() {
+        for hint in [stale, now_at, (now_at + 1) % 3, 3, usize::MAX] {
+            assert_eq!(table.wake_slot(pod, 0, hint), Some(now_at), "{pod} asked with {hint}");
+            assert_eq!(table.wake_slot(pod, 1, hint), None, "a timer not set yet");
+        }
+    }
+    for (&pod, &stale) in pods[..5].iter().zip(&set_from) {
+        assert_eq!(table.wake_slot(pod, 0, stale), None, "{pod} is gone");
     }
 }

@@ -134,6 +134,8 @@ struct WakeEntry {
     seq: u64,
     pod: PodId,
     version: u64,
+    /// The pod's slot in its app's table when the timer was set: a hint.
+    slot: u32,
 }
 
 /// A dense `PodId`-keyed map. Pod ids are handed out sequentially by the
@@ -182,7 +184,8 @@ impl<T: Copy> PodMap<T> {
 ///
 /// Entries are keyed by `(at, seq)` with `seq` drawn from the same global
 /// counter as the main heap, so merging the two queues by key reproduces
-/// the old pop order of the surviving events exactly.
+/// the old pop order of the surviving events exactly. Each carries the
+/// replica-table slot it was set from: the hint its wake-up starts from.
 #[derive(Debug, Default)]
 struct WakeQueue {
     /// Min-heap ordered by `(at, seq)`.
@@ -203,9 +206,8 @@ impl WakeQueue {
     }
 
     /// Schedules or replaces the pod's wake-up.
-    fn set(&mut self, pod: PodId, at: SimTime, seq: u64, version: u64) {
-        let entry = WakeEntry { at, seq, pod, version };
-        if let Some(i) = self.pos.get(pod) {
+    fn set(&mut self, entry: WakeEntry) {
+        if let Some(i) = self.pos.get(entry.pod) {
             self.entries[i as usize] = entry;
             heap::resift(&mut self.entries, &mut self.pos, i as usize);
         } else {
@@ -255,14 +257,14 @@ pub struct Simulation {
     /// Per-pod ceiling applied to every created pod (largest node
     /// allocatable by default — a pod cannot out-grow its node).
     pub(crate) pod_limit: ResourceVec,
-    /// Next pre-generated arrival per service (batched sampling mode);
-    /// merged into `run_until`'s pop order without round-tripping through
-    /// the main heap.
-    arrival_slots: Vec<Option<SimTime>>,
+    /// Next pre-generated arrival per service (batched sampling mode),
+    /// `SimTime::MAX` for none; merged into `run_until`'s pop order without
+    /// round-tripping through the main heap.
+    arrival_slots: Vec<SimTime>,
     /// Cached minimum of `arrival_slots` (`(at, svc)`): slots only change
     /// when an arrival fires or is rearmed, so the merge loop compares one
     /// key per event instead of rescanning every service.
-    arrival_min: Option<(SimTime, usize)>,
+    arrival_min: (SimTime, usize),
     /// Reusable drain-outcome buffers for the per-event advance paths
     /// (one wake or arrival at a time ever holds them).
     pub(crate) drain_scratch: crate::perf::DrainOutcome,
@@ -320,7 +322,7 @@ impl Simulation {
             statuses: Vec::new(),
             pod_limit,
             arrival_slots: Vec::new(),
-            arrival_min: None,
+            arrival_min: (SimTime::MAX, 0),
             drain_scratch: crate::perf::DrainOutcome::default(),
             events_processed: 0,
         };
@@ -338,7 +340,7 @@ impl Simulation {
             let idx = sim.services.len();
             sim.app_index.push(Owner::Service(idx));
             sim.services.push(ServiceRuntime::new(app, spec.clone(), load, config.sampling));
-            sim.arrival_slots.push(None);
+            sim.arrival_slots.push(SimTime::MAX);
             // Initial replicas exist from t=0.
             for _ in 0..spec.initial_replicas {
                 sim.create_service_pod(idx);
@@ -424,11 +426,12 @@ impl Simulation {
     /// Runs the world forward to `to` (inclusive of events at `to`).
     ///
     /// Three queues are merged by `(at, seq)`: the main heap, the replica
-    /// wake queue and the per-service arrival slots. Heap and wake `seq`s
-    /// come from one global counter, so their keys never collide; arrival
-    /// slots carry a pseudo-seq of 0, so a same-instant tie deterministically
-    /// dispatches the arrival first (and ties between services break on the
-    /// lowest service index).
+    /// wake queue and the per-service arrival slots (a dense `SimTime` each,
+    /// `SimTime::MAX` for none, their minimum cached and folded again in one
+    /// pass when an arrival fired). Heap and wake `seq`s come from one global
+    /// counter, so their keys never collide; arrival slots carry a pseudo-seq
+    /// of 0, so a same-instant tie deterministically dispatches the arrival
+    /// first (and ties between services break on the lowest service index).
     pub fn run_until(&mut self, to: SimTime) {
         /// Where the next event comes from.
         enum Src {
@@ -437,10 +440,8 @@ impl Simulation {
             Arrival(usize),
         }
         loop {
-            let mut best: Option<((SimTime, u64), Src)> = None;
-            if let Some((at, i)) = self.arrival_min {
-                best = Some(((at, 0), Src::Arrival(i)));
-            }
+            let (at, svc) = self.arrival_min;
+            let mut best = (at < SimTime::MAX).then_some(((at, 0), Src::Arrival(svc)));
             if let Some(h) = self.heap.peek().map(|Reverse(s)| (s.at, s.seq)) {
                 if best.as_ref().is_none_or(|(k, _)| h < *k) {
                     best = Some((h, Src::Heap));
@@ -469,7 +470,7 @@ impl Simulation {
                     // handling carries `at >= now` and a fresh, larger
                     // seq, so nothing can displace the root from below.
                     let e = *self.wakes.peek().expect("peeked");
-                    self.handle_wake(e.pod, e.version);
+                    self.handle_wake(e.pod, e.version, e.slot as usize);
                     // Root untouched — stale wake, retired pod, or a
                     // drained-idle replica with nothing to reschedule —
                     // so it must be removed for real.
@@ -486,10 +487,9 @@ impl Simulation {
                     self.dispatch(sch.event);
                 }
                 Src::Arrival(svc) => {
-                    self.arrival_slots[svc] = None;
-                    self.service_arrival(svc);
-                    self.schedule_next_arrival(svc);
-                    self.recompute_arrival_min();
+                    self.arrival_slots[svc] = SimTime::MAX;
+                    self.handle_service_arrival(svc);
+                    self.arrival_min = earliest(&self.arrival_slots);
                 }
             }
         }
@@ -502,9 +502,9 @@ impl Simulation {
         match event {
             Event::ServiceArrival { svc } => self.handle_service_arrival(svc),
             Event::PodStarted { pod } => self.handle_pod_started(pod),
-            Event::BatchSubmit { idx } => self.handle_batch_submit(idx),
-            Event::HpcSubmit { idx } => self.handle_hpc_submit(idx),
-            Event::HpcIterationDone { idx, version } => self.handle_hpc_iteration(idx, version),
+            Event::BatchSubmit { idx } => self.batch_submit(idx),
+            Event::HpcSubmit { idx } => self.hpc_submit(idx),
+            Event::HpcIterationDone { idx, version } => self.hpc_iteration_done(idx, version),
             Event::NodeFail { node } => self.handle_node_fail(node),
             Event::NodeRecover { node } => {
                 let _ = self.cluster.set_node_ready(node, true);
@@ -600,25 +600,32 @@ impl Simulation {
         }
     }
 
-    fn handle_wake(&mut self, pod: PodId, version: u64) {
+    fn handle_wake(&mut self, pod: PodId, version: u64, hint: usize) {
         match self.pod_owner.get(pod) {
-            Some(Owner::Service(idx)) => self.service_wake(idx, pod, version),
-            Some(Owner::Batch(idx)) => self.batch_wake(idx, pod, version),
+            Some(Owner::Service(idx)) => self.service_wake(idx, pod, version, hint),
+            Some(Owner::Batch(idx)) => self.batch_wake(idx, pod, version, hint),
             _ => {}
         }
     }
 
-    /// Sets the pod's wake-up to its server's next event; an idle server
-    /// (`None`) schedules nothing, and the version its caller just bumped
-    /// retires whatever timer is still queued.
-    pub(crate) fn schedule_wake(&mut self, pod: PodId, at: Option<SimTime>, version: u64) {
+    /// Sets the wake-up of the pod at `slot` of its app's table to its
+    /// server's next event; an idle server (`None`) schedules nothing, and the
+    /// version its caller just bumped retires whatever timer is still queued.
+    pub(crate) fn schedule_wake(
+        &mut self,
+        pod: PodId,
+        slot: usize,
+        at: Option<SimTime>,
+        version: u64,
+    ) {
         let Some(at) = at else {
             return;
         };
         // Draw from the same seq counter as `schedule` so the merged pop
         // order in `run_until` matches the old single-heap order exactly.
         self.seq += 1;
-        self.wakes.set(pod, at.max(self.now), self.seq, version);
+        let (at, slot) = (at.max(self.now), slot as u32);
+        self.wakes.set(WakeEntry { at, seq: self.seq, pod, version, slot });
     }
 
     pub(crate) fn schedule_next_arrival(&mut self, svc: usize) {
@@ -630,23 +637,8 @@ impl Simulation {
                 // merged pop order (and thus the fixture) is bit-identical.
                 SamplingMode::Legacy => self.schedule(at, Event::ServiceArrival { svc }),
                 SamplingMode::Batched => {
-                    self.arrival_slots[svc] = Some(at);
-                    if self.arrival_min.is_none_or(|m| (at, svc) < m) {
-                        self.arrival_min = Some((at, svc));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds [`Simulation::arrival_min`] after the previous minimum was
-    /// consumed (ties break toward the lowest service index).
-    fn recompute_arrival_min(&mut self) {
-        self.arrival_min = None;
-        for (i, slot) in self.arrival_slots.iter().enumerate() {
-            if let Some(at) = *slot {
-                if self.arrival_min.is_none_or(|(b, _)| at < b) {
-                    self.arrival_min = Some((at, i));
+                    self.arrival_slots[svc] = at;
+                    self.arrival_min = self.arrival_min.min((at, svc));
                 }
             }
         }
@@ -655,18 +647,6 @@ impl Simulation {
     fn handle_service_arrival(&mut self, svc: usize) {
         self.service_arrival(svc);
         self.schedule_next_arrival(svc);
-    }
-
-    fn handle_batch_submit(&mut self, idx: usize) {
-        self.batch_submit(idx);
-    }
-
-    fn handle_hpc_submit(&mut self, idx: usize) {
-        self.hpc_submit(idx);
-    }
-
-    fn handle_hpc_iteration(&mut self, idx: usize, version: u64) {
-        self.hpc_iteration_done(idx, version);
     }
 
     // ------------------------------------------------------------------
@@ -831,6 +811,13 @@ impl Simulation {
     }
 }
 
+/// The earliest of the arrival slots as `(at, service)`, the lowest service
+/// of equals; `(SimTime::MAX, 0)` when every slot is empty.
+fn earliest(slots: &[SimTime]) -> (SimTime, usize) {
+    let earlier = |min: (SimTime, usize), (svc, &at)| if at < min.0 { (at, svc) } else { min };
+    slots.iter().enumerate().fold((SimTime::MAX, 0), earlier)
+}
+
 /// `ceil(fraction·n)` clamped to `[0, n]`: how many of `n` replicas a
 /// degraded actuation rollout reaches.
 pub(crate) fn partial_quota(n: usize, fraction: f64) -> usize {
@@ -838,4 +825,40 @@ pub(crate) fn partial_quota(n: usize, fraction: f64) -> usize {
         return 0;
     }
     (((fraction.min(1.0)) * n as f64).ceil() as usize).min(n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The merge's minimum as it was folded over `Option<SimTime>` slots.
+    fn earliest_of_options(slots: &[Option<SimTime>]) -> Option<(SimTime, usize)> {
+        let mut min: Option<(SimTime, usize)> = None;
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some(at) = *slot {
+                if min.is_none_or(|(b, _)| at < b) {
+                    min = Some((at, i));
+                }
+            }
+        }
+        min
+    }
+
+    proptest! {
+        /// Few distinct instants over many services: ties everywhere, and
+        /// the lowest service must win each, with empty slots in between.
+        #[test]
+        fn dense_arrival_slots_fold_like_the_optional_ones(
+            slots in prop::collection::vec(0u64..9, 0..48)
+        ) {
+            // One draw in three is an empty slot.
+            let optional: Vec<Option<SimTime>> =
+                slots.iter().map(|&s| (s % 3 > 0).then(|| SimTime::from_millis(s / 3))).collect();
+            let dense: Vec<SimTime> =
+                optional.iter().map(|s| s.unwrap_or(SimTime::MAX)).collect();
+            let want = earliest_of_options(&optional).unwrap_or((SimTime::MAX, 0));
+            prop_assert_eq!(earliest(&dense), want);
+        }
+    }
 }

@@ -140,7 +140,7 @@ impl Simulation {
                     // The admit cannot retire the pod unless it OOM-killed,
                     // so the slot (and its next event) are still live.
                     let version = self.services[idx].replicas.bump_version(slot);
-                    self.schedule_wake(pod, next, version);
+                    self.schedule_wake(pod, slot, next, version);
                 }
             }
             None => {
@@ -196,16 +196,16 @@ impl Simulation {
             return;
         }
         let version = self.services[idx].replicas.bump_version(slot);
-        self.schedule_wake(pod, next, version);
+        self.schedule_wake(pod, slot, next, version);
     }
 
     /// Timer fired for a replica: advance it and process what happened.
-    pub(crate) fn service_wake(&mut self, idx: usize, pod: PodId, version: u64) {
+    pub(crate) fn service_wake(&mut self, idx: usize, pod: PodId, version: u64, hint: usize) {
         let now = self.now;
         let replicas = &mut self.services[idx].replicas;
         // One lookup serves the drain, the scale-in check and the wake
         // reschedule.
-        let Some(slot) = replicas.wake_slot(pod, version) else {
+        let Some(slot) = replicas.wake_slot(pod, version, hint) else {
             return; // the pod has gone, or the timer is stale
         };
         let mut outcome = std::mem::take(&mut self.drain_scratch);
@@ -226,7 +226,7 @@ impl Simulation {
             self.service_retire_pod(idx, pod, PodPhase::Succeeded);
         } else {
             let version = self.services[idx].replicas.bump_version(slot);
-            self.schedule_wake(pod, next, version);
+            self.schedule_wake(pod, slot, next, version);
         }
     }
 
@@ -360,12 +360,12 @@ impl Simulation {
                 break;
             }
             reach -= 1;
-            match self.cluster.resize_pod(pod, target) {
+            match self.cluster.try_resize(pod, target) {
                 Ok(()) => {
                     let (outcome, next) = self.services[idx].replicas.resize(slot, now, target);
                     self.service_process_outcome(idx, pod, &outcome);
                     let version = self.services[idx].replicas.bump_version(slot);
-                    self.schedule_wake(pod, next, version);
+                    self.schedule_wake(pod, slot, next, version);
                 }
                 Err(_) => failures += 1,
             }
