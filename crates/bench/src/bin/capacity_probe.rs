@@ -85,10 +85,7 @@ fn main() {
     // at `offered = 1.0`, sized to saturate ~4 default nodes around 1.5×
     // once controllers right-size), and `--scenario <file>` swaps in any
     // spec — specs without a probe table fall back to the default ramp.
-    let base = match args.scenario() {
-        Some(spec) => spec.clone(),
-        None => ScenarioSpec::overload(1.0),
-    };
+    let base = args.spec("overload");
     let probe = base.probe.unwrap_or(ProbeSpec {
         initial: 0.6,
         step: 0.2,

@@ -35,15 +35,16 @@ use evolve_workload::ReproSpec;
 /// fuzz): faults then push an already-saturated arbiter through node
 /// losses and actuation failures.
 fn scenario_for(case: u64, horizon: SimDuration) -> ScenarioSpec {
+    let builtin = |name: &str| ScenarioSpec::builtin(name).expect("builtin scenario");
     let on_8_nodes = |mut spec: ScenarioSpec| {
         spec.cluster.nodes = 8;
         spec
     };
     let mut spec = match case % 4 {
-        0 => on_8_nodes(ScenarioSpec::single_diurnal()),
+        0 => on_8_nodes(builtin("single_diurnal")),
         1 => on_8_nodes(ScenarioSpec::headline(0.2)),
-        2 => on_8_nodes(ScenarioSpec::interference()),
-        _ => ScenarioSpec::overload(1.5),
+        2 => on_8_nodes(builtin("interference")),
+        _ => builtin("overload").scaled_loads(1.5),
     };
     spec.horizon = horizon;
     spec

@@ -16,11 +16,7 @@ fn main() {
     let args = BenchArgs::parse(5);
     let seeds = &args.seeds;
     eprintln!("running the diurnal day under EVOLVE ({} seed(s)) …", seeds.len());
-    let config = match args.scenario() {
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-        None => RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6),
-    }
-    .build();
+    let config = RunConfig::from_spec(&args.spec("single_diurnal"), ManagerKind::Evolve).build();
     let rep = Harness::new().run_seeds(&config, seeds);
     let outcome = rep.representative();
     let names =

@@ -14,7 +14,7 @@ use evolve_core::EvolvePolicyConfig;
 fn main() {
     let args = BenchArgs::parse(5);
     let seeds = &args.seeds;
-    let step_at = SimTime::from_secs(240); // from Scenario::step_response
+    let step_at = SimTime::from_secs(240); // from scenarios/step_response.toml
     let target_ms = 100.0;
     let variants: Vec<(&str, ManagerKind)> = vec![
         ("evolve adaptive", ManagerKind::Evolve),
@@ -25,16 +25,9 @@ fn main() {
         ("hpa", ManagerKind::Hpa { target_utilization: 0.6 }),
     ];
     // Settling needs the per-tick p99 series, so series stay on.
-    let configs: Vec<RunConfig> = variants
-        .iter()
-        .map(|(_, m)| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::step_response(4.0), m.clone()).nodes(8),
-            }
-            .build()
-        })
-        .collect();
+    let spec = args.spec("step_response");
+    let configs: Vec<RunConfig> =
+        variants.iter().map(|(_, m)| RunConfig::from_spec(&spec, m.clone()).build()).collect();
     eprintln!("running {} variants × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 

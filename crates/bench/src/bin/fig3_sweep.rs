@@ -20,20 +20,16 @@ fn main() {
         ManagerKind::KubeStatic,
         ManagerKind::Hpa { target_utilization: 0.6 },
     ];
-    // One config per (load, manager) cell, all fanned out together. With
-    // `--scenario`, the sweep scales the declared load profiles instead
-    // of the builtin load_sweep mix.
+    // One config per (load, manager) cell, all fanned out together; each
+    // cell scales the spec's load profiles by its offered factor.
+    let spec = args.spec("load_sweep");
     let configs: Vec<RunConfig> = offered
         .iter()
         .flat_map(|x| {
-            managers.iter().map(|m| {
-                match args.scenario() {
-                    Some(spec) => RunConfig::from_spec(&spec.scaled_loads(*x), m.clone()),
-                    None => RunConfig::builder(Scenario::load_sweep(*x), m.clone()).nodes(10),
-                }
-                .record_series(false)
-                .build()
-            })
+            let scaled = spec.scaled_loads(*x);
+            managers
+                .iter()
+                .map(move |m| RunConfig::from_spec(&scaled, m.clone()).record_series(false).build())
         })
         .collect();
     eprintln!(

@@ -19,16 +19,9 @@ fn main() {
         ManagerKind::Hpa { target_utilization: 0.6 },
     ];
     // The CSV wants the cluster time series, so series stay on.
-    let configs: Vec<RunConfig> = managers
-        .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::headline(1.0), m.clone()),
-            }
-            .build()
-        })
-        .collect();
+    let spec = args.spec("headline");
+    let configs: Vec<RunConfig> =
+        managers.iter().map(|m| RunConfig::from_spec(&spec, m.clone()).build()).collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 

@@ -20,16 +20,9 @@ fn main() {
         ManagerKind::KubeStatic,
     ];
     // Recovery analysis needs the per-tick p99 series, so series stay on.
-    let configs: Vec<RunConfig> = managers
-        .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::flash_crowd(5.0), m.clone()).nodes(8),
-            }
-            .build()
-        })
-        .collect();
+    let spec = args.spec("flash_crowd");
+    let configs: Vec<RunConfig> =
+        managers.iter().map(|m| RunConfig::from_spec(&spec, m.clone()).build()).collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 

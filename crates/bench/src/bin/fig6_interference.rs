@@ -34,16 +34,14 @@ fn main() {
         ("evolve, no preemption", ManagerKind::Evolve, SchedulerProfile::KubeDefault),
         ("kube-static", ManagerKind::KubeStatic, SchedulerProfile::KubeDefault),
     ];
+    let spec = args.spec("interference");
     let configs: Vec<RunConfig> = variants
         .iter()
         .map(|(_, manager, profile)| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, manager.clone()),
-                None => RunConfig::builder(Scenario::interference(), manager.clone()).nodes(10),
-            }
-            .scheduler(*profile)
-            .record_series(false)
-            .build()
+            RunConfig::from_spec(&spec, manager.clone())
+                .scheduler(*profile)
+                .record_series(false)
+                .build()
         })
         .collect();
     eprintln!("running {} variants × {} seeds …", configs.len(), seeds.len());

@@ -18,25 +18,20 @@ fn main() {
     let smoke = args.smoke;
     let (horizon, crash_at, downtime) =
         if smoke { (360u64, 120u64, 90u64) } else { (720u64, 240u64, 120u64) };
-    // With `--scenario`, the spec's own `[[fault]]` plan (and cluster
-    // shape) replaces the builtin crash schedule.
-    let mut config = match args.scenario() {
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve).build(),
-        None => {
-            let faults = FaultPlan::new().with_node_crash(
-                NodeId::new(0),
-                SimTime::from_secs(crash_at),
-                Some(SimDuration::from_secs(downtime)),
-            );
-            let mut config = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-                .nodes(6)
-                .faults(faults)
-                .build();
-            config.scenario.horizon = SimDuration::from_secs(horizon);
-            config
-        }
-    };
-    if smoke {
+    // The builtin run is the figure: one node crash on a `horizon`-long
+    // trace. A `--scenario` file brings its own `[[fault]]` plan and
+    // horizon instead (the horizon capped only in smoke runs).
+    let builtin = args.scenario.is_none();
+    let mut builder = RunConfig::from_spec(&args.spec("single_diurnal"), ManagerKind::Evolve);
+    if builtin {
+        builder = builder.faults(FaultPlan::new().with_node_crash(
+            NodeId::new(0),
+            SimTime::from_secs(crash_at),
+            Some(SimDuration::from_secs(downtime)),
+        ));
+    }
+    let mut config = builder.build();
+    if builtin || smoke {
         config.scenario.horizon = config.scenario.horizon.min(SimDuration::from_secs(horizon));
     }
     eprintln!(

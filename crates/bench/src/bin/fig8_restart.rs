@@ -30,17 +30,15 @@ fn main() {
         seeds[0]
     );
     println!("{:>18} {:>8} {:>9} {:>9} {:>11}", "strategy", "t (s)", "p99 ms", "replicas", "alloc");
+    // The spec supplies the workload and cluster shape; each case still
+    // overrides the fault plan and recovery strategy (that is the
+    // comparison under test).
+    let spec = args.spec("single_diurnal");
     for (name, plan, recovery) in &cases {
-        // With `--scenario`, the spec supplies the workload and cluster
-        // shape; each case still overrides the fault plan and recovery
-        // strategy (that is the comparison under test).
-        let mut config = match args.scenario() {
-            Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-            None => RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6),
-        }
-        .faults(plan.clone())
-        .recovery(*recovery)
-        .build();
+        let mut config = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+            .faults(plan.clone())
+            .recovery(*recovery)
+            .build();
         config.scenario.horizon = SimDuration::from_secs(horizon);
         eprintln!("{name} …");
         let rep = Harness::new().run_seeds(&config, seeds);

@@ -1,11 +1,12 @@
 //! **Scenario suite.** Sweeps every checked-in `scenarios/*.toml` through
 //! the declarative loading path: each file is parsed and validated, run
 //! under stock Kubernetes (static replicas) and under EVOLVE (plus the
-//! capacity arbiter when the spec declares one), replicated across the
-//! seed set, and summarized in one cross-scenario CSV plus a
-//! self-contained HTML overview — per-scenario violation rates,
-//! utilization, simulated-seconds-per-wall-second, and the capacity knee
-//! for specs that carry a `[probe]` table.
+//! capacity arbiter when the spec declares one) with the chaos oracle
+//! checking every control tick, replicated across the seed set, and
+//! summarized in one cross-scenario CSV plus a self-contained HTML
+//! overview — per-scenario violation rates, utilization,
+//! simulated-seconds-per-wall-second, and the capacity knee for specs
+//! that carry a `[probe]` table.
 //!
 //! ```text
 //! cargo run --release -p evolve-bench --bin scenario_suite [seed-count]
@@ -13,9 +14,12 @@
 //! EVOLVE_SMOKE=1 … # cap horizons at 120 s for CI smoke runs
 //! ```
 //!
-//! Exits non-zero when any scenario file fails to parse or validate (the
-//! typed errors are listed first — this is what CI's scenario smoke job
-//! gates on). Writes `experiments_out/scenario_suite.csv` and
+//! The oracle only observes, so no number moves. Exits non-zero when any
+//! scenario file fails to parse or validate (the typed errors are listed
+//! first, before any run) or when any run violates an oracle invariant
+//! (scenario, system and failed checks on stderr) — this is what CI's
+//! experiments smoke job gates on. Writes
+//! `experiments_out/scenario_suite.csv` and
 //! `experiments_out/scenario_suite.html`.
 
 use std::fmt::Write as _;
@@ -38,6 +42,8 @@ struct SystemResult {
     used_share: Summary,
     preemptions: Summary,
     sim_per_wall: f64,
+    /// Oracle checks any seed's run violated, sorted and deduplicated.
+    failed_checks: Vec<String>,
 }
 
 struct ScenarioResult {
@@ -71,12 +77,16 @@ fn run_system(
     seeds: &[u64],
     horizon_cap: Option<SimDuration>,
 ) -> SystemResult {
-    let mut config = RunConfig::from_spec(spec, manager).record_series(false).build();
+    let mut config = RunConfig::from_spec(spec, manager).record_series(false).oracle(true).build();
     if let Some(cap) = horizon_cap {
         config.scenario.horizon = config.scenario.horizon.min(cap);
     }
     let rep = Harness::new().run_seeds(&config, seeds);
     let sim_per_wall = rep.runs.iter().map(|r| r.perf.sim_secs_per_wall_sec).fold(0.0f64, f64::max);
+    let mut failed_checks: Vec<String> =
+        rep.runs.iter().filter_map(|r| r.oracle.as_ref()).flat_map(|o| o.failed_checks()).collect();
+    failed_checks.sort();
+    failed_checks.dedup();
     SystemResult {
         system: label,
         violation_rate: rep.violation_rate(),
@@ -85,6 +95,7 @@ fn run_system(
         used_share: rep.used_share(),
         preemptions: rep.preemptions(),
         sim_per_wall,
+        failed_checks,
     }
 }
 
@@ -366,5 +377,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {}/scenario_suite.csv and {}", args.out_dir.display(), html_path.display());
-    ExitCode::SUCCESS
+
+    let mut clean = true;
+    for r in &results {
+        for s in r.systems.iter().filter(|s| !s.failed_checks.is_empty()) {
+            eprintln!(
+                "oracle violation: scenario={} system={} checks=[{}]",
+                r.name,
+                s.system,
+                s.failed_checks.join(", ")
+            );
+            clean = false;
+        }
+    }
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -20,16 +20,10 @@ fn main() {
         ManagerKind::Hpa { target_utilization: 0.6 },
         ManagerKind::Vpa { margin: 0.3 },
     ];
+    let spec = args.spec("headline");
     let configs: Vec<RunConfig> = managers
         .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::headline(1.0), m.clone()),
-            }
-            .record_series(false)
-            .build()
-        })
+        .map(|m| RunConfig::from_spec(&spec, m.clone()).record_series(false).build())
         .collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);

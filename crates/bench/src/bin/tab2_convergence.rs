@@ -128,12 +128,9 @@ fn main() {
     );
 
     eprintln!("running converged (20 nodes) × {} seeds …", seeds.len());
-    let converged_config = match args.scenario() {
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-        None => RunConfig::builder(Scenario::headline(1.0), ManagerKind::Evolve).nodes(20),
-    }
-    .record_series(false)
-    .build();
+    let converged_config = RunConfig::from_spec(&args.spec("headline"), ManagerKind::Evolve)
+        .record_series(false)
+        .build();
     let converged = harness.run_seeds(&converged_config, &seeds);
     let converged_samples: Vec<DeploymentSample> =
         converged.runs.iter().map(converged_sample).collect();

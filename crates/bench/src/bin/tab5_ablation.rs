@@ -25,33 +25,30 @@ fn main() {
         ("hpa", ManagerKind::Hpa { target_utilization: 0.6 }),
         ("kube-static", ManagerKind::KubeStatic),
     ];
+    let spec = args.spec("bottleneck_rotation");
     let configs: Vec<RunConfig> = variants
         .iter()
         .map(|(_, manager)| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, manager.clone()),
-                None => {
-                    RunConfig::builder(Scenario::bottleneck_rotation(), manager.clone()).nodes(12)
-                }
-            }
-            .record_series(false)
-            .build()
+            RunConfig::from_spec(&spec, manager.clone()).record_series(false).build()
         })
         .collect();
     eprintln!("running {} variants × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 
-    let mut table = Table::new(
-        ["variant", "cpu-svc", "disk-svc", "net-svc", "mem-svc", "aggregate", "oom kills"]
-            .map(String::from)
-            .to_vec(),
-    );
+    // One column per service of the spec (the rotation mix's are
+    // cpu-svc, disk-svc, net-svc and mem-svc).
+    let services: Vec<&str> = spec.services.iter().map(|s| s.name.as_str()).collect();
+    let mut headers = vec!["variant".to_string()];
+    headers.extend(services.iter().map(|name| (*name).to_string()));
+    headers.extend(["aggregate", "oom kills"].map(String::from));
+    let mut table = Table::new(headers);
     for ((label, _), rep) in variants.iter().zip(&reps) {
         let mut row = vec![(*label).to_string()];
-        // The first four apps in the rotation mix are the cpu/disk/net/mem
-        // services, in declaration order (identical across seeds).
-        for i in 0..4 {
-            row.push(rep.summarize(|r| r.apps[i].violation_rate()).display(3));
+        for name in &services {
+            let rate = |r: &RunOutcome| {
+                r.apps.iter().find(|a| a.name == *name).map_or(0.0, |a| a.violation_rate())
+            };
+            row.push(rep.summarize(rate).display(3));
         }
         row.push(rep.violation_rate().display(3));
         row.push(

@@ -85,18 +85,15 @@ fn main() {
     let mut csv = String::from(
         "fault,policy,recovery_s_mean,recovery_ci,viol_in_fault_mean,viol_in_fault_ci,viol_rate_mean,timeouts_mean\n",
     );
+    // The spec supplies the workload and cluster shape; each case still
+    // injects its own fault.
+    let spec = args.spec("single_diurnal");
     for case in &cases {
         let configs: Vec<RunConfig> = managers
             .iter()
             .map(|m| {
-                // With `--scenario`, the spec supplies the workload and
-                // cluster shape; each case still injects its own fault.
-                let mut config = match args.scenario() {
-                    Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                    None => RunConfig::builder(Scenario::single_diurnal(), m.clone()).nodes(6),
-                }
-                .faults(case.plan.clone())
-                .build();
+                let mut config =
+                    RunConfig::from_spec(&spec, m.clone()).faults(case.plan.clone()).build();
                 config.scenario.horizon = SimDuration::from_secs(horizon);
                 config
             })

@@ -116,41 +116,27 @@ fn main() -> ExitCode {
     let half_window: f64 =
         rest_value(&args.rest, "--window").and_then(|s| s.parse().ok()).unwrap_or(120.0);
 
-    let (dump_name, scenario_name) = match (args.scenario(), overload) {
-        (Some(spec), _) => {
-            (format!("trace_{}.jsonl", spec.name.replace(['/', ' '], "_")), spec.name.clone())
-        }
-        (None, true) => ("trace_overload.jsonl".into(), "overload (arbitrated)".to_string()),
-        (None, false) => ("trace_headline.jsonl".into(), "headline".to_string()),
+    // The spec carries the cluster shape and (optionally) the arbiter;
+    // `from_spec` applies them all. The builtin overload run sits at
+    // 1.5× its file's load, at the knee.
+    let (spec, label) = match &args.scenario {
+        Some(spec) => (spec.clone(), spec.name.replace(['/', ' '], "_")),
+        None if overload => (args.spec("overload").scaled_loads(1.5), "overload".to_string()),
+        None => (args.spec("headline"), "headline".to_string()),
     };
-    let dump_path = args.out_dir.join(&dump_name);
+    let dump_path = args.out_dir.join(format!("trace_{label}.jsonl"));
     if let Some(parent) = dump_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let builder = match args.scenario() {
-        // The spec carries the cluster shape and (optionally) the
-        // arbiter; `from_spec` applies them all.
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-        None => {
-            let mut scenario =
-                if overload { Scenario::overload(1.5) } else { Scenario::headline(1.0) };
-            if args.smoke {
-                scenario.horizon = SimDuration::from_mins(3);
-            }
-            let mut b = RunConfig::builder(scenario, ManagerKind::Evolve);
-            if overload {
-                b = b.nodes(4).arbiter(ArbiterConfig::default());
-            }
-            b
-        }
-    }
-    .seed(BASE_SEED)
-    .trace(TraceConfig::default().with_capacity(1 << 20).dump_to(&dump_path));
-    let mut cfg = builder.build();
-    if args.smoke && args.scenario().is_some() {
+    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+        .seed(BASE_SEED)
+        .trace(TraceConfig::default().with_capacity(1 << 20).dump_to(&dump_path))
+        .build();
+    if args.smoke {
         cfg.scenario.horizon = cfg.scenario.horizon.min(SimDuration::from_mins(3));
     }
-    eprintln!("running {scenario_name} scenario (seed {BASE_SEED}) with decision tracing …");
+    let arbitrated = if cfg.arbiter.is_some() { " (arbitrated)" } else { "" };
+    eprintln!("running {label}{arbitrated} scenario (seed {BASE_SEED}) with decision tracing …");
     let outcome = ExperimentRunner::new(cfg).run();
     eprintln!(
         "trace ring: {} events retained, {} dropped; dump: {}",

@@ -19,7 +19,8 @@ pub const BASE_SEED: u64 = 42;
 ///   count (falling back to `EVOLVE_SEEDS`, then the binary's default);
 /// * `--scenario <file>` loads a declarative `scenarios/*.toml` spec
 ///   through [`ScenarioSpec::from_file`] — a bad file exits with status 2
-///   and the typed error on stderr;
+///   and the typed error on stderr — which [`BenchArgs::spec`] then
+///   returns in place of the binary's builtin;
 /// * `--out <dir>` (or `EVOLVE_OUT`) overrides where CSV/HTML artifacts
 ///   land (default `experiments_out/` under the working directory);
 /// * `EVOLVE_SMOKE` requests a shortened CI smoke run — the *value*
@@ -150,10 +151,18 @@ impl BenchArgs {
         self.seeds.len()
     }
 
-    /// The loaded `--scenario` spec, if any.
+    /// The run's scenario: the `--scenario` file if one was given,
+    /// otherwise the builtin `default` (see [`evolve_workload::BUILTINS`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `default` names no builtin.
     #[must_use]
-    pub fn scenario(&self) -> Option<&ScenarioSpec> {
-        self.scenario.as_ref()
+    pub fn spec(&self, default: &str) -> ScenarioSpec {
+        match &self.scenario {
+            Some(spec) => spec.clone(),
+            None => ScenarioSpec::builtin(default).unwrap_or_else(|err| panic!("{err}")),
+        }
     }
 }
 
@@ -427,10 +436,16 @@ mod tests {
         let path = dir.join("s.toml");
         std::fs::write(&path, written.to_toml()).unwrap();
         let a = BenchArgs::try_parse(&argv(&["--scenario", path.to_str().unwrap()]), 5).unwrap();
-        let spec = a.scenario().unwrap();
-        assert_eq!(spec, &written);
+        let spec = a.spec("headline");
+        assert_eq!(spec, written);
         assert_eq!(spec.name, "overload-1.00");
         assert_eq!(spec.cluster.nodes, 4);
         assert_eq!(a.scenario_path.as_deref(), Some(path.as_path()));
+    }
+
+    #[test]
+    fn bench_args_spec_falls_back_to_the_builtin() {
+        let a = BenchArgs::try_parse(&argv(&[]), 5).unwrap();
+        assert_eq!(a.spec("flash_crowd"), ScenarioSpec::builtin("flash_crowd").unwrap());
     }
 }

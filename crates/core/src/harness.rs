@@ -16,12 +16,10 @@
 //!
 //! ```no_run
 //! use evolve_core::{Harness, ManagerKind, RunConfig};
-//! use evolve_workload::Scenario;
+//! use evolve_workload::ScenarioSpec;
 //!
-//! let base = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-//!     .nodes(4)
-//!     .record_series(false)
-//!     .build();
+//! let spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+//! let base = RunConfig::from_spec(&spec, ManagerKind::Evolve).record_series(false).build();
 //! let rep = Harness::new().run_seeds(&base, &[42, 43, 44, 45, 46]);
 //! let viol = rep.violation_rate();
 //! println!("violation rate {:.3} ± {:.3} (n={})", viol.mean, viol.ci95, viol.n);

@@ -20,12 +20,10 @@
 //!
 //! ```no_run
 //! use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
-//! use evolve_workload::Scenario;
+//! use evolve_workload::ScenarioSpec;
 //!
-//! let cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-//!     .nodes(4)
-//!     .seed(7)
-//!     .build();
+//! let spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+//! let cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(7).build();
 //! let outcome = ExperimentRunner::new(cfg).run();
 //! println!("violation rate {:.3}", outcome.total_violation_rate());
 //! ```

@@ -370,7 +370,7 @@ impl RunConfigBuilder {
     }
 
     /// Applies a builtin scenario by name (see
-    /// [`evolve_workload::BUILTIN_NAMES`]) via
+    /// [`evolve_workload::BUILTINS`]) via
     /// [`scenario_spec`](RunConfigBuilder::scenario_spec).
     ///
     /// # Errors

@@ -7,15 +7,18 @@ use evolve_core::{ExperimentRunner, ManagerKind, RecoveryStrategy, RunConfig};
 use evolve_sim::chaos::{plan_from_events, random_fault_events};
 use evolve_sim::FaultPlan;
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn config(horizon_secs: u64, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-        .nodes(6)
-        .seed(seed)
-        .record_series(false)
-        .oracle(true)
-        .build();
+    let mut cfg = RunConfig::builder(
+        ScenarioSpec::builtin("single_diurnal").unwrap().build(),
+        ManagerKind::Evolve,
+    )
+    .nodes(6)
+    .seed(seed)
+    .record_series(false)
+    .oracle(true)
+    .build();
     cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
     cfg
 }
@@ -39,7 +42,7 @@ fn oracle_is_none_when_disabled() {
 }
 
 /// Seeded random fault schedules through the full runner must never trip
-/// an invariant on main — the same property the CI chaos-smoke job
+/// an invariant on main — the same property the CI experiments-smoke job
 /// checks at a larger budget.
 #[test]
 fn oracle_clean_on_random_schedules() {

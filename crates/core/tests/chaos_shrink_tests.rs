@@ -15,7 +15,7 @@ use evolve_workload::{ReproSpec, ScenarioSpec};
 
 /// The interference mix on 8 nodes for 150 s, under `events`.
 fn spec_with(events: &[FaultEvent]) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::interference();
+    let mut spec = ScenarioSpec::builtin("interference").unwrap();
     spec.horizon = SimDuration::from_secs(150);
     spec.cluster.nodes = 8;
     spec.faults = events.to_vec();

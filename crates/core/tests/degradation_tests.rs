@@ -7,11 +7,15 @@
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
 use evolve_sim::FaultPlan;
 use evolve_types::{NodeId, SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn faulted_config(horizon_secs: u64, faults: FaultPlan) -> RunConfig {
-    let mut config =
-        RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(4).build();
+    let mut config = RunConfig::builder(
+        ScenarioSpec::builtin("single_diurnal").unwrap().build(),
+        ManagerKind::Evolve,
+    )
+    .nodes(4)
+    .build();
     config.scenario.horizon = SimDuration::from_secs(horizon_secs);
     config.faults = faults;
     config

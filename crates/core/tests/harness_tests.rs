@@ -5,15 +5,16 @@
 use evolve_core::{ExperimentRunner, Harness, ManagerKind, RunConfig, Summary};
 use evolve_sim::{FaultPlan, StochasticFaults};
 use evolve_types::{NodeId, SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 /// A cheap run: the single-service diurnal scenario cut down to a short
 /// horizon on a small cluster, no series recording.
 fn small_config(manager: ManagerKind, horizon_secs: u64) -> RunConfig {
-    let mut config = RunConfig::builder(Scenario::single_diurnal(), manager)
-        .nodes(4)
-        .record_series(false)
-        .build();
+    let mut config =
+        RunConfig::builder(ScenarioSpec::builtin("single_diurnal").unwrap().build(), manager)
+            .nodes(4)
+            .record_series(false)
+            .build();
     config.scenario.horizon = SimDuration::from_secs(horizon_secs);
     config
 }

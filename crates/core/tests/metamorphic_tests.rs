@@ -33,7 +33,7 @@ fn an_arbiter_with_room_to_spare_changes_nothing() {
     let horizon = SimDuration::from_secs(300);
     let specs = [
         ScenarioSpec::headline(0.5),
-        ScenarioSpec::interference(),
+        ScenarioSpec::builtin("interference").unwrap(),
         ScenarioSpec::cluster_scale(30, 4, horizon),
     ];
     for mut spec in specs {

@@ -3,7 +3,6 @@
 //! exact uninterrupted trajectory), and the safety properties of cold
 //! reconstruction (no scale-to-zero, slew-limited re-engagement).
 
-use evolve_control::ArbiterConfig;
 use evolve_core::{
     ControllerCheckpoint, ExperimentRunner, ManagerKind, RecoveryStrategy, ResourceManager,
     RunConfig, RunOutcome,
@@ -11,14 +10,12 @@ use evolve_core::{
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{ClusterConfig, FaultPlan, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 use proptest::prelude::*;
 
 fn base_config(horizon_secs: u64, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-        .nodes(6)
-        .seed(seed)
-        .build();
+    let spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build();
     cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
     cfg
 }
@@ -38,11 +35,9 @@ fn crashed_config(
 /// An overloaded cluster (1.2× the capacity knee) with the capacity
 /// arbiter engaged, optionally crashing the controller mid-run.
 fn saturated_config(horizon_secs: u64, seed: u64, crash_at: Option<u64>) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::overload(1.2), ManagerKind::Evolve)
-        .nodes(4)
-        .seed(seed)
-        .arbiter(ArbiterConfig::default())
-        .build();
+    // The overload file carries its 4-node cluster and the arbiter.
+    let spec = ScenarioSpec::builtin("overload").unwrap().scaled_loads(1.2);
+    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build();
     cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
     if let Some(t) = crash_at {
         cfg.faults = FaultPlan::new().with_controller_crash(SimTime::from_secs(t));
@@ -81,7 +76,7 @@ fn assert_identical_series(a: &RunOutcome, b: &RunOutcome) {
 /// A live simulation with the manager ticked a few times, for checkpoint
 /// capture tests.
 fn warmed_manager(ticks: u32) -> (Simulation, ResourceManager) {
-    let scenario = Scenario::single_diurnal();
+    let scenario = ScenarioSpec::builtin("single_diurnal").unwrap().build();
     let mut sim = Simulation::new(
         SimulationConfig::default(),
         ClusterConfig::uniform(6, NodeShape::default()),
@@ -148,7 +143,7 @@ fn restore_resumes_the_exact_trajectory() {
 /// restore read zero.)
 #[test]
 fn desync_count_survives_a_second_restore() {
-    let one = Scenario::single_diurnal().mix;
+    let one = ScenarioSpec::builtin("single_diurnal").unwrap().build().mix;
     let (spec, load) = one.services()[0].clone();
     let two = one.clone().with_service(spec, load);
     let sim_of = |mix| {

@@ -1,100 +1,27 @@
-//! Parity between the declarative scenario files and the builtin
-//! constructors: a spec loaded from `scenarios/*.toml` must reproduce the
-//! constructor's scenario exactly, and running both through the same seed
-//! must yield identical outcomes — the file is the constructor, written
-//! down.
+//! How `evolve-core` applies a declarative scenario: a builtin name or a
+//! `scenarios/*.toml` file configures the run's workload, cluster shape
+//! and arbiter.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use evolve_core::{arbiter_from_spec, ExperimentRunner, ManagerKind, RunConfig, RunOutcome};
+use evolve_core::{ManagerKind, RunConfig};
 use evolve_sim::NodeShape;
-use evolve_types::SimDuration;
-use evolve_workload::{Scenario, ScenarioSpec, BUILTIN_NAMES, DEFAULT_NODE_CAPACITY};
+use evolve_workload::{Scenario, ScenarioSpec, DEFAULT_NODE_CAPACITY};
 
 fn scenario_file(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
         .join(format!("{name}.toml"))
 }
 
-/// Everything a short run measures, as a comparable digest (bit-exact
-/// floats via their IEEE-754 patterns).
-fn digest(outcome: &RunOutcome) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "scenario {}", outcome.scenario);
-    let _ = writeln!(out, "end_time {:016x}", outcome.end_time.as_secs_f64().to_bits());
-    let _ = writeln!(out, "bindings {}", outcome.bindings);
-    let _ = writeln!(out, "preemptions {}", outcome.preemptions);
-    for app in &outcome.apps {
-        let _ = writeln!(
-            out,
-            "app {} windows={} violations={} severity={:016x} completions={} timeouts={}",
-            app.name,
-            app.windows,
-            app.violations,
-            app.mean_severity.to_bits(),
-            app.completions,
-            app.timeouts,
-        );
-    }
-    for job in &outcome.jobs {
-        let _ = writeln!(out, "job {} met={}", job.job.raw(), job.met_deadline());
-    }
-    out
-}
-
-/// The file spec equals the builtin spec for every registered name (the
-/// byte-level pinning lives in `evolve-workload`'s spec tests; this
-/// checks the files as `evolve-core` consumers see them).
-#[test]
-fn every_builtin_has_a_matching_scenario_file() {
-    for name in BUILTIN_NAMES {
-        let builtin = ScenarioSpec::builtin(name).expect("builtin");
-        let parsed = ScenarioSpec::from_file(scenario_file(name))
-            .unwrap_or_else(|err| panic!("{name}: {err}"));
-        assert_eq!(parsed, builtin, "{name}: file spec != builtin spec");
-    }
-}
-
-/// Same seed, same outcome: running the file-loaded spec through
-/// `RunConfig::from_spec` matches the constructor path bit for bit on a
-/// shortened horizon, for a representative subset (plain mix, arbitrated
-/// overload, single service).
-#[test]
-fn file_spec_runs_reproduce_the_constructor_runs() {
-    for (name, constructor) in [
-        ("headline", Scenario::headline(1.0)),
-        ("single_diurnal", Scenario::single_diurnal()),
-        ("overload", Scenario::overload(1.0)),
-    ] {
-        let spec = ScenarioSpec::from_file(scenario_file(name))
-            .unwrap_or_else(|err| panic!("{name}: {err}"));
-        let horizon = SimDuration::from_mins(2);
-
-        let mut from_file = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).build();
-        from_file.scenario.horizon = horizon;
-
-        // The constructor path, configured the way the bench binaries
-        // did it by hand before `from_spec` existed.
-        let mut builder =
-            RunConfig::builder(constructor, ManagerKind::Evolve).seed(42).nodes(spec.cluster.nodes);
-        if let Some(arb) = &spec.arbiter {
-            builder = builder.arbiter(arbiter_from_spec(arb));
-        }
-        let mut by_hand = builder.build();
-        by_hand.scenario.horizon = horizon;
-
-        let a = ExperimentRunner::new(from_file).run();
-        let b = ExperimentRunner::new(by_hand).run();
-        assert_eq!(digest(&a), digest(&b), "{name}: file spec and constructor diverged");
-    }
+fn single_diurnal() -> Scenario {
+    ScenarioSpec::builtin("single_diurnal").expect("builtin").build()
 }
 
 /// `scenario_named` resolves builtins and applies the spec's cluster
 /// shape and arbiter to the builder.
 #[test]
 fn scenario_named_applies_cluster_and_arbiter() {
-    let config = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
+    let config = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
         .scenario_named("overload")
         .expect("builtin resolves")
         .build();
@@ -102,7 +29,7 @@ fn scenario_named_applies_cluster_and_arbiter() {
     assert_eq!(config.nodes, 4);
     assert!(config.arbiter.is_some(), "overload spec carries the arbiter");
 
-    let err = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
+    let err = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
         .scenario_named("ghost")
         .unwrap_err();
     assert!(err.to_string().contains("ghost"));
@@ -111,7 +38,7 @@ fn scenario_named_applies_cluster_and_arbiter() {
 /// `scenario_file` loads through the same validated path as the suite.
 #[test]
 fn scenario_file_loads_checked_in_specs() {
-    let config = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
+    let config = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
         .scenario_file(scenario_file("interference"))
         .expect("checked-in file loads")
         .build();

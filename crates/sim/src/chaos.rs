@@ -562,7 +562,7 @@ mod tests {
     /// The 10-node, 5-app scenario a schedule is written into, as the
     /// fuzz driver does: the file is the spec that ran plus `[repro]`.
     fn spec_with(horizon: SimDuration, faults: Vec<FaultEvent>) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::interference();
+        let mut spec = ScenarioSpec::builtin("interference").unwrap();
         spec.horizon = horizon;
         spec.faults = faults;
         spec.repro = Some(ReproSpec { seed: 1234, violation: "gang_atomicity".to_string() });
@@ -645,8 +645,7 @@ mod tests {
     #[test]
     fn oracle_reports_clean_on_untouched_cluster() {
         use crate::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-        use evolve_workload::Scenario;
-        let scenario = Scenario::single_diurnal();
+        let scenario = ScenarioSpec::builtin("single_diurnal").unwrap().build();
         let sim = Simulation::new(
             SimulationConfig::default(),
             ClusterConfig::uniform(4, NodeShape::default()),

@@ -21,9 +21,9 @@
 //!
 //! ```
 //! use evolve_sim::{ClusterConfig, Simulation, SimulationConfig};
-//! use evolve_workload::Scenario;
+//! use evolve_workload::ScenarioSpec;
 //!
-//! let scenario = Scenario::single_diurnal();
+//! let scenario = ScenarioSpec::builtin("single_diurnal").unwrap().build();
 //! let mut sim = Simulation::new(
 //!     SimulationConfig::default(),
 //!     ClusterConfig::uniform(4, Default::default()),

@@ -14,11 +14,13 @@
 //! * Application archetypes: [`ServiceSpec`] (latency-critical cloud
 //!   microservice), [`BatchJobSpec`] (staged big-data dataflow job) and
 //!   [`HpcJobSpec`] (gang-scheduled iterative HPC job).
-//! * [`WorkloadMix`] and the scenario library — the pre-built mixes each
-//!   experiment in EXPERIMENTS.md uses.
+//! * [`WorkloadMix`] and [`Scenario`] — a runnable workload and its
+//!   horizon.
 //! * [`ScenarioSpec`] — the declarative scenario model behind the
 //!   checked-in `scenarios/*.toml` files, parsed by a hand-rolled
-//!   minimal-TOML reader with typed [`ScenarioError`]s.
+//!   minimal-TOML reader with typed [`ScenarioError`]s. Those files are
+//!   the builtin scenarios each experiment in EXPERIMENTS.md uses
+//!   ([`BUILTINS`]).
 //!
 //! # Examples
 //!
@@ -62,5 +64,5 @@ pub use sampling::{
 pub use scenario::{LoadSpec, Scenario, WorkloadMix};
 pub use spec::{
     ArbiterSpec, BatchEntry, ClusterSpec, HpcEntry, ProbeSpec, ReproSpec, ScenarioError,
-    ScenarioSpec, ServiceEntry, StageEntry, BUILTIN_NAMES, DEFAULT_NODE_CAPACITY,
+    ScenarioSpec, ServiceEntry, StageEntry, BUILTINS, DEFAULT_NODE_CAPACITY,
 };

@@ -1,16 +1,12 @@
-//! The scenario library: pre-built workload mixes for every experiment.
+//! Runnable workloads: [`LoadSpec`] is the serializable description of a
+//! load profile; [`WorkloadMix`] aggregates services and jobs;
+//! [`Scenario`] bundles a mix with a name and simulation horizon.
 //!
-//! Each experiment in EXPERIMENTS.md references one of these presets, so
-//! a benchmark binary and a curious user construct byte-identical
-//! workloads. [`LoadSpec`] is the serializable description of a load
-//! profile; [`WorkloadMix`] aggregates services and jobs; [`Scenario`]
-//! bundles a mix with a name and simulation horizon.
-//!
-//! The presets themselves are defined as declarative
-//! [`ScenarioSpec`](crate::ScenarioSpec)s (one checked-in
-//! `scenarios/*.toml` file per preset, pinned byte-identical by parity
-//! tests); the constructors here are thin emitters kept for API
-//! compatibility and programmatic use.
+//! The scenarios every experiment in EXPERIMENTS.md uses are the
+//! checked-in `scenarios/*.toml` files: build one with
+//! `ScenarioSpec::builtin(name)?.build()` (see
+//! [`BUILTINS`](crate::BUILTINS)). [`Scenario::headline`] and
+//! [`Scenario::cluster_scale`] build the two parametric ones.
 
 use evolve_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -226,10 +222,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// **T1/T2/F4 headline mix** — several latency-critical services with
-    /// heterogeneous bottlenecks and dynamic load, plus batch and HPC
-    /// jobs competing for the same nodes. `scale` multiplies request
-    /// rates and batch widths.
+    /// **T1/T2/F4 headline mix**, built from
+    /// [`ScenarioSpec::headline`]: `scale` multiplies request rates and
+    /// batch widths.
     ///
     /// # Panics
     ///
@@ -239,94 +234,8 @@ impl Scenario {
         ScenarioSpec::headline(scale).build()
     }
 
-    /// **F1 timeline** — a single CPU-bound service under one compressed
-    /// diurnal day.
-    #[must_use]
-    pub fn single_diurnal() -> Scenario {
-        ScenarioSpec::single_diurnal().build()
-    }
-
-    /// **F5 flash crowd** — a steady service hit by a `spike_factor`×
-    /// burst two minutes in.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `spike_factor < 1`.
-    #[must_use]
-    pub fn flash_crowd(spike_factor: f64) -> Scenario {
-        ScenarioSpec::flash_crowd(spike_factor).build()
-    }
-
-    /// **F2 step response** — load steps from `base` to `base×factor`
-    /// halfway through; used to measure settling time and overshoot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor < 1`.
-    #[must_use]
-    pub fn step_response(factor: f64) -> Scenario {
-        ScenarioSpec::step_response(factor).build()
-    }
-
-    /// **F3 load sweep** — two services at a constant `offered` fraction
-    /// of nominal capacity (1.0 ≈ the allocation ceiling of the default
-    /// config).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offered` is not positive.
-    #[must_use]
-    pub fn load_sweep(offered: f64) -> Scenario {
-        ScenarioSpec::load_sweep(offered).build()
-    }
-
-    /// **T5 bottleneck rotation** — four services, each binding on a
-    /// different resource dimension, under bursty load; the multi-resource
-    /// vs CPU-only ablation runs here.
-    #[must_use]
-    pub fn bottleneck_rotation() -> Scenario {
-        ScenarioSpec::bottleneck_rotation().build()
-    }
-
-    /// **Overload / graceful degradation** — three priority tiers of
-    /// services plus batch jobs, built from compute-heavy requests so a
-    /// small reference cluster (≈4 default nodes) saturates at modest
-    /// request rates. Service rates sum to `440 × offered` rps, ≈36 k
-    /// mcore of steady CPU demand at `offered = 1.0` against ~57 k mcore
-    /// of usable capacity: `1.0` leaves room for controllers to settle,
-    /// ≈1.5 sits at the knee, and values above it push steady demand past
-    /// schedulable capacity — the regime the cluster capacity arbiter
-    /// exists for.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offered` is not positive.
-    #[must_use]
-    pub fn overload(offered: f64) -> Scenario {
-        ScenarioSpec::overload(offered).build()
-    }
-
-    /// **T8 cluster scale** — the scheduler-stress regime: static-sized
-    /// pods packing every node to its slot capacity, with an
-    /// oversubscribed batch backlog keeping a persistent pending queue
-    /// and steady completion churn.
-    ///
-    /// Sized against the default node shape: each pod requests
-    /// (1200 mcore, 4800 MiB, 30, 80), so exactly 12 fit per default
-    /// node (CPU- and memory-bound simultaneously) and the cluster
-    /// offers `12 × nodes` pod slots. Services take ~40% of the slots
-    /// spread over `apps` distinct applications; four batch jobs offer
-    /// `8 × nodes` parallel tasks against the remaining ~7.2 × nodes
-    /// slots, so the pending queue never drains and every control tick
-    /// reschedules into a nearly-full cluster — the worst case for a
-    /// full node rescan and the regime `tab8_cluster_scale` measures.
-    /// Batch tasks carry ~5 min of CPU work each, so a 5 s tick
-    /// completes ~2% of the running tasks: free slots concentrate on a
-    /// small fraction of the nodes while the backlog keeps probing a
-    /// cluster that is full everywhere else.
-    ///
-    /// Intended for `KubeStatic`-style static replica management:
-    /// replica counts are chosen here, not by a controller.
+    /// **T8 cluster scale**, built from [`ScenarioSpec::cluster_scale`]
+    /// (which documents the sizing).
     ///
     /// # Panics
     ///
@@ -334,13 +243,6 @@ impl Scenario {
     #[must_use]
     pub fn cluster_scale(nodes: usize, apps: usize, horizon: SimDuration) -> Scenario {
         ScenarioSpec::cluster_scale(nodes, apps, horizon).build()
-    }
-
-    /// **F6 interference** — two latency-critical services colocated with
-    /// aggressive batch and HPC work that should harvest only slack.
-    #[must_use]
-    pub fn interference() -> Scenario {
-        ScenarioSpec::interference().build()
     }
 }
 
@@ -396,20 +298,14 @@ mod tests {
         assert!((rate(&b) / rate(&a) - 2.0).abs() < 1e-9);
     }
 
+    fn builtin(name: &str) -> Scenario {
+        ScenarioSpec::builtin(name).unwrap().build()
+    }
+
     #[test]
     fn every_preset_is_nonempty_and_named() {
-        let presets = [
-            Scenario::headline(1.0),
-            Scenario::single_diurnal(),
-            Scenario::flash_crowd(5.0),
-            Scenario::step_response(4.0),
-            Scenario::load_sweep(0.8),
-            Scenario::bottleneck_rotation(),
-            Scenario::interference(),
-            Scenario::overload(1.5),
-            Scenario::cluster_scale(100, 10, SimDuration::from_mins(2)),
-        ];
-        for s in presets {
+        for (name, _) in crate::BUILTINS {
+            let s = builtin(name);
             assert!(!s.mix.is_empty(), "{} empty", s.name);
             assert!(!s.name.is_empty());
             assert!(!s.horizon.is_zero());
@@ -418,7 +314,7 @@ mod tests {
 
     #[test]
     fn bottleneck_rotation_uses_distinct_dominant_resources() {
-        let s = Scenario::bottleneck_rotation();
+        let s = builtin("bottleneck_rotation");
         let mut dominants = std::collections::HashSet::new();
         for (svc, _) in s.mix.services() {
             let d = svc.request_class.mean_demand();
@@ -439,7 +335,8 @@ mod tests {
 
     #[test]
     fn overload_mixes_priority_tiers() {
-        let s = Scenario::overload(1.5);
+        let spec = ScenarioSpec::builtin("overload").unwrap();
+        let s = spec.scaled_loads(1.5).build();
         let classes: Vec<PriorityClass> =
             s.mix.services().iter().map(|(svc, _)| svc.priority).collect();
         assert!(classes.contains(&PriorityClass::Critical));
@@ -447,7 +344,7 @@ mod tests {
         assert!(classes.contains(&PriorityClass::Preemptible));
         assert_eq!(s.mix.batch_jobs()[0].0.priority, PriorityClass::Preemptible);
         // Offered load scales linearly with the knob.
-        let a = Scenario::overload(1.0);
+        let a = spec.build();
         let rate = |s: &Scenario| s.mix.services()[0].1.mean_rate();
         assert!((rate(&s) / rate(&a) - 1.5).abs() < 1e-9);
     }

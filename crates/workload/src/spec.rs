@@ -7,10 +7,11 @@
 //! reproducer's `[repro]` note. A spec can be authored as a TOML file (see
 //! EXPERIMENTS.md § Authoring scenarios), loaded with
 //! [`ScenarioSpec::from_file`], and turned into a runnable [`Scenario`]
-//! with [`ScenarioSpec::build`]. The builtin constructors on [`Scenario`]
-//! are thin emitters over the specs defined here, and each canonical spec
-//! is checked in under `scenarios/*.toml`, pinned byte-identical by parity
-//! tests.
+//! with [`ScenarioSpec::build`]. A builtin scenario *is* its checked-in
+//! `scenarios/<name>.toml` file, compiled in through [`BUILTINS`] and
+//! parsed by [`ScenarioSpec::builtin`]; only [`ScenarioSpec::headline`]
+//! and [`ScenarioSpec::cluster_scale`] take parameters, and both start
+//! from their file.
 //!
 //! Parsing never panics: structural problems surface as typed
 //! [`ScenarioError`]s with line context, semantic problems (zero demand
@@ -123,7 +124,7 @@ impl std::fmt::Display for ScenarioError {
                 write!(
                     f,
                     "unknown builtin scenario `{name}` (available: {})",
-                    BUILTIN_NAMES.join(", ")
+                    BUILTINS.map(|(name, _)| name).join(", ")
                 )
             }
         }
@@ -307,18 +308,20 @@ pub struct ScenarioSpec {
     pub repro: Option<ReproSpec>,
 }
 
-/// Names accepted by [`ScenarioSpec::builtin`], in canonical order; each
-/// has a matching checked-in `scenarios/<name>.toml`.
-pub const BUILTIN_NAMES: [&str; 9] = [
-    "headline",
-    "single_diurnal",
-    "flash_crowd",
-    "step_response",
-    "load_sweep",
-    "bottleneck_rotation",
-    "overload",
-    "cluster_scale",
-    "interference",
+/// Every builtin scenario: the name [`ScenarioSpec::builtin`] accepts and
+/// the text of its checked-in `scenarios/<name>.toml`, which is the
+/// scenario's only definition. Adding a builtin is a canonical file plus
+/// one row here.
+pub const BUILTINS: [(&str, &str); 9] = [
+    ("headline", include_str!("../../../scenarios/headline.toml")),
+    ("single_diurnal", include_str!("../../../scenarios/single_diurnal.toml")),
+    ("flash_crowd", include_str!("../../../scenarios/flash_crowd.toml")),
+    ("step_response", include_str!("../../../scenarios/step_response.toml")),
+    ("load_sweep", include_str!("../../../scenarios/load_sweep.toml")),
+    ("bottleneck_rotation", include_str!("../../../scenarios/bottleneck_rotation.toml")),
+    ("overload", include_str!("../../../scenarios/overload.toml")),
+    ("cluster_scale", include_str!("../../../scenarios/cluster_scale.toml")),
+    ("interference", include_str!("../../../scenarios/interference.toml")),
 ];
 
 impl ScenarioSpec {
@@ -350,24 +353,84 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// The canonical builtin spec for `name` (see [`BUILTIN_NAMES`]).
+    /// The builtin spec `name`: its checked-in file (see [`BUILTINS`]),
+    /// parsed.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::UnknownScenario`] for unrecognized names.
     pub fn builtin(name: &str) -> Result<ScenarioSpec, ScenarioError> {
-        Ok(match name {
-            "headline" => ScenarioSpec::headline(1.0),
-            "single_diurnal" => ScenarioSpec::single_diurnal(),
-            "flash_crowd" => ScenarioSpec::flash_crowd(5.0),
-            "step_response" => ScenarioSpec::step_response(4.0),
-            "load_sweep" => ScenarioSpec::load_sweep(1.0),
-            "bottleneck_rotation" => ScenarioSpec::bottleneck_rotation(),
-            "overload" => ScenarioSpec::overload(1.0),
-            "cluster_scale" => ScenarioSpec::cluster_scale(100, 10, SimDuration::from_mins(2)),
-            "interference" => ScenarioSpec::interference(),
-            _ => return Err(ScenarioError::UnknownScenario { name: name.to_string() }),
-        })
+        let (_, text) = BUILTINS
+            .iter()
+            .find(|(builtin, _)| *builtin == name)
+            .ok_or_else(|| ScenarioError::UnknownScenario { name: name.to_string() })?;
+        ScenarioSpec::from_toml_str(text)
+    }
+
+    /// The T1/T2/F4 headline mix (`headline.toml`, 20 nodes) with every
+    /// service rate and every batch stage's task count multiplied by
+    /// `scale`; the task counts round up.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scale` is not positive.
+    #[must_use]
+    pub fn headline(scale: f64) -> ScenarioSpec {
+        assert!(scale > 0.0, "scale must be positive");
+        let mut spec =
+            ScenarioSpec::builtin("headline").expect("headline.toml parses").scaled_loads(scale);
+        for stage in spec.batch_jobs.iter_mut().flat_map(|job| &mut job.stages) {
+            stage.tasks = (f64::from(stage.tasks) * scale).ceil() as u32;
+        }
+        spec
+    }
+
+    /// The T8 scheduler-stress mix on `nodes` nodes with `apps` services,
+    /// grown from `cluster_scale.toml` (its 100-node, 10-app instance).
+    /// Only the sizing is computed here; the pod shape, loads, PLOs and
+    /// the four batch jobs come from the file.
+    ///
+    /// Sized against the default node shape: each pod requests
+    /// (1200 mcore, 4800 MiB, 30, 80), so exactly 12 fit per default
+    /// node (CPU- and memory-bound simultaneously) and the cluster
+    /// offers `12 × nodes` pod slots. Services take ~40% of the slots
+    /// spread over `apps` copies of the file's first service; the four
+    /// batch jobs offer `8 × nodes` parallel tasks against the remaining
+    /// ~7.2 × nodes slots, so the pending queue never drains and every
+    /// control tick reschedules into a nearly-full cluster — the worst
+    /// case for a full node rescan and the regime `tab8_cluster_scale`
+    /// measures. Batch tasks carry ~5 min of CPU work each, so a 5 s tick
+    /// completes ~2% of the running tasks: free slots concentrate on a
+    /// small fraction of the nodes while the backlog keeps probing a
+    /// cluster that is full everywhere else.
+    ///
+    /// Intended for `KubeStatic`-style static replica management:
+    /// replica counts are chosen here, not by a controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nodes` or `apps` is zero.
+    #[must_use]
+    pub fn cluster_scale(nodes: usize, apps: usize, horizon: SimDuration) -> ScenarioSpec {
+        assert!(nodes > 0, "need at least one node");
+        assert!(apps > 0, "need at least one service app");
+        let mut spec = ScenarioSpec::builtin("cluster_scale").expect("cluster_scale.toml parses");
+        let service_pods = (12 * nodes * 2).div_ceil(5); // ~40% of the slots
+        let replicas = service_pods.div_ceil(apps) as u32;
+        let template = spec.services[0].clone();
+        spec.name = format!("cluster-scale-{nodes}n-{apps}a");
+        spec.horizon = horizon;
+        spec.cluster.nodes = nodes;
+        spec.services = (0..apps)
+            .map(|i| ServiceEntry { name: format!("svc-{i}"), replicas, ..template.clone() })
+            .collect();
+        for job in &mut spec.batch_jobs {
+            job.max_parallel = (2 * nodes) as u32;
+            for stage in &mut job.stages {
+                stage.tasks = (50 * nodes) as u32;
+            }
+        }
+        spec
     }
 
     /// Builds the runnable [`Scenario`] this spec describes. The
@@ -1575,549 +1638,13 @@ impl ScenarioSpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Builtin scenario emitters
-// ---------------------------------------------------------------------------
-
-struct ClassDef {
-    name: &'static str,
-    demand: ResourceVec,
-    cv: f64,
-}
-
-/// Canonical request classes (demand units: mcore·s CPU, MiB working
-/// set, MB disk, MB net per request).
-fn cpu_bound() -> ClassDef {
-    ClassDef { name: "cpu-bound", demand: ResourceVec::new(20.0, 2.0, 0.01, 0.05), cv: 0.6 }
-}
-
-fn disk_bound() -> ClassDef {
-    ClassDef { name: "disk-bound", demand: ResourceVec::new(5.0, 4.0, 2.0, 0.2), cv: 0.8 }
-}
-
-fn net_bound() -> ClassDef {
-    ClassDef { name: "net-bound", demand: ResourceVec::new(5.0, 2.0, 0.05, 2.5), cv: 0.7 }
-}
-
-/// Compute-heavy requests (~100 ms on one core) used by the overload
-/// scenario so a handful of nodes saturates at modest request rates.
-fn cpu_heavy() -> ClassDef {
-    ClassDef { name: "cpu-heavy", demand: ResourceVec::new(100.0, 8.0, 0.1, 0.2), cv: 0.5 }
-}
-
-fn mem_heavy() -> ClassDef {
-    ClassDef { name: "mem-heavy", demand: ResourceVec::new(12.0, 48.0, 0.1, 0.1), cv: 0.5 }
-}
-
-/// Default initial per-replica allocation: deliberately modest — the
-/// controllers must discover the right size.
-fn default_alloc() -> ResourceVec {
-    ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0)
-}
-
-/// What a cautious user writes into a static pod spec: CPU and memory
-/// sized generously (~3× the mean — those are the dimensions dashboards
-/// show and Kubernetes lets you request), while disk and network I/O sit
-/// at small defaults — stock Kubernetes has no native I/O-bandwidth
-/// requests at all, which is precisely the gap EVOLVE's multi-resource
-/// controller fills. The result is the classic production profile:
-/// over-provisioned where it does not matter, starved where it does.
-fn provisioned_alloc() -> ResourceVec {
-    ResourceVec::new(6_000.0, 12_288.0, 50.0, 50.0)
-}
-
-/// A two-replica service entry with a p99 latency PLO — the shape every
-/// builtin service shares.
-fn svc(
-    name: &str,
-    class: ClassDef,
-    p99_ms: f64,
-    alloc: ResourceVec,
-    load: LoadSpec,
-) -> ServiceEntry {
-    ServiceEntry {
-        name: name.to_string(),
-        class: class.name.to_string(),
-        demand: class.demand,
-        demand_cv: class.cv,
-        timeout: SimDuration::from_secs(10),
-        plo: PloSpec::LatencyP99 { target_ms: p99_ms },
-        alloc,
-        replicas: 2,
-        base_memory_mib: 64.0,
-        priority: PriorityClass::Standard,
-        load,
-    }
-}
-
-fn batch_etl(scale: f64, submit: SimTime) -> BatchEntry {
-    BatchEntry {
-        name: "etl".to_string(),
-        submit_at: submit,
-        stages: vec![
-            // Scan/transform: ~30 s of CPU and 20 s of disk per task at
-            // the nominal executor size.
-            StageEntry {
-                tasks: (8.0 * scale).ceil() as u32,
-                work: ResourceVec::new(60_000.0, 1_024.0, 2_000.0, 200.0),
-                records: 1_000_000,
-            },
-            // Shuffle/aggregate: network-heavy.
-            StageEntry {
-                tasks: (4.0 * scale).ceil() as u32,
-                work: ResourceVec::new(45_000.0, 2_048.0, 500.0, 3_000.0),
-                records: 500_000,
-            },
-        ],
-        plo: PloSpec::Deadline { deadline: SimDuration::from_mins(5) },
-        task_alloc: ResourceVec::new(2_000.0, 2_048.0, 100.0, 100.0),
-        max_parallel: 8,
-        priority: PriorityClass::Standard,
-    }
-}
-
-fn batch_analytics(scale: f64, submit: SimTime) -> BatchEntry {
-    BatchEntry {
-        name: "analytics".to_string(),
-        submit_at: submit,
-        stages: vec![StageEntry {
-            tasks: (12.0 * scale).ceil() as u32,
-            work: ResourceVec::new(120_000.0, 3_072.0, 1_500.0, 500.0),
-            records: 2_000_000,
-        }],
-        plo: PloSpec::Deadline { deadline: SimDuration::from_mins(8) },
-        task_alloc: ResourceVec::new(2_000.0, 3_584.0, 80.0, 60.0),
-        max_parallel: 12,
-        priority: PriorityClass::Standard,
-    }
-}
-
-fn hpc_solver(gang: u32, submit: SimTime) -> HpcEntry {
-    HpcEntry {
-        name: "solver".to_string(),
-        submit_at: submit,
-        gang,
-        iterations: 120,
-        // ~2 s of compute and 1 s of halo exchange per iteration at the
-        // nominal rank size.
-        work: ResourceVec::new(4_000.0, 1_024.0, 10.0, 100.0),
-        rank_alloc: ResourceVec::new(2_000.0, 2_048.0, 20.0, 100.0),
-        deadline: SimDuration::from_mins(10),
-        priority: PriorityClass::Standard,
-    }
-}
-
-fn base_spec(
-    name: impl Into<String>,
-    description: &str,
-    horizon: SimDuration,
-    nodes: usize,
-) -> ScenarioSpec {
-    ScenarioSpec {
-        name: name.into(),
-        description: description.to_string(),
-        horizon,
-        cluster: ClusterSpec { nodes, node_capacity: None },
-        services: Vec::new(),
-        batch_jobs: Vec::new(),
-        hpc_jobs: Vec::new(),
-        arbiter: None,
-        faults: Vec::new(),
-        probe: None,
-        repro: None,
-    }
-}
-
-impl ScenarioSpec {
-    /// The T1/T2/F4 headline mix (see [`Scenario::headline`]); canonical
-    /// cluster: 20 nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `scale` is not positive.
-    #[must_use]
-    pub fn headline(scale: f64) -> ScenarioSpec {
-        assert!(scale > 0.0, "scale must be positive");
-        let day = SimDuration::from_mins(20);
-        let mut spec = base_spec(
-            "headline",
-            "mixed cloud/big-data/HPC consolidation (T1/T2/F4)",
-            SimDuration::from_mins(20),
-            20,
-        );
-        spec.services = vec![
-            svc(
-                "frontend",
-                cpu_bound(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::Diurnal { base: 200.0 * scale, amplitude: 0.7, period: day, phase: 0.0 },
-            ),
-            svc(
-                "search",
-                cpu_bound(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::Diurnal { base: 80.0 * scale, amplitude: 0.6, period: day, phase: 1.2 },
-            ),
-            svc(
-                "ingest",
-                disk_bound(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::Mmpp {
-                    low: 25.0 * scale,
-                    high: 90.0 * scale,
-                    mean_dwell: SimDuration::from_secs(90),
-                },
-            ),
-            svc(
-                "media",
-                net_bound(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::Diurnal { base: 70.0 * scale, amplitude: 0.8, period: day, phase: 2.4 },
-            ),
-            svc(
-                "session",
-                mem_heavy(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::Mmpp {
-                    low: 20.0 * scale,
-                    high: 60.0 * scale,
-                    mean_dwell: SimDuration::from_secs(120),
-                },
-            ),
-            svc(
-                "checkout",
-                cpu_bound(),
-                100.0,
-                provisioned_alloc(),
-                LoadSpec::FlashCrowd {
-                    base: 30.0 * scale,
-                    spike_factor: 4.0,
-                    start: SimTime::from_secs(600),
-                    duration: SimDuration::from_secs(180),
-                },
-            ),
-        ];
-        spec.batch_jobs = vec![
-            batch_etl(scale, SimTime::from_secs(120)),
-            batch_analytics(scale, SimTime::from_secs(400)),
-            batch_etl(scale, SimTime::from_secs(800)),
-        ];
-        spec.hpc_jobs =
-            vec![hpc_solver(4, SimTime::from_secs(200)), hpc_solver(6, SimTime::from_secs(700))];
-        spec
-    }
-
-    /// The F1 single-service diurnal timeline (see
-    /// [`Scenario::single_diurnal`]); canonical cluster: 6 nodes.
-    #[must_use]
-    pub fn single_diurnal() -> ScenarioSpec {
-        let mut spec = base_spec(
-            "single-diurnal",
-            "one service, one compressed day (F1)",
-            SimDuration::from_mins(15),
-            6,
-        );
-        spec.services = vec![svc(
-            "web",
-            cpu_bound(),
-            100.0,
-            default_alloc(),
-            LoadSpec::Diurnal {
-                base: 150.0,
-                amplitude: 0.8,
-                period: SimDuration::from_mins(15),
-                phase: 0.0,
-            },
-        )];
-        spec
-    }
-
-    /// The F5 flash-crowd burst (see [`Scenario::flash_crowd`]);
-    /// canonical cluster: 8 nodes.
-    #[must_use]
-    pub fn flash_crowd(spike_factor: f64) -> ScenarioSpec {
-        let mut spec = base_spec(
-            format!("flash-crowd-x{spike_factor:.0}"),
-            "steady load with a sudden spike (F5)",
-            SimDuration::from_mins(8),
-            8,
-        );
-        spec.services = vec![svc(
-            "store",
-            cpu_bound(),
-            100.0,
-            default_alloc(),
-            LoadSpec::FlashCrowd {
-                base: 80.0,
-                spike_factor,
-                start: SimTime::from_secs(120),
-                duration: SimDuration::from_secs(150),
-            },
-        )];
-        spec
-    }
-
-    /// The F2 load step (see [`Scenario::step_response`]); canonical
-    /// cluster: 8 nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor < 1`.
-    #[must_use]
-    pub fn step_response(factor: f64) -> ScenarioSpec {
-        assert!(factor >= 1.0, "step factor must be at least 1");
-        let base = 60.0;
-        let mut spec = base_spec(
-            format!("step-x{factor:.0}"),
-            "load step for settling-time measurement (F2)",
-            SimDuration::from_mins(10),
-            8,
-        );
-        spec.services = vec![svc(
-            "svc",
-            cpu_bound(),
-            100.0,
-            default_alloc(),
-            LoadSpec::Trace {
-                points: vec![(SimTime::ZERO, base), (SimTime::from_secs(240), base * factor)],
-            },
-        )];
-        spec
-    }
-
-    /// The F3 constant-offered-load sweep point (see
-    /// [`Scenario::load_sweep`]); canonical cluster: 10 nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offered` is not positive.
-    #[must_use]
-    pub fn load_sweep(offered: f64) -> ScenarioSpec {
-        assert!(offered > 0.0, "offered load must be positive");
-        let mut spec = base_spec(
-            format!("sweep-{offered:.2}"),
-            "constant offered load for the violation-vs-load sweep (F3)",
-            SimDuration::from_mins(6),
-            10,
-        );
-        spec.services = vec![
-            svc(
-                "api",
-                cpu_bound(),
-                100.0,
-                default_alloc(),
-                LoadSpec::Constant { rate: 200.0 * offered },
-            ),
-            svc(
-                "feed",
-                disk_bound(),
-                120.0,
-                default_alloc(),
-                LoadSpec::Constant { rate: 100.0 * offered },
-            ),
-        ];
-        spec
-    }
-
-    /// The T5 bottleneck-rotation ablation mix (see
-    /// [`Scenario::bottleneck_rotation`]); canonical cluster: 12 nodes.
-    #[must_use]
-    pub fn bottleneck_rotation() -> ScenarioSpec {
-        let mut spec = base_spec(
-            "bottleneck-rotation",
-            "each service binds on a different resource (T5)",
-            SimDuration::from_mins(10),
-            12,
-        );
-        spec.services = [
-            ("cpu-svc", cpu_bound()),
-            ("disk-svc", disk_bound()),
-            ("net-svc", net_bound()),
-            ("mem-svc", mem_heavy()),
-        ]
-        .into_iter()
-        .map(|(name, class)| {
-            svc(
-                name,
-                class,
-                120.0,
-                default_alloc(),
-                LoadSpec::Mmpp { low: 30.0, high: 80.0, mean_dwell: SimDuration::from_secs(60) },
-            )
-        })
-        .collect();
-        spec
-    }
-
-    /// The saturated overload mix (see [`Scenario::overload`]); canonical
-    /// cluster: 4 nodes, with the capacity arbiter enabled and a
-    /// `[probe]` ramp matching `capacity_probe`'s defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offered` is not positive.
-    #[must_use]
-    pub fn overload(offered: f64) -> ScenarioSpec {
-        assert!(offered > 0.0, "offered load must be positive");
-        let mut spec = base_spec(
-            format!("overload-{offered:.2}"),
-            "priority-tiered services pushing demand past capacity",
-            SimDuration::from_mins(8),
-            4,
-        );
-        let mut checkout = svc(
-            "checkout",
-            cpu_heavy(),
-            150.0,
-            default_alloc(),
-            LoadSpec::Constant { rate: 120.0 * offered },
-        );
-        checkout.priority = PriorityClass::Critical;
-        let mut scavenge = svc(
-            "scavenge",
-            cpu_heavy(),
-            300.0,
-            default_alloc(),
-            LoadSpec::Constant { rate: 120.0 * offered },
-        );
-        scavenge.priority = PriorityClass::Preemptible;
-        spec.services = vec![
-            checkout,
-            svc(
-                "api",
-                cpu_heavy(),
-                150.0,
-                default_alloc(),
-                LoadSpec::Constant { rate: 120.0 * offered },
-            ),
-            svc(
-                "feed",
-                disk_bound(),
-                150.0,
-                default_alloc(),
-                LoadSpec::Constant { rate: 80.0 * offered },
-            ),
-            scavenge,
-        ];
-        let mut analytics = batch_analytics(1.0, SimTime::from_secs(60));
-        analytics.priority = PriorityClass::Preemptible;
-        spec.batch_jobs = vec![analytics, batch_etl(1.0, SimTime::from_secs(120))];
-        spec.arbiter = Some(ArbiterSpec::default());
-        spec.probe = Some(ProbeSpec {
-            initial: 0.6,
-            step: 0.2,
-            max: 2.2,
-            threshold: 0.10,
-            reference_rps: None,
-        });
-        spec
-    }
-
-    /// The T8 slot-packed scheduler-stress mix (see
-    /// [`Scenario::cluster_scale`] for the sizing rationale).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nodes` or `apps` is zero.
-    #[must_use]
-    pub fn cluster_scale(nodes: usize, apps: usize, horizon: SimDuration) -> ScenarioSpec {
-        assert!(nodes > 0, "need at least one node");
-        assert!(apps > 0, "need at least one service app");
-        let slots = 12 * nodes;
-        let service_pods = (slots * 2).div_ceil(5); // ~40% of slots
-        let per_app = service_pods.div_ceil(apps).max(1) as u32;
-        let pod_alloc = ResourceVec::new(1_200.0, 4_800.0, 30.0, 80.0);
-        let mut spec = base_spec(
-            format!("cluster-scale-{nodes}n-{apps}a"),
-            "slot-packed nodes with an oversubscribed batch backlog (T8)",
-            horizon,
-            nodes,
-        );
-        spec.services = (0..apps)
-            .map(|i| {
-                let mut e = svc(
-                    &format!("svc-{i}"),
-                    cpu_bound(),
-                    250.0,
-                    pod_alloc,
-                    LoadSpec::Constant { rate: 2.0 },
-                );
-                e.replicas = per_app;
-                e
-            })
-            .collect();
-        let tasks_per_stage = (nodes * 50).max(1) as u32;
-        let max_parallel = (nodes * 2).max(1) as u32;
-        spec.batch_jobs = (0..4u64)
-            .map(|j| BatchEntry {
-                name: format!("scan-{j}"),
-                submit_at: SimTime::from_secs(10 + 5 * j),
-                stages: vec![StageEntry {
-                    tasks: tasks_per_stage,
-                    work: ResourceVec::new(360_000.0, 2_048.0, 100.0, 50.0),
-                    records: 100_000,
-                }],
-                plo: PloSpec::Deadline { deadline: SimDuration::from_mins(60) },
-                task_alloc: pod_alloc,
-                max_parallel,
-                priority: PriorityClass::Preemptible,
-            })
-            .collect();
-        spec
-    }
-
-    /// The F6 interference mix (see [`Scenario::interference`]);
-    /// canonical cluster: 10 nodes.
-    #[must_use]
-    pub fn interference() -> ScenarioSpec {
-        let mut spec = base_spec(
-            "interference",
-            "batch/HPC harvesting slack under latency PLOs (F6)",
-            SimDuration::from_mins(12),
-            10,
-        );
-        spec.services = vec![
-            svc(
-                "frontend",
-                cpu_bound(),
-                100.0,
-                default_alloc(),
-                LoadSpec::Diurnal {
-                    base: 100.0,
-                    amplitude: 0.7,
-                    period: SimDuration::from_mins(10),
-                    phase: 0.0,
-                },
-            ),
-            svc(
-                "api",
-                net_bound(),
-                100.0,
-                default_alloc(),
-                LoadSpec::Mmpp { low: 40.0, high: 100.0, mean_dwell: SimDuration::from_secs(75) },
-            ),
-        ];
-        spec.batch_jobs = vec![
-            batch_analytics(2.0, SimTime::from_secs(60)),
-            batch_etl(2.0, SimTime::from_secs(90)),
-        ];
-        spec.hpc_jobs = vec![hpc_solver(8, SimTime::from_secs(120))];
-        spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn builtin_registry_covers_all_names() {
-        for name in BUILTIN_NAMES {
+        for (name, _) in BUILTINS {
             let spec = ScenarioSpec::builtin(name).unwrap();
             spec.validate().unwrap();
             assert!(!spec.build().mix.is_empty(), "{name} builds empty");
@@ -2130,7 +1657,7 @@ mod tests {
 
     #[test]
     fn overload_spec_carries_arbiter_and_probe() {
-        let spec = ScenarioSpec::overload(1.0);
+        let spec = ScenarioSpec::builtin("overload").unwrap();
         assert!(spec.arbiter.is_some());
         assert!(spec.probe.is_some());
         assert!((spec.offered_rps() - 440.0).abs() < 1e-9);
@@ -2138,7 +1665,7 @@ mod tests {
 
     #[test]
     fn scaled_loads_multiplies_service_rates_only() {
-        let base = ScenarioSpec::overload(1.0);
+        let base = ScenarioSpec::builtin("overload").unwrap();
         let scaled = base.scaled_loads(1.5);
         assert!((scaled.offered_rps() - 660.0).abs() < 1e-9);
         assert_eq!(scaled.name, base.name);
@@ -2147,7 +1674,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_spec_equality() {
-        for name in BUILTIN_NAMES {
+        for (name, _) in BUILTINS {
             let spec = ScenarioSpec::builtin(name).unwrap();
             let parsed = ScenarioSpec::from_toml_str(&spec.to_toml())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

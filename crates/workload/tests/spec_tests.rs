@@ -1,77 +1,85 @@
-//! Integration tests for the declarative scenario layer: the checked-in
-//! `scenarios/*.toml` files are pinned byte-identical to what the builtin
-//! spec emitters produce, the parser round-trips them, and malformed
+//! Integration tests for the declarative scenario layer: every checked-in
+//! `scenarios/*.toml` file is in canonical form and is a builtin, the two
+//! parametric builtins reproduce the emitters they replaced, and malformed
 //! input fails with the right typed [`ScenarioError`] — never a panic.
-//!
-//! Regenerate the checked-in files after changing a builtin emitter:
-//!
-//! ```text
-//! EVOLVE_BLESS_SCENARIOS=1 cargo test -p evolve-workload --test spec_tests
-//! ```
 
 use std::path::PathBuf;
 
-use evolve_workload::{ScenarioError, ScenarioSpec, BUILTIN_NAMES};
+use evolve_types::SimDuration;
+use evolve_workload::{ScenarioError, ScenarioSpec, BUILTINS};
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
 }
 
-fn blessing() -> bool {
-    std::env::var("EVOLVE_BLESS_SCENARIOS").is_ok_and(|v| !v.trim().is_empty() && v != "0")
+/// Every `scenarios/*.toml`, as `(file stem, text)`, sorted by stem.
+fn scenario_files() -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(scenarios_dir())
+        .expect("read scenarios/")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .map(|path| {
+            let stem = path.file_stem().expect("file stem").to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&path).expect("read scenario file");
+            (stem, text)
+        })
+        .collect();
+    files.sort();
+    files
 }
 
-/// Every builtin spec has a checked-in TOML file whose bytes equal what
-/// `to_toml` emits today. With `EVOLVE_BLESS_SCENARIOS=1` the files are
-/// (re)written instead of compared.
+/// Every checked-in file parses, and `to_toml()` re-emits it byte for
+/// byte: a file is written in the one canonical form the spec layer
+/// writes.
 #[test]
-fn checked_in_scenarios_are_blessed_builtin_emissions() {
-    let dir = scenarios_dir();
-    if blessing() {
-        std::fs::create_dir_all(&dir).expect("create scenarios/");
-    }
-    for name in BUILTIN_NAMES {
-        let spec = ScenarioSpec::builtin(name).expect("builtin");
-        let emitted = spec.to_toml();
-        let path = dir.join(format!("{name}.toml"));
-        if blessing() {
-            std::fs::write(&path, &emitted).expect("write scenario file");
-            continue;
-        }
-        let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|err| {
-            panic!(
-                "missing {} ({err}) — run EVOLVE_BLESS_SCENARIOS=1 cargo test -p \
-                 evolve-workload --test spec_tests",
-                path.display()
-            )
-        });
-        assert_eq!(
-            on_disk,
-            emitted,
-            "{} drifted from the builtin emitter — re-bless or fix the emitter",
-            path.display()
-        );
+fn scenarios_are_canonical() {
+    for (stem, text) in scenario_files() {
+        let spec = ScenarioSpec::from_toml_str(&text).unwrap_or_else(|err| panic!("{stem}: {err}"));
+        assert_eq!(spec.to_toml(), text, "{stem}.toml is not in canonical form");
     }
 }
 
-/// Parsing a checked-in file reproduces the builtin spec exactly, and the
-/// parsed spec builds the same scenario the constructor does.
+/// [`BUILTINS`] lists exactly the files in `scenarios/`.
 #[test]
-fn checked_in_scenarios_parse_back_to_the_builtin_spec() {
-    if blessing() {
-        return;
+fn builtin_table_matches_the_directory() {
+    let mut names: Vec<&str> = BUILTINS.iter().map(|(name, _)| *name).collect();
+    names.sort_unstable();
+    let stems: Vec<String> = scenario_files().into_iter().map(|(stem, _)| stem).collect();
+    assert_eq!(names, stems);
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `headline(scale)` and `cluster_scale(nodes, apps, horizon)` emit what
+/// the Rust emitters they replaced emitted: the FNV-1a digests of
+/// `to_toml()` below were taken from those emitters and are not to be
+/// regenerated.
+#[test]
+fn parametric_builtins_reproduce_the_emitters() {
+    for (scale, want) in [
+        (0.2, 0xdab6_f5d2_584e_d00e_u64),
+        (0.5, 0x2536_3a3e_ffa1_00f8),
+        (1.0, 0x5ff4_dd64_3614_018f),
+        (2.0, 0xa9da_228e_1c99_c6f3),
+    ] {
+        let got = fnv1a(&ScenarioSpec::headline(scale).to_toml());
+        assert_eq!(got, want, "headline({scale}): {got:016x}");
     }
-    for name in BUILTIN_NAMES {
-        let spec = ScenarioSpec::builtin(name).expect("builtin");
-        let path = scenarios_dir().join(format!("{name}.toml"));
-        let parsed = ScenarioSpec::from_file(&path)
-            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
-        assert_eq!(parsed, spec, "{name}: file spec != builtin spec");
-        let a = parsed.build();
-        let b = spec.build();
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.horizon, b.horizon);
-        assert_eq!(a.mix.len(), b.mix.len());
+    for (nodes, apps, secs, want) in [
+        (12, 4, 60, 0x7bc4_9a31_7bb0_dace_u64),
+        (30, 4, 300, 0x568f_a980_ff43_4493),
+        (60, 8, 360, 0x8214_74ed_e658_6a2b),
+        (100, 4, 600, 0xbcf4_f103_484b_4ec8),
+        (250, 40, 600, 0x2f00_d364_9d72_e96a),
+        (1_000, 40, 600, 0x87fd_8dea_cf0b_1d8c),
+        (5_000, 40, 300, 0x5988_7d05_673b_8e0b),
+    ] {
+        let spec = ScenarioSpec::cluster_scale(nodes, apps, SimDuration::from_secs(secs));
+        let got = fnv1a(&spec.to_toml());
+        assert_eq!(got, want, "cluster_scale({nodes}, {apps}, {secs} s): {got:016x}");
     }
 }
 

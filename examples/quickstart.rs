@@ -14,12 +14,11 @@ fn main() {
             .map(String::from)
             .to_vec(),
     );
+    let spec = ScenarioSpec::builtin("single_diurnal").expect("builtin scenario");
     for manager in [ManagerKind::Evolve, ManagerKind::KubeStatic] {
         println!("running {} …", manager.label());
-        let outcome = ExperimentRunner::new(
-            RunConfig::builder(Scenario::single_diurnal(), manager).nodes(6).seed(7).build(),
-        )
-        .run();
+        let outcome =
+            ExperimentRunner::new(RunConfig::from_spec(&spec, manager).seed(7).build()).run();
         table.add_row(vec![
             outcome.manager.clone(),
             outcome.total_windows().to_string(),

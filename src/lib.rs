@@ -25,10 +25,8 @@
 //! ```no_run
 //! use evolve::prelude::*;
 //!
-//! let outcome = ExperimentRunner::new(
-//!     RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6).build(),
-//! )
-//! .run();
+//! let spec = ScenarioSpec::builtin("single_diurnal").expect("builtin");
+//! let outcome = ExperimentRunner::new(RunConfig::from_spec(&spec, ManagerKind::Evolve).build()).run();
 //! println!(
 //!     "{}: violation rate {:.3}, mean allocated share {:.2}",
 //!     outcome.manager,
@@ -83,6 +81,6 @@ pub mod prelude {
         AppId, JobId, NodeId, PodId, PriorityClass, Resource, ResourceVec, SimDuration, SimTime,
     };
     pub use evolve_workload::{
-        PloSpec, Scenario, ScenarioError, ScenarioSpec, WorldClass, BUILTIN_NAMES,
+        PloSpec, Scenario, ScenarioError, ScenarioSpec, WorldClass, BUILTINS,
     };
 }
