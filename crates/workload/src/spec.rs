@@ -13,13 +13,17 @@
 //! and [`ScenarioSpec::cluster_scale`] take parameters, and both start
 //! from their file.
 //!
-//! Parsing never panics: structural problems surface as typed
-//! [`ScenarioError`]s with line context, semantic problems (zero demand
-//! vectors, allocations no node can host, out-of-range fault targets) as
-//! [`ScenarioError::Infeasible`] with a field path.
+//! The schema is written once: each record lists its keys in one field
+//! list, and reading ([`ScenarioSpec::from_toml_str`]), writing
+//! ([`ScenarioSpec::to_toml`]) and checking ([`ScenarioSpec::validate`])
+//! all walk those lists. Parsing never panics: structural problems surface
+//! as typed [`ScenarioError`]s with line context, semantic problems (zero
+//! demand vectors, allocations no node can host, out-of-range fault
+//! targets) as [`ScenarioError::Infeasible`] with a field path.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::mem::discriminant;
 use std::path::Path;
 
 use evolve_types::{AppId, NodeId, PriorityClass, ResourceVec, SimDuration, SimTime};
@@ -29,6 +33,7 @@ use crate::faults::{FaultEvent, FaultKind};
 use crate::scenario::{LoadSpec, Scenario, WorkloadMix};
 use crate::toml_mini::{self, Item, Table, Value};
 use crate::{BatchJobSpec, HpcJobSpec, RequestClass, ServiceSpec, StageSpec};
+use Absent::{Omitted, Reads, Required};
 
 /// The reference node capacity a spec is validated against when
 /// `[cluster] node_capacity` is not set. Mirrors the simulator's default
@@ -348,7 +353,8 @@ impl ScenarioSpec {
     /// fields, wrong value types, and infeasible scenarios.
     pub fn from_toml_str(src: &str) -> Result<ScenarioSpec, ScenarioError> {
         let root = toml_mini::parse(src)?;
-        let spec = decode_root(&root)?;
+        let mut spec = ScenarioSpec::BLANK;
+        Reader::read(&root, "scenario".into(), String::new(), &mut spec)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -526,538 +532,197 @@ impl ScenarioSpec {
     }
 
     /// Checks the semantic invariants [`ScenarioSpec::build`] (and the
-    /// downstream spec constructors) rely on.
+    /// downstream spec constructors) rely on: the rule of every key in its
+    /// record's field list, then that the spec declares something to run.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Infeasible`] with the offending field path.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let cap = self.node_capacity();
-        if self.name.is_empty() {
-            return Err(infeasible("name", "scenario name must not be empty"));
-        }
-        if self.horizon.is_zero() {
-            return Err(infeasible("horizon_secs", "horizon must be positive"));
-        }
-        if self.cluster.nodes == 0 {
-            return Err(infeasible("cluster.nodes", "cluster needs at least one node"));
-        }
-        if let Some(nc) = self.cluster.node_capacity {
-            if !nc.is_valid() || nc.is_zero() {
-                return Err(infeasible(
-                    "cluster.node_capacity",
-                    "node capacity must be finite, non-negative and non-zero",
-                ));
-            }
-        }
-        if self.services.is_empty() && self.batch_jobs.is_empty() && self.hpc_jobs.is_empty() {
-            return Err(infeasible("scenario", "declares no services, batch jobs or HPC jobs"));
-        }
-        for (i, s) in self.services.iter().enumerate() {
-            let at = |k: &str| format!("service[{i}].{k}");
-            if s.name.is_empty() {
-                return Err(infeasible(&at("name"), "service name must not be empty"));
-            }
-            if s.class.is_empty() {
-                return Err(infeasible(&at("class"), "request-class label must not be empty"));
-            }
-            if !s.demand.is_valid() || s.demand.is_zero() {
-                return Err(infeasible(
-                    &at("demand"),
-                    "per-request demand must be finite, non-negative and non-zero",
-                ));
-            }
-            if !(s.demand_cv.is_finite() && s.demand_cv >= 0.0) {
-                return Err(infeasible(&at("demand_cv"), "must be finite and non-negative"));
-            }
-            if s.timeout.is_zero() {
-                return Err(infeasible(&at("timeout_secs"), "timeout must be positive"));
-            }
-            check_plo(&at("plo"), &s.plo)?;
-            check_alloc(&at("alloc"), &s.alloc, &cap)?;
-            if s.replicas == 0 {
-                return Err(infeasible(&at("replicas"), "must be at least 1"));
-            }
-            if !(s.base_memory_mib.is_finite() && s.base_memory_mib >= 0.0) {
-                return Err(infeasible(&at("base_memory_mib"), "must be finite and non-negative"));
-            }
-            check_load(&at("load"), &s.load)?;
-        }
-        for (j, b) in self.batch_jobs.iter().enumerate() {
-            let at = |k: &str| format!("batch[{j}].{k}");
-            if b.name.is_empty() {
-                return Err(infeasible(&at("name"), "job name must not be empty"));
-            }
-            if b.stages.is_empty() {
-                return Err(infeasible(&at("stage"), "batch job needs at least one stage"));
-            }
-            for (k, st) in b.stages.iter().enumerate() {
-                let at = |f: &str| format!("batch[{j}].stage[{k}].{f}");
-                if st.tasks == 0 {
-                    return Err(infeasible(&at("tasks"), "stage needs at least one task"));
-                }
-                if !st.work.is_valid() || st.work.is_zero() {
-                    return Err(infeasible(
-                        &at("work"),
-                        "per-task work must be finite, non-negative and non-zero",
-                    ));
-                }
-            }
-            check_plo(&at("plo"), &b.plo)?;
-            check_alloc(&at("task_alloc"), &b.task_alloc, &cap)?;
-            if b.max_parallel == 0 {
-                return Err(infeasible(&at("max_parallel"), "must be at least 1"));
-            }
-        }
-        for (k, h) in self.hpc_jobs.iter().enumerate() {
-            let at = |f: &str| format!("hpc[{k}].{f}");
-            if h.name.is_empty() {
-                return Err(infeasible(&at("name"), "job name must not be empty"));
-            }
-            if h.gang == 0 {
-                return Err(infeasible(&at("gang"), "gang size must be at least 1"));
-            }
-            if h.iterations == 0 {
-                return Err(infeasible(&at("iterations"), "must be at least 1"));
-            }
-            if !h.work.is_valid() {
-                return Err(infeasible(&at("work"), "must be finite and non-negative"));
-            }
-            check_alloc(&at("rank_alloc"), &h.rank_alloc, &cap)?;
-            if h.deadline.is_zero() {
-                return Err(infeasible(&at("deadline_secs"), "deadline must be positive"));
-            }
-        }
-        if let Some(a) = &self.arbiter {
-            let frac = |k: &str, v: f64, hi: f64| -> Result<(), ScenarioError> {
-                if v.is_finite() && (0.0..hi).contains(&v) {
-                    Ok(())
-                } else {
-                    Err(infeasible(&format!("arbiter.{k}"), "must be a fraction in [0, 1)"))
-                }
-            };
-            frac("headroom_fraction", a.headroom_fraction, 1.0)?;
-            frac("hysteresis", a.hysteresis, 1.0)?;
-            if !(a.floor_fraction.is_finite() && (0.0..=1.0).contains(&a.floor_fraction)) {
-                return Err(infeasible("arbiter.floor_fraction", "must be in [0, 1]"));
-            }
-            if !(a.max_recovery_step.is_finite() && a.max_recovery_step > 0.0) {
-                return Err(infeasible("arbiter.max_recovery_step", "must be positive"));
-            }
-            if !(a.demand_cap_ratio.is_finite() && a.demand_cap_ratio >= 1.0) {
-                return Err(infeasible("arbiter.demand_cap_ratio", "must be at least 1"));
-            }
-        }
-        if let Some(p) = &self.probe {
-            if !(p.initial.is_finite() && p.initial > 0.0) {
-                return Err(infeasible("probe.initial", "must be positive"));
-            }
-            if !(p.step.is_finite() && p.step > 0.0) {
-                return Err(infeasible("probe.step", "must be positive"));
-            }
-            if !(p.max.is_finite() && p.max >= p.initial) {
-                return Err(infeasible("probe.max", "must be at least `probe.initial`"));
-            }
-            if !(p.threshold.is_finite() && p.threshold > 0.0 && p.threshold < 1.0) {
-                return Err(infeasible("probe.threshold", "must be in (0, 1)"));
-            }
-            if let Some(r) = p.reference_rps {
-                if !(r.is_finite() && r > 0.0) {
-                    return Err(infeasible("probe.reference_rps", "must be positive"));
-                }
-            }
-        }
-        let apps = self.app_count();
-        for (i, fault) in self.faults.iter().enumerate() {
-            let at = |k: &str| format!("fault[{i}].{k}");
-            if let Some((key, why)) = fault.kind.invalid_param() {
-                return Err(infeasible(&at(key), &why));
-            }
-            if !fault.starts_within(self.horizon) {
-                return Err(infeasible(
-                    &at("at_secs"),
-                    &format!(
-                        "starts at or beyond the {}s horizon, so it would never fire",
-                        fmt_secs(self.horizon)
-                    ),
-                ));
-            }
-            if let FaultKind::NodeCrash { downtime: Some(d), .. } = fault.kind {
-                if d.is_zero() {
-                    return Err(infeasible(&at("downtime_secs"), "must be positive"));
-                }
-            }
-            let (node, app, duration) = shared_fields(&fault.kind);
-            if let Some(node) = node.filter(|n| n.as_usize() >= self.cluster.nodes) {
-                return Err(infeasible(
-                    &at("node"),
-                    &format!(
-                        "node index {} is outside the {}-node cluster",
-                        node.as_usize(),
-                        self.cluster.nodes
-                    ),
-                ));
-            }
-            if let Some(app) = app.filter(|a| a.as_usize() >= apps) {
-                return Err(infeasible(
-                    &at("app"),
-                    &format!("app index {} is outside the scenario's {apps} apps", app.as_usize()),
-                ));
-            }
-            if duration.is_some_and(SimDuration::is_zero) {
-                return Err(infeasible(&at("duration_secs"), "must be positive"));
-            }
+        let bounds = Bounds {
+            cap: self.node_capacity(),
+            nodes: self.cluster.nodes,
+            apps: self.app_count(),
+            horizon: self.horizon,
+        };
+        ScenarioSpec::walk(&mut Checker { at: String::new(), bounds }, &mut self.clone())?;
+        if self.app_count() == 0 {
+            let detail = "declares no services, batch jobs or HPC jobs".into();
+            return Err(ScenarioError::Infeasible { field: "scenario".into(), detail });
         }
         Ok(())
     }
-}
 
-/// The `node`, `app` and `duration_secs` of a fault: the three `[[fault]]`
-/// fields more than one kind carries.
-fn shared_fields(kind: &FaultKind) -> (Option<NodeId>, Option<AppId>, Option<SimDuration>) {
-    match *kind {
-        FaultKind::NodeCrash { node, .. } | FaultKind::NodeFlap { node, .. } => {
-            (Some(node), None, None)
-        }
-        FaultKind::ScrapeBlackout { app, duration }
-        | FaultKind::MetricNoise { app, duration, .. } => (None, app, Some(duration)),
-        FaultKind::ControlStall { duration }
-        | FaultKind::ActuationDrop { duration }
-        | FaultKind::ActuationDelay { duration, .. }
-        | FaultKind::ActuationPartial { duration, .. } => (None, None, Some(duration)),
-        FaultKind::ControllerCrash => (None, None, None),
+    /// Serializes the spec as canonical TOML: the exact format
+    /// [`ScenarioSpec::from_toml_str`] parses back to an equal spec, and
+    /// the format of the checked-in `scenarios/*.toml` files.
+    #[must_use]
+    pub fn to_toml(&self) -> String {
+        let mut writer = Writer { out: HEADER.into(), header: String::new() };
+        let _ = ScenarioSpec::walk(&mut writer, &mut self.clone());
+        writer.out
     }
 }
 
-fn infeasible(field: &str, detail: &str) -> ScenarioError {
-    ScenarioError::Infeasible { field: field.to_string(), detail: detail.to_string() }
-}
-
-fn check_plo(field: &str, plo: &PloSpec) -> Result<(), ScenarioError> {
-    if plo.target().is_finite() && plo.target() > 0.0 {
-        Ok(())
-    } else {
-        Err(infeasible(field, "PLO target must be positive and finite"))
-    }
-}
-
-fn check_alloc(field: &str, alloc: &ResourceVec, cap: &ResourceVec) -> Result<(), ScenarioError> {
-    if !alloc.is_valid() {
-        return Err(infeasible(field, "allocation must be finite and non-negative"));
-    }
-    if !alloc.fits_within(cap) {
-        return Err(ScenarioError::Infeasible {
-            field: field.to_string(),
-            detail: format!(
-                "per-pod allocation {alloc} exceeds node capacity {cap}; no node can ever host it"
-            ),
-        });
-    }
-    Ok(())
-}
-
-fn check_load(field: &str, load: &LoadSpec) -> Result<(), ScenarioError> {
-    let at = |k: &str| format!("{field}.{k}");
-    let nonneg = |k: &str, v: f64| -> Result<(), ScenarioError> {
-        if v.is_finite() && v >= 0.0 {
-            Ok(())
-        } else {
-            Err(infeasible(&at(k), "must be finite and non-negative"))
-        }
-    };
-    match load {
-        LoadSpec::Constant { rate } => nonneg("rate", *rate),
-        LoadSpec::Diurnal { base, amplitude, period, phase } => {
-            nonneg("base", *base)?;
-            if !(amplitude.is_finite() && (0.0..=1.0).contains(amplitude)) {
-                return Err(infeasible(&at("amplitude"), "must be in [0, 1]"));
-            }
-            if period.is_zero() {
-                return Err(infeasible(&at("period_secs"), "must be positive"));
-            }
-            if !phase.is_finite() {
-                return Err(infeasible(&at("phase"), "must be finite"));
-            }
-            Ok(())
-        }
-        LoadSpec::Ramp { from, to, duration } => {
-            nonneg("from", *from)?;
-            nonneg("to", *to)?;
-            if duration.is_zero() {
-                return Err(infeasible(&at("duration_secs"), "must be positive"));
-            }
-            Ok(())
-        }
-        LoadSpec::FlashCrowd { base, spike_factor, duration, .. } => {
-            nonneg("base", *base)?;
-            if !(spike_factor.is_finite() && *spike_factor >= 1.0) {
-                return Err(infeasible(&at("spike_factor"), "must be at least 1"));
-            }
-            if duration.is_zero() {
-                return Err(infeasible(&at("duration_secs"), "must be positive"));
-            }
-            Ok(())
-        }
-        LoadSpec::Mmpp { low, high, mean_dwell } => {
-            nonneg("low", *low)?;
-            if !(high.is_finite() && high >= low) {
-                return Err(infeasible(&at("high"), "must be at least `low`"));
-            }
-            if mean_dwell.is_zero() {
-                return Err(infeasible(&at("mean_dwell_secs"), "must be positive"));
-            }
-            Ok(())
-        }
-        LoadSpec::Trace { points } => {
-            if points.is_empty() {
-                return Err(infeasible(&at("points"), "trace needs at least one point"));
-            }
-            for w in points.windows(2) {
-                if w[1].0 < w[0].0 {
-                    return Err(infeasible(&at("points"), "points must be time-ordered"));
-                }
-            }
-            for (_, r) in points {
-                nonneg("points", *r)?;
-            }
-            Ok(())
-        }
-    }
-}
+const HEADER: &str =
+    "# EVOLVE declarative scenario (schema: EXPERIMENTS.md \u{a7} Authoring scenarios).\n";
 
 // ---------------------------------------------------------------------------
-// TOML decoding
+// The schema, written once
 // ---------------------------------------------------------------------------
+//
+// Every record lists its keys once, in emission order, in its
+// `Record::walk`: each key's type (the field's), what an absent key reads
+// as and the rule its value keeps. Three `Schema`s walk the lists: the
+// reader fills a record in, the writer prints it and the checker asks
+// each rule of it.
 
-/// Tracks which keys of a table have been consumed so leftovers can be
-/// reported as [`ScenarioError::UnknownField`].
-struct Fields<'a> {
-    ctx: String,
-    map: BTreeMap<&'a str, (usize, &'a Item)>,
-}
+type Key = &'static str;
+type Res = Result<(), ScenarioError>;
 
-impl<'a> Fields<'a> {
-    fn new(table: &'a Table, ctx: impl Into<String>) -> Fields<'a> {
-        Fields {
-            ctx: ctx.into(),
-            map: table.entries.iter().map(|(k, (l, i))| (k.as_str(), (*l, i))).collect(),
-        }
-    }
+/// A PLO key and the objective its target makes (`None`: none can).
+type PloKey = (Key, fn(f64) -> Option<PloSpec>);
 
-    fn path(&self, key: &str) -> String {
-        format!("{}.{key}", self.ctx)
-    }
+/// What walks the field lists.
+trait Schema: Sized {
+    /// A key holding one value.
+    fn key<T: Scalar>(&mut self, key: Key, v: &mut T, absent: Absent<T>, rule: Rule) -> Res;
 
-    fn take(&mut self, key: &str) -> Option<(usize, &'a Item)> {
-        self.map.remove(key)
-    }
-
-    fn invalid(&self, line: usize, key: &str, detail: impl Into<String>) -> ScenarioError {
-        ScenarioError::InvalidValue { line, field: self.path(key), detail: detail.into() }
-    }
-
-    fn missing(&self, key: &str) -> ScenarioError {
-        ScenarioError::MissingField { table: self.ctx.clone(), field: key.to_string() }
-    }
-
-    /// Errors on the first (alphabetically) unconsumed key.
-    fn finish(self) -> Result<(), ScenarioError> {
-        if let Some((field, (line, _))) = self.map.into_iter().next() {
-            return Err(ScenarioError::UnknownField {
-                line,
-                table: self.ctx,
-                field: field.to_string(),
-            });
-        }
+    /// The variant of a tagged record, named at `key`: one of `kinds`,
+    /// each a blank the reader fills in.
+    fn kind<T: Clone>(&mut self, _key: Key, _v: &mut T, _kinds: &[(Key, T)]) -> Res {
         Ok(())
     }
 
-    fn opt_str(&mut self, key: &str) -> Result<Option<String>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((_, Item::Value(Value::Str(s)))) => Ok(Some(s.clone())),
-            Some((line, item)) => {
-                Err(self.invalid(line, key, format!("expected a string, got {}", item.type_name())))
-            }
+    /// An objective: exactly one of `keys`. `name` is its path in checks.
+    fn plo(&mut self, name: Key, v: &mut PloSpec, keys: &[PloKey]) -> Res;
+
+    /// A `[key]` sub-table.
+    fn table<T: Record>(&mut self, key: Key, v: &mut T, absent: Absent<T>) -> Res;
+
+    /// At least `min` `[[key]]` tables.
+    fn tables<T: Record>(&mut self, key: Key, v: &mut Vec<T>, min: usize) -> Res;
+
+    /// A rule across keys of one record, blamed on `key`: only the
+    /// checker asks it.
+    fn rule(&mut self, _key: Key, _holds: bool, _detail: &'static str) -> Res {
+        Ok(())
+    }
+
+    /// A rule the record's own type states (`FaultKind::invalid_param`):
+    /// the key it blames and why. The reader reports it with the line,
+    /// the checker for specs built in code.
+    fn param(&mut self, _broken: Option<(Key, String)>) -> Res {
+        Ok(())
+    }
+}
+
+/// A TOML table's worth of keys.
+trait Record: Clone + PartialEq {
+    /// What the reader starts from before filling the keys in.
+    const BLANK: Self;
+    /// The field list.
+    fn walk<S: Schema>(s: &mut S, r: &mut Self) -> Res;
+}
+
+/// An optional table: `Omitted(None)` when absent.
+impl<T: Record> Record for Option<T> {
+    const BLANK: Self = None;
+    fn walk<S: Schema>(s: &mut S, r: &mut Self) -> Res {
+        T::walk(s, r.get_or_insert(T::BLANK))
+    }
+}
+
+/// Whether `v` is absent: at the default the writer leaves out.
+fn omitted<T: PartialEq>(absent: &Absent<T>, v: &T) -> bool {
+    matches!(absent, Omitted(default) if default == v)
+}
+
+/// What an absent key reads as.
+enum Absent<T> {
+    /// Nothing: the key is required.
+    Required,
+    /// This value; the writer still writes the key.
+    Reads(T),
+    /// This value, at which the writer leaves the key out.
+    Omitted(T),
+}
+
+/// What a value must keep beyond its type. The checker asks it; a break
+/// is [`ScenarioError::Infeasible`] at the key's path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rule {
+    /// Nothing.
+    Any,
+    /// Finite and above zero: a non-empty string, a count of at least
+    /// one, a non-zero duration, a non-negative vector that is not zero.
+    Positive,
+    /// Finite and not negative: a vector's every component, a trace's
+    /// every rate (and it has one).
+    NonNeg,
+    /// Finite.
+    Finite,
+    /// Finite and at least 1.
+    AtLeastOne,
+    /// In `[0, 1)`.
+    Fraction,
+    /// In `[0, 1]`.
+    Unit,
+    /// In `(0, 1)`.
+    OpenUnit,
+    /// Inside the spec: an allocation a node can host, a node of the
+    /// cluster, an app of the scenario, a time before the horizon.
+    Fits,
+}
+
+impl Rule {
+    /// Whether a number keeps the rule; one that needs the spec's bounds
+    /// ([`Rule::Fits`]) does not apply to a bare number.
+    fn admits(self, x: f64) -> bool {
+        let inside = match self {
+            Rule::Any | Rule::Fits => return true,
+            Rule::Positive => x > 0.0,
+            Rule::NonNeg => x >= 0.0,
+            Rule::Finite => true,
+            Rule::AtLeastOne => x >= 1.0,
+            Rule::Fraction => (0.0..1.0).contains(&x),
+            Rule::Unit => (0.0..=1.0).contains(&x),
+            Rule::OpenUnit => x > 0.0 && x < 1.0,
+        };
+        x.is_finite() && inside
+    }
+
+    fn detail(self) -> &'static str {
+        match self {
+            Rule::Any => "",
+            Rule::Positive => "must be positive: non-empty, non-zero and finite",
+            Rule::NonNeg => "must be finite and non-negative",
+            Rule::Finite => "must be finite",
+            Rule::AtLeastOne => "must be at least 1",
+            Rule::Fraction => "must be a fraction in [0, 1)",
+            Rule::Unit => "must be in [0, 1]",
+            Rule::OpenUnit => "must be in (0, 1)",
+            Rule::Fits => "names an allocation, node, app or time outside the scenario",
         }
     }
+}
 
-    fn req_str(&mut self, key: &str) -> Result<String, ScenarioError> {
-        self.opt_str(key)?.ok_or_else(|| self.missing(key))
-    }
+/// The whole-spec bounds [`Rule::Fits`] compares against.
+struct Bounds {
+    cap: ResourceVec,
+    nodes: usize,
+    apps: usize,
+    horizon: SimDuration,
+}
 
-    fn opt_f64(&mut self, key: &str) -> Result<Option<(usize, f64)>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, Item::Value(v))) => Ok(Some((
-                line,
-                num(v).ok_or_else(|| {
-                    self.invalid(line, key, format!("expected a number, got {}", v.type_name()))
-                })?,
-            ))),
-            Some((line, item)) => {
-                Err(self.invalid(line, key, format!("expected a number, got {}", item.type_name())))
-            }
-        }
-    }
-
-    fn req_f64(&mut self, key: &str) -> Result<f64, ScenarioError> {
-        Ok(self.opt_f64(key)?.ok_or_else(|| self.missing(key))?.1)
-    }
-
-    fn opt_int(&mut self, key: &str, max: u64) -> Result<Option<u64>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, Item::Value(Value::Int(i)))) => {
-                if *i < 0 || u64::try_from(*i).is_ok_and(|u| u > max) {
-                    return Err(self.invalid(
-                        line,
-                        key,
-                        format!("expected an integer in 0..={max}"),
-                    ));
-                }
-                Ok(Some(*i as u64))
-            }
-            Some((line, item)) => Err(self.invalid(
-                line,
-                key,
-                format!("expected an integer, got {}", item.type_name()),
-            )),
-        }
-    }
-
-    fn req_u32(&mut self, key: &str) -> Result<u32, ScenarioError> {
-        let v = self.opt_int(key, u64::from(u32::MAX))?.ok_or_else(|| self.missing(key))?;
-        Ok(v as u32)
-    }
-
-    fn opt_u32(&mut self, key: &str) -> Result<Option<u32>, ScenarioError> {
-        Ok(self.opt_int(key, u64::from(u32::MAX))?.map(|v| v as u32))
-    }
-
-    fn req_u64(&mut self, key: &str) -> Result<u64, ScenarioError> {
-        self.opt_int(key, u64::MAX)?.ok_or_else(|| self.missing(key))
-    }
-
-    fn req_usize(&mut self, key: &str) -> Result<usize, ScenarioError> {
-        Ok(self
-            .opt_int(key, u64::try_from(usize::MAX).unwrap_or(u64::MAX))?
-            .ok_or_else(|| self.missing(key))? as usize)
-    }
-
-    fn req_node(&mut self, key: &str) -> Result<NodeId, ScenarioError> {
-        Ok(NodeId::new(self.req_u32(key)?))
-    }
-
-    fn opt_app(&mut self, key: &str) -> Result<Option<AppId>, ScenarioError> {
-        Ok(self.opt_u32(key)?.map(AppId::new))
-    }
-
-    fn opt_vec4(&mut self, key: &str) -> Result<Option<ResourceVec>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, Item::Value(Value::Array(items)))) => {
-                if items.len() != 4 {
-                    return Err(self.invalid(
-                        line,
-                        key,
-                        format!("expected 4 numbers [cpu, mem, disk, net], got {}", items.len()),
-                    ));
-                }
-                let mut out = [0.0; 4];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = num(item).ok_or_else(|| {
-                        self.invalid(line, key, "expected 4 numbers [cpu, mem, disk, net]")
-                    })?;
-                }
-                Ok(Some(ResourceVec::new(out[0], out[1], out[2], out[3])))
-            }
-            Some((line, item)) => Err(self.invalid(
-                line,
-                key,
-                format!("expected an array of 4 numbers, got {}", item.type_name()),
-            )),
-        }
-    }
-
-    fn req_vec4(&mut self, key: &str) -> Result<ResourceVec, ScenarioError> {
-        self.opt_vec4(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// Seconds as a duration; emitted/accepted as a float field.
-    fn req_secs(&mut self, key: &str) -> Result<SimDuration, ScenarioError> {
-        let (line, v) = self.opt_f64(key)?.ok_or_else(|| self.missing(key))?;
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(self.invalid(line, key, "expected a non-negative number of seconds"));
-        }
-        Ok(SimDuration::from_secs_f64(v))
-    }
-
-    fn opt_secs(&mut self, key: &str) -> Result<Option<SimDuration>, ScenarioError> {
-        match self.opt_f64(key)? {
-            None => Ok(None),
-            Some((line, v)) => {
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(self.invalid(
-                        line,
-                        key,
-                        "expected a non-negative number of seconds",
-                    ));
-                }
-                Ok(Some(SimDuration::from_secs_f64(v)))
-            }
-        }
-    }
-
-    fn req_time(&mut self, key: &str) -> Result<SimTime, ScenarioError> {
-        Ok(SimTime::ZERO + self.req_secs(key)?)
-    }
-
-    fn opt_priority(&mut self, key: &str) -> Result<PriorityClass, ScenarioError> {
-        let line = self.map.get(key).map_or(0, |&(line, _)| line);
-        match self.opt_str(key)? {
-            None => Ok(PriorityClass::default()),
-            Some(s) => match s.as_str() {
-                "critical" => Ok(PriorityClass::Critical),
-                "standard" => Ok(PriorityClass::Standard),
-                "preemptible" => Ok(PriorityClass::Preemptible),
-                other => Err(self.invalid(
-                    line,
-                    key,
-                    format!(
-                        "unknown priority `{other}` (expected critical, standard or preemptible)"
-                    ),
-                )),
-            },
-        }
-    }
-
-    fn opt_table(&mut self, key: &str) -> Result<Option<&'a Table>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((_, Item::Table(t))) => Ok(Some(t)),
-            Some((line, item)) => Err(self.invalid(
-                line,
-                key,
-                format!("expected a `[{key}]` table, got {}", item.type_name()),
-            )),
-        }
-    }
-
-    /// A `[[key]]` array of tables; a single `[key]` table counts as one
-    /// element.
-    fn opt_tables(&mut self, key: &str) -> Result<Vec<&'a Table>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(Vec::new()),
-            Some((_, Item::TableArray(v))) => Ok(v.iter().collect()),
-            Some((_, Item::Table(t))) => Ok(vec![t]),
-            Some((line, item)) => Err(self.invalid(
-                line,
-                key,
-                format!("expected `[[{key}]]` tables, got {}", item.type_name()),
-            )),
-        }
-    }
+/// A value one key holds.
+trait Scalar: Sized + PartialEq {
+    /// The value of a TOML item, or what was expected instead.
+    fn read(item: &Item) -> Result<Self, String>;
+    /// The value as canonical TOML.
+    fn write(&self) -> String;
+    /// Whether the value keeps `rule`.
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool;
 }
 
 fn num(v: &Value) -> Option<f64> {
@@ -1068,573 +733,759 @@ fn num(v: &Value) -> Option<f64> {
     }
 }
 
-/// Exactly one of the four PLO fields must be present.
-fn decode_plo(f: &mut Fields<'_>) -> Result<PloSpec, ScenarioError> {
-    let mut found: Vec<(usize, &'static str, PloSpec)> = Vec::new();
-    if let Some((line, v)) = f.opt_f64("plo_p99_ms")? {
-        found.push((line, "plo_p99_ms", PloSpec::LatencyP99 { target_ms: v }));
+impl Scalar for f64 {
+    fn read(item: &Item) -> Result<Self, String> {
+        let number = if let Item::Value(v) = item { num(v) } else { None };
+        number.ok_or_else(|| format!("expected a number, got {}", item.type_name()))
     }
-    if let Some((line, v)) = f.opt_f64("plo_mean_ms")? {
-        found.push((line, "plo_mean_ms", PloSpec::LatencyMean { target_ms: v }));
+    /// Shortest round-trip formatting (`200` is `200.0`), so a written
+    /// file reads back to bit-identical values.
+    fn write(&self) -> String {
+        format!("{self:?}")
     }
-    if let Some((line, v)) = f.opt_f64("plo_throughput_rps")? {
-        found.push((line, "plo_throughput_rps", PloSpec::Throughput { target_rps: v }));
-    }
-    if let Some((line, v)) = f.opt_f64("plo_deadline_secs")? {
-        if !(v.is_finite() && v > 0.0) {
-            return Err(f.invalid(line, "plo_deadline_secs", "expected a positive number"));
-        }
-        found.push((
-            line,
-            "plo_deadline_secs",
-            PloSpec::Deadline { deadline: SimDuration::from_secs_f64(v) },
-        ));
-    }
-    match found.len() {
-        0 => Err(f.missing("plo_p99_ms | plo_mean_ms | plo_throughput_rps | plo_deadline_secs")),
-        1 => Ok(found.remove(0).2),
-        _ => {
-            let (line, key, _) = found[1];
-            Err(f.invalid(line, key, "more than one PLO field; specify exactly one"))
-        }
+    fn holds(&self, rule: Rule, _: &Bounds) -> bool {
+        rule.admits(*self)
     }
 }
 
-fn decode_load(table: &Table, ctx: String) -> Result<LoadSpec, ScenarioError> {
-    let mut f = Fields::new(table, ctx);
-    let kind = f.req_str("kind")?;
-    let load = match kind.as_str() {
-        "constant" => LoadSpec::Constant { rate: f.req_f64("rate")? },
-        "diurnal" => LoadSpec::Diurnal {
-            base: f.req_f64("base")?,
-            amplitude: f.req_f64("amplitude")?,
-            period: f.req_secs("period_secs")?,
-            phase: f.req_f64("phase")?,
-        },
-        "ramp" => LoadSpec::Ramp {
-            from: f.req_f64("from")?,
-            to: f.req_f64("to")?,
-            duration: f.req_secs("duration_secs")?,
-        },
-        "flash_crowd" => LoadSpec::FlashCrowd {
-            base: f.req_f64("base")?,
-            spike_factor: f.req_f64("spike_factor")?,
-            start: f.req_time("start_secs")?,
-            duration: f.req_secs("duration_secs")?,
-        },
-        "mmpp" => LoadSpec::Mmpp {
-            low: f.req_f64("low")?,
-            high: f.req_f64("high")?,
-            mean_dwell: f.req_secs("mean_dwell_secs")?,
-        },
-        "trace" => {
-            let Some((line, item)) = f.take("points") else {
-                return Err(f.missing("points"));
-            };
-            let Item::Value(Value::Array(raw)) = item else {
-                return Err(f.invalid(line, "points", "expected an array of [secs, rate] pairs"));
-            };
-            let mut points = Vec::with_capacity(raw.len());
-            for p in raw {
-                let Value::Array(pair) = p else {
-                    return Err(f.invalid(line, "points", "expected [secs, rate] pairs"));
-                };
-                let (Some(t), Some(r)) = (pair.first().and_then(num), pair.get(1).and_then(num))
-                else {
-                    return Err(f.invalid(line, "points", "expected [secs, rate] pairs"));
-                };
-                if pair.len() != 2 || !(t.is_finite() && t >= 0.0) {
-                    return Err(f.invalid(line, "points", "expected [secs, rate] pairs"));
-                }
-                points.push((SimTime::ZERO + SimDuration::from_secs_f64(t), r));
+impl Scalar for String {
+    fn read(item: &Item) -> Result<Self, String> {
+        match item {
+            Item::Value(Value::Str(s)) => Ok(s.clone()),
+            _ => Err(format!("expected a string, got {}", item.type_name())),
+        }
+    }
+    fn write(&self) -> String {
+        let mut out = String::from('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
             }
-            LoadSpec::Trace { points }
         }
-        other => {
-            return Err(ScenarioError::InvalidValue {
-                line: table.line,
-                field: f.path("kind"),
-                detail: format!(
-                    "unknown load kind `{other}` (expected constant, diurnal, ramp, \
-                     flash_crowd, mmpp or trace)"
-                ),
-            });
-        }
-    };
-    f.finish()?;
-    Ok(load)
+        out + "\""
+    }
+    fn holds(&self, rule: Rule, _: &Bounds) -> bool {
+        rule.admits(self.len() as f64)
+    }
 }
 
-fn decode_service(table: &Table, idx: usize) -> Result<ServiceEntry, ScenarioError> {
-    let ctx = format!("service[{idx}]");
-    let mut f = Fields::new(table, ctx.clone());
-    let entry = ServiceEntry {
-        name: f.req_str("name")?,
-        class: f.req_str("class")?,
-        demand: f.req_vec4("demand")?,
-        demand_cv: f.req_f64("demand_cv")?,
-        timeout: f.req_secs("timeout_secs")?,
-        plo: decode_plo(&mut f)?,
-        alloc: f.req_vec4("alloc")?,
-        replicas: f.opt_u32("replicas")?.unwrap_or(1),
-        base_memory_mib: f.opt_f64("base_memory_mib")?.map_or(64.0, |(_, v)| v),
-        priority: f.opt_priority("priority")?,
-        load: {
-            let t = f.opt_table("load")?.ok_or_else(|| f.missing("load"))?;
-            decode_load(t, format!("{ctx}.load"))?
-        },
-    };
-    f.finish()?;
-    Ok(entry)
+/// The unsigned integers a key holds.
+trait Int: Copy + PartialEq + ToString + TryFrom<u64> + TryInto<u64> {}
+impl Int for u32 {}
+impl Int for u64 {}
+impl Int for usize {}
+
+impl<T: Int> Scalar for T {
+    fn read(item: &Item) -> Result<Self, String> {
+        let Item::Value(Value::Int(i)) = item else {
+            return Err(format!("expected an integer, got {}", item.type_name()));
+        };
+        let fits = u64::try_from(*i).ok().and_then(|u| T::try_from(u).ok());
+        fits.ok_or_else(|| format!("expected a non-negative integer in range, got {i}"))
+    }
+    fn write(&self) -> String {
+        self.to_string()
+    }
+    fn holds(&self, rule: Rule, _: &Bounds) -> bool {
+        (*self).try_into().is_ok_and(|u: u64| rule.admits(u as f64))
+    }
 }
 
-fn decode_batch(table: &Table, idx: usize) -> Result<BatchEntry, ScenarioError> {
-    let ctx = format!("batch[{idx}]");
-    let mut f = Fields::new(table, ctx.clone());
-    let stages = f
-        .opt_tables("stage")?
-        .into_iter()
-        .enumerate()
-        .map(|(k, t)| {
-            let mut sf = Fields::new(t, format!("{ctx}.stage[{k}]"));
-            let stage = StageEntry {
-                tasks: sf.req_u32("tasks")?,
-                work: sf.req_vec4("work")?,
-                records: sf.req_u64("records")?,
-            };
-            sf.finish()?;
-            Ok(stage)
+/// A node index; it fits when the cluster has the node.
+impl Scalar for NodeId {
+    fn read(item: &Item) -> Result<Self, String> {
+        u32::read(item).map(NodeId::new)
+    }
+    fn write(&self) -> String {
+        self.as_usize().to_string()
+    }
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool {
+        rule != Rule::Fits || self.as_usize() < bounds.nodes
+    }
+}
+
+/// An app index; it fits when the scenario declares the app.
+impl Scalar for AppId {
+    fn read(item: &Item) -> Result<Self, String> {
+        u32::read(item).map(AppId::new)
+    }
+    fn write(&self) -> String {
+        self.as_usize().to_string()
+    }
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool {
+        rule != Rule::Fits || self.as_usize() < bounds.apps
+    }
+}
+
+/// Seconds.
+impl Scalar for SimDuration {
+    fn read(item: &Item) -> Result<Self, String> {
+        match f64::read(item)? {
+            secs if secs.is_finite() && secs >= 0.0 => Ok(SimDuration::from_secs_f64(secs)),
+            _ => Err("expected a non-negative number of seconds".into()),
+        }
+    }
+    fn write(&self) -> String {
+        self.as_secs_f64().write()
+    }
+    fn holds(&self, rule: Rule, _: &Bounds) -> bool {
+        rule.admits(self.as_secs_f64())
+    }
+}
+
+/// Seconds from the start of the run; it fits before the horizon.
+impl Scalar for SimTime {
+    fn read(item: &Item) -> Result<Self, String> {
+        SimDuration::read(item).map(|d| SimTime::ZERO + d)
+    }
+    fn write(&self) -> String {
+        self.as_secs_f64().write()
+    }
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool {
+        rule != Rule::Fits || *self < SimTime::ZERO + bounds.horizon
+    }
+}
+
+/// `[cpu, mem, disk, net]`; it fits when a node can host it.
+impl Scalar for ResourceVec {
+    fn read(item: &Item) -> Result<Self, String> {
+        let Item::Value(Value::Array(xs)) = item else {
+            return Err(format!("expected an array of 4 numbers, got {}", item.type_name()));
+        };
+        match xs.iter().map(num).collect::<Option<Vec<f64>>>().as_deref() {
+            Some(&[cpu, mem, disk, net]) => Ok(ResourceVec::new(cpu, mem, disk, net)),
+            _ => Err(format!("expected 4 numbers [cpu, mem, disk, net], got {}", xs.len())),
+        }
+    }
+    fn write(&self) -> String {
+        format!("[{}]", self.as_array().map(|x| x.write()).join(", "))
+    }
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool {
+        match rule {
+            Rule::Fits => self.is_valid() && self.fits_within(&bounds.cap),
+            Rule::Positive => self.is_valid() && !self.is_zero(),
+            _ => self.as_array().iter().all(|&x| rule.admits(x)),
+        }
+    }
+}
+
+/// `"critical"`, `"standard"` or `"preemptible"`.
+impl Scalar for PriorityClass {
+    fn read(item: &Item) -> Result<Self, String> {
+        let name = String::read(item)?;
+        let known = PriorityClass::DESCENDING.into_iter().find(|p| p.as_str() == name);
+        known.ok_or_else(|| {
+            format!("unknown priority `{name}` (expected one of critical, standard, preemptible)")
         })
-        .collect::<Result<Vec<_>, ScenarioError>>()?;
-    if stages.is_empty() {
-        return Err(f.missing("stage"));
     }
-    let entry = BatchEntry {
-        name: f.req_str("name")?,
-        submit_at: f.req_time("submit_secs")?,
-        stages,
-        plo: decode_plo(&mut f)?,
-        task_alloc: f.req_vec4("task_alloc")?,
-        max_parallel: f.req_u32("max_parallel")?,
-        priority: f.opt_priority("priority")?,
-    };
-    f.finish()?;
-    Ok(entry)
-}
-
-fn decode_hpc(table: &Table, idx: usize) -> Result<HpcEntry, ScenarioError> {
-    let mut f = Fields::new(table, format!("hpc[{idx}]"));
-    let entry = HpcEntry {
-        name: f.req_str("name")?,
-        submit_at: f.req_time("submit_secs")?,
-        gang: f.req_u32("gang")?,
-        iterations: f.req_u32("iterations")?,
-        work: f.req_vec4("work")?,
-        rank_alloc: f.req_vec4("rank_alloc")?,
-        deadline: f.req_secs("deadline_secs")?,
-        priority: f.opt_priority("priority")?,
-    };
-    f.finish()?;
-    Ok(entry)
-}
-
-fn decode_fault(table: &Table, idx: usize) -> Result<FaultEvent, ScenarioError> {
-    let ctx = format!("fault[{idx}]");
-    let mut f = Fields::new(table, ctx.clone());
-    let kind = f.req_str("kind")?;
-    let at = f.req_time("at_secs")?;
-    let kind = match kind.as_str() {
-        "node_crash" => FaultKind::NodeCrash {
-            node: f.req_node("node")?,
-            downtime: f.opt_secs("downtime_secs")?,
-        },
-        "scrape_blackout" => FaultKind::ScrapeBlackout {
-            app: f.opt_app("app")?,
-            duration: f.req_secs("duration_secs")?,
-        },
-        "metric_noise" => FaultKind::MetricNoise {
-            app: f.opt_app("app")?,
-            duration: f.req_secs("duration_secs")?,
-            cv: f.req_f64("cv")?,
-        },
-        "control_stall" => FaultKind::ControlStall { duration: f.req_secs("duration_secs")? },
-        "controller_crash" => FaultKind::ControllerCrash,
-        "actuation_drop" => FaultKind::ActuationDrop { duration: f.req_secs("duration_secs")? },
-        "actuation_delay" => FaultKind::ActuationDelay {
-            duration: f.req_secs("duration_secs")?,
-            lag: f.req_secs("lag_secs")?,
-        },
-        "actuation_partial" => FaultKind::ActuationPartial {
-            duration: f.req_secs("duration_secs")?,
-            fraction: f.req_f64("fraction")?,
-        },
-        "node_flap" => FaultKind::NodeFlap {
-            node: f.req_node("node")?,
-            cycles: f.req_u32("cycles")?,
-            period: f.req_secs("period_secs")?,
-        },
-        other => {
-            return Err(ScenarioError::InvalidValue {
-                line: table.line,
-                field: format!("{ctx}.kind"),
-                detail: format!(
-                    "unknown fault kind `{other}` (expected node_crash, scrape_blackout, \
-                     metric_noise, control_stall, controller_crash, actuation_drop, \
-                     actuation_delay, actuation_partial or node_flap)"
-                ),
-            });
-        }
-    };
-    f.finish()?;
-    // The out-of-range check again, here, because only here is the line known.
-    if let Some((key, why)) = kind.invalid_param() {
-        let line = table.entries.get(key).map_or(table.line, |&(line, _)| line);
-        return Err(ScenarioError::InvalidValue {
-            line,
-            field: format!("{ctx}.{key}"),
-            detail: why,
-        });
+    fn write(&self) -> String {
+        self.as_str().to_string().write()
     }
-    Ok(FaultEvent { at, kind })
+    fn holds(&self, _: Rule, _: &Bounds) -> bool {
+        true
+    }
 }
 
-fn decode_root(root: &Table) -> Result<ScenarioSpec, ScenarioError> {
-    let mut f = Fields::new(root, "scenario");
-    let cluster = match f.opt_table("cluster")? {
-        None => ClusterSpec { nodes: 20, node_capacity: None },
-        Some(t) => {
-            let mut cf = Fields::new(t, "cluster");
-            let cluster = ClusterSpec {
-                nodes: cf.req_usize("nodes")?,
-                node_capacity: cf.opt_vec4("node_capacity")?,
-            };
-            cf.finish()?;
-            cluster
-        }
-    };
-    let arbiter = match f.opt_table("arbiter")? {
-        None => None,
-        Some(t) => {
-            let mut af = Fields::new(t, "arbiter");
-            let d = ArbiterSpec::default();
-            let spec = ArbiterSpec {
-                headroom_fraction: af
-                    .opt_f64("headroom_fraction")?
-                    .map_or(d.headroom_fraction, |(_, v)| v),
-                floor_fraction: af.opt_f64("floor_fraction")?.map_or(d.floor_fraction, |(_, v)| v),
-                hysteresis: af.opt_f64("hysteresis")?.map_or(d.hysteresis, |(_, v)| v),
-                max_recovery_step: af
-                    .opt_f64("max_recovery_step")?
-                    .map_or(d.max_recovery_step, |(_, v)| v),
-                demand_cap_ratio: af
-                    .opt_f64("demand_cap_ratio")?
-                    .map_or(d.demand_cap_ratio, |(_, v)| v),
-            };
-            af.finish()?;
-            Some(spec)
-        }
-    };
-    let probe = match f.opt_table("probe")? {
-        None => None,
-        Some(t) => {
-            let mut pf = Fields::new(t, "probe");
-            let spec = ProbeSpec {
-                initial: pf.req_f64("initial")?,
-                step: pf.req_f64("step")?,
-                max: pf.req_f64("max")?,
-                threshold: pf.opt_f64("threshold")?.map_or(0.10, |(_, v)| v),
-                reference_rps: pf.opt_f64("reference_rps")?.map(|(_, v)| v),
-            };
-            pf.finish()?;
-            Some(spec)
-        }
-    };
-    let repro = match f.opt_table("repro")? {
-        None => None,
-        Some(t) => {
-            let mut rf = Fields::new(t, "repro");
-            let spec = ReproSpec { seed: rf.req_u64("seed")?, violation: rf.req_str("violation")? };
-            rf.finish()?;
-            Some(spec)
-        }
-    };
-    let services = f
-        .opt_tables("service")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| decode_service(t, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    let batch_jobs = f
-        .opt_tables("batch")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| decode_batch(t, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    let hpc_jobs = f
-        .opt_tables("hpc")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| decode_hpc(t, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    let faults = f
-        .opt_tables("fault")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| decode_fault(t, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    let spec = ScenarioSpec {
-        name: f.req_str("name")?,
-        description: f.opt_str("description")?.unwrap_or_default(),
-        horizon: f.req_secs("horizon_secs")?,
-        cluster,
-        services,
-        batch_jobs,
-        hpc_jobs,
-        arbiter,
-        faults,
-        probe,
-        repro,
-    };
-    f.finish()?;
-    Ok(spec)
+/// A trace's `[[secs, rate], …]`; it keeps a rule when it has a point
+/// and every rate keeps the rule.
+impl Scalar for Vec<(SimTime, f64)> {
+    fn read(item: &Item) -> Result<Self, String> {
+        let Item::Value(Value::Array(points)) = item else {
+            return Err("expected an array of [secs, rate] pairs".into());
+        };
+        let point = |p: &Value| match p {
+            Value::Array(pair) if pair.len() == 2 => {
+                let secs = num(&pair[0]).filter(|t| t.is_finite() && *t >= 0.0)?;
+                Some((SimTime::ZERO + SimDuration::from_secs_f64(secs), num(&pair[1])?))
+            }
+            _ => None,
+        };
+        let points = points.iter().map(point).collect::<Option<_>>();
+        points.ok_or_else(|| "expected [secs, rate] pairs".into())
+    }
+    fn write(&self) -> String {
+        let points: Vec<String> =
+            self.iter().map(|(t, rate)| format!("[{}, {}]", t.write(), rate.write())).collect();
+        format!("[{}]", points.join(", "))
+    }
+    fn holds(&self, rule: Rule, _: &Bounds) -> bool {
+        !self.is_empty() && self.iter().all(|&(_, rate)| rule.admits(rate))
+    }
+}
+
+/// An optional value: absent is `None`, which keeps every rule.
+impl<T: Scalar> Scalar for Option<T> {
+    fn read(item: &Item) -> Result<Self, String> {
+        T::read(item).map(Some)
+    }
+    fn write(&self) -> String {
+        self.as_ref().map_or_else(String::new, T::write)
+    }
+    fn holds(&self, rule: Rule, bounds: &Bounds) -> bool {
+        self.as_ref().is_none_or(|v| v.holds(rule, bounds))
+    }
 }
 
 // ---------------------------------------------------------------------------
-// TOML emission
+// The field lists
 // ---------------------------------------------------------------------------
 
-/// Shortest round-trip float formatting (`200` emits as `200.0`), so an
-/// emitted file parses back to bit-identical values.
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-fn fmt_secs(d: SimDuration) -> String {
-    fmt_f64(d.as_secs_f64())
-}
-
-fn fmt_vec4(v: &ResourceVec) -> String {
-    let a = v.as_array();
-    format!("[{}, {}, {}, {}]", fmt_f64(a[0]), fmt_f64(a[1]), fmt_f64(a[2]), fmt_f64(a[3]))
-}
-
-fn fmt_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn emit_plo(out: &mut String, plo: &PloSpec) {
-    let line = match plo {
-        PloSpec::LatencyP99 { target_ms } => format!("plo_p99_ms = {}", fmt_f64(*target_ms)),
-        PloSpec::LatencyMean { target_ms } => format!("plo_mean_ms = {}", fmt_f64(*target_ms)),
-        PloSpec::Throughput { target_rps } => {
-            format!("plo_throughput_rps = {}", fmt_f64(*target_rps))
-        }
-        PloSpec::Deadline { deadline } => format!("plo_deadline_secs = {}", fmt_secs(*deadline)),
+impl Record for ScenarioSpec {
+    const BLANK: Self = ScenarioSpec {
+        name: String::new(),
+        description: String::new(),
+        horizon: SimDuration::ZERO,
+        cluster: ClusterSpec::BLANK,
+        services: Vec::new(),
+        batch_jobs: Vec::new(),
+        hpc_jobs: Vec::new(),
+        arbiter: None,
+        faults: Vec::new(),
+        probe: None,
+        repro: None,
     };
-    let _ = writeln!(out, "{line}");
-}
-
-fn emit_priority(out: &mut String, priority: PriorityClass) {
-    if priority != PriorityClass::Standard {
-        let _ = writeln!(out, "priority = {}", fmt_str(priority.as_str()));
+    fn walk<S: Schema>(s: &mut S, spec: &mut Self) -> Res {
+        s.key("name", &mut spec.name, Required, Rule::Positive)?;
+        s.key("description", &mut spec.description, Reads(String::new()), Rule::Any)?;
+        s.key("horizon_secs", &mut spec.horizon, Required, Rule::Positive)?;
+        let cluster = ClusterSpec { nodes: 20, node_capacity: None };
+        s.table("cluster", &mut spec.cluster, Reads(cluster))?;
+        s.table("arbiter", &mut spec.arbiter, Omitted(None))?;
+        s.table("probe", &mut spec.probe, Omitted(None))?;
+        s.table("repro", &mut spec.repro, Omitted(None))?;
+        s.tables("service", &mut spec.services, 0)?;
+        s.tables("batch", &mut spec.batch_jobs, 0)?;
+        s.tables("hpc", &mut spec.hpc_jobs, 0)?;
+        s.tables("fault", &mut spec.faults, 0)
     }
 }
 
-fn emit_load(out: &mut String, load: &LoadSpec) {
-    let _ = writeln!(out, "\n[service.load]");
-    match load {
-        LoadSpec::Constant { rate } => {
-            let _ = writeln!(out, "kind = \"constant\"\nrate = {}", fmt_f64(*rate));
-        }
-        LoadSpec::Diurnal { base, amplitude, period, phase } => {
-            let _ = writeln!(
-                out,
-                "kind = \"diurnal\"\nbase = {}\namplitude = {}\nperiod_secs = {}\nphase = {}",
-                fmt_f64(*base),
-                fmt_f64(*amplitude),
-                fmt_secs(*period),
-                fmt_f64(*phase)
-            );
-        }
-        LoadSpec::Ramp { from, to, duration } => {
-            let _ = writeln!(
-                out,
-                "kind = \"ramp\"\nfrom = {}\nto = {}\nduration_secs = {}",
-                fmt_f64(*from),
-                fmt_f64(*to),
-                fmt_secs(*duration)
-            );
-        }
-        LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
-            let _ = writeln!(
-                out,
-                "kind = \"flash_crowd\"\nbase = {}\nspike_factor = {}\nstart_secs = {}\n\
-                 duration_secs = {}",
-                fmt_f64(*base),
-                fmt_f64(*spike_factor),
-                fmt_f64(start.as_secs_f64()),
-                fmt_secs(*duration)
-            );
-        }
-        LoadSpec::Mmpp { low, high, mean_dwell } => {
-            let _ = writeln!(
-                out,
-                "kind = \"mmpp\"\nlow = {}\nhigh = {}\nmean_dwell_secs = {}",
-                fmt_f64(*low),
-                fmt_f64(*high),
-                fmt_secs(*mean_dwell)
-            );
-        }
-        LoadSpec::Trace { points } => {
-            let pts: Vec<String> = points
-                .iter()
-                .map(|(t, r)| format!("[{}, {}]", fmt_f64(t.as_secs_f64()), fmt_f64(*r)))
-                .collect();
-            let _ = writeln!(out, "kind = \"trace\"\npoints = [{}]", pts.join(", "));
+impl Record for ClusterSpec {
+    const BLANK: Self = ClusterSpec { nodes: 0, node_capacity: None };
+    fn walk<S: Schema>(s: &mut S, c: &mut Self) -> Res {
+        s.key("nodes", &mut c.nodes, Required, Rule::Positive)?;
+        s.key("node_capacity", &mut c.node_capacity, Omitted(None), Rule::Positive)
+    }
+}
+
+impl Record for ArbiterSpec {
+    const BLANK: Self = ArbiterSpec {
+        headroom_fraction: 0.0,
+        floor_fraction: 0.0,
+        hysteresis: 0.0,
+        max_recovery_step: 0.0,
+        demand_cap_ratio: 0.0,
+    };
+    fn walk<S: Schema>(s: &mut S, a: &mut Self) -> Res {
+        let d = ArbiterSpec::default();
+        s.key(
+            "headroom_fraction",
+            &mut a.headroom_fraction,
+            Reads(d.headroom_fraction),
+            Rule::Fraction,
+        )?;
+        s.key("floor_fraction", &mut a.floor_fraction, Reads(d.floor_fraction), Rule::Unit)?;
+        s.key("hysteresis", &mut a.hysteresis, Reads(d.hysteresis), Rule::Fraction)?;
+        s.key(
+            "max_recovery_step",
+            &mut a.max_recovery_step,
+            Reads(d.max_recovery_step),
+            Rule::Positive,
+        )?;
+        s.key(
+            "demand_cap_ratio",
+            &mut a.demand_cap_ratio,
+            Reads(d.demand_cap_ratio),
+            Rule::AtLeastOne,
+        )
+    }
+}
+
+impl Record for ProbeSpec {
+    const BLANK: Self =
+        ProbeSpec { initial: 0.0, step: 0.0, max: 0.0, threshold: 0.0, reference_rps: None };
+    fn walk<S: Schema>(s: &mut S, p: &mut Self) -> Res {
+        s.key("initial", &mut p.initial, Required, Rule::Positive)?;
+        s.key("step", &mut p.step, Required, Rule::Positive)?;
+        s.key("max", &mut p.max, Required, Rule::Finite)?;
+        s.rule("max", p.max >= p.initial, "must be at least `initial`")?;
+        s.key("threshold", &mut p.threshold, Reads(0.10), Rule::OpenUnit)?;
+        s.key("reference_rps", &mut p.reference_rps, Omitted(None), Rule::Positive)
+    }
+}
+
+impl Record for ReproSpec {
+    const BLANK: Self = ReproSpec { seed: 0, violation: String::new() };
+    fn walk<S: Schema>(s: &mut S, r: &mut Self) -> Res {
+        s.key("seed", &mut r.seed, Required, Rule::Any)?;
+        s.key("violation", &mut r.violation, Required, Rule::Any)
+    }
+}
+
+impl Record for ServiceEntry {
+    const BLANK: Self = ServiceEntry {
+        name: String::new(),
+        class: String::new(),
+        demand: ResourceVec::ZERO,
+        demand_cv: 0.0,
+        timeout: SimDuration::ZERO,
+        plo: PloSpec::Throughput { target_rps: 0.0 },
+        alloc: ResourceVec::ZERO,
+        replicas: 0,
+        base_memory_mib: 0.0,
+        priority: PriorityClass::Standard,
+        load: LoadSpec::BLANK,
+    };
+    fn walk<S: Schema>(s: &mut S, e: &mut Self) -> Res {
+        s.key("name", &mut e.name, Required, Rule::Positive)?;
+        s.key("class", &mut e.class, Required, Rule::Positive)?;
+        s.key("demand", &mut e.demand, Required, Rule::Positive)?;
+        s.key("demand_cv", &mut e.demand_cv, Required, Rule::NonNeg)?;
+        s.key("timeout_secs", &mut e.timeout, Required, Rule::Positive)?;
+        plo(s, &mut e.plo)?;
+        s.key("alloc", &mut e.alloc, Required, Rule::Fits)?;
+        s.key("replicas", &mut e.replicas, Reads(1), Rule::Positive)?;
+        s.key("base_memory_mib", &mut e.base_memory_mib, Omitted(64.0), Rule::NonNeg)?;
+        s.key("priority", &mut e.priority, Omitted(PriorityClass::Standard), Rule::Any)?;
+        s.table("load", &mut e.load, Required)
+    }
+}
+
+/// Exactly one key names the objective and holds its target.
+fn plo<S: Schema>(s: &mut S, plo: &mut PloSpec) -> Res {
+    let keys: [PloKey; 4] = [
+        ("plo_p99_ms", |v| Some(PloSpec::LatencyP99 { target_ms: v })),
+        ("plo_mean_ms", |v| Some(PloSpec::LatencyMean { target_ms: v })),
+        ("plo_throughput_rps", |v| Some(PloSpec::Throughput { target_rps: v })),
+        ("plo_deadline_secs", |v| {
+            let deadline = SimDuration::from_secs_f64(v);
+            Rule::Positive.admits(v).then_some(PloSpec::Deadline { deadline })
+        }),
+    ];
+    s.plo("plo", plo, &keys)
+}
+
+impl Record for LoadSpec {
+    const BLANK: Self = LoadSpec::Constant { rate: 0.0 };
+    fn walk<S: Schema>(s: &mut S, load: &mut Self) -> Res {
+        let (t, d) = (SimTime::ZERO, SimDuration::ZERO);
+        let kinds = [
+            ("constant", LoadSpec::Constant { rate: 0.0 }),
+            ("diurnal", LoadSpec::Diurnal { base: 0.0, amplitude: 0.0, period: d, phase: 0.0 }),
+            ("ramp", LoadSpec::Ramp { from: 0.0, to: 0.0, duration: d }),
+            (
+                "flash_crowd",
+                LoadSpec::FlashCrowd { base: 0.0, spike_factor: 0.0, start: t, duration: d },
+            ),
+            ("mmpp", LoadSpec::Mmpp { low: 0.0, high: 0.0, mean_dwell: d }),
+            ("trace", LoadSpec::Trace { points: Vec::new() }),
+        ];
+        s.kind("kind", load, &kinds)?;
+        match load {
+            LoadSpec::Constant { rate } => s.key("rate", rate, Required, Rule::NonNeg),
+            LoadSpec::Diurnal { base, amplitude, period, phase } => {
+                s.key("base", base, Required, Rule::NonNeg)?;
+                s.key("amplitude", amplitude, Required, Rule::Unit)?;
+                s.key("period_secs", period, Required, Rule::Positive)?;
+                s.key("phase", phase, Required, Rule::Finite)
+            }
+            LoadSpec::Ramp { from, to, duration } => {
+                s.key("from", from, Required, Rule::NonNeg)?;
+                s.key("to", to, Required, Rule::NonNeg)?;
+                s.key("duration_secs", duration, Required, Rule::Positive)
+            }
+            LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
+                s.key("base", base, Required, Rule::NonNeg)?;
+                s.key("spike_factor", spike_factor, Required, Rule::AtLeastOne)?;
+                s.key("start_secs", start, Required, Rule::Any)?;
+                s.key("duration_secs", duration, Required, Rule::Positive)
+            }
+            LoadSpec::Mmpp { low, high, mean_dwell } => {
+                s.key("low", low, Required, Rule::NonNeg)?;
+                s.key("high", high, Required, Rule::Finite)?;
+                s.rule("high", *high >= *low, "must be at least `low`")?;
+                s.key("mean_dwell_secs", mean_dwell, Required, Rule::Positive)
+            }
+            LoadSpec::Trace { points } => {
+                s.key("points", points, Required, Rule::NonNeg)?;
+                let ordered = points.windows(2).all(|w| w[0].0 <= w[1].0);
+                s.rule("points", ordered, "points must be time-ordered")
+            }
         }
     }
 }
 
-impl ScenarioSpec {
-    /// Serializes the spec as canonical TOML: the exact format
-    /// [`ScenarioSpec::from_toml_str`] parses back to an equal spec, and
-    /// the format of the checked-in `scenarios/*.toml` files.
-    #[must_use]
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        let w = &mut out;
-        let _ = writeln!(
-            w,
-            "# EVOLVE declarative scenario (schema: EXPERIMENTS.md \u{a7} Authoring scenarios)."
-        );
-        let _ = writeln!(w, "name = {}", fmt_str(&self.name));
-        let _ = writeln!(w, "description = {}", fmt_str(&self.description));
-        let _ = writeln!(w, "horizon_secs = {}", fmt_secs(self.horizon));
-        let _ = writeln!(w, "\n[cluster]\nnodes = {}", self.cluster.nodes);
-        if let Some(nc) = &self.cluster.node_capacity {
-            let _ = writeln!(w, "node_capacity = {}", fmt_vec4(nc));
-        }
-        if let Some(a) = &self.arbiter {
-            let _ = writeln!(
-                w,
-                "\n[arbiter]\nheadroom_fraction = {}\nfloor_fraction = {}\nhysteresis = {}\n\
-                 max_recovery_step = {}\ndemand_cap_ratio = {}",
-                fmt_f64(a.headroom_fraction),
-                fmt_f64(a.floor_fraction),
-                fmt_f64(a.hysteresis),
-                fmt_f64(a.max_recovery_step),
-                fmt_f64(a.demand_cap_ratio)
-            );
-        }
-        if let Some(p) = &self.probe {
-            let _ = writeln!(
-                w,
-                "\n[probe]\ninitial = {}\nstep = {}\nmax = {}\nthreshold = {}",
-                fmt_f64(p.initial),
-                fmt_f64(p.step),
-                fmt_f64(p.max),
-                fmt_f64(p.threshold)
-            );
-            if let Some(r) = p.reference_rps {
-                let _ = writeln!(w, "reference_rps = {}", fmt_f64(r));
+impl Record for BatchEntry {
+    const BLANK: Self = BatchEntry {
+        name: String::new(),
+        submit_at: SimTime::ZERO,
+        stages: Vec::new(),
+        plo: PloSpec::Throughput { target_rps: 0.0 },
+        task_alloc: ResourceVec::ZERO,
+        max_parallel: 0,
+        priority: PriorityClass::Standard,
+    };
+    fn walk<S: Schema>(s: &mut S, b: &mut Self) -> Res {
+        s.key("name", &mut b.name, Required, Rule::Positive)?;
+        s.key("submit_secs", &mut b.submit_at, Required, Rule::Any)?;
+        plo(s, &mut b.plo)?;
+        s.key("task_alloc", &mut b.task_alloc, Required, Rule::Fits)?;
+        s.key("max_parallel", &mut b.max_parallel, Required, Rule::Positive)?;
+        s.key("priority", &mut b.priority, Omitted(PriorityClass::Standard), Rule::Any)?;
+        s.tables("stage", &mut b.stages, 1)
+    }
+}
+
+impl Record for StageEntry {
+    const BLANK: Self = StageEntry { tasks: 0, work: ResourceVec::ZERO, records: 0 };
+    fn walk<S: Schema>(s: &mut S, st: &mut Self) -> Res {
+        s.key("tasks", &mut st.tasks, Required, Rule::Positive)?;
+        s.key("work", &mut st.work, Required, Rule::Positive)?;
+        s.key("records", &mut st.records, Required, Rule::Any)
+    }
+}
+
+impl Record for HpcEntry {
+    const BLANK: Self = HpcEntry {
+        name: String::new(),
+        submit_at: SimTime::ZERO,
+        gang: 0,
+        iterations: 0,
+        work: ResourceVec::ZERO,
+        rank_alloc: ResourceVec::ZERO,
+        deadline: SimDuration::ZERO,
+        priority: PriorityClass::Standard,
+    };
+    fn walk<S: Schema>(s: &mut S, h: &mut Self) -> Res {
+        s.key("name", &mut h.name, Required, Rule::Positive)?;
+        s.key("submit_secs", &mut h.submit_at, Required, Rule::Any)?;
+        s.key("gang", &mut h.gang, Required, Rule::Positive)?;
+        s.key("iterations", &mut h.iterations, Required, Rule::Positive)?;
+        s.key("work", &mut h.work, Required, Rule::NonNeg)?;
+        s.key("rank_alloc", &mut h.rank_alloc, Required, Rule::Fits)?;
+        s.key("deadline_secs", &mut h.deadline, Required, Rule::Positive)?;
+        s.key("priority", &mut h.priority, Omitted(PriorityClass::Standard), Rule::Any)
+    }
+}
+
+/// A fault's kind is its [`FaultKind::label`]; `node` indexes the
+/// cluster's nodes and `app` the scenario's apps.
+impl Record for FaultEvent {
+    const BLANK: Self = FaultEvent { at: SimTime::ZERO, kind: FaultKind::ControllerCrash };
+    fn walk<S: Schema>(s: &mut S, f: &mut Self) -> Res {
+        let (n, d) = (NodeId::new(0), SimDuration::ZERO);
+        let kinds = [
+            FaultKind::NodeCrash { node: n, downtime: None },
+            FaultKind::ScrapeBlackout { app: None, duration: d },
+            FaultKind::MetricNoise { app: None, duration: d, cv: 0.0 },
+            FaultKind::ControlStall { duration: d },
+            FaultKind::ControllerCrash,
+            FaultKind::ActuationDrop { duration: d },
+            FaultKind::ActuationDelay { duration: d, lag: d },
+            FaultKind::ActuationPartial { duration: d, fraction: 0.0 },
+            FaultKind::NodeFlap { node: n, cycles: 0, period: d },
+        ];
+        s.kind("kind", &mut f.kind, &kinds.map(|k| (k.label(), k)))?;
+        s.key("at_secs", &mut f.at, Required, Rule::Fits)?;
+        match &mut f.kind {
+            FaultKind::NodeCrash { node, downtime } => {
+                s.key("node", node, Required, Rule::Fits)?;
+                s.key("downtime_secs", downtime, Omitted(None), Rule::Positive)?;
+            }
+            FaultKind::ScrapeBlackout { app, duration } => {
+                s.key("app", app, Omitted(None), Rule::Fits)?;
+                s.key("duration_secs", duration, Required, Rule::Positive)?;
+            }
+            FaultKind::MetricNoise { app, duration, cv } => {
+                s.key("app", app, Omitted(None), Rule::Fits)?;
+                s.key("duration_secs", duration, Required, Rule::Positive)?;
+                s.key("cv", cv, Required, Rule::Any)?;
+            }
+            FaultKind::ControlStall { duration } | FaultKind::ActuationDrop { duration } => {
+                s.key("duration_secs", duration, Required, Rule::Positive)?;
+            }
+            FaultKind::ControllerCrash => {}
+            FaultKind::ActuationDelay { duration, lag } => {
+                s.key("duration_secs", duration, Required, Rule::Positive)?;
+                s.key("lag_secs", lag, Required, Rule::Any)?;
+            }
+            FaultKind::ActuationPartial { duration, fraction } => {
+                s.key("duration_secs", duration, Required, Rule::Positive)?;
+                s.key("fraction", fraction, Required, Rule::Any)?;
+            }
+            FaultKind::NodeFlap { node, cycles, period } => {
+                s.key("node", node, Required, Rule::Fits)?;
+                s.key("cycles", cycles, Required, Rule::Any)?;
+                s.key("period_secs", period, Required, Rule::Any)?;
             }
         }
-        if let Some(r) = &self.repro {
-            let _ =
-                writeln!(w, "\n[repro]\nseed = {}\nviolation = {}", r.seed, fmt_str(&r.violation));
+        s.param(f.kind.invalid_param())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The three walkers
+// ---------------------------------------------------------------------------
+
+/// Reads a `toml_mini` table into a record. Type and shape errors carry
+/// the line, keys left over are [`ScenarioError::UnknownField`] and
+/// absent required ones [`ScenarioError::MissingField`].
+struct Reader<'a> {
+    table: &'a Table,
+    /// The table's path in errors (`scenario` for the root).
+    ctx: String,
+    /// The prefix of its sub-tables' paths (empty for the root).
+    sub: String,
+    /// Keys not read yet.
+    left: BTreeMap<&'a str, (usize, &'a Item)>,
+}
+
+impl<'a> Reader<'a> {
+    /// Reads `table` into `r`, then rejects the first key (alphabetically)
+    /// left over.
+    fn read<T: Record>(table: &'a Table, ctx: String, sub: String, r: &mut T) -> Res {
+        let left = table.entries.iter().map(|(k, (line, item))| (k.as_str(), (*line, item)));
+        let mut reader = Reader { table, ctx, sub, left: left.collect() };
+        T::walk(&mut reader, r)?;
+        match reader.left.into_iter().next() {
+            Some((field, (line, _))) => {
+                Err(ScenarioError::UnknownField { line, table: reader.ctx, field: field.into() })
+            }
+            None => Ok(()),
         }
-        for s in &self.services {
-            let _ = writeln!(w, "\n[[service]]");
-            let _ = writeln!(w, "name = {}", fmt_str(&s.name));
-            let _ = writeln!(w, "class = {}", fmt_str(&s.class));
-            let _ = writeln!(w, "demand = {}", fmt_vec4(&s.demand));
-            let _ = writeln!(w, "demand_cv = {}", fmt_f64(s.demand_cv));
-            let _ = writeln!(w, "timeout_secs = {}", fmt_secs(s.timeout));
-            emit_plo(w, &s.plo);
-            let _ = writeln!(w, "alloc = {}", fmt_vec4(&s.alloc));
-            let _ = writeln!(w, "replicas = {}", s.replicas);
-            if s.base_memory_mib != 64.0 {
-                let _ = writeln!(w, "base_memory_mib = {}", fmt_f64(s.base_memory_mib));
-            }
-            emit_priority(w, s.priority);
-            emit_load(w, &s.load);
-        }
-        for b in &self.batch_jobs {
-            let _ = writeln!(w, "\n[[batch]]");
-            let _ = writeln!(w, "name = {}", fmt_str(&b.name));
-            let _ = writeln!(w, "submit_secs = {}", fmt_f64(b.submit_at.as_secs_f64()));
-            emit_plo(w, &b.plo);
-            let _ = writeln!(w, "task_alloc = {}", fmt_vec4(&b.task_alloc));
-            let _ = writeln!(w, "max_parallel = {}", b.max_parallel);
-            emit_priority(w, b.priority);
-            for st in &b.stages {
-                let _ = writeln!(w, "\n[[batch.stage]]");
-                let _ = writeln!(w, "tasks = {}", st.tasks);
-                let _ = writeln!(w, "work = {}", fmt_vec4(&st.work));
-                let _ = writeln!(w, "records = {}", st.records);
-            }
-        }
-        for h in &self.hpc_jobs {
-            let _ = writeln!(w, "\n[[hpc]]");
-            let _ = writeln!(w, "name = {}", fmt_str(&h.name));
-            let _ = writeln!(w, "submit_secs = {}", fmt_f64(h.submit_at.as_secs_f64()));
-            let _ = writeln!(w, "gang = {}", h.gang);
-            let _ = writeln!(w, "iterations = {}", h.iterations);
-            let _ = writeln!(w, "work = {}", fmt_vec4(&h.work));
-            let _ = writeln!(w, "rank_alloc = {}", fmt_vec4(&h.rank_alloc));
-            let _ = writeln!(w, "deadline_secs = {}", fmt_secs(h.deadline));
-            emit_priority(w, h.priority);
-        }
-        for fault in &self.faults {
-            let _ = writeln!(w, "\n[[fault]]\nkind = {}", fmt_str(fault.kind.label()));
-            let _ = writeln!(w, "at_secs = {}", fmt_f64(fault.at.as_secs_f64()));
-            let (node, app, duration) = shared_fields(&fault.kind);
-            if let Some(node) = node {
-                let _ = writeln!(w, "node = {}", node.as_usize());
-            }
-            if let Some(app) = app {
-                let _ = writeln!(w, "app = {}", app.as_usize());
-            }
-            if let Some(d) = duration {
-                let _ = writeln!(w, "duration_secs = {}", fmt_secs(d));
-            }
-            match fault.kind {
-                FaultKind::NodeCrash { downtime: Some(d), .. } => {
-                    let _ = writeln!(w, "downtime_secs = {}", fmt_secs(d));
-                }
-                FaultKind::MetricNoise { cv, .. } => {
-                    let _ = writeln!(w, "cv = {}", fmt_f64(cv));
-                }
-                FaultKind::ActuationDelay { lag, .. } => {
-                    let _ = writeln!(w, "lag_secs = {}", fmt_secs(lag));
-                }
-                FaultKind::ActuationPartial { fraction, .. } => {
-                    let _ = writeln!(w, "fraction = {}", fmt_f64(fraction));
-                }
-                FaultKind::NodeFlap { cycles, period, .. } => {
-                    let _ = writeln!(w, "cycles = {cycles}\nperiod_secs = {}", fmt_secs(period));
-                }
-                FaultKind::NodeCrash { downtime: None, .. }
-                | FaultKind::ScrapeBlackout { .. }
-                | FaultKind::ControlStall { .. }
-                | FaultKind::ControllerCrash
-                | FaultKind::ActuationDrop { .. } => {}
+    }
+
+    /// Reads the sub-table at `path` into `r`.
+    fn child<T: Record>(table: &'a Table, path: String, r: &mut T) -> Res {
+        let sub = format!("{path}.");
+        Reader::read(table, path, sub, r)
+    }
+
+    fn invalid(&self, line: usize, key: &str, detail: impl Into<String>) -> ScenarioError {
+        let field = format!("{}.{key}", self.ctx);
+        ScenarioError::InvalidValue { line, field, detail: detail.into() }
+    }
+
+    fn missing(&self, key: &str) -> ScenarioError {
+        ScenarioError::MissingField { table: self.ctx.clone(), field: key.into() }
+    }
+
+    /// The `[key]` tables of this table: one, or with `array` any number
+    /// of `[[key]]` ones.
+    fn sub_tables(&mut self, key: &str, array: bool) -> Result<Vec<&'a Table>, ScenarioError> {
+        match self.left.remove(key) {
+            None => Ok(Vec::new()),
+            Some((_, Item::Table(table))) => Ok(vec![table]),
+            Some((_, Item::TableArray(tables))) if array => Ok(tables.iter().collect()),
+            Some((line, item)) => {
+                let want = if array {
+                    format!("`[[{key}]]` tables")
+                } else {
+                    format!("a `[{key}]` table")
+                };
+                Err(self.invalid(line, key, format!("expected {want}, got {}", item.type_name())))
             }
         }
-        out
+    }
+}
+
+impl Schema for Reader<'_> {
+    fn key<T: Scalar>(&mut self, key: Key, v: &mut T, absent: Absent<T>, _: Rule) -> Res {
+        *v = match (self.left.remove(key), absent) {
+            (Some((line, item)), _) => T::read(item).map_err(|e| self.invalid(line, key, e))?,
+            (None, Required) => return Err(self.missing(key)),
+            (None, Reads(value) | Omitted(value)) => value,
+        };
+        Ok(())
+    }
+
+    fn kind<T: Clone>(&mut self, key: Key, v: &mut T, kinds: &[(Key, T)]) -> Res {
+        let mut name = String::new();
+        self.key(key, &mut name, Required, Rule::Any)?;
+        let Some((_, blank)) = kinds.iter().find(|(kind, _)| *kind == name) else {
+            let names: Vec<&str> = kinds.iter().map(|(kind, _)| *kind).collect();
+            let detail = format!("unknown {key} `{name}` (expected one of {})", names.join(", "));
+            return Err(self.invalid(self.table.line, key, detail));
+        };
+        *v = blank.clone();
+        Ok(())
+    }
+
+    fn plo(&mut self, _: Key, v: &mut PloSpec, keys: &[PloKey]) -> Res {
+        let mut found = Vec::new();
+        for &(key, make) in keys {
+            if let Some((line, item)) = self.left.remove(key) {
+                let target = f64::read(item).map_err(|e| self.invalid(line, key, e))?;
+                let positive = || self.invalid(line, key, "expected a positive number");
+                found.push((line, key, make(target).ok_or_else(positive)?));
+            }
+        }
+        match found[..] {
+            [(_, _, plo)] => {
+                *v = plo;
+                Ok(())
+            }
+            [_, (line, key, _), ..] => {
+                Err(self.invalid(line, key, "more than one PLO field; specify exactly one"))
+            }
+            [] => {
+                Err(self.missing(&keys.iter().map(|(key, _)| *key).collect::<Vec<_>>().join(" | ")))
+            }
+        }
+    }
+
+    fn table<T: Record>(&mut self, key: Key, v: &mut T, absent: Absent<T>) -> Res {
+        match (self.sub_tables(key, false)?.pop(), absent) {
+            (Some(table), _) => {
+                *v = T::BLANK;
+                Reader::child(table, format!("{}{key}", self.sub), v)
+            }
+            (None, Required) => Err(self.missing(key)),
+            (None, Reads(value) | Omitted(value)) => {
+                *v = value;
+                Ok(())
+            }
+        }
+    }
+
+    fn tables<T: Record>(&mut self, key: Key, v: &mut Vec<T>, min: usize) -> Res {
+        let tables = self.sub_tables(key, true)?;
+        if tables.len() < min {
+            return Err(self.missing(key));
+        }
+        *v = Vec::with_capacity(tables.len());
+        for (i, table) in tables.into_iter().enumerate() {
+            let mut r = T::BLANK;
+            Reader::child(table, format!("{}{key}[{i}]", self.sub), &mut r)?;
+            v.push(r);
+        }
+        Ok(())
+    }
+
+    fn param(&mut self, broken: Option<(Key, String)>) -> Res {
+        let Some((key, why)) = broken else { return Ok(()) };
+        Err(self.invalid(self.table.entries.get(key).map_or(self.table.line, |e| e.0), key, why))
+    }
+}
+
+/// Writes a record as canonical TOML: `key = value` lines in field-list
+/// order, a key at its [`Omitted`] default left out.
+struct Writer {
+    out: String,
+    /// The dotted header of the table being written (`service.load`).
+    header: String,
+}
+
+impl Writer {
+    fn line(&mut self, key: &str, value: &str) -> Res {
+        let _ = writeln!(self.out, "{key} = {value}");
+        Ok(())
+    }
+
+    fn open<T: Record>(&mut self, key: &str, array: bool, r: &mut T) -> Res {
+        let outer = std::mem::take(&mut self.header);
+        self.header = if outer.is_empty() { key.into() } else { format!("{outer}.{key}") };
+        let (open, close) = if array { ("[[", "]]") } else { ("[", "]") };
+        let _ = writeln!(self.out, "\n{open}{}{close}", self.header);
+        T::walk(self, r)?;
+        self.header = outer;
+        Ok(())
+    }
+}
+
+impl Schema for Writer {
+    fn key<T: Scalar>(&mut self, key: Key, v: &mut T, absent: Absent<T>, _: Rule) -> Res {
+        if omitted(&absent, v) {
+            return Ok(());
+        }
+        self.line(key, &v.write())
+    }
+
+    fn kind<T: Clone>(&mut self, key: Key, v: &mut T, kinds: &[(Key, T)]) -> Res {
+        let same = |(_, blank): &&(Key, T)| discriminant(blank) == discriminant(v);
+        let (name, _) = kinds.iter().find(same).expect("every kind is listed");
+        self.line(key, &name.to_string().write())
+    }
+
+    fn plo(&mut self, _: Key, v: &mut PloSpec, keys: &[PloKey]) -> Res {
+        let same =
+            |(_, make): &&PloKey| make(1.0).is_some_and(|p| discriminant(&p) == discriminant(v));
+        let (key, _) = keys.iter().find(same).expect("every PLO is listed");
+        self.line(key, &v.target().write())
+    }
+
+    fn table<T: Record>(&mut self, key: Key, v: &mut T, absent: Absent<T>) -> Res {
+        if omitted(&absent, v) {
+            return Ok(());
+        }
+        self.open(key, false, v)
+    }
+
+    fn tables<T: Record>(&mut self, key: Key, v: &mut Vec<T>, _: usize) -> Res {
+        v.iter_mut().try_for_each(|r| self.open(key, true, r))
+    }
+}
+
+/// Asks every key's [`Rule`] of a record: a break is
+/// [`ScenarioError::Infeasible`] at the key's dotted path.
+struct Checker {
+    /// The prefix of the current record's paths (`service[2].load.`).
+    at: String,
+    bounds: Bounds,
+}
+
+impl Checker {
+    fn enter<T: Record>(&mut self, at: String, r: &mut T) -> Res {
+        let outer = std::mem::replace(&mut self.at, at);
+        T::walk(self, r)?;
+        self.at = outer;
+        Ok(())
+    }
+
+    fn fail(&self, key: &str, detail: impl Into<String>) -> Res {
+        Err(ScenarioError::Infeasible { field: format!("{}{key}", self.at), detail: detail.into() })
+    }
+}
+
+impl Schema for Checker {
+    fn key<T: Scalar>(&mut self, key: Key, v: &mut T, _: Absent<T>, rule: Rule) -> Res {
+        self.rule(key, v.holds(rule, &self.bounds), rule.detail())
+    }
+
+    fn plo(&mut self, name: Key, v: &mut PloSpec, _: &[PloKey]) -> Res {
+        self.rule(name, Rule::Positive.admits(v.target()), "PLO target must be positive and finite")
+    }
+
+    fn table<T: Record>(&mut self, key: Key, v: &mut T, absent: Absent<T>) -> Res {
+        if omitted(&absent, v) {
+            return Ok(());
+        }
+        self.enter(format!("{}{key}.", self.at), v)
+    }
+
+    fn tables<T: Record>(&mut self, key: Key, v: &mut Vec<T>, min: usize) -> Res {
+        self.rule(key, v.len() >= min, "needs at least one table")?;
+        for (i, r) in v.iter_mut().enumerate() {
+            self.enter(format!("{}{key}[{i}].", self.at), r)?;
+        }
+        Ok(())
+    }
+
+    fn rule(&mut self, key: Key, holds: bool, detail: &'static str) -> Res {
+        if holds {
+            Ok(())
+        } else {
+            self.fail(key, detail)
+        }
+    }
+
+    fn param(&mut self, broken: Option<(Key, String)>) -> Res {
+        broken.map_or(Ok(()), |(key, why)| self.fail(key, why))
     }
 }
 
