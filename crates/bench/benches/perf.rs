@@ -26,18 +26,26 @@
 //!   service, 200 rps: the least-loaded of 120 replicas, then that
 //!   replica's wake) and `arrival_merge_40_services` (40 services of two
 //!   replicas: the earliest of 40 arrival slots after every arrival).
+//! * `control/*` — T4's control-plane costs: one scalar PID step, one
+//!   multi-resource controller decision, an RLS update, the sensitivity
+//!   attribution, a P² quantile observation and a PLO window record.
 //!
 //! ```text
 //! cargo bench -p evolve-bench --bench perf
+//! cargo bench -p evolve-bench --bench perf -- control   # T4 alone
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use evolve_control::{
+    MultiResourceConfig, MultiResourceController, PidConfig, PidController, RlsModel,
+    SensitivityModel,
+};
 use evolve_scheduler::{RequeueBackoff, SchedulerFramework};
 use evolve_sim::{
     ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
     ReplicaServer, Simulation, SimulationConfig,
 };
-use evolve_telemetry::{MetricRegistry, SlidingQuantile};
+use evolve_telemetry::{MetricRegistry, P2Quantile, PloBound, PloTracker, SlidingQuantile};
 use evolve_types::{AppId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{LoadSpec, Scenario, ScenarioSpec};
 use std::hint::black_box;
@@ -344,12 +352,75 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cyclic error in [-0.5, 0.5): the controllers never settle.
+fn error_at(i: u64) -> f64 {
+    ((i % 100) as f64 - 50.0) / 100.0
+}
+
+fn bench_control(c: &mut Criterion) {
+    let mut group = c.benchmark_group("control");
+    group.sample_size(20);
+    let mut pid = PidController::new(
+        PidConfig::new(0.8, 0.15, 0.05).with_output_limits(-0.5, 1.0).with_derivative_tau(2.0),
+    );
+    let mut i = 0u64;
+    group.bench_function("pid_step", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(pid.step(black_box(error_at(i)), 5.0))
+        })
+    });
+    let mut ctl = MultiResourceController::new(MultiResourceConfig::new(
+        ResourceVec::splat(10.0),
+        ResourceVec::splat(100_000.0),
+    ));
+    let alloc = ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0);
+    let usage = ResourceVec::new(1_800.0, 512.0, 10.0, 45.0);
+    group.bench_function("multi_resource_controller_step", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(ctl.step(black_box(alloc), black_box(usage), error_at(i), 5.0))
+        })
+    });
+    let mut rls = RlsModel::new(4, 0.97);
+    group.bench_function("rls_update_4d", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let x = [(i % 7) as f64, (i % 11) as f64, (i % 13) as f64, (i % 17) as f64];
+            rls.update(black_box(&x), (i % 23) as f64);
+        })
+    });
+    let mut sensitivity = SensitivityModel::new();
+    for _ in 0..20 {
+        sensitivity.observe(alloc, ResourceVec::new(1_900.0, 512.0, 10.0, 45.0), 0.2);
+    }
+    group.bench_function("sensitivity_attribution", |b| {
+        b.iter(|| black_box(sensitivity.attribution()))
+    });
+    let mut p2 = P2Quantile::new(0.99);
+    group.bench_function("p2_quantile_observe", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            p2.observe(black_box((i % 1_000) as f64));
+        })
+    });
+    let mut tracker = PloTracker::new(100.0, PloBound::Upper);
+    group.bench_function("plo_record_window", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            tracker.record_window(SimTime::from_secs(i), black_box((i % 200) as f64));
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_replica,
     bench_quantile,
     bench_registry,
     bench_scheduler,
-    bench_engine
+    bench_engine,
+    bench_control
 );
 criterion_main!(benches);
