@@ -21,7 +21,7 @@
 
 use evolve::prelude::*;
 use evolve_bench::BenchArgs;
-use evolve_workload::ProbeSpec;
+use evolve_workload::{ArbiterSpec, ProbeSpec};
 
 /// A run is sustainable while its service violation rate stays at or
 /// below this. Judged on services only: the scenario's batch jobs run
@@ -35,7 +35,7 @@ const CONSECUTIVE_BAD: usize = 2;
 struct System {
     name: &'static str,
     manager: ManagerKind,
-    arbiter: Option<ArbiterConfig>,
+    arbiter: Option<ArbiterSpec>,
 }
 
 struct ProbeRow {
@@ -100,18 +100,12 @@ fn main() {
     };
     let threshold = probe.threshold;
     let reference_rps = probe.reference_rps.unwrap_or_else(|| base.offered_rps());
-    let nodes = base.cluster.nodes;
-    let node_shape = NodeShape { capacity: base.node_capacity() };
-    let arbiter_config = base.arbiter.as_ref().map(arbiter_from_spec).unwrap_or_default();
+    let arbiter = base.arbiter.unwrap_or_default();
 
     let systems = [
         System { name: "kube-static", manager: ManagerKind::KubeStatic, arbiter: None },
         System { name: "evolve", manager: ManagerKind::Evolve, arbiter: None },
-        System {
-            name: "evolve+arbiter",
-            manager: ManagerKind::Evolve,
-            arbiter: Some(arbiter_config),
-        },
+        System { name: "evolve+arbiter", manager: ManagerKind::Evolve, arbiter: Some(arbiter) },
     ];
 
     let harness = Harness::new();
@@ -143,18 +137,14 @@ fn main() {
     let mut overshoot = 0usize;
     let mut offered = initial;
     while offered <= max + 1e-9 {
-        let mut scenario = base.scaled_loads(offered).build();
-        scenario.horizon = SimDuration::from_secs(horizon_secs);
+        let mut spec = base.scaled_loads(offered);
+        spec.horizon = SimDuration::from_secs(horizon_secs);
         let offered_rps = reference_rps * offered;
         for (i, sys) in systems.iter().enumerate() {
-            let mut builder = RunConfig::builder(scenario.clone(), sys.manager.clone())
-                .nodes(nodes)
-                .node_shape(node_shape)
-                .record_series(false);
-            if let Some(arb) = sys.arbiter {
-                builder = builder.arbiter(arb);
-            }
-            let rep = harness.run_seeds(&builder.build(), seeds);
+            spec.arbiter = sys.arbiter;
+            let config =
+                RunConfig::from_spec(&spec, sys.manager.clone()).record_series(false).build();
+            let rep = harness.run_seeds(&config, seeds);
             let row = ProbeRow {
                 offered,
                 offered_rps,

@@ -12,34 +12,26 @@
 
 use evolve::prelude::*;
 use evolve_bench::BenchArgs;
-use evolve_workload::{WorkloadMix, WorldClass};
+use evolve_workload::WorldClass;
 
-/// Splits the headline mix into per-world scenarios.
-fn silo_scenarios() -> [(String, Scenario, usize); 3] {
-    let full = Scenario::headline(1.0);
-    let mut cloud = WorkloadMix::new();
-    for (svc, load) in full.mix.services() {
-        cloud = cloud.with_service(svc.clone(), load.clone());
-    }
-    let mut bigdata = WorkloadMix::new();
-    for (job, at) in full.mix.batch_jobs() {
-        bigdata = bigdata.with_batch_job(job.clone(), *at);
-    }
-    let mut hpc = WorkloadMix::new();
-    for (job, at) in full.mix.hpc_jobs() {
-        hpc = hpc.with_hpc_job(job.clone(), *at);
-    }
-    let mk = |name: &str, mix: WorkloadMix| Scenario {
-        name: format!("silo-{name}"),
-        description: format!("{name} silo of the headline mix"),
-        mix,
-        horizon: full.horizon,
+/// The headline spec split into per-world silos: each keeps one of its
+/// three lists, on its own cluster of 8, 6 and 6 nodes.
+fn silo_specs() -> [ScenarioSpec; 3] {
+    let silo = |name: &str, nodes: usize| {
+        let mut spec = ScenarioSpec::headline(1.0);
+        spec.name = format!("silo-{name}");
+        spec.description = format!("{name} silo of the headline mix");
+        spec.cluster.nodes = nodes;
+        spec
     };
-    [
-        ("cloud".into(), mk("cloud", cloud), 8),
-        ("bigdata".into(), mk("bigdata", bigdata), 6),
-        ("hpc".into(), mk("hpc", hpc), 6),
-    ]
+    let (mut cloud, mut bigdata, mut hpc) = (silo("cloud", 8), silo("bigdata", 6), silo("hpc", 6));
+    cloud.batch_jobs.clear();
+    cloud.hpc_jobs.clear();
+    bigdata.services.clear();
+    bigdata.hpc_jobs.clear();
+    hpc.services.clear();
+    hpc.batch_jobs.clear();
+    [cloud, bigdata, hpc]
 }
 
 /// Per-seed aggregate of one deployment: the metrics the table reports.
@@ -136,16 +128,11 @@ fn main() {
         converged.runs.iter().map(converged_sample).collect();
     summary_row("converged-20", &converged_samples, &mut table);
 
-    let silos = silo_scenarios();
-    let silo_nodes = [silos[0].2, silos[1].2, silos[2].2];
+    let silos = silo_specs();
+    let silo_nodes = silos.each_ref().map(|spec| spec.cluster.nodes);
     let silo_configs: Vec<RunConfig> = silos
         .iter()
-        .map(|(_, scenario, nodes)| {
-            RunConfig::builder(scenario.clone(), ManagerKind::Evolve)
-                .nodes(*nodes)
-                .record_series(false)
-                .build()
-        })
+        .map(|spec| RunConfig::from_spec(spec, ManagerKind::Evolve).record_series(false).build())
         .collect();
     eprintln!("running 3 silos × {} seeds …", seeds.len());
     let silo_reps = harness.run_matrix(&silo_configs, &seeds);

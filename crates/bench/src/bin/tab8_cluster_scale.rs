@@ -33,9 +33,8 @@ struct Cell {
 }
 
 fn run_cell(nodes: usize, apps: usize, horizon: SimDuration, indexed: bool) -> Cell {
-    let scenario = Scenario::cluster_scale(nodes, apps, horizon);
-    let cfg = RunConfig::builder(scenario, ManagerKind::KubeStatic)
-        .nodes(nodes)
+    let spec = ScenarioSpec::cluster_scale(nodes, apps, horizon);
+    let cfg = RunConfig::from_spec(&spec, ManagerKind::KubeStatic)
         .scheduler(SchedulerProfile::Evolve)
         .seed(BASE_SEED)
         .record_series(false)

@@ -14,14 +14,11 @@ use evolve_types::SimDuration;
 
 /// The golden short-horizon headline mix, in either sampling mode.
 fn run(legacy: bool) -> RunOutcome {
-    let mut scenario = Scenario::headline(0.5);
-    scenario.horizon = SimDuration::from_mins(5);
+    let mut spec = ScenarioSpec::headline(0.5);
+    spec.horizon = SimDuration::from_mins(5);
+    spec.cluster.nodes = 8;
     ExperimentRunner::new(
-        RunConfig::builder(scenario, ManagerKind::Evolve)
-            .nodes(8)
-            .seed(42)
-            .legacy_sampling(legacy)
-            .build(),
+        RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).legacy_sampling(legacy).build(),
     )
     .run()
 }

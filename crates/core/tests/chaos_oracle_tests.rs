@@ -10,17 +10,14 @@ use evolve_types::{SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 
 fn config(horizon_secs: u64, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::builder(
-        ScenarioSpec::builtin("single_diurnal").unwrap().build(),
-        ManagerKind::Evolve,
-    )
-    .nodes(6)
-    .seed(seed)
-    .record_series(false)
-    .oracle(true)
-    .build();
-    cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
-    cfg
+    let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    spec.cluster.nodes = 6;
+    RunConfig::from_spec(&spec, ManagerKind::Evolve)
+        .seed(seed)
+        .record_series(false)
+        .oracle(true)
+        .build()
 }
 
 #[test]

@@ -10,15 +10,10 @@ use evolve_types::{NodeId, SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 
 fn faulted_config(horizon_secs: u64, faults: FaultPlan) -> RunConfig {
-    let mut config = RunConfig::builder(
-        ScenarioSpec::builtin("single_diurnal").unwrap().build(),
-        ManagerKind::Evolve,
-    )
-    .nodes(4)
-    .build();
-    config.scenario.horizon = SimDuration::from_secs(horizon_secs);
-    config.faults = faults;
-    config
+    let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    spec.cluster.nodes = 4;
+    RunConfig::from_spec(&spec, ManagerKind::Evolve).faults(faults).build()
 }
 
 /// Pinned regression for the hold-last-safe path: during a 60 s scrape

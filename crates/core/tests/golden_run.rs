@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome, SchedulerProfile};
 use evolve_types::SimDuration;
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 const HEADLINE: &str = "golden_headline.txt";
 
@@ -39,9 +39,10 @@ fn fixture_path(fixture: &str) -> PathBuf {
 /// under the EVOLVE manager, long enough to exercise scale-out/in,
 /// binding, preemption and the quantile paths.
 fn golden_config() -> RunConfig {
-    let mut scenario = Scenario::headline(0.5);
-    scenario.horizon = SimDuration::from_mins(5);
-    RunConfig::builder(scenario, ManagerKind::Evolve).nodes(8).seed(42).build()
+    let mut spec = ScenarioSpec::headline(0.5);
+    spec.horizon = SimDuration::from_mins(5);
+    spec.cluster.nodes = 8;
+    RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).build()
 }
 
 /// A small `cluster_scale`: 60 slot-packed nodes (720 pod slots), 8
@@ -52,12 +53,8 @@ fn golden_config() -> RunConfig {
 /// batch tasks (~5 min of CPU work) first complete near 300 s; a shorter
 /// static run would pin the fill only.
 fn scale_config(manager: ManagerKind) -> RunConfig {
-    let scenario = Scenario::cluster_scale(60, 8, SimDuration::from_secs(360));
-    RunConfig::builder(scenario, manager)
-        .nodes(60)
-        .seed(42)
-        .scheduler(SchedulerProfile::Evolve)
-        .build()
+    let spec = ScenarioSpec::cluster_scale(60, 8, SimDuration::from_secs(360));
+    RunConfig::from_spec(&spec, manager).seed(42).scheduler(SchedulerProfile::Evolve).build()
 }
 
 /// The headline mix at full load with nobody managing it: `ingest` and
@@ -68,9 +65,10 @@ fn scale_config(manager: ManagerKind) -> RunConfig {
 /// records timeouts (`ingest` 42, `media` 78; none at 10 s), so the run
 /// covers the build-up and deadline drops out of a deep set.
 fn static_config() -> RunConfig {
-    let mut scenario = Scenario::headline(1.0);
-    scenario.horizon = SimDuration::from_secs(11);
-    RunConfig::builder(scenario, ManagerKind::KubeStatic).nodes(8).seed(42).build()
+    let mut spec = ScenarioSpec::headline(1.0);
+    spec.horizon = SimDuration::from_secs(11);
+    spec.cluster.nodes = 8;
+    RunConfig::from_spec(&spec, ManagerKind::KubeStatic).seed(42).build()
 }
 
 /// Serializes everything a run measured, bit-exactly. Floats are dumped

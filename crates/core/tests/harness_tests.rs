@@ -10,13 +10,10 @@ use evolve_workload::ScenarioSpec;
 /// A cheap run: the single-service diurnal scenario cut down to a short
 /// horizon on a small cluster, no series recording.
 fn small_config(manager: ManagerKind, horizon_secs: u64) -> RunConfig {
-    let mut config =
-        RunConfig::builder(ScenarioSpec::builtin("single_diurnal").unwrap().build(), manager)
-            .nodes(4)
-            .record_series(false)
-            .build();
-    config.scenario.horizon = SimDuration::from_secs(horizon_secs);
-    config
+    let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    spec.cluster.nodes = 4;
+    RunConfig::from_spec(&spec, manager).record_series(false).build()
 }
 
 fn with_faults(mut config: RunConfig, faults: FaultPlan) -> RunConfig {

@@ -6,42 +6,32 @@ use std::path::PathBuf;
 
 use evolve_core::{ManagerKind, RunConfig};
 use evolve_sim::NodeShape;
-use evolve_workload::{Scenario, ScenarioSpec, DEFAULT_NODE_CAPACITY};
+use evolve_workload::{ScenarioSpec, DEFAULT_NODE_CAPACITY};
 
 fn scenario_file(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
         .join(format!("{name}.toml"))
 }
 
-fn single_diurnal() -> Scenario {
-    ScenarioSpec::builtin("single_diurnal").expect("builtin").build()
-}
-
-/// `scenario_named` resolves builtins and applies the spec's cluster
-/// shape and arbiter to the builder.
+/// A builtin resolved by name configures the run's cluster shape and
+/// arbiter through `RunConfig::from_spec`.
 #[test]
 fn scenario_named_applies_cluster_and_arbiter() {
-    let config = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
-        .scenario_named("overload")
-        .expect("builtin resolves")
-        .build();
+    let spec = ScenarioSpec::builtin("overload").expect("builtin resolves");
+    let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
     assert_eq!(config.scenario.name, "overload-1.00");
     assert_eq!(config.nodes, 4);
     assert!(config.arbiter.is_some(), "overload spec carries the arbiter");
 
-    let err = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
-        .scenario_named("ghost")
-        .unwrap_err();
+    let err = ScenarioSpec::builtin("ghost").unwrap_err();
     assert!(err.to_string().contains("ghost"));
 }
 
-/// `scenario_file` loads through the same validated path as the suite.
+/// A scenario file loads through the same validated path as the suite.
 #[test]
 fn scenario_file_loads_checked_in_specs() {
-    let config = RunConfig::builder(single_diurnal(), ManagerKind::Evolve)
-        .scenario_file(scenario_file("interference"))
-        .expect("checked-in file loads")
-        .build();
+    let spec = ScenarioSpec::from_file(scenario_file("interference")).expect("checked-in file");
+    let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
     assert_eq!(config.nodes, 10);
     assert!(config.scenario.name.starts_with("interference"));
 }

@@ -7,19 +7,23 @@ use std::path::{Path, PathBuf};
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
 use evolve_telemetry::trace::{SchedOutcome, SpanKind, TraceConfig};
 use evolve_types::SimDuration;
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
-/// The headline mix at a short horizon: enough load to exercise control
-/// decisions, scale-out, gang scheduling and binding.
+/// The headline mix at a short horizon on 8 nodes: enough load to
+/// exercise control decisions, scale-out, gang scheduling and binding.
+fn short_headline() -> ScenarioSpec {
+    let mut spec = ScenarioSpec::headline(0.5);
+    spec.horizon = SimDuration::from_mins(2);
+    spec.cluster.nodes = 8;
+    spec
+}
+
 fn traced_config(dump: &Path) -> RunConfig {
-    let mut scenario = Scenario::headline(0.5);
-    scenario.horizon = SimDuration::from_mins(2);
-    RunConfig::builder(scenario, ManagerKind::Evolve)
-        .nodes(8)
+    RunConfig::from_spec(&short_headline(), ManagerKind::Evolve)
         .seed(42)
         .trace(TraceConfig::default().dump_to(dump))
         .build()
@@ -82,9 +86,7 @@ fn tracing_is_observational_only() {
     // Identical config with tracing disabled vs enabled (with dump):
     // every result the run reports must be bit-identical.
     let dump = tmp("trace_observe.jsonl");
-    let mut scenario = Scenario::headline(0.5);
-    scenario.horizon = SimDuration::from_mins(2);
-    let base = RunConfig::builder(scenario, ManagerKind::Evolve).nodes(8).seed(42);
+    let base = RunConfig::from_spec(&short_headline(), ManagerKind::Evolve).seed(42);
     let disabled = base.clone().trace(TraceConfig::disabled()).build();
     let enabled = base.trace(TraceConfig::default().dump_to(&dump)).build();
     let off = ExperimentRunner::new(disabled).run();

@@ -5,8 +5,8 @@
 //! The scenarios every experiment in EXPERIMENTS.md uses are the
 //! checked-in `scenarios/*.toml` files: build one with
 //! `ScenarioSpec::builtin(name)?.build()` (see
-//! [`BUILTINS`](crate::BUILTINS)). [`Scenario::headline`] and
-//! [`Scenario::cluster_scale`] build the two parametric ones.
+//! [`BUILTINS`](crate::BUILTINS)); `ScenarioSpec::headline` and
+//! `ScenarioSpec::cluster_scale` give the two parametric ones.
 
 use evolve_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -222,18 +222,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// **T1/T2/F4 headline mix**, built from
-    /// [`ScenarioSpec::headline`]: `scale` multiplies request rates and
-    /// batch widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `scale` is not positive.
-    #[must_use]
-    pub fn headline(scale: f64) -> Scenario {
-        ScenarioSpec::headline(scale).build()
-    }
-
     /// **T8 cluster scale**, built from [`ScenarioSpec::cluster_scale`]
     /// (which documents the sizing).
     ///
@@ -282,7 +270,7 @@ mod tests {
 
     #[test]
     fn mix_builder_accumulates() {
-        let s = Scenario::headline(1.0);
+        let s = ScenarioSpec::headline(1.0).build();
         assert_eq!(s.mix.services().len(), 6);
         assert_eq!(s.mix.batch_jobs().len(), 3);
         assert_eq!(s.mix.hpc_jobs().len(), 2);
@@ -292,8 +280,8 @@ mod tests {
 
     #[test]
     fn headline_scale_multiplies_rates() {
-        let a = Scenario::headline(1.0);
-        let b = Scenario::headline(2.0);
+        let a = ScenarioSpec::headline(1.0).build();
+        let b = ScenarioSpec::headline(2.0).build();
         let rate = |s: &Scenario| s.mix.services()[0].1.mean_rate();
         assert!((rate(&b) / rate(&a) - 2.0).abs() < 1e-9);
     }
@@ -330,7 +318,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scale must be positive")]
     fn headline_rejects_zero_scale() {
-        let _ = Scenario::headline(0.0);
+        let _ = ScenarioSpec::headline(0.0);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use evolve::prelude::*;
 
 fn main() {
     println!("running the converged headline mix under EVOLVE …");
-    let outcome = ExperimentRunner::new(
-        RunConfig::builder(Scenario::headline(1.0), ManagerKind::Evolve).seed(11).build(),
-    )
-    .run();
+    let spec = ScenarioSpec::headline(1.0);
+    let outcome =
+        ExperimentRunner::new(RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(11).build())
+            .run();
 
     let mut per_app = Table::new(
         ["app", "world", "windows", "violations", "rate", "completions", "timeouts"]

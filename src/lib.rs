@@ -52,11 +52,10 @@ pub use evolve_workload as workload;
 /// ```no_run
 /// use evolve::prelude::*;
 ///
+/// let mut spec = ScenarioSpec::headline(0.5);
+/// spec.cluster.nodes = 8;
 /// let rep = Harness::new().run_seeds(
-///     &RunConfig::builder(Scenario::headline(0.5), ManagerKind::Evolve)
-///         .nodes(8)
-///         .record_series(false)
-///         .build(),
+///     &RunConfig::from_spec(&spec, ManagerKind::Evolve).record_series(false).build(),
 ///     &[42, 43, 44],
 /// );
 /// println!("violation rate {:.3}", rep.violation_rate().mean);

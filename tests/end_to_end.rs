@@ -2,43 +2,57 @@
 //! simulator → manager → scheduler) on small configurations.
 
 use evolve::prelude::*;
-use evolve::workload::{LoadSpec, RequestClass, ServiceSpec, WorkloadMix};
+use evolve::workload::{ClusterSpec, LoadSpec, ServiceEntry};
 
-/// A small scenario that finishes fast in debug builds.
-fn tiny_scenario(rate: f64, horizon_secs: u64) -> Scenario {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.2, 0.2),
-        0.5,
-        SimDuration::from_secs(10),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(1_000.0, 1_024.0, 25.0, 25.0),
-        )
-        .with_initial_replicas(2),
-        LoadSpec::Ramp {
-            from: rate * 0.3,
-            to: rate,
-            duration: SimDuration::from_secs(horizon_secs / 2),
-        },
-    );
-    Scenario {
-        name: "tiny-ramp".into(),
-        description: "integration-test ramp".into(),
-        mix,
+/// One 20 mcore·s-per-request service on 4 nodes: small enough to finish
+/// fast in debug builds.
+fn one_service(
+    name: &str,
+    alloc: ResourceVec,
+    replicas: u32,
+    load: LoadSpec,
+    horizon_secs: u64,
+) -> ScenarioSpec {
+    ScenarioSpec {
+        name: name.into(),
+        description: String::new(),
         horizon: SimDuration::from_secs(horizon_secs),
+        cluster: ClusterSpec { nodes: 4, node_capacity: None },
+        services: vec![ServiceEntry {
+            name: "svc".into(),
+            class: "rq".into(),
+            demand: ResourceVec::new(20.0, 2.0, 0.2, 0.2),
+            demand_cv: 0.5,
+            timeout: SimDuration::from_secs(10),
+            plo: PloSpec::LatencyP99 { target_ms: 100.0 },
+            alloc,
+            replicas,
+            base_memory_mib: 64.0,
+            priority: PriorityClass::Standard,
+            load,
+        }],
+        batch_jobs: Vec::new(),
+        hpc_jobs: Vec::new(),
+        arbiter: None,
+        faults: Vec::new(),
+        probe: None,
+        repro: None,
     }
 }
 
+/// Two replicas under a ramp to `rate`.
+fn tiny_spec(rate: f64, horizon_secs: u64) -> ScenarioSpec {
+    let ramp = LoadSpec::Ramp {
+        from: rate * 0.3,
+        to: rate,
+        duration: SimDuration::from_secs(horizon_secs / 2),
+    };
+    one_service("tiny-ramp", ResourceVec::new(1_000.0, 1_024.0, 25.0, 25.0), 2, ramp, horizon_secs)
+}
+
 fn run(manager: ManagerKind, seed: u64) -> RunOutcome {
-    ExperimentRunner::new(
-        RunConfig::builder(tiny_scenario(120.0, 240), manager).nodes(4).seed(seed).build(),
-    )
-    .run()
+    ExperimentRunner::new(RunConfig::from_spec(&tiny_spec(120.0, 240), manager).seed(seed).build())
+        .run()
 }
 
 #[test]
@@ -70,45 +84,11 @@ fn evolve_violates_less_than_static_under_ramp() {
 fn evolve_uses_less_allocation_than_overprovisioned_static() {
     // Over-provision the static service 8×; EVOLVE should deliver the PLO
     // with a much smaller time-averaged reservation.
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.2, 0.2),
-        0.5,
-        SimDuration::from_secs(10),
-    );
-    let build = |alloc: ResourceVec| {
-        let mix = WorkloadMix::new().with_service(
-            ServiceSpec::new("svc", PloSpec::LatencyP99 { target_ms: 100.0 }, class.clone(), alloc)
-                .with_initial_replicas(4),
-            LoadSpec::Constant { rate: 40.0 },
-        );
-        Scenario {
-            name: "overprov".into(),
-            description: String::new(),
-            mix,
-            horizon: SimDuration::from_secs(240),
-        }
-    };
-    let kube = ExperimentRunner::new(
-        RunConfig::builder(
-            build(ResourceVec::new(8_000.0, 8_192.0, 200.0, 200.0)),
-            ManagerKind::KubeStatic,
-        )
-        .nodes(4)
-        .seed(3)
-        .build(),
-    )
-    .run();
-    let evolve = ExperimentRunner::new(
-        RunConfig::builder(
-            build(ResourceVec::new(8_000.0, 8_192.0, 200.0, 200.0)),
-            ManagerKind::Evolve,
-        )
-        .nodes(4)
-        .seed(3)
-        .build(),
-    )
-    .run();
+    let alloc = ResourceVec::new(8_000.0, 8_192.0, 200.0, 200.0);
+    let spec = one_service("overprov", alloc, 4, LoadSpec::Constant { rate: 40.0 }, 240);
+    let run = |manager| ExperimentRunner::new(RunConfig::from_spec(&spec, manager).seed(3).build());
+    let kube = run(ManagerKind::KubeStatic).run();
+    let evolve = run(ManagerKind::Evolve).run();
     assert!(
         evolve.utilization.mean_allocated() < 0.75 * kube.utilization.mean_allocated(),
         "evolve allocated {:.3} vs static {:.3}",
@@ -146,12 +126,12 @@ fn runs_are_deterministic_per_seed() {
 #[test]
 fn headline_mix_runs_under_evolve() {
     // Shrink the headline scenario so this test stays debug-friendly.
-    let mut scenario = Scenario::headline(0.3);
-    scenario.horizon = SimDuration::from_secs(300);
-    let outcome = ExperimentRunner::new(
-        RunConfig::builder(scenario, ManagerKind::Evolve).nodes(12).seed(4).build(),
-    )
-    .run();
+    let mut spec = ScenarioSpec::headline(0.3);
+    spec.horizon = SimDuration::from_secs(300);
+    spec.cluster.nodes = 12;
+    let outcome =
+        ExperimentRunner::new(RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(4).build())
+            .run();
     assert_eq!(outcome.apps.len(), 11, "6 services + 3 batch + 2 hpc");
     // Every service saw traffic.
     for app in outcome.apps.iter().take(6) {
