@@ -2,10 +2,9 @@
 //! outcomes must agree for a reason that does not depend on what the
 //! outcome is.
 
-use evolve_control::ArbiterConfig;
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome};
 use evolve_types::SimDuration;
-use evolve_workload::ScenarioSpec;
+use evolve_workload::{ArbiterSpec, ScenarioSpec};
 
 /// Everything the two runs must agree on: per-app counts, then events,
 /// bindings and the bits of the two utilisation means.
@@ -39,10 +38,13 @@ fn an_arbiter_with_room_to_spare_changes_nothing() {
     for mut spec in specs {
         spec.horizon = horizon;
         spec.cluster.nodes *= 4;
-        let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).record_series(false);
-        let plain = ExperimentRunner::new(config.clone().build()).run();
+        let run = |spec: &ScenarioSpec| {
+            let config = RunConfig::from_spec(spec, ManagerKind::Evolve).seed(42);
+            ExperimentRunner::new(config.record_series(false).build()).run()
+        };
+        let plain = run(&spec);
         let arbitrated =
-            ExperimentRunner::new(config.arbiter(ArbiterConfig::default()).build()).run();
+            run(&ScenarioSpec { arbiter: Some(ArbiterSpec::default()), ..spec.clone() });
         assert_eq!(
             arbitrated.control.clipped_allocations + arbitrated.control.shed_decisions,
             0,
