@@ -11,20 +11,21 @@
 //! to `experiments_out/chaos_repro.toml`.
 //!
 //! ```text
-//! cargo run --release -p evolve-bench --bin chaos_fuzz [runs]
+//! cargo run --release -p evolve-bench --bin chaos_fuzz -- [--seeds N] [--out DIR]
 //! cargo run --release -p evolve-bench --bin chaos_fuzz -- --replay experiments_out/chaos_repro.toml
-//! EVOLVE_SMOKE=1 …        # short horizon for CI smoke runs
-//! EVOLVE_CHAOS_RUNS=500 … # fuzz budget without a CLI argument
 //! ```
+//!
+//! Run *i* of the N (default 200) uses seed 42 + *i*, so `--seeds N` is
+//! the run count, and `--seeds i+1` reruns the fuzz up to run *i*.
 //!
 //! Exit status: 0 when every case is clean (or a replay no longer
 //! fails), 1 when a violation was found (fuzz) or reproduced (replay),
-//! 2 when the replay file does not load.
+//! 2 on a usage error or when the replay file does not load.
 
 use std::path::{Path, PathBuf};
 
 use evolve::prelude::*;
-use evolve_bench::{BenchArgs, BASE_SEED};
+use evolve_bench::{usage_exit, BenchArgs};
 use evolve_sim::chaos::{random_fault_events, shrink_events};
 use evolve_types::SimDuration;
 use evolve_workload::ReproSpec;
@@ -123,32 +124,23 @@ fn replay(path: &str) -> i32 {
 }
 
 fn main() {
-    let args = BenchArgs::parse(1);
-    if let Some(i) = args.rest.iter().position(|a| a == "--replay") {
-        let Some(path) = args.rest.get(i + 1) else {
-            eprintln!("usage: chaos_fuzz --replay <file>");
-            std::process::exit(2);
-        };
-        std::process::exit(replay(path));
+    let args = BenchArgs::parse();
+    let rest: Vec<&str> = args.rest.iter().map(String::as_str).collect();
+    match (&rest[..], args.seed_count, &args.scenario) {
+        (["--replay", path], None, None) => std::process::exit(replay(path)),
+        ([], _, None) => {}
+        _ => usage_exit("usage: chaos_fuzz [--seeds N] [--out DIR] | --replay FILE"),
     }
 
-    let parse = |s: &str| s.trim().parse::<usize>().ok().filter(|n| *n > 0);
-    let runs = args
-        .explicit_count
-        .or_else(|| std::env::var("EVOLVE_CHAOS_RUNS").ok().as_deref().and_then(parse))
-        .unwrap_or(200);
-    let horizon =
-        if args.smoke { SimDuration::from_secs(240) } else { SimDuration::from_secs(600) };
-
+    let seeds = args.seeds(200);
+    let runs = seeds.len();
+    let horizon = SimDuration::from_secs(600);
     println!("chaos_fuzz: {runs} runs, horizon {}s", horizon.as_secs_f64());
-    let mut clean = 0usize;
-    for i in 0..runs as u64 {
-        let seed = BASE_SEED + i;
-        let spec = scenario_for(i, horizon);
+    for (i, &seed) in seeds.iter().enumerate() {
+        let spec = scenario_for(i as u64, horizon);
         let events = random_fault_events(seed, horizon, spec.cluster.nodes, spec.app_count(), 5);
         let report = run_case(&spec, seed, &events);
         if report.is_clean() {
-            clean += 1;
             if (i + 1).is_multiple_of(25) {
                 println!("  {}/{runs} clean", i + 1);
             }
@@ -156,7 +148,7 @@ fn main() {
         }
         let fired = report.failed_checks().join(", ");
         println!(
-            "violation after {clean} clean runs: scenario={} seed={seed} checks=[{fired}]",
+            "violation after {i} clean runs: scenario={} seed={seed} checks=[{fired}]",
             spec.name
         );
         println!("shrinking {} events…", events.len());
@@ -168,8 +160,12 @@ fn main() {
             &args.out_dir,
         );
         println!("minimized reproducer written to {}", path.display());
-        println!("replay with: chaos_fuzz --replay {}", path.display());
+        println!(
+            "replay with: chaos_fuzz --replay {} (rerun the fuzz to here: chaos_fuzz --seeds {})",
+            path.display(),
+            i + 1
+        );
         std::process::exit(1);
     }
-    println!("all {clean}/{runs} runs clean — no oracle violations");
+    println!("all {runs}/{runs} runs clean — no oracle violations");
 }

@@ -13,18 +13,17 @@
 //! capacity crunch.
 //!
 //! ```text
-//! cargo run --release -p evolve-bench --bin trace_explain [--overload] [--app N] [--at T_S] [--window HALF_S]
-//! EVOLVE_SMOKE=1 … # short horizon for CI smoke runs
+//! cargo run --release -p evolve-bench --bin trace_explain -- [--overload] [--app N] [--at T_S] [--window HALF_S]
 //! ```
 //!
 //! `--scenario <file>` swaps the workload for a declarative spec (the
 //! spec's cluster shape and arbiter settings apply; `--overload` is then
-//! only a hint for the arbitration legend). Exits non-zero when the dump
-//! is empty (tracing broken) or the requested app/window has no control
-//! records.
+//! only a hint for the arbitration legend). Exits 1 when the dump is
+//! empty (tracing broken) or the requested app/window has no control
+//! records, 2 on an argument it does not read.
 
 use evolve::prelude::*;
-use evolve_bench::{BenchArgs, BASE_SEED};
+use evolve_bench::{usage_exit, BenchArgs, BASE_SEED};
 use std::process::ExitCode;
 
 /// One parsed JSONL record: the raw line plus the fields the timeline
@@ -99,22 +98,31 @@ fn fmt_opt(v: Option<f64>, prec: usize) -> String {
     v.map_or_else(|| "-".into(), |v| format!("{v:.prec$}"))
 }
 
-/// The value following `flag` in the pass-through argument list.
-fn rest_value(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter().position(|a| a == flag).and_then(|i| rest.get(i + 1)).cloned()
+const USAGE: &str = "usage: trace_explain [--overload] [--app N] [--at T_S] [--window HALF_S] \
+                     [--scenario FILE] [--out DIR]";
+
+/// The number `value` holds, or a usage error.
+fn number<T: std::str::FromStr>(value: Option<&String>) -> T {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage_exit(USAGE))
 }
 
 fn main() -> ExitCode {
-    let args = BenchArgs::parse(1);
-    let overload = args.rest.iter().any(|a| a == "--overload");
-    // Focus selection: `--app`/`--at`/`--window` flags; a bare integer
-    // argument (the count slot) still aims the app for back-compat.
-    let want_app: Option<u64> = rest_value(&args.rest, "--app")
-        .and_then(|s| s.parse().ok())
-        .or(args.explicit_count.map(|n| n as u64));
-    let want_t: Option<f64> = rest_value(&args.rest, "--at").and_then(|s| s.parse().ok());
-    let half_window: f64 =
-        rest_value(&args.rest, "--window").and_then(|s| s.parse().ok()).unwrap_or(120.0);
+    let args = BenchArgs::parse();
+    if args.seed_count.is_some() {
+        usage_exit(USAGE);
+    }
+    let mut overload = false;
+    let (mut want_app, mut want_t, mut half_window) = (None::<u64>, None::<f64>, 120.0);
+    let mut rest = args.rest.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--overload" => overload = true,
+            "--app" => want_app = Some(number(rest.next())),
+            "--at" => want_t = Some(number(rest.next())),
+            "--window" => half_window = number(rest.next()),
+            _ => usage_exit(USAGE),
+        }
+    }
 
     // The spec carries the cluster shape and (optionally) the arbiter;
     // `from_spec` applies them all. The builtin overload run sits at
@@ -128,13 +136,10 @@ fn main() -> ExitCode {
     if let Some(parent) = dump_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+    let cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve)
         .seed(BASE_SEED)
         .trace(TraceConfig::default().with_capacity(1 << 20).dump_to(&dump_path))
         .build();
-    if args.smoke {
-        cfg.scenario.horizon = cfg.scenario.horizon.min(SimDuration::from_mins(3));
-    }
     let arbitrated = if cfg.arbiter.is_some() { " (arbitrated)" } else { "" };
     eprintln!("running {label}{arbitrated} scenario (seed {BASE_SEED}) with decision tracing …");
     let outcome = ExperimentRunner::new(cfg).run();

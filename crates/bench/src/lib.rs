@@ -1,70 +1,52 @@
-//! Shared helpers for the experiment binaries (one per paper table or
-//! figure; see EXPERIMENTS.md for the index) and the Criterion benches.
+//! The paper's tables and figures as plain functions (one per
+//! `experiments` entry; see EXPERIMENTS.md for the index), plus the
+//! helpers they, the bespoke binaries and the Criterion bench share.
 
 use std::path::PathBuf;
 
-use evolve_core::{ReplicatedOutcome, RunOutcome, Summary};
+use evolve_core::{ReplicatedOutcome, RunOutcome, Summary, Table};
 use evolve_types::SimTime;
 use evolve_workload::ScenarioSpec;
 
-/// The first seed every experiment binary replicates from.
+pub mod figures;
+pub mod suite;
+pub mod tables;
+
+/// The first seed every experiment replicates from.
 pub const BASE_SEED: u64 = 42;
 
-/// The one CLI/environment surface every experiment binary shares.
+/// The one command-line surface the `experiments` driver and the
+/// bespoke binaries share:
 ///
-/// Replaces the former scattered helpers (`cli_seed_count`, `seed_list`,
-/// `smoke_mode`, `output_dir`) with a single parser:
-///
-/// * a bare positive-integer argument or `--seeds N` sets the replication
-///   count (falling back to `EVOLVE_SEEDS`, then the binary's default);
+/// * `--seeds N` sets the replication count (else the caller's default);
 /// * `--scenario <file>` loads a declarative `scenarios/*.toml` spec
-///   through [`ScenarioSpec::from_file`] — a bad file exits with status 2
-///   and the typed error on stderr — which [`BenchArgs::spec`] then
-///   returns in place of the binary's builtin;
-/// * `--out <dir>` (or `EVOLVE_OUT`) overrides where CSV/HTML artifacts
-///   land (default `experiments_out/` under the working directory);
-/// * `EVOLVE_SMOKE` requests a shortened CI smoke run — the *value*
-///   matters, not mere presence: `0`, `false`, `off`, `no` and the empty
-///   string disable it;
-/// * anything unrecognized is passed through in [`BenchArgs::rest`] for
-///   binary-specific flags (`--replay`, series names, …).
+///   through [`ScenarioSpec::from_file`], which [`BenchArgs::spec`] then
+///   returns in place of the builtin;
+/// * `--out <dir>` sets where artifacts land (default `experiments_out`
+///   under the working directory);
+/// * every other argument is kept, in order, in [`BenchArgs::rest`]: the
+///   caller reads what it knows and rejects the remainder.
 #[derive(Debug)]
 pub struct BenchArgs {
-    /// Seeds to replicate over: `count` consecutive seeds from
-    /// [`BASE_SEED`].
-    pub seeds: Vec<u64>,
-    /// Shortened CI smoke run requested via `EVOLVE_SMOKE`.
-    pub smoke: bool,
+    /// The replication count `--seeds` gave, if any.
+    pub seed_count: Option<usize>,
     /// Declarative scenario loaded from `--scenario <file>`, if given.
     pub scenario: Option<ScenarioSpec>,
-    /// The path `--scenario` was loaded from (for labels/logs).
-    pub scenario_path: Option<PathBuf>,
     /// Where experiment artifacts land.
     pub out_dir: PathBuf,
     /// Unrecognized arguments, in order.
     pub rest: Vec<String>,
-    /// The replication count given explicitly (CLI or `EVOLVE_SEEDS`),
-    /// before the binary's default applied. Binaries that reuse the
-    /// positional count for something else (fuzz budget, iterations)
-    /// read this.
-    pub explicit_count: Option<usize>,
 }
 
 impl BenchArgs {
-    /// Parses the process arguments and environment.
+    /// Parses the process arguments.
     ///
     /// Exits with status 2 (usage error) on a malformed flag or an
     /// invalid `--scenario` file.
     #[must_use]
-    pub fn parse(default_seeds: usize) -> BenchArgs {
+    pub fn parse() -> BenchArgs {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        match BenchArgs::try_parse(&argv, default_seeds) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
+        BenchArgs::try_parse(&argv).unwrap_or_else(|msg| usage_exit(&msg))
     }
 
     /// The fallible core of [`BenchArgs::parse`], separated for tests.
@@ -73,82 +55,48 @@ impl BenchArgs {
     ///
     /// Returns a human-readable message when a flag is malformed or the
     /// `--scenario` file fails to load/validate.
-    pub fn try_parse(argv: &[String], default_seeds: usize) -> Result<BenchArgs, String> {
-        let parse_count = |s: &str| {
-            s.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n > 0)
-                .ok_or_else(|| format!("`{s}` is not a positive integer"))
+    pub fn try_parse(argv: &[String]) -> Result<BenchArgs, String> {
+        let mut args = BenchArgs {
+            seed_count: None,
+            scenario: None,
+            out_dir: PathBuf::from("experiments_out"),
+            rest: Vec::new(),
         };
-        let mut explicit_count = None;
-        let mut scenario_path: Option<PathBuf> = None;
-        let mut out_flag: Option<PathBuf> = None;
-        let mut rest = Vec::new();
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             let (flag, inline) = match arg.split_once('=') {
                 Some((f, v)) if f.starts_with("--") => (f, Some(v.to_string())),
                 _ => (arg.as_str(), None),
             };
-            let mut value = |name: &str| -> Result<String, String> {
-                match inline.clone() {
-                    Some(v) => Ok(v),
-                    None => it.next().cloned().ok_or_else(|| format!("{name} requires a value")),
-                }
+            let mut value = || -> Result<String, String> {
+                inline
+                    .clone()
+                    .or_else(|| it.next().cloned())
+                    .ok_or_else(|| format!("{flag} requires a value"))
             };
             match flag {
-                "--seeds" => explicit_count = Some(parse_count(&value("--seeds")?)?),
-                "--scenario" => scenario_path = Some(PathBuf::from(value("--scenario")?)),
-                "--out" => out_flag = Some(PathBuf::from(value("--out")?)),
-                _ => {
-                    // Back-compat: a bare positive integer is the
-                    // replication count (first one wins).
-                    if explicit_count.is_none() && !arg.starts_with('-') {
-                        if let Ok(n) = parse_count(arg) {
-                            explicit_count = Some(n);
-                            continue;
-                        }
-                    }
-                    rest.push(arg.clone());
+                "--seeds" => {
+                    let v = value()?;
+                    let n = v.trim().parse::<usize>().ok().filter(|n| *n > 0);
+                    args.seed_count =
+                        Some(n.ok_or_else(|| format!("`{v}` is not a positive integer"))?);
                 }
+                "--scenario" => {
+                    let spec = ScenarioSpec::from_file(value()?).map_err(|err| err.to_string())?;
+                    args.scenario = Some(spec);
+                }
+                "--out" => args.out_dir = PathBuf::from(value()?),
+                _ => args.rest.push(arg.clone()),
             }
         }
-        let env_count = std::env::var("EVOLVE_SEEDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok().filter(|n| *n > 0));
-        let explicit_count = explicit_count.or(env_count);
-        let count = explicit_count.unwrap_or(default_seeds);
-        let scenario = match &scenario_path {
-            Some(path) => Some(ScenarioSpec::from_file(path).map_err(|err| err.to_string())?),
-            None => None,
-        };
-        let out_dir = out_flag
-            .or_else(|| {
-                std::env::var("EVOLVE_OUT").ok().filter(|v| !v.trim().is_empty()).map(PathBuf::from)
-            })
-            .unwrap_or_else(|| {
-                // When invoked via `cargo run -p evolve-bench`, cwd is the
-                // workspace root already; fall back gracefully otherwise.
-                let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-                dir.push("experiments_out");
-                dir
-            });
-        Ok(BenchArgs {
-            seeds: (0..count as u64).map(|i| BASE_SEED + i).collect(),
-            smoke: smoke_env(),
-            scenario,
-            scenario_path,
-            out_dir,
-            rest,
-            explicit_count,
-        })
+        Ok(args)
     }
 
-    /// Number of seeds to replicate over.
+    /// The seeds to replicate over: `--seeds` (else `default`)
+    /// consecutive seeds from [`BASE_SEED`].
     #[must_use]
-    pub fn seed_count(&self) -> usize {
-        self.seeds.len()
+    pub fn seeds(&self, default: usize) -> Vec<u64> {
+        (0..self.seed_count.unwrap_or(default) as u64).map(|i| BASE_SEED + i).collect()
     }
 
     /// The run's scenario: the `--scenario` file if one was given,
@@ -166,16 +114,60 @@ impl BenchArgs {
     }
 }
 
-/// `EVOLVE_SMOKE` semantics shared by [`BenchArgs`] and the Criterion
-/// benches: the value matters, not mere presence.
-fn smoke_env() -> bool {
-    match std::env::var("EVOLVE_SMOKE") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v.is_empty() || v == "0" || v == "false" || v == "off" || v == "no")
-        }
-        Err(_) => false,
+/// Prints `msg` as a usage error and exits with status 2.
+pub fn usage_exit(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// What the `experiments` driver hands one entry.
+#[derive(Debug)]
+pub struct Ctx {
+    /// Seeds to replicate over, from [`BASE_SEED`]; empty for an entry
+    /// that takes none.
+    pub seeds: Vec<u64>,
+    /// The entry's scenario: the `--scenario` file, else its builtin;
+    /// `None` for an entry that has none.
+    pub scenario: Option<ScenarioSpec>,
+    /// Whether `scenario` came from `--scenario`.
+    pub from_file: bool,
+}
+
+impl Ctx {
+    /// The entry's scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an entry that declares no scenario.
+    #[must_use]
+    pub fn spec(&self) -> &ScenarioSpec {
+        self.scenario.as_ref().expect("the entry declares a scenario")
     }
+}
+
+/// What one entry produces. The `experiments` driver prints `text`,
+/// writes `files` and sets the exit status from `failure`.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The entry's stdout.
+    pub text: String,
+    /// Artifacts to write into the output directory: (file name, bytes).
+    pub files: Vec<(String, String)>,
+    /// Why the entry failed (printed to stderr); `None` when it passed.
+    pub failure: Option<String>,
+}
+
+impl Report {
+    /// Queues `content` to be written as `name` in the output directory.
+    pub(crate) fn file(&mut self, name: &str, content: String) {
+        self.files.push((name.to_string(), content));
+    }
+}
+
+/// A table whose columns are the comma-separated names of `csv_header`.
+#[must_use]
+pub(crate) fn table(csv_header: &str) -> Table {
+    Table::new(csv_header.split(',').map(String::from).collect())
 }
 
 /// Settling analysis of a latency series after a disturbance.
@@ -387,33 +379,34 @@ mod tests {
 
     #[test]
     fn bench_args_default_and_positional_count() {
-        let a = BenchArgs::try_parse(&argv(&[]), 5).unwrap();
-        assert_eq!(a.seeds, vec![42, 43, 44, 45, 46]);
-        assert_eq!(a.explicit_count, None);
-        let b = BenchArgs::try_parse(&argv(&["3"]), 5).unwrap();
-        assert_eq!(b.seeds, vec![42, 43, 44]);
-        assert_eq!(b.explicit_count, Some(3));
+        let a = BenchArgs::try_parse(&argv(&[])).unwrap();
+        assert_eq!(a.seeds(5), vec![42, 43, 44, 45, 46]);
+        assert_eq!(a.seed_count, None);
+        assert_eq!(a.out_dir, std::path::Path::new("experiments_out"));
+        // A bare count is no seed count: it is left for the caller to reject.
+        let b = BenchArgs::try_parse(&argv(&["3"])).unwrap();
+        assert_eq!(b.seeds(5), vec![42, 43, 44, 45, 46]);
+        assert_eq!(b.rest, vec!["3"]);
     }
 
     #[test]
     fn bench_args_flags_and_rest_passthrough() {
-        let a = BenchArgs::try_parse(
-            &argv(&["--seeds", "2", "--out", "/tmp/x", "--replay", "f.json"]),
-            5,
-        )
-        .unwrap();
-        assert_eq!(a.seed_count(), 2);
+        let a =
+            BenchArgs::try_parse(&argv(&["--seeds", "2", "--out", "/tmp/x", "--replay", "f.json"]))
+                .unwrap();
+        assert_eq!(a.seeds(5), vec![42, 43]);
         assert_eq!(a.out_dir, std::path::Path::new("/tmp/x"));
         assert_eq!(a.rest, vec!["--replay", "f.json"]);
-        let b = BenchArgs::try_parse(&argv(&["--seeds=4"]), 5).unwrap();
-        assert_eq!(b.seed_count(), 4);
+        let b = BenchArgs::try_parse(&argv(&["--seeds=4"])).unwrap();
+        assert_eq!(b.seed_count, Some(4));
     }
 
     #[test]
     fn bench_args_rejects_bad_values() {
-        assert!(BenchArgs::try_parse(&argv(&["--seeds", "zero"]), 5).is_err());
-        assert!(BenchArgs::try_parse(&argv(&["--seeds"]), 5).is_err());
-        assert!(BenchArgs::try_parse(&argv(&["--scenario", "/no/such/file.toml"]), 5).is_err());
+        assert!(BenchArgs::try_parse(&argv(&["--seeds", "zero"])).is_err());
+        assert!(BenchArgs::try_parse(&argv(&["--seeds", "0"])).is_err());
+        assert!(BenchArgs::try_parse(&argv(&["--seeds"])).is_err());
+        assert!(BenchArgs::try_parse(&argv(&["--scenario", "/no/such/file.toml"])).is_err());
     }
 
     #[test]
@@ -435,17 +428,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.toml");
         std::fs::write(&path, written.to_toml()).unwrap();
-        let a = BenchArgs::try_parse(&argv(&["--scenario", path.to_str().unwrap()]), 5).unwrap();
+        let a = BenchArgs::try_parse(&argv(&["--scenario", path.to_str().unwrap()])).unwrap();
         let spec = a.spec("headline");
         assert_eq!(spec, written);
         assert_eq!(spec.name, "overload-1.00");
         assert_eq!(spec.cluster.nodes, 4);
-        assert_eq!(a.scenario_path.as_deref(), Some(path.as_path()));
     }
 
     #[test]
     fn bench_args_spec_falls_back_to_the_builtin() {
-        let a = BenchArgs::try_parse(&argv(&[]), 5).unwrap();
+        let a = BenchArgs::try_parse(&argv(&[])).unwrap();
         assert_eq!(a.spec("flash_crowd"), ScenarioSpec::builtin("flash_crowd").unwrap());
     }
 }

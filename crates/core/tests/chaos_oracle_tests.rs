@@ -39,8 +39,8 @@ fn oracle_is_none_when_disabled() {
 }
 
 /// Seeded random fault schedules through the full runner must never trip
-/// an invariant on main — the same property the CI experiments-smoke job
-/// checks at a larger budget.
+/// an invariant on main — the same property CI's `experiments` job checks
+/// at a larger budget (`chaos_fuzz --seeds 200`).
 #[test]
 fn oracle_clean_on_random_schedules() {
     for seed in [42u64, 43, 44] {
