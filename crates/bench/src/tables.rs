@@ -347,12 +347,16 @@ pub fn tab6_resilience(ctx: &Ctx) -> Report {
     let (horizon, fault_at) = (900u64, 300u64);
     let target_ms = 100.0;
     let at = SimTime::from_secs(fault_at);
-    let (plan, secs) = (FaultPlan::new, SimDuration::from_secs);
-    // (name, plan, fault length in seconds)
+    let secs = SimDuration::from_secs;
+    // (name, fault, fault length in seconds)
     let cases = [
-        ("node crash (120 s)", plan().with_node_crash(NodeId::new(0), at, Some(secs(120))), 120),
-        ("scrape blackout (90 s)", plan().with_scrape_blackout(at, secs(90)), 90),
-        ("control stall (60 s)", plan().with_control_stall(at, secs(60)), 60),
+        (
+            "node crash (120 s)",
+            FaultKind::NodeCrash { node: NodeId::new(0), downtime: Some(secs(120)) },
+            120,
+        ),
+        ("scrape blackout (90 s)", FaultKind::ScrapeBlackout { app: None, duration: secs(90) }, 90),
+        ("control stall (60 s)", FaultKind::ControlStall { duration: secs(60) }, 60),
     ];
     let managers = [
         ManagerKind::Evolve,
@@ -364,14 +368,14 @@ pub fn tab6_resilience(ctx: &Ctx) -> Report {
     let mut csv = String::from(
         "fault,policy,recovery_s_mean,recovery_ci,viol_in_fault_mean,viol_in_fault_ci,viol_rate_mean,timeouts_mean\n",
     );
-    // The spec supplies the workload and cluster shape; each case still
-    // injects its own fault.
-    for (name, plan, length) in &cases {
+    // The spec supplies the workload and cluster shape; each case replaces
+    // its fault list with the one fault under test.
+    for (name, kind, length) in cases {
+        let spec = ScenarioSpec { faults: vec![FaultEvent { at, kind }], ..ctx.spec().clone() };
         let configs: Vec<RunConfig> = managers
             .iter()
             .map(|m| {
-                let mut config =
-                    RunConfig::from_spec(ctx.spec(), m.clone()).faults(plan.clone()).build();
+                let mut config = RunConfig::from_spec(&spec, m.clone()).build();
                 config.scenario.horizon = secs(horizon);
                 config
             })
@@ -386,7 +390,7 @@ pub fn tab6_resilience(ctx: &Ctx) -> Report {
             });
             let timeouts = rep.timeouts();
             table.add_row(vec![
-                (*name).to_string(),
+                name.to_string(),
                 label.to_string(),
                 settle.settle_display(),
                 in_fault.display(1),
@@ -434,23 +438,23 @@ pub(crate) fn recovery_runs(
     crash_at: u64,
     horizon: u64,
 ) -> Vec<(&'static str, ReplicatedOutcome)> {
-    let crash = FaultPlan::new().with_controller_crash(SimTime::from_secs(crash_at));
+    let crash =
+        vec![FaultEvent { at: SimTime::from_secs(crash_at), kind: FaultKind::ControllerCrash }];
     let cases = [
-        ("uninterrupted", FaultPlan::new(), RecoveryStrategy::Restore),
+        ("uninterrupted", Vec::new(), RecoveryStrategy::Restore),
         ("restore", crash.clone(), RecoveryStrategy::Restore),
         ("cold-reconstruct", crash.clone(), RecoveryStrategy::ColdReconstruct),
         ("naive-reset", crash, RecoveryStrategy::NaiveReset),
     ];
-    // The spec supplies the workload and cluster shape; each case
-    // overrides the fault plan and recovery strategy (that is the
-    // comparison under test).
+    // The spec supplies the workload and cluster shape; each case replaces
+    // the fault list and sets the recovery strategy (that is the comparison
+    // under test).
     let configs: Vec<RunConfig> = cases
         .iter()
-        .map(|(_, plan, recovery)| {
-            let mut config = RunConfig::from_spec(spec, ManagerKind::Evolve)
-                .faults(plan.clone())
-                .recovery(*recovery)
-                .build();
+        .map(|(_, faults, recovery)| {
+            let spec = ScenarioSpec { faults: faults.clone(), ..spec.clone() };
+            let mut config =
+                RunConfig::from_spec(&spec, ManagerKind::Evolve).recovery(*recovery).build();
             config.scenario.horizon = SimDuration::from_secs(horizon);
             config
         })

@@ -4,9 +4,8 @@
 
 use evolve_control::{ArbiterConfig, ClipReason, GrantDecision};
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
-use evolve_sim::chaos::plan_from_events;
 use evolve_sim::{
-    ArbitrationCheck, ChaosOracle, ClusterConfig, FaultInjector, FaultKind, FaultPlan, NodeShape,
+    ArbitrationCheck, ChaosOracle, ClusterConfig, FaultEvent, FaultInjector, FaultKind, NodeShape,
     OracleReport, Simulation, SimulationConfig,
 };
 use evolve_telemetry::trace::{
@@ -92,8 +91,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Record per-tick time series into the registry.
     pub record_series: bool,
-    /// Faults injected during the run (empty by default).
-    pub faults: FaultPlan,
+    /// Faults injected during the run: the spec's `[[fault]]` list.
+    pub faults: Vec<FaultEvent>,
     /// How the control plane recovers from a controller crash.
     pub recovery: RecoveryStrategy,
     /// Control ticks between controller checkpoints (only captured while
@@ -127,8 +126,8 @@ pub struct RunConfig {
 impl RunConfig {
     /// Starts a builder from a declarative [`ScenarioSpec`], the one way to
     /// configure a run. The spec's workload, cluster shape (node count and
-    /// capacity), arbiter settings and fault plan are all applied; the rest
-    /// starts from the evaluation defaults: 5 s control interval, seed 42,
+    /// capacity), arbiter settings and fault schedule are all applied; the
+    /// rest starts from the evaluation defaults: 5 s control interval, seed 42,
     /// the EVOLVE scheduler profile for EVOLVE managers and the stock
     /// profile for baselines. To change the cluster, change the spec:
     ///
@@ -158,7 +157,7 @@ impl RunConfig {
             control_interval: SimDuration::from_secs(5),
             seed: 42,
             record_series: true,
-            faults: plan_from_events(&spec.faults),
+            faults: spec.faults.clone(),
             recovery: RecoveryStrategy::default(),
             checkpoint_interval_ticks: 1,
             trace: TraceConfig::default(),
@@ -222,13 +221,6 @@ impl RunConfigBuilder {
     #[must_use]
     pub fn record_series(mut self, record: bool) -> Self {
         self.config.record_series = record;
-        self
-    }
-
-    /// Injects a fault plan into the run.
-    #[must_use]
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
         self
     }
 
@@ -590,26 +582,25 @@ impl ExperimentRunner {
         let horizon = SimTime::ZERO + cfg.scenario.horizon;
         let dt = cfg.control_interval;
 
-        // Fault injection: realize the plan (scheduled plus stochastic)
-        // once, arm node crash/recovery events on the simulator, and
-        // consult the injector tick-by-tick for scrape blackouts, metric
-        // noise and control-plane stalls.
+        // Fault injection: realize the schedule once, arm node
+        // crash/recovery events on the simulator, and consult the injector
+        // tick-by-tick for scrape blackouts, metric noise, control-plane
+        // stalls and actuation faults.
         let mut injector = if cfg.faults.is_empty() {
             None
         } else {
-            let inj = FaultInjector::new(&cfg.faults, cfg.seed, cfg.scenario.horizon, cfg.nodes)
-                .with_sampling(sampling);
+            let inj = FaultInjector::new(&cfg.faults, cfg.seed).with_sampling(sampling);
             inj.arm(&mut sim);
             Some(inj)
         };
 
-        // The realized fault timeline (scheduled plus stochastic) goes
-        // into the decision trace up front so `trace_explain` can
-        // correlate control anomalies with the faults active around them.
-        // A run without faults pushes nothing — the trace is unchanged.
+        // The realized fault timeline goes into the decision trace up front
+        // so `trace_explain` can correlate control anomalies with the faults
+        // active around them. A run without faults pushes nothing — the
+        // trace is unchanged.
         if let Some(inj) = &injector {
             for ev in inj.timeline() {
-                trace.push(TraceEvent::Fault(fault_trace(&ev)));
+                trace.push(TraceEvent::Fault(fault_trace(ev)));
             }
         }
         // `faults/active` series key, interned lazily so fault-free runs
@@ -646,8 +637,7 @@ impl ExperimentRunner {
 
         // Crash recovery: checkpoints are captured only while a controller
         // crash is actually armed and the strategy will consume them.
-        let crash_armed =
-            injector.as_ref().is_some_and(|i| !i.controller_crash_schedule().is_empty());
+        let crash_armed = cfg.faults.iter().any(|ev| ev.kind == FaultKind::ControllerCrash);
         let capture_checkpoints = crash_armed && cfg.recovery == RecoveryStrategy::Restore;
         let mut checkpoint = if capture_checkpoints {
             Some(manager.checkpoint(SimTime::ZERO, &sched.backoff))
@@ -1039,7 +1029,7 @@ impl Scheduling {
 
 /// Flattens one realized fault event into the label/number shape the
 /// telemetry crate stores (it must not depend on simulator types).
-fn fault_trace(ev: &evolve_sim::FaultEvent) -> FaultTrace {
+fn fault_trace(ev: &FaultEvent) -> FaultTrace {
     let (duration_s, node, app) = match &ev.kind {
         FaultKind::NodeCrash { node, downtime } => {
             (downtime.map(|d| d.as_secs_f64()), Some(node.as_usize() as u32), None)
@@ -1052,10 +1042,8 @@ fn fault_trace(ev: &evolve_sim::FaultEvent) -> FaultTrace {
         | FaultKind::ActuationPartial { duration, .. } => {
             (Some(duration.as_secs_f64()), None, None)
         }
-        FaultKind::ControllerCrash => (None, None, None),
-        FaultKind::NodeFlap { node, cycles, period } => {
-            (Some((*period * u64::from(*cycles)).as_secs_f64()), Some(node.as_usize() as u32), None)
-        }
+        // A realized timeline holds a flap as its expanded crashes.
+        FaultKind::ControllerCrash | FaultKind::NodeFlap { .. } => (None, None, None),
     };
     FaultTrace { at: ev.at, kind: ev.kind.label(), duration_s, node, app }
 }

@@ -4,8 +4,8 @@
 //! decision trace and the `faults/active` series.
 
 use evolve_core::{ExperimentRunner, ManagerKind, RecoveryStrategy, RunConfig};
-use evolve_sim::chaos::{plan_from_events, random_fault_events};
-use evolve_sim::FaultPlan;
+use evolve_sim::chaos::random_fault_events;
+use evolve_sim::{FaultEvent, FaultKind};
 use evolve_types::{SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 
@@ -45,7 +45,7 @@ fn oracle_is_none_when_disabled() {
 fn oracle_clean_on_random_schedules() {
     for seed in [42u64, 43, 44] {
         let mut cfg = config(120, seed);
-        cfg.faults = plan_from_events(&random_fault_events(seed, cfg.scenario.horizon, 6, 1, 4));
+        cfg.faults = random_fault_events(seed, cfg.scenario.horizon, 6, 1, 4);
         let outcome = ExperimentRunner::new(cfg).run();
         let report = outcome.oracle.expect("oracle was enabled");
         assert!(report.is_clean(), "seed {seed} violations: {:?}", report.violations);
@@ -58,7 +58,7 @@ fn oracle_clean_on_random_schedules() {
 #[test]
 fn checkpoint_equivalence_clean_under_crash() {
     let mut cfg = config(180, 42);
-    cfg.faults = FaultPlan::new().with_controller_crash(SimTime::from_secs(90));
+    cfg.faults = vec![FaultEvent { at: SimTime::from_secs(90), kind: FaultKind::ControllerCrash }];
     cfg.recovery = RecoveryStrategy::Restore;
     let outcome = ExperimentRunner::new(cfg).run();
     let report = outcome.oracle.expect("oracle was enabled");
@@ -73,14 +73,18 @@ fn checkpoint_equivalence_clean_under_crash() {
 fn actuation_faults_counted_traced_and_clean() {
     let mut cfg = config(180, 42);
     cfg.record_series = true;
-    cfg.faults = FaultPlan::new()
-        .with_actuation_drop(SimTime::from_secs(30), SimDuration::from_secs(30))
-        .with_actuation_delay(
-            SimTime::from_secs(80),
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(15),
-        )
-        .with_actuation_partial(SimTime::from_secs(130), SimDuration::from_secs(30), 0.5);
+    let (at, secs) = (SimTime::from_secs, SimDuration::from_secs);
+    cfg.faults = vec![
+        FaultEvent { at: at(30), kind: FaultKind::ActuationDrop { duration: secs(30) } },
+        FaultEvent {
+            at: at(80),
+            kind: FaultKind::ActuationDelay { duration: secs(30), lag: secs(15) },
+        },
+        FaultEvent {
+            at: at(130),
+            kind: FaultKind::ActuationPartial { duration: secs(30), fraction: 0.5 },
+        },
+    ];
     let outcome = ExperimentRunner::new(cfg).run();
     let report = outcome.oracle.as_ref().expect("oracle was enabled");
     assert!(report.is_clean(), "violations: {:?}", report.violations);

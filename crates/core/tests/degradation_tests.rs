@@ -5,15 +5,16 @@
 //! and recover.
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
-use evolve_sim::FaultPlan;
+use evolve_sim::{FaultEvent, FaultKind};
 use evolve_types::{NodeId, SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 
-fn faulted_config(horizon_secs: u64, faults: FaultPlan) -> RunConfig {
+fn faulted_config(horizon_secs: u64, faults: Vec<FaultEvent>) -> RunConfig {
     let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
     spec.horizon = SimDuration::from_secs(horizon_secs);
     spec.cluster.nodes = 4;
-    RunConfig::from_spec(&spec, ManagerKind::Evolve).faults(faults).build()
+    spec.faults = faults;
+    RunConfig::from_spec(&spec, ManagerKind::Evolve).build()
 }
 
 /// Pinned regression for the hold-last-safe path: during a 60 s scrape
@@ -24,10 +25,13 @@ fn faulted_config(horizon_secs: u64, faults: FaultPlan) -> RunConfig {
 fn blackout_never_scales_to_zero_or_oscillates() {
     let blackout_start = 180u64;
     let blackout_secs = 60u64;
-    let faults = FaultPlan::new().with_scrape_blackout(
-        SimTime::from_secs(blackout_start),
-        SimDuration::from_secs(blackout_secs),
-    );
+    let faults = vec![FaultEvent {
+        at: SimTime::from_secs(blackout_start),
+        kind: FaultKind::ScrapeBlackout {
+            app: None,
+            duration: SimDuration::from_secs(blackout_secs),
+        },
+    }];
     let outcome = ExperimentRunner::new(faulted_config(480, faults)).run();
     assert_eq!(outcome.end_time, SimTime::ZERO + SimDuration::from_secs(480));
 
@@ -100,8 +104,10 @@ fn blackout_never_scales_to_zero_or_oscillates() {
 fn control_stall_skips_ticks_without_losing_accounting() {
     let stall_start = 120u64;
     let stall_secs = 30u64; // 6 skipped 5 s ticks
-    let faults = FaultPlan::new()
-        .with_control_stall(SimTime::from_secs(stall_start), SimDuration::from_secs(stall_secs));
+    let faults = vec![FaultEvent {
+        at: SimTime::from_secs(stall_start),
+        kind: FaultKind::ControlStall { duration: SimDuration::from_secs(stall_secs) },
+    }];
     let outcome = ExperimentRunner::new(faulted_config(300, faults)).run();
     assert_eq!(outcome.end_time, SimTime::ZERO + SimDuration::from_secs(300));
 
@@ -118,7 +124,7 @@ fn control_stall_skips_ticks_without_losing_accounting() {
     assert_eq!(outcome.apps[0].windows, 54);
     // The service keeps serving through the stall; completions keep
     // accruing because the first live window covers the stalled span.
-    let baseline = ExperimentRunner::new(faulted_config(300, FaultPlan::new())).run();
+    let baseline = ExperimentRunner::new(faulted_config(300, Vec::new())).run();
     let lost = baseline.apps[0].completions as f64 - outcome.apps[0].completions as f64;
     assert!(
         lost.abs() / baseline.apps[0].completions as f64 <= 0.02,
@@ -132,11 +138,13 @@ fn control_stall_skips_ticks_without_losing_accounting() {
 /// the cluster returns to full readiness with the service still placed.
 #[test]
 fn node_crash_evicts_and_recovers() {
-    let faults = FaultPlan::new().with_node_crash(
-        NodeId::new(0),
-        SimTime::from_secs(120),
-        Some(SimDuration::from_secs(60)),
-    );
+    let faults = vec![FaultEvent {
+        at: SimTime::from_secs(120),
+        kind: FaultKind::NodeCrash {
+            node: NodeId::new(0),
+            downtime: Some(SimDuration::from_secs(60)),
+        },
+    }];
     let outcome = ExperimentRunner::new(faulted_config(360, faults)).run();
     let ready = outcome.registry.series("cluster/nodes_ready").expect("nodes_ready series");
     let points = ready.to_points();

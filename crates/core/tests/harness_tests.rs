@@ -3,7 +3,7 @@
 //! multiple seeds, and the final-partial-window regression.
 
 use evolve_core::{ExperimentRunner, Harness, ManagerKind, RunConfig, Summary};
-use evolve_sim::{FaultPlan, StochasticFaults};
+use evolve_sim::{FaultEvent, FaultKind};
 use evolve_types::{NodeId, SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 
@@ -16,7 +16,7 @@ fn small_config(manager: ManagerKind, horizon_secs: u64) -> RunConfig {
     RunConfig::from_spec(&spec, manager).record_series(false).build()
 }
 
-fn with_faults(mut config: RunConfig, faults: FaultPlan) -> RunConfig {
+fn with_faults(mut config: RunConfig, faults: Vec<FaultEvent>) -> RunConfig {
     config.faults = faults;
     config
 }
@@ -51,27 +51,32 @@ fn summary_bits(s: &Summary) -> (u64, u64, u64, usize) {
     (s.mean.to_bits(), s.std_dev.to_bits(), s.ci95.to_bits(), s.n)
 }
 
-/// A plan exercising every fault class: a scheduled node crash with
-/// recovery, a scrape blackout, a metric-noise window, a control-plane
-/// stall, and low-rate stochastic faults on top.
-fn mixed_fault_plan() -> FaultPlan {
-    FaultPlan::new()
-        .with_node_crash(NodeId::new(1), SimTime::from_secs(30), Some(SimDuration::from_secs(40)))
-        .with_scrape_blackout(SimTime::from_secs(20), SimDuration::from_secs(15))
-        .with_metric_noise(SimTime::from_secs(60), SimDuration::from_secs(30), 0.3)
-        .with_control_stall(SimTime::from_secs(80), SimDuration::from_secs(12))
-        .with_stochastic(StochasticFaults {
-            node_crashes_per_hour: 20.0,
-            blackouts_per_hour: 30.0,
-            stalls_per_hour: 30.0,
-            ..StochasticFaults::default()
-        })
+fn ev(at: u64, kind: FaultKind) -> FaultEvent {
+    FaultEvent { at: SimTime::from_secs(at), kind }
+}
+
+fn secs(s: u64) -> SimDuration {
+    SimDuration::from_secs(s)
+}
+
+/// A schedule exercising every fault class: node crashes with recovery,
+/// scrape blackouts, a metric-noise window and control-plane stalls.
+fn mixed_fault_plan() -> Vec<FaultEvent> {
+    vec![
+        ev(30, FaultKind::NodeCrash { node: NodeId::new(1), downtime: Some(secs(40)) }),
+        ev(20, FaultKind::ScrapeBlackout { app: None, duration: secs(15) }),
+        ev(60, FaultKind::MetricNoise { app: None, duration: secs(30), cv: 0.3 }),
+        ev(80, FaultKind::ControlStall { duration: secs(12) }),
+        ev(70, FaultKind::NodeCrash { node: NodeId::new(2), downtime: Some(secs(30)) }),
+        ev(95, FaultKind::ScrapeBlackout { app: None, duration: secs(10) }),
+        ev(50, FaultKind::ControlStall { duration: secs(6) }),
+    ]
 }
 
 /// The same (config, seed) matrix must aggregate to byte-identical
 /// statistics regardless of how many worker threads execute it — with and
-/// without a fault plan (the injector's stochastic realization and noise
-/// stream must be a pure function of the seed).
+/// without a fault schedule (the injector's noise stream must be a pure
+/// function of the seed).
 #[test]
 fn aggregates_identical_across_thread_counts() {
     let configs = vec![
@@ -114,29 +119,23 @@ fn aggregates_identical_across_thread_counts() {
     }
 }
 
-/// A plan exercising the actuation-path fault classes added by the chaos
-/// harness: a drop window, a delay window, a partial-rollout window, a
-/// node flap, and stochastic actuation drops on top.
-fn actuation_fault_plan() -> FaultPlan {
-    FaultPlan::new()
-        .with_actuation_drop(SimTime::from_secs(25), SimDuration::from_secs(20))
-        .with_actuation_delay(
-            SimTime::from_secs(55),
-            SimDuration::from_secs(20),
-            SimDuration::from_secs(12),
-        )
-        .with_actuation_partial(SimTime::from_secs(85), SimDuration::from_secs(20), 0.5)
-        .with_node_flap(NodeId::new(2), SimTime::from_secs(40), 3, SimDuration::from_secs(10))
-        .with_stochastic(StochasticFaults {
-            actuation_drops_per_hour: 40.0,
-            ..StochasticFaults::default()
-        })
+/// A schedule exercising the actuation-path fault classes added by the
+/// chaos harness: two drop windows, a delay window, a partial-rollout
+/// window and a node flap.
+fn actuation_fault_plan() -> Vec<FaultEvent> {
+    vec![
+        ev(25, FaultKind::ActuationDrop { duration: secs(20) }),
+        ev(55, FaultKind::ActuationDelay { duration: secs(20), lag: secs(12) }),
+        ev(85, FaultKind::ActuationPartial { duration: secs(20), fraction: 0.5 }),
+        ev(40, FaultKind::NodeFlap { node: NodeId::new(2), cycles: 3, period: secs(10) }),
+        ev(110, FaultKind::ActuationDrop { duration: secs(15) }),
+    ]
 }
 
 /// Thread-count independence must also hold for the actuation-path fault
-/// kinds (drop/delay/partial/flap plus stochastic drops): the injector's
-/// realization and the manager's deferred-actuation queue are pure
-/// functions of the seed, never of scheduling order.
+/// kinds (drop/delay/partial/flap): the injector's realization and the
+/// manager's deferred-actuation queue are pure functions of the seed,
+/// never of scheduling order.
 #[test]
 fn actuation_faults_identical_across_thread_counts() {
     let configs = vec![

@@ -8,7 +8,7 @@ use evolve_core::{
     RunConfig, RunOutcome,
 };
 use evolve_scheduler::RequeueBackoff;
-use evolve_sim::{ClusterConfig, FaultPlan, NodeShape, Simulation, SimulationConfig};
+use evolve_sim::{ClusterConfig, FaultEvent, FaultKind, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{SimDuration, SimTime};
 use evolve_workload::ScenarioSpec;
 use proptest::prelude::*;
@@ -20,6 +20,10 @@ fn base_config(horizon_secs: u64, seed: u64) -> RunConfig {
     cfg
 }
 
+fn controller_crash_at(secs: u64) -> Vec<FaultEvent> {
+    vec![FaultEvent { at: SimTime::from_secs(secs), kind: FaultKind::ControllerCrash }]
+}
+
 fn crashed_config(
     horizon_secs: u64,
     seed: u64,
@@ -27,7 +31,7 @@ fn crashed_config(
     recovery: RecoveryStrategy,
 ) -> RunConfig {
     let mut cfg = base_config(horizon_secs, seed);
-    cfg.faults = FaultPlan::new().with_controller_crash(SimTime::from_secs(crash_at));
+    cfg.faults = controller_crash_at(crash_at);
     cfg.recovery = recovery;
     cfg
 }
@@ -40,7 +44,7 @@ fn saturated_config(horizon_secs: u64, seed: u64, crash_at: Option<u64>) -> RunC
     let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build();
     cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
     if let Some(t) = crash_at {
-        cfg.faults = FaultPlan::new().with_controller_crash(SimTime::from_secs(t));
+        cfg.faults = controller_crash_at(t);
         cfg.recovery = RecoveryStrategy::Restore;
     }
     cfg

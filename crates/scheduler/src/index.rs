@@ -348,14 +348,14 @@ pub struct FeasibilityIndex {
 }
 
 impl FeasibilityIndex {
-    /// An empty index; the first [`sync`](Self::sync) performs a full
+    /// An empty index; the first `sync` performs a full
     /// rebuild.
     #[must_use]
     pub fn new() -> Self {
         FeasibilityIndex::default()
     }
 
-    /// Forces the next [`sync`](Self::sync) to rebuild from scratch.
+    /// Forces the next `sync` to rebuild from scratch.
     /// Call after replacing the cluster wholesale (e.g. restoring a
     /// snapshot), where version counters no longer relate to the mirrors.
     pub fn invalidate(&mut self) {

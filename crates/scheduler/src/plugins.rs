@@ -50,8 +50,8 @@ impl NodeView<'_> {
 ///
 /// **Purity contract** (shared with [`ScorePlugin`]): the result must be
 /// a pure function of the plugin's own configuration and the two
-/// arguments. The feasibility index caches verdicts per [`PodClass`] and
-/// re-evaluates a node only after its [`NodeView`] inputs changed.
+/// arguments. The feasibility index caches verdicts per `PodClass` and
+/// re-evaluates a node only after its `NodeView` inputs changed.
 pub trait FilterPlugin: Send + Sync {
     /// Plugin name for diagnostics.
     fn name(&self) -> &'static str;

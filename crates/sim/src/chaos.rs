@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::engine::Simulation;
-use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::faults::{FaultEvent, FaultKind};
 use crate::pod::PodKind;
 
 /// At most this many violations are stored verbatim; the rest only count.
@@ -72,7 +72,7 @@ pub struct OracleViolation {
 /// The oracle's verdict for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OracleReport {
-    /// The first [`MAX_RECORDED`] violations, in observation order.
+    /// The first `MAX_RECORDED` violations, in observation order.
     pub violations: Vec<OracleViolation>,
     /// Total violations observed (may exceed `violations.len()`).
     pub total_violations: u64,
@@ -271,7 +271,7 @@ impl ChaosOracle {
     ///   capacity reasons (a `Critical` app ramping back through the slew
     ///   limiter is self-inflicted and excluded).
     /// * **Bounded starvation** — no `Critical` app may stay shed or
-    ///   below its floor for more than [`STARVATION_BOUND`] consecutive
+    ///   below its floor for more than `STARVATION_BOUND` consecutive
     ///   arbitrations.
     pub fn check_arbitration(
         &mut self,
@@ -434,25 +434,14 @@ fn halved_kind(kind: &FaultKind) -> Option<FaultKind> {
     }
 }
 
-/// Builds a scheduled-only plan from an event list (the shrinker and the
-/// replay path both work on plain event lists).
-///
-/// # Panics
-///
-/// Panics when an event fails [`FaultKind::validate`]; shrunk events stay
-/// valid by construction.
-#[must_use]
-pub fn plan_from_events(events: &[FaultEvent]) -> FaultPlan {
-    events.iter().fold(FaultPlan::new(), |p, ev| p.with_event(ev.at, ev.kind.clone()))
-}
-
 // ---------------------------------------------------------------------
 // Random fault-plan generation
 // ---------------------------------------------------------------------
 
-/// Draws a seeded random scheduled-only fault schedule over `[0,
-/// horizon)`: every fault class including the actuation-path kinds, with
-/// parameters scaled to the horizon. Deterministic in `seed`.
+/// Draws a seeded random fault schedule over `[0, horizon)`: one to
+/// `max_events` faults of every class but `controller_crash`, with
+/// parameters scaled to the horizon, and with probability 1/10 one
+/// controller crash on top. Sorted by start time; deterministic in `seed`.
 #[must_use]
 pub fn random_fault_events(
     seed: u64,
@@ -505,6 +494,12 @@ pub fn random_fault_events(
             },
         };
         out.push(FaultEvent { at, kind });
+    }
+    // The last draw: a schedule drawn before controller crashes joined the
+    // generator stays a sub-list of the same seed's schedule now.
+    if rng.gen_bool(0.1) {
+        let at = SimTime::from_secs(uniform(&mut rng, 1, horizon_s));
+        out.push(FaultEvent { at, kind: FaultKind::ControllerCrash });
     }
     out.sort_by_key(|ev| ev.at);
     out
@@ -590,9 +585,8 @@ mod tests {
                 assert_eq!(back.to_toml(), toml);
             }
         }
-        // The generator draws every kind but `controller_crash`, which the
-        // ladders below cover.
-        assert_eq!(labels.len(), 8, "the generator stopped drawing a kind: {labels:?}");
+        // The generator draws every kind, `controller_crash` included.
+        assert_eq!(labels.len(), 9, "the generator stopped drawing a kind: {labels:?}");
         assert!(scoped && permanent, "no app-scoped blackout or no permanent crash was drawn");
 
         // Every step of the shrinker's halving ladder, from odd microsecond
@@ -630,16 +624,14 @@ mod tests {
         let a = random_fault_events(9, horizon, 6, 3, 12);
         let b = random_fault_events(9, horizon, 6, 3, 12);
         assert_eq!(a, b);
-        assert!(!a.is_empty() && a.len() <= 12);
+        // Up to 12 faults plus at most one controller crash.
+        assert!(!a.is_empty() && a.len() <= 13);
         for ev in &a {
             ev.kind.validate().expect("generated faults are valid");
             assert!(ev.at < SimTime::ZERO + horizon);
         }
         let c = random_fault_events(10, horizon, 6, 3, 12);
         assert_ne!(a, c, "different seeds draw different schedules");
-        // The generated schedule builds a valid plan.
-        let plan = plan_from_events(&a);
-        assert!(plan.validate(horizon).is_ok());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod pod;
 pub use chaos::{ArbitrationCheck, ChaosOracle, OracleReport, OracleViolation};
 pub use cluster::{ClusterConfig, ClusterState, NodeShape};
 pub use engine::{Simulation, SimulationConfig};
-pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, StochasticFaults};
+pub use faults::{FaultEvent, FaultInjector, FaultKind};
 pub use node::Node;
 pub use observe::{AppKind, AppStatus, AppWindow, ClusterSnapshot, JobOutcome};
 pub use perf::{DrainOutcome, PerfConfig, ReplicaServer};

@@ -1,28 +1,32 @@
-//! Property tests for the fault-injection subsystem: randomized
-//! `FaultPlan`s (scheduled and stochastic) realized through the
-//! `FaultInjector` and interleaved with scheduling and resize traffic
-//! must never corrupt cluster accounting, leave pods on unready nodes,
-//! or panic.
+//! Property tests for the fault-injection subsystem: randomized fault
+//! schedules realized through the `FaultInjector` and interleaved with
+//! scheduling and resize traffic must never corrupt cluster accounting,
+//! leave pods on unready nodes, or panic; and the injector's timeline is
+//! the schedule, flaps expanded, in its documented order.
 
-use evolve_sim::chaos::plan_from_events;
+use std::cmp::Ordering;
+use std::ops::Range;
+
 use evolve_sim::{
-    ClusterConfig, FaultEvent, FaultInjector, FaultKind, FaultPlan, NodeShape, Simulation,
-    SimulationConfig, StochasticFaults,
+    ClusterConfig, FaultEvent, FaultInjector, FaultKind, NodeShape, Simulation, SimulationConfig,
 };
-use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, NodeId, PodId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, WorkloadMix};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
 const HORIZON_SECS: u64 = 300;
 
-fn arb_fault() -> impl Strategy<Value = FaultEvent> {
+/// One fault of any kind starting at a second in `at`; a blackout or a
+/// noise window covers every app or only app 0.
+fn arb_fault(at: Range<u64>) -> impl Strategy<Value = FaultEvent> {
     fn ev(at: u64, kind: FaultKind) -> FaultEvent {
         FaultEvent { at: SimTime::from_secs(at), kind }
     }
     let secs = SimDuration::from_secs;
     let node = |n: u8| NodeId::new(u32::from(n));
-    let at = || 1u64..HORIZON_SECS;
+    let scope = |scoped: bool| scoped.then_some(AppId::new(0));
+    let at = move || at.clone();
     prop_oneof![
         (0u8..NODES as u8, at(), 5u64..120, any::<bool>()).prop_map(
             move |(n, at, downtime, permanent)| {
@@ -30,12 +34,13 @@ fn arb_fault() -> impl Strategy<Value = FaultEvent> {
                 ev(at, FaultKind::NodeCrash { node: node(n), downtime })
             }
         ),
-        (at(), 5u64..90).prop_map(move |(at, d)| {
-            ev(at, FaultKind::ScrapeBlackout { app: None, duration: secs(d) })
+        (at(), 5u64..90, any::<bool>()).prop_map(move |(at, d, scoped)| {
+            ev(at, FaultKind::ScrapeBlackout { app: scope(scoped), duration: secs(d) })
         }),
-        (at(), 5u64..90, 0.05f64..0.8).prop_map(move |(at, d, cv)| {
-            ev(at, FaultKind::MetricNoise { app: None, duration: secs(d), cv })
+        (at(), 5u64..90, 0.05f64..0.8, any::<bool>()).prop_map(move |(at, d, cv, scoped)| {
+            ev(at, FaultKind::MetricNoise { app: scope(scoped), duration: secs(d), cv })
         }),
+        at().prop_map(|at| ev(at, FaultKind::ControllerCrash)),
         (at(), 5u64..60)
             .prop_map(move |(at, d)| ev(at, FaultKind::ControlStall { duration: secs(d) })),
         (at(), 5u64..60)
@@ -53,19 +58,81 @@ fn arb_fault() -> impl Strategy<Value = FaultEvent> {
     ]
 }
 
-fn build_plan(faults: &[FaultEvent], stochastic: bool) -> FaultPlan {
-    let mut plan = plan_from_events(faults);
-    if stochastic {
-        plan = plan.with_stochastic(StochasticFaults {
-            node_crashes_per_hour: 30.0,
-            mean_downtime: SimDuration::from_secs(60),
-            blackouts_per_hour: 40.0,
-            stalls_per_hour: 20.0,
-            actuation_drops_per_hour: 25.0,
-            ..StochasticFaults::default()
-        });
+/// The timeline the injector's former per-kind tables produced: flaps
+/// expanded in place, each kind's table sorted by its own key (node for a
+/// crash, end time for an interval, end time then lag for a delay), the
+/// tables concatenated in kind order, then a stable sort by start time.
+fn reference_timeline(faults: &[FaultEvent]) -> Vec<FaultEvent> {
+    let mut expanded = Vec::new();
+    for ev in faults {
+        match ev.kind {
+            FaultKind::NodeFlap { node, cycles, period } => {
+                for c in 0..u64::from(cycles) {
+                    let kind = FaultKind::NodeCrash { node, downtime: Some(period / 2) };
+                    expanded.push(FaultEvent { at: ev.at + period * c, kind });
+                }
+            }
+            _ => expanded.push(ev.clone()),
+        }
     }
-    plan
+    let end = |ev: &FaultEvent| match ev.kind {
+        FaultKind::ScrapeBlackout { duration, .. }
+        | FaultKind::MetricNoise { duration, .. }
+        | FaultKind::ControlStall { duration }
+        | FaultKind::ActuationDrop { duration }
+        | FaultKind::ActuationDelay { duration, .. }
+        | FaultKind::ActuationPartial { duration, .. } => ev.at + duration,
+        _ => ev.at,
+    };
+    let table_order = |a: &FaultEvent, b: &FaultEvent| -> Ordering {
+        let own = match (&a.kind, &b.kind) {
+            (FaultKind::NodeCrash { node: x, .. }, FaultKind::NodeCrash { node: y, .. }) => {
+                x.cmp(y)
+            }
+            (
+                FaultKind::ActuationDelay { lag: x, .. },
+                FaultKind::ActuationDelay { lag: y, .. },
+            ) => end(a).cmp(&end(b)).then(x.cmp(y)),
+            _ => end(a).cmp(&end(b)),
+        };
+        a.at.cmp(&b.at).then(own)
+    };
+    let kinds = [
+        "node_crash",
+        "scrape_blackout",
+        "metric_noise",
+        "control_stall",
+        "controller_crash",
+        "actuation_drop",
+        "actuation_delay",
+        "actuation_partial",
+    ];
+    let mut out = Vec::new();
+    for label in kinds {
+        let mut table: Vec<FaultEvent> =
+            expanded.iter().filter(|ev| ev.kind.label() == label).cloned().collect();
+        table.sort_by(table_order);
+        out.extend(table);
+    }
+    out.sort_by_key(|ev| ev.at);
+    out
+}
+
+/// `true` when the realized fault `ev` covers `t`: half-open intervals, a
+/// permanent crash from its start on, a controller crash never.
+fn covers(ev: &FaultEvent, t: SimTime) -> bool {
+    let end = match ev.kind {
+        FaultKind::NodeCrash { downtime: None, .. } => return ev.at <= t,
+        FaultKind::NodeCrash { downtime: Some(d), .. } => ev.at + d,
+        FaultKind::ControllerCrash | FaultKind::NodeFlap { .. } => return false,
+        FaultKind::ScrapeBlackout { duration, .. }
+        | FaultKind::MetricNoise { duration, .. }
+        | FaultKind::ControlStall { duration }
+        | FaultKind::ActuationDrop { duration }
+        | FaultKind::ActuationDelay { duration, .. }
+        | FaultKind::ActuationPartial { duration, .. } => ev.at + duration,
+    };
+    ev.at <= t && t < end
 }
 
 /// A service plus a 2-rank HPC gang, so node crashes hit both lone
@@ -133,10 +200,8 @@ proptest! {
     #[test]
     fn random_fault_plans_preserve_invariants(
         seed in 0u64..1_000,
-        faults in prop::collection::vec(arb_fault(), 0..10),
-        stochastic in any::<bool>(),
+        faults in prop::collection::vec(arb_fault(1..HORIZON_SECS), 0..16),
     ) {
-        let plan = build_plan(&faults, stochastic);
         let mut sim = Simulation::new(
             SimulationConfig::default(),
             ClusterConfig::uniform(NODES, NodeShape::default()),
@@ -144,12 +209,7 @@ proptest! {
             seed,
         );
         let service = sim.apps()[0].id;
-        let mut injector = FaultInjector::new(
-            &plan,
-            seed,
-            SimDuration::from_secs(HORIZON_SECS),
-            NODES,
-        );
+        let mut injector = FaultInjector::new(&faults, seed);
         injector.arm(&mut sim);
 
         // A 5 s control loop interleaving scheduling and resize traffic
@@ -194,29 +254,23 @@ proptest! {
         assert_no_pods_on_unready_nodes(&sim);
     }
 
-    /// The injector's realization is a pure function of (plan, seed):
-    /// two injectors built from the same inputs agree on every query.
+    /// The timeline is the schedule with every flap expanded, in the
+    /// order the former per-kind tables gave, and `active_count` counts
+    /// the timeline intervals covering each instant. Start times are drawn
+    /// from a few seconds so that equal keys, where input order decides,
+    /// are common.
     #[test]
-    fn injector_realization_is_deterministic(
+    fn timeline_is_the_sorted_expanded_schedule(
         seed in 0u64..1_000,
-        faults in prop::collection::vec(arb_fault(), 0..6),
+        faults in prop::collection::vec(arb_fault(1..4), 0..12),
     ) {
-        let plan = build_plan(&faults, true);
-        let horizon = SimDuration::from_secs(HORIZON_SECS);
-        let a = FaultInjector::new(&plan, seed, horizon, NODES);
-        let b = FaultInjector::new(&plan, seed, horizon, NODES);
-        prop_assert_eq!(a.crash_schedule(), b.crash_schedule());
-        prop_assert_eq!(a.timeline(), b.timeline());
-        let app = evolve_types::AppId::new(0);
-        for s in (0..HORIZON_SECS).step_by(5) {
+        let injector = FaultInjector::new(&faults, seed);
+        let timeline = injector.timeline();
+        prop_assert_eq!(timeline, &reference_timeline(&faults)[..]);
+        for s in 0..150 {
             let t = SimTime::from_secs(s);
-            prop_assert_eq!(a.scrape_available(app, t), b.scrape_available(app, t));
-            prop_assert_eq!(a.controller_stalled(t), b.controller_stalled(t));
-            prop_assert_eq!(a.noise_cv(app, t), b.noise_cv(app, t));
-            prop_assert_eq!(a.actuation_dropped(t), b.actuation_dropped(t));
-            prop_assert_eq!(a.actuation_lag(t), b.actuation_lag(t));
-            prop_assert_eq!(a.actuation_fraction(t), b.actuation_fraction(t));
-            prop_assert_eq!(a.active_count(t), b.active_count(t));
+            let covering = timeline.iter().filter(|ev| covers(ev, t)).count();
+            prop_assert_eq!(injector.active_count(t), covering);
         }
     }
 }

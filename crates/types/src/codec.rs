@@ -13,7 +13,7 @@
 //!   header.
 //!
 //! Decoding never panics: truncated or malformed input surfaces as
-//! [`Error::CorruptCheckpoint`](crate::Error::CorruptCheckpoint).
+//! [`Error::CorruptCheckpoint`].
 //!
 //! # Examples
 //!

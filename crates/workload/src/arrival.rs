@@ -240,7 +240,7 @@ impl DiurnalEnvelope {
 /// `base × (1 + amplitude · sin(2πt/period))`, floored at zero.
 ///
 /// The constructor tabulates a piecewise-linear envelope of one period
-/// ([`ENVELOPE_CELLS`] cells): window means and thinning majorants come
+/// (`ENVELOPE_CELLS` cells): window means and thinning majorants come
 /// from the table instead of per-candidate `sin` calls.
 /// [`LoadProfile::max_rate`] stays the analytic peak
 /// `base × (1 + amplitude)` — it dominates the sinusoid exactly (the
@@ -655,7 +655,7 @@ const WINDOW_COUNT_THRESHOLD: f64 = 4.0;
 /// thinning under the global majorant (the pre-PR-6 stream, preserved
 /// bit-for-bit). In [`SamplingMode::Batched`] (default), deterministic
 /// profiles generate per-window Poisson counts above
-/// [`WINDOW_COUNT_THRESHOLD`] expected arrivals and fall back to
+/// `WINDOW_COUNT_THRESHOLD` expected arrivals and fall back to
 /// per-window-majorant thinning below it; stochastic profiles (MMPP)
 /// always thin.
 ///

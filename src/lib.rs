@@ -68,8 +68,7 @@ pub mod prelude {
         Summary, Table,
     };
     pub use evolve_sim::{
-        ChaosOracle, FaultEvent, FaultKind, FaultPlan, NodeShape, OracleReport, OracleViolation,
-        StochasticFaults,
+        ChaosOracle, FaultEvent, FaultKind, NodeShape, OracleReport, OracleViolation,
     };
     pub use evolve_telemetry::trace::{
         ActuationOutcome, ControlExplain, ControlTrace, FaultTrace, SchedOutcome, SchedTrace,
