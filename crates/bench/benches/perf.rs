@@ -26,6 +26,10 @@
 //!   service, 200 rps: the least-loaded of 120 replicas, then that
 //!   replica's wake) and `arrival_merge_40_services` (40 services of two
 //!   replicas: the earliest of 40 arrival slots after every arrival).
+//!   `harvest_7200_busy_tasks/*` harvests 7 200 running batch tasks that
+//!   no event reaches, from their drain-rate records and, once those have
+//!   run out, from their servers; `set_target_500_tasks_same_request` is a
+//!   batch target that every one of 500 running tasks already holds.
 //! * `control/*` — T4's control-plane costs: one scalar PID step, one
 //!   multi-resource controller decision, an RLS update, the sensitivity
 //!   attribution, a P² quantile observation and a PLO window record.
@@ -35,7 +39,7 @@
 //! cargo bench -p evolve-bench --bench perf -- control   # T4 alone
 //! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use evolve_control::{
     MultiResourceConfig, MultiResourceController, PidConfig, PidController, RlsModel,
     SensitivityModel,
@@ -349,7 +353,76 @@ fn bench_engine(c: &mut Criterion) {
             })
         });
     }
+    // 7 200 tasks started at 3 s, each 300 s of CPU, 3.3 s of disk and
+    // 0.6 s of network work, and no event between their starts and their
+    // completions. Harvested at 4 s, each task's record holds until its
+    // disk runs dry at 6.3 s: a harvest before then credits every task
+    // from its record, one after it reads every server again.
+    let mut sim = busy_tasks(600, 4, 1_800);
+    let apps: Vec<AppId> = sim.apps().iter().map(|a| a.id).collect();
+    let harvest = |sim: &mut Simulation| {
+        for app in &apps {
+            black_box(sim.take_window(*app).expect("known app").usage);
+        }
+    };
+    let mut until = sim.now();
+    group.bench_function("harvest_7200_busy_tasks/record_valid", |b| {
+        b.iter(|| {
+            until += SimDuration::from_millis(1);
+            sim.run_until(until);
+            harvest(&mut sim);
+        })
+    });
+    group.sample_size(1);
+    group.bench_function("harvest_7200_busy_tasks/record_expired", |b| {
+        b.iter_batched(
+            || {
+                let mut sim = busy_tasks(600, 4, 1_800);
+                sim.run_until(SimTime::from_secs(7));
+                sim
+            },
+            |mut sim| {
+                harvest(&mut sim);
+                sim
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    // A controller that holds its target: every running task is already at
+    // the request it is asked for.
+    let mut sim = busy_tasks(42, 1, 500);
+    let app = sim.apps()[0].id;
+    let task = sim.cluster().pods().next().expect("a task").spec.request;
+    group.sample_size(10);
+    group.bench_function("set_target_500_tasks_same_request", |b| {
+        b.iter(|| black_box(sim.set_target(app, 0, task, 1.0).expect("known app")))
+    });
     group.finish();
+}
+
+/// The first `jobs` of `cluster_scale`'s batch jobs on `nodes` nodes
+/// without its services, all submitted at 0 s with `parallel` tasks each,
+/// bound in one scheduling pass and harvested at 4 s, a second after their
+/// tasks started.
+fn busy_tasks(nodes: usize, jobs: u32, parallel: u32) -> Simulation {
+    let mut spec = ScenarioSpec::cluster_scale(nodes, 1, SimDuration::from_mins(10));
+    spec.services.clear();
+    spec.batch_jobs.truncate(jobs as usize);
+    for job in &mut spec.batch_jobs {
+        (job.submit_at, job.max_parallel) = (SimTime::ZERO, parallel);
+    }
+    let cluster = ClusterConfig::uniform(nodes, NodeShape::default());
+    let mut sim = Simulation::new(SimulationConfig::default(), cluster, &spec.build().mix, 42);
+    sim.run_until(SimTime::ZERO);
+    for (pod, node) in SchedulerFramework::evolve_default().schedule_cycle(sim.cluster()).bindings {
+        sim.bind_pod(pod, node).expect("the plan fits the cluster it was made for");
+    }
+    sim.run_until(SimTime::from_secs(4));
+    assert_eq!(sim.snapshot().pods_running, jobs * parallel, "every task runs");
+    for app in sim.apps().iter().map(|a| a.id).collect::<Vec<_>>() {
+        sim.take_window(app).expect("known app");
+    }
+    sim
 }
 
 /// A cyclic error in [-0.5, 0.5): the controllers never settle.

@@ -165,13 +165,16 @@ fn main() -> ExitCode {
     }
     let controls: Vec<&Record> = records.iter().filter(|r| r.kind() == "control").collect();
     let scheds: Vec<&Record> = records.iter().filter(|r| r.kind() == "sched").collect();
+    let deferrals: Vec<&Record> = records.iter().filter(|r| r.kind() == "deferred").collect();
     let faults: Vec<&Record> = records.iter().filter(|r| r.kind() == "fault").collect();
     let arbitrations: Vec<&Record> = records.iter().filter(|r| r.kind() == "arbitration").collect();
     let spans = records.iter().filter(|r| r.kind() == "span").count();
     println!(
-        "trace dump: {} control records, {} sched records, {} arbitrations, {} faults, {} spans",
+        "trace dump: {} control records, {} sched records, {} backoff deferrals, {} arbitrations, \
+         {} faults, {} spans",
         controls.len(),
         scheds.len(),
+        deferrals.len(),
         arbitrations.len(),
         faults.len(),
         spans
@@ -337,6 +340,25 @@ fn main() -> ExitCode {
             r.array("victims").unwrap_or("[]"),
             r.num("backoff_failures").map_or_else(|| "-".into(), |v| format!("{v:.0}")),
         );
+    }
+
+    // Backoff deferrals are one record per cycle for every app's pods: the
+    // standing backlog the placements above were scheduled around.
+    let held: Vec<&&Record> =
+        deferrals.iter().filter(|r| r.num("at_s").is_some_and(|t| t >= from && t <= to)).collect();
+    if !held.is_empty() {
+        println!("\nheld back by requeue backoff in the window (all apps): {} cycles", held.len());
+        for r in &held {
+            let pod = |key: &str| r.num(key).map_or_else(|| "-".into(), |v| format!("{v:.0}"));
+            println!(
+                "  t={:>6.0} cycle {:>5} deferred {:>5} pods, pod {} … pod {}",
+                r.num("at_s").unwrap_or(0.0),
+                pod("cycle"),
+                pod("count"),
+                pod("first_pod"),
+                pod("last_pod"),
+            );
+        }
     }
 
     let arbitration_link =

@@ -105,3 +105,34 @@ fn tracing_is_observational_only() {
     assert!(off.trace.is_empty(), "disabled ring retained events");
     assert!(!on.trace.is_empty(), "enabled ring captured nothing");
 }
+
+/// A standing backlog must not evict the control decisions: `scale1k_churn`
+/// holds ≈ 800 pods its requeue backoff defers every cycle, and one record
+/// per deferred pod turned the default 16 384-event ring over in ≈ 20
+/// cycles. The same shape at a fifth of the nodes, with a fifth of the
+/// ring: every app's decision of the last 200 sim-s must still be there.
+#[test]
+fn a_standing_backlog_keeps_the_control_traces() {
+    let spec = ScenarioSpec::cluster_scale(200, 8, SimDuration::from_secs(600));
+    let cfg = RunConfig::from_spec(&spec, ManagerKind::KubeStatic)
+        .trace(TraceConfig::default().with_capacity(16_384 / 5))
+        .record_series(false)
+        .seed(42)
+        .build();
+    let outcome = ExperimentRunner::new(cfg).run();
+    let ring = &outcome.trace;
+    assert!(ring.dropped() > 0, "the ring was meant to turn over");
+    let apps = outcome.apps.len();
+    let horizon = outcome.end_time.as_secs_f64();
+    for window in 0..40 {
+        let at = horizon - 5.0 * f64::from(window);
+        let decided = ring.control().filter(|c| c.at.as_secs_f64() == at).count();
+        assert_eq!(decided, apps, "control traces of the window ending at {at} s");
+    }
+    // One deferral record per cycle at most, none of them empty.
+    let mut cycles: Vec<u64> = ring.deferred().map(|d| d.cycle).collect();
+    assert!(ring.deferred().all(|d| d.count > 0));
+    let before = cycles.len();
+    cycles.dedup();
+    assert!(before > 0 && cycles.len() == before, "one deferral record per cycle");
+}

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
-use evolve_telemetry::trace::{SchedOutcome, SchedTrace, TraceEvent, TraceRing};
+use evolve_telemetry::trace::{DeferredTrace, SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
@@ -366,11 +366,12 @@ impl SchedulerFramework {
     }
 
     /// [`schedule_cycle_with_backoff`](Self::schedule_cycle_with_backoff)
-    /// plus decision tracing: every per-pod outcome of the cycle — bound
-    /// (with the chosen node's per-plugin scores), deferred by backoff,
-    /// unschedulable (with per-filter rejection counts), preempting, or
-    /// rolled back with its gang — is pushed into `trace` as a
-    /// [`SchedTrace`] stamped with the simulated time `at`.
+    /// plus decision tracing: every pod the cycle attempts — bound (with
+    /// the chosen node's per-plugin scores), unschedulable (with per-filter
+    /// rejection counts), preempting, or rolled back with its gang — is
+    /// pushed into `trace` as a [`SchedTrace`] stamped with the simulated
+    /// time `at`, and the pods it defers by backoff as one
+    /// [`DeferredTrace`] at the end of the cycle.
     #[must_use]
     pub fn schedule_cycle_traced(
         &self,
@@ -449,6 +450,13 @@ impl SchedulerFramework {
         units.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
         let cycle = backoff.cycle;
+        // The pods deferred by backoff: how many, the first and the last.
+        let at = trace.as_ref().map_or(SimTime::ZERO, |(at, _)| *at);
+        let mut deferred: Option<DeferredTrace> = None;
+        let mut defer = |pod: PodId| match deferred.as_mut() {
+            Some(d) => (d.count, d.last) = (d.count + 1, pod),
+            None => deferred = Some(DeferredTrace { cycle, at, count: 1, first: pod, last: pod }),
+        };
         // Emits one SchedTrace for a resolved pod, when tracing is on.
         // A plain fn (not a closure) so the borrow of `trace` stays local.
         #[allow(clippy::too_many_arguments)]
@@ -487,16 +495,7 @@ impl SchedulerFramework {
                         // Inside its backoff window: deferred without
                         // another attempt (and without further penalty).
                         plan.unschedulable.push(pod.id);
-                        emit(
-                            &mut trace,
-                            cycle,
-                            pod,
-                            None,
-                            SchedOutcome::Deferred,
-                            None,
-                            Vec::new(),
-                            fails,
-                        );
+                        defer(pod.id);
                         continue;
                     }
                     let mut probe = trace.is_some().then(|| PlacementProbe::new(&self.filters));
@@ -565,18 +564,9 @@ impl SchedulerFramework {
                     // Any backed-off rank defers the whole gang too — a
                     // partial attempt could never bind anyway.
                     if victimized || held.iter().any(|&(_, retry_at)| retry_at > cycle) {
-                        for (pod, (fails, _)) in members.into_iter().zip(held) {
+                        for pod in members {
                             plan.unschedulable.push(pod.id);
-                            emit(
-                                &mut trace,
-                                cycle,
-                                pod,
-                                job,
-                                SchedOutcome::Deferred,
-                                None,
-                                Vec::new(),
-                                fails,
-                            );
+                            defer(pod.id);
                         }
                         continue;
                     }
@@ -621,6 +611,9 @@ impl SchedulerFramework {
                     }
                 }
             }
+        }
+        if let (Some((_, ring)), Some(deferred)) = (trace.as_mut(), deferred) {
+            ring.push(TraceEvent::Deferred(deferred));
         }
         plan.stale_pod_lookups = ctx.index.stale_lookups();
         plan.filter_evals = ctx.filter_evals;

@@ -203,7 +203,7 @@ impl Simulation {
     /// returns whether it was active.
     fn batch_cleanup_pod(&mut self, idx: usize, pod: PodId) -> bool {
         let rt = &mut self.batches[idx];
-        rt.replicas.remove(pod, &mut rt.acc.consumed)
+        rt.replicas.remove(pod, self.now, &mut rt.acc.consumed)
     }
 
     /// External loss (preemption, node failure): the task restarts from
@@ -262,16 +262,19 @@ impl Simulation {
         let mut from = 0;
         while let Some((slot, pod, runs)) = self.batches[idx].replicas.next_live(from) {
             from = slot + 1;
+            // A task already at the target is reached, with nothing to resize.
             if runs && reach > 0 {
                 reach -= 1;
-                match self.cluster.try_resize(pod, target) {
-                    Ok(()) => {
-                        let replicas = &mut self.batches[idx].replicas;
-                        let (_, next) = replicas.resize(slot, now, target);
-                        let version = replicas.bump_version(slot);
-                        self.schedule_wake(pod, slot, next, version);
+                if self.batches[idx].replicas.request(slot) != target {
+                    match self.cluster.try_resize(pod, target) {
+                        Ok(()) => {
+                            let replicas = &mut self.batches[idx].replicas;
+                            let (_, next) = replicas.resize(slot, now, target);
+                            let version = replicas.bump_version(slot);
+                            self.schedule_wake(pod, slot, next, version);
+                        }
+                        Err(_) => failures += 1,
                     }
-                    Err(_) => failures += 1,
                 }
             }
             if reach_waiting > 0 {
@@ -287,7 +290,7 @@ impl Simulation {
     /// Harvests the job's control window.
     pub(crate) fn batch_window(&mut self, idx: usize, now: SimTime) -> AppWindow {
         let rt = &mut self.batches[idx];
-        let (mem_total, alloc) = rt.replicas.harvest(&mut rt.acc.consumed);
+        let (mem_total, alloc) = rt.replicas.harvest(now, &mut rt.acc.consumed);
         let records = std::mem::take(&mut rt.records_this_window);
         let mut window = rt.acc.harvest(now, mem_total);
         window.throughput_rps = records as f64 / window.duration.as_secs_f64().max(1e-9);

@@ -221,13 +221,14 @@ impl Simulation {
             let pod = self.hpcs[idx].pods[i];
             // Classify first: the phase borrow must end before the
             // mutating cluster calls below.
-            let bound = match self.cluster.pod(pod).map(|p| &p.phase) {
-                Ok(PodPhase::Running | PodPhase::Starting) => true,
-                Ok(PodPhase::Pending) => false,
+            let (bound, request) = match self.cluster.pod(pod).map(|p| (&p.phase, p.spec.request)) {
+                Ok((PodPhase::Running | PodPhase::Starting, request)) => (true, request),
+                Ok((PodPhase::Pending, request)) => (false, request),
                 _ => continue,
             };
             if bound {
-                if self.cluster.resize_pod(pod, target).is_err() {
+                // A rank already at the target is reached: nothing to resize.
+                if request != target && self.cluster.resize_pod(pod, target).is_err() {
                     failures += 1;
                 }
             } else {

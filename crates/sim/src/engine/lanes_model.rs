@@ -3,8 +3,11 @@
 //! table and against a `BTreeMap` of servers — the structure the engine
 //! used before the lanes — side by side. Both sides apply the same calls to
 //! their own copy of each `ReplicaServer`; after every step they must agree
-//! on keys, order, counts, lookups, versions and the arrival pick, and a
-//! harvest must return the bits of the old three loops run on the model.
+//! on keys, order, counts, lookups, versions and the arrival pick. A harvest
+//! must return the bits of the old loops' working set and requests, and the
+//! work it credits must agree within 1e-9 with the model's, which credits
+//! every busy server from its own state up to the harvest instant where the
+//! table reads untouched ones from their drain-rate records.
 //! Every wake-up lookup is asked with a set of slot hints — the true slot,
 //! the slot the timer was set from (stale once the table compacted or took
 //! an insert below it), other pods' slots, slots past the end — and must
@@ -26,7 +29,7 @@ type Model = BTreeMap<PodId, Option<(ResourceVec, ReplicaServer)>>;
 type Op = (u8, u64, f64, u64);
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..24, any::<u64>(), 0.0..1.0f64, 0u64..400), 1..400)
+    prop::collection::vec((0u8..28, any::<u64>(), 0.0..1.0f64, 0u64..400), 1..400)
 }
 
 fn request(size: f64) -> ResourceVec {
@@ -37,11 +40,26 @@ fn bits(v: ResourceVec) -> [u64; 4] {
     v.as_array().map(f64::to_bits)
 }
 
+/// Whether two credited work vectors agree within 1e-9, relative to the
+/// larger (and to one unit of work).
+fn agree(a: ResourceVec, b: ResourceVec) -> bool {
+    a.as_array()
+        .iter()
+        .zip(b.as_array())
+        .all(|(a, b)| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0))
+}
+
 /// The harvest as `service_window` and `batch_window` ran it before the
-/// lanes: every server asked for its usage, then every request summed.
-fn model_harvest(model: &mut Model, consumed: &mut ResourceVec) -> (f64, ResourceVec) {
+/// lanes, every server credited up to `now` first: every server asked for
+/// its usage, then every request summed.
+fn model_harvest(
+    model: &mut Model,
+    now: SimTime,
+    consumed: &mut ResourceVec,
+) -> (f64, ResourceVec) {
     let mut mem_total = 0.0;
     for (_, server) in model.values_mut().flatten() {
+        server.credit_to(now);
         let mut used = server.take_consumed();
         mem_total += used[Resource::Memory];
         used[Resource::Memory] = 0.0;
@@ -198,12 +216,14 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                     _ => gone.last().copied().or(Some(PodId::new(next_id + 7))),
                 };
                 if let Some(pod) = pod {
-                    let was_here = table.remove(pod, &mut table_used);
+                    let was_here = table.remove(pod, now, &mut table_used);
                     let slot = model.remove(&pod);
                     prop_assert_eq!(was_here, slot.is_some(), "remove({}) return value", pod);
                     if let Some(slot) = slot {
-                        // The old retire: the server's usage survives it.
+                        // The old retire: the server's usage up to now
+                        // survives it.
                         if let Some((_, mut server)) = slot {
+                            server.credit_to(now);
                             let mut used = server.take_consumed();
                             used[Resource::Memory] = 0.0;
                             model_used += used;
@@ -214,12 +234,14 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                 }
             }
             // Admit, through the accessor; a large working set OOM-kills.
+            // One in three is a task-like item of up to a minute's CPU, so
+            // that a busy server outlives harvests its records credit.
             14..=16 => {
                 if let Some((pod, at)) =
                     on.filter(|(pod, _)| !running(&mut model, *pod).1.is_dead())
                 {
-                    let demand =
-                        ResourceVec::new(40.0 + 400.0 * size, 900.0 * size * size, 2.0, 8.0 * size);
+                    let cpu = if op == 16 { 60_000.0 * size } else { 40.0 + 400.0 * size };
+                    let demand = ResourceVec::new(cpu, 900.0 * size * size, 2.0, 8.0 * size);
                     let deadline = now + SimDuration::from_millis(200 + sel % 3_000);
                     next_req += 1;
                     let got = table
@@ -247,11 +269,16 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                     prop_assert_eq!(got, (out, server.next_event()));
                 }
             }
-            // Kill, through the accessor.
+            // Kill, through the accessor, credited up to now first.
             20 => {
                 if let Some((pod, at)) = on {
-                    let got = table.with(at, ReplicaServer::kill);
-                    prop_assert_eq!(got, running(&mut model, pod).1.kill());
+                    let got = table.with(at, |s| {
+                        s.credit_to(now);
+                        s.kill()
+                    });
+                    let (_, server) = running(&mut model, pod);
+                    server.credit_to(now);
+                    prop_assert_eq!(got, server.kill());
                 }
             }
             // The draining set changes.
@@ -271,22 +298,25 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
                     set_from.insert(pod, at);
                 }
             }
-            // Harvest: bit for bit the old loops.
+            // Harvest: the working set and requests bit for bit the old
+            // loops', the window's work within 1e-9; a new window starts.
             _ => {
-                let (got_mem, got_alloc) = table.harvest(&mut table_used);
-                let (want_mem, want_alloc) = model_harvest(&mut model, &mut model_used);
+                let (got_mem, got_alloc) = table.harvest(now, &mut table_used);
+                let (want_mem, want_alloc) = model_harvest(&mut model, now, &mut model_used);
                 prop_assert_eq!(got_mem.to_bits(), want_mem.to_bits(), "mem_total");
                 prop_assert_eq!(bits(got_alloc), bits(want_alloc), "alloc");
+                prop_assert!(agree(table_used, model_used), "window {table_used} vs {model_used}");
+                (table_used, model_used) = (ResourceVec::ZERO, ResourceVec::ZERO);
             }
         }
-        prop_assert_eq!(bits(table_used), bits(model_used), "consumed");
+        prop_assert!(agree(table_used, model_used), "consumed {table_used} vs {model_used}");
         check_agreement(&table, &model, &versions, &set_from, &draining, &gone, sel)?;
     }
     // Whatever the sequence left unharvested is still all there.
-    let got = table.harvest(&mut table_used);
-    let want = model_harvest(&mut model, &mut model_used);
+    let got = table.harvest(now, &mut table_used);
+    let want = model_harvest(&mut model, now, &mut model_used);
     prop_assert_eq!((got.0.to_bits(), bits(got.1)), (want.0.to_bits(), bits(want.1)));
-    prop_assert_eq!(bits(table_used), bits(model_used), "consumed at the end");
+    prop_assert!(agree(table_used, model_used), "last window {table_used} vs {model_used}");
     Ok(())
 }
 
@@ -366,7 +396,7 @@ fn a_hint_is_checked_against_its_pod() {
     // Five removals compact the table under the three timers still queued.
     let mut used = ResourceVec::ZERO;
     for &pod in &pods[..5] {
-        assert!(table.remove(pod, &mut used));
+        assert!(table.remove(pod, SimTime::ZERO, &mut used));
     }
     assert_eq!(table.slots(), 3, "the table compacted");
     for (now_at, (&pod, &stale)) in pods[5..].iter().zip(&set_from[5..]).enumerate() {

@@ -861,4 +861,65 @@ mod tests {
             prop_assert_eq!(earliest(&dense), want);
         }
     }
+
+    /// The headline mix on its 20 nodes, bound first-fit every 10 s until
+    /// its services, its first batch job (submitted late for it) and its
+    /// first HPC gang all run.
+    fn running_headline() -> Simulation {
+        let mut spec = evolve_workload::ScenarioSpec::headline(0.5);
+        spec.batch_jobs[0].submit_at = SimTime::from_secs(190);
+        let cluster = ClusterConfig::uniform(20, crate::cluster::NodeShape::default());
+        let mut sim = Simulation::new(SimulationConfig::default(), cluster, &spec.build().mix, 42);
+        for at in (0..=210).step_by(10) {
+            sim.run_until(SimTime::from_secs(at));
+            let pending: Vec<PodId> = sim.cluster.pending_pods().map(|p| p.id).collect();
+            for pod in pending {
+                let request = sim.cluster.pod(pod).expect("pending pod").spec.request;
+                let node = sim.cluster.nodes().iter().find(|n| n.can_fit(&request)).map(|n| n.id());
+                if let Some(node) = node {
+                    sim.bind_pod(pod, node).expect("it fits");
+                }
+            }
+        }
+        sim
+    }
+
+    /// Everything a second identical actuation could move — the event count
+    /// and sequence, every node's version, the wake queue — as text.
+    fn actuation_state(sim: &Simulation) -> String {
+        let nodes: Vec<u64> =
+            (0..sim.cluster.nodes().len()).map(|n| sim.cluster.node_version(n)).collect();
+        let wakes: Vec<_> =
+            sim.wakes.entries.iter().map(|e| (e.at, e.seq, e.pod, e.version, e.slot)).collect();
+        format!("{} {} {nodes:?} {wakes:?}", sim.events_processed, sim.seq)
+    }
+
+    /// A second `set_target` with the decision the first one applied finds
+    /// every pod at its target and changes nothing, down to the next window.
+    #[test]
+    fn a_repeated_target_changes_nothing() {
+        let (mut once, mut twice) = (running_headline(), running_headline());
+        let apps: Vec<AppId> = once.apps().iter().map(|a| a.id).collect();
+        let mut resized = [0; 3];
+        for (&app, status) in apps.iter().zip(once.apps().to_vec()) {
+            let window = once.take_window(app).expect("known app");
+            assert_eq!(twice.take_window(app).expect("known app"), window);
+            // A shrink: every in-place resize fits.
+            let (replicas, per_replica) =
+                (window.running_replicas.max(1), window.alloc_per_replica * 0.9);
+            resized[status.world as usize] += window.running_replicas;
+            assert_eq!(once.set_target(app, replicas, per_replica, 1.0), Ok(0));
+            assert_eq!(twice.set_target(app, replicas, per_replica, 1.0), Ok(0));
+            assert_eq!(twice.set_target(app, replicas, per_replica, 1.0), Ok(0));
+        }
+        assert!(resized.iter().all(|&n| n > 0), "running pods to resize per world: {resized:?}");
+        assert_eq!(actuation_state(&twice), actuation_state(&once));
+        let later = once.now() + SimDuration::from_secs(5);
+        once.run_until(later);
+        twice.run_until(later);
+        for &app in &apps {
+            assert_eq!(twice.take_window(app), once.take_window(app), "{app}");
+        }
+        assert_eq!(actuation_state(&twice), actuation_state(&once));
+    }
 }

@@ -254,7 +254,7 @@ impl Simulation {
         {
             let rt = &mut self.services[idx];
             // Preserves the work it performed this window.
-            rt.replicas.remove(pod, &mut rt.acc.consumed);
+            rt.replicas.remove(pod, self.now, &mut rt.acc.consumed);
             rt.draining.remove(&pod);
             rt.pods.retain(|p| *p != pod);
         }
@@ -264,10 +264,15 @@ impl Simulation {
 
     /// External loss (preemption, node failure).
     pub(crate) fn service_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
-        // In-flight requests die with the replica.
-        let rt = &mut self.services[idx];
+        // In-flight requests die with the replica, and what they drained
+        // up to this instant is credited first.
+        let (rt, now) = (&mut self.services[idx], self.now);
         if let Some(slot) = rt.replicas.running_slot(pod) {
-            rt.acc.timeouts += rt.replicas.with(slot, |s| s.kill().timed_out.len()) as u64;
+            let killed = rt.replicas.with(slot, |s| {
+                s.credit_to(now);
+                s.kill().timed_out.len()
+            });
+            rt.acc.timeouts += killed as u64;
         }
         self.service_retire_pod(idx, pod, PodPhase::Failed(reason.into()));
         self.reconcile_service(idx);
@@ -360,6 +365,9 @@ impl Simulation {
                 break;
             }
             reach -= 1;
+            if self.services[idx].replicas.request(slot) == target {
+                continue; // already there: reached, and nothing to resize
+            }
             match self.cluster.try_resize(pod, target) {
                 Ok(()) => {
                     let (outcome, next) = self.services[idx].replicas.resize(slot, now, target);
@@ -408,7 +416,7 @@ impl Simulation {
         rt.queue.retain(|q| q.deadline > now);
         rt.acc.timeouts += (before - rt.queue.len()) as u64;
         // Gather usage and allocation from live replicas.
-        let (mem_total, alloc) = rt.replicas.harvest(&mut rt.acc.consumed);
+        let (mem_total, alloc) = rt.replicas.harvest(now, &mut rt.acc.consumed);
         let mut window = rt.acc.harvest(now, mem_total);
         // A pod has a server exactly while it runs; the others wait.
         let (running, pods) = (rt.replicas.running(), rt.pods.len());

@@ -436,15 +436,15 @@ impl ReplicaServer {
     }
 
     /// Credits `consumed` with what request `i` has drained since its `rem`
-    /// was written, and writes what is left. The virtual time `rem` was
-    /// written at is not stored: it is `key` less the span `rem` needs,
-    /// good to one rounding of `key` — or, for a starved request, the last
-    /// credit, which its admission forced.
-    fn settle(&mut self, i: usize) {
+    /// was written, up to virtual time `v`, and writes what is left. The
+    /// virtual time `rem` was written at is not stored: it is `key` less the
+    /// span `rem` needs, good to one rounding of `key` — or, for a starved
+    /// request, the last credit, which its admission forced.
+    fn settle(&mut self, i: usize, v: f64) {
         let req = &mut self.reqs[i];
         let starved = req.key == f64::INFINITY;
         let written = if starved { self.credited } else { req.key - self.rates.span(&req.rem) };
-        let attained = self.v - written;
+        let attained = v - written;
         for (r, dim) in DIMS.into_iter().enumerate() {
             let drained = (self.rates.per_v[r] * attained).min(req.rem[r]);
             if drained > 0.0 {
@@ -454,14 +454,71 @@ impl ReplicaServer {
         }
     }
 
-    /// Credits everything in flight, unless `v` has not moved since the
-    /// last time: a control tick harvests thousands of replicas that no
-    /// event has touched in between.
+    /// Credits everything in flight up to the replica's own clock.
     fn credit(&mut self) {
-        if self.v != self.credited {
-            (0..self.reqs.len()).for_each(|i| self.settle(i));
-            self.credited = self.v;
+        self.credit_at(self.v);
+    }
+
+    /// Credits everything in flight up to virtual time `v`, unless the last
+    /// credit already reached it: `v` has not moved since, or a harvest
+    /// credited ahead of the clock.
+    fn credit_at(&mut self, v: f64) {
+        if v > self.credited {
+            (0..self.reqs.len()).for_each(|i| self.settle(i, v));
+            self.credited = v;
         }
+    }
+
+    /// The virtual time at `at` (not before the clock) if nobody leaves on
+    /// the way; `None` when idle, where it stands still.
+    fn v_at(&self, at: SimTime) -> Option<f64> {
+        let us_per_v = 1e6 * self.reqs.len() as f64;
+        let elapsed = at.saturating_since(self.clock).as_micros() as f64;
+        (!self.reqs.is_empty()).then(|| self.v + elapsed / us_per_v)
+    }
+
+    /// Credits the work in flight with what it drains up to `at` without
+    /// moving the replica: its clock, `v` and every key stay, so its next
+    /// event is what it was. The harvest calls this with its own instant;
+    /// nothing may be due before `at` (the engine has processed it).
+    pub(crate) fn credit_to(&mut self, at: SimTime) {
+        if let Some(v) = self.v_at(at) {
+            self.credit_at(v);
+        }
+    }
+
+    /// [`ReplicaServer::credit_to`] for work that was credited elsewhere:
+    /// the requests' records move on to `at`, `consumed` does not.
+    pub(crate) fn skip_to(&mut self, at: SimTime) {
+        let consumed = self.consumed;
+        self.credit_to(at);
+        self.consumed = consumed;
+    }
+
+    /// What the replica drains per second in each rate dimension (cpu
+    /// mcore, disk and net MB/s) while no event reaches it, read right
+    /// after a credit to `at`, and the last microsecond that holds for:
+    /// the first at which one request runs dry in one dimension, when the
+    /// number of requests draining it drops. An idle replica drains nothing
+    /// for as long as it stays idle.
+    pub(crate) fn drain_rate(&self, at: SimTime) -> ([f64; 3], SimTime) {
+        let mut draining = [0usize; 3];
+        // Virtual time until the first dimension of a request runs dry.
+        let mut dry = f64::INFINITY;
+        for req in &self.reqs {
+            for (r, draining) in draining.iter_mut().enumerate() {
+                if req.rem[r] > 0.0 && self.rates.per_v[r] > 0.0 {
+                    *draining += 1;
+                    dry = dry.min(req.rem[r] * self.rates.inverse[r]);
+                }
+            }
+        }
+        let n = self.reqs.len().max(1) as f64;
+        let rate = [0, 1, 2].map(|r| self.rates.per_v[r] * draining[r] as f64 / n);
+        // `as` truncates and saturates: down to the microsecond, and an
+        // infinite wait is the end of time.
+        let until = at.as_micros().saturating_add((dry * n * 1e6) as u64);
+        (rate, SimTime::from_micros(until))
     }
 
     /// Keys hold only while the rates do. When the allocation or the
@@ -507,7 +564,7 @@ impl ReplicaServer {
         }
         while self.by_deadline.first().is_some_and(|d| d.at <= self.clock) {
             let i = self.by_deadline[0].req as usize;
-            self.settle(i);
+            self.settle(i, self.v);
             out.timed_out.push(self.take(i).id);
         }
         if self.reqs.is_empty() {
@@ -559,13 +616,12 @@ impl ReplicaServer {
             if self.reqs.is_empty() || self.clock >= to {
                 break;
             }
-            let (from, clock, us_per_v) = (self.v, self.clock, 1e6 * self.reqs.len() as f64);
-            let v_at = |t: SimTime| from + t.saturating_since(clock).as_micros() as f64 / us_per_v;
-            let (mut boundary, mut v) = (to, v_at(to));
+            let in_flight = "requests are in flight";
+            let (mut boundary, mut v) = (to, self.v_at(to).expect(in_flight));
             if self.done_at(v) || self.by_deadline.first().is_some_and(|d| d.at <= to) {
                 // Someone leaves on the way there: that is how far `n` holds.
-                boundary = self.next_event().expect("requests are in flight").min(to);
-                v = v_at(boundary);
+                boundary = self.next_event().expect(in_flight).min(to);
+                v = self.v_at(boundary).expect(in_flight);
             }
             (self.v, self.clock) = (v, boundary);
         }

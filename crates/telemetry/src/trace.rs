@@ -6,8 +6,9 @@
 //! state, chosen vs suppressed actuation), every scheduler cycle emits
 //! [`SchedTrace`] records (per-plugin scores of the chosen node, filter
 //! rejections, gang admit/rollback, preemption victims, requeue-backoff
-//! state) and the runner emits [`SpanTrace`] lifecycle spans whose wall
-//! timings feed perf accounting.
+//! state) for the pods it attempts and one [`DeferredTrace`] for those its
+//! requeue backoff holds back, and the runner emits [`SpanTrace`] lifecycle
+//! spans whose wall timings feed perf accounting.
 //!
 //! Events land in a bounded [`TraceRing`] — always on, sized by
 //! [`TraceConfig::capacity`], oldest-first eviction with a drop counter —
@@ -220,8 +221,6 @@ pub enum SchedOutcome {
         /// Weighted plugin score of the winning node.
         score: Option<f64>,
     },
-    /// Deferred by requeue backoff; not attempted this cycle.
-    Deferred,
     /// No feasible node (even after considering preemption).
     Unschedulable,
     /// Gang admission failed and partial placements were rolled back.
@@ -234,7 +233,6 @@ impl SchedOutcome {
     pub fn as_str(&self) -> &'static str {
         match self {
             SchedOutcome::Bound { .. } => "bound",
-            SchedOutcome::Deferred => "deferred",
             SchedOutcome::Unschedulable => "unschedulable",
             SchedOutcome::GangRollback => "gang-rollback",
         }
@@ -267,6 +265,24 @@ pub struct SchedTrace {
     pub victims: Vec<PodId>,
     /// Consecutive scheduling failures recorded by the requeue backoff.
     pub backoff_failures: u32,
+}
+
+/// The pods one scheduler cycle deferred by requeue backoff — not
+/// attempted, not penalised further — as one record: a standing backlog
+/// would otherwise push a record per pod per cycle and turn the ring over
+/// in a few cycles, evicting every control decision with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeferredTrace {
+    /// Scheduler cycle counter (monotone per run).
+    pub cycle: u64,
+    /// Simulated time of the cycle.
+    pub at: SimTime,
+    /// Pods deferred, a deferred gang's members one by one.
+    pub count: u32,
+    /// The first pod deferred, in the cycle's visit order.
+    pub first: PodId,
+    /// The last pod deferred, in the cycle's visit order.
+    pub last: PodId,
 }
 
 /// Which runner phase a span covers.
@@ -364,6 +380,8 @@ pub enum TraceEvent {
     Control(ControlTrace),
     /// A scheduler placement decision.
     Sched(SchedTrace),
+    /// The pods a scheduler cycle deferred by requeue backoff.
+    Deferred(DeferredTrace),
     /// A runner lifecycle span.
     Span(SpanTrace),
     /// An injected fault realized for this run.
@@ -450,6 +468,14 @@ impl TraceRing {
         })
     }
 
+    /// Retained per-cycle backoff deferrals, oldest first.
+    pub fn deferred(&self) -> impl Iterator<Item = &DeferredTrace> {
+        self.events.iter().filter_map(|e| match e {
+            TraceEvent::Deferred(d) => Some(d),
+            _ => None,
+        })
+    }
+
     /// Retained lifecycle spans, oldest first.
     pub fn spans(&self) -> impl Iterator<Item = &SpanTrace> {
         self.events.iter().filter_map(|e| match e {
@@ -485,6 +511,7 @@ impl TraceRing {
             match event {
                 TraceEvent::Control(c) => write_control(&mut out, c),
                 TraceEvent::Sched(s) => write_sched(&mut out, s),
+                TraceEvent::Deferred(d) => write_deferred(&mut out, d),
                 TraceEvent::Span(s) => write_span(&mut out, s),
                 TraceEvent::Fault(f) => write_fault(&mut out, f),
                 TraceEvent::Arbitration(a) => write_arbitration(&mut out, a),
@@ -638,6 +665,18 @@ fn write_sched(out: &mut String, s: &SchedTrace) {
         let _ = write!(out, "{}", v.raw());
     }
     let _ = write!(out, "],\"backoff_failures\":{}}}", s.backoff_failures);
+}
+
+fn write_deferred(out: &mut String, d: &DeferredTrace) {
+    let _ = write!(out, "{{\"type\":\"deferred\",\"cycle\":{},\"at_s\":", d.cycle);
+    push_f64(out, d.at.as_secs_f64());
+    let _ = write!(
+        out,
+        ",\"count\":{},\"first_pod\":{},\"last_pod\":{}}}",
+        d.count,
+        d.first.raw(),
+        d.last.raw()
+    );
 }
 
 fn write_span(out: &mut String, s: &SpanTrace) {
@@ -807,12 +846,19 @@ mod tests {
             pod: PodId::new(10),
             app: AppId::new(0),
             gang: None,
-            outcome: SchedOutcome::Deferred,
+            outcome: SchedOutcome::Unschedulable,
             scores: Vec::new(),
-            filtered: Vec::new(),
+            filtered: vec![("node-fits", 5)],
             feasible: 0,
             victims: Vec::new(),
             backoff_failures: 1,
+        }));
+        ring.push(TraceEvent::Deferred(DeferredTrace {
+            cycle: 1,
+            at: SimTime::from_secs(5),
+            count: 800,
+            first: PodId::new(11),
+            last: PodId::new(906),
         }));
         let dump = ring.to_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
@@ -825,9 +871,15 @@ mod tests {
         assert_eq!(
             lines[1],
             "{\"type\":\"sched\",\"cycle\":1,\"at_s\":5,\"pod\":10,\"app\":0,\"gang\":null,\
-             \"outcome\":\"deferred\",\"node\":null,\"score\":null,\"scores\":[],\"filtered\":[],\
-             \"feasible\":0,\"victims\":[],\"backoff_failures\":1}"
+             \"outcome\":\"unschedulable\",\"node\":null,\"score\":null,\"scores\":[],\
+             \"filtered\":[[\"node-fits\",5]],\"feasible\":0,\"victims\":[],\"backoff_failures\":1}"
         );
+        assert_eq!(
+            lines[2],
+            "{\"type\":\"deferred\",\"cycle\":1,\"at_s\":5,\"count\":800,\"first_pod\":11,\
+             \"last_pod\":906}"
+        );
+        assert_eq!(ring.deferred().count(), 1);
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub mod prelude {
         ChaosOracle, FaultEvent, FaultKind, NodeShape, OracleReport, OracleViolation,
     };
     pub use evolve_telemetry::trace::{
-        ActuationOutcome, ControlExplain, ControlTrace, FaultTrace, SchedOutcome, SchedTrace,
-        SpanKind, SpanTrace, TraceConfig, TraceEvent, TraceRing, TraceSignal,
+        ActuationOutcome, ControlExplain, ControlTrace, DeferredTrace, FaultTrace, SchedOutcome,
+        SchedTrace, SpanKind, SpanTrace, TraceConfig, TraceEvent, TraceRing, TraceSignal,
     };
     pub use evolve_telemetry::{MetricKey, MetricRegistry};
     pub use evolve_types::{
