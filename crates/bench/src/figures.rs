@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 
 use evolve::prelude::*;
-use evolve_core::EvolvePolicyConfig;
 use evolve_workload::WorldClass;
 
 use crate::tables::recovery_runs;
@@ -93,15 +92,12 @@ pub fn fig2_step(ctx: &Ctx) -> Report {
     let target_ms = 100.0;
     let variants: Vec<(&str, ManagerKind)> = vec![
         ("evolve adaptive", ManagerKind::Evolve),
-        (
-            "evolve fixed-gains",
-            ManagerKind::EvolveWith(EvolvePolicyConfig::default().fixed_gains()),
-        ),
-        ("hpa", ManagerKind::Hpa { target_utilization: 0.6 }),
+        ("evolve fixed-gains", ManagerKind::EvolveFixedGains),
+        ("hpa", ManagerKind::Hpa),
     ];
     // Settling needs the per-tick p99 series, so series stay on.
     let configs: Vec<RunConfig> =
-        variants.iter().map(|(_, m)| RunConfig::from_spec(ctx.spec(), m.clone()).build()).collect();
+        variants.iter().map(|(_, m)| RunConfig::from_spec(ctx.spec(), *m).build()).collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
     let mut table = crate::table("variant,settle (s),overshoot,viol rate,windows");
@@ -147,11 +143,7 @@ pub fn fig2_step(ctx: &Ctx) -> Report {
 #[must_use]
 pub fn fig3_sweep(ctx: &Ctx) -> Report {
     let offered = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4];
-    let managers = [
-        ManagerKind::Evolve,
-        ManagerKind::KubeStatic,
-        ManagerKind::Hpa { target_utilization: 0.6 },
-    ];
+    let managers = [ManagerKind::Evolve, ManagerKind::KubeStatic, ManagerKind::Hpa];
     // One config per (load, manager) cell, all fanned out together; each
     // cell scales the spec's load profiles by its offered factor.
     let configs: Vec<RunConfig> = offered
@@ -160,13 +152,13 @@ pub fn fig3_sweep(ctx: &Ctx) -> Report {
             let scaled = ctx.spec().scaled_loads(*x);
             managers
                 .iter()
-                .map(move |m| RunConfig::from_spec(&scaled, m.clone()).record_series(false).build())
+                .map(move |m| RunConfig::from_spec(&scaled, *m).record_series(false).build())
         })
         .collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
     let mut headers = vec!["offered".to_string()];
-    headers.extend(managers.iter().map(ManagerKind::label));
+    headers.extend(managers.iter().map(|m| m.label().to_string()));
     let mut table = Table::new(headers);
     let mut csv = String::from("offered,evolve,evolve_ci,kube_static,kube_static_ci,hpa,hpa_ci\n");
     for (x, cells) in offered.iter().zip(reps.chunks(managers.len())) {
@@ -201,14 +193,10 @@ pub fn fig3_sweep(ctx: &Ctx) -> Report {
 /// utilization figure plots.
 #[must_use]
 pub fn fig4_utilization(ctx: &Ctx) -> Report {
-    let managers = [
-        ManagerKind::Evolve,
-        ManagerKind::KubeStatic,
-        ManagerKind::Hpa { target_utilization: 0.6 },
-    ];
+    let managers = [ManagerKind::Evolve, ManagerKind::KubeStatic, ManagerKind::Hpa];
     // The CSV wants the cluster time series, so series stay on.
     let configs: Vec<RunConfig> =
-        managers.iter().map(|m| RunConfig::from_spec(ctx.spec(), m.clone()).build()).collect();
+        managers.iter().map(|m| RunConfig::from_spec(ctx.spec(), *m).build()).collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
     let mut table =
@@ -252,14 +240,10 @@ pub fn fig4_utilization(ctx: &Ctx) -> Report {
 pub fn fig5_flashcrowd(ctx: &Ctx) -> Report {
     let spike_at = SimTime::from_secs(120);
     let target_ms = 100.0;
-    let managers = [
-        ManagerKind::Evolve,
-        ManagerKind::Hpa { target_utilization: 0.6 },
-        ManagerKind::KubeStatic,
-    ];
+    let managers = [ManagerKind::Evolve, ManagerKind::Hpa, ManagerKind::KubeStatic];
     // Recovery analysis needs the per-tick p99 series, so series stay on.
     let configs: Vec<RunConfig> =
-        managers.iter().map(|m| RunConfig::from_spec(ctx.spec(), m.clone()).build()).collect();
+        managers.iter().map(|m| RunConfig::from_spec(ctx.spec(), *m).build()).collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
     let mut table = crate::table("policy,recovery (s),worst p99,timeouts,viol rate");
@@ -316,7 +300,7 @@ pub fn fig6_interference(ctx: &Ctx) -> Report {
     let configs: Vec<RunConfig> = variants
         .iter()
         .map(|(_, manager, profile)| {
-            RunConfig::from_spec(ctx.spec(), manager.clone())
+            RunConfig::from_spec(ctx.spec(), *manager)
                 .scheduler(*profile)
                 .record_series(false)
                 .build()

@@ -113,12 +113,13 @@ pub fn capacity_probe(ctx: &Ctx) -> Report {
         let offered_rps = reference_rps * offered;
         for ((name, manager, arbiter), knee) in systems.iter().zip(&mut knees) {
             spec.arbiter = *arbiter;
-            let config = RunConfig::from_spec(&spec, manager.clone()).record_series(false).build();
+            let config = RunConfig::from_spec(&spec, *manager).record_series(false).build();
             let rep = Harness::new().run_seeds(&config, &ctx.seeds);
             let violation_rate = rep.violation_rate();
             let service_rate = service_rate(&rep);
             let critical_rate = rep.summarize(|o| class_rate(o, PriorityClass::Critical));
-            let shed_requests = rep.summarize(|o| o.shed_requests as f64);
+            let shed_requests =
+                rep.summarize(|o| o.apps.iter().map(|a| a.shed_requests).sum::<u64>() as f64);
             let clipped = rep.summarize(|o| o.control.clipped_allocations as f64);
             let starvation_max = rep
                 .runs

@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use evolve::prelude::*;
-use evolve_core::EvolvePolicyConfig;
 use evolve_scheduler::SchedulerFramework;
 use evolve_sim::{ClusterConfig, ClusterState, NodeShape, PodKind, PodSpec};
 use evolve_types::AppId;
@@ -21,15 +20,11 @@ use crate::{headline_headers, headline_summary_row, replicated_settling, Ctx, Re
 /// seeds in parallel and reported as mean ± 95 % CI.
 #[must_use]
 pub fn tab1_headline(ctx: &Ctx) -> Report {
-    let managers = [
-        ManagerKind::Evolve,
-        ManagerKind::KubeStatic,
-        ManagerKind::Hpa { target_utilization: 0.6 },
-        ManagerKind::Vpa { margin: 0.3 },
-    ];
+    let managers =
+        [ManagerKind::Evolve, ManagerKind::KubeStatic, ManagerKind::Hpa, ManagerKind::Vpa];
     let configs: Vec<RunConfig> = managers
         .iter()
-        .map(|m| RunConfig::from_spec(ctx.spec(), m.clone()).record_series(false).build())
+        .map(|m| RunConfig::from_spec(ctx.spec(), *m).record_series(false).build())
         .collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
@@ -274,20 +269,15 @@ pub fn tab3_sched_scale(ctx: &Ctx) -> Report {
 pub fn tab5_ablation(ctx: &Ctx) -> Report {
     let variants: Vec<(&str, ManagerKind)> = vec![
         ("evolve (full)", ManagerKind::Evolve),
-        ("evolve cpu-only", ManagerKind::EvolveWith(EvolvePolicyConfig::default().cpu_only())),
-        (
-            "evolve fixed-gains",
-            ManagerKind::EvolveWith(EvolvePolicyConfig::default().fixed_gains()),
-        ),
-        ("hpa", ManagerKind::Hpa { target_utilization: 0.6 }),
+        ("evolve cpu-only", ManagerKind::EvolveCpuOnly),
+        ("evolve fixed-gains", ManagerKind::EvolveFixedGains),
+        ("hpa", ManagerKind::Hpa),
         ("kube-static", ManagerKind::KubeStatic),
     ];
     let spec = ctx.spec();
     let configs: Vec<RunConfig> = variants
         .iter()
-        .map(|(_, manager)| {
-            RunConfig::from_spec(spec, manager.clone()).record_series(false).build()
-        })
+        .map(|(_, manager)| RunConfig::from_spec(spec, *manager).record_series(false).build())
         .collect();
     let reps = Harness::new().run_matrix(&configs, &ctx.seeds);
 
@@ -358,11 +348,7 @@ pub fn tab6_resilience(ctx: &Ctx) -> Report {
         ("scrape blackout (90 s)", FaultKind::ScrapeBlackout { app: None, duration: secs(90) }, 90),
         ("control stall (60 s)", FaultKind::ControlStall { duration: secs(60) }, 60),
     ];
-    let managers = [
-        ManagerKind::Evolve,
-        ManagerKind::Hpa { target_utilization: 0.6 },
-        ManagerKind::KubeStatic,
-    ];
+    let managers = [ManagerKind::Evolve, ManagerKind::Hpa, ManagerKind::KubeStatic];
 
     let mut table = crate::table("fault,policy,recovery (s),viol in fault,viol rate,timeouts");
     let mut csv = String::from(
@@ -375,7 +361,7 @@ pub fn tab6_resilience(ctx: &Ctx) -> Report {
         let configs: Vec<RunConfig> = managers
             .iter()
             .map(|m| {
-                let mut config = RunConfig::from_spec(&spec, m.clone()).build();
+                let mut config = RunConfig::from_spec(&spec, *m).build();
                 config.scenario.horizon = secs(horizon);
                 config
             })

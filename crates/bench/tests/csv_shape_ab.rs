@@ -101,11 +101,4 @@ fn tab_and_fig_csv_shapes_match_between_sampling_modes() {
     // Control windows are time-cadenced, so a fixed horizon yields the
     // same number of rows regardless of how arrivals were sampled.
     assert_eq!(rows_b, rows_l, "row counts differ between sampling modes");
-
-    // Counters must also cover the same name set.
-    let mut ctr_b: Vec<&str> = batched.registry.counter_names().collect();
-    let mut ctr_l: Vec<&str> = legacy.registry.counter_names().collect();
-    ctr_b.sort_unstable();
-    ctr_l.sort_unstable();
-    assert_eq!(ctr_b, ctr_l, "recorded counters differ between sampling modes");
 }

@@ -64,4 +64,4 @@ pub use model::{RlsModel, SensitivityModel};
 pub use multi::{MultiResourceConfig, MultiResourceController, ResourceDecision};
 pub use pid::{PidConfig, PidController, PidTerms};
 pub use predictor::LoadPredictor;
-pub use tuning::{AdaptiveTuner, AdaptiveTunerConfig};
+pub use tuning::AdaptiveTuner;

@@ -14,7 +14,7 @@
 //! 3. per-resource step limits keep the actuation safe (memory shrinks
 //!    cautiously — taking space away from a resident set causes thrashing
 //!    or OOM, unlike throttling a rate resource);
-//! 4. an optional usage floor prevents scale-down below observed demand.
+//! 4. a usage floor prevents scale-down below observed demand.
 //!
 //! The controller emits per-replica allocation **targets**; turning those
 //! into vertical resizes and horizontal replica changes is the
@@ -26,9 +26,54 @@ use serde::{Deserialize, Serialize};
 
 use crate::model::SensitivityModel;
 use crate::pid::{PidConfig, PidController};
-use crate::tuning::{AdaptiveTuner, AdaptiveTunerConfig};
+use crate::tuning::AdaptiveTuner;
 
-/// Configuration of a [`MultiResourceController`].
+/// Largest relative per-period increase per resource (1.5 = may grow to
+/// 2.5× each period).
+const MAX_STEP_UP: ResourceVec = ResourceVec::splat(1.5);
+/// Largest relative per-period decrease per resource (0.2 = may shrink 20%
+/// each period). Memory shrinks at half the rate of the rate resources:
+/// taking space from a resident set causes thrashing or OOM.
+const MAX_STEP_DOWN: ResourceVec = ResourceVec::new(0.20, 0.10, 0.20, 0.20);
+/// Each dimension's allocation stays at or above `usage × (1 + margin_r)`.
+/// Memory keeps a much larger margin than the rate resources: its working
+/// set can swing with load bursts and running close to it means OOM
+/// kills, not queueing.
+const USAGE_FLOOR_MARGIN: ResourceVec = ResourceVec::new(0.15, 0.8, 0.15, 0.15);
+/// Positive errors below this are treated as zero (hold band above the
+/// setpoint): the loop does not chase measurement noise.
+const DEADBAND_OVER: f64 = 0.10;
+/// Negative errors smaller in magnitude than this are treated as zero.
+/// Deliberately wider than [`DEADBAND_OVER`]: shrinking is only worth a
+/// disturbance when the service is *clearly* over-provisioned, and an
+/// asymmetric band kills the shrink-overshoot limit cycle.
+const DEADBAND_UNDER: f64 = 0.35;
+/// Idle reclaim: while the PLO is met, a dimension whose pressure
+/// (usage/allocation) is below this **and** whose per-request serial time
+/// is below [`RECLAIM_SERIAL_SECS`] is decayed toward its usage floor each
+/// period. This returns reservation inflated by past violations without
+/// waiting for the error to leave the deadband.
+const RECLAIM_PRESSURE: f64 = 0.30;
+/// See [`RECLAIM_PRESSURE`]: a latency-relevant dimension is left alone
+/// even when its throughput pressure is low.
+const RECLAIM_SERIAL_SECS: f64 = 0.010;
+
+/// The PID gains every resource dimension starts from (kp 0.8, ki 0.15,
+/// kd 0.05, derivative filtering).
+pub(crate) fn base_gains() -> PidConfig {
+    PidConfig::new(0.8, 0.15, 0.05)
+        .with_output_limits(-0.5, 1.0)
+        .with_integral_limits(-2.0, 2.0)
+        .with_derivative_tau(2.0)
+        // The controller output is applied multiplicatively to the
+        // allocation (the actuator integrates); leak the inner integral so
+        // zero error means zero adjustment.
+        .with_integral_leak(0.8)
+}
+
+/// Configuration of a [`MultiResourceController`]: the per-replica range
+/// and the two ablation switches. Gains, step limits, floors, deadbands
+/// and reclaim thresholds are fixed.
 ///
 /// # Examples
 ///
@@ -49,54 +94,15 @@ pub struct MultiResourceConfig {
     /// Maximum per-replica allocation (beyond this the reconciler scales
     /// horizontally).
     pub max_alloc: ResourceVec,
-    /// Base PID gains applied to every resource dimension.
-    pub gains: PidConfig,
     /// Enable on-line gain adaptation.
     pub adaptive: bool,
     /// Restrict control to the CPU dimension (the classical 1-D baseline;
     /// the T5 ablation flips this).
     pub cpu_only: bool,
-    /// Largest relative per-period increase per resource (e.g. 1.0 = may
-    /// double each period).
-    pub max_step_up: ResourceVec,
-    /// Largest relative per-period decrease per resource (e.g. 0.2 = may
-    /// shrink 20% each period). Memory defaults much lower than the rate
-    /// resources.
-    pub max_step_down: ResourceVec,
-    /// Keep each dimension's allocation at or above
-    /// `usage × (1 + margin_r)`; a negative component disables the floor
-    /// for that dimension. Memory defaults to a much larger margin than
-    /// the rate resources: its working set can swing with load bursts and
-    /// running close to it means OOM kills, not queueing.
-    pub usage_floor_margin: ResourceVec,
-    /// Positive errors below this are treated as zero (hold band above
-    /// the setpoint) — the loop does not chase measurement noise.
-    pub deadband_over: f64,
-    /// Negative errors smaller in magnitude than this are treated as
-    /// zero. Deliberately wider than `deadband_over`: shrinking is only
-    /// worth a disturbance when the service is *clearly* over-provisioned,
-    /// and an asymmetric band kills the shrink-overshoot limit cycle.
-    pub deadband_under: f64,
-    /// Idle reclaim: while the PLO is met, a dimension whose pressure
-    /// (usage/allocation) is below this threshold **and** whose
-    /// per-request serial time is below `reclaim_serial_secs` is decayed
-    /// toward its usage floor each period. This returns reservation
-    /// inflated by past violations without waiting for the error to
-    /// leave the deadband.
-    pub reclaim_pressure: f64,
-    /// See `reclaim_pressure`: a dimension is only reclaimed while its
-    /// per-request serial drain time stays below this many seconds (a
-    /// latency-relevant dimension is left alone even when its throughput
-    /// pressure is low).
-    pub reclaim_serial_secs: f64,
-    /// Tuner configuration when `adaptive` is set.
-    pub tuner: AdaptiveTunerConfig,
 }
 
 impl MultiResourceConfig {
-    /// Creates a configuration with the default gains used throughout the
-    /// evaluation (kp 0.8, ki 0.15, kd 0.05, derivative filtering) and
-    /// conservative memory shrinking.
+    /// Creates a multi-resource, adaptive configuration.
     ///
     /// # Panics
     ///
@@ -109,28 +115,7 @@ impl MultiResourceConfig {
             "min_alloc must be positive in every dimension"
         );
         assert!(min_alloc.fits_within(&max_alloc), "min_alloc must fit within max_alloc");
-        MultiResourceConfig {
-            min_alloc,
-            max_alloc,
-            gains: PidConfig::new(0.8, 0.15, 0.05)
-                .with_output_limits(-0.5, 1.0)
-                .with_integral_limits(-2.0, 2.0)
-                .with_derivative_tau(2.0)
-                // The controller output is applied multiplicatively to the
-                // allocation (the actuator integrates); leak the inner
-                // integral so zero error means zero adjustment.
-                .with_integral_leak(0.8),
-            adaptive: true,
-            cpu_only: false,
-            max_step_up: ResourceVec::splat(1.5),
-            max_step_down: ResourceVec::new(0.20, 0.10, 0.20, 0.20),
-            usage_floor_margin: ResourceVec::new(0.15, 0.8, 0.15, 0.15),
-            deadband_over: 0.10,
-            deadband_under: 0.35,
-            reclaim_pressure: 0.30,
-            reclaim_serial_secs: 0.010,
-            tuner: AdaptiveTunerConfig::default(),
-        }
+        MultiResourceConfig { min_alloc, max_alloc, adaptive: true, cpu_only: false }
     }
 
     /// Disables multi-resource attribution (classical CPU-only PID).
@@ -199,12 +184,11 @@ impl MultiResourceController {
     /// Creates a controller from a configuration.
     #[must_use]
     pub fn new(config: MultiResourceConfig) -> Self {
-        let pid = PidController::new(config.gains);
-        let tuner = AdaptiveTuner::new(config.tuner);
+        let pid = PidController::new(base_gains());
         MultiResourceController {
             config,
             pids: [pid.clone(), pid.clone(), pid.clone(), pid],
-            tuners: [tuner.clone(), tuner.clone(), tuner.clone(), tuner],
+            tuners: Default::default(),
             model: SensitivityModel::new(),
             steps: 0,
             bumpless_pending: false,
@@ -309,12 +293,12 @@ impl MultiResourceController {
         // Hold inside the deadband: chasing noise around the setpoint
         // produces a limit cycle, not compliance.
         let error = if error >= 0.0 {
-            if error < cfg.deadband_over {
+            if error < DEADBAND_OVER {
                 0.0
             } else {
                 error
             }
-        } else if -error < cfg.deadband_under {
+        } else if -error < DEADBAND_UNDER {
             0.0
         } else {
             error
@@ -349,20 +333,17 @@ impl MultiResourceController {
             if cfg.adaptive {
                 self.tuners[i].observe_and_adapt(e_r, &mut self.pids[i]);
             }
-            let mut factor = (1.0 + u).clamp(1.0 - cfg.max_step_down[r], 1.0 + cfg.max_step_up[r]);
-            // Idle reclaim (see the config docs): compliant loop, low
+            let mut factor = (1.0 + u).clamp(1.0 - MAX_STEP_DOWN[r], 1.0 + MAX_STEP_UP[r]);
+            // Idle reclaim (see `RECLAIM_PRESSURE`): compliant loop, low
             // pressure, latency-irrelevant dimension → give it back.
             if error <= 0.0
-                && self.model.pressure()[r] < cfg.reclaim_pressure
-                && self.model.serial_secs()[r] < cfg.reclaim_serial_secs
+                && self.model.pressure()[r] < RECLAIM_PRESSURE
+                && self.model.serial_secs()[r] < RECLAIM_SERIAL_SECS
             {
-                factor = factor.min(1.0 - cfg.max_step_down[r]);
+                factor = factor.min(1.0 - MAX_STEP_DOWN[r]);
             }
-            let mut next = alloc[r] * factor;
             // Usage floor: never shrink below observed demand + margin.
-            if cfg.usage_floor_margin[r] >= 0.0 {
-                next = next.max(usage[r] * (1.0 + cfg.usage_floor_margin[r]));
-            }
+            let next = (alloc[r] * factor).max(usage[r] * (1.0 + USAGE_FLOOR_MARGIN[r]));
             let clamped = next.clamp(cfg.min_alloc[r], cfg.max_alloc[r]);
             if next > cfg.max_alloc[r] + 1e-9 && e_r > 0.0 {
                 saturated_up = true;
@@ -382,54 +363,9 @@ impl MultiResourceController {
         }
     }
 
-    /// Clears dynamic state (integrators, model) while keeping gains.
-    pub fn reset(&mut self) {
-        for pid in &mut self.pids {
-            pid.reset();
-        }
-        self.model = SensitivityModel::new();
-    }
-}
-
-impl Codec for MultiResourceConfig {
-    fn encode(&self, enc: &mut Encoder) {
-        self.min_alloc.encode(enc);
-        self.max_alloc.encode(enc);
-        self.gains.encode(enc);
-        self.adaptive.encode(enc);
-        self.cpu_only.encode(enc);
-        self.max_step_up.encode(enc);
-        self.max_step_down.encode(enc);
-        self.usage_floor_margin.encode(enc);
-        self.deadband_over.encode(enc);
-        self.deadband_under.encode(enc);
-        self.reclaim_pressure.encode(enc);
-        self.reclaim_serial_secs.encode(enc);
-        self.tuner.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(MultiResourceConfig {
-            min_alloc: ResourceVec::decode(dec)?,
-            max_alloc: ResourceVec::decode(dec)?,
-            gains: PidConfig::decode(dec)?,
-            adaptive: bool::decode(dec)?,
-            cpu_only: bool::decode(dec)?,
-            max_step_up: ResourceVec::decode(dec)?,
-            max_step_down: ResourceVec::decode(dec)?,
-            usage_floor_margin: ResourceVec::decode(dec)?,
-            deadband_over: f64::decode(dec)?,
-            deadband_under: f64::decode(dec)?,
-            reclaim_pressure: f64::decode(dec)?,
-            reclaim_serial_secs: f64::decode(dec)?,
-            tuner: AdaptiveTunerConfig::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for MultiResourceController {
-    fn encode(&self, enc: &mut Encoder) {
-        self.config.encode(enc);
+    /// Writes the controller's state — PIDs, tuners, model, step count —
+    /// but not its configuration, which the owner rebuilds.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
         for pid in &self.pids {
             pid.encode(enc);
         }
@@ -441,28 +377,31 @@ impl Codec for MultiResourceController {
         self.bumpless_pending.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let config = MultiResourceConfig::decode(dec)?;
-        let pids = [
-            PidController::decode(dec)?,
-            PidController::decode(dec)?,
-            PidController::decode(dec)?,
-            PidController::decode(dec)?,
-        ];
-        let tuners = [
-            AdaptiveTuner::decode(dec)?,
-            AdaptiveTuner::decode(dec)?,
-            AdaptiveTuner::decode(dec)?,
-            AdaptiveTuner::decode(dec)?,
-        ];
-        Ok(MultiResourceController {
-            config,
-            pids,
-            tuners,
-            model: SensitivityModel::decode(dec)?,
-            steps: u64::decode(dec)?,
-            bumpless_pending: bool::decode(dec)?,
-        })
+    /// Overwrites the state with one written by
+    /// [`checkpoint`](Self::checkpoint); the configuration is kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's error when the bytes are truncated or malformed.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        for pid in &mut self.pids {
+            *pid = PidController::decode(dec)?;
+        }
+        for tuner in &mut self.tuners {
+            *tuner = AdaptiveTuner::decode(dec)?;
+        }
+        self.model = SensitivityModel::decode(dec)?;
+        self.steps = u64::decode(dec)?;
+        self.bumpless_pending = bool::decode(dec)?;
+        Ok(())
+    }
+
+    /// Clears dynamic state (integrators, model) while keeping gains.
+    pub fn reset(&mut self) {
+        for pid in &mut self.pids {
+            pid.reset();
+        }
+        self.model = SensitivityModel::new();
     }
 }
 
@@ -537,7 +476,6 @@ mod tests {
     fn floor_reports_scale_in_opportunity() {
         let mut c = cfg();
         c.min_alloc = ResourceVec::splat(50.0);
-        c.usage_floor_margin = ResourceVec::splat(-1.0); // disable usage floor for this test
         let mut ctl = MultiResourceController::new(c);
         let usage = ResourceVec::splat(1.0);
         let mut cur = ResourceVec::splat(60.0);
@@ -568,9 +506,8 @@ mod tests {
 
     #[test]
     fn memory_shrinks_more_cautiously_than_cpu() {
-        let c = cfg();
-        assert!(c.max_step_down[Resource::Memory] < c.max_step_down[Resource::Cpu]);
-        let mut ctl = MultiResourceController::new(c);
+        assert!(MAX_STEP_DOWN[Resource::Memory] < MAX_STEP_DOWN[Resource::Cpu]);
+        let mut ctl = MultiResourceController::new(cfg());
         let alloc = ResourceVec::splat(1_000.0);
         let usage = ResourceVec::splat(10.0);
         let d = ctl.step(alloc, usage, -2.0, 1.0);
@@ -650,11 +587,13 @@ mod tests {
             let e = 0.5 - 0.04 * f64::from(i);
             alloc = ctl.step_with_profile(alloc, usage, Some(12.0), e, 5.0).target;
         }
-        let mut enc = evolve_types::Encoder::new();
-        ctl.encode(&mut enc);
+        let mut enc = Encoder::new();
+        ctl.checkpoint(&mut enc);
         let bytes = enc.into_bytes();
-        let mut back =
-            MultiResourceController::decode(&mut evolve_types::Decoder::new(&bytes)).unwrap();
+        let mut back = MultiResourceController::new(cfg());
+        let mut dec = Decoder::new(&bytes);
+        back.restore(&mut dec).unwrap();
+        assert!(dec.is_empty());
         assert_eq!(ctl, back);
         let mut a1 = alloc;
         let mut a2 = alloc;

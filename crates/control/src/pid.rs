@@ -588,12 +588,7 @@ mod tests {
 
     #[test]
     fn bumpless_seed_first_output_is_zero() {
-        // Production gains from MultiResourceConfig.
-        let cfg = PidConfig::new(0.8, 0.15, 0.05)
-            .with_output_limits(-0.5, 1.0)
-            .with_integral_limits(-2.0, 2.0)
-            .with_derivative_tau(2.0)
-            .with_integral_leak(0.8);
+        let cfg = crate::multi::base_gains();
         for e in [-0.3, -0.1, 0.0, 0.05, 0.2, 0.37] {
             let mut pid = PidController::new(cfg);
             pid.seed_bumpless(e, 5.0);

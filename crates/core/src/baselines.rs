@@ -13,7 +13,13 @@ use evolve_telemetry::Ewma;
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Resource, ResourceVec, Result};
 
+use crate::evolve_policy::{MAX_ALLOC, MIN_ALLOC};
 use crate::policy::{AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput};
+
+/// The HPA's target CPU utilization (usage/request), the canonical 60%.
+const HPA_TARGET_UTILIZATION: f64 = 0.6;
+/// The VPA's safety margin above observed usage (30% headroom).
+const VPA_MARGIN: f64 = 0.3;
 
 /// Leading byte of an HPA checkpoint blob.
 const HPA_POLICY_TAG: u8 = 2;
@@ -37,8 +43,6 @@ impl AutoscalePolicy for StaticPolicy {
 /// The Kubernetes Horizontal Pod Autoscaler on CPU utilization.
 #[derive(Debug, Clone)]
 pub struct HpaPolicy {
-    /// Target CPU utilization (usage/request), e.g. 0.6.
-    target_utilization: f64,
     /// Fixed per-replica allocation; latched from the first observed
     /// window so HPA keeps whatever the user originally requested.
     per_replica: ResourceVec,
@@ -57,22 +61,11 @@ impl HpaPolicy {
     ///
     /// # Panics
     ///
-    /// Panics when `target_utilization` is outside `(0, 1]` or the bounds
-    /// are inverted.
+    /// Panics when `max_replicas` is zero.
     #[must_use]
-    pub fn new(
-        target_utilization: f64,
-        per_replica: ResourceVec,
-        initial_replicas: u32,
-        max_replicas: u32,
-    ) -> Self {
-        assert!(
-            target_utilization > 0.0 && target_utilization <= 1.0,
-            "target utilization must be in (0, 1]"
-        );
+    pub fn new(per_replica: ResourceVec, initial_replicas: u32, max_replicas: u32) -> Self {
         assert!(max_replicas >= 1, "max replicas must be at least 1");
         HpaPolicy {
-            target_utilization,
             per_replica,
             latched: false,
             min_replicas: 1,
@@ -109,7 +102,7 @@ impl AutoscalePolicy for HpaPolicy {
         let utilization = w.usage_per_replica()[Resource::Cpu] / cpu_request;
         // desired = ceil(current × utilization / target), with a 10%
         // tolerance band exactly like the real HPA.
-        let ratio = utilization / self.target_utilization;
+        let ratio = utilization / HPA_TARGET_UTILIZATION;
         if (ratio - 1.0).abs() > 0.1 {
             let desired = (f64::from(w.running_replicas) * ratio).ceil() as u32;
             let desired = desired.clamp(self.min_replicas, self.max_replicas);
@@ -168,32 +161,21 @@ impl AutoscalePolicy for HpaPolicy {
     }
 }
 
-/// A VPA-like vertical baseline: requests follow smoothed peak usage.
+/// A VPA-like vertical baseline: requests follow smoothed peak usage,
+/// within EVOLVE's per-replica range.
 #[derive(Debug, Clone)]
 pub struct VpaPolicy {
-    /// Safety margin above observed usage (e.g. 0.3 → 30% headroom).
-    margin: f64,
     /// Smoothed peak usage per resource.
     peak: [Ewma; 4],
-    min_alloc: ResourceVec,
-    max_alloc: ResourceVec,
     replicas: u32,
 }
 
 impl VpaPolicy {
-    /// Creates a VPA-like policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `margin` is negative.
+    /// Creates a VPA-like policy holding `replicas` replicas.
     #[must_use]
-    pub fn new(margin: f64, min_alloc: ResourceVec, max_alloc: ResourceVec, replicas: u32) -> Self {
-        assert!(margin >= 0.0, "margin must be non-negative");
+    pub fn new(replicas: u32) -> Self {
         VpaPolicy {
-            margin,
             peak: [Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3)],
-            min_alloc,
-            max_alloc,
             replicas: replicas.max(1),
         }
     }
@@ -217,9 +199,9 @@ impl AutoscalePolicy for VpaPolicy {
             } else {
                 peak.observe(usage[r]);
             }
-            target[r] = peak.value_or(usage[r]) * (1.0 + self.margin);
+            target[r] = peak.value_or(usage[r]) * (1.0 + VPA_MARGIN);
         }
-        let target = target.clamp(&self.min_alloc, &self.max_alloc);
+        let target = target.clamp(&MIN_ALLOC, &MAX_ALLOC);
         Some(PolicyDecision { per_replica: target, replicas: self.replicas })
     }
 
@@ -254,7 +236,7 @@ impl AutoscalePolicy for VpaPolicy {
         // unwarmed default.
         if !observed.alloc_per_replica.is_zero() {
             for r in Resource::ALL {
-                self.peak[r.index()].observe(observed.alloc_per_replica[r] / (1.0 + self.margin));
+                self.peak[r.index()].observe(observed.alloc_per_replica[r] / (1.0 + VPA_MARGIN));
             }
         }
     }
@@ -320,7 +302,7 @@ mod tests {
 
     #[test]
     fn hpa_scales_up_on_high_utilization() {
-        let mut p = HpaPolicy::new(0.6, ResourceVec::splat(1_000.0), 2, 10);
+        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 2, 10);
         let st = status();
         // 90% utilization vs 60% target → desired = ceil(2×1.5) = 3.
         let w = window(2, 900.0);
@@ -339,7 +321,7 @@ mod tests {
 
     #[test]
     fn hpa_scale_down_is_slow() {
-        let mut p = HpaPolicy::new(0.6, ResourceVec::splat(1_000.0), 6, 10);
+        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 6, 10);
         let st = status();
         let w = window(6, 60.0); // 6% utilization → wants 1 replica
         let mut replicas = Vec::new();
@@ -362,9 +344,9 @@ mod tests {
 
     #[test]
     fn hpa_respects_max() {
-        let mut p = HpaPolicy::new(0.5, ResourceVec::splat(1_000.0), 3, 4);
+        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 4);
         let st = status();
-        let w = window(3, 1_000.0); // 200% of target
+        let w = window(3, 1_000.0); // 167% of target
         let d = p
             .decide(&PolicyInput {
                 app: &st,
@@ -379,7 +361,7 @@ mod tests {
 
     #[test]
     fn hpa_tolerance_band_holds_steady() {
-        let mut p = HpaPolicy::new(0.6, ResourceVec::splat(1_000.0), 3, 10);
+        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 10);
         let st = status();
         let w = window(3, 620.0); // 62% ≈ within 10% of 60%
         let d = p
@@ -396,7 +378,7 @@ mod tests {
 
     #[test]
     fn vpa_follows_usage_with_margin() {
-        let mut p = VpaPolicy::new(0.3, ResourceVec::splat(10.0), ResourceVec::splat(100_000.0), 2);
+        let mut p = VpaPolicy::new(2);
         let st = status();
         let mut last = ResourceVec::ZERO;
         for _ in 0..20 {
@@ -419,7 +401,7 @@ mod tests {
 
     #[test]
     fn vpa_clamps_to_bounds() {
-        let mut p = VpaPolicy::new(0.3, ResourceVec::splat(500.0), ResourceVec::splat(600.0), 1);
+        let mut p = VpaPolicy::new(1);
         let st = status();
         let w = window(1, 10_000.0);
         let d = p
@@ -431,6 +413,7 @@ mod tests {
                 signal: SignalQuality::Fresh,
             })
             .unwrap();
-        assert!(d.per_replica.fits_within(&ResourceVec::splat(600.0)));
+        assert!(d.per_replica.fits_within(&MAX_ALLOC));
+        assert!(MIN_ALLOC.fits_within(&d.per_replica));
     }
 }

@@ -35,8 +35,12 @@ const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
 /// ages) and overload accounting (clip/shed counters, starvation
 /// watermark, violations-while-shedding); 4 — every counter travels as
 /// one [`ControlCounters`] block, which adds `desynced_apps` (version 3
-/// dropped it, so a restore reset the count to zero).
-const CHECKPOINT_VERSION: u8 = 4;
+/// dropped it, so a restore reset the count to zero); 5 — state only: the
+/// EVOLVE controller and its tuners no longer write their configuration,
+/// which the restoring manager rebuilds from its [`ManagerKind`].
+///
+/// [`ManagerKind`]: crate::ManagerKind
+const CHECKPOINT_VERSION: u8 = 5;
 
 /// Per-application slice of a checkpoint: the policy's opaque state blob
 /// plus the manager-side bookkeeping around it.
@@ -92,8 +96,8 @@ impl Codec for AppCheckpoint {
 /// Built by [`ResourceManager::checkpoint`](crate::ResourceManager::checkpoint)
 /// and consumed by
 /// [`ResourceManager::restore`](crate::ResourceManager::restore); the
-/// experiment runner captures one every `checkpoint_interval_ticks`
-/// control ticks.
+/// experiment runner captures one every live control tick while a
+/// controller crash is armed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerCheckpoint {
     /// Simulation time at which the image was captured.
@@ -248,6 +252,25 @@ mod tests {
         let back = ControllerCheckpoint::from_bytes(&ck.to_bytes()).expect("round trip");
         assert_eq!(back, ck);
         assert_eq!(back.arbiter.as_ref().unwrap().config().headroom_fraction, 0.2);
+    }
+
+    #[test]
+    fn version_4_image_is_rejected() {
+        let mut bytes = ControllerCheckpoint {
+            at: SimTime::ZERO,
+            ticks: 0,
+            control: ControlCounters::default(),
+            pending_actuations: Vec::new(),
+            apps: Vec::new(),
+            scheduler_backoff: RequeueBackoff::new(),
+            arbiter: None,
+            shed_app_ids: Vec::new(),
+        }
+        .to_bytes();
+        // The version byte follows the four magic bytes.
+        bytes[4] = 4;
+        let err = ControllerCheckpoint::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(&err, Error::CorruptCheckpoint(m) if m.contains("version 4")), "{err}");
     }
 
     #[test]

@@ -8,7 +8,6 @@ use evolve_telemetry::trace::{ControlExplain, PidTermsTrace};
 use evolve_telemetry::{Ewma, SlidingQuantile};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Resource, ResourceVec, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::policy::{
     control_error_with_margin, AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput,
@@ -19,67 +18,25 @@ use crate::policy::{
 /// wrong manager kind).
 const EVOLVE_POLICY_TAG: u8 = 1;
 
-/// Tunables of [`EvolvePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EvolvePolicyConfig {
-    /// Per-replica allocation floor.
-    pub min_alloc: ResourceVec,
-    /// Per-replica allocation ceiling (vertical range; beyond it the
-    /// policy scales horizontally).
-    pub max_alloc: ResourceVec,
-    /// Replica bounds.
-    pub min_replicas: u32,
-    /// Replica upper bound.
-    pub max_replicas: u32,
-    /// Control ticks to wait between horizontal actions (hysteresis).
-    pub scale_cooldown_ticks: u32,
-    /// Disable the multi-resource extension (1-D CPU ablation).
-    pub cpu_only: bool,
-    /// Disable on-line gain adaptation (fixed-gain ablation).
-    pub fixed_gains: bool,
-    /// Disable the load predictor (reactive-only ablation).
-    pub predictive: bool,
-    /// Fractional safety margin inside the PLO the controller steers to
-    /// (0.25 → a 100 ms objective is controlled to a 75 ms setpoint).
-    pub target_margin: f64,
-}
-
-impl Default for EvolvePolicyConfig {
-    fn default() -> Self {
-        EvolvePolicyConfig {
-            min_alloc: ResourceVec::new(100.0, 256.0, 5.0, 5.0),
-            max_alloc: ResourceVec::new(8_000.0, 16_384.0, 250.0, 600.0),
-            min_replicas: 1,
-            max_replicas: 64,
-            scale_cooldown_ticks: 3,
-            cpu_only: false,
-            fixed_gains: false,
-            predictive: true,
-            target_margin: 0.35,
-        }
-    }
-}
-
-impl EvolvePolicyConfig {
-    /// The CPU-only ablation variant.
-    #[must_use]
-    pub fn cpu_only(mut self) -> Self {
-        self.cpu_only = true;
-        self
-    }
-
-    /// The fixed-gain ablation variant.
-    #[must_use]
-    pub fn fixed_gains(mut self) -> Self {
-        self.fixed_gains = true;
-        self
-    }
-}
+/// Per-replica allocation floor of an EVOLVE-managed app (and of the VPA
+/// baseline).
+pub(crate) const MIN_ALLOC: ResourceVec = ResourceVec::new(100.0, 256.0, 5.0, 5.0);
+/// Per-replica allocation ceiling (the vertical range; beyond it the
+/// policy scales horizontally).
+pub(crate) const MAX_ALLOC: ResourceVec = ResourceVec::new(8_000.0, 16_384.0, 250.0, 600.0);
+/// Replica lower bound.
+const MIN_REPLICAS: u32 = 1;
+/// Replica upper bound.
+const MAX_REPLICAS: u32 = 64;
+/// Control ticks to wait between horizontal actions (hysteresis).
+const SCALE_COOLDOWN_TICKS: u32 = 3;
+/// Fractional safety margin inside the PLO the controller steers to
+/// (0.35 → a 100 ms objective is controlled to a 65 ms setpoint).
+const TARGET_MARGIN: f64 = 0.35;
 
 /// Per-application EVOLVE controller state.
 #[derive(Debug, Clone)]
 pub struct EvolvePolicy {
-    config: EvolvePolicyConfig,
     controller: MultiResourceController,
     predictor: LoadPredictor,
     /// Smooths the noisy window percentile before the error computation
@@ -111,19 +68,12 @@ pub struct EvolvePolicy {
 
 impl EvolvePolicy {
     /// Creates the policy for a service (`is_job = false`) or a batch/HPC
-    /// job (`is_job = true`, horizontal scaling disabled).
+    /// job (`is_job = true`, horizontal scaling disabled); `config` sets
+    /// the per-replica range and the controller's ablation switches.
     #[must_use]
-    pub fn new(config: EvolvePolicyConfig, initial_replicas: u32, is_job: bool) -> Self {
-        let mut mc = MultiResourceConfig::new(config.min_alloc, config.max_alloc);
-        if config.cpu_only {
-            mc = mc.cpu_only();
-        }
-        if config.fixed_gains {
-            mc = mc.fixed_gains();
-        }
+    pub fn new(config: MultiResourceConfig, initial_replicas: u32, is_job: bool) -> Self {
         EvolvePolicy {
-            config,
-            controller: MultiResourceController::new(mc),
+            controller: MultiResourceController::new(config),
             predictor: LoadPredictor::new(0.5, 0.3, 2.0, 0.1),
             measured_filter: Ewma::new(0.5),
             rate_history: SlidingQuantile::new(24),
@@ -169,9 +119,10 @@ impl EvolvePolicy {
 
 impl AutoscalePolicy for EvolvePolicy {
     fn name(&self) -> &'static str {
-        if self.config.cpu_only {
+        let cfg = self.controller.config();
+        if cfg.cpu_only {
             "evolve-cpu-only"
-        } else if self.config.fixed_gains {
+        } else if !cfg.adaptive {
             "evolve-fixed-gains"
         } else {
             "evolve"
@@ -180,6 +131,7 @@ impl AutoscalePolicy for EvolvePolicy {
 
     fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
         let w = input.window;
+        let MultiResourceConfig { min_alloc, max_alloc, .. } = *self.controller.config();
         if input.signal.is_degraded() {
             // Signals are dark. Silence is not idleness: the PID is not
             // stepped (integrator frozen), no scale-in happens, and the
@@ -187,8 +139,7 @@ impl AutoscalePolicy for EvolvePolicy {
             // trips, the hold decays toward the usage-anchored floor —
             // never below it — so a stale over-allocation cannot persist
             // indefinitely.
-            let floor =
-                (self.last_usage_pr * 1.8).min(&self.config.max_alloc).max(&self.config.min_alloc);
+            let floor = (self.last_usage_pr * 1.8).min(&max_alloc).max(&min_alloc);
             let held = match self.guard.on_dark(&floor) {
                 Some(v) => v,
                 // Dark before any output was recorded: hold whatever the
@@ -199,13 +150,13 @@ impl AutoscalePolicy for EvolvePolicy {
             };
             return Some(PolicyDecision {
                 per_replica: held,
-                replicas: self.replicas.max(self.config.min_replicas),
+                replicas: self.replicas.max(MIN_REPLICAS),
             });
         }
         if !self.latched {
             let current = w.running_replicas + w.pending_replicas;
             if current > 0 {
-                self.replicas = current.max(self.config.min_replicas);
+                self.replicas = current.max(MIN_REPLICAS);
             }
             self.latched = true;
             // The first window is dominated by container-start queueing
@@ -227,13 +178,13 @@ impl AutoscalePolicy for EvolvePolicy {
         // No signal (idle window): hold allocations, but allow scale-in on
         // a long-idle service.
         let Some(measured) = measured else {
-            if !self.is_job && w.arrivals == 0 && self.replicas > self.config.min_replicas {
+            if !self.is_job && w.arrivals == 0 && self.replicas > MIN_REPLICAS {
                 if self.cooldown > 0 {
                     self.cooldown -= 1;
                 } else {
                     self.replicas -= 1;
                     self.scale_actions += 1;
-                    self.cooldown = self.config.scale_cooldown_ticks;
+                    self.cooldown = SCALE_COOLDOWN_TICKS;
                 }
             }
             return Some(PolicyDecision {
@@ -245,7 +196,7 @@ impl AutoscalePolicy for EvolvePolicy {
 
         let smoothed =
             if measured.is_finite() { self.measured_filter.observe(measured) } else { measured };
-        let error = control_error_with_margin(&input.app.plo, smoothed, self.config.target_margin);
+        let error = control_error_with_margin(&input.app.plo, smoothed, TARGET_MARGIN);
         let per_replica_rps = if w.running_replicas > 0 {
             Some(w.throughput_rps / f64::from(w.running_replicas))
         } else {
@@ -272,9 +223,7 @@ impl AutoscalePolicy for EvolvePolicy {
             if let Some(p90) = self.rate_history.quantile(0.9) {
                 let burst = (p90 / rate).clamp(1.0, 4.0);
                 if burst > 1.05 {
-                    let floor = (usage_pr * (burst * 1.15))
-                        .min(&self.config.max_alloc)
-                        .max(&self.config.min_alloc);
+                    let floor = (usage_pr * (burst * 1.15)).min(&max_alloc).max(&min_alloc);
                     decision.target = decision.target.max(&floor);
                 }
             }
@@ -288,12 +237,12 @@ impl AutoscalePolicy for EvolvePolicy {
             let total_usage = usage_pr * f64::from(w.running_replicas.max(1));
             let mut floor_n = 1u32;
             for r in Resource::ALL {
-                let cap = self.config.max_alloc[r];
+                let cap = max_alloc[r];
                 if cap > 0.0 {
                     floor_n = floor_n.max((total_usage[r] * 1.8 / cap).ceil() as u32);
                 }
             }
-            let floor_n = floor_n.clamp(self.config.min_replicas, self.config.max_replicas);
+            let floor_n = floor_n.clamp(MIN_REPLICAS, MAX_REPLICAS);
             if self.replicas < floor_n {
                 self.replicas = floor_n;
                 self.scale_actions += 1;
@@ -301,25 +250,24 @@ impl AutoscalePolicy for EvolvePolicy {
                 self.cooldown -= 1;
             } else if (decision.saturated_up || input.resize_failures > 0 || w.timeouts > 10)
                 && error > 0.15
-                && self.replicas < self.config.max_replicas
+                && self.replicas < MAX_REPLICAS
             {
                 // Vertical growth exhausted (ceiling hit or node headroom
                 // blocked the resize) or requests are being dropped under
                 // a real violation: go horizontal.
                 let growth = ((1.0 + error).ceil() as u32).clamp(1, 2);
-                self.replicas = (self.replicas + growth).min(self.config.max_replicas);
+                self.replicas = (self.replicas + growth).min(MAX_REPLICAS);
                 self.scale_actions += 1;
-                self.cooldown = self.config.scale_cooldown_ticks;
-            } else if self.config.predictive
-                && error < -0.1
+                self.cooldown = SCALE_COOLDOWN_TICKS;
+            } else if error < -0.1
                 && self.predictor.predicted() > rate * 1.5
                 && rate > 0.0
-                && self.replicas < self.config.max_replicas
+                && self.replicas < MAX_REPLICAS
             {
                 // Load trending up sharply: scale ahead of the ramp.
                 self.replicas += 1;
                 self.scale_actions += 1;
-                self.cooldown = self.config.scale_cooldown_ticks;
+                self.cooldown = SCALE_COOLDOWN_TICKS;
             } else if error < -0.2 && self.replicas > floor_n {
                 // Compliant with slack and above the demand floor: step
                 // back down one replica — but only when the survivors'
@@ -329,7 +277,7 @@ impl AutoscalePolicy for EvolvePolicy {
                 if (total_usage * 1.15).fits_within(&survivor_capacity) {
                     self.replicas -= 1;
                     self.scale_actions += 1;
-                    self.cooldown = self.config.scale_cooldown_ticks;
+                    self.cooldown = SCALE_COOLDOWN_TICKS;
                 }
             }
         }
@@ -344,7 +292,7 @@ impl AutoscalePolicy for EvolvePolicy {
 
     fn checkpoint(&self, enc: &mut Encoder) {
         EVOLVE_POLICY_TAG.encode(enc);
-        self.controller.encode(enc);
+        self.controller.checkpoint(enc);
         self.predictor.encode(enc);
         self.measured_filter.encode(enc);
         self.rate_history.encode(enc);
@@ -363,7 +311,7 @@ impl AutoscalePolicy for EvolvePolicy {
                 "policy tag {tag} is not an evolve policy blob"
             )));
         }
-        self.controller = MultiResourceController::decode(dec)?;
+        self.controller.restore(dec)?;
         self.predictor = LoadPredictor::decode(dec)?;
         self.measured_filter = Ewma::decode(dec)?;
         self.rate_history = SlidingQuantile::decode(dec)?;
@@ -384,12 +332,13 @@ impl AutoscalePolicy for EvolvePolicy {
         // bumpless seed makes the PID's first step reproduce the current
         // allocation instead of jumping to an unwarmed setpoint.
         if observed.replicas > 0 {
-            self.replicas = observed.replicas.max(self.config.min_replicas);
+            self.replicas = observed.replicas.max(MIN_REPLICAS);
         }
         self.latched = true;
         if !observed.alloc_per_replica.is_zero() {
             self.guard.seed_recovery(observed.alloc_per_replica);
-            self.last_usage_pr = (observed.alloc_per_replica * 0.5).max(&self.config.min_alloc);
+            self.last_usage_pr =
+                (observed.alloc_per_replica * 0.5).max(&self.controller.config().min_alloc);
         }
         self.controller.arm_bumpless();
     }
@@ -425,7 +374,7 @@ impl AutoscalePolicy for EvolvePolicy {
         // is set so the first window is actuated at the spec's initial
         // replica count, demonstrating why level-triggered reconstruction
         // matters.
-        let fresh = EvolvePolicy::new(self.config, 1, self.is_job);
+        let fresh = EvolvePolicy::new(*self.controller.config(), 1, self.is_job);
         *self = fresh;
         self.latched = true;
     }
@@ -438,6 +387,15 @@ mod tests {
     use evolve_sim::{AppStatus, AppWindow};
     use evolve_types::{AppId, SimDuration, SimTime};
     use evolve_workload::{PloSpec, WorldClass};
+
+    fn config() -> MultiResourceConfig {
+        MultiResourceConfig::new(MIN_ALLOC, MAX_ALLOC)
+    }
+
+    /// A ceiling just above the saturating windows below.
+    fn low_ceiling() -> MultiResourceConfig {
+        MultiResourceConfig::new(ResourceVec::splat(100.0), ResourceVec::splat(1_100.0))
+    }
 
     fn status() -> AppStatus {
         AppStatus {
@@ -473,7 +431,7 @@ mod tests {
 
     #[test]
     fn violation_grows_allocation() {
-        let mut p = EvolvePolicy::new(EvolvePolicyConfig::default(), 1, false);
+        let mut p = EvolvePolicy::new(config(), 1, false);
         let st = status();
         let w = window(Some(200.0), 100, 1_000.0, 950.0);
         // First window is the warmup skip; the second must act.
@@ -501,7 +459,7 @@ mod tests {
 
     #[test]
     fn slack_shrinks_allocation() {
-        let mut p = EvolvePolicy::new(EvolvePolicyConfig::default(), 1, false);
+        let mut p = EvolvePolicy::new(config(), 1, false);
         let st = status();
         let mut alloc = 4_000.0;
         for _ in 0..10 {
@@ -522,12 +480,7 @@ mod tests {
 
     #[test]
     fn saturation_triggers_horizontal_scaling() {
-        let cfg = EvolvePolicyConfig {
-            max_alloc: ResourceVec::splat(1_100.0),
-            min_alloc: ResourceVec::splat(100.0),
-            ..Default::default()
-        };
-        let mut p = EvolvePolicy::new(cfg, 1, false);
+        let mut p = EvolvePolicy::new(low_ceiling(), 1, false);
         let st = status();
         let mut replicas = 1;
         for _ in 0..10 {
@@ -549,12 +502,7 @@ mod tests {
 
     #[test]
     fn jobs_never_scale_horizontally() {
-        let cfg = EvolvePolicyConfig {
-            max_alloc: ResourceVec::splat(1_100.0),
-            min_alloc: ResourceVec::splat(100.0),
-            ..Default::default()
-        };
-        let mut p = EvolvePolicy::new(cfg, 4, true);
+        let mut p = EvolvePolicy::new(low_ceiling(), 4, true);
         let st = AppStatus {
             plo: PloSpec::Deadline { deadline: SimDuration::from_secs(100) },
             world: WorldClass::BigData,
@@ -581,7 +529,7 @@ mod tests {
 
     #[test]
     fn idle_service_scales_in() {
-        let mut p = EvolvePolicy::new(EvolvePolicyConfig::default(), 5, false);
+        let mut p = EvolvePolicy::new(config(), 5, false);
         let st = status();
         let mut replicas = 5;
         for _ in 0..30 {
@@ -602,7 +550,7 @@ mod tests {
 
     #[test]
     fn degraded_signal_holds_last_safe_output() {
-        let mut p = EvolvePolicy::new(EvolvePolicyConfig::default(), 3, false);
+        let mut p = EvolvePolicy::new(config(), 3, false);
         let st = status();
         let mut w = window(Some(50.0), 200, 1_000.0, 600.0);
         w.running_replicas = 3;
@@ -655,7 +603,7 @@ mod tests {
         // not trigger the idle scale-in path — contrast with
         // `idle_service_scales_in`, where the empty window is a *fresh*
         // measurement.
-        let mut p = EvolvePolicy::new(EvolvePolicyConfig::default(), 5, false);
+        let mut p = EvolvePolicy::new(config(), 5, false);
         let st = status();
         // p99 of 70 ms sits on the 65 ms setpoint (100 ms PLO, 35%
         // margin): no scale action while fresh, so the blackout starts
@@ -689,13 +637,10 @@ mod tests {
 
     #[test]
     fn ablation_names() {
-        assert_eq!(EvolvePolicy::new(EvolvePolicyConfig::default(), 1, false).name(), "evolve");
+        assert_eq!(EvolvePolicy::new(config(), 1, false).name(), "evolve");
+        assert_eq!(EvolvePolicy::new(config().cpu_only(), 1, false).name(), "evolve-cpu-only");
         assert_eq!(
-            EvolvePolicy::new(EvolvePolicyConfig::default().cpu_only(), 1, false).name(),
-            "evolve-cpu-only"
-        );
-        assert_eq!(
-            EvolvePolicy::new(EvolvePolicyConfig::default().fixed_gains(), 1, false).name(),
+            EvolvePolicy::new(config().fixed_gains(), 1, false).name(),
             "evolve-fixed-gains"
         );
     }

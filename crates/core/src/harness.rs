@@ -168,7 +168,7 @@ impl ReplicatedOutcome {
     pub fn perf_line(&self) -> String {
         let simwall = self.summarize(|r| r.perf.sim_secs_per_wall_sec);
         let ticks: u64 = self.runs.iter().map(|r| r.perf.ticks).sum();
-        let events: u64 = self.runs.iter().map(|r| r.perf.events).sum();
+        let events: u64 = self.runs.iter().map(|r| r.events).sum();
         let peak = self.runs.iter().map(|r| r.perf.peak_running_pods).max().unwrap_or(0);
         let fast: u64 = self.runs.iter().map(|r| r.perf.fast_metric_records).sum();
         format!(

@@ -44,7 +44,7 @@ mod runner;
 pub use baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 pub use checkpoint::ControllerCheckpoint;
 pub use counters::ControlCounters;
-pub use evolve_policy::{EvolvePolicy, EvolvePolicyConfig};
+pub use evolve_policy::EvolvePolicy;
 pub use harness::{Harness, ReplicatedOutcome};
 pub use manager::{ManagerKind, ResourceManager};
 pub use policy::{

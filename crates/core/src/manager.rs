@@ -5,6 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use evolve_control::{
     ArbiterConfig, ArbiterRequest, ArbitrationOutcome, CapacityArbiter, GrantDecision,
+    MultiResourceConfig,
 };
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{AppStatus, AppWindow, FaultInjector, Simulation};
@@ -21,52 +22,40 @@ use evolve_workload::{PloSpec, WorldClass};
 use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 use crate::checkpoint::{AppCheckpoint, ControllerCheckpoint};
 use crate::counters::ControlCounters;
-use crate::evolve_policy::{EvolvePolicy, EvolvePolicyConfig};
+use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MIN_ALLOC};
 use crate::policy::{
     AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput, SignalQuality,
 };
 
-/// Which resource-management system runs the cluster.
-#[derive(Debug, Clone, PartialEq)]
+/// Which resource-management system runs the cluster: EVOLVE, its two
+/// ablations, and the three baselines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ManagerKind {
     /// The paper's system: multi-resource adaptive PID per application.
     Evolve,
-    /// EVOLVE with a custom policy configuration (ablations).
-    EvolveWith(EvolvePolicyConfig),
+    /// EVOLVE restricted to the CPU dimension (the classical 1-D PID).
+    EvolveCpuOnly,
+    /// EVOLVE without on-line gain adaptation.
+    EvolveFixedGains,
     /// Stock Kubernetes: static requests, static replicas.
     KubeStatic,
     /// Threshold HPA on CPU utilization.
-    Hpa {
-        /// Target CPU utilization in `(0, 1]`.
-        target_utilization: f64,
-    },
+    Hpa,
     /// VPA-like percentile vertical scaler.
-    Vpa {
-        /// Relative headroom above observed usage.
-        margin: f64,
-    },
+    Vpa,
 }
 
 impl ManagerKind {
     /// A short label for reports.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub fn label(self) -> &'static str {
         match self {
-            ManagerKind::Evolve => "evolve".into(),
-            ManagerKind::EvolveWith(cfg) => {
-                if cfg.cpu_only {
-                    "evolve-cpu-only".into()
-                } else if cfg.fixed_gains {
-                    "evolve-fixed-gains".into()
-                } else if !cfg.predictive {
-                    "evolve-reactive".into()
-                } else {
-                    "evolve-custom".into()
-                }
-            }
-            ManagerKind::KubeStatic => "kube-static".into(),
-            ManagerKind::Hpa { .. } => "hpa".into(),
-            ManagerKind::Vpa { .. } => "vpa".into(),
+            ManagerKind::Evolve => "evolve",
+            ManagerKind::EvolveCpuOnly => "evolve-cpu-only",
+            ManagerKind::EvolveFixedGains => "evolve-fixed-gains",
+            ManagerKind::KubeStatic => "kube-static",
+            ManagerKind::Hpa => "hpa",
+            ManagerKind::Vpa => "vpa",
         }
     }
 }
@@ -141,47 +130,27 @@ impl ResourceManager {
     #[must_use]
     pub fn new(kind: ManagerKind, sim: &Simulation) -> Self {
         let mut apps = HashMap::new();
+        let evolve = MultiResourceConfig::new(MIN_ALLOC, MAX_ALLOC);
         for status in sim.apps() {
             let is_job = status.world != WorldClass::Microservice;
-            let initial_replicas = 1;
-            let policy: Box<dyn AutoscalePolicy> = match &kind {
-                ManagerKind::Evolve => Box::new(EvolvePolicy::new(
-                    EvolvePolicyConfig::default(),
-                    initial_replicas,
-                    is_job,
-                )),
-                ManagerKind::EvolveWith(cfg) => {
-                    Box::new(EvolvePolicy::new(*cfg, initial_replicas, is_job))
+            let policy: Box<dyn AutoscalePolicy> = match kind {
+                ManagerKind::Evolve => Box::new(EvolvePolicy::new(evolve, 1, is_job)),
+                ManagerKind::EvolveCpuOnly => {
+                    Box::new(EvolvePolicy::new(evolve.cpu_only(), 1, is_job))
+                }
+                ManagerKind::EvolveFixedGains => {
+                    Box::new(EvolvePolicy::new(evolve.fixed_gains(), 1, is_job))
                 }
                 ManagerKind::KubeStatic => Box::new(StaticPolicy),
-                ManagerKind::Hpa { target_utilization } => {
-                    if is_job {
-                        // HPA does not manage jobs; they run statically.
-                        Box::new(StaticPolicy)
-                    } else {
-                        Box::new(HpaPolicy::new(
-                            *target_utilization,
-                            // HPA keeps the user-provided request; the
-                            // runner passes the initial alloc via the
-                            // window, so seed with a common default.
-                            ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0),
-                            2,
-                            64,
-                        ))
-                    }
+                // HPA and VPA do not manage jobs; they run statically.
+                ManagerKind::Hpa | ManagerKind::Vpa if is_job => Box::new(StaticPolicy),
+                // HPA keeps the user-provided request (latched from the
+                // first window); the seed below only covers a window with
+                // no replica running yet.
+                ManagerKind::Hpa => {
+                    Box::new(HpaPolicy::new(ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0), 2, 64))
                 }
-                ManagerKind::Vpa { margin } => {
-                    if is_job {
-                        Box::new(StaticPolicy)
-                    } else {
-                        Box::new(VpaPolicy::new(
-                            *margin,
-                            ResourceVec::new(100.0, 256.0, 5.0, 5.0),
-                            ResourceVec::new(8_000.0, 16_384.0, 250.0, 600.0),
-                            2,
-                        ))
-                    }
-                }
+                ManagerKind::Vpa => Box::new(VpaPolicy::new(2)),
             };
             let bound = if status.plo.upper_bound() { PloBound::Upper } else { PloBound::Lower };
             apps.insert(
@@ -383,28 +352,9 @@ impl ResourceManager {
         mgr
     }
 
-    /// Ages a restored manager across a recovery gap longer than one
-    /// control tick (the checkpoint was stale): the dark seconds are
-    /// folded into each app's `pending_dt` so the first post-restart
-    /// window computes rates over the real elapsed time, and each policy
-    /// re-engages slew-limited from the *current* cluster state rather
-    /// than trusting measurements from before the gap.
-    pub fn age_after_gap(&mut self, sim: &Simulation, gap_secs: f64) {
-        if gap_secs <= 0.0 {
-            return;
-        }
-        let observed = Self::observe_apps(sim);
-        for (id, m) in &mut self.apps {
-            m.pending_dt += gap_secs;
-            if let Some(obs) = observed.get(id) {
-                m.policy.reconstruct(obs);
-            }
-        }
-    }
-
     /// The manager's label for reports.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         self.kind.label()
     }
 
@@ -876,12 +826,10 @@ mod tests {
     #[test]
     fn kind_labels() {
         assert_eq!(ManagerKind::Evolve.label(), "evolve");
+        assert_eq!(ManagerKind::EvolveCpuOnly.label(), "evolve-cpu-only");
+        assert_eq!(ManagerKind::EvolveFixedGains.label(), "evolve-fixed-gains");
         assert_eq!(ManagerKind::KubeStatic.label(), "kube-static");
-        assert_eq!(ManagerKind::Hpa { target_utilization: 0.6 }.label(), "hpa");
-        assert_eq!(ManagerKind::Vpa { margin: 0.3 }.label(), "vpa");
-        assert_eq!(
-            ManagerKind::EvolveWith(EvolvePolicyConfig::default().cpu_only()).label(),
-            "evolve-cpu-only"
-        );
+        assert_eq!(ManagerKind::Hpa.label(), "hpa");
+        assert_eq!(ManagerKind::Vpa.label(), "vpa");
     }
 }

@@ -95,9 +95,6 @@ pub struct RunConfig {
     pub faults: Vec<FaultEvent>,
     /// How the control plane recovers from a controller crash.
     pub recovery: RecoveryStrategy,
-    /// Control ticks between controller checkpoints (only captured while
-    /// a controller crash is armed and `recovery` is `Restore`).
-    pub checkpoint_interval_ticks: u32,
     /// Decision-trace capture: ring capacity and optional JSONL dump.
     pub trace: TraceConfig,
     /// Run with the pre-batched (Box–Muller + global-majorant thinning)
@@ -145,8 +142,12 @@ impl RunConfig {
     #[must_use]
     pub fn from_spec(spec: &ScenarioSpec, manager: ManagerKind) -> RunConfigBuilder {
         let scheduler = match manager {
-            ManagerKind::Evolve | ManagerKind::EvolveWith(_) => SchedulerProfile::Evolve,
-            _ => SchedulerProfile::KubeDefault,
+            ManagerKind::Evolve | ManagerKind::EvolveCpuOnly | ManagerKind::EvolveFixedGains => {
+                SchedulerProfile::Evolve
+            }
+            ManagerKind::KubeStatic | ManagerKind::Hpa | ManagerKind::Vpa => {
+                SchedulerProfile::KubeDefault
+            }
         };
         let config = RunConfig {
             scenario: spec.build(),
@@ -159,7 +160,6 @@ impl RunConfig {
             record_series: true,
             faults: spec.faults.clone(),
             recovery: RecoveryStrategy::default(),
-            checkpoint_interval_ticks: 1,
             trace: TraceConfig::default(),
             legacy_sampling: false,
             oracle: false,
@@ -228,18 +228,6 @@ impl RunConfigBuilder {
     #[must_use]
     pub fn recovery(mut self, recovery: RecoveryStrategy) -> Self {
         self.config.recovery = recovery;
-        self
-    }
-
-    /// Overrides the checkpoint cadence (control ticks between captures).
-    ///
-    /// # Panics
-    ///
-    /// Panics when zero.
-    #[must_use]
-    pub fn checkpoint_interval_ticks(mut self, ticks: u32) -> Self {
-        assert!(ticks > 0, "checkpoint interval must be at least one tick");
-        self.config.checkpoint_interval_ticks = ticks;
         self
     }
 
@@ -373,8 +361,6 @@ pub struct RunOutcome {
     pub thinning_bailouts: u64,
     /// Distinct apps the arbiter ever shed.
     pub shed_apps: u64,
-    /// Total requests rejected at admission while shedding, across apps.
-    pub shed_requests: u64,
     /// Engine-throughput accounting (what every binary's `perf[…]` line prints).
     pub perf: RunPerf,
     /// The decision trace captured during the run (bounded ring; always
@@ -393,9 +379,6 @@ pub struct RunPerf {
     pub wall_secs: f64,
     /// Simulated seconds advanced per wall-clock second.
     pub sim_secs_per_wall_sec: f64,
-    /// Engine events processed (wake-queue replacement makes this smaller
-    /// than the naive event count for the same trajectory).
-    pub events: u64,
     /// Peak concurrently running pods observed at control ticks.
     pub peak_running_pods: u32,
     /// Metric samples recorded through pre-interned [`MetricKey`]s —
@@ -562,7 +545,7 @@ impl ExperimentRunner {
             if cfg.legacy_sampling { SamplingMode::Legacy } else { SamplingMode::Batched };
         let sim_config = SimulationConfig { sampling, ..SimulationConfig::default() };
         let mut sim = Simulation::new(sim_config, cluster_config, &cfg.scenario.mix, cfg.seed);
-        let mut manager = ResourceManager::new(cfg.manager.clone(), &sim);
+        let mut manager = ResourceManager::new(cfg.manager, &sim);
         if let Some(arb) = cfg.arbiter {
             manager.set_arbiter(arb);
         }
@@ -635,8 +618,9 @@ impl ExperimentRunner {
             orc.scan_trace(&trace);
         }
 
-        // Crash recovery: checkpoints are captured only while a controller
-        // crash is actually armed and the strategy will consume them.
+        // Crash recovery: checkpoints are captured, one per live tick, only
+        // while a controller crash is actually armed and the strategy will
+        // consume them.
         let crash_armed = cfg.faults.iter().any(|ev| ev.kind == FaultKind::ControllerCrash);
         let capture_checkpoints = crash_armed && cfg.recovery == RecoveryStrategy::Restore;
         let mut checkpoint = if capture_checkpoints {
@@ -644,8 +628,6 @@ impl ExperimentRunner {
         } else {
             None
         };
-        let checkpoint_every = u64::from(cfg.checkpoint_interval_ticks.max(1));
-        let mut live_ticks = 0u64;
         let mut last_crash_check = SimTime::ZERO;
         let mut controller_restarts = 0u64;
 
@@ -685,31 +667,24 @@ impl ExperimentRunner {
             {
                 controller_restarts += 1;
                 let restored = match cfg.recovery {
-                    RecoveryStrategy::Restore => checkpoint.as_ref().and_then(|ck| {
-                        ResourceManager::restore(cfg.manager.clone(), &sim, ck)
-                            .ok()
-                            .map(|mb| (mb, ck.at))
-                    }),
+                    RecoveryStrategy::Restore => checkpoint
+                        .as_ref()
+                        .and_then(|ck| ResourceManager::restore(cfg.manager, &sim, ck).ok()),
                     _ => None,
                 };
                 match (cfg.recovery, restored) {
-                    (RecoveryStrategy::Restore, Some(((m, b), ck_at))) => {
+                    // The image was captured at the end of the previous
+                    // live tick (stalled seconds carry into this window),
+                    // so the resumed run is bit-identical to one that
+                    // never crashed.
+                    (RecoveryStrategy::Restore, Some((m, b))) => {
                         manager = m;
                         sched.backoff = b;
-                        // With per-tick checkpoints the image is exactly
-                        // one window old and the resumed run is
-                        // bit-identical; a staler image leaves a gap the
-                        // manager must age across (rates over real
-                        // elapsed time, slew-limited re-engagement).
-                        let gap_extra = (tick_end - ck_at).as_secs_f64() - window_secs;
-                        if gap_extra > 1e-9 {
-                            manager.age_after_gap(&sim, gap_extra);
-                        }
                     }
                     // Restore with no (or corrupt) checkpoint degrades to
                     // cold reconstruction rather than naive reset.
                     (RecoveryStrategy::Restore | RecoveryStrategy::ColdReconstruct, _) => {
-                        manager = ResourceManager::cold_reconstruct(cfg.manager.clone(), &sim);
+                        manager = ResourceManager::cold_reconstruct(cfg.manager, &sim);
                         sched.backoff = RequeueBackoff::new();
                         // A checkpoint carries the arbiter; the fresh
                         // managers must have it re-installed (empty state:
@@ -719,7 +694,7 @@ impl ExperimentRunner {
                         }
                     }
                     (RecoveryStrategy::NaiveReset, _) => {
-                        manager = ResourceManager::naive_reset(cfg.manager.clone(), &sim);
+                        manager = ResourceManager::naive_reset(cfg.manager, &sim);
                         sched.backoff = RequeueBackoff::new();
                         if let Some(arb) = cfg.arbiter {
                             manager.set_arbiter(arb);
@@ -844,8 +819,7 @@ impl ExperimentRunner {
                 kind: SpanKind::Record,
                 wall_ns: u64::try_from(record_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             }));
-            live_ticks += 1;
-            if capture_checkpoints && live_ticks.is_multiple_of(checkpoint_every) {
+            if capture_checkpoints {
                 let ck = manager.checkpoint(tick_end, &sched.backoff);
                 // Checkpoint→restore equivalence: while a crash is armed,
                 // every captured image must restore to a manager whose
@@ -853,7 +827,7 @@ impl ExperimentRunner {
                 // post-crash trajectory silently diverges from the
                 // uninterrupted one.
                 if let Some(orc) = oracle.as_mut() {
-                    match ResourceManager::restore(cfg.manager.clone(), &sim, &ck) {
+                    match ResourceManager::restore(cfg.manager, &sim, &ck) {
                         Ok((restored, rb)) => {
                             let again = restored.checkpoint(ck.at, &rb);
                             if again.to_bytes() != ck.to_bytes() {
@@ -909,7 +883,6 @@ impl ExperimentRunner {
             });
         }
 
-        let shed_requests_total: u64 = apps.iter().map(|a| a.shed_requests).sum();
         let wall_secs = started.elapsed().as_secs_f64();
         let perf = RunPerf {
             ticks,
@@ -919,7 +892,6 @@ impl ExperimentRunner {
             } else {
                 0.0
             },
-            events: sim.events_processed(),
             peak_running_pods: peak_running,
             fast_metric_records: registry.fast_path_records(),
             control_wall_ns,
@@ -939,7 +911,7 @@ impl ExperimentRunner {
         let oracle_report = oracle.map(|o| o.finish(&sim, &trace));
 
         RunOutcome {
-            manager: manager.label(),
+            manager: manager.label().to_owned(),
             scenario: cfg.scenario.name.clone(),
             apps,
             utilization,
@@ -956,7 +928,6 @@ impl ExperimentRunner {
             stale_pod_lookups: sched.stale_pod_lookups,
             thinning_bailouts: sim.thinning_bailouts(),
             shed_apps: manager.shed_apps(),
-            shed_requests: shed_requests_total,
             perf,
             trace,
         }

@@ -126,10 +126,6 @@ fn golden_dump(outcome: &RunOutcome) -> String {
             let _ = writeln!(out, "  {:016x} {:016x}", t.to_bits(), v.to_bits());
         }
     }
-    let counters: Vec<String> = outcome.registry.counter_names().map(str::to_owned).collect();
-    for name in &counters {
-        let _ = writeln!(out, "counter {name} {}", outcome.registry.counter(name));
-    }
     out
 }
 

@@ -83,10 +83,7 @@ fn aggregates_identical_across_thread_counts() {
         small_config(ManagerKind::Evolve, 120),
         small_config(ManagerKind::KubeStatic, 120),
         with_faults(small_config(ManagerKind::Evolve, 120), mixed_fault_plan()),
-        with_faults(
-            small_config(ManagerKind::Hpa { target_utilization: 0.6 }, 120),
-            mixed_fault_plan(),
-        ),
+        with_faults(small_config(ManagerKind::Hpa, 120), mixed_fault_plan()),
     ];
     let seeds = [42u64, 43, 44, 45];
     let serial = Harness::new().with_threads(1).run_matrix(&configs, &seeds);
@@ -140,9 +137,7 @@ fn actuation_fault_plan() -> Vec<FaultEvent> {
 fn actuation_faults_identical_across_thread_counts() {
     let configs = vec![
         with_faults(small_config(ManagerKind::Evolve, 150), actuation_fault_plan()),
-        with_faults(small_config(ManagerKind::Hpa { target_utilization: 0.6 }, 150), {
-            actuation_fault_plan()
-        }),
+        with_faults(small_config(ManagerKind::Hpa, 150), actuation_fault_plan()),
     ];
     let seeds = [42u64, 43, 44];
     let serial = Harness::new().with_threads(1).run_matrix(&configs, &seeds);

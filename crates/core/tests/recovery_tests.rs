@@ -14,8 +14,12 @@ use evolve_workload::ScenarioSpec;
 use proptest::prelude::*;
 
 fn base_config(horizon_secs: u64, seed: u64) -> RunConfig {
+    config_for(ManagerKind::Evolve, horizon_secs, seed)
+}
+
+fn config_for(manager: ManagerKind, horizon_secs: u64, seed: u64) -> RunConfig {
     let spec = ScenarioSpec::builtin("single_diurnal").unwrap();
-    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build();
+    let mut cfg = RunConfig::from_spec(&spec, manager).seed(seed).build();
     cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
     cfg
 }
@@ -192,19 +196,52 @@ fn corrupt_checkpoint_is_rejected_not_panicking() {
     }
 }
 
+/// Every EVOLVE variant: the image carries no configuration, so a restore
+/// that rebuilt the wrong variant would only show on a non-default one.
 #[test]
 fn crash_with_restore_is_bit_identical_to_uninterrupted() {
-    let uninterrupted = run(base_config(300, 42));
-    let crashed = run(crashed_config(300, 42, 150, RecoveryStrategy::Restore));
+    for manager in [ManagerKind::Evolve, ManagerKind::EvolveCpuOnly, ManagerKind::EvolveFixedGains]
+    {
+        let uninterrupted = run(config_for(manager, 300, 42));
+        let mut crashed = config_for(manager, 300, 42);
+        crashed.faults = controller_crash_at(150);
+        crashed.recovery = RecoveryStrategy::Restore;
+        let crashed = run(crashed);
+        assert_eq!(crashed.manager, manager.label());
+        assert_eq!(crashed.controller_restarts, 1);
+        assert_eq!(uninterrupted.controller_restarts, 0);
+        assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
+        assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
+        assert_eq!(crashed.control, uninterrupted.control);
+        assert_eq!(crashed.preemptions, uninterrupted.preemptions);
+        assert_eq!(crashed.bindings, uninterrupted.bindings);
+        assert_eq!(crashed.events, uninterrupted.events);
+        assert_identical_series(&uninterrupted, &crashed);
+    }
+}
+
+/// A crash right after a control-plane stall: the image is from the last
+/// live tick before the stall, and the stalled seconds carry into the
+/// first live window, so the restore resumes exactly where the same
+/// stalled run without the crash goes on.
+#[test]
+fn crash_right_after_a_stall_restores_bit_identically() {
+    let stall = FaultEvent {
+        at: SimTime::from_secs(100),
+        kind: FaultKind::ControlStall { duration: SimDuration::from_secs(20) },
+    };
+    let mut stalled = base_config(300, 42);
+    stalled.faults = vec![stall.clone()];
+    let mut crashed = base_config(300, 42);
+    crashed.faults = vec![stall, controller_crash_at(120).remove(0)];
+    crashed.recovery = RecoveryStrategy::Restore;
+    let (stalled, crashed) = (run(stalled), run(crashed));
     assert_eq!(crashed.controller_restarts, 1);
-    assert_eq!(uninterrupted.controller_restarts, 0);
-    assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
-    assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
-    assert_eq!(crashed.control, uninterrupted.control);
-    assert_eq!(crashed.preemptions, uninterrupted.preemptions);
-    assert_eq!(crashed.bindings, uninterrupted.bindings);
-    assert_eq!(crashed.events, uninterrupted.events);
-    assert_identical_series(&uninterrupted, &crashed);
+    assert_eq!(crashed.total_windows(), stalled.total_windows());
+    assert_eq!(crashed.total_violations(), stalled.total_violations());
+    assert_eq!(crashed.control, stalled.control);
+    assert_eq!(crashed.events, stalled.events);
+    assert_identical_series(&stalled, &crashed);
 }
 
 #[test]

@@ -92,7 +92,7 @@ fn check_utilisation_law(manager: ManagerKind) {
     let cluster = ClusterConfig::uniform(cfg.nodes, cfg.node_shape);
     let mut sim =
         Simulation::new(SimulationConfig::default(), cluster, &cfg.scenario.mix, cfg.seed);
-    let mut manager = ResourceManager::new(cfg.manager.clone(), &sim);
+    let mut manager = ResourceManager::new(cfg.manager, &sim);
     let framework = match cfg.scheduler {
         SchedulerProfile::KubeDefault => SchedulerFramework::kube_default(),
         SchedulerProfile::Evolve => SchedulerFramework::evolve_default(),

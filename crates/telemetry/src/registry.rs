@@ -1,15 +1,14 @@
 //! A string-keyed metric registry for experiment export.
 //!
 //! Experiment runners record named series ("app-0/p99_ms",
-//! "cluster/used_cpu") and counters, then dump everything as CSV for the
-//! figure scripts. This is the simulated stand-in for a Prometheus server.
+//! "cluster/used_cpu"), then dump them as CSV for the figure scripts. This is the simulated stand-in for a Prometheus server.
 //!
 //! Hot callers (the per-tick recording loop) intern names once via
 //! [`MetricRegistry::key`] and record through the returned
 //! [`MetricKey`] — a dense index into a `Vec<TimeSeries>`, so the
 //! steady-state path is an array index instead of a string-keyed map
-//! lookup. Name-based lookup remains for reads and counters; recording
-//! always goes through an interned key.
+//! lookup. Name-based lookup remains for reads; recording always goes
+//! through an interned key.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,7 +33,7 @@ impl MetricKey {
     }
 }
 
-/// Named time series and counters.
+/// Named time series.
 ///
 /// # Examples
 ///
@@ -43,9 +42,6 @@ impl MetricKey {
 /// use evolve_types::SimTime;
 ///
 /// let mut reg = MetricRegistry::new();
-/// reg.incr("svc/requests", 3);
-/// assert_eq!(reg.counter("svc/requests"), 3);
-///
 /// // Intern once, record through the typed key.
 /// let key = reg.key("svc/p99_ms");
 /// reg.record_key(key, SimTime::from_secs(1), 42.0);
@@ -59,7 +55,6 @@ pub struct MetricRegistry {
     ids: BTreeMap<String, u32>,
     /// Dense storage, indexed by [`MetricKey`].
     series: Vec<TimeSeries>,
-    counters: BTreeMap<String, u64>,
     series_capacity: usize,
     /// Samples recorded through the dense-key fast path (perf accounting:
     /// each is a string hash/compare + potential allocation avoided).
@@ -88,7 +83,6 @@ impl MetricRegistry {
         MetricRegistry {
             ids: BTreeMap::new(),
             series: Vec::new(),
-            counters: BTreeMap::new(),
             series_capacity: capacity,
             fast_records: 0,
             dropped_records: 0,
@@ -119,21 +113,6 @@ impl MetricRegistry {
             }
             None => self.dropped_records += 1,
         }
-    }
-
-    /// Increments the named counter by `by`.
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(counter) = self.counters.get_mut(name) {
-            *counter += by;
-        } else {
-            self.counters.insert(name.to_owned(), by);
-        }
-    }
-
-    /// Reads a counter (0 when never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Looks up a series by name.
@@ -171,11 +150,6 @@ impl MetricRegistry {
     /// All series names in sorted order.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
         self.ids.keys().map(String::as_str)
-    }
-
-    /// All counter names in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
     }
 
     /// Renders one series as a two-column CSV (`seconds,value`) with a
@@ -285,16 +259,6 @@ mod tests {
         let mid = r.key("mid");
         r.record_key(mid, SimTime::ZERO, 0.0);
         assert_eq!(r.series_names().collect::<Vec<_>>(), vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut r = MetricRegistry::new();
-        r.incr("x", 2);
-        r.incr("x", 3);
-        assert_eq!(r.counter("x"), 5);
-        assert_eq!(r.counter("y"), 0);
-        assert_eq!(r.counter_names().collect::<Vec<_>>(), vec!["x"]);
     }
 
     #[test]

@@ -10,10 +10,9 @@ use evolve::prelude::*;
 
 fn main() {
     let spec = ScenarioSpec::builtin("flash_crowd").expect("builtin scenario");
-    for manager in [ManagerKind::Evolve, ManagerKind::Hpa { target_utilization: 0.6 }] {
+    for manager in [ManagerKind::Evolve, ManagerKind::Hpa] {
         let outcome =
-            ExperimentRunner::new(RunConfig::from_spec(&spec, manager.clone()).seed(3).build())
-                .run();
+            ExperimentRunner::new(RunConfig::from_spec(&spec, manager).seed(3).build()).run();
         println!("\n=== {} through a 5× flash crowd (spike at t=120 s) ===", outcome.manager);
         println!("{:>8} {:>10} {:>10} {:>12}", "t (s)", "rate rps", "replicas", "p99 ms");
         let rate = outcome.registry.series("app0/rate_rps");

@@ -143,9 +143,8 @@ fn headline_mix_runs_under_evolve() {
 
 #[test]
 fn hpa_and_vpa_baselines_run() {
-    for manager in [ManagerKind::Hpa { target_utilization: 0.6 }, ManagerKind::Vpa { margin: 0.3 }]
-    {
-        let outcome = run(manager.clone(), 5);
+    for manager in [ManagerKind::Hpa, ManagerKind::Vpa] {
+        let outcome = run(manager, 5);
         assert!(outcome.apps[0].completions > 1_000, "{:?}", manager);
     }
 }
