@@ -30,6 +30,12 @@
 //!   no event reaches, from their drain-rate records and, once those have
 //!   run out, from their servers; `set_target_500_tasks_same_request` is a
 //!   batch target that every one of 500 running tasks already holds.
+//! * `runner/back_to_back_reps` — three whole runs of a 250-node
+//!   `cluster_scale` in a row, each built, run for 60 s and dropped, as the
+//!   repo benchmark's reps and the `experiments` driver run them: a table
+//!   that grows by doubling while a run fills it shows here as the heap
+//!   the allocator gives back at one teardown and faults in at the next
+//!   run (DESIGN.md decision 16).
 //! * `control/*` — T4's control-plane costs: one scalar PID step, one
 //!   multi-resource controller decision, an RLS update, the sensitivity
 //!   attribution, a P² quantile observation and a PLO window record.
@@ -44,6 +50,7 @@ use evolve_control::{
     MultiResourceConfig, MultiResourceController, PidConfig, PidController, RlsModel,
     SensitivityModel,
 };
+use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, SchedulerProfile};
 use evolve_scheduler::{RequeueBackoff, SchedulerFramework};
 use evolve_sim::{
     ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
@@ -425,6 +432,25 @@ fn busy_tasks(nodes: usize, jobs: u32, parallel: u32) -> Simulation {
     sim
 }
 
+fn bench_runner(c: &mut Criterion) {
+    let mut group = c.benchmark_group("runner");
+    group.sample_size(10);
+    let spec = ScenarioSpec::cluster_scale(250, 40, SimDuration::from_secs(60));
+    // The repo benchmark's `cluster_scale` profile.
+    let config = RunConfig::from_spec(&spec, ManagerKind::KubeStatic)
+        .scheduler(SchedulerProfile::Evolve)
+        .record_series(false)
+        .build();
+    group.bench_function("back_to_back_reps", |b| {
+        b.iter(|| {
+            for _ in 0..3 {
+                black_box(ExperimentRunner::new(config.clone()).run());
+            }
+        })
+    });
+    group.finish();
+}
+
 /// A cyclic error in [-0.5, 0.5): the controllers never settle.
 fn error_at(i: u64) -> f64 {
     ((i % 100) as f64 - 50.0) / 100.0
@@ -494,6 +520,7 @@ criterion_group!(
     bench_registry,
     bench_scheduler,
     bench_engine,
+    bench_runner,
     bench_control
 );
 criterion_main!(benches);

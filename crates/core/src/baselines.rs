@@ -18,8 +18,12 @@ use crate::policy::{AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInp
 
 /// The HPA's target CPU utilization (usage/request), the canonical 60%.
 const HPA_TARGET_UTILIZATION: f64 = 0.6;
+/// The HPA's replica ceiling.
+pub(crate) const HPA_MAX_REPLICAS: u32 = 64;
 /// The VPA's safety margin above observed usage (30% headroom).
 const VPA_MARGIN: f64 = 0.3;
+/// The replicas the VPA holds every service to.
+pub(crate) const VPA_REPLICAS: u32 = 2;
 
 /// Leading byte of an HPA checkpoint blob.
 const HPA_POLICY_TAG: u8 = 2;

@@ -27,7 +27,7 @@ pub(crate) const MAX_ALLOC: ResourceVec = ResourceVec::new(8_000.0, 16_384.0, 25
 /// Replica lower bound.
 const MIN_REPLICAS: u32 = 1;
 /// Replica upper bound.
-const MAX_REPLICAS: u32 = 64;
+pub(crate) const MAX_REPLICAS: u32 = 64;
 /// Control ticks to wait between horizontal actions (hysteresis).
 const SCALE_COOLDOWN_TICKS: u32 = 3;
 /// Fractional safety margin inside the PLO the controller steers to

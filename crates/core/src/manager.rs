@@ -19,10 +19,10 @@ use evolve_types::{
 };
 use evolve_workload::{PloSpec, WorldClass};
 
-use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
+use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy, HPA_MAX_REPLICAS, VPA_REPLICAS};
 use crate::checkpoint::{AppCheckpoint, ControllerCheckpoint};
 use crate::counters::ControlCounters;
-use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MIN_ALLOC};
+use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MAX_REPLICAS, MIN_ALLOC};
 use crate::policy::{
     AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput, SignalQuality,
 };
@@ -56,6 +56,19 @@ impl ManagerKind {
             ManagerKind::KubeStatic => "kube-static",
             ManagerKind::Hpa => "hpa",
             ManagerKind::Vpa => "vpa",
+        }
+    }
+
+    /// The most replicas the manager gives a service whose initial count
+    /// is lower; 0 for one that keeps every service at its initial count.
+    pub(crate) fn replica_ceiling(self) -> u32 {
+        match self {
+            ManagerKind::Evolve | ManagerKind::EvolveCpuOnly | ManagerKind::EvolveFixedGains => {
+                MAX_REPLICAS
+            }
+            ManagerKind::KubeStatic => 0,
+            ManagerKind::Hpa => HPA_MAX_REPLICAS,
+            ManagerKind::Vpa => VPA_REPLICAS,
         }
     }
 }
@@ -147,10 +160,12 @@ impl ResourceManager {
                 // HPA keeps the user-provided request (latched from the
                 // first window); the seed below only covers a window with
                 // no replica running yet.
-                ManagerKind::Hpa => {
-                    Box::new(HpaPolicy::new(ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0), 2, 64))
-                }
-                ManagerKind::Vpa => Box::new(VpaPolicy::new(2)),
+                ManagerKind::Hpa => Box::new(HpaPolicy::new(
+                    ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0),
+                    2,
+                    HPA_MAX_REPLICAS,
+                )),
+                ManagerKind::Vpa => Box::new(VpaPolicy::new(VPA_REPLICAS)),
             };
             let bound = if status.plo.upper_bound() { PloBound::Upper } else { PloBound::Lower };
             apps.insert(

@@ -545,6 +545,7 @@ impl ExperimentRunner {
             if cfg.legacy_sampling { SamplingMode::Legacy } else { SamplingMode::Batched };
         let sim_config = SimulationConfig { sampling, ..SimulationConfig::default() };
         let mut sim = Simulation::new(sim_config, cluster_config, &cfg.scenario.mix, cfg.seed);
+        sim.presize(cfg.scenario.horizon, cfg.manager.replica_ceiling());
         let mut manager = ResourceManager::new(cfg.manager, &sim);
         if let Some(arb) = cfg.arbiter {
             manager.set_arbiter(arb);
@@ -1017,4 +1018,66 @@ fn fault_trace(ev: &FaultEvent) -> FaultTrace {
         FaultKind::ControllerCrash | FaultKind::NodeFlap { .. } => (None, None, None),
     };
     FaultTrace { at: ev.at, kind: ev.kind.label(), duration_s, node, app }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(pods created, pod bound)` of a fault-free run of `spec` under
+    /// `manager`, driven as `ExperimentRunner::run` drives it.
+    fn pods_against_bound(spec: &ScenarioSpec, manager: ManagerKind) -> (usize, usize) {
+        let cfg = RunConfig::from_spec(spec, manager).seed(42).build();
+        let cluster = ClusterConfig::uniform(cfg.nodes, cfg.node_shape);
+        let mut sim =
+            Simulation::new(SimulationConfig::default(), cluster, &cfg.scenario.mix, cfg.seed);
+        let bound = sim.pod_bound(cfg.scenario.horizon, manager.replica_ceiling());
+        let mut manager = ResourceManager::new(manager, &sim);
+        let mut sched = Scheduling::new(cfg.scheduler.build());
+        let mut trace = TraceRing::new(0);
+        sched.pass(&mut sim, &mut trace, None);
+        let (mut at, horizon) = (SimTime::ZERO, SimTime::ZERO + cfg.scenario.horizon);
+        while at < horizon {
+            let end = (at + cfg.control_interval).min(horizon);
+            sim.run_until(end);
+            let _ = manager.tick_traced(&mut sim, (end - at).as_secs_f64(), None, None);
+            sched.pass(&mut sim, &mut trace, None);
+            at = end;
+        }
+        (sim.cluster().pods().count(), bound)
+    }
+
+    /// The presize holds every pod the benchmarked runs create, and is not
+    /// more than twice that: a bound grown loose shows here too.
+    fn check_pod_bound(spec: &ScenarioSpec, manager: ManagerKind) {
+        let (created, bound) = pods_against_bound(spec, manager);
+        let run = format!("{} under {}", spec.name, manager.label());
+        eprintln!("{run}: created {created} pods, bound {bound}");
+        assert!(created <= bound, "{run}: created {created} pods, bound {bound}");
+        assert!(bound <= 2 * created, "{run}: bound {bound} for {created} pods");
+    }
+
+    fn scale() -> ScenarioSpec {
+        ScenarioSpec::cluster_scale(250, 40, SimDuration::from_secs(600))
+    }
+
+    #[test]
+    fn the_pod_bound_holds_the_headline_under_evolve() {
+        check_pod_bound(&ScenarioSpec::headline(1.0), ManagerKind::Evolve);
+    }
+
+    #[test]
+    fn the_pod_bound_holds_the_headline_under_static_replicas() {
+        check_pod_bound(&ScenarioSpec::headline(1.0), ManagerKind::KubeStatic);
+    }
+
+    #[test]
+    fn the_pod_bound_holds_cluster_scale_under_evolve() {
+        check_pod_bound(&scale(), ManagerKind::Evolve);
+    }
+
+    #[test]
+    fn the_pod_bound_holds_cluster_scale_under_static_replicas() {
+        check_pod_bound(&scale(), ManagerKind::KubeStatic);
+    }
 }

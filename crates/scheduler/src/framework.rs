@@ -63,7 +63,14 @@ pub struct RequeueBackoff {
     /// Pod id → its place in `entries` plus one, 0 for none; each cycle builds
     /// it over its cluster's pods, so an id from a checkpoint never sizes it.
     index: Vec<u32>,
+    /// The last cycle's queue, kept for its allocation: the next cycle
+    /// clears and refills it.
+    queue: Vec<QueuedUnit>,
 }
+
+/// A unit of a cycle's queue: `(priority, created, first pod, gang)`, the
+/// gang's job for an HPC gang and `None` for a single pod.
+type QueuedUnit = (i32, SimTime, PodId, Option<JobId>);
 
 impl RequeueBackoff {
     /// Fresh state: every pod is eligible immediately.
@@ -82,6 +89,8 @@ impl RequeueBackoff {
             }
         }
         self.entries.retain(|(pod, _)| cluster.pod(*pod).is_ok_and(Pod::is_pending));
+        // Sized with the pod table, so it grows when that does, not by doubling.
+        self.index.reserve(cluster.pod_capacity().saturating_sub(self.index.len()));
         self.index.resize(cluster.pods().count(), 0);
         for (at, (pod, _)) in self.entries.iter().enumerate() {
             self.index[pod.as_usize()] = at as u32 + 1;
@@ -157,7 +166,7 @@ impl Codec for RequeueBackoff {
             }
             entries.push(entry);
         }
-        Ok(RequeueBackoff { cycle, entries, index: Vec::new() })
+        Ok(RequeueBackoff { cycle, entries, index: Vec::new(), queue: Vec::new() })
     }
 }
 
@@ -419,35 +428,28 @@ impl SchedulerFramework {
 
         // Group pending pods: gangs as units, others individually; order
         // by (priority desc, creation asc).
-        let pending: Vec<&Pod> = cluster.pending_pods().collect();
         backoff.begin_cycle(cluster);
         // BTreeMap: gang visit order must not depend on hash state, or
         // equal-priority units would schedule in a nondeterministic order.
         let mut gangs: BTreeMap<JobId, Vec<&Pod>> = BTreeMap::new();
-        let mut singles: Vec<&Pod> = Vec::new();
-        for pod in pending {
+        let mut units = std::mem::take(&mut backoff.queue);
+        units.clear();
+        for pod in cluster.pending_pods() {
             match pod.spec.kind {
                 PodKind::HpcRank { job, .. } => gangs.entry(job).or_default().push(pod),
-                _ => singles.push(pod),
+                _ => units.push((pod.spec.priority, pod.created, pod.id, None)),
             }
         }
-        enum Unit<'a> {
-            Single(&'a Pod),
-            Gang(Vec<&'a Pod>),
-        }
-        let mut units: Vec<(i32, evolve_types::SimTime, PodId, Unit<'_>)> = Vec::new();
-        for pod in singles {
-            units.push((pod.spec.priority, pod.created, pod.id, Unit::Single(pod)));
-        }
-        for (_, members) in gangs {
+        for (&job, members) in &gangs {
             let prio = members.iter().map(|p| p.spec.priority).max().unwrap_or(0);
             let created = members.iter().map(|p| p.created).min().unwrap_or_default();
             let first = members.iter().map(|p| p.id).min().unwrap_or(PodId::new(0));
-            units.push((prio, created, first, Unit::Gang(members)));
+            units.push((prio, created, first, Some(job)));
         }
-        // Priority desc, then creation asc, then pod id as a total
-        // tie-break so the cycle order is fully deterministic.
-        units.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        // Priority desc, then creation asc, then pod id: a total order, as
+        // no two units share a pod, so the cycle order is fully
+        // deterministic (and an unstable sort allocates nothing).
+        units.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
         let cycle = backoff.cycle;
         // The pods deferred by backoff: how many, the first and the last.
@@ -487,9 +489,10 @@ impl SchedulerFramework {
             }));
         }
 
-        for (_, _, _, unit) in units {
-            match unit {
-                Unit::Single(pod) => {
+        for &(_, _, first, gang) in &units {
+            match gang.and_then(|job| gangs.remove(&job)) {
+                None => {
+                    let pod = cluster.pod(first).expect("a pending pod is in the table");
                     let (fails, retry_at) = backoff.held(pod.id);
                     if retry_at > cycle {
                         // Inside its backoff window: deferred without
@@ -541,7 +544,7 @@ impl SchedulerFramework {
                         }
                     }
                 }
-                Unit::Gang(members) => {
+                Some(members) => {
                     let job = match members[0].spec.kind {
                         PodKind::HpcRank { job, .. } => Some(job),
                         _ => None,
@@ -612,6 +615,7 @@ impl SchedulerFramework {
                 }
             }
         }
+        backoff.queue = units;
         if let (Some((_, ring)), Some(deferred)) = (trace.as_mut(), deferred) {
             ring.push(TraceEvent::Deferred(deferred));
         }

@@ -232,6 +232,18 @@ impl ClusterState {
         self.pending.iter().map(|(_, id)| &self.pods[id.as_usize()])
     }
 
+    /// Pods the pod table has room for before it grows. Tables indexed by
+    /// pod id outside the engine size themselves from it.
+    #[must_use]
+    pub fn pod_capacity(&self) -> usize {
+        self.pods.capacity()
+    }
+
+    /// Room in the pod table for `pods` pods in all.
+    pub(crate) fn reserve_pods(&mut self, pods: usize) {
+        self.pods.reserve(pods.saturating_sub(self.pods.len()));
+    }
+
     /// Creates a pod in `Pending` phase and returns its id.
     pub fn create_pod(&mut self, spec: PodSpec, now: SimTime) -> PodId {
         let id = PodId::new(self.pods.len() as u64);

@@ -1,7 +1,7 @@
 //! Big-data batch job execution: staged dataflow with a bounded executor
 //! pool, task requeue on preemption, and record-throughput accounting.
 
-use evolve_types::{AppId, JobId, PodId, ResourceVec, SimTime};
+use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimTime};
 use evolve_workload::BatchJobSpec;
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
@@ -36,6 +36,8 @@ pub(crate) struct BatchRuntime {
 impl BatchRuntime {
     pub(crate) fn new(app: AppId, job_raw: u64, spec: BatchJobSpec, submit_at: SimTime) -> Self {
         let desired_alloc = spec.task_alloc;
+        let mut replicas = Replicas::default();
+        replicas.reserve(spec.max_parallel_tasks as usize);
         BatchRuntime {
             app,
             job: JobId::new(job_raw),
@@ -45,7 +47,7 @@ impl BatchRuntime {
             stage: 0,
             tasks_launched: 0,
             tasks_done: 0,
-            replicas: Replicas::default(),
+            replicas,
             records_done: 0,
             records_this_window: 0,
             finished: None,
@@ -58,6 +60,29 @@ impl BatchRuntime {
     pub(crate) fn progress(&self) -> f64 {
         let total = self.spec.total_records().max(1);
         self.records_done as f64 / total as f64
+    }
+
+    /// Task pods the job creates up to `end`, each task draining at the
+    /// job's request: every slot of the executor pool starts one at
+    /// submission and one more per task duration begun before `end` — a
+    /// wave more than such tasks can finish, for a manager that grows
+    /// their requests — and never more than the stages hold.
+    pub(crate) fn pod_bound(&self, end: SimTime) -> usize {
+        if self.submit_at > end {
+            return 0;
+        }
+        let tasks = self.spec.stages.iter().map(|s| s.tasks as usize).sum();
+        let request = self.spec.task_alloc;
+        let shortest = self
+            .spec
+            .stages
+            .iter()
+            .map(|s| drain_secs(s.work_per_task, request))
+            .fold(f64::INFINITY, f64::min);
+        let open = end.saturating_since(self.submit_at).as_secs_f64();
+        let waves = if shortest > 0.0 { 1.0 + (open / shortest).ceil() } else { f64::INFINITY };
+        // A float to integer cast saturates: an endless pool is `usize::MAX`.
+        ((f64::from(self.spec.max_parallel_tasks) * waves) as usize).min(tasks)
     }
 
     pub(crate) fn outcome(&self) -> JobOutcome {
@@ -73,6 +98,16 @@ impl BatchRuntime {
             deadline,
         }
     }
+}
+
+/// Seconds one work item takes alone on a server holding `request`: its
+/// slowest rate dimension, +∞ when one it needs has no rate.
+fn drain_secs(work: ResourceVec, request: ResourceVec) -> f64 {
+    [Resource::Cpu, Resource::DiskIo, Resource::NetIo]
+        .into_iter()
+        .filter(|&r| work[r] > 0.0)
+        .map(|r| work[r] / request[r])
+        .fold(0.0, f64::max)
 }
 
 impl Simulation {

@@ -55,6 +55,15 @@ impl HpcRuntime {
         self.iterations_done as f64 / f64::from(self.spec.iterations.max(1))
     }
 
+    /// Rank pods the job creates up to `end`: its gang, once submitted.
+    pub(crate) fn pod_bound(&self, end: SimTime) -> usize {
+        if self.submit_at > end {
+            0
+        } else {
+            self.spec.gang_size as usize
+        }
+    }
+
     pub(crate) fn outcome(&self) -> JobOutcome {
         JobOutcome {
             job: self.job,

@@ -76,6 +76,16 @@ pub(crate) struct Replicas {
 }
 
 impl Replicas {
+    /// Room for `pods` live pods and the tombstones kept beside them until
+    /// the table compacts, which it does once they outnumber the living.
+    pub(crate) fn reserve(&mut self, pods: usize) {
+        let slots = (2 * pods + 1).saturating_sub(self.lanes.len());
+        self.lanes.reserve(slots);
+        self.inflight.reserve(slots);
+        self.servers.reserve(slots);
+        self.records.reserve(slots);
+    }
+
     /// Pods in the table.
     pub(crate) fn live(&self) -> usize {
         self.live

@@ -170,6 +170,11 @@ impl<T: Copy> PodMap<T> {
             *slot = None;
         }
     }
+
+    /// Room for the ids of `pods` pods in all.
+    fn reserve(&mut self, pods: usize) {
+        self.slots.reserve(pods.saturating_sub(self.slots.len()));
+    }
 }
 
 /// An indexed min-heap of replica wake-ups, at most one entry per pod.
@@ -223,6 +228,12 @@ impl WakeQueue {
         let e = heap::remove(&mut self.entries, &mut self.pos, 0);
         self.pos.remove(e.pod);
         Some(e)
+    }
+
+    /// Room for the wake-ups of `pods` pods in all, one each at most.
+    fn reserve(&mut self, pods: usize) {
+        self.entries.reserve(pods.saturating_sub(self.entries.len()));
+        self.pos.reserve(pods);
     }
 }
 
@@ -378,6 +389,39 @@ impl Simulation {
             sim.schedule(*at, Event::HpcSubmit { idx });
         }
         sim
+    }
+
+    /// The pods a fault-free run to `horizon` creates when no service runs
+    /// more than `replica_ceiling` replicas, or its initial count if that is
+    /// more: every service's replicas up to that ceiling, every gang's ranks,
+    /// and of each batch job's tasks those its executor pool can start
+    /// before the horizon. A pod created again — after a scale-in, a
+    /// preemption, a lost node — comes on top.
+    #[must_use]
+    pub fn pod_bound(&self, horizon: SimDuration, replica_ceiling: u32) -> usize {
+        let end = SimTime::ZERO + horizon;
+        let services = self.services.iter().map(|s| s.replica_bound(replica_ceiling));
+        let batches = self.batches.iter().map(|b| b.pod_bound(end));
+        let gangs = self.hpcs.iter().map(|h| h.pod_bound(end));
+        services.chain(batches).chain(gangs).sum()
+    }
+
+    /// Gives the run's long-lived tables their final capacity once, from
+    /// [`Simulation::pod_bound`]: the pod table and the tables indexed by pod
+    /// id, both event queues, and each service's replica table. A run that
+    /// creates more pods grows them on demand.
+    pub fn presize(&mut self, horizon: SimDuration, replica_ceiling: u32) {
+        let pods = self.pod_bound(horizon, replica_ceiling);
+        self.cluster.reserve_pods(pods);
+        self.pod_owner.reserve(pods);
+        self.wakes.reserve(pods);
+        // Every pod's start, and each job's submission.
+        let events = pods + self.batches.len() + self.hpcs.len();
+        self.heap.reserve(events.saturating_sub(self.heap.len()));
+        for svc in &mut self.services {
+            let replicas = svc.replica_bound(replica_ceiling);
+            svc.replicas.reserve(replicas);
+        }
     }
 
     /// Current simulated time.

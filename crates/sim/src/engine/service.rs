@@ -36,7 +36,7 @@ pub(crate) struct ServiceRuntime {
     /// revives and window harvesting walk replicas deterministically.
     draining: BTreeSet<PodId>,
     /// The running replicas in pod-id order, each with its server.
-    replicas: Replicas,
+    pub(super) replicas: Replicas,
     queue: VecDeque<QueuedRequest>,
     pub(crate) acc: WindowAccumulator,
     /// Load-shedding admission control, toggled by the capacity arbiter
@@ -63,6 +63,12 @@ impl ServiceRuntime {
             shedding: false,
             next_req: 0,
         }
+    }
+
+    /// The most replicas the service runs when its manager holds it to
+    /// `replica_ceiling`, or to the initial count if that is more.
+    pub(crate) fn replica_bound(&self, replica_ceiling: u32) -> usize {
+        self.spec.initial_replicas.max(replica_ceiling) as usize
     }
 
     pub(crate) fn next_arrival(&mut self, now: SimTime, rng: &mut ChaCha8Rng) -> Option<SimTime> {

@@ -38,9 +38,13 @@ pub struct TraceConfig {
     pub dump: Option<PathBuf>,
 }
 
+/// The default ring capacity, and the most events a ring reserves room for
+/// up front.
+const DEFAULT_CAPACITY: usize = 16_384;
+
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { capacity: 16_384, dump: None }
+        TraceConfig { capacity: DEFAULT_CAPACITY, dump: None }
     }
 }
 
@@ -401,12 +405,14 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a ring retaining at most `capacity` events. The buffer
-    /// grows on demand (no up-front allocation), so idle rings cost a few
-    /// machine words.
+    /// Creates a ring retaining at most `capacity` events. Room for up to
+    /// the default capacity (16 384 events) is reserved here, once, so a
+    /// run's ring never grows by doubling while it fills; a larger ring
+    /// grows past that on demand.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        TraceRing { capacity, events: VecDeque::new(), dropped: 0 }
+        let events = VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY));
+        TraceRing { capacity, events, dropped: 0 }
     }
 
     /// Appends an event, evicting the oldest when full. With capacity 0
@@ -744,6 +750,21 @@ mod tests {
         assert_eq!(ring.dropped(), 2);
         let ticks: Vec<u64> = ring.spans().map(|s| s.tick).collect();
         assert_eq!(ticks, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn a_large_ring_reserves_the_default_and_grows_past_it() {
+        // `trace_explain`'s ring: reserving all of it would take ≈ 160 MB.
+        let mut ring = TraceRing::new(1 << 20);
+        assert!(ring.events.capacity() >= DEFAULT_CAPACITY);
+        assert!(ring.events.capacity() < 2 * DEFAULT_CAPACITY, "reserved the whole ring");
+        // Filling it would take as much; twice the reserve shows it grows.
+        let past = 2 * DEFAULT_CAPACITY as u64 + 5;
+        for t in 0..past {
+            ring.push(span(t));
+        }
+        assert_eq!((ring.len() as u64, ring.dropped()), (past, 0));
+        assert_eq!(ring.spans().last().map(|s| s.tick), Some(past - 1));
     }
 
     #[test]
