@@ -51,11 +51,12 @@ use evolve_control::{
     SensitivityModel,
 };
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, SchedulerProfile};
-use evolve_scheduler::{RequeueBackoff, SchedulerFramework};
+use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
 use evolve_sim::{
     ClusterConfig, ClusterState, DrainOutcome, NodeShape, PerfConfig, PodKind, PodSpec,
     ReplicaServer, Simulation, SimulationConfig,
 };
+use evolve_telemetry::trace::TraceRing;
 use evolve_telemetry::{MetricRegistry, P2Quantile, PloBound, PloTracker, SlidingQuantile};
 use evolve_types::{AppId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{LoadSpec, Scenario, ScenarioSpec};
@@ -200,7 +201,7 @@ fn bench_registry(c: &mut Criterion) {
                     reg.record_key(key, SimTime::from_secs(t), t as f64);
                 }
             }
-            black_box(reg.series_count())
+            black_box(reg.fast_path_records())
         })
     });
     group.bench_function("record_by_key_1k", |b| {
@@ -271,14 +272,16 @@ fn bench_scheduler(c: &mut Criterion) {
     // pending one may preempt, and a backlog the carried ledger holds
     // back. After eight cycles each pod retries every fourth.
     let packed = populated_cluster(20, 800, 15_000.0, 100);
-    let mut backoff = RequeueBackoff::new();
+    let (mut backoff, mut index) = (RequeueBackoff::new(), FeasibilityIndex::new());
+    let mut trace = TraceRing::new(0);
+    let mut cycle = || {
+        evolve.schedule_cycle_carried(&packed, &mut backoff, &mut index, SimTime::ZERO, &mut trace)
+    };
     for _ in 0..8 {
-        assert!(evolve.schedule_cycle_with_backoff(&packed, &mut backoff).bindings.is_empty());
+        assert!(cycle().bindings.is_empty());
     }
     group.sample_size(20);
-    group.bench_function("backlog_cycle_800_deferred", |b| {
-        b.iter(|| black_box(evolve.schedule_cycle_with_backoff(&packed, &mut backoff)))
-    });
+    group.bench_function("backlog_cycle_800_deferred", |b| b.iter(|| black_box(cycle())));
     group.finish();
 }
 

@@ -81,29 +81,6 @@ impl Default for ArbiterConfig {
     }
 }
 
-impl ArbiterConfig {
-    /// Overrides the headroom reserve fraction.
-    #[must_use]
-    pub fn with_headroom_fraction(mut self, headroom_fraction: f64) -> Self {
-        self.headroom_fraction = headroom_fraction;
-        self
-    }
-
-    /// Overrides the crunch-exit hysteresis margin.
-    #[must_use]
-    pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
-        self.hysteresis = hysteresis;
-        self
-    }
-
-    /// Overrides the per-tick grant-fraction recovery limit.
-    #[must_use]
-    pub fn with_max_recovery_step(mut self, max_recovery_step: f64) -> Self {
-        self.max_recovery_step = max_recovery_step;
-        self
-    }
-}
-
 /// One application's demand as seen by the arbiter: the *total* allocation
 /// its controller wants this tick (per-replica request × replica count).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -517,10 +494,12 @@ mod tests {
 
     fn cfg() -> ArbiterConfig {
         // No headroom/slew so the raw class logic is visible.
-        ArbiterConfig::default()
-            .with_headroom_fraction(0.0)
-            .with_max_recovery_step(1.0)
-            .with_hysteresis(0.1)
+        ArbiterConfig {
+            headroom_fraction: 0.0,
+            max_recovery_step: 1.0,
+            hysteresis: 0.1,
+            ..ArbiterConfig::default()
+        }
     }
 
     fn capacity(cpu: f64) -> ResourceVec {
@@ -571,7 +550,7 @@ mod tests {
     #[test]
     fn headroom_is_never_handed_out() {
         let mut st = ArbiterState::default();
-        let config = cfg().with_headroom_fraction(0.2);
+        let config = ArbiterConfig { headroom_fraction: 0.2, ..cfg() };
         let reqs = [req(0, PriorityClass::Critical, 1_000.0)];
         let out = arbitrate(&config, &mut st, &reqs, capacity(1_000.0), ResourceVec::ZERO);
         assert!((out[0].grant_fraction - 0.8).abs() < 1e-12);
@@ -623,7 +602,7 @@ mod tests {
 
     #[test]
     fn recovery_is_slew_limited_but_cuts_are_immediate() {
-        let config = cfg().with_max_recovery_step(0.25);
+        let config = ArbiterConfig { max_recovery_step: 0.25, ..cfg() };
         let mut st = ArbiterState::default();
         let cap = capacity(1_000.0);
         let over = [req(0, PriorityClass::Standard, 2_000.0)];

@@ -244,9 +244,10 @@ mod tests {
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
-            arbiter: Some(CapacityArbiter::new(
-                ArbiterConfig::default().with_headroom_fraction(0.2),
-            )),
+            arbiter: Some(CapacityArbiter::new(ArbiterConfig {
+                headroom_fraction: 0.2,
+                ..ArbiterConfig::default()
+            })),
             shed_app_ids: vec![AppId::new(3), AppId::new(7)],
         };
         let back = ControllerCheckpoint::from_bytes(&ck.to_bytes()).expect("round trip");

@@ -45,6 +45,7 @@ pub use baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 pub use checkpoint::ControllerCheckpoint;
 pub use counters::ControlCounters;
 pub use evolve_policy::EvolvePolicy;
+pub use evolve_scheduler::SchedulerProfile;
 pub use harness::{Harness, ReplicatedOutcome};
 pub use manager::{ManagerKind, ResourceManager};
 pub use policy::{
@@ -54,5 +55,5 @@ pub use policy::{
 pub use report::{write_csv, Summary, Table};
 pub use runner::{
     arbiter_from_spec, AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder,
-    RunOutcome, RunPerf, SchedulerProfile,
+    RunOutcome, RunPerf,
 };

@@ -3,7 +3,7 @@
 //! statistics every table and figure reports.
 
 use evolve_control::{ArbiterConfig, ClipReason, GrantDecision};
-use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
+use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework, SchedulerProfile};
 use evolve_sim::{
     ArbitrationCheck, ChaosOracle, ClusterConfig, FaultEvent, FaultInjector, FaultKind, NodeShape,
     OracleReport, Simulation, SimulationConfig,
@@ -17,27 +17,6 @@ use evolve_workload::{ArbiterSpec, SamplingMode, Scenario, ScenarioSpec, WorldCl
 
 use crate::counters::ControlCounters;
 use crate::manager::{ManagerKind, ResourceManager};
-
-/// Which scheduler profile binds pods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerProfile {
-    /// Stock filter/score profile without preemption.
-    KubeDefault,
-    /// Stock profile plus priority preemption (EVOLVE's extension).
-    Evolve,
-    /// Bin-packing consolidation profile.
-    Binpack,
-}
-
-impl SchedulerProfile {
-    fn build(self) -> SchedulerFramework {
-        match self {
-            SchedulerProfile::KubeDefault => SchedulerFramework::kube_default(),
-            SchedulerProfile::Evolve => SchedulerFramework::evolve_default(),
-            SchedulerProfile::Binpack => SchedulerFramework::binpack(),
-        }
-    }
-}
 
 /// How the control plane comes back after a
 /// [`FaultKind::ControllerCrash`](evolve_sim::FaultKind::ControllerCrash)
@@ -543,14 +522,16 @@ impl ExperimentRunner {
         let cluster_config = ClusterConfig::uniform(cfg.nodes, cfg.node_shape);
         let sampling =
             if cfg.legacy_sampling { SamplingMode::Legacy } else { SamplingMode::Batched };
-        let sim_config = SimulationConfig { sampling, ..SimulationConfig::default() };
+        let sim_config = SimulationConfig { sampling };
         let mut sim = Simulation::new(sim_config, cluster_config, &cfg.scenario.mix, cfg.seed);
         sim.presize(cfg.scenario.horizon, cfg.manager.replica_ceiling());
         let mut manager = ResourceManager::new(cfg.manager, &sim);
         if let Some(arb) = cfg.arbiter {
             manager.set_arbiter(arb);
         }
-        let mut sched = Scheduling::new(cfg.scheduler.build().with_index(cfg.indexed_scheduling));
+        let mut sched = Scheduling::new(
+            SchedulerFramework::new(cfg.scheduler).with_index(cfg.indexed_scheduling),
+        );
         let mut registry = MetricRegistry::new();
         let mut util = UtilizationAccount::new(sim.cluster().total_allocatable());
         // Decision trace: always on, bounded by the ring capacity. The
@@ -1033,7 +1014,7 @@ mod tests {
             Simulation::new(SimulationConfig::default(), cluster, &cfg.scenario.mix, cfg.seed);
         let bound = sim.pod_bound(cfg.scenario.horizon, manager.replica_ceiling());
         let mut manager = ResourceManager::new(manager, &sim);
-        let mut sched = Scheduling::new(cfg.scheduler.build());
+        let mut sched = Scheduling::new(SchedulerFramework::new(cfg.scheduler));
         let mut trace = TraceRing::new(0);
         sched.pass(&mut sim, &mut trace, None);
         let (mut at, horizon) = (SimTime::ZERO, SimTime::ZERO + cfg.scenario.horizon);

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use evolve_core::{ManagerKind, ResourceManager, RunConfig, SchedulerProfile};
+use evolve_core::{ManagerKind, ResourceManager, RunConfig};
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
 use evolve_sim::{ClusterConfig, PerfConfig, PodKind, PodPhase, Simulation, SimulationConfig};
 use evolve_telemetry::trace::TraceRing;
@@ -93,11 +93,7 @@ fn check_utilisation_law(manager: ManagerKind) {
     let mut sim =
         Simulation::new(SimulationConfig::default(), cluster, &cfg.scenario.mix, cfg.seed);
     let mut manager = ResourceManager::new(cfg.manager, &sim);
-    let framework = match cfg.scheduler {
-        SchedulerProfile::KubeDefault => SchedulerFramework::kube_default(),
-        SchedulerProfile::Evolve => SchedulerFramework::evolve_default(),
-        SchedulerProfile::Binpack => SchedulerFramework::binpack(),
-    };
+    let framework = SchedulerFramework::new(cfg.scheduler);
     let (mut backoff, mut index, mut trace) =
         (RequeueBackoff::new(), FeasibilityIndex::new(), TraceRing::new(0));
     let mut pass = |sim: &mut Simulation, tasks: &mut BTreeMap<PodId, Task>| {

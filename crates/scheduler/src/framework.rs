@@ -2,18 +2,14 @@
 //! tentative bind, and preemption.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
 use evolve_telemetry::trace::{DeferredTrace, SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
-use crate::index::{fold_best, FeasibilityIndex, Verdict};
-use crate::plugins::{
-    BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, NodeView, PodClass,
-    ScorePlugin, SpreadApp,
-};
+use crate::index::{fold_best, FeasibilityIndex};
+use crate::plugins::{node_fits, NodeView, PodClass, SchedulerProfile, NODE_FITS};
 
 /// The outcome of one scheduling cycle. The driver must apply
 /// `preemptions` (via `Simulation::preempt_pod`) **before** `bindings`
@@ -32,11 +28,10 @@ pub struct SchedulePlan {
     /// instead of panicking, mirroring the manager's `UnknownApp`
     /// handling.
     pub stale_pod_lookups: u64,
-    /// Filter-plugin invocations this cycle. The naive scan pays one per
-    /// (pending pod, node) pair until the first failing filter; the
-    /// indexed path pays only for non-capacity filters, and only on nodes
-    /// that fit and whose cached verdict for the pod's class went stale,
-    /// so this is the numerator of the index's win.
+    /// Filter evaluations this cycle. The naive scan pays one per
+    /// (pending pod, node) pair; the indexed path evaluates the filter
+    /// inside the index and pays none, so this is the numerator of the
+    /// index's win.
     pub filter_evals: u64,
     /// Feasibility-index tree nodes visited this cycle (zero on the
     /// naive path). `filter_evals + index_probes` is the indexed cycle's
@@ -170,77 +165,41 @@ impl Codec for RequeueBackoff {
     }
 }
 
-/// A configurable scheduler: filters decide feasibility, weighted scorers
-/// pick the node, priorities order the queue, and optional preemption and
-/// gang handling deal with contention and HPC jobs.
+/// A scheduler running one [`SchedulerProfile`]: the fit filter decides
+/// feasibility, the profile's weighted scorers pick the node, priorities
+/// order the queue, and preemption (when the profile has it) and gang
+/// handling deal with contention and HPC jobs.
+#[derive(Debug)]
 pub struct SchedulerFramework {
-    filters: Vec<Box<dyn FilterPlugin>>,
-    scorers: Vec<(Box<dyn ScorePlugin>, f64)>,
-    preemption: bool,
-    name: &'static str,
+    profile: SchedulerProfile,
     /// Chaos-harness fault seed: when `EVOLVE_CHAOS_GANG_NO_ROLLBACK` is
     /// set in the environment at construction time, a failed gang's first
     /// pass commits whatever ranks it managed to place instead of rolling
     /// back — deliberately breaking gang atomicity so the chaos oracle
     /// and fuzzer can prove they catch it. Never set in production paths.
     break_gang_rollback: bool,
-    /// Whether cycles choose nodes through the feasibility index
-    /// (requires the leading filter to certify
-    /// [`FilterPlugin::prunes_capacity_fit`]). On by default;
-    /// [`with_index(false)`](Self::with_index) selects the naive scan.
+    /// Whether cycles choose nodes through the feasibility index. On by
+    /// default; [`with_index(false)`](Self::with_index) selects the naive
+    /// scan.
     use_index: bool,
-    /// Identity of this plugin set, renewed whenever a plugin is added. A
-    /// carried [`FeasibilityIndex`] tags its score caches with it, so an
-    /// index handed to a different framework never serves that
-    /// framework another one's scores.
-    plugin_set: u64,
-}
-
-/// A process-unique [`SchedulerFramework::plugin_set`] value (never 0,
-/// which is what an index that has not scored anything yet holds).
-fn next_plugin_set() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    // Relaxed: the value is only ever compared for equality.
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl std::fmt::Debug for SchedulerFramework {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedulerFramework")
-            .field("name", &self.name)
-            .field("filters", &self.filters.len())
-            .field("scorers", &self.scorers.len())
-            .field("preemption", &self.preemption)
-            .field("indexed", &self.use_index)
-            .finish()
-    }
 }
 
 /// `(bindings, preemption victims)` of a successfully placed gang.
 type GangPlacement = (Vec<(PodId, NodeId)>, Vec<PodId>);
 
 /// Capture target for one traced placement attempt: the chosen node's
-/// per-plugin weighted score contributions, how many nodes passed every
-/// filter, and how many each filter rejected.
+/// per-scorer weighted score contributions, how many nodes passed the
+/// filter, and how many it rejected.
 #[derive(Debug, Default)]
 struct PlacementProbe {
     /// Weighted mean score of the winning node.
     chosen_score: Option<f64>,
-    /// Per-plugin `(name, weighted contribution)` of the winning node.
+    /// Per-scorer `(name, weighted contribution)` of the winning node.
     scores: Vec<(&'static str, f64)>,
-    /// Per-filter `(name, nodes rejected)`.
-    filtered: Vec<(&'static str, u32)>,
-    /// Nodes that passed every filter.
+    /// Nodes the filter rejected.
+    rejected: u32,
+    /// Nodes that passed the filter.
     feasible: u32,
-}
-
-impl PlacementProbe {
-    fn new(filters: &[Box<dyn FilterPlugin>]) -> Self {
-        PlacementProbe {
-            filtered: filters.iter().map(|f| (f.name(), 0)).collect(),
-            ..PlacementProbe::default()
-        }
-    }
 }
 
 /// Per-cycle mutable placement context. The index doubles as the cycle's
@@ -249,27 +208,18 @@ impl PlacementProbe {
 /// naive path, so the two paths read identical shadow values.
 struct Ctx<'a> {
     index: &'a mut FeasibilityIndex,
-    /// Whether this cycle chooses nodes through the index's trees.
-    /// When false, placement scans every node exactly as the historical
-    /// implementation did.
-    indexed: bool,
-    /// Filter-plugin invocations so far (see
-    /// [`SchedulePlan::filter_evals`]).
+    /// Filter evaluations so far (see [`SchedulePlan::filter_evals`]).
     filter_evals: u64,
 }
 
 impl SchedulerFramework {
-    /// An empty framework; add plugins with the builder methods.
+    /// A framework running `profile`, through the feasibility index.
     #[must_use]
-    pub fn new(name: &'static str) -> Self {
+    pub fn new(profile: SchedulerProfile) -> Self {
         SchedulerFramework {
-            filters: Vec::new(),
-            scorers: Vec::new(),
-            preemption: false,
-            name,
+            profile,
             break_gang_rollback: std::env::var_os("EVOLVE_CHAOS_GANG_NO_ROLLBACK").is_some(),
             use_index: true,
-            plugin_set: next_plugin_set(),
         }
     }
 
@@ -277,62 +227,20 @@ impl SchedulerFramework {
     /// balanced-allocation + app spreading, no preemption.
     #[must_use]
     pub fn kube_default() -> Self {
-        SchedulerFramework::new("kube-default")
-            .with_filter(NodeFits)
-            .with_scorer(LeastAllocated, 1.0)
-            .with_scorer(BalancedAllocation, 1.0)
-            .with_scorer(SpreadApp, 0.5)
+        SchedulerFramework::new(SchedulerProfile::KubeDefault)
     }
 
-    /// The EVOLVE profile: same plugins plus priority preemption (so
+    /// The EVOLVE profile: same scorers plus priority preemption (so
     /// latency-critical pods displace batch work under pressure).
     #[must_use]
     pub fn evolve_default() -> Self {
-        SchedulerFramework::kube_default().with_preemption().named("evolve")
+        SchedulerFramework::new(SchedulerProfile::Evolve)
     }
 
     /// A consolidation (bin-packing) profile.
     #[must_use]
     pub fn binpack() -> Self {
-        SchedulerFramework::new("binpack")
-            .with_filter(NodeFits)
-            .with_scorer(MostAllocated, 1.0)
-            .with_scorer(BalancedAllocation, 0.5)
-    }
-
-    /// Adds a filter plugin.
-    #[must_use]
-    pub fn with_filter<F: FilterPlugin + 'static>(mut self, filter: F) -> Self {
-        self.filters.push(Box::new(filter));
-        self.plugin_set = next_plugin_set();
-        self
-    }
-
-    /// Adds a score plugin with a weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weight` is not positive.
-    #[must_use]
-    pub fn with_scorer<S: ScorePlugin + 'static>(mut self, scorer: S, weight: f64) -> Self {
-        assert!(weight > 0.0, "scorer weight must be positive");
-        self.scorers.push((Box::new(scorer), weight));
-        self.plugin_set = next_plugin_set();
-        self
-    }
-
-    /// Enables priority preemption.
-    #[must_use]
-    pub fn with_preemption(mut self) -> Self {
-        self.preemption = true;
-        self
-    }
-
-    /// Renames the profile (for reports).
-    #[must_use]
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
+        SchedulerFramework::new(SchedulerProfile::Binpack)
     }
 
     /// Selects between the feasibility index's tree walks (`true`, the
@@ -348,56 +256,31 @@ impl SchedulerFramework {
     /// The profile name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        self.name
+        self.profile.name()
     }
 
-    /// Runs one scheduling cycle over the cluster's pending pods.
-    ///
-    /// Stateless convenience wrapper over
-    /// [`SchedulerFramework::schedule_cycle_with_backoff`] with fresh
-    /// backoff state (every pod eligible).
+    /// Runs one scheduling cycle over the cluster's pending pods, with
+    /// fresh backoff state (every pod eligible), a fresh index and no
+    /// tracing.
     #[must_use]
     pub fn schedule_cycle(&self, cluster: &ClusterState) -> SchedulePlan {
-        self.schedule_cycle_with_backoff(cluster, &mut RequeueBackoff::new())
+        self.cycle_impl(cluster, &mut RequeueBackoff::new(), &mut FeasibilityIndex::new(), None)
     }
 
-    /// Runs one scheduling cycle, consulting and updating cross-cycle
-    /// requeue-backoff state: pods still inside their backoff window are
-    /// deferred (reported unschedulable without another attempt), and
-    /// fresh failures push the next retry out exponentially.
-    #[must_use]
-    pub fn schedule_cycle_with_backoff(
-        &self,
-        cluster: &ClusterState,
-        backoff: &mut RequeueBackoff,
-    ) -> SchedulePlan {
-        self.cycle_impl(cluster, backoff, &mut FeasibilityIndex::new(), None)
-    }
-
-    /// [`schedule_cycle_with_backoff`](Self::schedule_cycle_with_backoff)
-    /// plus decision tracing: every pod the cycle attempts — bound (with
-    /// the chosen node's per-plugin scores), unschedulable (with per-filter
-    /// rejection counts), preempting, or rolled back with its gang — is
-    /// pushed into `trace` as a [`SchedTrace`] stamped with the simulated
-    /// time `at`, and the pods it defers by backoff as one
-    /// [`DeferredTrace`] at the end of the cycle.
-    #[must_use]
-    pub fn schedule_cycle_traced(
-        &self,
-        cluster: &ClusterState,
-        backoff: &mut RequeueBackoff,
-        at: SimTime,
-        trace: &mut TraceRing,
-    ) -> SchedulePlan {
-        self.cycle_impl(cluster, backoff, &mut FeasibilityIndex::new(), Some((at, trace)))
-    }
-
-    /// [`schedule_cycle_traced`](Self::schedule_cycle_traced) with a
-    /// caller-owned [`FeasibilityIndex`] carried across cycles: instead of
-    /// rebuilding the shadow from scratch, the cycle starts by diffing the
-    /// cluster's version counters and refreshing only nodes that changed
-    /// since the previous cycle. The long-lived run driver uses this
-    /// entry point; the transient wrappers above rebuild per call.
+    /// Runs one scheduling cycle with state carried across cycles:
+    ///
+    /// * `backoff` — pods still inside their backoff window are deferred
+    ///   (reported unschedulable without another attempt), and fresh
+    ///   failures push the next retry out exponentially;
+    /// * `index` — instead of rebuilding the shadow from scratch, the
+    ///   cycle starts by diffing the cluster's version counters and
+    ///   refreshing only nodes that changed since the previous cycle;
+    /// * `trace` — every pod the cycle attempts (bound with the chosen
+    ///   node's per-scorer scores, unschedulable with the filter's
+    ///   rejection count, preempting, or rolled back with its gang) is
+    ///   pushed as a [`SchedTrace`] stamped with the simulated time `at`,
+    ///   and the pods it defers by backoff as one [`DeferredTrace`] at the
+    ///   end of the cycle.
     #[must_use]
     pub fn schedule_cycle_carried(
         &self,
@@ -418,10 +301,8 @@ impl SchedulerFramework {
         mut trace: Option<(SimTime, &mut TraceRing)>,
     ) -> SchedulePlan {
         let mut plan = SchedulePlan::default();
-        index.sync(cluster, self.plugin_set);
-        let indexed =
-            self.use_index && self.filters.first().is_some_and(|f| f.prunes_capacity_fit());
-        let mut ctx = Ctx { index, indexed, filter_evals: 0 };
+        index.sync(cluster, self.profile);
+        let mut ctx = Ctx { index, filter_evals: 0 };
         // Victims already claimed this cycle: their capacity is freed in
         // the shadow exactly once and they may not be chosen again.
         let mut claimed: HashSet<PodId> = HashSet::new();
@@ -473,6 +354,7 @@ impl SchedulerFramework {
             backoff_failures: u32,
         ) {
             let Some((at, ring)) = trace.as_mut() else { return };
+            let filtered = probe.as_ref().map_or(Vec::new(), |p| vec![(NODE_FITS, p.rejected)]);
             let probe = probe.unwrap_or_default();
             ring.push(TraceEvent::Sched(SchedTrace {
                 cycle,
@@ -482,7 +364,7 @@ impl SchedulerFramework {
                 gang,
                 outcome,
                 scores: probe.scores,
-                filtered: probe.filtered,
+                filtered,
                 feasible: probe.feasible,
                 victims,
                 backoff_failures,
@@ -501,11 +383,11 @@ impl SchedulerFramework {
                         defer(pod.id);
                         continue;
                     }
-                    let mut probe = trace.is_some().then(|| PlacementProbe::new(&self.filters));
+                    let mut probe = trace.is_some().then(PlacementProbe::default);
                     let placed = match self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
                     {
                         Some(node) => Some((node, Vec::new())),
-                        None if self.preemption => {
+                        None if self.profile.preempts() => {
                             self.try_preempt(cluster, &mut ctx, &claimed, pod)
                         }
                         None => None,
@@ -666,7 +548,7 @@ impl SchedulerFramework {
         for (_, node, spec) in &placed {
             ctx.index.release(node.as_usize(), spec);
         }
-        if !self.preemption {
+        if !self.profile.preempts() {
             return None;
         }
 
@@ -716,8 +598,8 @@ impl SchedulerFramework {
 
     /// Filter + score one pod against the shadowed cluster; commits the
     /// placement into the shadow on success. With a probe attached, the
-    /// chosen node's per-plugin scores, the feasible-node count and the
-    /// per-filter rejection counts are captured for the decision trace.
+    /// chosen node's per-scorer scores, the feasible-node count and the
+    /// filter's rejection count are captured for the decision trace.
     ///
     /// In indexed mode the choice comes from the feasibility index's
     /// score tree for the pod's class; under `debug_assertions` the naive
@@ -731,7 +613,7 @@ impl SchedulerFramework {
         mut probe: Option<&mut PlacementProbe>,
     ) -> Option<NodeId> {
         let class = PodClass::from(spec);
-        let choice = if ctx.indexed {
+        let choice = if self.use_index {
             let choice = self.choose_indexed(cluster, ctx, &class, probe.as_deref_mut());
             #[cfg(debug_assertions)]
             {
@@ -751,14 +633,14 @@ impl SchedulerFramework {
         };
         let (score, idx) = choice?;
         if let Some(p) = probe {
-            // The winner's per-plugin contributions are recomputed here,
+            // The winner's per-scorer contributions are recomputed here,
             // once, rather than tracked for every candidate on the way.
             let view = NodeView {
                 node: &cluster.nodes()[idx],
                 free: ctx.index.free(idx),
                 app_pods: ctx.index.app_count(idx, class.app.raw()),
             };
-            let rescored = self.score(&class, &view, Some(&mut p.scores));
+            let rescored = self.profile.score(&class, &view, Some(&mut p.scores));
             debug_assert_eq!(rescored.to_bits(), score.to_bits(), "scorers must be pure");
             p.chosen_score = Some(score);
         }
@@ -766,9 +648,9 @@ impl SchedulerFramework {
         Some(NodeId::new(idx as u32))
     }
 
-    /// The historical full scan: every node flows through the filters in
-    /// order (first failure short-circuits), survivors are scored. Kept
-    /// as the equivalence baseline for the indexed path.
+    /// The historical full scan: every node goes through the filter,
+    /// survivors are scored. Kept as the equivalence baseline for the
+    /// indexed path.
     fn choose_naive(
         &self,
         cluster: &ClusterState,
@@ -779,39 +661,27 @@ impl SchedulerFramework {
     ) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
         for (i, node) in cluster.nodes().iter().enumerate() {
-            let view = NodeView {
-                node,
-                free: index.free(i),
-                app_pods: index.app_count(i, class.app.raw()),
-            };
-            // First failing filter takes the rejection.
-            let mut pass = true;
-            for (fi, f) in self.filters.iter().enumerate() {
-                *filter_evals += 1;
-                if !f.feasible(class, &view) {
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.filtered[fi].1 += 1;
-                    }
-                    pass = false;
-                    break;
+            *filter_evals += 1;
+            let free = index.free(i);
+            if !node_fits(node.is_ready(), &class.request, &free) {
+                if let Some(p) = probe.as_deref_mut() {
+                    p.rejected += 1;
                 }
-            }
-            if !pass {
                 continue;
             }
             if let Some(p) = probe.as_deref_mut() {
                 p.feasible += 1;
             }
-            fold_best(&mut best, self.score(class, &view, None), i);
+            let view = NodeView { node, free, app_pods: index.app_count(i, class.app.raw()) };
+            fold_best(&mut best, self.profile.score(class, &view, None), i);
         }
         best
     }
 
     /// The indexed path: the index's score tree for the pod's class gives
     /// the winner and the trace's counts; this side only supplies the
-    /// evaluation — the filters after the leading capacity filter, then
-    /// the scorers — which the index runs on nodes that fit and whose
-    /// inputs changed since they last ran.
+    /// scoring, which the index runs on nodes that fit and whose inputs
+    /// changed since they were last scored.
     fn choose_indexed(
         &self,
         cluster: &ClusterState,
@@ -819,50 +689,15 @@ impl SchedulerFramework {
         class: &PodClass,
         probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
-        let filter_evals = &mut ctx.filter_evals;
         let choice = ctx.index.choose(class, |i, free, app_pods| {
             let view = NodeView { node: &cluster.nodes()[i], free, app_pods };
-            for (fi, f) in self.filters.iter().enumerate().skip(1) {
-                *filter_evals += 1;
-                if !f.feasible(class, &view) {
-                    return Verdict::RejectedBy(fi);
-                }
-            }
-            Verdict::Score(self.score(class, &view, None))
+            self.profile.score(class, &view, None)
         });
         if let Some(p) = probe {
             p.feasible += choice.feasible;
-            for (filter, rejected) in p.filtered.iter_mut().zip(choice.rejected) {
-                filter.1 += rejected;
-            }
+            p.rejected += choice.rejected;
         }
         choice.best
-    }
-
-    /// Weighted mean of the score plugins for one feasible node. Shared
-    /// by both paths so the float-operation sequence is identical. Each
-    /// plugin's weighted share is appended to `contributions`, if given.
-    fn score(
-        &self,
-        class: &PodClass,
-        view: &NodeView<'_>,
-        mut contributions: Option<&mut Vec<(&'static str, f64)>>,
-    ) -> f64 {
-        let mut score = 0.0;
-        let mut weight = 0.0;
-        for (s, w) in &self.scorers {
-            let contribution = s.score(class, view) * w;
-            score += contribution;
-            weight += w;
-            if let Some(c) = contributions.as_deref_mut() {
-                c.push((s.name(), contribution));
-            }
-        }
-        if weight > 0.0 {
-            score / weight
-        } else {
-            0.0
-        }
     }
 
     /// Looks for a node where evicting strictly-lower-priority pods frees
@@ -886,7 +721,7 @@ impl SchedulerFramework {
         if cluster.bound_pods_below(pod.spec.priority) == 0 {
             return None;
         }
-        let choice = if ctx.indexed {
+        let choice = if self.use_index {
             let choice = Self::preempt_choose_indexed(cluster, ctx, claimed, pod);
             #[cfg(debug_assertions)]
             {
@@ -1031,6 +866,16 @@ mod tests {
             nodes,
             NodeShape { capacity: ResourceVec::splat(capacity) },
         ))
+    }
+
+    /// One cycle with `backoff` carried, a fresh index and no trace kept.
+    fn cycle(
+        sched: &SchedulerFramework,
+        c: &ClusterState,
+        backoff: &mut RequeueBackoff,
+    ) -> SchedulePlan {
+        let (mut index, mut trace) = (FeasibilityIndex::new(), TraceRing::new(0));
+        sched.schedule_cycle_carried(c, backoff, &mut index, SimTime::ZERO, &mut trace)
     }
 
     fn service_pod(cluster: &mut ClusterState, app: u32, request: f64, priority: i32) -> PodId {
@@ -1293,22 +1138,22 @@ mod tests {
         let sched = SchedulerFramework::kube_default();
         let mut backoff = RequeueBackoff::new();
         // Cycle 1: attempted and failed.
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(blocked), 1);
         // Cycle 2: eligible again (first retry is immediate), fails → 2.
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(blocked), 2);
         // Cycle 3: inside the 2-cycle window → deferred, no new failure.
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(blocked), 2);
         // Cycle 4: eligible, fails → 3 (next window is 4 cycles).
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(blocked), 3);
         for _ in 0..3 {
-            let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+            let _ = cycle(&sched, &c, &mut backoff);
             assert_eq!(backoff.failures(blocked), 3, "deferred inside the 4-cycle window");
         }
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(blocked), 4);
     }
 
@@ -1319,16 +1164,16 @@ mod tests {
         let b = service_pod(&mut c, 1, 600.0, 0);
         let sched = SchedulerFramework::kube_default();
         let mut backoff = RequeueBackoff::new();
-        let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let plan = cycle(&sched, &c, &mut backoff);
         assert_eq!(plan.bindings.len(), 1);
         let loser = if plan.bindings[0].0 == a { b } else { a };
         assert_eq!(backoff.failures(loser), 1);
         // The loser binds once capacity frees up; its entry is pruned.
         c.terminate_pod(plan.bindings[0].0, evolve_sim::PodPhase::Succeeded).unwrap();
-        let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let plan = cycle(&sched, &c, &mut backoff);
         assert_eq!(plan.bindings.len(), 1);
         c.bind_pod(loser, plan.bindings[0].1).unwrap();
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff);
+        let _ = cycle(&sched, &c, &mut backoff);
         assert_eq!(backoff.failures(loser), 0, "state must prune once no longer pending");
     }
 
@@ -1352,15 +1197,18 @@ mod tests {
         let mut backoff = RequeueBackoff::new();
         backoff.cycle = 10;
         backoff.entries.push((ranks[0], (2, 13))); // eligible at cycle 13
-        let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 11
+        let plan = cycle(&sched, &c, &mut backoff); // cycle 11
         assert!(plan.bindings.is_empty(), "gang must defer as a unit: {plan:?}");
         assert_eq!(backoff.failures(ranks[0]), 2, "deferral accrues no penalty");
         assert_eq!(backoff.failures(ranks[1]), 0);
-        let _ = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 12
-        let plan = sched.schedule_cycle_with_backoff(&c, &mut backoff); // cycle 13
+        let _ = cycle(&sched, &c, &mut backoff); // cycle 12
+        let plan = cycle(&sched, &c, &mut backoff); // cycle 13
         assert_eq!(plan.bindings.len(), 2, "gang places once eligible: {plan:?}");
     }
 
+    /// A carried index keys its score caches by profile: spreading scores
+    /// six untouched nodes for the class, and packing with the same index
+    /// must not read them.
     #[test]
     fn carried_index_never_serves_another_plugin_set_its_scores() {
         let mut c = cluster(8, 1000.0);
@@ -1374,12 +1222,41 @@ mod tests {
             let mut backoff = RequeueBackoff::new();
             fw.schedule_cycle_carried(&c, &mut backoff, &mut index, SimTime::ZERO, &mut trace)
         };
-        // Spreading scores six untouched nodes for the class; packing
-        // with the same index must not read them.
-        let spread = carried(&SchedulerFramework::kube_default().with_index(true));
+        let spread = carried(&SchedulerFramework::kube_default());
         assert!(spread.bindings.iter().all(|(_, node)| *node != NodeId::new(5)));
-        let packed = carried(&SchedulerFramework::binpack().with_index(true));
+        let packed = carried(&SchedulerFramework::binpack());
         assert!(packed.bindings.iter().all(|(_, node)| *node == NodeId::new(5)), "{packed:?}");
+    }
+
+    /// Two frameworks of one profile share a carried index's caches, and
+    /// the plan they make from it is the plan a fresh index gives.
+    #[test]
+    fn one_profile_keeps_a_carried_index_warm() {
+        let mut c = cluster(8, 1000.0);
+        for app in 0..3 {
+            service_pod(&mut c, app, 100.0, 0);
+        }
+        let (mut index, mut trace) = (FeasibilityIndex::new(), TraceRing::new(0));
+        let mut carried = |fw: &SchedulerFramework, c: &ClusterState| {
+            let mut backoff = RequeueBackoff::new();
+            fw.schedule_cycle_carried(c, &mut backoff, &mut index, SimTime::ZERO, &mut trace)
+        };
+        let first = carried(&SchedulerFramework::evolve_default(), &c);
+        for (pod, node) in first.bindings {
+            c.bind_pod(pod, node).unwrap();
+        }
+        for _ in 0..3 {
+            service_pod(&mut c, 0, 100.0, 0);
+        }
+        let second = SchedulerFramework::evolve_default();
+        let warm = carried(&second, &c);
+        assert_eq!(index.cached_classes(), 3, "the classes of apps 1 and 2 survive");
+        let fresh = second.schedule_cycle(&c);
+        assert_eq!(warm.bindings.len(), 3);
+        assert_eq!(
+            (warm.bindings, warm.preemptions, warm.unschedulable),
+            (fresh.bindings, fresh.preemptions, fresh.unschedulable)
+        );
     }
 
     #[test]
@@ -1549,7 +1426,7 @@ mod tests {
             decoded(&backoff_bytes(4, 2, &[(0, (3, 9)), (1 << 63, (1, 5))])).expect("well formed");
         assert_eq!(backoff.failures(PodId::new(1 << 63)), 1);
         assert!(backoff.index.is_empty(), "decode builds no index");
-        let plan = SchedulerFramework::kube_default().schedule_cycle_with_backoff(&c, &mut backoff);
+        let plan = cycle(&SchedulerFramework::kube_default(), &c, &mut backoff);
         assert_eq!(plan.unschedulable, [blocked], "still inside the restored window");
         assert_eq!((backoff.failures(blocked), backoff.failures(PodId::new(1 << 63))), (3, 0));
         assert_eq!(backoff.index.len(), 1, "the index spans the cluster's pods, not the id read");

@@ -16,14 +16,13 @@
 //! rejects nodes whose strictly-lower-priority mass is insufficient
 //! before any pod is inspected.
 //!
-//! **Exactness contract.** The index evaluates the leading capacity
-//! filter itself, on the *exact* shadow free vector and exactly as
-//! `NodeFits` states it, so a class's table holds what evaluating every
-//! filter and scorer on every node would yield. The preempt tree and
-//! census are *supersets* (the margin absorbs the float drift of
-//! incremental adds/subtracts), so they only prune nodes the exact
-//! per-node victim scan would reject anyway; the scan itself is shared
-//! verbatim with the naive path. The framework cross-checks both claims
+//! **Exactness contract.** The index evaluates the one filter itself, on
+//! the *exact* shadow free vector, with the naive scan's own `node_fits`,
+//! so a class's table holds what filtering and scoring every node would
+//! yield. The preempt tree and census are *supersets* (the margin
+//! absorbs the float drift of incremental adds/subtracts), so they only
+//! prune nodes the exact per-node victim scan would reject anyway; the
+//! scan itself is shared verbatim with the naive path. The framework cross-checks both claims
 //! against the naive scan under `debug_assertions`.
 //!
 //! The index carries across scheduler cycles: [`FeasibilityIndex::sync`]
@@ -32,10 +31,10 @@
 //! plus nodes tainted by the previous cycle's own tentative placements,
 //! instead of rebuilding the shadow from scratch each cycle.
 //!
-//! **Score trees.** A node's verdict for a pod — the first filter that
-//! rejects it, or its weighted score — is a pure function of the node,
-//! its shadow free vector, the pod's [`PodClass`] and the class's app
-//! count on the node (the plugin purity contract), and one placement
+//! **Score trees.** A node's verdict for a pod — rejected by the filter,
+//! or its weighted score — is a pure function of the node, its shadow
+//! free vector, the pod's [`PodClass`], the class's app count on the node
+//! (the scorer purity contract) and the profile, and one placement
 //! changes those inputs on exactly one node. Every shadow mutation
 //! funnels through `write_leaves`, which appends the node to a change
 //! log. Each of up to [`SCORE_CLASSES`] caches holds every node's verdict
@@ -57,7 +56,7 @@
 use evolve_sim::{ClusterState, PodSpec};
 use evolve_types::ResourceVec;
 
-use crate::plugins::PodClass;
+use crate::plugins::{node_fits, PodClass, SchedulerProfile};
 
 /// Added to superset keys (preempt tree, census check) so incremental
 /// float drift can never prune a node the exact scan would accept.
@@ -76,17 +75,13 @@ const SCORE_CLASSES: usize = 8;
 
 /// A node's cached evaluation for one pod class.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Verdict {
-    /// Passed every filter; the weighted mean score.
+enum Verdict {
+    /// Passed the filter; the weighted mean score.
     Score(f64),
-    /// Index of the first filter that rejected the node.
-    RejectedBy(usize),
+    /// The node is unready or the request does not fit its shadow free
+    /// vector.
+    Rejected,
 }
-
-/// The leading capacity filter's rejection — the node is unready or the
-/// request does not fit its shadow free vector. The index hands this
-/// verdict out itself; the caller's `evaluate` runs only on nodes that fit.
-const NO_FIT: Verdict = Verdict::RejectedBy(0);
 
 /// The score a later node must exceed to displace a best of `best`: a
 /// later node wins only when it is better by more than float noise,
@@ -106,22 +101,21 @@ pub(crate) fn fold_best(best: &mut Option<(f64, usize)>, score: f64, i: usize) {
 
 /// What [`FeasibilityIndex::choose`] found for one pod class.
 #[derive(Debug)]
-pub(crate) struct Choice<'a> {
+pub(crate) struct Choice {
     /// The winning `(score, node)`: what folding every feasible node in
     /// ascending order with [`fold_best`] yields.
     pub(crate) best: Option<(f64, usize)>,
-    /// Nodes that passed every filter.
+    /// Nodes that passed the filter.
     pub(crate) feasible: u32,
-    /// Nodes each filter rejected, by filter index (filters past the end
-    /// rejected none).
-    pub(crate) rejected: &'a [u32],
+    /// Nodes the filter rejected.
+    pub(crate) rejected: u32,
 }
 
 /// Verdicts of every node for one pod class, current to `seen`, under a
 /// max tree of the scores.
 #[derive(Debug, Default)]
 struct ClassCache {
-    /// [`class_key`] of the class: everything a plugin may read of the
+    /// [`class_key`] of the class: everything a scorer may read of the
     /// pod.
     key: (u32, [u64; 4]),
     /// Change-log clock this cache has replayed up to.
@@ -135,19 +129,11 @@ struct ClassCache {
     /// for padding, so such a leaf is never above any threshold. Empty
     /// from a refill until the class is next asked about.
     tree: Vec<f64>,
-    /// Nodes whose verdict is `RejectedBy(fi)`, by `fi`; the rest scored.
-    rejected: Vec<u32>,
+    /// Nodes whose verdict is `Rejected`; the rest scored.
+    rejected: u32,
 }
 
 impl ClassCache {
-    /// The tally of nodes rejected by filter `fi`.
-    fn rejections(&mut self, fi: usize) -> &mut u32 {
-        if self.rejected.len() <= fi {
-            self.rejected.resize(fi + 1, 0);
-        }
-        &mut self.rejected[fi]
-    }
-
     /// Evaluates every node afresh in one ascending pass, folding as it
     /// goes, and returns the fold's answer. The tree is left unbuilt: a
     /// class asked about once (more classes in rotation than caches)
@@ -158,7 +144,7 @@ impl ClassCache {
         mut verdict_of: impl FnMut(usize) -> Verdict,
     ) -> Option<(f64, usize)> {
         self.verdicts.clear();
-        self.rejected.clear();
+        self.rejected = 0;
         self.tree.clear();
         let mut best = None;
         for i in 0..n {
@@ -166,7 +152,7 @@ impl ClassCache {
             self.verdicts.push(verdict);
             match verdict {
                 Verdict::Score(score) => fold_best(&mut best, score, i),
-                Verdict::RejectedBy(fi) => *self.rejections(fi) += 1,
+                Verdict::Rejected => self.rejected += 1,
             }
         }
         best
@@ -188,14 +174,14 @@ impl ClassCache {
 
     /// Replaces node `i`'s verdict: tallies, leaf and root path.
     fn set(&mut self, cap: usize, i: usize, verdict: Verdict) {
-        if let Verdict::RejectedBy(fi) = std::mem::replace(&mut self.verdicts[i], verdict) {
-            self.rejected[fi] -= 1;
+        if std::mem::replace(&mut self.verdicts[i], verdict) == Verdict::Rejected {
+            self.rejected -= 1;
         }
         let mut s = cap + i;
         self.tree[s] = match verdict {
             Verdict::Score(score) => leaf_key(score),
-            Verdict::RejectedBy(fi) => {
-                *self.rejections(fi) += 1;
+            Verdict::Rejected => {
+                self.rejected += 1;
                 f64::NEG_INFINITY
             }
         };
@@ -289,7 +275,7 @@ fn app_slot(apps: &mut Vec<(u32, u32)>, app: u32) -> &mut u32 {
     &mut apps[k].1
 }
 
-/// App id and request bits: equal keys give bit-equal plugin inputs.
+/// App id and request bits: equal keys give bit-equal scorer inputs.
 fn class_key(class: &PodClass) -> (u32, [u64; 4]) {
     (class.app.raw(), class.request.as_array().map(f64::to_bits))
 }
@@ -343,8 +329,9 @@ pub struct FeasibilityIndex {
     caches: Vec<ClassCache>,
     /// Lookup counter stamping [`ClassCache::used`].
     cache_uses: u64,
-    /// Identity of the plugin set the caches were evaluated by.
-    scored_by: u64,
+    /// The profile whose scorers filled the caches; `None` before the
+    /// first sync.
+    scored_by: Option<SchedulerProfile>,
 }
 
 impl FeasibilityIndex {
@@ -355,24 +342,17 @@ impl FeasibilityIndex {
         FeasibilityIndex::default()
     }
 
-    /// Forces the next `sync` to rebuild from scratch.
-    /// Call after replacing the cluster wholesale (e.g. restoring a
-    /// snapshot), where version counters no longer relate to the mirrors.
-    pub fn invalidate(&mut self) {
-        self.synced = false;
-    }
-
     /// Brings the mirrors up to date with `cluster` and resets the
     /// per-cycle counters. Cost is O(changed nodes) after the first call.
-    /// `scored_by` identifies the plugin set of the calling framework;
-    /// when it differs from the previous cycle's, cached verdicts mean
-    /// something else and are dropped.
-    pub(crate) fn sync(&mut self, cluster: &ClusterState, scored_by: u64) {
+    /// `profile` is the calling framework's; when it differs from the
+    /// previous cycle's, cached scores mean something else and are
+    /// dropped.
+    pub(crate) fn sync(&mut self, cluster: &ClusterState, profile: SchedulerProfile) {
         self.stale_lookups = 0;
         self.probes = 0;
-        if scored_by != self.scored_by {
+        if self.scored_by != Some(profile) {
             self.caches.clear();
-            self.scored_by = scored_by;
+            self.scored_by = Some(profile);
         }
         let n = cluster.nodes().len();
         if !self.synced || n != self.n || cluster.version() < self.global_version_seen {
@@ -553,15 +533,13 @@ impl FeasibilityIndex {
 
     /// The node the naive scan would pick for `class`, with the counts a
     /// decision trace reports. Verdicts come from the class's cache;
-    /// `evaluate(node, shadow free, app pods on node)` — the filters past
-    /// the leading capacity filter, then the scorers — runs only for
-    /// nodes that fit and whose inputs changed since they were last
-    /// evaluated.
+    /// `score(node, shadow free, app pods on node)` runs only for nodes
+    /// that fit and whose inputs changed since they were last scored.
     pub(crate) fn choose(
         &mut self,
         class: &PodClass,
-        mut evaluate: impl FnMut(usize, ResourceVec, usize) -> Verdict,
-    ) -> Choice<'_> {
+        mut score: impl FnMut(usize, ResourceVec, usize) -> f64,
+    ) -> Choice {
         let slot = self.cache_slot(class);
         self.cache_uses += 1;
         let (n, cap, app) = (self.n, self.cap, class.app.raw());
@@ -569,10 +547,10 @@ impl FeasibilityIndex {
         let cache = &mut self.caches[slot];
         cache.used = self.cache_uses;
         let mut verdict_of = |i: usize| {
-            if self.ready[i] && class.request.fits_within(&self.free[i]) {
-                evaluate(i, self.free[i], app_count(&self.app_pods[i], app))
+            if node_fits(self.ready[i], &class.request, &self.free[i]) {
+                Verdict::Score(score(i, self.free[i], app_count(&self.app_pods[i], app)))
             } else {
-                NO_FIT
+                Verdict::Rejected
             }
         };
         // Truncation keeps the newest `n` log entries, so a cache fewer
@@ -596,8 +574,7 @@ impl FeasibilityIndex {
             cache.walk(n, cap, &mut self.probes)
         };
         cache.seen = clock;
-        let unfeasible: u32 = cache.rejected.iter().sum();
-        Choice { best, feasible: n as u32 - unfeasible, rejected: &cache.rejected }
+        Choice { best, feasible: n as u32 - cache.rejected, rejected: cache.rejected }
     }
 
     /// Finds (or creates, evicting the least recently used) the cache
@@ -660,6 +637,12 @@ impl FeasibilityIndex {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.n
+    }
+
+    /// Pod classes with a live score cache.
+    #[cfg(test)]
+    pub(crate) fn cached_classes(&self) -> usize {
+        self.caches.len()
     }
 }
 
@@ -766,37 +749,30 @@ mod tests {
         id
     }
 
-    /// A stand-in for the framework's filter + score pass: pure in its
-    /// arguments, distinct per node, rejecting nodes that hold ≥ 2 pods
-    /// of the class's app.
-    fn evaluate(i: usize, free: ResourceVec, app_pods: usize) -> Verdict {
-        if app_pods >= 2 {
-            Verdict::RejectedBy(1)
-        } else {
-            Verdict::Score((free.total() + 1e4 * app_pods as f64 + i as f64) / 1e5)
-        }
+    /// A stand-in for a profile's scoring: pure in its arguments and
+    /// distinct per node.
+    fn evaluate(i: usize, free: ResourceVec, app_pods: usize) -> f64 {
+        (free.total() + 1e4 * app_pods as f64 + i as f64) / 1e5
     }
+
+    /// Any one profile: the index only compares it.
+    const PROFILE: SchedulerProfile = SchedulerProfile::Evolve;
 
     fn class(app: u32, request: f64) -> PodClass {
         PodClass { app: AppId::new(app), request: ResourceVec::splat(request) }
     }
 
     /// What the sequential scan makes of a verdict table: the fold's
-    /// winner, the feasible count and the per-filter rejection tallies.
-    fn scan(verdicts: &[Verdict]) -> (Option<(f64, usize)>, u32, Vec<u32>) {
-        let (mut best, mut feasible, mut rejected) = (None, 0, Vec::new());
+    /// winner, the feasible count and the rejection tally.
+    fn scan(verdicts: &[Verdict]) -> (Option<(f64, usize)>, u32, u32) {
+        let (mut best, mut feasible, mut rejected) = (None, 0, 0);
         for (i, verdict) in verdicts.iter().enumerate() {
             match *verdict {
                 Verdict::Score(score) => {
                     feasible += 1;
                     fold_best(&mut best, score, i);
                 }
-                Verdict::RejectedBy(fi) => {
-                    if rejected.len() <= fi {
-                        rejected.resize(fi + 1, 0);
-                    }
-                    rejected[fi] += 1;
-                }
+                Verdict::Rejected => rejected += 1,
             }
         }
         (best, feasible, rejected)
@@ -807,11 +783,7 @@ mod tests {
     /// maximum.
     fn assert_cache_holds(cache: &ClassCache, cap: usize, expected: &[Verdict]) {
         assert_eq!(cache.verdicts, expected);
-        let mut tallies = scan(expected).2;
-        tallies.resize(tallies.len().max(cache.rejected.len()), 0);
-        let mut held = cache.rejected.clone();
-        held.resize(tallies.len(), 0);
-        assert_eq!(held, tallies);
+        assert_eq!(cache.rejected, scan(expected).2);
         if cache.tree.is_empty() {
             return; // refilled, not asked about again yet
         }
@@ -831,10 +803,10 @@ mod tests {
     fn naive_verdicts(idx: &FeasibilityIndex, class: &PodClass) -> Vec<Verdict> {
         (0..idx.len())
             .map(|i| {
-                if idx.ready[i] && class.request.fits_within(&idx.free(i)) {
-                    evaluate(i, idx.free(i), idx.app_count(i, class.app.raw()))
+                if node_fits(idx.ready[i], &class.request, &idx.free(i)) {
+                    Verdict::Score(evaluate(i, idx.free(i), idx.app_count(i, class.app.raw())))
                 } else {
-                    NO_FIT
+                    Verdict::Rejected
                 }
             })
             .collect()
@@ -851,12 +823,7 @@ mod tests {
             evaluated += 1;
             evaluate(i, free, app_pods)
         });
-        assert_eq!(choice.best, best);
-        assert_eq!(choice.feasible, feasible);
-        for fi in 0..rejected.len().max(choice.rejected.len()) {
-            let held = choice.rejected.get(fi).copied().unwrap_or(0);
-            assert_eq!(held, rejected.get(fi).copied().unwrap_or(0), "filter {fi}");
-        }
+        assert_eq!((choice.best, choice.feasible, choice.rejected), (best, feasible, rejected));
         let key = class_key(class);
         let cache = idx.caches.iter().find(|c| c.key == key).expect("class was just used");
         assert_cache_holds(cache, idx.cap, &expected);
@@ -871,8 +838,8 @@ mod tests {
         }
         c.set_node_ready(NodeId::new(5), false).unwrap();
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
-        // Cold, then warm after a placement: the class table's `NO_FIT`
+        idx.sync(&c, PROFILE);
+        // Cold, then warm after a placement: the class table's `Rejected`
         // set is the linear scan's, for every request.
         for req in [0.0, 100.0, 400.0, 900.0, 950.0, 2000.0] {
             let class = class(7, req);
@@ -883,7 +850,7 @@ mod tests {
                     .collect();
                 let table =
                     &idx.caches.iter().find(|c| c.key == class_key(&class)).unwrap().verdicts;
-                let held: Vec<usize> = (0..13).filter(|&i| table[i] != NO_FIT).collect();
+                let held: Vec<usize> = (0..13).filter(|&i| table[i] != Verdict::Rejected).collect();
                 assert_eq!(held, fits, "request {req}");
                 idx.place(9, &spec(7, 10.0, 50));
             }
@@ -898,7 +865,7 @@ mod tests {
             bind(&mut c, i, 100.0 + f64::from(i), 10 + i as i32, i % 9);
         }
         let mut carried = FeasibilityIndex::new();
-        carried.sync(&c, 1);
+        carried.sync(&c, PROFILE);
         // Mutate through every hook the cluster versions: bind, terminate,
         // resize, readiness flip.
         let extra = bind(&mut c, 3, 50.0, 99, 2);
@@ -910,9 +877,9 @@ mod tests {
         c.bind_pod(resized, NodeId::new(8)).unwrap();
         c.resize_pod(resized, ResourceVec::splat(300.0)).unwrap();
         let _ = extra;
-        carried.sync(&c, 1);
+        carried.sync(&c, PROFILE);
         let mut fresh = FeasibilityIndex::new();
-        fresh.sync(&c, 1);
+        fresh.sync(&c, PROFILE);
         assert_eq!(carried.free, fresh.free);
         assert_eq!(carried.ready, fresh.ready);
         assert_eq!(carried.census, fresh.census);
@@ -929,8 +896,8 @@ mod tests {
         // shows that nothing beats it.
         let c = cluster(64);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
-        let tied = |_, _, _| Verdict::Score(0.5);
+        idx.sync(&c, PROFILE);
+        let tied = |_, _, _| 0.5;
         assert_eq!(idx.choose(&class(0, 100.0), tied).best, Some((0.5, 0)));
         assert_eq!(idx.probes(), 0, "a cold class folds while it fills");
         let choice = idx.choose(&class(0, 100.0), tied);
@@ -939,7 +906,7 @@ mod tests {
         // A cluster where nothing fits is answered by the root alone.
         assert_eq!(idx.choose(&class(0, 2000.0), tied).best, None);
         let choice = idx.choose(&class(0, 2000.0), tied);
-        assert_eq!((choice.best, choice.feasible, choice.rejected), (None, 0, &[64][..]));
+        assert_eq!((choice.best, choice.feasible, choice.rejected), (None, 0, 64));
         assert_eq!(idx.probes(), 4);
     }
 
@@ -948,13 +915,13 @@ mod tests {
         let mut c = cluster(4);
         bind(&mut c, 0, 500.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         // A tentative placement the driver then *fails* to apply: no
         // cluster version moves, but the taint list must restore truth.
         let tentative = spec(1, 200.0, 50);
         idx.place(2, &tentative);
         assert_eq!(idx.free(2), ResourceVec::splat(750.0));
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         assert_eq!(idx.free(2), ResourceVec::splat(950.0));
         assert_eq!(idx.app_count(2, 1), 0);
     }
@@ -964,7 +931,7 @@ mod tests {
         let mut c = cluster(2);
         bind(&mut c, 0, 600.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         let req = ResourceVec::splat(600.0);
         assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
         assert!(!idx.census_could_free(0, 10, &ResourceVec::splat(900.0)), "no lower priority");
@@ -983,7 +950,7 @@ mod tests {
             bind(&mut c, i % 2, 100.0, 10, i);
         }
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         let a = class(0, 50.0);
         assert_eq!(
             check_cached_pass(&mut idx, &a),
@@ -1006,10 +973,10 @@ mod tests {
         // refresh of the four tainted nodes.
         bind(&mut c, 0, 70.0, 10, 12);
         c.set_node_ready(NodeId::new(14), false).unwrap();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         assert_eq!(check_cached_pass(&mut idx, &a), 5, "3, 5, 8, 10, 12; 14 does not fit");
         c.set_node_ready(NodeId::new(14), true).unwrap();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         assert_eq!(check_cached_pass(&mut idx, &a), 1, "node 14 came back empty");
     }
 
@@ -1018,7 +985,7 @@ mod tests {
         let mut c = cluster(4);
         bind(&mut c, 0, 100.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         let (a, b) = (class(0, 50.0), class(1, 50.0));
         assert_eq!(check_cached_pass(&mut idx, &a), 4);
         assert_eq!(check_cached_pass(&mut idx, &b), 4);
@@ -1038,23 +1005,27 @@ mod tests {
         assert_eq!(check_cached_pass(&mut idx, &a), 4);
     }
 
+    /// A rebuild drops every cache, and so does a sync for another
+    /// profile; the same profile keeps them.
     #[test]
     fn rebuilds_and_foreign_plugin_sets_drop_every_cache() {
-        let c = cluster(4);
+        let mut c = cluster(4);
+        bind(&mut c, 0, 100.0, 10, 0);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         let a = class(0, 50.0);
         check_cached_pass(&mut idx, &a);
         assert_eq!(idx.caches.len(), 1);
-        idx.invalidate();
-        idx.sync(&c, 1);
-        assert!(idx.caches.is_empty(), "invalidate() rebuilds");
+        idx.sync(&c, PROFILE);
+        assert_eq!(idx.caches.len(), 1, "same profile, same cluster");
+        idx.sync(&cluster(4), PROFILE);
+        assert!(idx.caches.is_empty(), "an older cluster version rebuilds");
         assert_eq!(check_cached_pass(&mut idx, &a), 4);
-        idx.sync(&cluster(5), 1);
+        idx.sync(&cluster(5), PROFILE);
         assert!(idx.caches.is_empty(), "node count changed");
         assert_eq!(check_cached_pass(&mut idx, &a), 5);
-        idx.sync(&cluster(5), 2);
-        assert!(idx.caches.is_empty(), "another framework's scores");
+        idx.sync(&cluster(5), SchedulerProfile::Binpack);
+        assert!(idx.caches.is_empty(), "another profile's scores");
     }
 
     #[test]
@@ -1062,7 +1033,7 @@ mod tests {
         let mut c = cluster(6);
         bind(&mut c, 0, 100.0, 10, 2);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         let a = class(0, 50.0);
         assert_eq!(check_cached_pass(&mut idx, &a), 6);
         for app in 1..=SCORE_CLASSES as u32 {
@@ -1083,27 +1054,24 @@ mod tests {
         let mut c = cluster(3);
         c.set_node_ready(NodeId::new(0), false).unwrap();
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         // Node 0 would win every tie; unready, it is never the winner —
         // not cold, not warm, and not while it is logged as changed.
-        let tied = |_, _, _| Verdict::Score(0.5);
+        let tied = |_, _, _| 0.5;
         let zero = PodClass { app: AppId::new(0), request: ResourceVec::ZERO };
         for _ in 0..3 {
             let choice = idx.choose(&zero, tied);
-            assert_eq!(
-                (choice.best, choice.feasible, choice.rejected),
-                (Some((0.5, 1)), 2, &[1][..])
-            );
+            assert_eq!((choice.best, choice.feasible, choice.rejected), (Some((0.5, 1)), 2, 1));
             idx.write_leaves(0);
         }
         idx.enumerate_preempt(&ResourceVec::ZERO);
         assert_eq!(idx.candidates(), &[1, 2]);
         // Back up, it wins from the same cache; down again, it is gone.
         c.set_node_ready(NodeId::new(0), true).unwrap();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         assert_eq!(idx.choose(&zero, tied).best, Some((0.5, 0)));
         c.set_node_ready(NodeId::new(0), false).unwrap();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         assert_eq!(idx.choose(&zero, tied).best, Some((0.5, 1)));
     }
 
@@ -1111,7 +1079,7 @@ mod tests {
     fn single_node_tree_works() {
         let c = cluster(1);
         let mut idx = FeasibilityIndex::new();
-        idx.sync(&c, 1);
+        idx.sync(&c, PROFILE);
         for _ in 0..2 {
             assert_eq!(check_cached_pass(&mut idx, &class(0, 900.0)), 1);
             idx.write_leaves(0);
@@ -1149,10 +1117,10 @@ mod tests {
                     // One feasible leaf.
                     5 if i == only => 0.5,
                     // All `-inf`.
-                    _ => return Verdict::RejectedBy(below(rng, 2)),
+                    _ => return Verdict::Rejected,
                 };
                 if shape < 5 && below(rng, 4) == 0 {
-                    Verdict::RejectedBy(below(rng, 2))
+                    Verdict::Rejected
                 } else {
                     Verdict::Score(score)
                 }

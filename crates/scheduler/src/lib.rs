@@ -1,11 +1,13 @@
-//! Pluggable scheduling framework for the EVOLVE platform.
+//! The scheduler of the EVOLVE platform.
 //!
-//! Mirrors the Kubernetes scheduling framework (the extension surface the
-//! paper's scheduler plugs into): pending pods flow through **filter**
-//! plugins (feasibility) and **score** plugins (preference), the highest
-//! scoring node wins, and the binding is handed to the cluster. On top of
-//! the stock framework this crate adds what converged Big-Data/HPC/Cloud
-//! scheduling needs:
+//! Mirrors the Kubernetes scheduler the paper extends: pending pods go
+//! through a **filter** (the node is ready and the request fits), the
+//! feasible nodes are **scored**, the highest scoring node wins, and the
+//! binding is handed to the cluster. A [`SchedulerProfile`] is data — a
+//! name, a fixed list of weighted scorers and a preemption flag — and the
+//! repo runs three of them: `kube-default`, `evolve` (the same scorers
+//! plus preemption) and `binpack`. On top of the stock scheduler this
+//! crate adds what converged Big-Data/HPC/Cloud scheduling needs:
 //!
 //! * **priority scheduling with preemption** — latency-critical service
 //!   pods may evict batch tasks when the cluster is full;
@@ -46,7 +48,4 @@ mod plugins;
 
 pub use framework::{RequeueBackoff, SchedulePlan, SchedulerFramework};
 pub use index::FeasibilityIndex;
-pub use plugins::{
-    BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, ScorePlugin,
-    SpreadApp,
-};
+pub use plugins::SchedulerProfile;

@@ -1,15 +1,19 @@
-//! Filter and score plugins.
+//! Scheduler profiles and the score plugins they weigh.
 //!
-//! Plugins see a [`NodeView`]: the node plus *shadow* state reflecting the
-//! decisions already taken in the current scheduling cycle. Scores are
-//! normalized to `[0, 1]`; the framework combines them by weight.
+//! A profile is data: a name, a fixed list of `(Scorer, weight)` pairs and
+//! a preemption flag. Every profile has the same one filter — the node is
+//! ready and the request fits its shadow free capacity — which the
+//! feasibility index evaluates itself. Scorers see a [`NodeView`]: the
+//! node plus *shadow* state reflecting the decisions already taken in the
+//! current scheduling cycle. Scores are normalized to `[0, 1]`; the
+//! profile combines them by weight.
 
 use evolve_sim::{Node, PodSpec};
 use evolve_types::{AppId, Resource, ResourceVec};
 
-/// Everything a plugin may read from the pod being placed: the owning
+/// Everything a scorer may read from the pod being placed: the owning
 /// application and the resource request. The feasibility index keys its
-/// score caches by exactly these fields, so a plugin cannot depend on
+/// score caches by exactly these fields, so a scorer cannot depend on
 /// something the key omits.
 #[derive(Debug, Clone, Copy)]
 pub struct PodClass {
@@ -39,123 +43,142 @@ pub struct NodeView<'a> {
 
 impl NodeView<'_> {
     /// Shadow-allocated share per resource after hypothetically placing
-    /// `request`.
-    fn allocated_share_with(&self, request: &ResourceVec) -> ResourceVec {
+    /// `request`, each clamped to `[0, 1]`.
+    fn shares_with(&self, request: &ResourceVec) -> [f64; 4] {
         let allocatable = self.node.allocatable();
-        (allocatable - self.free + *request).ratio(&allocatable)
+        let share = (allocatable - self.free + *request).ratio(&allocatable);
+        Resource::ALL.map(|r| share[r].clamp(0.0, 1.0))
     }
 }
 
-/// Feasibility check: can this pod run on this node?
+/// Mean of the four resource shares.
+fn mean(shares: &[f64; 4]) -> f64 {
+    shares.iter().sum::<f64>() / 4.0
+}
+
+/// Name of the one filter in decision traces (the `NodeResourcesFit`
+/// plugin).
+pub(crate) const NODE_FITS: &str = "node-fits";
+
+/// The one filter: the node is ready and `request` fits its shadow free
+/// capacity. The naive scan asks it of each node, the feasibility index
+/// of its mirrors.
+pub(crate) fn node_fits(ready: bool, request: &ResourceVec, free: &ResourceVec) -> bool {
+    ready && request.fits_within(free)
+}
+
+/// A score plugin: a preference in `[0, 1]`, higher is better.
 ///
-/// **Purity contract** (shared with [`ScorePlugin`]): the result must be
-/// a pure function of the plugin's own configuration and the two
-/// arguments. The feasibility index caches verdicts per `PodClass` and
-/// re-evaluates a node only after its `NodeView` inputs changed.
-pub trait FilterPlugin: Send + Sync {
-    /// Plugin name for diagnostics.
-    fn name(&self) -> &'static str;
-    /// `true` when the node can host the pod.
-    fn feasible(&self, pod: &PodClass, view: &NodeView<'_>) -> bool;
-    /// `true` when this filter is *exactly* "the node is ready and the
-    /// request fits within shadow free capacity" — the predicate the
-    /// feasibility index evaluates itself. The framework only routes a
-    /// cycle through the index when its leading filter certifies this;
-    /// any other filter must keep the default `false`.
-    fn prunes_capacity_fit(&self) -> bool {
-        false
-    }
+/// **Purity contract:** a score is a pure function of the [`PodClass`]
+/// and the [`NodeView`]. The feasibility index caches scores per class
+/// and profile and re-scores a node only after its view changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scorer {
+    /// Prefer the emptiest node (spreading, the Kubernetes
+    /// `LeastAllocated` strategy) — leaves headroom for vertical scaling.
+    LeastAllocated,
+    /// Prefer the fullest node (bin packing, `MostAllocated`) —
+    /// consolidates load to free whole nodes.
+    MostAllocated,
+    /// Prefer nodes where the post-placement allocation is *balanced*
+    /// across the four resources (`NodeResourcesBalancedAllocation`) —
+    /// avoids stranding one dimension.
+    BalancedAllocation,
+    /// Spread replicas of the same application across nodes
+    /// (topology-spread light) — a node failure then costs one replica,
+    /// not all of them.
+    SpreadApp,
 }
 
-/// Preference score in `[0, 1]`; higher is better. Bound by the same
-/// purity contract as [`FilterPlugin`].
-pub trait ScorePlugin: Send + Sync {
-    /// Plugin name for diagnostics.
-    fn name(&self) -> &'static str;
+impl Scorer {
+    /// Plugin name for decision traces.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Scorer::LeastAllocated => "least-allocated",
+            Scorer::MostAllocated => "most-allocated",
+            Scorer::BalancedAllocation => "balanced-allocation",
+            Scorer::SpreadApp => "spread-app",
+        }
+    }
+
     /// Scores the node for the pod.
-    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64;
-}
-
-/// Filter: node is ready and has room for the pod's request
-/// (the `NodeResourcesFit` plugin).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeFits;
-
-impl FilterPlugin for NodeFits {
-    fn name(&self) -> &'static str {
-        "node-fits"
-    }
-    fn feasible(&self, pod: &PodClass, view: &NodeView<'_>) -> bool {
-        view.node.is_ready() && pod.request.fits_within(&view.free)
-    }
-    fn prunes_capacity_fit(&self) -> bool {
-        true
+    pub(crate) fn score(self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
+        match self {
+            Scorer::LeastAllocated => 1.0 - mean(&view.shares_with(&pod.request)),
+            Scorer::MostAllocated => mean(&view.shares_with(&pod.request)),
+            Scorer::BalancedAllocation => {
+                let shares = view.shares_with(&pod.request);
+                let mean = mean(&shares);
+                let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / 4.0;
+                // Std-dev of shares is at most 0.5 in [0,1]; normalize.
+                1.0 - (var.sqrt() * 2.0).min(1.0)
+            }
+            Scorer::SpreadApp => 1.0 / (1.0 + view.app_pods as f64),
+        }
     }
 }
 
-/// Score: prefer the emptiest node (spreading, the Kubernetes
-/// `LeastAllocated` strategy) — leaves headroom for vertical scaling.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastAllocated;
-
-impl ScorePlugin for LeastAllocated {
-    fn name(&self) -> &'static str {
-        "least-allocated"
-    }
-    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
-        let mean = Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0;
-        1.0 - mean
-    }
+/// Which scheduler profile binds pods: a name, weighted scorers and
+/// whether priority preemption is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerProfile {
+    /// Stock filter/score profile without preemption.
+    KubeDefault,
+    /// Stock profile plus priority preemption (EVOLVE's extension).
+    Evolve,
+    /// Bin-packing consolidation profile.
+    Binpack,
 }
 
-/// Score: prefer the fullest node (bin packing, `MostAllocated`) —
-/// consolidates load to free whole nodes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MostAllocated;
-
-impl ScorePlugin for MostAllocated {
-    fn name(&self) -> &'static str {
-        "most-allocated"
+impl SchedulerProfile {
+    /// The profile name, as reports print it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerProfile::KubeDefault => "kube-default",
+            SchedulerProfile::Evolve => "evolve",
+            SchedulerProfile::Binpack => "binpack",
+        }
     }
-    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
-        Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0
-    }
-}
 
-/// Score: prefer nodes where the post-placement allocation is *balanced*
-/// across the four resources (`NodeResourcesBalancedAllocation`) — avoids
-/// stranding one dimension.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BalancedAllocation;
-
-impl ScorePlugin for BalancedAllocation {
-    fn name(&self) -> &'static str {
-        "balanced-allocation"
+    /// The weighted scorers, in the order their contributions are summed.
+    pub(crate) fn scorers(self) -> &'static [(Scorer, f64)] {
+        use Scorer::{BalancedAllocation, LeastAllocated, MostAllocated, SpreadApp};
+        match self {
+            SchedulerProfile::KubeDefault | SchedulerProfile::Evolve => {
+                &[(LeastAllocated, 1.0), (BalancedAllocation, 1.0), (SpreadApp, 0.5)]
+            }
+            SchedulerProfile::Binpack => &[(MostAllocated, 1.0), (BalancedAllocation, 0.5)],
+        }
     }
-    fn score(&self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
-        let shares = Resource::ALL.map(|r| share[r].clamp(0.0, 1.0));
-        let mean = shares.iter().sum::<f64>() / shares.len() as f64;
-        let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / shares.len() as f64;
-        // Std-dev of shares is at most 0.5 in [0,1]; normalize.
-        1.0 - (var.sqrt() * 2.0).min(1.0)
-    }
-}
 
-/// Score: spread replicas of the same application across nodes
-/// (topology-spread light) — a node failure then costs one replica, not
-/// all of them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpreadApp;
-
-impl ScorePlugin for SpreadApp {
-    fn name(&self) -> &'static str {
-        "spread-app"
+    /// Whether a pod that fits nowhere may evict lower-priority pods.
+    pub(crate) fn preempts(self) -> bool {
+        self == SchedulerProfile::Evolve
     }
-    fn score(&self, _pod: &PodClass, view: &NodeView<'_>) -> f64 {
-        1.0 / (1.0 + view.app_pods as f64)
+
+    /// Weighted mean of the scorers for one feasible node: contributions
+    /// summed in list order, then divided by the weight sum. Both
+    /// placement paths call it, so their float-operation sequence is
+    /// identical. Each scorer's weighted share is appended to
+    /// `contributions`, if given.
+    pub(crate) fn score(
+        self,
+        class: &PodClass,
+        view: &NodeView<'_>,
+        mut contributions: Option<&mut Vec<(&'static str, f64)>>,
+    ) -> f64 {
+        let mut score = 0.0;
+        let mut weight = 0.0;
+        for &(scorer, w) in self.scorers() {
+            let contribution = scorer.score(class, view) * w;
+            score += contribution;
+            weight += w;
+            if let Some(c) = contributions.as_deref_mut() {
+                c.push((scorer.name(), contribution));
+            }
+        }
+        score / weight
     }
 }
 
@@ -180,16 +203,17 @@ mod tests {
     fn node_fits_checks_shadow_free() {
         let n = node(1000.0);
         let p = pod(100.0);
-        assert!(NodeFits.feasible(&p, &view(&n, 100.0, 0)));
-        assert!(!NodeFits.feasible(&p, &view(&n, 99.0, 0)));
+        assert!(node_fits(n.is_ready(), &p.request, &ResourceVec::splat(100.0)));
+        assert!(!node_fits(n.is_ready(), &p.request, &ResourceVec::splat(99.0)));
+        assert!(!node_fits(false, &p.request, &ResourceVec::splat(100.0)));
     }
 
     #[test]
     fn least_allocated_prefers_empty() {
         let n = node(1000.0);
         let p = pod(10.0);
-        let empty = LeastAllocated.score(&p, &view(&n, 950.0, 0));
-        let full = LeastAllocated.score(&p, &view(&n, 100.0, 0));
+        let empty = Scorer::LeastAllocated.score(&p, &view(&n, 950.0, 0));
+        let full = Scorer::LeastAllocated.score(&p, &view(&n, 100.0, 0));
         assert!(empty > full);
     }
 
@@ -197,8 +221,8 @@ mod tests {
     fn most_allocated_prefers_full() {
         let n = node(1000.0);
         let p = pod(10.0);
-        let empty = MostAllocated.score(&p, &view(&n, 950.0, 0));
-        let full = MostAllocated.score(&p, &view(&n, 100.0, 0));
+        let empty = Scorer::MostAllocated.score(&p, &view(&n, 950.0, 0));
+        let full = Scorer::MostAllocated.score(&p, &view(&n, 100.0, 0));
         assert!(full > empty);
     }
 
@@ -207,7 +231,7 @@ mod tests {
         let n = node(1000.0);
         let p = pod(50.0);
         let v = view(&n, 400.0, 0);
-        let sum = LeastAllocated.score(&p, &v) + MostAllocated.score(&p, &v);
+        let sum = Scorer::LeastAllocated.score(&p, &v) + Scorer::MostAllocated.score(&p, &v);
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
@@ -216,11 +240,11 @@ mod tests {
         let n = node(1000.0);
         let p = pod(1.0);
         // Balanced: all dimensions equally free.
-        let balanced = BalancedAllocation.score(&p, &view(&n, 400.0, 0));
+        let balanced = Scorer::BalancedAllocation.score(&p, &view(&n, 400.0, 0));
         // Skewed: CPU nearly exhausted, others empty.
         let skew_view =
             NodeView { node: &n, free: ResourceVec::new(10.0, 950.0, 950.0, 950.0), app_pods: 0 };
-        let skewed = BalancedAllocation.score(&p, &skew_view);
+        let skewed = Scorer::BalancedAllocation.score(&p, &skew_view);
         assert!(balanced > skewed, "balanced {balanced} skewed {skewed}");
     }
 
@@ -229,7 +253,8 @@ mod tests {
         let n = node(1000.0);
         let p = pod(1.0);
         assert!(
-            SpreadApp.score(&p, &view(&n, 900.0, 0)) > SpreadApp.score(&p, &view(&n, 900.0, 3))
+            Scorer::SpreadApp.score(&p, &view(&n, 900.0, 0))
+                > Scorer::SpreadApp.score(&p, &view(&n, 900.0, 3))
         );
     }
 
@@ -239,10 +264,10 @@ mod tests {
         let p = pod(500.0);
         for free in [0.0, 100.0, 500.0, 950.0] {
             for plugin in [
-                &LeastAllocated as &dyn ScorePlugin,
-                &MostAllocated,
-                &BalancedAllocation,
-                &SpreadApp,
+                Scorer::LeastAllocated,
+                Scorer::MostAllocated,
+                Scorer::BalancedAllocation,
+                Scorer::SpreadApp,
             ] {
                 let s = plugin.score(&p, &view(&n, free, 1));
                 assert!((0.0..=1.0).contains(&s), "{} gave {s}", plugin.name());

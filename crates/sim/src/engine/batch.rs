@@ -5,10 +5,10 @@ use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimTime};
 use evolve_workload::BatchJobSpec;
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
-use crate::perf::ReplicaServer;
+use crate::perf::{PerfConfig, ReplicaServer};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, Replicas, Simulation};
+use super::{Owner, Replicas, Simulation, BATCH_PRIORITY};
 
 /// Runtime state of one batch job.
 pub(crate) struct BatchRuntime {
@@ -141,12 +141,9 @@ impl Simulation {
                 break;
             }
             let job = self.batches[idx].job;
-            let spec = PodSpec::new(
-                PodKind::BatchTask { app, job, stage, task },
-                request,
-                self.config.batch_priority,
-            )
-            .with_limit(limit);
+            let spec =
+                PodSpec::new(PodKind::BatchTask { app, job, stage, task }, request, BATCH_PRIORITY)
+                    .with_limit(limit);
             let pod = self.cluster.create_pod(spec, self.now);
             self.pod_owner.insert(pod, Owner::Batch(idx));
             let rt = &mut self.batches[idx];
@@ -164,7 +161,7 @@ impl Simulation {
             unreachable!("batch pod has batch kind")
         };
         let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
-        let mut server = ReplicaServer::new(request, 0.0, self.config.perf, now);
+        let mut server = ReplicaServer::new(request, 0.0, PerfConfig::default(), now);
         // One work item, no deadline (jobs run to completion).
         let out = &mut self.drain_scratch;
         out.clear();
@@ -260,12 +257,9 @@ impl Simulation {
             let rt = &self.batches[idx];
             (rt.app, rt.job, rt.stage as u32, rt.desired_alloc.min(&self.pod_limit), self.pod_limit)
         };
-        let spec = PodSpec::new(
-            PodKind::BatchTask { app, job, stage, task },
-            request,
-            self.config.batch_priority,
-        )
-        .with_limit(limit);
+        let spec =
+            PodSpec::new(PodKind::BatchTask { app, job, stage, task }, request, BATCH_PRIORITY)
+                .with_limit(limit);
         let new_pod = self.cluster.create_pod(spec, self.now);
         self.pod_owner.insert(new_pod, Owner::Batch(idx));
         self.batches[idx].replicas.insert(new_pod, None);

@@ -9,7 +9,7 @@ use evolve_workload::{sample_lognormal_with, HpcJobSpec};
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Event, Owner, Simulation};
+use super::{Event, Owner, Simulation, HPC_JITTER_CV, HPC_PRIORITY};
 
 /// Runtime state of one HPC job.
 pub(crate) struct HpcRuntime {
@@ -90,12 +90,8 @@ impl Simulation {
             )
         };
         for rank in 0..gang {
-            let spec = PodSpec::new(
-                PodKind::HpcRank { app, job, rank },
-                request,
-                self.config.hpc_priority,
-            )
-            .with_limit(limit);
+            let spec = PodSpec::new(PodKind::HpcRank { app, job, rank }, request, HPC_PRIORITY)
+                .with_limit(limit);
             let pod = self.cluster.create_pod(spec, self.now);
             self.pod_owner.insert(pod, Owner::Hpc(idx));
             self.hpcs[idx].pods.push(pod);
@@ -141,12 +137,7 @@ impl Simulation {
         if !secs.is_finite() {
             return; // starved allocation: wait for a resize
         }
-        let jitter_cv = self.config.hpc_jitter_cv;
-        let jitter = if jitter_cv > 0.0 {
-            sample_lognormal_with(self.config.sampling, &mut self.rng, 1.0, jitter_cv)
-        } else {
-            1.0
-        };
+        let jitter = sample_lognormal_with(self.config.sampling, &mut self.rng, 1.0, HPC_JITTER_CV);
         let duration = SimDuration::from_secs_f64((secs * jitter).max(1e-6));
         let version = {
             let rt = &mut self.hpcs[idx];

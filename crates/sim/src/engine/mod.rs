@@ -37,7 +37,6 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::heap;
 use crate::observe::{AppStatus, AppWindow, ClusterSnapshot, JobOutcome};
-use crate::perf::PerfConfig;
 use crate::pod::PodPhase;
 
 pub(crate) use batch::BatchRuntime;
@@ -45,47 +44,31 @@ pub(crate) use hpc::HpcRuntime;
 pub(crate) use lanes::Replicas;
 pub(crate) use service::ServiceRuntime;
 
-/// Engine tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Container start latency (bind → running).
+pub(crate) const POD_START_DELAY: SimDuration = SimDuration::from_secs(3);
+/// Maximum queued requests per service while no replica runs.
+pub(crate) const SERVICE_QUEUE_CAP: usize = 10_000;
+/// Queue bound while a service is in load-shedding mode (capacity clipped
+/// by the arbiter): arrivals beyond it are rejected at the front door and
+/// counted as shed, not queued.
+pub(crate) const SHED_QUEUE_CAP: usize = 64;
+/// Coefficient of variation of HPC iteration durations.
+pub(crate) const HPC_JITTER_CV: f64 = 0.05;
+/// Scheduling priority of service replicas.
+pub(crate) const SERVICE_PRIORITY: i32 = 100;
+/// Scheduling priority of HPC ranks.
+pub(crate) const HPC_PRIORITY: i32 = 50;
+/// Scheduling priority of batch tasks.
+pub(crate) const BATCH_PRIORITY: i32 = 10;
+
+/// Engine settings: which sampler generation the stochastic streams use.
+/// Everything else the engine needs is a constant.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimulationConfig {
-    /// Performance-model tunables.
-    pub perf: PerfConfig,
-    /// Container start latency (bind → running).
-    pub pod_start_delay: SimDuration,
-    /// Maximum queued requests per service while no replica runs.
-    pub service_queue_cap: usize,
-    /// Queue bound while a service is in load-shedding mode (capacity
-    /// clipped by the arbiter): arrivals beyond it are rejected at the
-    /// front door and counted as shed, not queued.
-    pub shed_queue_cap: usize,
-    /// Coefficient of variation of HPC iteration durations.
-    pub hpc_jitter_cv: f64,
-    /// Scheduling priority of service replicas.
-    pub service_priority: i32,
-    /// Scheduling priority of HPC ranks.
-    pub hpc_priority: i32,
-    /// Scheduling priority of batch tasks.
-    pub batch_priority: i32,
     /// Which sampler generation the stochastic streams use. `Batched`
     /// (default) is the post-PR-6 ziggurat/windowed stream; `Legacy`
     /// reproduces the pre-PR-6 Box–Muller/thinning stream bit-for-bit.
     pub sampling: SamplingMode,
-}
-
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        SimulationConfig {
-            perf: PerfConfig::default(),
-            pod_start_delay: SimDuration::from_secs(3),
-            service_queue_cap: 10_000,
-            shed_queue_cap: 64,
-            hpc_jitter_cv: 0.05,
-            service_priority: 100,
-            hpc_priority: 50,
-            batch_priority: 10,
-            sampling: SamplingMode::default(),
-        }
-    }
 }
 
 /// Who owns a pod.
@@ -568,7 +551,7 @@ impl Simulation {
     /// Propagates cluster binding failures (unknown ids, capacity).
     pub fn bind_pod(&mut self, pod: PodId, node: NodeId) -> Result<()> {
         self.cluster.bind_pod(pod, node)?;
-        let at = self.now + self.config.pod_start_delay;
+        let at = self.now + POD_START_DELAY;
         self.schedule(at, Event::PodStarted { pod });
         Ok(())
     }
@@ -780,10 +763,9 @@ impl Simulation {
     }
 
     /// Switches a service's admission control into (or out of) load
-    /// shedding: while enabled, arrivals beyond the small
-    /// [`SimulationConfig::shed_queue_cap`] backlog are rejected at the
-    /// front door and counted in [`AppWindow::shed_requests`] instead of
-    /// queueing without bound. The capacity arbiter flips this when it
+    /// shedding: while enabled, arrivals beyond a small backlog (64
+    /// requests) are rejected at the front door and counted in
+    /// [`AppWindow::shed_requests`] instead of queueing without bound. The capacity arbiter flips this when it
     /// clips or sheds an app; jobs (batch/HPC) have no open-loop arrival
     /// stream, so the call is a no-op for them.
     ///

@@ -9,10 +9,10 @@ use evolve_workload::{LoadSpec, PoissonArrivals, SamplingMode, ServiceSpec};
 use rand_chacha::ChaCha8Rng;
 
 use crate::observe::{AppWindow, WindowAccumulator};
-use crate::perf::{DrainOutcome, ReplicaServer};
+use crate::perf::{DrainOutcome, PerfConfig, ReplicaServer};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, Replicas, Simulation};
+use super::{Owner, Replicas, Simulation, SERVICE_PRIORITY, SERVICE_QUEUE_CAP, SHED_QUEUE_CAP};
 
 /// A request waiting because no replica is running.
 #[derive(Debug, Clone, Copy)]
@@ -84,17 +84,12 @@ impl ServiceRuntime {
 impl Simulation {
     /// Creates one pending replica pod for a service.
     pub(crate) fn create_service_pod(&mut self, idx: usize) {
-        let (app, request, priority, limit) = {
+        let (app, request, limit) = {
             let rt = &self.services[idx];
-            (
-                rt.app,
-                rt.desired_alloc.min(&self.pod_limit),
-                self.config.service_priority,
-                self.pod_limit,
-            )
+            (rt.app, rt.desired_alloc.min(&self.pod_limit), self.pod_limit)
         };
-        let spec =
-            PodSpec::new(PodKind::ServiceReplica { app }, request, priority).with_limit(limit);
+        let spec = PodSpec::new(PodKind::ServiceReplica { app }, request, SERVICE_PRIORITY)
+            .with_limit(limit);
         let pod = self.cluster.create_pod(spec, self.now);
         self.services[idx].pods.push(pod);
         self.pod_owner.insert(pod, Owner::Service(idx));
@@ -116,7 +111,7 @@ impl Simulation {
         // demand, queue, complete or time out.
         if rt.shedding {
             let backlog = target.map_or(rt.queue.len(), |(.., inflight)| inflight as usize);
-            if backlog >= self.config.shed_queue_cap {
+            if backlog >= SHED_QUEUE_CAP {
                 rt.acc.arrivals += 1;
                 rt.acc.shed += 1;
                 return;
@@ -150,7 +145,7 @@ impl Simulation {
                 }
             }
             None => {
-                let cap = self.config.service_queue_cap;
+                let cap = SERVICE_QUEUE_CAP;
                 let rt = &mut self.services[idx];
                 if rt.queue.len() >= cap {
                     rt.acc.timeouts += 1; // dropped at the front door
@@ -172,7 +167,7 @@ impl Simulation {
         }
         let request = self.cluster.pod(pod).expect("started pod exists").spec.request;
         let base_memory = self.services[idx].spec.base_memory;
-        let mut server = ReplicaServer::new(request, base_memory, self.config.perf, now);
+        let mut server = ReplicaServer::new(request, base_memory, PerfConfig::default(), now);
         // Drain the front-door queue.
         let mut oom = false;
         let (slot, next) = {

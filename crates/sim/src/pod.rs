@@ -43,12 +43,6 @@ impl PodKind {
             | PodKind::HpcRank { app, .. } => *app,
         }
     }
-
-    /// `true` for gang members that require all-or-nothing scheduling.
-    #[must_use]
-    pub fn is_gang(&self) -> bool {
-        matches!(self, PodKind::HpcRank { .. })
-    }
 }
 
 /// Desired state of a pod.
@@ -198,8 +192,6 @@ mod tests {
         for k in kinds {
             assert_eq!(k.app(), app);
         }
-        assert!(!kinds[0].is_gang());
-        assert!(kinds[2].is_gang());
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl MetricRegistry {
         self.series.get(key.0 as usize)
     }
 
-    /// Number of interned series.
-    #[must_use]
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Samples recorded through the dense-key fast path — the number of
     /// string-keyed lookups the interning layer avoided.
     #[must_use]
@@ -150,23 +144,6 @@ impl MetricRegistry {
     /// All series names in sorted order.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
         self.ids.keys().map(String::as_str)
-    }
-
-    /// Renders one series as a two-column CSV (`seconds,value`) with a
-    /// header row; empty string when the series does not exist.
-    #[must_use]
-    pub fn series_csv(&self, name: &str) -> String {
-        let Some(s) = self.series(name) else {
-            return String::new();
-        };
-        // Buffered `write!` straight into the output string — benches
-        // serialize hundreds of series, so no per-row `format!` allocs.
-        let mut out = String::with_capacity(16 + s.len() * 24);
-        out.push_str("seconds,value\n");
-        for sample in s.iter() {
-            let _ = writeln!(out, "{:.6},{}", sample.at.as_secs_f64(), sample.value);
-        }
-        out
     }
 
     /// Renders several series as a wide CSV keyed by the first series'
@@ -232,7 +209,6 @@ mod tests {
         assert_eq!(r.series("a").unwrap().len(), 2);
         assert_eq!(r.series_by_key(b).unwrap().len(), 1);
         assert_eq!(r.fast_path_records(), 3);
-        assert_eq!(r.series_count(), 2);
     }
 
     #[test]
@@ -259,17 +235,6 @@ mod tests {
         let mid = r.key("mid");
         r.record_key(mid, SimTime::ZERO, 0.0);
         assert_eq!(r.series_names().collect::<Vec<_>>(), vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn series_csv_format() {
-        let mut r = MetricRegistry::new();
-        let m = r.key("m");
-        r.record_key(m, SimTime::from_millis(500), 3.5);
-        let csv = r.series_csv("m");
-        assert!(csv.starts_with("seconds,value\n"));
-        assert!(csv.contains("0.500000,3.5"));
-        assert_eq!(r.series_csv("none"), "");
     }
 
     #[test]

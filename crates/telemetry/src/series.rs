@@ -115,40 +115,10 @@ impl TimeSeries {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Maximum sample value in the trailing `window`; `None` when empty.
-    #[must_use]
-    pub fn max_over(&self, window: SimDuration) -> Option<f64> {
-        self.window(window).map(|s| s.value).reduce(f64::max)
-    }
-
     /// Mean of all retained samples; `None` when empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
         self.mean_over(SimDuration::MAX)
-    }
-
-    /// Least-squares slope (value units per second) over the trailing
-    /// `window`; `None` with fewer than two samples or zero time spread.
-    ///
-    /// This is the trend signal the load predictor consumes.
-    #[must_use]
-    pub fn slope_over(&self, window: SimDuration) -> Option<f64> {
-        let pts: Vec<Sample> = self.window(window).collect();
-        if pts.len() < 2 {
-            return None;
-        }
-        let t0 = pts[0].at;
-        let n = pts.len() as f64;
-        let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);
-        for p in &pts {
-            let x = p.at.saturating_since(t0).as_secs_f64();
-            sx += x;
-            sy += p.value;
-            sxx += x * x;
-            sxy += x * p.value;
-        }
-        let denom = n * sxx - sx * sx;
-        (denom.abs() > 1e-12).then(|| (n * sxy - sx * sy) / denom)
     }
 
     /// Exports the series as `(seconds, value)` pairs for CSV emission.
@@ -193,43 +163,12 @@ mod tests {
         // Window of 2s from t=9 keeps t=7,8,9.
         let vals: Vec<f64> = s.window(SimDuration::from_secs(2)).map(|x| x.value).collect();
         assert_eq!(vals, vec![7.0, 8.0, 9.0]);
-        assert_eq!(s.max_over(SimDuration::from_secs(2)), Some(9.0));
     }
 
     #[test]
     fn mean_over_empty_is_none() {
         let s = TimeSeries::new(4);
         assert_eq!(s.mean_over(SimDuration::from_secs(1)), None);
-        assert_eq!(s.slope_over(SimDuration::from_secs(1)), None);
-        assert_eq!(s.max_over(SimDuration::from_secs(1)), None);
-    }
-
-    #[test]
-    fn slope_recovers_linear_trend() {
-        let mut s = TimeSeries::new(100);
-        for i in 0..20u64 {
-            // value = 3*t + 1
-            s.push(SimTime::from_secs(i), 3.0 * i as f64 + 1.0);
-        }
-        let slope = s.slope_over(SimDuration::from_secs(100)).unwrap();
-        assert!((slope - 3.0).abs() < 1e-9, "slope {slope}");
-    }
-
-    #[test]
-    fn slope_of_constant_is_zero() {
-        let mut s = TimeSeries::new(100);
-        for i in 0..5u64 {
-            s.push(SimTime::from_secs(i), 7.0);
-        }
-        assert!(s.slope_over(SimDuration::from_secs(100)).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn slope_with_identical_timestamps_is_none() {
-        let mut s = TimeSeries::new(10);
-        s.push(SimTime::from_secs(1), 1.0);
-        s.push(SimTime::from_secs(1), 2.0);
-        assert_eq!(s.slope_over(SimDuration::from_secs(10)), None);
     }
 
     #[test]

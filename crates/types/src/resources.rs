@@ -61,16 +61,6 @@ impl Resource {
         }
     }
 
-    /// The resource at position `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= NUM_RESOURCES`.
-    #[must_use]
-    pub const fn from_index(index: usize) -> Resource {
-        Resource::ALL[index]
-    }
-
     /// Short lowercase label used in reports and CSV headers.
     #[must_use]
     pub const fn label(self) -> &'static str {
@@ -377,7 +367,7 @@ mod tests {
     fn index_roundtrip() {
         for (i, r) in Resource::ALL.into_iter().enumerate() {
             assert_eq!(r.index(), i);
-            assert_eq!(Resource::from_index(i), r);
+            assert_eq!(Resource::ALL[r.index()], r);
         }
     }
 

@@ -204,12 +204,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Scales the duration by a non-negative float factor (saturating).
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> Self {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -403,7 +397,6 @@ mod tests {
         let d = SimDuration::from_secs(3);
         assert_eq!(d * 2, SimDuration::from_secs(6));
         assert_eq!(d / 3, SimDuration::from_secs(1));
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_millis(1_500));
     }
 
     #[test]

@@ -245,12 +245,6 @@ impl BatchJobSpec {
     pub fn total_records(&self) -> u64 {
         self.stages.iter().map(StageSpec::total_records).sum()
     }
-
-    /// Total work across all stages and tasks.
-    #[must_use]
-    pub fn total_work(&self) -> ResourceVec {
-        self.stages.iter().map(|s| s.work_per_task * f64::from(s.tasks)).sum()
-    }
 }
 
 /// A gang-scheduled HPC job: `gang_size` ranks iterate in lockstep.
@@ -307,12 +301,6 @@ impl HpcJobSpec {
     pub fn with_priority(mut self, priority: PriorityClass) -> Self {
         self.priority = priority;
         self
-    }
-
-    /// Total work per rank across all iterations.
-    #[must_use]
-    pub fn work_per_rank(&self) -> ResourceVec {
-        self.work_per_iteration * f64::from(self.iterations)
     }
 
     /// The job's PLO expressed as a deadline objective.
@@ -381,7 +369,6 @@ mod tests {
             8,
         );
         assert_eq!(job.total_records(), 500);
-        assert_eq!(job.total_work(), ResourceVec::splat(80.0));
     }
 
     #[test]
@@ -394,7 +381,6 @@ mod tests {
             ResourceVec::splat(1000.0),
             SimDuration::from_mins(30),
         );
-        assert_eq!(job.work_per_rank().cpu(), 100_000.0);
         assert_eq!(job.plo().target(), 1800.0);
     }
 

@@ -427,12 +427,6 @@ impl FlashCrowdLoad {
         FlashCrowdLoad { base, spike_factor, start, duration }
     }
 
-    /// When the spike begins.
-    #[must_use]
-    pub fn spike_start(&self) -> SimTime {
-        self.start
-    }
-
     fn spike_end(&self) -> SimTime {
         self.start + self.duration
     }
@@ -1006,7 +1000,6 @@ mod tests {
         assert_eq!(p.rate_at(SimTime::from_secs(100), &mut r), 100.0);
         assert_eq!(p.rate_at(SimTime::from_secs(149), &mut r), 100.0);
         assert_eq!(p.rate_at(SimTime::from_secs(150), &mut r), 20.0);
-        assert_eq!(p.spike_start(), SimTime::from_secs(100));
     }
 
     #[test]

@@ -143,12 +143,3 @@ pub struct FaultEvent {
     /// What happens.
     pub kind: FaultKind,
 }
-
-impl FaultEvent {
-    /// `true` when the fault starts inside `[0, horizon)`; one that starts
-    /// at or after the end of the run never fires.
-    #[must_use]
-    pub fn starts_within(&self, horizon: SimDuration) -> bool {
-        self.at < SimTime::ZERO + horizon
-    }
-}
