@@ -11,6 +11,10 @@ use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Resource, ResourceVec, Result, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
+/// The largest input dimension an [`RlsModel`] takes: its update keeps
+/// its scratch on the stack.
+const MAX_DIM: usize = 8;
+
 /// Recursive least squares with exponential forgetting for a linear model
 /// `y ≈ w · x`.
 ///
@@ -47,10 +51,11 @@ impl RlsModel {
     ///
     /// # Panics
     ///
-    /// Panics when `dim == 0` or `lambda` is outside `(0, 1]`.
+    /// Panics when `dim` is 0 or above 8, or `lambda` is outside `(0, 1]`.
     #[must_use]
     pub fn new(dim: usize, lambda: f64) -> Self {
         assert!(dim > 0, "model dimension must be positive");
+        assert!(dim <= MAX_DIM, "model dimension must be at most {MAX_DIM}");
         assert!(lambda > 0.0 && lambda <= 1.0, "forgetting factor must be in (0, 1]");
         let mut p = vec![0.0; dim * dim];
         for i in 0..dim {
@@ -99,24 +104,29 @@ impl RlsModel {
             return;
         }
         let d = self.dim;
+        // The scratch lives on the stack: an update allocates nothing.
+        let (mut px, mut xp) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+        let (px, xp) = (&mut px[..d], &mut xp[..d]);
         // k = P x / (λ + xᵀ P x)
-        let mut px = vec![0.0; d];
         for (i, pxi) in px.iter_mut().enumerate() {
             for (j, xj) in x.iter().enumerate() {
                 *pxi += self.p[i * d + j] * xj;
             }
         }
-        let denom = self.lambda + x.iter().zip(&px).map(|(a, b)| a * b).sum::<f64>();
+        let denom = self.lambda + x.iter().zip(px.iter()).map(|(a, b)| a * b).sum::<f64>();
         if denom.abs() < 1e-12 {
             return;
         }
-        let k: Vec<f64> = px.iter().map(|v| v / denom).collect();
+        // `P x` becomes `k` in place: nothing reads it after this.
+        let k = px;
+        for v in k.iter_mut() {
+            *v /= denom;
+        }
         let err = y - self.predict(x);
-        for (wi, ki) in self.w.iter_mut().zip(&k) {
+        for (wi, ki) in self.w.iter_mut().zip(k.iter()) {
             *wi += ki * err;
         }
         // P = (P - k xᵀ P) / λ
-        let mut xp = vec![0.0; d];
         for (j, xpj) in xp.iter_mut().enumerate() {
             for (i, xi) in x.iter().enumerate() {
                 *xpj += xi * self.p[i * d + j];
@@ -146,7 +156,7 @@ impl Codec for RlsModel {
         let p = Vec::<f64>::decode(dec)?;
         let lambda = f64::decode(dec)?;
         let updates = u64::decode(dec)?;
-        if dim == 0 || w.len() != dim || p.len() != dim * dim {
+        if dim == 0 || dim > MAX_DIM || w.len() != dim || p.len() != dim * dim {
             return Err(Error::CorruptCheckpoint(format!(
                 "rls dimension mismatch: dim {dim}, {} weights, {} covariance entries",
                 w.len(),

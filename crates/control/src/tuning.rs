@@ -58,11 +58,19 @@ enum Adjustment {
 /// }
 /// assert!(pid.config().kp() < 10.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveTuner {
     errors: VecDeque<f64>,
     adaptations: u64,
     cooldown: usize,
+}
+
+/// A fresh tuner whose error window has its room from the start: it
+/// never grows afterwards.
+impl Default for AdaptiveTuner {
+    fn default() -> Self {
+        AdaptiveTuner { errors: VecDeque::with_capacity(WINDOW), adaptations: 0, cooldown: 0 }
+    }
 }
 
 impl AdaptiveTuner {
@@ -111,24 +119,28 @@ impl AdaptiveTuner {
     }
 
     fn classify(&self) -> Adjustment {
-        let active: Vec<f64> = self.errors.iter().copied().filter(|e| e.abs() > DEADBAND).collect();
-        if active.len() < WINDOW / 2 {
-            return Adjustment::None; // mostly settled
-        }
-        let mut sign_changes = 0usize;
-        for w in active.windows(2) {
-            if w[0].signum() != w[1].signum() {
+        // One pass counts the errors above the deadband, the positive ones
+        // and the sign changes between consecutive ones.
+        let (mut active, mut positive, mut sign_changes) = (0usize, 0usize, 0usize);
+        let mut last: Option<f64> = None;
+        for e in self.errors.iter().copied().filter(|e| e.abs() > DEADBAND) {
+            active += 1;
+            positive += usize::from(e > 0.0);
+            if last.is_some_and(|last| last.signum() != e.signum()) {
                 sign_changes += 1;
             }
+            last = Some(e);
         }
-        let change_rate = sign_changes as f64 / (active.len() - 1).max(1) as f64;
+        if active < WINDOW / 2 {
+            return Adjustment::None; // mostly settled
+        }
+        let change_rate = sign_changes as f64 / (active - 1).max(1) as f64;
         if change_rate >= OSCILLATION_THRESHOLD {
             return Adjustment::Shrunk;
         }
         // Sluggish: most samples above deadband with the same sign.
-        let positive = active.iter().filter(|e| **e > 0.0).count();
-        let one_sided = positive.max(active.len() - positive) as f64 / active.len() as f64;
-        let coverage = active.len() as f64 / WINDOW as f64;
+        let one_sided = positive.max(active - positive) as f64 / active as f64;
+        let coverage = active as f64 / WINDOW as f64;
         if one_sided >= SLUGGISH_THRESHOLD && coverage >= SLUGGISH_THRESHOLD {
             return Adjustment::Grew;
         }

@@ -126,6 +126,12 @@ pub struct ResourceManager {
     last_arbitration: Vec<ArbitrationOutcome>,
     /// Distinct apps the arbiter has ever shed.
     shed_app_ids: BTreeSet<AppId>,
+    /// The last tick's per-app plans, kept for their allocation: the next
+    /// tick clears and refills them.
+    planned: Vec<Planned>,
+    /// A windows vector a caller handed back through
+    /// [`ResourceManager::recycle`], which the next tick returns refilled.
+    spare_windows: Vec<(AppId, AppWindow)>,
 }
 
 impl std::fmt::Debug for ResourceManager {
@@ -192,7 +198,23 @@ impl ResourceManager {
             arbiter: None,
             last_arbitration: Vec::new(),
             shed_app_ids: BTreeSet::new(),
+            planned: Vec::new(),
+            spare_windows: Vec::new(),
         }
+    }
+
+    /// Room in every app's PLO history for the windows of a run of
+    /// `ticks` control ticks, reserved once, before the run.
+    pub fn presize(&mut self, ticks: usize) {
+        for managed in self.apps.values_mut() {
+            managed.tracker.reserve(ticks);
+        }
+    }
+
+    /// Hands back the windows a tick returned, once read: the next tick
+    /// returns them in the same vector instead of a new one.
+    pub fn recycle(&mut self, windows: Vec<(AppId, AppWindow)>) {
+        self.spare_windows = windows;
     }
 
     /// Installs a cluster-level capacity arbiter: every subsequent control
@@ -459,7 +481,9 @@ impl ResourceManager {
         self.ticks += 1;
         self.flush_pending_actuations(sim);
         let now = sim.now();
-        let mut planned: Vec<Planned> = Vec::with_capacity(sim.apps().len());
+        let mut planned = std::mem::take(&mut self.planned);
+        planned.clear();
+        planned.reserve(sim.apps().len());
         // Phase 1: scrape and decide for every app — all PID steps run
         // before any capacity question is asked. `distort_window` is the
         // injector's only stateful call (its noise stream), and it is made
@@ -536,8 +560,10 @@ impl ResourceManager {
         self.arbitrate(sim, &mut planned);
         let in_crunch = self.arbiter.as_ref().is_some_and(|a| a.state().in_crunch());
         // Phase 3: actuate under the grants, trace, and emit fresh windows.
-        let mut windows = Vec::with_capacity(planned.len());
-        for p in planned {
+        let mut windows = std::mem::take(&mut self.spare_windows);
+        windows.clear();
+        windows.reserve(planned.len());
+        for p in planned.drain(..) {
             let mut outcome = ActuationOutcome::NoDecision;
             if let Some(decision) = p.decision {
                 let mut target = decision;
@@ -582,6 +608,7 @@ impl ResourceManager {
                 } else {
                     f64::NAN
                 };
+                let explain = m.policy.explain().map(|e| ring.boxed_explain(e));
                 ring.push(TraceEvent::Control(ControlTrace {
                     tick: self.ticks,
                     at: now,
@@ -593,7 +620,7 @@ impl ResourceManager {
                     per_replica: p.window.alloc_per_replica,
                     outcome,
                     resize_failures: m.last_resize_failures,
-                    explain: m.policy.explain().map(Box::new),
+                    explain,
                 }));
                 if let Some(o) = p.grant {
                     ring.push(TraceEvent::Arbitration(ArbitrationTrace {
@@ -614,6 +641,7 @@ impl ResourceManager {
                 windows.push((p.app, p.window));
             }
         }
+        self.planned = planned;
         windows
     }
 

@@ -1,15 +1,21 @@
-//! Large allocations do not grow with the horizon: every table of a run
-//! that reaches 64 KiB — the pod table and those indexed by pod id, the
-//! event queues, the replica tables, the trace ring, the scheduler's queue
-//! and backoff index — gets its size before the run and never grows by
-//! doubling while the run fills it. So a run twice as long makes exactly as
-//! many large allocations and reallocations.
+//! A run's steady state allocates nothing. Every table that churns per
+//! placement, pod start or control decision keeps its buffers, and every
+//! table that grows with the run gets its size before it (DESIGN.md
+//! decision 16), so past its warm-up a run twice as long makes exactly as
+//! many allocations, reallocations included.
+//!
+//! Warm-up is the first use of each server, node pod list, latency buffer
+//! and index table, and, under EVOLVE, the filling of the decision-trace
+//! ring: until it is full the ring keeps every control record's explain
+//! box, and after that it hands the evicted ones back.
 //!
 //! A test-only allocator counts them. It is this binary's global allocator,
-//! so the binary holds one test, which makes its runs one after another.
+//! so the binary holds one test, which makes its runs one after another. It
+//! counts per thread: the harness's own threads allocate when they please,
+//! and a run is one thread's work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, SchedulerProfile};
 use evolve_types::SimDuration;
@@ -18,21 +24,27 @@ use evolve_workload::ScenarioSpec;
 /// An allocation or reallocation of at least this many bytes is large.
 const LARGE: usize = 64 * 1024;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `(allocations, large allocations)` this thread has made. Constant
+    /// initialised and without a destructor, so reading it allocates nothing.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 /// The system allocator, counting.
 struct Counting;
 
 fn count(size: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    if size >= LARGE {
-        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    // A thread being torn down has no counters left; its allocations are
+    // not a run's.
+    let _ = COUNTS.try_with(|counts| {
+        let (all, large) = counts.get();
+        counts.set((all + 1, large + u64::from(size >= LARGE)));
+    });
 }
 
 // SAFETY: every call goes to `System` with the caller's arguments unchanged;
-// the counters are atomics and touch no memory the allocator hands out.
+// the counters are thread-local cells and touch no memory the allocator
+// hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -56,55 +68,98 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// `(allocations, large allocations)` of building, running and dropping
-/// one run of `spec` to `horizon`.
-fn allocations(spec: &ScenarioSpec, manager: ManagerKind, horizon: u64) -> (u64, u64) {
+/// What building, running and dropping one run makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Made {
+    /// Allocations and reallocations.
+    all: u64,
+    /// Those of them that are large.
+    large: u64,
+    /// Control records with an explain box that the trace ring retains.
+    explained: u64,
+}
+
+/// What one run of `spec` to `horizon` at seed 42 makes.
+fn made(spec: &ScenarioSpec, manager: ManagerKind, horizon: u64) -> Made {
     let mut spec = spec.clone();
     spec.horizon = SimDuration::from_secs(horizon);
     let cfg = RunConfig::from_spec(&spec, manager);
-    let cfg = if manager == ManagerKind::KubeStatic {
-        // As the repo benchmark runs `cluster_scale`.
+    let cfg = if spec.name.starts_with("cluster-scale") {
+        // As the repo benchmark runs `cluster_scale`, under either manager.
         cfg.scheduler(SchedulerProfile::Evolve).record_series(false).build()
     } else {
         cfg.build()
     };
-    let (all, large) =
-        (ALLOCATIONS.load(Ordering::Relaxed), LARGE_ALLOCATIONS.load(Ordering::Relaxed));
-    drop(ExperimentRunner::new(cfg).run());
-    (ALLOCATIONS.load(Ordering::Relaxed) - all, LARGE_ALLOCATIONS.load(Ordering::Relaxed) - large)
+    let (all, large) = COUNTS.with(Cell::get);
+    let outcome = ExperimentRunner::new(cfg).run();
+    let explained = outcome.trace.control().filter(|c| c.explain.is_some()).count() as u64;
+    drop(outcome);
+    let (all_after, large_after) = COUNTS.with(Cell::get);
+    let made = Made { all: all_after - all, large: large_after - large, explained };
+    eprintln!("{} under {} to {horizon} s: {made:?}", spec.name, manager.label());
+    made
 }
 
-/// Allocations in all, per run at seed 42, before the tables were sized
-/// once and after:
+/// Allocations in all, reallocations included, per run at seed 42, while
+/// per-tick buffers were still rebuilt (commit `474d9e0`) and since:
 ///
-/// | run                                    | before | after  |
-/// |----------------------------------------|--------|--------|
-/// | `headline(0.25)`, EVOLVE, 900 s        | 12 441 | 12 315 |
-/// | `headline(0.25)`, EVOLVE, 1 800 s      | 24 644 | 24 456 |
-/// | `cluster_scale(50, 10)`, static, 300 s |  4 466 |  3 560 |
-/// | `cluster_scale(50, 10)`, static, 600 s |  7 805 |  6 202 |
+/// | run                                       | before | after |
+/// |-------------------------------------------|--------|-------|
+/// | `headline(0.25)`, EVOLVE, 900 s           | 12 306 | 3 002 |
+/// | `headline(0.25)`, EVOLVE, 1 800 s         | 24 446 | 4 982 |
+/// | `cluster_scale(50, 10)`, static, 300 s    |  3 557 | 1 615 |
+/// | `cluster_scale(50, 10)`, static, 600 s    |  6 196 | 1 679 |
+/// | `cluster_scale(50, 10)`, static, 1 200 s  | 11 473 | 1 681 |
+/// | `cluster_scale(50, 10)`, static, 2 400 s  | 21 942 | 1 681 |
+/// | `cluster_scale(50, 10)`, EVOLVE, 1 200 s  | 46 955 | 4 536 |
+/// | `cluster_scale(50, 10)`, EVOLVE, 2 400 s  | 98 352 | 4 536 |
 ///
-/// A `scale1k_churn` rep (`cluster_scale(1 000, 40, 600 s)`) makes ≈ 102.2 k
-/// before and ≈ 98.8 k after. Before, the longer headline run made 76 large
-/// ones against 75 and the longer `cluster_scale` run 7 against 6.
+/// A `scale1k_churn` rep (`cluster_scale(1 000, 40, 600 s)`) makes
+/// ≈ 98.9 k before and ≈ 25.8 k after, nearly all of them warm-up: the
+/// first heaps of its servers, its 1 000 node pod lists and the
+/// feasibility index's per-node tables.
 ///
-/// The headline's shorter run starts after its last job is submitted: a
-/// job's first window interns its series, and each series reserves 64 KiB.
+/// `cluster_scale` is past its warm-up at 1 200 s: its batch tasks first
+/// complete at ≈ 325 s, so the first retired server and the jobs' latency
+/// buffers come after a 300 s run, and under EVOLVE the trace ring fills
+/// at ≈ 970 s. The headline's ring is not full at 1 800 s, so its runs
+/// differ by exactly the explain boxes the longer one keeps. Its shorter
+/// run starts after its last job is submitted: a job's first window
+/// interns its series, and each series reserves 64 KiB.
 #[test]
-fn large_allocations_do_not_grow_with_the_horizon() {
+fn a_steady_state_allocates_nothing() {
     let headline = ScenarioSpec::headline(0.25);
     let scale = ScenarioSpec::cluster_scale(50, 10, SimDuration::from_secs(600));
-    for (spec, manager, horizon) in
-        [(&headline, ManagerKind::Evolve, 900), (&scale, ManagerKind::KubeStatic, 300)]
-    {
-        let (all, large) = allocations(spec, manager, horizon);
-        let (all_twice, large_twice) = allocations(spec, manager, 2 * horizon);
-        eprintln!("{}: {all} then {all_twice} allocations", spec.name);
-        assert!(large > 0 && all_twice > all, "{}: nothing to count", spec.name);
+    let headline_runs =
+        (made(&headline, ManagerKind::Evolve, 900), made(&headline, ManagerKind::Evolve, 1_800));
+    let static_runs =
+        (made(&scale, ManagerKind::KubeStatic, 300), made(&scale, ManagerKind::KubeStatic, 600));
+
+    // Decision 16: no table of a run grows by doubling while it fills.
+    for (name, (once, twice)) in [(&headline.name, headline_runs), (&scale.name, static_runs)] {
+        assert!(once.large > 0 && twice.all > once.all, "{name}: nothing to count");
+        assert_eq!(twice.large, once.large, "{name}: large allocations at H and at 2H");
+    }
+
+    // Past the warm-up, a run twice as long allocates not once more.
+    for manager in [ManagerKind::KubeStatic, ManagerKind::Evolve] {
+        let (once, twice) = (made(&scale, manager, 1_200), made(&scale, manager, 2_400));
+        let label = manager.label();
         assert_eq!(
-            large_twice, large,
-            "{}: large allocations at {horizon} s and at twice that",
-            spec.name
+            twice.all, once.all,
+            "{} under {label}: allocations at 1 200 s and 2 400 s",
+            scale.name
         );
     }
+
+    // With the ring still filling, the explain boxes it keeps are the only
+    // allocations the longer run adds.
+    let (once, twice) = headline_runs;
+    assert!(twice.explained > once.explained, "the ring filled: pick a longer run");
+    assert_eq!(
+        twice.all - once.all,
+        twice.explained - once.explained,
+        "{}: allocations the longer run adds beyond its explain boxes",
+        headline.name
+    );
 }

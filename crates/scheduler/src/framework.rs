@@ -4,12 +4,14 @@
 use std::collections::{BTreeMap, HashSet};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
-use evolve_telemetry::trace::{DeferredTrace, SchedOutcome, SchedTrace, TraceEvent, TraceRing};
+use evolve_telemetry::trace::{
+    DeferredTrace, SchedOutcome, SchedScores, SchedTrace, TraceEvent, TraceRing, MAX_SCORERS,
+};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
 use crate::index::{fold_best, FeasibilityIndex};
-use crate::plugins::{node_fits, NodeView, PodClass, SchedulerProfile, NODE_FITS};
+use crate::plugins::{node_fits, NodeView, PodClass, SchedulerProfile};
 
 /// The outcome of one scheduling cycle. The driver must apply
 /// `preemptions` (via `Simulation::preempt_pod`) **before** `bindings`
@@ -61,6 +63,9 @@ pub struct RequeueBackoff {
     /// The last cycle's queue, kept for its allocation: the next cycle
     /// clears and refills it.
     queue: Vec<QueuedUnit>,
+    /// A plan handed back through [`RequeueBackoff::recycle`]: the next
+    /// cycle returns its plan in these vectors.
+    spare_plan: SchedulePlan,
 }
 
 /// A unit of a cycle's queue: `(priority, created, first pod, gang)`, the
@@ -72,6 +77,23 @@ impl RequeueBackoff {
     #[must_use]
     pub fn new() -> Self {
         RequeueBackoff::default()
+    }
+
+    /// Hands back a plan once it has been applied: the next cycle carried
+    /// with this ledger returns its plan in the same vectors instead of
+    /// new ones.
+    pub fn recycle(&mut self, plan: SchedulePlan) {
+        self.spare_plan = plan;
+    }
+
+    /// An empty plan, in the vectors of the last one handed back.
+    fn take_plan(&mut self) -> SchedulePlan {
+        let SchedulePlan { mut bindings, mut preemptions, mut unschedulable, .. } =
+            std::mem::take(&mut self.spare_plan);
+        bindings.clear();
+        preemptions.clear();
+        unschedulable.clear();
+        SchedulePlan { bindings, preemptions, unschedulable, ..SchedulePlan::default() }
     }
 
     /// Starts the next cycle: forgets every pod that is no longer pending
@@ -161,7 +183,7 @@ impl Codec for RequeueBackoff {
             }
             entries.push(entry);
         }
-        Ok(RequeueBackoff { cycle, entries, index: Vec::new(), queue: Vec::new() })
+        Ok(RequeueBackoff { cycle, entries, ..RequeueBackoff::default() })
     }
 }
 
@@ -194,8 +216,8 @@ type GangPlacement = (Vec<(PodId, NodeId)>, Vec<PodId>);
 struct PlacementProbe {
     /// Weighted mean score of the winning node.
     chosen_score: Option<f64>,
-    /// Per-scorer `(name, weighted contribution)` of the winning node.
-    scores: Vec<(&'static str, f64)>,
+    /// Per-scorer weighted contribution of the winning node.
+    scores: SchedScores,
     /// Nodes the filter rejected.
     rejected: u32,
     /// Nodes that passed the filter.
@@ -300,7 +322,7 @@ impl SchedulerFramework {
         index: &mut FeasibilityIndex,
         mut trace: Option<(SimTime, &mut TraceRing)>,
     ) -> SchedulePlan {
-        let mut plan = SchedulePlan::default();
+        let mut plan = backoff.take_plan();
         index.sync(cluster, self.profile);
         let mut ctx = Ctx { index, filter_evals: 0 };
         // Victims already claimed this cycle: their capacity is freed in
@@ -354,7 +376,7 @@ impl SchedulerFramework {
             backoff_failures: u32,
         ) {
             let Some((at, ring)) = trace.as_mut() else { return };
-            let filtered = probe.as_ref().map_or(Vec::new(), |p| vec![(NODE_FITS, p.rejected)]);
+            let filtered = probe.as_ref().map(|p| p.rejected);
             let probe = probe.unwrap_or_default();
             ring.push(TraceEvent::Sched(SchedTrace {
                 cycle,
@@ -640,8 +662,10 @@ impl SchedulerFramework {
                 free: ctx.index.free(idx),
                 app_pods: ctx.index.app_count(idx, class.app.raw()),
             };
-            let rescored = self.profile.score(&class, &view, Some(&mut p.scores));
+            let mut contributions = [0.0; MAX_SCORERS];
+            let rescored = self.profile.score(&class, &view, Some(&mut contributions));
             debug_assert_eq!(rescored.to_bits(), score.to_bits(), "scorers must be pure");
+            p.scores = SchedScores::new(self.profile.scorer_names(), contributions);
             p.chosen_score = Some(score);
         }
         ctx.index.place(idx, spec);
@@ -986,7 +1010,7 @@ mod tests {
         assert_eq!(plan.bindings.len(), 1);
         assert_eq!(plan.unschedulable.len(), 1);
         // The plan must be applicable.
-        c.terminate_pod(victim, evolve_sim::PodPhase::Failed("preempted".into())).unwrap();
+        c.terminate_pod(victim, evolve_sim::PodPhase::Failed("preempted")).unwrap();
         let (pod, node) = plan.bindings[0];
         assert!(pod == a || pod == b);
         c.bind_pod(pod, node).unwrap();
@@ -1098,7 +1122,7 @@ mod tests {
         assert_eq!(victims.len(), plan.preemptions.len(), "victim claimed twice: {plan:?}");
         // The plan must be applicable: evict, then bind.
         for v in &plan.preemptions {
-            c.terminate_pod(*v, evolve_sim::PodPhase::Failed("preempted".into())).unwrap();
+            c.terminate_pod(*v, evolve_sim::PodPhase::Failed("preempted")).unwrap();
         }
         for (pod, node) in &plan.bindings {
             c.bind_pod(*pod, *node).unwrap();

@@ -9,6 +9,7 @@
 //! profile combines them by weight.
 
 use evolve_sim::{Node, PodSpec};
+use evolve_telemetry::trace::MAX_SCORERS;
 use evolve_types::{AppId, Resource, ResourceVec};
 
 /// Everything a scorer may read from the pod being placed: the owning
@@ -56,10 +57,6 @@ fn mean(shares: &[f64; 4]) -> f64 {
     shares.iter().sum::<f64>() / 4.0
 }
 
-/// Name of the one filter in decision traces (the `NodeResourcesFit`
-/// plugin).
-pub(crate) const NODE_FITS: &str = "node-fits";
-
 /// The one filter: the node is ready and `request` fits its shadow free
 /// capacity. The naive scan asks it of each node, the feasibility index
 /// of its mirrors.
@@ -92,7 +89,7 @@ pub(crate) enum Scorer {
 
 impl Scorer {
     /// Plugin name for decision traces.
-    pub(crate) fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Scorer::LeastAllocated => "least-allocated",
             Scorer::MostAllocated => "most-allocated",
@@ -143,12 +140,18 @@ impl SchedulerProfile {
 
     /// The weighted scorers, in the order their contributions are summed.
     pub(crate) fn scorers(self) -> &'static [(Scorer, f64)] {
-        use Scorer::{BalancedAllocation, LeastAllocated, MostAllocated, SpreadApp};
         match self {
-            SchedulerProfile::KubeDefault | SchedulerProfile::Evolve => {
-                &[(LeastAllocated, 1.0), (BalancedAllocation, 1.0), (SpreadApp, 0.5)]
-            }
-            SchedulerProfile::Binpack => &[(MostAllocated, 1.0), (BalancedAllocation, 0.5)],
+            SchedulerProfile::KubeDefault | SchedulerProfile::Evolve => &SPREADING,
+            SchedulerProfile::Binpack => &BINPACK,
+        }
+    }
+
+    /// The names of [`SchedulerProfile::scorers`], in the same order: what
+    /// a decision trace labels the contributions with.
+    pub(crate) fn scorer_names(self) -> &'static [&'static str] {
+        match self {
+            SchedulerProfile::KubeDefault | SchedulerProfile::Evolve => &SPREADING_NAMES,
+            SchedulerProfile::Binpack => &BINPACK_NAMES,
         }
     }
 
@@ -160,26 +163,47 @@ impl SchedulerProfile {
     /// Weighted mean of the scorers for one feasible node: contributions
     /// summed in list order, then divided by the weight sum. Both
     /// placement paths call it, so their float-operation sequence is
-    /// identical. Each scorer's weighted share is appended to
-    /// `contributions`, if given.
+    /// identical. Scorer `i`'s weighted share is written to
+    /// `contributions[i]`, if given.
     pub(crate) fn score(
         self,
         class: &PodClass,
         view: &NodeView<'_>,
-        mut contributions: Option<&mut Vec<(&'static str, f64)>>,
+        mut contributions: Option<&mut [f64; MAX_SCORERS]>,
     ) -> f64 {
         let mut score = 0.0;
         let mut weight = 0.0;
-        for &(scorer, w) in self.scorers() {
+        for (i, &(scorer, w)) in self.scorers().iter().enumerate() {
             let contribution = scorer.score(class, view) * w;
             score += contribution;
             weight += w;
             if let Some(c) = contributions.as_deref_mut() {
-                c.push((scorer.name(), contribution));
+                c[i] = contribution;
             }
         }
         score / weight
     }
+}
+
+/// The spreading profiles' scorers (`kube-default` and `evolve`).
+const SPREADING: [(Scorer, f64); 3] =
+    [(Scorer::LeastAllocated, 1.0), (Scorer::BalancedAllocation, 1.0), (Scorer::SpreadApp, 0.5)];
+/// The bin-packing profile's scorers.
+const BINPACK: [(Scorer, f64); 2] =
+    [(Scorer::MostAllocated, 1.0), (Scorer::BalancedAllocation, 0.5)];
+const SPREADING_NAMES: [&str; 3] = names(&SPREADING);
+const BINPACK_NAMES: [&str; 2] = names(&BINPACK);
+const _: () = assert!(SPREADING.len() <= MAX_SCORERS && BINPACK.len() <= MAX_SCORERS);
+
+/// The names of a scorer list, built at compile time from the list itself.
+const fn names<const N: usize>(scorers: &[(Scorer, f64); N]) -> [&'static str; N] {
+    let mut out = [""; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = scorers[i].0.name();
+        i += 1;
+    }
+    out
 }
 
 #[cfg(test)]

@@ -104,7 +104,7 @@ proptest! {
                 victims_possible.push((pod, *priority));
             } else {
                 // Leave unbound but terminal so it is not pending.
-                cluster.terminate_pod(pod, PodPhase::Failed("setup".into())).expect("terminates");
+                cluster.terminate_pod(pod, PodPhase::Failed("setup")).expect("terminates");
             }
         }
         let mut max_pending = i32::MIN;
@@ -128,7 +128,7 @@ proptest! {
         }
         // Applying the full plan must succeed: preemptions first.
         for victim in &plan.preemptions {
-            cluster.terminate_pod(*victim, PodPhase::Failed("preempted".into())).expect("evicts");
+            cluster.terminate_pod(*victim, PodPhase::Failed("preempted")).expect("evicts");
         }
         for (pod, node) in &plan.bindings {
             cluster.bind_pod(*pod, *node).expect("binding after preemption");
@@ -187,7 +187,7 @@ proptest! {
                     cluster.bind_pod(pod, node).expect("fits");
                 }
                 None => {
-                    cluster.terminate_pod(pod, PodPhase::Failed("setup".into())).expect("terminates");
+                    cluster.terminate_pod(pod, PodPhase::Failed("setup")).expect("terminates");
                 }
             }
         }
@@ -245,13 +245,13 @@ proptest! {
             prop_assert_eq!(&carried.unschedulable, &naive.unschedulable);
             // Apply the carried plan: victims out, bindings in.
             for victim in &carried.preemptions {
-                cluster.terminate_pod(*victim, PodPhase::Failed("preempted".into())).expect("evicts");
+                cluster.terminate_pod(*victim, PodPhase::Failed("preempted")).expect("evicts");
             }
             for (pod, node) in &carried.bindings {
                 cluster.bind_pod(*pod, *node).expect("carried plan binding must be valid");
             }
             for pod in &carried.unschedulable {
-                cluster.terminate_pod(*pod, PodPhase::Failed("unplaced".into())).expect("terminates");
+                cluster.terminate_pod(*pod, PodPhase::Failed("unplaced")).expect("terminates");
             }
             cluster.check_invariants();
         }
@@ -354,7 +354,7 @@ proptest! {
             // Victims out, then all but every third binding in: the
             // skipped pods stay pending on nodes the index tainted.
             for victim in &carried.preemptions {
-                cluster.terminate_pod(*victim, PodPhase::Failed("preempted".into())).expect("evicts");
+                cluster.terminate_pod(*victim, PodPhase::Failed("preempted")).expect("evicts");
             }
             for (k, (pod, node)) in carried.bindings.iter().enumerate() {
                 if k % 3 != 2 {
@@ -390,9 +390,7 @@ fn pin_cluster() -> ClusterState {
         let pod = cluster.create_pod(PodSpec::new(kind, request(cpu), 10), SimTime::from_micros(i));
         let node = NodeId::new((rng.gen::<u64>() % 12) as u32);
         if cluster.bind_pod(pod, node).is_err() {
-            cluster
-                .terminate_pod(pod, PodPhase::Failed("setup".into()))
-                .expect("pending pods terminate");
+            cluster.terminate_pod(pod, PodPhase::Failed("setup")).expect("pending pods terminate");
         }
     }
     for i in 0..24u64 {
@@ -446,9 +444,7 @@ fn profiles_pin_plans_and_traces() {
                 text.push_str(&format!("{plan:?}\n"));
                 text.push_str(&trace.to_jsonl());
                 for victim in &plan.preemptions {
-                    cluster
-                        .terminate_pod(*victim, PodPhase::Failed("preempted".into()))
-                        .expect("evicts");
+                    cluster.terminate_pod(*victim, PodPhase::Failed("preempted")).expect("evicts");
                 }
                 for (pod, node) in &plan.bindings {
                     cluster.bind_pod(*pod, *node).expect("plan binding must be valid");

@@ -78,6 +78,53 @@ impl From<ResizeRefusal> for Error {
     }
 }
 
+/// The scheduling queue: `(created, id)` of every `Pending` pod in
+/// ascending order, in one vector that keeps its allocation. A removal
+/// leaves a tombstone, which keeps its key, so the order and the binary
+/// search hold; the vector compacts, in order, once tombstones outnumber
+/// the living — the scheme of the engine's replica lanes. A pod created or
+/// requeued now lies above every key and is pushed unsearched.
+#[derive(Debug, Clone, Default)]
+struct PendingQueue {
+    /// `((created, id), live)`, ascending by key.
+    entries: Vec<((SimTime, PodId), bool)>,
+    live: usize,
+}
+
+impl PendingQueue {
+    fn insert(&mut self, key: (SimTime, PodId)) {
+        let above_all = self.entries.last().is_none_or(|(last, _)| *last < key);
+        match if above_all { Err(self.entries.len()) } else { self.find(key) } {
+            Ok(at) => {
+                debug_assert!(!self.entries[at].1, "{:?} queued twice", key.1);
+                self.entries[at].1 = true;
+            }
+            Err(at) => self.entries.insert(at, (key, true)),
+        }
+        self.live += 1;
+    }
+
+    fn remove(&mut self, key: (SimTime, PodId)) {
+        let Ok(at) = self.find(key) else { return };
+        if !std::mem::replace(&mut self.entries[at].1, false) {
+            return;
+        }
+        self.live -= 1;
+        if self.entries.len() - self.live > self.live {
+            self.entries.retain(|&(_, live)| live);
+        }
+    }
+
+    fn find(&self, key: (SimTime, PodId)) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |&(key, _)| key)
+    }
+
+    /// The queued keys, ascending.
+    fn keys(&self) -> impl Iterator<Item = (SimTime, PodId)> + '_ {
+        self.entries.iter().filter(|&&(_, live)| live).map(|&(key, _)| key)
+    }
+}
+
 /// Live cluster state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterState {
@@ -95,7 +142,7 @@ pub struct ClusterState {
     /// `(created, id)` of every `Pending` pod, maintained on every phase
     /// transition so the scheduling queue is read in O(pending) instead
     /// of by filtering and sorting the pod table.
-    pending: BTreeSet<(SimTime, PodId)>,
+    pending: PendingQueue,
     /// Monotone mutation counter, bumped whenever any node's scheduling-
     /// relevant state (allocation, bound set, readiness) changes. The
     /// scheduler's feasibility index diffs against this instead of
@@ -131,7 +178,7 @@ impl ClusterState {
             pods: Vec::new(),
             running_count: 0,
             waiting_count: 0,
-            pending: BTreeSet::new(),
+            pending: PendingQueue::default(),
             version: 0,
             bound_by_priority: BTreeMap::new(),
             ready_nodes,
@@ -229,7 +276,7 @@ impl ClusterState {
     /// Pods awaiting a scheduling decision, in creation order
     /// (`(created, id)` ascending).
     pub fn pending_pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pending.iter().map(|(_, id)| &self.pods[id.as_usize()])
+        self.pending.keys().map(|(_, id)| &self.pods[id.as_usize()])
     }
 
     /// Pods the pod table has room for before it grows. Tables indexed by
@@ -239,9 +286,11 @@ impl ClusterState {
         self.pods.capacity()
     }
 
-    /// Room in the pod table for `pods` pods in all.
+    /// Room in the pod table, and in the scheduling queue, for `pods` pods
+    /// in all.
     pub(crate) fn reserve_pods(&mut self, pods: usize) {
         self.pods.reserve(pods.saturating_sub(self.pods.len()));
+        self.pending.entries.reserve(pods.saturating_sub(self.pending.entries.len()));
     }
 
     /// Creates a pod in `Pending` phase and returns its id.
@@ -277,7 +326,7 @@ impl ClusterState {
         node.bind(pod_id, request);
         pod.node = Some(node_id);
         pod.phase = PodPhase::Starting;
-        self.pending.remove(&(pod.created, pod_id));
+        self.pending.remove((pod.created, pod_id));
         let priority = pod.spec.priority;
         self.bump_node(node_id.as_usize());
         self.census_bind(priority);
@@ -324,7 +373,7 @@ impl ClusterState {
             _ => self.waiting_count -= 1,
         }
         if pod.is_pending() {
-            self.pending.remove(&(pod.created, pod_id));
+            self.pending.remove((pod.created, pod_id));
         }
         pod.phase = phase;
         if let Some((node, priority)) = released {
@@ -350,7 +399,7 @@ impl ClusterState {
             self.waiting_count += 1;
         }
         // A still-pending pod's queue position moves with `created`.
-        self.pending.remove(&(pod.created, pod_id));
+        self.pending.remove((pod.created, pod_id));
         pod.phase = PodPhase::Pending;
         pod.node = None;
         pod.started = None;
@@ -447,8 +496,7 @@ impl ClusterState {
             return Ok(Vec::new());
         }
         node.set_ready(ready);
-        let victims: Vec<PodId> =
-            if ready { Vec::new() } else { node.pods().iter().copied().collect() };
+        let victims: Vec<PodId> = if ready { Vec::new() } else { node.pods().to_vec() };
         (self.ready_nodes, self.allocatable) = Self::ready_totals(&self.nodes);
         self.bump_node(node_id.as_usize());
         for pod_id in &victims {
@@ -463,10 +511,10 @@ impl ClusterState {
                 _ => {}
             }
             if pod.is_pending() {
-                self.pending.remove(&(pod.created, *pod_id));
+                self.pending.remove((pod.created, *pod_id));
             }
             pod.node = None;
-            pod.phase = PodPhase::Failed("node unready".into());
+            pod.phase = PodPhase::Failed("node unready");
             pod.started = None;
             if let Some(priority) = released {
                 self.census_unbind(priority);
@@ -515,6 +563,8 @@ impl ClusterState {
         let mut waiting = 0u32;
         let mut by_priority: BTreeMap<i32, u32> = BTreeMap::new();
         let mut pending: BTreeSet<(SimTime, PodId)> = BTreeSet::new();
+        // Each node's bound pods from the pod table, ascending.
+        let mut bound: Vec<Vec<PodId>> = vec![Vec::new(); self.nodes.len()];
         for (slot, pod) in self.pods.iter().enumerate() {
             if pod.id.as_usize() != slot {
                 out.push(format!("pod table slot {slot} holds {}", pod.id));
@@ -530,6 +580,9 @@ impl ClusterState {
             if pod.phase.holds_resources() {
                 *by_priority.entry(pod.spec.priority).or_insert(0) += 1;
             }
+            if let Some(list) = pod.node.and_then(|node| bound.get_mut(node.as_usize())) {
+                list.push(pod.id);
+            }
         }
         if (running, waiting) != (self.running_count, self.waiting_count) {
             out.push(format!(
@@ -537,10 +590,10 @@ impl ClusterState {
                 self.running_count, self.waiting_count
             ));
         }
-        if pending != self.pending {
+        if !pending.iter().copied().eq(self.pending.keys()) {
             out.push(format!(
                 "maintained pending queue diverged from pod table: {pending:?} vs {:?}",
-                self.pending
+                self.pending.keys().collect::<Vec<_>>()
             ));
         }
         if by_priority != self.bound_by_priority {
@@ -556,7 +609,17 @@ impl ClusterState {
                 self.ready_nodes, self.allocatable
             ));
         }
-        for node in &self.nodes {
+        for (node, bound) in self.nodes.iter().zip(&bound) {
+            if !node.pods().windows(2).all(|pair| pair[0] < pair[1]) {
+                out.push(format!("pod list of node {} is not ascending", node.id()));
+            }
+            if node.pods() != bound.as_slice() {
+                out.push(format!(
+                    "pod list of node {} diverged from pod table: {:?} vs {bound:?}",
+                    node.id(),
+                    node.pods()
+                ));
+            }
             let mut sum = ResourceVec::ZERO;
             for pod_id in node.pods() {
                 let pod = &self.pods[pod_id.as_usize()];
@@ -647,7 +710,7 @@ mod tests {
         let mut c = cluster();
         let a = c.create_pod(spec(10.0), SimTime::ZERO);
         c.bind_pod(a, NodeId::new(0)).unwrap();
-        c.terminate_pod(a, PodPhase::Failed("preempted".into())).unwrap();
+        c.terminate_pod(a, PodPhase::Failed("preempted")).unwrap();
         c.requeue_pod(a, SimTime::from_secs(5)).unwrap();
         let p = c.pod(a).unwrap();
         assert!(p.is_pending());
@@ -744,7 +807,7 @@ mod tests {
         c.requeue_pod(a, SimTime::from_secs(2)).unwrap();
         assert_eq!(queue(&c), vec![b, d, a]);
         c.bind_pod(b, NodeId::new(0)).unwrap();
-        c.terminate_pod(d, PodPhase::Failed("cancelled".into())).unwrap();
+        c.terminate_pod(d, PodPhase::Failed("cancelled")).unwrap();
         assert_eq!(queue(&c), vec![a]);
         // Eviction by node failure, then requeue, re-enters the queue.
         c.set_node_ready(NodeId::new(0), false).unwrap();

@@ -5,7 +5,6 @@ use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimTime};
 use evolve_workload::BatchJobSpec;
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
-use crate::perf::{PerfConfig, ReplicaServer};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
 use super::{Owner, Replicas, Simulation, BATCH_PRIORITY};
@@ -161,14 +160,14 @@ impl Simulation {
             unreachable!("batch pod has batch kind")
         };
         let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
-        let mut server = ReplicaServer::new(request, 0.0, PerfConfig::default(), now);
+        let replicas = &mut self.batches[idx].replicas;
+        let mut server = replicas.renewed(request, 0.0, now);
         // One work item, no deadline (jobs run to completion).
         let out = &mut self.drain_scratch;
         out.clear();
         server.admit_arrived_into(0, now, now, SimTime::MAX, work, out);
         let done = !out.completed.is_empty();
         let next = server.next_event();
-        let replicas = &mut self.batches[idx].replicas;
         let slot = replicas.insert(pod, Some((request, server)));
         let version = replicas.bump_version(slot);
         if done {
@@ -240,11 +239,11 @@ impl Simulation {
 
     /// External loss (preemption, node failure): the task restarts from
     /// scratch on a fresh pending pod.
-    pub(crate) fn batch_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
+    pub(crate) fn batch_pod_lost(&mut self, idx: usize, pod: PodId, reason: &'static str) {
         // Read while the pod is certainly there, as `started` is above.
         let kind = self.cluster.pod(pod).map(|p| p.spec.kind);
         let active = self.batch_cleanup_pod(idx, pod);
-        let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason.into()));
+        let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason));
         self.pod_owner.remove(pod);
         if !active || self.batches[idx].finished.is_some() {
             return;
@@ -298,7 +297,9 @@ impl Simulation {
                     match self.cluster.try_resize(pod, target) {
                         Ok(()) => {
                             let replicas = &mut self.batches[idx].replicas;
-                            let (_, next) = replicas.resize(slot, now, target);
+                            let out = &mut self.drain_scratch;
+                            out.clear();
+                            let next = replicas.resize(slot, now, target, out);
                             let version = replicas.bump_version(slot);
                             self.schedule_wake(pod, slot, next, version);
                         }

@@ -185,14 +185,14 @@ impl Simulation {
 
     /// External loss of a rank: the gang pauses and the rank requeues;
     /// the interrupted iteration restarts when the gang is whole again.
-    pub(crate) fn hpc_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
+    pub(crate) fn hpc_pod_lost(&mut self, idx: usize, pod: PodId, reason: &'static str) {
         {
             let rt = &mut self.hpcs[idx];
             rt.running.remove(&pod);
             rt.iterating = false;
             rt.version += 1; // cancels any in-flight iteration event
         }
-        let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason.into()));
+        let _ = self.cluster.terminate_pod(pod, PodPhase::Failed(reason));
         if self.hpcs[idx].finished.is_none() {
             let _ = self.cluster.requeue_pod(pod, self.now);
         } else {

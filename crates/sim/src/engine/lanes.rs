@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use evolve_types::{PodId, Resource, ResourceVec, SimTime};
 
-use crate::perf::{DrainOutcome, ReplicaServer};
+use crate::perf::{DrainOutcome, PerfConfig, ReplicaServer};
 
 /// In-flight count of a slot no arrival may pick: no server, or a dead one.
 const CLOSED: u32 = u32::MAX;
@@ -73,17 +73,22 @@ pub(crate) struct Replicas {
     harvested: SimTime,
     live: usize,
     running: usize,
+    /// Servers of removed pods, kept for their buffers:
+    /// [`Replicas::renewed`] hands them to pods that start later.
+    retired: Vec<ReplicaServer>,
 }
 
 impl Replicas {
     /// Room for `pods` live pods and the tombstones kept beside them until
-    /// the table compacts, which it does once they outnumber the living.
+    /// the table compacts, which it does once they outnumber the living,
+    /// and for the servers of as many pods retired.
     pub(crate) fn reserve(&mut self, pods: usize) {
         let slots = (2 * pods + 1).saturating_sub(self.lanes.len());
         self.lanes.reserve(slots);
         self.inflight.reserve(slots);
         self.servers.reserve(slots);
         self.records.reserve(slots);
+        self.retired.reserve(pods.saturating_sub(self.retired.len()));
     }
 
     /// Pods in the table.
@@ -142,6 +147,24 @@ impl Replicas {
     /// its requests died with it.
     pub(crate) fn is_idle(&self, slot: usize) -> bool {
         matches!(self.inflight[slot], 0 | CLOSED)
+    }
+
+    /// A server for a pod of this table that starts at `now`, as
+    /// [`ReplicaServer::new`] builds it: the last one retired here,
+    /// renewed, while there is one.
+    pub(crate) fn renewed(
+        &mut self,
+        alloc: ResourceVec,
+        base_memory: f64,
+        now: SimTime,
+    ) -> ReplicaServer {
+        match self.retired.pop() {
+            Some(mut server) => {
+                server.renew(alloc, base_memory, PerfConfig::default(), now);
+                server
+            }
+            None => ReplicaServer::new(alloc, base_memory, PerfConfig::default(), now),
+        }
     }
 
     /// Adds `pod`, or gives a pod already here its server. Pod ids only grow:
@@ -204,6 +227,7 @@ impl Replicas {
             server.credit_to(now);
             credit(&mut server, consumed);
             self.running -= 1;
+            self.retired.push(server);
         }
         (lane.live, lane.running, self.inflight[slot]) = (false, false, CLOSED);
         self.live -= 1;
@@ -242,19 +266,20 @@ impl Replicas {
 
     /// An in-place resize the cluster has accepted: the server is brought
     /// to `now` at its old allocation, and takes the new one together with
-    /// the lane's copy of the request. Returns what the advance drained and
-    /// the server's next event.
+    /// the lane's copy of the request. What the advance drained is appended
+    /// to `out`; returns the server's next event.
     pub(crate) fn resize(
         &mut self,
         slot: usize,
         now: SimTime,
         request: ResourceVec,
-    ) -> (DrainOutcome, Option<SimTime>) {
+        out: &mut DrainOutcome,
+    ) -> Option<SimTime> {
         self.lanes[slot].request = request;
         self.with(slot, |server| {
-            let out = server.advance(now);
+            server.advance_into(now, out);
             server.set_alloc(request);
-            (out, server.next_event())
+            server.next_event()
         })
     }
 

@@ -19,7 +19,7 @@ use evolve_types::{PodId, Resource, ResourceVec, SimDuration, SimTime};
 use proptest::prelude::*;
 
 use super::Replicas;
-use crate::perf::{PerfConfig, ReplicaServer};
+use crate::perf::{DrainOutcome, PerfConfig, ReplicaServer};
 
 /// A pod of the model: `None` while it waits for its server, then the
 /// request the cluster holds for it and the server.
@@ -261,12 +261,13 @@ fn run(ops: Vec<Op>) -> Result<(), String> {
             // An in-place resize: the server and the request move together.
             19 => {
                 if let Some((pod, at)) = on {
-                    let got = table.resize(at, now, request(size));
+                    let mut got = DrainOutcome::default();
+                    let next = table.resize(at, now, request(size), &mut got);
                     let (held, server) = running(&mut model, pod);
                     let out = server.advance(now);
                     server.set_alloc(request(size));
                     *held = request(size);
-                    prop_assert_eq!(got, (out, server.next_event()));
+                    prop_assert_eq!((got, next), (out, server.next_event()));
                 }
             }
             // Kill, through the accessor, credited up to now first.

@@ -599,7 +599,7 @@ impl Simulation {
 
     /// Terminates a bound/pending pod and performs the owner-specific
     /// recovery (replacement pod, task requeue, gang pause).
-    pub(crate) fn remove_pod(&mut self, pod: PodId, reason: &str) {
+    pub(crate) fn remove_pod(&mut self, pod: PodId, reason: &'static str) {
         let Some(owner) = self.pod_owner.get(pod) else {
             return;
         };

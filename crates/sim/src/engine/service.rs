@@ -9,10 +9,15 @@ use evolve_workload::{LoadSpec, PoissonArrivals, SamplingMode, ServiceSpec};
 use rand_chacha::ChaCha8Rng;
 
 use crate::observe::{AppWindow, WindowAccumulator};
-use crate::perf::{DrainOutcome, PerfConfig, ReplicaServer};
+use crate::perf::DrainOutcome;
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
 use super::{Owner, Replicas, Simulation, SERVICE_PRIORITY, SERVICE_QUEUE_CAP, SHED_QUEUE_CAP};
+
+/// Requests a replica's heaps hold from its start, the room their first
+/// push would make: the pick reaches a high replica only at a new peak of
+/// the service's concurrency, and that request must not allocate.
+const FIRST_ROOM: usize = 4;
 
 /// A request waiting because no replica is running.
 #[derive(Debug, Clone, Copy)]
@@ -166,32 +171,31 @@ impl Simulation {
             return;
         }
         let request = self.cluster.pod(pod).expect("started pod exists").spec.request;
-        let base_memory = self.services[idx].spec.base_memory;
-        let mut server = ReplicaServer::new(request, base_memory, PerfConfig::default(), now);
+        let rt = &mut self.services[idx];
+        let mut server = rt.replicas.renewed(request, rt.spec.base_memory, now);
+        server.reserve(FIRST_ROOM);
         // Drain the front-door queue.
         let mut oom = false;
-        let (slot, next) = {
-            let rt = &mut self.services[idx];
-            while let Some(q) = rt.queue.pop_front() {
-                if q.deadline <= now {
-                    rt.acc.timeouts += 1;
-                    continue;
+        let out = &mut self.drain_scratch;
+        while let Some(q) = rt.queue.pop_front() {
+            if q.deadline <= now {
+                rt.acc.timeouts += 1;
+                continue;
+            }
+            out.clear();
+            if server.admit_arrived_into(q.id, now, q.arrived, q.deadline, q.demand, out) {
+                for c in &out.completed {
+                    rt.acc.record_completion(c.latency);
                 }
-                if let Some(out) = server.admit_arrived(q.id, now, q.arrived, q.deadline, q.demand)
-                {
-                    for c in &out.completed {
-                        rt.acc.record_completion(c.latency);
-                    }
-                    rt.acc.timeouts += out.timed_out.len() as u64;
-                    if out.oom_killed {
-                        oom = true;
-                        break;
-                    }
+                rt.acc.timeouts += out.timed_out.len() as u64;
+                if out.oom_killed {
+                    oom = true;
+                    break;
                 }
             }
-            let next = server.next_event();
-            (rt.replicas.insert(pod, Some((request, server))), next)
-        };
+        }
+        let next = server.next_event();
+        let slot = rt.replicas.insert(pod, Some((request, server)));
         if oom {
             self.service_oom(idx, pod);
             return;
@@ -244,9 +248,13 @@ impl Simulation {
         }
     }
 
+    /// Out of line and cold: the OOM path must not make the per-wake
+    /// outcome handling above too large to inline into its callers.
+    #[cold]
+    #[inline(never)]
     fn service_oom(&mut self, idx: usize, pod: PodId) {
         self.services[idx].acc.oom_kills += 1;
-        self.service_retire_pod(idx, pod, PodPhase::Failed("oom killed".into()));
+        self.service_retire_pod(idx, pod, PodPhase::Failed("oom killed"));
         self.reconcile_service(idx);
     }
 
@@ -264,18 +272,19 @@ impl Simulation {
     }
 
     /// External loss (preemption, node failure).
-    pub(crate) fn service_pod_lost(&mut self, idx: usize, pod: PodId, reason: &str) {
+    pub(crate) fn service_pod_lost(&mut self, idx: usize, pod: PodId, reason: &'static str) {
         // In-flight requests die with the replica, and what they drained
         // up to this instant is credited first.
-        let (rt, now) = (&mut self.services[idx], self.now);
+        let (rt, now, out) = (&mut self.services[idx], self.now, &mut self.drain_scratch);
         if let Some(slot) = rt.replicas.running_slot(pod) {
-            let killed = rt.replicas.with(slot, |s| {
+            out.clear();
+            rt.replicas.with(slot, |s| {
                 s.credit_to(now);
-                s.kill().timed_out.len()
+                s.kill_into(out);
             });
-            rt.acc.timeouts += killed as u64;
+            rt.acc.timeouts += out.timed_out.len() as u64;
         }
-        self.service_retire_pod(idx, pod, PodPhase::Failed(reason.into()));
+        self.service_retire_pod(idx, pod, PodPhase::Failed(reason));
         self.reconcile_service(idx);
     }
 
@@ -371,8 +380,11 @@ impl Simulation {
             }
             match self.cluster.try_resize(pod, target) {
                 Ok(()) => {
-                    let (outcome, next) = self.services[idx].replicas.resize(slot, now, target);
-                    self.service_process_outcome(idx, pod, &outcome);
+                    let mut out = std::mem::take(&mut self.drain_scratch);
+                    out.clear();
+                    let next = self.services[idx].replicas.resize(slot, now, target, &mut out);
+                    self.service_process_outcome(idx, pod, &out);
+                    self.drain_scratch = out;
                     let version = self.services[idx].replicas.bump_version(slot);
                     self.schedule_wake(pod, slot, next, version);
                 }

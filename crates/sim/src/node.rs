@@ -1,7 +1,5 @@
 //! Cluster nodes.
 
-use std::collections::BTreeSet;
-
 use evolve_types::{NodeId, PodId, ResourceVec};
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +14,10 @@ pub struct Node {
     capacity: ResourceVec,
     allocatable: ResourceVec,
     allocated: ResourceVec,
-    pods: BTreeSet<PodId>,
+    /// The bound pods, ascending: a node holds a few dozen at most, so a
+    /// sorted vector that keeps its allocation beats a tree that allocates
+    /// a node per bind.
+    pods: Vec<PodId>,
     ready: bool,
 }
 
@@ -35,7 +36,7 @@ impl Node {
             capacity,
             allocatable: capacity * 0.95,
             allocated: ResourceVec::ZERO,
-            pods: BTreeSet::new(),
+            pods: Vec::new(),
             ready: true,
         }
     }
@@ -76,9 +77,9 @@ impl Node {
         self.ready && request.fits_within(&self.free())
     }
 
-    /// Pods currently bound here.
+    /// Pods currently bound here, in ascending id order.
     #[must_use]
-    pub fn pods(&self) -> &BTreeSet<PodId> {
+    pub fn pods(&self) -> &[PodId] {
         &self.pods
     }
 
@@ -95,13 +96,18 @@ impl Node {
     pub(crate) fn bind(&mut self, pod: PodId, request: ResourceVec) {
         debug_assert!(self.can_fit(&request), "bind without capacity check");
         self.allocated += request;
-        self.pods.insert(pod);
+        if let Err(at) = self.pods.binary_search(&pod) {
+            self.pods.insert(at, pod);
+        }
     }
 
     pub(crate) fn unbind(&mut self, pod: PodId, request: ResourceVec) {
-        debug_assert!(self.pods.contains(&pod), "unbinding foreign pod");
+        let found = self.pods.binary_search(&pod);
+        debug_assert!(found.is_ok(), "unbinding foreign pod");
         self.allocated -= request;
-        self.pods.remove(&pod);
+        if let Ok(at) = found {
+            self.pods.remove(at);
+        }
     }
 
     pub(crate) fn adjust(&mut self, old_request: ResourceVec, new_request: ResourceVec) {

@@ -227,8 +227,6 @@ impl ReplicaServer {
     /// Panics when the allocation is invalid or `base_memory` is negative.
     #[must_use]
     pub fn new(alloc: ResourceVec, base_memory: f64, config: PerfConfig, now: SimTime) -> Self {
-        assert!(alloc.is_valid(), "allocation must be valid");
-        assert!(base_memory >= 0.0, "base memory must be non-negative");
         let mut server = ReplicaServer {
             alloc,
             config,
@@ -239,11 +237,43 @@ impl ReplicaServer {
             credited: 0.0,
             rates: Rates::new([0.0; 3]),
             consumed: ResourceVec::ZERO,
-            ws: fixed(base_memory),
+            ws: 0,
             dead: false,
         };
-        server.rekey_if_rates_moved();
+        server.renew(alloc, base_memory, config, now);
         server
+    }
+
+    /// Makes this server the one [`ReplicaServer::new`] builds from the
+    /// same arguments, whatever it ran before, keeping the capacity of its
+    /// request heaps: a table that retires a pod's server renews it for the
+    /// next pod that starts, and the heaps do not grow again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the allocation is invalid or `base_memory` is negative.
+    pub fn renew(
+        &mut self,
+        alloc: ResourceVec,
+        base_memory: f64,
+        config: PerfConfig,
+        now: SimTime,
+    ) {
+        assert!(alloc.is_valid(), "allocation must be valid");
+        assert!(base_memory >= 0.0, "base memory must be non-negative");
+        self.reqs.clear();
+        self.by_deadline.clear();
+        (self.alloc, self.config, self.clock) = (alloc, config, now);
+        (self.v, self.credited, self.rates) = (0.0, 0.0, Rates::new([0.0; 3]));
+        (self.consumed, self.ws, self.dead) = (ResourceVec::ZERO, fixed(base_memory), false);
+        self.rekey_if_rates_moved();
+    }
+
+    /// Room for `requests` in flight, each with a deadline, before either
+    /// heap grows.
+    pub(crate) fn reserve(&mut self, requests: usize) {
+        self.reqs.reserve_exact(requests.saturating_sub(self.reqs.len()));
+        self.by_deadline.reserve_exact(requests.saturating_sub(self.by_deadline.len()));
     }
 
     /// Current allocation.
@@ -320,29 +350,13 @@ impl ReplicaServer {
         deadline: SimTime,
         demand: ResourceVec,
     ) -> Option<DrainOutcome> {
-        self.admit_arrived(id, at, at, deadline, demand)
-    }
-
-    /// Like [`ReplicaServer::admit`], but with a separate logical arrival
-    /// time used for latency accounting — a request that waited in a
-    /// front-door queue keeps its original arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the replica is dead or `at` precedes the clock.
-    pub fn admit_arrived(
-        &mut self,
-        id: u64,
-        at: SimTime,
-        arrived: SimTime,
-        deadline: SimTime,
-        demand: ResourceVec,
-    ) -> Option<DrainOutcome> {
         let mut pre = DrainOutcome::default();
-        self.admit_arrived_into(id, at, arrived, deadline, demand, &mut pre).then_some(pre)
+        self.admit_arrived_into(id, at, at, deadline, demand, &mut pre).then_some(pre)
     }
 
-    /// Allocation-free form of [`ReplicaServer::admit_arrived`]: outcomes
+    /// Allocation-free form of [`ReplicaServer::admit`], with a separate
+    /// logical arrival time used for latency accounting — a request that
+    /// waited in a front-door queue keeps its original arrival. Outcomes
     /// are pushed into `out` (not cleared first) and the return value says
     /// whether anything was recorded. A request with nothing to drain
     /// completes here, its latency the time it had already queued.

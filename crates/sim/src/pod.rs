@@ -95,7 +95,7 @@ pub enum PodPhase {
     /// Completed successfully (jobs only).
     Succeeded,
     /// Terminated with an error (OOM kill, node failure, preemption).
-    Failed(String),
+    Failed(&'static str),
 }
 
 impl PodPhase {
@@ -201,7 +201,7 @@ mod tests {
         assert!(PodPhase::Running.holds_resources());
         assert!(!PodPhase::Succeeded.holds_resources());
         assert!(PodPhase::Succeeded.is_terminal());
-        assert!(PodPhase::Failed("oom".into()).is_terminal());
+        assert!(PodPhase::Failed("oom").is_terminal());
         assert!(!PodPhase::Running.is_terminal());
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the processor-sharing performance model.
 
-use evolve_sim::{PerfConfig, ReplicaServer};
+use evolve_sim::{DrainOutcome, PerfConfig, ReplicaServer};
 use evolve_types::{Resource, ResourceVec, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -143,5 +143,85 @@ proptest! {
                 prop_assert!(next > server.clock(), "event {next:?} not after {:?}", server.clock());
             }
         }
+    }
+}
+
+/// One step of a server's life: (kind, gap µs, cpu, disk, net, working
+/// set). Kinds 0–5 admit, 6–7 advance, 8 resize, 9 kill.
+type Step = (u8, u64, f64, f64, f64, f64);
+
+fn arb_steps(kinds: u8) -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        (0..kinds, 0u64..400_000, 1.0..1_500.0f64, 0.0..40.0f64, 0.0..40.0f64, 0.0..120.0f64),
+        1..50,
+    )
+}
+
+/// Applies one step at `t`, its deadline 2 s on; returns what it reported.
+fn step(server: &mut ReplicaServer, t: SimTime, i: u64, s: &Step) -> DrainOutcome {
+    let (kind, _, cpu, disk, net, ws) = *s;
+    let mut out = DrainOutcome::default();
+    match kind {
+        _ if server.is_dead() => server.advance_into(t, &mut out),
+        0..=5 => {
+            let demand = ResourceVec::new(cpu, ws, disk, net);
+            server.admit_arrived_into(i, t, t, t + SimDuration::from_secs(2), demand, &mut out);
+        }
+        6 | 7 => server.advance_into(t, &mut out),
+        8 => {
+            server.advance_into(t, &mut out);
+            server.set_alloc(ResourceVec::new(
+                200.0 + cpu,
+                300.0 + 4.0 * ws,
+                5.0 + disk,
+                5.0 + net,
+            ));
+        }
+        _ => server.kill_into(&mut out),
+    }
+    out
+}
+
+fn bits(v: ResourceVec) -> [u64; 4] {
+    v.as_array().map(f64::to_bits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A server renewed after any history — admissions, advances, a
+    /// resize, an OOM kill or a kill — runs exactly as one built fresh from
+    /// the same arguments: the same completions and timeouts, the same
+    /// next event and the same consumed work, bit for bit.
+    #[test]
+    fn a_renewed_server_is_a_new_server(
+        history in arb_steps(10),
+        life in arb_steps(9),
+        base_memory in 0.0..64.0f64,
+        cpu in 300.0..3_000.0f64,
+    ) {
+        // Little memory, so the history's admissions can OOM-kill it.
+        let small = ResourceVec::new(1_000.0, 256.0, 50.0, 50.0);
+        let mut renewed = ReplicaServer::new(small, 16.0, PerfConfig::default(), SimTime::ZERO);
+        let mut t = SimTime::ZERO;
+        for (i, s) in history.iter().enumerate() {
+            t += SimDuration::from_micros(s.1);
+            step(&mut renewed, t, i as u64, s);
+        }
+        let _ = renewed.take_consumed();
+        let alloc = ResourceVec::new(cpu, 2_048.0, 80.0, 80.0);
+        renewed.renew(alloc, base_memory, PerfConfig::default(), t);
+        let mut fresh = ReplicaServer::new(alloc, base_memory, PerfConfig::default(), t);
+        for (i, s) in life.iter().enumerate() {
+            t += SimDuration::from_micros(s.1);
+            let id = 1_000 + i as u64;
+            prop_assert_eq!(step(&mut renewed, t, id, s), step(&mut fresh, t, id, s), "step {}", i);
+            prop_assert_eq!(renewed.next_event(), fresh.next_event(), "step {}", i);
+            prop_assert_eq!(renewed.is_dead(), fresh.is_dead());
+            prop_assert_eq!(bits(renewed.take_consumed()), bits(fresh.take_consumed()), "step {}", i);
+        }
+        t += SimDuration::from_secs(5);
+        prop_assert_eq!(step(&mut renewed, t, 0, &(6, 0, 0.0, 0.0, 0.0, 0.0)), step(&mut fresh, t, 0, &(6, 0, 0.0, 0.0, 0.0, 0.0)));
+        prop_assert_eq!(bits(renewed.take_consumed()), bits(fresh.take_consumed()));
     }
 }

@@ -121,7 +121,7 @@ proptest! {
                     let phase = if pod_sel % 2 == 0 {
                         PodPhase::Succeeded
                     } else {
-                        PodPhase::Failed("killed".into())
+                        PodPhase::Failed("killed")
                     };
                     let result = cluster.terminate_pod(id, phase.clone());
                     if admitted(&model, id, |p| !p.phase.is_terminal(), &result)? {
@@ -174,7 +174,7 @@ proptest! {
                     if was_ready && !ready {
                         for pod in model.values_mut().filter(|p| p.node == Some(node)) {
                             pod.node = None;
-                            pod.phase = PodPhase::Failed("node unready".into());
+                            pod.phase = PodPhase::Failed("node unready");
                             pod.started = None;
                             expected.push(pod.id);
                         }
@@ -184,5 +184,78 @@ proptest! {
             }
             check_agreement(&cluster, &model)?;
         }
+    }
+}
+
+/// Binds `id` to `node` on both sides.
+fn bind_both(cluster: &mut ClusterState, model: &mut BTreeMap<PodId, Pod>, id: PodId, node: u32) {
+    cluster.bind_pod(id, NodeId::new(node)).expect("room on the node");
+    let pod = model.get_mut(&id).expect("known pod");
+    (pod.node, pod.phase) = (Some(NodeId::new(node)), PodPhase::Starting);
+}
+
+/// Creates a pod at `now` on both sides.
+fn create_both(
+    cluster: &mut ClusterState,
+    model: &mut BTreeMap<PodId, Pod>,
+    now: SimTime,
+) -> PodId {
+    let spec =
+        PodSpec::new(PodKind::ServiceReplica { app: AppId::new(0) }, ResourceVec::splat(20.0), 0);
+    let id = cluster.create_pod(spec, now);
+    model.insert(id, Pod::new(id, spec, now));
+    id
+}
+
+/// Binding most of a long queue out of order leaves tombstones that
+/// outnumber the queued pods, which forces the queue to compact several
+/// times; a pod requeued at the instant a newer pod is created queues
+/// before it (same time, lower id), which is an insert below the top
+/// of the queue, not a push.
+#[test]
+fn pending_queue_survives_compaction_and_same_instant_requeues() {
+    let shape = NodeShape { capacity: ResourceVec::splat(1_000.0) };
+    let mut cluster = ClusterState::new(&ClusterConfig::uniform(NODES as usize, shape));
+    let mut model: BTreeMap<PodId, Pod> = BTreeMap::new();
+    // Pairs of pods share a creation instant.
+    let ids: Vec<PodId> = (0..40)
+        .map(|i| create_both(&mut cluster, &mut model, SimTime::from_millis(10 * (i / 2))))
+        .collect();
+    check_agreement(&cluster, &model).unwrap();
+    // 30 of 40 bound in a scattered order: 7 is prime to 40.
+    for k in 0..30 {
+        bind_both(&mut cluster, &mut model, ids[k * 7 % 40], (k % 3) as u32);
+        check_agreement(&cluster, &model).unwrap();
+    }
+    assert_eq!(cluster.pending_pods().count(), 10);
+    // Free three bound pods, then requeue them at the instant a new pod is
+    // created: before it and after it.
+    let now = SimTime::from_secs(5);
+    let freed = [ids[0], ids[7], ids[14]];
+    for &id in &freed {
+        cluster.terminate_pod(id, PodPhase::Failed("preempted")).unwrap();
+        let pod = model.get_mut(&id).expect("known pod");
+        (pod.node, pod.phase) = (None, PodPhase::Failed("preempted"));
+        check_agreement(&cluster, &model).unwrap();
+    }
+    cluster.requeue_pod(freed[0], now).unwrap();
+    model.insert(freed[0], Pod::new(freed[0], model[&freed[0]].spec, now));
+    let newer = create_both(&mut cluster, &mut model, now);
+    for &id in &freed[1..] {
+        cluster.requeue_pod(id, now).unwrap();
+        model.insert(id, Pod::new(id, model[&id].spec, now));
+        check_agreement(&cluster, &model).unwrap();
+    }
+    let tail: Vec<PodId> = cluster.pending_pods().map(|p| p.id).skip(10).collect();
+    assert_eq!(tail, vec![freed[0], freed[1], freed[2], newer]);
+    // Drain the queue front to back, then refill it past its old length.
+    let queued: Vec<PodId> = cluster.pending_pods().map(|p| p.id).collect();
+    for (k, id) in queued.into_iter().enumerate() {
+        cluster.terminate_pod(id, PodPhase::Succeeded).unwrap();
+        model.get_mut(&id).expect("known pod").phase = PodPhase::Succeeded;
+        if k % 4 == 0 {
+            create_both(&mut cluster, &mut model, now + SimDuration::from_millis(k as u64));
+        }
+        check_agreement(&cluster, &model).unwrap();
     }
 }

@@ -98,6 +98,14 @@ impl PloTracker {
         }
     }
 
+    /// Room in the history for `windows` more windows, up to its cap,
+    /// reserved at once: a run that knows its window count sizes the
+    /// history before it fills.
+    pub fn reserve(&mut self, windows: usize) {
+        let room = self.history_cap - self.history.len();
+        self.history.reserve(windows.min(room));
+    }
+
     /// The objective's target value.
     #[must_use]
     pub fn target(&self) -> f64 {

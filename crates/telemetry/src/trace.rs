@@ -258,17 +258,61 @@ pub struct SchedTrace {
     pub gang: Option<JobId>,
     /// The decision.
     pub outcome: SchedOutcome,
-    /// Per-plugin `(name, weighted score)` of the chosen node (empty when
-    /// nothing was chosen or detail was unavailable).
-    pub scores: Vec<(&'static str, f64)>,
-    /// Per-filter `(name, nodes rejected)` counts for this attempt.
-    pub filtered: Vec<(&'static str, u32)>,
+    /// Per-scorer weighted score of the chosen node (empty when nothing
+    /// was chosen or detail was unavailable).
+    pub scores: SchedScores,
+    /// Nodes the one filter (`node-fits`) rejected on this attempt
+    /// (`None` when the attempt did not scan nodes).
+    pub filtered: Option<u32>,
     /// Nodes that passed every filter.
     pub feasible: u32,
     /// Pods evicted to make room (preemption path).
     pub victims: Vec<PodId>,
     /// Consecutive scheduling failures recorded by the requeue backoff.
     pub backoff_failures: u32,
+}
+
+/// Name of the scheduler's one filter (the `NodeResourcesFit` plugin) in
+/// the dump.
+const NODE_FITS: &str = "node-fits";
+
+/// The most scorers a scheduler profile weighs, and so the most
+/// contributions a [`SchedScores`] holds.
+pub const MAX_SCORERS: usize = 3;
+
+/// The chosen node's weighted score contribution per scorer, inline: the
+/// profile's scorer names, in the order it sums them, beside one value
+/// each. A record owns no buffer, so tracing a placement allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SchedScores {
+    names: &'static [&'static str],
+    values: [f64; MAX_SCORERS],
+}
+
+impl SchedScores {
+    /// `names[i]` contributed `values[i]`; values past the names are
+    /// ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_SCORERS`] names.
+    #[must_use]
+    pub fn new(names: &'static [&'static str], values: [f64; MAX_SCORERS]) -> Self {
+        assert!(names.len() <= MAX_SCORERS, "at most {MAX_SCORERS} scorers");
+        SchedScores { names, values }
+    }
+
+    /// Whether no scorer is recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// `(name, weighted contribution)` per scorer, in summation order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.names.iter().copied().zip(self.values)
+    }
 }
 
 /// The pods one scheduler cycle deferred by requeue backoff — not
@@ -402,6 +446,12 @@ pub struct TraceRing {
     capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
+    /// The explain boxes of evicted control records, which
+    /// [`TraceRing::boxed_explain`] refills: a full ring turns its boxes
+    /// over instead of allocating one per decision. Boxed on purpose: a
+    /// box leaves here to become a record's.
+    #[allow(clippy::vec_box)]
+    spare_explains: Vec<Box<ControlExplain>>,
 }
 
 impl TraceRing {
@@ -412,7 +462,19 @@ impl TraceRing {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let events = VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY));
-        TraceRing { capacity, events, dropped: 0 }
+        TraceRing { capacity, events, dropped: 0, spare_explains: Vec::new() }
+    }
+
+    /// `explain` boxed for a [`ControlTrace`] of this ring: in the box of a
+    /// control record the ring evicted, while it keeps one.
+    pub fn boxed_explain(&mut self, explain: ControlExplain) -> Box<ControlExplain> {
+        match self.spare_explains.pop() {
+            Some(mut spare) => {
+                *spare = explain;
+                spare
+            }
+            None => Box::new(explain),
+        }
     }
 
     /// Appends an event, evicting the oldest when full. With capacity 0
@@ -423,7 +485,17 @@ impl TraceRing {
             return;
         }
         if self.events.len() >= self.capacity {
-            self.events.pop_front();
+            if self.dropped == 0 {
+                // The ring is full for the first time: room for every box
+                // it holds, the most it can hand back before it holds more.
+                let boxes = self.control().filter(|c| c.explain.is_some()).count();
+                self.spare_explains.reserve(boxes);
+            }
+            if let Some(TraceEvent::Control(ControlTrace { explain: Some(spare), .. })) =
+                self.events.pop_front()
+            {
+                self.spare_explains.push(spare);
+            }
             self.dropped += 1;
         }
         self.events.push_back(event);
@@ -653,15 +725,12 @@ fn write_sched(out: &mut String, s: &SchedTrace) {
             out.push(',');
         }
         let _ = write!(out, "[\"{name}\",");
-        push_f64(out, *score);
+        push_f64(out, score);
         out.push(']');
     }
     out.push_str("],\"filtered\":[");
-    for (i, (name, count)) in s.filtered.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[\"{name}\",{count}]");
+    if let Some(count) = s.filtered {
+        let _ = write!(out, "[\"{NODE_FITS}\",{count}]");
     }
     let _ = write!(out, "],\"feasible\":{},\"victims\":[", s.feasible);
     for (i, v) in s.victims.iter().enumerate() {
@@ -738,6 +807,59 @@ mod tests {
             kind: SpanKind::Control,
             wall_ns: 123,
         })
+    }
+
+    /// The ring holds its events inline, so every record it keeps costs
+    /// what the largest does: a record that grows grows every run's ring.
+    #[test]
+    fn the_trace_record_cannot_grow() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 152, "{}", std::mem::size_of::<TraceEvent>());
+    }
+
+    /// A full ring turns its explain boxes over: the box of an evicted
+    /// control record carries the next record's explain block.
+    #[test]
+    fn a_full_ring_hands_back_explain_boxes() {
+        let control = |ring: &mut TraceRing, tick: u64| {
+            let explain = ring.boxed_explain(ControlExplain {
+                pid: [PidTermsTrace::default(); 4],
+                gains: [(1.0, 0.1, 0.0); 4],
+                attribution: ResourceVec::splat(0.25),
+                saturated_up: false,
+                saturated_down: false,
+                adaptations: tick,
+                dark_ticks: 0,
+                watchdog_tripped: false,
+                forecast: 0.0,
+                raw_forecast: 0.0,
+                trend: 0.0,
+                smoothed: 0.0,
+                error: 0.0,
+            });
+            let at: *const ControlExplain = &*explain;
+            ring.push(TraceEvent::Control(ControlTrace {
+                tick,
+                at: SimTime::from_secs(tick),
+                app: AppId::new(0),
+                signal: TraceSignal::Fresh,
+                measured: None,
+                rate_rps: 0.0,
+                replicas: 1,
+                per_replica: ResourceVec::splat(1.0),
+                outcome: ActuationOutcome::Applied,
+                resize_failures: 0,
+                explain: Some(explain),
+            }));
+            at
+        };
+        let mut ring = TraceRing::new(2);
+        let first = control(&mut ring, 0);
+        control(&mut ring, 1);
+        ring.push(span(2)); // evicts tick 0, whose box waits for the next record
+        assert_eq!(control(&mut ring, 3), first, "the evicted box was not reused");
+        let kept: Vec<u64> =
+            ring.control().map(|c| c.explain.as_ref().map_or(0, |e| e.adaptations)).collect();
+        assert_eq!(kept, vec![3]);
     }
 
     #[test]
@@ -855,8 +977,8 @@ mod tests {
             app: AppId::new(0),
             gang: Some(JobId::new(4)),
             outcome: SchedOutcome::Bound { node: NodeId::new(2), score: Some(1.5) },
-            scores: vec![("least-allocated", 0.75)],
-            filtered: vec![("node-fits", 3)],
+            scores: SchedScores::new(&["least-allocated"], [0.75, 0.0, 0.0]),
+            filtered: Some(3),
             feasible: 5,
             victims: vec![PodId::new(1)],
             backoff_failures: 2,
@@ -868,8 +990,8 @@ mod tests {
             app: AppId::new(0),
             gang: None,
             outcome: SchedOutcome::Unschedulable,
-            scores: Vec::new(),
-            filtered: vec![("node-fits", 5)],
+            scores: SchedScores::default(),
+            filtered: Some(5),
             feasible: 0,
             victims: Vec::new(),
             backoff_failures: 1,
