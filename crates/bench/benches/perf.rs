@@ -30,6 +30,11 @@
 //!   no event reaches, from their drain-rate records and, once those have
 //!   run out, from their servers; `set_target_500_tasks_same_request` is a
 //!   batch target that every one of 500 running tasks already holds.
+//!   `arrival_beside_7200_batch_timers` is one service at 200 rps on eight
+//!   replicas, run 5 s at a time, while 7 200 running batch tasks hold
+//!   timers over an hour away: the service's wakes and the standing batch
+//!   timers sit in separate heaps, so a service reschedule does not sift
+//!   past the batch timers.
 //! * `runner/back_to_back_reps` — three whole runs of a 250-node
 //!   `cluster_scale` in a row, each built, run for 60 s and dropped, as the
 //!   repo benchmark's reps and the `experiments` driver run them: a table
@@ -407,6 +412,18 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("set_target_500_tasks_same_request", |b| {
         b.iter(|| black_box(sim.set_target(app, 0, task, 1.0).expect("known app")))
     });
+    // The service's arrivals and wakes beside 7 200 batch timers over an hour
+    // away: a service reschedule that sifts past the batch timers pays for
+    // them here.
+    let mut sim = service_beside_tasks();
+    let mut until = sim.now();
+    group.bench_function("arrival_beside_7200_batch_timers", |b| {
+        b.iter(|| {
+            until += SimDuration::from_secs(5);
+            sim.run_until(until);
+            black_box(sim.events_processed())
+        })
+    });
     group.finish();
 }
 
@@ -421,17 +438,46 @@ fn busy_tasks(nodes: usize, jobs: u32, parallel: u32) -> Simulation {
     for job in &mut spec.batch_jobs {
         (job.submit_at, job.max_parallel) = (SimTime::ZERO, parallel);
     }
-    let cluster = ClusterConfig::uniform(nodes, NodeShape::default());
+    let mut sim = bound_at_start(&spec, SimTime::from_secs(4));
+    assert_eq!(sim.snapshot().pods_running, jobs * parallel, "every task runs");
+    for app in sim.apps().iter().map(|a| a.id).collect::<Vec<_>>() {
+        sim.take_window(app).expect("known app");
+    }
+    sim
+}
+
+/// `spec` on its uniform cluster, the pods it holds at 0 s bound in one
+/// scheduling pass, run to `until`.
+fn bound_at_start(spec: &ScenarioSpec, until: SimTime) -> Simulation {
+    let cluster = ClusterConfig::uniform(spec.cluster.nodes, NodeShape::default());
     let mut sim = Simulation::new(SimulationConfig::default(), cluster, &spec.build().mix, 42);
     sim.run_until(SimTime::ZERO);
     for (pod, node) in SchedulerFramework::evolve_default().schedule_cycle(sim.cluster()).bindings {
         sim.bind_pod(pod, node).expect("the plan fits the cluster it was made for");
     }
-    sim.run_until(SimTime::from_secs(4));
-    assert_eq!(sim.snapshot().pods_running, jobs * parallel, "every task runs");
-    for app in sim.apps().iter().map(|a| a.id).collect::<Vec<_>>() {
-        sim.take_window(app).expect("known app");
+    sim.run_until(until);
+    sim
+}
+
+/// 7 200 batch tasks as in `busy_tasks(600, 4, 1_800)`, each with fifteen
+/// times the CPU work (75 minutes at its request, so none completes
+/// within the bench's ≈ 3 200 s), on 610 nodes beside one `cluster_scale`
+/// service of eight replicas at 200 rps, run to 10 s.
+fn service_beside_tasks() -> Simulation {
+    let mut spec = ScenarioSpec::cluster_scale(610, 1, SimDuration::from_mins(10));
+    spec.batch_jobs.truncate(4);
+    for job in &mut spec.batch_jobs {
+        (job.submit_at, job.max_parallel) = (SimTime::ZERO, 1_800);
+        for stage in &mut job.stages {
+            let work = stage.work;
+            stage.work =
+                ResourceVec::new(15.0 * work.cpu(), work.memory(), work.disk_io(), work.net_io());
+        }
     }
+    let service = &mut spec.services[0];
+    (service.replicas, service.load) = (8, LoadSpec::Constant { rate: 200.0 });
+    let sim = bound_at_start(&spec, SimTime::from_secs(10));
+    assert_eq!(sim.snapshot().pods_running, 8 + 7_200, "every replica and task runs");
     sim
 }
 

@@ -7,7 +7,7 @@ use evolve_workload::BatchJobSpec;
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, Replicas, Simulation, BATCH_PRIORITY};
+use super::{Owner, Replicas, Simulation, Timer, BATCH_PRIORITY};
 
 /// Runtime state of one batch job.
 pub(crate) struct BatchRuntime {
@@ -174,7 +174,7 @@ impl Simulation {
             // Nothing to drain: the item completed inside its admission.
             self.batch_task_complete(idx, pod);
         } else {
-            self.schedule_wake(pod, slot, next, version);
+            self.schedule_wake(Timer::Batch, pod, slot, next, version);
         }
     }
 
@@ -196,7 +196,7 @@ impl Simulation {
         } else {
             // Rates may have changed (resize); rearm.
             let version = replicas.bump_version(slot);
-            self.schedule_wake(pod, slot, next, version);
+            self.schedule_wake(Timer::Batch, pod, slot, next, version);
         }
     }
 
@@ -301,7 +301,7 @@ impl Simulation {
                             out.clear();
                             let next = replicas.resize(slot, now, target, out);
                             let version = replicas.bump_version(slot);
-                            self.schedule_wake(pod, slot, next, version);
+                            self.schedule_wake(Timer::Batch, pod, slot, next, version);
                         }
                         Err(_) => failures += 1,
                     }

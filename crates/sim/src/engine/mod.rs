@@ -160,7 +160,19 @@ impl<T: Copy> PodMap<T> {
     }
 }
 
-/// An indexed min-heap of replica wake-ups, at most one entry per pod.
+/// Whose timer a wake-up is, and so which heap of the [`WakeQueue`] holds
+/// it. A pod's owner never changes, so neither does its kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Timer {
+    /// A service replica's next completion or timeout: milliseconds away,
+    /// moved on every arrival.
+    Service,
+    /// A batch task's completion: minutes away, set about once.
+    Batch,
+}
+
+/// Indexed min-heaps of replica wake-ups, one per [`Timer`] kind, at most
+/// one entry per pod.
 ///
 /// Replica timers are the highest-churn events in the engine: every
 /// admission, drain or resize reschedules the pod's wake-up, and under the
@@ -170,52 +182,73 @@ impl<T: Copy> PodMap<T> {
 /// which proves the pod's previous entry could only have popped as a
 /// stale no-op — so it is replaced in place instead.
 ///
+/// Service and batch timers sit in separate heaps, so a service
+/// reschedule sifts past the other service timers only, not past the
+/// thousands of standing batch timers of a large cluster. Both heaps share
+/// one pod → slot index: a pod is only ever in its own kind's heap.
+///
 /// Entries are keyed by `(at, seq)` with `seq` drawn from the same global
-/// counter as the main heap, so merging the two queues by key reproduces
-/// the old pop order of the surviving events exactly. Each carries the
+/// counter as the main heap, so keys never tie and taking the smaller of
+/// the two roots reproduces one heap's pop order exactly. Each carries the
 /// replica-table slot it was set from: the hint its wake-up starts from.
 #[derive(Debug, Default)]
 struct WakeQueue {
-    /// Min-heap ordered by `(at, seq)`.
-    entries: Vec<WakeEntry>,
-    /// Pod → index into `entries`.
+    /// Min-heaps ordered by `(at, seq)`, indexed by [`Timer`].
+    heaps: [Vec<WakeEntry>; 2],
+    /// Pod → index into its kind's heap.
     pos: PodMap<u32>,
 }
 
 impl WakeQueue {
-    /// The smallest `(at, seq)` key, `None` when empty.
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.entries.first().map(heap::Entry::key)
-    }
-
-    /// The earliest entry, without removing it.
-    fn peek(&self) -> Option<&WakeEntry> {
-        self.entries.first()
-    }
-
-    /// Schedules or replaces the pod's wake-up.
-    fn set(&mut self, entry: WakeEntry) {
-        if let Some(i) = self.pos.get(entry.pod) {
-            self.entries[i as usize] = entry;
-            heap::resift(&mut self.entries, &mut self.pos, i as usize);
-        } else {
-            heap::push(&mut self.entries, &mut self.pos, entry);
+    /// The smallest `(at, seq)` key and the heap it heads, `None` when both
+    /// are empty.
+    fn peek_key(&self) -> Option<((SimTime, u64), Timer)> {
+        let [service, batch] = &self.heaps;
+        match (service.first().map(heap::Entry::key), batch.first().map(heap::Entry::key)) {
+            (Some(s), Some(b)) if b < s => Some((b, Timer::Batch)),
+            (Some(s), _) => Some((s, Timer::Service)),
+            (None, b) => b.map(|b| (b, Timer::Batch)),
         }
     }
 
-    /// Removes and returns the earliest wake-up.
-    fn pop(&mut self) -> Option<WakeEntry> {
-        if self.entries.is_empty() {
+    /// The earliest entry of one kind, without removing it.
+    fn peek(&self, timer: Timer) -> Option<&WakeEntry> {
+        self.heaps[timer as usize].first()
+    }
+
+    /// Schedules or replaces the pod's wake-up in its kind's heap.
+    fn set(&mut self, timer: Timer, entry: WakeEntry) {
+        let heap = &mut self.heaps[timer as usize];
+        if let Some(i) = self.pos.get(entry.pod) {
+            debug_assert!(
+                heap.get(i as usize).is_some_and(|e| e.pod == entry.pod),
+                "{}'s index points at another entry of its {timer:?} heap",
+                entry.pod
+            );
+            heap[i as usize] = entry;
+            heap::resift(heap, &mut self.pos, i as usize);
+        } else {
+            heap::push(heap, &mut self.pos, entry);
+        }
+    }
+
+    /// Removes and returns the earliest wake-up of one kind.
+    fn pop(&mut self, timer: Timer) -> Option<WakeEntry> {
+        let heap = &mut self.heaps[timer as usize];
+        if heap.is_empty() {
             return None;
         }
-        let e = heap::remove(&mut self.entries, &mut self.pos, 0);
+        let e = heap::remove(heap, &mut self.pos, 0);
         self.pos.remove(e.pod);
         Some(e)
     }
 
-    /// Room for the wake-ups of `pods` pods in all, one each at most.
-    fn reserve(&mut self, pods: usize) {
-        self.entries.reserve(pods.saturating_sub(self.entries.len()));
+    /// Room for the wake-ups of `service` replicas and `batch` tasks, one
+    /// each at most, and for the index of `pods` pods in all.
+    fn reserve(&mut self, service: usize, batch: usize, pods: usize) {
+        for (heap, n) in self.heaps.iter_mut().zip([service, batch]) {
+            heap.reserve(n.saturating_sub(heap.len()));
+        }
         self.pos.reserve(pods);
     }
 }
@@ -382,22 +415,32 @@ impl Simulation {
     /// preemption, a lost node — comes on top.
     #[must_use]
     pub fn pod_bound(&self, horizon: SimDuration, replica_ceiling: u32) -> usize {
+        let [services, batches, gangs] = self.pod_bounds(horizon, replica_ceiling);
+        services + batches + gangs
+    }
+
+    /// [`Simulation::pod_bound`] split by world: service replicas, batch
+    /// tasks, HPC ranks.
+    fn pod_bounds(&self, horizon: SimDuration, replica_ceiling: u32) -> [usize; 3] {
         let end = SimTime::ZERO + horizon;
-        let services = self.services.iter().map(|s| s.replica_bound(replica_ceiling));
-        let batches = self.batches.iter().map(|b| b.pod_bound(end));
-        let gangs = self.hpcs.iter().map(|h| h.pod_bound(end));
-        services.chain(batches).chain(gangs).sum()
+        [
+            self.services.iter().map(|s| s.replica_bound(replica_ceiling)).sum(),
+            self.batches.iter().map(|b| b.pod_bound(end)).sum(),
+            self.hpcs.iter().map(|h| h.pod_bound(end)).sum(),
+        ]
     }
 
     /// Gives the run's long-lived tables their final capacity once, from
     /// [`Simulation::pod_bound`]: the pod table and the tables indexed by pod
-    /// id, both event queues, and each service's replica table. A run that
-    /// creates more pods grows them on demand.
+    /// id, the event heap, each wake-up heap for its own kind's pods, and
+    /// each service's replica table. A run that creates more pods grows them
+    /// on demand.
     pub fn presize(&mut self, horizon: SimDuration, replica_ceiling: u32) {
-        let pods = self.pod_bound(horizon, replica_ceiling);
+        let bounds = self.pod_bounds(horizon, replica_ceiling);
+        let pods = bounds.iter().sum();
         self.cluster.reserve_pods(pods);
         self.pod_owner.reserve(pods);
-        self.wakes.reserve(pods);
+        self.wakes.reserve(bounds[0], bounds[1], pods);
         // Every pod's start, and each job's submission.
         let events = pods + self.batches.len() + self.hpcs.len();
         self.heap.reserve(events.saturating_sub(self.heap.len()));
@@ -452,18 +495,19 @@ impl Simulation {
 
     /// Runs the world forward to `to` (inclusive of events at `to`).
     ///
-    /// Three queues are merged by `(at, seq)`: the main heap, the replica
-    /// wake queue and the per-service arrival slots (a dense `SimTime` each,
-    /// `SimTime::MAX` for none, their minimum cached and folded again in one
-    /// pass when an arrival fired). Heap and wake `seq`s come from one global
-    /// counter, so their keys never collide; arrival slots carry a pseudo-seq
-    /// of 0, so a same-instant tie deterministically dispatches the arrival
-    /// first (and ties between services break on the lowest service index).
+    /// Four queues are merged by `(at, seq)`: the main heap, the wake queue's
+    /// two heaps (service and batch timers, the smaller root taken) and the
+    /// per-service arrival slots (a dense `SimTime` each, `SimTime::MAX` for
+    /// none, their minimum cached and folded again in one pass when an
+    /// arrival fired). Heap and wake `seq`s come from one global counter, so
+    /// their keys never collide; arrival slots carry a pseudo-seq of 0, so a
+    /// same-instant tie deterministically dispatches the arrival first (and
+    /// ties between services break on the lowest service index).
     pub fn run_until(&mut self, to: SimTime) {
         /// Where the next event comes from.
         enum Src {
             Heap,
-            Wake,
+            Wake(Timer),
             Arrival(usize),
         }
         loop {
@@ -474,9 +518,9 @@ impl Simulation {
                     best = Some((h, Src::Heap));
                 }
             }
-            if let Some(w) = self.wakes.peek_key() {
+            if let Some((w, timer)) = self.wakes.peek_key() {
                 if best.as_ref().is_none_or(|(k, _)| w < *k) {
-                    best = Some((w, Src::Wake));
+                    best = Some((w, Src::Wake(timer)));
                 }
             }
             let Some((key, src)) = best else {
@@ -488,25 +532,26 @@ impl Simulation {
             self.now = key.0.max(self.now);
             self.events_processed += 1;
             match src {
-                Src::Wake => {
+                Src::Wake(timer) => {
                     // Replace-top: leave the entry in place while the
                     // handler runs. The common outcome is that the same
-                    // pod reschedules, which rewrites the root key and
-                    // sifts once — instead of a full pop (sift-down) plus
-                    // reinsert (sift-up). Every wake scheduled during
-                    // handling carries `at >= now` and a fresh, larger
-                    // seq, so nothing can displace the root from below.
-                    let e = *self.wakes.peek().expect("peeked");
+                    // pod reschedules, which rewrites the root key of its
+                    // heap and sifts once — instead of a full pop
+                    // (sift-down) plus reinsert (sift-up). Every wake
+                    // scheduled during handling carries `at >= now` and a
+                    // fresh, larger seq, so nothing can displace the root
+                    // from below.
+                    let e = *self.wakes.peek(timer).expect("peeked");
                     self.handle_wake(e.pod, e.version, e.slot as usize);
                     // Root untouched — stale wake, retired pod, or a
                     // drained-idle replica with nothing to reschedule —
                     // so it must be removed for real.
                     if self
                         .wakes
-                        .peek()
+                        .peek(timer)
                         .is_some_and(|r| r.pod == e.pod && r.at == e.at && r.seq == e.seq)
                     {
-                        self.wakes.pop();
+                        self.wakes.pop(timer);
                     }
                 }
                 Src::Heap => {
@@ -638,13 +683,24 @@ impl Simulation {
     /// Sets the wake-up of the pod at `slot` of its app's table to its
     /// server's next event; an idle server (`None`) schedules nothing, and the
     /// version its caller just bumped retires whatever timer is still queued.
+    /// The caller names the pod's kind: a lookup here would cost every
+    /// release of a request.
     pub(crate) fn schedule_wake(
         &mut self,
+        timer: Timer,
         pod: PodId,
         slot: usize,
         at: Option<SimTime>,
         version: u64,
     ) {
+        debug_assert!(
+            matches!(
+                (timer, self.pod_owner.get(pod)),
+                (Timer::Service, Some(Owner::Service(_))) | (Timer::Batch, Some(Owner::Batch(_)))
+            ),
+            "a {timer:?} timer for {pod}, owned by {:?}",
+            self.pod_owner.get(pod)
+        );
         let Some(at) = at else {
             return;
         };
@@ -652,7 +708,7 @@ impl Simulation {
         // order in `run_until` matches the old single-heap order exactly.
         self.seq += 1;
         let (at, slot) = (at.max(self.now), slot as u32);
-        self.wakes.set(WakeEntry { at, seq: self.seq, pod, version, slot });
+        self.wakes.set(timer, WakeEntry { at, seq: self.seq, pod, version, slot });
     }
 
     pub(crate) fn schedule_next_arrival(&mut self, svc: usize) {
@@ -886,6 +942,59 @@ mod tests {
             let want = earliest_of_options(&optional).unwrap_or((SimTime::MAX, 0));
             prop_assert_eq!(earliest(&dense), want);
         }
+
+        /// Sets and pops on the two wake heaps against one ordered set: a
+        /// pod keeps the kind it was drawn with, a set of a queued pod
+        /// replaces its entry, instants are few so equal `at`s meet across
+        /// the kinds, and every step's merged minimum, popped entry and
+        /// index must agree with the set.
+        #[test]
+        fn two_wake_heaps_pop_in_one_heaps_order(
+            kinds in prop::collection::vec(any::<bool>(), 1..24),
+            ops in prop::collection::vec((any::<bool>(), 0usize..24, 0u64..6), 0..300),
+        ) {
+            let kind =
+                |pod: PodId| if kinds[pod.as_usize()] { Timer::Batch } else { Timer::Service };
+            let mut queue = WakeQueue::default();
+            let mut model = std::collections::BTreeSet::<(SimTime, u64, PodId)>::new();
+            let mut queued: Vec<Option<(SimTime, u64)>> = vec![None; kinds.len()];
+            for (seq, (is_pop, pod, at)) in (1..).zip(ops) {
+                if is_pop {
+                    let got = queue.peek_key().map(|(key, timer)| {
+                        let e = queue.pop(timer).expect("the peeked heap has a root");
+                        ((e.at, e.seq), e.pod, key)
+                    });
+                    let want = model.pop_first().map(|(at, seq, pod)| ((at, seq), pod, (at, seq)));
+                    prop_assert_eq!(got, want, "the pop is the merged root and the set's first");
+                    if let Some((_, pod, _)) = want {
+                        queued[pod.as_usize()] = None;
+                    }
+                } else {
+                    let pod = PodId::new((pod % kinds.len()) as u64);
+                    let at = SimTime::from_millis(at);
+                    if let Some((at, seq)) = queued[pod.as_usize()].replace((at, seq)) {
+                        model.remove(&(at, seq, pod));
+                    }
+                    model.insert((at, seq, pod));
+                    let slot = pod.raw() as u32;
+                    queue.set(kind(pod), WakeEntry { at, seq, pod, version: seq, slot });
+                }
+                let want = model.first().map(|&(at, seq, pod)| ((at, seq), kind(pod)));
+                prop_assert_eq!(queue.peek_key(), want);
+                // Every queued pod's index points at its entry in its own
+                // kind's heap, and no other pod has one.
+                for (pod, key) in queued.iter().enumerate() {
+                    let pod = PodId::new(pod as u64);
+                    let heap = &queue.heaps[kind(pod) as usize];
+                    let entry = queue.pos.get(pod).and_then(|i| heap.get(i as usize));
+                    let got = entry.map(|e| (e.pod, e.at, e.seq));
+                    prop_assert_eq!(got, key.map(|(at, seq)| (pod, at, seq)));
+                }
+                let batch = model.iter().filter(|&&(.., pod)| kind(pod) == Timer::Batch).count();
+                let lens = queue.heaps.each_ref().map(Vec::len);
+                prop_assert_eq!(lens, [model.len() - batch, batch]);
+            }
+        }
     }
 
     /// The headline mix on its 20 nodes, bound first-fit every 10 s until
@@ -915,8 +1024,13 @@ mod tests {
     fn actuation_state(sim: &Simulation) -> String {
         let nodes: Vec<u64> =
             (0..sim.cluster.nodes().len()).map(|n| sim.cluster.node_version(n)).collect();
-        let wakes: Vec<_> =
-            sim.wakes.entries.iter().map(|e| (e.at, e.seq, e.pod, e.version, e.slot)).collect();
+        let wakes: Vec<_> = [Timer::Service, Timer::Batch]
+            .into_iter()
+            .flat_map(|timer| {
+                let heap = sim.wakes.heaps[timer as usize].iter();
+                heap.map(move |e| (timer, e.at, e.seq, e.pod, e.version, e.slot))
+            })
+            .collect();
         format!("{} {} {nodes:?} {wakes:?}", sim.events_processed, sim.seq)
     }
 

@@ -12,7 +12,9 @@ use crate::observe::{AppWindow, WindowAccumulator};
 use crate::perf::DrainOutcome;
 use crate::pod::{PodKind, PodPhase, PodSpec};
 
-use super::{Owner, Replicas, Simulation, SERVICE_PRIORITY, SERVICE_QUEUE_CAP, SHED_QUEUE_CAP};
+use super::{
+    Owner, Replicas, Simulation, Timer, SERVICE_PRIORITY, SERVICE_QUEUE_CAP, SHED_QUEUE_CAP,
+};
 
 /// Requests a replica's heaps hold from its start, the room their first
 /// push would make: the pick reaches a high replica only at a new peak of
@@ -146,7 +148,7 @@ impl Simulation {
                     // The admit cannot retire the pod unless it OOM-killed,
                     // so the slot (and its next event) are still live.
                     let version = self.services[idx].replicas.bump_version(slot);
-                    self.schedule_wake(pod, slot, next, version);
+                    self.schedule_wake(Timer::Service, pod, slot, next, version);
                 }
             }
             None => {
@@ -201,7 +203,7 @@ impl Simulation {
             return;
         }
         let version = self.services[idx].replicas.bump_version(slot);
-        self.schedule_wake(pod, slot, next, version);
+        self.schedule_wake(Timer::Service, pod, slot, next, version);
     }
 
     /// Timer fired for a replica: advance it and process what happened.
@@ -231,7 +233,7 @@ impl Simulation {
             self.service_retire_pod(idx, pod, PodPhase::Succeeded);
         } else {
             let version = self.services[idx].replicas.bump_version(slot);
-            self.schedule_wake(pod, slot, next, version);
+            self.schedule_wake(Timer::Service, pod, slot, next, version);
         }
     }
 
@@ -386,7 +388,7 @@ impl Simulation {
                     self.service_process_outcome(idx, pod, &out);
                     self.drain_scratch = out;
                     let version = self.services[idx].replicas.bump_version(slot);
-                    self.schedule_wake(pod, slot, next, version);
+                    self.schedule_wake(Timer::Service, pod, slot, next, version);
                 }
                 Err(_) => failures += 1,
             }

@@ -2,9 +2,10 @@
 //!
 //! The replica server keeps its requests in one heap and their deadlines
 //! in another, each entry holding the slot of its counterpart; the engine's
-//! wake queue keeps a pod → slot table. All three need the same thing from
-//! a sift: every time an entry lands on a slot, the index that points at it
-//! must follow, or a later removal takes out the wrong entry.
+//! wake queue keeps two heaps, service and batch timers, under one shared
+//! pod → slot table. All of them need the same thing from a sift: every
+//! time an entry lands on a slot, the index that points at it must follow,
+//! or a later removal takes out the wrong entry.
 //!
 //! The sifts are hole-based: the moving entry is held aside while displaced
 //! entries shift one level, so a level costs one entry move and one index
