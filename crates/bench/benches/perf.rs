@@ -27,8 +27,12 @@
 //!   replica's wake) and `arrival_merge_40_services` (40 services of two
 //!   replicas: the earliest of 40 arrival slots after every arrival).
 //!   `harvest_7200_busy_tasks/*` harvests 7 200 running batch tasks that
-//!   no event reaches, from their drain-rate records and, once those have
-//!   run out, from their servers; `set_target_500_tasks_same_request` is a
+//!   no event reaches: quietly, returning the last pass's sums; in a pass
+//!   that credits them from their drain-rate records, after one task of
+//!   each job is preempted; and, once the records have run out, from
+//!   their servers. `take_window_40_services_10_arrivals` times the
+//!   harvests of 40 services of 120 replicas, ten arrivals apart, as
+//!   `scale1k_churn` runs them. `set_target_500_tasks_same_request` is a
 //!   batch target that every one of 500 running tasks already holds.
 //!   `arrival_beside_7200_batch_timers` is one service at 200 rps on eight
 //!   replicas, run 5 s at a time, while 7 200 running batch tasks hold
@@ -63,8 +67,9 @@ use evolve_sim::{
 };
 use evolve_telemetry::trace::TraceRing;
 use evolve_telemetry::{MetricRegistry, P2Quantile, PloBound, PloTracker, SlidingQuantile};
-use evolve_types::{AppId, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, PodId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{LoadSpec, Scenario, ScenarioSpec};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream without pulling in an RNG crate —
@@ -332,7 +337,8 @@ fn bench_engine(c: &mut Criterion) {
     let mut sim = bound_cluster_scale();
     let apps: Vec<AppId> = sim.apps().iter().map(|a| a.id).collect();
     // After the first pass no server has been touched since its last
-    // harvest: the case of every batch task between two ticks.
+    // harvest, the case of every batch task between two ticks, and nothing
+    // has moved: every harvest after the first is quiet and reads no lane.
     group.bench_function("take_window_all_apps_100n", |b| {
         b.iter(|| {
             for app in &apps {
@@ -368,11 +374,38 @@ fn bench_engine(c: &mut Criterion) {
             })
         });
     }
+    // `scale1k_churn`'s services between two control ticks: 40 services of
+    // 120 replicas at 2 rps, harvested every 5 s, so ten arrivals each on
+    // an idle replica come between two harvests. Only the harvests are
+    // timed; each is quiet and reads the replicas those arrivals touched.
+    let sim = RefCell::new(serving_services(1_000, 40, 2.0));
+    let apps: Vec<AppId> = sim.borrow().apps().iter().map(|a| a.id).collect();
+    let mut until = sim.borrow().now();
+    group.bench_function("take_window_40_services_10_arrivals", |b| {
+        b.iter_batched(
+            || {
+                until += SimDuration::from_secs(5);
+                sim.borrow_mut().run_until(until);
+            },
+            |()| {
+                let mut sim = sim.borrow_mut();
+                for app in &apps {
+                    black_box(sim.take_window(*app).expect("known app").running_replicas);
+                }
+            },
+            BatchSize::PerIteration,
+        )
+    });
     // 7 200 tasks started at 3 s, each 300 s of CPU, 3.3 s of disk and
     // 0.6 s of network work, and no event between their starts and their
     // completions. Harvested at 4 s, each task's record holds until its
     // disk runs dry at 6.3 s: a harvest before then credits every task
     // from its record, one after it reads every server again.
+    // After its first iteration, `record_valid` harvests nothing that moved:
+    // every harvest is quiet and returns the sums of the last pass.
+    // `one_preempted` takes one task of each job away before each harvest,
+    // so each harvest is the pass, and credits the other 7 196 tasks from
+    // their records.
     let mut sim = busy_tasks(600, 4, 1_800);
     let apps: Vec<AppId> = sim.apps().iter().map(|a| a.id).collect();
     let harvest = |sim: &mut Simulation| {
@@ -387,6 +420,27 @@ fn bench_engine(c: &mut Criterion) {
             sim.run_until(until);
             harvest(&mut sim);
         })
+    });
+    let sim = RefCell::new(busy_tasks(600, 4, 1_800));
+    let mut tasks: Vec<Vec<PodId>> = apps.iter().map(|_| Vec::new()).collect();
+    for pod in sim.borrow().cluster().pods().filter(|pod| pod.is_running()) {
+        let job = apps.iter().position(|&app| app == pod.spec.kind.app()).expect("a job's task");
+        tasks[job].push(pod.id);
+    }
+    let mut until = sim.borrow().now();
+    group.bench_function("harvest_7200_busy_tasks/one_preempted", |b| {
+        b.iter_batched(
+            || {
+                let mut sim = sim.borrow_mut();
+                for tasks in &mut tasks {
+                    sim.preempt_pod(tasks.pop().expect("a running task")).expect("it runs");
+                }
+                until += SimDuration::from_millis(1);
+                sim.run_until(until);
+            },
+            |()| harvest(&mut sim.borrow_mut()),
+            BatchSize::PerIteration,
+        )
     });
     group.sample_size(1);
     group.bench_function("harvest_7200_busy_tasks/record_expired", |b| {

@@ -29,6 +29,26 @@ impl DrainRecord {
     const NONE: DrainRecord = DrainRecord { rate: [0.0; 3], until: SimTime::ZERO };
 }
 
+/// What the last full pass of the harvest summed, each a left fold over
+/// the running lanes in slot order.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    /// The lanes' working sets.
+    memory: f64,
+    /// The lanes' requests.
+    alloc: ResourceVec,
+    /// The rates of the records the pass credited unread.
+    rate: [f64; 3],
+    /// The earliest `until` among those records.
+    until: SimTime,
+}
+
+impl Default for Sums {
+    fn default() -> Self {
+        Sums { memory: 0.0, alloc: ResourceVec::ZERO, rate: [0.0; 3], until: SimTime::MAX }
+    }
+}
+
 /// What the harvest and a wake-up read of a slot.
 #[derive(Debug)]
 struct Lane {
@@ -68,6 +88,19 @@ pub(crate) struct Replicas {
     servers: Vec<Option<ReplicaServer>>,
     /// Parallel to `lanes`; only the harvest reads or refreshes a record.
     records: Vec<DrainRecord>,
+    /// What the last pass summed, which a quiet harvest returns.
+    sums: Sums,
+    /// Something the last pass summed may have moved since: the next
+    /// harvest is a pass. Set by `insert`, `remove`, `resize`, the first
+    /// touch of a server with requests in flight, and a pass that reads a
+    /// server busy.
+    moved: bool,
+    /// While nothing moved: the slots [`Replicas::with`] touched first
+    /// since the last harvest, each once.
+    touched: Vec<u32>,
+    /// Whether the last harvest ran the pass.
+    #[cfg(test)]
+    passed: bool,
     /// The last harvest: every busy server's work is credited up to here,
     /// by the server itself or by its record.
     harvested: SimTime,
@@ -88,6 +121,7 @@ impl Replicas {
         self.inflight.reserve(slots);
         self.servers.reserve(slots);
         self.records.reserve(slots);
+        self.touched.reserve((2 * pods + 1).saturating_sub(self.touched.len()));
         self.retired.reserve(pods.saturating_sub(self.retired.len()));
     }
 
@@ -174,6 +208,7 @@ impl Replicas {
         pod: PodId,
         started: Option<(ResourceVec, ReplicaServer)>,
     ) -> usize {
+        self.moved = true;
         let above_all = self.lanes.last().is_none_or(|last| last.pod < pod);
         let slot = match if above_all { Err(self.lanes.len()) } else { self.find(pod) } {
             Ok(slot) => slot,
@@ -220,6 +255,7 @@ impl Replicas {
         if !lane.live {
             return false;
         }
+        self.moved = true;
         if let Some(mut server) = self.servers[slot].take() {
             if !lane.touched {
                 server.skip_to(self.harvested);
@@ -245,18 +281,34 @@ impl Replicas {
         true
     }
 
-    /// The only way to a `&mut ReplicaServer`: on the first call since the
-    /// harvest, the server skips what its record credited in the meantime;
-    /// then marks the lane touched and mirrors the server's in-flight count
-    /// when `f` is done with it.
+    /// The only way to a `&mut ReplicaServer`: the first call since the
+    /// harvest is the slot's first touch; then mirrors the server's
+    /// in-flight count when `f` is done with it.
     pub(crate) fn with<R>(&mut self, slot: usize, f: impl FnOnce(&mut ReplicaServer) -> R) -> R {
-        let server = self.servers[slot].as_mut().expect("slot has a server");
-        if !std::mem::replace(&mut self.lanes[slot].touched, true) {
-            server.skip_to(self.harvested);
+        if !self.lanes[slot].touched {
+            self.first_touch(slot);
         }
+        let server = self.servers[slot].as_mut().expect("slot has a server");
         let out = f(server);
         self.inflight[slot] = in_flight(server);
         out
+    }
+
+    /// The first touch of a slot since the harvest marks its lane touched;
+    /// the server skips what its record credited in the meantime, and the
+    /// slot joins `touched`, unless the server had requests in flight,
+    /// which moves the sums. Out of line, so that `with`, inlined into
+    /// every event, stays small.
+    #[inline(never)]
+    fn first_touch(&mut self, slot: usize) {
+        self.lanes[slot].touched = true;
+        self.servers[slot].as_mut().expect("slot has a server").skip_to(self.harvested);
+        // Busy since the last harvest: its record was summed, or that pass
+        // read it busy, and its working set may move now.
+        self.moved |= self.inflight[slot] != 0;
+        if !self.moved {
+            self.touched.push(slot as u32);
+        }
     }
 
     /// The pod's request as the cluster holds it.
@@ -275,6 +327,7 @@ impl Replicas {
         request: ResourceVec,
         out: &mut DrainOutcome,
     ) -> Option<SimTime> {
+        self.moved = true;
         self.lanes[slot].request = request;
         self.with(slot, |server| {
             server.advance_into(now, out);
@@ -301,20 +354,60 @@ impl Replicas {
         best.map(|slot| (slot, self.lanes[slot].pod, least))
     }
 
-    /// One ascending pass over the running pods: folds what every server
-    /// drained since the last harvest, up to `now`, into `consumed` and
-    /// returns the summed working set and the summed requests. A touched
-    /// server, or a busy one whose record has run out, is credited from its
-    /// own state and given a new record; an untouched busy one from its
-    /// record, unread. Sums over lanes add in pod-id order.
+    /// Folds what every running server drained since the last harvest, up
+    /// to `now`, into `consumed` and returns the summed working set and the
+    /// summed requests. A touched server, or a busy one whose record has run
+    /// out, is credited from its own state and given a new record; an
+    /// untouched busy one from its record, unread. Sums over lanes add in
+    /// pod-id order.
+    ///
+    /// A quiet harvest reads only the servers touched since the last one and
+    /// returns the last pass's sums: no pod came, went or was resized, each
+    /// touched server was idle at its first touch and is idle now, and no
+    /// summed record has run out, so a pass would add the same terms in the
+    /// same order (DESIGN.md decision 9, "The quiet harvest"). Any other
+    /// harvest is one ascending pass over the running pods, which keeps its
+    /// sums.
     pub(crate) fn harvest(
         &mut self,
         now: SimTime,
         consumed: &mut ResourceVec,
     ) -> (f64, ResourceVec) {
+        let quiet = !self.moved
+            && now <= self.sums.until
+            && self.touched.iter().all(|&slot| self.inflight[slot as usize] == 0);
+        if quiet {
+            self.read_touched(now, consumed);
+        } else {
+            self.pass(now, consumed);
+        }
+        #[cfg(test)]
+        {
+            self.passed = !quiet;
+        }
+        self.touched.clear();
+        let secs = now.saturating_since(self.harvested).as_secs_f64();
+        let [cpu, disk, net] = self.sums.rate.map(|rate| rate * secs);
+        *consumed += ResourceVec::new(cpu, 0.0, disk, net);
+        self.harvested = now;
+        (self.sums.memory, self.sums.alloc)
+    }
+
+    /// Whether the last harvest ran the pass.
+    #[cfg(test)]
+    pub(crate) fn last_harvest_passed(&self) -> bool {
+        self.passed
+    }
+
+    /// The harvest's pass: reads every touched server and every busy one
+    /// whose record has run out, folds the rest, and keeps the sums. A
+    /// server it leaves busy moves them: its record joins the rate sum at
+    /// the next harvest.
+    fn pass(&mut self, now: SimTime, consumed: &mut ResourceVec) {
         let (mut memory, mut alloc) = (0.0, ResourceVec::ZERO);
         // The summed rate of the servers credited from their records.
-        let mut rate = [0.0; 3];
+        let (mut rate, mut until) = ([0.0; 3], SimTime::MAX);
+        let mut read_busy = false;
         let slots = self.lanes.iter_mut().zip(&mut self.records).zip(&self.inflight);
         for (((lane, record), &inflight), server) in slots.zip(&mut self.servers) {
             if !lane.running {
@@ -323,27 +416,71 @@ impl Replicas {
             let busy = !matches!(inflight, 0 | CLOSED);
             let touched = std::mem::take(&mut lane.touched);
             if touched || (busy && now > record.until) {
-                let server = server.as_mut().expect("running");
-                if !touched {
-                    server.skip_to(self.harvested);
-                }
-                server.credit_to(now);
-                lane.ws = credit(server, consumed);
-                let (rate, until) = server.drain_rate(now);
-                *record = DrainRecord { rate, until };
+                let skip = (!touched).then_some(self.harvested);
+                lane.ws = read(server.as_mut().expect("running"), record, skip, now, consumed);
+                read_busy |= busy;
             } else if busy {
                 for (sum, rate) in rate.iter_mut().zip(record.rate) {
                     *sum += rate;
                 }
+                until = until.min(record.until);
             }
             memory += lane.ws;
             alloc += lane.request;
         }
-        let secs = now.saturating_since(self.harvested).as_secs_f64();
-        let [cpu, disk, net] = rate.map(|rate| rate * secs);
-        *consumed += ResourceVec::new(cpu, 0.0, disk, net);
-        self.harvested = now;
-        (memory, alloc)
+        self.sums = Sums { memory, alloc, rate, until };
+        self.moved = read_busy;
+    }
+
+    /// The quiet harvest's reads: each touched server, in slot order, as
+    /// the pass reads it. Every one idles, so its working set is the one
+    /// the last pass summed.
+    fn read_touched(&mut self, now: SimTime, consumed: &mut ResourceVec) {
+        self.touched.sort_unstable();
+        for &slot in &self.touched {
+            let slot = slot as usize;
+            self.lanes[slot].touched = false;
+            let server = self.servers[slot].as_mut().expect("running");
+            let ws = read(server, &mut self.records[slot], None, now, consumed);
+            debug_assert_eq!(ws.to_bits(), self.lanes[slot].ws.to_bits(), "an idle ws moved");
+        }
+        #[cfg(debug_assertions)]
+        self.check_sums(now);
+    }
+
+    /// Re-walks the lanes read-only after a quiet harvest: the kept sums
+    /// must have the bits of a fresh fold, every busy server's record must
+    /// still hold, and every lane's working set must be its server's.
+    #[cfg(debug_assertions)]
+    fn check_sums(&self, now: SimTime) {
+        let (mut memory, mut alloc) = (0.0, ResourceVec::ZERO);
+        let (mut rate, mut until) = ([0.0f64; 3], SimTime::MAX);
+        let slots = self.lanes.iter().zip(&self.records).zip(&self.inflight);
+        for (((lane, record), &inflight), server) in slots.zip(&self.servers) {
+            if !lane.running {
+                continue;
+            }
+            let server = server.as_ref().expect("running");
+            debug_assert_eq!(lane.ws.to_bits(), server.working_set().to_bits(), "{}", lane.pod);
+            if !matches!(inflight, 0 | CLOSED) {
+                debug_assert!(now <= record.until, "{}'s record ran out", lane.pod);
+                for (sum, rate) in rate.iter_mut().zip(record.rate) {
+                    *sum += rate;
+                }
+                until = until.min(record.until);
+            }
+            memory += lane.ws;
+            alloc += lane.request;
+        }
+        let kept = self.sums;
+        debug_assert_eq!(kept.memory.to_bits(), memory.to_bits(), "kept memory");
+        debug_assert_eq!(
+            kept.alloc.as_array().map(f64::to_bits),
+            alloc.as_array().map(f64::to_bits),
+            "kept alloc"
+        );
+        debug_assert_eq!(kept.rate.map(f64::to_bits), rate.map(f64::to_bits), "kept rate");
+        debug_assert_eq!(kept.until, until, "kept until");
     }
 }
 
@@ -354,6 +491,28 @@ fn in_flight(server: &ReplicaServer) -> u32 {
     } else {
         server.inflight_len() as u32
     }
+}
+
+/// The harvest's read of a server: an untouched one first skips what its
+/// record credited up to `skip`, the last harvest; then the server is
+/// credited up to `now` into `consumed` and given a new record. Returns its
+/// working set. Out of line, so that the pass keeps its sums in registers.
+#[inline(never)]
+fn read(
+    server: &mut ReplicaServer,
+    record: &mut DrainRecord,
+    skip: Option<SimTime>,
+    now: SimTime,
+    consumed: &mut ResourceVec,
+) -> f64 {
+    if let Some(harvested) = skip {
+        server.skip_to(harvested);
+    }
+    server.credit_to(now);
+    let ws = credit(server, consumed);
+    let (rate, until) = server.drain_rate(now);
+    *record = DrainRecord { rate, until };
+    ws
 }
 
 /// Moves the rate work `server` drained since it was last asked into

@@ -410,3 +410,113 @@ fn a_hint_is_checked_against_its_pod() {
         assert_eq!(table.wake_slot(pod, 0, stale), None, "{pod} is gone");
     }
 }
+
+/// Harvests the table and the model at `ms`: the working set and requests
+/// bit for bit, the window's work within 1e-9. Returns whether the table
+/// ran the pass.
+fn harvest_both(
+    table: &mut Replicas,
+    model: &mut Model,
+    ms: u64,
+    used: &mut (ResourceVec, ResourceVec),
+) -> bool {
+    let now = SimTime::from_millis(ms);
+    let (got_mem, got_alloc) = table.harvest(now, &mut used.0);
+    let (want_mem, want_alloc) = model_harvest(model, now, &mut used.1);
+    assert_eq!(got_mem.to_bits(), want_mem.to_bits(), "mem_total at {ms} ms");
+    assert_eq!(bits(got_alloc), bits(want_alloc), "alloc at {ms} ms");
+    assert!(agree(used.0, used.1), "window at {ms} ms: {} vs {}", used.0, used.1);
+    *used = (ResourceVec::ZERO, ResourceVec::ZERO);
+    table.last_harvest_passed()
+}
+
+/// Runs `f` on pod `slot`'s server in the table and in the model; both
+/// must answer alike. The pods are `0..n` in slot order.
+fn on_both<R: PartialEq + std::fmt::Debug>(
+    table: &mut Replicas,
+    model: &mut Model,
+    slot: usize,
+    f: impl Fn(&mut ReplicaServer) -> R,
+) {
+    let got = table.with(slot, &f);
+    assert_eq!(got, f(&mut running(model, PodId::new(slot as u64)).1), "slot {slot}");
+}
+
+/// Each rule that makes a harvest run the pass, one step each on 120
+/// idle servers, with quiet harvests between them; every harvest is held
+/// to the model's bits.
+#[test]
+fn a_quiet_harvest_returns_the_last_pass() {
+    let mut table = Replicas::default();
+    let mut model = Model::new();
+    let mut used = (ResourceVec::ZERO, ResourceVec::ZERO);
+    for pod in (0..120).map(PodId::new) {
+        let started = Some((request(0.5), server(0.5, 64.0, SimTime::ZERO)));
+        table.insert(pod, started.clone());
+        model.insert(pod, started);
+    }
+    assert!(harvest_both(&mut table, &mut model, 1_000, &mut used), "120 pods came");
+    let admit = |id, ms, deadline_ms, demand| {
+        move |s: &mut ReplicaServer| {
+            let deadline = SimTime::from_millis(deadline_ms);
+            s.admit(id, SimTime::from_millis(ms), deadline, demand)
+        }
+    };
+    let advance = |ms| move |s: &mut ReplicaServer| s.advance(SimTime::from_millis(ms));
+
+    // Ten admissions, each done well before the next harvest.
+    let small = ResourceVec::new(40.0, 100.0, 2.0, 4.0);
+    for (id, slot) in (0..10).map(|i| (i, 11 * i as usize + 3)) {
+        on_both(&mut table, &mut model, slot, admit(id, 1_100, 4_000, small));
+        on_both(&mut table, &mut model, slot, advance(1_500));
+    }
+    assert!(!harvest_both(&mut table, &mut model, 2_000, &mut used), "ten idle servers: quiet");
+
+    // Two servers busy at the harvest instant: A's work runs dry at
+    // 4.1 s, B's outlasts its deadline at 8 s.
+    let (a, b) = (20, 40);
+    on_both(
+        &mut table,
+        &mut model,
+        a,
+        admit(10, 2_100, 60_000, ResourceVec::new(2_500.0, 300.0, 10.0, 0.0)),
+    );
+    on_both(
+        &mut table,
+        &mut model,
+        b,
+        admit(11, 2_100, 8_000, ResourceVec::new(60_000.0, 200.0, 0.0, 0.0)),
+    );
+    assert!(harvest_both(&mut table, &mut model, 3_000, &mut used), "read busy");
+    // Untouched, both join the rate sum.
+    assert!(harvest_both(&mut table, &mut model, 3_500, &mut used), "records join the sum");
+    // A's record runs out: A is read again, and its new record joins.
+    assert!(harvest_both(&mut table, &mut model, 5_000, &mut used), "a record ran out");
+    assert!(harvest_both(&mut table, &mut model, 5_500, &mut used), "a record joins the sum");
+    assert!(!harvest_both(&mut table, &mut model, 6_000, &mut used), "nothing touched: quiet");
+
+    // B is busy at its first touch, which times its request out.
+    on_both(&mut table, &mut model, b, advance(8_500));
+    assert!(table.is_idle(b));
+    assert!(harvest_both(&mut table, &mut model, 9_000, &mut used), "busy at first touch");
+    assert!(!harvest_both(&mut table, &mut model, 9_500, &mut used), "nothing touched: quiet");
+
+    // A resize and a removal, each of an idle server.
+    let mut out = DrainOutcome::default();
+    table.resize(60, SimTime::from_millis(9_700), request(0.9), &mut out);
+    let (held, server) = running(&mut model, PodId::new(60));
+    server.advance(SimTime::from_millis(9_700));
+    server.set_alloc(request(0.9));
+    *held = request(0.9);
+    assert!(harvest_both(&mut table, &mut model, 10_000, &mut used), "a resize");
+    assert!(table.remove(PodId::new(80), SimTime::from_millis(10_200), &mut used.0));
+    let (_, mut server) = model.remove(&PodId::new(80)).flatten().expect("pod 80 ran");
+    server.credit_to(SimTime::from_millis(10_200));
+    let mut drained = server.take_consumed();
+    drained[Resource::Memory] = 0.0;
+    used.1 += drained;
+    assert!(harvest_both(&mut table, &mut model, 10_500, &mut used), "a removal");
+    on_both(&mut table, &mut model, 90, admit(12, 10_600, 20_000, small));
+    on_both(&mut table, &mut model, 90, advance(10_900));
+    assert!(!harvest_both(&mut table, &mut model, 11_000, &mut used), "one idle server: quiet");
+}
