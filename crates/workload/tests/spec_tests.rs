@@ -4,14 +4,17 @@
 //! input fails with the right typed [`ScenarioError`] — never a panic.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use evolve_types::{AppId, NodeId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{
     ArbiterSpec, BatchEntry, ClusterSpec, FaultEvent, FaultKind, HpcEntry, LoadSpec, PloSpec,
-    PriorityClass, ProbeSpec, ReproSpec, ScenarioError, ScenarioSpec, ServiceEntry, StageEntry,
-    BUILTINS,
+    PoissonArrivals, PriorityClass, ProbeSpec, ReproSpec, SamplingMode, ScenarioError,
+    ScenarioSpec, ServiceEntry, StageEntry, BUILTINS,
 };
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
@@ -791,6 +794,54 @@ fn parametric_builtins_reproduce_the_emitters() {
         let got = fnv1a(&spec.to_toml());
         assert_eq!(got, want, "cluster_scale({nodes}, {apps}, {secs} s): {got:016x}");
     }
+}
+
+/// Every load kind draws the same arrival stream under both sampling
+/// modes: the count, the legacy bailouts and the FNV-1a digest of the
+/// instants (in microseconds) up to 600 s at seed 42 are pinned per
+/// service of the coverage spec, one service per load kind.
+#[test]
+fn every_load_kind_samples_the_same_stream() {
+    let want = [
+        ("web", SamplingMode::Legacy, 30_019, 0, 0x1ba5_ca41_968e_72a6_u64),
+        ("web", SamplingMode::Batched, 30_087, 0, 0x2319_1d54_89d0_5d2a),
+        ("api", SamplingMode::Legacy, 48_097, 0, 0x85b7_4c1d_d97f_ea2a),
+        ("api", SamplingMode::Batched, 47_794, 0, 0x3b1a_6c57_a151_bae1),
+        ("ingest", SamplingMode::Legacy, 30_108, 0, 0xf006_772e_e794_0a65),
+        ("ingest", SamplingMode::Batched, 30_157, 0, 0x440a_82b4_0dfe_8d53),
+        ("promo", SamplingMode::Legacy, 13_912, 0, 0x482f_de46_4756_cdd5),
+        ("promo", SamplingMode::Batched, 13_961, 0, 0xd80b_b16f_2482_8d2f),
+        ("bursty", SamplingMode::Legacy, 25_722, 0, 0x60a2_3d86_7f7f_575a),
+        ("bursty", SamplingMode::Batched, 25_573, 0, 0xea0d_ff04_9cb9_7e03),
+        ("replay", SamplingMode::Legacy, 12_955, 0, 0xbaf4_1a06_15db_5b94),
+        ("replay", SamplingMode::Batched, 13_164, 0, 0x3d34_859b_12fc_d887),
+    ];
+    let spec = coverage_spec();
+    let horizon = SimTime::from_secs(600);
+    let mut got = Vec::new();
+    for service in &spec.services {
+        for mode in [SamplingMode::Legacy, SamplingMode::Batched] {
+            let mut arrivals = PoissonArrivals::with_mode(service.load.build(), mode);
+            let mut rng = ChaCha8Rng::seed_from_u64(42);
+            let (mut t, mut count, mut text) = (SimTime::ZERO, 0, String::new());
+            while let Some(next) = arrivals.next_after(t, &mut rng) {
+                if next > horizon {
+                    break;
+                }
+                writeln!(text, "{}", next.as_micros()).unwrap();
+                t = next;
+                count += 1;
+            }
+            got.push((
+                service.name.as_str(),
+                mode,
+                count,
+                arrivals.thinning_bailouts(),
+                fnv1a(&text),
+            ));
+        }
+    }
+    assert_eq!(got, want);
 }
 
 #[test]
