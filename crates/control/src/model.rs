@@ -9,7 +9,6 @@
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Resource, ResourceVec, Result, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
 
 /// The largest input dimension an [`RlsModel`] takes: its update keeps
 /// its scratch on the stack.
@@ -33,7 +32,7 @@ const MAX_DIM: usize = 8;
 /// let pred = m.predict(&[2.0, 1.0]);
 /// assert!((pred - 7.0).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RlsModel {
     dim: usize,
     /// Weight vector.
@@ -197,7 +196,7 @@ impl Codec for RlsModel {
 /// let attr = m.attribution();
 /// assert!(attr[Resource::Cpu] > 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityModel {
     /// RLS on Δerror vs Δlog-allocation (captures which knob moved the
     /// needle historically).

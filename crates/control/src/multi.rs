@@ -22,7 +22,6 @@
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Resource, ResourceVec, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::model::SensitivityModel;
 use crate::pid::{PidConfig, PidController};
@@ -87,7 +86,7 @@ pub(crate) fn base_gains() -> PidConfig {
 /// );
 /// assert!(cfg.adaptive);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiResourceConfig {
     /// Minimum per-replica allocation.
     pub min_alloc: ResourceVec,
@@ -134,7 +133,7 @@ impl MultiResourceConfig {
 }
 
 /// One control decision: the new per-replica allocation target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceDecision {
     /// Target per-replica allocation after clamping.
     pub target: ResourceVec,
@@ -166,7 +165,7 @@ pub struct ResourceDecision {
 /// let d = ctl.step(alloc, usage, 0.5, 1.0); // 50% over latency target
 /// assert!(d.target[Resource::Cpu] > alloc[Resource::Cpu]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiResourceController {
     config: MultiResourceConfig,
     pids: [PidController; 4],

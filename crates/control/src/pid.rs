@@ -15,7 +15,6 @@
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`PidController`], built fluently.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 ///     .with_slew_limit(0.25);
 /// assert_eq!(cfg.kp(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     kp: f64,
     ki: f64,
@@ -210,7 +209,7 @@ impl Codec for PidConfig {
 /// let mut pid = PidController::new(PidConfig::new(2.0, 0.0, 0.0));
 /// assert_eq!(pid.step(0.5, 1.0), 1.0); // pure P: kp * e
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PidController {
     config: PidConfig,
     integral: f64,
@@ -225,7 +224,7 @@ pub struct PidController {
 /// clamped output that was actually emitted. Captured during the step
 /// itself because the saturated case uses the *candidate* integral, which
 /// is not reconstructible from the post-step state.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct PidTerms {
     /// Proportional contribution, `kp * error`.
     pub p: f64,

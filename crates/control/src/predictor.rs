@@ -10,7 +10,6 @@
 use evolve_telemetry::HoltLinear;
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// Holt-linear load forecaster with a safety margin.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let f = p.predicted();
 /// assert!(f > 520.0 && f < 650.0, "forecast {f}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPredictor {
     holt: HoltLinear,
     horizon_steps: f64,

@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
-use serde::{Deserialize, Serialize};
 
 use crate::pid::PidController;
 
@@ -35,7 +34,7 @@ const MIN_GAIN: f64 = 0.01;
 const MAX_GAIN: f64 = 50.0;
 
 /// What the tuner decided on the latest step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Adjustment {
     None,
     Shrunk,
@@ -58,7 +57,7 @@ enum Adjustment {
 /// }
 /// assert!(pid.config().kp() < 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveTuner {
     errors: VecDeque<f64>,
     adaptations: u64,

@@ -174,13 +174,6 @@ pub struct RunConfigBuilder {
 }
 
 impl RunConfigBuilder {
-    /// Overrides the control-loop interval.
-    #[must_use]
-    pub fn control_interval(mut self, interval: SimDuration) -> Self {
-        self.config.control_interval = interval;
-        self
-    }
-
     /// Overrides the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {

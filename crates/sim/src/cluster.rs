@@ -8,13 +8,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use evolve_types::{Error, NodeId, PodId, ResourceVec, Result, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::node::Node;
 use crate::pod::{Pod, PodPhase, PodSpec};
 
 /// Shape of one node class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeShape {
     /// Node hardware capacity.
     pub capacity: ResourceVec,
@@ -28,7 +27,7 @@ impl Default for NodeShape {
 }
 
 /// Cluster construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Node shapes; one node is created per entry.
     pub nodes: Vec<NodeShape>,
@@ -126,7 +125,7 @@ impl PendingQueue {
 }
 
 /// Live cluster state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterState {
     nodes: Vec<Node>,
     /// The pod table: slot `i` holds the pod with id `i`. `create_pod`

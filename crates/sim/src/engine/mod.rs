@@ -32,7 +32,6 @@ use evolve_types::{AppId, Error, NodeId, PodId, ResourceVec, Result, SimDuration
 use evolve_workload::{SamplingMode, WorkloadMix, WorldClass};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::heap;
@@ -63,7 +62,7 @@ pub(crate) const BATCH_PRIORITY: i32 = 10;
 
 /// Engine settings: which sampler generation the stochastic streams use.
 /// Everything else the engine needs is a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimulationConfig {
     /// Which sampler generation the stochastic streams use. `Batched`
     /// (default) is the post-PR-6 ziggurat/windowed stream; `Legacy`

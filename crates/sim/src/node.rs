@@ -1,14 +1,13 @@
 //! Cluster nodes.
 
 use evolve_types::{NodeId, PodId, ResourceVec};
-use serde::{Deserialize, Serialize};
 
 /// A worker node with multi-resource capacity and request accounting.
 ///
 /// Invariant: the sum of bound pod requests never exceeds
 /// [`Node::allocatable`]; all mutation goes through
 /// [`crate::ClusterState`], which maintains the invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     id: NodeId,
     capacity: ResourceVec,

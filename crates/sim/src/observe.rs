@@ -8,10 +8,9 @@
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{AppId, JobId, PriorityClass, ResourceVec, Result, SimDuration, SimTime};
 use evolve_workload::{PloSpec, WorldClass};
-use serde::{Deserialize, Serialize};
 
 /// Static identity of a managed application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppStatus {
     /// The application id.
     pub id: AppId,
@@ -27,7 +26,7 @@ pub struct AppStatus {
 
 /// Which execution model an application uses (mirrors
 /// [`WorldClass`] but carries engine-specific detail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppKind {
     /// Open-loop request service.
     Service,
@@ -38,7 +37,7 @@ pub enum AppKind {
 }
 
 /// One control window's measurements for an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppWindow {
     /// Harvest time (end of window).
     pub at: SimTime,
@@ -165,7 +164,7 @@ impl AppWindow {
 }
 
 /// Aggregate cluster state at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSnapshot {
     /// Snapshot time.
     pub at: SimTime,
@@ -182,7 +181,7 @@ pub struct ClusterSnapshot {
 }
 
 /// Final outcome of one batch or HPC job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// The job instance.
     pub job: JobId,
@@ -212,7 +211,7 @@ impl JobOutcome {
 
 /// Internal per-window accumulator (crate-private mechanics, public type
 /// for the engine modules).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WindowAccumulator {
     pub arrivals: u64,
     pub completions: u64,

@@ -24,12 +24,11 @@
 //! an event costs a heap operation, not a walk of the in-flight set.
 
 use evolve_types::{Resource, ResourceVec, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::heap::{self, Entry};
 
 /// Tunables of the performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfConfig {
     /// CPU slowdown per unit of relative memory overcommit: the effective
     /// CPU rate is divided by `1 + thrash_coeff × max(0, ws/alloc − 1)`.
@@ -55,7 +54,7 @@ const WS_UNIT: f64 = 4_294_967_296.0;
 const NO_DEADLINE: u32 = u32::MAX;
 
 /// A request being executed; 64 bytes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Request {
     /// Drainable work (cpu mcore·s, disk MB, net MB) that was left when it
     /// was last written: at admission, a re-key or a credit.
@@ -72,7 +71,7 @@ struct Request {
 }
 
 /// A deadline and the index in `ReplicaServer::reqs` of its request.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Deadline {
     at: SimTime,
     req: u32,
@@ -103,7 +102,7 @@ impl Entry<[Request]> for Deadline {
 /// What one request drains per unit of virtual time (cpu mcore, disk and
 /// net MB/s): the allocation, CPU divided by the thrash factor. Keys are
 /// exact only while these hold; whatever changes them re-keys.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Rates {
     per_v: [f64; 3],
     /// `1 / per_v`, +∞ for a dimension without a rate: per-request
@@ -141,7 +140,7 @@ fn fixed(mib: f64) -> i64 {
 }
 
 /// A completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Request id.
     pub id: u64,
@@ -150,7 +149,7 @@ pub struct Completion {
 }
 
 /// Result of advancing a replica to a point in time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DrainOutcome {
     /// Requests that finished, with their latencies.
     pub completed: Vec<Completion>,
@@ -191,7 +190,7 @@ impl DrainOutcome {
 /// let out = r.advance(next);
 /// assert_eq!(out.completed.len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicaServer {
     alloc: ResourceVec,
     config: PerfConfig,

@@ -1,10 +1,9 @@
 //! Pod specifications and lifecycle.
 
 use evolve_types::{AppId, JobId, NodeId, PodId, ResourceVec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What kind of workload a pod carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PodKind {
     /// One replica of a latency-critical service.
     ServiceReplica {
@@ -46,7 +45,7 @@ impl PodKind {
 }
 
 /// Desired state of a pod.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PodSpec {
     /// Workload kind and ownership.
     pub kind: PodKind,
@@ -84,7 +83,7 @@ impl PodSpec {
 }
 
 /// Observed lifecycle phase of a pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PodPhase {
     /// Created, waiting for a scheduling decision.
     Pending,
@@ -113,7 +112,7 @@ impl PodPhase {
 }
 
 /// A pod instance tracked by the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pod {
     /// Unique id.
     pub id: PodId,

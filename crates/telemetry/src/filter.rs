@@ -7,7 +7,6 @@
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// Exponentially-weighted moving average.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// f.observe(20.0);
 /// assert_eq!(f.value(), Some(15.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     state: Option<f64>,
@@ -96,7 +95,7 @@ impl Codec for Ewma {
 /// let fc = f.forecast(5.0);
 /// assert!((fc - 108.0).abs() < 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltLinear {
     alpha: f64,
     beta: f64,

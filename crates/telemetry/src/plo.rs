@@ -11,10 +11,9 @@ use std::collections::VecDeque;
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Result, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which side of the target is compliant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PloBound {
     /// Measured value must stay **at or below** the target (latency).
     Upper,
@@ -23,7 +22,7 @@ pub enum PloBound {
 }
 
 /// One evaluated control window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PloWindow {
     /// End of the window.
     pub at: SimTime,
@@ -49,7 +48,7 @@ pub struct PloWindow {
 /// assert_eq!(t.violations(), 1);
 /// assert!((t.violation_rate() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PloTracker {
     target: f64,
     bound: PloBound,

@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// O(1)-memory streaming quantile estimator (the P² algorithm).
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let median = q.value().unwrap();
 /// assert!(median > 1.0 && median < 5.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights.
@@ -174,15 +173,13 @@ impl P2Quantile {
 /// assert_eq!(q.quantile(1.0), Some(100.0));
 /// assert_eq!(q.quantile(0.5), Some(51.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingQuantile {
     window: VecDeque<f64>,
     capacity: usize,
     /// Sorted view of the window, maintained incrementally: each
     /// observation is a binary-search evict + insert instead of a full
-    /// clone-and-sort on query. Derived data, so skipped by serde and
-    /// rebuilt on demand (see [`SlidingQuantile::repair`]).
-    #[serde(skip)]
+    /// clone-and-sort on query.
     sorted: Vec<f64>,
 }
 
@@ -203,19 +200,8 @@ impl SlidingQuantile {
         }
     }
 
-    /// Rebuilds the sorted view when it is out of sync with the window
-    /// (only possible after serde deserialization, which skips it).
-    fn repair(&mut self) {
-        if self.sorted.len() != self.window.len() {
-            self.sorted.clear();
-            self.sorted.extend(self.window.iter().copied());
-            self.sorted.sort_by(f64::total_cmp);
-        }
-    }
-
     /// Feeds one observation, evicting the oldest when full.
     pub fn observe(&mut self, x: f64) {
-        self.repair();
         if self.window.len() == self.capacity {
             let old = self.window.pop_front().expect("window is full");
             let idx = self
@@ -248,9 +234,9 @@ impl SlidingQuantile {
     /// # Panics
     ///
     /// Panics when `p` is outside `[0, 1]`.
-    pub fn quantile(&mut self, p: f64) -> Option<f64> {
+    #[must_use]
+    pub fn quantile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
-        self.repair();
         if self.sorted.is_empty() {
             return None;
         }

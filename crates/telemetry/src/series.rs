@@ -3,10 +3,9 @@
 use std::collections::VecDeque;
 
 use evolve_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One time-stamped observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// When the observation was made.
     pub at: SimTime,
@@ -34,7 +33,7 @@ pub struct Sample {
 /// let recent = s.mean_over(SimDuration::from_secs(3));
 /// assert_eq!(recent, Some(7.5)); // samples at t=6,7,8,9
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     samples: VecDeque<Sample>,
     capacity: usize,

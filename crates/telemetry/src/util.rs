@@ -8,7 +8,6 @@
 //! allocated/capacity with low used/allocated ratio.
 
 use evolve_types::{Resource, ResourceVec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates time-weighted allocation and usage against a capacity.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.allocated_share[Resource::Cpu] - 0.5).abs() < 1e-9);
 /// assert!((s.used_share[Resource::Cpu] - 0.25).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationAccount {
     capacity: ResourceVec,
     last_at: Option<SimTime>,
@@ -45,7 +44,7 @@ pub struct UtilizationAccount {
 }
 
 /// Aggregated utilization shares over the recorded horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationSummary {
     /// Time-weighted mean of allocated/capacity per resource.
     pub allocated_share: ResourceVec,

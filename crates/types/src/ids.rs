@@ -8,14 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name($inner);
 
         impl $name {

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How important an application is when the cluster runs out of capacity.
 ///
 /// Ordering is by *importance*: `Critical > Standard > Preemptible`
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(PriorityClass::Standard > PriorityClass::Preemptible);
 /// assert_eq!(PriorityClass::default(), PriorityClass::Standard);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PriorityClass {
     /// First to be shed: scavenger work that tolerates full revocation.
     Preemptible,

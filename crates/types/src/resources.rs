@@ -16,8 +16,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of resource dimensions managed by the platform.
 pub const NUM_RESOURCES: usize = 4;
 
@@ -33,7 +31,7 @@ pub const NUM_RESOURCES: usize = 4;
 /// }
 /// assert_eq!(Resource::Cpu.index(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// Compute, in millicores (1000 = one core).
     Cpu,
@@ -112,7 +110,7 @@ impl fmt::Display for Resource {
 /// assert_eq!(binding, Resource::NetIo);
 /// assert!((share - 0.9).abs() < 1e-12);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct ResourceVec([f64; NUM_RESOURCES]);
 
 impl ResourceVec {

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, measured in microseconds since the
 /// start of the simulation.
 ///
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(later.as_micros(), 1_500_000);
 /// assert_eq!(later - start, SimDuration::from_millis(1_500));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, measured in microseconds.
@@ -40,9 +36,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_secs_f64(), 2.5);
 /// assert_eq!(d * 2, SimDuration::from_secs(5));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -73,12 +67,6 @@ impl SimTime {
     #[must_use]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds since the simulation start (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds since the simulation start as a float.
@@ -179,12 +167,6 @@ impl SimDuration {
     #[must_use]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// The duration in whole milliseconds (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration in fractional milliseconds.

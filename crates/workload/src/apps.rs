@@ -8,12 +8,11 @@
 //!   and iterate in lockstep, with a completion deadline.
 
 use evolve_types::{PriorityClass, ResourceVec, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::request::RequestClass;
 
 /// Which world an application belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorldClass {
     /// Latency-critical cloud microservice.
     Microservice,
@@ -35,7 +34,7 @@ impl std::fmt::Display for WorldClass {
 
 /// A performance-level objective, the user-facing contract that replaces
 /// raw resource requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PloSpec {
     /// 99th-percentile latency at or below `target_ms` milliseconds.
     LatencyP99 {
@@ -79,7 +78,7 @@ impl PloSpec {
 }
 
 /// A latency-critical cloud microservice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// Human-readable name.
     pub name: String,
@@ -158,7 +157,7 @@ impl ServiceSpec {
 }
 
 /// One stage of a big-data job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSpec {
     /// Number of parallel tasks in the stage.
     pub tasks: u32,
@@ -190,7 +189,7 @@ impl StageSpec {
 }
 
 /// A staged big-data batch job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchJobSpec {
     /// Human-readable name.
     pub name: String,
@@ -248,7 +247,7 @@ impl BatchJobSpec {
 }
 
 /// A gang-scheduled HPC job: `gang_size` ranks iterate in lockstep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpcJobSpec {
     /// Human-readable name.
     pub name: String,

@@ -1,17 +1,18 @@
-//! Request-rate profiles and arrival-time sampling.
+//! Request rates and arrival-time sampling.
 //!
-//! A [`LoadProfile`] maps simulated time to an instantaneous request rate;
-//! [`PoissonArrivals`] draws actual arrival instants from any profile as a
-//! non-homogeneous Poisson process. Profiles cover the dynamics that make
-//! autoscaling hard: slow diurnal swings, linear ramps, multiplicative
-//! flash crowds, Markov-modulated burstiness and recorded traces.
+//! A [`Load`] is a [`LoadSpec`] made live: it maps simulated time to an
+//! instantaneous request rate, and [`PoissonArrivals`] draws actual
+//! arrival instants from it as a non-homogeneous Poisson process. The
+//! six kinds cover what makes autoscaling hard: slow diurnal swings,
+//! linear ramps, multiplicative flash crowds, Markov-modulated
+//! burstiness and recorded traces.
 //!
 //! Two generation strategies exist (selected by
 //! [`SamplingMode`](crate::SamplingMode)):
 //!
 //! - **Legacy** — per-request Lewis–Shedler thinning under the *global*
 //!   rate majorant, exactly as before PR 6 (bit-identical streams).
-//! - **Batched** — time is cut into windows clipped at profile shape
+//! - **Batched** — time is cut into windows clipped at the load's shape
 //!   boundaries. High-rate windows draw one Poisson count from the
 //!   window's mean rate and spread the instants uniformly; low-rate
 //!   windows keep exact thinning but under a *per-window* majorant, which
@@ -23,100 +24,9 @@ use std::collections::VecDeque;
 
 use evolve_types::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sampling::{sample_exponential, sample_poisson_count, SamplingMode};
-
-/// A time-varying request-rate function (requests/second).
-///
-/// Implementations may be stochastic (the MMPP keeps internal state), so
-/// `rate_at` takes `&mut self` and an RNG. Callers must query `rate_at`
-/// with non-decreasing timestamps; [`LoadProfile::peek_rate`] is the pure
-/// read for telemetry.
-pub trait LoadProfile: Send {
-    /// Instantaneous rate at `at`, in requests/second. May advance
-    /// internal state and draw from the RNG (MMPP state switches).
-    fn rate_at(&mut self, at: SimTime, rng: &mut dyn rand::RngCore) -> f64;
-
-    /// Pure instantaneous-rate read: never advances state, never draws
-    /// from the RNG. Stateful profiles (MMPP) clamp the query to their
-    /// last-seen state, so a telemetry peek mid-thinning cannot corrupt
-    /// the arrival stream.
-    fn peek_rate(&self, at: SimTime) -> f64;
-
-    /// An upper bound on the rate over all time (used as the legacy
-    /// thinning majorant; must dominate every value `rate_at` can
-    /// return).
-    fn max_rate(&self) -> f64;
-
-    /// An upper bound on the rate over `[from, to]` (per-window thinning
-    /// majorant). Defaults to the global bound; shaped profiles override
-    /// it so acceptance stays bounded inside quiet stretches.
-    fn majorant_between(&self, _from: SimTime, _to: SimTime) -> f64 {
-        self.max_rate()
-    }
-
-    /// Mean rate over `[from, to]` for windowed Poisson-count generation,
-    /// or `None` when the profile is stochastic and must be thinned.
-    fn mean_rate_between(&self, _from: SimTime, _to: SimTime) -> Option<f64> {
-        None
-    }
-
-    /// The next rate-shape boundary strictly after `at` (spike edges,
-    /// trace steps, ramp ends). Generation windows never span a boundary,
-    /// so vectorized counts cannot smear a discontinuity.
-    fn boundary_after(&self, _at: SimTime) -> Option<SimTime> {
-        None
-    }
-
-    /// For *stochastic piecewise-constant* profiles (MMPP): advance the
-    /// state machine to `at` and return the current rate plus the end of
-    /// its constant-rate segment. The batched sampler then generates this
-    /// stretch as an exact homogeneous Poisson process — no thinning, no
-    /// rejected candidates — which is both cheaper and statistically
-    /// exact. Default `None`: fall back to per-window thinning.
-    fn segment_after(
-        &mut self,
-        _at: SimTime,
-        _rng: &mut dyn rand::RngCore,
-    ) -> Option<(f64, SimTime)> {
-        None
-    }
-}
-
-/// A constant request rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantLoad {
-    rate: f64,
-}
-
-impl ConstantLoad {
-    /// Creates a constant profile of `rate` requests/second.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rate` is negative or non-finite.
-    #[must_use]
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be finite and non-negative");
-        ConstantLoad { rate }
-    }
-}
-
-impl LoadProfile for ConstantLoad {
-    fn rate_at(&mut self, _at: SimTime, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.rate
-    }
-    fn peek_rate(&self, _at: SimTime) -> f64 {
-        self.rate
-    }
-    fn max_rate(&self) -> f64 {
-        self.rate
-    }
-    fn mean_rate_between(&self, _from: SimTime, _to: SimTime) -> Option<f64> {
-        Some(self.rate)
-    }
-}
+use crate::scenario::LoadSpec;
 
 /// Number of piecewise-linear cells the diurnal envelope tabulates per
 /// period.
@@ -126,7 +36,7 @@ const ENVELOPE_CELLS: usize = 256;
 /// rates for lookup + lerp, a prefix integral for window means, and
 /// per-cell majorants (chord max plus a curvature pad) that provably
 /// dominate the underlying sinusoid.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct DiurnalEnvelope {
     /// Floored rate at each cell edge (`ENVELOPE_CELLS + 1` entries; the
     /// last equals the first).
@@ -139,7 +49,7 @@ struct DiurnalEnvelope {
     /// deviation, so it dominates the exact `sin` rate everywhere in the
     /// cell.
     cell_max: Vec<f64>,
-    /// Maximum over `cell_max` (the profile's global majorant).
+    /// Maximum over `cell_max` (the envelope's global majorant).
     max: f64,
 }
 
@@ -236,404 +146,253 @@ impl DiurnalEnvelope {
     }
 }
 
-/// A sinusoidal day/night pattern:
-/// `base × (1 + amplitude · sin(2πt/period))`, floored at zero.
-///
-/// The constructor tabulates a piecewise-linear envelope of one period
-/// (`ENVELOPE_CELLS` cells): window means and thinning majorants come
-/// from the table instead of per-candidate `sin` calls.
-/// [`LoadProfile::max_rate`] stays the analytic peak
-/// `base × (1 + amplitude)` — it dominates the sinusoid exactly (the
-/// phase only shifts where the peak falls) and keeps the legacy thinning
-/// majorant bit-identical to the pre-envelope sampler.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "DiurnalRepr", into = "DiurnalRepr")]
-pub struct DiurnalLoad {
-    base: f64,
-    amplitude: f64,
-    period: SimDuration,
-    phase: f64,
+/// A [`LoadSpec`] ready to sample: the spec plus what it derives once
+/// — the diurnal envelope, and the MMPP's current state and next switch.
+/// Built by [`LoadSpec::build`] and consumed by [`PoissonArrivals`].
+#[derive(Debug)]
+pub struct Load {
+    spec: LoadSpec,
+    /// One diurnal period tabulated (empty for every other kind): window
+    /// means and thinning majorants come from the table instead of
+    /// per-candidate `sin` calls.
     env: DiurnalEnvelope,
-}
-
-/// Serialized form: the logical parameters; the envelope is re-derived on
-/// deserialization.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "DiurnalLoad")]
-struct DiurnalRepr {
-    base: f64,
-    amplitude: f64,
-    period: SimDuration,
-    phase: f64,
-}
-
-impl From<DiurnalRepr> for DiurnalLoad {
-    fn from(r: DiurnalRepr) -> Self {
-        DiurnalLoad::new(r.base, r.amplitude, r.period).with_phase(r.phase)
-    }
-}
-
-impl From<DiurnalLoad> for DiurnalRepr {
-    fn from(d: DiurnalLoad) -> Self {
-        DiurnalRepr { base: d.base, amplitude: d.amplitude, period: d.period, phase: d.phase }
-    }
-}
-
-impl PartialEq for DiurnalLoad {
-    fn eq(&self, other: &Self) -> bool {
-        self.base == other.base
-            && self.amplitude == other.amplitude
-            && self.period == other.period
-            && self.phase == other.phase
-    }
-}
-
-impl DiurnalLoad {
-    /// Creates a diurnal profile around `base` with relative `amplitude`
-    /// in `[0, 1]` and the given `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `base < 0`, `amplitude` outside `[0, 1]`, or `period`
-    /// is zero.
-    #[must_use]
-    pub fn new(base: f64, amplitude: f64, period: SimDuration) -> Self {
-        assert!(base >= 0.0, "base rate must be non-negative");
-        assert!((0.0..=1.0).contains(&amplitude), "amplitude must be in [0, 1]");
-        assert!(!period.is_zero(), "period must be positive");
-        let env = DiurnalEnvelope::build(base, amplitude, period, 0.0);
-        DiurnalLoad { base, amplitude, period, phase: 0.0, env }
-    }
-
-    /// Shifts the pattern by `phase` radians (stagger multiple services).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `phase` is not finite — a NaN/∞ phase would poison
-    /// every downstream rate through `sin`.
-    #[must_use]
-    pub fn with_phase(mut self, phase: f64) -> Self {
-        assert!(phase.is_finite(), "phase must be finite");
-        self.phase = phase;
-        self.env = DiurnalEnvelope::build(self.base, self.amplitude, self.period, phase);
-        self
-    }
-
-    fn exact_rate(&self, at: SimTime) -> f64 {
-        let x = at.as_secs_f64() / self.period.as_secs_f64();
-        let r = self.base
-            * (1.0 + self.amplitude * (2.0 * std::f64::consts::PI * x + self.phase).sin());
-        r.max(0.0)
-    }
-}
-
-impl LoadProfile for DiurnalLoad {
-    fn rate_at(&mut self, at: SimTime, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.exact_rate(at)
-    }
-    fn peek_rate(&self, at: SimTime) -> f64 {
-        self.exact_rate(at)
-    }
-    fn max_rate(&self) -> f64 {
-        self.base * (1.0 + self.amplitude)
-    }
-    fn majorant_between(&self, from: SimTime, to: SimTime) -> f64 {
-        self.env.majorant_between(from, to, self.period.as_secs_f64())
-    }
-    fn mean_rate_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        Some(self.env.mean_between(from, to, self.period.as_secs_f64()))
-    }
-    fn boundary_after(&self, at: SimTime) -> Option<SimTime> {
-        // Next envelope cell edge, so per-window majorants stay tight.
-        let cell_secs = self.period.as_secs_f64() / ENVELOPE_CELLS as f64;
-        let idx = (at.as_secs_f64() / cell_secs).floor() + 1.0;
-        Some(SimTime::ZERO + SimDuration::from_secs_f64(idx * cell_secs))
-    }
-}
-
-/// A linear ramp from `from` to `to` over `duration`, constant afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RampLoad {
-    from: f64,
-    to: f64,
-    duration: SimDuration,
-}
-
-impl RampLoad {
-    /// Creates a ramp profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either rate is negative or `duration` is zero.
-    #[must_use]
-    pub fn new(from: f64, to: f64, duration: SimDuration) -> Self {
-        assert!(from >= 0.0 && to >= 0.0, "rates must be non-negative");
-        assert!(!duration.is_zero(), "ramp duration must be positive");
-        RampLoad { from, to, duration }
-    }
-
-    fn rate(&self, at: SimTime) -> f64 {
-        let frac = (at.as_secs_f64() / self.duration.as_secs_f64()).min(1.0);
-        self.from + (self.to - self.from) * frac
-    }
-}
-
-impl LoadProfile for RampLoad {
-    fn rate_at(&mut self, at: SimTime, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.rate(at)
-    }
-    fn peek_rate(&self, at: SimTime) -> f64 {
-        self.rate(at)
-    }
-    fn max_rate(&self) -> f64 {
-        self.from.max(self.to)
-    }
-    fn majorant_between(&self, from: SimTime, to: SimTime) -> f64 {
-        // Linear between the clamped endpoints, so the endpoint max
-        // dominates.
-        self.rate(from).max(self.rate(to))
-    }
-    fn mean_rate_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        // Trapezoid; windows never span the ramp end (see
-        // `boundary_after`), where the function stops being linear.
-        Some((self.rate(from) + self.rate(to)) / 2.0)
-    }
-    fn boundary_after(&self, at: SimTime) -> Option<SimTime> {
-        let end = SimTime::ZERO + self.duration;
-        (at < end).then_some(end)
-    }
-}
-
-/// A flash crowd: `base` rate, multiplied by `spike_factor` during
-/// `[start, start+duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlashCrowdLoad {
-    base: f64,
-    spike_factor: f64,
-    start: SimTime,
-    duration: SimDuration,
-}
-
-impl FlashCrowdLoad {
-    /// Creates a flash-crowd profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `base < 0` or `spike_factor < 1`.
-    #[must_use]
-    pub fn new(base: f64, spike_factor: f64, start: SimTime, duration: SimDuration) -> Self {
-        assert!(base >= 0.0, "base rate must be non-negative");
-        assert!(spike_factor >= 1.0, "spike factor must be at least 1");
-        FlashCrowdLoad { base, spike_factor, start, duration }
-    }
-
-    fn spike_end(&self) -> SimTime {
-        self.start + self.duration
-    }
-
-    fn rate(&self, at: SimTime) -> f64 {
-        if at >= self.start && at < self.spike_end() {
-            self.base * self.spike_factor
-        } else {
-            self.base
-        }
-    }
-}
-
-impl LoadProfile for FlashCrowdLoad {
-    fn rate_at(&mut self, at: SimTime, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.rate(at)
-    }
-    fn peek_rate(&self, at: SimTime) -> f64 {
-        self.rate(at)
-    }
-    fn max_rate(&self) -> f64 {
-        self.base * self.spike_factor
-    }
-    fn majorant_between(&self, from: SimTime, to: SimTime) -> f64 {
-        if from < self.spike_end() && to >= self.start {
-            self.base * self.spike_factor
-        } else {
-            self.base
-        }
-    }
-    fn mean_rate_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        // Windows are clipped at the spike edges (`boundary_after`), so
-        // the span sits entirely on one side — but integrate exactly
-        // anyway for arbitrary callers.
-        let a = from.as_secs_f64();
-        let b = to.as_secs_f64();
-        if b <= a {
-            return Some(self.rate(from));
-        }
-        let s = self.start.as_secs_f64();
-        let e = self.spike_end().as_secs_f64();
-        let hot = (b.min(e) - a.max(s)).max(0.0);
-        let cold = (b - a) - hot;
-        Some((cold * self.base + hot * self.base * self.spike_factor) / (b - a))
-    }
-    fn boundary_after(&self, at: SimTime) -> Option<SimTime> {
-        if at < self.start {
-            Some(self.start)
-        } else if at < self.spike_end() {
-            Some(self.spike_end())
-        } else {
-            None
-        }
-    }
-}
-
-/// A two-state Markov-modulated Poisson process (bursty traffic): the rate
-/// alternates between `low_rate` and `high_rate`, with exponentially
-/// distributed dwell times in each state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MmppLoad {
-    low_rate: f64,
-    high_rate: f64,
-    mean_dwell: SimDuration,
-    /// Current state (false = low).
+    /// The MMPP is in its high state.
     in_high: bool,
-    /// When the current state expires.
+    /// When the MMPP's current state expires.
     next_switch: SimTime,
 }
 
-impl MmppLoad {
-    /// Creates a bursty profile alternating between the two rates with
-    /// the given mean state dwell time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when rates are negative, inverted, or `mean_dwell` is zero.
-    #[must_use]
-    pub fn new(low_rate: f64, high_rate: f64, mean_dwell: SimDuration) -> Self {
-        assert!(low_rate >= 0.0 && high_rate >= low_rate, "need 0 <= low <= high");
-        assert!(!mean_dwell.is_zero(), "mean dwell must be positive");
-        MmppLoad { low_rate, high_rate, mean_dwell, in_high: false, next_switch: SimTime::ZERO }
-    }
-}
-
-impl LoadProfile for MmppLoad {
-    fn rate_at(&mut self, at: SimTime, rng: &mut dyn rand::RngCore) -> f64 {
-        while at >= self.next_switch {
-            self.in_high = !self.in_high;
-            let dwell = sample_exponential(rng, 1.0 / self.mean_dwell.as_secs_f64());
-            self.next_switch += SimDuration::from_secs_f64(dwell.max(1e-3));
-        }
-        if self.in_high {
-            self.high_rate
-        } else {
-            self.low_rate
-        }
-    }
-    /// Clamped to the last state `rate_at` advanced to: a telemetry peek
-    /// at any timestamp reports the current state's rate without touching
-    /// the state machine or the RNG.
-    fn peek_rate(&self, _at: SimTime) -> f64 {
-        if self.in_high {
-            self.high_rate
-        } else {
-            self.low_rate
-        }
-    }
-    fn max_rate(&self) -> f64 {
-        self.high_rate
-    }
-    fn segment_after(
-        &mut self,
-        at: SimTime,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<(f64, SimTime)> {
-        // Same state walk as `rate_at`, so legacy thinning and the exact
-        // segment path share one dwell machine (and one RNG draw order).
-        while at >= self.next_switch {
-            self.in_high = !self.in_high;
-            let dwell = sample_exponential(rng, 1.0 / self.mean_dwell.as_secs_f64());
-            self.next_switch += SimDuration::from_secs_f64(dwell.max(1e-3));
-        }
-        let rate = if self.in_high { self.high_rate } else { self.low_rate };
-        Some((rate, self.next_switch))
-    }
-}
-
-/// Piecewise-constant playback of a recorded `(time, rate)` trace; the
-/// last rate persists beyond the trace end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceLoad {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TraceLoad {
-    /// Creates a trace profile from time-ordered `(time, rate)` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trace is empty, unsorted, or contains negative
-    /// rates.
-    #[must_use]
-    pub fn new(points: Vec<(SimTime, f64)>) -> Self {
-        assert!(!points.is_empty(), "trace must not be empty");
-        assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "trace must be time-ordered");
-        assert!(points.iter().all(|(_, r)| *r >= 0.0), "trace rates must be non-negative");
-        TraceLoad { points }
-    }
-
-    fn rate(&self, at: SimTime) -> f64 {
-        match self.points.partition_point(|(t, _)| *t <= at) {
-            0 => self.points[0].1,
-            n => self.points[n - 1].1,
-        }
-    }
-}
-
-impl LoadProfile for TraceLoad {
-    fn rate_at(&mut self, at: SimTime, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.rate(at)
-    }
-    fn peek_rate(&self, at: SimTime) -> f64 {
-        self.rate(at)
-    }
-    fn max_rate(&self) -> f64 {
-        self.points.iter().map(|(_, r)| *r).fold(0.0, f64::max)
-    }
-    fn majorant_between(&self, from: SimTime, to: SimTime) -> f64 {
-        // Steps holding in [from, to]: the one in force at `from` plus
-        // every step starting inside the span.
-        let mut m = self.rate(from);
-        let start = self.points.partition_point(|(t, _)| *t <= from);
-        for (t, r) in &self.points[start..] {
-            if *t > to {
-                break;
+impl Load {
+    /// Checks the spec's parameters, panicking as [`LoadSpec::build`]
+    /// documents, and derives the diurnal envelope.
+    pub(crate) fn new(spec: LoadSpec) -> Load {
+        let mut env = DiurnalEnvelope::default();
+        match &spec {
+            LoadSpec::Constant { rate } => {
+                assert!(rate.is_finite() && *rate >= 0.0, "rate must be finite and non-negative");
             }
-            m = m.max(*r);
+            LoadSpec::Diurnal { base, amplitude, period, phase } => {
+                assert!(*base >= 0.0, "base rate must be non-negative");
+                assert!((0.0..=1.0).contains(amplitude), "amplitude must be in [0, 1]");
+                assert!(!period.is_zero(), "period must be positive");
+                assert!(phase.is_finite(), "phase must be finite");
+                env = DiurnalEnvelope::build(*base, *amplitude, *period, *phase);
+            }
+            LoadSpec::Ramp { from, to, duration } => {
+                assert!(*from >= 0.0 && *to >= 0.0, "rates must be non-negative");
+                assert!(!duration.is_zero(), "ramp duration must be positive");
+            }
+            LoadSpec::FlashCrowd { base, spike_factor, .. } => {
+                assert!(*base >= 0.0, "base rate must be non-negative");
+                assert!(*spike_factor >= 1.0, "spike factor must be at least 1");
+            }
+            LoadSpec::Mmpp { low, high, mean_dwell } => {
+                assert!(*low >= 0.0 && high >= low, "need 0 <= low <= high");
+                assert!(!mean_dwell.is_zero(), "mean dwell must be positive");
+            }
+            LoadSpec::Trace { points } => {
+                assert!(!points.is_empty(), "trace must not be empty");
+                assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "trace must be time-ordered");
+                assert!(points.iter().all(|(_, r)| *r >= 0.0), "trace rates must be non-negative");
+            }
         }
-        m
+        Load { spec, env, in_high: false, next_switch: SimTime::ZERO }
     }
+
+    /// The rate at `at`, in requests/second. The MMPP reports the state
+    /// it last advanced to; `rate_at` advances it first.
+    fn rate(&self, at: SimTime) -> f64 {
+        match &self.spec {
+            LoadSpec::Constant { rate } => *rate,
+            LoadSpec::Diurnal { base, amplitude, period, phase } => {
+                let x = at.as_secs_f64() / period.as_secs_f64();
+                let r = base * (1.0 + amplitude * (2.0 * std::f64::consts::PI * x + phase).sin());
+                r.max(0.0)
+            }
+            LoadSpec::Ramp { from, to, duration } => {
+                let frac = (at.as_secs_f64() / duration.as_secs_f64()).min(1.0);
+                from + (to - from) * frac
+            }
+            LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
+                if at >= *start && at < *start + *duration {
+                    base * spike_factor
+                } else {
+                    *base
+                }
+            }
+            LoadSpec::Mmpp { low, high, .. } => {
+                if self.in_high {
+                    *high
+                } else {
+                    *low
+                }
+            }
+            LoadSpec::Trace { points } => match points.partition_point(|(t, _)| *t <= at) {
+                0 => points[0].1,
+                n => points[n - 1].1,
+            },
+        }
+    }
+
+    /// Instantaneous rate at `at`. Callers query with non-decreasing
+    /// timestamps: the MMPP advances its state machine to `at`, drawing
+    /// its dwell times from `rng`.
+    fn rate_at<R: Rng>(&mut self, at: SimTime, rng: &mut R) -> f64 {
+        match self.segment_after(at, rng) {
+            Some((rate, _)) => rate,
+            None => self.rate(at),
+        }
+    }
+
+    /// An upper bound on the rate over all time: the legacy thinning
+    /// majorant. The diurnal bound is the analytic peak
+    /// `base × (1 + amplitude)`, which dominates the sinusoid exactly
+    /// (the phase only shifts where the peak falls) and keeps the legacy
+    /// stream bit-identical to the pre-envelope sampler.
+    pub(crate) fn max_rate(&self) -> f64 {
+        match &self.spec {
+            LoadSpec::Constant { rate } => *rate,
+            LoadSpec::Diurnal { base, amplitude, .. } => base * (1.0 + amplitude),
+            LoadSpec::Ramp { from, to, .. } => from.max(*to),
+            LoadSpec::FlashCrowd { base, spike_factor, .. } => base * spike_factor,
+            LoadSpec::Mmpp { high, .. } => *high,
+            LoadSpec::Trace { points } => points.iter().map(|(_, r)| *r).fold(0.0, f64::max),
+        }
+    }
+
+    /// An upper bound on the rate over `[from, to]`: the per-window
+    /// thinning majorant, tight inside quiet stretches of shaped loads.
+    fn majorant_between(&self, from: SimTime, to: SimTime) -> f64 {
+        match &self.spec {
+            LoadSpec::Diurnal { period, .. } => {
+                self.env.majorant_between(from, to, period.as_secs_f64())
+            }
+            // Linear between the clamped endpoints, so the endpoint max
+            // dominates.
+            LoadSpec::Ramp { .. } => self.rate(from).max(self.rate(to)),
+            LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
+                if from < *start + *duration && to >= *start {
+                    base * spike_factor
+                } else {
+                    *base
+                }
+            }
+            LoadSpec::Trace { points } => {
+                // Steps holding in [from, to]: the one in force at `from`
+                // plus every step starting inside the span.
+                let mut m = self.rate(from);
+                let start = points.partition_point(|(t, _)| *t <= from);
+                for (t, r) in &points[start..] {
+                    if *t > to {
+                        break;
+                    }
+                    m = m.max(*r);
+                }
+                m
+            }
+            LoadSpec::Constant { .. } | LoadSpec::Mmpp { .. } => self.max_rate(),
+        }
+    }
+
+    /// Mean rate over `[from, to]` for windowed Poisson-count generation,
+    /// or `None` for the MMPP, which is stochastic and sampled per
+    /// segment instead.
     fn mean_rate_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
         let a = from.as_secs_f64();
         let b = to.as_secs_f64();
-        if b <= a {
-            return Some(self.rate(from));
-        }
-        // Piecewise-constant integral across the steps inside the span.
-        let mut integral = 0.0;
-        let mut cursor = a;
-        let mut rate = self.rate(from);
-        let start = self.points.partition_point(|(t, _)| *t <= from);
-        for (t, r) in &self.points[start..] {
-            let ts = t.as_secs_f64();
-            if ts >= b {
-                break;
+        match &self.spec {
+            LoadSpec::Mmpp { .. } => None,
+            LoadSpec::Constant { rate } => Some(*rate),
+            LoadSpec::Diurnal { period, .. } => {
+                Some(self.env.mean_between(from, to, period.as_secs_f64()))
             }
-            integral += (ts - cursor) * rate;
-            cursor = ts;
-            rate = *r;
+            // Trapezoid; windows never span the ramp end (see
+            // `boundary_after`), where the function stops being linear.
+            LoadSpec::Ramp { .. } => Some((self.rate(from) + self.rate(to)) / 2.0),
+            _ if b <= a => Some(self.rate(from)),
+            LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
+                // Windows are clipped at the spike edges (`boundary_after`),
+                // so the span sits entirely on one side — but integrate
+                // exactly anyway.
+                let s = start.as_secs_f64();
+                let e = (*start + *duration).as_secs_f64();
+                let hot = (b.min(e) - a.max(s)).max(0.0);
+                let cold = (b - a) - hot;
+                Some((cold * base + hot * base * spike_factor) / (b - a))
+            }
+            LoadSpec::Trace { points } => {
+                // Piecewise-constant integral across the steps inside the
+                // span.
+                let mut integral = 0.0;
+                let mut cursor = a;
+                let mut rate = self.rate(from);
+                let start = points.partition_point(|(t, _)| *t <= from);
+                for (t, r) in &points[start..] {
+                    let ts = t.as_secs_f64();
+                    if ts >= b {
+                        break;
+                    }
+                    integral += (ts - cursor) * rate;
+                    cursor = ts;
+                    rate = *r;
+                }
+                integral += (b - cursor) * rate;
+                Some(integral / (b - a))
+            }
         }
-        integral += (b - cursor) * rate;
-        Some(integral / (b - a))
     }
+
+    /// The next rate-shape boundary strictly after `at` (envelope cell
+    /// edges, ramp end, spike edges, trace steps). Generation windows
+    /// never span a boundary, so vectorized counts cannot smear a
+    /// discontinuity.
     fn boundary_after(&self, at: SimTime) -> Option<SimTime> {
-        let idx = self.points.partition_point(|(t, _)| *t <= at);
-        self.points.get(idx).map(|(t, _)| *t)
+        match &self.spec {
+            LoadSpec::Diurnal { period, .. } => {
+                // Next envelope cell edge, so per-window majorants stay
+                // tight.
+                let cell_secs = period.as_secs_f64() / ENVELOPE_CELLS as f64;
+                let idx = (at.as_secs_f64() / cell_secs).floor() + 1.0;
+                Some(SimTime::ZERO + SimDuration::from_secs_f64(idx * cell_secs))
+            }
+            LoadSpec::Ramp { duration, .. } => {
+                let end = SimTime::ZERO + *duration;
+                (at < end).then_some(end)
+            }
+            LoadSpec::FlashCrowd { start, duration, .. } => {
+                if at < *start {
+                    Some(*start)
+                } else if at < *start + *duration {
+                    Some(*start + *duration)
+                } else {
+                    None
+                }
+            }
+            LoadSpec::Trace { points } => {
+                let idx = points.partition_point(|(t, _)| *t <= at);
+                points.get(idx).map(|(t, _)| *t)
+            }
+            LoadSpec::Constant { .. } | LoadSpec::Mmpp { .. } => None,
+        }
+    }
+
+    /// The MMPP's segment at `at`: advances the state machine to `at` and
+    /// returns the current rate plus the end of its constant-rate
+    /// segment. The batched sampler generates this stretch as an exact
+    /// homogeneous Poisson process — no thinning, no rejected candidates.
+    /// `None` for every other kind, which is windowed or thinned instead.
+    fn segment_after<R: Rng>(&mut self, at: SimTime, rng: &mut R) -> Option<(f64, SimTime)> {
+        let LoadSpec::Mmpp { mean_dwell, .. } = &self.spec else {
+            return None;
+        };
+        // One dwell machine (and one RNG draw order) for legacy thinning
+        // through `rate_at` and for the exact segment path.
+        while at >= self.next_switch {
+            self.in_high = !self.in_high;
+            let dwell = sample_exponential(rng, 1.0 / mean_dwell.as_secs_f64());
+            self.next_switch += SimDuration::from_secs_f64(dwell.max(1e-3));
+        }
+        Some((self.rate(at), self.next_switch))
     }
 }
 
@@ -643,25 +402,25 @@ const ARRIVAL_WINDOW: SimDuration = SimDuration::from_millis(1000);
 /// replaces exact thinning.
 const WINDOW_COUNT_THRESHOLD: f64 = 4.0;
 
-/// Samples arrival instants from a [`LoadProfile`].
+/// Samples arrival instants from a [`Load`].
 ///
 /// In [`SamplingMode::Legacy`] every instant comes from Lewis–Shedler
 /// thinning under the global majorant (the pre-PR-6 stream, preserved
 /// bit-for-bit). In [`SamplingMode::Batched`] (default), deterministic
-/// profiles generate per-window Poisson counts above
+/// loads generate per-window Poisson counts above
 /// `WINDOW_COUNT_THRESHOLD` expected arrivals and fall back to
-/// per-window-majorant thinning below it; stochastic profiles (MMPP)
-/// always thin.
+/// per-window-majorant thinning below it; the MMPP is sampled exactly,
+/// one constant-rate segment at a time.
 ///
 /// # Examples
 ///
 /// ```
-/// use evolve_workload::{ConstantLoad, PoissonArrivals};
+/// use evolve_workload::{LoadSpec, PoissonArrivals};
 /// use evolve_types::SimTime;
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
 ///
-/// let mut arr = PoissonArrivals::new(Box::new(ConstantLoad::new(50.0)));
+/// let mut arr = PoissonArrivals::new(LoadSpec::Constant { rate: 50.0 }.build());
 /// let mut rng = ChaCha8Rng::seed_from_u64(3);
 /// let mut t = SimTime::ZERO;
 /// let mut count = 0;
@@ -673,8 +432,9 @@ const WINDOW_COUNT_THRESHOLD: f64 = 4.0;
 /// // ~500 arrivals in 10 s at 50 req/s.
 /// assert!(count > 400 && count < 600);
 /// ```
+#[derive(Debug)]
 pub struct PoissonArrivals {
-    profile: Box<dyn LoadProfile>,
+    load: Load,
     mode: SamplingMode,
     /// Pre-generated instants (batched mode), strictly increasing.
     pending: VecDeque<SimTime>,
@@ -684,28 +444,19 @@ pub struct PoissonArrivals {
     bailouts: u64,
 }
 
-impl std::fmt::Debug for PoissonArrivals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoissonArrivals")
-            .field("max_rate", &self.profile.max_rate())
-            .field("mode", &self.mode)
-            .finish()
-    }
-}
-
 impl PoissonArrivals {
-    /// Creates a sampler over the given profile with the default
-    /// (batched) generation mode.
+    /// Creates a sampler over the given load with the default (batched)
+    /// generation mode.
     #[must_use]
-    pub fn new(profile: Box<dyn LoadProfile>) -> Self {
-        Self::with_mode(profile, SamplingMode::default())
+    pub fn new(load: Load) -> Self {
+        Self::with_mode(load, SamplingMode::default())
     }
 
     /// Creates a sampler with an explicit generation mode.
     #[must_use]
-    pub fn with_mode(profile: Box<dyn LoadProfile>, mode: SamplingMode) -> Self {
+    pub fn with_mode(load: Load, mode: SamplingMode) -> Self {
         PoissonArrivals {
-            profile,
+            load,
             mode,
             pending: VecDeque::new(),
             win_end: SimTime::ZERO,
@@ -713,7 +464,7 @@ impl PoissonArrivals {
         }
     }
 
-    /// The next arrival strictly after `after`, or `None` when the profile
+    /// The next arrival strictly after `after`, or `None` when the load's
     /// rate is (effectively) zero forever.
     pub fn next_after<R: Rng>(&mut self, after: SimTime, rng: &mut R) -> Option<SimTime> {
         match self.mode {
@@ -725,7 +476,7 @@ impl PoissonArrivals {
     /// Pre-PR-6 global-majorant thinning, preserved bit-for-bit for the
     /// `legacy_sampling` flag.
     fn next_after_legacy<R: Rng>(&mut self, after: SimTime, rng: &mut R) -> Option<SimTime> {
-        let majorant = self.profile.max_rate();
+        let majorant = self.load.max_rate();
         if majorant <= 1e-12 {
             return None;
         }
@@ -737,7 +488,7 @@ impl PoissonArrivals {
             // Clock resolution is 1µs; guarantee strictly increasing times.
             let gap = SimDuration::from_secs_f64(gap).max(SimDuration::from_micros(1));
             t += gap;
-            let r = self.profile.rate_at(t, rng);
+            let r = self.load.rate_at(t, rng);
             if rng.gen::<f64>() * majorant <= r {
                 return Some(t);
             }
@@ -760,17 +511,17 @@ impl PoissonArrivals {
             // Window end: one window length, clipped at the next shape
             // boundary so counts never smear a discontinuity.
             let mut w1 = w0 + ARRIVAL_WINDOW;
-            if let Some(b) = self.profile.boundary_after(w0) {
+            if let Some(b) = self.load.boundary_after(w0) {
                 if b > w0 {
                     w1 = w1.min(b);
                 }
             }
-            // Stochastic piecewise-constant profiles (MMPP) expose their
+            // The MMPP, stochastic and piecewise-constant, exposes its
             // current dwell segment: inside it the process is homogeneous
             // Poisson, so sample it exactly — counts + uniform spread at
             // high rate, exponential gaps at low rate — instead of
             // thinning (which rejects ~majorant/rate candidates each).
-            if let Some((rate, seg_end)) = self.profile.segment_after(w0, rng) {
+            if let Some((rate, seg_end)) = self.load.segment_after(w0, rng) {
                 let w1 = w1.min(seg_end.max(w0 + SimDuration::from_micros(1)));
                 let span_secs = w1.saturating_since(w0).as_secs_f64();
                 let expected = rate * span_secs;
@@ -800,7 +551,7 @@ impl PoissonArrivals {
                 continue;
             }
             let span_secs = w1.saturating_since(w0).as_secs_f64();
-            if let Some(mean) = self.profile.mean_rate_between(w0, w1) {
+            if let Some(mean) = self.load.mean_rate_between(w0, w1) {
                 let expected = mean * span_secs;
                 if expected >= WINDOW_COUNT_THRESHOLD {
                     let n = sample_poisson_count(rng, expected);
@@ -812,9 +563,9 @@ impl PoissonArrivals {
             // Exact thinning inside [w0, w1) under the span majorant, so
             // acceptance stays bounded even when the global peak dwarfs
             // the local rate (the legacy bailout scenario).
-            let majorant = self.profile.majorant_between(w0, w1);
+            let majorant = self.load.majorant_between(w0, w1);
             if majorant <= 1e-12 {
-                self.profile.boundary_after(w0)?; // None: silent forever
+                self.load.boundary_after(w0)?; // None: silent forever
                 self.win_end = w1;
                 continue;
             }
@@ -826,7 +577,7 @@ impl PoissonArrivals {
                 if t >= w1 {
                     break;
                 }
-                let r = self.profile.rate_at(t, rng);
+                let r = self.load.rate_at(t, rng);
                 if rng.gen::<f64>() * majorant <= r && t > after {
                     return Some(t);
                 }
@@ -856,14 +607,6 @@ impl PoissonArrivals {
                 tail[i] = tail[i - 1] + min_gap;
             }
         }
-    }
-
-    /// The profile's instantaneous rate, as a pure peek: telemetry can
-    /// call this at any timestamp without advancing stateful profiles or
-    /// consuming RNG state (see [`LoadProfile::peek_rate`]).
-    #[must_use]
-    pub fn peek_rate(&self, at: SimTime) -> f64 {
-        self.profile.peek_rate(at)
     }
 
     /// How many times legacy thinning gave up after 100 000 rejected
@@ -899,40 +642,52 @@ mod tests {
         out
     }
 
-    fn count_arrivals(profile: Box<dyn LoadProfile>, horizon_secs: u64, seed: u64) -> usize {
-        let mut arr = PoissonArrivals::new(profile);
+    fn constant(rate: f64) -> Load {
+        LoadSpec::Constant { rate }.build()
+    }
+
+    fn diurnal(base: f64, amplitude: f64, period_secs: u64, phase: f64) -> Load {
+        let period = SimDuration::from_secs(period_secs);
+        LoadSpec::Diurnal { base, amplitude, period, phase }.build()
+    }
+
+    fn trace(points: Vec<(SimTime, f64)>) -> Load {
+        LoadSpec::Trace { points }.build()
+    }
+
+    fn count_arrivals(load: Load, horizon_secs: u64, seed: u64) -> usize {
+        let mut arr = PoissonArrivals::new(load);
         collect_arrivals(&mut arr, horizon_secs, seed).len()
     }
 
-    fn count_arrivals_legacy(profile: Box<dyn LoadProfile>, horizon_secs: u64, seed: u64) -> usize {
-        let mut arr = PoissonArrivals::with_mode(profile, SamplingMode::Legacy);
+    fn count_arrivals_legacy(load: Load, horizon_secs: u64, seed: u64) -> usize {
+        let mut arr = PoissonArrivals::with_mode(load, SamplingMode::Legacy);
         collect_arrivals(&mut arr, horizon_secs, seed).len()
     }
 
     #[test]
     fn constant_rate_counts_match() {
-        let n = count_arrivals(Box::new(ConstantLoad::new(100.0)), 100, 1);
+        let n = count_arrivals(constant(100.0), 100, 1);
         assert!((9_000..11_000).contains(&n), "arrivals {n}");
     }
 
     #[test]
     fn constant_rate_counts_match_legacy() {
-        let n = count_arrivals_legacy(Box::new(ConstantLoad::new(100.0)), 100, 1);
+        let n = count_arrivals_legacy(constant(100.0), 100, 1);
         assert!((9_000..11_000).contains(&n), "arrivals {n}");
     }
 
     #[test]
     fn zero_rate_produces_nothing() {
-        let mut arr = PoissonArrivals::new(Box::new(ConstantLoad::new(0.0)));
+        let mut arr = PoissonArrivals::new(constant(0.0));
         assert_eq!(arr.next_after(SimTime::ZERO, &mut rng()), None);
-        let mut arr =
-            PoissonArrivals::with_mode(Box::new(ConstantLoad::new(0.0)), SamplingMode::Legacy);
+        let mut arr = PoissonArrivals::with_mode(constant(0.0), SamplingMode::Legacy);
         assert_eq!(arr.next_after(SimTime::ZERO, &mut rng()), None);
     }
 
     #[test]
     fn diurnal_peaks_and_troughs() {
-        let mut d = DiurnalLoad::new(100.0, 0.5, SimDuration::from_secs(3600));
+        let mut d = diurnal(100.0, 0.5, 3600, 0.0);
         let mut r = rng();
         // Peak at period/4, trough at 3·period/4.
         let peak = d.rate_at(SimTime::from_secs(900), &mut r);
@@ -944,7 +699,7 @@ mod tests {
 
     #[test]
     fn diurnal_full_amplitude_floors_at_zero() {
-        let mut d = DiurnalLoad::new(10.0, 1.0, SimDuration::from_secs(100));
+        let mut d = diurnal(10.0, 1.0, 100, 0.0);
         let mut r = rng();
         let trough = d.rate_at(SimTime::from_secs(75), &mut r);
         assert!(trough.abs() < 1e-9);
@@ -952,10 +707,10 @@ mod tests {
 
     #[test]
     fn diurnal_majorant_dominates_exact_rate() {
-        let d = DiurnalLoad::new(120.0, 0.8, SimDuration::from_secs(1000)).with_phase(0.9);
+        let d = diurnal(120.0, 0.8, 1000, 0.9);
         for i in 0..10_000 {
             let t = SimTime::from_millis(i * 250);
-            let exact = d.peek_rate(t);
+            let exact = d.rate(t);
             assert!(d.max_rate() >= exact, "global majorant below rate at {t:?}");
             let span_end = t + SimDuration::from_millis(400);
             assert!(
@@ -967,7 +722,7 @@ mod tests {
 
     #[test]
     fn diurnal_envelope_mean_tracks_sinusoid() {
-        let d = DiurnalLoad::new(100.0, 0.7, SimDuration::from_secs(400));
+        let d = diurnal(100.0, 0.7, 400, 0.0);
         // Over one full period the mean must be ~base.
         let mean = d.mean_rate_between(SimTime::ZERO, SimTime::from_secs(400)).unwrap();
         assert!((mean - 100.0).abs() < 0.1, "mean {mean}");
@@ -979,12 +734,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "phase must be finite")]
     fn diurnal_rejects_non_finite_phase() {
-        let _ = DiurnalLoad::new(10.0, 0.5, SimDuration::from_secs(60)).with_phase(f64::NAN);
+        let _ = diurnal(10.0, 0.5, 60, f64::NAN);
     }
 
     #[test]
     fn ramp_interpolates_then_holds() {
-        let mut p = RampLoad::new(10.0, 110.0, SimDuration::from_secs(100));
+        let mut p =
+            LoadSpec::Ramp { from: 10.0, to: 110.0, duration: SimDuration::from_secs(100) }.build();
         let mut r = rng();
         assert_eq!(p.rate_at(SimTime::ZERO, &mut r), 10.0);
         assert!((p.rate_at(SimTime::from_secs(50), &mut r) - 60.0).abs() < 1e-9);
@@ -993,8 +749,13 @@ mod tests {
 
     #[test]
     fn flash_crowd_window() {
-        let mut p =
-            FlashCrowdLoad::new(20.0, 5.0, SimTime::from_secs(100), SimDuration::from_secs(50));
+        let mut p = LoadSpec::FlashCrowd {
+            base: 20.0,
+            spike_factor: 5.0,
+            start: SimTime::from_secs(100),
+            duration: SimDuration::from_secs(50),
+        }
+        .build();
         let mut r = rng();
         assert_eq!(p.rate_at(SimTime::from_secs(99), &mut r), 20.0);
         assert_eq!(p.rate_at(SimTime::from_secs(100), &mut r), 100.0);
@@ -1004,7 +765,9 @@ mod tests {
 
     #[test]
     fn mmpp_visits_both_states() {
-        let mut p = MmppLoad::new(10.0, 100.0, SimDuration::from_secs(5));
+        let mut p =
+            LoadSpec::Mmpp { low: 10.0, high: 100.0, mean_dwell: SimDuration::from_secs(5) }
+                .build();
         let mut r = rng();
         let mut seen_low = false;
         let mut seen_high = false;
@@ -1022,7 +785,7 @@ mod tests {
 
     #[test]
     fn trace_playback_steps() {
-        let mut p = TraceLoad::new(vec![
+        let mut p = trace(vec![
             (SimTime::from_secs(0), 5.0),
             (SimTime::from_secs(10), 50.0),
             (SimTime::from_secs(20), 15.0),
@@ -1037,28 +800,20 @@ mod tests {
     #[test]
     fn diurnal_arrival_counts_track_rate() {
         // One full period: total arrivals ≈ base × horizon.
-        let n = count_arrivals(
-            Box::new(DiurnalLoad::new(50.0, 0.9, SimDuration::from_secs(100))),
-            100,
-            5,
-        );
+        let n = count_arrivals(diurnal(50.0, 0.9, 100, 0.0), 100, 5);
         assert!((4_000..6_000).contains(&n), "arrivals {n}");
     }
 
     #[test]
     fn diurnal_arrival_counts_track_rate_legacy() {
-        let n = count_arrivals_legacy(
-            Box::new(DiurnalLoad::new(50.0, 0.9, SimDuration::from_secs(100))),
-            100,
-            5,
-        );
+        let n = count_arrivals_legacy(diurnal(50.0, 0.9, 100, 0.0), 100, 5);
         assert!((4_000..6_000).contains(&n), "arrivals {n}");
     }
 
     #[test]
     fn arrivals_are_strictly_increasing() {
         for mode in [SamplingMode::Legacy, SamplingMode::Batched] {
-            let mut arr = PoissonArrivals::with_mode(Box::new(ConstantLoad::new(1000.0)), mode);
+            let mut arr = PoissonArrivals::with_mode(constant(1000.0), mode);
             let mut r = rng();
             let mut t = SimTime::ZERO;
             for _ in 0..1000 {
@@ -1072,8 +827,8 @@ mod tests {
     #[test]
     fn deterministic_with_same_seed() {
         for mode in [SamplingMode::Legacy, SamplingMode::Batched] {
-            let mut a = PoissonArrivals::with_mode(Box::new(ConstantLoad::new(100.0)), mode);
-            let mut b = PoissonArrivals::with_mode(Box::new(ConstantLoad::new(100.0)), mode);
+            let mut a = PoissonArrivals::with_mode(constant(100.0), mode);
+            let mut b = PoissonArrivals::with_mode(constant(100.0), mode);
             assert_eq!(
                 collect_arrivals(&mut a, 10, 99),
                 collect_arrivals(&mut b, 10, 99),
@@ -1089,7 +844,7 @@ mod tests {
         let mut total = 0usize;
         let runs = 20;
         for seed in 0..runs {
-            total += count_arrivals(Box::new(ConstantLoad::new(200.0)), 200, seed);
+            total += count_arrivals(constant(200.0), 200, seed);
         }
         let mean = total as f64 / runs as f64;
         assert!((mean - 40_000.0).abs() < 300.0, "mean {mean}");
@@ -1102,8 +857,9 @@ mod tests {
         let start = SimTime::from_secs(100);
         let dur = SimDuration::from_secs(50);
         let arrivals = {
-            let mut arr =
-                PoissonArrivals::new(Box::new(FlashCrowdLoad::new(40.0, 10.0, start, dur)));
+            let load =
+                LoadSpec::FlashCrowd { base: 40.0, spike_factor: 10.0, start, duration: dur };
+            let mut arr = PoissonArrivals::new(load.build());
             collect_arrivals(&mut arr, 300, 11)
         };
         let end = start + dur;
@@ -1130,19 +886,18 @@ mod tests {
         // Legacy: max_rate 5000 vs current rate 1e-6 → acceptance 2e-10,
         // 100k candidates exhausted → silent bailout. Batched: the
         // per-window majorant keeps acceptance at 1, no bailout possible.
-        let trace = vec![
+        let points = vec![
             (SimTime::from_secs(0), 1e-6),
             (SimTime::from_secs(3600), 5000.0),
             (SimTime::from_secs(3601), 1e-6),
         ];
-        let mut arr = PoissonArrivals::new(Box::new(TraceLoad::new(trace.clone())));
+        let mut arr = PoissonArrivals::new(trace(points.clone()));
         let mut r = rng();
         let next = arr.next_after(SimTime::ZERO, &mut r);
         assert!(next.is_some(), "batched path must find the next arrival");
         assert_eq!(arr.thinning_bailouts(), 0);
 
-        let mut legacy =
-            PoissonArrivals::with_mode(Box::new(TraceLoad::new(trace)), SamplingMode::Legacy);
+        let mut legacy = PoissonArrivals::with_mode(trace(points), SamplingMode::Legacy);
         let mut r = rng();
         let next = legacy.next_after(SimTime::ZERO, &mut r);
         // The legacy sampler bails (surfaced via the counter) — exactly
@@ -1152,44 +907,8 @@ mod tests {
     }
 
     #[test]
-    fn peek_rate_does_not_corrupt_mmpp_arrivals() {
-        let make =
-            || PoissonArrivals::new(Box::new(MmppLoad::new(5.0, 80.0, SimDuration::from_secs(10))));
-        // Stream A: arrivals only.
-        let mut a = make();
-        let arrivals_a = collect_arrivals(&mut a, 120, 21);
-        // Stream B: same seed, but telemetry peeks (including
-        // non-monotone timestamps) interleaved between arrivals.
-        let mut b = make();
-        let mut r = ChaCha8Rng::seed_from_u64(21);
-        let horizon = SimTime::from_secs(120);
-        let mut t = SimTime::ZERO;
-        let mut arrivals_b = Vec::new();
-        while let Some(next) = b.next_after(t, &mut r) {
-            if next > horizon {
-                break;
-            }
-            let _ = b.peek_rate(next + SimDuration::from_secs(1000));
-            let _ = b.peek_rate(SimTime::ZERO);
-            t = next;
-            arrivals_b.push(next);
-        }
-        assert_eq!(arrivals_a, arrivals_b, "peeking changed the arrival stream");
-    }
-
-    #[test]
-    fn mmpp_peek_rate_matches_last_seen_state() {
-        let mut p = MmppLoad::new(10.0, 100.0, SimDuration::from_secs(5));
-        let mut r = rng();
-        for s in 0..50u64 {
-            let advanced = p.rate_at(SimTime::from_secs(s), &mut r);
-            assert_eq!(p.peek_rate(SimTime::from_secs(s)), advanced);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "trace must be time-ordered")]
     fn trace_rejects_unsorted() {
-        let _ = TraceLoad::new(vec![(SimTime::from_secs(5), 1.0), (SimTime::from_secs(1), 1.0)]);
+        let _ = trace(vec![(SimTime::from_secs(5), 1.0), (SimTime::from_secs(1), 1.0)]);
     }
 }

@@ -5,10 +5,10 @@
 //! stand-ins for all three (the substitution for the paper's production
 //! workloads and traces):
 //!
-//! * [`LoadProfile`] implementations — constant, diurnal, ramp,
-//!   flash-crowd, Markov-modulated (bursty) and trace-playback request
-//!   rates — plus [`PoissonArrivals`], a non-homogeneous Poisson sampler
-//!   over any profile.
+//! * [`LoadSpec`] — constant, diurnal, ramp, flash-crowd,
+//!   Markov-modulated (bursty) and trace-playback request rates — and
+//!   [`PoissonArrivals`], a non-homogeneous Poisson sampler over the
+//!   [`Load`] a spec builds.
 //! * [`RequestClass`] — per-request multi-resource demand vectors with
 //!   configurable variability, drawn from heavy-tailed distributions.
 //! * Application archetypes: [`ServiceSpec`] (latency-critical cloud
@@ -25,14 +25,15 @@
 //! # Examples
 //!
 //! ```
-//! use evolve_workload::{DiurnalLoad, LoadProfile, PoissonArrivals};
+//! use evolve_workload::{LoadSpec, PoissonArrivals};
 //! use evolve_types::{SimDuration, SimTime};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
-//! let profile = DiurnalLoad::new(100.0, 0.8, SimDuration::from_secs(3600));
+//! let period = SimDuration::from_secs(3600);
+//! let load = LoadSpec::Diurnal { base: 100.0, amplitude: 0.8, period, phase: 0.0 };
 //! let mut rng = ChaCha8Rng::seed_from_u64(7);
-//! let mut arrivals = PoissonArrivals::new(Box::new(profile));
+//! let mut arrivals = PoissonArrivals::new(load.build());
 //! let first = arrivals.next_after(SimTime::ZERO, &mut rng).unwrap();
 //! assert!(first > SimTime::ZERO);
 //! ```
@@ -50,10 +51,7 @@ mod spec;
 mod toml_mini;
 
 pub use apps::{BatchJobSpec, HpcJobSpec, PloSpec, ServiceSpec, StageSpec, WorldClass};
-pub use arrival::{
-    ConstantLoad, DiurnalLoad, FlashCrowdLoad, LoadProfile, MmppLoad, PoissonArrivals, RampLoad,
-    TraceLoad,
-};
+pub use arrival::{Load, PoissonArrivals};
 pub use evolve_types::PriorityClass;
 pub use faults::{FaultEvent, FaultKind};
 pub use request::{Request, RequestClass};

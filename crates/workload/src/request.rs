@@ -15,7 +15,6 @@
 
 use evolve_types::{AppId, Resource, ResourceVec, SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sampling::{LogNormal, SamplingMode};
 
@@ -41,8 +40,7 @@ use crate::sampling::{LogNormal, SamplingMode};
 /// let demand = class.sample_demand(&mut rng);
 /// assert!(demand.cpu() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "RequestClassRepr", into = "RequestClassRepr")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
     name: String,
     mean_demand: ResourceVec,
@@ -50,34 +48,6 @@ pub struct RequestClass {
     /// Demand multiplier distribution (mean 1.0), with its log-normal
     /// parameters precomputed once instead of per sampled request.
     multiplier: LogNormal,
-}
-
-/// Serialized form: the logical `(name, mean_demand, cv, timeout)` tuple;
-/// the precomputed distribution is re-derived on deserialization.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "RequestClass")]
-struct RequestClassRepr {
-    name: String,
-    mean_demand: ResourceVec,
-    cv: f64,
-    timeout: SimDuration,
-}
-
-impl From<RequestClassRepr> for RequestClass {
-    fn from(r: RequestClassRepr) -> Self {
-        RequestClass::new(r.name, r.mean_demand, r.cv, r.timeout)
-    }
-}
-
-impl From<RequestClass> for RequestClassRepr {
-    fn from(c: RequestClass) -> Self {
-        RequestClassRepr {
-            cv: c.cv(),
-            name: c.name,
-            mean_demand: c.mean_demand,
-            timeout: c.timeout,
-        }
-    }
 }
 
 impl RequestClass {
@@ -158,7 +128,7 @@ impl RequestClass {
 }
 
 /// One in-flight request instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Globally unique request id.
     pub id: u64,

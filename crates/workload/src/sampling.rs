@@ -24,7 +24,7 @@ use rand::Rng;
 /// headline golden fixture is blessed under `Batched`, while `Legacy`
 /// reproduces the pre-ziggurat fixture bit-for-bit. `Legacy` is
 /// deprecated and will be removed one release after PR 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingMode {
     /// Box–Muller normals, per-request Lewis–Shedler thinning everywhere.
     Legacy,

@@ -1,6 +1,6 @@
-//! Runnable workloads: [`LoadSpec`] is the serializable description of a
-//! load profile; [`WorkloadMix`] aggregates services and jobs;
-//! [`Scenario`] bundles a mix with a name and simulation horizon.
+//! Runnable workloads: [`LoadSpec`] is the one description of a load;
+//! [`WorkloadMix`] aggregates services and jobs; [`Scenario`] bundles a
+//! mix with a name and simulation horizon.
 //!
 //! The scenarios every experiment in EXPERIMENTS.md uses are the
 //! checked-in `scenarios/*.toml` files: build one with
@@ -9,17 +9,14 @@
 //! `ScenarioSpec::cluster_scale` give the two parametric ones.
 
 use evolve_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::apps::{BatchJobSpec, HpcJobSpec, ServiceSpec};
-use crate::arrival::{
-    ConstantLoad, DiurnalLoad, FlashCrowdLoad, LoadProfile, MmppLoad, RampLoad, TraceLoad,
-};
+use crate::arrival::Load;
 use crate::spec::ScenarioSpec;
 
-/// Serializable description of a load profile, turned into a live
-/// [`LoadProfile`] with [`LoadSpec::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A service's offered load: one of six rate shapes, made ready to sample
+/// with [`LoadSpec::build`].
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadSpec {
     /// Constant rate.
     Constant {
@@ -74,26 +71,22 @@ pub enum LoadSpec {
 }
 
 impl LoadSpec {
-    /// Instantiates the described profile.
+    /// The load ready to sample, for
+    /// [`PoissonArrivals`](crate::PoissonArrivals).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a parameter is out of range: a negative rate (a
+    /// constant one must also be finite), an amplitude outside `[0, 1]`,
+    /// a non-finite phase (it would poison every rate through `sin`), a
+    /// zero period, ramp duration or dwell, a spike factor below 1,
+    /// inverted MMPP rates, or an empty or unsorted trace.
     #[must_use]
-    pub fn build(&self) -> Box<dyn LoadProfile> {
-        match self {
-            LoadSpec::Constant { rate } => Box::new(ConstantLoad::new(*rate)),
-            LoadSpec::Diurnal { base, amplitude, period, phase } => {
-                Box::new(DiurnalLoad::new(*base, *amplitude, *period).with_phase(*phase))
-            }
-            LoadSpec::Ramp { from, to, duration } => Box::new(RampLoad::new(*from, *to, *duration)),
-            LoadSpec::FlashCrowd { base, spike_factor, start, duration } => {
-                Box::new(FlashCrowdLoad::new(*base, *spike_factor, *start, *duration))
-            }
-            LoadSpec::Mmpp { low, high, mean_dwell } => {
-                Box::new(MmppLoad::new(*low, *high, *mean_dwell))
-            }
-            LoadSpec::Trace { points } => Box::new(TraceLoad::new(points.clone())),
-        }
+    pub fn build(&self) -> Load {
+        Load::new(self.clone())
     }
 
-    /// The profile's long-run mean rate (approximate for MMPP/trace),
+    /// The load's long-run mean rate (approximate for MMPP/trace),
     /// used for capacity planning in the experiment harness.
     #[must_use]
     pub fn mean_rate(&self) -> f64 {
@@ -142,7 +135,7 @@ impl LoadSpec {
 
 /// A full workload: services under open-loop traffic plus batch and HPC
 /// job submissions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadMix {
     services: Vec<(ServiceSpec, LoadSpec)>,
     batch_jobs: Vec<(BatchJobSpec, SimTime)>,
@@ -156,7 +149,7 @@ impl WorkloadMix {
         WorkloadMix::default()
     }
 
-    /// Adds a microservice with its load profile.
+    /// Adds a microservice with its load.
     #[must_use]
     pub fn with_service(mut self, spec: ServiceSpec, load: LoadSpec) -> Self {
         self.services.push((spec, load));
@@ -177,7 +170,7 @@ impl WorkloadMix {
         self
     }
 
-    /// The services and their load profiles.
+    /// The services and their loads.
     #[must_use]
     pub fn services(&self) -> &[(ServiceSpec, LoadSpec)] {
         &self.services
@@ -209,7 +202,7 @@ impl WorkloadMix {
 }
 
 /// A named workload mix with its simulation horizon.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name used in reports.
     pub name: String,
@@ -260,8 +253,8 @@ mod tests {
             LoadSpec::Trace { points: vec![(SimTime::ZERO, 4.0)] },
         ];
         for spec in specs {
-            let profile = spec.build();
-            assert!(profile.max_rate() >= spec.mean_rate() * 0.99, "{spec:?}");
+            let load = spec.build();
+            assert!(load.max_rate() >= spec.mean_rate() * 0.99, "{spec:?}");
             // Scaling doubles the mean rate for every kind.
             let scaled = spec.scaled(2.0);
             assert!((scaled.mean_rate() - 2.0 * spec.mean_rate()).abs() < 1e-9, "{spec:?}");
