@@ -54,6 +54,6 @@ pub use policy::{
 };
 pub use report::{write_csv, Summary, Table};
 pub use runner::{
-    arbiter_from_spec, AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder,
-    RunOutcome, RunPerf,
+    AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder, RunOutcome,
+    RunPerf, Stage, StageHook,
 };

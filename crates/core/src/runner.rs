@@ -2,6 +2,9 @@
 //! manager and scheduler, runs the control loop, and collects the
 //! statistics every table and figure reports.
 
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
 use evolve_control::{ArbiterConfig, ClipReason, GrantDecision};
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework, SchedulerProfile};
 use evolve_sim::{
@@ -13,8 +16,9 @@ use evolve_telemetry::trace::{
 };
 use evolve_telemetry::{MetricKey, MetricRegistry, UtilizationAccount, UtilizationSummary};
 use evolve_types::{AppId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{ArbiterSpec, SamplingMode, Scenario, ScenarioSpec, WorldClass};
+use evolve_workload::{SamplingMode, Scenario, ScenarioSpec, WorldClass};
 
+use crate::checkpoint::ControllerCheckpoint;
 use crate::counters::ControlCounters;
 use crate::manager::{ManagerKind, ResourceManager};
 
@@ -142,25 +146,10 @@ impl RunConfig {
             trace: TraceConfig::default(),
             legacy_sampling: false,
             oracle: false,
-            arbiter: spec.arbiter.as_ref().map(arbiter_from_spec),
+            arbiter: spec.arbiter,
             indexed_scheduling: true,
         };
         RunConfigBuilder { config }
-    }
-}
-
-/// Converts declarative arbiter settings from a [`ScenarioSpec`] into the
-/// control crate's [`ArbiterConfig`]. A free function because the
-/// workload crate (where the spec lives) cannot depend on the control
-/// crate.
-#[must_use]
-pub fn arbiter_from_spec(spec: &ArbiterSpec) -> ArbiterConfig {
-    ArbiterConfig {
-        headroom_fraction: spec.headroom_fraction,
-        floor_fraction: spec.floor_fraction,
-        hysteresis: spec.hysteresis,
-        max_recovery_step: spec.max_recovery_step,
-        demand_cap_ratio: spec.demand_cap_ratio,
     }
 }
 
@@ -280,11 +269,7 @@ impl AppSummary {
     /// Fraction of windows in violation.
     #[must_use]
     pub fn violation_rate(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.windows as f64
-        }
+        ratio(self.violations as f64, self.windows as f64)
     }
 }
 
@@ -347,7 +332,7 @@ pub struct RunOutcome {
 pub struct RunPerf {
     /// Control ticks executed (stalled ticks included).
     pub ticks: u64,
-    /// Wall-clock seconds the run took end to end.
+    /// Wall-clock seconds the run took end to end: its pieces' walls summed.
     pub wall_secs: f64,
     /// Simulated seconds advanced per wall-clock second.
     pub sim_secs_per_wall_sec: f64,
@@ -356,12 +341,6 @@ pub struct RunPerf {
     /// Metric samples recorded through pre-interned [`MetricKey`]s —
     /// records that skipped the name hash/allocation entirely.
     pub fast_metric_records: u64,
-    /// Wall nanoseconds spent in manager control ticks (from the
-    /// decision-trace lifecycle spans).
-    pub control_wall_ns: u64,
-    /// Wall nanoseconds spent in scheduler cycles (from the
-    /// decision-trace lifecycle spans).
-    pub sched_wall_ns: u64,
     /// Filter-plugin invocations across all scheduler cycles. Under the
     /// naive scan this grows with pending × nodes; under the feasibility
     /// index only non-capacity filters pay it, and only on candidates
@@ -390,12 +369,7 @@ impl RunOutcome {
     /// Aggregate violation rate.
     #[must_use]
     pub fn total_violation_rate(&self) -> f64 {
-        let w = self.total_windows();
-        if w == 0 {
-            0.0
-        } else {
-            self.total_violations() as f64 / w as f64
-        }
+        ratio(self.total_violations() as f64, self.total_windows() as f64)
     }
 
     /// Jobs that met their deadline / total jobs.
@@ -408,24 +382,21 @@ impl RunOutcome {
     /// Per-world violation rates `(cloud, bigdata, hpc)`.
     #[must_use]
     pub fn violation_rate_by_world(&self) -> [f64; 3] {
-        let mut windows = [0u64; 3];
-        let mut violations = [0u64; 3];
-        for a in &self.apps {
-            let i = match a.world {
-                WorldClass::Microservice => 0,
-                WorldClass::BigData => 1,
-                WorldClass::Hpc => 2,
-            };
-            windows[i] += a.windows;
-            violations[i] += a.violations;
-        }
-        let mut out = [0.0; 3];
-        for i in 0..3 {
-            if windows[i] > 0 {
-                out[i] = violations[i] as f64 / windows[i] as f64;
-            }
-        }
-        out
+        [WorldClass::Microservice, WorldClass::BigData, WorldClass::Hpc].map(|world| {
+            let apps = self.apps.iter().filter(|a| a.world == world);
+            let (windows, violations) =
+                apps.fold((0u64, 0u64), |(w, v), a| (w + a.windows, v + a.violations));
+            ratio(violations as f64, windows as f64)
+        })
+    }
+}
+
+/// `part / whole`, or zero when `whole` is not positive.
+fn ratio(part: f64, whole: f64) -> f64 {
+    if whole > 0.0 {
+        part / whole
+    } else {
+        0.0
     }
 }
 
@@ -458,39 +429,80 @@ impl AppSeriesKeys {
             timeouts: registry.key(&format!("{prefix}/timeouts")),
         }
     }
+}
 
-    /// The (lazily interned) p99 series key.
-    fn p99_key(&mut self, registry: &mut MetricRegistry) -> MetricKey {
-        match self.p99_ms {
-            Some(key) => key,
-            None => {
-                let key = registry.key(&self.p99_name);
-                self.p99_ms = Some(key);
-                key
-            }
+/// The cluster-level series, interned once up front in this order.
+const CLUSTER_SERIES: [&str; 5] = [
+    "cluster/allocated_cpu_share",
+    "cluster/used_cpu_share",
+    "cluster/pods_running",
+    "cluster/pods_pending",
+    "cluster/nodes_ready",
+];
+
+/// One stage of [`ExperimentRunner::run_with`]: a run is a sequence of
+/// contiguous pieces, each of one stage (DESIGN.md decision 17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Building the simulator, manager, scheduler and recorders.
+    Construct,
+    /// Advancing the engine to the tick's end; units are events processed.
+    RunUntil,
+    /// Crash recovery and the control tick (units: windows harvested), or
+    /// the end-of-tick checkpoint capture (units: zero).
+    ManagerTick,
+    /// One scheduling cycle; units are bindings planned.
+    SchedulerCycle,
+    /// The plan applied to the simulator, victims first; units are pods
+    /// bound plus pods evicted.
+    Actuate,
+    /// The cluster snapshot; one unit.
+    Snapshot,
+    /// Utilisation, lifetime totals and series; units are records (the
+    /// utilisation sample plus every registry record).
+    Record,
+    /// The chaos oracle's checks, when the oracle is on.
+    OracleCheck,
+    /// Summaries, the trace dump and the oracle's report.
+    Finish,
+}
+
+impl Stage {
+    /// The stage's span name, `<crate>.<call>`.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Stage::Construct => "core.construct",
+            Stage::RunUntil => "sim.run_until",
+            Stage::ManagerTick => "core.manager_tick",
+            Stage::SchedulerCycle => "scheduler.cycle",
+            Stage::Actuate => "sim.actuate",
+            Stage::Snapshot => "sim.snapshot",
+            Stage::Record => "telemetry.record",
+            Stage::OracleCheck => "oracle.check",
+            Stage::Finish => "core.finish",
         }
     }
 }
 
-/// Cluster-level metric keys, interned once up front.
-#[derive(Debug, Clone, Copy)]
-struct ClusterSeriesKeys {
-    allocated_cpu_share: MetricKey,
-    used_cpu_share: MetricKey,
-    pods_running: MetricKey,
-    pods_pending: MetricKey,
-    nodes_ready: MetricKey,
+/// Sees each piece of a run as it ends: its stage, the control tick it
+/// belongs to (0 before the first), its wall time, its units of work and
+/// the simulation as the piece left it. The run reads the clock once per
+/// piece boundary, so the pieces cover the run with no gap or overlap and
+/// their walls sum to [`RunPerf::wall_secs`]; a hook's own time lands in
+/// the next piece. `()` and any closure of the five arguments are hooks.
+pub trait StageHook {
+    /// Called once per piece, in run order.
+    fn piece(&mut self, stage: Stage, tick: u64, wall: Duration, units: u64, sim: &Simulation);
 }
 
-impl ClusterSeriesKeys {
-    fn new(registry: &mut MetricRegistry) -> Self {
-        ClusterSeriesKeys {
-            allocated_cpu_share: registry.key("cluster/allocated_cpu_share"),
-            used_cpu_share: registry.key("cluster/used_cpu_share"),
-            pods_running: registry.key("cluster/pods_running"),
-            pods_pending: registry.key("cluster/pods_pending"),
-            nodes_ready: registry.key("cluster/nodes_ready"),
-        }
+impl StageHook for () {
+    fn piece(&mut self, _: Stage, _: u64, _: Duration, _: u64, _: &Simulation) {}
+}
+
+impl<F: FnMut(Stage, u64, Duration, u64, &Simulation)> StageHook for F {
+    fn piece(&mut self, stage: Stage, tick: u64, wall: Duration, units: u64, sim: &Simulation) {
+        self(stage, tick, wall, units, sim);
     }
 }
 
@@ -510,7 +522,13 @@ impl ExperimentRunner {
     /// Executes the run to its horizon and collects the outcome.
     #[must_use]
     pub fn run(self) -> RunOutcome {
-        let started = std::time::Instant::now();
+        self.run_with(&mut ())
+    }
+
+    /// [`run`](Self::run), handing `hook` every piece of the run.
+    #[must_use]
+    pub fn run_with<H: StageHook + ?Sized>(self, hook: &mut H) -> RunOutcome {
+        let mut ledger = Ledger::start(hook);
         let cfg = self.config;
         let cluster_config = ClusterConfig::uniform(cfg.nodes, cfg.node_shape);
         let sampling =
@@ -522,20 +540,16 @@ impl ExperimentRunner {
         if let Some(arb) = cfg.arbiter {
             manager.set_arbiter(arb);
         }
-        let mut sched = Scheduling::new(
-            SchedulerFramework::new(cfg.scheduler).with_index(cfg.indexed_scheduling),
-        );
+        let scheduler = SchedulerFramework::new(cfg.scheduler).with_index(cfg.indexed_scheduling);
+        let mut sched = Scheduling::default();
         let mut registry = MetricRegistry::new();
         let mut util = UtilizationAccount::new(sim.cluster().total_allocatable());
         // Decision trace: always on, bounded by the ring capacity. The
         // ring only *reads* controller and scheduler state, so capture
         // cannot perturb the simulated trajectory.
         let mut trace = TraceRing::new(cfg.trace.capacity);
-        let mut control_wall_ns = 0u64;
-        let mut sched_wall_ns = 0u64;
         // Lifetime (completions, timeouts, oom, shed) per app.
-        let mut totals: std::collections::HashMap<AppId, (u64, u64, u64, u64)> =
-            std::collections::HashMap::new();
+        let mut totals: HashMap<AppId, (u64, u64, u64, u64)> = HashMap::new();
 
         let horizon = SimTime::ZERO + cfg.scenario.horizon;
         let dt = cfg.control_interval;
@@ -548,69 +562,62 @@ impl ExperimentRunner {
         // crash/recovery events on the simulator, and consult the injector
         // tick-by-tick for scrape blackouts, metric noise, control-plane
         // stalls and actuation faults.
-        let mut injector = if cfg.faults.is_empty() {
-            None
-        } else {
-            let inj = FaultInjector::new(&cfg.faults, cfg.seed).with_sampling(sampling);
-            inj.arm(&mut sim);
-            Some(inj)
-        };
-
+        let mut injector = (!cfg.faults.is_empty())
+            .then(|| FaultInjector::new(&cfg.faults, cfg.seed).with_sampling(sampling));
         // The realized fault timeline goes into the decision trace up front
         // so `trace_explain` can correlate control anomalies with the faults
         // active around them. A run without faults pushes nothing — the
         // trace is unchanged.
         if let Some(inj) = &injector {
+            inj.arm(&mut sim);
             for ev in inj.timeline() {
                 trace.push(TraceEvent::Fault(fault_trace(ev)));
             }
         }
         // `faults/active` series key, interned lazily so fault-free runs
         // (the golden fixtures) record exactly the series they always did.
-        let faults_active_key = match (&injector, cfg.record_series) {
-            (Some(_), true) => Some(registry.key("faults/active")),
-            _ => None,
-        };
+        let faults_active_key =
+            injector.as_ref().filter(|_| cfg.record_series).map(|_| registry.key("faults/active"));
 
         // The chaos invariant battery: strictly observational (reads the
         // sim/cluster/trace between ticks), so enabling it cannot perturb
         // the simulated trajectory — only slow the run down.
-        let mut oracle = if cfg.oracle { Some(ChaosOracle::new()) } else { None };
+        let mut oracle = cfg.oracle.then(ChaosOracle::new);
         let mut newly_bound: Vec<PodId> = Vec::new();
 
         // Series ids are interned once up front; the per-tick recording
         // path below neither builds strings nor hashes names.
-        let cluster_keys =
-            if cfg.record_series { Some(ClusterSeriesKeys::new(&mut registry)) } else { None };
-        let mut series_keys: std::collections::HashMap<AppId, AppSeriesKeys> = if cfg.record_series
-        {
+        let cluster_keys = cfg.record_series.then(|| CLUSTER_SERIES.map(|name| registry.key(name)));
+        let mut series_keys: HashMap<AppId, AppSeriesKeys> = if cfg.record_series {
             sim.apps().iter().map(|s| (s.id, AppSeriesKeys::new(&mut registry, s.id))).collect()
         } else {
-            std::collections::HashMap::new()
+            HashMap::new()
         };
+        ledger.close(Stage::Construct, 0, 0, &sim);
 
         // Initial scheduling pass so t=0 pods place immediately.
-        sched.pass(&mut sim, &mut trace, oracle.as_ref().map(|_| &mut newly_bound));
+        let bound_out = oracle.as_ref().map(|_| &mut newly_bound);
+        sched.pass(&scheduler, &mut sim, &mut trace, &mut ledger, 0, bound_out);
         if let Some(orc) = oracle.as_mut() {
-            orc.check_gang_atomicity(&sim, &newly_bound);
-            orc.check_tick(&sim);
-            orc.scan_trace(&trace);
+            check_tick(orc, &sim, &manager, &trace, &newly_bound, SimTime::ZERO);
+            ledger.close(Stage::OracleCheck, 0, 0, &sim);
         }
 
         // Crash recovery: checkpoints are captured, one per live tick, only
         // while a controller crash is actually armed and the strategy will
         // consume them.
-        let crash_armed = cfg.faults.iter().any(|ev| ev.kind == FaultKind::ControllerCrash);
-        let capture_checkpoints = crash_armed && cfg.recovery == RecoveryStrategy::Restore;
-        let mut checkpoint = if capture_checkpoints {
-            Some(manager.checkpoint(SimTime::ZERO, &sched.backoff))
-        } else {
-            None
-        };
+        let capture_checkpoints = cfg.recovery == RecoveryStrategy::Restore
+            && cfg.faults.iter().any(|ev| ev.kind == FaultKind::ControllerCrash);
+        let mut checkpoint = None;
+        if capture_checkpoints {
+            checkpoint = Some(manager.checkpoint(SimTime::ZERO, &sched.backoff));
+            ledger.close(Stage::ManagerTick, 0, 0, &sim);
+        }
         let mut last_crash_check = SimTime::ZERO;
         let mut controller_restarts = 0u64;
 
         let mut window_start = SimTime::ZERO;
+        // Seconds since the last live tick's end.
         let mut carried_secs = 0.0;
         let mut ticks = 0u64;
         let mut peak_running = 0u32;
@@ -620,18 +627,20 @@ impl ExperimentRunner {
             // multiple of the control interval; the manager sees the
             // actual elapsed seconds so per-window rates stay correct.
             let tick_end = (window_start + dt).min(horizon);
+            let events = sim.events_processed();
             sim.run_until(tick_end);
+            let stalled = injector.as_ref().is_some_and(|i| i.controller_stalled(tick_end));
+            ledger.close(Stage::RunUntil, ticks, sim.events_processed() - events, &sim);
             // A stalled control plane skips this tick entirely — no
             // scrape, no decisions, no scheduling pass. The skipped
             // seconds carry into the next live tick so per-window rates
             // stay correct.
-            if injector.as_ref().is_some_and(|i| i.controller_stalled(tick_end)) {
-                carried_secs += (tick_end - window_start).as_secs_f64();
-                window_start = tick_end;
+            carried_secs += (tick_end - window_start).as_secs_f64();
+            window_start = tick_end;
+            if stalled {
                 continue;
             }
-            let window_secs = (tick_end - window_start).as_secs_f64() + carried_secs;
-            carried_secs = 0.0;
+            let window_secs = std::mem::take(&mut carried_secs);
             // Controller crash: the in-memory manager (and the scheduler's
             // requeue ledger, which lives in the same process) is
             // destroyed; rebuild it per the configured strategy before
@@ -639,74 +648,27 @@ impl ExperimentRunner {
             // (last check, tick end] and the cursor does not advance
             // through stalled ticks, so every crash is handled exactly
             // once at the first live tick after it.
-            if crash_armed
-                && injector
-                    .as_ref()
-                    .is_some_and(|i| i.controller_crashed_in(last_crash_check, tick_end))
+            if injector
+                .as_ref()
+                .is_some_and(|i| i.controller_crashed_in(last_crash_check, tick_end))
             {
                 controller_restarts += 1;
-                let restored = match cfg.recovery {
-                    RecoveryStrategy::Restore => checkpoint
-                        .as_ref()
-                        .and_then(|ck| ResourceManager::restore(cfg.manager, &sim, ck).ok()),
-                    _ => None,
-                };
-                match (cfg.recovery, restored) {
-                    // The image was captured at the end of the previous
-                    // live tick (stalled seconds carry into this window),
-                    // so the resumed run is bit-identical to one that
-                    // never crashed.
-                    (RecoveryStrategy::Restore, Some((m, b))) => {
-                        manager = m;
-                        sched.backoff = b;
-                    }
-                    // Restore with no (or corrupt) checkpoint degrades to
-                    // cold reconstruction rather than naive reset.
-                    (RecoveryStrategy::Restore | RecoveryStrategy::ColdReconstruct, _) => {
-                        manager = ResourceManager::cold_reconstruct(cfg.manager, &sim);
-                        sched.backoff = RequeueBackoff::new();
-                        // A checkpoint carries the arbiter; the fresh
-                        // managers must have it re-installed (empty state:
-                        // grant fractions re-learn from the live cluster).
-                        if let Some(arb) = cfg.arbiter {
-                            manager.set_arbiter(arb);
-                        }
-                    }
-                    (RecoveryStrategy::NaiveReset, _) => {
-                        manager = ResourceManager::naive_reset(cfg.manager, &sim);
-                        sched.backoff = RequeueBackoff::new();
-                        if let Some(arb) = cfg.arbiter {
-                            manager.set_arbiter(arb);
-                        }
-                    }
-                }
+                (manager, sched.backoff) = recover(&cfg, &sim, checkpoint.as_ref());
             }
             last_crash_check = tick_end;
-            let control_started = std::time::Instant::now();
             let windows =
                 manager.tick_traced(&mut sim, window_secs, injector.as_mut(), Some(&mut trace));
-            let control_ns =
-                u64::try_from(control_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            control_wall_ns += control_ns;
-            trace.push(TraceEvent::Span(SpanTrace {
-                tick: ticks,
-                at: tick_end,
-                kind: SpanKind::Control,
-                wall_ns: control_ns,
-            }));
-            let sched_started = std::time::Instant::now();
+            let control = ledger.close(Stage::ManagerTick, ticks, windows.len() as u64, &sim);
+            trace.push(span(ticks, tick_end, SpanKind::Control, control));
             newly_bound.clear();
-            sched.pass(&mut sim, &mut trace, oracle.as_ref().map(|_| &mut newly_bound));
-            let sched_ns = u64::try_from(sched_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            sched_wall_ns += sched_ns;
-            trace.push(TraceEvent::Span(SpanTrace {
-                tick: ticks,
-                at: tick_end,
-                kind: SpanKind::Sched,
-                wall_ns: sched_ns,
-            }));
-            let record_started = std::time::Instant::now();
+            let bound_out = oracle.as_ref().map(|_| &mut newly_bound);
+            let scheduling =
+                sched.pass(&scheduler, &mut sim, &mut trace, &mut ledger, ticks, bound_out);
+            trace.push(span(ticks, tick_end, SpanKind::Sched, scheduling));
 
+            let snap = sim.snapshot();
+            let snapshot = ledger.close(Stage::Snapshot, ticks, 1, &sim);
+            let records = registry.fast_path_records();
             // Utilization accounting: allocation from the cluster, usage
             // from the windows.
             let mut used = ResourceVec::ZERO;
@@ -718,71 +680,30 @@ impl ExperimentRunner {
                 entry.2 += w.oom_kills;
                 entry.3 += w.shed_requests;
             }
-            let snap = sim.snapshot();
             peak_running = peak_running.max(snap.pods_running);
             util.record(snap.at, snap.allocated, used.min(&snap.allocatable));
-
-            if let Some(orc) = oracle.as_mut() {
-                orc.check_gang_atomicity(&sim, &newly_bound);
-                orc.check_tick(&sim);
-                orc.scan_trace(&trace);
-                // Arbitration invariants: capacity conservation, priority
-                // inversion, bounded starvation. The sim crate cannot see
-                // control types, so the outcomes are flattened into plain
-                // per-app entries here.
-                if !manager.last_arbitration().is_empty() {
-                    let floor_frac = manager.arbiter().map_or(0.5, |a| a.config().floor_fraction);
-                    let entries: Vec<ArbitrationCheck> = manager
-                        .last_arbitration()
-                        .iter()
-                        .map(|o| ArbitrationCheck {
-                            app: o.app,
-                            class: o.class,
-                            requested: o.requested,
-                            granted: o.granted,
-                            shed: o.is_shed(),
-                            slew_limited: matches!(
-                                o.decision,
-                                GrantDecision::Clipped(ClipReason::SlewLimited)
-                            ),
-                            below_floor: !(o.requested * floor_frac).fits_within(&o.granted),
-                            starvation_age: o.starvation_age,
-                        })
-                        .collect();
-                    orc.check_arbitration(tick_end, &entries, sim.cluster().total_allocatable());
-                }
-            }
             if let (Some(key), Some(inj)) = (faults_active_key, injector.as_ref()) {
                 registry.record_key(key, snap.at, inj.active_count(snap.at) as f64);
             }
 
-            if let Some(ck) = cluster_keys {
+            if let Some(keys) = cluster_keys {
                 let t = snap.at;
-                registry.record_key(ck.allocated_cpu_share, t, {
-                    let a = snap.allocatable.cpu();
-                    if a > 0.0 {
-                        snap.allocated.cpu() / a
-                    } else {
-                        0.0
-                    }
-                });
-                registry.record_key(ck.used_cpu_share, t, {
-                    let a = snap.allocatable.cpu();
-                    if a > 0.0 {
-                        used.cpu() / a
-                    } else {
-                        0.0
-                    }
-                });
-                registry.record_key(ck.pods_running, t, f64::from(snap.pods_running));
-                registry.record_key(ck.pods_pending, t, f64::from(snap.pods_pending));
-                registry.record_key(ck.nodes_ready, t, f64::from(snap.nodes_ready));
+                let values = [
+                    ratio(snap.allocated.cpu(), snap.allocatable.cpu()),
+                    ratio(used.cpu(), snap.allocatable.cpu()),
+                    f64::from(snap.pods_running),
+                    f64::from(snap.pods_pending),
+                    f64::from(snap.nodes_ready),
+                ];
+                for (key, value) in keys.into_iter().zip(values) {
+                    registry.record_key(key, t, value);
+                }
                 for (app, w) in &windows {
                     let keys = series_keys
                         .entry(*app)
                         .or_insert_with(|| AppSeriesKeys::new(&mut registry, *app));
                     if let Some(p99) = w.p99_ms {
-                        let key = keys.p99_key(&mut registry);
+                        let key = *keys.p99_ms.get_or_insert_with(|| registry.key(&keys.p99_name));
                         registry.record_key(key, t, p99);
                     }
                     registry.record_key(keys.rate_rps, t, w.arrivals as f64 / window_secs);
@@ -792,42 +713,24 @@ impl ExperimentRunner {
                     registry.record_key(keys.timeouts, t, w.timeouts as f64);
                 }
             }
-            trace.push(TraceEvent::Span(SpanTrace {
-                tick: ticks,
-                at: tick_end,
-                kind: SpanKind::Record,
-                wall_ns: u64::try_from(record_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            }));
-            if capture_checkpoints {
-                let ck = manager.checkpoint(tick_end, &sched.backoff);
-                // Checkpoint→restore equivalence: while a crash is armed,
-                // every captured image must restore to a manager whose
-                // own re-checkpoint is byte-identical — otherwise the
-                // post-crash trajectory silently diverges from the
-                // uninterrupted one.
-                if let Some(orc) = oracle.as_mut() {
-                    match ResourceManager::restore(cfg.manager, &sim, &ck) {
-                        Ok((restored, rb)) => {
-                            let again = restored.checkpoint(ck.at, &rb);
-                            if again.to_bytes() != ck.to_bytes() {
-                                orc.record_violation(
-                                    tick_end,
-                                    "checkpoint_equivalence",
-                                    "restored manager re-checkpoints to different bytes".into(),
-                                );
-                            }
-                        }
-                        Err(err) => orc.record_violation(
-                            tick_end,
-                            "checkpoint_equivalence",
-                            format!("captured checkpoint failed to restore: {err}"),
-                        ),
-                    }
-                }
-                checkpoint = Some(ck);
-            }
             manager.recycle(windows);
-            window_start = tick_end;
+            let records = 1 + registry.fast_path_records() - records;
+            let recording = ledger.close(Stage::Record, ticks, records, &sim);
+
+            if capture_checkpoints {
+                checkpoint = Some(manager.checkpoint(tick_end, &sched.backoff));
+                ledger.close(Stage::ManagerTick, ticks, 0, &sim);
+            }
+            if let Some(orc) = oracle.as_mut() {
+                check_tick(orc, &sim, &manager, &trace, &newly_bound, tick_end);
+                if let Some(ck) = checkpoint.as_ref().filter(|_| capture_checkpoints) {
+                    check_checkpoint(orc, cfg.manager, &sim, ck);
+                }
+                ledger.close(Stage::OracleCheck, ticks, 0, &sim);
+            }
+            // Pushed after the oracle scanned the ring: a full ring then
+            // evicts this span, not an event the oracle has not read.
+            trace.push(span(ticks, tick_end, SpanKind::Record, snapshot + recording));
         }
         let utilization = util.finish(sim.now());
 
@@ -863,23 +766,6 @@ impl ExperimentRunner {
             });
         }
 
-        let wall_secs = started.elapsed().as_secs_f64();
-        let perf = RunPerf {
-            ticks,
-            wall_secs,
-            sim_secs_per_wall_sec: if wall_secs > 0.0 {
-                sim.now().as_secs_f64() / wall_secs
-            } else {
-                0.0
-            },
-            peak_running_pods: peak_running,
-            fast_metric_records: registry.fast_path_records(),
-            control_wall_ns,
-            sched_wall_ns,
-            filter_evals: sched.filter_evals,
-            feasibility_probes: sched.feasibility_probes,
-        };
-
         // Deterministic JSONL dump (wall-clock excluded): two same-seed
         // runs write byte-identical files.
         if let Some(path) = &cfg.trace.dump {
@@ -889,13 +775,26 @@ impl ExperimentRunner {
         }
 
         let oracle_report = oracle.map(|o| o.finish(&sim, &trace));
+        let jobs = sim.job_outcomes();
+        ledger.close(Stage::Finish, ticks, 0, &sim);
+
+        let wall_secs = ledger.total.as_secs_f64();
+        let perf = RunPerf {
+            ticks,
+            wall_secs,
+            sim_secs_per_wall_sec: ratio(sim.now().as_secs_f64(), wall_secs),
+            peak_running_pods: peak_running,
+            fast_metric_records: registry.fast_path_records(),
+            filter_evals: sched.filter_evals,
+            feasibility_probes: sched.feasibility_probes,
+        };
 
         RunOutcome {
             manager: manager.label().to_owned(),
             scenario: cfg.scenario.name.clone(),
             apps,
             utilization,
-            jobs: sim.job_outcomes(),
+            jobs,
             registry,
             control,
             oracle: oracle_report,
@@ -914,12 +813,130 @@ impl ExperimentRunner {
     }
 }
 
+/// The manager and requeue ledger that replace the ones a controller
+/// crash destroyed, rebuilt per `cfg.recovery`.
+fn recover(
+    cfg: &RunConfig,
+    sim: &Simulation,
+    checkpoint: Option<&ControllerCheckpoint>,
+) -> (ResourceManager, RequeueBackoff) {
+    // The image was captured at the end of the previous live tick
+    // (stalled seconds carry into this window), so the resumed run is
+    // bit-identical to one that never crashed.
+    if cfg.recovery == RecoveryStrategy::Restore {
+        if let Some(restored) =
+            checkpoint.and_then(|ck| ResourceManager::restore(cfg.manager, sim, ck).ok())
+        {
+            return restored;
+        }
+    }
+    // Restore with no (or corrupt) checkpoint degrades to cold
+    // reconstruction rather than naive reset.
+    let mut manager = match cfg.recovery {
+        RecoveryStrategy::NaiveReset => ResourceManager::naive_reset(cfg.manager, sim),
+        _ => ResourceManager::cold_reconstruct(cfg.manager, sim),
+    };
+    // A checkpoint carries the arbiter; a fresh manager must have it
+    // re-installed (empty state: grant fractions re-learn from the live
+    // cluster).
+    if let Some(arb) = cfg.arbiter {
+        manager.set_arbiter(arb);
+    }
+    (manager, RequeueBackoff::new())
+}
+
+/// The oracle's per-pass battery: gang atomicity of the pods the pass
+/// bound, the cluster invariants, the trace events since the last scan
+/// and, when the arbiter ran, its outcomes.
+fn check_tick(
+    orc: &mut ChaosOracle,
+    sim: &Simulation,
+    manager: &ResourceManager,
+    trace: &TraceRing,
+    newly_bound: &[PodId],
+    at: SimTime,
+) {
+    orc.check_gang_atomicity(sim, newly_bound);
+    orc.check_tick(sim);
+    orc.scan_trace(trace);
+    // Arbitration invariants: capacity conservation, priority inversion,
+    // bounded starvation. The sim crate cannot see control types, so the
+    // outcomes are flattened into plain per-app entries here.
+    if manager.last_arbitration().is_empty() {
+        return;
+    }
+    let floor_frac = manager.arbiter().map_or(0.5, |a| a.config().floor_fraction);
+    let entries: Vec<ArbitrationCheck> = manager
+        .last_arbitration()
+        .iter()
+        .map(|o| ArbitrationCheck {
+            app: o.app,
+            class: o.class,
+            requested: o.requested,
+            granted: o.granted,
+            shed: o.is_shed(),
+            slew_limited: matches!(o.decision, GrantDecision::Clipped(ClipReason::SlewLimited)),
+            below_floor: !(o.requested * floor_frac).fits_within(&o.granted),
+            starvation_age: o.starvation_age,
+        })
+        .collect();
+    orc.check_arbitration(at, &entries, sim.cluster().total_allocatable());
+}
+
+/// Checkpoint→restore equivalence: while a crash is armed, every captured
+/// image must restore to a manager whose own re-checkpoint is
+/// byte-identical — otherwise the post-crash trajectory silently diverges
+/// from the uninterrupted one.
+fn check_checkpoint(
+    orc: &mut ChaosOracle,
+    kind: ManagerKind,
+    sim: &Simulation,
+    ck: &ControllerCheckpoint,
+) {
+    let detail = match ResourceManager::restore(kind, sim, ck) {
+        Ok((restored, rb)) if restored.checkpoint(ck.at, &rb).to_bytes() == ck.to_bytes() => return,
+        Ok(_) => "restored manager re-checkpoints to different bytes".into(),
+        Err(err) => format!("captured checkpoint failed to restore: {err}"),
+    };
+    orc.record_violation(ck.at, "checkpoint_equivalence", detail);
+}
+
+/// The run's one clock: each [`close`](Ledger::close) ends the piece that
+/// began at the previous one, and `total` sums them.
+struct Ledger<'h, H: ?Sized> {
+    hook: &'h mut H,
+    last: Instant,
+    total: Duration,
+}
+
+impl<'h, H: StageHook + ?Sized> Ledger<'h, H> {
+    fn start(hook: &'h mut H) -> Self {
+        Ledger { hook, last: Instant::now(), total: Duration::ZERO }
+    }
+
+    /// Ends the current piece as `stage`, hands it to the hook and
+    /// returns its wall.
+    fn close(&mut self, stage: Stage, tick: u64, units: u64, sim: &Simulation) -> Duration {
+        let now = Instant::now();
+        let wall = now - std::mem::replace(&mut self.last, now);
+        self.total += wall;
+        self.hook.piece(stage, tick, wall, units, sim);
+        wall
+    }
+}
+
+/// A lifecycle span of the decision trace.
+fn span(tick: u64, at: SimTime, kind: SpanKind, wall: Duration) -> TraceEvent {
+    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+    TraceEvent::Span(SpanTrace { tick, at, kind, wall_ns })
+}
+
 /// Scheduler-side state carried across the passes of one run: the
-/// framework, the requeue-backoff ledger, the feasibility index (each
-/// pass diffs cluster version counters instead of rebuilding the shadow)
-/// and what the passes add up to.
+/// requeue-backoff ledger, the feasibility index (each pass diffs cluster
+/// version counters instead of rebuilding the shadow) and what the passes
+/// add up to.
+#[derive(Default)]
 struct Scheduling {
-    scheduler: SchedulerFramework,
     backoff: RequeueBackoff,
     index: FeasibilityIndex,
     preemptions: u64,
@@ -930,29 +947,20 @@ struct Scheduling {
 }
 
 impl Scheduling {
-    fn new(scheduler: SchedulerFramework) -> Self {
-        Scheduling {
-            scheduler,
-            backoff: RequeueBackoff::new(),
-            index: FeasibilityIndex::new(),
-            preemptions: 0,
-            bindings: 0,
-            stale_pod_lookups: 0,
-            filter_evals: 0,
-            feasibility_probes: 0,
-        }
-    }
-
-    /// One scheduling pass: the cycle, then the plan applied to the
-    /// simulator (victims first, as the plan's shadow accounting
-    /// assumes). Pods that bound are appended to `bound_out`.
-    fn pass(
+    /// One pass of `scheduler` as two pieces: the cycle, then the plan
+    /// applied to the simulator (victims first, as the plan's shadow
+    /// accounting assumes). Pods that bound go to `bound_out`. Returns the
+    /// pass's wall.
+    fn pass<H: StageHook + ?Sized>(
         &mut self,
+        scheduler: &SchedulerFramework,
         sim: &mut Simulation,
         trace: &mut TraceRing,
+        ledger: &mut Ledger<'_, H>,
+        tick: u64,
         mut bound_out: Option<&mut Vec<PodId>>,
-    ) {
-        let plan = self.scheduler.schedule_cycle_carried(
+    ) -> Duration {
+        let plan = scheduler.schedule_cycle_carried(
             sim.cluster(),
             &mut self.backoff,
             &mut self.index,
@@ -962,6 +970,8 @@ impl Scheduling {
         self.stale_pod_lookups += plan.stale_pod_lookups;
         self.filter_evals += plan.filter_evals;
         self.feasibility_probes += plan.index_probes;
+        let cycle = ledger.close(Stage::SchedulerCycle, tick, plan.bindings.len() as u64, sim);
+        let moved = self.preemptions + self.bindings;
         for victim in &plan.preemptions {
             if sim.preempt_pod(*victim).is_ok() {
                 self.preemptions += 1;
@@ -976,6 +986,8 @@ impl Scheduling {
             }
         }
         self.backoff.recycle(plan);
+        let moved = self.preemptions + self.bindings - moved;
+        cycle + ledger.close(Stage::Actuate, tick, moved, sim)
     }
 }
 
@@ -1005,26 +1017,20 @@ mod tests {
     use super::*;
 
     /// `(pods created, pod bound)` of a fault-free run of `spec` under
-    /// `manager`, driven as `ExperimentRunner::run` drives it.
+    /// `manager`: the bound as construction leaves the simulation, the
+    /// pods as the run does.
     fn pods_against_bound(spec: &ScenarioSpec, manager: ManagerKind) -> (usize, usize) {
         let cfg = RunConfig::from_spec(spec, manager).seed(42).build();
-        let cluster = ClusterConfig::uniform(cfg.nodes, cfg.node_shape);
-        let mut sim =
-            Simulation::new(SimulationConfig::default(), cluster, &cfg.scenario.mix, cfg.seed);
-        let bound = sim.pod_bound(cfg.scenario.horizon, manager.replica_ceiling());
-        let mut manager = ResourceManager::new(manager, &sim);
-        let mut sched = Scheduling::new(SchedulerFramework::new(cfg.scheduler));
-        let mut trace = TraceRing::new(0);
-        sched.pass(&mut sim, &mut trace, None);
-        let (mut at, horizon) = (SimTime::ZERO, SimTime::ZERO + cfg.scenario.horizon);
-        while at < horizon {
-            let end = (at + cfg.control_interval).min(horizon);
-            sim.run_until(end);
-            let _ = manager.tick_traced(&mut sim, (end - at).as_secs_f64(), None, None);
-            sched.pass(&mut sim, &mut trace, None);
-            at = end;
-        }
-        (sim.cluster().pods().count(), bound)
+        let (horizon, ceiling) = (cfg.scenario.horizon, manager.replica_ceiling());
+        let (mut created, mut bound) = (0, 0);
+        let _ = ExperimentRunner::new(cfg).run_with(
+            &mut |stage: Stage, _: u64, _: Duration, _: u64, sim: &Simulation| match stage {
+                Stage::Construct => bound = sim.pod_bound(horizon, ceiling),
+                Stage::Finish => created = sim.cluster().pods().count(),
+                _ => {}
+            },
+        );
+        (created, bound)
     }
 
     /// The presize holds every pod the benchmarked runs create, and is not

@@ -3,8 +3,8 @@
 //! outcome is.
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome};
-use evolve_types::SimDuration;
-use evolve_workload::{ArbiterSpec, ScenarioSpec};
+use evolve_types::{ArbiterConfig, SimDuration};
+use evolve_workload::ScenarioSpec;
 
 /// Everything the two runs must agree on: per-app counts, then events,
 /// bindings and the bits of the two utilisation means.
@@ -44,7 +44,7 @@ fn an_arbiter_with_room_to_spare_changes_nothing() {
         };
         let plain = run(&spec);
         let arbitrated =
-            run(&ScenarioSpec { arbiter: Some(ArbiterSpec::default()), ..spec.clone() });
+            run(&ScenarioSpec { arbiter: Some(ArbiterConfig::default()), ..spec.clone() });
         assert_eq!(
             arbitrated.control.clipped_allocations + arbitrated.control.shed_decisions,
             0,

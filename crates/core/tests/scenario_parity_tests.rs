@@ -5,8 +5,7 @@
 use std::path::PathBuf;
 
 use evolve_core::{ManagerKind, RunConfig};
-use evolve_sim::NodeShape;
-use evolve_workload::{ScenarioSpec, DEFAULT_NODE_CAPACITY};
+use evolve_workload::ScenarioSpec;
 
 fn scenario_file(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
@@ -34,12 +33,4 @@ fn scenario_file_loads_checked_in_specs() {
     let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
     assert_eq!(config.nodes, 10);
     assert!(config.scenario.name.starts_with("interference"));
-}
-
-/// The spec layer's default node capacity is the simulator's: a spec
-/// without `[cluster] node_capacity` is validated against exactly the
-/// node the runner will build.
-#[test]
-fn spec_default_capacity_matches_the_simulators() {
-    assert_eq!(DEFAULT_NODE_CAPACITY, NodeShape::default().capacity);
 }

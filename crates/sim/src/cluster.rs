@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use evolve_types::{Error, NodeId, PodId, ResourceVec, Result, SimTime};
+use evolve_workload::DEFAULT_NODE_CAPACITY;
 
 use crate::node::Node;
 use crate::pod::{Pod, PodPhase, PodSpec};
@@ -20,9 +21,9 @@ pub struct NodeShape {
 }
 
 impl Default for NodeShape {
-    /// A 16-core / 64 GiB / 500 MB/s disk / 1250 MB/s (10 GbE) node.
+    /// [`DEFAULT_NODE_CAPACITY`]: the node a spec without a capacity assumes.
     fn default() -> Self {
-        NodeShape { capacity: ResourceVec::new(16_000.0, 65_536.0, 500.0, 1_250.0) }
+        NodeShape { capacity: DEFAULT_NODE_CAPACITY }
     }
 }
 

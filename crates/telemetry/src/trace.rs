@@ -336,11 +336,11 @@ pub struct DeferredTrace {
 /// Which runner phase a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Manager tick: scrape + policy decisions + actuation.
+    /// Manager tick: crash recovery, scrape, policy decisions, actuation.
     Control,
     /// Scheduler cycle + binding/preemption application.
     Sched,
-    /// Metric series recording.
+    /// Cluster snapshot + utilisation and metric series recording.
     Record,
 }
 
@@ -356,8 +356,8 @@ impl SpanKind {
     }
 }
 
-/// A runner lifecycle span. The wall-clock duration feeds `RunPerf` but
-/// is excluded from the JSONL dump (determinism rule).
+/// A runner lifecycle span: the wall of the run's stage pieces it covers,
+/// excluded from the JSONL dump (determinism rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanTrace {
     /// Control tick index the span belongs to.

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arbiter;
 pub mod codec;
 mod error;
 mod ids;
@@ -37,6 +38,7 @@ mod priority;
 mod resources;
 mod time;
 
+pub use arbiter::ArbiterConfig;
 pub use codec::{Codec, Decoder, Encoder};
 pub use error::Error;
 pub use ids::{AppId, JobId, NodeId, PodId};

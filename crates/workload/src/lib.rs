@@ -61,6 +61,6 @@ pub use sampling::{
 };
 pub use scenario::{LoadSpec, Scenario, WorkloadMix};
 pub use spec::{
-    ArbiterSpec, BatchEntry, ClusterSpec, HpcEntry, ProbeSpec, ReproSpec, ScenarioError,
-    ScenarioSpec, ServiceEntry, StageEntry, BUILTINS, DEFAULT_NODE_CAPACITY,
+    BatchEntry, ClusterSpec, HpcEntry, ProbeSpec, ReproSpec, ScenarioError, ScenarioSpec,
+    ServiceEntry, StageEntry, BUILTINS, DEFAULT_NODE_CAPACITY,
 };

@@ -23,7 +23,7 @@ use crate::sampling::{LogNormal, SamplingMode};
 /// # Examples
 ///
 /// ```
-/// use evolve_workload::RequestClass;
+/// use evolve_workload::{RequestClass, SamplingMode};
 /// use evolve_types::{ResourceVec, SimDuration};
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
@@ -37,7 +37,7 @@ use crate::sampling::{LogNormal, SamplingMode};
 ///     SimDuration::from_secs(10),
 /// );
 /// let mut rng = ChaCha8Rng::seed_from_u64(1);
-/// let demand = class.sample_demand(&mut rng);
+/// let demand = class.sample_demand_with(SamplingMode::Batched, &mut rng);
 /// assert!(demand.cpu() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -103,14 +103,8 @@ impl RequestClass {
     /// Samples one request's demand vector. All rate dimensions share one
     /// log-normal multiplier (a "big" request is big everywhere), keeping
     /// per-dimension ratios stable, which is how real request fan-out
-    /// behaves.
-    pub fn sample_demand<R: Rng + ?Sized>(&self, rng: &mut R) -> ResourceVec {
-        self.sample_demand_with(SamplingMode::Legacy, rng)
-    }
-
-    /// [`RequestClass::sample_demand`] with an explicit normal-sampler
-    /// mode: `Legacy` keeps the Box–Muller stream bit-for-bit, `Batched`
-    /// draws the multiplier's normal from the ziggurat.
+    /// behaves. `Batched` draws the multiplier's normal from the ziggurat,
+    /// as the engine does; `Legacy` keeps the Box–Muller stream bit for bit.
     pub fn sample_demand_with<R: Rng + ?Sized>(
         &self,
         mode: SamplingMode,
@@ -164,7 +158,7 @@ mod tests {
     fn zero_cv_is_deterministic() {
         let c = class(0.0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert_eq!(c.sample_demand(&mut rng), c.mean_demand());
+        assert_eq!(c.sample_demand_with(SamplingMode::Batched, &mut rng), c.mean_demand());
     }
 
     #[test]
@@ -172,7 +166,8 @@ mod tests {
         let c = class(0.8);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let n = 50_000;
-        let total: ResourceVec = (0..n).map(|_| c.sample_demand(&mut rng)).sum();
+        let total: ResourceVec =
+            (0..n).map(|_| c.sample_demand_with(SamplingMode::Batched, &mut rng)).sum();
         let mean = total * (1.0 / f64::from(n));
         assert!((mean.cpu() - 10.0).abs() / 10.0 < 0.05, "cpu mean {}", mean.cpu());
         assert!((mean.disk_io() - 1.0).abs() < 0.05);
@@ -183,7 +178,7 @@ mod tests {
         let c = class(1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for _ in 0..100 {
-            let d = c.sample_demand(&mut rng);
+            let d = c.sample_demand_with(SamplingMode::Batched, &mut rng);
             // cpu:disk ratio stays 10:1.
             assert!((d.cpu() / d.disk_io() - 10.0).abs() < 1e-9);
         }
@@ -194,7 +189,7 @@ mod tests {
         let c = class(2.0);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for _ in 0..200 {
-            let d = c.sample_demand(&mut rng);
+            let d = c.sample_demand_with(SamplingMode::Batched, &mut rng);
             let cpu_mult = d.cpu() / 10.0;
             let mem_mult = d.memory() / 4.0;
             if cpu_mult > 1.0 {

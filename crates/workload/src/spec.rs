@@ -26,7 +26,9 @@ use std::fmt::Write as _;
 use std::mem::discriminant;
 use std::path::Path;
 
-use evolve_types::{AppId, NodeId, PriorityClass, ResourceVec, SimDuration, SimTime};
+use evolve_types::{
+    AppId, ArbiterConfig, NodeId, PriorityClass, ResourceVec, SimDuration, SimTime,
+};
 
 use crate::apps::PloSpec;
 use crate::faults::{FaultEvent, FaultKind};
@@ -36,8 +38,8 @@ use crate::{BatchJobSpec, HpcJobSpec, RequestClass, ServiceSpec, StageSpec};
 use Absent::{Omitted, Reads, Required};
 
 /// The reference node capacity a spec is validated against when
-/// `[cluster] node_capacity` is not set. Mirrors the simulator's default
-/// node shape (asserted by a cross-crate test in `evolve-core`).
+/// `[cluster] node_capacity` is not set, and the simulator's default
+/// node shape: a 16-core / 64 GiB / 500 MB/s disk / 1250 MB/s (10 GbE) node.
 pub const DEFAULT_NODE_CAPACITY: ResourceVec = ResourceVec::new(16_000.0, 65_536.0, 500.0, 1_250.0);
 
 /// Why a scenario file could not be loaded.
@@ -227,35 +229,6 @@ pub struct HpcEntry {
     pub priority: PriorityClass,
 }
 
-/// Capacity-arbiter settings, mirroring `evolve_control::ArbiterConfig`
-/// field for field (plain data here so `evolve_workload` stays free of a
-/// control-plane dependency; `evolve-core` converts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArbiterSpec {
-    /// Fraction of ready capacity held back as reserve.
-    pub headroom_fraction: f64,
-    /// Grant fraction below which an app counts as starving.
-    pub floor_fraction: f64,
-    /// Crunch-exit margin.
-    pub hysteresis: f64,
-    /// Maximum per-tick grant-fraction recovery step.
-    pub max_recovery_step: f64,
-    /// Demand clamp as a multiple of current actual allocation.
-    pub demand_cap_ratio: f64,
-}
-
-impl Default for ArbiterSpec {
-    fn default() -> Self {
-        ArbiterSpec {
-            headroom_fraction: 0.10,
-            floor_fraction: 0.5,
-            hysteresis: 0.10,
-            max_recovery_step: 0.25,
-            demand_cap_ratio: 2.0,
-        }
-    }
-}
-
 /// A stepwise capacity-probe ramp: offered-load factors from `initial`
 /// to `max` in `step` increments, with the knee declared where the
 /// service PLO violation rate crosses `threshold`.
@@ -304,7 +277,7 @@ pub struct ScenarioSpec {
     /// HPC jobs.
     pub hpc_jobs: Vec<HpcEntry>,
     /// Capacity-arbiter settings, when the scenario wants one.
-    pub arbiter: Option<ArbiterSpec>,
+    pub arbiter: Option<ArbiterConfig>,
     /// Scheduled faults.
     pub faults: Vec<FaultEvent>,
     /// Capacity-probe ramp, for scenarios meant for knee discovery.
@@ -973,8 +946,8 @@ impl Record for ClusterSpec {
     }
 }
 
-impl Record for ArbiterSpec {
-    const BLANK: Self = ArbiterSpec {
+impl Record for ArbiterConfig {
+    const BLANK: Self = ArbiterConfig {
         headroom_fraction: 0.0,
         floor_fraction: 0.0,
         hysteresis: 0.0,
@@ -982,7 +955,7 @@ impl Record for ArbiterSpec {
         demand_cap_ratio: 0.0,
     };
     fn walk<S: Schema>(s: &mut S, a: &mut Self) -> Res {
-        let d = ArbiterSpec::default();
+        let d = ArbiterConfig::default();
         s.key(
             "headroom_fraction",
             &mut a.headroom_fraction,

@@ -7,11 +7,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use evolve_types::{AppId, NodeId, ResourceVec, SimDuration, SimTime};
+use evolve_types::{AppId, ArbiterConfig, NodeId, ResourceVec, SimDuration, SimTime};
 use evolve_workload::{
-    ArbiterSpec, BatchEntry, ClusterSpec, FaultEvent, FaultKind, HpcEntry, LoadSpec, PloSpec,
-    PoissonArrivals, PriorityClass, ProbeSpec, ReproSpec, SamplingMode, ScenarioError,
-    ScenarioSpec, ServiceEntry, StageEntry, BUILTINS,
+    BatchEntry, ClusterSpec, FaultEvent, FaultKind, HpcEntry, LoadSpec, PloSpec, PoissonArrivals,
+    PriorityClass, ProbeSpec, ReproSpec, SamplingMode, ScenarioError, ScenarioSpec, ServiceEntry,
+    StageEntry, BUILTINS,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -133,7 +133,7 @@ fn coverage_spec() -> ScenarioSpec {
             deadline: secs(450.0),
             priority: PriorityClass::Critical,
         }],
-        arbiter: Some(ArbiterSpec {
+        arbiter: Some(ArbiterConfig {
             headroom_fraction: 0.15,
             floor_fraction: 0.4,
             hysteresis: 0.05,

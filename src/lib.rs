@@ -63,9 +63,8 @@ pub use evolve_workload as workload;
 pub mod prelude {
     pub use evolve_control::ArbiterConfig;
     pub use evolve_core::{
-        arbiter_from_spec, write_csv, ExperimentRunner, Harness, ManagerKind, RecoveryStrategy,
-        ReplicatedOutcome, RunConfig, RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile,
-        Summary, Table,
+        write_csv, ExperimentRunner, Harness, ManagerKind, RecoveryStrategy, ReplicatedOutcome,
+        RunConfig, RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile, Summary, Table,
     };
     pub use evolve_sim::{
         ChaosOracle, FaultEvent, FaultKind, NodeShape, OracleReport, OracleViolation,
