@@ -812,26 +812,32 @@ fn decisions_close(a: &PolicyDecision, b: &PolicyDecision) -> bool {
 mod tests {
     use super::*;
     use evolve_sim::{ClusterConfig, NodeShape, SimulationConfig};
-    use evolve_types::{SimDuration, SimTime};
-    use evolve_workload::{LoadSpec, RequestClass, ServiceSpec, WorkloadMix};
+    use evolve_types::SimTime;
+    use evolve_workload::ScenarioSpec;
 
     fn sim() -> Simulation {
-        let class = RequestClass::new(
-            "rq",
-            ResourceVec::new(20.0, 2.0, 0.1, 0.1),
-            0.0,
-            SimDuration::from_secs(10),
-        );
-        let mix = WorkloadMix::new().with_service(
-            ServiceSpec::new(
-                "svc",
-                PloSpec::LatencyP99 { target_ms: 100.0 },
-                class,
-                ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0),
-            )
-            .with_initial_replicas(2),
-            LoadSpec::Constant { rate: 50.0 },
-        );
+        let spec = ScenarioSpec::from_toml_str(
+            r#"
+name = "one-service"
+horizon_secs = 60.0
+
+[[service]]
+name = "svc"
+class = "rq"
+demand = [20.0, 2.0, 0.1, 0.1]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [2000.0, 2048.0, 50.0, 50.0]
+replicas = 2
+
+[service.load]
+kind = "constant"
+rate = 50.0
+"#,
+        )
+        .expect("a valid scenario");
+        let mix = spec.build().mix;
         Simulation::new(
             SimulationConfig::default(),
             ClusterConfig::uniform(2, NodeShape::default()),

@@ -151,9 +151,10 @@ fn restore_resumes_the_exact_trajectory() {
 /// restore read zero.)
 #[test]
 fn desync_count_survives_a_second_restore() {
-    let one = ScenarioSpec::builtin("single_diurnal").unwrap().build().mix;
-    let (spec, load) = one.services()[0].clone();
-    let two = one.clone().with_service(spec, load);
+    let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+    let one = spec.build().mix;
+    spec.services.push(spec.services[0].clone());
+    let two = spec.build().mix;
     let sim_of = |mix| {
         Simulation::new(
             SimulationConfig::default(),

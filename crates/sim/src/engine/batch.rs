@@ -2,7 +2,7 @@
 //! pool, task requeue on preemption, and record-throughput accounting.
 
 use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimTime};
-use evolve_workload::BatchJobSpec;
+use evolve_workload::{BatchEntry, PloSpec};
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
 use crate::pod::{PodKind, PodPhase, PodSpec};
@@ -13,8 +13,7 @@ use super::{Owner, Replicas, Simulation, Timer, BATCH_PRIORITY};
 pub(crate) struct BatchRuntime {
     pub(crate) app: AppId,
     pub(crate) job: JobId,
-    pub(crate) spec: BatchJobSpec,
-    submit_at: SimTime,
+    pub(crate) spec: BatchEntry,
     started: Option<SimTime>,
     /// Current stage index.
     stage: usize,
@@ -33,15 +32,14 @@ pub(crate) struct BatchRuntime {
 }
 
 impl BatchRuntime {
-    pub(crate) fn new(app: AppId, job_raw: u64, spec: BatchJobSpec, submit_at: SimTime) -> Self {
-        let desired_alloc = spec.task_alloc;
+    pub(crate) fn new(app: AppId, job_raw: u64, spec: &BatchEntry) -> Self {
         let mut replicas = Replicas::default();
-        replicas.reserve(spec.max_parallel_tasks as usize);
+        replicas.reserve(spec.max_parallel as usize);
         BatchRuntime {
             app,
             job: JobId::new(job_raw),
-            spec,
-            submit_at,
+            desired_alloc: spec.task_alloc,
+            spec: spec.clone(),
             started: None,
             stage: 0,
             tasks_launched: 0,
@@ -50,7 +48,6 @@ impl BatchRuntime {
             records_done: 0,
             records_this_window: 0,
             finished: None,
-            desired_alloc,
             acc: WindowAccumulator::default(),
         }
     }
@@ -67,7 +64,7 @@ impl BatchRuntime {
     /// wave more than such tasks can finish, for a manager that grows
     /// their requests — and never more than the stages hold.
     pub(crate) fn pod_bound(&self, end: SimTime) -> usize {
-        if self.submit_at > end {
+        if self.spec.submit_at > end {
             return 0;
         }
         let tasks = self.spec.stages.iter().map(|s| s.tasks as usize).sum();
@@ -76,23 +73,23 @@ impl BatchRuntime {
             .spec
             .stages
             .iter()
-            .map(|s| drain_secs(s.work_per_task, request))
+            .map(|s| drain_secs(s.work, request))
             .fold(f64::INFINITY, f64::min);
-        let open = end.saturating_since(self.submit_at).as_secs_f64();
+        let open = end.saturating_since(self.spec.submit_at).as_secs_f64();
         let waves = if shortest > 0.0 { 1.0 + (open / shortest).ceil() } else { f64::INFINITY };
         // A float to integer cast saturates: an endless pool is `usize::MAX`.
-        ((f64::from(self.spec.max_parallel_tasks) * waves) as usize).min(tasks)
+        ((f64::from(self.spec.max_parallel) * waves) as usize).min(tasks)
     }
 
     pub(crate) fn outcome(&self) -> JobOutcome {
         let deadline = match self.spec.plo {
-            evolve_workload::PloSpec::Deadline { deadline } => self.submit_at + deadline,
+            PloSpec::Deadline { deadline } => self.spec.submit_at + deadline,
             _ => SimTime::MAX,
         };
         JobOutcome {
             job: self.job,
             app: self.app,
-            submitted: self.submit_at,
+            submitted: self.spec.submit_at,
             finished: self.finished,
             deadline,
         }
@@ -126,7 +123,7 @@ impl Simulation {
                 }
                 let stage_spec = &rt.spec.stages[rt.stage];
                 let can_launch = rt.tasks_launched < stage_spec.tasks
-                    && (rt.replicas.live() as u32) < rt.spec.max_parallel_tasks;
+                    && (rt.replicas.live() as u32) < rt.spec.max_parallel;
                 (
                     can_launch,
                     rt.app,
@@ -159,7 +156,7 @@ impl Simulation {
         let PodKind::BatchTask { stage, .. } = spec.kind else {
             unreachable!("batch pod has batch kind")
         };
-        let work = self.batches[idx].spec.stages[stage as usize].work_per_task;
+        let work = self.batches[idx].spec.stages[stage as usize].work;
         let replicas = &mut self.batches[idx].replicas;
         let mut server = replicas.renewed(request, 0.0, now);
         // One work item, no deadline (jobs run to completion).
@@ -210,8 +207,8 @@ impl Simulation {
             let rt = &mut self.batches[idx];
             let stage_spec = rt.spec.stages[rt.stage];
             rt.tasks_done += 1;
-            rt.records_done += stage_spec.records_per_task;
-            rt.records_this_window += stage_spec.records_per_task;
+            rt.records_done += stage_spec.records;
+            rt.records_this_window += stage_spec.records;
             if let Some(s) = started {
                 rt.acc.record_completion(now.saturating_since(s));
             }

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use evolve_types::{AppId, JobId, PodId, Resource, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{sample_lognormal_with, HpcJobSpec};
+use evolve_workload::{sample_lognormal_with, HpcEntry};
 
 use crate::observe::{AppWindow, JobOutcome, WindowAccumulator};
 use crate::pod::{PodKind, PodPhase, PodSpec};
@@ -15,8 +15,7 @@ use super::{Event, Owner, Simulation, HPC_JITTER_CV, HPC_PRIORITY};
 pub(crate) struct HpcRuntime {
     pub(crate) app: AppId,
     pub(crate) job: JobId,
-    pub(crate) spec: HpcJobSpec,
-    submit_at: SimTime,
+    pub(crate) spec: HpcEntry,
     started: Option<SimTime>,
     /// All rank pods (stable across requeues).
     pub(crate) pods: Vec<PodId>,
@@ -32,13 +31,12 @@ pub(crate) struct HpcRuntime {
 }
 
 impl HpcRuntime {
-    pub(crate) fn new(app: AppId, job_raw: u64, spec: HpcJobSpec, submit_at: SimTime) -> Self {
-        let desired_alloc = spec.rank_alloc;
+    pub(crate) fn new(app: AppId, job_raw: u64, spec: &HpcEntry) -> Self {
         HpcRuntime {
             app,
             job: JobId::new(job_raw),
-            spec,
-            submit_at,
+            desired_alloc: spec.rank_alloc,
+            spec: spec.clone(),
             started: None,
             pods: Vec::new(),
             running: BTreeSet::new(),
@@ -46,7 +44,6 @@ impl HpcRuntime {
             version: 0,
             iterating: false,
             finished: None,
-            desired_alloc,
             acc: WindowAccumulator::default(),
         }
     }
@@ -57,10 +54,10 @@ impl HpcRuntime {
 
     /// Rank pods the job creates up to `end`: its gang, once submitted.
     pub(crate) fn pod_bound(&self, end: SimTime) -> usize {
-        if self.submit_at > end {
+        if self.spec.submit_at > end {
             0
         } else {
-            self.spec.gang_size as usize
+            self.spec.gang as usize
         }
     }
 
@@ -68,9 +65,9 @@ impl HpcRuntime {
         JobOutcome {
             job: self.job,
             app: self.app,
-            submitted: self.submit_at,
+            submitted: self.spec.submit_at,
             finished: self.finished,
-            deadline: self.submit_at + self.spec.deadline,
+            deadline: self.spec.submit_at + self.spec.deadline,
         }
     }
 }
@@ -81,13 +78,7 @@ impl Simulation {
     pub(crate) fn hpc_submit(&mut self, idx: usize) {
         let (app, job, gang, request, limit) = {
             let rt = &self.hpcs[idx];
-            (
-                rt.app,
-                rt.job,
-                rt.spec.gang_size,
-                rt.desired_alloc.min(&self.pod_limit),
-                self.pod_limit,
-            )
+            (rt.app, rt.job, rt.spec.gang, rt.desired_alloc.min(&self.pod_limit), self.pod_limit)
         };
         for rank in 0..gang {
             let spec = PodSpec::new(PodKind::HpcRank { app, job, rank }, request, HPC_PRIORITY)
@@ -113,7 +104,7 @@ impl Simulation {
     fn hpc_maybe_start_iteration(&mut self, idx: usize) {
         let ready = {
             let rt = &self.hpcs[idx];
-            rt.finished.is_none() && !rt.iterating && rt.running.len() as u32 == rt.spec.gang_size
+            rt.finished.is_none() && !rt.iterating && rt.running.len() as u32 == rt.spec.gang
         };
         if !ready {
             return;
@@ -126,7 +117,7 @@ impl Simulation {
             for pod in &rt.running {
                 let alloc = self.cluster.pod(*pod).expect("running rank").spec.request;
                 for r in [Resource::Cpu, Resource::DiskIo, Resource::NetIo] {
-                    let work = rt.spec.work_per_iteration[r];
+                    let work = rt.spec.work[r];
                     if work > 1e-12 {
                         let rate = alloc[r];
                         secs = if rate <= 1e-12 { f64::INFINITY } else { secs.max(work / rate) };
@@ -161,8 +152,8 @@ impl Simulation {
             rt.iterations_done += 1;
             // Usage accounting: the gang consumed one iteration of work on
             // every rank.
-            let gang = f64::from(rt.spec.gang_size);
-            let mut work = rt.spec.work_per_iteration * gang;
+            let gang = f64::from(rt.spec.gang);
+            let mut work = rt.spec.work * gang;
             work[Resource::Memory] = 0.0;
             rt.acc.consumed += work;
             rt.acc.record_completion(SimDuration::from_secs_f64(0.0));

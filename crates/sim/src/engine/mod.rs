@@ -353,7 +353,7 @@ impl Simulation {
             events_processed: 0,
         };
         let mut next_app = 0u32;
-        for (spec, load) in mix.services() {
+        for (spec, _) in mix.services() {
             let app = AppId::new(next_app);
             next_app += 1;
             sim.statuses.push(AppStatus {
@@ -365,15 +365,15 @@ impl Simulation {
             });
             let idx = sim.services.len();
             sim.app_index.push(Owner::Service(idx));
-            sim.services.push(ServiceRuntime::new(app, spec.clone(), load, config.sampling));
+            sim.services.push(ServiceRuntime::new(app, spec, config.sampling));
             sim.arrival_slots.push(SimTime::MAX);
             // Initial replicas exist from t=0.
-            for _ in 0..spec.initial_replicas {
+            for _ in 0..spec.replicas {
                 sim.create_service_pod(idx);
             }
             sim.schedule_next_arrival(idx);
         }
-        for (job_idx, (spec, at)) in mix.batch_jobs().iter().enumerate() {
+        for (job_idx, spec) in mix.batch_jobs().iter().enumerate() {
             let app = AppId::new(next_app);
             next_app += 1;
             sim.statuses.push(AppStatus {
@@ -385,10 +385,10 @@ impl Simulation {
             });
             let idx = sim.batches.len();
             sim.app_index.push(Owner::Batch(idx));
-            sim.batches.push(BatchRuntime::new(app, job_idx as u64, spec.clone(), *at));
-            sim.schedule(*at, Event::BatchSubmit { idx });
+            sim.batches.push(BatchRuntime::new(app, job_idx as u64, spec));
+            sim.schedule(spec.submit_at, Event::BatchSubmit { idx });
         }
-        for (job_idx, (spec, at)) in mix.hpc_jobs().iter().enumerate() {
+        for (job_idx, spec) in mix.hpc_jobs().iter().enumerate() {
             let app = AppId::new(next_app);
             next_app += 1;
             sim.statuses.push(AppStatus {
@@ -400,8 +400,8 @@ impl Simulation {
             });
             let idx = sim.hpcs.len();
             sim.app_index.push(Owner::Hpc(idx));
-            sim.hpcs.push(HpcRuntime::new(app, 1_000 + job_idx as u64, spec.clone(), *at));
-            sim.schedule(*at, Event::HpcSubmit { idx });
+            sim.hpcs.push(HpcRuntime::new(app, 1_000 + job_idx as u64, spec));
+            sim.schedule(spec.submit_at, Event::HpcSubmit { idx });
         }
         sim
     }

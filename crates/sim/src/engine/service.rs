@@ -5,7 +5,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use evolve_types::{AppId, PodId, ResourceVec, SimTime};
-use evolve_workload::{LoadSpec, PoissonArrivals, SamplingMode, ServiceSpec};
+use evolve_workload::{PoissonArrivals, RequestClass, SamplingMode, ServiceEntry};
 use rand_chacha::ChaCha8Rng;
 
 use crate::observe::{AppWindow, WindowAccumulator};
@@ -33,7 +33,9 @@ struct QueuedRequest {
 /// Runtime state of one managed service.
 pub(crate) struct ServiceRuntime {
     pub(crate) app: AppId,
-    pub(crate) spec: ServiceSpec,
+    pub(crate) spec: ServiceEntry,
+    /// The demand distribution of the entry's requests.
+    class: RequestClass,
     arrivals: PoissonArrivals,
     pub(crate) desired_replicas: u32,
     pub(crate) desired_alloc: ResourceVec,
@@ -53,15 +55,14 @@ pub(crate) struct ServiceRuntime {
 }
 
 impl ServiceRuntime {
-    pub(crate) fn new(app: AppId, spec: ServiceSpec, load: &LoadSpec, mode: SamplingMode) -> Self {
-        let desired_alloc = spec.initial_alloc;
-        let desired_replicas = spec.initial_replicas;
+    pub(crate) fn new(app: AppId, spec: &ServiceEntry, mode: SamplingMode) -> Self {
         ServiceRuntime {
             app,
-            spec,
-            arrivals: PoissonArrivals::with_mode(load.build(), mode),
-            desired_replicas,
-            desired_alloc,
+            class: RequestClass::new(spec.class.clone(), spec.demand, spec.demand_cv, spec.timeout),
+            arrivals: PoissonArrivals::with_mode(spec.load.build(), mode),
+            desired_replicas: spec.replicas,
+            desired_alloc: spec.alloc,
+            spec: spec.clone(),
             pods: Vec::new(),
             draining: BTreeSet::new(),
             replicas: Replicas::default(),
@@ -75,7 +76,7 @@ impl ServiceRuntime {
     /// The most replicas the service runs when its manager holds it to
     /// `replica_ceiling`, or to the initial count if that is more.
     pub(crate) fn replica_bound(&self, replica_ceiling: u32) -> usize {
-        self.spec.initial_replicas.max(replica_ceiling) as usize
+        self.spec.replicas.max(replica_ceiling) as usize
     }
 
     pub(crate) fn next_arrival(&mut self, now: SimTime, rng: &mut ChaCha8Rng) -> Option<SimTime> {
@@ -125,8 +126,8 @@ impl Simulation {
             }
         }
         rt.acc.arrivals += 1;
-        let demand = rt.spec.request_class.sample_demand_with(mode, &mut self.rng);
-        let deadline = now + rt.spec.request_class.timeout();
+        let demand = rt.class.sample_demand_with(mode, &mut self.rng);
+        let deadline = now + rt.class.timeout();
         let id = rt.next_req;
         rt.next_req += 1;
         match target {
@@ -174,7 +175,7 @@ impl Simulation {
         }
         let request = self.cluster.pod(pod).expect("started pod exists").spec.request;
         let rt = &mut self.services[idx];
-        let mut server = rt.replicas.renewed(request, rt.spec.base_memory, now);
+        let mut server = rt.replicas.renewed(request, rt.spec.base_memory_mib, now);
         server.reserve(FIRST_ROOM);
         // Drain the front-door queue.
         let mut oom = false;

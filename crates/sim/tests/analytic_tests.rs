@@ -14,9 +14,7 @@ use evolve_sim::{
     ClusterConfig, DrainOutcome, NodeShape, PerfConfig, ReplicaServer, Simulation, SimulationConfig,
 };
 use evolve_types::{Resource, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{
-    sample_exponential, LoadSpec, LogNormal, PloSpec, RequestClass, ServiceSpec, WorkloadMix,
-};
+use evolve_workload::{sample_exponential, LogNormal, ScenarioSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -332,20 +330,27 @@ fn consumed_work_is_the_work_of_what_left() {
 #[test]
 fn utilisation_is_the_offered_load() {
     for (rho, seed) in [(0.5, 11), (0.9, 12)] {
-        let class = RequestClass::new(
-            "rq",
-            ResourceVec::new(MEAN_DEMAND, 1.0, 0.0, 0.0),
-            0.0,
-            SimDuration::from_secs(600),
+        let rate = rho / MEAN_SERVICE_S;
+        let text = format!(
+            r#"
+name = "utilisation"
+horizon_secs = 1600.0
+
+[[service]]
+name = "svc"
+class = "rq"
+demand = [{MEAN_DEMAND:?}, 1.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 600.0
+plo_p99_ms = 1000.0
+alloc = [{CPU:?}, 4096.0, 100.0, 100.0]
+
+[service.load]
+kind = "constant"
+rate = {rate:?}
+"#
         );
-        let spec = ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 1_000.0 },
-            class,
-            ResourceVec::new(CPU, 4_096.0, 100.0, 100.0),
-        );
-        let mix = WorkloadMix::new()
-            .with_service(spec, LoadSpec::Constant { rate: rho / MEAN_SERVICE_S });
+        let mix = ScenarioSpec::from_toml_str(&text).expect("a valid scenario").build().mix;
         let cluster = ClusterConfig::uniform(1, NodeShape::default());
         let mut sim = Simulation::new(SimulationConfig::default(), cluster, &mix, seed);
         let pod = sim.cluster().pending_pods().next().expect("one replica").id;

@@ -3,10 +3,8 @@
 //! services, and window accounting after churn.
 
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{AppId, Error, NodeId, PodId, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{
-    BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, StageSpec, WorkloadMix,
-};
+use evolve_types::{AppId, Error, NodeId, PodId, ResourceVec, SimTime};
+use evolve_workload::{ScenarioSpec, WorkloadMix};
 
 fn cluster(nodes: usize) -> ClusterConfig {
     ClusterConfig::uniform(
@@ -14,6 +12,42 @@ fn cluster(nodes: usize) -> ClusterConfig {
         NodeShape { capacity: ResourceVec::new(16_000.0, 65_536.0, 500.0, 1_250.0) },
     )
 }
+
+/// The workload of a scenario file's `[[service]]`, `[[batch]]` and
+/// `[[hpc]]` tables.
+fn mix(tables: &str) -> WorkloadMix {
+    let text = format!("name = \"test\"\nhorizon_secs = 3600.0\n{tables}");
+    ScenarioSpec::from_toml_str(&text).expect("a valid scenario").build().mix
+}
+
+/// A two-rank gang: 40 iterations of 4 000 mcore·s per rank at 2 000
+/// mcore, 2 s each.
+const SOLVER: &str = r#"
+[[hpc]]
+name = "solver"
+submit_secs = 0.0
+gang = 2
+iterations = 40
+work = [4000.0, 512.0, 0.0, 0.0]
+rank_alloc = [2000.0, 1024.0, 10.0, 10.0]
+deadline_secs = 600.0
+"#;
+
+/// Four 30 000 mcore·s tasks at 1 000 mcore on two executors: two waves
+/// of two 30 s tasks.
+const TWO_WAVES: &str = r#"
+[[batch]]
+name = "b"
+submit_secs = 0.0
+plo_deadline_secs = 600.0
+task_alloc = [1000.0, 1024.0, 10.0, 10.0]
+max_parallel = 2
+
+[[batch.stage]]
+tasks = 4
+work = [30000.0, 512.0, 0.0, 0.0]
+records = 100
+"#;
 
 fn bind_all(sim: &mut Simulation) -> usize {
     let pending: Vec<PodId> = sim.cluster().pending_pods().map(|p| p.id).collect();
@@ -33,15 +67,7 @@ fn bind_all(sim: &mut Simulation) -> usize {
 #[test]
 fn hpc_resize_speeds_up_iterations() {
     // 40 iterations × 4000 mcore·s at 2000 mcore → 2 s each ≈ 80 s total.
-    let job = HpcJobSpec::new(
-        "solver",
-        2,
-        40,
-        ResourceVec::new(4_000.0, 512.0, 0.0, 0.0),
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        SimDuration::from_mins(10),
-    );
-    let mix = WorkloadMix::new().with_hpc_job(job.clone(), SimTime::ZERO);
+    let mix = mix(SOLVER);
     // Unmanaged run.
     let mut slow = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 5);
     slow.run_until(SimTime::from_secs(1));
@@ -51,8 +77,7 @@ fn hpc_resize_speeds_up_iterations() {
 
     // Managed run: double the rank allocation shortly after start. Spread
     // the ranks over both nodes so the in-place resize has headroom.
-    let mix2 = WorkloadMix::new().with_hpc_job(job, SimTime::ZERO);
-    let mut fast = Simulation::new(SimulationConfig::default(), cluster(2), &mix2, 5);
+    let mut fast = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 5);
     fast.run_until(SimTime::from_secs(1));
     let pending: Vec<PodId> = fast.cluster().pending_pods().map(|p| p.id).collect();
     for (i, pod) in pending.into_iter().enumerate() {
@@ -73,15 +98,16 @@ fn hpc_resize_speeds_up_iterations() {
 
 #[test]
 fn hpc_rank_loss_pauses_gang_and_recovers() {
-    let job = HpcJobSpec::new(
-        "solver",
-        3,
-        50,
-        ResourceVec::new(2_000.0, 512.0, 0.0, 0.0),
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        SimDuration::from_mins(10),
-    );
-    let mix = WorkloadMix::new().with_hpc_job(job, SimTime::ZERO);
+    let mix = mix(r#"
+[[hpc]]
+name = "solver"
+submit_secs = 0.0
+gang = 3
+iterations = 50
+work = [2000.0, 512.0, 0.0, 0.0]
+rank_alloc = [2000.0, 1024.0, 10.0, 10.0]
+deadline_secs = 600.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 6);
     sim.run_until(SimTime::from_secs(1));
     bind_all(&mut sim);
@@ -109,14 +135,7 @@ fn hpc_rank_loss_pauses_gang_and_recovers() {
 
 #[test]
 fn batch_resize_applies_to_running_and_future_tasks() {
-    let job = BatchJobSpec::new(
-        "b",
-        vec![StageSpec::new(4, ResourceVec::new(30_000.0, 512.0, 0.0, 0.0), 100)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
-        ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
-        2, // two executors: two waves of two tasks
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mix = mix(TWO_WAVES);
     let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 7);
     sim.run_until(SimTime::from_secs(1));
     bind_all(&mut sim);
@@ -142,23 +161,7 @@ fn batch_resize_applies_to_running_and_future_tasks() {
 /// means nothing to a batch job or a gang.
 #[test]
 fn set_target_rejects_unknown_apps_and_jobs_ignore_replicas() {
-    let batch = BatchJobSpec::new(
-        "b",
-        vec![StageSpec::new(4, ResourceVec::new(30_000.0, 512.0, 0.0, 0.0), 100)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
-        ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
-        2,
-    );
-    let gang = HpcJobSpec::new(
-        "solver",
-        2,
-        40,
-        ResourceVec::new(4_000.0, 512.0, 0.0, 0.0),
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        SimDuration::from_mins(10),
-    );
-    let mix =
-        WorkloadMix::new().with_batch_job(batch, SimTime::ZERO).with_hpc_job(gang, SimTime::ZERO);
+    let mix = mix(&format!("{TWO_WAVES}{SOLVER}"));
     let run = |replicas: u32| {
         let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 11);
         sim.run_until(SimTime::from_secs(1));
@@ -182,22 +185,21 @@ fn set_target_rejects_unknown_apps_and_jobs_ignore_replicas() {
 
 #[test]
 fn service_preemption_is_replaced_by_deployment() {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.0, 0.0),
-        0.0,
-        SimDuration::from_secs(10),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
-        )
-        .with_initial_replicas(2),
-        LoadSpec::Constant { rate: 20.0 },
-    );
+    let mix = mix(r#"
+[[service]]
+name = "svc"
+class = "rq"
+demand = [20.0, 2.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [1000.0, 1024.0, 10.0, 10.0]
+replicas = 2
+
+[service.load]
+kind = "constant"
+rate = 20.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 8);
     bind_all(&mut sim);
     sim.run_until(SimTime::from_secs(10));
@@ -217,22 +219,21 @@ fn service_preemption_is_replaced_by_deployment() {
 
 #[test]
 fn window_alloc_per_replica_reflects_resizes() {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(10.0, 2.0, 0.0, 0.0),
-        0.0,
-        SimDuration::from_secs(10),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
-        )
-        .with_initial_replicas(3),
-        LoadSpec::Constant { rate: 30.0 },
-    );
+    let mix = mix(r#"
+[[service]]
+name = "svc"
+class = "rq"
+demand = [10.0, 2.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [1000.0, 1024.0, 10.0, 10.0]
+replicas = 3
+
+[service.load]
+kind = "constant"
+rate = 30.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), cluster(2), &mix, 9);
     bind_all(&mut sim);
     sim.run_until(SimTime::from_secs(10));
@@ -247,21 +248,20 @@ fn window_alloc_per_replica_reflects_resizes() {
 
 #[test]
 fn events_processed_increases_monotonically() {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(10.0, 2.0, 0.0, 0.0),
-        0.5,
-        SimDuration::from_secs(10),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        ),
-        LoadSpec::Constant { rate: 100.0 },
-    );
+    let mix = mix(r#"
+[[service]]
+name = "svc"
+class = "rq"
+demand = [10.0, 2.0, 0.0, 0.0]
+demand_cv = 0.5
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [2000.0, 1024.0, 10.0, 10.0]
+
+[service.load]
+kind = "constant"
+rate = 100.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), cluster(1), &mix, 10);
     bind_all(&mut sim);
     let mut last = 0;

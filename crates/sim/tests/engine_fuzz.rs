@@ -4,9 +4,7 @@
 
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{
-    BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, StageSpec, WorkloadMix,
-};
+use evolve_workload::{ScenarioSpec, WorkloadMix};
 use proptest::prelude::*;
 
 /// One random control action.
@@ -36,44 +34,48 @@ fn arb_action() -> impl Strategy<Value = Action> {
 }
 
 fn mixed_workload() -> WorkloadMix {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(15.0, 4.0, 0.5, 0.5),
-        0.6,
-        SimDuration::from_secs(8),
-    );
-    WorkloadMix::new()
-        .with_service(
-            ServiceSpec::new(
-                "svc",
-                PloSpec::LatencyP99 { target_ms: 100.0 },
-                class,
-                ResourceVec::new(1_500.0, 1_536.0, 20.0, 20.0),
-            )
-            .with_initial_replicas(2),
-            LoadSpec::Mmpp { low: 20.0, high: 60.0, mean_dwell: SimDuration::from_secs(30) },
-        )
-        .with_batch_job(
-            BatchJobSpec::new(
-                "b",
-                vec![StageSpec::new(3, ResourceVec::new(20_000.0, 512.0, 200.0, 20.0), 100)],
-                PloSpec::Deadline { deadline: SimDuration::from_secs(600) },
-                ResourceVec::new(2_000.0, 1_024.0, 50.0, 20.0),
-                3,
-            ),
-            SimTime::from_secs(5),
-        )
-        .with_hpc_job(
-            HpcJobSpec::new(
-                "h",
-                2,
-                20,
-                ResourceVec::new(2_000.0, 512.0, 5.0, 10.0),
-                ResourceVec::new(2_000.0, 1_024.0, 10.0, 20.0),
-                SimDuration::from_secs(600),
-            ),
-            SimTime::from_secs(10),
-        )
+    let text = r#"
+name = "mixed-workload"
+horizon_secs = 3600.0
+
+[[service]]
+name = "svc"
+class = "rq"
+demand = [15.0, 4.0, 0.5, 0.5]
+demand_cv = 0.6
+timeout_secs = 8.0
+plo_p99_ms = 100.0
+alloc = [1500.0, 1536.0, 20.0, 20.0]
+replicas = 2
+
+[service.load]
+kind = "mmpp"
+low = 20.0
+high = 60.0
+mean_dwell_secs = 30.0
+
+[[batch]]
+name = "b"
+submit_secs = 5.0
+plo_deadline_secs = 600.0
+task_alloc = [2000.0, 1024.0, 50.0, 20.0]
+max_parallel = 3
+
+[[batch.stage]]
+tasks = 3
+work = [20000.0, 512.0, 200.0, 20.0]
+records = 100
+
+[[hpc]]
+name = "h"
+submit_secs = 10.0
+gang = 2
+iterations = 20
+work = [2000.0, 512.0, 5.0, 10.0]
+rank_alloc = [2000.0, 1024.0, 10.0, 20.0]
+deadline_secs = 600.0
+"#;
+    ScenarioSpec::from_toml_str(text).expect("a valid scenario").build().mix
 }
 
 fn bind_first_fit(sim: &mut Simulation) {

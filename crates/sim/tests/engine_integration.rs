@@ -2,11 +2,8 @@
 //! on a simulated cluster with manual (test-driven) scheduling.
 
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{NodeId, PodId, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{
-    BatchJobSpec, HpcJobSpec, LoadSpec, PloSpec, RequestClass, ScenarioSpec, ServiceSpec,
-    StageSpec, WorkloadMix,
-};
+use evolve_types::{NodeId, PodId, ResourceVec, SimTime};
+use evolve_workload::{PloSpec, ScenarioSpec, WorkloadMix};
 
 fn small_cluster(nodes: usize) -> ClusterConfig {
     ClusterConfig::uniform(
@@ -15,23 +12,33 @@ fn small_cluster(nodes: usize) -> ClusterConfig {
     )
 }
 
+/// The workload of a scenario file's `[[service]]`, `[[batch]]` and
+/// `[[hpc]]` tables.
+fn mix(tables: &str) -> WorkloadMix {
+    let text = format!("name = \"test\"\nhorizon_secs = 3600.0\n{tables}");
+    ScenarioSpec::from_toml_str(&text).expect("a valid scenario").build().mix
+}
+
+/// Two replicas of a service with deterministic demands (for exact
+/// assertions) under a constant `rate`.
 fn service_mix(rate: f64) -> WorkloadMix {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.1, 0.1),
-        0.0, // deterministic demands for exact assertions
-        SimDuration::from_secs(10),
-    );
-    WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0),
-        )
-        .with_initial_replicas(2),
-        LoadSpec::Constant { rate },
-    )
+    mix(&format!(
+        r#"
+[[service]]
+name = "svc"
+class = "rq"
+demand = [20.0, 2.0, 0.1, 0.1]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [2000.0, 2048.0, 50.0, 50.0]
+replicas = 2
+
+[service.load]
+kind = "constant"
+rate = {rate:?}
+"#
+    ))
 }
 
 /// Binds every pending pod first-fit onto the cluster.
@@ -134,14 +141,19 @@ rate = 50.0
 /// component is done when its pod starts.
 #[test]
 fn a_batch_task_with_nothing_to_drain_finishes_when_it_starts() {
-    let job = BatchJobSpec::new(
-        "touch",
-        vec![StageSpec::new(3, ResourceVec::new(0.0, 128.0, 0.0, 0.0), 10)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(5) },
-        ResourceVec::new(1_000.0, 1_024.0, 10.0, 10.0),
-        3,
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mix = mix(r#"
+[[batch]]
+name = "touch"
+submit_secs = 0.0
+plo_deadline_secs = 300.0
+task_alloc = [1000.0, 1024.0, 10.0, 10.0]
+max_parallel = 3
+
+[[batch.stage]]
+tasks = 3
+work = [0.0, 128.0, 0.0, 0.0]
+records = 10
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 22);
     sim.run_until(SimTime::from_secs(1));
     assert_eq!(bind_all(&mut sim), 3);
@@ -169,21 +181,20 @@ fn unbound_service_times_out_requests() {
 fn overloaded_service_has_high_tail_latency() {
     // 2000 mcore replica, 20 mcore·s demands → capacity ≈ 100 rps per
     // replica; offer 150 rps on ONE replica.
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.0, 0.0),
-        0.0,
-        SimDuration::from_secs(10),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "hot",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0),
-        ),
-        LoadSpec::Constant { rate: 150.0 },
-    );
+    let mix = mix(r#"
+[[service]]
+name = "hot"
+class = "rq"
+demand = [20.0, 2.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [2000.0, 2048.0, 50.0, 50.0]
+
+[service.load]
+kind = "constant"
+rate = 150.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 3);
     bind_all(&mut sim);
     sim.run_until(SimTime::from_secs(60));
@@ -250,17 +261,24 @@ fn graceful_scale_in_loses_no_requests() {
 
 #[test]
 fn batch_job_runs_stages_and_finishes() {
-    let job = BatchJobSpec::new(
-        "etl",
-        vec![
-            StageSpec::new(4, ResourceVec::new(2_000.0, 256.0, 50.0, 10.0), 1_000),
-            StageSpec::new(2, ResourceVec::new(1_000.0, 256.0, 10.0, 50.0), 500),
-        ],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
-        ResourceVec::new(2_000.0, 1_024.0, 100.0, 100.0),
-        4,
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::from_secs(5));
+    let mix = mix(r#"
+[[batch]]
+name = "etl"
+submit_secs = 5.0
+plo_deadline_secs = 600.0
+task_alloc = [2000.0, 1024.0, 100.0, 100.0]
+max_parallel = 4
+
+[[batch.stage]]
+tasks = 4
+work = [2000.0, 256.0, 50.0, 10.0]
+records = 1000
+
+[[batch.stage]]
+tasks = 2
+work = [1000.0, 256.0, 10.0, 50.0]
+records = 500
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(2), &mix, 7);
     // Drive: run, bind whatever appears, repeat.
     for step in 1..=120u64 {
@@ -284,14 +302,19 @@ fn batch_job_runs_stages_and_finishes() {
 #[test]
 fn batch_usage_over_windows_adds_up_to_the_work_done() {
     // Two tasks of 24 000 mcore·s at 2 000 mcore: 12 s each, side by side.
-    let job = BatchJobSpec::new(
-        "scan",
-        vec![StageSpec::new(2, ResourceVec::new(24_000.0, 256.0, 0.0, 0.0), 100)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(10) },
-        ResourceVec::new(2_000.0, 1_024.0, 100.0, 100.0),
-        2,
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mix = mix(r#"
+[[batch]]
+name = "scan"
+submit_secs = 0.0
+plo_deadline_secs = 600.0
+task_alloc = [2000.0, 1024.0, 100.0, 100.0]
+max_parallel = 2
+
+[[batch.stage]]
+tasks = 2
+work = [24000.0, 256.0, 0.0, 0.0]
+records = 100
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 3);
     let app = sim.apps()[0].id;
     sim.run_until(SimTime::ZERO);
@@ -313,14 +336,7 @@ fn batch_usage_over_windows_adds_up_to_the_work_done() {
 /// last event.
 #[test]
 fn a_preempted_busy_task_reports_its_work_up_to_the_preemption() {
-    let job = BatchJobSpec::new(
-        "b",
-        vec![StageSpec::new(1, ResourceVec::new(60_000.0, 256.0, 0.0, 0.0), 100)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(30) },
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        1,
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mix = one_long_task();
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 9);
     let app = sim.apps()[0].id;
     sim.run_until(SimTime::ZERO);
@@ -339,17 +355,35 @@ fn a_preempted_busy_task_reports_its_work_up_to_the_preemption() {
     assert!((cpu_s - 6_000.0).abs() < 1e-6, "credited {cpu_s} mcore·s of 3 s × 2 000 mcore");
 }
 
+/// A batch job of one task: 60 000 mcore·s at 2 000 mcore, 30 s of work.
+fn one_long_task() -> WorkloadMix {
+    mix(r#"
+[[batch]]
+name = "b"
+submit_secs = 0.0
+plo_deadline_secs = 1800.0
+task_alloc = [2000.0, 1024.0, 10.0, 10.0]
+max_parallel = 1
+
+[[batch.stage]]
+tasks = 1
+work = [60000.0, 256.0, 0.0, 0.0]
+records = 100
+"#)
+}
+
 #[test]
 fn hpc_gang_waits_for_all_ranks() {
-    let job = HpcJobSpec::new(
-        "solver",
-        4,
-        10,
-        ResourceVec::new(2_000.0, 512.0, 0.0, 10.0),
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 50.0),
-        SimDuration::from_mins(10),
-    );
-    let mix = WorkloadMix::new().with_hpc_job(job, SimTime::from_secs(1));
+    let mix = mix(r#"
+[[hpc]]
+name = "solver"
+submit_secs = 1.0
+gang = 4
+iterations = 10
+work = [2000.0, 512.0, 0.0, 10.0]
+rank_alloc = [2000.0, 1024.0, 10.0, 50.0]
+deadline_secs = 600.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(2), &mix, 8);
     sim.run_until(SimTime::from_secs(5));
     // Bind only 3 of 4 ranks: no progress may happen.
@@ -376,14 +410,7 @@ fn hpc_gang_waits_for_all_ranks() {
 
 #[test]
 fn preempted_batch_task_requeues() {
-    let job = BatchJobSpec::new(
-        "b",
-        vec![StageSpec::new(1, ResourceVec::new(60_000.0, 256.0, 0.0, 0.0), 100)],
-        PloSpec::Deadline { deadline: SimDuration::from_mins(30) },
-        ResourceVec::new(2_000.0, 1_024.0, 10.0, 10.0),
-        1,
-    );
-    let mix = WorkloadMix::new().with_batch_job(job, SimTime::ZERO);
+    let mix = one_long_task();
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 9);
     sim.run_until(SimTime::from_secs(1));
     bind_all(&mut sim);
@@ -426,21 +453,21 @@ fn node_failure_recreates_service_replicas() {
 #[test]
 fn oom_killed_replica_is_replaced() {
     // Tiny memory allocation + memory-heavy requests → OOM.
-    let class = RequestClass::new(
-        "big",
-        ResourceVec::new(5_000.0, 600.0, 0.0, 0.0), // long-lived, 600 MiB ws
-        0.0,
-        SimDuration::from_secs(30),
-    );
-    let mix = WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "leaky",
-            PloSpec::LatencyP99 { target_ms: 1_000.0 },
-            class,
-            ResourceVec::new(2_000.0, 1_024.0, 50.0, 50.0),
-        ),
-        LoadSpec::Constant { rate: 5.0 },
-    );
+    // Long-lived requests with a 600 MiB working set.
+    let mix = mix(r#"
+[[service]]
+name = "leaky"
+class = "big"
+demand = [5000.0, 600.0, 0.0, 0.0]
+demand_cv = 0.0
+timeout_secs = 30.0
+plo_p99_ms = 1000.0
+alloc = [2000.0, 1024.0, 50.0, 50.0]
+
+[service.load]
+kind = "constant"
+rate = 5.0
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 11);
     bind_all(&mut sim);
     sim.run_until(SimTime::from_secs(30));
@@ -491,17 +518,22 @@ fn snapshot_counts_pods() {
 /// add up to the 55 255.6 mcore·s they held when it counted in the second.
 #[test]
 fn oom_kill_and_scale_in_inside_one_window() {
-    let class = RequestClass::new(
-        "big",
-        ResourceVec::new(3_000.0, 250.0, 3.0, 1.0),
-        0.0,
-        SimDuration::from_secs(30),
-    );
     let alloc = ResourceVec::new(2_000.0, 1_024.0, 50.0, 50.0);
-    let service =
-        ServiceSpec::new("leaky", PloSpec::LatencyP99 { target_ms: 1_000.0 }, class, alloc)
-            .with_initial_replicas(3);
-    let mix = WorkloadMix::new().with_service(service, LoadSpec::Constant { rate: 1.5 });
+    let mix = mix(r#"
+[[service]]
+name = "leaky"
+class = "big"
+demand = [3000.0, 250.0, 3.0, 1.0]
+demand_cv = 0.0
+timeout_secs = 30.0
+plo_p99_ms = 1000.0
+alloc = [2000.0, 1024.0, 50.0, 50.0]
+replicas = 3
+
+[service.load]
+kind = "constant"
+rate = 1.5
+"#);
     let mut sim = Simulation::new(SimulationConfig::default(), small_cluster(1), &mix, 15);
     assert_eq!(bind_all(&mut sim), 3);
     let app = sim.apps()[0].id;

@@ -11,7 +11,7 @@ use evolve_sim::{
     ClusterConfig, FaultEvent, FaultInjector, FaultKind, NodeShape, Simulation, SimulationConfig,
 };
 use evolve_types::{AppId, NodeId, PodId, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{HpcJobSpec, LoadSpec, PloSpec, RequestClass, ServiceSpec, WorkloadMix};
+use evolve_workload::{ScenarioSpec, WorkloadMix};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -138,34 +138,34 @@ fn covers(ev: &FaultEvent, t: SimTime) -> bool {
 /// A service plus a 2-rank HPC gang, so node crashes hit both lone
 /// replicas and partial gangs.
 fn workload() -> WorkloadMix {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(15.0, 4.0, 0.5, 0.5),
-        0.6,
-        SimDuration::from_secs(8),
-    );
-    WorkloadMix::new()
-        .with_service(
-            ServiceSpec::new(
-                "svc",
-                PloSpec::LatencyP99 { target_ms: 100.0 },
-                class,
-                ResourceVec::new(1_500.0, 1_536.0, 20.0, 20.0),
-            )
-            .with_initial_replicas(2),
-            LoadSpec::Constant { rate: 40.0 },
-        )
-        .with_hpc_job(
-            HpcJobSpec::new(
-                "h",
-                2,
-                20,
-                ResourceVec::new(2_000.0, 512.0, 5.0, 10.0),
-                ResourceVec::new(2_000.0, 1_024.0, 10.0, 20.0),
-                SimDuration::from_secs(600),
-            ),
-            SimTime::from_secs(10),
-        )
+    let text = r#"
+name = "workload"
+horizon_secs = 3600.0
+
+[[service]]
+name = "svc"
+class = "rq"
+demand = [15.0, 4.0, 0.5, 0.5]
+demand_cv = 0.6
+timeout_secs = 8.0
+plo_p99_ms = 100.0
+alloc = [1500.0, 1536.0, 20.0, 20.0]
+replicas = 2
+
+[service.load]
+kind = "constant"
+rate = 40.0
+
+[[hpc]]
+name = "h"
+submit_secs = 10.0
+gang = 2
+iterations = 20
+work = [2000.0, 512.0, 5.0, 10.0]
+rank_alloc = [2000.0, 1024.0, 10.0, 20.0]
+deadline_secs = 600.0
+"#;
+    ScenarioSpec::from_toml_str(text).expect("a valid scenario").build().mix
 }
 
 fn bind_first_fit(sim: &mut Simulation) {

@@ -11,16 +11,18 @@
 //!   [`Load`] a spec builds.
 //! * [`RequestClass`] — per-request multi-resource demand vectors with
 //!   configurable variability, drawn from heavy-tailed distributions.
-//! * Application archetypes: [`ServiceSpec`] (latency-critical cloud
-//!   microservice), [`BatchJobSpec`] (staged big-data dataflow job) and
-//!   [`HpcJobSpec`] (gang-scheduled iterative HPC job).
-//! * [`WorkloadMix`] and [`Scenario`] — a runnable workload and its
-//!   horizon.
 //! * [`ScenarioSpec`] — the declarative scenario model behind the
 //!   checked-in `scenarios/*.toml` files, parsed by a hand-rolled
 //!   minimal-TOML reader with typed [`ScenarioError`]s. Those files are
 //!   the builtin scenarios each experiment in EXPERIMENTS.md uses
 //!   ([`BUILTINS`]).
+//! * Application archetypes, one record each from the file to the engine:
+//!   [`ServiceEntry`] (latency-critical cloud microservice),
+//!   [`BatchEntry`] (staged big-data dataflow job) and [`HpcEntry`]
+//!   (gang-scheduled iterative HPC job), with the [`PloSpec`] each
+//!   declares.
+//! * [`WorkloadMix`] and [`Scenario`] — a validated spec's entries and
+//!   horizon, ready to run.
 //!
 //! # Examples
 //!
@@ -50,7 +52,7 @@ mod scenario;
 mod spec;
 mod toml_mini;
 
-pub use apps::{BatchJobSpec, HpcJobSpec, PloSpec, ServiceSpec, StageSpec, WorldClass};
+pub use apps::{PloSpec, WorldClass};
 pub use arrival::{Load, PoissonArrivals};
 pub use evolve_types::PriorityClass;
 pub use faults::{FaultEvent, FaultKind};

@@ -1,6 +1,7 @@
 //! Runnable workloads: [`LoadSpec`] is the one description of a load;
-//! [`WorkloadMix`] aggregates services and jobs; [`Scenario`] bundles a
-//! mix with a name and simulation horizon.
+//! [`WorkloadMix`] carries a spec's service, batch and HPC entries to the
+//! engine as the file states them; [`Scenario`] bundles a mix with a name
+//! and simulation horizon.
 //!
 //! The scenarios every experiment in EXPERIMENTS.md uses are the
 //! checked-in `scenarios/*.toml` files: build one with
@@ -10,9 +11,8 @@
 
 use evolve_types::{SimDuration, SimTime};
 
-use crate::apps::{BatchJobSpec, HpcJobSpec, ServiceSpec};
 use crate::arrival::Load;
-use crate::spec::ScenarioSpec;
+use crate::spec::{BatchEntry, HpcEntry, ScenarioSpec, ServiceEntry};
 
 /// A service's offered load: one of six rate shapes, made ready to sample
 /// with [`LoadSpec::build`].
@@ -134,57 +134,31 @@ impl LoadSpec {
 }
 
 /// A full workload: services under open-loop traffic plus batch and HPC
-/// job submissions.
-#[derive(Debug, Clone, Default)]
+/// job submissions, each the spec's own entry. Only
+/// [`ScenarioSpec::build`] makes one, after validating the spec.
+#[derive(Debug, Clone)]
 pub struct WorkloadMix {
-    services: Vec<(ServiceSpec, LoadSpec)>,
-    batch_jobs: Vec<(BatchJobSpec, SimTime)>,
-    hpc_jobs: Vec<(HpcJobSpec, SimTime)>,
+    pub(crate) services: Vec<ServiceEntry>,
+    pub(crate) batch_jobs: Vec<BatchEntry>,
+    pub(crate) hpc_jobs: Vec<HpcEntry>,
 }
 
 impl WorkloadMix {
-    /// Creates an empty mix.
+    /// The services, each with its load.
     #[must_use]
-    pub fn new() -> Self {
-        WorkloadMix::default()
+    pub fn services(&self) -> impl ExactSizeIterator<Item = (&ServiceEntry, &LoadSpec)> {
+        self.services.iter().map(|s| (s, &s.load))
     }
 
-    /// Adds a microservice with its load.
+    /// The batch jobs; each carries its submission time.
     #[must_use]
-    pub fn with_service(mut self, spec: ServiceSpec, load: LoadSpec) -> Self {
-        self.services.push((spec, load));
-        self
-    }
-
-    /// Adds a batch job submitted at `at`.
-    #[must_use]
-    pub fn with_batch_job(mut self, spec: BatchJobSpec, at: SimTime) -> Self {
-        self.batch_jobs.push((spec, at));
-        self
-    }
-
-    /// Adds an HPC job submitted at `at`.
-    #[must_use]
-    pub fn with_hpc_job(mut self, spec: HpcJobSpec, at: SimTime) -> Self {
-        self.hpc_jobs.push((spec, at));
-        self
-    }
-
-    /// The services and their loads.
-    #[must_use]
-    pub fn services(&self) -> &[(ServiceSpec, LoadSpec)] {
-        &self.services
-    }
-
-    /// The batch jobs and their submission times.
-    #[must_use]
-    pub fn batch_jobs(&self) -> &[(BatchJobSpec, SimTime)] {
+    pub fn batch_jobs(&self) -> &[BatchEntry] {
         &self.batch_jobs
     }
 
-    /// The HPC jobs and their submission times.
+    /// The HPC jobs; each carries its submission time.
     #[must_use]
-    pub fn hpc_jobs(&self) -> &[(HpcJobSpec, SimTime)] {
+    pub fn hpc_jobs(&self) -> &[HpcEntry] {
         &self.hpc_jobs
     }
 
@@ -262,11 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn mix_builder_accumulates() {
-        let s = ScenarioSpec::headline(1.0).build();
+    fn mix_carries_the_spec_entries() {
+        let spec = ScenarioSpec::headline(1.0);
+        let s = spec.build();
         assert_eq!(s.mix.services().len(), 6);
-        assert_eq!(s.mix.batch_jobs().len(), 3);
-        assert_eq!(s.mix.hpc_jobs().len(), 2);
+        assert!(s.mix.services().map(|(entry, _)| entry).eq(&spec.services));
+        assert!(s.mix.services().all(|(entry, load)| *load == entry.load));
+        assert_eq!(s.mix.batch_jobs(), spec.batch_jobs.as_slice());
+        assert_eq!(s.mix.hpc_jobs(), spec.hpc_jobs.as_slice());
         assert_eq!(s.mix.len(), 11);
         assert!(!s.mix.is_empty());
     }
@@ -275,8 +252,12 @@ mod tests {
     fn headline_scale_multiplies_rates() {
         let a = ScenarioSpec::headline(1.0).build();
         let b = ScenarioSpec::headline(2.0).build();
-        let rate = |s: &Scenario| s.mix.services()[0].1.mean_rate();
-        assert!((rate(&b) / rate(&a) - 2.0).abs() < 1e-9);
+        assert!((first_rate(&b) / first_rate(&a) - 2.0).abs() < 1e-9);
+    }
+
+    /// The first service's mean offered rate.
+    fn first_rate(s: &Scenario) -> f64 {
+        s.mix.services().next().expect("a service").1.mean_rate()
     }
 
     fn builtin(name: &str) -> Scenario {
@@ -298,11 +279,10 @@ mod tests {
         let s = builtin("bottleneck_rotation");
         let mut dominants = std::collections::HashSet::new();
         for (svc, _) in s.mix.services() {
-            let d = svc.request_class.mean_demand();
             // Normalize against a reference node shape to find the binding
             // dimension of each class.
             let node = ResourceVec::new(16_000.0, 65_536.0, 500.0, 1_250.0);
-            let (dom, _) = d.dominant(&node);
+            let (dom, _) = svc.demand.dominant(&node);
             dominants.insert(dom);
         }
         assert!(dominants.len() >= 3, "expected diverse bottlenecks: {dominants:?}");
@@ -318,15 +298,13 @@ mod tests {
     fn overload_mixes_priority_tiers() {
         let spec = ScenarioSpec::builtin("overload").unwrap();
         let s = spec.scaled_loads(1.5).build();
-        let classes: Vec<PriorityClass> =
-            s.mix.services().iter().map(|(svc, _)| svc.priority).collect();
+        let classes: Vec<PriorityClass> = s.mix.services().map(|(svc, _)| svc.priority).collect();
         assert!(classes.contains(&PriorityClass::Critical));
         assert!(classes.contains(&PriorityClass::Standard));
         assert!(classes.contains(&PriorityClass::Preemptible));
-        assert_eq!(s.mix.batch_jobs()[0].0.priority, PriorityClass::Preemptible);
+        assert_eq!(s.mix.batch_jobs()[0].priority, PriorityClass::Preemptible);
         // Offered load scales linearly with the knob.
         let a = spec.build();
-        let rate = |s: &Scenario| s.mix.services()[0].1.mean_rate();
-        assert!((rate(&s) / rate(&a) - 1.5).abs() < 1e-9);
+        assert!((first_rate(&s) / first_rate(&a) - 1.5).abs() < 1e-9);
     }
 }

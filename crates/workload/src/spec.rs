@@ -34,7 +34,6 @@ use crate::apps::PloSpec;
 use crate::faults::{FaultEvent, FaultKind};
 use crate::scenario::{LoadSpec, Scenario, WorkloadMix};
 use crate::toml_mini::{self, Item, Table, Value};
-use crate::{BatchJobSpec, HpcJobSpec, RequestClass, ServiceSpec, StageSpec};
 use Absent::{Omitted, Reads, Required};
 
 /// The reference node capacity a spec is validated against when
@@ -412,59 +411,29 @@ impl ScenarioSpec {
         spec
     }
 
-    /// Builds the runnable [`Scenario`] this spec describes. The
+    /// Builds the runnable [`Scenario`] this spec describes: its service,
+    /// batch and HPC entries are the workload, as they stand. The
     /// cluster/arbiter/fault/probe sections are applied by the run
     /// configuration (`RunConfig::from_spec` in `evolve-core`), not here.
     ///
     /// # Panics
     ///
-    /// Panics when a hand-constructed spec violates the invariants
-    /// [`ScenarioSpec::validate`] checks; file-loaded specs are always
-    /// validated first.
+    /// Panics with the [`ScenarioError`] of [`ScenarioSpec::validate`] when
+    /// the spec breaks a rule, so a spec built in code is held to the same
+    /// rules as a file.
     #[must_use]
     pub fn build(&self) -> Scenario {
-        let mut mix = WorkloadMix::new();
-        for s in &self.services {
-            mix = mix.with_service(
-                ServiceSpec::new(
-                    s.name.clone(),
-                    s.plo,
-                    RequestClass::new(s.class.clone(), s.demand, s.demand_cv, s.timeout),
-                    s.alloc,
-                )
-                .with_initial_replicas(s.replicas)
-                .with_base_memory(s.base_memory_mib)
-                .with_priority(s.priority),
-                s.load.clone(),
-            );
-        }
-        for b in &self.batch_jobs {
-            let stages =
-                b.stages.iter().map(|st| StageSpec::new(st.tasks, st.work, st.records)).collect();
-            mix = mix.with_batch_job(
-                BatchJobSpec::new(b.name.clone(), stages, b.plo, b.task_alloc, b.max_parallel)
-                    .with_priority(b.priority),
-                b.submit_at,
-            );
-        }
-        for h in &self.hpc_jobs {
-            mix = mix.with_hpc_job(
-                HpcJobSpec::new(
-                    h.name.clone(),
-                    h.gang,
-                    h.iterations,
-                    h.work,
-                    h.rank_alloc,
-                    h.deadline,
-                )
-                .with_priority(h.priority),
-                h.submit_at,
-            );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
         Scenario {
             name: self.name.clone(),
             description: self.description.clone(),
-            mix,
+            mix: WorkloadMix {
+                services: self.services.clone(),
+                batch_jobs: self.batch_jobs.clone(),
+                hpc_jobs: self.hpc_jobs.clone(),
+            },
             horizon: self.horizon,
         }
     }
@@ -504,9 +473,9 @@ impl ScenarioSpec {
         self.cluster.node_capacity.unwrap_or(DEFAULT_NODE_CAPACITY)
     }
 
-    /// Checks the semantic invariants [`ScenarioSpec::build`] (and the
-    /// downstream spec constructors) rely on: the rule of every key in its
-    /// record's field list, then that the spec declares something to run.
+    /// Checks the semantic invariants [`ScenarioSpec::build`] and the
+    /// engine rely on: the rule of every key in its record's field list,
+    /// then that the spec declares something to run.
     ///
     /// # Errors
     ///

@@ -1029,6 +1029,34 @@ fn oversized_allocation_is_infeasible() {
     }
 }
 
+/// A spec built in code is held to the rules a file is: `build()` panics
+/// with the [`ScenarioError::Infeasible`] that `validate()` reports, at
+/// the broken entry field's path.
+#[test]
+fn build_panics_with_the_field_path_of_a_broken_entry() {
+    type Defect = fn(&mut ScenarioSpec);
+    let cases: [(&str, Defect); 6] = [
+        ("batch[0].stage", |s| s.batch_jobs[0].stages.clear()),
+        ("batch[1].stage[0].tasks", |s| s.batch_jobs[1].stages[0].tasks = 0),
+        ("hpc[1].gang", |s| s.hpc_jobs[1].gang = 0),
+        ("service[2].replicas", |s| s.services[2].replicas = 0),
+        ("service[3].base_memory_mib", |s| s.services[3].base_memory_mib = -1.0),
+        ("hpc[0].rank_alloc", |s| s.hpc_jobs[0].rank_alloc = vec4(64_000.0, 1.0, 1.0, 1.0)),
+    ];
+    for (path, defect) in cases {
+        let mut spec = ScenarioSpec::headline(1.0);
+        defect(&mut spec);
+        let err = spec.validate().unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Infeasible { field, .. } if field == path),
+            "{path}: {err}"
+        );
+        let panic = std::panic::catch_unwind(|| spec.build()).expect_err(path);
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*message, err.to_string(), "{path}");
+    }
+}
+
 #[test]
 fn unknown_builtin_name_is_typed() {
     match ScenarioSpec::builtin("nope").unwrap_err() {
