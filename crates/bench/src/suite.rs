@@ -2,10 +2,9 @@
 //! `capacity_probe` and `scenario_suite`.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use evolve::prelude::*;
-use evolve_workload::ProbeSpec;
+use evolve_workload::{ProbeSpec, BUILTINS};
 
 use crate::{Ctx, Report};
 
@@ -329,9 +328,10 @@ fn render_html(results: &[ScenarioResult], seeds: usize) -> String {
     h
 }
 
-/// **Scenario suite.** Sweeps every checked-in `scenarios/*.toml` (under
-/// the working directory) through the declarative loading path: each
-/// file is parsed and validated, run under stock Kubernetes (static
+/// **Scenario suite.** Sweeps every builtin scenario ([`BUILTINS`], the
+/// checked-in `scenarios/*.toml` compiled in, by name) through the
+/// declarative loading path: each file is parsed and validated, run
+/// under stock Kubernetes (static
 /// replicas) and under EVOLVE (plus the capacity arbiter when the spec
 /// declares one) with the chaos oracle checking every control tick,
 /// replicated across the seed set, and summarized in one cross-scenario
@@ -347,19 +347,17 @@ fn render_html(results: &[ScenarioResult], seeds: usize) -> String {
 pub fn scenario_suite(ctx: &Ctx) -> Report {
     let seeds = &ctx.seeds;
     let mut r = Report::default();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir("scenarios")
-        .map(|dir| dir.filter_map(Result::ok).map(|e| e.path()).collect())
-        .unwrap_or_default();
-    paths.retain(|p| p.extension().is_some_and(|e| e == "toml"));
-    paths.sort();
+    let mut builtins = BUILTINS;
+    builtins.sort_unstable_by_key(|(name, _)| *name);
     // Parse every file up front; any failure lists its typed error and
     // fails the whole suite before a single run.
     let mut specs = Vec::new();
     let mut failures = Vec::new();
-    for path in paths {
-        match ScenarioSpec::from_file(&path) {
-            Ok(spec) => specs.push((path, spec)),
-            Err(err) => failures.push(format!("  {}: {err}", path.display())),
+    for (name, text) in builtins {
+        let file = format!("{name}.toml");
+        match ScenarioSpec::from_toml_str(text) {
+            Ok(spec) => specs.push((file, spec)),
+            Err(err) => failures.push(format!("  {file}: {err}")),
         }
     }
     if !failures.is_empty() {
@@ -367,19 +365,15 @@ pub fn scenario_suite(ctx: &Ctx) -> Report {
         r.failure = Some(why + &failures.join("\n"));
         return r;
     }
-    if specs.is_empty() {
-        r.failure = Some("no scenarios/*.toml under the working directory".into());
-        return r;
-    }
 
     let mut results = Vec::new();
-    for (path, spec) in specs {
+    for (file, spec) in specs {
         let systems = vec![
             run_system(&spec, ManagerKind::KubeStatic, "kube-static", seeds),
             run_system(&spec, ManagerKind::Evolve, "evolve", seeds),
         ];
         results.push(ScenarioResult {
-            file: path.file_name().unwrap_or_default().to_string_lossy().into_owned(),
+            file,
             name: spec.name.clone(),
             apps: spec.app_count(),
             nodes: spec.cluster.nodes,

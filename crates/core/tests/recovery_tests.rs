@@ -10,7 +10,7 @@ use evolve_core::{
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{ClusterConfig, FaultEvent, FaultKind, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::ScenarioSpec;
+use evolve_workload::{ScenarioSpec, ServiceEntry};
 use proptest::prelude::*;
 
 fn base_config(horizon_secs: u64, seed: u64) -> RunConfig {
@@ -153,7 +153,8 @@ fn restore_resumes_the_exact_trajectory() {
 fn desync_count_survives_a_second_restore() {
     let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
     let one = spec.build().mix;
-    spec.services.push(spec.services[0].clone());
+    let copy = ServiceEntry { name: "copy".into(), ..spec.services[0].clone() };
+    spec.services.push(copy);
     let two = spec.build().mix;
     let sim_of = |mix| {
         Simulation::new(

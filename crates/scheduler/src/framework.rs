@@ -1,6 +1,7 @@
 //! The scheduling cycle: priority queue, gang grouping, filter → score →
 //! tentative bind, and preemption.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
@@ -62,7 +63,7 @@ pub struct RequeueBackoff {
     index: Vec<u32>,
     /// The last cycle's queue, kept for its allocation: the next cycle
     /// clears and refills it.
-    queue: Vec<QueuedUnit>,
+    queue: UnitQueue,
     /// A plan handed back through [`RequeueBackoff::recycle`]: the next
     /// cycle returns its plan in these vectors.
     spare_plan: SchedulePlan,
@@ -71,6 +72,85 @@ pub struct RequeueBackoff {
 /// A unit of a cycle's queue: `(priority, created, first pod, gang)`, the
 /// gang's job for an HPC gang and `None` for a single pod.
 type QueuedUnit = (i32, SimTime, PodId, Option<JobId>);
+
+/// The order a cycle visits its units in: priority descending, then
+/// creation ascending, then first pod id. A total order, as no two units
+/// share a pod, so the cycle order is fully deterministic.
+fn unit_order(a: &QueuedUnit, b: &QueuedUnit) -> Ordering {
+    b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+/// A cycle's queue in [`unit_order`], built without comparing singles to
+/// each other. The singles arrive in `(created, id)` order, the pending
+/// queue's, so they are in order already when they share one priority,
+/// and dealing them into one bucket per priority, highest first, orders
+/// them otherwise; the gangs, a handful, are sorted and merged in. Every
+/// vector keeps its allocation from cycle to cycle.
+#[derive(Debug, Clone, Default)]
+struct UnitQueue {
+    /// The units: the singles as they arrive, then in order.
+    units: Vec<QueuedUnit>,
+    /// Scratch: the singles dealt into their buckets, then the gangs.
+    spare: Vec<QueuedUnit>,
+    /// `(priority, singles of it)`, then the next free place of its run.
+    buckets: Vec<(i32, usize)>,
+}
+
+impl UnitQueue {
+    /// Empties the queue for the next cycle.
+    fn clear(&mut self) {
+        self.units.clear();
+        self.buckets.clear();
+    }
+
+    /// Adds a single pod's unit; singles must arrive in `(created, id)`
+    /// order.
+    fn push_single(&mut self, unit: QueuedUnit) {
+        debug_assert!(self.units.last().is_none_or(|last| (last.1, last.2) < (unit.1, unit.2)));
+        match self.buckets.iter_mut().find(|bucket| bucket.0 == unit.0) {
+            Some(bucket) => bucket.1 += 1,
+            None => self.buckets.push((unit.0, 1)),
+        }
+        self.units.push(unit);
+    }
+
+    /// Orders the singles pushed so far together with `gangs`.
+    fn order(&mut self, gangs: impl IntoIterator<Item = QueuedUnit>) {
+        const VACANT: QueuedUnit = (0, SimTime::ZERO, PodId::new(0), None);
+        let UnitQueue { units, spare, buckets } = self;
+        if buckets.len() > 1 {
+            buckets.sort_unstable_by_key(|bucket| std::cmp::Reverse(bucket.0));
+            let mut start = 0;
+            for bucket in buckets.iter_mut() {
+                (start, bucket.1) = (start + bucket.1, start);
+            }
+            spare.clear();
+            spare.resize(units.len(), VACANT);
+            for unit in units.iter() {
+                let bucket = buckets.iter_mut().find(|bucket| bucket.0 == unit.0).expect("counted");
+                spare[bucket.1] = *unit;
+                bucket.1 += 1;
+            }
+            std::mem::swap(units, spare);
+        }
+        spare.clear();
+        spare.extend(gangs);
+        spare.sort_unstable_by(unit_order);
+        // Merge the sorted gangs in from the back, in place: each single
+        // moves right by the number of gangs that sort after it.
+        let mut singles = units.len();
+        units.resize(singles + spare.len(), VACANT);
+        for at in (0..units.len()).rev() {
+            let Some(gang) = spare.last() else { break };
+            units[at] = if singles > 0 && unit_order(&units[singles - 1], gang).is_gt() {
+                singles -= 1;
+                units[singles]
+            } else {
+                spare.pop().expect("a gang is left")
+            };
+        }
+    }
+}
 
 impl RequeueBackoff {
     /// Fresh state: every pod is eligible immediately.
@@ -335,24 +415,20 @@ impl SchedulerFramework {
         // BTreeMap: gang visit order must not depend on hash state, or
         // equal-priority units would schedule in a nondeterministic order.
         let mut gangs: BTreeMap<JobId, Vec<&Pod>> = BTreeMap::new();
-        let mut units = std::mem::take(&mut backoff.queue);
-        units.clear();
+        let mut queue = std::mem::take(&mut backoff.queue);
+        queue.clear();
         for pod in cluster.pending_pods() {
             match pod.spec.kind {
                 PodKind::HpcRank { job, .. } => gangs.entry(job).or_default().push(pod),
-                _ => units.push((pod.spec.priority, pod.created, pod.id, None)),
+                _ => queue.push_single((pod.spec.priority, pod.created, pod.id, None)),
             }
         }
-        for (&job, members) in &gangs {
+        queue.order(gangs.iter().map(|(&job, members)| {
             let prio = members.iter().map(|p| p.spec.priority).max().unwrap_or(0);
             let created = members.iter().map(|p| p.created).min().unwrap_or_default();
             let first = members.iter().map(|p| p.id).min().unwrap_or(PodId::new(0));
-            units.push((prio, created, first, Some(job)));
-        }
-        // Priority desc, then creation asc, then pod id: a total order, as
-        // no two units share a pod, so the cycle order is fully
-        // deterministic (and an unstable sort allocates nothing).
-        units.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            (prio, created, first, Some(job))
+        }));
 
         let cycle = backoff.cycle;
         // The pods deferred by backoff: how many, the first and the last.
@@ -393,18 +469,19 @@ impl SchedulerFramework {
             }));
         }
 
-        for &(_, _, first, gang) in &units {
+        for &(_, _, first, gang) in &queue.units {
             match gang.and_then(|job| gangs.remove(&job)) {
                 None => {
-                    let pod = cluster.pod(first).expect("a pending pod is in the table");
-                    let (fails, retry_at) = backoff.held(pod.id);
+                    let (fails, retry_at) = backoff.held(first);
                     if retry_at > cycle {
                         // Inside its backoff window: deferred without
-                        // another attempt (and without further penalty).
-                        plan.unschedulable.push(pod.id);
-                        defer(pod.id);
+                        // another attempt (and without further penalty),
+                        // and without a read of the pod.
+                        plan.unschedulable.push(first);
+                        defer(first);
                         continue;
                     }
+                    let pod = cluster.pod(first).expect("a pending pod is in the table");
                     let mut probe = trace.is_some().then(PlacementProbe::default);
                     let placed = match self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
                     {
@@ -519,7 +596,7 @@ impl SchedulerFramework {
                 }
             }
         }
-        backoff.queue = units;
+        backoff.queue = queue;
         if let (Some((_, ring)), Some(deferred)) = (trace.as_mut(), deferred) {
             ring.push(TraceEvent::Deferred(deferred));
         }
@@ -1410,6 +1487,45 @@ mod tests {
             ops in proptest::collection::vec((0u8..15, proptest::prelude::any::<u64>()), 1..300)
         ) {
             run_backoff_model(ops)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Dealing singles into priority buckets and merging the gangs in
+        /// gives the comparison sort's order, unit for unit, over any mix
+        /// of priorities, creation ties and gangs; a reused queue too.
+        #[test]
+        fn bucketed_queue_matches_the_comparison_sort(
+            cycles in proptest::collection::vec(
+                proptest::collection::vec((-2i32..3, 0u64..6, 0u8..4), 0..60),
+                1..4,
+            ),
+        ) {
+            let mut queue = UnitQueue::default();
+            for units in cycles {
+                // Pod `k` is unit `k`'s first pod; one in four is a gang.
+                let unit = |(k, &(prio, created, kind)): (usize, &(i32, u64, u8))| {
+                    let gang = (kind == 0).then(|| JobId::new(k as u64));
+                    (prio, SimTime::from_secs(created), PodId::new(k as u64), gang)
+                };
+                let all: Vec<QueuedUnit> = units.iter().enumerate().map(unit).collect();
+                let mut singles: Vec<QueuedUnit> =
+                    all.iter().copied().filter(|u| u.3.is_none()).collect();
+                singles.sort_by_key(|u| (u.1, u.2));
+                queue.clear();
+                for single in singles {
+                    queue.push_single(single);
+                }
+                queue.order(all.iter().copied().filter(|u| u.3.is_some()));
+                let mut sorted = all;
+                sorted.sort_by(unit_order);
+                prop_assert_eq!(&queue.units, &sorted);
+            }
         }
     }
 

@@ -36,7 +36,7 @@
 //! free vector, the pod's [`PodClass`], the class's app count on the node
 //! (the scorer purity contract) and the profile, and one placement
 //! changes those inputs on exactly one node. Every shadow mutation
-//! funnels through `write_leaves`, which appends the node to a change
+//! funnels through `log_change`, which appends the node to a change
 //! log. Each of up to [`SCORE_CLASSES`] caches holds every node's verdict
 //! under a max tree of the scores and remembers the log position it is
 //! current to; on use it re-evaluates the nodes logged since then, each
@@ -318,6 +318,10 @@ pub struct FeasibilityIndex {
     probes: u64,
     candidates: Vec<usize>,
     stack: Vec<usize>,
+    /// Tree positions of the preempt-tree leaves a sync or rebuild wrote;
+    /// their root paths are repaired together when it ends. Empty
+    /// between syncs.
+    dirty: Vec<usize>,
     /// Nodes whose shadow changed, oldest first; entry `k` happened at
     /// clock `changes_base + k`. Only the newest `n` entries are ever
     /// replayed, so the log is cut back to that whenever it doubles.
@@ -374,6 +378,7 @@ impl FeasibilityIndex {
             }
             self.global_version_seen = cluster.version();
         }
+        repair(&mut self.preempt_keys, &mut self.preempt_floor, &mut self.dirty);
     }
 
     fn rebuild(&mut self, cluster: &ClusterState) {
@@ -394,15 +399,20 @@ impl FeasibilityIndex {
         for i in 0..n {
             self.refresh_node(cluster, i);
         }
+        repair(&mut self.preempt_keys, &mut self.preempt_floor, &mut self.dirty);
         self.caches.clear();
         self.changes.clear();
         self.global_version_seen = cluster.version();
         self.synced = true;
     }
 
-    /// Re-derives one node's mirrors from cluster truth. Walks the
-    /// node's bound-pod set, not the full pod table (the table keeps
-    /// terminal pods and grows with simulation length).
+    /// Re-derives one node's mirrors from cluster truth in one pass over
+    /// the node's bound-pod set, not the full pod table (the table keeps
+    /// terminal pods and grows with simulation length). A node holds a
+    /// dozen pods over a few apps and priorities, so each list is
+    /// gathered unsorted and sorted once; every per-priority sum still
+    /// adds in pod order. The leaf's root path is left to the caller's
+    /// [`repair`].
     fn refresh_node(&mut self, cluster: &ClusterState, i: usize) {
         let node = &cluster.nodes()[i];
         self.free[i] = node.free();
@@ -419,28 +429,48 @@ impl FeasibilityIndex {
                 continue;
             };
             debug_assert!(pod.phase.holds_resources());
-            *app_slot(apps, pod.app().raw()) += 1;
-            let prio = pod.spec.priority;
-            match census.binary_search_by_key(&prio, |(p, _)| *p) {
-                Ok(k) => census[k].1 += pod.spec.request,
-                Err(k) => census.insert(k, (prio, pod.spec.request)),
+            let (app, priority, request) = (pod.app().raw(), pod.spec.priority, pod.spec.request);
+            match apps.iter_mut().find(|entry| entry.0 == app) {
+                Some(entry) => entry.1 += 1,
+                None => apps.push((app, 1)),
             }
-            total += pod.spec.request;
+            match census.iter_mut().find(|entry| entry.0 == priority) {
+                Some(entry) => entry.1 += request,
+                None => census.push((priority, request)),
+            }
+            total += request;
         }
+        apps.sort_unstable_by_key(|entry| entry.0);
+        census.sort_unstable_by_key(|entry| entry.0);
         self.census_total[i] = total;
-        self.write_leaves(i);
+        let (s, key) = (self.cap + i, self.preempt_key(i));
+        self.preempt_keys[s] = key;
+        self.preempt_floor[s] = key;
+        self.dirty.push(s);
+        self.log_change(i);
     }
 
-    /// Recomputes the preempt-tree leaf (and its root path) for node `i`
-    /// and logs the node as changed. Every mutation of a node's shadow
-    /// ends here, which is what makes the change log complete.
-    fn write_leaves(&mut self, i: usize) {
-        let preempt = if self.ready[i] {
+    /// Node `i`'s preempt-tree key: everything it could free, or [`NEG`]
+    /// when it is unready.
+    fn preempt_key(&self, i: usize) -> ResourceVec {
+        if self.ready[i] {
             self.free[i] + self.census_total[i] + ResourceVec::splat(PRUNE_MARGIN)
         } else {
             NEG
-        };
-        set_leaf(&mut self.preempt_keys, &mut self.preempt_floor, self.cap, i, preempt);
+        }
+    }
+
+    /// Recomputes the preempt-tree leaf (and its root path) for node `i`
+    /// after an in-cycle mutation and logs the node as changed.
+    fn write_leaves(&mut self, i: usize) {
+        let key = self.preempt_key(i);
+        set_leaf(&mut self.preempt_keys, &mut self.preempt_floor, self.cap, i, key);
+        self.log_change(i);
+    }
+
+    /// Appends node `i` to the change log. Every mutation of a node's
+    /// shadow ends here, which is what makes the log complete.
+    fn log_change(&mut self, i: usize) {
         self.changes.push(i as u32);
         if self.changes.len() >= 2 * self.n {
             let cut = self.changes.len() - self.n;
@@ -666,6 +696,31 @@ fn set_leaf(
     }
 }
 
+/// Recomputes the max/min aggregates above the leaves at tree positions
+/// `dirty`, one level at a time: a level's positions, sorted, halve to
+/// the next level's parents in ascending order, so each parent is
+/// recomputed once, after both of its children are final. The trees end
+/// as bit-identical to a [`set_leaf`] per leaf, since max and min are
+/// exact. Leaves `dirty` empty.
+fn repair(maxes: &mut [ResourceVec], mins: &mut [ResourceVec], dirty: &mut Vec<usize>) {
+    dirty.sort_unstable();
+    // Every position is on one level, so the root is the last one left.
+    while dirty.first().is_some_and(|&s| s > 1) {
+        let mut parents = 0;
+        for k in 0..dirty.len() {
+            let s = dirty[k] >> 1;
+            if parents == 0 || dirty[parents - 1] != s {
+                maxes[s] = maxes[2 * s].max(&maxes[2 * s + 1]);
+                mins[s] = mins[2 * s].min(&mins[2 * s + 1]);
+                dirty[parents] = s;
+                parents += 1;
+            }
+        }
+        dirty.truncate(parents);
+    }
+    dirty.clear();
+}
+
 /// Pushes every leaf whose key fits `request` into `out`, in ascending
 /// node order. Subtrees whose max no longer fits are pruned whole;
 /// subtrees whose *min* still fits are emitted whole without descending
@@ -887,6 +942,94 @@ mod tests {
         assert_eq!(carried.app_pods, fresh.app_pods);
         assert_eq!(carried.preempt_keys, fresh.preempt_keys);
         assert_eq!(carried.preempt_floor, fresh.preempt_floor);
+    }
+
+    /// Every node changes between syncs — each pod resized, some nodes
+    /// also tainted by tentative placements — so every leaf is rewritten
+    /// and every root path repaired in one batch; the carried index must
+    /// still be a fresh one, field by field.
+    #[test]
+    fn incremental_sync_matches_rebuild_when_every_node_changes() {
+        let mut c = cluster(11);
+        let mut pods = Vec::new();
+        for i in 0..22u32 {
+            let spec = spec(i % 4, 20.0 + f64::from(i), 10 * (i % 3) as i32);
+            let id = c.create_pod(spec.with_limit(ResourceVec::splat(400.0)), SimTime::ZERO);
+            c.bind_pod(id, NodeId::new(i % 11)).unwrap();
+            pods.push(id);
+        }
+        let mut carried = FeasibilityIndex::new();
+        carried.sync(&c, PROFILE);
+        for round in 0..4u32 {
+            for (k, &pod) in pods.iter().enumerate() {
+                let request = 30.0 + f64::from(round) * 7.5 + k as f64 * 0.25;
+                c.resize_pod(pod, ResourceVec::splat(request)).unwrap();
+            }
+            for i in (round as usize..11).step_by(3) {
+                carried.place(i, &spec(9, 5.0, 50));
+            }
+            carried.sync(&c, PROFILE);
+            assert!(carried.dirty.is_empty());
+            let mut fresh = FeasibilityIndex::new();
+            fresh.sync(&c, PROFILE);
+            assert_eq!(carried.free, fresh.free, "round {round}");
+            assert_eq!(carried.census, fresh.census, "round {round}");
+            assert_eq!(carried.census_total, fresh.census_total, "round {round}");
+            assert_eq!(carried.app_pods, fresh.app_pods, "round {round}");
+            assert_eq!(carried.preempt_keys, fresh.preempt_keys, "round {round}");
+            assert_eq!(carried.preempt_floor, fresh.preempt_floor, "round {round}");
+        }
+    }
+
+    /// A preempt-tree key from a drawn `(tag, value)`: tag 0 is an unready
+    /// node's [`NEG`], the rest differ per dimension.
+    fn drawn_key((tag, value): (u8, u32)) -> ResourceVec {
+        if tag == 0 {
+            return NEG;
+        }
+        let v = f64::from(value);
+        ResourceVec::new(v, 1000.0 - v, f64::from(tag) * 0.1, v * 1e-3 + f64::from(tag))
+    }
+
+    fn tree_bits(tree: &[ResourceVec]) -> Vec<[u64; 4]> {
+        tree.iter().map(|key| key.as_array().map(f64::to_bits)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Leaves written and then repaired together give both trees bit
+        /// for bit what a `set_leaf` per write gives: any node count from
+        /// one up, powers of two or not, unready leaves among them, and
+        /// leaves written more than once.
+        #[test]
+        fn batched_repair_matches_set_leaf_per_leaf(
+            n in 1usize..70,
+            initial in proptest::collection::vec((0u8..6, 0u32..1_000), 70..71),
+            writes in proptest::collection::vec((0usize..70, 0u8..6, 0u32..1_000), 0..120),
+        ) {
+            let cap = n.next_power_of_two();
+            let (mut maxes, mut mins) = (vec![NEG; 2 * cap], vec![NEG; 2 * cap]);
+            for (i, &drawn) in initial.iter().take(n).enumerate() {
+                set_leaf(&mut maxes, &mut mins, cap, i, drawn_key(drawn));
+            }
+            let (mut batched_maxes, mut batched_mins) = (maxes.clone(), mins.clone());
+            let mut dirty = Vec::new();
+            for &(i, tag, value) in &writes {
+                let (i, key) = (i % n, drawn_key((tag, value)));
+                set_leaf(&mut maxes, &mut mins, cap, i, key);
+                batched_maxes[cap + i] = key;
+                batched_mins[cap + i] = key;
+                dirty.push(cap + i);
+            }
+            repair(&mut batched_maxes, &mut batched_mins, &mut dirty);
+            proptest::prop_assert!(dirty.is_empty());
+            proptest::prop_assert_eq!(tree_bits(&batched_maxes), tree_bits(&maxes));
+            proptest::prop_assert_eq!(tree_bits(&batched_mins), tree_bits(&mins));
+        }
     }
 
     #[test]

@@ -475,7 +475,8 @@ impl ScenarioSpec {
 
     /// Checks the semantic invariants [`ScenarioSpec::build`] and the
     /// engine rely on: the rule of every key in its record's field list,
-    /// then that the spec declares something to run.
+    /// then that no two services share a name and that the spec declares
+    /// something to run.
     ///
     /// # Errors
     ///
@@ -488,6 +489,16 @@ impl ScenarioSpec {
             horizon: self.horizon,
         };
         ScenarioSpec::walk(&mut Checker { at: String::new(), bounds }, &mut self.clone())?;
+        let mut names = std::collections::BTreeSet::new();
+        for (i, service) in self.services.iter().enumerate() {
+            if !names.insert(service.name.as_str()) {
+                let detail = format!("`{}` already names an earlier service", service.name);
+                return Err(ScenarioError::Infeasible {
+                    field: format!("service[{i}].name"),
+                    detail,
+                });
+            }
+        }
         if self.app_count() == 0 {
             let detail = "declares no services, batch jobs or HPC jobs".into();
             return Err(ScenarioError::Infeasible { field: "scenario".into(), detail });

@@ -367,6 +367,7 @@ const SINGLE_DEFECTS: &[(&str, &str, &str, &str)] = &[
     ("repro", "violation", "violation = \"x\"\nbogus = 1", "UnknownField repro.bogus @27"),
     ("service[0]", "name", "name = \"\"", "Infeasible service[0].name"),
     ("service[0]", "name", "", "MissingField service[0].name"),
+    ("service[1]", "name", "name = \"web\"", "Infeasible service[1].name"),
     ("service[0]", "class", "class = \"\"", "Infeasible service[0].class"),
     ("service[0]", "demand", "demand = [0.0, 0.0, 0.0, 0.0]", "Infeasible service[0].demand"),
     ("service[0]", "demand", "demand = [-1.0, 2.0, 0.01, 0.05]", "Infeasible service[0].demand"),
