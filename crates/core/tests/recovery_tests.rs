@@ -9,7 +9,7 @@ use evolve_core::{
 };
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{ClusterConfig, FaultEvent, FaultKind, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{SimDuration, SimTime};
+use evolve_types::{Error, SimDuration, SimTime};
 use evolve_workload::{ScenarioSpec, ServiceEntry};
 use proptest::prelude::*;
 
@@ -84,6 +84,11 @@ fn assert_identical_series(a: &RunOutcome, b: &RunOutcome) {
 /// A live simulation with the manager ticked a few times, for checkpoint
 /// capture tests.
 fn warmed_manager(ticks: u32) -> (Simulation, ResourceManager) {
+    warmed(ManagerKind::Evolve, ticks)
+}
+
+/// [`warmed_manager`] under any kind of manager.
+fn warmed(kind: ManagerKind, ticks: u32) -> (Simulation, ResourceManager) {
     let scenario = ScenarioSpec::builtin("single_diurnal").unwrap().build();
     let mut sim = Simulation::new(
         SimulationConfig::default(),
@@ -97,7 +102,7 @@ fn warmed_manager(ticks: u32) -> (Simulation, ResourceManager) {
     for pod in pending {
         let _ = sim.bind_pod(pod, node);
     }
-    let mut manager = ResourceManager::new(ManagerKind::Evolve, &sim);
+    let mut manager = ResourceManager::new(kind, &sim);
     for i in 1..=u64::from(ticks) {
         sim.run_until(SimTime::from_secs(5 * i));
         manager.tick(&mut sim, 5.0);
@@ -198,12 +203,33 @@ fn corrupt_checkpoint_is_rejected_not_panicking() {
     }
 }
 
-/// Every EVOLVE variant: the image carries no configuration, so a restore
-/// that rebuilt the wrong variant would only show on a non-default one.
+/// An image names the state of one kind of policy: restored under
+/// another kind it is corrupt, never read as that kind's state.
+#[test]
+fn a_checkpoint_restores_only_under_its_own_kind() {
+    let (sim, manager) = warmed(ManagerKind::Hpa, 8);
+    let image = manager.checkpoint(sim.now(), &RequeueBackoff::new());
+    let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
+    assert!(ResourceManager::restore(ManagerKind::Hpa, &sim, &image).is_ok());
+    for other in [ManagerKind::Evolve, ManagerKind::Vpa, ManagerKind::KubeStatic] {
+        let err = ResourceManager::restore(other, &sim, &image).map(|_| ()).unwrap_err();
+        assert!(matches!(err, Error::CorruptCheckpoint(_)), "{}: {err}", other.label());
+    }
+}
+
+/// Every kind of manager: the image carries no configuration, so a
+/// restore that rebuilt the wrong variant would only show on a
+/// non-default one, and each baseline's state has its own layout.
 #[test]
 fn crash_with_restore_is_bit_identical_to_uninterrupted() {
-    for manager in [ManagerKind::Evolve, ManagerKind::EvolveCpuOnly, ManagerKind::EvolveFixedGains]
-    {
+    for manager in [
+        ManagerKind::Evolve,
+        ManagerKind::EvolveCpuOnly,
+        ManagerKind::EvolveFixedGains,
+        ManagerKind::KubeStatic,
+        ManagerKind::Hpa,
+        ManagerKind::Vpa,
+    ] {
         let uninterrupted = run(config_for(manager, 300, 42));
         let mut crashed = config_for(manager, 300, 42);
         crashed.faults = controller_crash_at(150);
