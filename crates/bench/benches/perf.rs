@@ -610,7 +610,7 @@ fn bench_control(c: &mut Criterion) {
     group.bench_function("plo_record_window", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
-            tracker.record_window(SimTime::from_secs(i), black_box((i % 200) as f64));
+            tracker.record_window(black_box((i % 200) as f64));
         })
     });
     group.finish();

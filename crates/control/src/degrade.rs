@@ -113,39 +113,26 @@ impl DegradationGuard {
         self.reengage_left = self.config.reengage_ticks;
         self.dark_ticks = 0;
     }
-}
 
-impl Codec for DegradationConfig {
-    fn encode(&self, enc: &mut Encoder) {
-        self.watchdog_ticks.encode(enc);
-        self.max_step.encode(enc);
-        self.reengage_ticks.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(DegradationConfig {
-            watchdog_ticks: u32::decode(dec)?,
-            max_step: f64::decode(dec)?,
-            reengage_ticks: u32::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for DegradationGuard {
-    fn encode(&self, enc: &mut Encoder) {
-        self.config.encode(enc);
+    /// Writes the guard's state, but not its tunables, which the owner
+    /// rebuilds.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
         self.dark_ticks.encode(enc);
         self.reengage_left.encode(enc);
         self.held.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(DegradationGuard {
-            config: DegradationConfig::decode(dec)?,
-            dark_ticks: u32::decode(dec)?,
-            reengage_left: u32::decode(dec)?,
-            held: Option::<ResourceVec>::decode(dec)?,
-        })
+    /// Overwrites the state with one written by
+    /// [`checkpoint`](Self::checkpoint); the tunables are kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's error when the bytes are truncated or malformed.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        self.dark_ticks = u32::decode(dec)?;
+        self.reengage_left = u32::decode(dec)?;
+        self.held = Option::<ResourceVec>::decode(dec)?;
+        Ok(())
     }
 }
 
@@ -238,10 +225,11 @@ mod tests {
         let mut g = guard();
         g.on_signal(ResourceVec::splat(100.0));
         g.on_dark(&ResourceVec::splat(10.0));
-        let mut enc = evolve_types::Encoder::new();
-        g.encode(&mut enc);
+        let mut enc = Encoder::new();
+        g.checkpoint(&mut enc);
         let bytes = enc.into_bytes();
-        let back = DegradationGuard::decode(&mut evolve_types::Decoder::new(&bytes)).unwrap();
+        let mut back = guard();
+        back.restore(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(g, back);
     }
 

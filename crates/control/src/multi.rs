@@ -250,7 +250,7 @@ impl MultiResourceController {
     /// * `alloc` — current per-replica allocation;
     /// * `usage` — measured per-replica usage;
     /// * `error` — PLO control error, positive = under-provisioned
-    ///   (see `evolve_telemetry::PloTracker::control_error`);
+    ///   (see `evolve_core::control_error`);
     /// * `dt_secs` — elapsed control interval.
     ///
     /// # Panics
@@ -366,7 +366,7 @@ impl MultiResourceController {
     /// but not its configuration, which the owner rebuilds.
     pub fn checkpoint(&self, enc: &mut Encoder) {
         for pid in &self.pids {
-            pid.encode(enc);
+            pid.checkpoint(enc);
         }
         for tuner in &self.tuners {
             tuner.encode(enc);
@@ -384,7 +384,7 @@ impl MultiResourceController {
     /// Returns the decoder's error when the bytes are truncated or malformed.
     pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         for pid in &mut self.pids {
-            *pid = PidController::decode(dec)?;
+            pid.restore(dec)?;
         }
         for tuner in &mut self.tuners {
             *tuner = AdaptiveTuner::decode(dec)?;

@@ -160,40 +160,6 @@ impl PidConfig {
     }
 }
 
-impl Codec for PidConfig {
-    fn encode(&self, enc: &mut Encoder) {
-        for v in [
-            self.kp,
-            self.ki,
-            self.kd,
-            self.out_min,
-            self.out_max,
-            self.int_min,
-            self.int_max,
-            self.derivative_tau,
-            self.slew_limit,
-            self.integral_leak,
-        ] {
-            v.encode(enc);
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PidConfig {
-            kp: f64::decode(dec)?,
-            ki: f64::decode(dec)?,
-            kd: f64::decode(dec)?,
-            out_min: f64::decode(dec)?,
-            out_max: f64::decode(dec)?,
-            int_min: f64::decode(dec)?,
-            int_max: f64::decode(dec)?,
-            derivative_tau: f64::decode(dec)?,
-            slew_limit: f64::decode(dec)?,
-            integral_leak: f64::decode(dec)?,
-        })
-    }
-}
-
 /// A discrete-time PID controller.
 ///
 /// Feed the **error** (setpoint − measurement, or whichever orientation the
@@ -415,11 +381,13 @@ impl PidController {
             0.0
         };
     }
-}
 
-impl Codec for PidController {
-    fn encode(&self, enc: &mut Encoder) {
-        self.config.encode(enc);
+    /// Writes the tuned gains and the dynamic state, but not the limits,
+    /// filter constant, slew bound or leak, which the owner rebuilds.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
+        self.config.kp.encode(enc);
+        self.config.ki.encode(enc);
+        self.config.kd.encode(enc);
         self.integral.encode(enc);
         self.prev_error.encode(enc);
         self.filtered_derivative.encode(enc);
@@ -427,15 +395,23 @@ impl Codec for PidController {
         self.last_terms.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PidController {
-            config: PidConfig::decode(dec)?,
-            integral: f64::decode(dec)?,
-            prev_error: Option::<f64>::decode(dec)?,
-            filtered_derivative: f64::decode(dec)?,
-            prev_output: Option::<f64>::decode(dec)?,
-            last_terms: PidTerms::decode(dec)?,
-        })
+    /// Overwrites the gains and the dynamic state with those written by
+    /// [`checkpoint`](Self::checkpoint); the rest of the configuration is
+    /// kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's error when the bytes are truncated or malformed.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        self.config.kp = f64::decode(dec)?;
+        self.config.ki = f64::decode(dec)?;
+        self.config.kd = f64::decode(dec)?;
+        self.integral = f64::decode(dec)?;
+        self.prev_error = Option::<f64>::decode(dec)?;
+        self.filtered_derivative = f64::decode(dec)?;
+        self.prev_output = Option::<f64>::decode(dec)?;
+        self.last_terms = PidTerms::decode(dec)?;
+        Ok(())
     }
 }
 
@@ -629,9 +605,10 @@ mod tests {
             pid.step(0.1 * f64::from(i) - 0.4, 0.5);
         }
         let mut enc = Encoder::new();
-        pid.encode(&mut enc);
+        pid.checkpoint(&mut enc);
         let bytes = enc.into_bytes();
-        let mut back = PidController::decode(&mut Decoder::new(&bytes)).unwrap();
+        let mut back = PidController::new(cfg);
+        back.restore(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(pid, back);
         // Identical future trajectory.
         for i in 0..7 {

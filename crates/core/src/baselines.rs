@@ -1,7 +1,8 @@
-//! Baseline autoscalers every experiment compares against.
+//! Baseline autoscalers every experiment compares against. The third,
+//! stock Kubernetes, keeps whatever requests the user wrote in force
+//! forever: it is [`Policy::Static`](crate::policy::Policy::Static), which
+//! has no state.
 //!
-//! * [`StaticPolicy`] — stock Kubernetes: whatever requests the user
-//!   wrote stay in force forever.
 //! * [`HpaPolicy`] — the Horizontal Pod Autoscaler: fixed per-replica
 //!   requests, replica count follows the canonical
 //!   `desired = ceil(current × utilization / target)` rule on CPU.
@@ -11,10 +12,10 @@
 
 use evolve_telemetry::Ewma;
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, Resource, ResourceVec, Result};
+use evolve_types::{Resource, ResourceVec, Result};
 
 use crate::evolve_policy::{MAX_ALLOC, MIN_ALLOC};
-use crate::policy::{AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput};
+use crate::policy::{ObservedAppState, PolicyDecision, PolicyInput};
 
 /// The HPA's target CPU utilization (usage/request), the canonical 60%.
 const HPA_TARGET_UTILIZATION: f64 = 0.6;
@@ -25,28 +26,9 @@ const VPA_MARGIN: f64 = 0.3;
 /// The replicas the VPA holds every service to.
 pub(crate) const VPA_REPLICAS: u32 = 2;
 
-/// Leading byte of an HPA checkpoint blob.
-const HPA_POLICY_TAG: u8 = 2;
-/// Leading byte of a VPA checkpoint blob.
-const VPA_POLICY_TAG: u8 = 3;
-
-/// Stock Kubernetes: static requests, static replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StaticPolicy;
-
-impl AutoscalePolicy for StaticPolicy {
-    fn name(&self) -> &'static str {
-        "kube-static"
-    }
-
-    fn decide(&mut self, _input: &PolicyInput<'_>) -> Option<PolicyDecision> {
-        None
-    }
-}
-
 /// The Kubernetes Horizontal Pod Autoscaler on CPU utilization.
 #[derive(Debug, Clone)]
-pub struct HpaPolicy {
+pub(crate) struct HpaPolicy {
     /// Fixed per-replica allocation; latched from the first observed
     /// window so HPA keeps whatever the user originally requested.
     per_replica: ResourceVec,
@@ -66,8 +48,7 @@ impl HpaPolicy {
     /// # Panics
     ///
     /// Panics when `max_replicas` is zero.
-    #[must_use]
-    pub fn new(per_replica: ResourceVec, initial_replicas: u32, max_replicas: u32) -> Self {
+    pub(crate) fn new(per_replica: ResourceVec, initial_replicas: u32, max_replicas: u32) -> Self {
         assert!(max_replicas >= 1, "max replicas must be at least 1");
         HpaPolicy {
             per_replica,
@@ -79,20 +60,15 @@ impl HpaPolicy {
             cooldown_ticks: 6, // ≈ the 5-minute HPA stabilization window
         }
     }
-}
 
-impl AutoscalePolicy for HpaPolicy {
-    fn name(&self) -> &'static str {
-        "hpa"
-    }
-
-    fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
+    /// This tick's replica count at the latched per-replica request.
+    pub(crate) fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyDecision {
         let w = input.window;
         if self.down_cooldown > 0 {
             self.down_cooldown -= 1;
         }
         if w.running_replicas == 0 {
-            return Some(PolicyDecision { per_replica: self.per_replica, replicas: self.replicas });
+            return PolicyDecision { per_replica: self.per_replica, replicas: self.replicas };
         }
         if !self.latched {
             // Keep the user's original request and current size.
@@ -119,24 +95,21 @@ impl AutoscalePolicy for HpaPolicy {
                 self.down_cooldown = self.cooldown_ticks;
             }
         }
-        Some(PolicyDecision { per_replica: self.per_replica, replicas: self.replicas })
+        PolicyDecision { per_replica: self.per_replica, replicas: self.replicas }
     }
 
-    fn checkpoint(&self, enc: &mut Encoder) {
-        HPA_POLICY_TAG.encode(enc);
+    /// Writes the state, but not the replica bounds or the stabilization
+    /// window, which the manager rebuilds.
+    pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         self.per_replica.encode(enc);
         self.latched.encode(enc);
         self.replicas.encode(enc);
         self.down_cooldown.encode(enc);
     }
 
-    fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        let tag = u8::decode(dec)?;
-        if tag != HPA_POLICY_TAG {
-            return Err(Error::CorruptCheckpoint(format!(
-                "policy tag {tag} is not an hpa policy blob"
-            )));
-        }
+    /// Overwrites the state with one [`checkpoint`](Self::checkpoint)
+    /// wrote.
+    pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.per_replica = ResourceVec::decode(dec)?;
         self.latched = bool::decode(dec)?;
         self.replicas = u32::decode(dec)?;
@@ -144,7 +117,9 @@ impl AutoscalePolicy for HpaPolicy {
         Ok(())
     }
 
-    fn reconstruct(&mut self, observed: &ObservedAppState) {
+    /// Adopts the observed replicas and request after a restart with no
+    /// checkpoint.
+    pub(crate) fn reconstruct(&mut self, observed: &ObservedAppState) {
         if !observed.alloc_per_replica.is_zero() {
             self.per_replica = observed.alloc_per_replica;
         }
@@ -157,7 +132,9 @@ impl AutoscalePolicy for HpaPolicy {
         self.down_cooldown = self.cooldown_ticks;
     }
 
-    fn reset_to_spec(&mut self) {
+    /// Forgets the cluster: the next decision actuates the constructor's
+    /// size.
+    pub(crate) fn reset_to_spec(&mut self) {
         // Keep constructor defaults, skip observation: the next decision
         // actuates the spec's initial size regardless of the cluster.
         self.latched = true;
@@ -168,7 +145,7 @@ impl AutoscalePolicy for HpaPolicy {
 /// A VPA-like vertical baseline: requests follow smoothed peak usage,
 /// within EVOLVE's per-replica range.
 #[derive(Debug, Clone)]
-pub struct VpaPolicy {
+pub(crate) struct VpaPolicy {
     /// Smoothed peak usage per resource.
     peak: [Ewma; 4],
     replicas: u32,
@@ -176,21 +153,15 @@ pub struct VpaPolicy {
 
 impl VpaPolicy {
     /// Creates a VPA-like policy holding `replicas` replicas.
-    #[must_use]
-    pub fn new(replicas: u32) -> Self {
+    pub(crate) fn new(replicas: u32) -> Self {
         VpaPolicy {
             peak: [Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3)],
             replicas: replicas.max(1),
         }
     }
-}
 
-impl AutoscalePolicy for VpaPolicy {
-    fn name(&self) -> &'static str {
-        "vpa"
-    }
-
-    fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
+    /// This tick's per-replica request at the held replica count.
+    pub(crate) fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyDecision {
         let usage = input.window.usage_per_replica();
         let mut target = ResourceVec::ZERO;
         for r in Resource::ALL {
@@ -206,24 +177,20 @@ impl AutoscalePolicy for VpaPolicy {
             target[r] = peak.value_or(usage[r]) * (1.0 + VPA_MARGIN);
         }
         let target = target.clamp(&MIN_ALLOC, &MAX_ALLOC);
-        Some(PolicyDecision { per_replica: target, replicas: self.replicas })
+        PolicyDecision { per_replica: target, replicas: self.replicas }
     }
 
-    fn checkpoint(&self, enc: &mut Encoder) {
-        VPA_POLICY_TAG.encode(enc);
+    /// Writes the peak trackers and the replica count.
+    pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         for peak in &self.peak {
             peak.encode(enc);
         }
         self.replicas.encode(enc);
     }
 
-    fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        let tag = u8::decode(dec)?;
-        if tag != VPA_POLICY_TAG {
-            return Err(Error::CorruptCheckpoint(format!(
-                "policy tag {tag} is not a vpa policy blob"
-            )));
-        }
+    /// Overwrites the state with one [`checkpoint`](Self::checkpoint)
+    /// wrote.
+    pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         for peak in &mut self.peak {
             *peak = Ewma::decode(dec)?;
         }
@@ -231,7 +198,9 @@ impl AutoscalePolicy for VpaPolicy {
         Ok(())
     }
 
-    fn reconstruct(&mut self, observed: &ObservedAppState) {
+    /// Adopts the observed replicas and seeds the peaks from the observed
+    /// request after a restart with no checkpoint.
+    pub(crate) fn reconstruct(&mut self, observed: &ObservedAppState) {
         if observed.replicas > 0 {
             self.replicas = observed.replicas;
         }
@@ -249,7 +218,8 @@ impl AutoscalePolicy for VpaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SignalQuality;
+    use crate::policy::{Policy, SignalQuality};
+    use crate::ManagerKind;
     use evolve_sim::{AppStatus, AppWindow};
     use evolve_types::{AppId, SimDuration, SimTime};
     use evolve_workload::{PloSpec, WorldClass};
@@ -288,7 +258,7 @@ mod tests {
 
     #[test]
     fn static_policy_never_acts() {
-        let mut p = StaticPolicy;
+        let mut p = Policy::new(ManagerKind::KubeStatic, false);
         let st = status();
         let w = window(1, 999.0);
         assert_eq!(
@@ -301,7 +271,9 @@ mod tests {
             }),
             None
         );
-        assert_eq!(p.name(), "kube-static");
+        // The baselines leave jobs alone too.
+        assert!(matches!(Policy::new(ManagerKind::Hpa, true), Policy::Static));
+        assert!(matches!(Policy::new(ManagerKind::Vpa, true), Policy::Static));
     }
 
     #[test]
@@ -310,15 +282,13 @@ mod tests {
         let st = status();
         // 90% utilization vs 60% target → desired = ceil(2×1.5) = 3.
         let w = window(2, 900.0);
-        let d = p
-            .decide(&PolicyInput {
-                app: &st,
-                window: &w,
-                dt_secs: 5.0,
-                resize_failures: 0,
-                signal: SignalQuality::Fresh,
-            })
-            .unwrap();
+        let d = p.decide(&PolicyInput {
+            app: &st,
+            window: &w,
+            dt_secs: 5.0,
+            resize_failures: 0,
+            signal: SignalQuality::Fresh,
+        });
         assert_eq!(d.replicas, 3);
         assert_eq!(d.per_replica, ResourceVec::splat(1_000.0));
     }
@@ -330,15 +300,13 @@ mod tests {
         let w = window(6, 60.0); // 6% utilization → wants 1 replica
         let mut replicas = Vec::new();
         for _ in 0..8 {
-            let d = p
-                .decide(&PolicyInput {
-                    app: &st,
-                    window: &w,
-                    dt_secs: 5.0,
-                    resize_failures: 0,
-                    signal: SignalQuality::Fresh,
-                })
-                .unwrap();
+            let d = p.decide(&PolicyInput {
+                app: &st,
+                window: &w,
+                dt_secs: 5.0,
+                resize_failures: 0,
+                signal: SignalQuality::Fresh,
+            });
             replicas.push(d.replicas);
         }
         // One step down, then frozen by the stabilization window.
@@ -351,15 +319,13 @@ mod tests {
         let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 4);
         let st = status();
         let w = window(3, 1_000.0); // 167% of target
-        let d = p
-            .decide(&PolicyInput {
-                app: &st,
-                window: &w,
-                dt_secs: 5.0,
-                resize_failures: 0,
-                signal: SignalQuality::Fresh,
-            })
-            .unwrap();
+        let d = p.decide(&PolicyInput {
+            app: &st,
+            window: &w,
+            dt_secs: 5.0,
+            resize_failures: 0,
+            signal: SignalQuality::Fresh,
+        });
         assert_eq!(d.replicas, 4);
     }
 
@@ -368,15 +334,13 @@ mod tests {
         let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 10);
         let st = status();
         let w = window(3, 620.0); // 62% ≈ within 10% of 60%
-        let d = p
-            .decide(&PolicyInput {
-                app: &st,
-                window: &w,
-                dt_secs: 5.0,
-                resize_failures: 0,
-                signal: SignalQuality::Fresh,
-            })
-            .unwrap();
+        let d = p.decide(&PolicyInput {
+            app: &st,
+            window: &w,
+            dt_secs: 5.0,
+            resize_failures: 0,
+            signal: SignalQuality::Fresh,
+        });
         assert_eq!(d.replicas, 3);
     }
 
@@ -387,15 +351,13 @@ mod tests {
         let mut last = ResourceVec::ZERO;
         for _ in 0..20 {
             let w = window(2, 800.0);
-            let d = p
-                .decide(&PolicyInput {
-                    app: &st,
-                    window: &w,
-                    dt_secs: 5.0,
-                    resize_failures: 0,
-                    signal: SignalQuality::Fresh,
-                })
-                .unwrap();
+            let d = p.decide(&PolicyInput {
+                app: &st,
+                window: &w,
+                dt_secs: 5.0,
+                resize_failures: 0,
+                signal: SignalQuality::Fresh,
+            });
             last = d.per_replica;
             assert_eq!(d.replicas, 2);
         }
@@ -408,15 +370,13 @@ mod tests {
         let mut p = VpaPolicy::new(1);
         let st = status();
         let w = window(1, 10_000.0);
-        let d = p
-            .decide(&PolicyInput {
-                app: &st,
-                window: &w,
-                dt_secs: 5.0,
-                resize_failures: 0,
-                signal: SignalQuality::Fresh,
-            })
-            .unwrap();
+        let d = p.decide(&PolicyInput {
+            app: &st,
+            window: &w,
+            dt_secs: 5.0,
+            resize_failures: 0,
+            signal: SignalQuality::Fresh,
+        });
         assert!(d.per_replica.fits_within(&MAX_ALLOC));
         assert!(MIN_ALLOC.fits_within(&d.per_replica));
     }

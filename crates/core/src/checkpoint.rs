@@ -11,8 +11,9 @@
 //! crash never happened.
 //!
 //! The image is encoded with the [`Codec`] fixed-layout binary format
-//! (the vendored `serde` is an inert stub), led by a magic number and a
-//! version byte so foreign or stale blobs are rejected with
+//! (the vendored `serde` is an inert stub), led by a magic number, a
+//! version byte and the [`ManagerKind`] that wrote it, so foreign, stale
+//! or another kind's images are rejected with
 //! [`Error::CorruptCheckpoint`] instead of being misinterpreted.
 
 use evolve_control::CapacityArbiter;
@@ -24,6 +25,7 @@ use evolve_types::{AppId, Error, Result, SimTime};
 
 use crate::counters::ControlCounters;
 use crate::policy::PolicyDecision;
+use crate::ManagerKind;
 
 /// Magic number leading every serialized checkpoint ("EVCK").
 const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
@@ -37,37 +39,54 @@ const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
 /// one [`ControlCounters`] block, which adds `desynced_apps` (version 3
 /// dropped it, so a restore reset the count to zero); 5 — state only: the
 /// EVOLVE controller and its tuners no longer write their configuration,
-/// which the restoring manager rebuilds from its [`ManagerKind`].
-///
-/// [`ManagerKind`]: crate::ManagerKind
-const CHECKPOINT_VERSION: u8 = 5;
+/// which the restoring manager rebuilds from its [`ManagerKind`]; 6 — the
+/// header names the [`ManagerKind`] in place of a magic byte per policy,
+/// each app is its policy's state and one [`AppMemory`], the PLO ledger
+/// keeps no per-window history, and the PIDs and the degradation guard
+/// write no configuration.
+const CHECKPOINT_VERSION: u8 = 6;
 
-/// Per-application slice of a checkpoint: the policy's opaque state blob
-/// plus the manager-side bookkeeping around it.
+/// What the manager remembers about one application between ticks,
+/// beside its policy: the PLO ledger and the bookkeeping around scrapes
+/// and actuations. The manager runs on it and a checkpoint holds it as is.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AppCheckpoint {
-    /// Policy state as written by `AutoscalePolicy::checkpoint` (leads
-    /// with the policy's own magic tag).
-    pub(crate) policy_blob: Vec<u8>,
+pub(crate) struct AppMemory {
     /// The app's PLO violation ledger.
     pub(crate) tracker: PloTracker,
-    /// Last successfully scraped window (blackout replay source).
+    /// Last successfully scraped window — replayed (as `Stale`) while a
+    /// blackout blocks scrapes.
     pub(crate) last_window: Option<AppWindow>,
-    /// Control seconds accumulated while scrapes were dark.
+    /// Control seconds accumulated while scrapes were dark; folded into
+    /// the first post-blackout tick so rates are computed over the real
+    /// elapsed time.
     pub(crate) pending_dt: f64,
     /// Consecutive actuations that reported resize failures.
     pub(crate) failure_streak: u32,
     /// Tick index before which an unchanged failing target is suppressed.
     pub(crate) backoff_until: u64,
-    /// The decision last actuated.
+    /// The decision last actuated (for the retry-backoff comparison).
     pub(crate) last_decision: Option<PolicyDecision>,
     /// Failed in-place resizes on the previous tick.
     pub(crate) last_resize_failures: u32,
 }
 
-impl Codec for AppCheckpoint {
+impl AppMemory {
+    /// A fresh app's memory: an empty ledger and nothing else.
+    pub(crate) fn new(tracker: PloTracker) -> Self {
+        AppMemory {
+            tracker,
+            last_window: None,
+            pending_dt: 0.0,
+            failure_streak: 0,
+            backoff_until: 0,
+            last_decision: None,
+            last_resize_failures: 0,
+        }
+    }
+}
+
+impl Codec for AppMemory {
     fn encode(&self, enc: &mut Encoder) {
-        self.policy_blob.encode(enc);
         self.tracker.encode(enc);
         self.last_window.encode(enc);
         self.pending_dt.encode(enc);
@@ -78,8 +97,7 @@ impl Codec for AppCheckpoint {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(AppCheckpoint {
-            policy_blob: Vec::<u8>::decode(dec)?,
+        Ok(AppMemory {
             tracker: PloTracker::decode(dec)?,
             last_window: Option::<AppWindow>::decode(dec)?,
             pending_dt: f64::decode(dec)?,
@@ -100,6 +118,8 @@ impl Codec for AppCheckpoint {
 /// controller crash is armed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerCheckpoint {
+    /// The kind of manager whose state this is.
+    pub(crate) kind: ManagerKind,
     /// Simulation time at which the image was captured.
     pub at: SimTime,
     /// Control ticks executed so far.
@@ -108,9 +128,10 @@ pub struct ControllerCheckpoint {
     pub(crate) control: ControlCounters,
     /// Delayed actuations still waiting for their release time.
     pub(crate) pending_actuations: Vec<(SimTime, AppId, PolicyDecision)>,
-    /// Per-application state, sorted by [`AppId`] so the byte image of a
-    /// given control state is unique (the live map is a `HashMap`).
-    pub(crate) apps: Vec<(AppId, AppCheckpoint)>,
+    /// Per-application state — the policy's state bytes and the
+    /// manager's memory — sorted by [`AppId`] so the byte image of a given
+    /// control state is unique (the live map is a `HashMap`).
+    pub(crate) apps: Vec<(AppId, Vec<u8>, AppMemory)>,
     /// The scheduler's requeue-backoff ledger.
     pub(crate) scheduler_backoff: RequeueBackoff,
     /// The capacity arbiter (config and persistent state), when installed.
@@ -126,6 +147,7 @@ impl ControllerCheckpoint {
         let mut enc = Encoder::new();
         CHECKPOINT_MAGIC.encode(&mut enc);
         CHECKPOINT_VERSION.encode(&mut enc);
+        self.kind.encode(&mut enc);
         self.at.encode(&mut enc);
         self.ticks.encode(&mut enc);
         self.control.encode(&mut enc);
@@ -143,8 +165,8 @@ impl ControllerCheckpoint {
     /// # Errors
     ///
     /// Returns [`Error::CorruptCheckpoint`] when the magic number or
-    /// version does not match, the image is truncated, trailing bytes
-    /// remain, or any field fails to decode.
+    /// version does not match, the kind is unknown, the image is
+    /// truncated, trailing bytes remain, or any field fails to decode.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut dec = Decoder::new(bytes);
         let magic = u32::decode(&mut dec)?;
@@ -160,11 +182,12 @@ impl ControllerCheckpoint {
             )));
         }
         let out = ControllerCheckpoint {
+            kind: ManagerKind::decode(&mut dec)?,
             at: SimTime::decode(&mut dec)?,
             ticks: u64::decode(&mut dec)?,
             control: ControlCounters::decode(&mut dec)?,
             pending_actuations: Vec::<(SimTime, AppId, PolicyDecision)>::decode(&mut dec)?,
-            apps: Vec::<(AppId, AppCheckpoint)>::decode(&mut dec)?,
+            apps: Vec::<(AppId, Vec<u8>, AppMemory)>::decode(&mut dec)?,
             scheduler_backoff: RequeueBackoff::decode(&mut dec)?,
             arbiter: Option::<CapacityArbiter>::decode(&mut dec)?,
             shed_app_ids: Vec::<AppId>::decode(&mut dec)?,
@@ -204,6 +227,7 @@ mod tests {
     #[test]
     fn empty_checkpoint_round_trips() {
         let ck = ControllerCheckpoint {
+            kind: ManagerKind::Evolve,
             at: SimTime::from_secs(42),
             ticks: 7,
             control: ControlCounters {
@@ -232,6 +256,7 @@ mod tests {
     fn arbitrated_checkpoint_round_trips() {
         use evolve_control::ArbiterConfig;
         let ck = ControllerCheckpoint {
+            kind: ManagerKind::Evolve,
             at: SimTime::from_secs(90),
             ticks: 18,
             control: ControlCounters {
@@ -258,6 +283,7 @@ mod tests {
     #[test]
     fn version_4_image_is_rejected() {
         let mut bytes = ControllerCheckpoint {
+            kind: ManagerKind::Evolve,
             at: SimTime::ZERO,
             ticks: 0,
             control: ControlCounters::default(),
@@ -269,14 +295,18 @@ mod tests {
         }
         .to_bytes();
         // The version byte follows the four magic bytes.
-        bytes[4] = 4;
-        let err = ControllerCheckpoint::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(&err, Error::CorruptCheckpoint(m) if m.contains("version 4")), "{err}");
+        for old in [4, 5] {
+            bytes[4] = old;
+            let err = ControllerCheckpoint::from_bytes(&bytes).unwrap_err();
+            let version = format!("version {old}");
+            assert!(matches!(&err, Error::CorruptCheckpoint(m) if m.contains(&version)), "{err}");
+        }
     }
 
     #[test]
     fn wrong_magic_is_rejected() {
         let ck = ControllerCheckpoint {
+            kind: ManagerKind::Evolve,
             at: SimTime::ZERO,
             ticks: 0,
             control: ControlCounters::default(),
@@ -295,6 +325,7 @@ mod tests {
     #[test]
     fn truncation_and_trailing_garbage_are_rejected() {
         let ck = ControllerCheckpoint {
+            kind: ManagerKind::Evolve,
             at: SimTime::from_secs(1),
             ticks: 1,
             control: ControlCounters::default(),
@@ -309,5 +340,9 @@ mod tests {
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(ControllerCheckpoint::from_bytes(&longer).is_err());
+        // The kind byte follows the version byte.
+        let mut unknown_kind = bytes;
+        unknown_kind[5] = 6;
+        assert!(ControllerCheckpoint::from_bytes(&unknown_kind).is_err());
     }
 }

@@ -7,16 +7,9 @@ use evolve_control::{
 use evolve_telemetry::trace::{ControlExplain, PidTermsTrace};
 use evolve_telemetry::{Ewma, SlidingQuantile};
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, Resource, ResourceVec, Result};
+use evolve_types::{Resource, ResourceVec, Result};
 
-use crate::policy::{
-    control_error_with_margin, AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput,
-};
-
-/// Leading byte of an EVOLVE policy checkpoint blob (distinguishes it
-/// from the HPA/VPA baselines when a checkpoint is restored into the
-/// wrong manager kind).
-const EVOLVE_POLICY_TAG: u8 = 1;
+use crate::policy::{control_error, ObservedAppState, PolicyDecision, PolicyInput};
 
 /// Per-replica allocation floor of an EVOLVE-managed app (and of the VPA
 /// baseline).
@@ -36,7 +29,7 @@ const TARGET_MARGIN: f64 = 0.35;
 
 /// Per-application EVOLVE controller state.
 #[derive(Debug, Clone)]
-pub struct EvolvePolicy {
+pub(crate) struct EvolvePolicy {
     controller: MultiResourceController,
     predictor: LoadPredictor,
     /// Smooths the noisy window percentile before the error computation
@@ -70,8 +63,7 @@ impl EvolvePolicy {
     /// Creates the policy for a service (`is_job = false`) or a batch/HPC
     /// job (`is_job = true`, horizontal scaling disabled); `config` sets
     /// the per-replica range and the controller's ablation switches.
-    #[must_use]
-    pub fn new(config: MultiResourceConfig, initial_replicas: u32, is_job: bool) -> Self {
+    pub(crate) fn new(config: MultiResourceConfig, initial_replicas: u32, is_job: bool) -> Self {
         EvolvePolicy {
             controller: MultiResourceController::new(config),
             predictor: LoadPredictor::new(0.5, 0.3, 2.0, 0.1),
@@ -92,44 +84,9 @@ impl EvolvePolicy {
         }
     }
 
-    /// Consecutive control ticks without a fresh signal.
-    #[must_use]
-    pub fn dark_ticks(&self) -> u32 {
-        self.guard.dark_ticks()
-    }
-
-    /// Horizontal scaling actions taken so far.
-    #[must_use]
-    pub fn scale_actions(&self) -> u64 {
-        self.scale_actions
-    }
-
-    /// Gain adaptations applied by the controller so far.
-    #[must_use]
-    pub fn adaptations(&self) -> u64 {
-        self.controller.adaptations()
-    }
-
-    /// Current gains on a resource dimension (for the F2/T5 figures).
-    #[must_use]
-    pub fn gains_of(&self, resource: Resource) -> (f64, f64, f64) {
-        self.controller.gains_of(resource)
-    }
-}
-
-impl AutoscalePolicy for EvolvePolicy {
-    fn name(&self) -> &'static str {
-        let cfg = self.controller.config();
-        if cfg.cpu_only {
-            "evolve-cpu-only"
-        } else if !cfg.adaptive {
-            "evolve-fixed-gains"
-        } else {
-            "evolve"
-        }
-    }
-
-    fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
+    /// This tick's actuation; `None` leaves the app untouched (dark
+    /// before any output was recorded, with nothing to hold).
+    pub(crate) fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
         let w = input.window;
         let MultiResourceConfig { min_alloc, max_alloc, .. } = *self.controller.config();
         if input.signal.is_degraded() {
@@ -196,7 +153,7 @@ impl AutoscalePolicy for EvolvePolicy {
 
         let smoothed =
             if measured.is_finite() { self.measured_filter.observe(measured) } else { measured };
-        let error = control_error_with_margin(&input.app.plo, smoothed, TARGET_MARGIN);
+        let error = control_error(&input.app.plo, smoothed, TARGET_MARGIN);
         let per_replica_rps = if w.running_replicas > 0 {
             Some(w.throughput_rps / f64::from(w.running_replicas))
         } else {
@@ -290,8 +247,9 @@ impl AutoscalePolicy for EvolvePolicy {
         })
     }
 
-    fn checkpoint(&self, enc: &mut Encoder) {
-        EVOLVE_POLICY_TAG.encode(enc);
+    /// Writes the state, but not the controller's configuration or
+    /// whether the app is a job, which the manager rebuilds.
+    pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         self.controller.checkpoint(enc);
         self.predictor.encode(enc);
         self.measured_filter.encode(enc);
@@ -300,17 +258,13 @@ impl AutoscalePolicy for EvolvePolicy {
         self.latched.encode(enc);
         self.cooldown.encode(enc);
         self.scale_actions.encode(enc);
-        self.guard.encode(enc);
+        self.guard.checkpoint(enc);
         self.last_usage_pr.encode(enc);
     }
 
-    fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        let tag = u8::decode(dec)?;
-        if tag != EVOLVE_POLICY_TAG {
-            return Err(Error::CorruptCheckpoint(format!(
-                "policy tag {tag} is not an evolve policy blob"
-            )));
-        }
+    /// Overwrites the state with one [`checkpoint`](Self::checkpoint)
+    /// wrote.
+    pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.controller.restore(dec)?;
         self.predictor = LoadPredictor::decode(dec)?;
         self.measured_filter = Ewma::decode(dec)?;
@@ -319,12 +273,14 @@ impl AutoscalePolicy for EvolvePolicy {
         self.latched = bool::decode(dec)?;
         self.cooldown = u32::decode(dec)?;
         self.scale_actions = u64::decode(dec)?;
-        self.guard = DegradationGuard::decode(dec)?;
+        self.guard.restore(dec)?;
         self.last_usage_pr = ResourceVec::decode(dec)?;
         Ok(())
     }
 
-    fn reconstruct(&mut self, observed: &ObservedAppState) {
+    /// Rebuilds working state from the observed cluster after a restart
+    /// with no checkpoint.
+    pub(crate) fn reconstruct(&mut self, observed: &ObservedAppState) {
         // Level-triggered rebuild: the cluster's current replica count and
         // granted per-replica request are the only trustworthy facts, so
         // they become the hold-last-safe baseline. The guard slew-limits
@@ -343,7 +299,9 @@ impl AutoscalePolicy for EvolvePolicy {
         self.controller.arm_bumpless();
     }
 
-    fn explain(&self) -> Option<ControlExplain> {
+    /// The controller internals behind the last decision, for the
+    /// decision trace.
+    pub(crate) fn explain(&self) -> ControlExplain {
         let mut pid = [PidTermsTrace::default(); 4];
         let mut gains = [(0.0, 0.0, 0.0); 4];
         for r in Resource::ALL {
@@ -351,7 +309,7 @@ impl AutoscalePolicy for EvolvePolicy {
             pid[r.index()] = PidTermsTrace { p: t.p, i: t.i, d: t.d, output: t.output };
             gains[r.index()] = self.controller.gains_of(r);
         }
-        Some(ControlExplain {
+        ControlExplain {
             pid,
             gains,
             attribution: self.last_attribution,
@@ -365,10 +323,11 @@ impl AutoscalePolicy for EvolvePolicy {
             trend: self.predictor.trend(),
             smoothed: self.last_smoothed,
             error: self.last_error,
-        })
+        }
     }
 
-    fn reset_to_spec(&mut self) {
+    /// Forgets everything, the cluster included (the naive restart).
+    pub(crate) fn reset_to_spec(&mut self) {
         // Naive restart: forget everything and trust the constructor
         // defaults. Deliberately does NOT look at the cluster — `latched`
         // is set so the first window is actuated at the spec's initial
@@ -383,7 +342,8 @@ impl AutoscalePolicy for EvolvePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SignalQuality;
+    use crate::policy::{Policy, SignalQuality};
+    use crate::ManagerKind;
     use evolve_sim::{AppStatus, AppWindow};
     use evolve_types::{AppId, SimDuration, SimTime};
     use evolve_workload::{PloSpec, WorldClass};
@@ -497,7 +457,7 @@ mod tests {
             replicas = d.replicas;
         }
         assert!(replicas > 1, "expected scale-out, got {replicas}");
-        assert!(p.scale_actions() > 0);
+        assert!(p.scale_actions > 0);
     }
 
     #[test]
@@ -582,7 +542,7 @@ mod tests {
             assert_eq!(d.replicas, steady.replicas, "no scale-in while dark");
             assert!(d.per_replica.cpu() >= 360.0 - 1e-9, "cpu {}", d.per_replica.cpu());
         }
-        assert_eq!(p.dark_ticks(), 20);
+        assert_eq!(p.guard.dark_ticks(), 20);
         // Re-engagement: the first fresh decision moves a bounded step
         // from the held output, not a cliff.
         let before = p.decide(&PolicyInput {
@@ -594,7 +554,7 @@ mod tests {
         });
         let d = before.expect("decision");
         assert!(d.per_replica.cpu() > 0.0);
-        assert_eq!(p.dark_ticks(), 0);
+        assert_eq!(p.guard.dark_ticks(), 0);
     }
 
     #[test]
@@ -637,11 +597,17 @@ mod tests {
 
     #[test]
     fn ablation_names() {
-        assert_eq!(EvolvePolicy::new(config(), 1, false).name(), "evolve");
-        assert_eq!(EvolvePolicy::new(config().cpu_only(), 1, false).name(), "evolve-cpu-only");
-        assert_eq!(
-            EvolvePolicy::new(config().fixed_gains(), 1, false).name(),
-            "evolve-fixed-gains"
-        );
+        // Each EVOLVE kind, named by its label, runs its own ablation.
+        for (kind, cpu_only, adaptive) in [
+            (ManagerKind::Evolve, false, true),
+            (ManagerKind::EvolveCpuOnly, true, true),
+            (ManagerKind::EvolveFixedGains, false, false),
+        ] {
+            let Policy::Evolve(p) = Policy::new(kind, false) else {
+                panic!("{} runs no EVOLVE policy", kind.label());
+            };
+            let cfg = p.controller.config();
+            assert_eq!((cfg.cpu_only, cfg.adaptive), (cpu_only, adaptive), "{}", kind.label());
+        }
     }
 }

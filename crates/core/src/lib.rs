@@ -11,7 +11,11 @@
 //!
 //! The crate also contains the **baselines** every experiment compares
 //! against (stock-Kubernetes static requests, threshold HPA, a VPA-like
-//! percentile vertical scaler), the [`ExperimentRunner`] that wires
+//! percentile vertical scaler). Which system runs is the [`ManagerKind`],
+//! a closed set: each application's policy is one variant of a
+//! crate-private enum, and a [`ControllerCheckpoint`] names the kind in
+//! its header and carries each policy's state, never its configuration.
+//! Beside them are the [`ExperimentRunner`] that wires
 //! workload → cluster → manager → scheduler and collects the summary
 //! statistics, and the report helpers that render the tables and CSV
 //! series in EXPERIMENTS.md.
@@ -41,17 +45,12 @@ mod policy;
 mod report;
 mod runner;
 
-pub use baselines::{HpaPolicy, StaticPolicy, VpaPolicy};
 pub use checkpoint::ControllerCheckpoint;
 pub use counters::ControlCounters;
-pub use evolve_policy::EvolvePolicy;
 pub use evolve_scheduler::SchedulerProfile;
 pub use harness::{Harness, ReplicatedOutcome};
 pub use manager::{ManagerKind, ResourceManager};
-pub use policy::{
-    control_error, control_error_with_margin, AutoscalePolicy, ObservedAppState, PolicyDecision,
-    PolicyInput, SignalQuality,
-};
+pub use policy::{control_error, PolicyDecision, SignalQuality};
 pub use report::{write_csv, Summary, Table};
 pub use runner::{
     AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder, RunOutcome,

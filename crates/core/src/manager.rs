@@ -5,7 +5,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use evolve_control::{
     ArbiterConfig, ArbiterRequest, ArbitrationOutcome, CapacityArbiter, GrantDecision,
-    MultiResourceConfig,
 };
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{AppStatus, AppWindow, FaultInjector, Simulation};
@@ -13,19 +12,17 @@ use evolve_telemetry::trace::{
     ActuationOutcome, ArbitrationTrace, ControlTrace, TraceEvent, TraceRing,
 };
 use evolve_telemetry::{PloBound, PloTracker};
-use evolve_types::codec::{Decoder, Encoder};
+use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{
     AppId, Error, PriorityClass, Resource, ResourceVec, Result, SimDuration, SimTime,
 };
 use evolve_workload::{PloSpec, WorldClass};
 
-use crate::baselines::{HpaPolicy, StaticPolicy, VpaPolicy, HPA_MAX_REPLICAS, VPA_REPLICAS};
-use crate::checkpoint::{AppCheckpoint, ControllerCheckpoint};
+use crate::baselines::{HPA_MAX_REPLICAS, VPA_REPLICAS};
+use crate::checkpoint::{AppMemory, ControllerCheckpoint};
 use crate::counters::ControlCounters;
-use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MAX_REPLICAS, MIN_ALLOC};
-use crate::policy::{
-    AutoscalePolicy, ObservedAppState, PolicyDecision, PolicyInput, SignalQuality,
-};
+use crate::evolve_policy::MAX_REPLICAS;
+use crate::policy::{ObservedAppState, Policy, PolicyDecision, PolicyInput, SignalQuality};
 
 /// Which resource-management system runs the cluster: EVOLVE, its two
 /// ablations, and the three baselines.
@@ -73,28 +70,36 @@ impl ManagerKind {
     }
 }
 
+/// A checkpoint's header names the kind that wrote it by its
+/// discriminant.
+impl Codec for ManagerKind {
+    fn encode(&self, enc: &mut Encoder) {
+        (*self as u8).encode(enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let tag = u8::decode(dec)?;
+        [
+            ManagerKind::Evolve,
+            ManagerKind::EvolveCpuOnly,
+            ManagerKind::EvolveFixedGains,
+            ManagerKind::KubeStatic,
+            ManagerKind::Hpa,
+            ManagerKind::Vpa,
+        ]
+        .into_iter()
+        .find(|kind| *kind as u8 == tag)
+        .ok_or_else(|| Error::CorruptCheckpoint(format!("unknown manager kind {tag}")))
+    }
+}
+
 /// Per-application record the manager keeps.
 struct ManagedApp {
-    policy: Box<dyn AutoscalePolicy>,
-    tracker: PloTracker,
+    policy: Policy,
     /// The app's identity and PLO as the simulation advertised it at
     /// construction; statuses never change afterwards.
     status: AppStatus,
-    /// Failed in-place resizes on the previous tick.
-    last_resize_failures: u32,
-    /// Last successfully scraped window — replayed (as `Stale`) while a
-    /// blackout blocks scrapes.
-    last_window: Option<AppWindow>,
-    /// Control seconds accumulated while scrapes were dark; folded into
-    /// the first post-blackout tick so rates are computed over the real
-    /// elapsed time.
-    pending_dt: f64,
-    /// Consecutive actuations that reported resize failures.
-    failure_streak: u32,
-    /// Tick index before which an unchanged failing target is suppressed.
-    backoff_until: u64,
-    /// The decision last actuated (for the retry-backoff comparison).
-    last_decision: Option<PolicyDecision>,
+    memory: AppMemory,
 }
 
 /// Fraction of its desired per-replica allocation a shed app is squeezed
@@ -149,45 +154,15 @@ impl ResourceManager {
     #[must_use]
     pub fn new(kind: ManagerKind, sim: &Simulation) -> Self {
         let mut apps = HashMap::new();
-        let evolve = MultiResourceConfig::new(MIN_ALLOC, MAX_ALLOC);
         for status in sim.apps() {
-            let is_job = status.world != WorldClass::Microservice;
-            let policy: Box<dyn AutoscalePolicy> = match kind {
-                ManagerKind::Evolve => Box::new(EvolvePolicy::new(evolve, 1, is_job)),
-                ManagerKind::EvolveCpuOnly => {
-                    Box::new(EvolvePolicy::new(evolve.cpu_only(), 1, is_job))
-                }
-                ManagerKind::EvolveFixedGains => {
-                    Box::new(EvolvePolicy::new(evolve.fixed_gains(), 1, is_job))
-                }
-                ManagerKind::KubeStatic => Box::new(StaticPolicy),
-                // HPA and VPA do not manage jobs; they run statically.
-                ManagerKind::Hpa | ManagerKind::Vpa if is_job => Box::new(StaticPolicy),
-                // HPA keeps the user-provided request (latched from the
-                // first window); the seed below only covers a window with
-                // no replica running yet.
-                ManagerKind::Hpa => Box::new(HpaPolicy::new(
-                    ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0),
-                    2,
-                    HPA_MAX_REPLICAS,
-                )),
-                ManagerKind::Vpa => Box::new(VpaPolicy::new(VPA_REPLICAS)),
-            };
             let bound = if status.plo.upper_bound() { PloBound::Upper } else { PloBound::Lower };
-            apps.insert(
-                status.id,
-                ManagedApp {
-                    policy,
-                    tracker: PloTracker::new(status.plo.target().max(1e-9), bound),
-                    status: status.clone(),
-                    last_resize_failures: 0,
-                    last_window: None,
-                    pending_dt: 0.0,
-                    failure_streak: 0,
-                    backoff_until: 0,
-                    last_decision: None,
-                },
-            );
+            let tracker = PloTracker::new(status.plo.target().max(1e-9), bound);
+            let managed = ManagedApp {
+                policy: Policy::new(kind, status.world != WorldClass::Microservice),
+                status: status.clone(),
+                memory: AppMemory::new(tracker),
+            };
+            apps.insert(status.id, managed);
         }
         ResourceManager {
             kind,
@@ -200,14 +175,6 @@ impl ResourceManager {
             shed_app_ids: BTreeSet::new(),
             planned: Vec::new(),
             spare_windows: Vec::new(),
-        }
-    }
-
-    /// Room in every app's PLO history for the windows of a run of
-    /// `ticks` control ticks, reserved once, before the run.
-    pub fn presize(&mut self, ticks: usize) {
-        for managed in self.apps.values_mut() {
-            managed.tracker.reserve(ticks);
         }
     }
 
@@ -255,29 +222,11 @@ impl ResourceManager {
     /// control states always produce identical bytes.
     #[must_use]
     pub fn checkpoint(&self, at: SimTime, backoff: &RequeueBackoff) -> ControllerCheckpoint {
-        let mut apps: Vec<(AppId, AppCheckpoint)> = self
-            .apps
-            .iter()
-            .map(|(id, m)| {
-                let mut enc = Encoder::new();
-                m.policy.checkpoint(&mut enc);
-                (
-                    *id,
-                    AppCheckpoint {
-                        policy_blob: enc.into_bytes(),
-                        tracker: m.tracker.clone(),
-                        last_window: m.last_window.clone(),
-                        pending_dt: m.pending_dt,
-                        failure_streak: m.failure_streak,
-                        backoff_until: m.backoff_until,
-                        last_decision: m.last_decision,
-                        last_resize_failures: m.last_resize_failures,
-                    },
-                )
-            })
-            .collect();
-        apps.sort_by_key(|&(id, _)| id);
+        let mut apps: Vec<(AppId, Vec<u8>, AppMemory)> =
+            self.apps.iter().map(|(id, m)| (*id, m.policy.state(), m.memory.clone())).collect();
+        apps.sort_by_key(|&(id, ..)| id);
         ControllerCheckpoint {
+            kind: self.kind,
             at,
             ticks: self.ticks,
             control: self.counters,
@@ -302,39 +251,34 @@ impl ResourceManager {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::CorruptCheckpoint`] when a policy blob fails to
-    /// decode (wrong policy tag, truncation, trailing bytes).
+    /// Returns [`Error::CorruptCheckpoint`] when another kind of manager
+    /// wrote the image, or an app's policy state fails to decode
+    /// (truncation, trailing bytes).
     pub fn restore(
         kind: ManagerKind,
         sim: &Simulation,
         ck: &ControllerCheckpoint,
     ) -> Result<(Self, RequeueBackoff)> {
+        if ck.kind != kind {
+            return Err(Error::CorruptCheckpoint(format!(
+                "a {} image cannot restore a {} manager",
+                ck.kind.label(),
+                kind.label()
+            )));
+        }
         let mut mgr = ResourceManager::new(kind, sim);
         mgr.ticks = ck.ticks;
         mgr.counters = ck.control;
         mgr.pending_actuations = ck.pending_actuations.clone();
         mgr.arbiter = ck.arbiter.clone();
         mgr.shed_app_ids = ck.shed_app_ids.iter().copied().collect();
-        for (id, app_ck) in &ck.apps {
+        for (id, policy, memory) in &ck.apps {
             let Some(m) = mgr.apps.get_mut(id) else {
                 mgr.counters.desynced_apps += 1;
                 continue;
             };
-            let mut dec = Decoder::new(&app_ck.policy_blob);
-            m.policy.restore(&mut dec)?;
-            if !dec.is_empty() {
-                return Err(Error::CorruptCheckpoint(format!(
-                    "{} trailing bytes in policy blob for {id}",
-                    dec.remaining()
-                )));
-            }
-            m.tracker = app_ck.tracker.clone();
-            m.last_window = app_ck.last_window.clone();
-            m.pending_dt = app_ck.pending_dt;
-            m.failure_streak = app_ck.failure_streak;
-            m.backoff_until = app_ck.backoff_until;
-            m.last_decision = app_ck.last_decision;
-            m.last_resize_failures = app_ck.last_resize_failures;
+            m.policy.restore(policy)?;
+            m.memory = memory.clone();
         }
         Ok((mgr, ck.scheduler_backoff.clone()))
     }
@@ -398,7 +342,7 @@ impl ResourceManager {
     /// The PLO tracker of one application.
     #[must_use]
     pub fn tracker(&self, app: AppId) -> Option<&PloTracker> {
-        self.apps.get(&app).map(|a| &a.tracker)
+        self.apps.get(&app).map(|a| &a.memory.tracker)
     }
 
     /// World class of one application.
@@ -467,8 +411,7 @@ impl ResourceManager {
     /// injected actuation faults and the resize itself. One
     /// [`ControlTrace`] per app goes into `trace`: the signal quality,
     /// the measurement the policy saw, the actuation outcome and — for
-    /// policies that implement [`AutoscalePolicy::explain`] — the full
-    /// controller internals (PID terms, adaptive gains, predictor
+    /// the EVOLVE policies — the full controller internals (PID terms, adaptive gains, predictor
     /// forecast, degradation-guard state); an arbitrated target adds its
     /// [`ArbitrationTrace`]. Returns the fresh windows only.
     pub fn tick_traced(
@@ -498,9 +441,10 @@ impl ResourceManager {
                 self.counters.desynced_apps += 1;
                 continue;
             };
+            let memory = &mut managed.memory;
             let (window, signal, effective_dt) = if blocked {
-                managed.pending_dt += dt_secs;
-                match managed.last_window.clone() {
+                memory.pending_dt += dt_secs;
+                match memory.last_window.clone() {
                     Some(w) => (w, SignalQuality::Stale, dt_secs),
                     None => (empty_window(now), SignalQuality::Missing, dt_secs),
                 }
@@ -515,8 +459,8 @@ impl ResourceManager {
                 if let Some(i) = injector.as_deref_mut() {
                     i.distort_window(app, &mut w);
                 }
-                let effective_dt = dt_secs + managed.pending_dt;
-                managed.pending_dt = 0.0;
+                let effective_dt = dt_secs + memory.pending_dt;
+                memory.pending_dt = 0.0;
                 // PLO accounting: only fresh windows that produced a
                 // signal — blacked-out windows are simply missing.
                 if let Some(measured) = w.measured_for(&managed.status.plo) {
@@ -524,24 +468,24 @@ impl ResourceManager {
                     // and one final window was counted.
                     let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
                         && w.progress == Some(1.0)
-                        && managed.tracker.windows() > 0
+                        && memory.tracker.windows() > 0
                         && w.completions == 0
                         && w.arrivals == 0;
                     if !skip {
-                        let violated = managed.tracker.record_window(w.at, measured);
+                        let violated = memory.tracker.record_window(measured);
                         if violated && w.shed_requests > 0 {
                             self.counters.violations_while_shedding += 1;
                         }
                     }
                 }
-                managed.last_window = Some(w.clone());
+                memory.last_window = Some(w.clone());
                 (w, SignalQuality::Fresh, effective_dt)
             };
             let input = PolicyInput {
                 app: &managed.status,
                 window: &window,
                 dt_secs: effective_dt,
-                resize_failures: managed.last_resize_failures,
+                resize_failures: memory.last_resize_failures,
                 signal,
             };
             let decision = managed.policy.decide(&input);
@@ -619,7 +563,7 @@ impl ResourceManager {
                     replicas: p.window.running_replicas,
                     per_replica: p.window.alloc_per_replica,
                     outcome,
-                    resize_failures: m.last_resize_failures,
+                    resize_failures: m.memory.last_resize_failures,
                     explain,
                 }));
                 if let Some(o) = p.grant {
@@ -703,7 +647,7 @@ impl ResourceManager {
         decision: PolicyDecision,
         signal: SignalQuality,
     ) -> Option<ActuationOutcome> {
-        let Some(managed) = self.apps.get_mut(&app) else {
+        let Some(memory) = self.apps.get_mut(&app).map(|m| &mut m.memory) else {
             self.counters.desynced_apps += 1;
             return None;
         };
@@ -711,9 +655,9 @@ impl ResourceManager {
         // has not materially changed) only hammers a full node. Suppress
         // it for exponentially growing tick counts; any changed target
         // acts immediately.
-        let repeat_of_failed = managed.failure_streak > 0
-            && managed.last_decision.is_some_and(|d| decisions_close(&d, &decision));
-        if repeat_of_failed && self.ticks < managed.backoff_until {
+        let repeat_of_failed = memory.failure_streak > 0
+            && memory.last_decision.is_some_and(|d| decisions_close(&d, &decision));
+        if repeat_of_failed && self.ticks < memory.backoff_until {
             self.counters.suppressed_actuations += 1;
             return Some(ActuationOutcome::Suppressed);
         }
@@ -723,18 +667,18 @@ impl ResourceManager {
             // decision as landed: no failure streak, no backoff — it will
             // only notice via the next window's replica counts.
             self.counters.dropped_actuations += 1;
-            managed.failure_streak = 0;
-            managed.last_resize_failures = 0;
-            managed.last_decision = Some(decision);
+            memory.failure_streak = 0;
+            memory.last_resize_failures = 0;
+            memory.last_decision = Some(decision);
             return Some(ActuationOutcome::Dropped);
         }
         if let Some(lag) = injector.and_then(|i| i.actuation_lag(now)) {
             // Queued behind a slow API path: the target lands at
             // `now + lag` verbatim, however stale it is by then.
             self.counters.delayed_actuations += 1;
-            managed.failure_streak = 0;
-            managed.last_resize_failures = 0;
-            managed.last_decision = Some(decision);
+            memory.failure_streak = 0;
+            memory.last_resize_failures = 0;
+            memory.last_decision = Some(decision);
             self.pending_actuations.push((now + lag, app, decision));
             return Some(ActuationOutcome::Delayed);
         }
@@ -746,13 +690,13 @@ impl ResourceManager {
             sim.set_target(app, decision.replicas, decision.per_replica, fraction).unwrap_or(0);
         self.counters.resize_failures += u64::from(failures);
         if failures > 0 {
-            managed.failure_streak += 1;
-            managed.backoff_until = self.ticks + (1u64 << managed.failure_streak.min(3));
+            memory.failure_streak += 1;
+            memory.backoff_until = self.ticks + (1u64 << memory.failure_streak.min(3));
         } else {
-            managed.failure_streak = 0;
+            memory.failure_streak = 0;
         }
-        managed.last_resize_failures = failures;
-        managed.last_decision = Some(decision);
+        memory.last_resize_failures = failures;
+        memory.last_decision = Some(decision);
         // A degraded-signal actuation is a hold-last-safe, not a control
         // decision on fresh data.
         Some(if signal.is_degraded() { ActuationOutcome::Held } else { ActuationOutcome::Applied })
@@ -870,6 +814,21 @@ rate = 50.0
         assert_eq!(windows.len(), 1);
         let app = s.apps()[0].id;
         assert_eq!(m.tracker(app).unwrap().windows(), 1);
+    }
+
+    /// Only the header's kind tells the EVOLVE variants' images apart:
+    /// their states have one layout.
+    #[test]
+    fn an_image_restores_only_its_own_evolve_variant() {
+        let s = sim();
+        let image = ResourceManager::new(ManagerKind::Evolve, &s)
+            .checkpoint(SimTime::ZERO, &RequeueBackoff::new());
+        let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
+        assert!(ResourceManager::restore(ManagerKind::Evolve, &s, &image).is_ok());
+        for other in [ManagerKind::EvolveCpuOnly, ManagerKind::EvolveFixedGains] {
+            let err = ResourceManager::restore(other, &s, &image).map(|_| ()).unwrap_err();
+            assert!(matches!(err, Error::CorruptCheckpoint(_)), "{}: {err}", other.label());
+        }
     }
 
     #[test]

@@ -1,10 +1,17 @@
-//! The autoscaling-policy abstraction shared by EVOLVE and the baselines.
+//! The autoscaling policy a manager runs for each application: a closed
+//! set, one variant per kind of controller, and the inputs and outputs
+//! every variant shares.
 
+use evolve_control::MultiResourceConfig;
 use evolve_sim::{AppStatus, AppWindow};
 use evolve_telemetry::trace::{ControlExplain, TraceSignal};
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{ResourceVec, Result};
+use evolve_types::{Error, ResourceVec, Result};
 use evolve_workload::PloSpec;
+
+use crate::baselines::{HpaPolicy, VpaPolicy, HPA_MAX_REPLICAS, VPA_REPLICAS};
+use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MIN_ALLOC};
+use crate::ManagerKind;
 
 /// How trustworthy this tick's window is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,19 +48,19 @@ impl SignalQuality {
 
 /// Everything a policy sees at one control tick.
 #[derive(Debug, Clone, Copy)]
-pub struct PolicyInput<'a> {
+pub(crate) struct PolicyInput<'a> {
     /// The application's identity and PLO.
-    pub app: &'a AppStatus,
+    pub(crate) app: &'a AppStatus,
     /// The harvested control window.
-    pub window: &'a AppWindow,
+    pub(crate) window: &'a AppWindow,
     /// Elapsed control interval in seconds.
-    pub dt_secs: f64,
+    pub(crate) dt_secs: f64,
     /// In-place resizes that failed for node headroom on the previous
     /// tick — a signal that vertical growth is blocked and the policy
     /// should scale out instead.
-    pub resize_failures: u32,
+    pub(crate) resize_failures: u32,
     /// Whether `window` is a fresh scrape or a degraded stand-in.
-    pub signal: SignalQuality,
+    pub(crate) signal: SignalQuality,
 }
 
 /// A policy's actuation for one application.
@@ -83,73 +90,148 @@ impl Codec for PolicyDecision {
 /// baseline a policy reconstructs from when no checkpoint survived the
 /// crash.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObservedAppState {
+pub(crate) struct ObservedAppState {
     /// Replicas currently holding resources (running or starting).
-    pub replicas: u32,
+    pub(crate) replicas: u32,
     /// Mean granted request per such replica.
-    pub alloc_per_replica: ResourceVec,
+    pub(crate) alloc_per_replica: ResourceVec,
 }
 
-/// One autoscaling policy instance, stateful per application.
-pub trait AutoscalePolicy: Send {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
+/// One application's autoscaling policy, stateful per application. The
+/// variant follows from the [`ManagerKind`] and the app's world; a
+/// checkpoint carries only the variant's state, and restores into the
+/// policy a fresh manager of the same kind built.
+#[derive(Debug)]
+// One per app for the whole run: a box would only add a pointer hop.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Policy {
+    /// Stock Kubernetes, and the HPA and VPA for jobs: never acts.
+    Static,
+    /// The threshold HPA on CPU utilization.
+    Hpa(HpaPolicy),
+    /// The VPA-like vertical scaler.
+    Vpa(VpaPolicy),
+    /// EVOLVE or one of its ablations.
+    Evolve(EvolvePolicy),
+}
+
+impl Policy {
+    /// The policy `kind` runs for an app; `is_job` for a batch or HPC app.
+    pub(crate) fn new(kind: ManagerKind, is_job: bool) -> Self {
+        let evolve = MultiResourceConfig::new(MIN_ALLOC, MAX_ALLOC);
+        match kind {
+            ManagerKind::Evolve => Policy::Evolve(EvolvePolicy::new(evolve, 1, is_job)),
+            ManagerKind::EvolveCpuOnly => {
+                Policy::Evolve(EvolvePolicy::new(evolve.cpu_only(), 1, is_job))
+            }
+            ManagerKind::EvolveFixedGains => {
+                Policy::Evolve(EvolvePolicy::new(evolve.fixed_gains(), 1, is_job))
+            }
+            ManagerKind::KubeStatic => Policy::Static,
+            // HPA and VPA do not manage jobs; they run statically.
+            ManagerKind::Hpa | ManagerKind::Vpa if is_job => Policy::Static,
+            // HPA keeps the user-provided request (latched from the first
+            // window); the seed below only covers a window with no replica
+            // running yet.
+            ManagerKind::Hpa => Policy::Hpa(HpaPolicy::new(
+                ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0),
+                2,
+                HPA_MAX_REPLICAS,
+            )),
+            ManagerKind::Vpa => Policy::Vpa(VpaPolicy::new(VPA_REPLICAS)),
+        }
+    }
 
     /// Computes the actuation for this tick; `None` leaves the
     /// application untouched.
-    fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision>;
-
-    /// Serializes the policy's mutable state into `enc`. Stateless
-    /// policies write nothing — the default is a no-op. Implementations
-    /// should lead with a one-byte magic tag so [`restore`] can reject a
-    /// blob produced by a different policy.
-    ///
-    /// [`restore`]: AutoscalePolicy::restore
-    fn checkpoint(&self, enc: &mut Encoder) {
-        let _ = enc;
-    }
-
-    /// Restores the state written by [`checkpoint`]. The default accepts
-    /// the empty blob stateless policies produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`evolve_types::Error::CorruptCheckpoint`] when the blob is
-    /// truncated, carries another policy's magic tag, or is otherwise
-    /// malformed.
-    ///
-    /// [`checkpoint`]: AutoscalePolicy::checkpoint
-    fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        let _ = dec;
-        Ok(())
+    pub(crate) fn decide(&mut self, input: &PolicyInput<'_>) -> Option<PolicyDecision> {
+        match self {
+            Policy::Static => None,
+            Policy::Hpa(p) => Some(p.decide(input)),
+            Policy::Vpa(p) => Some(p.decide(input)),
+            Policy::Evolve(p) => p.decide(input),
+        }
     }
 
     /// Rebuilds working state from the observed cluster after a crash
-    /// with no usable checkpoint (cold reconstruction). Implementations
-    /// should adopt `observed` as their hold-last-safe baseline so the
-    /// first post-restart decision does not jerk the allocation. The
-    /// default is a no-op (stateless policies need no reconstruction).
-    fn reconstruct(&mut self, observed: &ObservedAppState) {
-        let _ = observed;
+    /// with no usable checkpoint (cold reconstruction): `observed`
+    /// becomes the hold-last-safe baseline, so the first post-restart
+    /// decision does not jerk the allocation.
+    pub(crate) fn reconstruct(&mut self, observed: &ObservedAppState) {
+        match self {
+            Policy::Static => {}
+            Policy::Hpa(p) => p.reconstruct(observed),
+            Policy::Vpa(p) => p.reconstruct(observed),
+            Policy::Evolve(p) => p.reconstruct(observed),
+        }
     }
 
     /// Discards all learned state and returns to the constructor
     /// defaults, ignoring both checkpoint and cluster (the naive-reset
-    /// recovery baseline). The default is a no-op.
-    fn reset_to_spec(&mut self) {}
+    /// recovery baseline).
+    pub(crate) fn reset_to_spec(&mut self) {
+        match self {
+            Policy::Static | Policy::Vpa(_) => {}
+            Policy::Hpa(p) => p.reset_to_spec(),
+            Policy::Evolve(p) => p.reset_to_spec(),
+        }
+    }
 
     /// The controller internals behind the most recent
-    /// [`decide`](AutoscalePolicy::decide) call, for the decision trace.
-    /// The default — for policies with no explainable internals, like the
-    /// static baseline — is `None`.
-    fn explain(&self) -> Option<ControlExplain> {
-        None
+    /// [`decide`](Policy::decide) call, for the decision trace; only
+    /// EVOLVE has any.
+    pub(crate) fn explain(&self) -> Option<ControlExplain> {
+        match self {
+            Policy::Evolve(p) => Some(p.explain()),
+            Policy::Static | Policy::Hpa(_) | Policy::Vpa(_) => None,
+        }
+    }
+
+    /// The policy's mutable state as bytes (none for the static policy).
+    pub(crate) fn state(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        match self {
+            Policy::Static => {}
+            Policy::Hpa(p) => p.checkpoint(&mut enc),
+            Policy::Vpa(p) => p.checkpoint(&mut enc),
+            Policy::Evolve(p) => p.checkpoint(&mut enc),
+        }
+        enc.into_bytes()
+    }
+
+    /// Overwrites the mutable state with bytes [`state`](Policy::state)
+    /// wrote for the same variant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CorruptCheckpoint`] when the bytes are truncated,
+    /// malformed or longer than the state.
+    pub(crate) fn restore(&mut self, state: &[u8]) -> Result<()> {
+        let mut dec = Decoder::new(state);
+        match self {
+            Policy::Static => {}
+            Policy::Hpa(p) => p.restore(&mut dec)?,
+            Policy::Vpa(p) => p.restore(&mut dec)?,
+            Policy::Evolve(p) => p.restore(&mut dec)?,
+        }
+        if !dec.is_empty() {
+            return Err(Error::CorruptCheckpoint(format!(
+                "{} trailing bytes in policy state",
+                dec.remaining()
+            )));
+        }
+        Ok(())
     }
 }
 
-/// The signed relative PLO error, oriented so **positive means
-/// under-provisioned** (scale up): latency above target or throughput
-/// below target.
+/// The signed relative PLO error against a setpoint pulled `margin`
+/// inside the objective, oriented so **positive means
+/// under-provisioned** (scale up): latency above the setpoint or
+/// throughput below it. `margin = 0.25` controls a 100 ms latency PLO to
+/// a 75 ms setpoint, and a 100 rps throughput PLO to 125 rps; `margin =
+/// 0` measures against the objective itself. Controlling *to* the PLO
+/// would park the loop right on the compliance boundary, where
+/// measurement noise turns half the windows into violations.
 ///
 /// Returns 1.0 (full violation) for non-finite measurements — the service
 /// produced no valid signal, e.g. every request timed out.
@@ -161,27 +243,19 @@ pub trait AutoscalePolicy: Send {
 /// use evolve_workload::PloSpec;
 ///
 /// let plo = PloSpec::LatencyP99 { target_ms: 100.0 };
-/// assert!(control_error(&plo, 150.0) > 0.0);
-/// assert!(control_error(&plo, 50.0) < 0.0);
+/// assert!(control_error(&plo, 150.0, 0.0) > 0.0);
+/// assert!(control_error(&plo, 50.0, 0.0) < 0.0);
+/// // 80 ms is inside the objective but over a 75 ms setpoint.
+/// assert!(control_error(&plo, 80.0, 0.25) > 0.0);
 /// let thr = PloSpec::Throughput { target_rps: 100.0 };
-/// assert!(control_error(&thr, 50.0) > 0.0);
+/// assert!(control_error(&thr, 50.0, 0.0) > 0.0);
 /// ```
-#[must_use]
-pub fn control_error(plo: &PloSpec, measured: f64) -> f64 {
-    control_error_with_margin(plo, measured, 0.0)
-}
-
-/// Like [`control_error`], but against a setpoint pulled `margin` inside
-/// the objective (e.g. `margin = 0.25` controls a 100 ms latency PLO to a
-/// 75 ms setpoint, and a 100 rps throughput PLO to 125 rps). Controlling
-/// *to* the PLO would park the loop right on the compliance boundary,
-/// where measurement noise turns half the windows into violations.
 ///
 /// # Panics
 ///
 /// Panics when `margin` is not in `[0, 1)`.
 #[must_use]
-pub fn control_error_with_margin(plo: &PloSpec, measured: f64, margin: f64) -> f64 {
+pub fn control_error(plo: &PloSpec, measured: f64, margin: f64) -> f64 {
     assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1)");
     if !measured.is_finite() {
         return 1.0;
@@ -207,48 +281,58 @@ mod tests {
     #[test]
     fn error_orientation_latency() {
         let plo = PloSpec::LatencyP99 { target_ms: 100.0 };
-        assert_eq!(control_error(&plo, 100.0), 0.0);
-        assert_eq!(control_error(&plo, 200.0), 1.0);
-        assert_eq!(control_error(&plo, 50.0), -0.5);
+        assert_eq!(control_error(&plo, 100.0, 0.0), 0.0);
+        assert_eq!(control_error(&plo, 200.0, 0.0), 1.0);
+        assert_eq!(control_error(&plo, 50.0, 0.0), -0.5);
     }
 
     #[test]
     fn error_orientation_throughput() {
         let plo = PloSpec::Throughput { target_rps: 1000.0 };
-        assert_eq!(control_error(&plo, 500.0), 0.5);
-        assert_eq!(control_error(&plo, 2000.0), -1.0);
+        assert_eq!(control_error(&plo, 500.0, 0.0), 0.5);
+        assert_eq!(control_error(&plo, 2000.0, 0.0), -1.0);
     }
 
     #[test]
     fn error_orientation_deadline() {
         let plo = PloSpec::Deadline { deadline: SimDuration::from_secs(100) };
         // Projected makespan 150 s vs 100 s deadline → 50% over.
-        assert_eq!(control_error(&plo, 150.0), 0.5);
+        assert_eq!(control_error(&plo, 150.0, 0.0), 0.5);
     }
 
     #[test]
     fn margin_shifts_the_setpoint() {
         let plo = PloSpec::LatencyP99 { target_ms: 100.0 };
         // At 80 ms with a 25% margin (setpoint 75 ms) we are *over*.
-        assert!(control_error_with_margin(&plo, 80.0, 0.25) > 0.0);
-        assert!(control_error_with_margin(&plo, 70.0, 0.25) < 0.0);
+        assert!(control_error(&plo, 80.0, 0.25) > 0.0);
+        assert!(control_error(&plo, 70.0, 0.25) < 0.0);
         let thr = PloSpec::Throughput { target_rps: 100.0 };
         // At 110 rps with a 25% margin (setpoint 125) we are under.
-        assert!(control_error_with_margin(&thr, 110.0, 0.25) > 0.0);
-        assert!(control_error_with_margin(&thr, 130.0, 0.25) < 0.0);
+        assert!(control_error(&thr, 110.0, 0.25) > 0.0);
+        assert!(control_error(&thr, 130.0, 0.25) < 0.0);
     }
 
     #[test]
     #[should_panic(expected = "margin must be in")]
     fn margin_must_be_sub_unit() {
         let plo = PloSpec::LatencyP99 { target_ms: 100.0 };
-        let _ = control_error_with_margin(&plo, 50.0, 1.0);
+        let _ = control_error(&plo, 50.0, 1.0);
+    }
+
+    #[test]
+    fn control_error_orientation() {
+        let lat = PloSpec::LatencyP99 { target_ms: 100.0 };
+        assert!(control_error(&lat, 150.0, 0.0) > 0.0); // too slow → scale up
+        assert!(control_error(&lat, 50.0, 0.0) < 0.0); // fast → scale down
+        let thr = PloSpec::Throughput { target_rps: 100.0 };
+        assert!(control_error(&thr, 50.0, 0.0) > 0.0); // too little throughput → scale up
+        assert!(control_error(&thr, 150.0, 0.0) < 0.0);
     }
 
     #[test]
     fn non_finite_is_full_violation() {
         let plo = PloSpec::LatencyP99 { target_ms: 100.0 };
-        assert_eq!(control_error(&plo, f64::INFINITY), 1.0);
-        assert_eq!(control_error(&plo, f64::NAN), 1.0);
+        assert_eq!(control_error(&plo, f64::INFINITY, 0.0), 1.0);
+        assert_eq!(control_error(&plo, f64::NAN, 0.0), 1.0);
     }
 }

@@ -553,10 +553,6 @@ impl ExperimentRunner {
 
         let horizon = SimTime::ZERO + cfg.scenario.horizon;
         let dt = cfg.control_interval;
-        // One PLO window per app and tick at most: the trackers' histories
-        // get their room now, as the engine's tables did above.
-        let tick_bound = cfg.scenario.horizon.as_micros().div_ceil(dt.as_micros().max(1));
-        manager.presize(usize::try_from(tick_bound).unwrap_or(usize::MAX));
 
         // Fault injection: realize the schedule once, arm node
         // crash/recovery events on the simulator, and consult the injector

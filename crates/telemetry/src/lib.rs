@@ -11,8 +11,8 @@
 //! * [`P2Quantile`] and [`SlidingQuantile`] — online tail-latency
 //!   estimators (the P² algorithm for O(1)-memory percentiles and an exact
 //!   sliding-window variant for validation).
-//! * [`PloTracker`] — performance-level-objective accounting: violation
-//!   windows, severity and time-in-violation.
+//! * [`PloTracker`] — performance-level-objective accounting: window and
+//!   violation counts and their severity.
 //! * [`UtilizationAccount`] — time-weighted utilization integrals
 //!   (allocated/capacity, used/capacity, used/allocated) per resource.
 //! * [`MetricRegistry`] — a string-keyed registry tying the above together
@@ -26,7 +26,6 @@
 //!
 //! ```
 //! use evolve_telemetry::{P2Quantile, PloTracker, PloBound};
-//! use evolve_types::SimTime;
 //!
 //! let mut p99 = P2Quantile::new(0.99);
 //! for i in 0..1000 {
@@ -36,8 +35,8 @@
 //!
 //! // A latency PLO of 100ms, evaluated per control window.
 //! let mut plo = PloTracker::new(100.0, PloBound::Upper);
-//! plo.record_window(SimTime::from_secs(1), 80.0);
-//! plo.record_window(SimTime::from_secs(2), 130.0);
+//! plo.record_window(80.0);
+//! plo.record_window(130.0);
 //! assert_eq!(plo.violations(), 1);
 //! ```
 
@@ -53,7 +52,7 @@ pub mod trace;
 mod util;
 
 pub use filter::{Ewma, HoltLinear};
-pub use plo::{PloBound, PloTracker, PloWindow};
+pub use plo::{PloBound, PloTracker};
 pub use quantile::{P2Quantile, SlidingQuantile};
 pub use registry::{MetricKey, MetricRegistry};
 pub use series::{Sample, TimeSeries};

@@ -7,10 +7,8 @@
 //! tracker accumulates the violation statistics every experiment table
 //! reports (violation count and rate, mean severity, worst excursion).
 
-use std::collections::VecDeque;
-
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, Result, SimTime};
+use evolve_types::{Error, Result};
 
 /// Which side of the target is compliant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,29 +19,17 @@ pub enum PloBound {
     Lower,
 }
 
-/// One evaluated control window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PloWindow {
-    /// End of the window.
-    pub at: SimTime,
-    /// Measured value for the window.
-    pub measured: f64,
-    /// Whether the window violated the objective.
-    pub violated: bool,
-}
-
 /// Tracks PLO compliance across control windows.
 ///
 /// # Examples
 ///
 /// ```
 /// use evolve_telemetry::{PloBound, PloTracker};
-/// use evolve_types::SimTime;
 ///
 /// // Throughput objective: at least 1000 records/s.
 /// let mut t = PloTracker::new(1000.0, PloBound::Lower);
-/// t.record_window(SimTime::from_secs(1), 1200.0);
-/// t.record_window(SimTime::from_secs(2), 700.0);
+/// t.record_window(1200.0);
+/// t.record_window(700.0);
 /// assert_eq!(t.windows(), 2);
 /// assert_eq!(t.violations(), 1);
 /// assert!((t.violation_rate() - 0.5).abs() < 1e-12);
@@ -58,10 +44,6 @@ pub struct PloTracker {
     severity_sum: f64,
     /// Worst relative excursion seen.
     worst_severity: f64,
-    /// Recent window history for reporting: a bounded ring that keeps the
-    /// **most recent** `history_cap` windows, evicting the oldest.
-    history: VecDeque<PloWindow>,
-    history_cap: usize,
 }
 
 impl PloTracker {
@@ -72,19 +54,7 @@ impl PloTracker {
     /// Panics when `target` is not finite and positive.
     #[must_use]
     pub fn new(target: f64, bound: PloBound) -> Self {
-        PloTracker::with_history_cap(target, bound, 100_000)
-    }
-
-    /// Creates a tracker retaining at most `history_cap` recent windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target` is not finite and positive, or when
-    /// `history_cap` is zero.
-    #[must_use]
-    pub fn with_history_cap(target: f64, bound: PloBound, history_cap: usize) -> Self {
         assert!(target.is_finite() && target > 0.0, "PLO target must be positive");
-        assert!(history_cap > 0, "history capacity must be positive");
         PloTracker {
             target,
             bound,
@@ -92,17 +62,7 @@ impl PloTracker {
             violations: 0,
             severity_sum: 0.0,
             worst_severity: 0.0,
-            history: VecDeque::new(),
-            history_cap,
         }
-    }
-
-    /// Room in the history for `windows` more windows, up to its cap,
-    /// reserved at once: a run that knows its window count sizes the
-    /// history before it fills.
-    pub fn reserve(&mut self, windows: usize) {
-        let room = self.history_cap - self.history.len();
-        self.history.reserve(windows.min(room));
     }
 
     /// The objective's target value.
@@ -121,7 +81,7 @@ impl PloTracker {
     /// the window violated the objective. Non-finite measurements count as
     /// violations with maximal severity 1.0 (the service produced no valid
     /// signal — e.g. all requests timed out).
-    pub fn record_window(&mut self, at: SimTime, measured: f64) -> bool {
+    pub fn record_window(&mut self, measured: f64) -> bool {
         self.windows += 1;
         let (violated, severity) = if !measured.is_finite() {
             (true, 1.0)
@@ -142,10 +102,6 @@ impl PloTracker {
             self.severity_sum += severity;
             self.worst_severity = self.worst_severity.max(severity);
         }
-        if self.history.len() == self.history_cap {
-            self.history.pop_front();
-        }
-        self.history.push_back(PloWindow { at, measured, violated });
         violated
     }
 
@@ -187,34 +143,6 @@ impl PloTracker {
     pub fn worst_severity(&self) -> f64 {
         self.worst_severity
     }
-
-    /// The retained per-window history, oldest first. When more than the
-    /// history capacity of windows have been recorded, this is the **most
-    /// recent** `history_cap` of them.
-    pub fn history(&self) -> impl Iterator<Item = &PloWindow> {
-        self.history.iter()
-    }
-
-    /// Number of windows currently retained in the history.
-    #[must_use]
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The signed relative error of a measurement against the target,
-    /// oriented so that **positive means "needs more resources"**:
-    /// latency above target → positive, throughput below target → positive.
-    /// This is the error signal handed to the PID controller.
-    #[must_use]
-    pub fn control_error(&self, measured: f64) -> f64 {
-        if !measured.is_finite() {
-            return 1.0;
-        }
-        match self.bound {
-            PloBound::Upper => (measured - self.target) / self.target,
-            PloBound::Lower => (self.target - measured) / self.target,
-        }
-    }
 }
 
 impl Codec for PloBound {
@@ -235,22 +163,6 @@ impl Codec for PloBound {
     }
 }
 
-impl Codec for PloWindow {
-    fn encode(&self, enc: &mut Encoder) {
-        self.at.encode(enc);
-        self.measured.encode(enc);
-        self.violated.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PloWindow {
-            at: SimTime::decode(dec)?,
-            measured: f64::decode(dec)?,
-            violated: bool::decode(dec)?,
-        })
-    }
-}
-
 impl Codec for PloTracker {
     fn encode(&self, enc: &mut Encoder) {
         self.target.encode(enc);
@@ -259,8 +171,6 @@ impl Codec for PloTracker {
         self.violations.encode(enc);
         self.severity_sum.encode(enc);
         self.worst_severity.encode(enc);
-        self.history.encode(enc);
-        self.history_cap.encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
@@ -270,24 +180,10 @@ impl Codec for PloTracker {
         let violations = u64::decode(dec)?;
         let severity_sum = f64::decode(dec)?;
         let worst_severity = f64::decode(dec)?;
-        let history = VecDeque::<PloWindow>::decode(dec)?;
-        let history_cap = usize::decode(dec)?;
         if !(target.is_finite() && target > 0.0) {
             return Err(Error::CorruptCheckpoint("plo target must be positive".into()));
         }
-        if history_cap == 0 {
-            return Err(Error::CorruptCheckpoint("plo history capacity must be positive".into()));
-        }
-        Ok(PloTracker {
-            target,
-            bound,
-            windows,
-            violations,
-            severity_sum,
-            worst_severity,
-            history,
-            history_cap,
-        })
+        Ok(PloTracker { target, bound, windows, violations, severity_sum, worst_severity })
     }
 }
 
@@ -298,8 +194,8 @@ mod tests {
     #[test]
     fn upper_bound_latency_semantics() {
         let mut t = PloTracker::new(100.0, PloBound::Upper);
-        assert!(!t.record_window(SimTime::from_secs(1), 99.0));
-        assert!(t.record_window(SimTime::from_secs(2), 150.0));
+        assert!(!t.record_window(99.0));
+        assert!(t.record_window(150.0));
         assert_eq!(t.violations(), 1);
         assert!((t.mean_severity() - 0.5).abs() < 1e-12);
         assert!((t.worst_severity() - 0.5).abs() < 1e-12);
@@ -308,50 +204,35 @@ mod tests {
     #[test]
     fn lower_bound_throughput_semantics() {
         let mut t = PloTracker::new(1000.0, PloBound::Lower);
-        assert!(!t.record_window(SimTime::from_secs(1), 1500.0));
-        assert!(t.record_window(SimTime::from_secs(2), 500.0));
+        assert!(!t.record_window(1500.0));
+        assert!(t.record_window(500.0));
         assert!((t.mean_severity() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn exact_target_is_compliant() {
         let mut t = PloTracker::new(100.0, PloBound::Upper);
-        assert!(!t.record_window(SimTime::ZERO, 100.0));
+        assert!(!t.record_window(100.0));
         let mut t = PloTracker::new(100.0, PloBound::Lower);
-        assert!(!t.record_window(SimTime::ZERO, 100.0));
+        assert!(!t.record_window(100.0));
     }
 
     #[test]
     fn non_finite_measurement_is_max_violation() {
         let mut t = PloTracker::new(100.0, PloBound::Upper);
-        assert!(t.record_window(SimTime::ZERO, f64::NAN));
+        assert!(t.record_window(f64::NAN));
         assert_eq!(t.worst_severity(), 1.0);
-        assert_eq!(t.control_error(f64::INFINITY), 1.0);
     }
 
     #[test]
     fn violation_rate_counts() {
         let mut t = PloTracker::new(10.0, PloBound::Upper);
         for i in 0..10u64 {
-            t.record_window(SimTime::from_secs(i), if i % 2 == 0 { 5.0 } else { 20.0 });
+            t.record_window(if i % 2 == 0 { 5.0 } else { 20.0 });
         }
         assert_eq!(t.windows(), 10);
         assert_eq!(t.violations(), 5);
         assert!((t.violation_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(t.history_len(), 10);
-    }
-
-    #[test]
-    fn history_overflow_keeps_newest_windows() {
-        let mut t = PloTracker::with_history_cap(10.0, PloBound::Upper, 4);
-        for i in 0..10u64 {
-            t.record_window(SimTime::from_secs(i), i as f64);
-        }
-        // All 10 windows counted, only the newest 4 retained.
-        assert_eq!(t.windows(), 10);
-        assert_eq!(t.history_len(), 4);
-        let retained: Vec<u64> = t.history().map(|w| w.at.as_micros() / 1_000_000).collect();
-        assert_eq!(retained, vec![6, 7, 8, 9]);
     }
 
     #[test]
@@ -359,16 +240,6 @@ mod tests {
         let t = PloTracker::new(1.0, PloBound::Upper);
         assert_eq!(t.violation_rate(), 0.0);
         assert_eq!(t.mean_severity(), 0.0);
-    }
-
-    #[test]
-    fn control_error_orientation() {
-        let lat = PloTracker::new(100.0, PloBound::Upper);
-        assert!(lat.control_error(150.0) > 0.0); // too slow → scale up
-        assert!(lat.control_error(50.0) < 0.0); // fast → scale down
-        let thr = PloTracker::new(100.0, PloBound::Lower);
-        assert!(thr.control_error(50.0) > 0.0); // too little throughput → scale up
-        assert!(thr.control_error(150.0) < 0.0);
     }
 
     #[test]

@@ -60,11 +60,11 @@ proptest! {
     ) {
         let mut t = PloTracker::new(target, PloBound::Upper);
         let mut expected = 0u64;
-        for (i, m) in measurements.iter().enumerate() {
+        for m in &measurements {
             if *m > target {
                 expected += 1;
             }
-            t.record_window(SimTime::from_secs(i as u64), *m);
+            t.record_window(*m);
         }
         prop_assert_eq!(t.violations(), expected);
         prop_assert!(t.violation_rate() >= 0.0 && t.violation_rate() <= 1.0);
