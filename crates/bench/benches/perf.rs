@@ -17,7 +17,9 @@
 //!   every pod after its class's first is a record walk on a warm tree;
 //!   and `backlog_cycle_800_deferred`, the steady state after it: a packed
 //!   cluster and 800 pods that cannot place, three cycles in four deferring
-//!   them all on one requeue-backoff read each.
+//!   them all on one requeue-backoff read each. `score_spreading_250_nodes`
+//!   is scoring alone: 16 pods of 16 classes on 250 empty nodes through a
+//!   carried index of 8 class caches, so each pod scores every node.
 //! * `engine/*` — the engine's two per-replica passes through its public
 //!   API, on a bound 100-node `cluster_scale` with 120 replicas per
 //!   service: a control tick's harvest (`take_window` of every app) and
@@ -25,7 +27,8 @@
 //!   isolate what one arrival looks up: `arrival_pick_120_replicas` (one
 //!   service, 200 rps: the least-loaded of 120 replicas, then that
 //!   replica's wake) and `arrival_merge_40_services` (40 services of two
-//!   replicas: the earliest of 40 arrival slots after every arrival).
+//!   replicas: the earliest of 40 arrival slots after every arrival, one
+//!   leaf-to-root path of their tournament tree).
 //!   `harvest_7200_busy_tasks/*` harvests 7 200 running batch tasks that
 //!   no event reaches: quietly, returning the last pass's sums; in a pass
 //!   that credits them from their drain-rate records, after one task of
@@ -33,7 +36,9 @@
 //!   their servers. `take_window_40_services_10_arrivals` times the
 //!   harvests of 40 services of 120 replicas, ten arrivals apart, as
 //!   `scale1k_churn` runs them. `set_target_500_tasks_same_request` is a
-//!   batch target that every one of 500 running tasks already holds.
+//!   batch target that every one of 500 running tasks already holds;
+//!   `set_target_30_replicas` a service target that moves on every call,
+//!   so all 30 running replicas resize in place.
 //!   `arrival_beside_7200_batch_timers` is one service at 200 rps on eight
 //!   replicas, run 5 s at a time, while 7 200 running batch tasks hold
 //!   timers over an hour away: the service's wakes and the standing batch
@@ -292,6 +297,30 @@ fn bench_scheduler(c: &mut Criterion) {
     }
     group.sample_size(20);
     group.bench_function("backlog_cycle_800_deferred", |b| b.iter(|| black_box(cycle())));
+    // Scoring alone: 16 pods of 16 apps on 250 empty nodes through a
+    // carried index that keeps 8 class caches, so every pod finds its class
+    // evicted and scores all 250 nodes under the spreading profile.
+    let mut cluster = populated_cluster(250, 0, 1_000.0, 0);
+    for app in 0..16 {
+        let request = ResourceVec::new(500.0 + app as f64, 1_024.0, 10.0, 20.0);
+        let kind = PodKind::ServiceReplica { app: AppId::new(app) };
+        cluster.create_pod(PodSpec::new(kind, request, 0), SimTime::ZERO);
+    }
+    let spreading = SchedulerFramework::kube_default();
+    let mut index = FeasibilityIndex::new();
+    group.bench_function("score_spreading_250_nodes", |b| {
+        b.iter(|| {
+            let mut backoff = RequeueBackoff::new();
+            let plan = spreading.schedule_cycle_carried(
+                &cluster,
+                &mut backoff,
+                &mut index,
+                SimTime::ZERO,
+                &mut trace,
+            );
+            black_box(plan.bindings.len())
+        })
+    });
     group.finish();
 }
 
@@ -360,7 +389,7 @@ fn bench_engine(c: &mut Criterion) {
     // 25 nodes hold one service of 120 replicas; at 200 rps and ≈ 17 ms a
     // request three or four are busy, so a pick passes those and stops.
     // 10 nodes hold 40 services of two: 80 arrivals a second, each followed
-    // by one fold of the 40 arrival slots.
+    // by one rearm of its slot in the tree over the 40 arrival slots.
     for (name, nodes, apps, rps) in
         [("arrival_pick_120_replicas", 25, 1, 200.0), ("arrival_merge_40_services", 10, 40, 2.0)]
     {
@@ -465,6 +494,23 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("set_target_500_tasks_same_request", |b| {
         b.iter(|| black_box(sim.set_target(app, 0, task, 1.0).expect("known app")))
+    });
+    // A controller that moves its target every tick: one service of 30
+    // running replicas whose per-replica target alternates between two
+    // sizes, so every call resizes all 30 in place.
+    let mut spec = ScenarioSpec::cluster_scale(10, 1, SimDuration::from_mins(10));
+    spec.batch_jobs.clear();
+    (spec.services[0].replicas, spec.services[0].load) = (30, LoadSpec::Constant { rate: 50.0 });
+    let mut sim = bound_at_start(&spec, SimTime::from_secs(10));
+    assert_eq!(sim.snapshot().pods_running, 30, "every replica runs");
+    let app = sim.apps()[0].id;
+    let request = sim.cluster().pods().next().expect("a replica").spec.request;
+    let (targets, mut k) = ([request * 0.9, request], 0);
+    group.bench_function("set_target_30_replicas", |b| {
+        b.iter(|| {
+            k ^= 1;
+            black_box(sim.set_target(app, 30, targets[k], 1.0).expect("known app"))
+        })
     });
     // The service's arrivals and wakes beside 7 200 batch timers over an hour
     // away: a service reschedule that sifts past the batch timers pays for

@@ -19,7 +19,6 @@
 use evolve_control::CapacityArbiter;
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::AppWindow;
-use evolve_telemetry::PloTracker;
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{AppId, Error, Result, SimTime};
 
@@ -43,16 +42,16 @@ const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
 /// header names the [`ManagerKind`] in place of a magic byte per policy,
 /// each app is its policy's state and one [`AppMemory`], the PLO ledger
 /// keeps no per-window history, and the PIDs and the degradation guard
-/// write no configuration.
-const CHECKPOINT_VERSION: u8 = 6;
+/// write no configuration; 7 — the PLO ledger writes its counts only
+/// (its target and bound come from the app's PLO, as at boot) and the
+/// EVOLVE policy no longer counts its scaling actions.
+const CHECKPOINT_VERSION: u8 = 7;
 
 /// What the manager remembers about one application between ticks,
-/// beside its policy: the PLO ledger and the bookkeeping around scrapes
+/// beside its policy and its PLO ledger: the bookkeeping around scrapes
 /// and actuations. The manager runs on it and a checkpoint holds it as is.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AppMemory {
-    /// The app's PLO violation ledger.
-    pub(crate) tracker: PloTracker,
     /// Last successfully scraped window — replayed (as `Stale`) while a
     /// blackout blocks scrapes.
     pub(crate) last_window: Option<AppWindow>,
@@ -70,24 +69,8 @@ pub(crate) struct AppMemory {
     pub(crate) last_resize_failures: u32,
 }
 
-impl AppMemory {
-    /// A fresh app's memory: an empty ledger and nothing else.
-    pub(crate) fn new(tracker: PloTracker) -> Self {
-        AppMemory {
-            tracker,
-            last_window: None,
-            pending_dt: 0.0,
-            failure_streak: 0,
-            backoff_until: 0,
-            last_decision: None,
-            last_resize_failures: 0,
-        }
-    }
-}
-
 impl Codec for AppMemory {
     fn encode(&self, enc: &mut Encoder) {
-        self.tracker.encode(enc);
         self.last_window.encode(enc);
         self.pending_dt.encode(enc);
         self.failure_streak.encode(enc);
@@ -98,7 +81,6 @@ impl Codec for AppMemory {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(AppMemory {
-            tracker: PloTracker::decode(dec)?,
             last_window: Option::<AppWindow>::decode(dec)?,
             pending_dt: f64::decode(dec)?,
             failure_streak: u32::decode(dec)?,
@@ -128,9 +110,11 @@ pub struct ControllerCheckpoint {
     pub(crate) control: ControlCounters,
     /// Delayed actuations still waiting for their release time.
     pub(crate) pending_actuations: Vec<(SimTime, AppId, PolicyDecision)>,
-    /// Per-application state — the policy's state bytes and the
-    /// manager's memory — sorted by [`AppId`] so the byte image of a given
-    /// control state is unique (the live map is a `HashMap`).
+    /// Per-application state — the bytes of the state restored onto what
+    /// the manager builds at boot (the policy's, then the PLO ledger's
+    /// counts) and the manager's memory — sorted by [`AppId`] so the byte
+    /// image of a given control state is unique (the live map is a
+    /// `HashMap`).
     pub(crate) apps: Vec<(AppId, Vec<u8>, AppMemory)>,
     /// The scheduler's requeue-backoff ledger.
     pub(crate) scheduler_backoff: RequeueBackoff,
@@ -295,7 +279,7 @@ mod tests {
         }
         .to_bytes();
         // The version byte follows the four magic bytes.
-        for old in [4, 5] {
+        for old in [4, 5, 6] {
             bytes[4] = old;
             let err = ControllerCheckpoint::from_bytes(&bytes).unwrap_err();
             let version = format!("version {old}");

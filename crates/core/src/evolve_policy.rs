@@ -43,7 +43,6 @@ pub(crate) struct EvolvePolicy {
     /// policy starts from the deployment's actual size.
     latched: bool,
     cooldown: u32,
-    scale_actions: u64,
     is_job: bool,
     /// Hold-last-safe / watchdog / re-engagement state for blackouts.
     guard: DegradationGuard,
@@ -72,7 +71,6 @@ impl EvolvePolicy {
             replicas: initial_replicas.max(1),
             latched: false,
             cooldown: 0,
-            scale_actions: 0,
             is_job,
             guard: DegradationGuard::default(),
             last_usage_pr: ResourceVec::ZERO,
@@ -140,7 +138,6 @@ impl EvolvePolicy {
                     self.cooldown -= 1;
                 } else {
                     self.replicas -= 1;
-                    self.scale_actions += 1;
                     self.cooldown = SCALE_COOLDOWN_TICKS;
                 }
             }
@@ -202,7 +199,6 @@ impl EvolvePolicy {
             let floor_n = floor_n.clamp(MIN_REPLICAS, MAX_REPLICAS);
             if self.replicas < floor_n {
                 self.replicas = floor_n;
-                self.scale_actions += 1;
             } else if self.cooldown > 0 {
                 self.cooldown -= 1;
             } else if (decision.saturated_up || input.resize_failures > 0 || w.timeouts > 10)
@@ -214,7 +210,6 @@ impl EvolvePolicy {
                 // a real violation: go horizontal.
                 let growth = ((1.0 + error).ceil() as u32).clamp(1, 2);
                 self.replicas = (self.replicas + growth).min(MAX_REPLICAS);
-                self.scale_actions += 1;
                 self.cooldown = SCALE_COOLDOWN_TICKS;
             } else if error < -0.1
                 && self.predictor.predicted() > rate * 1.5
@@ -223,7 +218,6 @@ impl EvolvePolicy {
             {
                 // Load trending up sharply: scale ahead of the ramp.
                 self.replicas += 1;
-                self.scale_actions += 1;
                 self.cooldown = SCALE_COOLDOWN_TICKS;
             } else if error < -0.2 && self.replicas > floor_n {
                 // Compliant with slack and above the demand floor: step
@@ -233,7 +227,6 @@ impl EvolvePolicy {
                 let survivor_capacity = alloc_pr * f64::from(self.replicas - 1);
                 if (total_usage * 1.15).fits_within(&survivor_capacity) {
                     self.replicas -= 1;
-                    self.scale_actions += 1;
                     self.cooldown = SCALE_COOLDOWN_TICKS;
                 }
             }
@@ -257,7 +250,6 @@ impl EvolvePolicy {
         self.replicas.encode(enc);
         self.latched.encode(enc);
         self.cooldown.encode(enc);
-        self.scale_actions.encode(enc);
         self.guard.checkpoint(enc);
         self.last_usage_pr.encode(enc);
     }
@@ -272,7 +264,6 @@ impl EvolvePolicy {
         self.replicas = u32::decode(dec)?;
         self.latched = bool::decode(dec)?;
         self.cooldown = u32::decode(dec)?;
-        self.scale_actions = u64::decode(dec)?;
         self.guard.restore(dec)?;
         self.last_usage_pr = ResourceVec::decode(dec)?;
         Ok(())
@@ -457,7 +448,6 @@ mod tests {
             replicas = d.replicas;
         }
         assert!(replicas > 1, "expected scale-out, got {replicas}");
-        assert!(p.scale_actions > 0);
     }
 
     #[test]

@@ -99,7 +99,35 @@ struct ManagedApp {
     /// The app's identity and PLO as the simulation advertised it at
     /// construction; statuses never change afterwards.
     status: AppStatus,
+    /// The app's PLO violation ledger.
+    tracker: PloTracker,
     memory: AppMemory,
+}
+
+impl ManagedApp {
+    /// The app's state as bytes: the policy's, then the PLO ledger's
+    /// counts — what a restore writes onto a freshly built app.
+    fn state(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        self.policy.checkpoint(&mut enc);
+        self.tracker.checkpoint(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Overwrites the app's state with bytes [`state`](Self::state) wrote
+    /// for an app of the same policy and PLO.
+    fn restore(&mut self, state: &[u8]) -> Result<()> {
+        let mut dec = Decoder::new(state);
+        self.policy.restore(&mut dec)?;
+        self.tracker.restore(&mut dec)?;
+        if !dec.is_empty() {
+            return Err(Error::CorruptCheckpoint(format!(
+                "{} trailing bytes in app state",
+                dec.remaining()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Fraction of its desired per-replica allocation a shed app is squeezed
@@ -160,7 +188,8 @@ impl ResourceManager {
             let managed = ManagedApp {
                 policy: Policy::new(kind, status.world != WorldClass::Microservice),
                 status: status.clone(),
-                memory: AppMemory::new(tracker),
+                tracker,
+                memory: AppMemory::default(),
             };
             apps.insert(status.id, managed);
         }
@@ -223,7 +252,7 @@ impl ResourceManager {
     #[must_use]
     pub fn checkpoint(&self, at: SimTime, backoff: &RequeueBackoff) -> ControllerCheckpoint {
         let mut apps: Vec<(AppId, Vec<u8>, AppMemory)> =
-            self.apps.iter().map(|(id, m)| (*id, m.policy.state(), m.memory.clone())).collect();
+            self.apps.iter().map(|(id, m)| (*id, m.state(), m.memory.clone())).collect();
         apps.sort_by_key(|&(id, ..)| id);
         ControllerCheckpoint {
             kind: self.kind,
@@ -272,12 +301,12 @@ impl ResourceManager {
         mgr.pending_actuations = ck.pending_actuations.clone();
         mgr.arbiter = ck.arbiter.clone();
         mgr.shed_app_ids = ck.shed_app_ids.iter().copied().collect();
-        for (id, policy, memory) in &ck.apps {
+        for (id, state, memory) in &ck.apps {
             let Some(m) = mgr.apps.get_mut(id) else {
                 mgr.counters.desynced_apps += 1;
                 continue;
             };
-            m.policy.restore(policy)?;
+            m.restore(state)?;
             m.memory = memory.clone();
         }
         Ok((mgr, ck.scheduler_backoff.clone()))
@@ -342,7 +371,7 @@ impl ResourceManager {
     /// The PLO tracker of one application.
     #[must_use]
     pub fn tracker(&self, app: AppId) -> Option<&PloTracker> {
-        self.apps.get(&app).map(|a| &a.memory.tracker)
+        self.apps.get(&app).map(|a| &a.tracker)
     }
 
     /// World class of one application.
@@ -468,11 +497,11 @@ impl ResourceManager {
                     // and one final window was counted.
                     let skip = matches!(managed.status.plo, PloSpec::Deadline { .. })
                         && w.progress == Some(1.0)
-                        && memory.tracker.windows() > 0
+                        && managed.tracker.windows() > 0
                         && w.completions == 0
                         && w.arrivals == 0;
                     if !skip {
-                        let violated = memory.tracker.record_window(measured);
+                        let violated = managed.tracker.record_window(measured);
                         if violated && w.shed_requests > 0 {
                             self.counters.violations_while_shedding += 1;
                         }

@@ -6,7 +6,7 @@ use evolve_control::MultiResourceConfig;
 use evolve_sim::{AppStatus, AppWindow};
 use evolve_telemetry::trace::{ControlExplain, TraceSignal};
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, ResourceVec, Result};
+use evolve_types::{ResourceVec, Result};
 use evolve_workload::PloSpec;
 
 use crate::baselines::{HpaPolicy, VpaPolicy, HPA_MAX_REPLICAS, VPA_REPLICAS};
@@ -187,40 +187,30 @@ impl Policy {
         }
     }
 
-    /// The policy's mutable state as bytes (none for the static policy).
-    pub(crate) fn state(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Writes the policy's mutable state (none for the static policy).
+    pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         match self {
             Policy::Static => {}
-            Policy::Hpa(p) => p.checkpoint(&mut enc),
-            Policy::Vpa(p) => p.checkpoint(&mut enc),
-            Policy::Evolve(p) => p.checkpoint(&mut enc),
+            Policy::Hpa(p) => p.checkpoint(enc),
+            Policy::Vpa(p) => p.checkpoint(enc),
+            Policy::Evolve(p) => p.checkpoint(enc),
         }
-        enc.into_bytes()
     }
 
-    /// Overwrites the mutable state with bytes [`state`](Policy::state)
-    /// wrote for the same variant.
+    /// Overwrites the mutable state with what
+    /// [`checkpoint`](Policy::checkpoint) wrote for the same variant.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::CorruptCheckpoint`] when the bytes are truncated,
-    /// malformed or longer than the state.
-    pub(crate) fn restore(&mut self, state: &[u8]) -> Result<()> {
-        let mut dec = Decoder::new(state);
+    /// Returns [`CorruptCheckpoint`](evolve_types::Error::CorruptCheckpoint) when the bytes are truncated
+    /// or malformed.
+    pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         match self {
-            Policy::Static => {}
-            Policy::Hpa(p) => p.restore(&mut dec)?,
-            Policy::Vpa(p) => p.restore(&mut dec)?,
-            Policy::Evolve(p) => p.restore(&mut dec)?,
+            Policy::Static => Ok(()),
+            Policy::Hpa(p) => p.restore(dec),
+            Policy::Vpa(p) => p.restore(dec),
+            Policy::Evolve(p) => p.restore(dec),
         }
-        if !dec.is_empty() {
-            return Err(Error::CorruptCheckpoint(format!(
-                "{} trailing bytes in policy state",
-                dec.remaining()
-            )));
-        }
-        Ok(())
     }
 }
 

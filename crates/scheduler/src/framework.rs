@@ -67,6 +67,24 @@ pub struct RequeueBackoff {
     /// A plan handed back through [`RequeueBackoff::recycle`]: the next
     /// cycle returns its plan in these vectors.
     spare_plan: SchedulePlan,
+    /// The last cycle's failed classes, kept for their allocation.
+    failed: Vec<FailedClass>,
+}
+
+/// A single pod's class as its placement reads it: app, request bits
+/// and, for preemption, priority. A cycle keeps the classes that found no
+/// node since its shadow last could have gained capacity: within a cycle
+/// the shadow loses capacity with every placement and gains only when
+/// victims are claimed or a gang is attempted (a rollback frees what it
+/// placed, which need not restore the float bits). So a class that found
+/// no node, and no victims, finds none again until then, and its later
+/// pods in the cycle fail without another search.
+type FailedClass = (u32, [u64; 4], i32);
+
+/// The [`FailedClass`] of a pod.
+fn class_of(pod: &Pod) -> FailedClass {
+    let request = pod.spec.request.as_array().map(f64::to_bits);
+    (pod.spec.kind.app().raw(), request, pod.spec.priority)
 }
 
 /// A unit of a cycle's queue: `(priority, created, first pod, gang)`, the
@@ -284,6 +302,11 @@ pub struct SchedulerFramework {
     /// default; [`with_index(false)`](Self::with_index) selects the naive
     /// scan.
     use_index: bool,
+    /// Whether a cycle fails a pod of a class that already found no node
+    /// in it without another search. Off only in the reference that the
+    /// memo's tests hold it to.
+    #[cfg(test)]
+    memo: bool,
 }
 
 /// `(bindings, preemption victims)` of a successfully placed gang.
@@ -322,6 +345,8 @@ impl SchedulerFramework {
             profile,
             break_gang_rollback: std::env::var_os("EVOLVE_CHAOS_GANG_NO_ROLLBACK").is_some(),
             use_index: true,
+            #[cfg(test)]
+            memo: true,
         }
     }
 
@@ -417,6 +442,12 @@ impl SchedulerFramework {
         let mut gangs: BTreeMap<JobId, Vec<&Pod>> = BTreeMap::new();
         let mut queue = std::mem::take(&mut backoff.queue);
         queue.clear();
+        let mut failed = std::mem::take(&mut backoff.failed);
+        failed.clear();
+        #[cfg(test)]
+        let memo = self.memo;
+        #[cfg(not(test))]
+        let memo = true;
         for pod in cluster.pending_pods() {
             match pod.spec.kind {
                 PodKind::HpcRank { job, .. } => gangs.entry(job).or_default().push(pod),
@@ -482,17 +513,40 @@ impl SchedulerFramework {
                         continue;
                     }
                     let pod = cluster.pod(first).expect("a pending pod is in the table");
+                    let class = class_of(pod);
                     let mut probe = trace.is_some().then(PlacementProbe::default);
-                    let placed = match self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
-                    {
-                        Some(node) => Some((node, Vec::new())),
-                        None if self.profile.preempts() => {
-                            self.try_preempt(cluster, &mut ctx, &claimed, pod)
+                    let placed = if memo && failed.contains(&class) {
+                        // Its class found no node and no victims earlier
+                        // in the cycle: the same failure, traced as the
+                        // search that rejects every node, without it.
+                        if let Some(p) = probe.as_mut() {
+                            p.rejected = cluster.nodes().len() as u32;
                         }
-                        None => None,
+                        None
+                    } else {
+                        match self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut()) {
+                            Some(node) => Some((node, Vec::new())),
+                            None => {
+                                debug_assert!(probe.as_ref().is_none_or(|p| p.feasible == 0
+                                    && p.rejected as usize == cluster.nodes().len()));
+                                // No node fits the class until the shadow
+                                // gains capacity: a preemption below
+                                // clears the memo again.
+                                failed.push(class);
+                                if self.profile.preempts() {
+                                    self.try_preempt(cluster, &mut ctx, &claimed, pod)
+                                } else {
+                                    None
+                                }
+                            }
+                        }
                     };
                     match placed {
                         Some((node, victims)) => {
+                            if !victims.is_empty() {
+                                // The victims' capacity is free in the shadow.
+                                failed.clear();
+                            }
                             claimed.extend(victims.iter().copied());
                             plan.preemptions.extend(victims.iter().copied());
                             plan.bindings.push((pod.id, node));
@@ -554,6 +608,9 @@ impl SchedulerFramework {
                         }
                         continue;
                     }
+                    // A gang may claim victims, and a rollback need not
+                    // restore the shadow's float bits.
+                    failed.clear();
                     match self.place_gang(cluster, &mut ctx, &mut claimed, &members) {
                         Some((bindings, victims)) => {
                             // Gang admitted: one Bound event per rank; the
@@ -597,6 +654,7 @@ impl SchedulerFramework {
             }
         }
         backoff.queue = queue;
+        backoff.failed = failed;
         if let (Some((_, ring)), Some(deferred)) = (trace.as_mut(), deferred) {
             ring.push(TraceEvent::Deferred(deferred));
         }
@@ -1365,6 +1423,135 @@ mod tests {
         let c = cluster(2, 1000.0);
         let plan = SchedulerFramework::kube_default().schedule_cycle(&c);
         assert_eq!(plan, SchedulePlan::default());
+    }
+
+    /// `fw` as the reference the failed-class memo is held to: every
+    /// unit goes through `choose` and, on failure, `try_preempt`.
+    fn without_memo(fw: SchedulerFramework) -> SchedulerFramework {
+        SchedulerFramework { memo: false, ..fw }
+    }
+
+    /// A pod whose class failed earlier in the cycle places after a
+    /// preemption freed more than its preemptor took: the memo is
+    /// cleared when victims are claimed.
+    #[test]
+    fn a_preemption_clears_the_failed_classes() {
+        let mut c = cluster(1, 1000.0); // 950 allocatable
+        let batch = service_pod(&mut c, 0, 800.0, 0);
+        c.bind_pod(batch, NodeId::new(0)).unwrap();
+        // Two pods of one class: the first fits nowhere and preempts the
+        // batch pod, which leaves room for the second.
+        let first = service_pod(&mut c, 1, 300.0, 5);
+        let second = service_pod(&mut c, 1, 300.0, 5);
+        for fw in [
+            SchedulerFramework::evolve_default(),
+            without_memo(SchedulerFramework::evolve_default()),
+        ] {
+            let plan = fw.schedule_cycle(&c);
+            assert_eq!(plan.preemptions, vec![batch]);
+            assert_eq!(plan.bindings, vec![(first, NodeId::new(0)), (second, NodeId::new(0))]);
+        }
+    }
+
+    /// The shapes the memo must not change anything for: bound pods of
+    /// low priority to claim, pending singles drawn from few classes (so
+    /// classes repeat) on both sides of them, and gangs.
+    fn memo_cluster(
+        nodes: usize,
+        bound: &[(u8, u8)],
+        pending: &[(u8, u8, u8, u8)],
+    ) -> ClusterState {
+        const REQUESTS: [f64; 5] = [120.0, 300.0, 450.0, 700.0, 900.0];
+        let request = |r: u8| {
+            let cpu = REQUESTS[r as usize % REQUESTS.len()];
+            ResourceVec::new(cpu, cpu * 1.5, cpu / 8.0, cpu / 4.0)
+        };
+        let mut c = cluster(nodes, 1000.0);
+        for (i, &(r, prio)) in bound.iter().enumerate() {
+            let spec = PodSpec::new(
+                PodKind::ServiceReplica { app: AppId::new(7) },
+                request(r),
+                i32::from(prio % 3),
+            );
+            let pod = c.create_pod(spec, SimTime::from_micros(i as u64));
+            let node = c.nodes().iter().find(|n| n.can_fit(&spec.request)).map(Node::id);
+            match node {
+                Some(node) => c.bind_pod(pod, node).unwrap(),
+                None => c.terminate_pod(pod, evolve_sim::PodPhase::Failed("full")).unwrap(),
+            }
+        }
+        for (i, &(app, r, prio, gang)) in pending.iter().enumerate() {
+            let app = AppId::new(u32::from(app % 3));
+            // One pod in four is a rank of one of two gangs.
+            let kind = match gang % 8 {
+                0 | 1 => PodKind::HpcRank {
+                    app: AppId::new(10 + u32::from(gang % 2)),
+                    job: JobId::new(u64::from(gang % 2)),
+                    rank: i as u32,
+                },
+                _ => PodKind::ServiceReplica { app },
+            };
+            let spec = PodSpec::new(kind, request(r), i32::from(prio % 6));
+            c.create_pod(spec, SimTime::from_micros(100 + i as u64 / 2));
+        }
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 128,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Cycles with the failed-class memo make the plans and the trace
+        /// events of the reference without it, under every profile: over
+        /// three carried cycles, each applied (victims out, bindings in)
+        /// before the next, with the backoff ledger and the index carried.
+        /// Only the work counters may differ.
+        #[test]
+        fn failed_classes_change_no_plan_and_no_trace(
+            nodes in 1usize..4,
+            bound in proptest::collection::vec((0u8..5, 0u8..3), 0..10),
+            pending in proptest::collection::vec((0u8..3, 0u8..5, 0u8..6, 0u8..8), 1..28),
+            profile in 0u8..3,
+        ) {
+            let profile = [
+                SchedulerProfile::Evolve,
+                SchedulerProfile::KubeDefault,
+                SchedulerProfile::Binpack,
+            ][profile as usize];
+            let mut c = memo_cluster(nodes, &bound, &pending);
+            let (memo, reference) =
+                (SchedulerFramework::new(profile), without_memo(SchedulerFramework::new(profile)));
+            let mut sides = [
+                (RequeueBackoff::new(), FeasibilityIndex::new()),
+                (RequeueBackoff::new(), FeasibilityIndex::new()),
+            ];
+            for cycle in 0..3u64 {
+                let at = SimTime::from_secs(cycle);
+                let mut plans = Vec::new();
+                let mut events = Vec::new();
+                for (fw, (backoff, index)) in [&memo, &reference].into_iter().zip(&mut sides) {
+                    let mut trace = TraceRing::new(4_096);
+                    let plan = fw.schedule_cycle_carried(&c, backoff, index, at, &mut trace);
+                    events.push(trace.events().cloned().collect::<Vec<_>>());
+                    plans.push(plan);
+                }
+                let [with, without] = [&plans[0], &plans[1]];
+                let outcome = |p: &SchedulePlan| {
+                    (p.bindings.clone(), p.preemptions.clone(), p.unschedulable.clone(), p.stale_pod_lookups)
+                };
+                proptest::prop_assert_eq!(outcome(with), outcome(without), "cycle {}", cycle);
+                proptest::prop_assert_eq!(&events[0], &events[1], "cycle {}", cycle);
+                proptest::prop_assert_eq!(&sides[0].0, &sides[1].0, "the ledgers, cycle {}", cycle);
+                for victim in &with.preemptions {
+                    c.terminate_pod(*victim, evolve_sim::PodPhase::Failed("preempted")).unwrap();
+                }
+                for (pod, node) in &with.bindings {
+                    c.bind_pod(*pod, *node).unwrap();
+                }
+            }
+        }
     }
 
     /// The ledger as it was before the table: a map by pod id, pruned by

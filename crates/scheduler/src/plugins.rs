@@ -69,6 +69,10 @@ pub(crate) fn node_fits(ready: bool, request: &ResourceVec, free: &ResourceVec) 
 /// **Purity contract:** a score is a pure function of the [`PodClass`]
 /// and the [`NodeView`]. The feasibility index caches scores per class
 /// and profile and re-scores a node only after its view changed.
+///
+/// Every profile has a scorer that reads the node's post-placement
+/// shares, so [`SchedulerProfile::score`] computes them (and their mean)
+/// once per node and hands them to each scorer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Scorer {
     /// Prefer the emptiest node (spreading, the Kubernetes
@@ -98,14 +102,13 @@ impl Scorer {
         }
     }
 
-    /// Scores the node for the pod.
-    pub(crate) fn score(self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
+    /// Scores the node for the pod, given the node's shares after
+    /// placing the pod ([`NodeView::shares_with`]) and their [`mean`].
+    pub(crate) fn score(self, shares: &[f64; 4], mean: f64, view: &NodeView<'_>) -> f64 {
         match self {
-            Scorer::LeastAllocated => 1.0 - mean(&view.shares_with(&pod.request)),
-            Scorer::MostAllocated => mean(&view.shares_with(&pod.request)),
+            Scorer::LeastAllocated => 1.0 - mean,
+            Scorer::MostAllocated => mean,
             Scorer::BalancedAllocation => {
-                let shares = view.shares_with(&pod.request);
-                let mean = mean(&shares);
                 let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / 4.0;
                 // Std-dev of shares is at most 0.5 in [0,1]; normalize.
                 1.0 - (var.sqrt() * 2.0).min(1.0)
@@ -160,21 +163,23 @@ impl SchedulerProfile {
         self == SchedulerProfile::Evolve
     }
 
-    /// Weighted mean of the scorers for one feasible node: contributions
-    /// summed in list order, then divided by the weight sum. Both
-    /// placement paths call it, so their float-operation sequence is
-    /// identical. Scorer `i`'s weighted share is written to
-    /// `contributions[i]`, if given.
+    /// Weighted mean of the scorers for one feasible node: the node's
+    /// shares computed once, contributions summed in list order, then
+    /// divided by the weight sum. Both placement paths call it, so their
+    /// float-operation sequence is identical. Scorer `i`'s weighted share
+    /// is written to `contributions[i]`, if given.
     pub(crate) fn score(
         self,
         class: &PodClass,
         view: &NodeView<'_>,
         mut contributions: Option<&mut [f64; MAX_SCORERS]>,
     ) -> f64 {
+        let shares = view.shares_with(&class.request);
+        let mean = mean(&shares);
         let mut score = 0.0;
         let mut weight = 0.0;
         for (i, &(scorer, w)) in self.scorers().iter().enumerate() {
-            let contribution = scorer.score(class, view) * w;
+            let contribution = scorer.score(&shares, mean, view) * w;
             score += contribution;
             weight += w;
             if let Some(c) = contributions.as_deref_mut() {
@@ -223,6 +228,69 @@ mod tests {
         NodeView { node, free: ResourceVec::splat(free), app_pods }
     }
 
+    impl Scorer {
+        /// The scorer on its own, each computing the node's shares itself,
+        /// as every scorer did before the profile shared them.
+        fn alone(self, pod: &PodClass, view: &NodeView<'_>) -> f64 {
+            match self {
+                Scorer::LeastAllocated => 1.0 - mean(&view.shares_with(&pod.request)),
+                Scorer::MostAllocated => mean(&view.shares_with(&pod.request)),
+                Scorer::BalancedAllocation => {
+                    let shares = view.shares_with(&pod.request);
+                    let mean = mean(&shares);
+                    let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / 4.0;
+                    1.0 - (var.sqrt() * 2.0).min(1.0)
+                }
+                Scorer::SpreadApp => 1.0 / (1.0 + view.app_pods as f64),
+            }
+        }
+    }
+
+    /// A profile's score with the shares computed once is, bit for bit,
+    /// the weighted mean of its scorers each computing them alone: the
+    /// total and every contribution, over skewed, full, over-full and
+    /// empty views and requests of every size.
+    #[test]
+    fn shared_shares_score_like_each_scorer_alone() {
+        let n = Node::new(NodeId::new(0), ResourceVec::new(1000.0, 4096.0, 200.0, 100.0));
+        let frees = [
+            ResourceVec::new(950.0, 3891.2, 190.0, 95.0),
+            ResourceVec::new(10.0, 3000.0, 0.0, 95.0),
+            ResourceVec::new(333.3, 1234.5, 66.6, 0.1),
+            ResourceVec::new(-5.0, 5000.0, 12.25, 47.0),
+            ResourceVec::ZERO,
+        ];
+        let requests = [
+            ResourceVec::new(0.1, 0.1, 0.1, 0.1),
+            ResourceVec::new(250.0, 512.0, 5.0, 10.0),
+            ResourceVec::new(700.0, 64.0, 150.0, 1.0),
+            ResourceVec::new(2000.0, 9000.0, 400.0, 300.0),
+        ];
+        for profile in
+            [SchedulerProfile::KubeDefault, SchedulerProfile::Evolve, SchedulerProfile::Binpack]
+        {
+            for free in frees {
+                for request in requests {
+                    for app_pods in [0, 1, 7] {
+                        let class = PodClass { app: AppId::new(3), request };
+                        let view = NodeView { node: &n, free, app_pods };
+                        let mut got = [0.0; MAX_SCORERS];
+                        let score = profile.score(&class, &view, Some(&mut got));
+                        let (mut want, mut total, mut weight) = ([0.0; MAX_SCORERS], 0.0, 0.0);
+                        for (i, &(scorer, w)) in profile.scorers().iter().enumerate() {
+                            want[i] = scorer.alone(&class, &view) * w;
+                            total += want[i];
+                            weight += w;
+                        }
+                        let bits = |c: [f64; MAX_SCORERS]| c.map(f64::to_bits);
+                        assert_eq!(bits(got), bits(want), "{profile:?} {free} {request}");
+                        assert_eq!(score.to_bits(), (total / weight).to_bits());
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn node_fits_checks_shadow_free() {
         let n = node(1000.0);
@@ -236,8 +304,8 @@ mod tests {
     fn least_allocated_prefers_empty() {
         let n = node(1000.0);
         let p = pod(10.0);
-        let empty = Scorer::LeastAllocated.score(&p, &view(&n, 950.0, 0));
-        let full = Scorer::LeastAllocated.score(&p, &view(&n, 100.0, 0));
+        let empty = Scorer::LeastAllocated.alone(&p, &view(&n, 950.0, 0));
+        let full = Scorer::LeastAllocated.alone(&p, &view(&n, 100.0, 0));
         assert!(empty > full);
     }
 
@@ -245,8 +313,8 @@ mod tests {
     fn most_allocated_prefers_full() {
         let n = node(1000.0);
         let p = pod(10.0);
-        let empty = Scorer::MostAllocated.score(&p, &view(&n, 950.0, 0));
-        let full = Scorer::MostAllocated.score(&p, &view(&n, 100.0, 0));
+        let empty = Scorer::MostAllocated.alone(&p, &view(&n, 950.0, 0));
+        let full = Scorer::MostAllocated.alone(&p, &view(&n, 100.0, 0));
         assert!(full > empty);
     }
 
@@ -255,7 +323,7 @@ mod tests {
         let n = node(1000.0);
         let p = pod(50.0);
         let v = view(&n, 400.0, 0);
-        let sum = Scorer::LeastAllocated.score(&p, &v) + Scorer::MostAllocated.score(&p, &v);
+        let sum = Scorer::LeastAllocated.alone(&p, &v) + Scorer::MostAllocated.alone(&p, &v);
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
@@ -264,11 +332,11 @@ mod tests {
         let n = node(1000.0);
         let p = pod(1.0);
         // Balanced: all dimensions equally free.
-        let balanced = Scorer::BalancedAllocation.score(&p, &view(&n, 400.0, 0));
+        let balanced = Scorer::BalancedAllocation.alone(&p, &view(&n, 400.0, 0));
         // Skewed: CPU nearly exhausted, others empty.
         let skew_view =
             NodeView { node: &n, free: ResourceVec::new(10.0, 950.0, 950.0, 950.0), app_pods: 0 };
-        let skewed = Scorer::BalancedAllocation.score(&p, &skew_view);
+        let skewed = Scorer::BalancedAllocation.alone(&p, &skew_view);
         assert!(balanced > skewed, "balanced {balanced} skewed {skewed}");
     }
 
@@ -277,8 +345,8 @@ mod tests {
         let n = node(1000.0);
         let p = pod(1.0);
         assert!(
-            Scorer::SpreadApp.score(&p, &view(&n, 900.0, 0))
-                > Scorer::SpreadApp.score(&p, &view(&n, 900.0, 3))
+            Scorer::SpreadApp.alone(&p, &view(&n, 900.0, 0))
+                > Scorer::SpreadApp.alone(&p, &view(&n, 900.0, 3))
         );
     }
 
@@ -293,7 +361,7 @@ mod tests {
                 Scorer::BalancedAllocation,
                 Scorer::SpreadApp,
             ] {
-                let s = plugin.score(&p, &view(&n, free, 1));
+                let s = plugin.alone(&p, &view(&n, free, 1));
                 assert!((0.0..=1.0).contains(&s), "{} gave {s}", plugin.name());
             }
         }

@@ -419,13 +419,15 @@ impl ClusterState {
         self.try_resize(pod_id, new_request).map_err(Error::from)
     }
 
-    /// [`ClusterState::resize_pod`] for the engine, which only counts refusals.
+    /// [`ClusterState::resize_pod`] without the wording: validates the
+    /// request against the pod, then resizes through
+    /// [`ClusterState::resize_valid`].
     pub(crate) fn try_resize(
         &mut self,
         pod_id: PodId,
         new_request: ResourceVec,
     ) -> std::result::Result<(), ResizeRefusal> {
-        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(ResizeRefusal::UnknownPod(pod_id))?;
+        let pod = self.pods.get(pod_id.as_usize()).ok_or(ResizeRefusal::UnknownPod(pod_id))?;
         if !pod.phase.holds_resources() {
             return Err(ResizeRefusal::NotBound(pod_id));
         }
@@ -435,6 +437,29 @@ impl ClusterState {
         if !new_request.fits_within(&pod.spec.limit) {
             return Err(ResizeRefusal::OverLimit { requested: new_request, limit: pod.spec.limit });
         }
+        self.resize_valid(pod_id, new_request)
+    }
+
+    /// The engine's in-place resize, for a request its caller validated
+    /// once for many pods: valid, non-zero and within the pod's limit
+    /// (every engine pod's limit is the simulation's `pod_limit`, which
+    /// the request is clamped to). Only what differs per pod is checked:
+    /// that it is bound, and its node's headroom.
+    pub(crate) fn resize_valid(
+        &mut self,
+        pod_id: PodId,
+        new_request: ResourceVec,
+    ) -> std::result::Result<(), ResizeRefusal> {
+        let pod = self.pods.get_mut(pod_id.as_usize()).ok_or(ResizeRefusal::UnknownPod(pod_id))?;
+        if !pod.phase.holds_resources() {
+            return Err(ResizeRefusal::NotBound(pod_id));
+        }
+        debug_assert!(
+            new_request.is_valid()
+                && !new_request.is_zero()
+                && new_request.fits_within(&pod.spec.limit),
+            "an unvalidated resize of {pod_id} to {new_request}"
+        );
         let node_id = pod.node.expect("bound pod has a node");
         let old_request = pod.spec.request;
         let node = &mut self.nodes[node_id.as_usize()];
@@ -479,6 +504,23 @@ impl ClusterState {
         }
         pod.spec.request = new_request;
         Ok(())
+    }
+
+    /// [`ClusterState::update_pending_request`] for a request validated
+    /// as for [`ClusterState::resize_valid`], with one pod lookup: rewrites
+    /// the pod's request if it is pending, and returns whether it was.
+    pub(crate) fn rewrite_if_pending(&mut self, pod_id: PodId, new_request: ResourceVec) -> bool {
+        let Some(pod) = self.pods.get_mut(pod_id.as_usize()).filter(|p| p.is_pending()) else {
+            return false;
+        };
+        debug_assert!(
+            new_request.is_valid()
+                && !new_request.is_zero()
+                && new_request.fits_within(&pod.spec.limit),
+            "an unvalidated rewrite of {pod_id} to {new_request}"
+        );
+        pod.spec.request = new_request;
+        true
     }
 
     /// Marks a node (un)ready. Losing readiness evicts the node's pods in

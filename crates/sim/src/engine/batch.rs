@@ -271,7 +271,7 @@ impl Simulation {
         fraction: f64,
     ) -> u32 {
         let now = self.now;
-        let target = per_task.min(&self.pod_limit).sanitized();
+        let (target, valid) = self.clamp_target(per_task);
         self.batches[idx].desired_alloc = target;
         let mut failures = 0u32;
         // Both passes walk the table by slot: nothing in them adds or
@@ -291,23 +291,22 @@ impl Simulation {
             if runs && reach > 0 {
                 reach -= 1;
                 if self.batches[idx].replicas.request(slot) != target {
-                    match self.cluster.try_resize(pod, target) {
-                        Ok(()) => {
-                            let replicas = &mut self.batches[idx].replicas;
-                            let out = &mut self.drain_scratch;
-                            out.clear();
-                            let next = replicas.resize(slot, now, target, out);
-                            let version = replicas.bump_version(slot);
-                            self.schedule_wake(Timer::Batch, pod, slot, next, version);
-                        }
-                        Err(_) => failures += 1,
+                    if valid && self.cluster.resize_valid(pod, target).is_ok() {
+                        let replicas = &mut self.batches[idx].replicas;
+                        let out = &mut self.drain_scratch;
+                        out.clear();
+                        let next = replicas.resize(slot, now, target, out);
+                        let version = replicas.bump_version(slot);
+                        self.schedule_wake(Timer::Batch, pod, slot, next, version);
+                    } else {
+                        failures += 1;
                     }
                 }
             }
             if reach_waiting > 0 {
                 reach_waiting -= 1;
-                if !runs && self.cluster.pod(pod).is_ok_and(|x| x.is_pending()) {
-                    let _ = self.cluster.update_pending_request(pod, target);
+                if !runs && valid {
+                    self.cluster.rewrite_if_pending(pod, target);
                 }
             }
         }

@@ -200,7 +200,7 @@ impl Simulation {
         per_rank: ResourceVec,
         fraction: f64,
     ) -> u32 {
-        let target = per_rank.min(&self.pod_limit).sanitized();
+        let (target, valid) = self.clamp_target(per_rank);
         self.hpcs[idx].desired_alloc = target;
         let mut failures = 0u32;
         let quota = if fraction < 1.0 {
@@ -219,11 +219,11 @@ impl Simulation {
             };
             if bound {
                 // A rank already at the target is reached: nothing to resize.
-                if request != target && self.cluster.resize_pod(pod, target).is_err() {
+                if request != target && !(valid && self.cluster.resize_valid(pod, target).is_ok()) {
                     failures += 1;
                 }
-            } else {
-                let _ = self.cluster.update_pending_request(pod, target);
+            } else if valid {
+                self.cluster.rewrite_if_pending(pod, target);
             }
         }
         failures

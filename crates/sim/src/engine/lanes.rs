@@ -331,7 +331,7 @@ impl Replicas {
         self.lanes[slot].request = request;
         self.with(slot, |server| {
             server.advance_into(now, out);
-            server.set_alloc(request);
+            server.set_sanitized_alloc(request);
             server.next_event()
         })
     }

@@ -284,13 +284,10 @@ pub struct Simulation {
     /// allocatable by default — a pod cannot out-grow its node).
     pub(crate) pod_limit: ResourceVec,
     /// Next pre-generated arrival per service (batched sampling mode),
-    /// `SimTime::MAX` for none; merged into `run_until`'s pop order without
-    /// round-tripping through the main heap.
-    arrival_slots: Vec<SimTime>,
-    /// Cached minimum of `arrival_slots` (`(at, svc)`): slots only change
-    /// when an arrival fires or is rearmed, so the merge loop compares one
-    /// key per event instead of rescanning every service.
-    arrival_min: (SimTime, usize),
+    /// `SimTime::MAX` for none, under a tree of their minimum; merged into
+    /// `run_until`'s pop order without round-tripping through the main
+    /// heap.
+    arrivals: ArrivalSlots,
     /// Reusable drain-outcome buffers for the per-event advance paths
     /// (one wake or arrival at a time ever holds them).
     pub(crate) drain_scratch: crate::perf::DrainOutcome,
@@ -347,8 +344,7 @@ impl Simulation {
             app_index: Vec::new(),
             statuses: Vec::new(),
             pod_limit,
-            arrival_slots: Vec::new(),
-            arrival_min: (SimTime::MAX, 0),
+            arrivals: ArrivalSlots::new(mix.services().len()),
             drain_scratch: crate::perf::DrainOutcome::default(),
             events_processed: 0,
         };
@@ -366,7 +362,6 @@ impl Simulation {
             let idx = sim.services.len();
             sim.app_index.push(Owner::Service(idx));
             sim.services.push(ServiceRuntime::new(app, spec, config.sampling));
-            sim.arrival_slots.push(SimTime::MAX);
             // Initial replicas exist from t=0.
             for _ in 0..spec.replicas {
                 sim.create_service_pod(idx);
@@ -497,8 +492,8 @@ impl Simulation {
     /// Four queues are merged by `(at, seq)`: the main heap, the wake queue's
     /// two heaps (service and batch timers, the smaller root taken) and the
     /// per-service arrival slots (a dense `SimTime` each, `SimTime::MAX` for
-    /// none, their minimum cached and folded again in one pass when an
-    /// arrival fired). Heap and wake `seq`s come from one global counter, so
+    /// none, their minimum at the root of a tournament tree that each slot
+    /// write repairs). Heap and wake `seq`s come from one global counter, so
     /// their keys never collide; arrival slots carry a pseudo-seq of 0, so a
     /// same-instant tie deterministically dispatches the arrival first (and
     /// ties between services break on the lowest service index).
@@ -510,7 +505,7 @@ impl Simulation {
             Arrival(usize),
         }
         loop {
-            let (at, svc) = self.arrival_min;
+            let (at, svc) = self.arrivals.min();
             let mut best = (at < SimTime::MAX).then_some(((at, 0), Src::Arrival(svc)));
             if let Some(h) = self.heap.peek().map(|Reverse(s)| (s.at, s.seq)) {
                 if best.as_ref().is_none_or(|(k, _)| h < *k) {
@@ -557,11 +552,9 @@ impl Simulation {
                     let Reverse(sch) = self.heap.pop().expect("peeked");
                     self.dispatch(sch.event);
                 }
-                Src::Arrival(svc) => {
-                    self.arrival_slots[svc] = SimTime::MAX;
-                    self.handle_service_arrival(svc);
-                    self.arrival_min = earliest(&self.arrival_slots);
-                }
+                // Rearming the slot (to `SimTime::MAX` when the stream
+                // ends) is the one write its tree path needs.
+                Src::Arrival(svc) => self.handle_service_arrival(svc),
             }
         }
         if to > self.now {
@@ -710,19 +703,28 @@ impl Simulation {
         self.wakes.set(timer, WakeEntry { at, seq: self.seq, pod, version, slot });
     }
 
+    /// A controller's per-replica target as every pod of its app gets it:
+    /// clamped to `pod_limit` and sanitized, and whether a pod may take it.
+    /// A validating resize would ask that of each pod; asked once, only
+    /// zero fails, since the clamped target is valid and every engine
+    /// pod's limit is `pod_limit`.
+    pub(crate) fn clamp_target(&self, per_replica: ResourceVec) -> (ResourceVec, bool) {
+        let target = per_replica.min(&self.pod_limit).sanitized();
+        (target, !target.is_zero())
+    }
+
     pub(crate) fn schedule_next_arrival(&mut self, svc: usize) {
         let now = self.now;
         let next = self.services[svc].next_arrival(now, &mut self.rng);
-        if let Some(at) = next {
-            match self.config.sampling {
-                // Legacy arrivals round-trip through the main heap so the
-                // merged pop order (and thus the fixture) is bit-identical.
-                SamplingMode::Legacy => self.schedule(at, Event::ServiceArrival { svc }),
-                SamplingMode::Batched => {
-                    self.arrival_slots[svc] = at;
-                    self.arrival_min = self.arrival_min.min((at, svc));
+        match self.config.sampling {
+            // Legacy arrivals round-trip through the main heap so the
+            // merged pop order (and thus the fixture) is bit-identical.
+            SamplingMode::Legacy => {
+                if let Some(at) = next {
+                    self.schedule(at, Event::ServiceArrival { svc });
                 }
             }
+            SamplingMode::Batched => self.arrivals.set(svc, next.unwrap_or(SimTime::MAX)),
         }
     }
 
@@ -892,11 +894,54 @@ impl Simulation {
     }
 }
 
-/// The earliest of the arrival slots as `(at, service)`, the lowest service
-/// of equals; `(SimTime::MAX, 0)` when every slot is empty.
-fn earliest(slots: &[SimTime]) -> (SimTime, usize) {
-    let earlier = |min: (SimTime, usize), (svc, &at)| if at < min.0 { (at, svc) } else { min };
-    slots.iter().enumerate().fold((SimTime::MAX, 0), earlier)
+/// The per-service arrival slots under a tournament tree: each slot's next
+/// arrival (`SimTime::MAX` for none) at a leaf, and at every inner node
+/// the earliest `(at, service)` below it, so a slot write repairs one
+/// leaf-to-root path (O(log S)) and the earliest arrival is the root. The
+/// leaves are padded to a power of two with empty slots, and a tie goes
+/// to the left child, so the lowest service of equals wins, as in a fold
+/// from the first service.
+#[derive(Debug, Clone)]
+struct ArrivalSlots {
+    /// `tree[1]` is the root and `tree[i]`'s children are `tree[2i]` and
+    /// `tree[2i + 1]`; the leaves `tree[width..]` are the slots, and
+    /// `tree[0]` is unused.
+    tree: Vec<(SimTime, u32)>,
+    /// Leaves: the services rounded up to a power of two, at least 2.
+    width: usize,
+}
+
+impl ArrivalSlots {
+    /// `services` empty slots.
+    fn new(services: usize) -> Self {
+        let width = services.next_power_of_two().max(2);
+        let mut tree = vec![(SimTime::MAX, 0); 2 * width];
+        for (svc, leaf) in tree[width..].iter_mut().enumerate() {
+            leaf.1 = svc as u32;
+        }
+        for i in (1..width).rev() {
+            tree[i] = tree[2 * i];
+        }
+        ArrivalSlots { tree, width }
+    }
+
+    /// Sets service `svc`'s next arrival.
+    fn set(&mut self, svc: usize, at: SimTime) {
+        let mut i = self.width + svc;
+        self.tree[i].0 = at;
+        while i > 1 {
+            i /= 2;
+            let (left, right) = (self.tree[2 * i], self.tree[2 * i + 1]);
+            self.tree[i] = if right.0 < left.0 { right } else { left };
+        }
+    }
+
+    /// The earliest arrival as `(at, service)`, the lowest service of
+    /// equals; `(SimTime::MAX, 0)` when every slot is empty.
+    fn min(&self) -> (SimTime, usize) {
+        let (at, svc) = self.tree[1];
+        (at, svc as usize)
+    }
 }
 
 /// `ceil(fraction·n)` clamped to `[0, n]`: how many of `n` replicas a
@@ -926,20 +971,50 @@ mod tests {
         min
     }
 
+    /// The earliest of dense slots as `(at, service)`, folded from the
+    /// first service: the minimum the merge read before the tree.
+    fn earliest(slots: &[SimTime]) -> (SimTime, usize) {
+        let earlier = |min: (SimTime, usize), (svc, &at)| if at < min.0 { (at, svc) } else { min };
+        slots.iter().enumerate().fold((SimTime::MAX, 0), earlier)
+    }
+
+    /// A slot draw: one in three is empty, the rest are few distinct
+    /// instants, so ties are everywhere.
+    fn slot(draw: u64) -> Option<SimTime> {
+        (!draw.is_multiple_of(3)).then(|| SimTime::from_millis(draw / 3))
+    }
+
     proptest! {
         /// Few distinct instants over many services: ties everywhere, and
-        /// the lowest service must win each, with empty slots in between.
+        /// the lowest service must win each, with empty slots in between —
+        /// in the dense fold, and in the tree after each of a run of slot
+        /// writes (a write of an empty slot is a stream that ended).
         #[test]
         fn dense_arrival_slots_fold_like_the_optional_ones(
-            slots in prop::collection::vec(0u64..9, 0..48)
+            slots in prop::collection::vec(0u64..9, 0..48),
+            writes in prop::collection::vec((0usize..64, 0u64..9), 0..64),
         ) {
-            // One draw in three is an empty slot.
-            let optional: Vec<Option<SimTime>> =
-                slots.iter().map(|&s| (s % 3 > 0).then(|| SimTime::from_millis(s / 3))).collect();
+            let mut optional: Vec<Option<SimTime>> = slots.iter().map(|&s| slot(s)).collect();
             let dense: Vec<SimTime> =
                 optional.iter().map(|s| s.unwrap_or(SimTime::MAX)).collect();
             let want = earliest_of_options(&optional).unwrap_or((SimTime::MAX, 0));
             prop_assert_eq!(earliest(&dense), want);
+            let mut tree = ArrivalSlots::new(optional.len());
+            prop_assert_eq!(tree.min(), (SimTime::MAX, 0), "a new tree has no arrival");
+            for (svc, at) in dense.iter().enumerate() {
+                tree.set(svc, *at);
+            }
+            prop_assert_eq!(tree.min(), want);
+            if optional.is_empty() {
+                return Ok(());
+            }
+            for (svc, draw) in writes {
+                let svc = svc % optional.len();
+                optional[svc] = slot(draw);
+                tree.set(svc, optional[svc].unwrap_or(SimTime::MAX));
+                let want = earliest_of_options(&optional).unwrap_or((SimTime::MAX, 0));
+                prop_assert_eq!(tree.min(), want, "after slot {} became {:?}", svc, optional[svc]);
+            }
         }
 
         /// Sets and pops on the two wake heaps against one ordered set: a

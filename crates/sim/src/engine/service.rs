@@ -362,7 +362,7 @@ impl Simulation {
         fraction: f64,
     ) -> u32 {
         let now = self.now;
-        let target = per_replica.min(&self.pod_limit).sanitized();
+        let (target, valid) = self.clamp_target(per_replica);
         self.services[idx].desired_alloc = target;
         self.services[idx].desired_replicas = replicas.max(1);
         let mut failures = 0u32;
@@ -381,7 +381,11 @@ impl Simulation {
             if self.services[idx].replicas.request(slot) == target {
                 continue; // already there: reached, and nothing to resize
             }
-            match self.cluster.try_resize(pod, target) {
+            if !valid {
+                failures += 1;
+                continue;
+            }
+            match self.cluster.resize_valid(pod, target) {
                 Ok(()) => {
                     let mut out = std::mem::take(&mut self.drain_scratch);
                     out.clear();
@@ -415,8 +419,12 @@ impl Simulation {
                 break;
             }
             let pod = self.services[idx].pods[i];
-            if self.cluster.pod(pod).is_ok_and(|x| x.is_pending()) {
-                let _ = self.cluster.update_pending_request(pod, target);
+            let pending = if valid {
+                self.cluster.rewrite_if_pending(pod, target)
+            } else {
+                self.cluster.pod(pod).is_ok_and(|x| x.is_pending())
+            };
+            if pending {
                 budget -= 1;
             }
         }

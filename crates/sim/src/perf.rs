@@ -112,10 +112,8 @@ struct Rates {
 
 impl Rates {
     fn new(per_v: [f64; 3]) -> Self {
-        Rates {
-            per_v,
-            inverse: per_v.map(|rate| if rate > 0.0 { 1.0 / rate } else { f64::INFINITY }),
-        }
+        let inverse = |rate: f64| if rate > 0.0 { 1.0 / rate } else { f64::INFINITY };
+        Rates { per_v, inverse: [inverse(per_v[0]), inverse(per_v[1]), inverse(per_v[2])] }
     }
 
     /// Virtual time a request with `rem` left needs: its slowest
@@ -318,7 +316,14 @@ impl ReplicaServer {
 
     /// Applies a vertical resize at the replica's current clock.
     pub fn set_alloc(&mut self, alloc: ResourceVec) {
-        self.alloc = alloc.sanitized();
+        self.set_sanitized_alloc(alloc.sanitized());
+    }
+
+    /// [`ReplicaServer::set_alloc`] for an allocation already sanitized,
+    /// as the engine's targets are, once for all of an app's replicas.
+    pub(crate) fn set_sanitized_alloc(&mut self, alloc: ResourceVec) {
+        debug_assert!(alloc == alloc.sanitized(), "an unsanitized allocation {alloc}");
+        self.alloc = alloc;
         self.rekey_if_rates_moved();
     }
 
@@ -538,7 +543,7 @@ impl ReplicaServer {
     /// thrash factor has moved them: credit what was delivered at the old
     /// rates, restart `v`, and give every request its key at the new ones.
     fn rekey_if_rates_moved(&mut self) {
-        let mut rates = DIMS.map(|r| self.alloc[r]);
+        let mut rates = [self.alloc[DIMS[0]], self.alloc[DIMS[1]], self.alloc[DIMS[2]]];
         let thrash = self.thrash_factor();
         if thrash != 1.0 {
             rates[0] /= thrash;

@@ -8,7 +8,7 @@
 //! reports (violation count and rate, mean severity, worst excursion).
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, Result};
+use evolve_types::Result;
 
 /// Which side of the target is compliant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,47 +143,30 @@ impl PloTracker {
     pub fn worst_severity(&self) -> f64 {
         self.worst_severity
     }
-}
 
-impl Codec for PloBound {
-    fn encode(&self, enc: &mut Encoder) {
-        let tag: u8 = match self {
-            PloBound::Upper => 0,
-            PloBound::Lower => 1,
-        };
-        tag.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        match u8::decode(dec)? {
-            0 => Ok(PloBound::Upper),
-            1 => Ok(PloBound::Lower),
-            other => Err(Error::CorruptCheckpoint(format!("invalid plo bound tag {other}"))),
-        }
-    }
-}
-
-impl Codec for PloTracker {
-    fn encode(&self, enc: &mut Encoder) {
-        self.target.encode(enc);
-        self.bound.encode(enc);
+    /// Writes the ledger's counts — the tracker's state. The target and
+    /// bound are configuration: whoever restores builds the tracker from
+    /// the same objective first.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
         self.windows.encode(enc);
         self.violations.encode(enc);
         self.severity_sum.encode(enc);
         self.worst_severity.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let target = f64::decode(dec)?;
-        let bound = PloBound::decode(dec)?;
-        let windows = u64::decode(dec)?;
-        let violations = u64::decode(dec)?;
-        let severity_sum = f64::decode(dec)?;
-        let worst_severity = f64::decode(dec)?;
-        if !(target.is_finite() && target > 0.0) {
-            return Err(Error::CorruptCheckpoint("plo target must be positive".into()));
-        }
-        Ok(PloTracker { target, bound, windows, violations, severity_sum, worst_severity })
+    /// Overwrites the counts with those [`checkpoint`](Self::checkpoint)
+    /// wrote, keeping this tracker's target and bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CorruptCheckpoint`](evolve_types::Error::CorruptCheckpoint)
+    /// when the bytes run out.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        self.windows = u64::decode(dec)?;
+        self.violations = u64::decode(dec)?;
+        self.severity_sum = f64::decode(dec)?;
+        self.worst_severity = f64::decode(dec)?;
+        Ok(())
     }
 }
 
