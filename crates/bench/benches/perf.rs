@@ -61,8 +61,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use evolve_control::{
-    MultiResourceConfig, MultiResourceController, PidConfig, PidController, RlsModel,
-    SensitivityModel,
+    MultiResourceConfig, MultiResourceController, PidController, RlsModel, SensitivityModel,
 };
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, SchedulerProfile};
 use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
@@ -608,9 +607,8 @@ fn error_at(i: u64) -> f64 {
 fn bench_control(c: &mut Criterion) {
     let mut group = c.benchmark_group("control");
     group.sample_size(20);
-    let mut pid = PidController::new(
-        PidConfig::new(0.8, 0.15, 0.05).with_output_limits(-0.5, 1.0).with_derivative_tau(2.0),
-    );
+    // The PID every resource dimension runs, clamps and leak included.
+    let mut pid = PidController::new();
     let mut i = 0u64;
     group.bench_function("pid_step", |b| {
         b.iter(|| {
@@ -630,7 +628,7 @@ fn bench_control(c: &mut Criterion) {
             black_box(ctl.step(black_box(alloc), black_box(usage), error_at(i), 5.0))
         })
     });
-    let mut rls = RlsModel::new(4, 0.97);
+    let mut rls = RlsModel::new();
     group.bench_function("rls_update_4d", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);

@@ -32,8 +32,9 @@
 //!   prolonged starvation is observable and testable.
 //!
 //! The core is the pure function [`arbitrate`]; [`CapacityArbiter`] wraps
-//! it with owned config + state so callers (and checkpoints) have a single
-//! handle.
+//! it with owned config + state so callers have a single handle. A
+//! checkpoint holds the [`ArbiterState`] only: the tunables come from the
+//! run's configuration.
 
 use std::collections::BTreeMap;
 
@@ -377,10 +378,10 @@ impl CapacityArbiter {
         CapacityArbiter { config, state: ArbiterState::default() }
     }
 
-    /// Rebuilds an arbiter from checkpointed state.
-    #[must_use]
-    pub fn restore(config: ArbiterConfig, state: ArbiterState) -> Self {
-        CapacityArbiter { config, state }
+    /// Replaces the state with a checkpointed one; the tunables stay
+    /// those this arbiter was built with.
+    pub fn restore(&mut self, state: ArbiterState) {
+        self.state = state;
     }
 
     /// The tunables.
@@ -403,20 +404,6 @@ impl CapacityArbiter {
         held: ResourceVec,
     ) -> Vec<ArbitrationOutcome> {
         arbitrate(&self.config, &mut self.state, requests, ready_capacity, held)
-    }
-}
-
-impl Codec for CapacityArbiter {
-    fn encode(&self, enc: &mut Encoder) {
-        self.config.encode(enc);
-        self.state.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(CapacityArbiter {
-            config: ArbiterConfig::decode(dec)?,
-            state: ArbiterState::decode(dec)?,
-        })
     }
 }
 
@@ -644,12 +631,10 @@ mod tests {
         let bytes = enc.into_bytes();
         let back = ArbiterState::decode(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(st, back);
-        let arb = CapacityArbiter::restore(config, st);
-        let mut enc = Encoder::new();
-        arb.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = CapacityArbiter::decode(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(arb, back);
+        let mut arb = CapacityArbiter::new(config);
+        arb.restore(back);
+        assert_eq!(arb.state(), &st);
+        assert_eq!(arb.config(), &config);
     }
 
     #[test]

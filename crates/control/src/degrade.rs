@@ -7,7 +7,7 @@
 //!
 //! * **hold** — while signals are missing, the previous output is
 //!   repeated verbatim;
-//! * **watchdog** — after `watchdog_ticks` consecutive dark ticks the
+//! * **watchdog** — after six consecutive dark ticks the
 //!   guard stops trusting the held value and decays it toward a
 //!   caller-supplied usage-anchored floor (never below it), so a stale
 //!   over-allocation does not persist forever;
@@ -19,41 +19,24 @@
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{ResourceVec, Result};
 
-/// Tunables for [`DegradationGuard`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationConfig {
-    /// Dark ticks tolerated before the watchdog starts decaying the held
-    /// output toward the floor.
-    pub watchdog_ticks: u32,
-    /// Per-tick relative decay toward the floor once the watchdog fires,
-    /// and the per-tick relative slew bound during re-engagement.
-    pub max_step: f64,
-    /// How many fresh ticks stay slew-limited after a blackout.
-    pub reengage_ticks: u32,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig { watchdog_ticks: 6, max_step: 0.25, reengage_ticks: 3 }
-    }
-}
+/// Dark ticks tolerated before the watchdog starts decaying the held
+/// output toward the floor.
+const WATCHDOG_TICKS: u32 = 6;
+/// Per-tick relative decay toward the floor once the watchdog fires, and
+/// the per-tick relative slew bound during re-engagement.
+const MAX_STEP: f64 = 0.25;
+/// How many fresh ticks stay slew-limited after a blackout.
+const REENGAGE_TICKS: u32 = 3;
 
 /// Hold-last-safe / watchdog / slew-limited re-engagement state machine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DegradationGuard {
-    config: DegradationConfig,
     dark_ticks: u32,
     reengage_left: u32,
     held: Option<ResourceVec>,
 }
 
 impl DegradationGuard {
-    /// Creates a guard with the given tunables.
-    #[must_use]
-    pub fn new(config: DegradationConfig) -> Self {
-        DegradationGuard { config, ..DegradationGuard::default() }
-    }
-
     /// Consecutive ticks without a usable signal.
     #[must_use]
     pub fn dark_ticks(&self) -> u32 {
@@ -63,7 +46,7 @@ impl DegradationGuard {
     /// `true` once the watchdog has given up on the held output.
     #[must_use]
     pub fn watchdog_tripped(&self) -> bool {
-        self.dark_ticks > self.config.watchdog_ticks
+        self.dark_ticks > WATCHDOG_TICKS
     }
 
     /// One dark tick: returns the output to hold, or `None` when no
@@ -73,11 +56,7 @@ impl DegradationGuard {
     pub fn on_dark(&mut self, floor: &ResourceVec) -> Option<ResourceVec> {
         self.dark_ticks = self.dark_ticks.saturating_add(1);
         let held = self.held?;
-        let out = if self.watchdog_tripped() {
-            (held * (1.0 - self.config.max_step)).max(floor)
-        } else {
-            held
-        };
+        let out = if self.watchdog_tripped() { (held * (1.0 - MAX_STEP)).max(floor) } else { held };
         self.held = Some(out);
         Some(out)
     }
@@ -86,14 +65,14 @@ impl DegradationGuard {
     /// returns the (possibly slew-limited) output to apply.
     pub fn on_signal(&mut self, proposed: ResourceVec) -> ResourceVec {
         if self.dark_ticks > 0 {
-            self.reengage_left = self.config.reengage_ticks;
+            self.reengage_left = REENGAGE_TICKS;
             self.dark_ticks = 0;
         }
         let out = match (self.reengage_left, self.held) {
             (n, Some(held)) if n > 0 => {
                 self.reengage_left = n - 1;
-                let lo = held * (1.0 - self.config.max_step);
-                let hi = held * (1.0 + self.config.max_step);
+                let lo = held * (1.0 - MAX_STEP);
+                let hi = held * (1.0 + MAX_STEP);
                 proposed.clamp(&lo, &hi)
             }
             _ => proposed,
@@ -105,17 +84,16 @@ impl DegradationGuard {
     /// Seeds the guard after a controller restart: `held` becomes the
     /// observed current allocation and the full re-engagement window is
     /// armed, so the **first** post-restart [`on_signal`](Self::on_signal)
-    /// is already slew-limited to `held · (1 ± max_step)`. (The normal
+    /// is already slew-limited to `held · (1 ± 0.25)`. (The normal
     /// path only arms re-engagement on a dark→fresh transition, which a
     /// freshly-constructed guard never sees.)
     pub fn seed_recovery(&mut self, held: ResourceVec) {
         self.held = Some(held);
-        self.reengage_left = self.config.reengage_ticks;
+        self.reengage_left = REENGAGE_TICKS;
         self.dark_ticks = 0;
     }
 
-    /// Writes the guard's state, but not its tunables, which the owner
-    /// rebuilds.
+    /// Writes the guard's state.
     pub fn checkpoint(&self, enc: &mut Encoder) {
         self.dark_ticks.encode(enc);
         self.reengage_left.encode(enc);
@@ -123,7 +101,7 @@ impl DegradationGuard {
     }
 
     /// Overwrites the state with one written by
-    /// [`checkpoint`](Self::checkpoint); the tunables are kept.
+    /// [`checkpoint`](Self::checkpoint).
     ///
     /// # Errors
     ///
@@ -141,11 +119,7 @@ mod tests {
     use super::*;
 
     fn guard() -> DegradationGuard {
-        DegradationGuard::new(DegradationConfig {
-            watchdog_ticks: 3,
-            max_step: 0.2,
-            reengage_ticks: 2,
-        })
+        DegradationGuard::default()
     }
 
     #[test]
@@ -154,7 +128,7 @@ mod tests {
         let out = g.on_signal(ResourceVec::splat(100.0));
         assert_eq!(out, ResourceVec::splat(100.0));
         let floor = ResourceVec::splat(10.0);
-        for _ in 0..3 {
+        for _ in 0..WATCHDOG_TICKS {
             assert_eq!(g.on_dark(&floor), Some(ResourceVec::splat(100.0)));
         }
         assert!(!g.watchdog_tripped());
@@ -174,7 +148,7 @@ mod tests {
         let mut last = ResourceVec::splat(100.0);
         for tick in 1..30 {
             let out = g.on_dark(&floor).unwrap();
-            if tick <= 3 {
+            if tick <= WATCHDOG_TICKS {
                 assert_eq!(out, ResourceVec::splat(100.0), "held before watchdog");
             } else {
                 assert!(out.cpu() <= last.cpu(), "monotone decay");
@@ -193,19 +167,21 @@ mod tests {
         let floor = ResourceVec::splat(10.0);
         g.on_dark(&floor);
         g.on_dark(&floor);
-        // Controller comes back proposing a wild jump; only ±20% per tick
-        // is allowed for the first two fresh ticks.
+        // Controller comes back proposing a wild jump; only ±25% per tick
+        // is allowed for the first three fresh ticks.
         let first = g.on_signal(ResourceVec::splat(500.0));
-        assert_eq!(first, ResourceVec::splat(120.0));
+        assert_eq!(first, ResourceVec::splat(125.0));
         let second = g.on_signal(ResourceVec::splat(500.0));
-        assert_eq!(second, ResourceVec::splat(144.0));
-        // After the re-engagement window the proposal passes through.
+        assert_eq!(second, ResourceVec::splat(156.25));
         let third = g.on_signal(ResourceVec::splat(500.0));
-        assert_eq!(third, ResourceVec::splat(500.0));
+        assert_eq!(third, ResourceVec::splat(195.312_5));
+        // After the re-engagement window the proposal passes through.
+        let fourth = g.on_signal(ResourceVec::splat(500.0));
+        assert_eq!(fourth, ResourceVec::splat(500.0));
         // Downward jumps are limited too.
         g.on_dark(&floor);
         let down = g.on_signal(ResourceVec::splat(1.0));
-        assert_eq!(down, ResourceVec::splat(400.0));
+        assert_eq!(down, ResourceVec::splat(375.0));
     }
 
     #[test]
@@ -214,10 +190,10 @@ mod tests {
         g.seed_recovery(ResourceVec::splat(100.0));
         // Without the seed a fresh guard would pass this straight through.
         let first = g.on_signal(ResourceVec::splat(500.0));
-        assert_eq!(first, ResourceVec::splat(120.0));
+        assert_eq!(first, ResourceVec::splat(125.0));
         g.seed_recovery(ResourceVec::splat(100.0));
         let low = g.on_signal(ResourceVec::splat(1.0));
-        assert_eq!(low, ResourceVec::splat(80.0));
+        assert_eq!(low, ResourceVec::splat(75.0));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! disk I/O and network I/O together. This crate implements exactly that
 //! stack, independent of any cluster:
 //!
-//! * [`PidController`] / [`PidConfig`] — a production-grade scalar PID:
-//!   anti-windup (integral clamping + conditional integration),
-//!   derivative-on-measurement with first-order filtering, output limits
-//!   and slew-rate limiting.
+//! * [`PidController`] — a production-grade scalar PID: anti-windup
+//!   (integral clamping + conditional integration), derivative with
+//!   first-order filtering, output limits and a leaky integral. Every
+//!   dimension runs the same constants; only kp and ki adapt.
 //! * [`AdaptiveTuner`] — on-line gain adaptation: an oscillation detector
 //!   shrinks the proportional gain, a sluggishness detector grows the
 //!   integral gain ("adjusts its parameters on the fly").
@@ -22,7 +22,7 @@
 //!   resource dimension, coordinated through the sensitivity model,
 //!   producing a full [`evolve_types::ResourceVec`] allocation.
 //! * [`LoadPredictor`] — Holt-linear short-horizon load forecasting with a
-//!   configurable safety margin, used to scale ahead of ramps.
+//!   safety margin, used to scale ahead of ramps.
 //! * [`DegradationGuard`] — graceful degradation under lost telemetry:
 //!   hold-last-safe output, a watchdog that decays toward a usage-anchored
 //!   floor, and slew-limited re-engagement after a blackout.
@@ -34,12 +34,10 @@
 //! # Examples
 //!
 //! ```
-//! use evolve_control::{PidConfig, PidController};
+//! use evolve_control::PidController;
 //!
 //! // Latency control: positive error means "too slow, add resources".
-//! let mut pid = PidController::new(
-//!     PidConfig::new(0.8, 0.2, 0.05).with_output_limits(-0.5, 1.0),
-//! );
+//! let mut pid = PidController::new();
 //! let out = pid.step(0.3, 1.0);
 //! assert!(out > 0.0);
 //! ```
@@ -59,9 +57,9 @@ pub use arbiter::{
     arbitrate, ArbiterConfig, ArbiterRequest, ArbiterState, ArbitrationOutcome, CapacityArbiter,
     ClipReason, GrantDecision,
 };
-pub use degrade::{DegradationConfig, DegradationGuard};
+pub use degrade::DegradationGuard;
 pub use model::{RlsModel, SensitivityModel};
 pub use multi::{MultiResourceConfig, MultiResourceController, ResourceDecision};
-pub use pid::{PidConfig, PidController, PidTerms};
+pub use pid::{PidController, PidTerms};
 pub use predictor::LoadPredictor;
 pub use tuning::AdaptiveTuner;

@@ -8,65 +8,55 @@
 //! fraction of the PLO error each resource dimension should absorb.
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
-use evolve_types::{Error, Resource, ResourceVec, Result, NUM_RESOURCES};
+use evolve_types::{Resource, ResourceVec, Result, NUM_RESOURCES};
 
-/// The largest input dimension an [`RlsModel`] takes: its update keeps
-/// its scratch on the stack.
-const MAX_DIM: usize = 8;
+/// Inputs of an [`RlsModel`]: one per resource dimension.
+const DIM: usize = NUM_RESOURCES;
+/// The RLS forgetting factor in `(0, 1]`; smaller forgets faster.
+const LAMBDA: f64 = 0.97;
 
-/// Recursive least squares with exponential forgetting for a linear model
-/// `y ≈ w · x`.
+/// Recursive least squares with exponential forgetting (λ = 0.97) for a
+/// linear model `y ≈ w · x` over four inputs.
 ///
 /// # Examples
 ///
 /// ```
 /// use evolve_control::RlsModel;
 ///
-/// let mut m = RlsModel::new(2, 0.99);
+/// let mut m = RlsModel::new();
 /// // Learn y = 3*x0 + 1*x1 from noiseless samples.
 /// for i in 0..200 {
-///     let x = [f64::from(i % 10), f64::from((i * 7) % 5)];
+///     let x = [f64::from(i % 10), f64::from((i * 7) % 5), 0.0, 0.0];
 ///     let y = 3.0 * x[0] + x[1];
 ///     m.update(&x, y);
 /// }
-/// let pred = m.predict(&[2.0, 1.0]);
+/// let pred = m.predict(&[2.0, 1.0, 0.0, 0.0]);
 /// assert!((pred - 7.0).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlsModel {
-    dim: usize,
     /// Weight vector.
-    w: Vec<f64>,
-    /// Inverse covariance matrix, row-major `dim × dim`.
-    p: Vec<f64>,
-    /// Forgetting factor in (0, 1]; smaller forgets faster.
-    lambda: f64,
+    w: [f64; DIM],
+    /// Inverse covariance matrix, row-major `DIM × DIM`.
+    p: [f64; DIM * DIM],
     updates: u64,
 }
 
-impl RlsModel {
-    /// Creates a model of input dimension `dim` with forgetting factor
-    /// `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dim` is 0 or above 8, or `lambda` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(dim: usize, lambda: f64) -> Self {
-        assert!(dim > 0, "model dimension must be positive");
-        assert!(dim <= MAX_DIM, "model dimension must be at most {MAX_DIM}");
-        assert!(lambda > 0.0 && lambda <= 1.0, "forgetting factor must be in (0, 1]");
-        let mut p = vec![0.0; dim * dim];
-        for i in 0..dim {
-            p[i * dim + i] = 1_000.0; // large prior covariance: fast initial learning
-        }
-        RlsModel { dim, w: vec![0.0; dim], p, lambda, updates: 0 }
+impl Default for RlsModel {
+    fn default() -> Self {
+        RlsModel::new()
     }
+}
 
-    /// Input dimension.
+impl RlsModel {
+    /// Creates an untrained model.
     #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
+    pub fn new() -> Self {
+        let mut p = [0.0; DIM * DIM];
+        for i in 0..DIM {
+            p[i * DIM + i] = 1_000.0; // large prior covariance: fast initial learning
+        }
+        RlsModel { w: [0.0; DIM], p, updates: 0 }
     }
 
     /// Number of updates applied.
@@ -77,47 +67,35 @@ impl RlsModel {
 
     /// Current weights.
     #[must_use]
-    pub fn weights(&self) -> &[f64] {
+    pub fn weights(&self) -> &[f64; DIM] {
         &self.w
     }
 
     /// Predicts `w · x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != dim`.
     #[must_use]
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim, "input dimension mismatch");
+    pub fn predict(&self, x: &[f64; DIM]) -> f64 {
         self.w.iter().zip(x).map(|(w, x)| w * x).sum()
     }
 
     /// Feeds one `(x, y)` observation. Non-finite inputs are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != dim`.
-    pub fn update(&mut self, x: &[f64], y: f64) {
-        assert_eq!(x.len(), self.dim, "input dimension mismatch");
+    pub fn update(&mut self, x: &[f64; DIM], y: f64) {
         if !y.is_finite() || x.iter().any(|v| !v.is_finite()) {
             return;
         }
-        let d = self.dim;
         // The scratch lives on the stack: an update allocates nothing.
-        let (mut px, mut xp) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
-        let (px, xp) = (&mut px[..d], &mut xp[..d]);
+        let (mut px, mut xp) = ([0.0; DIM], [0.0; DIM]);
         // k = P x / (λ + xᵀ P x)
         for (i, pxi) in px.iter_mut().enumerate() {
             for (j, xj) in x.iter().enumerate() {
-                *pxi += self.p[i * d + j] * xj;
+                *pxi += self.p[i * DIM + j] * xj;
             }
         }
-        let denom = self.lambda + x.iter().zip(px.iter()).map(|(a, b)| a * b).sum::<f64>();
+        let denom = LAMBDA + x.iter().zip(px.iter()).map(|(a, b)| a * b).sum::<f64>();
         if denom.abs() < 1e-12 {
             return;
         }
-        // `P x` becomes `k` in place: nothing reads it after this.
-        let k = px;
+        // `P x` becomes `k`: nothing reads it after this.
+        let mut k = px;
         for v in k.iter_mut() {
             *v /= denom;
         }
@@ -128,12 +106,12 @@ impl RlsModel {
         // P = (P - k xᵀ P) / λ
         for (j, xpj) in xp.iter_mut().enumerate() {
             for (i, xi) in x.iter().enumerate() {
-                *xpj += xi * self.p[i * d + j];
+                *xpj += xi * self.p[i * DIM + j];
             }
         }
         for (i, ki) in k.iter().enumerate() {
             for (j, xpj) in xp.iter().enumerate() {
-                self.p[i * d + j] = (self.p[i * d + j] - ki * xpj) / self.lambda;
+                self.p[i * DIM + j] = (self.p[i * DIM + j] - ki * xpj) / LAMBDA;
             }
         }
         self.updates += 1;
@@ -142,27 +120,17 @@ impl RlsModel {
 
 impl Codec for RlsModel {
     fn encode(&self, enc: &mut Encoder) {
-        self.dim.encode(enc);
         self.w.encode(enc);
         self.p.encode(enc);
-        self.lambda.encode(enc);
         self.updates.encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let dim = usize::decode(dec)?;
-        let w = Vec::<f64>::decode(dec)?;
-        let p = Vec::<f64>::decode(dec)?;
-        let lambda = f64::decode(dec)?;
-        let updates = u64::decode(dec)?;
-        if dim == 0 || dim > MAX_DIM || w.len() != dim || p.len() != dim * dim {
-            return Err(Error::CorruptCheckpoint(format!(
-                "rls dimension mismatch: dim {dim}, {} weights, {} covariance entries",
-                w.len(),
-                p.len()
-            )));
-        }
-        Ok(RlsModel { dim, w, p, lambda, updates })
+        Ok(RlsModel {
+            w: <[f64; DIM]>::decode(dec)?,
+            p: <[f64; DIM * DIM]>::decode(dec)?,
+            updates: u64::decode(dec)?,
+        })
     }
 }
 
@@ -222,7 +190,7 @@ impl SensitivityModel {
     #[must_use]
     pub fn new() -> Self {
         SensitivityModel {
-            rls: RlsModel::new(NUM_RESOURCES, 0.97),
+            rls: RlsModel::new(),
             prev: None,
             pressure: [0.0; NUM_RESOURCES],
             serial: [0.0; NUM_RESOURCES],
@@ -402,7 +370,7 @@ mod tests {
 
     #[test]
     fn rls_learns_linear_function() {
-        let mut m = RlsModel::new(3, 1.0);
+        let mut m = RlsModel::new();
         let mut seed = 1u64;
         for _ in 0..500 {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -410,43 +378,40 @@ mod tests {
                 ((seed >> 16) % 100) as f64 / 10.0,
                 ((seed >> 24) % 100) as f64 / 10.0,
                 ((seed >> 32) % 100) as f64 / 10.0,
+                ((seed >> 40) % 100) as f64 / 10.0,
             ];
-            let y = 2.0 * x[0] - 1.0 * x[1] + 0.5 * x[2];
+            let y = 2.0 * x[0] - 1.0 * x[1] + 0.5 * x[2] + 0.25 * x[3];
             m.update(&x, y);
         }
         let w = m.weights();
         assert!((w[0] - 2.0).abs() < 0.05, "w0 {}", w[0]);
         assert!((w[1] + 1.0).abs() < 0.05, "w1 {}", w[1]);
         assert!((w[2] - 0.5).abs() < 0.05, "w2 {}", w[2]);
+        assert!((w[3] - 0.25).abs() < 0.05, "w3 {}", w[3]);
     }
 
     #[test]
     fn rls_forgetting_tracks_drift() {
-        let mut m = RlsModel::new(1, 0.9);
+        let mut m = RlsModel::new();
+        let x = [1.0, 0.0, 0.0, 0.0];
         for _ in 0..100 {
-            m.update(&[1.0], 1.0);
+            m.update(&x, 1.0);
         }
-        assert!((m.predict(&[1.0]) - 1.0).abs() < 0.05);
-        // The relationship changes.
-        for _ in 0..100 {
-            m.update(&[1.0], 5.0);
+        assert!((m.predict(&x) - 1.0).abs() < 0.05);
+        // The relationship changes; λ = 0.97 forgets the old one within
+        // a few hundred updates.
+        for _ in 0..200 {
+            m.update(&x, 5.0);
         }
-        assert!((m.predict(&[1.0]) - 5.0).abs() < 0.1);
+        assert!((m.predict(&x) - 5.0).abs() < 0.1);
     }
 
     #[test]
     fn rls_ignores_non_finite() {
-        let mut m = RlsModel::new(1, 1.0);
-        m.update(&[f64::NAN], 1.0);
-        m.update(&[1.0], f64::INFINITY);
+        let mut m = RlsModel::new();
+        m.update(&[f64::NAN, 0.0, 0.0, 0.0], 1.0);
+        m.update(&[1.0, 0.0, 0.0, 0.0], f64::INFINITY);
         assert_eq!(m.updates(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn rls_rejects_wrong_dimension() {
-        let m = RlsModel::new(2, 1.0);
-        let _ = m.predict(&[1.0]);
     }
 
     #[test]

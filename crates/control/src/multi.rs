@@ -24,7 +24,7 @@ use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{Resource, ResourceVec, Result};
 
 use crate::model::SensitivityModel;
-use crate::pid::{PidConfig, PidController};
+use crate::pid::{PidController, KD};
 use crate::tuning::AdaptiveTuner;
 
 /// Largest relative per-period increase per resource (1.5 = may grow to
@@ -56,19 +56,6 @@ const RECLAIM_PRESSURE: f64 = 0.30;
 /// See [`RECLAIM_PRESSURE`]: a latency-relevant dimension is left alone
 /// even when its throughput pressure is low.
 const RECLAIM_SERIAL_SECS: f64 = 0.010;
-
-/// The PID gains every resource dimension starts from (kp 0.8, ki 0.15,
-/// kd 0.05, derivative filtering).
-pub(crate) fn base_gains() -> PidConfig {
-    PidConfig::new(0.8, 0.15, 0.05)
-        .with_output_limits(-0.5, 1.0)
-        .with_integral_limits(-2.0, 2.0)
-        .with_derivative_tau(2.0)
-        // The controller output is applied multiplicatively to the
-        // allocation (the actuator integrates); leak the inner integral so
-        // zero error means zero adjustment.
-        .with_integral_leak(0.8)
-}
 
 /// Configuration of a [`MultiResourceController`]: the per-replica range
 /// and the two ablation switches. Gains, step limits, floors, deadbands
@@ -183,10 +170,9 @@ impl MultiResourceController {
     /// Creates a controller from a configuration.
     #[must_use]
     pub fn new(config: MultiResourceConfig) -> Self {
-        let pid = PidController::new(base_gains());
         MultiResourceController {
             config,
-            pids: [pid.clone(), pid.clone(), pid.clone(), pid],
+            pids: Default::default(),
             tuners: Default::default(),
             model: SensitivityModel::new(),
             steps: 0,
@@ -233,8 +219,8 @@ impl MultiResourceController {
     /// (kp, ki, kd) — useful for the adaptation-timeline figure.
     #[must_use]
     pub fn gains_of(&self, resource: Resource) -> (f64, f64, f64) {
-        let c = self.pids[resource.index()].config();
-        (c.kp(), c.ki(), c.kd())
+        let (kp, ki) = self.pids[resource.index()].gains();
+        (kp, ki, KD)
     }
 
     /// Term breakdown of `resource`'s PID for the most recent control
@@ -394,14 +380,6 @@ impl MultiResourceController {
         self.bumpless_pending = bool::decode(dec)?;
         Ok(())
     }
-
-    /// Clears dynamic state (integrators, model) while keeping gains.
-    pub fn reset(&mut self) {
-        for pid in &mut self.pids {
-            pid.reset();
-        }
-        self.model = SensitivityModel::new();
-    }
 }
 
 #[cfg(test)]
@@ -546,12 +524,11 @@ mod tests {
     }
 
     #[test]
-    fn step_counts_and_reset() {
+    fn steps_are_counted() {
         let mut ctl = MultiResourceController::new(cfg());
         ctl.step(ResourceVec::splat(100.0), ResourceVec::splat(50.0), 0.1, 1.0);
         assert_eq!(ctl.steps(), 1);
-        ctl.reset();
-        assert_eq!(ctl.model().observations(), 0);
+        assert_eq!(ctl.model().observations(), 1);
     }
 
     #[test]

@@ -10,178 +10,62 @@
 //!   pushes (conditional integration);
 //! * **filtered derivative** — the derivative acts on a first-order
 //!   low-pass of the error, taming measurement noise;
-//! * **output limits and slew limiting** — allocations can neither go
-//!   negative nor jump unboundedly in one control period.
+//! * **output limits** — one control period can neither take more than
+//!   half an allocation away nor more than double it;
+//! * **integral leak** — the output is applied multiplicatively to the
+//!   allocation, so the actuator integrates already; the inner integral
+//!   leaks so that zero error means zero adjustment.
+//!
+//! Every resource dimension of every application runs the same PID; only
+//! kp and ki move, rewritten by the [`AdaptiveTuner`](crate::AdaptiveTuner).
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
 
-/// Configuration for a [`PidController`], built fluently.
-///
-/// # Examples
-///
-/// ```
-/// use evolve_control::PidConfig;
-///
-/// let cfg = PidConfig::new(1.0, 0.5, 0.1)
-///     .with_output_limits(-1.0, 1.0)
-///     .with_integral_limits(-0.5, 0.5)
-///     .with_derivative_tau(2.0)
-///     .with_slew_limit(0.25);
-/// assert_eq!(cfg.kp(), 1.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PidConfig {
-    kp: f64,
-    ki: f64,
-    kd: f64,
-    out_min: f64,
-    out_max: f64,
-    int_min: f64,
-    int_max: f64,
-    /// Time constant (seconds) of the derivative low-pass; 0 disables
-    /// filtering.
-    derivative_tau: f64,
-    /// Maximum |Δoutput| per second; infinite disables slew limiting.
-    slew_limit: f64,
-    /// Per-step multiplicative decay of the integral accumulator in
-    /// `(0, 1]`; 1 is the classical non-leaky integrator. A leak below 1
-    /// is essential when the output is applied *multiplicatively* (an
-    /// integrating actuator): the outer loop integrates already, so a
-    /// frozen inner integral at zero error would drift the actuator
-    /// forever.
-    integral_leak: f64,
-}
-
-impl PidConfig {
-    /// Creates a configuration with the given gains, unbounded output and
-    /// a ±10 integral clamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any gain is negative or non-finite.
-    #[must_use]
-    pub fn new(kp: f64, ki: f64, kd: f64) -> Self {
-        assert!(kp >= 0.0 && kp.is_finite(), "kp must be finite and non-negative");
-        assert!(ki >= 0.0 && ki.is_finite(), "ki must be finite and non-negative");
-        assert!(kd >= 0.0 && kd.is_finite(), "kd must be finite and non-negative");
-        PidConfig {
-            kp,
-            ki,
-            kd,
-            out_min: f64::NEG_INFINITY,
-            out_max: f64::INFINITY,
-            int_min: -10.0,
-            int_max: 10.0,
-            derivative_tau: 0.0,
-            slew_limit: f64::INFINITY,
-            integral_leak: 1.0,
-        }
-    }
-
-    /// Clamps the controller output to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `min > max`.
-    #[must_use]
-    pub fn with_output_limits(mut self, min: f64, max: f64) -> Self {
-        assert!(min <= max, "output limits inverted");
-        self.out_min = min;
-        self.out_max = max;
-        self
-    }
-
-    /// Clamps the integral accumulator to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `min > max`.
-    #[must_use]
-    pub fn with_integral_limits(mut self, min: f64, max: f64) -> Self {
-        assert!(min <= max, "integral limits inverted");
-        self.int_min = min;
-        self.int_max = max;
-        self
-    }
-
-    /// Sets the derivative low-pass time constant in seconds (0 disables).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tau` is negative or non-finite.
-    #[must_use]
-    pub fn with_derivative_tau(mut self, tau: f64) -> Self {
-        assert!(tau >= 0.0 && tau.is_finite(), "derivative tau must be finite and non-negative");
-        self.derivative_tau = tau;
-        self
-    }
-
-    /// Limits |Δoutput| per second of control time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `limit` is not positive.
-    #[must_use]
-    pub fn with_slew_limit(mut self, limit: f64) -> Self {
-        assert!(limit > 0.0, "slew limit must be positive");
-        self.slew_limit = limit;
-        self
-    }
-
-    /// Sets the per-step integral leak in `(0, 1]` (see the field docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `leak` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_integral_leak(mut self, leak: f64) -> Self {
-        assert!(leak > 0.0 && leak <= 1.0, "integral leak must be in (0, 1]");
-        self.integral_leak = leak;
-        self
-    }
-
-    /// Proportional gain.
-    #[must_use]
-    pub fn kp(&self) -> f64 {
-        self.kp
-    }
-
-    /// Integral gain.
-    #[must_use]
-    pub fn ki(&self) -> f64 {
-        self.ki
-    }
-
-    /// Derivative gain.
-    #[must_use]
-    pub fn kd(&self) -> f64 {
-        self.kd
-    }
-}
+/// Proportional gain a fresh controller starts from.
+const INITIAL_KP: f64 = 0.8;
+/// Integral gain a fresh controller starts from.
+const INITIAL_KI: f64 = 0.15;
+/// Derivative gain; the tuner adapts kp and ki only.
+pub(crate) const KD: f64 = 0.05;
+/// Lowest output: one period may shrink an allocation by half.
+const OUT_MIN: f64 = -0.5;
+/// Highest output: one period may double an allocation.
+const OUT_MAX: f64 = 1.0;
+/// The integral accumulator stays within `±INTEGRAL_LIMIT`.
+const INTEGRAL_LIMIT: f64 = 2.0;
+/// Time constant (seconds) of the derivative's low-pass filter.
+const DERIVATIVE_TAU: f64 = 2.0;
+/// Per-step multiplicative decay of the integral accumulator. Below 1
+/// because the output is applied multiplicatively (an integrating
+/// actuator): the outer loop integrates already, so a frozen inner
+/// integral at zero error would drift the actuator forever.
+const INTEGRAL_LEAK: f64 = 0.8;
 
 /// A discrete-time PID controller.
 ///
-/// Feed the **error** (setpoint − measurement, or whichever orientation the
-/// caller uses — positive must mean "increase the output") and the elapsed
-/// control interval to [`PidController::step`]; the controller returns the
-/// actuation value.
+/// Feed the **error** (positive must mean "increase the output") and the
+/// elapsed control interval to [`PidController::step`]; the controller
+/// returns the relative actuation in `[-0.5, 1.0]`.
 ///
 /// # Examples
 ///
 /// ```
-/// use evolve_control::{PidConfig, PidController};
+/// use evolve_control::PidController;
 ///
-/// let mut pid = PidController::new(PidConfig::new(2.0, 0.0, 0.0));
-/// assert_eq!(pid.step(0.5, 1.0), 1.0); // pure P: kp * e
+/// let mut pid = PidController::new();
+/// // First step, no derivative yet: kp·e + ki·(e·dt) = 0.8·0.5 + 0.15·0.5.
+/// assert!((pid.step(0.5, 1.0) - 0.475).abs() < 1e-12);
+/// // A large error saturates at the output limit.
+/// assert_eq!(pid.step(5.0, 1.0), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PidController {
-    config: PidConfig,
+    kp: f64,
+    ki: f64,
     integral: f64,
     prev_error: Option<f64>,
     filtered_derivative: f64,
-    prev_output: Option<f64>,
     last_terms: PidTerms,
 }
 
@@ -198,7 +82,7 @@ pub struct PidTerms {
     pub i: f64,
     /// Derivative contribution, `kd * filtered_derivative`.
     pub d: f64,
-    /// Emitted output after output clamping and slew limiting.
+    /// Emitted output after output clamping.
     pub output: f64,
 }
 
@@ -220,49 +104,48 @@ impl Codec for PidTerms {
     }
 }
 
+impl Default for PidController {
+    fn default() -> Self {
+        PidController::new()
+    }
+}
+
 impl PidController {
-    /// Creates a controller from a configuration.
+    /// Creates a controller at the initial gains with no history.
     #[must_use]
-    pub fn new(config: PidConfig) -> Self {
+    pub fn new() -> Self {
         PidController {
-            config,
+            kp: INITIAL_KP,
+            ki: INITIAL_KI,
             integral: 0.0,
             prev_error: None,
             filtered_derivative: 0.0,
-            prev_output: None,
             last_terms: PidTerms::default(),
         }
     }
 
-    /// Current configuration (gains may change under adaptive tuning).
+    /// The current proportional and integral gains (the adaptive tuner
+    /// moves them; the derivative gain is fixed).
     #[must_use]
-    pub fn config(&self) -> &PidConfig {
-        &self.config
+    pub fn gains(&self) -> (f64, f64) {
+        (self.kp, self.ki)
     }
 
-    /// Replaces the gains in place, keeping integral and derivative state.
+    /// Replaces kp and ki in place, keeping integral and derivative state.
     /// Used by the adaptive tuner.
     ///
     /// # Panics
     ///
-    /// Panics when any gain is negative or non-finite.
-    pub fn set_gains(&mut self, kp: f64, ki: f64, kd: f64) {
+    /// Panics when either gain is negative or non-finite.
+    pub fn set_gains(&mut self, kp: f64, ki: f64) {
         assert!(kp >= 0.0 && kp.is_finite(), "kp must be finite and non-negative");
         assert!(ki >= 0.0 && ki.is_finite(), "ki must be finite and non-negative");
-        assert!(kd >= 0.0 && kd.is_finite(), "kd must be finite and non-negative");
-        self.config.kp = kp;
-        self.config.ki = ki;
-        self.config.kd = kd;
-    }
-
-    /// Current integral accumulator (for inspection/telemetry).
-    #[must_use]
-    pub fn integral(&self) -> f64 {
-        self.integral
+        self.kp = kp;
+        self.ki = ki;
     }
 
     /// Term breakdown of the most recent [`step`](Self::step) (all zero
-    /// before the first step and after a [`reset`](Self::reset)).
+    /// before the first step).
     #[must_use]
     pub fn last_terms(&self) -> PidTerms {
         self.last_terms
@@ -271,8 +154,8 @@ impl PidController {
     /// Advances the controller by one step.
     ///
     /// `error` is the control error (positive → raise output); `dt_secs`
-    /// is the elapsed control interval in seconds. Returns the clamped,
-    /// slew-limited actuation.
+    /// is the elapsed control interval in seconds. Returns the clamped
+    /// actuation.
     ///
     /// # Panics
     ///
@@ -280,72 +163,48 @@ impl PidController {
     pub fn step(&mut self, error: f64, dt_secs: f64) -> f64 {
         assert!(dt_secs > 0.0 && dt_secs.is_finite(), "dt must be positive");
         assert!(error.is_finite(), "error must be finite");
-        let cfg = self.config;
 
-        // Derivative on (optionally low-pass-filtered) error.
+        // Derivative on low-pass-filtered error.
         let raw_derivative = match self.prev_error {
             Some(prev) => (error - prev) / dt_secs,
             None => 0.0,
         };
-        self.filtered_derivative = if cfg.derivative_tau > 0.0 {
-            let alpha = dt_secs / (cfg.derivative_tau + dt_secs);
-            self.filtered_derivative + alpha * (raw_derivative - self.filtered_derivative)
-        } else {
-            raw_derivative
-        };
+        let alpha = dt_secs / (DERIVATIVE_TAU + dt_secs);
+        self.filtered_derivative += alpha * (raw_derivative - self.filtered_derivative);
         self.prev_error = Some(error);
 
         // Tentative integral update with leak and clamping.
-        let candidate_integral =
-            (self.integral * cfg.integral_leak + error * dt_secs).clamp(cfg.int_min, cfg.int_max);
+        let candidate_integral = (self.integral * INTEGRAL_LEAK + error * dt_secs)
+            .clamp(-INTEGRAL_LIMIT, INTEGRAL_LIMIT);
 
         let unclamped =
-            cfg.kp * error + cfg.ki * candidate_integral + cfg.kd * self.filtered_derivative;
-        let clamped = unclamped.clamp(cfg.out_min, cfg.out_max);
+            self.kp * error + self.ki * candidate_integral + KD * self.filtered_derivative;
+        let output = unclamped.clamp(OUT_MIN, OUT_MAX);
 
         // Conditional integration: only accept the integral update when the
         // output is not saturated, or when the error drives the output back
         // inside the limits.
-        let saturated_high = unclamped > cfg.out_max && error > 0.0;
-        let saturated_low = unclamped < cfg.out_min && error < 0.0;
+        let saturated_high = unclamped > OUT_MAX && error > 0.0;
+        let saturated_low = unclamped < OUT_MIN && error < 0.0;
         if !(saturated_high || saturated_low) {
             self.integral = candidate_integral;
         }
 
-        // Slew limiting against the previous emitted output.
-        let output = match self.prev_output {
-            Some(prev) if cfg.slew_limit.is_finite() => {
-                let max_delta = cfg.slew_limit * dt_secs;
-                clamped.clamp(prev - max_delta, prev + max_delta)
-            }
-            _ => clamped,
-        };
-        self.prev_output = Some(output);
         self.last_terms = PidTerms {
-            p: cfg.kp * error,
-            i: cfg.ki * candidate_integral,
-            d: cfg.kd * self.filtered_derivative,
+            p: self.kp * error,
+            i: self.ki * candidate_integral,
+            d: KD * self.filtered_derivative,
             output,
         };
         output
-    }
-
-    /// Clears integral, derivative and slew state, keeping the gains.
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.prev_error = None;
-        self.filtered_derivative = 0.0;
-        self.prev_output = None;
-        self.last_terms = PidTerms::default();
     }
 
     /// Seeds the controller for **bumpless transfer**: given the error the
     /// next [`step`](Self::step) call will see, back-computes the integral
     /// accumulator so that the step's unclamped output is exactly zero
     /// (hold the current actuation) whenever the required integral fits
-    /// inside the integral clamp. The derivative path is zeroed and the
-    /// slew reference cleared, so the step after restart neither kicks from
-    /// a phantom error jump nor inherits a stale slew anchor.
+    /// inside the integral clamp. The derivative path is zeroed, so the
+    /// step after restart does not kick from a phantom error jump.
     ///
     /// With the integral clamp active (|kp·e/ki| beyond the clamp) the
     /// first output is instead bounded by the output limits — callers keep
@@ -358,58 +217,46 @@ impl PidController {
     pub fn seed_bumpless(&mut self, error: f64, dt_secs: f64) {
         assert!(dt_secs > 0.0 && dt_secs.is_finite(), "dt must be positive");
         assert!(error.is_finite(), "error must be finite");
-        let cfg = self.config;
         // Matching derivative state: treating `error` as also the previous
         // error makes the next raw derivative zero, and the filtered
         // derivative starts discharged.
         self.prev_error = Some(error);
         self.filtered_derivative = 0.0;
-        self.prev_output = None;
         // The next step computes
-        //   candidate = clamp(I·leak + e·dt, int_min, int_max)
+        //   candidate = clamp(I·leak + e·dt, -limit, limit)
         //   unclamped = kp·e + ki·candidate + kd·0
         // Solve ki·candidate = -kp·e for the candidate, then invert the
         // (un-clamped) leak update to the stored integral.
-        let desired_candidate = if cfg.ki > 0.0 {
-            (-(cfg.kp / cfg.ki) * error).clamp(cfg.int_min, cfg.int_max)
+        let desired_candidate = if self.ki > 0.0 {
+            (-(self.kp / self.ki) * error).clamp(-INTEGRAL_LIMIT, INTEGRAL_LIMIT)
         } else {
             0.0
         };
-        self.integral = if cfg.integral_leak > 0.0 {
-            (desired_candidate - error * dt_secs) / cfg.integral_leak
-        } else {
-            0.0
-        };
+        self.integral = (desired_candidate - error * dt_secs) / INTEGRAL_LEAK;
     }
 
-    /// Writes the tuned gains and the dynamic state, but not the limits,
-    /// filter constant, slew bound or leak, which the owner rebuilds.
+    /// Writes the tuned gains and the dynamic state.
     pub fn checkpoint(&self, enc: &mut Encoder) {
-        self.config.kp.encode(enc);
-        self.config.ki.encode(enc);
-        self.config.kd.encode(enc);
+        self.kp.encode(enc);
+        self.ki.encode(enc);
         self.integral.encode(enc);
         self.prev_error.encode(enc);
         self.filtered_derivative.encode(enc);
-        self.prev_output.encode(enc);
         self.last_terms.encode(enc);
     }
 
     /// Overwrites the gains and the dynamic state with those written by
-    /// [`checkpoint`](Self::checkpoint); the rest of the configuration is
-    /// kept.
+    /// [`checkpoint`](Self::checkpoint).
     ///
     /// # Errors
     ///
     /// Returns the decoder's error when the bytes are truncated or malformed.
     pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.config.kp = f64::decode(dec)?;
-        self.config.ki = f64::decode(dec)?;
-        self.config.kd = f64::decode(dec)?;
+        self.kp = f64::decode(dec)?;
+        self.ki = f64::decode(dec)?;
         self.integral = f64::decode(dec)?;
         self.prev_error = Option::<f64>::decode(dec)?;
         self.filtered_derivative = f64::decode(dec)?;
-        self.prev_output = Option::<f64>::decode(dec)?;
         self.last_terms = PidTerms::decode(dec)?;
         Ok(())
     }
@@ -419,220 +266,185 @@ impl PidController {
 mod tests {
     use super::*;
 
+    /// A controller at the given gains with no history.
+    fn pid(kp: f64, ki: f64) -> PidController {
+        let mut pid = PidController::new();
+        pid.set_gains(kp, ki);
+        pid
+    }
+
     #[test]
     fn pure_proportional() {
-        let mut pid = PidController::new(PidConfig::new(2.0, 0.0, 0.0));
-        assert_eq!(pid.step(1.0, 1.0), 2.0);
-        assert_eq!(pid.step(-0.5, 1.0), -1.0);
+        let mut p = pid(2.0, 0.0);
+        assert_eq!(p.step(0.4, 1.0), 0.8);
+        // A constant error has no derivative: still kp·e.
+        assert_eq!(p.step(0.4, 1.0), 0.8);
+        assert_eq!(pid(2.0, 0.0).step(-0.2, 1.0), -0.4);
     }
 
     #[test]
     fn integral_accumulates() {
-        let mut pid = PidController::new(PidConfig::new(0.0, 1.0, 0.0));
-        assert_eq!(pid.step(1.0, 1.0), 1.0);
-        assert_eq!(pid.step(1.0, 1.0), 2.0);
-        assert_eq!(pid.step(1.0, 0.5), 2.5);
-        assert_eq!(pid.integral(), 2.5);
+        let mut p = pid(0.0, 1.0);
+        assert_eq!(p.step(0.1, 1.0), 0.1);
+        // The second step leaks the first: 0.1·0.8 + 0.1.
+        assert_eq!(p.step(0.1, 1.0), 0.1 * INTEGRAL_LEAK + 0.1);
+        assert_eq!(p.integral, 0.1 * INTEGRAL_LEAK + 0.1);
     }
 
     #[test]
     fn derivative_responds_to_change() {
-        let mut pid = PidController::new(PidConfig::new(0.0, 0.0, 1.0));
-        assert_eq!(pid.step(0.0, 1.0), 0.0); // no previous error
-        assert_eq!(pid.step(2.0, 1.0), 2.0); // de/dt = 2
-        assert_eq!(pid.step(2.0, 1.0), 0.0); // error constant
+        let mut p = pid(0.0, 0.0);
+        assert_eq!(p.step(0.0, 1.0), 0.0); // no previous error
+        let kick = p.step(2.0, 1.0); // de/dt = 2, filtered by τ = 2 s
+        assert_eq!(kick, KD * 2.0 / 3.0);
+        let settling = p.step(2.0, 1.0); // error constant: the filter discharges
+        assert!(settling > 0.0 && settling < kick, "{settling} after {kick}");
     }
 
     #[test]
     fn derivative_filter_smooths_noise() {
-        let mut unfiltered = PidController::new(PidConfig::new(0.0, 0.0, 1.0));
-        let mut filtered =
-            PidController::new(PidConfig::new(0.0, 0.0, 1.0).with_derivative_tau(5.0));
-        let mut max_u: f64 = 0.0;
-        let mut max_f: f64 = 0.0;
+        // An unfiltered derivative of a ±1 square wave contributes
+        // kd·2 every step; the filter must hold it under half of that.
+        let mut p = pid(0.0, 0.0);
+        let mut max_d: f64 = 0.0;
         for i in 0..50 {
             let noise = if i % 2 == 0 { 1.0 } else { -1.0 };
-            max_u = max_u.max(unfiltered.step(noise, 1.0).abs());
-            max_f = max_f.max(filtered.step(noise, 1.0).abs());
+            max_d = max_d.max(p.step(noise, 1.0).abs());
         }
-        assert!(max_f < max_u / 2.0, "filtered {max_f} unfiltered {max_u}");
+        assert!(max_d < KD * 2.0 / 2.0, "filtered {max_d}");
     }
 
     #[test]
     fn output_limits_respected() {
-        let mut pid =
-            PidController::new(PidConfig::new(10.0, 0.0, 0.0).with_output_limits(-1.0, 1.0));
-        assert_eq!(pid.step(5.0, 1.0), 1.0);
-        assert_eq!(pid.step(-5.0, 1.0), -1.0);
+        let mut p = pid(10.0, 0.0);
+        assert_eq!(p.step(5.0, 1.0), OUT_MAX);
+        assert_eq!(p.step(-5.0, 1.0), OUT_MIN);
     }
 
     #[test]
     fn anti_windup_stops_integration_when_saturated() {
-        let cfg = PidConfig::new(0.0, 1.0, 0.0)
-            .with_output_limits(0.0, 1.0)
-            .with_integral_limits(-100.0, 100.0);
-        let mut pid = PidController::new(cfg);
-        // Saturate hard for many steps.
+        let mut p = pid(0.0, 1.0);
+        // Saturate hard for many steps: the integral is never accepted.
         for _ in 0..100 {
-            assert_eq!(pid.step(10.0, 1.0), 1.0);
+            assert_eq!(p.step(10.0, 1.0), OUT_MAX);
         }
-        // Integral must not have wound far past the saturation point.
-        assert!(pid.integral() <= 10.0 + 1e-9, "integral wound up: {}", pid.integral());
-        // Recovery: a negative error should pull output off the rail fast.
-        let out = pid.step(-10.0, 1.0);
-        assert!(out < 1.0);
+        assert_eq!(p.integral, 0.0, "integral wound up");
+        // Recovery: a negative error pulls output off the rail at once.
+        let out = p.step(-10.0, 1.0);
+        assert!(out < OUT_MAX);
     }
 
     #[test]
     fn integral_clamp_bounds_accumulator() {
-        let cfg = PidConfig::new(0.0, 1.0, 0.0).with_integral_limits(-2.0, 2.0);
-        let mut pid = PidController::new(cfg);
+        // A leaky integral of a unit error would settle at 5; the clamp
+        // holds it at 2.
+        let mut p = pid(0.0, 0.1);
         for _ in 0..100 {
-            pid.step(1.0, 1.0);
+            p.step(1.0, 1.0);
         }
-        assert!(pid.integral() <= 2.0);
+        assert_eq!(p.integral, INTEGRAL_LIMIT);
     }
 
     #[test]
     fn integral_leak_decays_to_zero_at_zero_error() {
-        let cfg = PidConfig::new(0.0, 1.0, 0.0).with_integral_leak(0.5);
-        let mut pid = PidController::new(cfg);
-        pid.step(2.0, 1.0); // integral = 2
-        for _ in 0..20 {
-            pid.step(0.0, 1.0);
+        let mut p = pid(0.0, 0.1);
+        p.step(2.0, 1.0); // integral = 2
+        for _ in 0..60 {
+            p.step(0.0, 1.0);
         }
-        assert!(pid.integral().abs() < 1e-5, "integral {}", pid.integral());
+        assert!(p.integral.abs() < 1e-5, "integral {}", p.integral);
         // And the output follows the integral to zero.
-        assert!(pid.step(0.0, 1.0).abs() < 1e-5);
+        assert!(p.step(0.0, 1.0).abs() < 1e-5);
     }
 
     #[test]
-    fn leak_of_one_is_classical_integrator() {
-        let cfg = PidConfig::new(0.0, 1.0, 0.0).with_integral_leak(1.0);
-        let mut pid = PidController::new(cfg);
-        pid.step(1.0, 1.0);
-        pid.step(0.0, 1.0);
-        assert_eq!(pid.integral(), 1.0);
-    }
-
-    #[test]
-    fn slew_limit_bounds_output_rate() {
-        let cfg = PidConfig::new(10.0, 0.0, 0.0).with_slew_limit(0.5);
-        let mut pid = PidController::new(cfg);
-        let first = pid.step(0.0, 1.0);
-        assert_eq!(first, 0.0);
-        let second = pid.step(10.0, 1.0);
-        assert!((second - 0.5).abs() < 1e-12, "slew-limited step {second}");
-        let third = pid.step(10.0, 1.0);
-        assert!((third - 1.0).abs() < 1e-12);
+    fn integral_leaks_by_a_fixed_factor_per_step() {
+        let mut p = pid(0.0, 1.0);
+        p.step(1.0, 1.0);
+        p.step(0.0, 1.0);
+        assert_eq!(p.integral, INTEGRAL_LEAK);
     }
 
     #[test]
     fn closed_loop_converges_on_first_order_plant() {
-        // Plant: y' = (u - y) / tau. Controller drives y to setpoint 1.
-        let mut pid =
-            PidController::new(PidConfig::new(2.0, 1.0, 0.0).with_output_limits(0.0, 10.0));
-        let mut y = 0.0;
+        // Plant: y' = u · y, the multiplicative actuator the controller
+        // drives (the allocation grows by its relative output). The
+        // controller drives y from 0.5 to the setpoint 1.
+        let mut p = PidController::new();
+        let mut y: f64 = 0.5;
         let dt = 0.1;
-        let tau = 1.0;
-        for _ in 0..400 {
-            let u = pid.step(1.0 - y, dt);
-            y += (u - y) / tau * dt;
+        for _ in 0..2_000 {
+            let u = p.step(1.0 - y, dt);
+            y += u * y * dt;
         }
         assert!((y - 1.0).abs() < 0.02, "converged to {y}");
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut pid = PidController::new(PidConfig::new(1.0, 1.0, 1.0));
-        pid.step(5.0, 1.0);
-        pid.reset();
-        assert_eq!(pid.integral(), 0.0);
-        assert_eq!(pid.step(0.0, 1.0), 0.0);
-    }
-
-    #[test]
     fn set_gains_preserves_state() {
-        let mut pid = PidController::new(PidConfig::new(0.0, 1.0, 0.0));
-        pid.step(1.0, 1.0);
-        pid.set_gains(1.0, 1.0, 0.0);
+        let mut p = pid(0.0, 1.0);
+        p.step(1.0, 1.0);
+        p.set_gains(1.0, 1.0);
         // integral survives the retune
-        assert_eq!(pid.integral(), 1.0);
-        assert_eq!(pid.config().kp(), 1.0);
+        assert_eq!(p.integral, 1.0);
+        assert_eq!(p.gains(), (1.0, 1.0));
     }
 
     #[test]
     fn bumpless_seed_first_output_is_zero() {
-        let cfg = crate::multi::base_gains();
         for e in [-0.3, -0.1, 0.0, 0.05, 0.2, 0.37] {
-            let mut pid = PidController::new(cfg);
-            pid.seed_bumpless(e, 5.0);
-            let out = pid.step(e, 5.0);
+            let mut p = PidController::new();
+            p.seed_bumpless(e, 5.0);
+            let out = p.step(e, 5.0);
             assert!(out.abs() < 1e-12, "seeded output {out} for error {e}");
         }
     }
 
     #[test]
     fn bumpless_seed_large_error_stays_within_output_limits() {
-        let cfg = PidConfig::new(0.8, 0.15, 0.05)
-            .with_output_limits(-0.5, 1.0)
-            .with_integral_limits(-2.0, 2.0)
-            .with_integral_leak(0.8);
-        let mut pid = PidController::new(cfg);
-        pid.seed_bumpless(5.0, 5.0);
-        let out = pid.step(5.0, 5.0);
-        assert!((-0.5..=1.0).contains(&out));
+        let mut p = PidController::new();
+        p.seed_bumpless(5.0, 5.0);
+        let out = p.step(5.0, 5.0);
+        assert!((OUT_MIN..=OUT_MAX).contains(&out));
     }
 
     #[test]
     fn bumpless_seed_without_integral_gain() {
-        let mut pid = PidController::new(PidConfig::new(2.0, 0.0, 0.0));
-        pid.seed_bumpless(1.0, 1.0);
+        let mut p = pid(2.0, 0.0);
+        p.seed_bumpless(0.25, 1.0);
         // Pure P cannot hold: output is kp·e, but derivative kick is absent.
-        assert_eq!(pid.step(1.0, 1.0), 2.0);
-        assert_eq!(pid.integral(), 0.0);
+        assert_eq!(p.step(0.25, 1.0), 0.5);
+        assert_eq!(p.integral, 0.0);
     }
 
     #[test]
     fn pid_codec_roundtrip_preserves_behavior() {
-        let cfg = PidConfig::new(1.2, 0.3, 0.05)
-            .with_output_limits(-1.0, 2.0)
-            .with_derivative_tau(3.0)
-            .with_slew_limit(0.7)
-            .with_integral_leak(0.9);
-        let mut pid = PidController::new(cfg);
+        let mut p = pid(1.2, 0.3);
         for i in 0..13 {
-            pid.step(0.1 * f64::from(i) - 0.4, 0.5);
+            p.step(0.1 * f64::from(i) - 0.4, 0.5);
         }
         let mut enc = Encoder::new();
-        pid.checkpoint(&mut enc);
+        p.checkpoint(&mut enc);
         let bytes = enc.into_bytes();
-        let mut back = PidController::new(cfg);
+        let mut back = PidController::new();
         back.restore(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(pid, back);
+        assert_eq!(p, back);
         // Identical future trajectory.
         for i in 0..7 {
             let e = 0.2 - 0.05 * f64::from(i);
-            assert_eq!(pid.step(e, 0.5).to_bits(), back.step(e, 0.5).to_bits());
+            assert_eq!(p.step(e, 0.5).to_bits(), back.step(e, 0.5).to_bits());
         }
     }
 
     #[test]
     #[should_panic(expected = "kp must be finite")]
     fn rejects_negative_gains() {
-        let _ = PidConfig::new(-1.0, 0.0, 0.0);
+        PidController::new().set_gains(-1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "dt must be positive")]
     fn rejects_zero_dt() {
-        let mut pid = PidController::new(PidConfig::new(1.0, 0.0, 0.0));
-        pid.step(1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "output limits inverted")]
-    fn rejects_inverted_limits() {
-        let _ = PidConfig::new(1.0, 0.0, 0.0).with_output_limits(1.0, -1.0);
+        PidController::new().step(1.0, 0.0);
     }
 }

@@ -46,16 +46,17 @@ enum Adjustment {
 /// # Examples
 ///
 /// ```
-/// use evolve_control::{AdaptiveTuner, PidConfig, PidController};
+/// use evolve_control::{AdaptiveTuner, PidController};
 ///
-/// let mut pid = PidController::new(PidConfig::new(10.0, 1.0, 0.0));
+/// let mut pid = PidController::new();
+/// pid.set_gains(10.0, 1.0);
 /// let mut tuner = AdaptiveTuner::default();
 /// // Feed an oscillating error; the tuner shrinks the gains.
 /// for i in 0..40 {
 ///     let e = if i % 2 == 0 { 1.0 } else { -1.0 };
 ///     tuner.observe_and_adapt(e, &mut pid);
 /// }
-/// assert!(pid.config().kp() < 10.0);
+/// assert!(pid.gains().0 < 10.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveTuner {
@@ -96,15 +97,15 @@ impl AdaptiveTuner {
         }
 
         let adjustment = self.classify();
-        let (kp, ki, kd) = (pid.config().kp(), pid.config().ki(), pid.config().kd());
+        let (kp, ki) = pid.gains();
         let clamp = |g: f64| g.clamp(MIN_GAIN, MAX_GAIN);
         let changed = match adjustment {
             Adjustment::Shrunk => {
-                pid.set_gains(clamp(kp * SHRINK), clamp(ki * SHRINK), kd);
+                pid.set_gains(clamp(kp * SHRINK), clamp(ki * SHRINK));
                 true
             }
             Adjustment::Grew => {
-                pid.set_gains(clamp(kp * GROW), clamp(ki * GROW), kd);
+                pid.set_gains(clamp(kp * GROW), clamp(ki * GROW));
                 true
             }
             Adjustment::None => false,
@@ -166,10 +167,11 @@ impl Codec for AdaptiveTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pid::PidConfig;
 
     fn pid(kp: f64, ki: f64) -> PidController {
-        PidController::new(PidConfig::new(kp, ki, 0.0))
+        let mut pid = PidController::new();
+        pid.set_gains(kp, ki);
+        pid
     }
 
     #[test]
@@ -180,8 +182,8 @@ mod tests {
             let e = if i % 2 == 0 { 0.5 } else { -0.5 };
             t.observe_and_adapt(e, &mut p);
         }
-        assert!(p.config().kp() < 8.0);
-        assert!(p.config().ki() < 2.0);
+        assert!(p.gains().0 < 8.0);
+        assert!(p.gains().1 < 2.0);
         assert!(t.adaptations() >= 1);
     }
 
@@ -192,8 +194,8 @@ mod tests {
         for _ in 0..60 {
             t.observe_and_adapt(0.5, &mut p);
         }
-        assert!(p.config().kp() > 1.0);
-        assert!(p.config().ki() > 0.1);
+        assert!(p.gains().0 > 1.0);
+        assert!(p.gains().1 > 0.1);
     }
 
     #[test]
@@ -205,7 +207,7 @@ mod tests {
             let e = if i % 2 == 0 { 0.01 } else { -0.01 };
             t.observe_and_adapt(e, &mut p);
         }
-        assert_eq!(p.config().kp(), 3.0);
+        assert_eq!(p.gains().0, 3.0);
         assert_eq!(t.adaptations(), 0);
     }
 
@@ -216,15 +218,15 @@ mod tests {
         for _ in 0..200 {
             t.observe_and_adapt(1.0, &mut p); // sluggish forever
         }
-        assert_eq!(p.config().kp(), MAX_GAIN);
-        assert_eq!(p.config().ki(), MAX_GAIN);
+        assert_eq!(p.gains().0, MAX_GAIN);
+        assert_eq!(p.gains().1, MAX_GAIN);
         let mut p2 = pid(MIN_GAIN * 1.2, MIN_GAIN * 1.2);
         let mut t2 = AdaptiveTuner::default();
         for i in 0..200 {
             t2.observe_and_adapt(if i % 2 == 0 { 1.0 } else { -1.0 }, &mut p2);
         }
-        assert_eq!(p2.config().kp(), MIN_GAIN);
-        assert_eq!(p2.config().ki(), MIN_GAIN);
+        assert_eq!(p2.gains().0, MIN_GAIN);
+        assert_eq!(p2.gains().1, MIN_GAIN);
     }
 
     #[test]

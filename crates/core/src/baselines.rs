@@ -19,12 +19,24 @@ use crate::policy::{ObservedAppState, PolicyDecision, PolicyInput};
 
 /// The HPA's target CPU utilization (usage/request), the canonical 60%.
 const HPA_TARGET_UTILIZATION: f64 = 0.6;
+/// The HPA's replica floor.
+const HPA_MIN_REPLICAS: u32 = 1;
 /// The HPA's replica ceiling.
 pub(crate) const HPA_MAX_REPLICAS: u32 = 64;
+/// Ticks between two HPA scale-downs: ≈ the 5-minute HPA stabilization
+/// window.
+const HPA_COOLDOWN_TICKS: u32 = 6;
+/// The per-replica request an HPA holds before it latches the user's own
+/// from the first window with a replica running.
+const HPA_SEED_REQUEST: ResourceVec = ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0);
+/// The replica count an HPA holds before it latches the deployment's own.
+const HPA_INITIAL_REPLICAS: u32 = 2;
 /// The VPA's safety margin above observed usage (30% headroom).
 const VPA_MARGIN: f64 = 0.3;
 /// The replicas the VPA holds every service to.
 pub(crate) const VPA_REPLICAS: u32 = 2;
+/// Smoothing factor of the VPA's peak-usage trackers.
+const VPA_PEAK_ALPHA: f64 = 0.3;
 
 /// The Kubernetes Horizontal Pod Autoscaler on CPU utilization.
 #[derive(Debug, Clone)]
@@ -33,31 +45,20 @@ pub(crate) struct HpaPolicy {
     /// window so HPA keeps whatever the user originally requested.
     per_replica: ResourceVec,
     latched: bool,
-    min_replicas: u32,
-    max_replicas: u32,
     replicas: u32,
     /// Ticks remaining before another scale-down is allowed
     /// (HPA's stabilization window).
     down_cooldown: u32,
-    cooldown_ticks: u32,
 }
 
 impl HpaPolicy {
     /// Creates an HPA with the canonical 60%-CPU target.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_replicas` is zero.
-    pub(crate) fn new(per_replica: ResourceVec, initial_replicas: u32, max_replicas: u32) -> Self {
-        assert!(max_replicas >= 1, "max replicas must be at least 1");
+    pub(crate) fn new() -> Self {
         HpaPolicy {
-            per_replica,
+            per_replica: HPA_SEED_REQUEST,
             latched: false,
-            min_replicas: 1,
-            max_replicas,
-            replicas: initial_replicas.clamp(1, max_replicas),
+            replicas: HPA_INITIAL_REPLICAS,
             down_cooldown: 0,
-            cooldown_ticks: 6, // ≈ the 5-minute HPA stabilization window
         }
     }
 
@@ -75,7 +76,8 @@ impl HpaPolicy {
             if !w.alloc_per_replica.is_zero() {
                 self.per_replica = w.alloc_per_replica;
             }
-            self.replicas = (w.running_replicas + w.pending_replicas).clamp(1, self.max_replicas);
+            self.replicas =
+                (w.running_replicas + w.pending_replicas).clamp(HPA_MIN_REPLICAS, HPA_MAX_REPLICAS);
             self.latched = true;
         }
         let cpu_request = self.per_replica[Resource::Cpu].max(1e-9);
@@ -85,21 +87,20 @@ impl HpaPolicy {
         let ratio = utilization / HPA_TARGET_UTILIZATION;
         if (ratio - 1.0).abs() > 0.1 {
             let desired = (f64::from(w.running_replicas) * ratio).ceil() as u32;
-            let desired = desired.clamp(self.min_replicas, self.max_replicas);
+            let desired = desired.clamp(HPA_MIN_REPLICAS, HPA_MAX_REPLICAS);
             if desired > self.replicas {
                 self.replicas = desired;
             } else if desired < self.replicas && self.down_cooldown == 0 {
                 // Scale down one step at a time after the stabilization
                 // window.
                 self.replicas -= 1;
-                self.down_cooldown = self.cooldown_ticks;
+                self.down_cooldown = HPA_COOLDOWN_TICKS;
             }
         }
         PolicyDecision { per_replica: self.per_replica, replicas: self.replicas }
     }
 
-    /// Writes the state, but not the replica bounds or the stabilization
-    /// window, which the manager rebuilds.
+    /// Writes the state.
     pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         self.per_replica.encode(enc);
         self.latched.encode(enc);
@@ -124,12 +125,12 @@ impl HpaPolicy {
             self.per_replica = observed.alloc_per_replica;
         }
         if observed.replicas > 0 {
-            self.replicas = observed.replicas.clamp(self.min_replicas, self.max_replicas);
+            self.replicas = observed.replicas.clamp(HPA_MIN_REPLICAS, HPA_MAX_REPLICAS);
         }
         self.latched = true;
         // Fresh stabilization window so the restarted HPA does not
         // immediately scale in on one quiet post-restart measurement.
-        self.down_cooldown = self.cooldown_ticks;
+        self.down_cooldown = HPA_COOLDOWN_TICKS;
     }
 
     /// Forgets the cluster: the next decision actuates the constructor's
@@ -152,12 +153,9 @@ pub(crate) struct VpaPolicy {
 }
 
 impl VpaPolicy {
-    /// Creates a VPA-like policy holding `replicas` replicas.
-    pub(crate) fn new(replicas: u32) -> Self {
-        VpaPolicy {
-            peak: [Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3), Ewma::new(0.3)],
-            replicas: replicas.max(1),
-        }
+    /// Creates a VPA-like policy holding [`VPA_REPLICAS`] replicas.
+    pub(crate) fn new() -> Self {
+        VpaPolicy { peak: [Ewma::new(VPA_PEAK_ALPHA); 4], replicas: VPA_REPLICAS }
     }
 
     /// This tick's per-replica request at the held replica count.
@@ -167,7 +165,7 @@ impl VpaPolicy {
         for r in Resource::ALL {
             let peak = &mut self.peak[r.index()];
             // Track upward fast, decay slowly (peak-biased EWMA).
-            let current = peak.value_or(0.0).max(usage[r] * 0.0);
+            let current = peak.value_or(0.0);
             if usage[r] > current {
                 peak.observe(usage[r]);
                 peak.observe(usage[r]); // double-weight upward moves
@@ -180,10 +178,10 @@ impl VpaPolicy {
         PolicyDecision { per_replica: target, replicas: self.replicas }
     }
 
-    /// Writes the peak trackers and the replica count.
+    /// Writes the peak trackers' estimates and the replica count.
     pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         for peak in &self.peak {
-            peak.encode(enc);
+            peak.checkpoint(enc);
         }
         self.replicas.encode(enc);
     }
@@ -192,7 +190,7 @@ impl VpaPolicy {
     /// wrote.
     pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         for peak in &mut self.peak {
-            *peak = Ewma::decode(dec)?;
+            peak.restore(dec)?;
         }
         self.replicas = u32::decode(dec)?;
         Ok(())
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn hpa_scales_up_on_high_utilization() {
-        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 2, 10);
+        let mut p = HpaPolicy::new();
         let st = status();
         // 90% utilization vs 60% target → desired = ceil(2×1.5) = 3.
         let w = window(2, 900.0);
@@ -295,7 +293,7 @@ mod tests {
 
     #[test]
     fn hpa_scale_down_is_slow() {
-        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 6, 10);
+        let mut p = HpaPolicy::new();
         let st = status();
         let w = window(6, 60.0); // 6% utilization → wants 1 replica
         let mut replicas = Vec::new();
@@ -316,9 +314,9 @@ mod tests {
 
     #[test]
     fn hpa_respects_max() {
-        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 4);
+        let mut p = HpaPolicy::new();
         let st = status();
-        let w = window(3, 1_000.0); // 167% of target
+        let w = window(60, 1_000.0); // 167% of target → wants 100
         let d = p.decide(&PolicyInput {
             app: &st,
             window: &w,
@@ -326,12 +324,12 @@ mod tests {
             resize_failures: 0,
             signal: SignalQuality::Fresh,
         });
-        assert_eq!(d.replicas, 4);
+        assert_eq!(d.replicas, HPA_MAX_REPLICAS);
     }
 
     #[test]
     fn hpa_tolerance_band_holds_steady() {
-        let mut p = HpaPolicy::new(ResourceVec::splat(1_000.0), 3, 10);
+        let mut p = HpaPolicy::new();
         let st = status();
         let w = window(3, 620.0); // 62% ≈ within 10% of 60%
         let d = p.decide(&PolicyInput {
@@ -346,7 +344,7 @@ mod tests {
 
     #[test]
     fn vpa_follows_usage_with_margin() {
-        let mut p = VpaPolicy::new(2);
+        let mut p = VpaPolicy::new();
         let st = status();
         let mut last = ResourceVec::ZERO;
         for _ in 0..20 {
@@ -367,7 +365,7 @@ mod tests {
 
     #[test]
     fn vpa_clamps_to_bounds() {
-        let mut p = VpaPolicy::new(1);
+        let mut p = VpaPolicy::new();
         let st = status();
         let w = window(1, 10_000.0);
         let d = p.decide(&PolicyInput {

@@ -16,7 +16,7 @@
 //! or another kind's images are rejected with
 //! [`Error::CorruptCheckpoint`] instead of being misinterpreted.
 
-use evolve_control::CapacityArbiter;
+use evolve_control::ArbiterState;
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::AppWindow;
 use evolve_types::codec::{Codec, Decoder, Encoder};
@@ -44,8 +44,15 @@ const CHECKPOINT_MAGIC: u32 = 0x4556_434b;
 /// keeps no per-window history, and the PIDs and the degradation guard
 /// write no configuration; 7 — the PLO ledger writes its counts only
 /// (its target and bound come from the app's PLO, as at boot) and the
-/// EVOLVE policy no longer counts its scaling actions.
-const CHECKPOINT_VERSION: u8 = 7;
+/// EVOLVE policy no longer counts its scaling actions; 8 — state only,
+/// throughout: the PIDs no longer write kd or a slew anchor, the EVOLVE
+/// policy's filter and window no longer write their alpha or capacity,
+/// its predictor and sensitivity model no longer write their gains,
+/// horizon, margin, dimension or forgetting factor, the VPA's peak
+/// trackers no longer write their alpha, and the arbiter is its
+/// [`ArbiterState`] alone (its tunables come from the run's
+/// configuration).
+const CHECKPOINT_VERSION: u8 = 8;
 
 /// What the manager remembers about one application between ticks,
 /// beside its policy and its PLO ledger: the bookkeeping around scrapes
@@ -118,8 +125,8 @@ pub struct ControllerCheckpoint {
     pub(crate) apps: Vec<(AppId, Vec<u8>, AppMemory)>,
     /// The scheduler's requeue-backoff ledger.
     pub(crate) scheduler_backoff: RequeueBackoff,
-    /// The capacity arbiter (config and persistent state), when installed.
-    pub(crate) arbiter: Option<CapacityArbiter>,
+    /// The capacity arbiter's persistent state, when one is installed.
+    pub(crate) arbiter: Option<ArbiterState>,
     /// Distinct apps the arbiter has ever shed, sorted by id.
     pub(crate) shed_app_ids: Vec<AppId>,
 }
@@ -173,7 +180,7 @@ impl ControllerCheckpoint {
             pending_actuations: Vec::<(SimTime, AppId, PolicyDecision)>::decode(&mut dec)?,
             apps: Vec::<(AppId, Vec<u8>, AppMemory)>::decode(&mut dec)?,
             scheduler_backoff: RequeueBackoff::decode(&mut dec)?,
-            arbiter: Option::<CapacityArbiter>::decode(&mut dec)?,
+            arbiter: Option::<ArbiterState>::decode(&mut dec)?,
             shed_app_ids: Vec::<AppId>::decode(&mut dec)?,
         };
         if !dec.is_empty() {
@@ -238,7 +245,25 @@ mod tests {
 
     #[test]
     fn arbitrated_checkpoint_round_trips() {
-        use evolve_control::ArbiterConfig;
+        use evolve_control::{arbitrate, ArbiterConfig, ArbiterRequest};
+        use evolve_types::{PriorityClass, ResourceVec};
+        // A crunch that clips app 3 and sheds app 7.
+        let mut state = ArbiterState::default();
+        let requests = [
+            ArbiterRequest {
+                app: AppId::new(3),
+                class: PriorityClass::Critical,
+                requested: ResourceVec::splat(800.0),
+            },
+            ArbiterRequest {
+                app: AppId::new(7),
+                class: PriorityClass::Preemptible,
+                requested: ResourceVec::splat(400.0),
+            },
+        ];
+        let capacity = ResourceVec::splat(600.0);
+        arbitrate(&ArbiterConfig::default(), &mut state, &requests, capacity, ResourceVec::ZERO);
+        assert!(state.in_crunch());
         let ck = ControllerCheckpoint {
             kind: ManagerKind::Evolve,
             at: SimTime::from_secs(90),
@@ -253,15 +278,12 @@ mod tests {
             pending_actuations: Vec::new(),
             apps: Vec::new(),
             scheduler_backoff: RequeueBackoff::new(),
-            arbiter: Some(CapacityArbiter::new(ArbiterConfig {
-                headroom_fraction: 0.2,
-                ..ArbiterConfig::default()
-            })),
+            arbiter: Some(state),
             shed_app_ids: vec![AppId::new(3), AppId::new(7)],
         };
         let back = ControllerCheckpoint::from_bytes(&ck.to_bytes()).expect("round trip");
         assert_eq!(back, ck);
-        assert_eq!(back.arbiter.as_ref().unwrap().config().headroom_fraction, 0.2);
+        assert_eq!(back.arbiter.as_ref().unwrap().starvation_age(AppId::new(7)), 1);
     }
 
     #[test]
@@ -279,7 +301,7 @@ mod tests {
         }
         .to_bytes();
         // The version byte follows the four magic bytes.
-        for old in [4, 5, 6] {
+        for old in [4, 5, 6, 7] {
             bytes[4] = old;
             let err = ControllerCheckpoint::from_bytes(&bytes).unwrap_err();
             let version = format!("version {old}");

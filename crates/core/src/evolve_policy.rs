@@ -62,13 +62,13 @@ impl EvolvePolicy {
     /// Creates the policy for a service (`is_job = false`) or a batch/HPC
     /// job (`is_job = true`, horizontal scaling disabled); `config` sets
     /// the per-replica range and the controller's ablation switches.
-    pub(crate) fn new(config: MultiResourceConfig, initial_replicas: u32, is_job: bool) -> Self {
+    pub(crate) fn new(config: MultiResourceConfig, is_job: bool) -> Self {
         EvolvePolicy {
             controller: MultiResourceController::new(config),
-            predictor: LoadPredictor::new(0.5, 0.3, 2.0, 0.1),
+            predictor: LoadPredictor::new(),
             measured_filter: Ewma::new(0.5),
             rate_history: SlidingQuantile::new(24),
-            replicas: initial_replicas.max(1),
+            replicas: MIN_REPLICAS,
             latched: false,
             cooldown: 0,
             is_job,
@@ -240,13 +240,14 @@ impl EvolvePolicy {
         })
     }
 
-    /// Writes the state, but not the controller's configuration or
-    /// whether the app is a job, which the manager rebuilds.
+    /// Writes the state, but not the controller's configuration, the
+    /// filters' parameters or whether the app is a job, which the manager
+    /// rebuilds.
     pub(crate) fn checkpoint(&self, enc: &mut Encoder) {
         self.controller.checkpoint(enc);
         self.predictor.encode(enc);
-        self.measured_filter.encode(enc);
-        self.rate_history.encode(enc);
+        self.measured_filter.checkpoint(enc);
+        self.rate_history.checkpoint(enc);
         self.replicas.encode(enc);
         self.latched.encode(enc);
         self.cooldown.encode(enc);
@@ -259,8 +260,8 @@ impl EvolvePolicy {
     pub(crate) fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.controller.restore(dec)?;
         self.predictor = LoadPredictor::decode(dec)?;
-        self.measured_filter = Ewma::decode(dec)?;
-        self.rate_history = SlidingQuantile::decode(dec)?;
+        self.measured_filter.restore(dec)?;
+        self.rate_history.restore(dec)?;
         self.replicas = u32::decode(dec)?;
         self.latched = bool::decode(dec)?;
         self.cooldown = u32::decode(dec)?;
@@ -324,7 +325,7 @@ impl EvolvePolicy {
         // is set so the first window is actuated at the spec's initial
         // replica count, demonstrating why level-triggered reconstruction
         // matters.
-        let fresh = EvolvePolicy::new(*self.controller.config(), 1, self.is_job);
+        let fresh = EvolvePolicy::new(*self.controller.config(), self.is_job);
         *self = fresh;
         self.latched = true;
     }
@@ -382,7 +383,7 @@ mod tests {
 
     #[test]
     fn violation_grows_allocation() {
-        let mut p = EvolvePolicy::new(config(), 1, false);
+        let mut p = EvolvePolicy::new(config(), false);
         let st = status();
         let w = window(Some(200.0), 100, 1_000.0, 950.0);
         // First window is the warmup skip; the second must act.
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn slack_shrinks_allocation() {
-        let mut p = EvolvePolicy::new(config(), 1, false);
+        let mut p = EvolvePolicy::new(config(), false);
         let st = status();
         let mut alloc = 4_000.0;
         for _ in 0..10 {
@@ -431,7 +432,7 @@ mod tests {
 
     #[test]
     fn saturation_triggers_horizontal_scaling() {
-        let mut p = EvolvePolicy::new(low_ceiling(), 1, false);
+        let mut p = EvolvePolicy::new(low_ceiling(), false);
         let st = status();
         let mut replicas = 1;
         for _ in 0..10 {
@@ -452,7 +453,8 @@ mod tests {
 
     #[test]
     fn jobs_never_scale_horizontally() {
-        let mut p = EvolvePolicy::new(low_ceiling(), 4, true);
+        let mut p = EvolvePolicy::new(low_ceiling(), true);
+        p.replicas = 4;
         let st = AppStatus {
             plo: PloSpec::Deadline { deadline: SimDuration::from_secs(100) },
             world: WorldClass::BigData,
@@ -479,7 +481,8 @@ mod tests {
 
     #[test]
     fn idle_service_scales_in() {
-        let mut p = EvolvePolicy::new(config(), 5, false);
+        let mut p = EvolvePolicy::new(config(), false);
+        p.replicas = 5;
         let st = status();
         let mut replicas = 5;
         for _ in 0..30 {
@@ -500,7 +503,8 @@ mod tests {
 
     #[test]
     fn degraded_signal_holds_last_safe_output() {
-        let mut p = EvolvePolicy::new(config(), 3, false);
+        let mut p = EvolvePolicy::new(config(), false);
+        p.replicas = 3;
         let st = status();
         let mut w = window(Some(50.0), 200, 1_000.0, 600.0);
         w.running_replicas = 3;
@@ -553,7 +557,8 @@ mod tests {
         // not trigger the idle scale-in path — contrast with
         // `idle_service_scales_in`, where the empty window is a *fresh*
         // measurement.
-        let mut p = EvolvePolicy::new(config(), 5, false);
+        let mut p = EvolvePolicy::new(config(), false);
+        p.replicas = 5;
         let st = status();
         // p99 of 70 ms sits on the 65 ms setpoint (100 ms PLO, 35%
         // margin): no scale action while fresh, so the blackout starts

@@ -262,17 +262,19 @@ impl ResourceManager {
             pending_actuations: self.pending_actuations.clone(),
             apps,
             scheduler_backoff: backoff.clone(),
-            arbiter: self.arbiter.clone(),
+            arbiter: self.arbiter.as_ref().map(|a| a.state().clone()),
             shed_app_ids: self.shed_app_ids.iter().copied().collect(),
         }
     }
 
-    /// Rebuilds a manager from a checkpoint: constructs fresh policies
-    /// (static config comes from `kind` and the workload, exactly as at
-    /// boot) and then overwrites every piece of mutable state with the
-    /// captured values. A checkpoint taken at the end of tick *t* restores
-    /// a manager bit-identical to the live one entering tick *t + 1*.
-    /// Returns the manager together with the captured scheduler backoff.
+    /// Overwrites this manager's state with a checkpoint's. Call it on a
+    /// manager fresh from [`new`](Self::new) (and
+    /// [`set_arbiter`](Self::set_arbiter), when the run has an arbiter):
+    /// the configuration — each policy's, the PLO objectives, the
+    /// arbiter's tunables — stays what was built at boot, and every piece
+    /// of mutable state becomes the captured one. A checkpoint taken at
+    /// the end of tick *t* restores a manager bit-identical to the live one
+    /// entering tick *t + 1*. Returns the captured scheduler backoff.
     ///
     /// Checkpointed apps the simulation no longer knows are skipped and
     /// counted in [`ControlCounters::desynced_apps`]; apps the simulation
@@ -281,35 +283,42 @@ impl ResourceManager {
     /// # Errors
     ///
     /// Returns [`Error::CorruptCheckpoint`] when another kind of manager
-    /// wrote the image, or an app's policy state fails to decode
-    /// (truncation, trailing bytes).
-    pub fn restore(
-        kind: ManagerKind,
-        sim: &Simulation,
-        ck: &ControllerCheckpoint,
-    ) -> Result<(Self, RequeueBackoff)> {
-        if ck.kind != kind {
+    /// wrote the image, the image carries arbiter state and this manager
+    /// has no arbiter or the other way round (nothing is restored then),
+    /// or an app's state fails to decode (truncation, trailing bytes), in
+    /// which case the manager is left part-restored and must be dropped.
+    pub fn restore(&mut self, ck: &ControllerCheckpoint) -> Result<RequeueBackoff> {
+        if ck.kind != self.kind {
             return Err(Error::CorruptCheckpoint(format!(
                 "a {} image cannot restore a {} manager",
                 ck.kind.label(),
-                kind.label()
+                self.kind.label()
             )));
         }
-        let mut mgr = ResourceManager::new(kind, sim);
-        mgr.ticks = ck.ticks;
-        mgr.counters = ck.control;
-        mgr.pending_actuations = ck.pending_actuations.clone();
-        mgr.arbiter = ck.arbiter.clone();
-        mgr.shed_app_ids = ck.shed_app_ids.iter().copied().collect();
+        if ck.arbiter.is_some() != self.arbiter.is_some() {
+            let has = |yes: bool| if yes { "with" } else { "without" };
+            return Err(Error::CorruptCheckpoint(format!(
+                "an image {} arbiter state cannot restore a manager {} an arbiter",
+                has(ck.arbiter.is_some()),
+                has(self.arbiter.is_some())
+            )));
+        }
+        self.ticks = ck.ticks;
+        self.counters = ck.control;
+        self.pending_actuations = ck.pending_actuations.clone();
+        if let (Some(arbiter), Some(state)) = (self.arbiter.as_mut(), &ck.arbiter) {
+            arbiter.restore(state.clone());
+        }
+        self.shed_app_ids = ck.shed_app_ids.iter().copied().collect();
         for (id, state, memory) in &ck.apps {
-            let Some(m) = mgr.apps.get_mut(id) else {
-                mgr.counters.desynced_apps += 1;
+            let Some(m) = self.apps.get_mut(id) else {
+                self.counters.desynced_apps += 1;
                 continue;
             };
             m.restore(state)?;
             m.memory = memory.clone();
         }
-        Ok((mgr, ck.scheduler_backoff.clone()))
+        Ok(ck.scheduler_backoff.clone())
     }
 
     /// What the live cluster currently says about each app: replicas that
@@ -331,35 +340,31 @@ impl ResourceManager {
             .collect()
     }
 
-    /// Cold recovery with no usable checkpoint: boots a fresh manager and
-    /// reconstructs each policy's working state **level-triggered** from
-    /// the cluster itself — the replicas that currently hold resources and
-    /// their granted requests become the hold-last-safe baseline, the
-    /// degradation guard slew-limits re-engagement away from it, and the
-    /// PID is seeded so its first output reproduces the current actuation
-    /// (bumpless transfer) instead of jumping to an unwarmed setpoint.
-    #[must_use]
-    pub fn cold_reconstruct(kind: ManagerKind, sim: &Simulation) -> Self {
-        let mut mgr = ResourceManager::new(kind, sim);
+    /// Cold recovery with no usable checkpoint, on a manager fresh from
+    /// [`new`](Self::new): reconstructs each policy's working state
+    /// **level-triggered** from the cluster itself — the replicas that
+    /// currently hold resources and their granted requests become the
+    /// hold-last-safe baseline, the degradation guard slew-limits
+    /// re-engagement away from it, and the PID is seeded so its first
+    /// output reproduces the current actuation (bumpless transfer) instead
+    /// of jumping to an unwarmed setpoint.
+    pub fn cold_reconstruct(&mut self, sim: &Simulation) {
         let observed = Self::observe_apps(sim);
-        for (id, m) in &mut mgr.apps {
+        for (id, m) in &mut self.apps {
             if let Some(obs) = observed.get(id) {
                 m.policy.reconstruct(obs);
             }
         }
-        mgr
     }
 
-    /// The strawman recovery: a fresh manager whose policies actuate
-    /// their spec defaults immediately, without observing the cluster —
-    /// the restart behaviour of a controller with no recovery logic.
-    #[must_use]
-    pub fn naive_reset(kind: ManagerKind, sim: &Simulation) -> Self {
-        let mut mgr = ResourceManager::new(kind, sim);
-        for m in mgr.apps.values_mut() {
+    /// The strawman recovery, on a manager fresh from [`new`](Self::new):
+    /// its policies actuate their spec defaults immediately, without
+    /// observing the cluster — the restart behaviour of a controller with
+    /// no recovery logic.
+    pub fn naive_reset(&mut self) {
+        for m in self.apps.values_mut() {
             m.policy.reset_to_spec();
         }
-        mgr
     }
 
     /// The manager's label for reports.
@@ -853,9 +858,9 @@ rate = 50.0
         let image = ResourceManager::new(ManagerKind::Evolve, &s)
             .checkpoint(SimTime::ZERO, &RequeueBackoff::new());
         let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
-        assert!(ResourceManager::restore(ManagerKind::Evolve, &s, &image).is_ok());
+        assert!(ResourceManager::new(ManagerKind::Evolve, &s).restore(&image).is_ok());
         for other in [ManagerKind::EvolveCpuOnly, ManagerKind::EvolveFixedGains] {
-            let err = ResourceManager::restore(other, &s, &image).map(|_| ()).unwrap_err();
+            let err = ResourceManager::new(other, &s).restore(&image).unwrap_err();
             assert!(matches!(err, Error::CorruptCheckpoint(_)), "{}: {err}", other.label());
         }
     }

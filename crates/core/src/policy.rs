@@ -9,7 +9,7 @@ use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{ResourceVec, Result};
 use evolve_workload::PloSpec;
 
-use crate::baselines::{HpaPolicy, VpaPolicy, HPA_MAX_REPLICAS, VPA_REPLICAS};
+use crate::baselines::{HpaPolicy, VpaPolicy};
 use crate::evolve_policy::{EvolvePolicy, MAX_ALLOC, MIN_ALLOC};
 use crate::ManagerKind;
 
@@ -120,25 +120,18 @@ impl Policy {
     pub(crate) fn new(kind: ManagerKind, is_job: bool) -> Self {
         let evolve = MultiResourceConfig::new(MIN_ALLOC, MAX_ALLOC);
         match kind {
-            ManagerKind::Evolve => Policy::Evolve(EvolvePolicy::new(evolve, 1, is_job)),
+            ManagerKind::Evolve => Policy::Evolve(EvolvePolicy::new(evolve, is_job)),
             ManagerKind::EvolveCpuOnly => {
-                Policy::Evolve(EvolvePolicy::new(evolve.cpu_only(), 1, is_job))
+                Policy::Evolve(EvolvePolicy::new(evolve.cpu_only(), is_job))
             }
             ManagerKind::EvolveFixedGains => {
-                Policy::Evolve(EvolvePolicy::new(evolve.fixed_gains(), 1, is_job))
+                Policy::Evolve(EvolvePolicy::new(evolve.fixed_gains(), is_job))
             }
             ManagerKind::KubeStatic => Policy::Static,
             // HPA and VPA do not manage jobs; they run statically.
             ManagerKind::Hpa | ManagerKind::Vpa if is_job => Policy::Static,
-            // HPA keeps the user-provided request (latched from the first
-            // window); the seed below only covers a window with no replica
-            // running yet.
-            ManagerKind::Hpa => Policy::Hpa(HpaPolicy::new(
-                ResourceVec::new(1_000.0, 1_024.0, 50.0, 50.0),
-                2,
-                HPA_MAX_REPLICAS,
-            )),
-            ManagerKind::Vpa => Policy::Vpa(VpaPolicy::new(VPA_REPLICAS)),
+            ManagerKind::Hpa => Policy::Hpa(HpaPolicy::new()),
+            ManagerKind::Vpa => Policy::Vpa(VpaPolicy::new()),
         }
     }
 

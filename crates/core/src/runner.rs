@@ -536,10 +536,7 @@ impl ExperimentRunner {
         let sim_config = SimulationConfig { sampling };
         let mut sim = Simulation::new(sim_config, cluster_config, &cfg.scenario.mix, cfg.seed);
         sim.presize(cfg.scenario.horizon, cfg.manager.replica_ceiling());
-        let mut manager = ResourceManager::new(cfg.manager, &sim);
-        if let Some(arb) = cfg.arbiter {
-            manager.set_arbiter(arb);
-        }
+        let mut manager = boot_manager(&cfg, &sim);
         let scheduler = SchedulerFramework::new(cfg.scheduler).with_index(cfg.indexed_scheduling);
         let mut sched = Scheduling::default();
         let mut registry = MetricRegistry::new();
@@ -720,7 +717,7 @@ impl ExperimentRunner {
             if let Some(orc) = oracle.as_mut() {
                 check_tick(orc, &sim, &manager, &trace, &newly_bound, tick_end);
                 if let Some(ck) = checkpoint.as_ref().filter(|_| capture_checkpoints) {
-                    check_checkpoint(orc, cfg.manager, &sim, ck);
+                    check_checkpoint(orc, &cfg, &sim, ck);
                 }
                 ledger.close(Stage::OracleCheck, ticks, 0, &sim);
             }
@@ -809,6 +806,16 @@ impl ExperimentRunner {
     }
 }
 
+/// The manager a run boots: its kind's policies and, when the run has
+/// one, its arbiter. Every recovery strategy starts from it.
+fn boot_manager(cfg: &RunConfig, sim: &Simulation) -> ResourceManager {
+    let mut manager = ResourceManager::new(cfg.manager, sim);
+    if let Some(arb) = cfg.arbiter {
+        manager.set_arbiter(arb);
+    }
+    manager
+}
+
 /// The manager and requeue ledger that replace the ones a controller
 /// crash destroyed, rebuilt per `cfg.recovery`.
 fn recover(
@@ -816,27 +823,25 @@ fn recover(
     sim: &Simulation,
     checkpoint: Option<&ControllerCheckpoint>,
 ) -> (ResourceManager, RequeueBackoff) {
-    // The image was captured at the end of the previous live tick
-    // (stalled seconds carry into this window), so the resumed run is
-    // bit-identical to one that never crashed.
-    if cfg.recovery == RecoveryStrategy::Restore {
-        if let Some(restored) =
-            checkpoint.and_then(|ck| ResourceManager::restore(cfg.manager, sim, ck).ok())
-        {
-            return restored;
+    let mut manager = boot_manager(cfg, sim);
+    match cfg.recovery {
+        RecoveryStrategy::Restore => {
+            // The image was captured at the end of the previous live tick
+            // (stalled seconds carry into this window), so the resumed run
+            // is bit-identical to one that never crashed.
+            if let Some(ck) = checkpoint {
+                match manager.restore(ck) {
+                    Ok(backoff) => return (manager, backoff),
+                    // A failed restore may leave the manager part-restored.
+                    Err(_) => manager = boot_manager(cfg, sim),
+                }
+            }
+            // Restore with no (or corrupt) checkpoint degrades to cold
+            // reconstruction rather than naive reset.
+            manager.cold_reconstruct(sim);
         }
-    }
-    // Restore with no (or corrupt) checkpoint degrades to cold
-    // reconstruction rather than naive reset.
-    let mut manager = match cfg.recovery {
-        RecoveryStrategy::NaiveReset => ResourceManager::naive_reset(cfg.manager, sim),
-        _ => ResourceManager::cold_reconstruct(cfg.manager, sim),
-    };
-    // A checkpoint carries the arbiter; a fresh manager must have it
-    // re-installed (empty state: grant fractions re-learn from the live
-    // cluster).
-    if let Some(arb) = cfg.arbiter {
-        manager.set_arbiter(arb);
+        RecoveryStrategy::ColdReconstruct => manager.cold_reconstruct(sim),
+        RecoveryStrategy::NaiveReset => manager.naive_reset(),
     }
     (manager, RequeueBackoff::new())
 }
@@ -885,12 +890,13 @@ fn check_tick(
 /// from the uninterrupted one.
 fn check_checkpoint(
     orc: &mut ChaosOracle,
-    kind: ManagerKind,
+    cfg: &RunConfig,
     sim: &Simulation,
     ck: &ControllerCheckpoint,
 ) {
-    let detail = match ResourceManager::restore(kind, sim, ck) {
-        Ok((restored, rb)) if restored.checkpoint(ck.at, &rb).to_bytes() == ck.to_bytes() => return,
+    let mut restored = boot_manager(cfg, sim);
+    let detail = match restored.restore(ck) {
+        Ok(rb) if restored.checkpoint(ck.at, &rb).to_bytes() == ck.to_bytes() => return,
         Ok(_) => "restored manager re-checkpoints to different bytes".into(),
         Err(err) => format!("captured checkpoint failed to restore: {err}"),
     };

@@ -9,7 +9,7 @@ use evolve_core::{
 };
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{ClusterConfig, FaultEvent, FaultKind, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{Error, SimDuration, SimTime};
+use evolve_types::{ArbiterConfig, Error, SimDuration, SimTime};
 use evolve_workload::{ScenarioSpec, ServiceEntry};
 use proptest::prelude::*;
 
@@ -133,8 +133,8 @@ fn restore_resumes_the_exact_trajectory() {
     // A second, independent simulation replayed to the same point gives
     // the restored manager an identical world to act on.
     let (mut sim_b, _destroyed) = warmed_manager(8);
-    let (mut restored, _backoff) =
-        ResourceManager::restore(ManagerKind::Evolve, &sim_b, &ck).expect("restore");
+    let mut restored = ResourceManager::new(ManagerKind::Evolve, &sim_b);
+    restored.restore(&ck).expect("restore");
 
     for i in 9..=16u64 {
         sim_a.run_until(SimTime::from_secs(5 * i));
@@ -174,14 +174,14 @@ fn desync_count_survives_a_second_restore() {
         .checkpoint(SimTime::ZERO, &RequeueBackoff::new());
     assert_eq!(image.app_count(), 2);
 
-    let (first, backoff) =
-        ResourceManager::restore(ManagerKind::Evolve, &sim_one, &image).expect("restore");
+    let mut first = ResourceManager::new(ManagerKind::Evolve, &sim_one);
+    let backoff = first.restore(&image).expect("restore");
     assert_eq!(first.counters().desynced_apps, 1);
     let image = first.checkpoint(SimTime::ZERO, &backoff);
     assert_eq!(image.app_count(), 1);
     let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
-    let (second, _) =
-        ResourceManager::restore(ManagerKind::Evolve, &sim_one, &image).expect("restore");
+    let mut second = ResourceManager::new(ManagerKind::Evolve, &sim_one);
+    second.restore(&image).expect("restore");
     assert_eq!(second.counters().desynced_apps, 1);
 }
 
@@ -194,7 +194,7 @@ fn corrupt_checkpoint_is_rejected_not_panicking() {
     bytes[mid] ^= 0xff;
     // Either decodes to a different checkpoint or errors — never panics.
     if let Ok(ck) = ControllerCheckpoint::from_bytes(&bytes) {
-        let _ = ResourceManager::restore(ManagerKind::Evolve, &sim, &ck);
+        let _ = ResourceManager::new(ManagerKind::Evolve, &sim).restore(&ck);
     }
     // Truncations must error.
     let full = manager.checkpoint(sim.now(), &RequeueBackoff::new()).to_bytes();
@@ -210,11 +210,80 @@ fn a_checkpoint_restores_only_under_its_own_kind() {
     let (sim, manager) = warmed(ManagerKind::Hpa, 8);
     let image = manager.checkpoint(sim.now(), &RequeueBackoff::new());
     let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
-    assert!(ResourceManager::restore(ManagerKind::Hpa, &sim, &image).is_ok());
+    assert!(ResourceManager::new(ManagerKind::Hpa, &sim).restore(&image).is_ok());
     for other in [ManagerKind::Evolve, ManagerKind::Vpa, ManagerKind::KubeStatic] {
-        let err = ResourceManager::restore(other, &sim, &image).map(|_| ()).unwrap_err();
+        let err = ResourceManager::new(other, &sim).restore(&image).unwrap_err();
         assert!(matches!(err, Error::CorruptCheckpoint(_)), "{}: {err}", other.label());
     }
+}
+
+/// A manager of a 4-node cluster under the overload scenario, with an
+/// arbiter of `arbiter`'s tunables when given, ticked `ticks` times.
+fn arbitrated(arbiter: Option<ArbiterConfig>, ticks: u32) -> (Simulation, ResourceManager) {
+    let scenario = ScenarioSpec::builtin("overload").unwrap().scaled_loads(1.2).build();
+    let mut sim = Simulation::new(
+        SimulationConfig::default(),
+        ClusterConfig::uniform(4, NodeShape::default()),
+        &scenario.mix,
+        7,
+    );
+    let pending: Vec<_> = sim.cluster().pending_pods().map(|p| p.id).collect();
+    let node = sim.cluster().nodes()[0].id();
+    for pod in pending {
+        let _ = sim.bind_pod(pod, node);
+    }
+    let mut manager = ResourceManager::new(ManagerKind::Evolve, &sim);
+    if let Some(config) = arbiter {
+        manager.set_arbiter(config);
+    }
+    for i in 1..=u64::from(ticks) {
+        sim.run_until(SimTime::from_secs(5 * i));
+        manager.tick(&mut sim, 5.0);
+    }
+    (sim, manager)
+}
+
+/// Arbiter state restores only onto a manager that runs an arbiter, and
+/// an arbitrated manager takes no image without arbiter state.
+#[test]
+fn arbiter_state_restores_only_onto_an_arbiter() {
+    let config = ScenarioSpec::builtin("overload").unwrap().arbiter.expect("an [arbiter] table");
+    let (sim, with) = arbitrated(Some(config), 4);
+    let image = with.checkpoint(sim.now(), &RequeueBackoff::new());
+    let err = ResourceManager::new(ManagerKind::Evolve, &sim).restore(&image).unwrap_err();
+    assert!(matches!(&err, Error::CorruptCheckpoint(m) if m.contains("arbiter")), "{err}");
+
+    let (sim, without) = arbitrated(None, 4);
+    let image = without.checkpoint(sim.now(), &RequeueBackoff::new());
+    let mut arbitrated_manager = ResourceManager::new(ManagerKind::Evolve, &sim);
+    arbitrated_manager.set_arbiter(config);
+    let err = arbitrated_manager.restore(&image).unwrap_err();
+    assert!(matches!(&err, Error::CorruptCheckpoint(m) if m.contains("arbiter")), "{err}");
+}
+
+/// The image holds the arbiter's state, not its tunables: a restore
+/// under a run whose `[arbiter]` differs from the writer's keeps the
+/// writer's grant fractions, ages and crunch flag and arbitrates with
+/// the run's own values.
+#[test]
+fn a_restored_arbiter_runs_its_own_tunables() {
+    let written = ScenarioSpec::builtin("overload").unwrap().arbiter.expect("an [arbiter] table");
+    let (sim, writer) = arbitrated(Some(written), 4);
+    let image = writer.checkpoint(sim.now(), &RequeueBackoff::new());
+    let image = ControllerCheckpoint::from_bytes(&image.to_bytes()).expect("decode");
+
+    let own = ArbiterConfig { headroom_fraction: 0.25, demand_cap_ratio: 3.0, ..written };
+    assert_ne!(own, written);
+    let mut restored = ResourceManager::new(ManagerKind::Evolve, &sim);
+    restored.set_arbiter(own);
+    let backoff = restored.restore(&image).expect("restore");
+    let (w, r) = (writer.arbiter().unwrap(), restored.arbiter().unwrap());
+    assert_eq!(r.config(), &own);
+    assert_eq!(r.state(), w.state());
+    assert!(r.state().grant_fraction(sim.apps()[0].id).is_some(), "no arbitration state");
+    // Nothing of the tunables is in the image: the restored manager
+    // writes the writer's bytes.
+    assert_eq!(restored.checkpoint(image.at, &backoff).to_bytes(), image.to_bytes());
 }
 
 /// Every kind of manager: the image carries no configuration, so a

@@ -1,9 +1,8 @@
-//! Smoothing and short-horizon prediction filters.
+//! Smoothing filters.
 //!
 //! Raw scraped signals (request rate, usage, latency) are noisy; the
 //! controllers consume filtered versions. [`Ewma`] is the workhorse
-//! smoother and [`HoltLinear`] adds a trend term for one-step-ahead load
-//! prediction.
+//! smoother.
 
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::Result;
@@ -61,112 +60,20 @@ impl Ewma {
         self.state.unwrap_or(default)
     }
 
-    /// Discards all state.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-}
-
-impl Codec for Ewma {
-    fn encode(&self, enc: &mut Encoder) {
-        self.alpha.encode(enc);
+    /// Writes the estimate, but not alpha, which the owner rebuilds.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
         self.state.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Ewma { alpha: f64::decode(dec)?, state: Option::<f64>::decode(dec)? })
-    }
-}
-
-/// Holt's double-exponential smoothing: level + trend, with h-step-ahead
-/// forecasts. The EVOLVE load predictor uses this to scale *ahead* of
-/// diurnal ramps instead of only reacting.
-///
-/// # Examples
-///
-/// ```
-/// use evolve_telemetry::HoltLinear;
-///
-/// let mut f = HoltLinear::new(0.5, 0.3);
-/// for i in 0..50 {
-///     f.observe(2.0 * f64::from(i));
-/// }
-/// // Forecast 5 steps ahead of t=49: roughly 2*54.
-/// let fc = f.forecast(5.0);
-/// assert!((fc - 108.0).abs() < 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HoltLinear {
-    alpha: f64,
-    beta: f64,
-    level: Option<f64>,
-    trend: f64,
-}
-
-impl HoltLinear {
-    /// Creates a filter with level gain `alpha` and trend gain `beta`,
-    /// both in `(0, 1]`.
+    /// Overwrites the estimate with one [`checkpoint`](Self::checkpoint)
+    /// wrote; alpha stays this filter's own.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when either gain is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "Holt alpha must be in (0, 1]");
-        assert!(beta > 0.0 && beta <= 1.0, "Holt beta must be in (0, 1]");
-        HoltLinear { alpha, beta, level: None, trend: 0.0 }
-    }
-
-    /// Feeds an observation (one per fixed control interval).
-    pub fn observe(&mut self, value: f64) {
-        match self.level {
-            None => {
-                self.level = Some(value);
-                self.trend = 0.0;
-            }
-            Some(prev_level) => {
-                let level = self.alpha * value + (1.0 - self.alpha) * (prev_level + self.trend);
-                self.trend = self.beta * (level - prev_level) + (1.0 - self.beta) * self.trend;
-                self.level = Some(level);
-            }
-        }
-    }
-
-    /// Smoothed level, `None` before the first observation.
-    #[must_use]
-    pub fn level(&self) -> Option<f64> {
-        self.level
-    }
-
-    /// Per-step trend estimate.
-    #[must_use]
-    pub fn trend(&self) -> f64 {
-        self.trend
-    }
-
-    /// Forecast `steps` control intervals ahead (0 = smoothed current
-    /// value). Returns 0 before the first observation.
-    #[must_use]
-    pub fn forecast(&self, steps: f64) -> f64 {
-        self.level.map_or(0.0, |l| l + self.trend * steps)
-    }
-}
-
-impl Codec for HoltLinear {
-    fn encode(&self, enc: &mut Encoder) {
-        self.alpha.encode(enc);
-        self.beta.encode(enc);
-        self.level.encode(enc);
-        self.trend.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(HoltLinear {
-            alpha: f64::decode(dec)?,
-            beta: f64::decode(dec)?,
-            level: Option::<f64>::decode(dec)?,
-            trend: f64::decode(dec)?,
-        })
+    /// Returns the decoder's error when the bytes are truncated or malformed.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        self.state = Option::<f64>::decode(dec)?;
+        Ok(())
     }
 }
 
@@ -214,41 +121,19 @@ mod tests {
     }
 
     #[test]
-    fn ewma_reset_clears_state() {
-        let mut f = Ewma::new(0.5);
-        f.observe(1.0);
-        f.reset();
-        assert_eq!(f.value(), None);
-        assert_eq!(f.value_or(7.0), 7.0);
-    }
-
-    #[test]
-    fn holt_tracks_linear_ramp() {
-        let mut f = HoltLinear::new(0.5, 0.3);
-        for i in 0..200 {
-            f.observe(3.0 * f64::from(i) + 10.0);
-        }
-        // After a long ramp the trend should be ~3 per step.
-        assert!((f.trend() - 3.0).abs() < 0.1, "trend {}", f.trend());
-        let fc = f.forecast(10.0);
-        let actual_future = 3.0 * 209.0 + 10.0;
-        assert!((fc - actual_future).abs() < 5.0, "forecast {fc} vs {actual_future}");
-    }
-
-    #[test]
-    fn holt_forecast_before_data_is_zero() {
-        let f = HoltLinear::new(0.5, 0.5);
-        assert_eq!(f.forecast(3.0), 0.0);
-        assert_eq!(f.level(), None);
-    }
-
-    #[test]
-    fn holt_constant_input_has_zero_trend() {
-        let mut f = HoltLinear::new(0.4, 0.4);
-        for _ in 0..50 {
-            f.observe(8.0);
-        }
-        assert!(f.trend().abs() < 1e-9);
-        assert!((f.forecast(100.0) - 8.0).abs() < 1e-6);
+    fn ewma_restore_keeps_its_own_alpha() {
+        let mut writer = Ewma::new(0.3);
+        writer.observe(10.0);
+        writer.observe(20.0);
+        let mut enc = Encoder::new();
+        writer.checkpoint(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut reader = Ewma::new(0.5);
+        reader.restore(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(reader.value(), writer.value());
+        // The next step smooths at the reader's alpha, not the writer's.
+        let state = writer.value().unwrap();
+        assert_eq!(reader.observe(40.0), state + 0.5 * (40.0 - state));
+        assert_eq!(writer.observe(40.0), state + 0.3 * (40.0 - state));
     }
 }

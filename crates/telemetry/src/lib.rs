@@ -6,8 +6,7 @@
 //!
 //! * [`TimeSeries`] — bounded time-stamped sample buffers with window
 //!   queries, the storage backing every exported metric.
-//! * [`Ewma`], [`HoltLinear`] — the smoothing and
-//!   short-horizon prediction filters applied before control decisions.
+//! * [`Ewma`] — the smoothing filter applied before control decisions.
 //! * [`P2Quantile`] and [`SlidingQuantile`] — online tail-latency
 //!   estimators (the P² algorithm for O(1)-memory percentiles and an exact
 //!   sliding-window variant for validation).
@@ -51,7 +50,7 @@ mod series;
 pub mod trace;
 mod util;
 
-pub use filter::{Ewma, HoltLinear};
+pub use filter::Ewma;
 pub use plo::{PloBound, PloTracker};
 pub use quantile::{P2Quantile, SlidingQuantile};
 pub use registry::{MetricKey, MetricRegistry};

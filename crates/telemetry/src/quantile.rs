@@ -259,6 +259,35 @@ impl SlidingQuantile {
         self.window.clear();
         self.sorted.clear();
     }
+
+    /// Writes the window, but not the capacity, which the owner rebuilds.
+    pub fn checkpoint(&self, enc: &mut Encoder) {
+        self.window.encode(enc);
+    }
+
+    /// Overwrites the window with one [`checkpoint`](Self::checkpoint)
+    /// wrote; the capacity stays this estimator's own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CorruptCheckpoint`] when the bytes are truncated
+    /// or malformed, or the window holds more observations than this
+    /// estimator's capacity.
+    pub fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        let window = VecDeque::<f64>::decode(dec)?;
+        if window.len() > self.capacity {
+            return Err(Error::CorruptCheckpoint(format!(
+                "window holds {} observations but capacity is {}",
+                window.len(),
+                self.capacity
+            )));
+        }
+        self.clear();
+        self.window.extend(&window);
+        self.sorted.extend(&window);
+        self.sorted.sort_by(f64::total_cmp);
+        Ok(())
+    }
 }
 
 /// Equality over the logical state (window contents and capacity); the
@@ -266,30 +295,6 @@ impl SlidingQuantile {
 impl PartialEq for SlidingQuantile {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity && self.window == other.window
-    }
-}
-
-impl Codec for SlidingQuantile {
-    fn encode(&self, enc: &mut Encoder) {
-        self.capacity.encode(enc);
-        self.window.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let capacity = usize::decode(dec)?;
-        if capacity == 0 {
-            return Err(Error::CorruptCheckpoint("window capacity must be positive".into()));
-        }
-        let window = VecDeque::<f64>::decode(dec)?;
-        if window.len() > capacity {
-            return Err(Error::CorruptCheckpoint(format!(
-                "window holds {} observations but capacity is {capacity}",
-                window.len()
-            )));
-        }
-        let mut sorted: Vec<f64> = window.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        Ok(SlidingQuantile { window, capacity, sorted })
     }
 }
 
@@ -428,6 +433,48 @@ mod tests {
                 assert_eq!(q.quantile(p).unwrap().to_bits(), want.to_bits(), "rank {k} after {i}");
             }
         }
+    }
+
+    #[test]
+    fn sliding_quantile_restore_keeps_its_own_capacity() {
+        let mut writer = SlidingQuantile::new(24);
+        for v in 0..30 {
+            writer.observe(f64::from(v));
+        }
+        let mut enc = Encoder::new();
+        writer.checkpoint(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut reader = SlidingQuantile::new(48);
+        reader.restore(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(reader.len(), 24);
+        assert_eq!(reader.quantile(0.0), Some(6.0));
+        assert_eq!(reader.quantile(1.0), Some(29.0));
+        // The restored window grows to the reader's 48, not the writer's 24.
+        for v in 30..60 {
+            reader.observe(f64::from(v));
+        }
+        assert_eq!(reader.len(), 48);
+        assert_eq!(reader.quantile(0.0), Some(12.0));
+    }
+
+    #[test]
+    fn sliding_quantile_window_beyond_capacity_is_corrupt() {
+        let mut writer = SlidingQuantile::new(48);
+        for v in 0..30 {
+            writer.observe(f64::from(v));
+        }
+        let mut enc = Encoder::new();
+        writer.checkpoint(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut reader = SlidingQuantile::new(24);
+        reader.observe(1.0);
+        let err = reader.restore(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, Error::CorruptCheckpoint(m) if m.contains("30 observations")),
+            "{err}"
+        );
+        // A rejected image leaves the estimator as it was.
+        assert_eq!(reader.len(), 1);
     }
 
     #[test]

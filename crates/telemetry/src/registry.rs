@@ -17,6 +17,9 @@ use evolve_types::SimTime;
 
 use crate::series::TimeSeries;
 
+/// Samples each series retains (the oldest go first beyond this).
+const SERIES_CAPACITY: usize = 1_000_000;
+
 /// A typed, dense handle to an interned series name.
 ///
 /// Obtained from [`MetricRegistry::key`]; only valid for the registry
@@ -55,7 +58,6 @@ pub struct MetricRegistry {
     ids: BTreeMap<String, u32>,
     /// Dense storage, indexed by [`MetricKey`].
     series: Vec<TimeSeries>,
-    series_capacity: usize,
     /// Samples recorded through the dense-key fast path (perf accounting:
     /// each is a string hash/compare + potential allocation avoided).
     fast_records: u64,
@@ -65,28 +67,10 @@ pub struct MetricRegistry {
 }
 
 impl MetricRegistry {
-    /// Creates an empty registry with the default per-series retention
-    /// (1 million samples).
+    /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
-        MetricRegistry::with_capacity(1_000_000)
-    }
-
-    /// Creates a registry whose series retain at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "series capacity must be positive");
-        MetricRegistry {
-            ids: BTreeMap::new(),
-            series: Vec::new(),
-            series_capacity: capacity,
-            fast_records: 0,
-            dropped_records: 0,
-        }
+        MetricRegistry::default()
     }
 
     /// Interns a series name, creating an empty series on first use, and
@@ -96,7 +80,7 @@ impl MetricRegistry {
             return MetricKey(*id);
         }
         let id = u32::try_from(self.series.len()).expect("more than u32::MAX series");
-        self.series.push(TimeSeries::new(self.series_capacity));
+        self.series.push(TimeSeries::new(SERIES_CAPACITY));
         self.ids.insert(name.to_owned(), id);
         MetricKey(id)
     }

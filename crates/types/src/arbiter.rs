@@ -1,9 +1,6 @@
 //! The capacity arbiter's tunables: plain data that both a scenario spec
 //! (its `[arbiter]` table) and the control plane's `CapacityArbiter` read.
 
-use crate::codec::{Codec, Decoder, Encoder};
-use crate::Result;
-
 /// Tunables for the control plane's `CapacityArbiter`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArbiterConfig {
@@ -42,25 +39,5 @@ impl Default for ArbiterConfig {
             max_recovery_step: 0.25,
             demand_cap_ratio: 2.0,
         }
-    }
-}
-
-impl Codec for ArbiterConfig {
-    fn encode(&self, enc: &mut Encoder) {
-        self.headroom_fraction.encode(enc);
-        self.floor_fraction.encode(enc);
-        self.hysteresis.encode(enc);
-        self.max_recovery_step.encode(enc);
-        self.demand_cap_ratio.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(ArbiterConfig {
-            headroom_fraction: f64::decode(dec)?,
-            floor_fraction: f64::decode(dec)?,
-            hysteresis: f64::decode(dec)?,
-            max_recovery_step: f64::decode(dec)?,
-            demand_cap_ratio: f64::decode(dec)?,
-        })
     }
 }
