@@ -1,14 +1,21 @@
-//! **Golden-fixture diff shape.** Decodes two versions of a `golden_run`
-//! fixture and says how far apart they are, which is what a re-bless has to
+//! **Golden-fixture diff shape.** Decodes two full dumps of a `golden_run`
+//! run and says how far apart they are, which is what a re-bless has to
 //! report (DESIGN.md decision 9): how many floats changed and by what
 //! relative difference (p50 / p90 / p99 / max), every float more than 1e-9
 //! apart with the window it sits in, and every changed integer traced to the
 //! first window in which its app's series diverged by more than that.
 //!
+//! The committed fixtures hold a digest per window, not the samples, so
+//! both sides are regenerated: every `golden_run` test writes its run's
+//! dump to `target/tmp/golden/<fixture>.dump`. Run the test on a clone of
+//! the parent commit and on the change, then diff the two dumps:
+//!
 //! ```text
-//! git show HEAD~1:crates/core/tests/fixtures/golden_headline.txt > /tmp/before.txt
+//! git clone --quiet . /tmp/parent && git -C /tmp/parent checkout --quiet HEAD~1
+//! (cd /tmp/parent && cargo test -p evolve-core --test golden_run)
+//! cargo test -p evolve-core --test golden_run     # or EVOLVE_BLESS=1 for a re-bless
 //! cargo run --release -p evolve-bench --bin golden_diff -- \
-//!     /tmp/before.txt crates/core/tests/fixtures/golden_headline.txt
+//!     /tmp/parent/target/tmp/golden/golden_headline.dump target/tmp/golden/golden_headline.dump
 //! ```
 //!
 //! Exits non-zero when the two files do not have the same lines in the same
@@ -32,7 +39,7 @@ fn value(token: &str) -> &str {
     token.split_once('=').map_or(token, |(_, v)| v)
 }
 
-/// The fixture writes every float as the 16 hex digits of its bits.
+/// The dump writes every float as the 16 hex digits of its bits.
 fn float(token: &str) -> Option<f64> {
     let v = value(token);
     (v.len() == 16).then(|| u64::from_str_radix(v, 16).ok().map(f64::from_bits)).flatten()
@@ -155,7 +162,7 @@ fn report(name: &str, floats: usize, sites: &[Site]) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [before, after] = args.as_slice() else {
-        eprintln!("usage: golden_diff <fixture-before> <fixture-after>");
+        eprintln!("usage: golden_diff <dump-before> <dump-after>");
         return ExitCode::from(2);
     };
     let read = |path: &String| {

@@ -286,35 +286,56 @@ fn a_restored_arbiter_runs_its_own_tunables() {
     assert_eq!(restored.checkpoint(image.at, &backoff).to_bytes(), image.to_bytes());
 }
 
-/// Every kind of manager: the image carries no configuration, so a
-/// restore that rebuilt the wrong variant would only show on a
-/// non-default one, and each baseline's state has its own layout.
+/// Every kind of manager, one test each so the kinds run in parallel:
+/// the image carries no configuration, so a restore that rebuilt the
+/// wrong variant would only show on a non-default one, and each
+/// baseline's state has its own layout.
+fn assert_crash_with_restore_matches_uninterrupted(manager: ManagerKind) {
+    let uninterrupted = run(config_for(manager, 300, 42));
+    let mut crashed = config_for(manager, 300, 42);
+    crashed.faults = controller_crash_at(150);
+    crashed.recovery = RecoveryStrategy::Restore;
+    let crashed = run(crashed);
+    assert_eq!(crashed.manager, manager.label());
+    assert_eq!(crashed.controller_restarts, 1);
+    assert_eq!(uninterrupted.controller_restarts, 0);
+    assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
+    assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
+    assert_eq!(crashed.control, uninterrupted.control);
+    assert_eq!(crashed.preemptions, uninterrupted.preemptions);
+    assert_eq!(crashed.bindings, uninterrupted.bindings);
+    assert_eq!(crashed.events, uninterrupted.events);
+    assert_identical_series(&uninterrupted, &crashed);
+}
+
 #[test]
-fn crash_with_restore_is_bit_identical_to_uninterrupted() {
-    for manager in [
-        ManagerKind::Evolve,
-        ManagerKind::EvolveCpuOnly,
-        ManagerKind::EvolveFixedGains,
-        ManagerKind::KubeStatic,
-        ManagerKind::Hpa,
-        ManagerKind::Vpa,
-    ] {
-        let uninterrupted = run(config_for(manager, 300, 42));
-        let mut crashed = config_for(manager, 300, 42);
-        crashed.faults = controller_crash_at(150);
-        crashed.recovery = RecoveryStrategy::Restore;
-        let crashed = run(crashed);
-        assert_eq!(crashed.manager, manager.label());
-        assert_eq!(crashed.controller_restarts, 1);
-        assert_eq!(uninterrupted.controller_restarts, 0);
-        assert_eq!(crashed.total_windows(), uninterrupted.total_windows());
-        assert_eq!(crashed.total_violations(), uninterrupted.total_violations());
-        assert_eq!(crashed.control, uninterrupted.control);
-        assert_eq!(crashed.preemptions, uninterrupted.preemptions);
-        assert_eq!(crashed.bindings, uninterrupted.bindings);
-        assert_eq!(crashed.events, uninterrupted.events);
-        assert_identical_series(&uninterrupted, &crashed);
-    }
+fn crash_with_restore_matches_uninterrupted_evolve() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::Evolve);
+}
+
+#[test]
+fn crash_with_restore_matches_uninterrupted_evolve_cpu_only() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::EvolveCpuOnly);
+}
+
+#[test]
+fn crash_with_restore_matches_uninterrupted_evolve_fixed_gains() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::EvolveFixedGains);
+}
+
+#[test]
+fn crash_with_restore_matches_uninterrupted_kube_static() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::KubeStatic);
+}
+
+#[test]
+fn crash_with_restore_matches_uninterrupted_hpa() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::Hpa);
+}
+
+#[test]
+fn crash_with_restore_matches_uninterrupted_vpa() {
+    assert_crash_with_restore_matches_uninterrupted(ManagerKind::Vpa);
 }
 
 /// A crash right after a control-plane stall: the image is from the last
