@@ -20,6 +20,10 @@
 //!   them all on one requeue-backoff read each. `score_spreading_250_nodes`
 //!   is scoring alone: 16 pods of 16 classes on 250 empty nodes through a
 //!   carried index of 8 class caches, so each pod scores every node.
+//!   `sync_250_nodes_all_resized` is a control tick's wake as the
+//!   scheduler sees it: every one of 4 000 bound pods on 250 nodes resized
+//!   in place (untimed), then one carried cycle with one pending pod,
+//!   whose sync finds every node's version moved and no bound set changed.
 //! * `engine/*` — the engine's two per-replica passes through its public
 //!   API, on a bound 100-node `cluster_scale` with 120 replicas per
 //!   service: a control tick's harvest (`take_window` of every app) and
@@ -319,6 +323,42 @@ fn bench_scheduler(c: &mut Criterion) {
             );
             black_box(plan.bindings.len())
         })
+    });
+    // 16 pods a node of 40 apps at two priorities, every one resized
+    // between two sizes before each cycle; the pending pod fits, so the
+    // cycle never asks for preemption.
+    let mut cluster = ClusterState::new(&ClusterConfig::uniform(250, NodeShape::default()));
+    let base = ResourceVec::new(500.0, 2_048.0, 10.0, 20.0);
+    let mut bound = Vec::new();
+    for k in 0..250 * 16 {
+        let kind = PodKind::ServiceReplica { app: AppId::new((k % 40) as u32) };
+        let spec = PodSpec::new(kind, base, 10 * (k % 2) as i32);
+        let pod = cluster.create_pod(spec, SimTime::ZERO);
+        cluster.bind_pod(pod, cluster.nodes()[k % 250].id()).expect("fits");
+        bound.push(pod);
+    }
+    let kind = PodKind::ServiceReplica { app: AppId::new(0) };
+    cluster.create_pod(PodSpec::new(kind, base, 20), SimTime::ZERO);
+    let cluster = RefCell::new(cluster);
+    let (mut backoff, mut index) = (RequeueBackoff::new(), FeasibilityIndex::new());
+    let mut cycle = || {
+        let cluster = cluster.borrow();
+        evolve.schedule_cycle_carried(&cluster, &mut backoff, &mut index, SimTime::ZERO, &mut trace)
+    };
+    assert_eq!(cycle().bindings.len(), 1);
+    let mut k = 0;
+    group.bench_function("sync_250_nodes_all_resized", |b| {
+        b.iter_batched(
+            || {
+                k ^= 1;
+                let mut cluster = cluster.borrow_mut();
+                for &pod in &bound {
+                    cluster.resize_pod(pod, base * (0.9 + 0.1 * k as f64)).expect("fits");
+                }
+            },
+            |()| black_box(cycle().bindings.len()),
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
 }

@@ -1,9 +1,11 @@
 //! **Golden-fixture diff shape.** Decodes two full dumps of a `golden_run`
 //! run and says how far apart they are, which is what a re-bless has to
 //! report (DESIGN.md decision 9): how many floats changed and by what
-//! relative difference (p50 / p90 / p99 / max), every float more than 1e-9
-//! apart with the window it sits in, and every changed integer traced to the
-//! first window in which its app's series diverged by more than that.
+//! relative difference (p50 / p90 / p99 / max), the earliest changed float
+//! of any size with its series and window (so a one-ulp drift is named, not
+//! only counted), every float more than 1e-9 apart with the window it sits
+//! in, and every changed integer traced to the first window in which its
+//! app's series diverged by more than that.
 //!
 //! The committed fixtures hold a digest per window, not the samples, so
 //! both sides are regenerated: every `golden_run` test writes its run's
@@ -22,6 +24,7 @@
 //! order (a series appeared, vanished or changed length): that is a
 //! structural change and needs reading, not a summary.
 
+use std::fmt::Write;
 use std::process::ExitCode;
 
 /// Relative differences up to this are rounding; beyond it something
@@ -101,7 +104,18 @@ fn diff(before: &str, after: &str) -> Option<(usize, Vec<Site>)> {
     Some((floats, sites))
 }
 
-fn report(name: &str, floats: usize, sites: &[Site]) {
+/// `t=<window>` for a sample, `whole run` for a header float.
+fn when(at: f64) -> String {
+    if at.is_finite() {
+        format!("t={at}")
+    } else {
+        "whole run".to_owned()
+    }
+}
+
+/// The report on `sites`, the changes out of `floats` floats of dump `name`.
+fn report(name: &str, floats: usize, sites: &[Site]) -> String {
+    let mut out = String::new();
     let mut rel: Vec<f64> = sites
         .iter()
         .filter_map(|s| match s.change {
@@ -112,11 +126,34 @@ fn report(name: &str, floats: usize, sites: &[Site]) {
     rel.sort_by(f64::total_cmp);
     let q = |p: f64| rel.get(((rel.len() as f64 * p) as usize).min(rel.len().saturating_sub(1)));
     let beyond = rel.iter().filter(|&&d| d > ROUNDING).count();
-    print!("{name}: {} of {floats} floats changed", rel.len());
+    let _ = write!(out, "{name}: {} of {floats} floats changed", rel.len());
     if let (Some(p50), Some(p90), Some(p99), Some(max)) = (q(0.5), q(0.9), q(0.99), rel.last()) {
-        print!(": p50 {p50:.1e}  p90 {p90:.1e}  p99 {p99:.1e}  max {max:.1e}; {beyond} above 1e-9");
+        let _ = write!(
+            out,
+            ": p50 {p50:.1e}  p90 {p90:.1e}  p99 {p99:.1e}  max {max:.1e}; {beyond} above 1e-9"
+        );
     }
-    println!();
+    let _ = writeln!(out);
+    // The earliest changed float whatever its size; of one window's, the
+    // first in dump order.
+    let earliest = sites
+        .iter()
+        .filter_map(|s| match s.change {
+            Change::Float { before, after } => {
+                Some((s.at.unwrap_or(f64::INFINITY), s, before, after))
+            }
+            Change::Integer { .. } => None,
+        })
+        .min_by(|x, y| x.0.total_cmp(&y.0));
+    if let Some((at, site, before, after)) = earliest {
+        let d = relative(before, after);
+        let _ = writeln!(
+            out,
+            "  earliest:   {:>10}  {:<32} {before} -> {after}  ({d:.1e})",
+            when(at),
+            site.what
+        );
+    }
     // Everything beyond rounding, earliest window first.
     let mut discrete: Vec<(f64, &Site)> = sites
         .iter()
@@ -130,9 +167,13 @@ fn report(name: &str, floats: usize, sites: &[Site]) {
     discrete.sort_by(|x, y| x.0.total_cmp(&y.0));
     for (at, site) in &discrete {
         if let Change::Float { before, after } = site.change {
-            let when = if at.is_finite() { format!("t={at}") } else { "whole run".to_owned() };
             let d = relative(before, after);
-            println!("  above 1e-9: {when:>10}  {:<32} {before} -> {after}  ({d:.1e})", site.what);
+            let _ = writeln!(
+                out,
+                "  above 1e-9: {:>10}  {:<32} {before} -> {after}  ({d:.1e})",
+                when(*at),
+                site.what
+            );
         }
     }
     let mut integers = 0;
@@ -152,11 +193,12 @@ fn report(name: &str, floats: usize, sites: &[Site]) {
             |(at, s)| format!("first diverging window t={at} in {}", s.what),
         );
         let when = site.at.map_or_else(String::new, |t| format!(" t={t}"));
-        println!("  integer: {}{when}  {before} -> {after}  ({traced})", site.what);
+        let _ = writeln!(out, "  integer: {}{when}  {before} -> {after}  ({traced})", site.what);
     }
     if integers == 0 {
-        println!("  no integer changed");
+        let _ = writeln!(out, "  no integer changed");
     }
+    out
 }
 
 fn main() -> ExitCode {
@@ -175,6 +217,62 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let name = after.rsplit('/').next().unwrap_or(after);
-    report(name, floats, &sites);
+    print!("{}", report(name, floats, &sites));
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A dump in the golden format: one header float, two series over
+    /// windows at t = 5 s and 10 s.
+    fn dump(utilization: f64, a: [f64; 2], b: [f64; 2]) -> String {
+        let bits = |x: f64| format!("{:016x}", x.to_bits());
+        let mut out = format!("bindings 12\nutilization alloc={}\n", bits(utilization));
+        for (name, values) in [("app0/alloc_cpu", a), ("app0/p99_ms", b)] {
+            out += &format!("series {name} len=2\n");
+            for (t, v) in [5.0, 10.0].into_iter().zip(values) {
+                out += &format!("  {} {}\n", bits(t), bits(v));
+            }
+        }
+        out
+    }
+
+    fn report_of(before: &str, after: &str) -> String {
+        let (floats, sites) = diff(before, after).expect("same shape");
+        report("x.dump", floats, &sites)
+    }
+
+    /// A one-ulp change is named with its series and window, though it is
+    /// far below the 1e-9 that lists a change on its own line; of two
+    /// changes the earlier window is named, whatever the series order.
+    #[test]
+    fn the_earliest_change_is_named_whatever_its_size() {
+        let before = dump(0.25, [100.0, 200.0], [3.0, 4.0]);
+        let ulp = f64::from_bits(3.0f64.to_bits() + 1);
+        let after = dump(0.25, [100.0, 250.0], [ulp, 4.0]);
+        let report = report_of(&before, &after);
+        assert!(report.starts_with("x.dump: 2 of 9 floats changed"), "{report}");
+        let earliest = report.lines().find(|l| l.contains("earliest:")).expect("named");
+        assert!(earliest.contains("t=5") && earliest.contains("app0/p99_ms"), "{report}");
+        assert!(earliest.contains(&format!("3 -> {ulp}")), "{report}");
+        let above: Vec<&str> = report.lines().filter(|l| l.contains("above 1e-9:")).collect();
+        assert_eq!(above.len(), 1, "{report}");
+        assert!(above[0].contains("t=10") && above[0].contains("app0/alloc_cpu"), "{report}");
+    }
+
+    /// A header float is the earliest change only when no sample moved;
+    /// an unchanged dump names none.
+    #[test]
+    fn a_header_float_is_the_whole_run() {
+        let before = dump(0.25, [100.0, 200.0], [3.0, 4.0]);
+        let after = dump(0.5, [100.0, 200.0], [3.0, 4.0]);
+        let report = report_of(&before, &after);
+        let earliest = report.lines().find(|l| l.contains("earliest:")).expect("named");
+        assert!(earliest.contains("whole run") && earliest.contains("utilization"), "{report}");
+        let same = report_of(&before, &before);
+        assert!(!same.contains("earliest:"), "{same}");
+        assert!(same.starts_with("x.dump: 0 of 9 floats changed\n"), "{same}");
+    }
 }

@@ -310,7 +310,9 @@ pub struct RunOutcome {
     /// Controller restarts performed after injected controller crashes.
     pub controller_restarts: u64,
     /// Scheduler shadow-state pod lookups that found a pod missing from
-    /// the cluster table and were skipped instead of panicking.
+    /// the cluster table and were skipped instead of panicking (the sum
+    /// of every cycle's `SchedulePlan::stale_pod_lookups`; 0 on every
+    /// shipped run).
     pub stale_pod_lookups: u64,
     /// Arrival streams silently truncated by the legacy thinning sampler's
     /// bailout cap (always zero under batched sampling, which skips dead

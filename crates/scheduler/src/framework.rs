@@ -29,7 +29,11 @@ pub struct SchedulePlan {
     /// Pod-table lookups that failed during the cycle (a node's bound set
     /// referenced a pod the table no longer knows) — skipped and counted
     /// instead of panicking, mirroring the manager's `UnknownApp`
-    /// handling.
+    /// handling. Counted whenever the cycle reads a bound set: the
+    /// index's sync when it recounts a node's apps, its first census
+    /// reader when it re-derives the census a sync left stale (a failed
+    /// pod can be counted by both), and the preemption victim scans. The
+    /// pod table never drops a pod, so it is 0 on every shipped run.
     pub stale_pod_lookups: u64,
     /// Filter evaluations this cycle. The naive scan pays one per
     /// (pending pod, node) pair; the indexed path evaluates the filter
@@ -741,6 +745,7 @@ impl SchedulerFramework {
                 claimed.remove(v);
                 match cluster.pod(*v) {
                     Ok(p) => ctx.index.unclaim_victim(
+                        cluster,
                         node.as_usize(),
                         p.app().raw(),
                         p.spec.priority,
@@ -901,7 +906,8 @@ impl SchedulerFramework {
         for v in &victims {
             match cluster.pod(*v) {
                 Ok(p) => {
-                    ctx.index.claim_victim(idx, p.app().raw(), p.spec.priority, &p.spec.request);
+                    let (app, priority) = (p.app().raw(), p.spec.priority);
+                    ctx.index.claim_victim(cluster, idx, app, priority, &p.spec.request);
                 }
                 Err(_) => ctx.index.note_stale(),
             }
@@ -987,12 +993,12 @@ impl SchedulerFramework {
         claimed: &HashSet<PodId>,
         pod: &Pod,
     ) -> Option<(f64, usize, Vec<PodId>)> {
-        ctx.index.enumerate_preempt(&pod.spec.request);
+        ctx.index.enumerate_preempt(cluster, &pod.spec.request);
         let mut best: Option<(f64, usize, Vec<PodId>)> = None;
         let mut stale = 0u64;
         for k in 0..ctx.index.candidates().len() {
             let i = ctx.index.candidates()[k];
-            if !ctx.index.census_could_free(i, pod.spec.priority, &pod.spec.request) {
+            if !ctx.index.census_could_free(cluster, i, pod.spec.priority, &pod.spec.request) {
                 continue;
             }
             if let Some((cost, chosen)) = Self::preempt_on_node(

@@ -29,7 +29,13 @@
 //! diffs [`ClusterState`] version counters and refreshes only nodes that
 //! changed since the last cycle (bound/evicted/resized/ready-flipped),
 //! plus nodes tainted by the previous cycle's own tentative placements,
-//! instead of rebuilding the shadow from scratch each cycle.
+//! instead of rebuilding the shadow from scratch each cycle. A refresh
+//! reads the pod table only for what the change can have moved: the app
+//! counts when the node's bound set changed (or the node is tainted), and
+//! the census, its total and the preempt-tree leaf not at all — those are
+//! marked stale and re-derived, for the stale nodes only, by the first
+//! census reader of a cycle that has one (most never do: preemption bails
+//! first when no lower-priority pod is bound).
 //!
 //! **Score trees.** A node's verdict for a pod — rejected by the filter,
 //! or its weighted score — is a pure function of the node, its shadow
@@ -53,8 +59,8 @@
 //! the fold's own float comparison and ends where the fold ends — same
 //! node, same tie-break, bit for bit.
 
-use evolve_sim::{ClusterState, PodSpec};
-use evolve_types::ResourceVec;
+use evolve_sim::{ClusterState, Pod, PodSpec};
+use evolve_types::{PodId, ResourceVec};
 
 use crate::plugins::{node_fits, PodClass, SchedulerProfile};
 
@@ -72,6 +78,18 @@ const NEG: ResourceVec = ResourceVec::splat(f64::NEG_INFINITY);
 /// stage's tasks), so a handful of slots covers the interleaving seen in
 /// practice; a miss costs about what scoring cost before the cache.
 const SCORE_CLASSES: usize = 8;
+
+/// How far a node's preempt-tree leaf is behind its shadow; ordered, so a
+/// node marked twice keeps the greater.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Leaf {
+    /// Key and census are current.
+    Current,
+    /// The census is current; the key is not (free or readiness moved).
+    Key,
+    /// The census too must be re-derived from the cluster first.
+    Census,
+}
 
 /// A node's cached evaluation for one pod class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -275,6 +293,19 @@ fn app_slot(apps: &mut Vec<(u32, u32)>, app: u32) -> &mut u32 {
     &mut apps[k].1
 }
 
+/// The index's one pod-table read, of a pod in a node's bound set: `None`,
+/// counted in `stale`, for an id the table does not know.
+fn bound_pod<'c>(cluster: &'c ClusterState, id: PodId, stale: &mut u64) -> Option<&'c Pod> {
+    #[cfg(test)]
+    tests::POD_READS.with(|reads| reads.set(reads.get() + 1));
+    let pod = cluster.pod(id).ok();
+    if pod.is_none() {
+        *stale += 1;
+    }
+    debug_assert!(pod.is_none_or(|pod| pod.phase.holds_resources()));
+    pod
+}
+
 /// App id and request bits: equal keys give bit-equal scorer inputs.
 fn class_key(class: &PodClass) -> (u32, [u64; 4]) {
     (class.app.raw(), class.request.as_array().map(f64::to_bits))
@@ -298,15 +329,24 @@ pub struct FeasibilityIndex {
     /// beats hashing the key.
     app_pods: Vec<Vec<(u32, u32)>>,
     /// Per-node bound-resource census, sorted by priority ascending.
+    /// Current only where `leaf` is below [`Leaf::Census`]: read it
+    /// after [`settle`](Self::settle).
     census: Vec<Vec<(i32, ResourceVec)>>,
     /// Sum over all census entries per node (preempt-tree key input).
     census_total: Vec<ResourceVec>,
     /// Preempt tree maxima, 1-based heap layout in `[1, 2·cap)`; leaves
-    /// at `cap+i`.
+    /// at `cap+i`. Current only after a [`settle`](Self::settle).
     preempt_keys: Vec<ResourceVec>,
     /// Preempt tree minima, same layout (whole-subtree emission).
     preempt_floor: Vec<ResourceVec>,
+    /// Per node, how far its census and leaf are behind.
+    leaf: Vec<Leaf>,
+    /// The nodes whose `leaf` is not [`Leaf::Current`], each once.
+    stale: Vec<u32>,
     node_versions_seen: Vec<u64>,
+    /// Per node, the [`ClusterState::bound_set_version`] its app counts
+    /// were derived at.
+    bound_sets_seen: Vec<u64>,
     global_version_seen: u64,
     synced: bool,
     /// Nodes touched by tentative in-cycle operations; unconditionally
@@ -318,9 +358,9 @@ pub struct FeasibilityIndex {
     probes: u64,
     candidates: Vec<usize>,
     stack: Vec<usize>,
-    /// Tree positions of the preempt-tree leaves a sync or rebuild wrote;
-    /// their root paths are repaired together when it ends. Empty
-    /// between syncs.
+    /// Tree positions of the preempt-tree leaves a
+    /// [`settle`](Self::settle) wrote; their root paths are repaired
+    /// together when it ends. Empty between settles.
     dirty: Vec<usize>,
     /// Nodes whose shadow changed, oldest first; entry `k` happened at
     /// clock `changes_base + k`. Only the newest `n` entries are ever
@@ -347,7 +387,9 @@ impl FeasibilityIndex {
     }
 
     /// Brings the mirrors up to date with `cluster` and resets the
-    /// per-cycle counters. Cost is O(changed nodes) after the first call.
+    /// per-cycle counters. Cost is O(changed nodes) after the first call,
+    /// and a node whose bound set kept its pods costs no pod-table read:
+    /// its census is left stale for the next [`settle`](Self::settle).
     /// `profile` is the calling framework's; when it differs from the
     /// previous cycle's, cached scores mean something else and are
     /// dropped.
@@ -363,22 +405,24 @@ impl FeasibilityIndex {
             self.rebuild(cluster);
             return;
         }
+        // Tentative placements edited a tainted node's app counts, so
+        // they are counted afresh whatever the bound set did.
         let tainted = std::mem::take(&mut self.tainted);
         for &i in &tainted {
             self.taint_flag[i as usize] = false;
-            self.refresh_node(cluster, i as usize);
+            self.refresh_node(cluster, i as usize, true);
         }
         self.tainted = tainted;
         self.tainted.clear();
         if cluster.version() != self.global_version_seen {
             for i in 0..n {
                 if cluster.node_version(i) != self.node_versions_seen[i] {
-                    self.refresh_node(cluster, i);
+                    let moved = cluster.bound_set_version(i) != self.bound_sets_seen[i];
+                    self.refresh_node(cluster, i, moved);
                 }
             }
             self.global_version_seen = cluster.version();
         }
-        repair(&mut self.preempt_keys, &mut self.preempt_floor, &mut self.dirty);
     }
 
     fn rebuild(&mut self, cluster: &ClusterState) {
@@ -392,62 +436,115 @@ impl FeasibilityIndex {
         self.census_total = vec![ResourceVec::ZERO; n];
         self.preempt_keys = vec![NEG; 2 * self.cap];
         self.preempt_floor = vec![NEG; 2 * self.cap];
+        self.leaf = vec![Leaf::Current; n];
+        self.stale.clear();
         self.node_versions_seen = vec![0; n];
+        self.bound_sets_seen = vec![0; n];
         self.taint_flag = vec![false; n];
         self.replayed = vec![false; n];
         self.tainted.clear();
         for i in 0..n {
-            self.refresh_node(cluster, i);
+            self.refresh_node(cluster, i, true);
         }
-        repair(&mut self.preempt_keys, &mut self.preempt_floor, &mut self.dirty);
         self.caches.clear();
         self.changes.clear();
         self.global_version_seen = cluster.version();
         self.synced = true;
     }
 
-    /// Re-derives one node's mirrors from cluster truth in one pass over
-    /// the node's bound-pod set, not the full pod table (the table keeps
-    /// terminal pods and grows with simulation length). A node holds a
-    /// dozen pods over a few apps and priorities, so each list is
-    /// gathered unsorted and sorted once; every per-priority sum still
-    /// adds in pod order. The leaf's root path is left to the caller's
-    /// [`repair`].
-    fn refresh_node(&mut self, cluster: &ClusterState, i: usize) {
+    /// Refreshes one node's mirrors from cluster truth: free vector and
+    /// readiness from the `Node`, the app counts from its bound set when
+    /// `recount` (the set changed, or tentative placements edited them),
+    /// and the census not at all: it is marked stale for
+    /// [`settle`](Self::settle).
+    fn refresh_node(&mut self, cluster: &ClusterState, i: usize, recount: bool) {
         let node = &cluster.nodes()[i];
         self.free[i] = node.free();
         self.ready[i] = node.is_ready();
         self.node_versions_seen[i] = cluster.node_version(i);
+        if recount {
+            self.count_apps(cluster, i);
+        }
+        self.mark(i, Leaf::Census);
+        self.log_change(i);
+    }
+
+    /// Re-derives node `i`'s app counts in one pass over its bound-pod
+    /// set, not the full pod table (the table keeps terminal pods and
+    /// grows with simulation length). A node holds a dozen pods over a few
+    /// apps, so the list is gathered unsorted and sorted once.
+    fn count_apps(&mut self, cluster: &ClusterState, i: usize) {
+        self.bound_sets_seen[i] = cluster.bound_set_version(i);
         let apps = &mut self.app_pods[i];
         apps.clear();
-        let census = &mut self.census[i];
-        census.clear();
-        let mut total = ResourceVec::ZERO;
-        for pod_id in node.pods() {
-            let Ok(pod) = cluster.pod(*pod_id) else {
-                self.stale_lookups += 1;
+        for pod_id in cluster.nodes()[i].pods() {
+            let Some(pod) = bound_pod(cluster, *pod_id, &mut self.stale_lookups) else {
                 continue;
             };
-            debug_assert!(pod.phase.holds_resources());
-            let (app, priority, request) = (pod.app().raw(), pod.spec.priority, pod.spec.request);
+            let app = pod.app().raw();
             match apps.iter_mut().find(|entry| entry.0 == app) {
                 Some(entry) => entry.1 += 1,
                 None => apps.push((app, 1)),
             }
+        }
+        apps.sort_unstable_by_key(|entry| entry.0);
+    }
+
+    /// Re-derives node `i`'s census and its total in one pass over the
+    /// bound-pod set; every per-priority sum adds in pod order.
+    fn take_census(&mut self, cluster: &ClusterState, i: usize) {
+        let census = &mut self.census[i];
+        census.clear();
+        let mut total = ResourceVec::ZERO;
+        for pod_id in cluster.nodes()[i].pods() {
+            let Some(pod) = bound_pod(cluster, *pod_id, &mut self.stale_lookups) else {
+                continue;
+            };
+            let (priority, request) = (pod.spec.priority, pod.spec.request);
             match census.iter_mut().find(|entry| entry.0 == priority) {
                 Some(entry) => entry.1 += request,
                 None => census.push((priority, request)),
             }
             total += request;
         }
-        apps.sort_unstable_by_key(|entry| entry.0);
         census.sort_unstable_by_key(|entry| entry.0);
         self.census_total[i] = total;
-        let (s, key) = (self.cap + i, self.preempt_key(i));
-        self.preempt_keys[s] = key;
-        self.preempt_floor[s] = key;
-        self.dirty.push(s);
-        self.log_change(i);
+    }
+
+    /// Records that node `i`'s leaf is at least `how` far behind.
+    fn mark(&mut self, i: usize, how: Leaf) {
+        if self.leaf[i] == Leaf::Current {
+            self.stale.push(i as u32);
+        }
+        self.leaf[i] = self.leaf[i].max(how);
+    }
+
+    /// Brings every stale node's census and preempt-tree leaf up to date —
+    /// the census re-derived from `cluster` where a sync left it stale,
+    /// the key recomputed from the current shadow — and repairs their
+    /// root paths in one batch. Every reader of the census or the tree
+    /// calls it first; with nothing stale it returns at once. The cluster
+    /// must be the one the last [`sync`](Self::sync) read: a node's bound
+    /// pods are then what they were there.
+    fn settle(&mut self, cluster: &ClusterState) {
+        if self.stale.is_empty() {
+            return;
+        }
+        let stale = std::mem::take(&mut self.stale);
+        for &i in &stale {
+            let i = i as usize;
+            if self.leaf[i] == Leaf::Census {
+                self.take_census(cluster, i);
+            }
+            self.leaf[i] = Leaf::Current;
+            let (s, key) = (self.cap + i, self.preempt_key(i));
+            self.preempt_keys[s] = key;
+            self.preempt_floor[s] = key;
+            self.dirty.push(s);
+        }
+        self.stale = stale;
+        self.stale.clear();
+        repair(&mut self.preempt_keys, &mut self.preempt_floor, &mut self.dirty);
     }
 
     /// Node `i`'s preempt-tree key: everything it could free, or [`NEG`]
@@ -460,11 +557,10 @@ impl FeasibilityIndex {
         }
     }
 
-    /// Recomputes the preempt-tree leaf (and its root path) for node `i`
-    /// after an in-cycle mutation and logs the node as changed.
-    fn write_leaves(&mut self, i: usize) {
-        let key = self.preempt_key(i);
-        set_leaf(&mut self.preempt_keys, &mut self.preempt_floor, self.cap, i, key);
+    /// After an in-cycle mutation of node `i`'s shadow: marks its
+    /// preempt-tree key stale and logs the node as changed.
+    fn touch(&mut self, i: usize) {
+        self.mark(i, Leaf::Key);
         self.log_change(i);
     }
 
@@ -500,7 +596,7 @@ impl FeasibilityIndex {
     pub(crate) fn place(&mut self, i: usize, spec: &PodSpec) {
         self.free[i] -= spec.request;
         *app_slot(&mut self.app_pods[i], spec.kind.app().raw()) += 1;
-        self.write_leaves(i);
+        self.touch(i);
         self.taint(i);
     }
 
@@ -509,13 +605,21 @@ impl FeasibilityIndex {
         self.free[i] += spec.request;
         let count = app_slot(&mut self.app_pods[i], spec.kind.app().raw());
         *count = count.saturating_sub(1);
-        self.write_leaves(i);
+        self.touch(i);
         self.taint(i);
     }
 
     /// Accounts a claimed preemption victim: its capacity frees up in
     /// the shadow and leaves the bound census.
-    pub(crate) fn claim_victim(&mut self, i: usize, app: u32, priority: i32, req: &ResourceVec) {
+    pub(crate) fn claim_victim(
+        &mut self,
+        cluster: &ClusterState,
+        i: usize,
+        app: u32,
+        priority: i32,
+        req: &ResourceVec,
+    ) {
+        self.settle(cluster);
         self.free[i] += *req;
         let count = app_slot(&mut self.app_pods[i], app);
         *count = count.saturating_sub(1);
@@ -523,12 +627,20 @@ impl FeasibilityIndex {
             self.census[i][k].1 -= *req;
         }
         self.census_total[i] -= *req;
-        self.write_leaves(i);
+        self.touch(i);
         self.taint(i);
     }
 
     /// Reverses [`claim_victim`](Self::claim_victim) (gang rollback).
-    pub(crate) fn unclaim_victim(&mut self, i: usize, app: u32, priority: i32, req: &ResourceVec) {
+    pub(crate) fn unclaim_victim(
+        &mut self,
+        cluster: &ClusterState,
+        i: usize,
+        app: u32,
+        priority: i32,
+        req: &ResourceVec,
+    ) {
+        self.settle(cluster);
         self.free[i] -= *req;
         *app_slot(&mut self.app_pods[i], app) += 1;
         match self.census[i].binary_search_by_key(&priority, |(p, _)| *p) {
@@ -536,14 +648,15 @@ impl FeasibilityIndex {
             Err(k) => self.census[i].insert(k, (priority, *req)),
         }
         self.census_total[i] += *req;
-        self.write_leaves(i);
+        self.touch(i);
         self.taint(i);
     }
 
     /// Fills [`candidates`](Self::candidates) with a superset of the
     /// nodes where evicting bound pods could make `request` fit,
     /// ascending. Exactness comes from the caller's per-node victim scan.
-    pub(crate) fn enumerate_preempt(&mut self, request: &ResourceVec) {
+    pub(crate) fn enumerate_preempt(&mut self, cluster: &ClusterState, request: &ResourceVec) {
+        self.settle(cluster);
         self.probes += enumerate(
             &self.preempt_keys,
             &self.preempt_floor,
@@ -630,7 +743,14 @@ impl FeasibilityIndex {
     /// Whether evicting every bound pod of priority strictly below
     /// `priority` could possibly free room for `request` on node `i`
     /// (superset check; the margin absorbs incremental float drift).
-    pub(crate) fn census_could_free(&self, i: usize, priority: i32, request: &ResourceVec) -> bool {
+    pub(crate) fn census_could_free(
+        &mut self,
+        cluster: &ClusterState,
+        i: usize,
+        priority: i32,
+        request: &ResourceVec,
+    ) -> bool {
+        self.settle(cluster);
         let mut avail = self.free[i];
         for (p, sum) in &self.census[i] {
             if *p >= priority {
@@ -676,32 +796,12 @@ impl FeasibilityIndex {
     }
 }
 
-/// Writes `key` at leaf `i` and recomputes the max/min aggregates on its
-/// root path.
-fn set_leaf(
-    maxes: &mut [ResourceVec],
-    mins: &mut [ResourceVec],
-    cap: usize,
-    i: usize,
-    key: ResourceVec,
-) {
-    let mut s = cap + i;
-    maxes[s] = key;
-    mins[s] = key;
-    s >>= 1;
-    while s >= 1 {
-        maxes[s] = maxes[2 * s].max(&maxes[2 * s + 1]);
-        mins[s] = mins[2 * s].min(&mins[2 * s + 1]);
-        s >>= 1;
-    }
-}
-
 /// Recomputes the max/min aggregates above the leaves at tree positions
 /// `dirty`, one level at a time: a level's positions, sorted, halve to
 /// the next level's parents in ascending order, so each parent is
 /// recomputed once, after both of its children are final. The trees end
-/// as bit-identical to a [`set_leaf`] per leaf, since max and min are
-/// exact. Leaves `dirty` empty.
+/// as bit-identical to a per-leaf root-path update, since max and min are
+/// exact (the tests hold it to that). Leaves `dirty` empty.
 fn repair(maxes: &mut [ResourceVec], mins: &mut [ResourceVec], dirty: &mut Vec<usize>) {
     dirty.sort_unstable();
     // Every position is on one level, so the root is the last one left.
@@ -782,6 +882,17 @@ mod tests {
     use evolve_types::{AppId, NodeId, PodId, SimTime};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Pod-table reads by the index ([`bound_pod`]) on this thread;
+        /// each test runs on a thread of its own.
+        pub(super) static POD_READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn pod_reads() -> u64 {
+        POD_READS.with(Cell::get)
+    }
 
     fn cluster(nodes: usize) -> ClusterState {
         ClusterState::new(&ClusterConfig::uniform(
@@ -937,11 +1048,46 @@ mod tests {
         fresh.sync(&c, PROFILE);
         assert_eq!(carried.free, fresh.free);
         assert_eq!(carried.ready, fresh.ready);
-        assert_eq!(carried.census, fresh.census);
-        assert_eq!(carried.census_total, fresh.census_total);
         assert_eq!(carried.app_pods, fresh.app_pods);
-        assert_eq!(carried.preempt_keys, fresh.preempt_keys);
-        assert_eq!(carried.preempt_floor, fresh.preempt_floor);
+        assert_same_census(&mut carried, &mut fresh, &c, "");
+    }
+
+    /// Lets a census reader of each index re-derive what its syncs left
+    /// stale, then asserts census, totals, both trees and what they
+    /// enumerate are equal, bit for bit.
+    fn assert_same_census(
+        carried: &mut FeasibilityIndex,
+        fresh: &mut FeasibilityIndex,
+        c: &ClusterState,
+        at: &str,
+    ) {
+        for idx in [&mut *carried, &mut *fresh] {
+            idx.enumerate_preempt(c, &ResourceVec::splat(100.0));
+            assert!(idx.stale.is_empty() && idx.dirty.is_empty(), "{at}");
+            assert!(idx.leaf.iter().all(|&leaf| leaf == Leaf::Current), "{at}");
+        }
+        assert_eq!(carried.candidates(), fresh.candidates(), "{at}");
+        assert_eq!(carried.census, fresh.census, "{at}");
+        assert_eq!(carried.census_total, fresh.census_total, "{at}");
+        // Both against the pod table, read in id order as a node lists
+        // its pods, so every sum adds in the same order.
+        let n = c.nodes().len();
+        let (mut census, mut totals) = (vec![Vec::new(); n], vec![ResourceVec::ZERO; n]);
+        for pod in c.pods().filter(|pod| pod.phase.holds_resources()) {
+            let (i, priority) = (pod.node.expect("bound").as_usize(), pod.spec.priority);
+            match census[i].iter_mut().find(|entry: &&mut (i32, ResourceVec)| entry.0 == priority) {
+                Some(entry) => entry.1 += pod.spec.request,
+                None => census[i].push((priority, pod.spec.request)),
+            }
+            totals[i] += pod.spec.request;
+        }
+        for list in &mut census {
+            list.sort_unstable_by_key(|entry| entry.0);
+        }
+        assert_eq!(carried.census, census, "{at}");
+        assert_eq!(carried.census_total, totals, "{at}");
+        assert_eq!(tree_bits(&carried.preempt_keys), tree_bits(&fresh.preempt_keys), "{at}");
+        assert_eq!(tree_bits(&carried.preempt_floor), tree_bits(&fresh.preempt_floor), "{at}");
     }
 
     /// Every node changes between syncs — each pod resized, some nodes
@@ -973,11 +1119,88 @@ mod tests {
             let mut fresh = FeasibilityIndex::new();
             fresh.sync(&c, PROFILE);
             assert_eq!(carried.free, fresh.free, "round {round}");
-            assert_eq!(carried.census, fresh.census, "round {round}");
-            assert_eq!(carried.census_total, fresh.census_total, "round {round}");
             assert_eq!(carried.app_pods, fresh.app_pods, "round {round}");
-            assert_eq!(carried.preempt_keys, fresh.preempt_keys, "round {round}");
-            assert_eq!(carried.preempt_floor, fresh.preempt_floor, "round {round}");
+            // Even rounds leave the census unread, so the next sync finds
+            // those nodes stale already.
+            if round % 2 == 1 {
+                assert_same_census(&mut carried, &mut fresh, &c, &format!("round {round}"));
+            }
+        }
+    }
+
+    /// Syncs after resizes alone read no pod: the free vectors refresh,
+    /// the app counts stay, and the census waits, stale, for the first
+    /// census reader, which reads each bound pod once. A bind reads the
+    /// app counts of its node only; a tainted node's are read again too.
+    #[test]
+    fn resize_only_syncs_leave_the_census_to_its_first_reader() {
+        let mut c = cluster(6);
+        let mut pods = Vec::new();
+        for i in 0..18u32 {
+            let spec = spec(i % 3, 20.0 + f64::from(i), 10 * (i % 2) as i32);
+            let id = c.create_pod(spec.with_limit(ResourceVec::splat(400.0)), SimTime::ZERO);
+            c.bind_pod(id, NodeId::new(i % 6)).unwrap();
+            pods.push(id);
+        }
+        let mut idx = FeasibilityIndex::new();
+        idx.sync(&c, PROFILE);
+        let before = pod_reads();
+        idx.census_could_free(&c, 0, 5, &ResourceVec::splat(1.0));
+        assert_eq!(pod_reads() - before, 18, "a rebuild leaves the census to its first reader");
+        for round in 0..3u32 {
+            for (k, &pod) in pods.iter().enumerate() {
+                let request = 30.0 + f64::from(round) * 5.0 + k as f64 * 0.5;
+                c.resize_pod(pod, ResourceVec::splat(request)).unwrap();
+            }
+            let (census, apps, before) = (idx.census.clone(), idx.app_pods.clone(), pod_reads());
+            idx.sync(&c, PROFILE);
+            check_cached_pass(&mut idx, &class(0, 50.0));
+            assert_eq!(pod_reads(), before, "round {round}: sync and choice read no pod");
+            assert_eq!((&idx.census, &idx.app_pods), (&census, &apps), "round {round}");
+            assert!(idx.leaf.iter().all(|&leaf| leaf == Leaf::Census), "round {round}");
+            assert_eq!(idx.stale.len(), 6, "round {round}: each node listed once");
+            let mut fresh = FeasibilityIndex::new();
+            fresh.sync(&c, PROFILE);
+            assert_eq!(idx.free, fresh.free, "round {round}");
+            assert_eq!(idx.app_pods, fresh.app_pods, "round {round}");
+            let before = pod_reads();
+            assert!(idx.census_could_free(&c, 2, 5, &ResourceVec::splat(1.0)));
+            assert_eq!(pod_reads() - before, 18, "round {round}: one read per bound pod");
+            idx.census_could_free(&c, 3, 5, &ResourceVec::splat(1.0));
+            assert_eq!(pod_reads() - before, 18, "round {round}: and only once");
+            assert_same_census(&mut idx, &mut fresh, &c, &format!("round {round}"));
+        }
+        // A bind moves node 2's bound set, so its four pods are read for
+        // the app counts; a placement taints node 4, whose three are read
+        // again at the next sync although its bound set stayed.
+        bind(&mut c, 1, 10.0, 0, 2);
+        idx.place(4, &spec(2, 10.0, 0));
+        let before = pod_reads();
+        idx.sync(&c, PROFILE);
+        assert_eq!(pod_reads() - before, 4 + 3);
+        let mut fresh = FeasibilityIndex::new();
+        fresh.sync(&c, PROFILE);
+        assert_eq!(idx.app_pods, fresh.app_pods);
+        assert_same_census(&mut idx, &mut fresh, &c, "after the bind");
+    }
+
+    /// Writes `key` at leaf `i` and recomputes the max/min aggregates on
+    /// its root path: the per-leaf update [`repair`] batches.
+    fn set_leaf(
+        maxes: &mut [ResourceVec],
+        mins: &mut [ResourceVec],
+        cap: usize,
+        i: usize,
+        key: ResourceVec,
+    ) {
+        let mut s = cap + i;
+        maxes[s] = key;
+        mins[s] = key;
+        s >>= 1;
+        while s >= 1 {
+            maxes[s] = maxes[2 * s].max(&maxes[2 * s + 1]);
+            mins[s] = mins[2 * s].min(&mins[2 * s + 1]);
+            s >>= 1;
         }
     }
 
@@ -1076,14 +1299,14 @@ mod tests {
         let mut idx = FeasibilityIndex::new();
         idx.sync(&c, PROFILE);
         let req = ResourceVec::splat(600.0);
-        assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
-        assert!(!idx.census_could_free(0, 10, &ResourceVec::splat(900.0)), "no lower priority");
-        idx.claim_victim(0, 0, 10, &req);
+        assert!(idx.census_could_free(&c, 0, 50, &ResourceVec::splat(900.0)));
+        assert!(!idx.census_could_free(&c, 0, 10, &ResourceVec::splat(900.0)), "no lower priority");
+        idx.claim_victim(&c, 0, 0, 10, &req);
         assert_eq!(idx.free(0), ResourceVec::splat(950.0));
-        assert!(!idx.census_could_free(0, 50, &ResourceVec::splat(951.0)));
-        idx.unclaim_victim(0, 0, 10, &req);
+        assert!(!idx.census_could_free(&c, 0, 50, &ResourceVec::splat(951.0)));
+        idx.unclaim_victim(&c, 0, 0, 10, &req);
         assert_eq!(idx.free(0), ResourceVec::splat(350.0));
-        assert!(idx.census_could_free(0, 50, &ResourceVec::splat(900.0)));
+        assert!(idx.census_could_free(&c, 0, 50, &ResourceVec::splat(900.0)));
     }
 
     #[test]
@@ -1108,9 +1331,9 @@ mod tests {
         idx.place(5, &pod);
         idx.release(5, &pod);
         let req = ResourceVec::splat(100.0);
-        idx.claim_victim(8, 0, 10, &req);
-        idx.claim_victim(10, 0, 10, &req);
-        idx.unclaim_victim(10, 0, 10, &req);
+        idx.claim_victim(&c, 8, 0, 10, &req);
+        idx.claim_victim(&c, 10, 0, 10, &req);
+        idx.unclaim_victim(&c, 10, 0, 10, &req);
         assert_eq!(check_cached_pass(&mut idx, &a), 4, "nodes 3, 5, 8, 10, once each");
         // Cluster-side changes arrive through sync, together with the
         // refresh of the four tainted nodes.
@@ -1205,9 +1428,9 @@ mod tests {
         for _ in 0..3 {
             let choice = idx.choose(&zero, tied);
             assert_eq!((choice.best, choice.feasible, choice.rejected), (Some((0.5, 1)), 2, 1));
-            idx.write_leaves(0);
+            idx.touch(0);
         }
-        idx.enumerate_preempt(&ResourceVec::ZERO);
+        idx.enumerate_preempt(&c, &ResourceVec::ZERO);
         assert_eq!(idx.candidates(), &[1, 2]);
         // Back up, it wins from the same cache; down again, it is gone.
         c.set_node_ready(NodeId::new(0), true).unwrap();
@@ -1225,7 +1448,7 @@ mod tests {
         idx.sync(&c, PROFILE);
         for _ in 0..2 {
             assert_eq!(check_cached_pass(&mut idx, &class(0, 900.0)), 1);
-            idx.write_leaves(0);
+            idx.touch(0);
         }
         assert!(matches!(idx.choose(&class(0, 900.0), evaluate).best, Some((_, 0))));
         for _ in 0..2 {

@@ -150,6 +150,11 @@ pub struct ClusterState {
     version: u64,
     /// Per-node mutation counters (same events as `version`, node-scoped).
     node_versions: Vec<u64>,
+    /// Per-node bound-set counters: bumped only when a node's
+    /// [`Node::pods`] changes (a bind, a release, an eviction), not by a
+    /// resize, so the index re-derives app counts only when they can have
+    /// moved.
+    bound_set_versions: Vec<u64>,
     /// Bound (resource-holding) pod count per priority. Lets the
     /// scheduler bail out of preemption in O(1) when no pod of strictly
     /// lower priority exists anywhere in the cluster.
@@ -174,6 +179,7 @@ impl ClusterState {
         let (ready_nodes, allocatable) = Self::ready_totals(&nodes);
         ClusterState {
             node_versions: vec![0; config.nodes.len()],
+            bound_set_versions: vec![0; config.nodes.len()],
             nodes,
             pods: Vec::new(),
             running_count: 0,
@@ -211,6 +217,19 @@ impl ClusterState {
         self.node_versions[node]
     }
 
+    /// Per-node bound-set counter: moves whenever the node's
+    /// [`Node::pods`] changes, and never for a resize or a readiness flip
+    /// that evicts nothing. Equal values mean the same pods are bound
+    /// there.
+    ///
+    /// # Panics
+    ///
+    /// Panics for node indices outside the cluster.
+    #[must_use]
+    pub fn bound_set_version(&self, node: usize) -> u64 {
+        self.bound_set_versions[node]
+    }
+
     /// Bound (resource-holding) pods with priority strictly below
     /// `priority`, maintained in O(1) per bind/unbind. Zero means
     /// preemption on behalf of a `priority` pod cannot possibly succeed.
@@ -222,6 +241,12 @@ impl ClusterState {
     fn bump_node(&mut self, node: usize) {
         self.version += 1;
         self.node_versions[node] += 1;
+    }
+
+    /// [`ClusterState::bump_node`] for a change of the node's bound set.
+    fn bump_bound_set(&mut self, node: usize) {
+        self.bump_node(node);
+        self.bound_set_versions[node] += 1;
     }
 
     fn census_bind(&mut self, priority: i32) {
@@ -328,7 +353,7 @@ impl ClusterState {
         pod.phase = PodPhase::Starting;
         self.pending.remove((pod.created, pod_id));
         let priority = pod.spec.priority;
-        self.bump_node(node_id.as_usize());
+        self.bump_bound_set(node_id.as_usize());
         self.census_bind(priority);
         Ok(())
     }
@@ -377,7 +402,7 @@ impl ClusterState {
         }
         pod.phase = phase;
         if let Some((node, priority)) = released {
-            self.bump_node(node);
+            self.bump_bound_set(node);
             self.census_unbind(priority);
         }
         Ok(())
@@ -540,7 +565,11 @@ impl ClusterState {
         node.set_ready(ready);
         let victims: Vec<PodId> = if ready { Vec::new() } else { node.pods().to_vec() };
         (self.ready_nodes, self.allocatable) = Self::ready_totals(&self.nodes);
-        self.bump_node(node_id.as_usize());
+        if victims.is_empty() {
+            self.bump_node(node_id.as_usize());
+        } else {
+            self.bump_bound_set(node_id.as_usize());
+        }
         for pod_id in &victims {
             let pod = &mut self.pods[pod_id.as_usize()];
             let released = pod.phase.holds_resources().then_some(pod.spec.priority);
@@ -924,6 +953,47 @@ mod tests {
         let v = c.node_version(0);
         c.set_node_ready(NodeId::new(0), false).unwrap();
         assert!(c.node_version(0) > v);
+    }
+
+    /// The bound-set counter moves exactly when a node's pod list does: a
+    /// bind, a termination and an eviction by readiness loss move it; a
+    /// resize, a pending pod's rewrite, a start and a readiness flip that
+    /// evicts nothing do not, though some of them move the node version.
+    #[test]
+    fn bound_set_version_tracks_membership_only() {
+        let mut c = cluster();
+        let limit = ResourceVec::splat(500.0);
+        let a = c.create_pod(spec(100.0).with_limit(limit), SimTime::ZERO);
+        let b = c.create_pod(spec(100.0).with_limit(limit), SimTime::ZERO);
+        let waiting = c.create_pod(spec(100.0).with_limit(limit), SimTime::ZERO);
+        assert_eq!((c.bound_set_version(0), c.bound_set_version(1)), (0, 0));
+        // (bound-set, node-version) moves of node 0 since the last call.
+        let mut last = (0, 0);
+        let mut moved = |c: &ClusterState| {
+            let now = (c.bound_set_version(0), c.node_version(0));
+            let delta = (now.0 - last.0, now.1 - last.1);
+            last = now;
+            delta
+        };
+        c.bind_pod(a, NodeId::new(0)).unwrap();
+        assert_eq!(moved(&c), (1, 1), "bind");
+        c.bind_pod(b, NodeId::new(0)).unwrap();
+        moved(&c);
+        c.resize_pod(a, ResourceVec::splat(300.0)).unwrap();
+        assert_eq!(moved(&c), (0, 1), "a resize moves the node version only");
+        c.update_pending_request(waiting, ResourceVec::splat(50.0)).unwrap();
+        assert!(c.rewrite_if_pending(waiting, ResourceVec::splat(60.0)));
+        assert_eq!(moved(&c), (0, 0), "a pending rewrite touches no node");
+        c.start_pod(a, SimTime::from_secs(1)).unwrap();
+        assert_eq!(moved(&c), (0, 0), "a start changes no allocation");
+        c.terminate_pod(b, PodPhase::Succeeded).unwrap();
+        assert_eq!(moved(&c), (1, 1), "terminate");
+        assert_eq!(c.set_node_ready(NodeId::new(0), false).unwrap(), vec![a]);
+        assert_eq!(moved(&c), (1, 1), "eviction on readiness loss");
+        assert!(c.set_node_ready(NodeId::new(0), true).unwrap().is_empty());
+        assert_eq!(moved(&c), (0, 1), "an empty node comes back");
+        assert_eq!(c.bound_set_version(1), 0, "the other node never moved");
+        c.check_invariants();
     }
 
     #[test]
